@@ -1,17 +1,24 @@
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_lt::PacketId;
 use ltnc_metrics::OpKind;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::LtncNode;
 
-/// A packet the build step may combine: either a buffered encoded packet or a
-/// decoded native (which plays the role of a degree-1 encoded packet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Candidate {
-    Buffered(PacketId),
-    Native(usize),
+/// A fresh packet while build and refinement shape it: only its code vector
+/// and the list of what to XOR, no payload yet.
+///
+/// Buffered packets only ever contain undecoded natives (belief propagation
+/// keeps the Tanner graph reduced), so the decoded natives of `vector` are
+/// exactly the degree-1 sources of the packet and need no list of their own:
+/// the payload is the XOR of `buffered` and of the decoded natives `vector`
+/// names, folded once by [`LtncNode::fold`].
+#[derive(Debug)]
+pub(crate) struct Draft {
+    pub(crate) vector: CodeVector,
+    /// Buffered packets combined so far, the degree-2 packets of substitution
+    /// paths included.
+    pub(crate) buffered: Vec<PacketId>,
 }
 
 impl LtncNode {
@@ -20,63 +27,67 @@ impl LtncNode {
     /// degree starting from `target` and skipping any candidate whose
     /// inclusion would not increase the degree or would overshoot it
     /// (collision avoidance).
-    pub(crate) fn build_packet<R: Rng + ?Sized>(
-        &mut self,
-        target: usize,
-        rng: &mut R,
-    ) -> EncodedPacket {
-        let mut vector = CodeVector::zero(self.k);
-        let mut payload = Payload::zero(self.payload_size);
-
-        let mut degree = target.min(self.degree_index.max_degree().unwrap_or(1)).max(1);
-        let mut candidates = self.candidates_of_degree(degree, target);
-        candidates.shuffle(rng);
-
-        while vector.degree() < target && degree > 0 {
-            let Some(candidate) = candidates.pop() else {
-                // Bucket exhausted: move to the next lower degree.
-                degree -= 1;
-                if degree == 0 {
-                    break;
-                }
-                candidates = self.candidates_of_degree(degree, target);
-                candidates.shuffle(rng);
-                continue;
+    ///
+    /// The candidates of one degree — the bucket of the degree index, or the
+    /// decoded natives at degree 1 — are visited in uniformly random order by
+    /// a lazy shuffle that pays only for the candidates examined.
+    pub(crate) fn build_packet<R: Rng + ?Sized>(&mut self, target: usize, rng: &mut R) -> Draft {
+        let mut draft = Draft { vector: CodeVector::zero(self.k), buffered: Vec::new() };
+        let mut reached = 0;
+        let top = target.min(self.degree_index.max_degree().unwrap_or(1)).max(1);
+        for degree in (1..=top).rev() {
+            let candidates = match degree {
+                1 => self.cc.decoded_members().len(),
+                _ => self.degree_index.count(degree),
             };
-            self.recode_counters.incr(OpKind::BuildCandidate);
-            let (cand_vector, cand_payload) = match candidate {
-                Candidate::Buffered(id) => {
-                    let Some((v, p)) = self.decoder.graph().packet(id) else {
+            for drawn in 0..candidates {
+                if reached == target {
+                    return draft;
+                }
+                self.recode_counters.incr(OpKind::BuildCandidate);
+                if degree == 1 {
+                    let x = self.cc.draw_decoded(drawn, rng);
+                    let decoded = self.decoder.is_decoded(x);
+                    debug_assert!(decoded, "the component tracker calls x{x} decoded");
+                    if !decoded || draft.vector.contains(x) {
+                        continue;
+                    }
+                    draft.vector.set(x);
+                    reached += 1;
+                } else {
+                    let id = self.degree_index.draw(degree, drawn, rng);
+                    let Some((candidate, _)) = self.decoder.graph().packet(id) else {
+                        debug_assert!(false, "the degree index holds consumed packet {id:?}");
                         continue;
                     };
-                    (v.clone(), p.clone())
+                    let combined = draft.vector.xor_degree(candidate);
+                    if combined <= reached || combined > target {
+                        continue;
+                    }
+                    draft.vector.xor_assign(candidate);
+                    draft.buffered.push(id);
+                    reached = combined;
                 }
-                Candidate::Native(x) => (
-                    CodeVector::singleton(self.k, x),
-                    self.decoder.native(x).expect("decoded native").clone(),
-                ),
-            };
-            let combined_degree = vector.xor_degree(&cand_vector);
-            if vector.degree() < combined_degree && combined_degree <= target {
-                vector.xor_assign(&cand_vector);
-                payload.xor_assign(&cand_payload);
                 self.recode_counters.incr(OpKind::VectorXor);
-                self.recode_counters.incr(OpKind::PayloadXor);
             }
         }
-        EncodedPacket::new(vector, payload)
+        draft
     }
 
-    /// The candidates of exactly the given degree: buffered packets from the
-    /// degree index, or the decoded natives when `degree == 1`. Degrees above
-    /// `target` are never requested by the caller; the parameter is only used
-    /// for the initial clamp.
-    fn candidates_of_degree(&self, degree: usize, _target: usize) -> Vec<Candidate> {
-        if degree == 1 {
-            self.cc.decoded_members().iter().map(|&x| Candidate::Native(x)).collect()
-        } else {
-            self.degree_index.bucket(degree).iter().map(|&id| Candidate::Buffered(id)).collect()
-        }
+    /// Turns a draft into a packet: one pass over the payload that folds in
+    /// every source, none of them cloned.
+    pub(crate) fn fold(&mut self, draft: Draft) -> EncodedPacket {
+        let graph = self.decoder.graph();
+        let natives = draft.vector.iter_ones().filter_map(|x| self.decoder.native(x));
+        let buffered = draft
+            .buffered
+            .iter()
+            .map(|&id| graph.packet(id).expect("nothing is consumed between build and fold").1);
+        let sources: Vec<&Payload> = natives.chain(buffered).collect();
+        self.recode_counters.add(OpKind::PayloadXor, sources.len() as u64);
+        let mut payload = Payload::zero(self.payload_size);
+        payload.xor_assign_many(&sources);
+        EncodedPacket::new(draft.vector, payload)
     }
 }
 
@@ -99,6 +110,12 @@ mod tests {
         EncodedPacket::new(CodeVector::from_indices(k, indices), payload)
     }
 
+    /// Build then fold: the packet Algorithm 1 alone would emit.
+    fn build(node: &mut LtncNode, target: usize, rng: &mut SmallRng) -> EncodedPacket {
+        let draft = node.build_packet(target, rng);
+        node.fold(draft)
+    }
+
     /// Checks the fundamental invariant: the payload of a built packet always
     /// equals the XOR of the natives named by its code vector.
     fn assert_consistent(p: &EncodedPacket, nat: &[Payload]) {
@@ -117,7 +134,7 @@ mod tests {
         let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
         let mut rng = SmallRng::seed_from_u64(5);
         for target in 1..=10 {
-            let p = node.build_packet(target, &mut rng);
+            let p = build(&mut node, target, &mut rng);
             assert_eq!(p.degree(), target, "target {target}");
             assert_consistent(&p, &nat);
         }
@@ -144,7 +161,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut reached = false;
         for _ in 0..50 {
-            let p = node.build_packet(5, &mut rng);
+            let p = build(&mut node, 5, &mut rng);
             assert!(p.degree() <= 5);
             assert_consistent(&p, &nat);
             if p.degree() == 5 {
@@ -168,7 +185,7 @@ mod tests {
         node.receive(&packet(k, &[6, 7, 8, 9], &nat));
         for target in 1..=8 {
             for _ in 0..20 {
-                let p = node.build_packet(target, &mut rng);
+                let p = build(&mut node, target, &mut rng);
                 assert!(p.degree() <= target, "degree {} > target {target}", p.degree());
                 assert_consistent(&p, &nat);
             }
@@ -188,7 +205,7 @@ mod tests {
         node.receive(&packet(k, &[1, 2], &nat));
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..20 {
-            let p = node.build_packet(4, &mut rng);
+            let p = build(&mut node, 4, &mut rng);
             assert_eq!(p.degree(), 2, "collision must be avoided");
             assert_consistent(&p, &nat);
         }
@@ -198,7 +215,7 @@ mod tests {
     fn empty_node_builds_zero_packet() {
         let mut node = LtncNode::new(8, 2);
         let mut rng = SmallRng::seed_from_u64(1);
-        let p = node.build_packet(3, &mut rng);
+        let p = build(&mut node, 3, &mut rng);
         assert!(p.is_zero());
     }
 
@@ -210,7 +227,72 @@ mod tests {
         let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
         let before = node.recoding_counters().get(OpKind::BuildCandidate);
         let mut rng = SmallRng::seed_from_u64(2);
-        node.build_packet(3, &mut rng);
+        build(&mut node, 3, &mut rng);
         assert!(node.recoding_counters().get(OpKind::BuildCandidate) > before);
+    }
+
+    #[test]
+    fn build_examines_only_what_it_needs() {
+        // A complete node builds degree d from exactly d decoded natives: the
+        // lazy shuffle never looks at the other k − d.
+        let (k, m) = (256, 2);
+        let nat = natives(k, m);
+        let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
+        let mut rng = SmallRng::seed_from_u64(6);
+        for target in [1, 2, 7, 40, 256] {
+            let before = *node.recoding_counters();
+            let p = build(&mut node, target, &mut rng);
+            assert_eq!(p.degree(), target);
+            assert_consistent(&p, &nat);
+            let after = node.recoding_counters();
+            let examined = after.get(OpKind::BuildCandidate) - before.get(OpKind::BuildCandidate);
+            assert_eq!(examined, target as u64);
+            // One payload per native, all folded in one pass.
+            assert_eq!(
+                after.get(OpKind::PayloadXor) - before.get(OpKind::PayloadXor),
+                target as u64
+            );
+        }
+    }
+
+    #[test]
+    fn degree_one_candidates_are_drawn_uniformly() {
+        let (k, m) = (16, 1);
+        let nat = natives(k, m);
+        let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut hits = [0u32; 16];
+        for _ in 0..16 * 500 {
+            let p = build(&mut node, 3, &mut rng);
+            for x in p.vector().iter_ones() {
+                hits[x] += 1;
+            }
+        }
+        // Each native expects 1500 appearances (σ ≈ 35).
+        assert!(hits.iter().all(|&n| (1300..=1700).contains(&n)), "{hits:?}");
+    }
+
+    #[test]
+    fn tracker_and_decoder_disagreement_skips_the_candidate() {
+        // The component tracker calls x3 decoded, the decoder does not hold
+        // it: the build must pass over x3, not panic (debug builds assert).
+        let (k, m) = (8, 2);
+        let nat = natives(k, m);
+        let mut node = LtncNode::new(k, m);
+        node.receive(&packet(k, &[0], &nat));
+        node.receive(&packet(k, &[1], &nat));
+        node.cc.mark_decoded(3);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (0..20).map(|_| build(&mut node, 3, &mut rng)).collect::<Vec<_>>()
+        }));
+        if cfg!(debug_assertions) {
+            assert!(outcome.is_err(), "the debug assertion names the disagreement");
+        } else {
+            for p in outcome.expect("release builds skip the candidate") {
+                assert_eq!(p.vector().ones(), vec![0, 1]);
+                assert_consistent(&p, &nat);
+            }
+        }
     }
 }

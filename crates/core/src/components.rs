@@ -1,6 +1,5 @@
-use std::collections::VecDeque;
-
 use ltnc_lt::PacketId;
+use rand::Rng;
 
 /// Label of the equivalence class of decoded native packets.
 pub const DECODED_CLASS: usize = 0;
@@ -17,20 +16,39 @@ pub const DECODED_CLASS: usize = 0;
 ///
 /// Two natives are substitutable in the refinement step (Algorithm 2) exactly
 /// when their labels are equal. On top of the labels, the tracker keeps the
-/// member list of every component (to enumerate substitution candidates) and
-/// the degree-2 packets forming the component (to materialise the payload of
-/// `x ⊕ x'` by XOR-ing packets along a path between `x` and `x'`).
+/// member list of every component (the decoded class is what the build step
+/// samples its degree-1 candidates from) and the degree-2 packets forming the
+/// component (to materialise the payload of `x ⊕ x'` by XOR-ing packets along
+/// a path between `x` and `x'`).
 #[derive(Debug, Clone)]
 pub struct ComponentTracker {
     /// `labels[x]` is the component label of native `x` (0 = decoded).
     labels: Vec<usize>,
     /// `members[l]` lists the natives currently labelled `l`.
     members: Vec<Vec<usize>>,
+    /// `slots[x]` is the position of `x` in `members[labels[x]]`.
+    slots: Vec<usize>,
     /// Adjacency over natives: for each native, `(neighbour, degree-2 packet id)`.
     edges: Vec<Vec<(usize, PacketId)>>,
     /// Number of label rewrites performed (the paper's merge is a relabel; this
     /// is the control-plane work the cost model charges as index updates).
     relabel_ops: u64,
+    /// Scratch of [`ComponentTracker::path_between`], reused across searches
+    /// so that one search costs the component it explores, not `k`.
+    search: PathSearch,
+}
+
+/// Breadth-first search state that is never cleared: `seen[x]` is valid only
+/// when it equals the current `epoch`, and `came_from[x]` — the native the
+/// search reached `x` from and the position of the edge it took in that
+/// native's adjacency list — only when `seen[x]` is.
+#[derive(Debug, Clone, Default)]
+struct PathSearch {
+    epoch: u32,
+    seen: Vec<u32>,
+    came_from: Vec<(usize, usize)>,
+    queue: Vec<usize>,
+    path: Vec<PacketId>,
 }
 
 impl ComponentTracker {
@@ -39,15 +57,11 @@ impl ComponentTracker {
     pub fn new(k: usize) -> Self {
         ComponentTracker {
             labels: (1..=k).collect(),
-            members: {
-                let mut m = vec![Vec::new(); k + 1];
-                for (i, slot) in m.iter_mut().enumerate().skip(1) {
-                    slot.push(i - 1);
-                }
-                m
-            },
+            members: std::iter::once(Vec::new()).chain((0..k).map(|x| vec![x])).collect(),
+            slots: vec![0; k],
             edges: vec![Vec::new(); k],
             relabel_ops: 0,
+            search: PathSearch::default(),
         }
     }
 
@@ -100,6 +114,22 @@ impl ComponentTracker {
         &self.members[DECODED_CLASS]
     }
 
+    /// Step `drawn` of a lazy Fisher–Yates shuffle of the decoded class: swaps
+    /// a uniformly random native of `decoded_members()[drawn..]` into position
+    /// `drawn` and returns it (see [`crate::DegreeIndex::draw`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drawn >= decoded_members().len()`.
+    pub fn draw_decoded<R: Rng + ?Sized>(&mut self, drawn: usize, rng: &mut R) -> usize {
+        let decoded = &mut self.members[DECODED_CLASS];
+        let pick = rng.gen_range(drawn..decoded.len());
+        decoded.swap(drawn, pick);
+        self.slots[decoded[drawn]] = drawn;
+        self.slots[decoded[pick]] = pick;
+        decoded[drawn]
+    }
+
     /// Size of `x`'s component.
     #[must_use]
     pub fn component_size(&self, x: usize) -> usize {
@@ -119,6 +149,14 @@ impl ComponentTracker {
         self.relabel_ops
     }
 
+    /// Gives native `x` the label `to`, appending it to that member list.
+    fn relabel(&mut self, x: usize, to: usize) {
+        self.labels[x] = to;
+        self.slots[x] = self.members[to].len();
+        self.members[to].push(x);
+        self.relabel_ops += 1;
+    }
+
     /// Moves native `x` to the decoded class.
     ///
     /// # Panics
@@ -129,10 +167,12 @@ impl ComponentTracker {
         if old == DECODED_CLASS {
             return;
         }
-        self.members[old].retain(|&m| m != x);
-        self.labels[x] = DECODED_CLASS;
-        self.members[DECODED_CLASS].push(x);
-        self.relabel_ops += 1;
+        let slot = self.slots[x];
+        self.members[old].swap_remove(slot);
+        if let Some(&moved) = self.members[old].get(slot) {
+            self.slots[moved] = slot;
+        }
+        self.relabel(x, DECODED_CLASS);
     }
 
     /// Records the degree-2 packet `x ⊕ y` (id `packet`) and merges the two
@@ -140,13 +180,14 @@ impl ComponentTracker {
     /// native labelled like `y` is relabelled like `x` (we relabel the smaller
     /// component for efficiency — the resulting partition is identical).
     ///
-    /// Returns `true` when the two natives were in different components (i.e.
-    /// the packet actually connected something).
+    /// Returns the label `x` and `y` now share and the natives that changed to
+    /// it — none when the two natives already were in the same component (the
+    /// packet connected nothing).
     ///
     /// # Panics
     ///
     /// Panics if `x` or `y` is out of range or `x == y`.
-    pub fn merge(&mut self, x: usize, y: usize, packet: PacketId) -> bool {
+    pub fn merge(&mut self, x: usize, y: usize, packet: PacketId) -> (usize, &[usize]) {
         assert_ne!(x, y, "a degree-2 packet has two distinct natives");
         self.edges[x].push((y, packet));
         self.edges[y].push((x, packet));
@@ -154,7 +195,7 @@ impl ComponentTracker {
         let lx = self.labels[x];
         let ly = self.labels[y];
         if lx == ly {
-            return false;
+            return (lx, &[]);
         }
         // Keep the decoded class label if present, otherwise relabel the
         // smaller component into the larger one.
@@ -167,46 +208,100 @@ impl ComponentTracker {
         } else {
             (ly, lx)
         };
-        let moved = std::mem::take(&mut self.members[drop]);
-        self.relabel_ops += moved.len() as u64;
-        for &m in &moved {
-            self.labels[m] = keep;
+        let kept = self.members[keep].len();
+        for m in std::mem::take(&mut self.members[drop]) {
+            self.relabel(m, keep);
         }
-        self.members[keep].extend(moved);
-        true
+        (keep, &self.members[keep][kept..])
     }
 
-    /// Finds a sequence of degree-2 packets whose XOR equals `x ⊕ y`
+    /// Finds a shortest sequence of degree-2 packets whose XOR equals `x ⊕ y`
     /// (intermediate natives telescope away). Returns `None` when `x` and `y`
     /// are not connected by degree-2 packets — in particular when their
     /// relation only holds because both are decoded, which the caller handles
     /// by XOR-ing the two decoded payloads directly.
     ///
     /// `edge_alive` lets the caller skip packets that have since been consumed
-    /// by belief propagation.
-    #[must_use]
-    pub fn path_between<F>(&self, x: usize, y: usize, edge_alive: F) -> Option<Vec<PacketId>>
+    /// by belief propagation. The search allocates nothing and visits at most
+    /// the component of `x`.
+    pub fn path_between<F>(&mut self, x: usize, y: usize, edge_alive: F) -> Option<&[PacketId]>
     where
         F: Fn(PacketId) -> bool,
     {
+        let search = &mut self.search;
+        search.path.clear();
+        if x == y {
+            return Some(&search.path);
+        }
+        if search.epoch == u32::MAX {
+            search.seen.fill(0);
+            search.epoch = 0;
+        }
+        search.epoch += 1;
+        // Sized by the first search; a node that never substitutes along
+        // degree-2 paths (a source) never pays for the scratch.
+        search.seen.resize(self.labels.len(), 0);
+        search.came_from.resize(self.labels.len(), (0, 0));
+        search.queue.clear();
+        search.queue.push(x);
+        search.seen[x] = search.epoch;
+        let mut head = 0;
+        while let Some(&cur) = search.queue.get(head) {
+            head += 1;
+            for (edge, &(next, packet)) in self.edges[cur].iter().enumerate() {
+                if search.seen[next] == search.epoch || !edge_alive(packet) {
+                    continue;
+                }
+                search.seen[next] = search.epoch;
+                search.came_from[next] = (cur, edge);
+                if next == y {
+                    let mut node = y;
+                    while node != x {
+                        let (parent, edge) = search.came_from[node];
+                        search.path.push(self.edges[parent][edge].1);
+                        node = parent;
+                    }
+                    search.path.reverse();
+                    return Some(&search.path);
+                }
+                search.queue.push(next);
+            }
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ltnc_gf2::{CodeVector, Payload};
+    use ltnc_lt::TannerGraph;
+    use proptest::prelude::*;
+
+    /// The search as it was before it reused its scratch: a breadth-first
+    /// search over the degree-2 edge graph on freshly allocated state.
+    fn path_between_oracle(
+        cc: &ComponentTracker,
+        x: usize,
+        y: usize,
+        edge_alive: impl Fn(PacketId) -> bool,
+    ) -> Option<Vec<PacketId>> {
         if x == y {
             return Some(Vec::new());
         }
-        // BFS over the degree-2 edge graph.
-        let k = self.labels.len();
+        let k = cc.labels.len();
         let mut prev: Vec<Option<(usize, PacketId)>> = vec![None; k];
         let mut visited = vec![false; k];
         visited[x] = true;
-        let mut queue = VecDeque::from([x]);
+        let mut queue = std::collections::VecDeque::from([x]);
         while let Some(cur) = queue.pop_front() {
-            for &(next, packet) in &self.edges[cur] {
+            for &(next, packet) in &cc.edges[cur] {
                 if visited[next] || !edge_alive(packet) {
                     continue;
                 }
                 visited[next] = true;
                 prev[next] = Some((cur, packet));
                 if next == y {
-                    // Reconstruct the path back to x.
                     let mut path = Vec::new();
                     let mut node = y;
                     while let Some((parent, pkt)) = prev[node] {
@@ -221,14 +316,6 @@ impl ComponentTracker {
         }
         None
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ltnc_gf2::{CodeVector, Payload};
-    use ltnc_lt::TannerGraph;
-    use proptest::prelude::*;
 
     fn pids(n: usize) -> Vec<PacketId> {
         let mut g = TannerGraph::new(n + 2);
@@ -268,17 +355,64 @@ mod tests {
     }
 
     #[test]
+    fn mark_decoded_leaves_the_rest_of_the_component_in_place() {
+        let ids = pids(3);
+        let mut cc = ComponentTracker::new(5);
+        cc.merge(0, 1, ids[0]);
+        cc.merge(1, 2, ids[1]);
+        cc.merge(2, 3, ids[2]);
+        // Decode from the middle of the member list, then the ends: every
+        // removal must keep the positions of the natives that stay.
+        for (x, left) in [(1, vec![0, 2, 3]), (0, vec![2, 3]), (3, vec![2]), (2, vec![])] {
+            cc.mark_decoded(x);
+            let mut members = cc.members.iter().skip(1).flatten().copied().collect::<Vec<_>>();
+            members.retain(|&m| m != 4);
+            members.sort_unstable();
+            assert_eq!(members, left);
+            for (label, list) in cc.members.iter().enumerate() {
+                for (slot, &m) in list.iter().enumerate() {
+                    assert_eq!((cc.labels[m], cc.slots[m]), (label, slot));
+                }
+            }
+        }
+        assert_eq!(cc.decoded_members(), &[1, 0, 3, 2]);
+    }
+
+    #[test]
+    fn draw_decoded_visits_every_decoded_native_once() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut cc = ComponentTracker::new(8);
+        for x in [6, 1, 4, 3, 0] {
+            cc.mark_decoded(x);
+        }
+        let mut rng = SmallRng::seed_from_u64(9);
+        for _ in 0..20 {
+            let mut drawn: Vec<usize> = (0..5).map(|i| cc.draw_decoded(i, &mut rng)).collect();
+            drawn.sort_unstable();
+            assert_eq!(drawn, vec![0, 1, 3, 4, 6]);
+            for (slot, &m) in cc.decoded_members().iter().enumerate() {
+                assert_eq!(cc.slots[m], slot);
+            }
+        }
+        // Positions stayed true: a later removal-free relabel still works.
+        cc.mark_decoded(7);
+        assert_eq!(cc.decoded_members().len(), 6);
+    }
+
+    #[test]
     fn merge_joins_components() {
         let ids = pids(3);
         let mut cc = ComponentTracker::new(5);
-        assert!(cc.merge(0, 1, ids[0]));
+        // The singleton {1} joins {0}: the larger (here: first) side keeps its label.
+        assert_eq!(cc.merge(0, 1, ids[0]), (1, &[1][..]));
         assert!(cc.same_component(0, 1));
         assert_eq!(cc.component_size(0), 2);
-        assert!(cc.merge(1, 2, ids[1]));
+        assert_eq!(cc.merge(1, 2, ids[1]), (1, &[2][..]));
         assert!(cc.same_component(0, 2));
         assert_eq!(cc.component_size(2), 3);
         // Merging within the same component is a no-op on the partition.
-        assert!(!cc.merge(0, 2, ids[2]));
+        assert_eq!(cc.merge(0, 2, ids[2]), (1, &[][..]));
         assert_eq!(cc.component_size(0), 3);
         assert_eq!(cc.component_count(), 3); // {0,1,2}, {3}, {4}
     }
@@ -330,10 +464,11 @@ mod tests {
         cc.merge(0, 1, ids[0]);
         cc.merge(1, 2, ids[1]);
         cc.merge(2, 3, ids[2]);
-        let path = cc.path_between(0, 3, |_| true).unwrap();
-        assert_eq!(path, vec![ids[0], ids[1], ids[2]]);
-        assert_eq!(cc.path_between(0, 0, |_| true).unwrap(), Vec::<PacketId>::new());
+        assert_eq!(cc.path_between(0, 3, |_| true).unwrap(), &[ids[0], ids[1], ids[2]]);
+        assert_eq!(cc.path_between(0, 0, |_| true).unwrap(), &[]);
         assert!(cc.path_between(0, 4, |_| true).is_none());
+        // The scratch of one search does not leak into the next.
+        assert_eq!(cc.path_between(3, 1, |_| true).unwrap(), &[ids[2], ids[1]]);
     }
 
     #[test]
@@ -355,8 +490,7 @@ mod tests {
         cc.merge(1, 2, ids[1]);
         cc.merge(0, 3, ids[2]);
         cc.merge(3, 2, ids[3]);
-        let path = cc.path_between(0, 2, |p| p != ids[1]).unwrap();
-        assert_eq!(path, vec![ids[2], ids[3]]);
+        assert_eq!(cc.path_between(0, 2, |p| p != ids[1]).unwrap(), &[ids[2], ids[3]]);
     }
 
     #[test]
@@ -397,6 +531,45 @@ mod tests {
                         cc.same_component(x, y),
                         "x={} y={}", x, y
                     );
+                }
+            }
+        }
+
+        /// The search on reused, never-cleared scratch finds what a search on
+        /// fresh state finds: a path exactly when one exists, as short as the
+        /// shortest, made of live edges that chain from `x` to `y`.
+        #[test]
+        fn prop_path_search_matches_the_allocating_oracle(
+            k in 3usize..16,
+            ops in proptest::collection::vec((0usize..16, 0usize..16), 0..24),
+            dead in proptest::collection::vec(0usize..24, 0..6),
+        ) {
+            let ids = pids(ops.len().max(1));
+            let mut cc = ComponentTracker::new(k);
+            for (i, &(a, b)) in ops.iter().enumerate() {
+                let (a, b) = (a % k, b % k);
+                if a != b {
+                    cc.merge(a, b, ids[i]);
+                }
+            }
+            let alive = |p: PacketId| !dead.iter().any(|&d| ids.get(d) == Some(&p));
+            for x in 0..k {
+                for y in 0..k {
+                    let expected = path_between_oracle(&cc, x, y, alive);
+                    let found = cc.path_between(x, y, alive).map(<[PacketId]>::to_vec);
+                    prop_assert_eq!(
+                        found.as_ref().map(Vec::len),
+                        expected.as_ref().map(Vec::len),
+                        "x={} y={}", x, y
+                    );
+                    let mut at = x;
+                    for packet in found.iter().flatten() {
+                        prop_assert!(alive(*packet));
+                        let edge = cc.edges[at].iter().find(|e| e.1 == *packet);
+                        prop_assert!(edge.is_some(), "packet {:?} does not leave x{}", packet, at);
+                        at = edge.unwrap().0;
+                    }
+                    prop_assert!(found.is_none() || at == y);
                 }
             }
         }

@@ -1,6 +1,5 @@
-use std::collections::HashMap;
-
 use ltnc_lt::PacketId;
+use rand::Rng;
 
 /// The index `S` of buffered encoded packets grouped by their current degree
 /// (first row of Table I in the paper: "find a set of encoded packets to
@@ -17,8 +16,10 @@ pub struct DegreeIndex {
     /// `buckets[d]` holds the ids of buffered packets of current degree `d`.
     /// Bucket 0 and 1 stay empty (degree-0/1 packets never stay buffered).
     buckets: Vec<Vec<PacketId>>,
-    /// Reverse map: id -> (degree, position in bucket) for O(1) removal.
-    positions: HashMap<PacketId, (usize, usize)>,
+    /// Reverse map, dense over [`PacketId::index`] (ids are never reused):
+    /// (degree, position in bucket) for O(1) removal and in-place sampling.
+    positions: Vec<Option<(usize, usize)>>,
+    len: usize,
 }
 
 impl DegreeIndex {
@@ -31,13 +32,13 @@ impl DegreeIndex {
     /// Number of indexed packets.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.len
     }
 
     /// Returns `true` when no packet is indexed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.len == 0
     }
 
     /// Number of indexed packets of exactly degree `d` (`n(d)` in the paper).
@@ -58,16 +59,20 @@ impl DegreeIndex {
         self.buckets.get(degree).map_or(&[], Vec::as_slice)
     }
 
+    fn position(&self, id: PacketId) -> Option<(usize, usize)> {
+        self.positions.get(id.index()).copied().flatten()
+    }
+
     /// Current degree of an indexed packet.
     #[must_use]
     pub fn degree_of(&self, id: PacketId) -> Option<usize> {
-        self.positions.get(&id).map(|&(d, _)| d)
+        self.position(id).map(|(d, _)| d)
     }
 
     /// Returns `true` when the packet is indexed.
     #[must_use]
     pub fn contains(&self, id: PacketId) -> bool {
-        self.positions.contains_key(&id)
+        self.position(id).is_some()
     }
 
     /// Adds a packet at the given degree.
@@ -76,13 +81,16 @@ impl DegreeIndex {
     ///
     /// Panics if the id is already indexed (packets are inserted exactly once).
     pub fn insert(&mut self, id: PacketId, degree: usize) {
-        assert!(!self.positions.contains_key(&id), "packet {id:?} is already indexed");
+        assert!(!self.contains(id), "packet {id:?} is already indexed");
         if degree >= self.buckets.len() {
             self.buckets.resize(degree + 1, Vec::new());
         }
-        let pos = self.buckets[degree].len();
+        if id.index() >= self.positions.len() {
+            self.positions.resize(id.index() + 1, None);
+        }
+        self.positions[id.index()] = Some((degree, self.buckets[degree].len()));
         self.buckets[degree].push(id);
-        self.positions.insert(id, (degree, pos));
+        self.len += 1;
     }
 
     /// Moves a packet to a new degree bucket (no-op if the degree is unchanged).
@@ -91,8 +99,8 @@ impl DegreeIndex {
     ///
     /// Panics if the id is not indexed.
     pub fn update(&mut self, id: PacketId, new_degree: usize) {
-        let (old_degree, _) =
-            *self.positions.get(&id).unwrap_or_else(|| panic!("packet {id:?} is not indexed"));
+        let old_degree =
+            self.degree_of(id).unwrap_or_else(|| panic!("packet {id:?} is not indexed"));
         if old_degree == new_degree {
             return;
         }
@@ -104,17 +112,37 @@ impl DegreeIndex {
     ///
     /// Removal is O(1) (swap-remove within the bucket).
     pub fn remove(&mut self, id: PacketId) -> Option<usize> {
-        let (degree, pos) = self.positions.remove(&id)?;
+        let (degree, pos) = self.positions.get_mut(id.index())?.take()?;
         let bucket = &mut self.buckets[degree];
         bucket.swap_remove(pos);
         if let Some(&moved) = bucket.get(pos) {
-            self.positions.insert(moved, (degree, pos));
+            self.positions[moved.index()] = Some((degree, pos));
         }
+        self.len -= 1;
         Some(degree)
     }
 
-    /// Sum of `min(i, cap) · n(i)` for `i ≤ cap` — the first reachability bound
-    /// of §III-B.1: a degree `d` is unreachable when
+    /// Step `drawn` of a lazy Fisher–Yates shuffle of the bucket of `degree`:
+    /// swaps a uniformly random packet of `bucket[drawn..]` into position
+    /// `drawn` and returns it. Calling this with `drawn = 0, 1, 2, …` visits
+    /// the bucket in uniformly random order without replacement, paying only
+    /// for the packets actually examined. The order inside a bucket carries
+    /// no meaning, so the swaps stay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drawn >= count(degree)`.
+    pub fn draw<R: Rng + ?Sized>(&mut self, degree: usize, drawn: usize, rng: &mut R) -> PacketId {
+        let bucket = &mut self.buckets[degree];
+        let pick = rng.gen_range(drawn..bucket.len());
+        bucket.swap(drawn, pick);
+        self.positions[bucket[drawn].index()] = Some((degree, drawn));
+        self.positions[bucket[pick].index()] = Some((degree, pick));
+        bucket[drawn]
+    }
+
+    /// Sum of `i · n(i)` for `i ≤ cap` — the first reachability bound of
+    /// §III-B.1: a degree `d` is unreachable when
     /// `decoded + Σ_{i=2}^{d} i·n(i) < d` (the decoded-native count is added by
     /// the caller since decoded packets have degree 1).
     #[must_use]
@@ -129,6 +157,22 @@ impl DegreeIndex {
             .iter()
             .enumerate()
             .flat_map(|(d, bucket)| bucket.iter().map(move |&id| (d, id)))
+    }
+}
+
+#[cfg(test)]
+impl DegreeIndex {
+    /// Asserts that buckets and reverse map describe the same packets.
+    pub(crate) fn assert_consistent(&self) {
+        let mut indexed = 0;
+        for (degree, bucket) in self.buckets.iter().enumerate() {
+            for (pos, &id) in bucket.iter().enumerate() {
+                assert_eq!(self.position(id), Some((degree, pos)), "{id:?}");
+                indexed += 1;
+            }
+        }
+        assert_eq!(indexed, self.len);
+        assert_eq!(self.positions.iter().flatten().count(), self.len);
     }
 }
 
@@ -238,5 +282,36 @@ mod tests {
         idx.insert(ids[2], 4);
         let degrees: Vec<usize> = idx.iter().map(|(d, _)| d).collect();
         assert_eq!(degrees, vec![2, 4, 4]);
+    }
+
+    #[test]
+    fn draw_visits_a_bucket_once_each_and_keeps_positions() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let ids = ids(7);
+        let mut idx = DegreeIndex::new();
+        for &id in &ids[..5] {
+            idx.insert(id, 3);
+        }
+        idx.insert(ids[5], 2);
+        idx.insert(ids[6], 4);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut first = [0u32; 5];
+        for _ in 0..500 {
+            let mut drawn: Vec<PacketId> = (0..5).map(|i| idx.draw(3, i, &mut rng)).collect();
+            first[ids.iter().position(|&id| id == drawn[0]).unwrap()] += 1;
+            drawn.sort();
+            assert_eq!(drawn, ids[..5]);
+            idx.assert_consistent();
+        }
+        // Each packet leads about one shuffle in five (σ ≈ 9).
+        assert!(first.iter().all(|&n| (55..=145).contains(&n)), "{first:?}");
+        // A stopped shuffle leaves an index that removes and moves as before.
+        idx.draw(3, 0, &mut rng);
+        idx.draw(3, 1, &mut rng);
+        idx.update(ids[2], 2);
+        assert_eq!(idx.remove(ids[0]), Some(3));
+        idx.assert_consistent();
+        assert_eq!((idx.count(2), idx.count(3), idx.count(4)), (2, 3, 1));
     }
 }

@@ -1,6 +1,7 @@
-use ltnc_gf2::EncodedPacket;
+use ltnc_gf2::{CodeVector, EncodedPacket};
 use ltnc_metrics::OpKind;
 
+use crate::build::Draft;
 use crate::components::DECODED_CLASS;
 use crate::LtncNode;
 
@@ -51,6 +52,25 @@ impl LtncNode {
             }
         }
         None
+    }
+
+    /// Builds the degree-2 packet `x ⊕ y` from what the node holds: directly
+    /// from the two decoded payloads when both are decoded, otherwise by
+    /// XOR-ing buffered degree-2 packets along a path between `x` and `y`.
+    ///
+    /// Returns `None` when the pair cannot be generated (the two natives are
+    /// not in the same connected component).
+    fn pair_packet(&mut self, x: usize, y: usize) -> Option<EncodedPacket> {
+        debug_assert_ne!(x, y);
+        let mut pair =
+            Draft { vector: CodeVector::from_indices(self.k, &[x, y]), buffered: Vec::new() };
+        if !(self.decoder.is_decoded(x) && self.decoder.is_decoded(y)) {
+            let graph = self.decoder.graph();
+            let path = self.cc.path_between(x, y, |id| graph.packet(id).is_some())?;
+            pair.buffered.extend_from_slice(path);
+        }
+        self.recode_counters.add(OpKind::VectorXor, pair.buffered.len().max(1) as u64);
+        Some(self.fold(pair))
     }
 }
 

@@ -100,6 +100,28 @@ mod node_tests {
         assert_eq!(p.payload(), &expected, "payload does not match code vector");
     }
 
+    /// The structures recoding reads incrementally against what a pass over
+    /// the decoder's state gives: coverage against its O(buffer) oracle at
+    /// every degree, the degree index against the Tanner graph, the
+    /// occurrence groups against the component labels.
+    fn assert_structures_match_the_decoder(node: &LtncNode) {
+        let oracle = node.coverage_by_degree();
+        for d in 0..=node.k {
+            let expected = oracle[d.min(oracle.len() - 1)];
+            assert_eq!(node.coverage.up_to(d), expected, "coverage up to degree {d}");
+        }
+        node.degree_index.assert_consistent();
+        assert_eq!(node.degree_index.len(), node.decoder.graph().len());
+        for (degree, id) in node.degree_index.iter() {
+            assert_eq!(node.decoder.graph().degree(id), Some(degree), "{id:?}");
+        }
+        node.occurrences.assert_consistent();
+        for x in 0..node.k {
+            assert_eq!(node.occurrences.group_of(x), node.cc.label_of(x), "group of x{x}");
+            assert_eq!(node.cc.is_decoded(x), node.decoder.is_decoded(x), "x{x} decoded");
+        }
+    }
+
     #[test]
     fn fresh_node_is_empty() {
         let node = LtncNode::new(16, 4);
@@ -379,7 +401,49 @@ mod node_tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The equivalences that let the O(k) and O(buffer) routines go:
+        /// after any interleaving of receptions — packets that are stored,
+        /// that belief propagation reduces and consumes, duplicates, with and
+        /// without the redundancy detection that keeps cycles out of the
+        /// components — and recodings, the incremental structures agree with
+        /// a pass over the decoder's state, and every emitted packet's payload
+        /// is the XOR of the natives its vector names, substitutions along
+        /// degree-2 paths included (about seven packets per case take one).
+        #[test]
+        fn prop_incremental_structures_match_their_oracles(
+            seed in any::<u64>(),
+            k in 4usize..=64,
+            detect_redundancy in proptest::bool::ANY,
+            steps in 20usize..160,
+        ) {
+            let m = 3;
+            let nat = natives(k, m);
+            let config = LtncConfig { detect_redundancy, ..LtncConfig::default() };
+            let mut node = LtncNode::with_config(k, m, config);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..steps {
+                // Mostly pairs and triples (components, the degree-3 table),
+                // some natives (ripples) and some wide packets (reductions).
+                let degree = match rng.gen_range(0..10) {
+                    0 => 1,
+                    1..=4 => 2,
+                    5..=6 => 3,
+                    _ => rng.gen_range(1..=k / 2),
+                };
+                let indices: Vec<usize> =
+                    rand::seq::index::sample(&mut rng, k, degree.min(k)).into_vec();
+                node.receive(&packet(k, &indices, &nat));
+                assert_structures_match_the_decoder(&node);
+                for _ in 0..rng.gen_range(0..3) {
+                    let Some(p) = node.recode(&mut rng) else { continue };
+                    assert_consistent(&p, &nat);
+                    assert_structures_match_the_decoder(&node);
+                }
+            }
+
+        }
 
         /// End-to-end property: whatever the seed and code length, a sink fed
         /// by an LTNC source converges and recovers exactly the original

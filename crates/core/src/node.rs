@@ -1,10 +1,12 @@
 use std::collections::HashMap;
 
-use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
+use ltnc_gf2::{EncodedPacket, Payload};
 use ltnc_lt::{BpDecoder, DecodeEvent, InsertOutcome, LtError, PacketId, RobustSoliton};
 use ltnc_metrics::{OpCounters, OpKind};
 use rand::Rng;
 
+use crate::components::DECODED_CLASS;
+use crate::pick::Coverage;
 use crate::{
     ComponentTracker, DegreeIndex, LtncConfig, OccurrenceSpread, OccurrenceTracker, RecodeStats,
 };
@@ -57,6 +59,7 @@ pub struct LtncNode {
     pub(crate) soliton: RobustSoliton,
     pub(crate) decoder: BpDecoder,
     pub(crate) degree_index: DegreeIndex,
+    pub(crate) coverage: Coverage,
     pub(crate) cc: ComponentTracker,
     pub(crate) occurrences: OccurrenceTracker,
     /// Multiset of the (sorted) native triples of buffered degree-3 packets,
@@ -101,6 +104,7 @@ impl LtncNode {
             soliton,
             decoder: BpDecoder::new(k, payload_size),
             degree_index: DegreeIndex::new(),
+            coverage: Coverage::new(k),
             cc: ComponentTracker::new(k),
             occurrences: OccurrenceTracker::new(k),
             degree3_counts: HashMap::new(),
@@ -132,7 +136,10 @@ impl LtncNode {
         let mut node = Self::with_config(k, payload_size, config);
         for (i, payload) in natives.iter().enumerate() {
             assert_eq!(payload.len(), payload_size, "native {i} has the wrong size");
-            node.receive(&EncodedPacket::native(k, i, payload.clone()));
+            let packet = EncodedPacket::native(k, i, payload.clone());
+            if !node.rejects(&packet) {
+                node.insert(packet);
+            }
         }
         node
     }
@@ -185,7 +192,9 @@ impl LtncNode {
     ///
     /// Returns [`LtError::NotDecoded`] when decoding is not complete.
     pub fn decode(&self) -> Result<Vec<Payload>, LtError> {
-        self.decoder.clone().into_natives()
+        (0..self.k)
+            .map(|index| self.decoder.native(index).cloned().ok_or(LtError::NotDecoded { index }))
+            .collect()
     }
 
     /// Number of encoded packets currently buffered in the Tanner graph.
@@ -251,18 +260,30 @@ impl LtncNode {
     /// Panics if the packet's code length or payload size does not match the
     /// node; a dissemination never mixes packet shapes.
     pub fn receive(&mut self, packet: &EncodedPacket) -> ReceiveOutcome {
+        if self.rejects(packet) {
+            return ReceiveOutcome::RejectedRedundant;
+        }
+        self.insert(packet.clone())
+    }
+
+    /// The checks of reception that need no copy of the packet: its shape,
+    /// then the redundancy detection. Returns `true` when the packet is
+    /// detected redundant and must not be inserted.
+    fn rejects(&mut self, packet: &EncodedPacket) -> bool {
         assert_eq!(packet.code_length(), self.k, "code length mismatch");
         assert_eq!(packet.payload_size(), self.payload_size, "payload size mismatch");
-
-        if self.config.detect_redundancy && packet.degree() <= 3 {
-            self.decode_counters.incr(OpKind::RedundancyCheck);
-            if self.is_redundant(packet.vector()) {
-                self.stats.redundant_rejected += 1;
-                return ReceiveOutcome::RejectedRedundant;
-            }
+        if !self.config.detect_redundancy || packet.degree() > 3 {
+            return false;
         }
+        self.decode_counters.incr(OpKind::RedundancyCheck);
+        let redundant = self.is_redundant(packet.vector());
+        self.stats.redundant_rejected += u64::from(redundant);
+        redundant
+    }
 
-        let report = self.decoder.insert(packet.clone()).expect("packet shape was checked above");
+    /// Hands a packet that passed [`LtncNode::rejects`] to belief propagation.
+    fn insert(&mut self, packet: EncodedPacket) -> ReceiveOutcome {
+        let report = self.decoder.insert(packet).expect("packet shape was checked on reception");
         self.charge_decoder_deltas();
         self.apply_events(&report.events);
         self.stats.accepted += 1;
@@ -288,21 +309,23 @@ impl LtncNode {
             return None;
         }
         let target = self.pick_degree(rng);
-        let built = self.build_packet(target, rng);
-        if built.is_zero() {
+        let mut draft = self.build_packet(target, rng);
+        if draft.vector.is_zero() {
             return None;
         }
-        let achieved = built.degree();
+        let achieved = draft.vector.degree();
         self.stats.recoded_packets += 1;
         if achieved == target {
             self.stats.target_reached += 1;
         }
         self.stats.relative_deviation_sum += (target - achieved) as f64 / target as f64;
 
-        let refined = if self.config.refine { self.refine_packet(built) } else { built };
-        self.occurrences.record_sent(refined.vector());
+        if self.config.refine {
+            self.refine_packet(&mut draft, rng);
+        }
+        self.occurrences.record_sent(&draft.vector);
         self.recode_counters.incr(OpKind::IndexUpdate);
-        Some(refined)
+        Some(self.fold(draft))
     }
 
     /// Charges the decoder's newly accumulated payload/edge work to the
@@ -316,72 +339,82 @@ impl LtncNode {
         self.last_decoder_edge_ops = edge_ops;
     }
 
-    /// Keeps the degree index, connected components and degree-3 lookup table
-    /// in sync with the decoder.
-    fn apply_events(&mut self, events: &[DecodeEvent]) {
-        for event in events {
-            match *event {
-                DecodeEvent::NativeDecoded { index } => {
-                    self.cc.mark_decoded(index);
-                    self.decode_counters.incr(OpKind::IndexUpdate);
-                }
-                DecodeEvent::PacketBuffered { id, degree } => {
-                    self.degree_index.insert(id, degree);
-                    self.decode_counters.incr(OpKind::IndexUpdate);
-                    self.track_low_degree(id, degree);
-                }
-                DecodeEvent::PacketReduced { id, new_degree } => {
-                    self.untrack_low_degree(id);
-                    self.degree_index.update(id, new_degree);
-                    self.decode_counters.incr(OpKind::IndexUpdate);
-                    self.track_low_degree(id, new_degree);
-                }
-                DecodeEvent::PacketConsumed { id } => {
-                    self.untrack_low_degree(id);
-                    self.degree_index.remove(id);
-                    self.decode_counters.incr(OpKind::IndexUpdate);
-                }
-            }
-        }
-    }
-
-    /// Registers a packet that is (now) of degree 2 or 3 in the corresponding
-    /// auxiliary structure.
+    /// Keeps the degree index, coverage, connected components, occurrence
+    /// groups and degree-3 lookup table in sync with the decoder.
     ///
     /// Events are applied after the decoder has finished its ripple, so a
     /// packet reported at degree `d` by an intermediate event may since have
     /// been reduced further or consumed. Only the final state matters for the
-    /// auxiliary structures (a packet that kept ripping down ends with its
-    /// natives decoded anyway), so the tracking is keyed on the packet's
-    /// *current* vector and skipped when it no longer matches `degree`.
-    fn track_low_degree(&mut self, id: PacketId, degree: usize) {
-        if degree != 2 && degree != 3 {
-            return;
+    /// structures keyed on a packet's natives (a packet that kept ripping
+    /// down ends with its natives decoded anyway): a first pass brings the
+    /// degree index up to date, a second one registers each packet that is
+    /// still buffered under the one event that reports its final degree.
+    fn apply_events(&mut self, events: &[DecodeEvent]) {
+        for event in events {
+            self.decode_counters.incr(OpKind::IndexUpdate);
+            match *event {
+                DecodeEvent::NativeDecoded { index } => {
+                    self.cc.mark_decoded(index);
+                    self.occurrences.regroup(index, DECODED_CLASS);
+                    self.coverage.lower(index, 0);
+                }
+                DecodeEvent::PacketBuffered { id, degree } => self.degree_index.insert(id, degree),
+                DecodeEvent::PacketReduced { id, new_degree } => {
+                    self.untrack_degree3(id);
+                    self.degree_index.update(id, new_degree);
+                }
+                DecodeEvent::PacketConsumed { id } => {
+                    self.untrack_degree3(id);
+                    self.degree_index.remove(id);
+                }
+            }
         }
+        for event in events {
+            let (DecodeEvent::PacketBuffered { id, degree }
+            | DecodeEvent::PacketReduced { id, new_degree: degree }) = *event
+            else {
+                continue;
+            };
+            if self.degree_index.degree_of(id) == Some(degree) {
+                self.track_natives(id, degree);
+            }
+        }
+    }
+
+    /// Lowers the coverage of the natives of a packet that is now buffered at
+    /// `degree`, and registers a packet of degree 2 or 3 in the corresponding
+    /// auxiliary structure.
+    fn track_natives(&mut self, id: PacketId, degree: usize) {
         let Some((vector, _)) = self.decoder.graph().packet(id) else {
+            debug_assert!(false, "the degree index holds consumed packet {id:?}");
             return;
         };
-        let ones = vector.ones();
-        if ones.len() != degree {
+        debug_assert_eq!(vector.degree(), degree);
+        for x in vector.iter_ones() {
+            self.coverage.lower(x, degree);
+        }
+        if degree > 3 {
             return;
         }
-        match degree {
-            2 => {
-                self.cc.merge(ones[0], ones[1], id);
+        match vector.ones()[..] {
+            [x, y] => {
+                let (label, moved) = self.cc.merge(x, y, id);
+                for &m in moved {
+                    self.occurrences.regroup(m, label);
+                }
                 self.decode_counters.incr(OpKind::IndexUpdate);
             }
-            3 => {
-                let triple = [ones[0], ones[1], ones[2]];
-                *self.degree3_counts.entry(triple).or_insert(0) += 1;
-                self.degree3_by_id.insert(id, triple);
+            [x, y, z] => {
+                *self.degree3_counts.entry([x, y, z]).or_insert(0) += 1;
+                self.degree3_by_id.insert(id, [x, y, z]);
                 self.decode_counters.incr(OpKind::IndexUpdate);
             }
-            _ => unreachable!(),
+            _ => {}
         }
     }
 
     /// Removes a packet from the degree-3 lookup table if it was registered there.
-    fn untrack_low_degree(&mut self, id: PacketId) {
+    fn untrack_degree3(&mut self, id: PacketId) {
         if let Some(triple) = self.degree3_by_id.remove(&id) {
             if let Some(count) = self.degree3_counts.get_mut(&triple) {
                 *count -= 1;
@@ -390,39 +423,5 @@ impl LtncNode {
                 }
             }
         }
-    }
-
-    /// Builds the degree-2 packet `x ⊕ y` from what the node holds: directly
-    /// from the two decoded payloads when both are decoded, otherwise by
-    /// XOR-ing buffered degree-2 packets along a path between `x` and `y`.
-    ///
-    /// Returns `None` when the pair cannot be generated (the two natives are
-    /// not in the same connected component).
-    pub(crate) fn pair_packet(&mut self, x: usize, y: usize) -> Option<EncodedPacket> {
-        debug_assert_ne!(x, y);
-        let vector = CodeVector::from_indices(self.k, &[x, y]);
-        if self.decoder.is_decoded(x) && self.decoder.is_decoded(y) {
-            let mut payload = self.decoder.native(x).expect("decoded").clone();
-            payload.xor_assign(self.decoder.native(y).expect("decoded"));
-            self.recode_counters.incr(OpKind::PayloadXor);
-            self.recode_counters.incr(OpKind::VectorXor);
-            return Some(EncodedPacket::new(vector, payload));
-        }
-        let graph = self.decoder.graph();
-        let path = self.cc.path_between(x, y, |id| graph.packet(id).is_some())?;
-        if path.is_empty() {
-            return None;
-        }
-        let mut payload = Payload::zero(self.payload_size);
-        let mut check = CodeVector::zero(self.k);
-        for id in &path {
-            let (v, p) = graph.packet(*id).expect("path edges are alive");
-            payload.xor_assign(p);
-            check.xor_assign(v);
-            self.recode_counters.incr(OpKind::PayloadXor);
-            self.recode_counters.incr(OpKind::VectorXor);
-        }
-        debug_assert_eq!(check, vector, "degree-2 path must telescope to x ⊕ y");
-        Some(EncodedPacket::new(vector, payload))
     }
 }

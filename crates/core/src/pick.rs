@@ -4,7 +4,62 @@ use rand::Rng;
 
 use crate::LtncNode;
 
+/// For every native, the lowest degree among the buffered packets that
+/// contain it (0 once it is decoded), with a histogram of those degrees —
+/// the second reachability heuristic of §III-B.1 without a pass over the
+/// buffer.
+///
+/// A native's lowest covering degree only ever falls: belief propagation
+/// reduces or consumes buffered packets and never evicts one, and a native
+/// leaves a packet only by being decoded. So the node lowers the entries of
+/// the natives of each packet it buffers or reduces, and nothing else.
+#[derive(Debug, Clone)]
+pub(crate) struct Coverage {
+    /// `lowest[x]`, or [`Coverage::UNCOVERED`] when no packet contains `x`.
+    lowest: Vec<u32>,
+    /// `histogram[d]` = number of natives whose lowest covering degree is `d`.
+    histogram: Vec<u32>,
+}
+
+impl Coverage {
+    const UNCOVERED: u32 = u32::MAX;
+
+    pub(crate) fn new(k: usize) -> Self {
+        Coverage { lowest: vec![Self::UNCOVERED; k], histogram: vec![0] }
+    }
+
+    /// Records that native `x` is decoded (`degree` 0) or appears in a
+    /// buffered packet of the given degree.
+    pub(crate) fn lower(&mut self, x: usize, degree: usize) {
+        let old = self.lowest[x];
+        if (old as usize) <= degree {
+            return;
+        }
+        if old != Self::UNCOVERED {
+            self.histogram[old as usize] -= 1;
+        }
+        if degree >= self.histogram.len() {
+            self.histogram.resize(degree + 1, 0);
+        }
+        self.histogram[degree] += 1;
+        self.lowest[x] = u32::try_from(degree).expect("a degree is at most k");
+    }
+
+    /// Number of natives that are decoded or appear in at least one buffered
+    /// packet of degree ≤ `d`.
+    pub(crate) fn up_to(&self, d: usize) -> usize {
+        self.histogram.iter().take(d.saturating_add(1)).map(|&n| n as usize).sum()
+    }
+}
+
 impl LtncNode {
+    /// The two reachability heuristics of §III-B.1, in O(d).
+    fn reachable(&self, d: usize) -> bool {
+        d > 0
+            && self.decoder.decoded_count() + self.degree_index.degree_mass_up_to(d) >= d
+            && self.coverage.up_to(d) >= d
+    }
+
     /// Picks a target degree for a fresh encoded packet (§III-B.1).
     ///
     /// Degrees are drawn from the Robust Soliton distribution; a drawn degree
@@ -21,27 +76,12 @@ impl LtncNode {
     /// first draw is accepted 99.9 % of the time, so the fallback is
     /// essentially never exercised).
     pub(crate) fn pick_degree<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let coverage = self.coverage_by_degree();
-        let decoded = self.decoder.decoded_count();
-
-        let reachable = |d: usize| -> bool {
-            if d == 0 {
-                return false;
-            }
-            let mass = decoded + self.degree_index.degree_mass_up_to(d);
-            if mass < d {
-                return false;
-            }
-            let cap = d.min(coverage.len() - 1);
-            coverage[cap] >= d
-        };
-
         let mut draws = 0;
         while draws < self.config.max_degree_retries {
             draws += 1;
             self.recode_counters.incr(OpKind::DegreeDraw);
             let d = self.soliton.sample(rng);
-            if reachable(d) {
+            if self.reachable(d) {
                 self.stats.degree_draws += draws as u64;
                 if draws == 1 {
                     self.stats.first_pick_accepted += 1;
@@ -51,16 +91,30 @@ impl LtncNode {
         }
         self.stats.degree_draws += draws as u64;
 
-        // Fallback: the largest degree both heuristics accept. At least one
-        // degree is reachable because `can_recode()` held when recoding started.
-        let max_candidate = coverage.last().copied().unwrap_or(0).max(1);
-        (1..=max_candidate).rev().find(|&d| reachable(d)).unwrap_or(1)
+        // Fallback: the largest degree both heuristics accept, found in one
+        // pass that carries the two running sums. At least one degree is
+        // reachable because `can_recode()` held when recoding started.
+        let mut mass = self.decoder.decoded_count();
+        let mut covered = self.coverage.up_to(0);
+        let mut largest = 1;
+        for d in 1..=self.coverage.up_to(usize::MAX) {
+            mass += d * self.degree_index.count(d);
+            covered += self.coverage.histogram.get(d).map_or(0, |&n| n as usize);
+            if mass >= d && covered >= d {
+                largest = d;
+            }
+        }
+        largest
     }
+}
 
-    /// `coverage[d]` = number of natives that are decoded or appear in at
-    /// least one buffered packet of degree ≤ d. Computed in one pass over the
-    /// degree index (which iterates lowest degree first).
-    fn coverage_by_degree(&self) -> Vec<usize> {
+#[cfg(test)]
+impl LtncNode {
+    /// The test oracle of [`Coverage`]: `coverage[d]` = number of natives that
+    /// are decoded or appear in at least one buffered packet of degree ≤ d,
+    /// recomputed from every buffered packet in one pass over the degree
+    /// index (which iterates lowest degree first).
+    pub(crate) fn coverage_by_degree(&self) -> Vec<usize> {
         let max_degree = self.degree_index.max_degree().unwrap_or(0);
         let mut covered = vec![false; self.k];
         let mut count = 0usize;

@@ -1,6 +1,7 @@
-use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::OpKind;
+use rand::Rng;
 
+use crate::build::Draft;
 use crate::LtncNode;
 
 impl LtncNode {
@@ -13,38 +14,33 @@ impl LtncNode {
     /// `x'` are in the same connected component), `x'` is strictly less
     /// frequent than `x` in the packets this node has already sent, and `x'`
     /// does not already appear in the packet. Adding `x ⊕ x'` then swaps the
-    /// two (`x ⊕ x = 0`).
-    pub(crate) fn refine_packet(&mut self, z: EncodedPacket) -> EncodedPacket {
-        let original_members = z.vector().ones();
-        let mut refined = z;
-        for x in original_members {
+    /// two (`x ⊕ x = 0`): between decoded natives that is a swap of two bits
+    /// of the draft's vector, between undecoded ones it also adds the
+    /// degree-2 packets on a path from `x` to `x'` to the draft's sources.
+    pub(crate) fn refine_packet<R: Rng + ?Sized>(&mut self, z: &mut Draft, rng: &mut R) {
+        for x in z.vector.ones() {
             self.recode_counters.incr(OpKind::RefineStep);
-            // `x` may have been swapped back out by an earlier substitution in
-            // unusual component shapes; only replace natives still present.
-            if !refined.vector().contains(x) {
-                continue;
-            }
-            // Candidates: same component, strictly less frequent, not already in z'.
-            let candidates: Vec<usize> = self.cc.members_of(x).to_vec();
-            let Some(best) =
-                self.occurrences.best_substitute(x, &candidates, |c| !refined.vector().contains(c))
+            let Some(best) = self.occurrences.pick_substitute(x, |c| z.vector.contains(c), rng)
             else {
                 continue;
             };
-            let Some(pair) = self.pair_packet(x, best) else {
-                // The component relation promised x ⊕ best is generatable; if
-                // the supporting degree-2 packets were consumed in the meantime
-                // (both natives decoded), pair_packet already handled it, so
-                // reaching this point means we simply skip the substitution.
-                continue;
-            };
-            refined.xor_assign(&pair);
-            self.recode_counters.incr(OpKind::PayloadXor);
+            // A component is decoded as a whole (the ripple that decodes one
+            // of its natives runs down every degree-2 packet that ties it), so
+            // `x` and `best` are both decoded — nothing to add — or joined by
+            // live degree-2 packets.
+            if !(self.decoder.is_decoded(x) && self.decoder.is_decoded(best)) {
+                let graph = self.decoder.graph();
+                let alive = |id| graph.packet(id).is_some();
+                let Some(path) = self.cc.path_between(x, best, alive) else {
+                    debug_assert!(false, "x{x} and x{best} share a component but no path");
+                    continue;
+                };
+                z.buffered.extend_from_slice(path);
+            }
+            z.vector.clear(x);
+            z.vector.set(best);
             self.recode_counters.incr(OpKind::VectorXor);
-            debug_assert!(!refined.vector().contains(x));
-            debug_assert!(refined.vector().contains(best));
         }
-        refined
     }
 }
 
@@ -52,7 +48,7 @@ impl LtncNode {
 mod tests {
     use super::*;
     use crate::LtncConfig;
-    use ltnc_gf2::{CodeVector, Payload};
+    use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -78,6 +74,23 @@ mod tests {
         assert_eq!(p.payload(), &expected, "payload does not match code vector");
     }
 
+    /// The draft of a packet made of the given decoded natives.
+    fn draft_of_natives(k: usize, indices: &[usize]) -> Draft {
+        Draft { vector: CodeVector::from_indices(k, indices), buffered: Vec::new() }
+    }
+
+    /// The draft that is exactly the node's only buffered packet of `degree`.
+    fn draft_of_buffered(node: &LtncNode, degree: usize) -> Draft {
+        let id = node.degree_index.bucket(degree)[0];
+        let vector = node.decoder.graph().packet(id).unwrap().0.clone();
+        Draft { vector, buffered: vec![id] }
+    }
+
+    fn refine(node: &mut LtncNode, mut z: Draft) -> EncodedPacket {
+        node.refine_packet(&mut z, &mut SmallRng::seed_from_u64(19));
+        node.fold(z)
+    }
+
     #[test]
     fn refinement_preserves_degree_and_consistency() {
         let k = 16;
@@ -90,8 +103,8 @@ mod tests {
             node.occurrences.record_sent(&CodeVector::from_indices(k, &[0, 1, 2, 3]));
         }
         let z = node.build_packet(4, &mut rng);
-        let d = z.degree();
-        let refined = node.refine_packet(z);
+        let d = z.vector.degree();
+        let refined = refine(&mut node, z);
         assert_eq!(refined.degree(), d);
         assert_consistent(&refined, &nat);
     }
@@ -107,10 +120,26 @@ mod tests {
         for _ in 0..5 {
             node.occurrences.record_sent(&CodeVector::from_indices(k, &[0]));
         }
-        let z = packet(k, &[0, 1], &nat);
-        let refined = node.refine_packet(z);
+        let refined = refine(&mut node, draft_of_natives(k, &[0, 1]));
         assert_eq!(refined.degree(), 2);
         assert!(!refined.vector().contains(0), "frequent native x0 should be replaced");
+        assert_consistent(&refined, &nat);
+    }
+
+    #[test]
+    fn decoded_substitution_is_an_index_swap() {
+        // Between decoded natives a substitution touches no payload: the
+        // fold still XORs exactly one payload per native of the packet.
+        let k = 8;
+        let m = 2;
+        let nat = natives(k, m);
+        let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
+        node.occurrences.record_sent(&CodeVector::from_indices(k, &[0, 1, 2]));
+        let before = node.recoding_counters().get(OpKind::PayloadXor);
+        let refined = refine(&mut node, draft_of_natives(k, &[0, 1, 2]));
+        assert_eq!(refined.degree(), 3);
+        assert!(refined.vector().iter_ones().all(|x| x > 2), "{:?}", refined.vector());
+        assert_eq!(node.recoding_counters().get(OpKind::PayloadXor) - before, 3);
         assert_consistent(&refined, &nat);
     }
 
@@ -126,7 +155,8 @@ mod tests {
         let mut node = LtncNode::new(k, m);
         node.receive(&packet(k, &[2, 4], &nat)); // y4 = x3 ⊕ x5
         node.receive(&packet(k, &[4, 6], &nat)); // y6 = x5 ⊕ x7
-                                                 // Occurrence counts: x3 (index 2) frequent, x7 (index 6) never sent.
+        node.receive(&packet(k, &[0, 1, 2, 3, 4], &nat)); // z, as the build would pick it
+                                                          // Occurrence counts: x3 (index 2) frequent, x7 (index 6) never sent.
         for _ in 0..4 {
             node.occurrences.record_sent(&CodeVector::from_indices(k, &[2]));
         }
@@ -137,8 +167,8 @@ mod tests {
             node.occurrences.record_sent(&CodeVector::from_indices(k, &[0, 1, 3]));
         }
 
-        let z = packet(k, &[0, 1, 2, 3, 4], &nat);
-        let refined = node.refine_packet(z);
+        let z = draft_of_buffered(&node, 5);
+        let refined = refine(&mut node, z);
         assert_eq!(refined.degree(), 5);
         assert!(!refined.vector().contains(2), "x3 must be replaced");
         assert!(refined.vector().contains(6), "x7 must be introduced");
@@ -154,9 +184,8 @@ mod tests {
         let mut node = LtncNode::with_all_natives(k, m, &nat, LtncConfig::default());
         // Uniform occurrence counts: nothing to improve.
         node.occurrences.record_sent(&CodeVector::from_indices(k, &(0..k).collect::<Vec<_>>()));
-        let z = packet(k, &[1, 2, 3], &nat);
-        let refined = node.refine_packet(z.clone());
-        assert_eq!(refined, z);
+        let refined = refine(&mut node, draft_of_natives(k, &[1, 2, 3]));
+        assert_eq!(refined, packet(k, &[1, 2, 3], &nat));
     }
 
     #[test]
@@ -171,9 +200,9 @@ mod tests {
         for _ in 0..3 {
             node.occurrences.record_sent(&CodeVector::from_indices(k, &[1, 2, 3]));
         }
-        let z = packet(k, &[1, 2, 3], &nat);
-        let refined = node.refine_packet(z.clone());
-        assert_eq!(refined, z);
+        let z = draft_of_buffered(&node, 3);
+        let refined = refine(&mut node, z);
+        assert_eq!(refined, packet(k, &[1, 2, 3], &nat));
     }
 
     #[test]
