@@ -313,9 +313,10 @@ impl fmt::Debug for CodeVector {
     }
 }
 
-struct OnesInWord {
-    word: u64,
-    base: usize,
+/// The set bits of one bitmap word, lowest first, as indices offset by `base`.
+pub(crate) struct OnesInWord {
+    pub(crate) word: u64,
+    pub(crate) base: usize,
 }
 
 impl Iterator for OnesInWord {

@@ -1,7 +1,9 @@
 use core::cell::RefCell;
 use core::fmt;
 
-use crate::{CodeVector, Gf2Error};
+use crate::code_vector::OnesInWord;
+use crate::payload::XorTable;
+use crate::{CodeVector, Gf2Error, Payload};
 
 std::thread_local! {
     /// Reduction scratch shared by every innovation check on the thread: the
@@ -183,10 +185,10 @@ impl fmt::Debug for Gf2Matrix {
 ///
 /// This is what the RLNC decoder needs: once full rank is reached, the solver
 /// reports, for each native packet `x_i`, which subset of the received encoded
-/// packets must be XOR-ed to recover it. The payload work (the `O(m·k²)` part)
-/// is then performed by the caller using that recipe, so the data cost can be
-/// measured separately from the control cost, exactly as in Figure 8 of the
-/// paper.
+/// packets must be XOR-ed to recover it ([`Gf2Solver::solve`]). The payload
+/// work (the `O(m·k²)` part) is a separate pass over those [`Recipes`]
+/// ([`Recipes::replay`]), so the data cost can be measured separately from the
+/// control cost, exactly as in Figure 8 of the paper.
 #[derive(Clone, Debug)]
 pub struct Gf2Solver {
     k: usize,
@@ -355,40 +357,159 @@ impl Gf2Solver {
     /// native packet index `i`, the set of original row ids whose payloads must
     /// be XOR-ed to recover `x_i`.
     ///
+    /// One streaming pass over the combinations, highest pivot first: once the
+    /// recipes of every column above `c` are final, the echelon row of pivot
+    /// `c` says which of them to add to its own combination, so the recipe of
+    /// `c` is its combination XOR the recipes of the row's set bits `j > c`.
+    /// The echelon rows are only read, nothing is cloned, and the recipes land
+    /// in one flat buffer. One row operation is charged per recipe XOR — the
+    /// count (≈ k²/4) is the number of off-pivot ones in the echelon form,
+    /// exactly what eliminating them row by row would cost.
+    ///
     /// # Errors
     ///
     /// Returns [`Gf2Error::NotFullRank`] when fewer than `k` innovative rows
     /// have been inserted.
-    pub fn solve(&mut self) -> Result<Vec<CodeVector>, Gf2Error> {
+    pub fn solve(&mut self) -> Result<Recipes, Gf2Error> {
+        let not_full_rank = Gf2Error::NotFullRank { rank: self.rank(), needed: self.k };
         if !self.is_full_rank() {
-            return Err(Gf2Error::NotFullRank { rank: self.rank(), needed: self.k });
+            return Err(not_full_rank);
         }
-        // Back-substitution: process pivot columns from highest to lowest and
-        // eliminate that column from every other row.
-        let mut rows = self.rows.clone();
-        let mut combos = self.combos.clone();
-        let pivot_of_col: Vec<usize> = (0..self.k)
-            .map(|c| self.pivots[c].expect("full rank implies pivot in every column"))
-            .collect();
+        let stride = self.capacity.div_ceil(64);
+        let mut words = vec![0u64; self.k * stride];
         for col in (0..self.k).rev() {
-            let src = pivot_of_col[col];
-            for &dst in &pivot_of_col[..col] {
-                if rows[dst].contains(col) {
-                    let (src_row, src_combo) = (rows[src].clone(), combos[src].clone());
-                    rows[dst].xor_assign(&src_row);
-                    combos[dst].xor_assign(&src_combo);
-                    self.row_ops += 1;
-                }
+            let Some(row) = self.pivots[col] else {
+                return Err(not_full_rank);
+            };
+            let (below, solved) = words.split_at_mut((col + 1) * stride);
+            let recipe = &mut below[col * stride..];
+            recipe.copy_from_slice(self.combos[row].as_words());
+            // The lowest one of an echelon row is its pivot; the rest name
+            // columns whose recipes are already final.
+            for j in self.rows[row].iter_ones().skip(1) {
+                xor_words(recipe, &solved[(j - col - 1) * stride..][..stride]);
+                self.row_ops += 1;
             }
         }
-        // After full reduction, the row whose pivot is column i is exactly e_i.
-        let mut recipes = vec![CodeVector::zero(self.capacity); self.k];
-        for (col, recipe) in recipes.iter_mut().enumerate() {
-            let r = pivot_of_col[col];
-            debug_assert_eq!(rows[r].ones(), vec![col], "row must reduce to a unit vector");
-            *recipe = combos[r].clone();
+        Ok(Recipes { natives: self.k, row_ids: self.capacity, words })
+    }
+}
+
+/// The solved system of a [`Gf2Solver`]: for each native packet, the set of
+/// original row ids whose payloads XOR to it, as one flat bit matrix
+/// (`k` recipes of `⌈row ids / 64⌉` words each).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Recipes {
+    /// Number of recipes (the solver's `k`).
+    natives: usize,
+    /// Number of row ids a recipe ranges over (the solver's capacity).
+    row_ids: usize,
+    /// `natives` recipes of `⌈row_ids / 64⌉` words each.
+    words: Vec<u64>,
+}
+
+impl Recipes {
+    /// Number of recipes: one per native packet.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.natives
+    }
+
+    /// Returns `true` when there is no recipe (a system with no unknowns).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.natives == 0
+    }
+
+    /// Number of row ids a recipe ranges over.
+    #[must_use]
+    pub fn row_ids(&self) -> usize {
+        self.row_ids
+    }
+
+    /// The row ids whose payloads XOR to native packet `native`, increasing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `native >= len()`.
+    pub fn recipe(&self, native: usize) -> impl Iterator<Item = usize> + '_ {
+        self.words(native)
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &word)| OnesInWord { word, base: wi * 64 })
+    }
+
+    fn words(&self, native: usize) -> &[u64] {
+        assert!(native < self.natives, "native {native} out of range {}", self.natives);
+        let stride = self.row_ids.div_ceil(64);
+        &self.words[native * stride..][..stride]
+    }
+
+    /// The `len` (< 64) recipe bits of `native` starting at row id `first`,
+    /// as an index into the XOR table of those row ids.
+    #[inline]
+    fn table_index(&self, native: usize, first: usize, len: usize) -> usize {
+        let words = self.words(native);
+        let (word, offset) = (first / 64, first % 64);
+        let mut bits = words[word] >> offset;
+        if offset + len > 64 {
+            bits |= words[word + 1] << (64 - offset);
         }
-        Ok(recipes)
+        (bits & ((1 << len) - 1)) as usize
+    }
+
+    /// Group size `t` of [`Recipes::replay`] for payloads of `payload_size`
+    /// bytes: the `t` that minimises the payload XORs executed,
+    /// `⌈n/t⌉ · (2ᵗ − 2 + k·(1 − 2⁻ᵗ))` for `n` row ids and `k` natives
+    /// (table construction, plus one lookup per native whose group bits are
+    /// not all zero), among the `t` whose table stays within 256 KiB. At
+    /// `t = 1` the table of a group is the payload itself and the replay is
+    /// the plain fold, which wins below k ≈ 10; k = 32 gives 4 and k = 2048
+    /// at m = 1 KiB gives 8.
+    #[must_use]
+    pub fn group_size(&self, payload_size: usize) -> usize {
+        let cost = |t: usize| {
+            self.row_ids.div_ceil(t) * ((1 << t) - 2 + self.natives - (self.natives >> t))
+        };
+        (1..=XorTable::MAX_GROUP)
+            .filter(|&t| t == 1 || payload_size <= XorTable::MAX_BYTES >> t)
+            .min_by_key(|&t| cost(t))
+            .expect("t = 1 is always a candidate")
+    }
+
+    /// Applies the recipes to the received payloads and returns the native
+    /// payloads together with the number of `payload_size`-byte XORs spent.
+    ///
+    /// Method of Four Russians: for each group of `t` consecutive row ids
+    /// ([`Recipes::group_size`]) the 2ᵗ XOR combinations of their payloads
+    /// are tabulated once, and every native then takes its combination with a
+    /// single lookup-and-XOR, written straight into its output payload —
+    /// `n/t` XORs per native instead of one per set recipe bit (≈ `n/2`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sources` holds one payload of `payload_size` bytes per
+    /// row id.
+    #[must_use]
+    pub fn replay(&self, sources: &[&Payload], payload_size: usize) -> (Vec<Payload>, u64) {
+        assert_eq!(sources.len(), self.row_ids, "replay needs one source payload per row id");
+        let mut natives = vec![Payload::zero(payload_size); self.natives];
+        let group_size = self.group_size(payload_size);
+        let mut table = XorTable::new(group_size, payload_size);
+        let mut xors = 0;
+        let mut first = 0;
+        for group in sources.chunks(group_size) {
+            xors += table.fill(group);
+            for (native, out) in natives.iter_mut().enumerate() {
+                let index = self.table_index(native, first, group.len());
+                if index != 0 {
+                    table.xor_entry_into(index, out);
+                    xors += 1;
+                }
+            }
+            first += group.len();
+        }
+        (natives, xors)
     }
 }
 
@@ -399,6 +520,10 @@ mod tests {
 
     fn cv(k: usize, idx: &[usize]) -> CodeVector {
         CodeVector::from_indices(k, idx)
+    }
+
+    fn recipe_ids(recipes: &Recipes) -> Vec<Vec<usize>> {
+        (0..recipes.len()).map(|i| recipes.recipe(i).collect()).collect()
     }
 
     #[test]
@@ -485,9 +610,7 @@ mod tests {
             assert!(innovative);
         }
         let recipes = s.solve().unwrap();
-        for (i, r) in recipes.iter().enumerate() {
-            assert_eq!(r.ones(), vec![i]);
-        }
+        assert_eq!(recipe_ids(&recipes), vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
@@ -499,9 +622,25 @@ mod tests {
         s.insert(cv(3, &[1]));
         s.insert(cv(3, &[1, 2]));
         let recipes = s.solve().unwrap();
-        assert_eq!(recipes[0].ones(), vec![0, 1]);
-        assert_eq!(recipes[1].ones(), vec![1]);
-        assert_eq!(recipes[2].ones(), vec![1, 2]);
+        assert_eq!(recipe_ids(&recipes), vec![vec![0, 1], vec![1], vec![1, 2]]);
+        assert_eq!((recipes.len(), recipes.row_ids()), (3, 8));
+    }
+
+    /// The group size follows the cost model, not a setting: the plain fold
+    /// for tiny systems, 4 at the simulations' k = 32, 8 at the paper's
+    /// k = 2048 with 1 KiB payloads — where the 256 KiB table cap binds (the
+    /// count alone would ask for 9) — and smaller tables as payloads grow.
+    #[test]
+    fn replay_group_size_is_derived_from_the_system() {
+        let group_size = |k: usize, m: usize| {
+            Recipes { natives: k, row_ids: k, words: Vec::new() }.group_size(m)
+        };
+        assert_eq!(group_size(4, 1024), 1);
+        assert_eq!(group_size(32, 1024), 4);
+        assert_eq!(group_size(2048, 64), 9);
+        assert_eq!(group_size(2048, 1024), 8);
+        assert_eq!(group_size(2048, 64 * 1024), 2);
+        assert_eq!(group_size(2048, 1 << 20), 1);
     }
 
     #[test]
@@ -621,9 +760,9 @@ mod tests {
                 s.insert(v);
             }
             let recipes = s.solve().unwrap();
-            for (i, recipe) in recipes.iter().enumerate() {
+            for i in 0..k {
                 let mut acc = CodeVector::zero(k);
-                for row_id in recipe.iter_ones() {
+                for row_id in recipes.recipe(i) {
                     acc.xor_assign(&originals[row_id]);
                 }
                 prop_assert_eq!(acc.ones(), vec![i]);

@@ -31,6 +31,24 @@ fn xor_slices(dst: &mut [u8], src: &[u8]) {
     }
 }
 
+/// Writes `a ⊕ b` into `dst` in one pass, word-sliced like [`xor_slices`].
+#[inline]
+fn xor_to(dst: &mut [u8], a: &[u8], b: &[u8]) {
+    debug_assert!(dst.len() == a.len() && dst.len() == b.len());
+    let mut dst_words = dst.chunks_exact_mut(WORD_BYTES);
+    let mut a_words = a.chunks_exact(WORD_BYTES);
+    let mut b_words = b.chunks_exact(WORD_BYTES);
+    for ((d, a), b) in dst_words.by_ref().zip(a_words.by_ref()).zip(b_words.by_ref()) {
+        let x = u64::from_ne_bytes(a.try_into().expect("word-sized chunk"))
+            ^ u64::from_ne_bytes(b.try_into().expect("word-sized chunk"));
+        d.copy_from_slice(&x.to_ne_bytes());
+    }
+    let tail = a_words.remainder().iter().zip(b_words.remainder());
+    for (d, (a, b)) in dst_words.into_remainder().iter_mut().zip(tail) {
+        *d = a ^ b;
+    }
+}
+
 /// The data part of a packet: `m` bytes combined by XOR.
 ///
 /// The paper separates the cost of operations on *control structures* (code
@@ -145,18 +163,9 @@ impl Payload {
             other.bytes.len(),
             "cannot combine payloads of different sizes"
         );
-        let mut out = Vec::with_capacity(self.bytes.len());
-        let mut a_words = self.bytes.chunks_exact(WORD_BYTES);
-        let mut b_words = other.bytes.chunks_exact(WORD_BYTES);
-        for (a, b) in a_words.by_ref().zip(b_words.by_ref()) {
-            let x = u64::from_ne_bytes(a.try_into().expect("word-sized chunk"))
-                ^ u64::from_ne_bytes(b.try_into().expect("word-sized chunk"));
-            out.extend_from_slice(&x.to_ne_bytes());
-        }
-        for (a, b) in a_words.remainder().iter().zip(b_words.remainder()) {
-            out.push(a ^ b);
-        }
-        Payload { bytes: out }
+        let mut bytes = vec![0; self.bytes.len()];
+        xor_to(&mut bytes, &self.bytes, &other.bytes);
+        Payload { bytes }
     }
 
     /// Folds every payload in `sources` into `self` in one pass over the
@@ -207,6 +216,77 @@ impl Payload {
         for src in sources {
             xor_slices(&mut self.bytes[lanes_end..], &src.bytes[lanes_end..]);
         }
+    }
+}
+
+/// Method-of-Four-Russians table: the 2ᵗ XOR combinations of a group of `t`
+/// payloads, entry `i` holding the XOR of the payloads named by the set bits
+/// of `i`. Whoever must add a subset of the group to many accumulators pays
+/// one lookup-and-XOR per accumulator instead of one XOR per member.
+pub(crate) struct XorTable {
+    group_size: usize,
+    payload_size: usize,
+    /// `2^group_size` entries of `payload_size` bytes; entry 0 stays zero.
+    bytes: Vec<u8>,
+}
+
+impl XorTable {
+    /// Largest table built, so that it stays cache-resident beside the
+    /// accumulators: 256 entries of 1 KiB.
+    pub(crate) const MAX_BYTES: usize = 256 * 1024;
+    /// Largest group size considered (a 64 Ki-entry table).
+    pub(crate) const MAX_GROUP: usize = 16;
+
+    /// An all-zero table for groups of up to `group_size` payloads.
+    pub(crate) fn new(group_size: usize, payload_size: usize) -> Self {
+        assert!((1..=Self::MAX_GROUP).contains(&group_size), "group size out of range");
+        XorTable { group_size, payload_size, bytes: vec![0; payload_size << group_size] }
+    }
+
+    /// Tabulates the combinations of `group` and returns the number of
+    /// payload XORs spent. Entries are visited in Gray-code order, so each is
+    /// its predecessor plus one payload: one XOR per entry, except entry 1,
+    /// which is a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is larger than the table's group size or a payload
+    /// size differs from the table's.
+    pub(crate) fn fill(&mut self, group: &[&Payload]) -> u64 {
+        assert!(group.len() <= self.group_size, "group larger than the table was built for");
+        let m = self.payload_size;
+        for src in group {
+            assert_eq!(src.bytes.len(), m, "cannot combine payloads of different sizes");
+        }
+        let mut xors = 0;
+        let mut prev = 0;
+        for i in 1usize..1 << group.len() {
+            let entry = i ^ (i >> 1);
+            let added = &group[i.trailing_zeros() as usize].bytes;
+            if prev == 0 {
+                self.bytes[entry * m..][..m].copy_from_slice(added);
+            } else {
+                let (dst, base) = if entry > prev {
+                    let (low, high) = self.bytes.split_at_mut(entry * m);
+                    (&mut high[..m], &low[prev * m..][..m])
+                } else {
+                    let (low, high) = self.bytes.split_at_mut(prev * m);
+                    (&mut low[entry * m..][..m], &high[..m])
+                };
+                xor_to(dst, base, added);
+                xors += 1;
+            }
+            prev = entry;
+        }
+        xors
+    }
+
+    /// XORs entry `index` of the last [`XorTable::fill`] into `dst`.
+    #[inline]
+    pub(crate) fn xor_entry_into(&self, index: usize, dst: &mut Payload) {
+        let m = self.payload_size;
+        assert_eq!(dst.bytes.len(), m, "cannot combine payloads of different sizes");
+        xor_slices(&mut dst.bytes, &self.bytes[index * m..][..m]);
     }
 }
 

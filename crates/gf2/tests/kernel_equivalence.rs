@@ -7,12 +7,20 @@
 //! sub-word payloads, exact word multiples and every tail length, plus
 //! code lengths that are not multiples of 8 (partial final bitmap byte)
 //! or of 64 (partial final word).
+//!
+//! The RLNC solve is pinned the same way: the streaming back-substitution
+//! of `Gf2Solver::solve` against the clone-per-row-operation elimination it
+//! replaced, and the Four-Russians `Recipes::replay` against the
+//! one-XOR-per-recipe-bit fold it replaced. Both old algorithms live on
+//! here, as the oracles.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ltnc_gf2::wire;
-use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
+use ltnc_gf2::{CodeVector, EncodedPacket, Gf2Solver, Payload, Recipes};
 
 /// Scalar reference: byte-at-a-time XOR.
 fn xor_bytes_scalar(a: &[u8], b: &[u8]) -> Vec<u8> {
@@ -31,6 +39,144 @@ fn bitmap_decode_scalar(len: usize, bytes: &[u8]) -> CodeVector {
         }
     }
     vector
+}
+
+/// SplitMix64: a seedable stream for the random systems below.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn vector(&mut self, k: usize) -> CodeVector {
+        let bytes: Vec<u8> = (0..k.div_ceil(8)).map(|_| self.next() as u8).collect();
+        CodeVector::from_le_bytes(k, &bytes)
+    }
+
+    fn payload(&mut self, m: usize) -> Payload {
+        Payload::from_vec((0..m).map(|_| self.next() as u8).collect())
+    }
+}
+
+/// Oracle for `Gf2Solver::insert` + `solve` as they were before the
+/// streaming rewrite: incremental row-echelon form with the combination of
+/// original rows dragged along, then back-substitution that eliminates each
+/// pivot column, highest first, from every other row — cloning the pivot's
+/// row and combination for every operation. Ids are consumed by every
+/// inserted row, innovative or not, as `Gf2Solver::insert` does.
+struct RowEliminationOracle {
+    k: usize,
+    capacity: usize,
+    rows: Vec<CodeVector>,
+    combos: Vec<CodeVector>,
+    pivots: Vec<Option<usize>>,
+    inserted: usize,
+}
+
+impl RowEliminationOracle {
+    fn new(k: usize, capacity: usize) -> Self {
+        RowEliminationOracle {
+            k,
+            capacity,
+            rows: Vec::new(),
+            combos: Vec::new(),
+            pivots: vec![None; k],
+            inserted: 0,
+        }
+    }
+
+    fn insert(&mut self, mut vector: CodeVector) -> bool {
+        let mut combo = CodeVector::singleton(self.capacity, self.inserted);
+        self.inserted += 1;
+        while let Some(col) = vector.first_one() {
+            let Some(row) = self.pivots[col] else {
+                self.pivots[col] = Some(self.rows.len());
+                self.rows.push(vector);
+                self.combos.push(combo);
+                return true;
+            };
+            vector.xor_assign(&self.rows[row]);
+            combo.xor_assign(&self.combos[row]);
+        }
+        false
+    }
+
+    /// The recipes and the number of row operations the back-substitution spent.
+    fn solve(&self) -> (Vec<CodeVector>, u64) {
+        let mut rows = self.rows.clone();
+        let mut combos = self.combos.clone();
+        let pivot_of_col: Vec<usize> =
+            (0..self.k).map(|c| self.pivots[c].expect("oracle needs full rank")).collect();
+        let mut ops = 0;
+        for col in (0..self.k).rev() {
+            let src = pivot_of_col[col];
+            for &dst in &pivot_of_col[..col] {
+                if rows[dst].contains(col) {
+                    let (src_row, src_combo) = (rows[src].clone(), combos[src].clone());
+                    rows[dst].xor_assign(&src_row);
+                    combos[dst].xor_assign(&src_combo);
+                    ops += 1;
+                }
+            }
+        }
+        (pivot_of_col.iter().map(|&r| combos[r].clone()).collect(), ops)
+    }
+}
+
+/// Oracle for `Recipes::replay`: one accumulator per native, one payload
+/// XOR per set recipe bit. Returns the natives and the XORs spent.
+fn fold_per_recipe(recipes: &Recipes, sources: &[Payload], m: usize) -> (Vec<Payload>, u64) {
+    let mut xors = 0;
+    let natives = (0..recipes.len())
+        .map(|native| {
+            let mut acc = Payload::zero(m);
+            for row_id in recipes.recipe(native) {
+                acc.xor_assign(&sources[row_id]);
+                xors += 1;
+            }
+            acc
+        })
+        .collect();
+    (natives, xors)
+}
+
+/// The payload XORs a replay with group size `t` executes: per group of
+/// `t` row ids, 2^|group| − 2 for the table (entry 0 is zero, entry 1 a
+/// copy) and one per native whose recipe names any row of the group.
+fn replay_xors(recipes: &Recipes, t: usize) -> u64 {
+    let tables: u64 = (0..recipes.row_ids())
+        .step_by(t)
+        .map(|first| (1u64 << t.min(recipes.row_ids() - first)) - 2)
+        .sum();
+    let lookups: usize = (0..recipes.len())
+        .map(|native| {
+            // Row ids come in increasing order, so a group's ids are adjacent.
+            let mut groups: Vec<usize> = recipes.recipe(native).map(|id| id / t).collect();
+            groups.dedup();
+            groups.len()
+        })
+        .sum();
+    tables + lookups as u64
+}
+
+/// A full-rank random system over `k` unknowns fed through
+/// `insert_if_innovative`, so that row ids are dense: the solver, and per row
+/// id the code vector that was stored under it.
+fn dense_full_rank_system(k: usize, rng: &mut SplitMix) -> (Gf2Solver, Vec<CodeVector>) {
+    let mut solver = Gf2Solver::new(k, k);
+    let mut stored = Vec::with_capacity(k);
+    while solver.rank() < k {
+        let vector = rng.vector(k);
+        if solver.insert_if_innovative(&vector).is_some() {
+            stored.push(vector);
+        }
+    }
+    (solver, stored)
 }
 
 /// Payload lengths covering empty, sub-word, word-aligned, cache-line
@@ -155,4 +301,93 @@ proptest! {
         prop_assert_eq!(decoded_size, payload_size);
         prop_assert_eq!(&header_vector, packet.vector());
     }
+}
+
+/// The streaming solve returns the recipes of the row-elimination oracle and
+/// charges the same number of row operations, on random systems whose row
+/// ids have gaps (`insert` spends an id on every non-innovative row, so
+/// `capacity > k`), at code lengths that are not multiples of 8 or of 64.
+#[test]
+fn solve_matches_row_elimination_oracle() {
+    let mut rng = SplitMix(0x5EED);
+    for k in [1, 2, 7, 8, 9, 31, 63, 64, 65, 100, 127, 129, 200] {
+        let capacity = 3 * k + 64;
+        let mut solver = Gf2Solver::new(k, capacity);
+        let mut oracle = RowEliminationOracle::new(k, capacity);
+        let mut gaps = 0;
+        while !solver.is_full_rank() {
+            // Half the rows are sparse, so that dependent rows (id gaps) occur
+            // at every k and the echelon form is not uniformly dense.
+            let mut vector = rng.vector(k);
+            if rng.next() & 1 == 0 {
+                vector = CodeVector::from_indices(
+                    k,
+                    &[rng.next() as usize % k, rng.next() as usize % k],
+                );
+            }
+            let (_, innovative) = solver.insert(vector.clone());
+            assert_eq!(oracle.insert(vector), innovative);
+            gaps += usize::from(!innovative);
+        }
+        assert!(k == 1 || gaps > 0, "k = {k}: the system should contain dependent rows");
+
+        let (expected, expected_ops) = oracle.solve();
+        let ops_before = solver.row_ops();
+        let recipes = solver.solve().expect("full rank");
+        assert_eq!(solver.row_ops() - ops_before, expected_ops, "k = {k}: row operations");
+        assert_eq!((recipes.len(), recipes.row_ids()), (k, capacity));
+        for (native, expected) in expected.iter().enumerate() {
+            assert_eq!(recipes.recipe(native).collect::<Vec<_>>(), expected.ones(), "k = {k}");
+        }
+    }
+}
+
+/// The table replay returns the natives of the per-recipe fold for every
+/// payload length in `0..=129` (empty, sub-word, word and lane tails) at
+/// code lengths that derive every group size from 1 (the plain fold) to 8,
+/// groups that straddle a recipe word and a partial last group included, and
+/// it reports exactly the XORs it executed.
+#[test]
+fn replay_matches_per_recipe_fold() {
+    let mut rng = SplitMix(0xF0E5);
+    let mut group_sizes = BTreeSet::new();
+    for k in [1, 5, 12, 17, 33, 40, 65, 100, 130, 200, 400, 900] {
+        let (mut solver, stored) = dense_full_rank_system(k, &mut rng);
+        let recipes = solver.solve().expect("full rank");
+        let mut executed = BTreeMap::new();
+        // Received payloads at the longest length; a shorter length is a
+        // prefix of each (XOR commutes with truncation).
+        let full_originals: Vec<Payload> = (0..k).map(|_| rng.payload(129)).collect();
+        let full_sources: Vec<Payload> = stored
+            .iter()
+            .map(|vector| {
+                let mut payload = Payload::zero(129);
+                for i in vector.iter_ones() {
+                    payload.xor_assign(&full_originals[i]);
+                }
+                payload
+            })
+            .collect();
+        let truncated = |payloads: &[Payload], m: usize| -> Vec<Payload> {
+            payloads.iter().map(|p| Payload::from_slice(&p.as_bytes()[..m])).collect()
+        };
+        // Every payload length at the small code lengths, the tail classes
+        // (empty, word + bytes, lanes + byte) above.
+        let lengths: Vec<usize> = if k <= 100 { (0..=129).collect() } else { vec![0, 13, 129] };
+        for m in lengths {
+            let originals = truncated(&full_originals, m);
+            let sources = truncated(&full_sources, m);
+            let refs: Vec<&Payload> = sources.iter().collect();
+
+            let (natives, xors) = recipes.replay(&refs, m);
+            let (folded, _) = fold_per_recipe(&recipes, &sources, m);
+            assert_eq!(natives, folded, "k = {k}, m = {m}");
+            assert_eq!(natives, originals, "k = {k}, m = {m}");
+            let t = recipes.group_size(m);
+            let expected_xors = *executed.entry(t).or_insert_with(|| replay_xors(&recipes, t));
+            assert_eq!(xors, expected_xors, "k = {k}, m = {m}, t = {t}");
+            group_sizes.insert(t);
+        }
+    }
+    assert_eq!(group_sizes, (1..=8).collect::<BTreeSet<_>>());
 }

@@ -7,19 +7,24 @@ use crate::RlncError;
 ///
 /// Received code vectors are reduced against the current row-echelon form as
 /// they arrive (the partial Gaussian reduction the paper's RLNC baseline uses
-/// to drop non-innovative packets immediately). Payloads of innovative packets
-/// are buffered; once the matrix reaches full rank, [`GaussianDecoder::decode`]
-/// back-substitutes and reconstructs every native payload.
+/// to drop non-innovative packets immediately). Innovative packets are
+/// buffered as received — the one copy a node keeps, which recoding draws from
+/// too ([`GaussianDecoder::packets`]); once the matrix reaches full rank,
+/// [`GaussianDecoder::decode`] back-substitutes on the code matrix alone and
+/// then replays the solution onto the payloads in one table-driven pass
+/// ([`ltnc_gf2::Recipes::replay`]).
 ///
 /// Costs are recorded in an [`OpCounters`]: [`OpKind::RowReduction`] for every
 /// row XOR on the code matrix (control plane) and [`OpKind::PayloadXor`] for
-/// every `m`-byte XOR during payload recovery (data plane).
+/// every `m`-byte XOR during payload recovery, table construction included
+/// (data plane).
 #[derive(Debug, Clone)]
 pub struct GaussianDecoder {
     k: usize,
     payload_size: usize,
     solver: Gf2Solver,
-    payloads: Vec<Payload>,
+    /// Innovative packets in arrival order: index = the solver's row id.
+    packets: Vec<EncodedPacket>,
     decoded: Option<Vec<Payload>>,
     received: u64,
     redundant: u64,
@@ -34,7 +39,7 @@ impl GaussianDecoder {
             k,
             payload_size,
             solver: Gf2Solver::new(k, k),
-            payloads: Vec::with_capacity(k),
+            packets: Vec::with_capacity(k),
             decoded: None,
             received: 0,
             redundant: 0,
@@ -84,6 +89,12 @@ impl GaussianDecoder {
         &self.counters
     }
 
+    /// The innovative packets received so far, as received, in arrival order.
+    #[must_use]
+    pub fn packets(&self) -> &[EncodedPacket] {
+        &self.packets
+    }
+
     /// Returns `true` when the packet would increase the rank of the code
     /// matrix. This is the check a receiver runs on the code vector alone
     /// (before the payload is transferred) when a feedback channel is
@@ -124,8 +135,8 @@ impl GaussianDecoder {
             self.redundant += 1;
             return Ok(false);
         };
-        debug_assert_eq!(id, self.payloads.len(), "solver ids align with payload buffer");
-        self.payloads.push(packet.payload().clone());
+        debug_assert_eq!(id, self.packets.len(), "solver ids align with the packet buffer");
+        self.packets.push(packet.clone());
         self.decoded = None;
         Ok(true)
     }
@@ -143,22 +154,16 @@ impl GaussianDecoder {
         if let Some(cached) = &self.decoded {
             return Ok(cached.clone());
         }
-        if !self.solver.is_full_rank() {
-            return Err(RlncError::NotFullRank { rank: self.solver.rank(), needed: self.k });
-        }
         let ops_before = self.solver.row_ops();
-        let recipes = self.solver.solve().expect("full-rank system must be solvable");
+        let recipes = self
+            .solver
+            .solve()
+            .map_err(|_| RlncError::NotFullRank { rank: self.solver.rank(), needed: self.k })?;
         self.counters.add(OpKind::RowReduction, self.solver.row_ops() - ops_before);
 
-        let mut natives = Vec::with_capacity(self.k);
-        for recipe in &recipes {
-            let mut acc = Payload::zero(self.payload_size);
-            for row_id in recipe.iter_ones() {
-                acc.xor_assign(&self.payloads[row_id]);
-                self.counters.incr(OpKind::PayloadXor);
-            }
-            natives.push(acc);
-        }
+        let sources: Vec<&Payload> = self.packets.iter().map(EncodedPacket::payload).collect();
+        let (natives, payload_xors) = recipes.replay(&sources, self.payload_size);
+        self.counters.add(OpKind::PayloadXor, payload_xors);
         self.decoded = Some(natives.clone());
         Ok(natives)
     }
@@ -301,6 +306,51 @@ mod tests {
         assert!(dec.counters().get(OpKind::PayloadXor) > 0);
         assert!(dec.counters().data_ops() > 0);
         assert!(dec.counters().control_ops() > 0);
+    }
+
+    /// The decode this crate had before the two-pass solve, in its textbook
+    /// form: Gauss–Jordan elimination on whole packets, every row operation
+    /// on a code vector dragging its payload along.
+    fn decode_by_whole_packet_elimination(k: usize, packets: &[EncodedPacket]) -> Vec<Payload> {
+        let mut rows: Vec<(CodeVector, Payload)> =
+            packets.iter().map(|p| (p.vector().clone(), p.payload().clone())).collect();
+        for col in 0..k {
+            let pivot = (col..rows.len())
+                .find(|&r| rows[r].0.contains(col))
+                .expect("the oracle is fed a full-rank system");
+            rows.swap(col, pivot);
+            let (vector, payload) = rows[col].clone();
+            for (r, row) in rows.iter_mut().enumerate() {
+                if r != col && row.0.contains(col) {
+                    row.0.xor_assign(&vector);
+                    row.1.xor_assign(&payload);
+                }
+            }
+        }
+        rows.truncate(k);
+        rows.into_iter().map(|(_, payload)| payload).collect()
+    }
+
+    #[test]
+    fn decode_matches_whole_packet_elimination() {
+        // Code lengths off the byte and word grid; payload lengths with
+        // empty, sub-word, lane-sized and ragged tails.
+        let mut rng = SmallRng::seed_from_u64(17);
+        for k in [1, 9, 33, 65, 130] {
+            for m in [0, 5, 64, 129] {
+                let nat: Vec<Payload> = (0..k)
+                    .map(|_| Payload::from_vec((0..m).map(|_| rng.gen()).collect()))
+                    .collect();
+                let mut dec = GaussianDecoder::new(k, m);
+                while !dec.is_full_rank() {
+                    let indices: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.5)).collect();
+                    dec.insert(&packet(k, &indices, &nat)).unwrap();
+                }
+                let expected = decode_by_whole_packet_elimination(k, dec.packets());
+                assert_eq!(dec.decode().unwrap(), expected, "k = {k}, m = {m}");
+                assert_eq!(expected, nat, "k = {k}, m = {m}");
+            }
+        }
     }
 
     proptest! {

@@ -5,7 +5,10 @@
 //! cites as optimal for sparse linear network codes) and decode by Gaussian
 //! elimination over GF(2), which costs `O(k²)` row operations on the code
 //! matrix plus `O(m·k²)` payload work — the complexity LTNC is designed to
-//! avoid.
+//! avoid. The baseline is kept honest: the elimination runs on bit vectors
+//! only, and the payloads are touched once, at the end, through
+//! Four-Russians XOR tables (≈ k²/7 payload XORs at k = 2048 instead of the
+//! textbook k²/2).
 //!
 //! The crate exposes:
 //!

@@ -18,7 +18,8 @@ pub enum ReceiveOutcome {
 /// Bundles the Gaussian-elimination decoder (reception and decoding) with the
 /// sparse random recoder (emission), and keeps the two cost ledgers separate so
 /// the simulator can report recoding and decoding costs independently, as in
-/// Figure 8 of the paper.
+/// Figure 8 of the paper. Every innovative packet is held once, by the decoder;
+/// recoding combines from that same buffer.
 #[derive(Debug, Clone)]
 pub struct RlncNode {
     decoder: GaussianDecoder,
@@ -29,10 +30,7 @@ impl RlncNode {
     /// Creates a node for `k` native packets of `payload_size` bytes.
     #[must_use]
     pub fn new(k: usize, payload_size: usize) -> Self {
-        RlncNode {
-            decoder: GaussianDecoder::new(k, payload_size),
-            recoder: SparseRecoder::new(k, payload_size),
-        }
+        RlncNode { decoder: GaussianDecoder::new(k, payload_size), recoder: SparseRecoder::new(k) }
     }
 
     /// Creates a node with an explicit recoding sparsity (ablation knob).
@@ -40,7 +38,7 @@ impl RlncNode {
     pub fn with_sparsity(k: usize, payload_size: usize, sparsity: usize) -> Self {
         RlncNode {
             decoder: GaussianDecoder::new(k, payload_size),
-            recoder: SparseRecoder::with_sparsity(k, payload_size, sparsity),
+            recoder: SparseRecoder::with_sparsity(sparsity),
         }
     }
 
@@ -81,10 +79,10 @@ impl RlncNode {
     /// Number of packets this node has accepted as innovative.
     #[must_use]
     pub fn innovative_count(&self) -> usize {
-        self.recoder.buffered()
+        self.decoder.packets().len()
     }
 
-    /// Receives a packet, updating the code matrix and the recoding buffer.
+    /// Receives a packet, updating the code matrix and the packet buffer.
     ///
     /// The innovation check and the row insertion share a single Gaussian
     /// reduction pass ([`Gf2Solver::insert_if_innovative`]); returns
@@ -98,9 +96,7 @@ impl RlncNode {
     /// Panics if the packet's code length or payload size does not match the
     /// node (schemes never mix packet shapes within one dissemination).
     pub fn receive(&mut self, packet: &EncodedPacket) -> ReceiveOutcome {
-        let innovative = self.decoder.insert(packet).expect("packet shape must match the node");
-        if innovative {
-            self.recoder.push(packet.clone()).expect("packet shape must match the node");
+        if self.decoder.insert(packet).expect("packet shape must match the node") {
             ReceiveOutcome::Innovative
         } else {
             ReceiveOutcome::Redundant
@@ -114,7 +110,7 @@ impl RlncNode {
     /// Returns [`RlncError::NothingToRecode`] when the node has not received
     /// any innovative packet yet.
     pub fn recode<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<EncodedPacket, RlncError> {
-        self.recoder.recode(rng)
+        self.recoder.recode(self.decoder.packets(), rng)
     }
 
     /// Decodes the full content (Gaussian elimination + payload recovery).

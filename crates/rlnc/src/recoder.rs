@@ -19,41 +19,27 @@ pub fn sparsity_for(code_length: usize) -> usize {
 
 /// The RLNC recoding rule: XOR a random subset of the held packets.
 ///
-/// The recoder owns the buffer of received innovative packets (the simulator's
-/// [`crate::RlncNode`] feeds it) and produces fresh encoded packets by
-/// combining `min(sparsity, buffer size)` of them chosen uniformly at random.
+/// The recoder holds no packets of its own: [`crate::RlncNode`] hands it the
+/// innovative packets its decoder buffered, and it produces fresh encoded
+/// packets by combining `min(sparsity, held)` of them chosen uniformly at
+/// random.
 #[derive(Debug, Clone)]
 pub struct SparseRecoder {
-    k: usize,
-    payload_size: usize,
     sparsity: usize,
-    buffer: Vec<EncodedPacket>,
     counters: OpCounters,
 }
 
 impl SparseRecoder {
     /// Creates a recoder with the paper's default sparsity `ln k + 20`.
     #[must_use]
-    pub fn new(k: usize, payload_size: usize) -> Self {
-        Self::with_sparsity(k, payload_size, sparsity_for(k))
+    pub fn new(k: usize) -> Self {
+        Self::with_sparsity(sparsity_for(k))
     }
 
     /// Creates a recoder with an explicit sparsity bound (≥ 1).
     #[must_use]
-    pub fn with_sparsity(k: usize, payload_size: usize, sparsity: usize) -> Self {
-        SparseRecoder {
-            k,
-            payload_size,
-            sparsity: sparsity.max(1),
-            buffer: Vec::new(),
-            counters: OpCounters::new(),
-        }
-    }
-
-    /// Code length `k`.
-    #[must_use]
-    pub fn code_length(&self) -> usize {
-        self.k
+    pub fn with_sparsity(sparsity: usize) -> Self {
+        SparseRecoder { sparsity: sparsity.max(1), counters: OpCounters::new() }
     }
 
     /// The sparsity bound in use.
@@ -62,72 +48,47 @@ impl SparseRecoder {
         self.sparsity
     }
 
-    /// Number of packets available for recoding.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// The operation counters accumulated by recoding.
     #[must_use]
     pub fn counters(&self) -> &OpCounters {
         &self.counters
     }
 
-    /// Adds a packet to the recoding buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RlncError::PacketMismatch`] when the code length or payload
-    /// size does not match.
-    pub fn push(&mut self, packet: EncodedPacket) -> Result<(), RlncError> {
-        if packet.code_length() != self.k {
-            return Err(RlncError::PacketMismatch {
-                expected: self.k,
-                found: packet.code_length(),
-            });
-        }
-        if packet.payload_size() != self.payload_size {
-            return Err(RlncError::PacketMismatch {
-                expected: self.payload_size,
-                found: packet.payload_size(),
-            });
-        }
-        self.buffer.push(packet);
-        Ok(())
-    }
-
     /// Produces a fresh encoded packet as a random GF(2) combination of the
-    /// buffered packets: at most `sparsity` candidate packets are drawn
+    /// `held` packets (all of one code length and payload size): at most `sparsity` candidate packets are drawn
     /// uniformly, and each is included with an (independent) random 0/1
     /// coefficient — the sparse random linear recoding of the paper.
     ///
     /// The combination may occasionally collapse to the zero vector (all
     /// coefficients zero, or the selected packets cancel out); the recoder
     /// then retries with fresh randomness a few times and finally falls back
-    /// to forwarding one buffered packet, mirroring the small non-innovation
+    /// to forwarding one held packet, mirroring the small non-innovation
     /// probability the paper attributes to random linear codes.
     ///
     /// # Errors
     ///
-    /// Returns [`RlncError::NothingToRecode`] when the buffer is empty.
-    pub fn recode<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<EncodedPacket, RlncError> {
-        if self.buffer.is_empty() {
+    /// Returns [`RlncError::NothingToRecode`] when `held` is empty.
+    pub fn recode<R: Rng + ?Sized>(
+        &mut self,
+        held: &[EncodedPacket],
+        rng: &mut R,
+    ) -> Result<EncodedPacket, RlncError> {
+        if held.is_empty() {
             return Err(RlncError::NothingToRecode);
         }
         const MAX_RETRIES: usize = 4;
-        let candidates = self.sparsity.min(self.buffer.len());
+        let candidates = self.sparsity.min(held.len());
         for _ in 0..MAX_RETRIES {
-            let chosen = sample_indices(rng, self.buffer.len(), candidates);
+            let chosen = sample_indices(rng, held.len(), candidates);
             // Draw the random GF(2) coefficients first (same RNG order as the
             // one-at-a-time loop), then fold the selected packets batched.
             let selected: Vec<usize> = chosen.iter().filter(|_| rng.gen_bool(0.5)).collect();
             let Some((&first, rest)) = selected.split_first() else {
                 continue;
             };
-            let mut vector = self.buffer[first].vector().clone();
+            let mut vector = held[first].vector().clone();
             for &i in rest {
-                vector.xor_assign(self.buffer[i].vector());
+                vector.xor_assign(held[i].vector());
             }
             self.counters.add(OpKind::VectorXor, selected.len() as u64);
             if vector.is_zero() {
@@ -135,17 +96,17 @@ impl SparseRecoder {
             }
             // One pass over the payload for the whole combination instead of
             // one full walk per selected packet.
-            let mut payload = self.buffer[first].payload().clone();
-            let sources: Vec<&Payload> = rest.iter().map(|&i| self.buffer[i].payload()).collect();
+            let mut payload = held[first].payload().clone();
+            let sources: Vec<&Payload> = rest.iter().map(|&i| held[i].payload()).collect();
             payload.xor_assign_many(&sources);
             self.counters.add(OpKind::PayloadXor, selected.len() as u64);
             return Ok(EncodedPacket::new(vector, payload));
         }
-        // Fallback: forward one buffered packet chosen at random.
-        let i = rng.gen_range(0..self.buffer.len());
+        // Fallback: forward one held packet chosen at random.
+        let i = rng.gen_range(0..held.len());
         self.counters.incr(OpKind::PayloadXor);
         self.counters.incr(OpKind::VectorXor);
-        Ok(self.buffer[i].clone())
+        Ok(held[i].clone())
     }
 }
 
@@ -178,19 +139,9 @@ mod tests {
 
     #[test]
     fn recode_from_empty_buffer_fails() {
-        let mut r = SparseRecoder::new(8, 4);
+        let mut r = SparseRecoder::new(8);
         let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(r.recode(&mut rng).unwrap_err(), RlncError::NothingToRecode);
-    }
-
-    #[test]
-    fn push_rejects_mismatches() {
-        let mut r = SparseRecoder::new(8, 4);
-        let nat = natives(9, 4);
-        assert!(r.push(packet(9, &[0], &nat)).is_err());
-        let nat8 = natives(8, 5);
-        assert!(r.push(packet(8, &[0], &nat8)).is_err());
-        assert_eq!(r.buffered(), 0);
+        assert_eq!(r.recode(&[], &mut rng).unwrap_err(), RlncError::NothingToRecode);
     }
 
     #[test]
@@ -198,13 +149,11 @@ mod tests {
         let k = 16;
         let m = 8;
         let nat = natives(k, m);
-        let mut r = SparseRecoder::new(k, m);
-        for i in 0..k {
-            r.push(packet(k, &[i, (i + 1) % k], &nat)).unwrap();
-        }
+        let mut r = SparseRecoder::new(k);
+        let held: Vec<EncodedPacket> = (0..k).map(|i| packet(k, &[i, (i + 1) % k], &nat)).collect();
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..50 {
-            let p = r.recode(&mut rng).unwrap();
+            let p = r.recode(&held, &mut rng).unwrap();
             // Invariant: payload equals XOR of natives named by the vector.
             let mut expected = Payload::zero(m);
             for i in p.vector().iter_ones() {
@@ -219,13 +168,11 @@ mod tests {
         let k = 64;
         let m = 1;
         let nat = natives(k, m);
-        let mut r = SparseRecoder::with_sparsity(k, m, 3);
-        for i in 0..k {
-            r.push(packet(k, &[i], &nat)).unwrap();
-        }
+        let mut r = SparseRecoder::with_sparsity(3);
+        let held: Vec<EncodedPacket> = (0..k).map(|i| packet(k, &[i], &nat)).collect();
         let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..50 {
-            let p = r.recode(&mut rng).unwrap();
+            let p = r.recode(&held, &mut rng).unwrap();
             // With unit packets and sparsity 3, the result combines 1 to 3 of them.
             assert!(p.degree() <= 3 && p.degree() >= 1, "degree {}", p.degree());
         }
@@ -240,14 +187,12 @@ mod tests {
         let k = 8;
         let m = 1;
         let nat = natives(k, m);
-        let mut r = SparseRecoder::new(k, m); // sparsity 23 ≥ buffer size
-        for i in 0..k {
-            r.push(packet(k, &[i], &nat)).unwrap();
-        }
+        let mut r = SparseRecoder::new(k); // sparsity 23 ≥ buffer size
+        let held: Vec<EncodedPacket> = (0..k).map(|i| packet(k, &[i], &nat)).collect();
         let mut rng = SmallRng::seed_from_u64(4);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..64 {
-            distinct.insert(r.recode(&mut rng).unwrap().vector().ones());
+            distinct.insert(r.recode(&held, &mut rng).unwrap().vector().ones());
         }
         assert!(distinct.len() > 10, "only {} distinct combinations", distinct.len());
     }
@@ -256,16 +201,16 @@ mod tests {
     fn recode_with_single_packet_returns_it() {
         let k = 8;
         let nat = natives(k, 2);
-        let mut r = SparseRecoder::new(k, 2);
-        r.push(packet(k, &[2, 5], &nat)).unwrap();
+        let mut r = SparseRecoder::new(k);
+        let held = [packet(k, &[2, 5], &nat)];
         let mut rng = SmallRng::seed_from_u64(1);
-        let p = r.recode(&mut rng).unwrap();
+        let p = r.recode(&held, &mut rng).unwrap();
         assert_eq!(p.vector().ones(), vec![2, 5]);
     }
 
     #[test]
     fn sparsity_is_at_least_one() {
-        let r = SparseRecoder::with_sparsity(8, 2, 0);
+        let r = SparseRecoder::with_sparsity(0);
         assert_eq!(r.sparsity(), 1);
     }
 }

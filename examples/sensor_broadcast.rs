@@ -2,7 +2,10 @@
 //! processing capabilities (sensors) receiving a firmware image or
 //! configuration blob. What matters here is the *decoding* cost at the
 //! resource-constrained receivers: LTNC trades a little communication overhead
-//! for a ~99 % reduction of the decoding work compared to RLNC.
+//! for a ~95 % reduction of the decoding work compared to RLNC (~99 % in the
+//! paper, whose RLNC decoder spends one payload XOR per recipe bit; the
+//! baseline here replays the solved system through XOR tables and is 3.5×
+//! cheaper than that at k = 2048).
 //!
 //! ```text
 //! cargo run --release -p ltnc-examples --bin sensor_broadcast
@@ -82,7 +85,7 @@ fn main() {
     let reduction = (1.0 - ltnc_cost.total_cycles() / rlnc_cost.total_cycles()) * 100.0;
     println!(
         "\nLTNC reduces the sensor's decoding cost by {reduction:.1}% \
-         (paper reports up to 99% at k = 2048),"
+         (paper: up to 99% at k = 2048, against a costlier RLNC decoder),"
     );
     println!(
         "at the price of {:.1}% more radio receptions.",

@@ -2,7 +2,6 @@
 //! drives real LTNC / RLNC / WC nodes and every completed node must hold the
 //! original content bit-for-bit.
 
-use ltnc_metrics::CostModel;
 use ltnc_sim::{Engine, SchemeKind, SimConfig};
 
 fn quick(scheme: SchemeKind, seed: u64) -> SimConfig {
@@ -27,9 +26,21 @@ fn all_three_schemes_disseminate_the_same_content() {
 
 #[test]
 fn ltnc_trades_overhead_for_decoding_cost() {
-    // The paper's headline trade-off, checked end-to-end on the simulator:
-    // LTNC sends somewhat more payloads than RLNC but decodes dramatically
-    // cheaper (data plane), while staying ahead of WC on completion time.
+    // The traffic half of the paper's headline trade-off, checked end-to-end
+    // on the simulator: LTNC sends somewhat more payloads than RLNC, while
+    // both stay ahead of WC on completion time.
+    //
+    // The other half — LTNC decodes dramatically cheaper on the data plane —
+    // is asserted at the k where the paper makes the claim (k = 2048, Figure
+    // 8d) by `ltnc_decodes_with_an_order_of_magnitude_fewer_payload_xors_than_rlnc`
+    // in `crates/core/tests/paper_claims.rs`. It used to be compared here too,
+    // at this deliberately tiny k = 32, where it was never the paper's claim:
+    // a Gaussian recipe over 32 rows is ~16 payloads long and belief
+    // propagation has little to save, so the ratio sat at 0.67 against the
+    // old one-XOR-per-recipe-bit baseline. With RLNC's replay tabulating
+    // groups of four rows (ISSUE 17) the honest baseline at k = 32 is as cheap
+    // as BP; the gap only opens with k (k²/2 → ≈ k²/7 for RLNC, k·log k for
+    // LTNC).
     let ltnc = Engine::new(quick(SchemeKind::Ltnc, 2)).run();
     let rlnc = Engine::new(quick(SchemeKind::Rlnc, 2)).run();
     let wc = Engine::new(quick(SchemeKind::Wc, 2)).run();
@@ -37,21 +48,6 @@ fn ltnc_trades_overhead_for_decoding_cost() {
     // Overhead: RLNC ≈ 0, LTNC ≥ RLNC.
     assert!(rlnc.overhead_percent() < 1.0);
     assert!(ltnc.overhead_percent() >= rlnc.overhead_percent());
-
-    // Decoding data cost: LTNC below RLNC. The asymptotic gap (≈ 99 % at
-    // k = 2048, Figure 8d) is checked by the larger-k unit test
-    // `decoding_cost_is_much_lower_than_rank_squared` in `ltnc-core` and by the
-    // `fig8_cost` harness; at this deliberately tiny k = 32 the Gaussian
-    // recipes are still short, so we only require a clear advantage.
-    let model = CostModel::new(32, 256 * 1024);
-    let ltnc_cost = model.evaluate(&ltnc.decoding_counters);
-    let rlnc_cost = model.evaluate(&rlnc.decoding_counters);
-    assert!(
-        ltnc_cost.data_cycles < 0.85 * rlnc_cost.data_cycles,
-        "LTNC decode data cost {} should be below RLNC's {}",
-        ltnc_cost.data_cycles,
-        rlnc_cost.data_cycles
-    );
 
     // Dissemination: both coded schemes beat WC.
     assert!(ltnc.avg_time_to_complete < wc.avg_time_to_complete);
