@@ -434,14 +434,16 @@ fn histogram_json(snapshot: &LogHistogramSnapshot) -> JsonValue {
         .field("max", snapshot.max)
 }
 
-/// One flight-recorder event row: stamp, stable name, and the scheduler
-/// variants' numeric payloads. Protocol-level events that end up in a
-/// ring keep just their name and stamp — the recorder's story is the
+/// One flight-recorder event row: stamp, stable name, the scheduler
+/// variants' numeric payloads, and an offer's trigger (tick-paced or
+/// self-clocked?). Other protocol-level events that end up in a ring
+/// keep just their name and stamp — the recorder's story is the
 /// scheduler's.
 fn event_json(event: &TimedEvent) -> JsonValue {
     let mut doc =
         JsonValue::object().field("at_ms", millis(event.at)).field("event", event.event.name());
     match event.event {
+        TraceEvent::OfferSent { trigger, .. } => doc = doc.field("trigger", trigger.label()),
         TraceEvent::ShardTick { shard, wheel_depth } => {
             doc = doc.field("shard", shard).field("wheel_depth", wheel_depth);
         }
@@ -500,7 +502,7 @@ mod tests {
 
     #[test]
     fn registry_rolls_up_wire_and_decoder_families() {
-        let shareds = vec![Arc::new(Shared::new()), Arc::new(Shared::new())];
+        let shareds = vec![Arc::new(Shared::default()), Arc::new(Shared::default())];
         // Node 1 decoded one generation and published a rank mirror.
         shareds[1].complete_generations.store(1, Ordering::Release);
         shareds[1].decoded_rank.store(4, Ordering::Relaxed);
@@ -537,7 +539,7 @@ mod tests {
         let telemetry = Arc::new(SwarmTelemetry::new(2, Some(8)));
         telemetry.turn_completed(0, 1);
         telemetry.note_stall(Duration::from_secs(12));
-        let completion = vec![Arc::new(Shared::new()), Arc::new(Shared::new())];
+        let completion = vec![Arc::new(Shared::default()), Arc::new(Shared::default())];
         completion[1].decoded_rank.store(9, Ordering::Relaxed);
         let state = FlightState {
             started: Instant::now(),
@@ -563,5 +565,17 @@ mod tests {
         let stuck = doc.get("stalled_nodes").and_then(JsonValue::as_array).expect("nodes");
         assert_eq!(stuck.len(), 1, "the one incomplete receiver is listed");
         assert_eq!(stuck[0].get("decoded_rank").and_then(JsonValue::as_i64), Some(9));
+    }
+
+    #[test]
+    fn an_offer_row_names_the_clock_that_released_it() {
+        let event = TraceEvent::OfferSent {
+            peer: "127.0.0.1:9".parse().expect("addr"),
+            generation: 0,
+            trigger: ltnc_telemetry::OfferTrigger::Feedback,
+        };
+        let row = event_json(&TimedEvent { at: Duration::from_millis(3), event });
+        assert_eq!(row.get("event").and_then(JsonValue::as_str), Some("offer_sent"));
+        assert_eq!(row.get("trigger").and_then(JsonValue::as_str), Some("feedback"));
     }
 }

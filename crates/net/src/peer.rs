@@ -11,9 +11,20 @@
 //!   channel — when the actor falls behind, datagrams are dropped and
 //!   counted rather than buffered without bound (backpressure);
 //! * the **actor thread** owns all coding state ([`SourceSession`] /
-//!   [`ReceiverSession`]), processes inbound messages, and on every tick
-//!   pushes header-first transfer offers to randomly chosen peers, subject
-//!   to the aggressiveness gate and a per-peer in-flight budget.
+//!   [`ReceiverSession`]), processes inbound messages, and pushes
+//!   header-first transfer offers, subject to the aggressiveness gate and
+//!   a per-peer in-flight budget.
+//!
+//! Offers leave on **three clocks**, all through the same gates and each
+//! 1:1 with an event, so none can amplify. A *useful* `DATA-PAYLOAD`
+//! releases one recoded offer to a random peer (one symbol in, one out).
+//! `FEEDBACK`, accept or abort, for a transfer whose generation the
+//! sender holds *completely* (a source always does) releases the next
+//! offer to that same peer: the pipeline to each neighbour is RTT-paced
+//! and window-limited. The gossip tick is the fallback clock: first
+//! offers, retries after an abort from an incomplete relay, TTL eviction.
+//! Incomplete senders are deliberately not feedback-clocked — measured,
+//! they flood a neighbour with dependent recodes of the same few symbols.
 //!
 //! The in-flight budget is **loss-adaptive** by default (AIMD, with the
 //! asymmetry inverted relative to TCP because loss here is erasure, not
@@ -28,8 +39,7 @@
 //! grows the budget back to (never past) its initial value, so one
 //! outage is not a life sentence at the floor. On a clean link nothing
 //! times out and the budget never moves — fixed-cap behaviour exactly.
-//! Bounds come
-//! from [`NodeOptions::inflight_floor`] /
+//! Bounds come from [`NodeOptions::inflight_floor`] /
 //! [`NodeOptions::inflight_ceiling`]; per-peer loss estimates (EWMA over
 //! offer outcomes) are reported in [`PeerReport::loss_estimates`], and
 //! budget moves are counted in [`WireCounters`].
@@ -59,21 +69,22 @@
 //! The public handle is deliberately small: spawn, wire up peers, poll
 //! completion, shut down gracefully and collect a [`PeerReport`].
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
 use ltnc_scheme::SchemeParams;
 use ltnc_telemetry::{
-    hop_latency_histograms, wire_samples, MetricsRegistry, ScrapeOptions, ScrapeServer, TimedEvent,
-    TraceEvent, TraceSink, Tracer,
+    hop_latency_histograms, wire_samples, MetricsRegistry, OfferTrigger, ScrapeOptions,
+    ScrapeServer, TimedEvent, TraceEvent, TraceSink, Tracer,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -287,8 +298,12 @@ enum Control {
 /// State a node publishes for observers outside its own dispatch
 /// context — the `PeerNode` handle and scrape endpoint on the threaded
 /// runtime, the swarm driver's completion poll on the sharded one.
+#[derive(Default)]
 pub(crate) struct Shared {
     pub(crate) complete: AtomicBool,
+    /// The swarm driver's thread, parked on its completion poll; unparked
+    /// by the node the moment it stores `complete`.
+    pub(crate) driver: OnceLock<Thread>,
     pub(crate) complete_generations: AtomicUsize,
     pub(crate) inbound_dropped: AtomicU64,
     pub(crate) stop: AtomicBool,
@@ -313,19 +328,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new() -> Shared {
-        Shared {
-            complete: AtomicBool::new(false),
-            complete_generations: AtomicUsize::new(0),
-            inbound_dropped: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            wire: Mutex::new(WireCounters::new()),
-            latency: HopLatency::new(),
-            decoded_rank: AtomicU64::new(0),
-            decoder: Mutex::new(Vec::new()),
-        }
-    }
-
     /// The per-generation rank mirror as last published (empty when the
     /// node never published, i.e. no live endpoint was attached).
     pub(crate) fn decoder_ranks(&self) -> Vec<u64> {
@@ -385,7 +387,7 @@ impl PeerNode {
         socket.set_read_timeout(Some(Duration::from_millis(20)))?;
         let local_addr = socket.local_addr()?;
 
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::default());
         // A source is complete by definition; publish that before the
         // actor thread even starts so the handle never reports a stale
         // "incomplete" for it.
@@ -639,7 +641,6 @@ pub(crate) struct NodeStateMachine {
     lineage: HashMap<u32, TraceContext>,
     wire: WireCounters,
     shared: Arc<Shared>,
-    shutdown: bool,
     tracer: Tracer,
     /// Refresh the shared wire mirror each tick (only when a metrics
     /// endpoint reads it — the mirror costs nothing otherwise).
@@ -654,30 +655,23 @@ impl NodeStateMachine {
     ) -> NodeStateMachine {
         let tracer = Tracer::from_option(config.trace);
         let publish_live = config.options.metrics_bind.is_some() || config.publish_live;
-        let (params, source, receiver) = match config.role {
+        let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
                 // Completion state for sources is already published by
                 // PeerNode::spawn, before this thread existed.
                 let source = SourceSession::new(&object, params);
-                (params, Some(source), None)
+                (*source.manifest(), Some(source), None)
             }
-            NodeRole::Peer { manifest } => {
-                (manifest.params, None, Some(ReceiverSession::new(manifest)))
-            }
+            NodeRole::Peer { manifest } => (manifest, None, Some(ReceiverSession::new(manifest))),
         };
-        let generation_count = source
-            .as_ref()
-            .map(|s| s.manifest().generation_count())
-            .or_else(|| receiver.as_ref().map(|r| r.manifest().generation_count()))
-            .expect("role provides a manifest");
         NodeStateMachine {
             socket,
             session: config.session,
-            params,
+            params: manifest.params,
             options: config.options,
             source,
             receiver,
-            generation_count,
+            generation_count: manifest.generation_count(),
             peers: Vec::new(),
             started: false,
             rng: SmallRng::seed_from_u64(config.options.seed),
@@ -691,7 +685,6 @@ impl NodeStateMachine {
             lineage: HashMap::new(),
             wire: WireCounters::new(),
             shared,
-            shutdown: false,
             tracer,
             publish_live,
         }
@@ -718,11 +711,8 @@ impl NodeStateMachine {
             while let Ok(message) = control.try_recv() {
                 match message {
                     Control::SetPeers(peers) => self.set_peers(peers),
-                    Control::Shutdown => self.shutdown = true,
+                    Control::Shutdown => return self.into_report(),
                 }
-            }
-            if self.shutdown {
-                break;
             }
 
             match events.recv_timeout(self.options.tick) {
@@ -832,6 +822,7 @@ impl NodeStateMachine {
         });
         let observed = if rtt.is_some() { 0.0 } else { 1.0 };
         pacing.loss_ewma += LOSS_EWMA_ALPHA * (observed - pacing.loss_ewma);
+        let before = pacing.budget as u64;
         if let Some(rtt) = rtt {
             let sample = rtt.as_secs_f64();
             pacing.rtt_ewma = Some(match pacing.rtt_ewma {
@@ -845,41 +836,29 @@ impl NodeStateMachine {
             // transient outage does not pin the peer at the floor for
             // the rest of the session.
             if options.adaptive_pacing && pacing.budget < base {
-                let before = pacing.budget as usize;
                 pacing.budget = (pacing.budget + 1.0 / pacing.budget.max(1.0)).min(base);
-                if pacing.budget as usize > before {
-                    self.wire.budget_raises += 1;
-                    let budget = pacing.budget as u64;
-                    self.tracer.emit(|| TraceEvent::BudgetRaised { peer, budget });
-                }
             }
-            return;
+        } else if options.adaptive_pacing {
+            let ttl = options.derived_ttl(pacing.rtt_ewma);
+            if pacing.last_feedback.is_some_and(|at| at.elapsed() < ttl) {
+                // Lossy but live: the lost offer wasted one slot for a full
+                // TTL; grow the budget by one to keep the live pipeline deep.
+                pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
+            } else if pacing.last_cut.is_none_or(|at| at.elapsed() >= ttl) {
+                // Silent for a whole TTL: multiplicative decrease, at most
+                // once per window, down to the floor.
+                pacing.last_cut = Some(Instant::now());
+                pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
+            }
         }
-        if !options.adaptive_pacing {
-            return;
-        }
-        let before = pacing.budget as usize;
-        let ttl = options.derived_ttl(pacing.rtt_ewma);
-        let alive = pacing.last_feedback.is_some_and(|at| at.elapsed() < ttl);
-        if alive {
-            // Lossy but live: the lost offer wasted one slot for a full
-            // TTL; grow the budget by one to keep the live pipeline deep.
-            pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
-            if pacing.budget as usize > before {
-                self.wire.budget_raises += 1;
-                let budget = pacing.budget as u64;
-                self.tracer.emit(|| TraceEvent::BudgetRaised { peer, budget });
-            }
-        } else if pacing.last_cut.is_none_or(|at| at.elapsed() >= ttl) {
-            // Silent for a whole TTL: multiplicative decrease, at most
-            // once per window, down to the floor.
-            pacing.last_cut = Some(Instant::now());
-            pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
-            if (pacing.budget as usize) < before {
-                self.wire.budget_cuts += 1;
-                let budget = pacing.budget as u64;
-                self.tracer.emit(|| TraceEvent::BudgetCut { peer, budget });
-            }
+        // Counters and trace report whole-offer moves of the budget.
+        let budget = pacing.budget as u64;
+        if budget > before {
+            self.wire.budget_raises += 1;
+            self.tracer.emit(|| TraceEvent::BudgetRaised { peer, budget });
+        } else if budget < before {
+            self.wire.budget_cuts += 1;
+            self.tracer.emit(|| TraceEvent::BudgetCut { peer, budget });
         }
     }
 
@@ -962,34 +941,23 @@ impl NodeStateMachine {
                 // sender to stop offering it altogether. A node with no
                 // receiver (a pure source) needs nothing, ever — say so
                 // instead of absorbing offers forever.
-                if !accept {
-                    match self.receiver.as_ref() {
-                        Some(receiver) if receiver.generation_complete(generation) => {
-                            self.send(
-                                from,
-                                &self.header(MessageKind::Complete, generation),
-                                &Message::Complete,
-                            );
-                        }
-                        None => {
-                            self.send(
-                                from,
-                                &self.header(MessageKind::Complete, GENERATION_OBJECT),
-                                &Message::Complete,
-                            );
-                        }
-                        _ => {}
-                    }
+                let done = match self.receiver.as_ref() {
+                    Some(receiver) if receiver.generation_complete(generation) => Some(generation),
+                    Some(_) => None,
+                    None => Some(GENERATION_OBJECT),
+                };
+                if let (false, Some(done)) = (accept, done) {
+                    self.send(from, &self.header(MessageKind::Complete, done), &Message::Complete);
                 }
             }
             MessageView::Feedback { transfer, accept } => {
                 // Only the peer the offer went to may decide its fate; a
                 // verdict from anyone else (bug or hostility) must not
                 // consume the pending transfer.
-                if self.pending.get(&transfer).is_none_or(|p| p.to != from) {
-                    return; // evicted, duplicate, or misdirected feedback
-                }
-                let pending = self.pending.remove(&transfer).expect("checked above");
+                let pending = match self.pending.entry(transfer) {
+                    Entry::Occupied(slot) if slot.get().to == from => slot.remove(),
+                    _ => return, // evicted, duplicate, or misdirected feedback
+                };
                 if let Some(count) = self.inflight_per_peer.get_mut(&pending.to) {
                     *count = count.saturating_sub(1);
                 }
@@ -999,11 +967,12 @@ impl NodeStateMachine {
                 let rtt = pending.born.elapsed();
                 self.note_outcome(pending.to, Some(rtt));
                 self.tracer.emit(|| TraceEvent::FeedbackReceived { peer: from, accept, rtt });
+                let generation = pending.generation;
                 if accept {
                     self.wire.transfers_delivered += 1;
                     self.send(
-                        pending.to,
-                        &self.header(MessageKind::DataPayload, pending.generation),
+                        from,
+                        &self.header(MessageKind::DataPayload, generation),
                         &Message::DataPayload {
                             transfer,
                             trace: pending.trace,
@@ -1012,6 +981,16 @@ impl NodeStateMachine {
                     );
                 } else {
                     self.wire.transfers_aborted += 1;
+                }
+                // Feedback clock: whoever holds the generation completely
+                // emits only good packets, so its pipeline to this peer is
+                // RTT-paced. An incomplete relay re-offering at that rate
+                // floods the peer with dependent recodes — it waits for
+                // the tick (or its next useful delivery) instead.
+                let complete =
+                    self.receiver.as_ref().is_none_or(|r| r.generation_complete(generation));
+                if complete && self.peers.contains(&from) && self.may_offer(&from) {
+                    self.offer_to(from, OfferTrigger::Feedback);
                 }
             }
             MessageView::DataPayload { trace, packet, .. } => {
@@ -1051,8 +1030,15 @@ impl NodeStateMachine {
                 }
                 if object_complete && !self.shared.complete.load(Ordering::Acquire) {
                     self.shared.complete.store(true, Ordering::Release);
+                    if let Some(driver) = self.shared.driver.get() {
+                        driver.unpark();
+                    }
                     self.tracer.emit(|| TraceEvent::ObjectDecoded);
                     self.announce_complete(GENERATION_OBJECT);
+                }
+                // Innovation clock: one symbol in, one recoded offer out.
+                if useful {
+                    self.push_once(OfferTrigger::Delivery);
                 }
             }
             MessageView::Complete => {
@@ -1073,56 +1059,63 @@ impl NodeStateMachine {
             return;
         }
         let header = self.header(MessageKind::Complete, generation);
-        for peer in self.peers.clone() {
-            self.send(peer, &header, &Message::Complete);
+        for i in 0..self.peers.len() {
+            self.send(self.peers[i], &header, &Message::Complete);
         }
     }
 
     pub(crate) fn tick(&mut self) {
         self.publish_wire();
         self.evict_stale_pending();
-        if self.peers.is_empty() {
-            return;
-        }
         for _ in 0..self.options.push_rate {
-            self.push_once();
+            self.push_once(OfferTrigger::Tick);
         }
     }
 
     fn evict_stale_pending(&mut self) {
-        let expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, pending)| pending.born.elapsed() >= self.ttl_for(&pending.to))
-            .map(|(&transfer, _)| transfer)
-            .collect();
-        for transfer in expired {
-            let pending = self.pending.remove(&transfer).expect("collected above");
-            if let Some(count) = self.inflight_per_peer.get_mut(&pending.to) {
+        // Taken out of `self` for the sweep, so accounting an expiry may
+        // touch everything else (nothing it calls reads the table).
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|_, offer| {
+            let peer = offer.to;
+            if offer.born.elapsed() < self.ttl_for(&peer) {
+                return true;
+            }
+            if let Some(count) = self.inflight_per_peer.get_mut(&peer) {
                 *count = count.saturating_sub(1);
             }
             self.wire.offer_timeouts += 1;
-            self.note_outcome(pending.to, None);
-            self.tracer.emit(|| TraceEvent::OfferTimedOut { peer: pending.to });
+            self.note_outcome(peer, None);
+            self.tracer.emit(|| TraceEvent::OfferTimedOut { peer });
+            false
+        });
+        self.pending = pending;
+    }
+
+    /// The target gates every clock's offers pass: the node is wired in,
+    /// `peer` still needs something and has in-flight budget left.
+    fn may_offer(&self, peer: &SocketAddr) -> bool {
+        self.started
+            && !self.object_done.contains(peer)
+            && self.inflight_per_peer.get(peer).copied().unwrap_or(0) < self.inflight_cap(peer)
+    }
+
+    /// One offer to a uniformly chosen peer among those [`Self::may_offer`]
+    /// admits (counted, then the n-th picked: no per-call allocation).
+    fn push_once(&mut self, trigger: OfferTrigger) {
+        let admitted = self.peers.iter().filter(|peer| self.may_offer(peer)).count();
+        if admitted == 0 {
+            return;
+        }
+        let pick = self.rng.gen_range(0..admitted);
+        if let Some(target) = self.peers.iter().copied().filter(|p| self.may_offer(p)).nth(pick) {
+            self.offer_to(target, trigger);
         }
     }
 
-    fn push_once(&mut self) {
-        // Choose a target that still needs something, respecting the
-        // per-peer in-flight budget.
-        let candidates: Vec<SocketAddr> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|peer| !self.object_done.contains(peer))
-            .filter(|peer| {
-                self.inflight_per_peer.get(peer).copied().unwrap_or(0) < self.inflight_cap(peer)
-            })
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        let target = candidates[self.rng.gen_range(0..candidates.len())];
+    /// Offers `target` — already past [`Self::may_offer`] — one packet of
+    /// a generation it still needs: every clock's single way out.
+    fn offer_to(&mut self, target: SocketAddr, trigger: OfferTrigger) {
         let target_done = self.peer_done.get(&target);
         let needs = |generation: u32| -> bool {
             target_done.is_none_or(|done| !done.contains(&generation))
@@ -1135,15 +1128,22 @@ impl NodeStateMachine {
             let threshold = ((self.options.aggressiveness * self.params.code_length as f64).ceil()
                 as usize)
                 .max(1);
-            let eligible: Vec<u32> = (0..self.generation_count)
-                .filter(|&generation| needs(generation))
-                .filter(|&generation| receiver.useful_received(generation) >= threshold)
-                .collect();
-            if eligible.is_empty() {
-                None
-            } else {
-                let generation = eligible[self.rng.gen_range(0..eligible.len())];
-                receiver.make_packet(generation, &mut self.rng).map(|packet| (generation, packet))
+            // The feedback clock draws on whole generations only (see its arm).
+            let partial_ok = trigger != OfferTrigger::Feedback;
+            let eligible = |generation: &u32| {
+                needs(*generation)
+                    && receiver.useful_received(*generation) >= threshold
+                    && (partial_ok || receiver.generation_complete(*generation))
+            };
+            match (0..self.generation_count).filter(eligible).count() {
+                0 => None,
+                count => (0..self.generation_count)
+                    .filter(eligible)
+                    .nth(self.rng.gen_range(0..count))
+                    .and_then(|generation| {
+                        let packet = receiver.make_packet(generation, &mut self.rng)?;
+                        Some((generation, packet))
+                    }),
             }
         } else {
             None
@@ -1181,7 +1181,7 @@ impl NodeStateMachine {
             },
         );
         self.wire.transfers_offered += 1;
-        self.tracer.emit(|| TraceEvent::OfferSent { peer: target, generation });
+        self.tracer.emit(|| TraceEvent::OfferSent { peer: target, generation, trigger });
         self.pending.insert(
             transfer,
             PendingTransfer { generation, packet, trace, to: target, born: Instant::now() },
@@ -1356,7 +1356,7 @@ mod tests {
             crate::faults::DatagramFaults::clean(1),
         )
         .expect("wrap");
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::default());
         NodeStateMachine::new(
             socket,
             NodeConfig::new(1, NodeRole::Source { object: vec![1u8; 8], params }, options),
@@ -1429,6 +1429,58 @@ mod tests {
     }
 
     #[test]
+    fn budget_moves_are_counted_once_per_whole_offer_step() {
+        // `note_outcome` on a script with no timing in it (the TTL is an
+        // hour, then zero), pinned to the exact counts the per-branch
+        // accounting it replaced produced on the same script.
+        let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let fixed = |pending_ttl, adaptive_pacing| NodeOptions {
+            pending_ttl,
+            adaptive_ttl: false,
+            adaptive_pacing,
+            inflight_ceiling: 6,
+            seed: 18,
+            ..NodeOptions::default()
+        };
+        let moves = |actor: &NodeStateMachine| {
+            (actor.wire.budget_raises, actor.wire.budget_cuts, actor.inflight_cap(&peer))
+        };
+        let answered = Some(Duration::from_micros(50));
+
+        // An hour's TTL: a never-heard peer is cut once per window …
+        let mut actor = pacing_actor(fixed(Duration::from_secs(3600), true));
+        for _ in 0..4 {
+            actor.note_outcome(peer, None);
+        }
+        assert_eq!(moves(&actor), (0, 1, 2), "4 → 2, then the window holds");
+        // … answers walk 2 → 2.5 → 2.9 → 3.24 → 3.55 → 3.83 → 4 and stop …
+        for _ in 0..10 {
+            actor.note_outcome(peer, answered);
+        }
+        assert_eq!(moves(&actor), (2, 1, 4), "two whole steps back to base");
+        // … and a live peer's timeouts add one each, up to the ceiling.
+        for _ in 0..3 {
+            actor.note_outcome(peer, None);
+        }
+        assert_eq!(moves(&actor), (4, 1, 6), "5, 6, and 6 again is no raise");
+
+        // A zero TTL: every timeout finds the peer silent and the window over.
+        let mut actor = pacing_actor(fixed(Duration::ZERO, true));
+        actor.note_outcome(peer, answered);
+        for _ in 0..4 {
+            actor.note_outcome(peer, None);
+        }
+        assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
+
+        // Fixed cap: outcomes feed the estimates and move nothing.
+        let mut actor = pacing_actor(fixed(Duration::ZERO, false));
+        for outcome in [None, answered, None, None] {
+            actor.note_outcome(peer, outcome);
+        }
+        assert_eq!(moves(&actor), (0, 0, 4));
+    }
+
+    #[test]
     fn pending_ttl_derives_from_the_rtt_ewma() {
         let options = NodeOptions {
             pending_ttl: Duration::from_millis(10),
@@ -1493,5 +1545,282 @@ mod tests {
         let report = node.shutdown();
         assert!(!report.complete);
         assert_eq!(report.wire.datagrams_sent, 0);
+    }
+
+    /// A state machine on a loopback socket the test drives by hand: no
+    /// threads, no reactor, and no tick unless the test calls one — so
+    /// the event clocks are asserted in offer counts, never in time.
+    struct Driven {
+        sm: NodeStateMachine,
+        inbox: FaultySocket,
+        addr: SocketAddr,
+    }
+
+    impl Driven {
+        fn new(role: NodeRole, options: NodeOptions) -> Driven {
+            let socket = UdpSocket::bind(loopback()).expect("bind");
+            let socket = FaultySocket::new(socket, DatagramFaults::clean(1)).expect("wrap");
+            socket.set_read_timeout(Some(Duration::from_millis(10))).expect("timeout");
+            let inbox = socket.try_clone().expect("clone");
+            let addr = socket.local_addr().expect("addr");
+            let config = NodeConfig::new(0xC10C, role, options);
+            Driven { sm: NodeStateMachine::new(socket, config, Arc::default()), inbox, addr }
+        }
+
+        /// The source and an empty receiver of one 8-symbol generation.
+        fn source_and_relay(options: NodeOptions) -> (Driven, Driven) {
+            Driven::pair(1, options)
+        }
+
+        /// The same for an object of `generations` 8-symbol generations.
+        fn pair(generations: u8, options: NodeOptions) -> (Driven, Driven) {
+            let params = SchemeParams::new(SchemeKind::Rlnc, 8, 4);
+            let object: Vec<u8> = (0..32 * generations).collect();
+            let manifest = crate::generation::split_object(&object, params).0;
+            let source = Driven::new(NodeRole::Source { object, params }, options);
+            (source, Driven::new(NodeRole::Peer { manifest }, options))
+        }
+
+        /// A receiver nobody drives: just an address offers can go to.
+        fn bystander(options: NodeOptions) -> Driven {
+            Driven::source_and_relay(options).1
+        }
+
+        /// Every datagram that reached this node's socket and was not
+        /// handled yet, with its sender.
+        fn arrived(&self) -> Vec<(Vec<u8>, SocketAddr)> {
+            let mut buf = [0u8; 2048];
+            let mut datagrams = Vec::new();
+            while let Ok((len, from)) = self.inbox.recv_from(&mut buf) {
+                datagrams.push((buf[..len].to_vec(), from));
+            }
+            datagrams
+        }
+
+        /// Handles one datagram and returns how many offers it released —
+        /// never more than one, whatever the datagram.
+        fn handle(&mut self, bytes: &[u8], from: SocketAddr) -> u64 {
+            let before = self.sm.wire.transfers_offered;
+            self.sm.handle_datagram(bytes, from);
+            let released = self.sm.wire.transfers_offered - before;
+            assert!(released <= 1, "one datagram released {released} offers");
+            released
+        }
+
+        /// Handles everything that arrived; returns the offers released.
+        fn handle_arrived(&mut self) -> u64 {
+            self.arrived().iter().map(|(bytes, from)| self.handle(bytes, *from)).sum()
+        }
+
+        fn complete(&self) -> bool {
+            self.sm.receiver.as_ref().is_none_or(ReceiverSession::is_complete)
+        }
+
+        /// Runs `source` ⇄ `self` handshakes by hand until one payload is
+        /// delivered usefully here; returns the offers that delivery
+        /// released. Every other datagram must release none.
+        fn next_useful_from(&mut self, source: &mut Driven) -> u64 {
+            for _ in 0..64 {
+                let mut released_by_useful = None;
+                for (bytes, from) in self.arrived() {
+                    let useful_before = self.sm.wire.useful_deliveries;
+                    let released = self.handle(&bytes, from);
+                    if self.sm.wire.useful_deliveries > useful_before {
+                        released_by_useful = Some(released);
+                        // The same payload again teaches nothing.
+                        assert_eq!(self.handle(&bytes, from), 0, "non-useful delivery");
+                    } else {
+                        assert_eq!(released, 0, "only a useful delivery clocks a relay");
+                    }
+                }
+                source.handle_arrived();
+                if let Some(released) = released_by_useful {
+                    return released;
+                }
+            }
+            panic!("the source never delivered a useful payload");
+        }
+    }
+
+    fn kind(datagram: &[u8]) -> MessageKind {
+        envelope::decode(datagram).expect("valid frame").header.kind
+    }
+
+    fn kinds(datagrams: &[(Vec<u8>, SocketAddr)]) -> Vec<MessageKind> {
+        datagrams.iter().map(|(bytes, _)| kind(bytes)).collect()
+    }
+
+    /// The receiver's verdict on `offer` (a `DATA-HEADER` datagram).
+    fn feedback(offer: &[u8], accept: bool) -> Vec<u8> {
+        let offer = envelope::decode(offer).expect("valid frame");
+        let Message::DataHeader { transfer, .. } = offer.message else {
+            panic!("not an offer: {:?}", offer.header.kind)
+        };
+        let kind = if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
+        envelope::encode(
+            &EnvelopeHeader { kind, ..offer.header },
+            &Message::Feedback { transfer, accept },
+        )
+    }
+
+    #[test]
+    fn a_source_reoffers_on_feedback_without_a_tick() {
+        let (mut source, mut relay) = Driven::source_and_relay(quick_options(21));
+        source.sm.set_peers(vec![relay.addr]);
+        source.sm.push_once(OfferTrigger::Tick); // the tick's one job here: the first offer
+
+        assert_eq!(relay.handle_arrived(), 0, "an unwired relay accepts and offers nothing");
+        assert_eq!(source.handle_arrived(), 1, "the accept clocks the next offer");
+        let arrived = relay.arrived();
+        assert_eq!(kinds(&arrived), [MessageKind::DataPayload, MessageKind::DataHeader]);
+
+        let abort = feedback(&arrived[1].0, false);
+        assert_eq!(source.handle(&abort, relay.addr), 1, "an abort clocks the next offer too");
+        assert_eq!(kinds(&relay.arrived()), [MessageKind::DataHeader]);
+        assert_eq!(source.sm.wire.transfers_offered, 3);
+
+        // Feedback for a transfer that is not pending (a replay) clocks nothing.
+        assert_eq!(source.handle(&abort, relay.addr), 0);
+    }
+
+    #[test]
+    fn a_relay_offers_once_per_useful_delivery_and_on_feedback_only_when_complete() {
+        let options = quick_options(22);
+        let (mut source, mut relay) = Driven::source_and_relay(options);
+        let sink = Driven::bystander(options);
+        source.sm.set_peers(vec![relay.addr]);
+        relay.sm.set_peers(vec![sink.addr]);
+        source.sm.push_once(OfferTrigger::Tick);
+
+        let mut accept = true;
+        while !relay.complete() {
+            assert_eq!(relay.next_useful_from(&mut source), 1, "one symbol in, one offer out");
+            // The sink answers every offer, alternating verdicts. While
+            // the relay is incomplete neither verdict releases an offer;
+            // once it holds the generation, each does.
+            for (datagram, _) in sink.arrived() {
+                if kind(&datagram) != MessageKind::DataHeader {
+                    continue; // the payload of an accepted offer
+                }
+                let released = relay.handle(&feedback(&datagram, accept), sink.addr);
+                assert_eq!(released, u64::from(relay.complete()), "feedback at a relay");
+                accept = !accept;
+            }
+        }
+        assert_eq!(relay.sm.wire.useful_deliveries, 8);
+        // 8 deliveries, plus the one feedback that found the relay complete.
+        assert_eq!(relay.sm.wire.transfers_offered, 9);
+        assert_eq!(relay.sm.wire.offer_timeouts, 0);
+    }
+
+    #[test]
+    fn the_feedback_clock_draws_only_on_generations_held_completely() {
+        // Two generations. While the relay holds one and part of the other,
+        // feedback for a transfer of the whole one releases an offer, and
+        // only ever of the whole one; feedback for a transfer of the
+        // partial one releases none.
+        let options = quick_options(25);
+        let (mut source, mut relay) = Driven::pair(2, options);
+        let sink = Driven::bystander(options);
+        source.sm.set_peers(vec![relay.addr]);
+        relay.sm.set_peers(vec![sink.addr]);
+        source.sm.push_once(OfferTrigger::Tick);
+
+        let holds = |relay: &Driven, generation: u32| {
+            relay.sm.receiver.as_ref().is_some_and(|r| r.generation_complete(generation))
+        };
+        let (mut accept, mut clocked_while_partial, mut held_back) = (true, 0, 0);
+        while !relay.complete() {
+            relay.next_useful_from(&mut source);
+            for (offer, _) in sink.arrived() {
+                if kind(&offer) != MessageKind::DataHeader {
+                    continue; // the payload of an accepted offer
+                }
+                let answered = envelope::decode(&offer).expect("valid frame").header.generation;
+                let released = relay.handle(&feedback(&offer, accept), sink.addr);
+                accept = !accept;
+                assert_eq!(released, u64::from(holds(&relay, answered)), "feedback for {answered}");
+                if released == 0 {
+                    held_back += 1;
+                } else if !relay.complete() {
+                    let newest = &relay.sm.pending[&(relay.sm.next_transfer - 1)];
+                    assert!(holds(&relay, newest.generation), "a partial generation was clocked");
+                    clocked_while_partial += 1;
+                }
+            }
+        }
+        assert!(clocked_while_partial > 0 && held_back > 0, "the mixed state was exercised");
+    }
+
+    #[test]
+    fn event_clocked_offers_stay_behind_every_gate() {
+        let options = NodeOptions {
+            per_peer_inflight: 1,
+            adaptive_pacing: false,
+            seed: 23,
+            ..NodeOptions::default()
+        };
+        let (mut source, mut relay) = Driven::source_and_relay(options);
+        let sink = Driven::bystander(options);
+        source.sm.set_peers(vec![relay.addr]);
+        source.sm.push_once(OfferTrigger::Tick);
+
+        // Before set_peers a useful delivery releases nothing.
+        assert_eq!(relay.next_useful_from(&mut source), 0, "not wired in yet");
+        relay.sm.set_peers(vec![sink.addr]);
+        // Wired: the next one fills the sink's single in-flight slot …
+        assert_eq!(relay.next_useful_from(&mut source), 1);
+        // … and the sink never answers, so the one after finds the cap.
+        assert_eq!(relay.next_useful_from(&mut source), 0, "at the in-flight cap");
+        assert_eq!(kinds(&sink.arrived()), [MessageKind::DataHeader]);
+
+        // A peer that said COMPLETE(object) gets its accepted payload and
+        // no further offer. (`source` has one offer to the relay pending:
+        // the pump above leaves the feedback clock's last offer unanswered
+        // — take it from the relay's socket.)
+        assert_eq!(relay.handle_arrived(), 0);
+        let offered = source.sm.wire.transfers_offered;
+        let header = EnvelopeHeader {
+            kind: MessageKind::Complete,
+            scheme: SchemeKind::Rlnc,
+            session: 0xC10C,
+            generation: GENERATION_OBJECT,
+        };
+        let complete = envelope::encode(&header, &Message::Complete);
+        assert_eq!(source.handle(&complete, relay.addr), 0);
+        assert_eq!(source.handle_arrived(), 0, "feedback from an object_done peer");
+        assert_eq!(source.sm.wire.transfers_offered, offered);
+        source.sm.tick();
+        assert_eq!(source.sm.wire.transfers_offered, offered, "the tick honours it too");
+    }
+
+    #[test]
+    fn an_always_abort_peer_cannot_amplify_offers() {
+        // The hostile pattern for a feedback clock: a peer that answers
+        // every offer with ABORT and never says COMPLETE. It gets one
+        // offer per datagram it sent, plus push_rate per tick — the clock
+        // is 1:1 with inbound datagrams, so it cannot be made to multiply.
+        let options = quick_options(24);
+        let (mut source, peer) = Driven::source_and_relay(options);
+        source.sm.set_peers(vec![peer.addr]);
+        let (mut ticks, mut sent_by_peer) = (0u64, 0u64);
+        for round in 0..24 {
+            if round % 8 == 0 {
+                source.sm.tick();
+                ticks += 1;
+            }
+            for (offer, _) in peer.arrived() {
+                source.handle(&feedback(&offer, false), peer.addr);
+                sent_by_peer += 1;
+            }
+        }
+        let wire = source.sm.wire;
+        assert_eq!(wire.transfers_aborted, sent_by_peer);
+        assert!(wire.transfers_offered > ticks * options.push_rate as u64, "the clock ran");
+        assert!(
+            wire.transfers_offered <= sent_by_peer + ticks * options.push_rate as u64,
+            "{} offers for {sent_by_peer} datagrams and {ticks} ticks",
+            wire.transfers_offered
+        );
     }
 }

@@ -53,6 +53,10 @@ const RELEASE_TAG: u64 = 1;
 /// read timeout.
 const RELEASE_DELAY: Duration = Duration::from_millis(20);
 
+/// How long the driver parks between completion checks when no node
+/// wakes it — also the stall watchdog's cadence.
+pub(crate) const COMPLETION_POLL: Duration = Duration::from_millis(5);
+
 /// One node on the sharded runtime: the shared [`NodeStateMachine`]
 /// plus the socket handle and timers that replace its dedicated threads.
 struct ShardedNode {
@@ -202,7 +206,9 @@ pub(crate) fn run_sharded(
         socket.set_nonblocking(true)?;
         let local_addr = socket.local_addr()?;
 
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::default());
+        // The completion loop below parks; a node finishing unparks it.
+        let _ = shared.driver.set(thread::current());
         publish_source_complete(&node_config.role, &shared);
         let scrape = spawn_scrape(&node_config.options, local_addr, &shared, &socket)?;
         let tick = node_config.options.tick;
@@ -279,7 +285,8 @@ pub(crate) fn run_sharded(
     let observer = telemetry.clone().map(|telemetry| telemetry as _);
     let reactor = Reactor::start_observed(nodes, workers, observer)?;
 
-    // Completion poll doubling as the stall watchdog: the progress
+    // Completion wait doubling as the stall watchdog: parked until a
+    // node completes or `COMPLETION_POLL` elapses. The progress
     // signal is monotone (innovative symbols decoded + generations
     // completed, swarm-wide), so "unchanged for a whole stall window"
     // means no receiver advanced at all — cut a post-mortem once per
@@ -301,7 +308,7 @@ pub(crate) fn run_sharded(
     while completion[1..].iter().any(|shared| !shared.complete.load(Ordering::Acquire))
         && Instant::now() < deadline
     {
-        thread::sleep(Duration::from_millis(5));
+        thread::park_timeout(COMPLETION_POLL);
         let Some((recorder, state)) = &flight else { continue };
         let signal = progress_signal(&completion);
         if signal != last_progress {

@@ -38,6 +38,7 @@ use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults};
 use crate::generation::split_object;
 use crate::observe::swarm_registry;
 use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerNode, PeerReport};
+use crate::sharded::COMPLETION_POLL;
 
 /// Parameters of one localhost dissemination run.
 #[derive(Debug, Clone)]
@@ -368,6 +369,8 @@ pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result
     for (i, node) in nodes.iter().enumerate() {
         let targets: Vec<SocketAddr> =
             wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect();
+        // The completion loop below parks; a node finishing unparks it.
+        let _ = PeerNode::shared(node).driver.set(thread::current());
         node.set_peers(targets);
     }
 
@@ -393,7 +396,7 @@ pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result
     let started = Instant::now();
     let deadline = started + config.timeout;
     while nodes[1..].iter().any(|p| !p.is_complete()) && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(5));
+        thread::park_timeout(COMPLETION_POLL);
     }
     let elapsed = started.elapsed();
     if let Some(scrape) = scrape {

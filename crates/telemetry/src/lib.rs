@@ -47,4 +47,4 @@ pub use registry::{
     MetricsSnapshot, Sample,
 };
 pub use scrape::{FlightHandler, ScrapeOptions, ScrapeServer};
-pub use trace::{FaultKind, RingSink, TimedEvent, TraceEvent, TraceSink, Tracer};
+pub use trace::{FaultKind, OfferTrigger, RingSink, TimedEvent, TraceEvent, TraceSink, Tracer};

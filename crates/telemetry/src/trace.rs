@@ -31,6 +31,32 @@ impl FaultKind {
     }
 }
 
+/// Which of a node's three clocks released a [`TraceEvent::OfferSent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OfferTrigger {
+    /// The gossip tick — the fallback clock (first offers, and retries
+    /// after an abort from an incomplete relay).
+    Tick,
+    /// A useful `DATA-PAYLOAD` just arrived: one symbol in, one recoded
+    /// offer out.
+    Delivery,
+    /// Feedback arrived for a transfer whose generation the sender holds
+    /// completely: the next offer to that peer left one RTT later.
+    Feedback,
+}
+
+impl OfferTrigger {
+    /// Stable lowercase label (used in flight dumps and reports).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            OfferTrigger::Tick => "tick",
+            OfferTrigger::Delivery => "delivery",
+            OfferTrigger::Feedback => "feedback",
+        }
+    }
+}
+
 /// One typed occurrence on a hot path of the system.
 ///
 /// The vocabulary spans both transports: the UDP gossip plane (offers,
@@ -48,6 +74,9 @@ pub enum TraceEvent {
         peer: SocketAddr,
         /// Generation the offered symbol belongs to.
         generation: u32,
+        /// The clock that released the offer — tick-paced or
+        /// self-clocked.
+        trigger: OfferTrigger,
     },
     /// Binary feedback for an outstanding offer arrived from `peer`.
     FeedbackReceived {
@@ -496,5 +525,12 @@ mod tests {
         assert_eq!(FaultKind::Duplicate.label(), "duplicate");
         assert_eq!(FaultKind::Reorder.label(), "reorder");
         assert_eq!(FaultKind::Delay.label(), "delay");
+    }
+
+    #[test]
+    fn offer_trigger_labels_are_stable() {
+        assert_eq!(OfferTrigger::Tick.label(), "tick");
+        assert_eq!(OfferTrigger::Delivery.label(), "delivery");
+        assert_eq!(OfferTrigger::Feedback.label(), "feedback");
     }
 }
