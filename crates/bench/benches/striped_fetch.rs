@@ -65,10 +65,6 @@ fn spawn_cluster(scheme: SchemeKind, wan: bool, options: &ClientOptions) -> Clus
         let server_options = ServeOptions {
             warm_cache_capacity: 4 * K,
             replica_salt: replica as u64 + 1,
-            // Enough pipelining to keep the emulated link full, not so
-            // much that generation tails flood the link with offers that
-            // go stale in flight.
-            per_session_inflight: 16,
             // One session per replica at a time: idle workers only add
             // scheduler churn on small benchmark machines.
             workers: 1,

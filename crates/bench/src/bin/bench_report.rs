@@ -216,7 +216,6 @@ fn striped(smoke: bool, seed: u64) -> Result<Outcome, String> {
         let options = ServeOptions {
             warm_cache_capacity: 4 * k,
             replica_salt: replica as u64 + 1,
-            per_session_inflight: 16,
             workers: 1,
             ..Default::default()
         };

@@ -53,29 +53,43 @@ pub fn frame_size(prefix: &[u8]) -> Option<usize> {
     header_size(k).checked_add(m)
 }
 
-/// Serializes only the header (`k`, `m`, bitmap) of a packet whose payload
-/// would be `payload_size` bytes. This is what a sender with a feedback
-/// channel puts on the wire as its header-first *offer*: the receiver can
-/// run [`decode_header`] on it and abort the transfer without a single
-/// payload byte having been sent.
-#[must_use]
-pub fn encode_header(vector: &CodeVector, payload_size: usize) -> Vec<u8> {
+/// Appends only the header (`k`, `m`, bitmap) of a packet whose payload
+/// would be `payload_size` bytes to `out`. This is what a sender with a
+/// feedback channel puts on the wire as its header-first *offer*: the
+/// receiver can run [`decode_header`] on it and abort the transfer
+/// without a single payload byte having been sent.
+pub fn encode_header_into(out: &mut Vec<u8>, vector: &CodeVector, payload_size: usize) {
     let k = vector.len();
-    let mut out = Vec::with_capacity(header_size(k));
+    out.reserve(header_size(k));
     out.extend_from_slice(&(k as u32).to_le_bytes());
     out.extend_from_slice(&(payload_size as u32).to_le_bytes());
     // The wire bit order (bit i in byte i/8 at position i%8) is exactly the
     // little-endian byte layout of the bitmap words, so they go out whole.
-    vector.write_le_bytes(&mut out);
+    vector.write_le_bytes(out);
+}
+
+/// [`encode_header_into`] a fresh buffer.
+#[must_use]
+pub fn encode_header(vector: &CodeVector, payload_size: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_header_into(&mut out, vector, payload_size);
     out
 }
 
-/// Serializes a packet into the wire format described in the module docs.
+/// Appends a packet to `out` in the wire format described in the module
+/// docs. A sender that batches frames encodes them back to back into one
+/// buffer this way, with no intermediate allocation per frame.
+pub fn encode_into(out: &mut Vec<u8>, packet: &EncodedPacket) {
+    out.reserve(header_size(packet.code_length()) + packet.payload_size());
+    encode_header_into(out, packet.vector(), packet.payload_size());
+    out.extend_from_slice(packet.payload().as_bytes());
+}
+
+/// [`encode_into`] a fresh buffer.
 #[must_use]
 pub fn encode(packet: &EncodedPacket) -> Vec<u8> {
-    let mut out = encode_header(packet.vector(), packet.payload_size());
-    out.reserve(packet.payload_size());
-    out.extend_from_slice(packet.payload().as_bytes());
+    let mut out = Vec::new();
+    encode_into(&mut out, packet);
     out
 }
 
@@ -207,6 +221,16 @@ mod tests {
         let (k, m, vector) = decode_header(&header).unwrap();
         assert_eq!((k, m), (19, 5));
         assert_eq!(&vector, p.vector());
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_frame() {
+        let p = pk(19, &[0, 7, 8, 18], &[1, 2, 3, 4, 5]);
+        let mut out = vec![0xAA, 0xBB];
+        encode_into(&mut out, &p);
+        encode_header_into(&mut out, p.vector(), p.payload_size());
+        let expected = [&[0xAA, 0xBB][..], &encode(&p), &encode_header(p.vector(), 5)].concat();
+        assert_eq!(out, expected);
     }
 
     #[test]

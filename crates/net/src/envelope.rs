@@ -89,6 +89,15 @@ pub const TRACE_CONTEXT_BYTES: usize = 8 + 2;
 /// Bytes of a `MANIFEST` body: object length + `k` + `m`.
 const MANIFEST_BODY_BYTES: usize = 8 + 4 + 4;
 
+/// Bytes of a `FEEDBACK-ACCEPT` / `FEEDBACK-ABORT` frame: envelope
+/// header plus transfer id.
+pub const FEEDBACK_FRAME_BYTES: usize = ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTES;
+
+/// Bytes of a `DATA-HEADER` or `DATA-PAYLOAD` frame ahead of its
+/// `gf2::wire` part: envelope header, transfer id, trace context.
+pub const DATA_PREFIX_BYTES: usize =
+    ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTES + TRACE_CONTEXT_BYTES;
+
 /// Causal lineage carried on every `DATA-HEADER` and `DATA-PAYLOAD`:
 /// when the oldest information mixed into this packet left its origin,
 /// and how many recode steps it has been through.
@@ -293,41 +302,105 @@ pub struct Envelope {
     pub message: Message,
 }
 
-/// Serializes an envelope into a fresh buffer.
-#[must_use]
-pub fn encode(header: &EnvelopeHeader, message: &Message) -> Vec<u8> {
-    debug_assert_eq!(header.kind, message.kind(), "header kind must match message");
-    let mut out = Vec::with_capacity(ENVELOPE_HEADER_BYTES + 64);
+/// Appends the fixed envelope header of a `kind` frame to `out`, with
+/// room for the longest control body behind it (data frames reserve
+/// their own exact length first), so a control frame encoded into a
+/// fresh buffer allocates once.
+fn encode_envelope_header(out: &mut Vec<u8>, kind: MessageKind, header: &EnvelopeHeader) {
+    out.reserve(ENVELOPE_HEADER_BYTES + MANIFEST_BODY_BYTES);
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
-    out.push(message.kind() as u8);
+    out.push(kind as u8);
     out.push(header.scheme.wire_id());
     out.extend_from_slice(&header.session.to_le_bytes());
     out.extend_from_slice(&header.generation.to_le_bytes());
+}
+
+/// Appends what a `DATA-HEADER` and a `DATA-PAYLOAD` frame share ahead
+/// of their `gf2::wire` part, after reserving `wire_len` more bytes for
+/// that part.
+fn encode_data_prefix(
+    out: &mut Vec<u8>,
+    kind: MessageKind,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    trace: &TraceContext,
+    wire_len: usize,
+) {
+    out.reserve(DATA_PREFIX_BYTES + wire_len);
+    encode_envelope_header(out, kind, header);
+    out.extend_from_slice(&transfer.to_le_bytes());
+    encode_trace(out, trace);
+}
+
+/// Appends a `DATA-HEADER` frame offering a packet with this code
+/// `vector` and `payload_size` to `out`: the frame [`encode_into`] writes
+/// for the matching [`Message::DataHeader`], encoded from the borrowed
+/// vector so a sender holding shared symbols clones nothing per offer.
+pub fn encode_offer_into(
+    out: &mut Vec<u8>,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    trace: &TraceContext,
+    vector: &CodeVector,
+    payload_size: usize,
+) {
+    let wire_len = gf2_wire::header_size(vector.len());
+    encode_data_prefix(out, MessageKind::DataHeader, header, transfer, trace, wire_len);
+    // The body reuses the gf2 wire header layout verbatim (k, m, bitmap),
+    // so receivers decode it with gf2's own header-first decoder.
+    gf2_wire::encode_header_into(out, vector, payload_size);
+}
+
+/// Appends a `DATA-PAYLOAD` frame delivering the borrowed `packet` to
+/// `out`: the frame [`encode_into`] writes for the matching
+/// [`Message::DataPayload`], without needing an owned packet to build
+/// the message from.
+pub fn encode_payload_into(
+    out: &mut Vec<u8>,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    trace: &TraceContext,
+    packet: &EncodedPacket,
+) {
+    let wire_len = gf2_wire::header_size(packet.code_length()) + packet.payload_size();
+    encode_data_prefix(out, MessageKind::DataPayload, header, transfer, trace, wire_len);
+    gf2_wire::encode_into(out, packet);
+}
+
+/// Appends one serialized envelope to `out`, leaving what `out` already
+/// holds untouched: a stream sender encodes a batch of frames back to
+/// back into one buffer and writes it once.
+pub fn encode_into(out: &mut Vec<u8>, header: &EnvelopeHeader, message: &Message) {
+    debug_assert_eq!(header.kind, message.kind(), "header kind must match message");
     match message {
         Message::DataHeader { transfer, trace, payload_size, vector } => {
-            out.extend_from_slice(&transfer.to_le_bytes());
-            encode_trace(&mut out, trace);
-            // The body reuses the gf2 wire header layout verbatim (k, m,
-            // bitmap), so receivers decode it with gf2's own header-first
-            // decoder.
-            out.extend_from_slice(&gf2_wire::encode_header(vector, *payload_size));
+            encode_offer_into(out, header, *transfer, trace, vector, *payload_size);
         }
         Message::DataPayload { transfer, trace, packet } => {
-            out.extend_from_slice(&transfer.to_le_bytes());
-            encode_trace(&mut out, trace);
-            out.extend_from_slice(&gf2_wire::encode(packet));
+            encode_payload_into(out, header, *transfer, trace, packet);
         }
         Message::Feedback { transfer, .. } => {
+            encode_envelope_header(out, message.kind(), header);
             out.extend_from_slice(&transfer.to_le_bytes());
         }
         Message::Manifest { object_len, code_length, payload_size } => {
+            encode_envelope_header(out, MessageKind::Manifest, header);
             out.extend_from_slice(&object_len.to_le_bytes());
             out.extend_from_slice(&code_length.to_le_bytes());
             out.extend_from_slice(&payload_size.to_le_bytes());
         }
-        Message::Complete | Message::Request | Message::Reject => {}
+        Message::Complete | Message::Request | Message::Reject => {
+            encode_envelope_header(out, message.kind(), header);
+        }
     }
+}
+
+/// [`encode_into`] a fresh buffer.
+#[must_use]
+pub fn encode(header: &EnvelopeHeader, message: &Message) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, header, message);
     out
 }
 
@@ -388,11 +461,9 @@ fn frame_len(kind: MessageKind, bytes: &[u8]) -> Result<usize, NetError> {
     match kind {
         MessageKind::Complete | MessageKind::Request | MessageKind::Reject => Ok(body_start),
         MessageKind::Manifest => Ok(body_start + MANIFEST_BODY_BYTES),
-        MessageKind::FeedbackAbort | MessageKind::FeedbackAccept => {
-            Ok(body_start + TRANSFER_ID_BYTES)
-        }
+        MessageKind::FeedbackAbort | MessageKind::FeedbackAccept => Ok(FEEDBACK_FRAME_BYTES),
         MessageKind::DataHeader | MessageKind::DataPayload => {
-            let wire_start = body_start + TRANSFER_ID_BYTES + TRACE_CONTEXT_BYTES;
+            let wire_start = DATA_PREFIX_BYTES;
             let fixed_end = wire_start + gf2_wire::FIXED_HEADER_BYTES;
             if bytes.len() < fixed_end {
                 return Err(NetError::Truncated { have: bytes.len(), needed: fixed_end });

@@ -109,6 +109,22 @@ fn every_one_byte_chunking_decodes_identically() {
     assert_eq!(decoded, envelopes);
 }
 
+#[test]
+fn a_batch_encoded_into_one_buffer_is_the_frames_of_encode_back_to_back() {
+    let (envelopes, stream) = random_stream(19, 200);
+    let kinds: std::collections::HashSet<MessageKind> =
+        envelopes.iter().map(|envelope| envelope.header.kind).collect();
+    assert_eq!(kinds.len(), 8, "the stream must exercise every message kind");
+
+    // What a batching sender does: every frame appended to whatever the
+    // buffer already holds.
+    let mut batch = Vec::new();
+    for Envelope { header, message } in &envelopes {
+        envelope::encode_into(&mut batch, header, message);
+    }
+    assert_eq!(batch, stream);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -28,14 +28,17 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use ltnc_gf2::wire;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, ReplicaCounters, WireCounters};
-use ltnc_net::envelope::{self, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT};
+use ltnc_net::envelope::{
+    self, EnvelopeHeader, Message, MessageKind, MessageView, GENERATION_OBJECT,
+};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_session::generation::ObjectManifest;
 use ltnc_session::SharedReceiver;
 
-use crate::ServeError;
+use crate::{ServeError, ServeOptions};
 
 /// Hard cap on the generation count a manifest may imply. The envelope
 /// codec caps `k` and `m`, but `object_len` is only bounded here: without
@@ -94,6 +97,9 @@ pub struct FetchReport {
 pub struct ReplicaConn {
     stream: TcpStream,
     reassembler: FrameReassembler,
+    /// Frames encoded since the last flush, back to back: the verdicts on
+    /// one read's worth of offers leave in one socket write.
+    outbound: Vec<u8>,
     wire: WireCounters,
     stripe: ReplicaCounters,
     latency: HopLatency,
@@ -125,6 +131,7 @@ impl ReplicaConn {
         let mut conn = ReplicaConn {
             stream,
             reassembler: FrameReassembler::new(),
+            outbound: Vec::new(),
             wire: WireCounters::new(),
             stripe: ReplicaCounters::default(),
             latency: HopLatency::new(),
@@ -139,7 +146,7 @@ impl ReplicaConn {
             session: object_id,
             generation: GENERATION_OBJECT,
         };
-        conn.send(&request, &Message::Request)?;
+        conn.send(&request, &Message::Request);
 
         // A server that accepts but never answers the handshake is a
         // stall (watermark never moved); an overall deadline shorter than
@@ -242,19 +249,19 @@ impl ReplicaConn {
         let mut completed_sent = vec![false; generations as usize];
         for gen_index in 0..generations {
             if !lease.contains(&gen_index) || receiver.generation_complete(gen_index) {
-                self.send_complete(gen_index)?;
+                self.send_complete(gen_index);
                 completed_sent[gen_index as usize] = true;
             }
         }
 
         let mut watermark = Instant::now();
-        let mut buf = vec![0u8; 16 * 1024];
+        let mut buf = vec![0u8; read_buffer_len(&self.manifest.params)];
         loop {
             // Another stream may have finished one of our generations;
             // prune it here and re-check the exit condition.
             for &gen_index in &lease_list {
                 if receiver.generation_complete(gen_index) && !completed_sent[gen_index as usize] {
-                    self.send_complete(gen_index)?;
+                    self.send_complete(gen_index);
                     completed_sent[gen_index as usize] = true;
                 }
             }
@@ -270,16 +277,18 @@ impl ReplicaConn {
                 return Err(ServeError::ReplicaLagged { stalled_for });
             }
 
-            self.pump_inbound(&mut buf)?;
-            while let Some(frame) = self.reassembler.next_frame()? {
+            // Frames first, the socket second: the server's opening batch
+            // (the MANIFEST and a window of offers in one write) has left
+            // offers in the reassembler that a read would only sit on.
+            while let Some(frame) = self.reassembler.next_frame_view()? {
                 self.wire.datagrams_received += 1;
                 let generation = frame.header.generation;
                 match frame.message {
-                    Message::Reject => return Err(ServeError::Rejected),
-                    Message::Manifest { .. } => {
+                    MessageView::Reject => return Err(ServeError::Rejected),
+                    MessageView::Manifest { .. } => {
                         return Err(ServeError::UnexpectedMessage("second MANIFEST"));
                     }
-                    Message::DataHeader { transfer, payload_size, vector, .. } => {
+                    MessageView::DataHeader { transfer, payload_size, vector, .. } => {
                         self.stripe.offers_seen += 1;
                         let accept = payload_size == self.manifest.params.payload_size
                             && lease.contains(&generation)
@@ -294,38 +303,46 @@ impl ReplicaConn {
                             MessageKind::FeedbackAbort
                         };
                         let header = self.header(kind, generation);
-                        self.send(&header, &Message::Feedback { transfer, accept })?;
+                        self.send(&header, &Message::Feedback { transfer, accept });
                     }
-                    Message::DataPayload { trace, packet, .. } => {
+                    MessageView::DataPayload { trace, packet, .. } => {
                         self.wire.transfers_delivered += 1;
                         self.stripe.delivered += 1;
                         self.latency.record(trace.links(), trace.latency_micros());
-                        let outcome = receiver.deliver(generation, &packet);
-                        if outcome.useful {
+                        // The payload leaves the reassembly buffer only for
+                        // a generation that can still use it: one another
+                        // stream finished meanwhile costs no copy.
+                        let outcome = (!receiver.generation_complete(generation))
+                            .then(|| receiver.deliver(generation, &packet.into_packet()));
+                        if outcome.is_some_and(|outcome| outcome.useful) {
                             self.wire.useful_deliveries += 1;
                             self.stripe.useful += 1;
                             watermark = Instant::now();
                         } else {
                             self.stripe.duplicates += 1;
                         }
-                        if outcome.newly_complete {
+                        if outcome.is_some_and(|outcome| outcome.newly_complete) {
                             self.stripe.generations_completed += 1;
                         }
                     }
                     // Nothing else is meaningful client-side; tolerate
                     // rather than tear down.
-                    Message::Request | Message::Feedback { .. } | Message::Complete => {}
+                    MessageView::Request | MessageView::Feedback { .. } | MessageView::Complete => {
+                    }
                 }
             }
+            self.pump_inbound(&mut buf)?;
         }
     }
 
     /// Clean end of a stream whose lease is complete: announce the
     /// session is over, then half-close and drain so the server's unread
-    /// feedback still lands in its accounting.
+    /// feedback still lands in its accounting (and what the server had
+    /// already sent lands in ours).
     fn finish(&mut self, buf: &mut [u8]) -> Result<(), ServeError> {
         let header = self.header(MessageKind::Complete, GENERATION_OBJECT);
-        self.send(&header, &Message::Complete)?;
+        self.send(&header, &Message::Complete);
+        self.flush()?;
         let _ = self.stream.shutdown(std::net::Shutdown::Write);
         let deadline = Instant::now() + Duration::from_millis(250);
         while Instant::now() < deadline {
@@ -341,8 +358,12 @@ impl ReplicaConn {
         Ok(())
     }
 
-    /// One non-blocking-ish socket read into the reassembler.
+    /// One socket read (bounded by the read timeout) into the
+    /// reassembler. Everything queued since the last read is written
+    /// first: frames are never held across a blocking read, or this end
+    /// would wait for answers to verdicts it has not sent.
     fn pump_inbound(&mut self, buf: &mut [u8]) -> Result<(), ServeError> {
+        self.flush()?;
         match self.stream.read(buf) {
             Ok(0) => Err(ServeError::Disconnected),
             Ok(n) => {
@@ -360,9 +381,9 @@ impl ReplicaConn {
         }
     }
 
-    fn send_complete(&mut self, generation: u32) -> Result<(), ServeError> {
+    fn send_complete(&mut self, generation: u32) {
         let header = self.header(MessageKind::Complete, generation);
-        self.send(&header, &Message::Complete)
+        self.send(&header, &Message::Complete);
     }
 
     fn header(&self, kind: MessageKind, generation: u32) -> EnvelopeHeader {
@@ -374,13 +395,33 @@ impl ReplicaConn {
         }
     }
 
-    fn send(&mut self, header: &EnvelopeHeader, message: &Message) -> Result<(), ServeError> {
-        let bytes = envelope::encode(header, message);
-        self.stream.write_all(&bytes)?;
+    /// Queues one frame; [`ReplicaConn::flush`] is the one place the
+    /// socket is written.
+    fn send(&mut self, header: &EnvelopeHeader, message: &Message) {
+        envelope::encode_into(&mut self.outbound, header, message);
         self.wire.datagrams_sent += 1;
-        self.wire.bytes_sent += bytes.len() as u64;
+    }
+
+    /// Writes the queued frames in one socket write.
+    fn flush(&mut self) -> Result<(), ServeError> {
+        if self.outbound.is_empty() {
+            return Ok(());
+        }
+        self.stream.write_all(&self.outbound)?;
+        self.wire.bytes_sent += self.outbound.len() as u64;
+        self.outbound.clear();
         Ok(())
     }
+}
+
+/// Read-buffer length for the data phase: one default offer window of
+/// this object's frames (a symbol is a `DATA-HEADER` and, accepted, a
+/// `DATA-PAYLOAD`), so the batch a server writes per wake-up is taken in
+/// one read. Clamped, because the dimensions come off the wire.
+fn read_buffer_len(params: &SchemeParams) -> usize {
+    let offer = envelope::DATA_PREFIX_BYTES + wire::header_size(params.code_length);
+    let window = ServeOptions::default().per_session_inflight;
+    (window * (2 * offer + params.payload_size)).clamp(16 * 1024, 1 << 20)
 }
 
 /// Bounds-checks a received manifest and converts it to an

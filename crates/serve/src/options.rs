@@ -16,7 +16,21 @@ pub struct ServeOptions {
     /// served, so one cache pass can complete a typical client.
     pub warm_cache_capacity: usize,
     /// Transfer offers a session keeps awaiting feedback at once (the
-    /// pipelining depth of the header-first handshake over TCP).
+    /// pipelining depth of the header-first handshake over TCP). It
+    /// bounds what a session can make either end hold: the server keeps
+    /// this many packets pending, and at most this many offers plus
+    /// accepted payloads sit unread on the wire.
+    ///
+    /// The default of 16 is the handshake's bandwidth × delay on
+    /// loopback: a round trip of offer → verdict → payload lasts about as
+    /// long as the two ends take to process 16 symbols, so a smaller
+    /// window leaves the pipe idle while verdicts travel. It is also no
+    /// larger than a typical lease: offers go round-robin over the
+    /// generations a client still wants, so while the window does not
+    /// exceed their number at most one offer per generation is in flight
+    /// and the client never judges an offer against a decoder state that
+    /// a payload still in flight is about to change. Past that point a
+    /// deeper window buys goodput with duplicate and aborted transfers.
     pub per_session_inflight: usize,
     /// Worker threads consuming accepted connections.
     pub workers: usize,
@@ -50,7 +64,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             warm_cache_capacity: 256,
-            per_session_inflight: 8,
+            per_session_inflight: 16,
             workers: 4,
             accept_backlog: 64,
             read_timeout: Duration::from_millis(5),

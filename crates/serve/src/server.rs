@@ -22,12 +22,20 @@
 //!   COMPLETE (object)            ──▶        — ends the session
 //! ```
 //!
-//! Offers are pipelined up to the per-session in-flight budget so the
-//! header-first handshake does not serialize on round trips.
+//! Two things keep the header-first handshake from serializing on round
+//! trips. Offers are pipelined: up to
+//! [`ServeOptions::per_session_inflight`] of them await feedback at
+//! once, and the default window covers a loopback round trip's worth of
+//! symbols. And frames move a batch per wake-up, not one per syscall:
+//! every frame a session sends is encoded into the connection's outbound
+//! buffer, which leaves in one socket write exactly when the session is
+//! about to block in `read` (and before it closes) — so one read of N
+//! `FEEDBACK`s is answered by one write of the N payloads and the N
+//! offers that refill the window.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -135,7 +143,6 @@ impl Server {
             tracer.clone(),
         )?);
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -231,11 +238,20 @@ impl Server {
     /// Panics if an internal thread panicked.
     #[must_use]
     pub fn shutdown(self) -> ServeCounters {
-        let Server { local_addr: _, stop, accept_thread, workers, store, stats, scrape } = self;
+        let Server { local_addr, stop, accept_thread, workers, store, stats, scrape } = self;
         if let Some(scrape) = scrape {
             scrape.shutdown();
         }
         stop.store(true, Ordering::Release);
+        // The accept thread blocks in `accept()`; a throw-away connection
+        // to our own listener wakes it to see the flag. Retried until the
+        // thread is gone, so one refused or timed-out connect (a full
+        // listen backlog) cannot leave the join below hanging.
+        let wake = wake_addr(local_addr);
+        while !accept_thread.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
+            thread::sleep(Duration::from_millis(1));
+        }
         // Joining the accept thread drops the connection sender, which
         // unblocks any worker idling in recv_timeout.
         accept_thread.join().expect("accept thread panicked");
@@ -263,14 +279,34 @@ fn snapshot(store: &ObjectStore, stats: &ServeStats) -> ServeCounters {
     }
 }
 
+/// Where [`Server::shutdown`] connects to wake the accept thread: the
+/// listener's own address, or loopback on its port when it is bound to
+/// the unspecified address (which cannot be connected to portably).
+fn wake_addr(local_addr: SocketAddr) -> SocketAddr {
+    let ip = match local_addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local_addr.port())
+}
+
 fn accept_loop(
     listener: &TcpListener,
     conn_tx: &SyncSender<TcpStream>,
     stats: &ServeStats,
     stop: &AtomicBool,
 ) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        // Blocking: a new connection is handed to a worker the moment it
+        // arrives, not at the next poll of a sleeping loop.
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            // Shutdown's wake-up connection, or a client that raced it:
+            // dropping closes either.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => match conn_tx.try_send(stream) {
                 Ok(()) => {}
                 Err(TrySendError::Full(refused)) => {
@@ -282,9 +318,6 @@ fn accept_loop(
                 }
                 Err(TrySendError::Disconnected(_)) => return,
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
             Err(_) => {
                 // Transient accept failures (per-connection resets) must
                 // not kill the listener.
@@ -337,9 +370,10 @@ struct Session {
     /// Round-robin pointer over generations for offer scheduling.
     next_gen: usize,
     /// Offers awaiting feedback: transfer id → (generation, offer-time
-    /// trace context, packet). The payload echoes the offer's trace, so
-    /// the client-measured latency spans the whole offer→delivery round.
-    pending: HashMap<u64, (u32, TraceContext, EncodedPacket)>,
+    /// trace context, packet shared with the warm ring). The payload
+    /// echoes the offer's trace, so the client-measured latency spans the
+    /// whole offer→delivery round.
+    pending: HashMap<u64, (u32, TraceContext, Arc<EncodedPacket>)>,
     next_transfer: u64,
 }
 
@@ -401,21 +435,36 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-connection wire plumbing: the socket, the reassembler and the
-/// byte counters, so session logic sends frames without repeating the
-/// accounting.
+/// Per-connection wire plumbing: the socket, the reassembler, the
+/// outbound batch and the byte counters, so session logic queues frames
+/// without repeating the accounting.
 struct Connection<'a> {
     stream: TcpStream,
     reassembler: FrameReassembler,
+    /// Frames encoded since the last flush, back to back. Session logic
+    /// only ever appends here; [`Connection::flush`] is the one place the
+    /// socket is written.
+    outbound: Vec<u8>,
     stats: &'a ServeStats,
     tracer: &'a Tracer,
 }
 
 impl Connection<'_> {
-    fn send(&mut self, header: &EnvelopeHeader, message: &Message) -> Result<(), ServeError> {
-        let bytes = envelope::encode(header, message);
-        self.stream.write_all(&bytes)?;
-        self.stats.bytes_out.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    fn send(&mut self, header: &EnvelopeHeader, message: &Message) {
+        envelope::encode_into(&mut self.outbound, header, message);
+    }
+
+    /// Writes the queued frames in one socket write. Called exactly when
+    /// the session is about to block in `read` and before it closes:
+    /// unflushed frames are never held across a blocking read, or the two
+    /// ends would each wait for bytes the other has not sent.
+    fn flush(&mut self) -> Result<(), ServeError> {
+        if self.outbound.is_empty() {
+            return Ok(());
+        }
+        self.stream.write_all(&self.outbound)?;
+        self.stats.bytes_out.fetch_add(self.outbound.len() as u64, Ordering::Relaxed);
+        self.outbound.clear();
         Ok(())
     }
 }
@@ -454,11 +503,25 @@ fn run_session(
     options: ServeOptions,
     tracer: &Tracer,
 ) -> Result<(), ServeError> {
+    // Batches are already whole when they are written, so Nagle has
+    // nothing to coalesce; left on, its wait for the delayed ACK would
+    // stall a handshake that alternates direction.
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(options.read_timeout))?;
-    let mut conn = Connection { stream, reassembler: FrameReassembler::new(), stats, tracer };
+    // A client that stops reading must not pin the worker in `write`
+    // any longer than one that stops writing pins it in `read`.
+    stream.set_write_timeout(Some(options.idle_timeout))?;
+    let mut conn = Connection {
+        stream,
+        reassembler: FrameReassembler::new(),
+        outbound: Vec::new(),
+        stats,
+        tracer,
+    };
     let mut session: Option<Session> = None;
-    let mut buf = vec![0u8; 16 * 1024];
+    // One read takes a whole window's worth of feedback.
+    let mut buf =
+        vec![0u8; (options.per_session_inflight * envelope::FEEDBACK_FRAME_BYTES).max(16 * 1024)];
     let mut stop_seen: Option<std::time::Instant> = None;
     let mut last_inbound = std::time::Instant::now();
 
@@ -469,6 +532,7 @@ fn run_session(
                 return Ok(());
             }
         }
+        conn.flush()?;
         match conn.stream.read(&mut buf) {
             Ok(0) => return Err(ServeError::Disconnected),
             Ok(n) => {
@@ -499,12 +563,15 @@ fn run_session(
                 stats,
                 &options,
             )? {
-                return Ok(()); // session finished cleanly
+                // Session finished cleanly: the REJECT, or the payloads
+                // accepted ahead of the final COMPLETE, leave before the
+                // close.
+                return conn.flush();
             }
         }
 
         if let Some(session) = session.as_mut() {
-            pump_offers(session, &mut conn, store, stats, options.per_session_inflight)?;
+            pump_offers(session, &mut conn, store, stats, options.per_session_inflight);
         }
     }
 }
@@ -537,7 +604,7 @@ fn handle_frame(
                     session: object_id,
                     generation: GENERATION_OBJECT,
                 };
-                conn.send(&reject, &Message::Reject)?;
+                conn.send(&reject, &Message::Reject);
                 return Ok(true);
             };
             stats.sessions_accepted.fetch_add(1, Ordering::Relaxed);
@@ -550,7 +617,7 @@ fn handle_frame(
                     code_length: manifest.params.code_length as u32,
                     payload_size: manifest.params.payload_size as u32,
                 },
-            )?;
+            );
             *session = Some(new);
             Ok(false)
         }
@@ -564,7 +631,13 @@ fn handle_frame(
             if accept {
                 stats.transfers_delivered.fetch_add(1, Ordering::Relaxed);
                 let header = session.header(MessageKind::DataPayload, generation);
-                conn.send(&header, &Message::DataPayload { transfer, trace, packet })?;
+                envelope::encode_payload_into(
+                    &mut conn.outbound,
+                    &header,
+                    transfer,
+                    &trace,
+                    &packet,
+                );
             } else {
                 stats.transfers_aborted.fetch_add(1, Ordering::Relaxed);
             }
@@ -601,7 +674,7 @@ fn pump_offers(
     store: &Arc<ObjectStore>,
     stats: &ServeStats,
     inflight_budget: usize,
-) -> Result<(), ServeError> {
+) {
     let generations = session.cursors.len();
     while session.pending.len() < inflight_budget && session.done_count < generations {
         // Next incomplete generation, round robin.
@@ -614,7 +687,7 @@ fn pump_offers(
                 break;
             }
         }
-        let Some(gen_index) = picked else { return Ok(()) };
+        let Some(gen_index) = picked else { return };
         let Some((seq, packet)) =
             store.symbol(session.object_id, gen_index as u32, session.cursors[gen_index])
         else {
@@ -631,14 +704,14 @@ fn pump_offers(
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage, stamped at offer time.
         let trace = TraceContext::origin_now();
-        let offer = Message::DataHeader {
+        envelope::encode_offer_into(
+            &mut conn.outbound,
+            &header,
             transfer,
-            trace,
-            payload_size: packet.payload_size(),
-            vector: packet.vector().clone(),
-        };
+            &trace,
+            packet.vector(),
+            packet.payload_size(),
+        );
         session.pending.insert(transfer, (gen_index as u32, trace, packet));
-        conn.send(&header, &offer)?;
     }
-    Ok(())
 }

@@ -8,7 +8,9 @@
 //! by a monotonically increasing sequence number:
 //!
 //! * a session asks for the symbol at its cursor; if the ring still holds
-//!   it, that is a **hit** — the symbol is cloned out, no coding work;
+//!   it, that is a **hit** — the ring hands out another reference to the
+//!   shared symbol: no coding work, and no payload copy under the
+//!   generation lock;
 //! * a cursor past the newest symbol encodes one fresh symbol (a
 //!   **miss**), appends it, and evicts the oldest once the ring is at
 //!   capacity;
@@ -40,7 +42,7 @@ struct GenerationCache {
     /// encoder on a serving path.
     node: Box<dyn Scheme>,
     /// Pre-encoded symbols, oldest first.
-    symbols: VecDeque<EncodedPacket>,
+    symbols: VecDeque<Arc<EncodedPacket>>,
     /// Sequence number of `symbols.front()`.
     base_seq: u64,
     rng: SmallRng,
@@ -58,21 +60,21 @@ impl GenerationCache {
         tracer: &Tracer,
         object: u64,
         generation: u32,
-    ) -> Option<(u64, EncodedPacket)> {
+    ) -> Option<(u64, Arc<EncodedPacket>)> {
         let seq = seq.max(self.base_seq);
         let offset = (seq - self.base_seq) as usize;
         if offset < self.symbols.len() {
             stats.hits.fetch_add(1, Ordering::Relaxed);
             tracer.emit(|| TraceEvent::StoreHit { object, generation });
-            return Some((seq, self.symbols[offset].clone()));
+            return Some((seq, Arc::clone(&self.symbols[offset])));
         }
         // Cursor at (or, after a race on a shrunk ring, past) the head:
         // encode one fresh symbol for the head position.
         stats.misses.fetch_add(1, Ordering::Relaxed);
         tracer.emit(|| TraceEvent::StoreMiss { object, generation });
-        let packet = self.node.make_packet(&mut self.rng)?;
+        let packet = Arc::new(self.node.make_packet(&mut self.rng)?);
         let seq = self.base_seq + self.symbols.len() as u64;
-        self.symbols.push_back(packet.clone());
+        self.symbols.push_back(Arc::clone(&packet));
         if self.symbols.len() > capacity {
             self.symbols.pop_front();
             self.base_seq += 1;
@@ -249,12 +251,14 @@ impl ObjectStore {
     /// jumps forward past evictions, and jumps *backward* to the head
     /// when `seq` points beyond the newest symbol (replica-salted
     /// sessions start with cursors offset into a ring that may not have
-    /// grown that far yet — the cursor self-heals on first use).
+    /// grown that far yet — the cursor self-heals on first use). The
+    /// symbol is shared with the ring and every other session at that
+    /// sequence.
     ///
     /// `None` for unknown objects, out-of-range generations, or an
     /// encoder that refuses to produce.
     #[must_use]
-    pub fn symbol(&self, id: u64, gen_index: u32, seq: u64) -> Option<(u64, EncodedPacket)> {
+    pub fn symbol(&self, id: u64, gen_index: u32, seq: u64) -> Option<(u64, Arc<EncodedPacket>)> {
         let stored = self.objects.read().expect("store lock poisoned").get(&id).cloned()?;
         let cache = stored.generations.get(gen_index as usize)?;
         let symbol = cache.lock().expect("cache lock poisoned").symbol(

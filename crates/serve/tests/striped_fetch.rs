@@ -78,10 +78,26 @@ fn three_replicas_bit_exact_for_every_scheme() {
             report.stripe
         );
 
-        for server in servers {
+        let window = ServeOptions::default().per_session_inflight as u64;
+        for (server, stream) in servers.into_iter().zip(&report.stripe.replicas) {
             let counters = server.shutdown();
             assert_eq!(counters.sessions_accepted, 1, "{scheme:?}: one stream per replica");
             assert_eq!(counters.sessions_completed, 1, "{scheme:?}");
+            // A clean stripe balances the books per replica: bytes are
+            // counted where they cross the socket (the ones the stream
+            // only drained at its close included), every verdict the
+            // stream sent was read, and what the replica offered beyond
+            // those was pending when the session closed.
+            assert_eq!(counters.bytes_out, stream.bytes_in, "{scheme:?}");
+            assert_eq!(counters.bytes_in, stream.bytes_out, "{scheme:?}");
+            assert_eq!(
+                counters.transfers_delivered + counters.transfers_aborted,
+                stream.offers_seen,
+                "{scheme:?}"
+            );
+            assert_eq!(counters.transfers_aborted, stream.aborted, "{scheme:?}");
+            let pending_at_close = counters.transfers_offered - stream.offers_seen;
+            assert!(pending_at_close <= window, "{scheme:?}: {pending_at_close} pending");
         }
     }
 }

@@ -2,14 +2,22 @@
 //! short-lived clients, every scheme, bit-exact verification, and the
 //! failure paths (unknown object, scheme mismatch, bad options) — now
 //! also exercised through the deterministic fault harness
-//! (`ltnc_net::faults`) instead of only clean localhost sockets.
+//! (`ltnc_net::faults`) instead of only clean localhost sockets. A
+//! scripted raw-socket client pins the batching rules of the stream
+//! binding: what one read's worth of frames is answered with, and that
+//! nothing is held back across a blocking read.
 
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use ltnc_net::envelope::{self, Envelope, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT};
 use ltnc_net::faults::{FaultPlan, FaultProxy};
+use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_serve::options::bounds;
 use ltnc_serve::{fetch, ClientOptions, ObjectStore, ServeError, ServeOptions, Server};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +31,117 @@ fn pseudo_object(len: usize, seed: u64) -> Vec<u8> {
 
 fn client_options() -> ClientOptions {
     ClientOptions { timeout: Duration::from_secs(30), ..Default::default() }
+}
+
+/// A hand-driven client on a raw socket: the test decides exactly which
+/// bytes go out in which write, and sees exactly which frames come back.
+struct ScriptedClient {
+    stream: TcpStream,
+    reassembler: FrameReassembler,
+    object_id: u64,
+    scheme: SchemeKind,
+    bytes_in: u64,
+    bytes_out: u64,
+}
+
+impl ScriptedClient {
+    fn connect(addr: SocketAddr, object_id: u64, scheme: SchemeKind) -> ScriptedClient {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_millis(20))).expect("read timeout");
+        ScriptedClient {
+            stream,
+            reassembler: FrameReassembler::new(),
+            object_id,
+            scheme,
+            bytes_in: 0,
+            bytes_out: 0,
+        }
+    }
+
+    fn frame(&self, kind: MessageKind, generation: u32, message: &Message) -> Vec<u8> {
+        let header =
+            EnvelopeHeader { kind, scheme: self.scheme, session: self.object_id, generation };
+        envelope::encode(&header, message)
+    }
+
+    fn accept(&self, offer: &Envelope) -> Vec<u8> {
+        let Message::DataHeader { transfer, .. } = offer.message else {
+            panic!("not an offer: {offer:?}");
+        };
+        self.frame(
+            MessageKind::FeedbackAccept,
+            offer.header.generation,
+            &Message::Feedback { transfer, accept: true },
+        )
+    }
+
+    /// One `write_all`: with `TCP_NODELAY` and less than a segment of
+    /// bytes, one segment on the wire.
+    fn write(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("write");
+        self.bytes_out += bytes.len() as u64;
+    }
+
+    /// Reads until `want` frames have arrived, or panics after 5 s.
+    fn read_frames(&mut self, want: usize) -> Vec<Envelope> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut frames = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            while frames.len() < want {
+                match self.reassembler.next_frame().expect("a well-framed stream") {
+                    Some(frame) => frames.push(frame),
+                    None => break,
+                }
+            }
+            if frames.len() == want {
+                return frames;
+            }
+            assert!(Instant::now() < deadline, "only {} of {want} frames arrived", frames.len());
+            if let Some(n) = self.read_some(&mut buf) {
+                assert!(n > 0, "EOF after {} of {want} frames", frames.len());
+            }
+        }
+    }
+
+    /// One socket read: `Some(0)` at EOF, `None` when the timeout passed
+    /// with nothing to read.
+    fn read_some(&mut self, buf: &mut [u8]) -> Option<usize> {
+        match self.stream.read(buf) {
+            Ok(n) => {
+                self.bytes_in += n as u64;
+                self.reassembler.extend(&buf[..n]);
+                Some(n)
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                None
+            }
+            Err(e) => panic!("read failed: {e}"),
+        }
+    }
+
+    /// Everything the server sends from here to its close, as frames.
+    fn read_to_eof(&mut self) -> Vec<Envelope> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = [0u8; 4096];
+        while self.read_some(&mut buf) != Some(0) {
+            assert!(Instant::now() < deadline, "the server never closed the connection");
+        }
+        let mut frames = Vec::new();
+        while let Some(frame) = self.reassembler.next_frame().expect("a well-framed stream") {
+            frames.push(frame);
+        }
+        assert_eq!(self.reassembler.pending_bytes(), 0, "the stream ended inside a frame");
+        frames
+    }
+}
+
+fn kinds(frames: &[Envelope]) -> Vec<MessageKind> {
+    frames.iter().map(|frame| frame.header.kind).collect()
 }
 
 #[test]
@@ -239,9 +358,6 @@ fn idle_connections_cannot_starve_the_worker_pool() {
 
 #[test]
 fn hostile_manifest_is_rejected_before_allocation() {
-    use ltnc_net::envelope::{self, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT};
-    use std::io::{Read, Write};
-
     // A fake "server" that answers any request with a manifest implying
     // ~2^40 generations (tiny k × m, huge object_len). The client must
     // error out instead of allocating decode state for it.
@@ -285,4 +401,218 @@ fn registering_while_serving_is_live() {
     let report = fetch(server.local_addr(), 1, SchemeKind::Wc, &client_options()).expect("fetch");
     assert_eq!(report.object, object);
     let _ = server.shutdown();
+}
+
+#[test]
+fn one_read_of_feedback_is_answered_by_one_batch_of_payloads_and_refills() {
+    let window = ServeOptions::default().per_session_inflight;
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+        .expect("spawn");
+    // 8 × 16 = 128 B per generation → 64 generations, more than two
+    // windows: the round-robin never offers a generation twice here.
+    let object = pseudo_object(8192, 3);
+    server.register(5, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    let mut client = ScriptedClient::connect(server.local_addr(), 5, SchemeKind::Rlnc);
+    let request = client.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    client.write(&request);
+    let mut opening = client.read_frames(1 + window);
+    assert_eq!(opening.remove(0).header.kind, MessageKind::Manifest);
+    let mut offers = opening;
+    assert!(kinds(&offers).iter().all(|&kind| kind == MessageKind::DataHeader));
+
+    // Round one: the whole window's verdicts in a single segment. Round
+    // two: the same bytes one per write. Either way each accepted offer
+    // is answered by its payload, and the window is refilled by as many
+    // new offers — and by nothing more until those are answered.
+    for one_byte_at_a_time in [false, true] {
+        let feedback: Vec<u8> = offers.iter().flat_map(|offer| client.accept(offer)).collect();
+        if one_byte_at_a_time {
+            for byte in &feedback {
+                client.write(std::slice::from_ref(byte));
+            }
+        } else {
+            client.write(&feedback);
+        }
+        let answers = client.read_frames(2 * window);
+        let (payloads, refills): (Vec<_>, Vec<_>) =
+            answers.into_iter().partition(|frame| frame.header.kind == MessageKind::DataPayload);
+        assert_eq!(payloads.len(), window, "one payload per accepted offer");
+        assert_eq!(refills.len(), window, "one new offer per answered one");
+        for (offer, payload) in offers.iter().zip(&payloads) {
+            let Message::DataHeader { transfer: offered, vector, .. } = &offer.message else {
+                panic!("not an offer: {offer:?}");
+            };
+            let Message::DataPayload { transfer, packet, .. } = &payload.message else {
+                panic!("not a payload: {payload:?}");
+            };
+            assert_eq!(transfer, offered, "payloads answer the verdicts in order");
+            assert_eq!(packet.vector(), vector, "the payload is the packet that was offered");
+            assert_eq!(payload.header.generation, offer.header.generation);
+        }
+        assert!(kinds(&refills).iter().all(|&kind| kind == MessageKind::DataHeader));
+        let mut buf = [0u8; 64];
+        assert_eq!(client.read_some(&mut buf), None, "a full window sends nothing unasked");
+        offers = refills;
+    }
+
+    let complete = client.frame(MessageKind::Complete, GENERATION_OBJECT, &Message::Complete);
+    client.write(&complete);
+    client.stream.shutdown(Shutdown::Write).expect("half-close");
+    assert!(client.read_to_eof().is_empty(), "nothing was owed at the close");
+
+    let counters = server.shutdown();
+    assert_eq!(counters.sessions_completed, 1);
+    assert_eq!(counters.transfers_delivered, 2 * window as u64);
+    assert_eq!(counters.transfers_aborted, 0);
+    // The last window of offers was never answered: still pending when
+    // the session closed.
+    assert_eq!(
+        counters.transfers_offered,
+        counters.transfers_delivered + counters.transfers_aborted + window as u64
+    );
+    assert_eq!(counters.bytes_out, client.bytes_in, "every byte written was counted, once");
+    assert_eq!(counters.bytes_in, client.bytes_out);
+}
+
+#[test]
+fn a_reject_is_readable_before_the_close() {
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+        .expect("spawn");
+    let mut client = ScriptedClient::connect(server.local_addr(), 404, SchemeKind::Ltnc);
+    let request = client.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    client.write(&request);
+    assert_eq!(kinds(&client.read_to_eof()), [MessageKind::Reject]);
+    let counters = server.shutdown();
+    assert_eq!(counters.sessions_rejected, 1);
+    assert_eq!(counters.bytes_out, client.bytes_in);
+}
+
+#[test]
+fn the_widest_and_the_narrowest_window_both_complete_bit_exact() {
+    // The widest window puts megabytes in flight each way before either
+    // end reads an answer (no deadlock); the narrowest is the paper's
+    // exchange in lock-step, one symbol per two round trips.
+    for window in [bounds::MAX_INFLIGHT, 1] {
+        let options = ServeOptions { per_session_inflight: window, ..Default::default() };
+        let server =
+            Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+        let object = pseudo_object(64 * 1024, window as u64);
+        server
+            .register(2, &object, SchemeParams::new(SchemeKind::Ltnc, 32, 256))
+            .expect("register");
+        let report = fetch(server.local_addr(), 2, SchemeKind::Ltnc, &client_options())
+            .unwrap_or_else(|e| panic!("window {window}: {e}"));
+        assert_eq!(report.object, object, "window {window}");
+        let counters = server.shutdown();
+        assert_eq!(counters.sessions_completed, 1, "window {window}");
+    }
+}
+
+#[test]
+fn a_clean_fetch_balances_the_books_on_both_ends() {
+    let window = ServeOptions::default().per_session_inflight as u64;
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+        .expect("spawn");
+    let object = pseudo_object(32 * 1024, 8);
+    server.register(6, &object, SchemeParams::new(SchemeKind::Ltnc, 16, 64)).expect("register");
+    let report = fetch(server.local_addr(), 6, SchemeKind::Ltnc, &client_options()).expect("fetch");
+    assert_eq!(report.object, object);
+
+    let served = server.shutdown();
+    // Bytes are counted where they cross the socket, so batching cannot
+    // lose any — not even the ones the client only drained at the close.
+    assert_eq!(served.bytes_out, report.wire.bytes_received);
+    assert_eq!(served.bytes_in, report.wire.bytes_sent);
+    // The client sent one REQUEST, one COMPLETE per generation, one for
+    // the object, and a verdict per offer it saw; the server read them
+    // all. What it offered beyond that was pending at the close.
+    let completes = u64::from(report.manifest.generation_count()) + 1;
+    let verdicts = report.wire.datagrams_sent - 1 - completes;
+    assert_eq!(served.transfers_delivered + served.transfers_aborted, verdicts);
+    assert_eq!(served.transfers_aborted, report.wire.transfers_aborted);
+    let pending_at_close = served.transfers_offered - verdicts;
+    assert!(pending_at_close <= window, "{pending_at_close} offers pending at the close");
+}
+
+#[test]
+fn a_silent_client_with_a_window_of_offers_outstanding_still_times_out() {
+    let options =
+        ServeOptions { workers: 1, idle_timeout: Duration::from_millis(150), ..Default::default() };
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let object = pseudo_object(4096, 13);
+    server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    // Asks, then never answers an offer: the server has a full window
+    // flushed and pending, and must still notice the silence.
+    let mut silent = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let request = silent.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    silent.write(&request);
+    let started = Instant::now();
+    let sent = kinds(&silent.read_to_eof());
+    assert!(started.elapsed() >= Duration::from_millis(150), "closed before the idle timeout");
+    assert_eq!(sent.len(), 1 + options.per_session_inflight, "the MANIFEST and one window");
+    assert_eq!(sent[0], MessageKind::Manifest);
+
+    // The only worker is free again.
+    let report = fetch(server.local_addr(), 1, SchemeKind::Rlnc, &client_options()).expect("fetch");
+    assert_eq!(report.object, object);
+    let _ = server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_pin_a_worker_in_write() {
+    // One batch of MAX_INFLIGHT offers with a 1 KiB code vector each is
+    // more than the socket buffers between the two ends hold, so the
+    // server's write blocks on a client that asked and never reads. The
+    // same bound that frees a worker from a silent client frees it here.
+    let options = ServeOptions {
+        workers: 1,
+        per_session_inflight: bounds::MAX_INFLIGHT,
+        idle_timeout: Duration::from_millis(300),
+        ..Default::default()
+    };
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let wide = pseudo_object(8192 * 8, 17);
+    server.register(1, &wide, SchemeParams::new(SchemeKind::Rlnc, 8192, 8)).expect("register");
+    let small = pseudo_object(512, 18);
+    server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    let mut deaf = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let request = deaf.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    deaf.write(&request);
+
+    let started = Instant::now();
+    let report = fetch(server.local_addr(), 2, SchemeKind::Rlnc, &client_options())
+        .expect("fetch must succeed once the blocked session times out");
+    assert_eq!(report.object, small);
+    assert!(started.elapsed() < Duration::from_secs(10));
+    drop(deaf);
+    let _ = server.shutdown();
+}
+
+#[test]
+fn a_full_handoff_queue_refuses_and_counts_and_shutdown_still_joins_promptly() {
+    let options = ServeOptions { workers: 1, accept_backlog: 1, ..Default::default() };
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let object = pseudo_object(4096, 23);
+    server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    // The first connection has the only worker (its MANIFEST proves it),
+    // the second fills the queue behind it, the third has nowhere to go.
+    let mut served = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let request = served.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    served.write(&request);
+    assert_eq!(served.read_frames(1)[0].header.kind, MessageKind::Manifest);
+    let queued = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let mut refused = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    assert!(refused.read_to_eof().is_empty(), "a refused connection is closed unanswered");
+    assert_eq!(server.counters().sessions_rejected, 1);
+
+    drop((served, queued));
+    let started = Instant::now();
+    let counters = server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2), "shutdown must wake a blocked accept");
+    assert_eq!(counters.sessions_rejected, 1);
+    assert_eq!(counters.sessions_accepted, 1);
 }
