@@ -63,7 +63,7 @@ fn config(adaptive: bool, loss: f64) -> SwarmConfig {
         session: 0x9ACE,
         faults: lossy(loss),
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     }

@@ -58,7 +58,7 @@ fn config(scheme: SchemeKind, hops: usize, loss: f64) -> TopologyConfig {
         link_faults: TopologyFaults::uniform(DatagramFaultPlan::clean(FAULT_SEED).drop_rate(loss)),
         node_faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     }

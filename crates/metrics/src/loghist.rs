@@ -237,7 +237,7 @@ impl LogHistogramSnapshot {
 
 /// Delivery-latency recorder keyed by the number of overlay links the
 /// delivered information crossed (the wire-carried hop count + 1).
-/// Fixed-size and lock-free, so the peer actor records on its hot path
+/// Fixed-size and lock-free, so a node records on its hot path
 /// while the scrape endpoint snapshots live.
 #[derive(Debug, Default)]
 pub struct HopLatency {

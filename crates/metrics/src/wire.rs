@@ -35,7 +35,8 @@ pub struct WireCounters {
     /// Well-formed datagrams discarded for belonging to another session or
     /// scheme (not corruption: e.g. a stale peer from a previous run).
     pub session_mismatches: u64,
-    /// Inbound datagrams dropped because the actor's bounded queue was full.
+    /// Always 0: the queue that dropped went with the thread-per-node
+    /// runtime (ISSUE 24); kept because the frozen `benchmark/` reads it.
     pub inbound_dropped: u64,
     /// Offers that never received feedback and were forgotten at their TTL
     /// — the loss signal the adaptive pacing budget reacts to.

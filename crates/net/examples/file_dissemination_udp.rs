@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults};
-use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmReport, SwarmRuntime};
+use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmReport};
 use ltnc_net::NodeOptions;
 use ltnc_scheme::SchemeKind;
 use rand::rngs::SmallRng;
@@ -209,8 +209,6 @@ fn main() -> ExitCode {
     let mut all_ok = true;
     for scheme in args.schemes.clone() {
         let config = SwarmConfig {
-            scheme,
-            object: object.clone(),
             code_length: args.k,
             payload_size: args.m,
             peers: args.peers,
@@ -222,10 +220,7 @@ fn main() -> ExitCode {
             timeout: Duration::from_secs(args.timeout_secs),
             session: 0xF00D_0000 + scheme.wire_id() as u64,
             faults,
-            trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
-            metrics_bind: None,
-            flight_recorder: None,
+            ..SwarmConfig::quick(scheme, object.clone())
         };
         match run_localhost_swarm(&config) {
             Ok(report) => {

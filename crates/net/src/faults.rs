@@ -826,20 +826,19 @@ impl InboundState {
 
 /// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults.
 ///
-/// Wraps the blocking two-call API [`PeerNode`] uses — `recv_from` and
-/// `send_to` — and applies one [`DatagramFaultPlan`] per direction:
-/// drops, duplicates, reordering within a bounded window, and delays.
-/// Clones share fault state (and counters), so a receive handle on one
-/// thread and a send handle on another see one coherent plan.
+/// Wraps `send_to` and two receive calls — the nonblocking
+/// `try_recv_from` every [`PeerNode`] and swarm node runs on, and the
+/// blocking `recv_from` of tests reading a raw socket by hand — and
+/// applies one [`DatagramFaultPlan`] per direction: drops, duplicates,
+/// reordering within a bounded window, and delays. Clones share fault
+/// state (and counters), so all handles see one coherent plan.
 ///
 /// Reordered datagrams are held until enough later traffic has overtaken
-/// them; when the link goes idle (a read times out) held datagrams are
-/// released instead — outbound ones onto the wire, the oldest inbound
-/// one to the caller — and dropping a handle flushes the outbound queue
-/// too, so a held datagram is delayed, never lost. Dropped datagrams
-/// surface to a blocking reader as
-/// [`io::ErrorKind::WouldBlock`], exactly like a read timeout — callers
-/// with a retry loop need no changes.
+/// them; when the link goes idle (a blocking read times out, or a node's
+/// timer calls `release_held`) held datagrams are released instead, and
+/// dropping a handle flushes the outbound queue too, so a held datagram
+/// is delayed, never lost. Dropped datagrams surface to a blocking
+/// reader as [`io::ErrorKind::WouldBlock`], exactly like a read timeout.
 ///
 /// [`PeerNode`]: crate::peer::PeerNode
 ///
@@ -933,7 +932,7 @@ impl FaultySocket {
     }
 
     /// A second handle to the same socket sharing the same fault state
-    /// (the socket-thread / actor-thread split of [`crate::peer`]).
+    /// (a node's drain handle and its state machine's send handle).
     ///
     /// # Errors
     ///
@@ -957,7 +956,7 @@ impl FaultySocket {
         self.socket.local_addr()
     }
 
-    /// Sets the read timeout of the wrapped socket.
+    /// Sets the read timeout for blocking `recv_from` readers (tests).
     ///
     /// # Errors
     ///
@@ -981,7 +980,8 @@ impl FaultySocket {
         }
     }
 
-    /// Receives one datagram, applying the inbound fault plan.
+    /// Receives one datagram, applying the inbound fault plan. Blocking:
+    /// only hand-driven test harnesses read this way, never a node.
     ///
     /// Dropped datagrams (and datagrams freshly held for reordering)
     /// surface as [`io::ErrorKind::WouldBlock`], indistinguishable from a
@@ -1106,9 +1106,9 @@ impl FaultySocket {
     /// idleness itself ([`FaultySocket::has_held_datagrams`]) and release
     /// via [`FaultySocket::release_held`] on a timer.
     ///
-    /// Delay faults still `thread::sleep` the caller — on a sharded
-    /// runtime that stalls a whole worker and every node on it. Prefer
-    /// drop/reorder/duplicate plans in sharded stress runs.
+    /// Delay faults still `thread::sleep` the caller, which stalls a
+    /// whole reactor worker and every node on it. Prefer
+    /// drop/reorder/duplicate plans in large stress runs.
     ///
     /// # Errors
     ///
@@ -1165,7 +1165,7 @@ impl FaultySocket {
     /// next [`FaultySocket::try_recv_from`] (or `recv_from`) delivers
     /// it. The timer-driven equivalent of the read-timeout release in
     /// [`FaultySocket::recv_from`] — reordering delays datagrams, it
-    /// never strands them, on either runtime.
+    /// never strands them.
     pub fn release_held(&self) {
         self.flush_held_send();
         let mut state = self.recv.lock().expect("recv fault state poisoned");

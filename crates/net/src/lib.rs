@@ -2,9 +2,9 @@
 //!
 //! The simulator (`ltnc-sim`) evaluates the paper's schemes in
 //! synchronized rounds inside one process. This crate runs the *same*
-//! [`ltnc_scheme::Scheme`] implementations over real UDP sockets between
-//! OS threads, making encoder → wire → socket → recoder → decoder an
-//! end-to-end system rather than a simulation:
+//! [`ltnc_scheme::Scheme`] implementations over real UDP sockets, making
+//! encoder → wire → socket → recoder → decoder an end-to-end system
+//! rather than a simulation:
 //!
 //! * [`envelope`] — the versioned wire protocol: a 19-byte envelope
 //!   (magic, version, kind, scheme, session, generation) framing the
@@ -29,11 +29,11 @@
 //!   disconnect-at-byte-K), and [`faults::FaultySocket`] over UDP
 //!   (whole-datagram drop/duplicate/reorder/delay per direction), so
 //!   every transport test can run under adverse conditions reproducibly;
-//! * [`peer`] — the [`peer::PeerNode`] actor: bounded-queue backpressure,
-//!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
-//!   arrivals and offer timeouts), the aggressiveness gate for relays,
-//!   and graceful shutdown with full wire-level accounting
-//!   ([`ltnc_metrics::WireCounters`]);
+//! * [`peer`] — the node state machine and its [`peer::PeerNode`]
+//!   handle, on `ltnc-reactor`: event-clocked offers, loss-adaptive
+//!   per-peer in-flight budgets (AIMD over feedback arrivals and offer
+//!   timeouts), the aggressiveness gate for relays, and graceful
+//!   shutdown with wire-level accounting ([`ltnc_metrics::WireCounters`]);
 //! * [`swarm`] — one-call localhost orchestration used by the integration
 //!   tests and the `file_dissemination_udp` example, optionally running
 //!   every node behind seeded datagram faults

@@ -2,8 +2,8 @@
 //! aggregated scrape registry, and the stall-triggered flight recorder.
 //!
 //! Per-node scrape endpoints ([`crate::NodeOptions::metrics_bind`]) do
-//! not scale to the sharded runtime's 1000-node swarms — a thousand
-//! listeners for one experiment. This module gives a swarm *one*
+//! not scale to 1000-node swarms — a thousand listeners for one
+//! experiment. This module gives a swarm *one*
 //! endpoint instead ([`crate::SwarmConfig::metrics_bind`]):
 //!
 //! * [`SwarmTelemetry`] implements [`ShardObserver`], turning the
@@ -209,13 +209,12 @@ impl ShardObserver for SwarmTelemetry {
 /// Builds the swarm-wide aggregated registry behind the one
 /// [`crate::SwarmConfig::metrics_bind`] endpoint: a rolled-up `wire`
 /// family (counters summed across every node, hop-latency histograms
-/// merged), a `decoder` progress family, and — when the sharded runtime
-/// provides `telemetry` — a `reactor` family per shard under a
-/// `shard="<index>"` label.
+/// merged), a `decoder` progress family, and a `reactor` family per
+/// shard under a `shard="<index>"` label.
 pub(crate) fn swarm_registry(
     completion: &[Arc<Shared>],
     generations: u32,
-    telemetry: Option<&SwarmTelemetry>,
+    telemetry: &SwarmTelemetry,
 ) -> MetricsRegistry {
     let registry = MetricsRegistry::new();
 
@@ -255,15 +254,13 @@ pub(crate) fn swarm_registry(
     let shareds = completion.to_vec();
     registry.register("decoder", &[], move || decoder_samples(&shareds, generations));
 
-    if let Some(telemetry) = telemetry {
-        for (shard, counters) in telemetry.shard_counters().into_iter().enumerate() {
-            let labels = [("shard", shard.to_string())];
-            let source = Arc::clone(&counters);
-            registry.register("reactor", &labels, move || reactor_samples(&source.snapshot()));
-            registry.register_histograms("reactor", &labels, move || {
-                reactor_histograms(&counters.snapshot())
-            });
-        }
+    for (shard, counters) in telemetry.shard_counters().into_iter().enumerate() {
+        let labels = [("shard", shard.to_string())];
+        let source = Arc::clone(&counters);
+        registry.register("reactor", &labels, move || reactor_samples(&source.snapshot()));
+        registry.register_histograms("reactor", &labels, move || {
+            reactor_histograms(&counters.snapshot())
+        });
     }
     registry
 }
@@ -376,8 +373,7 @@ impl FlightState {
                         "complete_generations",
                         shared.complete_generations.load(Ordering::Acquire) as u64,
                     )
-                    .field("decoded_rank", shared.decoded_rank.load(Ordering::Relaxed))
-                    .field("inbound_dropped", shared.inbound_dropped.load(Ordering::Acquire)),
+                    .field("decoded_rank", shared.decoded_rank.load(Ordering::Relaxed)),
             );
         }
         doc = doc
@@ -515,7 +511,7 @@ mod tests {
 
         let telemetry = SwarmTelemetry::new(1, None);
         telemetry.poll_completed(0, Duration::from_micros(10), 1);
-        let registry = swarm_registry(&shareds, 2, Some(&telemetry));
+        let registry = swarm_registry(&shareds, 2, &telemetry);
         let snapshot = registry.snapshot();
 
         assert_eq!(snapshot.value("decoder", "decoded_rank"), 4);

@@ -1,19 +1,15 @@
-//! The peer actor: a scheme node behind a real UDP socket.
+//! The peer node: a scheme node behind a real UDP socket.
 //!
-//! The concurrency model is deliberately simple — blocking I/O on
-//! dedicated OS threads with bounded channels between them, not an async
-//! runtime (the build environment has no tokio; the sans-io codec and the
-//! actor structure port to one unchanged, see ROADMAP). Each [`PeerNode`]
-//! owns two OS threads:
-//!
-//! * the **socket thread** blocks on `recv_from` (with a short timeout so
-//!   shutdown is prompt) and forwards raw datagrams into a *bounded*
-//!   channel — when the actor falls behind, datagrams are dropped and
-//!   counted rather than buffered without bound (backpressure);
-//! * the **actor thread** owns all coding state ([`SourceSession`] /
-//!   [`ReceiverSession`]), processes inbound messages, and pushes
-//!   header-first transfer offers, subject to the aggressiveness gate and
-//!   a per-peer in-flight budget.
+//! All coding state ([`SourceSession`] / [`ReceiverSession`]) and every
+//! protocol transition live in one state machine with three entry points
+//! — a datagram arrived, the gossip tick fired, the peer list changed —
+//! which processes inbound messages and pushes header-first transfer
+//! offers, subject to the aggressiveness gate and a per-peer in-flight
+//! budget. It is scheduled by `ltnc-reactor` and by nothing else (see
+//! `crate::sharded`): a swarm multiplexes many nodes onto a few worker
+//! threads, and a [`PeerNode`] is the same node on a one-worker reactor
+//! of its own. Nothing sits between socket and state machine — the OS
+//! socket buffer is the backpressure.
 //!
 //! Offers leave on **three clocks**, all through the same gates and each
 //! 1:1 with an event, so none can amplify. A *useful* `DATA-PAYLOAD`
@@ -72,15 +68,15 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
+use ltnc_reactor::Reactor;
 use ltnc_scheme::SchemeParams;
 use ltnc_telemetry::{
     hop_latency_histograms, wire_samples, MetricsRegistry, OfferTrigger, ScrapeOptions,
@@ -95,6 +91,7 @@ use crate::envelope::{
 };
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults, FaultySocket};
 use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
+use crate::sharded::ShardedNode;
 
 /// Smoothing factor of the per-peer loss EWMA (higher reacts faster).
 const LOSS_EWMA_ALPHA: f64 = 0.1;
@@ -131,7 +128,7 @@ pub enum NodeRole {
     },
 }
 
-/// Tuning knobs of a peer actor.
+/// Tuning knobs of a node.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeOptions {
     /// Fraction of `k` a relay must hold (per generation) before it starts
@@ -163,8 +160,6 @@ pub struct NodeOptions {
     /// pacing budget) from its measured offer→feedback RTT. Off means the
     /// fixed [`NodeOptions::pending_ttl`] everywhere, as before PR 5.
     pub adaptive_ttl: bool,
-    /// Capacity of the bounded inbound datagram queue.
-    pub queue_capacity: usize,
     /// Seed of the node's deterministic RNG.
     pub seed: u64,
     /// When set, the node serves its live [`WireCounters`] (and injected
@@ -215,7 +210,6 @@ impl Default for NodeOptions {
             tick: Duration::from_millis(2),
             pending_ttl: Duration::from_millis(250),
             adaptive_ttl: true,
-            queue_capacity: 1024,
             seed: 0xC0DE,
             metrics_bind: None,
         }
@@ -290,14 +284,9 @@ pub struct PeerReport {
     pub latency_by_hop: Vec<(usize, LogHistogramSnapshot)>,
 }
 
-enum Control {
-    SetPeers(Vec<SocketAddr>),
-    Shutdown,
-}
-
-/// State a node publishes for observers outside its own dispatch
-/// context — the `PeerNode` handle and scrape endpoint on the threaded
-/// runtime, the swarm driver's completion poll on the sharded one.
+/// State a node publishes for observers outside its reactor worker:
+/// the [`PeerNode`] handle, the scrape endpoints and the swarm driver's
+/// completion poll.
 #[derive(Default)]
 pub(crate) struct Shared {
     pub(crate) complete: AtomicBool,
@@ -305,8 +294,6 @@ pub(crate) struct Shared {
     /// by the node the moment it stores `complete`.
     pub(crate) driver: OnceLock<Thread>,
     pub(crate) complete_generations: AtomicUsize,
-    pub(crate) inbound_dropped: AtomicU64,
-    pub(crate) stop: AtomicBool,
     /// Live mirror of the state machine's [`WireCounters`], refreshed
     /// once per gossip tick — only when a metrics endpoint is attached
     /// ([`NodeOptions::metrics_bind`]); never touched otherwise.
@@ -317,8 +304,8 @@ pub(crate) struct Shared {
     pub(crate) latency: HopLatency,
     /// Total innovative (rank-increasing) symbols decoded so far, bumped
     /// on every useful delivery. Always maintained — it is one relaxed
-    /// add — because the sharded runtime's stall watchdog uses it as its
-    /// progress signal even when no metrics endpoint is attached.
+    /// add — because the swarm's stall watchdog uses it as its progress
+    /// signal even when no metrics endpoint is attached.
     pub(crate) decoded_rank: AtomicU64,
     /// Per-generation decoder rank mirror (useful symbols accumulated
     /// per generation), refreshed once per gossip tick alongside the
@@ -334,31 +321,29 @@ impl Shared {
         self.decoder.lock().map(|ranks| ranks.clone()).unwrap_or_default()
     }
 
-    /// The published wire counters plus the socket thread's drop count.
+    /// The wire counters as last published.
     pub(crate) fn wire_snapshot(&self) -> WireCounters {
-        let mut wire = self.wire.lock().map(|wire| *wire).unwrap_or_default();
-        wire.inbound_dropped += self.inbound_dropped.load(Ordering::Acquire);
-        wire
+        self.wire.lock().map(|wire| *wire).unwrap_or_default()
     }
 }
 
-/// Handle to a running peer actor.
+/// Handle to a running node: the owner of a one-node, one-worker
+/// reactor. Dropping the handle without [`PeerNode::shutdown`] stops the
+/// node too; only its report is lost.
 pub struct PeerNode {
     local_addr: SocketAddr,
-    /// A handle onto the node's socket sharing the threads' fault state,
-    /// kept so link plans can be installed after spawn (addresses are
-    /// only known once every node of a topology is bound).
+    /// A handle onto the node's socket sharing its fault state, kept so
+    /// link plans can be installed after spawn (addresses are only known
+    /// once every node of a topology is bound).
     socket: FaultySocket,
-    control: mpsc::Sender<Control>,
     shared: Arc<Shared>,
-    actor: JoinHandle<PeerReport>,
-    socket_thread: JoinHandle<()>,
-    scrape: Option<ScrapeServer>,
+    metrics_addr: Option<SocketAddr>,
+    reactor: Reactor<ShardedNode>,
 }
 
 impl PeerNode {
     /// Binds a UDP socket on `bind` (use port 0 for an ephemeral port) and
-    /// spawns the socket and actor threads. The node stays quiet until
+    /// starts the node's reactor worker. The node stays quiet until
     /// [`PeerNode::set_peers`] wires it into the swarm.
     ///
     /// # Errors
@@ -382,44 +367,13 @@ impl PeerNode {
         config: NodeConfig,
         faults: DatagramFaults,
     ) -> io::Result<PeerNode> {
-        let tracer = Tracer::from_option(config.trace.clone());
-        let socket = FaultySocket::with_tracer(UdpSocket::bind(bind)?, faults, tracer)?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let local_addr = socket.local_addr()?;
-
-        let shared = Arc::new(Shared::default());
-        // A source is complete by definition; publish that before the
-        // actor thread even starts so the handle never reports a stale
-        // "incomplete" for it.
-        publish_source_complete(&config.role, &shared);
-
-        let (event_tx, event_rx) = mpsc::sync_channel(config.options.queue_capacity.max(1));
-        let (control_tx, control_rx) = mpsc::channel();
-
-        let socket_thread = {
-            let socket = socket.try_clone()?;
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || socket_loop(&socket, &event_tx, &shared))
-        };
-
-        let scrape = spawn_scrape(&config.options, local_addr, &shared, &socket)?;
-
-        let handle = socket.try_clone()?;
-        let actor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                NodeStateMachine::new(socket, config, shared).run(&event_rx, &control_rx)
-            })
-        };
-
+        let node = ShardedNode::bind(bind, config, faults)?;
         Ok(PeerNode {
-            local_addr,
-            socket: handle,
-            control: control_tx,
-            shared,
-            actor,
-            socket_thread,
-            scrape,
+            local_addr: node.local_addr,
+            socket: node.socket.try_clone()?,
+            shared: Arc::clone(&node.shared),
+            metrics_addr: node.metrics_addr(),
+            reactor: Reactor::start(vec![node], 1)?,
         })
     }
 
@@ -438,15 +392,10 @@ impl PeerNode {
         self.local_addr
     }
 
-    /// A handle onto the node's published shared state — what the
-    /// swarm-wide aggregated registry samples.
-    pub(crate) fn shared(node: &PeerNode) -> Arc<Shared> {
-        Arc::clone(&node.shared)
-    }
-
-    /// Wires the node into the swarm and starts its gossip ticks.
+    /// Wires the node into the swarm and starts its offers; a later call
+    /// replaces the targets.
     pub fn set_peers(&self, peers: Vec<SocketAddr>) {
-        let _ = self.control.send(Control::SetPeers(peers));
+        self.reactor.send(0, peers);
     }
 
     /// Whether the node has decoded every generation (sources report
@@ -463,7 +412,7 @@ impl PeerNode {
     }
 
     /// The node's live wire counters, as published once per gossip tick.
-    /// Only meaningful with [`NodeOptions::metrics_bind`] set (the actor
+    /// Only meaningful with [`NodeOptions::metrics_bind`] set (the node
     /// skips the mirror otherwise and this returns zeros until shutdown).
     #[must_use]
     pub fn counters(&self) -> WireCounters {
@@ -475,26 +424,18 @@ impl PeerNode {
     /// when [`NodeOptions::metrics_bind`] was not set.
     #[must_use]
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.scrape.as_ref().map(ScrapeServer::local_addr)
+        self.metrics_addr
     }
 
-    /// Graceful shutdown: stops gossiping, joins both threads and returns
-    /// the final report.
+    /// Graceful shutdown: stops gossiping, drains what already reached
+    /// the socket, joins the worker and returns the final report.
     ///
     /// # Panics
     ///
-    /// Panics if an internal thread panicked.
+    /// Panics if the node's worker thread panicked.
     #[must_use]
     pub fn shutdown(self) -> PeerReport {
-        let _ = self.control.send(Control::Shutdown);
-        self.shared.stop.store(true, Ordering::Release);
-        let mut report = self.actor.join().expect("actor thread panicked");
-        self.socket_thread.join().expect("socket thread panicked");
-        if let Some(scrape) = self.scrape {
-            scrape.shutdown();
-        }
-        report.wire.inbound_dropped += self.shared.inbound_dropped.load(Ordering::Acquire);
-        report
+        self.reactor.shutdown().pop().expect("the reactor ran exactly this node")
     }
 }
 
@@ -513,8 +454,8 @@ fn fault_samples(c: &DatagramFaultCounters) -> Vec<ltnc_telemetry::Sample> {
     ]
 }
 
-/// Publishes a source's by-definition completion on `shared` before any
-/// runtime drives its state machine, so completion observers never see a
+/// Publishes a source's by-definition completion on `shared` before its
+/// state machine is ever scheduled, so completion observers never see a
 /// stale "incomplete" for it. A no-op for receivers.
 pub(crate) fn publish_source_complete(role: &NodeRole, shared: &Shared) {
     if let NodeRole::Source { object, params } = role {
@@ -528,7 +469,7 @@ pub(crate) fn publish_source_complete(role: &NodeRole, shared: &Shared) {
 /// [`NodeOptions::metrics_bind`] is set. The endpoint reads the shared
 /// live mirror (refreshed per tick by the state machine) and the
 /// socket's fault totals — it never touches state-machine state
-/// directly, which is what lets both runtimes share it.
+/// directly.
 pub(crate) fn spawn_scrape(
     options: &NodeOptions,
     local_addr: SocketAddr,
@@ -547,36 +488,6 @@ pub(crate) fn spawn_scrape(
     let fault_handle = socket.try_clone()?;
     registry.register("faults", &node_label, move || fault_samples(&fault_handle.fault_counters()));
     Ok(Some(ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?))
-}
-
-fn socket_loop(socket: &FaultySocket, events: &SyncSender<(Vec<u8>, SocketAddr)>, shared: &Shared) {
-    // 64 KiB: the largest datagram UDP can carry; frames are validated by
-    // the codec, not by the read size.
-    let mut buf = vec![0u8; 64 * 1024];
-    while !shared.stop.load(Ordering::Acquire) {
-        match socket.recv_from(&mut buf) {
-            Ok((len, from)) => {
-                match events.try_send((buf[..len].to_vec(), from)) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        // Bounded queue: the actor is behind. Dropping the
-                        // datagram (and counting it) is the backpressure —
-                        // the epidemic redundancy absorbs the loss.
-                        shared.inbound_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                // Transient socket errors (e.g. ICMP port-unreachable
-                // surfacing as ECONNREFUSED on some platforms) are not
-                // fatal for a datagram listener.
-            }
-        }
-    }
 }
 
 struct PendingTransfer {
@@ -609,13 +520,12 @@ struct PeerPacing {
     last_cut: Option<Instant>,
 }
 
-/// The runtime-agnostic protocol core of one node: every recv, tick and
-/// peer-wiring transition lives here, behind a poll-style surface
+/// The protocol core of one node: every recv, tick and peer-wiring
+/// transition lives here, behind a poll-style surface
 /// ([`NodeStateMachine::handle_datagram`], [`NodeStateMachine::tick`],
-/// [`NodeStateMachine::set_peers`]). The threaded runtime drives it from
-/// a dedicated thread ([`NodeStateMachine::run`]); the sharded runtime
-/// (`crate::sharded`) drives the same type from reactor callbacks — one
-/// protocol implementation, two schedulers.
+/// [`NodeStateMachine::set_peers`]) that `crate::sharded` drives from
+/// reactor callbacks — the paper's node loop: on a period, push; on
+/// reception, check the header, answer, store, recode.
 pub(crate) struct NodeStateMachine {
     socket: FaultySocket,
     session: u64,
@@ -657,8 +567,8 @@ impl NodeStateMachine {
         let publish_live = config.options.metrics_bind.is_some() || config.publish_live;
         let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
-                // Completion state for sources is already published by
-                // PeerNode::spawn, before this thread existed.
+                // Completion state for sources is already published
+                // (publish_source_complete), before anything runs.
                 let source = SourceSession::new(&object, params);
                 (*source.manifest(), Some(source), None)
             }
@@ -690,43 +600,11 @@ impl NodeStateMachine {
         }
     }
 
-    /// Wires the node into the swarm and starts its gossip ticks — the
-    /// starting gun, however the state machine is scheduled.
+    /// Wires the node into the swarm and opens the offer gates — the
+    /// starting gun.
     pub(crate) fn set_peers(&mut self, peers: Vec<SocketAddr>) {
         self.peers = peers;
         self.started = true;
-    }
-
-    /// The threaded-runtime adapter: blocks on the socket thread's event
-    /// queue, polls the control channel, and self-paces ticks — exactly
-    /// the dedicated-thread loop `PeerNode` has always run, now a thin
-    /// shell over the same state machine the sharded runtime drives.
-    fn run(
-        mut self,
-        events: &Receiver<(Vec<u8>, SocketAddr)>,
-        control: &Receiver<Control>,
-    ) -> PeerReport {
-        let mut last_tick = Instant::now();
-        loop {
-            while let Ok(message) = control.try_recv() {
-                match message {
-                    Control::SetPeers(peers) => self.set_peers(peers),
-                    Control::Shutdown => return self.into_report(),
-                }
-            }
-
-            match events.recv_timeout(self.options.tick) {
-                Ok((bytes, from)) => self.handle_datagram(&bytes, from),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            if self.started && last_tick.elapsed() >= self.options.tick {
-                last_tick = Instant::now();
-                self.tick();
-            }
-        }
-        self.into_report()
     }
 
     /// Final accounting; consumes the state machine.
@@ -777,7 +655,7 @@ impl NodeStateMachine {
         }
     }
 
-    /// Copies the actor's counters into the shared live mirror — the
+    /// Copies the node's counters into the shared live mirror — the
     /// scrape endpoint's read side. A no-op unless an endpoint is
     /// attached, so nodes without one never touch the mutex.
     pub(crate) fn publish_wire(&self) {
@@ -891,7 +769,7 @@ impl NodeStateMachine {
             self.wire.payload_bytes_sent += packet.payload_size() as u64;
         }
         // Datagram sends are fire-and-forget; a vanished peer must not
-        // stall the actor.
+        // stall the node.
         let _ = self.socket.send_to(&bytes, to);
     }
 
@@ -1192,6 +1070,9 @@ impl NodeStateMachine {
 
 #[cfg(test)]
 mod tests {
+    use std::net::UdpSocket;
+    use std::thread;
+
     use super::*;
     use ltnc_scheme::SchemeKind;
 
@@ -1545,6 +1426,77 @@ mod tests {
         let report = node.shutdown();
         assert!(!report.complete);
         assert_eq!(report.wire.datagrams_sent, 0);
+    }
+
+    /// A source on its own reactor whose unanswered offers die after
+    /// 20 ms: a raw socket it is wired to hears a steady trickle.
+    fn trickling_source(seed: u64) -> PeerNode {
+        let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
+        let options = NodeOptions { pending_ttl: Duration::from_millis(20), ..quick_options(seed) };
+        PeerNode::spawn(
+            loopback(),
+            NodeConfig::new(3, NodeRole::Source { object: vec![5u8; 8], params }, options),
+        )
+        .expect("spawn source")
+    }
+
+    fn raw_socket() -> (UdpSocket, SocketAddr) {
+        let socket = UdpSocket::bind(loopback()).expect("bind");
+        let addr = socket.local_addr().expect("addr");
+        (socket, addr)
+    }
+
+    /// Whether a `DATA-HEADER` reaches `socket` within five seconds.
+    fn hears_an_offer(socket: &UdpSocket) -> bool {
+        socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        let mut buf = [0u8; 2048];
+        socket
+            .recv_from(&mut buf)
+            .is_ok_and(|(len, _)| kind(&buf[..len]) == MessageKind::DataHeader)
+    }
+
+    /// Whether `socket` falls silent for 250 ms (a dozen offer TTLs)
+    /// before five seconds are up.
+    fn goes_quiet(socket: &UdpSocket) -> bool {
+        socket.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = [0u8; 2048];
+        while Instant::now() < deadline {
+            if socket.recv_from(&mut buf).is_err() {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn set_peers_after_spawn_starts_offers_and_a_second_call_replaces_the_targets() {
+        let source = trickling_source(31);
+        let ((first, first_addr), (second, second_addr)) = (raw_socket(), raw_socket());
+
+        // The node has been running unwired; wiring it is a control
+        // message to a live worker, not a restart.
+        source.set_peers(vec![first_addr]);
+        assert!(hears_an_offer(&first), "set_peers must start the offers");
+
+        source.set_peers(vec![second_addr]);
+        assert!(hears_an_offer(&second), "the new target must be offered to");
+        assert!(goes_quiet(&first), "the replaced target must stop hearing offers");
+        assert!(hears_an_offer(&second), "while the new one keeps hearing them");
+        let _ = source.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_node_stops_gossiping() {
+        let source = trickling_source(32);
+        let (peer, peer_addr) = raw_socket();
+        source.set_peers(vec![peer_addr]);
+        assert!(hears_an_offer(&peer));
+
+        // No shutdown(): the worker must still stop, and with it the
+        // offers — a leaked node would re-offer every TTL forever.
+        drop(source);
+        assert!(goes_quiet(&peer), "a dropped node kept offering");
     }
 
     /// A state machine on a loopback socket the test drives by hand: no

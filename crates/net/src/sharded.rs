@@ -1,25 +1,23 @@
-//! The sharded swarm runtime: every node multiplexed onto a few
-//! `ltnc-reactor` worker threads.
+//! The UDP runtime: every node multiplexed onto a few `ltnc-reactor`
+//! worker threads.
 //!
-//! The threaded runtime spends two OS threads per node, which tops out
-//! around the high hundreds of in-process nodes (scheduler pressure,
-//! stack memory, context-switch churn). This module drives the *same*
-//! [`NodeStateMachine`] from reactor callbacks instead: each node is a
-//! [`Driven`] implementation whose nonblocking [`FaultySocket`] is
-//! polled edge-triggered, whose gossip tick is a reactor timer, and
-//! whose held-datagram release (reorder/duplicate holds that the
-//! blocking runtime flushes on its 20ms read timeout) is a second,
-//! on-demand timer. One protocol implementation, two schedulers — which
-//! is what makes the reactor/thread equivalence tests meaningful.
+//! A [`NodeStateMachine`] is scheduled by reactor callbacks and by
+//! nothing else: each node is a [`Driven`] implementation
+//! ([`ShardedNode`]) whose nonblocking [`FaultySocket`] is polled
+//! edge-triggered, whose gossip tick is a reactor timer, and whose
+//! held-datagram release (the fault layer's reorder/duplicate holds) is
+//! a second, on-demand timer. A swarm ([`run_sharded`]) is many such
+//! nodes on a few workers; a single [`crate::PeerNode`] is one of them on
+//! a one-worker reactor of its own.
 //!
-//! Differences from the threaded runtime, by design:
+//! Two properties follow from the shape:
 //!
-//! * there is no bounded inter-thread queue, so
-//!   [`ltnc_metrics::WireCounters::inbound_dropped`] stays zero —
-//!   backpressure is the OS socket buffer instead;
+//! * there is no queue between socket and state machine — backpressure
+//!   is the OS socket buffer, and
+//!   [`ltnc_metrics::WireCounters::inbound_dropped`] stays zero;
 //! * *delay* faults still block (`thread::sleep` inside the fault
-//!   layer), which on this runtime stalls a whole worker shard — prefer
-//!   drop/reorder/duplicate plans for large sharded runs.
+//!   layer), which stalls a whole worker shard — prefer
+//!   drop/reorder/duplicate plans for large runs.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -48,22 +46,24 @@ const TICK_TAG: u64 = 0;
 /// Timer tag of the one-shot held-datagram release.
 const RELEASE_TAG: u64 = 1;
 
-/// How long held (reordered/duplicated) datagrams wait before release —
-/// the cadence the threaded runtime gets for free from its 20ms blocking
-/// read timeout.
+/// How long held (reordered/duplicated) datagrams wait before release.
 const RELEASE_DELAY: Duration = Duration::from_millis(20);
 
 /// How long the driver parks between completion checks when no node
 /// wakes it — also the stall watchdog's cadence.
-pub(crate) const COMPLETION_POLL: Duration = Duration::from_millis(5);
+const COMPLETION_POLL: Duration = Duration::from_millis(5);
 
-/// One node on the sharded runtime: the shared [`NodeStateMachine`]
-/// plus the socket handle and timers that replace its dedicated threads.
-struct ShardedNode {
+/// One node on the reactor: the [`NodeStateMachine`] plus the socket
+/// handle and timers that schedule it.
+pub(crate) struct ShardedNode {
     /// `Some` until [`Driven::finish`] extracts the report.
     sm: Option<NodeStateMachine>,
     /// Drain/release handle sharing the state machine's fault state.
-    socket: FaultySocket,
+    pub(crate) socket: FaultySocket,
+    /// The address the node receives on.
+    pub(crate) local_addr: SocketAddr,
+    /// What the node publishes for observers outside its worker.
+    pub(crate) shared: Arc<Shared>,
     /// Gossip tick period ([`NodeOptions::tick`]).
     tick: Duration,
     /// Whether a RELEASE timer is already pending (one at a time).
@@ -74,6 +74,50 @@ struct ShardedNode {
 }
 
 impl ShardedNode {
+    /// Builds a node, quiet until it is given peers: binds `bind` behind
+    /// `faults`, switches the socket to nonblocking, publishes a source's
+    /// completion, starts the per-node scrape endpoint when
+    /// [`NodeOptions::metrics_bind`] asks for one, and constructs the
+    /// state machine. The only place in the crate a node is put together.
+    pub(crate) fn bind(
+        bind: SocketAddr,
+        config: NodeConfig,
+        faults: DatagramFaults,
+    ) -> io::Result<ShardedNode> {
+        let tracer = Tracer::from_option(config.trace.clone());
+        let socket = FaultySocket::with_tracer(UdpSocket::bind(bind)?, faults, tracer)?;
+        socket.set_nonblocking(true)?;
+        let local_addr = socket.local_addr()?;
+
+        let shared = Arc::new(Shared::default());
+        publish_source_complete(&config.role, &shared);
+        let scrape = spawn_scrape(&config.options, local_addr, &shared, &socket)?;
+        let tick = config.options.tick;
+        let sm = NodeStateMachine::new(socket.try_clone()?, config, Arc::clone(&shared));
+        Ok(ShardedNode {
+            sm: Some(sm),
+            socket,
+            local_addr,
+            shared,
+            tick,
+            release_armed: false,
+            scrape,
+        })
+    }
+
+    /// Where the per-node scrape endpoint listens, if there is one.
+    pub(crate) fn metrics_addr(&self) -> Option<SocketAddr> {
+        self.scrape.as_ref().map(ScrapeServer::local_addr)
+    }
+
+    /// Wires the node in (or re-wires it) — before the reactor starts, or
+    /// from [`Driven::on_control`] afterwards.
+    fn set_peers(&mut self, peers: Vec<SocketAddr>) {
+        if let Some(sm) = self.sm.as_mut() {
+            sm.set_peers(peers);
+        }
+    }
+
     /// Drains the socket to `WouldBlock` — the edge-triggered contract —
     /// feeding every surviving datagram to the state machine, then arms
     /// a release timer if the fault layer parked anything.
@@ -86,8 +130,7 @@ impl ShardedNode {
                     Ok(None) => break,
                     // Transient socket errors (e.g. ICMP port-unreachable
                     // surfacing as ECONNREFUSED) are not fatal for a
-                    // datagram listener — same stance as the threaded
-                    // socket loop.
+                    // datagram listener.
                     Err(_) => break,
                 }
             }
@@ -106,7 +149,8 @@ impl ShardedNode {
 }
 
 impl Driven for ShardedNode {
-    type Control = ();
+    /// The node's new push targets ([`crate::PeerNode::set_peers`]).
+    type Control = Vec<SocketAddr>;
     type Output = PeerReport;
 
     fn fd(&self) -> RawFd {
@@ -140,7 +184,9 @@ impl Driven for ShardedNode {
         }
     }
 
-    fn on_control(&mut self, (): (), _cx: &mut Cx) {}
+    fn on_control(&mut self, peers: Vec<SocketAddr>, _cx: &mut Cx) {
+        self.set_peers(peers);
+    }
 
     fn finish(&mut self) -> PeerReport {
         if let Some(scrape) = self.scrape.take() {
@@ -150,8 +196,7 @@ impl Driven for ShardedNode {
     }
 }
 
-/// Runs a wired swarm on the sharded reactor runtime — the
-/// [`crate::swarm::SwarmRuntime::Sharded`] arm of
+/// Runs a wired swarm on `workers` reactor workers — the body of
 /// [`crate::swarm::run_wired_swarm`], which has already validated
 /// `config` and `wiring`.
 pub(crate) fn run_sharded(
@@ -164,8 +209,8 @@ pub(crate) fn run_sharded(
     let manifest = split_object(&config.object, params).0;
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
 
-    // Same per-node fault re-seeding as the threaded runtime, so a fixed
-    // template seed describes the same per-link fault plans on both.
+    // Node 0 is the source; peers are 1..=N. Each node re-mixes the fault
+    // template's seed with its index so links fail independently.
     let node_faults = |index: u64| match &config.faults {
         Some(template) => template.for_node(index),
         None => DatagramFaults::clean(config.options.seed ^ index),
@@ -176,9 +221,6 @@ pub(crate) fn run_sharded(
     let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
     let mut node_addrs: Vec<SocketAddr> = Vec::with_capacity(node_count);
     for i in 0..node_count {
-        // Role and seed derivation match run_wired_swarm exactly — the
-        // equivalence tests rely on both runtimes building identical
-        // state machines.
         let role = if i == 0 {
             NodeRole::Source { object: config.object.clone(), params }
         } else {
@@ -189,6 +231,8 @@ pub(crate) fn run_sharded(
         } else {
             config.options.seed.wrapping_add(i as u64)
         };
+        // One bounded ring per node when tracing is on; drained into
+        // each node's report after shutdown.
         let sink = config.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
         sinks.push(sink.clone());
         let mut node_config =
@@ -198,38 +242,26 @@ pub(crate) fn run_sharded(
         // the per-tick refresh must run even without per-node endpoints.
         node_config.publish_live = config.metrics_bind.is_some();
 
-        let tracer = Tracer::from_option(node_config.trace.clone());
         // An early `?` here drops the nodes built so far; their
         // ScrapeServers stop on drop, and no reactor threads exist yet.
-        let socket =
-            FaultySocket::with_tracer(UdpSocket::bind(bind)?, node_faults(i as u64), tracer)?;
-        socket.set_nonblocking(true)?;
-        let local_addr = socket.local_addr()?;
-
-        let shared = Arc::new(Shared::default());
+        let node = ShardedNode::bind(bind, node_config, node_faults(i as u64))?;
         // The completion loop below parks; a node finishing unparks it.
-        let _ = shared.driver.set(thread::current());
-        publish_source_complete(&node_config.role, &shared);
-        let scrape = spawn_scrape(&node_config.options, local_addr, &shared, &socket)?;
-        let tick = node_config.options.tick;
-        let sm = NodeStateMachine::new(socket.try_clone()?, node_config, Arc::clone(&shared));
-
-        completion.push(shared);
-        node_addrs.push(local_addr);
-        nodes.push(ShardedNode { sm: Some(sm), socket, tick, release_armed: false, scrape });
+        let _ = node.shared.driver.set(thread::current());
+        completion.push(Arc::clone(&node.shared));
+        node_addrs.push(node.local_addr);
+        nodes.push(node);
     }
 
     // Link plans and peer wiring both go in before the reactor exists —
     // no state machine runs until Reactor::start, so there is no window
-    // where early datagrams cross a link un-faulted (the threaded
-    // runtime needs careful ordering for the same guarantee).
+    // where early datagrams cross a link un-faulted.
     for &(from, to, plan) in &wiring.link_faults {
         nodes[to].socket.set_link_plan(node_addrs[from], plan);
     }
     for (i, node) in nodes.iter_mut().enumerate() {
         let targets: Vec<SocketAddr> =
             wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect();
-        node.sm.as_mut().expect("state machine present before start").set_peers(targets);
+        node.set_peers(targets);
     }
 
     // Instrumentation is opt-in: with neither the aggregated endpoint
@@ -258,13 +290,10 @@ pub(crate) fn run_sharded(
     // The swarm-wide endpoint goes up before the reactor so an early
     // start failure tears it down by drop; sampling an idle registry is
     // harmless.
-    let scrape = match config.metrics_bind {
-        Some(addr) => {
-            let registry = Arc::new(swarm_registry(
-                &completion,
-                manifest.generation_count(),
-                telemetry.as_deref(),
-            ));
+    let scrape = match config.metrics_bind.zip(telemetry.as_deref()) {
+        Some((addr, telemetry)) => {
+            let registry =
+                Arc::new(swarm_registry(&completion, manifest.generation_count(), telemetry));
             let spawned = match &flight {
                 Some((_, state)) => {
                     let state = state.clone();
@@ -335,7 +364,7 @@ pub(crate) fn run_sharded(
     }
 
     // Shutdown returns reports in original node order; pair each with
-    // its trace sink, exactly like the threaded teardown.
+    // its trace sink.
     let reports: Vec<PeerReport> = reactor
         .shutdown()
         .into_iter()

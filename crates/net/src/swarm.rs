@@ -26,19 +26,13 @@
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ltnc_metrics::{ReactorSnapshot, WireCounters};
-use ltnc_scheme::{SchemeKind, SchemeParams};
-use ltnc_telemetry::{RingSink, ScrapeOptions, ScrapeServer};
+use ltnc_scheme::SchemeKind;
 
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults};
-use crate::generation::split_object;
-use crate::observe::swarm_registry;
-use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerNode, PeerReport};
-use crate::sharded::COMPLETION_POLL;
+use crate::peer::{NodeOptions, PeerReport};
 
 /// Parameters of one localhost dissemination run.
 #[derive(Debug, Clone)]
@@ -65,33 +59,30 @@ pub struct SwarmConfig {
     /// one seed describes the whole swarm's loss pattern.
     pub faults: Option<DatagramFaults>,
     /// When set, every node records its [`ltnc_telemetry::TraceEvent`]s
-    /// into a bounded [`RingSink`] of this capacity, drained into
-    /// [`PeerReport::events`] at shutdown. `None` (the default) installs
-    /// no sink — every trace hook stays a no-op.
+    /// into a bounded [`ltnc_telemetry::RingSink`] of this capacity,
+    /// drained into [`PeerReport::events`] at shutdown. `None` (the
+    /// default) installs no sink — every trace hook stays a no-op.
     pub trace_capacity: Option<usize>,
-    /// Which scheduler runs the nodes. Both runtimes drive the same
-    /// protocol state machine, harness, fault plans and counters; see
-    /// [`SwarmRuntime`] for the trade-off.
+    /// How many reactor workers the nodes are sharded across (see
+    /// [`SwarmRuntime`]).
     pub runtime: SwarmRuntime,
     /// When set, the whole swarm serves *one* aggregated scrape endpoint
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
     /// flight recorder is on): rolled-up wire counters, merged
-    /// hop-latency histograms, decoder-progress gauges, and — on the
-    /// sharded runtime — per-shard `reactor` scheduler families. The
-    /// scalable alternative to a [`NodeOptions::metrics_bind`] listener
-    /// per node. Port 0 picks a free port. `None` (the default) serves
-    /// nothing.
+    /// hop-latency histograms, decoder-progress gauges, and per-shard
+    /// `reactor` scheduler families. The scalable alternative to a
+    /// [`NodeOptions::metrics_bind`] listener per node. Port 0 picks a
+    /// free port. `None` (the default) serves nothing.
     pub metrics_bind: Option<SocketAddr>,
-    /// When set, the sharded runtime runs a stall watchdog and keeps a
-    /// bounded per-shard flight ring of scheduler trace events, dumping
-    /// a JSON post-mortem on stall, shutdown timeout, or on demand (the
+    /// When set, the run has a stall watchdog and keeps a bounded
+    /// per-shard flight ring of scheduler trace events, dumping a JSON
+    /// post-mortem on stall, shutdown timeout, or on demand (the
     /// endpoint's `/flight` route). `None` (the default) records
-    /// nothing. Ignored by the threaded runtime, which has no shards to
-    /// watch.
+    /// nothing.
     pub flight_recorder: Option<FlightRecorder>,
 }
 
-/// Configuration of the sharded runtime's flight recorder
+/// Configuration of the flight recorder
 /// ([`SwarmConfig::flight_recorder`]).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -115,23 +106,18 @@ impl Default for FlightRecorder {
     }
 }
 
-/// Which scheduler runs a swarm's node state machines.
-///
-/// Both runtimes share one protocol implementation
-/// (`crate::peer::NodeStateMachine`); the choice is purely how it gets
-/// scheduled, so reports are comparable across runtimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a swarm's node state machines are scheduled: on the
+/// `ltnc-reactor` epoll runtime, sharded across `workers` poll-driven
+/// worker threads. There is no other runtime; this stays an enum with
+/// one variant only because the frozen `benchmark/` crate writes
+/// `SwarmRuntime::Sharded { workers }` (ROADMAP item D: collapse it to
+/// `workers: usize` in a benchmark-only PR).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwarmRuntime {
-    /// Two dedicated OS threads per node (blocking socket reader +
-    /// actor) — the original runtime, comfortable into the hundreds of
-    /// in-process nodes.
-    #[default]
-    Threaded,
-    /// The `ltnc-reactor` epoll runtime: every node multiplexed onto
-    /// `workers` poll-driven worker threads — what makes 1000-node
-    /// swarms practical on one machine.
+    /// Every node multiplexed onto `workers` reactor worker threads.
     Sharded {
         /// Worker threads to shard the nodes across (clamped to ≥ 1).
+        /// A run replays by seed *and* worker count.
         workers: usize,
     },
 }
@@ -151,7 +137,9 @@ impl SwarmConfig {
             session: 0x5E55_1011,
             faults: None,
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            // A constant, not the machine's core count: a run replays
+            // by seed and worker count.
+            runtime: SwarmRuntime::Sharded { workers: 2 },
             metrics_bind: None,
             flight_recorder: None,
         }
@@ -173,7 +161,7 @@ pub struct SwarmWiring {
     pub push_targets: Vec<Vec<usize>>,
     /// Per-directed-link fault plans `(from, to, plan)`: installed on
     /// `to`'s socket keyed by `from`'s address
-    /// ([`PeerNode::set_link_faults`]), shadowing `to`'s default inbound
+    /// ([`crate::PeerNode::set_link_faults`]), shadowing `to`'s default inbound
     /// plan for datagrams from `from` — and tallied per link in
     /// [`PeerReport::link_faults`].
     pub link_faults: Vec<(usize, usize, DatagramFaultPlan)>,
@@ -245,8 +233,7 @@ pub struct SwarmReport {
     /// `peer_reports[i - 1]`).
     pub peer_reports: Vec<PeerReport>,
     /// Final per-shard reactor scheduler snapshots, shard-indexed —
-    /// populated only by the sharded runtime when
-    /// [`SwarmConfig::metrics_bind`] or
+    /// populated only when [`SwarmConfig::metrics_bind`] or
     /// [`SwarmConfig::flight_recorder`] asked for instrumentation
     /// (empty otherwise: the observer seam stays uninstalled and the
     /// hot loops take no clock readings).
@@ -304,124 +291,13 @@ pub fn run_localhost_swarm(config: &SwarmConfig) -> io::Result<SwarmReport> {
 /// node count, out-of-range indices, self-loops).
 pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result<SwarmReport> {
     assert!(config.peers > 0, "a swarm needs at least one peer");
-    let node_count = config.peers + 1;
-    wiring.validate(node_count);
-    if let SwarmRuntime::Sharded { workers } = config.runtime {
-        return crate::sharded::run_sharded(config, wiring, workers.max(1));
-    }
-    let params = SchemeParams::new(config.scheme, config.code_length, config.payload_size);
-    let manifest = split_object(&config.object, params).0;
-    let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
-
-    // Node 0 is the source; peers are 1..=N. Each node re-mixes the fault
-    // template's seed with its index so links fail independently.
-    let node_faults = |index: u64| match &config.faults {
-        Some(template) => template.for_node(index),
-        None => DatagramFaults::clean(config.options.seed ^ index),
-    };
-
-    let mut nodes: Vec<PeerNode> = Vec::with_capacity(node_count);
-    // One bounded ring per node when tracing is on; drained into each
-    // node's report after shutdown.
-    let mut sinks: Vec<Option<Arc<RingSink>>> = Vec::with_capacity(node_count);
-    for i in 0..node_count {
-        let role = if i == 0 {
-            NodeRole::Source { object: config.object.clone(), params }
-        } else {
-            NodeRole::Peer { manifest }
-        };
-        let seed = if i == 0 {
-            config.options.seed ^ 0xD15E
-        } else {
-            config.options.seed.wrapping_add(i as u64)
-        };
-        let sink = config.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
-        sinks.push(sink.clone());
-        let mut node_config =
-            NodeConfig::new(config.session, role, NodeOptions { seed, ..config.options });
-        node_config.trace = sink.map(|sink| sink as _);
-        // The aggregated endpoint reads every node's live mirror, so
-        // the per-tick refresh must run even without per-node endpoints.
-        node_config.publish_live = config.metrics_bind.is_some();
-        let spawned = PeerNode::spawn_faulty(bind, node_config, node_faults(i as u64));
-        match spawned {
-            Ok(node) => nodes.push(node),
-            Err(e) => {
-                // Tear down everything already running: leaked nodes would
-                // keep their socket and actor threads spinning for the
-                // rest of the process.
-                for node in nodes {
-                    let _ = node.shutdown();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    let node_addrs: Vec<SocketAddr> = nodes.iter().map(PeerNode::local_addr).collect();
-    // Link plans go in before any node starts gossiping (set_peers is the
-    // starting gun): a plan landing after the first offers would let
-    // early datagrams cross the link un-faulted, breaking both partition
-    // wirings and the replay-by-seed guarantee.
-    for &(from, to, plan) in &wiring.link_faults {
-        nodes[to].set_link_faults(node_addrs[from], plan);
-    }
-    for (i, node) in nodes.iter().enumerate() {
-        let targets: Vec<SocketAddr> =
-            wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect();
-        // The completion loop below parks; a node finishing unparks it.
-        let _ = PeerNode::shared(node).driver.set(thread::current());
-        node.set_peers(targets);
-    }
-
-    // The swarm-wide aggregated endpoint (the sharded runtime spawns its
-    // own richer one, with reactor families and the flight route).
-    let scrape = match config.metrics_bind {
-        Some(addr) => {
-            let completion: Vec<_> = nodes.iter().map(PeerNode::shared).collect();
-            let registry = Arc::new(swarm_registry(&completion, manifest.generation_count(), None));
-            match ScrapeServer::spawn(addr, registry, ScrapeOptions::default()) {
-                Ok(scrape) => Some(scrape),
-                Err(e) => {
-                    for node in nodes {
-                        let _ = node.shutdown();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        None => None,
-    };
-
-    let started = Instant::now();
-    let deadline = started + config.timeout;
-    while nodes[1..].iter().any(|p| !p.is_complete()) && Instant::now() < deadline {
-        thread::park_timeout(COMPLETION_POLL);
-    }
-    let elapsed = started.elapsed();
-    if let Some(scrape) = scrape {
-        scrape.shutdown();
-    }
-
-    let reports = nodes
-        .into_iter()
-        .zip(sinks)
-        .map(|(node, sink)| {
-            let mut report = node.shutdown();
-            if let Some(sink) = sink {
-                report.events = sink.drain();
-            }
-            report
-        })
-        .collect::<Vec<PeerReport>>();
-
-    Ok(assemble_report(config, manifest.generation_count(), elapsed, node_addrs, reports))
+    wiring.validate(config.peers + 1);
+    let SwarmRuntime::Sharded { workers } = config.runtime;
+    crate::sharded::run_sharded(config, wiring, workers.max(1))
 }
 
 /// Folds the per-node reports of a finished run into the aggregate
-/// [`SwarmReport`]. Shared by both runtimes so converged / bit-exact /
-/// total-counter semantics are computed identically, whatever scheduler
-/// produced the reports. `reports[0]` is the source.
+/// [`SwarmReport`]. `reports[0]` is the source.
 pub(crate) fn assemble_report(
     config: &SwarmConfig,
     generations: u32,

@@ -54,7 +54,7 @@ fn lossy_config(scheme: SchemeKind, object_len: usize) -> SwarmConfig {
         session: 0xFA_0000 + scheme.wire_id() as u64,
         faults: Some(lossy_links(fault_seed())),
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     }
@@ -195,7 +195,7 @@ fn stress_swarm_survives_heavy_loss_reordering_and_delay() {
             session: 0xFB_0000 + scheme.wire_id() as u64,
             faults: Some(faults),
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::Sharded { workers: 2 },
             metrics_bind: None,
             flight_recorder: None,
         };

@@ -1,11 +1,10 @@
 //! `ltnc-reactor`: a vendored mini-runtime for running many node state
 //! machines on a few threads.
 //!
-//! The thread-per-node runtime in `ltnc-net` burns two blocking OS
-//! threads per peer, which caps in-process swarms at a few hundred
-//! nodes. This crate provides the event-driven alternative the larger
-//! experiments need, with no external dependencies (crates.io is
-//! offline in the build environment):
+//! Every UDP node of `ltnc-net` is scheduled here — a thousand-node
+//! swarm on a few workers, a single `PeerNode` on one — with no
+//! external dependencies (crates.io is offline in the build
+//! environment):
 //!
 //! * [`Poller`] — read-readiness polling: `epoll` (edge-triggered) on
 //!   Linux, a degraded-but-correct spurious-wakeup backend elsewhere;
@@ -22,9 +21,9 @@
 //!   waits, dispatch latencies, timer lag, queue drains), so embedding
 //!   crates can keep histograms without this crate owning any.
 //!
-//! The crate is deliberately protocol-agnostic: `ltnc-net` ports its
-//! `PeerNode` onto [`Driven`], but anything with a nonblocking
-//! descriptor and a tick can ride the same loop.
+//! The crate is deliberately protocol-agnostic: `ltnc-net` implements
+//! [`Driven`] for its node, but anything with a nonblocking descriptor
+//! and a tick can ride the same loop.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,10 @@
 //! Shutdown is graceful: each worker performs one final
 //! readiness-independent [`Driven::on_readable`] sweep over its nodes
 //! (catching datagrams that arrived after the last poll) before
-//! collecting every node's [`Driven::finish`] output.
+//! collecting every node's [`Driven::finish`] output. A [`Reactor`]
+//! dropped without [`Reactor::shutdown`] stops the same way — its
+//! workers notice the closed control queue within one poll wait
+//! (≤ 100 ms), sweep, finish and exit; only the outputs are lost.
 
 use std::collections::HashMap;
 use std::io;
@@ -321,11 +324,14 @@ fn worker_loop<D: Driven>(
                         obs.dispatched(shard, Dispatch::Control, started.elapsed());
                     }
                 }
-                Ok(WorkerMsg::Stop) => {
+                // A dropped `Reactor` (no `shutdown()`: an early `?`, a
+                // panicking test) disconnects the queue — stop, rather
+                // than tick on for the life of the process.
+                Ok(WorkerMsg::Stop) | Err(mpsc::TryRecvError::Disconnected) => {
                     stop = true;
                     break;
                 }
-                Err(mpsc::TryRecvError::Empty | mpsc::TryRecvError::Disconnected) => break,
+                Err(mpsc::TryRecvError::Empty) => break,
             }
         }
         if let Some(obs) = observer.as_ref().filter(|_| drained > 0) {

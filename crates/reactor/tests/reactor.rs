@@ -4,7 +4,7 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,6 +18,8 @@ struct TestNode {
     tick_every: Option<Duration>,
     /// Live mirror of the datagram count, observable mid-run.
     received: Arc<AtomicUsize>,
+    /// Set by `finish`, observable after the node itself is gone.
+    finished: Arc<AtomicBool>,
     datagrams: usize,
     bytes: usize,
     ticks: usize,
@@ -33,6 +35,7 @@ impl TestNode {
             peer: None,
             tick_every,
             received: Arc::new(AtomicUsize::new(0)),
+            finished: Arc::new(AtomicBool::new(false)),
             datagrams: 0,
             bytes: 0,
             ticks: 0,
@@ -107,6 +110,7 @@ impl Driven for TestNode {
     }
 
     fn finish(&mut self) -> Summary {
+        self.finished.store(true, Ordering::SeqCst);
         Summary {
             datagrams: self.datagrams,
             bytes: self.bytes,
@@ -181,6 +185,26 @@ fn shutdown_sweep_drains_a_datagram_sent_moments_before() {
     let outputs = reactor.shutdown();
     assert_eq!(outputs[0].datagrams, 1, "the in-flight datagram must be drained at shutdown");
     assert_eq!(outputs[0].bytes, b"last words".len());
+}
+
+#[test]
+fn a_dropped_reactor_stops_its_workers() {
+    // No shutdown(): an early `?` or a panicking test drops the handle.
+    // The workers must notice, sweep and finish — not tick on forever.
+    let nodes: Vec<TestNode> =
+        (0..3).map(|_| TestNode::bind(Some(Duration::from_millis(5)))).collect();
+    let finished: Vec<Arc<AtomicBool>> = nodes.iter().map(|n| Arc::clone(&n.finished)).collect();
+    let idle = TestNode::bind(None); // no timer: parked in the longest poll wait
+    let idle_finished = Arc::clone(&idle.finished);
+
+    drop(Reactor::start(nodes, 2).expect("start"));
+    drop(Reactor::start(vec![idle], 1).expect("start"));
+    assert!(
+        wait_until(Duration::from_secs(1), || {
+            finished.iter().chain([&idle_finished]).all(|f| f.load(Ordering::SeqCst))
+        }),
+        "every node of a dropped reactor must be finished within a second"
+    );
 }
 
 #[test]

@@ -28,8 +28,9 @@
 //!   outstanding leases re-assigned to the survivors.
 //!
 //! The structure is runtime-agnostic on purpose (blocking I/O behind
-//! small state machines, like `PeerNode`): porting to an async runtime
-//! changes the outer loops, not the protocol or the store.
+//! small state machines): porting it to a readiness loop — the
+//! `ltnc-reactor` one `PeerNode` runs on — changes the outer loops, not
+//! the protocol or the store.
 //!
 //! Every layer is instrumented through `ltnc-telemetry`: the server
 //! emits session/connection/store trace events

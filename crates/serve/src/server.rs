@@ -1,13 +1,13 @@
 //! The TCP content server: thread-pooled accept loop, per-connection
 //! session state machines, graceful shutdown.
 //!
-//! Concurrency model (deliberately the same shape as `ltnc_net`'s
-//! `PeerNode`, and async-ready for the same reason): blocking sockets
-//! with short read timeouts behind small state machines, no runtime. One
-//! accept thread hands connections to a fixed pool of worker threads
-//! through a bounded queue — a full queue *refuses* the connection
-//! instead of buffering without bound, the serving-side analogue of the
-//! peer actor's inbound backpressure.
+//! Concurrency model: blocking sockets with short read timeouts behind
+//! small state machines, no runtime (the UDP side, `ltnc_net`'s
+//! `PeerNode`, runs on the `ltnc-reactor` readiness loop instead;
+//! porting this server onto it is ROADMAP item D(3)). One accept thread
+//! hands connections to a fixed pool of worker threads through a
+//! bounded queue — a full queue *refuses* the connection instead of
+//! buffering without bound.
 //!
 //! A session speaks the envelope protocol over the stream binding:
 //!

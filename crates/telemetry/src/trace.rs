@@ -290,7 +290,7 @@ pub struct TimedEvent {
 /// Receives events emitted from instrumented hot paths.
 ///
 /// Implementations must be cheap and non-blocking: `record` is called
-/// from socket and actor threads. The bundled [`RingSink`] takes one
+/// from reactor workers and serving threads. The bundled [`RingSink`] takes one
 /// short mutex; a custom sink could count events in atomics or forward
 /// them to a channel.
 ///

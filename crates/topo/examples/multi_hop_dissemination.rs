@@ -55,35 +55,17 @@ struct Args {
     /// default so the report carries first-delivery-by-hop times.
     trace_capacity: Option<usize>,
     report: Option<String>,
-    /// Which scheduler runs the nodes (`--runtime
-    /// threaded|sharded:<workers>`); sharded runs carry a per-shard
-    /// reactor rollup into the report.
-    runtime: SwarmRuntime,
+    /// Reactor workers the nodes are sharded across (`--workers <n>`).
+    workers: usize,
     /// Aggregated scrape endpoint for the whole swarm (`--metrics
     /// ADDR`): one `/metrics` + `/metrics.json` no matter the node
     /// count.
     metrics: Option<SocketAddr>,
-    /// Arms the sharded runtime's stall watchdog (`--flight-dump
+    /// Arms the stall watchdog (`--flight-dump
     /// PATH`): a stalled or timed-out run writes its flight-recorder
     /// post-mortem here.
     flight_dump: Option<String>,
     smoke: bool,
-}
-
-/// `threaded`, `sharded` (4 workers), or `sharded:<workers>`.
-fn parse_runtime(name: &str) -> Result<SwarmRuntime, String> {
-    match name {
-        "threaded" => Ok(SwarmRuntime::Threaded),
-        "sharded" => Ok(SwarmRuntime::Sharded { workers: 4 }),
-        other => match other.strip_prefix("sharded:") {
-            Some(workers) => Ok(SwarmRuntime::Sharded {
-                workers: workers
-                    .parse()
-                    .map_err(|e| format!("--runtime sharded:<workers>: {e}"))?,
-            }),
-            None => Err(format!("unknown runtime {name} (threaded|sharded:<workers>)")),
-        },
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -116,7 +98,7 @@ fn parse_args() -> Result<Args, String> {
             .unwrap_or(0xF00D),
         trace_capacity: None,
         report: None,
-        runtime: SwarmRuntime::Threaded,
+        workers: 2,
         metrics: None,
         flight_dump: None,
         smoke: false,
@@ -168,7 +150,10 @@ fn parse_args() -> Result<Args, String> {
                     Some(value("--trace")?.parse().map_err(|e| format!("--trace: {e}"))?);
             }
             "--report" => args.report = Some(value("--report")?),
-            "--runtime" => args.runtime = parse_runtime(&value("--runtime")?)?,
+            "--workers" => {
+                args.workers =
+                    value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
+            }
             "--metrics" => {
                 args.metrics =
                     Some(value("--metrics")?.parse().map_err(|e| format!("--metrics: {e}"))?);
@@ -183,7 +168,7 @@ fn parse_args() -> Result<Args, String> {
                      [--scheme wc|rlnc|ltnc] [--timeout SECS] [--loss RATE] \
                      [--reorder RATE] [--dup RATE] [--fault-seed N] \
                      [--trace EVENTS] [--report PATH] \
-                     [--runtime threaded|sharded:<workers>] [--metrics ADDR] \
+                     [--workers N] [--metrics ADDR] \
                      [--flight-dump PATH] [--smoke]"
                 );
                 std::process::exit(0);
@@ -258,7 +243,7 @@ fn latency_json(snapshot: &ltnc_metrics::LogHistogramSnapshot) -> JsonValue {
         .field("max", snapshot.quantile(1.0))
 }
 
-/// The scheduler-side sub-object a sharded run carries: per-shard
+/// The scheduler-side sub-object of an instrumented run: per-shard
 /// reactor counters rolled into one total (poll-wait / dispatch /
 /// tick-lag percentiles included), plus per-shard turn and node counts
 /// so shard skew is readable at a glance.
@@ -326,13 +311,7 @@ fn render_report(args: &Args, source: usize, results: &[(SchemeKind, TopologyRep
         .field("dup", args.dup)
         .field("fault_seed", args.fault_seed)
         .field("trace_capacity", args.trace_capacity.map_or(JsonValue::Null, JsonValue::from))
-        .field(
-            "runtime",
-            match args.runtime {
-                SwarmRuntime::Threaded => "threaded".to_string(),
-                SwarmRuntime::Sharded { workers } => format!("sharded:{workers}"),
-            },
-        )
+        .field("workers", args.workers)
         .field(
             "metrics_bind",
             args.metrics.map_or(JsonValue::Null, |addr| JsonValue::from(addr.to_string())),
@@ -474,9 +453,7 @@ fn main() -> ExitCode {
         args.dup * 100.0,
         args.fault_seed,
     );
-    if let SwarmRuntime::Sharded { workers } = args.runtime {
-        println!("runtime: sharded reactor, {workers} workers");
-    }
+    println!("reactor workers: {}", args.workers);
     if let Some(addr) = args.metrics {
         println!("aggregated scrape endpoint: http://{addr}/metrics (every node, one page)");
     }
@@ -515,7 +492,7 @@ fn main() -> ExitCode {
             link_faults: link_faults.clone(),
             node_faults: None,
             trace_capacity: args.trace_capacity,
-            runtime: args.runtime,
+            runtime: SwarmRuntime::Sharded { workers: args.workers },
             metrics_bind: args.metrics,
             flight_recorder: args.flight_dump.as_ref().map(|path| FlightRecorder {
                 dump_path: Some(path.into()),

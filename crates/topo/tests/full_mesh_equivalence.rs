@@ -76,7 +76,7 @@ fn complete_topology_reproduces_legacy_swarm_behaviour_under_seeded_faults() {
             session: 0xE0_0000 + u64::from(scheme.wire_id()),
             faults: Some(faults),
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::Sharded { workers: 2 },
             metrics_bind: None,
             flight_recorder: None,
         };
@@ -95,7 +95,7 @@ fn complete_topology_reproduces_legacy_swarm_behaviour_under_seeded_faults() {
             link_faults: TopologyFaults::default(),
             node_faults: Some(faults),
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::Sharded { workers: 2 },
             metrics_bind: None,
             flight_recorder: None,
         };

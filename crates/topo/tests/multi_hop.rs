@@ -52,7 +52,7 @@ fn lossy_config(
         ),
         node_faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     }

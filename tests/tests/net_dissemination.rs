@@ -38,7 +38,7 @@ fn multi_generation_config(scheme: SchemeKind) -> SwarmConfig {
         session: 0xAB_0000 + scheme.wire_id() as u64,
         faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     }
@@ -107,7 +107,7 @@ fn single_generation_object_and_tiny_payloads_work() {
         session: 0xCAFE,
         faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
         flight_recorder: None,
     };
