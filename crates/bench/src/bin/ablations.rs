@@ -1,4 +1,5 @@
-//! Ablation study of the LTNC design choices (DESIGN.md §5):
+//! Ablation study of the LTNC design choices — what each mechanism
+//! contributes, measured by switching it off:
 //!
 //! * refinement (Algorithm 2) on/off — effect on the spread of native-packet
 //!   occurrences and on the sink's decoding progress;

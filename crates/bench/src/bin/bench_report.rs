@@ -46,7 +46,7 @@ use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::{
     fetch, fetch_striped, ClientOptions, ObjectStore, ServeOptions, Server, StripedOptions,
 };
-use ltnc_telemetry::json::{JsonValue, REPORT_SCHEMA_VERSION};
+use ltnc_telemetry::json::{self, JsonValue, REPORT_SCHEMA_VERSION};
 use ltnc_topo::{
     run_topology, FlightRecorder, SwarmRuntime, Topology, TopologyConfig, TopologyFaults,
 };
@@ -468,14 +468,7 @@ fn run_scenario(name: &str, smoke: bool, seed: u64) -> Result<Outcome, String> {
 
 /// The shared latency sub-object: `{"unit","count","mean","p50",...}`.
 fn latency_json(snapshot: &LogHistogramSnapshot, unit: &str) -> JsonValue {
-    JsonValue::object()
-        .field("unit", unit)
-        .field("count", snapshot.count())
-        .field("mean", snapshot.mean())
-        .field("p50", snapshot.p50())
-        .field("p90", snapshot.p90())
-        .field("p99", snapshot.p99())
-        .field("max", snapshot.quantile(1.0))
+    json::histogram_summary(JsonValue::object().field("unit", unit), snapshot)
 }
 
 fn outcome_json(name: &str, smoke: bool, seed: u64, outcome: &Outcome) -> JsonValue {

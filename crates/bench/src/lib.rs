@@ -11,7 +11,7 @@
 //! | `fig7c_overhead`     | Figure 7c      | communication overhead vs code length (LTNC) |
 //! | `fig8_cost`          | Figure 8a–8d   | recoding/decoding cost, control/data, vs code length |
 //! | `stats_recoding`     | §III-B/§III-C in-text numbers | degree-draw acceptance, build accuracy, occurrence spread, redundancy catches |
-//! | `ablations`          | DESIGN.md §5   | refinement / redundancy-detection / feedback ablations |
+//! | `ablations`          | design choices | refinement / redundancy-detection / feedback ablations |
 //!
 //! The Criterion benches in `benches/` measure wall-clock time of the same
 //! operations (GF(2) primitives, Soliton sampling, recoding, decoding, one
@@ -21,7 +21,7 @@
 //! All binaries accept `--quick` (default) or `--full`; `--full` uses the
 //! paper-scale parameters (N = 1000, k = 2048) and takes correspondingly
 //! longer. Output is plain text tables plus gnuplot-friendly TSV blocks, so
-//! results can be diffed against `EXPERIMENTS.md`.
+//! two runs can be diffed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

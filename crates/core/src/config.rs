@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Tuning knobs of an LTNC node.
 ///
 /// The defaults reproduce the configuration evaluated in the paper; the
-/// booleans exist for the ablation benches (`DESIGN.md` §5): they let the
+/// booleans exist for the `ablations` binary of `ltnc-bench`: they let the
 /// harness measure what each mechanism contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LtncConfig {
     /// Robust Soliton parameter `c` (paper/Luby default: 0.1).
     pub soliton_c: f64,

@@ -1,5 +1,4 @@
 use ltnc_metrics::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Running statistics about the recoding pipeline of a node.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The `stats_recoding` binary of `ltnc-bench` prints them next to the
 /// paper's values.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RecodeStats {
     /// Number of fresh packets recoded.
     pub recoded_packets: u64,
@@ -112,7 +111,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// A snapshot of the degree spread of native packets in previously sent
 /// packets, paired with [`RecodeStats`] in the evaluation harness.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OccurrenceSpread {
     /// Mean occurrences per native packet.
     pub mean: f64,

@@ -1,7 +1,5 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Gf2Error;
 
 const WORD_BITS: usize = 64;
@@ -17,7 +15,7 @@ const WORD_BITS: usize = 64;
 /// All mutating operations keep the vector length (`k`) fixed; combining two
 /// vectors of different lengths is a logic error and panics in debug builds
 /// (the checked variants return [`Gf2Error::LengthMismatch`]).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CodeVector {
     /// Number of native packets `k` (number of valid bits).
     len: usize,

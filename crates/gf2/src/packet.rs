@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{CodeVector, Gf2Error, Payload};
 
 /// An encoded packet: a code vector (header) plus the XOR of the corresponding
@@ -9,7 +7,7 @@ use crate::{CodeVector, Gf2Error, Payload};
 /// payload always equals the XOR of the native payloads whose bits are set in
 /// the code vector. The integration tests verify this end-to-end against a
 /// reference store of native packets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedPacket {
     vector: CodeVector,
     payload: Payload,

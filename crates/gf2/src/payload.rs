@@ -1,7 +1,6 @@
 use core::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::Gf2Error;
 
@@ -56,7 +55,7 @@ fn xor_to(dst: &mut [u8], a: &[u8], b: &[u8]) {
 /// XORs of `m = 256 KB` blocks). `Payload` is the data side; every XOR of two
 /// payloads is the unit the cost model of `ltnc-metrics` charges as a data
 /// operation of `m` bytes.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Payload {
     bytes: Vec<u8>,
 }

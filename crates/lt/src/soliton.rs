@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::LtError;
 
@@ -29,7 +28,7 @@ pub trait DegreeDistribution {
 /// Optimal in expectation but fragile in practice (the expected ripple size is
 /// exactly one); provided as a baseline and as the building block of the
 /// Robust Soliton.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IdealSoliton {
     k: usize,
     cdf: Vec<f64>,
@@ -85,7 +84,7 @@ impl DegreeDistribution for IdealSoliton {
 /// on low degrees, then normalises. More than half of the resulting mass sits
 /// on degrees 1 and 2 — the property LTNC's refinement step exploits — and the
 /// mean degree is `O(log k)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustSoliton {
     k: usize,
     c: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{OpCounters, OpKind};
 
 /// Estimated cycle cost split into control-plane and data-plane work.
@@ -7,7 +5,7 @@ use crate::{OpCounters, OpKind};
 /// Mirrors the four panels of Figure 8 in the paper: recoding/decoding ×
 /// control/data. The data cost is additionally reported per payload byte
 /// (`cycles per byte`, the unit of Figures 8c and 8d).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Estimated cycles spent on control structures.
     pub control_cycles: f64,
@@ -42,7 +40,7 @@ impl CostBreakdown {
 /// Absolute values are not the point — the reproduction compares *ratios and
 /// trends* against the paper (LTNC decode ≪ RLNC decode, the gap widening with
 /// `k`, recode-control higher for LTNC, recode-data lower for LTNC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Code length `k` (bits per code vector).
     pub code_length: usize,

@@ -1,13 +1,11 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The elementary operations the coding schemes perform.
 ///
 /// Each variant is charged to either the *control* plane (code vectors, Tanner
 /// graph, code matrix, auxiliary indexes) or the *data* plane (XOR of `m`-byte
 /// payloads), matching the split used in Figure 8 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum OpKind {
     /// XOR of two `m`-byte payloads (data plane).
@@ -97,7 +95,7 @@ impl fmt::Display for OpKind {
 /// Counters are cheap to copy and add; the simulator keeps one per node and
 /// per phase (recoding / decoding), then folds them through a [`crate::CostModel`]
 /// to produce the Figure 8 series.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     counts: [u64; 9],
 }

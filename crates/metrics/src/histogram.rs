@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// An integer-bucket histogram.
 ///
 /// Used to record degree distributions of sent packets (to check the Robust
 /// Soliton shape empirically) and distributions of native-packet occurrences
 /// (to check the near-Dirac property maintained by the refinement step).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

@@ -1,80 +1,62 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Histogram;
 
-/// Aggregate statistics of the nodes at one hop distance from the source.
-///
-/// A multi-hop run buckets every node by its overlay distance to the
-/// source (0 = the source itself, 1 = its direct neighbours, …) and sums
-/// each bucket's coding work, delivery outcomes and injected link faults
-/// into one of these. The interesting shape is how the columns fall off
-/// with distance: in-network recoding keeps `useful_deliveries` (and
-/// completion) high at the far end of a lossy path, while the recoding
-/// cost concentrates on the interior relays.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HopStats {
-    /// Nodes at this hop distance.
-    pub nodes: u64,
-    /// Nodes at this distance that decoded the full object.
-    pub completed: u64,
-    /// Recoding operations performed by these nodes (relay emissions; for
-    /// the source, encoding).
-    pub recoding_ops: u64,
-    /// Decoding operations performed by these nodes.
-    pub decoding_ops: u64,
-    /// Payload deliveries that were innovative at these nodes.
-    pub useful_deliveries: u64,
-    /// Datagram faults injected on these nodes' sockets (their inbound
-    /// links, in a per-link topology run).
-    pub faults_injected: u64,
-}
-
-impl HopStats {
-    /// Adds every field of `other` into `self`.
-    pub fn merge(&mut self, other: &HopStats) {
-        self.nodes += other.nodes;
-        self.completed += other.completed;
-        self.recoding_ops += other.recoding_ops;
-        self.decoding_ops += other.decoding_ops;
-        self.useful_deliveries += other.useful_deliveries;
-        self.faults_injected += other.faults_injected;
-    }
-
-    /// Everything that happened since `earlier`, field by field
-    /// (saturating at zero).
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &HopStats) -> HopStats {
-        HopStats {
-            nodes: self.nodes.saturating_sub(earlier.nodes),
-            completed: self.completed.saturating_sub(earlier.completed),
-            recoding_ops: self.recoding_ops.saturating_sub(earlier.recoding_ops),
-            decoding_ops: self.decoding_ops.saturating_sub(earlier.decoding_ops),
-            useful_deliveries: self.useful_deliveries.saturating_sub(earlier.useful_deliveries),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-        }
+crate::counter_family! {
+    /// Aggregate statistics of the nodes at one hop distance from the source.
+    ///
+    /// A multi-hop run buckets every node by its overlay distance to the
+    /// source (0 = the source itself, 1 = its direct neighbours, …) and sums
+    /// each bucket's coding work, delivery outcomes and injected link faults
+    /// into one of these. The interesting shape is how the columns fall off
+    /// with distance: in-network recoding keeps `useful_deliveries` (and
+    /// completion) high at the far end of a lossy path, while the recoding
+    /// cost concentrates on the interior relays.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct HopStats {
+        /// Nodes at this hop distance.
+        pub nodes: u64,
+        /// Nodes at this distance that decoded the full object.
+        pub completed: u64,
+        /// Recoding operations performed by these nodes (relay emissions; for
+        /// the source, encoding).
+        pub recoding_ops: u64,
+        /// Decoding operations performed by these nodes.
+        pub decoding_ops: u64,
+        /// Payload deliveries that were innovative at these nodes.
+        pub useful_deliveries: u64,
+        /// Datagram faults injected on these nodes' sockets (their inbound
+        /// links, in a per-link topology run).
+        pub faults_injected: u64,
     }
 }
 
-/// Per-hop-distance rollup of a multi-hop dissemination.
-///
-/// Bucket `d` aggregates every node whose overlay distance to the source
-/// is `d` hops. Built by the topology harness (`ltnc-topo`) from the
-/// per-node reports of a swarm run; merging two `HopCounters` merges
-/// bucket-by-bucket, so repeated runs aggregate naturally.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HopCounters {
-    buckets: Vec<HopStats>,
+crate::counter_family! {
+    /// Per-hop-distance rollup of a multi-hop dissemination.
+    ///
+    /// Bucket `d` aggregates every node whose overlay distance to the source
+    /// is `d` hops. Built by the topology harness (`ltnc-topo`) from the
+    /// per-node reports of a swarm run; merging two `HopCounters` merges
+    /// bucket-by-bucket, so repeated runs aggregate naturally.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct HopCounters {
+        /// One bucket per hop distance.
+        buckets: Vec<HopStats>,
+    }
+    snapshot_delta {
+        /// ```
+        /// use ltnc_metrics::{HopCounters, HopStats};
+        ///
+        /// let mut earlier = HopCounters::new();
+        /// earlier.record(1, &HopStats { nodes: 2, useful_deliveries: 10, ..HopStats::default() });
+        /// let mut now = earlier.clone();
+        /// now.record(1, &HopStats { useful_deliveries: 5, ..HopStats::default() });
+        /// assert_eq!(now.snapshot_delta(&earlier).get(1).useful_deliveries, 5);
+        /// ```
+    }
 }
 
 impl HopCounters {
-    /// An empty rollup.
-    #[must_use]
-    pub fn new() -> Self {
-        HopCounters::default()
-    }
-
     /// Adds `stats` into the bucket at `distance` hops, growing the
     /// bucket array as needed.
     pub fn record(&mut self, distance: usize, stats: &HopStats) {
@@ -99,40 +81,6 @@ impl HopCounters {
     /// Iterates over `(distance, stats)` for buckets with nodes.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &HopStats)> + '_ {
         self.buckets.iter().enumerate().filter(|(_, b)| b.nodes > 0)
-    }
-
-    /// Merges another rollup into this one, bucket by bucket.
-    pub fn merge(&mut self, other: &HopCounters) {
-        for (distance, stats) in other.buckets.iter().enumerate() {
-            self.record(distance, stats);
-        }
-    }
-
-    /// Everything that happened since `earlier`, bucket by bucket
-    /// (saturating at zero per field). Buckets only present now pass
-    /// through whole; `earlier`'s extra buckets are ignored, matching the
-    /// scalar saturation rule.
-    ///
-    /// ```
-    /// use ltnc_metrics::{HopCounters, HopStats};
-    ///
-    /// let mut earlier = HopCounters::new();
-    /// earlier.record(1, &HopStats { nodes: 2, useful_deliveries: 10, ..HopStats::default() });
-    /// let mut now = earlier.clone();
-    /// now.record(1, &HopStats { useful_deliveries: 5, ..HopStats::default() });
-    /// assert_eq!(now.snapshot_delta(&earlier).get(1).useful_deliveries, 5);
-    /// ```
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &HopCounters) -> HopCounters {
-        let blank = HopStats::default();
-        HopCounters {
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .map(|(d, bucket)| bucket.snapshot_delta(earlier.buckets.get(d).unwrap_or(&blank)))
-                .collect(),
-        }
     }
 
     /// The hop-distance-to-source histogram: one observation per node at

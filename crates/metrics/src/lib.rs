@@ -20,6 +20,10 @@
 //!    vs data, scaling with `k`) are what the reproduction compares against the
 //!    paper.
 //!
+//! The transports' counter families ([`WireCounters`], [`ServeCounters`],
+//! [`StripeCounters`], [`HopCounters`], [`ReactorSnapshot`]) are each
+//! declared once with [`counter_family!`].
+//!
 //! The crate also contains small statistics helpers ([`Summary`], [`Histogram`],
 //! [`TimeSeries`]) used by the simulator and the figure harness.
 
@@ -28,6 +32,7 @@
 
 mod cost;
 mod counters;
+mod family;
 mod histogram;
 mod hop;
 mod loghist;
@@ -40,6 +45,7 @@ mod wire;
 
 pub use cost::{CostBreakdown, CostModel};
 pub use counters::{OpCounters, OpKind};
+pub use family::{CounterFamily, Field};
 pub use histogram::Histogram;
 pub use hop::{HopCounters, HopStats};
 pub use loghist::{
@@ -47,7 +53,7 @@ pub use loghist::{
 };
 pub use reactor::{ReactorCounters, ReactorSnapshot};
 pub use series::TimeSeries;
-pub use serve::ServeCounters;
+pub use serve::{AtomicServeCounters, ServeCounters};
 pub use stripe::{ReplicaCounters, StripeCounters};
 pub use summary::Summary;
 pub use wire::WireCounters;

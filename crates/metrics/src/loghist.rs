@@ -215,7 +215,7 @@ impl LogHistogramSnapshot {
     /// The observations recorded since `earlier` was taken (per-bucket
     /// saturating subtraction, for interval views of a live histogram).
     #[must_use]
-    pub fn since(&self, earlier: &LogHistogramSnapshot) -> LogHistogramSnapshot {
+    pub fn snapshot_delta(&self, earlier: &LogHistogramSnapshot) -> LogHistogramSnapshot {
         LogHistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
             sum: self.sum.saturating_sub(earlier.sum),
@@ -223,15 +223,6 @@ impl LogHistogramSnapshot {
             // max is the honest upper bound.
             max: self.max,
         }
-    }
-
-    /// Interval view under the counter families' name: what this
-    /// snapshot adds over `earlier`. Same arithmetic as
-    /// [`LogHistogramSnapshot::since`] — provided so histogram samplers
-    /// read like `WireCounters::snapshot_delta` and friends.
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &LogHistogramSnapshot) -> LogHistogramSnapshot {
-        self.since(earlier)
     }
 }
 
@@ -284,30 +275,6 @@ impl HopLatency {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.by_hop.iter().all(LogHistogram::is_empty)
-    }
-
-    /// Interval view against a per-hop snapshot taken earlier with
-    /// [`HopLatency::snapshot`]: one `(links_crossed, delta)` pair per
-    /// hop that recorded anything since, ascending. Hops absent from
-    /// `earlier` report their full distribution; hops that recorded
-    /// nothing new are omitted — the same contract interval counter
-    /// families keep with `snapshot_delta`.
-    #[must_use]
-    pub fn snapshot_delta(
-        &self,
-        earlier: &[(usize, LogHistogramSnapshot)],
-    ) -> Vec<(usize, LogHistogramSnapshot)> {
-        self.snapshot()
-            .into_iter()
-            .map(|(hops, now)| {
-                let delta = match earlier.iter().find(|(h, _)| *h == hops) {
-                    Some((_, before)) => now.snapshot_delta(before),
-                    None => now,
-                };
-                (hops, delta)
-            })
-            .filter(|(_, delta)| !delta.is_empty())
-            .collect()
     }
 }
 
@@ -399,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_since_roundtrip() {
+    fn merge_and_snapshot_delta_roundtrip() {
         let a = LogHistogram::new();
         let b = LogHistogram::new();
         a.record(5);
@@ -413,36 +380,27 @@ mod tests {
 
         let earlier = merged.clone();
         a.record(7);
-        let delta = a.snapshot().since(&earlier);
+        let delta = a.snapshot().snapshot_delta(&earlier);
         assert_eq!(delta.count(), 1);
         assert_eq!(delta.sum, 7);
     }
 
     #[test]
-    fn snapshot_delta_matches_since() {
-        let h = LogHistogram::new();
-        h.record(40);
-        let earlier = h.snapshot();
-        h.record(9_000);
-        let now = h.snapshot();
-        assert_eq!(now.snapshot_delta(&earlier), now.since(&earlier));
-        assert_eq!(now.snapshot_delta(&earlier).count(), 1);
-    }
-
-    #[test]
-    fn hop_latency_snapshot_delta_tracks_new_hops_and_omits_idle_ones() {
-        let lat = HopLatency::new();
-        lat.record(1, 100);
-        lat.record(2, 200);
-        let earlier = lat.snapshot();
-        lat.record(2, 300);
-        lat.record(5, 50); // a hop the earlier snapshot never saw
-        let delta = lat.snapshot_delta(&earlier);
-        let hops: Vec<usize> = delta.iter().map(|(h, _)| *h).collect();
-        assert_eq!(hops, vec![2, 5], "hop 1 recorded nothing new and is omitted");
-        assert_eq!(delta[0].1.count(), 1);
-        assert_eq!(delta[1].1.count(), 1, "unseen hops report their full distribution");
-        assert!(lat.snapshot_delta(&lat.snapshot()).is_empty());
+    fn the_full_quantile_is_the_recorded_max() {
+        let merged = LogHistogram::new();
+        for values in [&[0u64][..], &[1, 2, 3], &[100, 127, 128], &[5, 9_000, 70_001], &[u64::MAX]]
+        {
+            let h = LogHistogram::new();
+            for &v in values {
+                h.record(v);
+            }
+            let s = h.snapshot();
+            assert_eq!(s.quantile(1.0), s.max, "values {values:?}");
+            merged.merge_snapshot(&s);
+            let m = merged.snapshot();
+            assert_eq!(m.quantile(1.0), m.max, "merged through {values:?}");
+        }
+        assert_eq!(LogHistogramSnapshot::empty().quantile(1.0), LogHistogramSnapshot::empty().max);
     }
 
     #[test]

@@ -17,63 +17,86 @@
 //! * **queues** — wakeup coalescing, control-queue drains and their
 //!   high-watermark, and the timer-wheel depth after each turn.
 //!
-//! [`ReactorSnapshot`] is the owned plain view with the same
-//! `merge`/`snapshot_delta` algebra as the counter families
-//! ([`crate::WireCounters`], [`crate::HopCounters`]), so swarm-level
-//! rollups and interval scrapes compose the same way.
+//! [`ReactorSnapshot`] is the owned plain view, a counter family like
+//! [`crate::WireCounters`], so swarm-level rollups and interval scrapes
+//! compose the same way; `ReactorCounters` is its atomic twin.
 
-use crate::loghist::{LogHistogram, LogHistogramSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Lock-free scheduler counters for one reactor shard.
-///
-/// Recording methods are called from the shard's worker thread;
-/// [`ReactorCounters::snapshot`] from anywhere. All counters are
-/// monotone except the two gauges ([`wheel depth`](ReactorSnapshot::wheel_depth)
-/// is last-observed, [`nodes`](ReactorSnapshot::nodes) is set once).
-///
-/// ```
-/// use ltnc_metrics::ReactorCounters;
-///
-/// let shard = ReactorCounters::new();
-/// shard.set_nodes(250);
-/// shard.record_poll(120, 3); // waited 120us, 3 events ready
-/// shard.record_dispatch_readable(850); // dispatch took 850ns
-/// shard.record_timer_lag(40); // timer fired 40us past its deadline
-/// shard.record_turn(17); // 17 timers still armed after the turn
-/// let snap = shard.snapshot();
-/// assert_eq!(snap.polls, 1);
-/// assert_eq!(snap.poll_events, 3);
-/// assert_eq!(snap.wheel_depth, 17);
-/// assert_eq!(snap.dispatch_ns.count(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct ReactorCounters {
-    turns: AtomicU64,
-    polls: AtomicU64,
-    poll_events: AtomicU64,
-    wakeups: AtomicU64,
-    wakeup_rounds: AtomicU64,
-    control_messages: AtomicU64,
-    control_high_watermark: AtomicU64,
-    readable_dispatches: AtomicU64,
-    timer_dispatches: AtomicU64,
-    control_dispatches: AtomicU64,
-    timers_fired: AtomicU64,
-    wheel_depth: AtomicU64,
-    nodes: AtomicU64,
-    poll_wait_us: LogHistogram,
-    dispatch_ns: LogHistogram,
-    tick_lag_us: LogHistogram,
+use crate::loghist::LogHistogramSnapshot;
+use crate::{CounterFamily, Field};
+
+crate::counter_family! {
+    /// An immutable view of a shard's [`ReactorCounters`]: plain counts plus
+    /// the three scheduler histograms. A rollup of shards schedules the
+    /// union of their `nodes` and keeps the deepest shard's peaks.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ReactorSnapshot {
+        /// Worker-loop turns completed (poll → dispatch → timers).
+        pub turns: u64,
+        /// Times the shard entered its poller.
+        pub polls: u64,
+        /// Readiness events returned across all polls.
+        pub poll_events: u64,
+        /// Wake bytes drained from the loopback waker (each byte one
+        /// cross-shard send that requested a wakeup).
+        pub wakeups: u64,
+        /// Drain rounds in which at least one wake byte arrived — `wakeups /
+        /// wakeup_rounds` is the coalescing factor.
+        pub wakeup_rounds: u64,
+        /// Control messages drained from the shard's queue.
+        pub control_messages: u64,
+        /// Largest single control drain observed (peak).
+        pub control_high_watermark: u64 [peak],
+        /// Readable-socket callbacks dispatched.
+        pub readable_dispatches: u64,
+        /// Timer callbacks dispatched.
+        pub timer_dispatches: u64,
+        /// Control-message callbacks dispatched.
+        pub control_dispatches: u64,
+        /// Timers that expired and were routed to their node.
+        pub timers_fired: u64,
+        /// Timers still armed after the most recent turn (peak across
+        /// shards in a rollup).
+        pub wheel_depth: u64 [peak],
+        /// Nodes the shard schedules (gauge, set once at start).
+        pub nodes: u64 [gauge],
+        /// Time spent waiting in the poller, microseconds per poll.
+        pub poll_wait_us: LogHistogramSnapshot,
+        /// Per-callback dispatch latency, nanoseconds (all kinds merged).
+        pub dispatch_ns: LogHistogramSnapshot,
+        /// Timer lateness: actual expiry minus deadline, microseconds.
+        pub tick_lag_us: LogHistogramSnapshot,
+    }
+    atomic {
+        /// Lock-free scheduler counters for one reactor shard.
+        ///
+        /// Recording methods are called from the shard's worker thread;
+        /// [`ReactorCounters::snapshot`] from anywhere. All counters are
+        /// monotone except the two gauges ([`wheel depth`](ReactorSnapshot::wheel_depth)
+        /// is last-observed, [`nodes`](ReactorSnapshot::nodes) is set once).
+        ///
+        /// ```
+        /// use ltnc_metrics::ReactorCounters;
+        ///
+        /// let shard = ReactorCounters::new();
+        /// shard.set_nodes(250);
+        /// shard.record_poll(120, 3); // waited 120us, 3 events ready
+        /// shard.record_dispatch_readable(850); // dispatch took 850ns
+        /// shard.record_timer_lag(40); // timer fired 40us past its deadline
+        /// shard.record_turn(17); // 17 timers still armed after the turn
+        /// let snap = shard.snapshot();
+        /// assert_eq!(snap.polls, 1);
+        /// assert_eq!(snap.poll_events, 3);
+        /// assert_eq!(snap.wheel_depth, 17);
+        /// assert_eq!(snap.dispatch_ns.count(), 1);
+        /// ```
+        #[derive(Debug, Default)]
+        pub struct ReactorCounters;
+    }
 }
 
 impl ReactorCounters {
-    /// All-zero counters.
-    #[must_use]
-    pub fn new() -> ReactorCounters {
-        ReactorCounters::default()
-    }
-
     /// Publishes how many nodes the shard schedules (set once at start).
     pub fn set_nodes(&self, nodes: u64) {
         self.nodes.store(nodes, Ordering::Relaxed);
@@ -131,141 +154,18 @@ impl ReactorCounters {
         self.turns.fetch_add(1, Ordering::Relaxed);
         self.wheel_depth.store(wheel_depth, Ordering::Relaxed);
     }
-
-    /// An owned, immutable copy of the current counts.
-    #[must_use]
-    pub fn snapshot(&self) -> ReactorSnapshot {
-        ReactorSnapshot {
-            turns: self.turns.load(Ordering::Relaxed),
-            polls: self.polls.load(Ordering::Relaxed),
-            poll_events: self.poll_events.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            wakeup_rounds: self.wakeup_rounds.load(Ordering::Relaxed),
-            control_messages: self.control_messages.load(Ordering::Relaxed),
-            control_high_watermark: self.control_high_watermark.load(Ordering::Relaxed),
-            readable_dispatches: self.readable_dispatches.load(Ordering::Relaxed),
-            timer_dispatches: self.timer_dispatches.load(Ordering::Relaxed),
-            control_dispatches: self.control_dispatches.load(Ordering::Relaxed),
-            timers_fired: self.timers_fired.load(Ordering::Relaxed),
-            wheel_depth: self.wheel_depth.load(Ordering::Relaxed),
-            nodes: self.nodes.load(Ordering::Relaxed),
-            poll_wait_us: self.poll_wait_us.snapshot(),
-            dispatch_ns: self.dispatch_ns.snapshot(),
-            tick_lag_us: self.tick_lag_us.snapshot(),
-        }
-    }
-}
-
-/// An immutable view of a shard's [`ReactorCounters`]: plain counts plus
-/// the three scheduler histograms, with the counter families'
-/// `merge`/`snapshot_delta` algebra so swarm rollups and interval
-/// scrapes compose.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReactorSnapshot {
-    /// Worker-loop turns completed (poll → dispatch → timers).
-    pub turns: u64,
-    /// Times the shard entered its poller.
-    pub polls: u64,
-    /// Readiness events returned across all polls.
-    pub poll_events: u64,
-    /// Wake bytes drained from the loopback waker (each byte one
-    /// cross-shard send that requested a wakeup).
-    pub wakeups: u64,
-    /// Drain rounds in which at least one wake byte arrived — `wakeups /
-    /// wakeup_rounds` is the coalescing factor.
-    pub wakeup_rounds: u64,
-    /// Control messages drained from the shard's queue.
-    pub control_messages: u64,
-    /// Largest single control drain observed (gauge; max survives
-    /// `merge`, interval deltas keep the lifetime value).
-    pub control_high_watermark: u64,
-    /// Readable-socket callbacks dispatched.
-    pub readable_dispatches: u64,
-    /// Timer callbacks dispatched.
-    pub timer_dispatches: u64,
-    /// Control-message callbacks dispatched.
-    pub control_dispatches: u64,
-    /// Timers that expired and were routed to their node.
-    pub timers_fired: u64,
-    /// Timers still armed after the most recent turn (gauge).
-    pub wheel_depth: u64,
-    /// Nodes the shard schedules (gauge, set once at start).
-    pub nodes: u64,
-    /// Time spent waiting in the poller, microseconds per poll.
-    pub poll_wait_us: LogHistogramSnapshot,
-    /// Per-callback dispatch latency, nanoseconds (all kinds merged).
-    pub dispatch_ns: LogHistogramSnapshot,
-    /// Timer lateness: actual expiry minus deadline, microseconds.
-    pub tick_lag_us: LogHistogramSnapshot,
 }
 
 impl ReactorSnapshot {
-    /// All-zero snapshot.
-    #[must_use]
-    pub fn new() -> ReactorSnapshot {
-        ReactorSnapshot::default()
-    }
-
-    /// Folds another shard's snapshot into this one: counters and
-    /// histograms add, gauges take the max (a rollup's "depth" is the
-    /// deepest shard) and `nodes` adds (a rollup schedules the union).
-    pub fn merge(&mut self, other: &ReactorSnapshot) {
-        self.turns += other.turns;
-        self.polls += other.polls;
-        self.poll_events += other.poll_events;
-        self.wakeups += other.wakeups;
-        self.wakeup_rounds += other.wakeup_rounds;
-        self.control_messages += other.control_messages;
-        self.control_high_watermark = self.control_high_watermark.max(other.control_high_watermark);
-        self.readable_dispatches += other.readable_dispatches;
-        self.timer_dispatches += other.timer_dispatches;
-        self.control_dispatches += other.control_dispatches;
-        self.timers_fired += other.timers_fired;
-        self.wheel_depth = self.wheel_depth.max(other.wheel_depth);
-        self.nodes += other.nodes;
-        self.poll_wait_us.merge(&other.poll_wait_us);
-        self.dispatch_ns.merge(&other.dispatch_ns);
-        self.tick_lag_us.merge(&other.tick_lag_us);
-    }
-
-    /// Everything that happened since `earlier`, field by field
-    /// (saturating, like every counter family's `snapshot_delta`).
-    /// Gauges keep their current value: an interval has no meaningful
-    /// "delta wheel depth".
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &ReactorSnapshot) -> ReactorSnapshot {
-        ReactorSnapshot {
-            turns: self.turns.saturating_sub(earlier.turns),
-            polls: self.polls.saturating_sub(earlier.polls),
-            poll_events: self.poll_events.saturating_sub(earlier.poll_events),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            wakeup_rounds: self.wakeup_rounds.saturating_sub(earlier.wakeup_rounds),
-            control_messages: self.control_messages.saturating_sub(earlier.control_messages),
-            control_high_watermark: self.control_high_watermark,
-            readable_dispatches: self
-                .readable_dispatches
-                .saturating_sub(earlier.readable_dispatches),
-            timer_dispatches: self.timer_dispatches.saturating_sub(earlier.timer_dispatches),
-            control_dispatches: self.control_dispatches.saturating_sub(earlier.control_dispatches),
-            timers_fired: self.timers_fired.saturating_sub(earlier.timers_fired),
-            wheel_depth: self.wheel_depth,
-            nodes: self.nodes,
-            poll_wait_us: self.poll_wait_us.snapshot_delta(&earlier.poll_wait_us),
-            dispatch_ns: self.dispatch_ns.snapshot_delta(&earlier.dispatch_ns),
-            tick_lag_us: self.tick_lag_us.snapshot_delta(&earlier.tick_lag_us),
-        }
-    }
-
-    /// True when nothing has been recorded (gauges ignored).
+    /// True when nothing has been recorded: every counter is zero and
+    /// every histogram empty (gauges ignored).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.turns == 0
-            && self.polls == 0
-            && self.readable_dispatches == 0
-            && self.timer_dispatches == 0
-            && self.control_dispatches == 0
-            && self.wakeup_rounds == 0
-            && self.control_messages == 0
+        self.fields().all(|(_, field)| match field {
+            Field::Counter(count) => count == 0,
+            Field::Histogram(histogram) => histogram.is_empty(),
+            Field::Gauge(_) | Field::Flag(_) => true,
+        })
     }
 }
 

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// A labelled `(x, y)` series, used by the figure harness to collect and print
 /// the curves of Figures 7 and 8.
 ///
 /// The series keeps insertion order; `x` values are typically gossip periods
 /// (Figure 7a), code lengths (Figures 7b/7c/8), or degrees (Figure 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     label: String,
     points: Vec<(f64, f64)>,

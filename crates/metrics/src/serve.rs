@@ -1,107 +1,70 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
-/// Accounting of a serving endpoint (the TCP edge-cache server).
-///
-/// Where [`crate::WireCounters`] describes one gossip endpoint's traffic,
-/// `ServeCounters` describes a *server*: how many client sessions it
-/// accepted and finished, what left on the wire, how the header-first
-/// feedback channel fared, and — the point of the warm store — how often
-/// a symbol was served from cache instead of encoded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeCounters {
-    /// Client sessions accepted (request matched a registered object).
-    pub sessions_accepted: u64,
-    /// Client requests refused (unknown object, scheme mismatch, or the
-    /// accept queue was full).
-    pub sessions_rejected: u64,
-    /// Sessions that reached the client's final object-complete signal.
-    pub sessions_completed: u64,
-    /// Bytes written to client sockets.
-    pub bytes_out: u64,
-    /// Bytes read from client sockets.
-    pub bytes_in: u64,
-    /// Header-first transfer offers sent.
-    pub transfers_offered: u64,
-    /// Offers the client aborted after seeing only the header.
-    pub transfers_aborted: u64,
-    /// Offers that carried their payload to acceptance.
-    pub transfers_delivered: u64,
-    /// Symbols served straight from the warm cache (no coding work).
-    pub cache_hits: u64,
-    /// Symbols that had to be encoded on demand.
-    pub cache_misses: u64,
-    /// Symbols evicted to keep a warm ring at capacity.
-    pub cache_evictions: u64,
+crate::counter_family! {
+    /// Accounting of a serving endpoint (the TCP edge-cache server).
+    ///
+    /// Where [`crate::WireCounters`] describes one gossip endpoint's traffic,
+    /// `ServeCounters` describes a *server*: how many client sessions it
+    /// accepted and finished, what left on the wire, how the header-first
+    /// feedback channel fared, and — the point of the warm store — how often
+    /// a symbol was served from cache instead of encoded.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ServeCounters {
+        /// Client sessions accepted (request matched a registered object).
+        pub sessions_accepted: u64,
+        /// Client requests refused (unknown object, scheme mismatch, or the
+        /// accept queue was full).
+        pub sessions_rejected: u64,
+        /// Sessions that reached the client's final object-complete signal.
+        pub sessions_completed: u64,
+        /// Bytes written to client sockets.
+        pub bytes_out: u64,
+        /// Bytes read from client sockets.
+        pub bytes_in: u64,
+        /// Header-first transfer offers sent.
+        pub transfers_offered: u64,
+        /// Offers the client aborted after seeing only the header.
+        pub transfers_aborted: u64,
+        /// Offers that carried their payload to acceptance.
+        pub transfers_delivered: u64,
+        /// Symbols served straight from the warm cache (no coding work).
+        pub cache_hits: u64,
+        /// Symbols that had to be encoded on demand.
+        pub cache_misses: u64,
+        /// Symbols evicted to keep a warm ring at capacity.
+        pub cache_evictions: u64,
+    }
+    snapshot_delta {
+        /// `Server::counters` snapshots are cumulative since spawn, which is
+        /// the wrong shape for dashboards; polling on an interval and
+        /// diffing consecutive snapshots yields rates.
+        ///
+        /// # Example
+        ///
+        /// ```
+        /// use ltnc_metrics::ServeCounters;
+        ///
+        /// // Two cumulative snapshots, taken (say) 10 seconds apart…
+        /// let earlier = ServeCounters { bytes_out: 1_000, cache_hits: 40, ..ServeCounters::new() };
+        /// let now = ServeCounters { bytes_out: 6_000, cache_hits: 90, ..ServeCounters::new() };
+        ///
+        /// // …become interval activity, and from there rates.
+        /// let delta = now.snapshot_delta(&earlier);
+        /// assert_eq!(delta.bytes_out, 5_000);
+        /// assert_eq!(delta.cache_hits, 50);
+        /// let interval_secs = 10.0;
+        /// assert_eq!(delta.bytes_out as f64 / interval_secs, 500.0); // B/s
+        /// ```
+    }
+    atomic {
+        /// The live cells a server's workers bump, one relaxed `fetch_add`
+        /// per event. The cache fields stay zero: the store keeps those.
+        #[derive(Debug, Default)]
+        pub struct AtomicServeCounters;
+    }
 }
 
 impl ServeCounters {
-    /// All-zero counters.
-    #[must_use]
-    pub fn new() -> Self {
-        ServeCounters::default()
-    }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &ServeCounters) {
-        self.sessions_accepted += other.sessions_accepted;
-        self.sessions_rejected += other.sessions_rejected;
-        self.sessions_completed += other.sessions_completed;
-        self.bytes_out += other.bytes_out;
-        self.bytes_in += other.bytes_in;
-        self.transfers_offered += other.transfers_offered;
-        self.transfers_aborted += other.transfers_aborted;
-        self.transfers_delivered += other.transfers_delivered;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-    }
-
-    /// Field-wise difference `self − earlier`: the activity of the
-    /// interval between two cumulative snapshots.
-    ///
-    /// `Server::counters` snapshots are cumulative since spawn, which is
-    /// the wrong shape for dashboards; polling on an interval and
-    /// diffing consecutive snapshots yields rates. Saturates at zero per
-    /// field, so a stale or out-of-order `earlier` yields zeros rather
-    /// than wrapped garbage.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ltnc_metrics::ServeCounters;
-    ///
-    /// // Two cumulative snapshots, taken (say) 10 seconds apart…
-    /// let earlier = ServeCounters { bytes_out: 1_000, cache_hits: 40, ..ServeCounters::new() };
-    /// let now = ServeCounters { bytes_out: 6_000, cache_hits: 90, ..ServeCounters::new() };
-    ///
-    /// // …become interval activity, and from there rates.
-    /// let delta = now.snapshot_delta(&earlier);
-    /// assert_eq!(delta.bytes_out, 5_000);
-    /// assert_eq!(delta.cache_hits, 50);
-    /// let interval_secs = 10.0;
-    /// assert_eq!(delta.bytes_out as f64 / interval_secs, 500.0); // B/s
-    /// ```
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &ServeCounters) -> ServeCounters {
-        ServeCounters {
-            sessions_accepted: self.sessions_accepted.saturating_sub(earlier.sessions_accepted),
-            sessions_rejected: self.sessions_rejected.saturating_sub(earlier.sessions_rejected),
-            sessions_completed: self.sessions_completed.saturating_sub(earlier.sessions_completed),
-            bytes_out: self.bytes_out.saturating_sub(earlier.bytes_out),
-            bytes_in: self.bytes_in.saturating_sub(earlier.bytes_in),
-            transfers_offered: self.transfers_offered.saturating_sub(earlier.transfers_offered),
-            transfers_aborted: self.transfers_aborted.saturating_sub(earlier.transfers_aborted),
-            transfers_delivered: self
-                .transfers_delivered
-                .saturating_sub(earlier.transfers_delivered),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-        }
-    }
-
     /// Fraction of symbol requests served from the warm cache, in
     /// `[0, 1]`; `0` when no symbol was ever requested.
     #[must_use]

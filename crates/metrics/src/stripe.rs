@@ -1,99 +1,79 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
-/// One replica's share of a striped fetch.
-///
-/// A striped client opens one session per replica; this is the per-stream
-/// accounting: what the replica offered, what the merged decoder took,
-/// and what arrived too late to matter (duplicate rank — discarded, the
-/// cost rateless union pays instead of coordination).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicaCounters {
-    /// Header-first offers this replica made.
-    pub offers_seen: u64,
-    /// Offers the client aborted at the header (completed or duplicate
-    /// rank, or a generation this stream does not lease).
-    pub aborted: u64,
-    /// Payloads this replica delivered.
-    pub delivered: u64,
-    /// Deliveries that advanced the merged decoder's rank.
-    pub useful: u64,
-    /// Deliveries discarded as duplicate rank (another replica got there
-    /// first).
-    pub duplicates: u64,
-    /// Generations whose finishing symbol came from this replica.
-    pub generations_completed: u64,
-    /// Bytes received from this replica.
-    pub bytes_in: u64,
-    /// Bytes sent to this replica.
-    pub bytes_out: u64,
-    /// The stream ended in an error (disconnect, stall, protocol); its
-    /// leases were re-assigned.
-    pub failed: bool,
-}
-
-impl ReplicaCounters {
-    /// Adds every additive counter of `other` into `self` (re-leased
-    /// streams merge into the surviving replica's numbers); `failed` is
-    /// sticky rather than summed.
-    pub fn merge(&mut self, other: &ReplicaCounters) {
-        self.offers_seen += other.offers_seen;
-        self.aborted += other.aborted;
-        self.delivered += other.delivered;
-        self.useful += other.useful;
-        self.duplicates += other.duplicates;
-        self.generations_completed += other.generations_completed;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.failed |= other.failed;
-    }
-
-    /// Everything that happened since `earlier`, field by field
-    /// (saturating at zero). `failed` is edge-triggered: `true` only when
-    /// the stream failed *within* the interval.
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &ReplicaCounters) -> ReplicaCounters {
-        ReplicaCounters {
-            offers_seen: self.offers_seen.saturating_sub(earlier.offers_seen),
-            aborted: self.aborted.saturating_sub(earlier.aborted),
-            delivered: self.delivered.saturating_sub(earlier.delivered),
-            useful: self.useful.saturating_sub(earlier.useful),
-            duplicates: self.duplicates.saturating_sub(earlier.duplicates),
-            generations_completed: self
-                .generations_completed
-                .saturating_sub(earlier.generations_completed),
-            bytes_in: self.bytes_in.saturating_sub(earlier.bytes_in),
-            bytes_out: self.bytes_out.saturating_sub(earlier.bytes_out),
-            failed: self.failed && !earlier.failed,
-        }
+crate::counter_family! {
+    /// One replica's share of a striped fetch.
+    ///
+    /// A striped client opens one session per replica; this is the per-stream
+    /// accounting: what the replica offered, what the merged decoder took,
+    /// and what arrived too late to matter (duplicate rank — discarded, the
+    /// cost rateless union pays instead of coordination). Re-leased streams
+    /// merge into the surviving replica's numbers.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReplicaCounters {
+        /// Header-first offers this replica made.
+        pub offers_seen: u64,
+        /// Offers the client aborted at the header (completed or duplicate
+        /// rank, or a generation this stream does not lease).
+        pub aborted: u64,
+        /// Payloads this replica delivered.
+        pub delivered: u64,
+        /// Deliveries that advanced the merged decoder's rank.
+        pub useful: u64,
+        /// Deliveries discarded as duplicate rank (another replica got there
+        /// first).
+        pub duplicates: u64,
+        /// Generations whose finishing symbol came from this replica.
+        pub generations_completed: u64,
+        /// Bytes received from this replica.
+        pub bytes_in: u64,
+        /// Bytes sent to this replica.
+        pub bytes_out: u64,
+        /// The stream ended in an error (disconnect, stall, protocol); its
+        /// leases were re-assigned.
+        pub failed: bool,
     }
 }
 
-/// Accounting of one whole striped fetch across every replica stream.
-///
-/// `replicas` has one fixed slot per configured replica (index =
-/// replica index); streams re-opened after a failover merge into the
-/// surviving replica's slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StripeCounters {
-    /// Per-replica stream accounting, indexed by replica.
-    pub replicas: Vec<ReplicaCounters>,
-    /// Replica streams declared dead (error or progress-watermark stall).
-    pub failovers: u64,
-    /// Generation leases moved to a survivor after a failover.
-    pub generations_releases: u64,
+crate::counter_family! {
+    /// Accounting of one whole striped fetch across every replica stream.
+    ///
+    /// `replicas` has one fixed slot per configured replica (index =
+    /// replica index); streams re-opened after a failover merge into the
+    /// surviving replica's slot.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StripeCounters {
+        /// Per-replica stream accounting, indexed by replica.
+        pub replicas: Vec<ReplicaCounters>,
+        /// Replica streams declared dead (error or progress-watermark stall).
+        pub failovers: u64,
+        /// Generation leases moved to a survivor after a failover.
+        pub generations_releases: u64,
+    }
+    snapshot_delta {
+        /// Replica slots present now but not in `earlier` (a wider stripe)
+        /// pass through whole, so a scraper that started before a
+        /// reconfiguration still reads sane deltas.
+        ///
+        /// ```
+        /// use ltnc_metrics::StripeCounters;
+        ///
+        /// let mut earlier = StripeCounters::with_replicas(2);
+        /// earlier.replicas[0].delivered = 10;
+        /// let mut now = StripeCounters::with_replicas(2);
+        /// now.replicas[0].delivered = 25;
+        /// now.failovers = 1;
+        /// let delta = now.snapshot_delta(&earlier);
+        /// assert_eq!(delta.replicas[0].delivered, 15);
+        /// assert_eq!(delta.failovers, 1);
+        /// ```
+    }
 }
 
 impl StripeCounters {
     /// Counters for `replicas` streams, all zero.
     #[must_use]
-    pub fn new(replicas: usize) -> StripeCounters {
-        StripeCounters {
-            replicas: vec![ReplicaCounters::default(); replicas],
-            failovers: 0,
-            generations_releases: 0,
-        }
+    pub fn with_replicas(replicas: usize) -> StripeCounters {
+        StripeCounters { replicas: vec![ReplicaCounters::new(); replicas], ..StripeCounters::new() }
     }
 
     /// Total payloads delivered across all replicas.
@@ -118,42 +98,6 @@ impl StripeCounters {
     #[must_use]
     pub fn contributing_replicas(&self) -> usize {
         self.replicas.iter().filter(|r| r.useful > 0).count()
-    }
-
-    /// Everything that happened since `earlier`: replica slots are diffed
-    /// pairwise by index, scalars saturate at zero. Slots present now but
-    /// not in `earlier` (a wider stripe) pass through whole, so a scraper
-    /// that started before a reconfiguration still reads sane deltas.
-    ///
-    /// ```
-    /// use ltnc_metrics::StripeCounters;
-    ///
-    /// let mut earlier = StripeCounters::new(2);
-    /// earlier.replicas[0].delivered = 10;
-    /// let mut now = StripeCounters::new(2);
-    /// now.replicas[0].delivered = 25;
-    /// now.failovers = 1;
-    /// let delta = now.snapshot_delta(&earlier);
-    /// assert_eq!(delta.replicas[0].delivered, 15);
-    /// assert_eq!(delta.failovers, 1);
-    /// ```
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &StripeCounters) -> StripeCounters {
-        let blank = ReplicaCounters::default();
-        StripeCounters {
-            replicas: self
-                .replicas
-                .iter()
-                .enumerate()
-                .map(|(i, replica)| {
-                    replica.snapshot_delta(earlier.replicas.get(i).unwrap_or(&blank))
-                })
-                .collect(),
-            failovers: self.failovers.saturating_sub(earlier.failovers),
-            generations_releases: self
-                .generations_releases
-                .saturating_sub(earlier.generations_releases),
-        }
     }
 
     /// Fraction of deliveries that were duplicates, in `[0, 1]`; `0` when
@@ -192,7 +136,7 @@ mod tests {
 
     #[test]
     fn aggregates_sum_over_replicas() {
-        let mut c = StripeCounters::new(3);
+        let mut c = StripeCounters::with_replicas(3);
         c.replicas[0] =
             ReplicaCounters { delivered: 10, useful: 9, duplicates: 1, ..Default::default() };
         c.replicas[2] = ReplicaCounters { delivered: 5, useful: 5, ..Default::default() };
@@ -205,14 +149,14 @@ mod tests {
 
     #[test]
     fn zero_denominators_are_safe() {
-        let c = StripeCounters::new(0);
+        let c = StripeCounters::with_replicas(0);
         assert_eq!(c.duplicate_rate(), 0.0);
         assert_eq!(c.contributing_replicas(), 0);
     }
 
     #[test]
     fn snapshot_delta_is_pairwise_and_saturating() {
-        let mut earlier = StripeCounters::new(2);
+        let mut earlier = StripeCounters::with_replicas(2);
         earlier.replicas[0] = ReplicaCounters {
             offers_seen: 10,
             aborted: 2,
@@ -253,8 +197,8 @@ mod tests {
 
     #[test]
     fn snapshot_delta_handles_widened_stripe() {
-        let earlier = StripeCounters::new(1);
-        let mut now = StripeCounters::new(3);
+        let earlier = StripeCounters::with_replicas(1);
+        let mut now = StripeCounters::with_replicas(3);
         now.replicas[2].delivered = 4;
         let delta = now.snapshot_delta(&earlier);
         assert_eq!(delta.replicas.len(), 3);
@@ -263,7 +207,7 @@ mod tests {
 
     #[test]
     fn display_is_stable() {
-        let s = StripeCounters::new(2).to_string();
+        let s = StripeCounters::with_replicas(2).to_string();
         assert!(s.contains("2 replicas"));
         assert!(s.contains("0 failovers"));
     }

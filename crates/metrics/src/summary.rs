@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary statistics (Welford's online algorithm).
 ///
 /// Used throughout the evaluation harness: the relative standard deviation of
 /// native-packet occurrences (§III-B.3 reports ≈ 0.1 %), the average number of
 /// degree-draw retries (§III-B.1 reports ≈ 1.02), completion times across
 /// Monte-Carlo runs, etc.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

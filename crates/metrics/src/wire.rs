@@ -1,121 +1,70 @@
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
-/// Transport-level traffic accounting for one endpoint.
-///
-/// Where [`crate::OpCounters`] counts *coding* work (XORs, row reductions),
-/// `WireCounters` counts what actually crosses the network: datagrams and
-/// bytes, split into control (envelopes, code-vector headers, feedback) and
-/// data (payload bytes), plus the outcomes of the paper's binary feedback
-/// channel — transfers aborted after the header never cost payload bytes,
-/// which is exactly the saving the feedback channel exists to provide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireCounters {
-    /// Datagrams handed to the socket.
-    pub datagrams_sent: u64,
-    /// Datagrams received and decoded successfully.
-    pub datagrams_received: u64,
-    /// Total bytes handed to the socket (envelope + body).
-    pub bytes_sent: u64,
-    /// Total bytes received in decodable datagrams.
-    pub bytes_received: u64,
-    /// Bytes of payload data sent (the data-plane share of `bytes_sent`).
-    pub payload_bytes_sent: u64,
-    /// Header-probe transfers offered to peers (one per `DATA-HEADER`).
-    pub transfers_offered: u64,
-    /// Transfers a peer aborted after seeing only the header.
-    pub transfers_aborted: u64,
-    /// Transfers that carried their payload to acceptance.
-    pub transfers_delivered: u64,
-    /// Payload deliveries that turned out useful (innovative) at the receiver.
-    pub useful_deliveries: u64,
-    /// Datagrams that failed envelope or frame decoding.
-    pub decode_errors: u64,
-    /// Well-formed datagrams discarded for belonging to another session or
-    /// scheme (not corruption: e.g. a stale peer from a previous run).
-    pub session_mismatches: u64,
-    /// Always 0: the queue that dropped went with the thread-per-node
-    /// runtime (ISSUE 24); kept because the frozen `benchmark/` reads it.
-    pub inbound_dropped: u64,
-    /// Offers that never received feedback and were forgotten at their TTL
-    /// — the loss signal the adaptive pacing budget reacts to.
-    pub offer_timeouts: u64,
-    /// Times an adaptive in-flight budget crossed up to the next integer
-    /// (additive increase on observed feedback).
-    pub budget_raises: u64,
-    /// Times an adaptive in-flight budget was cut (multiplicative decrease
-    /// after offer timeouts).
-    pub budget_cuts: u64,
+crate::counter_family! {
+    /// Transport-level traffic accounting for one endpoint.
+    ///
+    /// Where [`crate::OpCounters`] counts *coding* work (XORs, row reductions),
+    /// `WireCounters` counts what actually crosses the network: datagrams and
+    /// bytes, split into control (envelopes, code-vector headers, feedback) and
+    /// data (payload bytes), plus the outcomes of the paper's binary feedback
+    /// channel — transfers aborted after the header never cost payload bytes,
+    /// which is exactly the saving the feedback channel exists to provide.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WireCounters {
+        /// Datagrams handed to the socket.
+        pub datagrams_sent: u64,
+        /// Datagrams received and decoded successfully.
+        pub datagrams_received: u64,
+        /// Total bytes handed to the socket (envelope + body).
+        pub bytes_sent: u64,
+        /// Total bytes received in decodable datagrams.
+        pub bytes_received: u64,
+        /// Bytes of payload data sent (the data-plane share of `bytes_sent`).
+        pub payload_bytes_sent: u64,
+        /// Header-probe transfers offered to peers (one per `DATA-HEADER`).
+        pub transfers_offered: u64,
+        /// Transfers a peer aborted after seeing only the header.
+        pub transfers_aborted: u64,
+        /// Transfers that carried their payload to acceptance.
+        pub transfers_delivered: u64,
+        /// Payload deliveries that turned out useful (innovative) at the receiver.
+        pub useful_deliveries: u64,
+        /// Datagrams that failed envelope or frame decoding.
+        pub decode_errors: u64,
+        /// Well-formed datagrams discarded for belonging to another session or
+        /// scheme (not corruption: e.g. a stale peer from a previous run).
+        pub session_mismatches: u64,
+        /// Always 0: the queue that dropped went with the thread-per-node
+        /// runtime; kept because the frozen `benchmark/` reads it.
+        pub inbound_dropped: u64,
+        /// Offers that never received feedback and were forgotten at their TTL
+        /// — the loss signal the adaptive pacing budget reacts to.
+        pub offer_timeouts: u64,
+        /// Times an adaptive in-flight budget crossed up to the next integer
+        /// (additive increase on observed feedback).
+        pub budget_raises: u64,
+        /// Times an adaptive in-flight budget was cut (multiplicative decrease
+        /// after offer timeouts).
+        pub budget_cuts: u64,
+    }
+    snapshot_delta {
+        /// Sampling a live endpoint at two instants and diffing yields the
+        /// traffic of that interval alone, so a periodic scraper can report
+        /// rates without the endpoint ever resetting its counters:
+        ///
+        /// ```
+        /// use ltnc_metrics::WireCounters;
+        ///
+        /// let earlier = WireCounters { datagrams_sent: 40, bytes_sent: 4_000, ..WireCounters::new() };
+        /// let now = WireCounters { datagrams_sent: 65, bytes_sent: 6_500, ..WireCounters::new() };
+        /// let delta = now.snapshot_delta(&earlier);
+        /// assert_eq!(delta.datagrams_sent, 25);
+        /// assert_eq!(delta.bytes_sent, 2_500);
+        /// ```
+    }
 }
 
 impl WireCounters {
-    /// All-zero counters.
-    #[must_use]
-    pub fn new() -> Self {
-        WireCounters::default()
-    }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &WireCounters) {
-        self.datagrams_sent += other.datagrams_sent;
-        self.datagrams_received += other.datagrams_received;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.payload_bytes_sent += other.payload_bytes_sent;
-        self.transfers_offered += other.transfers_offered;
-        self.transfers_aborted += other.transfers_aborted;
-        self.transfers_delivered += other.transfers_delivered;
-        self.useful_deliveries += other.useful_deliveries;
-        self.decode_errors += other.decode_errors;
-        self.session_mismatches += other.session_mismatches;
-        self.inbound_dropped += other.inbound_dropped;
-        self.offer_timeouts += other.offer_timeouts;
-        self.budget_raises += other.budget_raises;
-        self.budget_cuts += other.budget_cuts;
-    }
-
-    /// Everything that happened since `earlier`, field by field.
-    ///
-    /// The interval-delta counterpart of [`WireCounters::merge`]: sampling
-    /// a live endpoint's counters at two instants and diffing yields the
-    /// traffic of that interval alone, so a periodic scraper can report
-    /// rates without the endpoint ever resetting its counters. Saturates
-    /// at zero per field, so a stale `earlier` from a previous endpoint
-    /// incarnation degrades to the full current value instead of wrapping.
-    ///
-    /// ```
-    /// use ltnc_metrics::WireCounters;
-    ///
-    /// let earlier = WireCounters { datagrams_sent: 40, bytes_sent: 4_000, ..WireCounters::new() };
-    /// let now = WireCounters { datagrams_sent: 65, bytes_sent: 6_500, ..WireCounters::new() };
-    /// let delta = now.snapshot_delta(&earlier);
-    /// assert_eq!(delta.datagrams_sent, 25);
-    /// assert_eq!(delta.bytes_sent, 2_500);
-    /// ```
-    #[must_use]
-    pub fn snapshot_delta(&self, earlier: &WireCounters) -> WireCounters {
-        WireCounters {
-            datagrams_sent: self.datagrams_sent.saturating_sub(earlier.datagrams_sent),
-            datagrams_received: self.datagrams_received.saturating_sub(earlier.datagrams_received),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            payload_bytes_sent: self.payload_bytes_sent.saturating_sub(earlier.payload_bytes_sent),
-            transfers_offered: self.transfers_offered.saturating_sub(earlier.transfers_offered),
-            transfers_aborted: self.transfers_aborted.saturating_sub(earlier.transfers_aborted),
-            transfers_delivered: self
-                .transfers_delivered
-                .saturating_sub(earlier.transfers_delivered),
-            useful_deliveries: self.useful_deliveries.saturating_sub(earlier.useful_deliveries),
-            decode_errors: self.decode_errors.saturating_sub(earlier.decode_errors),
-            session_mismatches: self.session_mismatches.saturating_sub(earlier.session_mismatches),
-            inbound_dropped: self.inbound_dropped.saturating_sub(earlier.inbound_dropped),
-            offer_timeouts: self.offer_timeouts.saturating_sub(earlier.offer_timeouts),
-            budget_raises: self.budget_raises.saturating_sub(earlier.budget_raises),
-            budget_cuts: self.budget_cuts.saturating_sub(earlier.budget_cuts),
-        }
-    }
-
     /// Fraction of offered transfers that timed out without any feedback,
     /// in `[0, 1]`; `0` when nothing was offered. This is the endpoint's
     /// aggregate view of the loss estimate each peer budget tracks.

@@ -38,11 +38,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use ltnc_metrics::CounterFamily;
 use ltnc_telemetry::{FaultKind, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -632,94 +633,39 @@ impl DatagramFaults {
     }
 }
 
-/// Snapshot of the faults a [`FaultySocket`] has injected so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DatagramFaultCounters {
-    /// Inbound datagrams silently dropped.
-    pub dropped_in: u64,
-    /// Outbound datagrams silently dropped.
-    pub dropped_out: u64,
-    /// Inbound datagrams delivered twice.
-    pub duplicated_in: u64,
-    /// Outbound datagrams sent twice.
-    pub duplicated_out: u64,
-    /// Inbound datagrams released out of order.
-    pub reordered_in: u64,
-    /// Outbound datagrams released out of order.
-    pub reordered_out: u64,
-    /// Inbound datagrams delayed.
-    pub delayed_in: u64,
-    /// Outbound datagrams delayed.
-    pub delayed_out: u64,
+ltnc_metrics::counter_family! {
+    /// Snapshot of the faults a [`FaultySocket`] has injected so far.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DatagramFaultCounters {
+        /// Inbound datagrams silently dropped.
+        pub dropped_in: u64,
+        /// Outbound datagrams silently dropped.
+        pub dropped_out: u64,
+        /// Inbound datagrams delivered twice.
+        pub duplicated_in: u64,
+        /// Outbound datagrams sent twice.
+        pub duplicated_out: u64,
+        /// Inbound datagrams released out of order.
+        pub reordered_in: u64,
+        /// Outbound datagrams released out of order.
+        pub reordered_out: u64,
+        /// Inbound datagrams delayed.
+        pub delayed_in: u64,
+        /// Outbound datagrams delayed.
+        pub delayed_out: u64,
+    }
+    atomic {
+        /// The socket-wide totals every handle of one socket bumps.
+        #[derive(Default)]
+        struct AtomicFaultCounters;
+    }
 }
 
 impl DatagramFaultCounters {
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &DatagramFaultCounters) {
-        self.dropped_in += other.dropped_in;
-        self.dropped_out += other.dropped_out;
-        self.duplicated_in += other.duplicated_in;
-        self.duplicated_out += other.duplicated_out;
-        self.reordered_in += other.reordered_in;
-        self.reordered_out += other.reordered_out;
-        self.delayed_in += other.delayed_in;
-        self.delayed_out += other.delayed_out;
-    }
-
-    /// The per-field difference `self − previous`, saturating at zero —
-    /// what an interval scraper needs to turn two cumulative snapshots
-    /// into the faults injected *between* them.
-    #[must_use]
-    pub fn snapshot_delta(&self, previous: &DatagramFaultCounters) -> DatagramFaultCounters {
-        DatagramFaultCounters {
-            dropped_in: self.dropped_in.saturating_sub(previous.dropped_in),
-            dropped_out: self.dropped_out.saturating_sub(previous.dropped_out),
-            duplicated_in: self.duplicated_in.saturating_sub(previous.duplicated_in),
-            duplicated_out: self.duplicated_out.saturating_sub(previous.duplicated_out),
-            reordered_in: self.reordered_in.saturating_sub(previous.reordered_in),
-            reordered_out: self.reordered_out.saturating_sub(previous.reordered_out),
-            delayed_in: self.delayed_in.saturating_sub(previous.delayed_in),
-            delayed_out: self.delayed_out.saturating_sub(previous.delayed_out),
-        }
-    }
-
     /// Total datagrams affected by any fault, either direction.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.dropped_in
-            + self.dropped_out
-            + self.duplicated_in
-            + self.duplicated_out
-            + self.reordered_in
-            + self.reordered_out
-            + self.delayed_in
-            + self.delayed_out
-    }
-}
-
-#[derive(Default)]
-struct FaultTotals {
-    dropped_in: AtomicU64,
-    dropped_out: AtomicU64,
-    duplicated_in: AtomicU64,
-    duplicated_out: AtomicU64,
-    reordered_in: AtomicU64,
-    reordered_out: AtomicU64,
-    delayed_in: AtomicU64,
-    delayed_out: AtomicU64,
-}
-
-impl FaultTotals {
-    /// Folds one datagram's fault delta into the socket-wide totals.
-    fn add(&self, delta: &DatagramFaultCounters) {
-        self.dropped_in.fetch_add(delta.dropped_in, Ordering::Relaxed);
-        self.dropped_out.fetch_add(delta.dropped_out, Ordering::Relaxed);
-        self.duplicated_in.fetch_add(delta.duplicated_in, Ordering::Relaxed);
-        self.duplicated_out.fetch_add(delta.duplicated_out, Ordering::Relaxed);
-        self.reordered_in.fetch_add(delta.reordered_in, Ordering::Relaxed);
-        self.reordered_out.fetch_add(delta.reordered_out, Ordering::Relaxed);
-        self.delayed_in.fetch_add(delta.delayed_in, Ordering::Relaxed);
-        self.delayed_out.fetch_add(delta.delayed_out, Ordering::Relaxed);
+        self.fields().filter_map(|(_, field)| field.value()).sum()
     }
 }
 
@@ -865,7 +811,7 @@ pub struct FaultySocket {
     socket: UdpSocket,
     recv: Arc<Mutex<InboundState>>,
     send: Arc<Mutex<DirectionState>>,
-    totals: Arc<FaultTotals>,
+    totals: Arc<AtomicFaultCounters>,
     tracer: Tracer,
 }
 
@@ -897,7 +843,7 @@ impl FaultySocket {
             socket,
             recv: Arc::new(Mutex::new(InboundState::new(faults.inbound))),
             send: Arc::new(Mutex::new(DirectionState::new(faults.outbound))),
-            totals: Arc::new(FaultTotals::default()),
+            totals: Arc::new(AtomicFaultCounters::new()),
             tracer,
         })
     }
@@ -968,16 +914,7 @@ impl FaultySocket {
     /// Faults injected so far, both directions.
     #[must_use]
     pub fn fault_counters(&self) -> DatagramFaultCounters {
-        DatagramFaultCounters {
-            dropped_in: self.totals.dropped_in.load(Ordering::Relaxed),
-            dropped_out: self.totals.dropped_out.load(Ordering::Relaxed),
-            duplicated_in: self.totals.duplicated_in.load(Ordering::Relaxed),
-            duplicated_out: self.totals.duplicated_out.load(Ordering::Relaxed),
-            reordered_in: self.totals.reordered_in.load(Ordering::Relaxed),
-            reordered_out: self.totals.reordered_out.load(Ordering::Relaxed),
-            delayed_in: self.totals.delayed_in.load(Ordering::Relaxed),
-            delayed_out: self.totals.delayed_out.load(Ordering::Relaxed),
-        }
+        self.totals.snapshot()
     }
 
     /// Receives one datagram, applying the inbound fault plan. Blocking:

@@ -21,16 +21,18 @@
 //!   the endpoint's `/flight` route.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ltnc_metrics::{LogHistogramSnapshot, ReactorCounters, ReactorSnapshot, WireCounters};
+use ltnc_metrics::{
+    CounterFamily, Field, LogHistogramSnapshot, ReactorCounters, ReactorSnapshot, WireCounters,
+};
 use ltnc_reactor::{Dispatch, ShardObserver};
-use ltnc_telemetry::json::{JsonValue, REPORT_SCHEMA_VERSION};
+use ltnc_telemetry::json::{self, JsonValue, REPORT_SCHEMA_VERSION};
 use ltnc_telemetry::{
-    reactor_histograms, reactor_samples, wire_samples, HistogramSample, MetricsRegistry, RingSink,
-    Sample, TimedEvent, TraceEvent, Tracer,
+    histograms, samples, HistogramSample, MetricsRegistry, RingSink, Sample, TimedEvent,
+    TraceEvent, Tracer,
 };
 
 use crate::peer::Shared;
@@ -69,9 +71,6 @@ struct ShardState {
     /// only).
     ring: Option<Arc<RingSink>>,
     tracer: Tracer,
-    /// Local turn counter for heartbeat sampling (the `ReactorCounters`
-    /// field is not readable without a full snapshot).
-    turns: AtomicU64,
 }
 
 /// The sharded swarm's [`ShardObserver`]: routes every scheduler
@@ -91,12 +90,7 @@ impl SwarmTelemetry {
             .map(|_| {
                 let ring = flight_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
                 let tracer = Tracer::from_option(ring.clone().map(|ring| ring as _));
-                ShardState {
-                    counters: Arc::new(ReactorCounters::new()),
-                    ring,
-                    tracer,
-                    turns: AtomicU64::new(0),
-                }
+                ShardState { counters: Arc::new(ReactorCounters::new()), ring, tracer }
             })
             .collect();
         SwarmTelemetry { shards }
@@ -196,7 +190,7 @@ impl ShardObserver for SwarmTelemetry {
     fn turn_completed(&self, shard: usize, timers_pending: usize) {
         let Some(state) = self.shards.get(shard) else { return };
         state.counters.record_turn(timers_pending as u64);
-        let turns = state.turns.fetch_add(1, Ordering::Relaxed) + 1;
+        let turns = state.counters.turns.load(Ordering::Relaxed);
         if turns % TICK_SAMPLE_EVERY == 1 {
             state.tracer.emit(|| TraceEvent::ShardTick {
                 shard: shard as u64,
@@ -224,7 +218,7 @@ pub(crate) fn swarm_registry(
         for shared in &shareds {
             total.merge(&shared.wire_snapshot());
         }
-        wire_samples(&total)
+        samples(&total)
     });
 
     let shareds = completion.to_vec();
@@ -257,18 +251,17 @@ pub(crate) fn swarm_registry(
     for (shard, counters) in telemetry.shard_counters().into_iter().enumerate() {
         let labels = [("shard", shard.to_string())];
         let source = Arc::clone(&counters);
-        registry.register("reactor", &labels, move || reactor_samples(&source.snapshot()));
-        registry.register_histograms("reactor", &labels, move || {
-            reactor_histograms(&counters.snapshot())
-        });
+        registry.register("reactor", &labels, move || samples(&source.snapshot()));
+        registry.register_histograms("reactor", &labels, move || histograms(&counters.snapshot()));
     }
     registry
 }
 
-/// Decoder-progress gauges over every node's shared state: completion
-/// counts, total innovative symbols, per-generation aggregate rank
-/// (from the per-tick published mirrors) and the innovative ratio in
-/// parts per million of delivered transfers. The source (node 0) is
+/// Decoder progress over every node's shared state: completion counts,
+/// total innovative symbols, per-generation aggregate rank (from the
+/// per-tick published mirrors) and the innovative ratio in parts per
+/// million of delivered transfers. The receiver and generation totals and
+/// the ratio are gauges; the rest only grow. The source (node 0) is
 /// excluded — it decodes nothing.
 fn decoder_samples(shareds: &[Arc<Shared>], generations: u32) -> Vec<Sample> {
     let receivers = shareds.len().saturating_sub(1) as u64;
@@ -295,18 +288,17 @@ fn decoder_samples(shareds: &[Arc<Shared>], generations: u32) -> Vec<Sample> {
     }
     let innovative_ppm = useful.saturating_mul(1_000_000).checked_div(delivered).unwrap_or(0);
     let mut samples = vec![
-        Sample::plain("nodes", receivers),
+        Sample::gauge("nodes", receivers),
         Sample::plain("nodes_complete", nodes_complete),
-        Sample::plain("generations", u64::from(generations) * receivers),
+        Sample::gauge("generations", u64::from(generations) * receivers),
         Sample::plain("generations_complete", generations_complete),
         Sample::plain("decoded_rank", decoded_rank),
-        Sample::plain("innovative_ppm", innovative_ppm),
+        Sample::gauge("innovative_ppm", innovative_ppm),
     ];
     for (generation, rank) in per_generation.into_iter().enumerate() {
         samples.push(Sample {
-            name: "rank",
             labels: vec![("generation", generation.to_string())],
-            value: rank,
+            ..Sample::plain("rank", rank)
         });
     }
     samples
@@ -385,49 +377,29 @@ impl FlightState {
     }
 }
 
-/// One shard's section of a flight dump: the counter snapshot, compact
-/// histogram summaries, and (when the recorder is on) the ring's recent
-/// events oldest-first plus how many older ones the ring dropped.
+/// One shard's section of a flight dump: every counter of the snapshot
+/// (`nodes` first), compact histogram summaries, and (when the recorder
+/// is on) the ring's recent events oldest-first plus how many older ones
+/// the ring dropped. Full bucket vectors would dwarf the rest of the dump
+/// without aiding a stall diagnosis.
 fn shard_json(
     shard: usize,
     snapshot: &ReactorSnapshot,
     events: Option<(Vec<TimedEvent>, u64)>,
 ) -> JsonValue {
-    let mut doc = JsonValue::object()
-        .field("shard", shard as u64)
-        .field("nodes", snapshot.nodes)
-        .field("turns", snapshot.turns)
-        .field("polls", snapshot.polls)
-        .field("poll_events", snapshot.poll_events)
-        .field("wakeups", snapshot.wakeups)
-        .field("wakeup_rounds", snapshot.wakeup_rounds)
-        .field("control_messages", snapshot.control_messages)
-        .field("control_high_watermark", snapshot.control_high_watermark)
-        .field("readable_dispatches", snapshot.readable_dispatches)
-        .field("timer_dispatches", snapshot.timer_dispatches)
-        .field("control_dispatches", snapshot.control_dispatches)
-        .field("timers_fired", snapshot.timers_fired)
-        .field("wheel_depth", snapshot.wheel_depth)
-        .field("poll_wait_us", histogram_json(&snapshot.poll_wait_us))
-        .field("dispatch_ns", histogram_json(&snapshot.dispatch_ns))
-        .field("tick_lag_us", histogram_json(&snapshot.tick_lag_us));
+    let head = JsonValue::object().field("shard", shard as u64).field("nodes", snapshot.nodes);
+    let mut doc = json::scalar_fields(head, snapshot);
+    for (name, field) in snapshot.fields() {
+        if let Field::Histogram(histogram) = field {
+            doc = doc.field(name, json::histogram_summary(JsonValue::object(), histogram));
+        }
+    }
     if let Some((events, dropped)) = events {
         doc = doc
             .field("events", JsonValue::array(events.iter().map(event_json).collect()))
             .field("events_dropped", dropped);
     }
     doc
-}
-
-/// Compact summary of one histogram (full bucket vectors would dwarf
-/// the rest of the dump without aiding a stall diagnosis).
-fn histogram_json(snapshot: &LogHistogramSnapshot) -> JsonValue {
-    JsonValue::object()
-        .field("count", snapshot.count())
-        .field("mean", snapshot.mean())
-        .field("p50", snapshot.p50())
-        .field("p99", snapshot.p99())
-        .field("max", snapshot.max)
 }
 
 /// One flight-recorder event row: stamp, stable name, the scheduler
@@ -527,6 +499,45 @@ mod tests {
         assert!(
             text.contains("ltnc_wire_delivery_latency_us_bucket"),
             "missing merged latency histogram:\n{text}"
+        );
+    }
+
+    #[test]
+    fn decoder_family_scrape_lines_are_golden() {
+        let shareds: Vec<Arc<Shared>> = (0..3).map(|_| Arc::new(Shared::default())).collect();
+        shareds[1].complete.store(true, Ordering::Release);
+        shareds[1].complete_generations.store(2, Ordering::Release);
+        shareds[1].decoded_rank.store(16, Ordering::Relaxed);
+        *shareds[1].decoder.lock().unwrap() = vec![8, 8];
+        shareds[2].complete_generations.store(1, Ordering::Release);
+        shareds[2].decoded_rank.store(11, Ordering::Relaxed);
+        *shareds[2].decoder.lock().unwrap() = vec![8, 3];
+        for (shared, delivered, useful) in [(&shareds[1], 20, 16), (&shareds[2], 25, 11)] {
+            let mut wire = shared.wire.lock().unwrap();
+            wire.transfers_delivered = delivered;
+            wire.useful_deliveries = useful;
+        }
+        let page = decoder_samples(&shareds, 2);
+        let registry = MetricsRegistry::new();
+        registry.register("decoder", &[], move || page.clone());
+        let text = registry.snapshot().to_prometheus();
+        assert_eq!(
+            text,
+            "# TYPE ltnc_decoder_nodes gauge\n\
+             ltnc_decoder_nodes 2\n\
+             # TYPE ltnc_decoder_nodes_complete counter\n\
+             ltnc_decoder_nodes_complete 1\n\
+             # TYPE ltnc_decoder_generations gauge\n\
+             ltnc_decoder_generations 4\n\
+             # TYPE ltnc_decoder_generations_complete counter\n\
+             ltnc_decoder_generations_complete 3\n\
+             # TYPE ltnc_decoder_decoded_rank counter\n\
+             ltnc_decoder_decoded_rank 27\n\
+             # TYPE ltnc_decoder_innovative_ppm gauge\n\
+             ltnc_decoder_innovative_ppm 600000\n\
+             # TYPE ltnc_decoder_rank counter\n\
+             ltnc_decoder_rank{generation=\"0\"} 16\n\
+             ltnc_decoder_rank{generation=\"1\"} 11\n"
         );
     }
 

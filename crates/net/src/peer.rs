@@ -79,8 +79,8 @@ use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
 use ltnc_reactor::Reactor;
 use ltnc_scheme::SchemeParams;
 use ltnc_telemetry::{
-    hop_latency_histograms, wire_samples, MetricsRegistry, OfferTrigger, ScrapeOptions,
-    ScrapeServer, TimedEvent, TraceEvent, TraceSink, Tracer,
+    hop_latency_histograms, samples, MetricsRegistry, OfferTrigger, ScrapeOptions, ScrapeServer,
+    TimedEvent, TraceEvent, TraceSink, Tracer,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -439,21 +439,6 @@ impl PeerNode {
     }
 }
 
-/// [`DatagramFaultCounters`] as registry samples (family `faults`).
-fn fault_samples(c: &DatagramFaultCounters) -> Vec<ltnc_telemetry::Sample> {
-    use ltnc_telemetry::Sample;
-    vec![
-        Sample::plain("dropped_in", c.dropped_in),
-        Sample::plain("dropped_out", c.dropped_out),
-        Sample::plain("duplicated_in", c.duplicated_in),
-        Sample::plain("duplicated_out", c.duplicated_out),
-        Sample::plain("reordered_in", c.reordered_in),
-        Sample::plain("reordered_out", c.reordered_out),
-        Sample::plain("delayed_in", c.delayed_in),
-        Sample::plain("delayed_out", c.delayed_out),
-    ]
-}
-
 /// Publishes a source's by-definition completion on `shared` before its
 /// state machine is ever scheduled, so completion observers never see a
 /// stale "incomplete" for it. A no-op for receivers.
@@ -480,13 +465,13 @@ pub(crate) fn spawn_scrape(
     let registry = Arc::new(MetricsRegistry::new());
     let node_label = [("node", local_addr.to_string())];
     let wire_shared = Arc::clone(shared);
-    registry.register("wire", &node_label, move || wire_samples(&wire_shared.wire_snapshot()));
+    registry.register("wire", &node_label, move || samples(&wire_shared.wire_snapshot()));
     let latency_shared = Arc::clone(shared);
     registry.register_histograms("wire", &node_label, move || {
         hop_latency_histograms(&latency_shared.latency)
     });
     let fault_handle = socket.try_clone()?;
-    registry.register("faults", &node_label, move || fault_samples(&fault_handle.fault_counters()));
+    registry.register("faults", &node_label, move || samples(&fault_handle.fault_counters()));
     Ok(Some(ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?))
 }
 

@@ -1,10 +1,9 @@
 use ltnc_gf2::Payload;
-use serde::{Deserialize, Serialize};
 
 use crate::{LtncSchemeNode, RlncSchemeNode, Scheme, WcNode};
 
 /// Which dissemination scheme the nodes run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Without Coding: nodes forward native packets only (the paper's "WC").
     Wc,
@@ -67,7 +66,7 @@ impl SchemeKind {
 /// This is the scheme-construction subset of the simulator's `SimConfig`,
 /// extracted so that non-simulator drivers (the UDP session layer, tests,
 /// examples) can instantiate nodes directly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeParams {
     /// The coding scheme to run.
     pub kind: SchemeKind,

@@ -31,10 +31,9 @@ use ltnc_metrics::{
 };
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::{fetch, ClientOptions, ServeOptions, Server};
-use ltnc_telemetry::json::JsonValue;
+use ltnc_telemetry::json::{self, JsonValue};
 use ltnc_telemetry::{
-    hop_samples, serve_samples, stripe_samples, wire_samples, MetricsRegistry, ScrapeOptions,
-    ScrapeServer,
+    hop_samples, samples, stripe_samples, MetricsRegistry, ScrapeOptions, ScrapeServer,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -175,18 +174,18 @@ fn spawn_telemetry(addr: SocketAddr) -> std::io::Result<Telemetry> {
     let wire = Arc::new(Mutex::new(WireCounters::new()));
     // The single-server fetches roll up as one replica slot; hop-distance
     // 1 models the one client-to-server hop of the serving workload.
-    let stripe = Arc::new(Mutex::new(StripeCounters::new(1)));
+    let stripe = Arc::new(Mutex::new(StripeCounters::with_replicas(1)));
     let hop = Arc::new(Mutex::new(HopCounters::new()));
 
     let registry = Arc::new(MetricsRegistry::new());
     let example = ("example", "cache_serving".to_string());
     let source = Arc::clone(&serve);
     registry.register("serve", std::slice::from_ref(&example), move || {
-        serve_samples(&source.lock().expect("serve rollup lock"))
+        samples(&*source.lock().expect("serve rollup lock"))
     });
     let source = Arc::clone(&wire);
     registry.register("wire", &[example.clone(), ("node", "clients".to_string())], move || {
-        wire_samples(&source.lock().expect("wire rollup lock"))
+        samples(&*source.lock().expect("wire rollup lock"))
     });
     let source = Arc::clone(&stripe);
     registry.register("stripe", std::slice::from_ref(&example), move || {
@@ -384,27 +383,11 @@ fn render_report(args: &Args, outcomes: &[SchemeOutcome]) -> String {
                 .field("throughput_mib_s", outcome.throughput_mib)
                 .field(
                     "latency",
-                    JsonValue::object()
-                        .field("unit", "us")
-                        .field("count", latency.count())
-                        .field("mean", latency.mean())
-                        .field("p50", latency.p50())
-                        .field("p90", latency.p90())
-                        .field("p99", latency.p99())
-                        .field("max", latency.quantile(1.0)),
+                    json::histogram_summary(JsonValue::object().field("unit", "us"), latency),
                 )
                 .field(
                     "server",
-                    JsonValue::object()
-                        .field("sessions_accepted", counters.sessions_accepted)
-                        .field("sessions_completed", counters.sessions_completed)
-                        .field("bytes_out", counters.bytes_out)
-                        .field("bytes_in", counters.bytes_in)
-                        .field("transfers_offered", counters.transfers_offered)
-                        .field("transfers_delivered", counters.transfers_delivered)
-                        .field("cache_hits", counters.cache_hits)
-                        .field("cache_misses", counters.cache_misses)
-                        .field("cache_evictions", counters.cache_evictions)
+                    json::scalar_fields(JsonValue::object(), counters)
                         .field("cache_hit_rate", counters.cache_hit_rate()),
                 )
                 .field(

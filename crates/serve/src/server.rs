@@ -36,14 +36,14 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
-use ltnc_metrics::{LogHistogram, ServeCounters};
+use ltnc_metrics::{AtomicServeCounters, LogHistogram, ServeCounters};
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
 };
@@ -51,26 +51,19 @@ use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
 use ltnc_telemetry::{
-    serve_samples, HistogramSample, MetricsRegistry, ScrapeOptions, ScrapeServer, TraceEvent,
-    TraceSink, Tracer,
+    samples, HistogramSample, MetricsRegistry, ScrapeOptions, ScrapeServer, TraceEvent, TraceSink,
+    Tracer,
 };
 
 use crate::store::ObjectStore;
 use crate::{ServeError, ServeOptions};
 
-/// Atomic mirror of the session-level [`ServeCounters`] fields, shared by
-/// every worker. Cache counters live in the store and are merged into
-/// snapshots.
+/// What every worker records: the session-level [`ServeCounters`] as
+/// atomic cells (cache counters live in the store and are filled into
+/// snapshots) plus the session-duration histogram.
 #[derive(Default)]
 struct ServeStats {
-    sessions_accepted: AtomicU64,
-    sessions_rejected: AtomicU64,
-    sessions_completed: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-    transfers_offered: AtomicU64,
-    transfers_aborted: AtomicU64,
-    transfers_delivered: AtomicU64,
+    counters: AtomicServeCounters,
     /// Wall-clock duration of each finished session in microseconds
     /// (from accepted connection to close, whatever the outcome) —
     /// served live as a `session_micros` histogram on the scrape
@@ -176,9 +169,8 @@ impl Server {
                 let hist_stats = Arc::clone(&stats);
                 let store = Arc::clone(&store);
                 let stats = Arc::clone(&stats);
-                registry.register("serve", &server_label, move || {
-                    serve_samples(&snapshot(&store, &stats))
-                });
+                registry
+                    .register("serve", &server_label, move || samples(&snapshot(&store, &stats)));
                 registry.register_histograms("serve", &server_label, move || {
                     let snapshot = hist_stats.session_micros.snapshot();
                     if snapshot.is_empty() {
@@ -265,17 +257,10 @@ impl Server {
 fn snapshot(store: &ObjectStore, stats: &ServeStats) -> ServeCounters {
     let cache = store.cache_stats();
     ServeCounters {
-        sessions_accepted: stats.sessions_accepted.load(Ordering::Relaxed),
-        sessions_rejected: stats.sessions_rejected.load(Ordering::Relaxed),
-        sessions_completed: stats.sessions_completed.load(Ordering::Relaxed),
-        bytes_out: stats.bytes_out.load(Ordering::Relaxed),
-        bytes_in: stats.bytes_in.load(Ordering::Relaxed),
-        transfers_offered: stats.transfers_offered.load(Ordering::Relaxed),
-        transfers_aborted: stats.transfers_aborted.load(Ordering::Relaxed),
-        transfers_delivered: stats.transfers_delivered.load(Ordering::Relaxed),
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
+        ..stats.counters.snapshot()
     }
 }
 
@@ -313,7 +298,7 @@ fn accept_loop(
                     // Bounded handoff: at capacity the connection is
                     // refused outright (dropping closes it) and counted,
                     // instead of queueing without bound.
-                    stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
+                    stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
                     drop(refused);
                 }
                 Err(TrySendError::Disconnected(_)) => return,
@@ -463,7 +448,7 @@ impl Connection<'_> {
             return Ok(());
         }
         self.stream.write_all(&self.outbound)?;
-        self.stats.bytes_out.fetch_add(self.outbound.len() as u64, Ordering::Relaxed);
+        self.stats.counters.bytes_out.fetch_add(self.outbound.len() as u64, Ordering::Relaxed);
         self.outbound.clear();
         Ok(())
     }
@@ -536,7 +521,7 @@ fn run_session(
         match conn.stream.read(&mut buf) {
             Ok(0) => return Err(ServeError::Disconnected),
             Ok(n) => {
-                stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                stats.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 conn.reassembler.extend(&buf[..n]);
                 last_inbound = std::time::Instant::now();
             }
@@ -596,7 +581,7 @@ fn handle_frame(
             let manifest =
                 store.manifest(object_id).filter(|manifest| manifest.params.kind == header.scheme);
             let Some(manifest) = manifest else {
-                stats.sessions_rejected.fetch_add(1, Ordering::Relaxed);
+                stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
                 conn.tracer.emit(|| TraceEvent::SessionRejected { object: object_id });
                 let reject = EnvelopeHeader {
                     kind: MessageKind::Reject,
@@ -607,7 +592,7 @@ fn handle_frame(
                 conn.send(&reject, &Message::Reject);
                 return Ok(true);
             };
-            stats.sessions_accepted.fetch_add(1, Ordering::Relaxed);
+            stats.counters.sessions_accepted.fetch_add(1, Ordering::Relaxed);
             conn.tracer.emit(|| TraceEvent::SessionAccepted { object: object_id });
             let new = Session::new(object_id, manifest, options);
             conn.send(
@@ -629,7 +614,7 @@ fn handle_frame(
                 return Ok(false); // feedback for an offer we no longer track
             };
             if accept {
-                stats.transfers_delivered.fetch_add(1, Ordering::Relaxed);
+                stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
                 let header = session.header(MessageKind::DataPayload, generation);
                 envelope::encode_payload_into(
                     &mut conn.outbound,
@@ -639,7 +624,7 @@ fn handle_frame(
                     &packet,
                 );
             } else {
-                stats.transfers_aborted.fetch_add(1, Ordering::Relaxed);
+                stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
             }
             Ok(false)
         }
@@ -648,7 +633,7 @@ fn handle_frame(
                 return Err(ServeError::UnexpectedMessage("COMPLETE before REQUEST"));
             };
             if header.generation == GENERATION_OBJECT {
-                stats.sessions_completed.fetch_add(1, Ordering::Relaxed);
+                stats.counters.sessions_completed.fetch_add(1, Ordering::Relaxed);
                 let object = session.object_id;
                 conn.tracer.emit(|| TraceEvent::SessionCompleted { object });
                 return Ok(true);
@@ -699,7 +684,7 @@ fn pump_offers(
         session.cursors[gen_index] = seq + 1;
         let transfer = session.next_transfer;
         session.next_transfer += 1;
-        stats.transfers_offered.fetch_add(1, Ordering::Relaxed);
+        stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage, stamped at offer time.

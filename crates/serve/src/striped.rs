@@ -211,7 +211,7 @@ pub fn fetch_striped_traced(
         object_id,
         scheme,
         options: *options,
-        stripe: StripeCounters::new(addrs.len()),
+        stripe: StripeCounters::with_replicas(addrs.len()),
         manifest: None,
         receiver: None,
         leases: None,

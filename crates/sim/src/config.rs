@@ -1,5 +1,4 @@
 use ltnc_scheme::{SchemeKind, SchemeParams};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one simulated dissemination (§IV-A of the paper).
 ///
@@ -7,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// `m = 256 KB`; the defaults here are scaled down so that unit tests and the
 /// quick mode of the figure harness run in seconds, and the harness overrides
 /// them to paper scale when asked.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Number of nodes `N` (the source is an additional, dedicated node).
     pub nodes: usize,

@@ -1,5 +1,4 @@
 use ltnc_metrics::{CostModel, OpCounters, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 use crate::{SchemeKind, SimConfig};
 
@@ -10,7 +9,7 @@ use crate::{SchemeKind, SimConfig};
 /// complete (Figure 7b), the communication overhead (Figure 7c) and the
 /// operation counters that, folded through a [`CostModel`], give the four
 /// panels of Figure 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Which scheme produced this report.
     pub scheme: SchemeKind,
@@ -88,7 +87,7 @@ impl SimReport {
 }
 
 /// The four cost quantities of Figure 8, derived from a [`SimReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     /// Figure 8a: cycles spent on control structures per recoded packet.
     pub recode_control_per_packet: f64,

@@ -1,11 +1,11 @@
 //! A minimal JSON document builder.
 //!
-//! The workspace's vendored `serde` is an offline no-op facade (see
-//! `vendor/README.md`), so machine-readable output is rendered by hand.
 //! [`JsonValue`] covers exactly what the scrape endpoint and the
 //! examples' `--report` writers need: objects, arrays, strings, numbers
 //! and booleans, with correct string escaping and deterministic member
-//! order (members render in insertion order).
+//! order (members render in insertion order). [`scalar_fields`] and
+//! [`histogram_summary`] render counter families and distributions the
+//! same way in every report.
 //!
 //! ```
 //! use ltnc_telemetry::json::JsonValue;
@@ -18,6 +18,8 @@
 //! ```
 
 use core::fmt;
+
+use ltnc_metrics::{CounterFamily, LogHistogramSnapshot};
 
 /// Schema version stamped as the top-level `schema_version` member of
 /// every machine-readable run report in the workspace — the examples'
@@ -190,6 +192,34 @@ impl JsonValue {
             }
         }
     }
+}
+
+/// Appends every scalar field of `family` to the object `doc` as a
+/// number (flags as 0 or 1), in declaration order, skipping names `doc`
+/// already has — so a caller can hoist a field to the front.
+#[must_use]
+pub fn scalar_fields(mut doc: JsonValue, family: &impl CounterFamily) -> JsonValue {
+    for (name, field) in family.fields() {
+        if let Some(value) = field.value() {
+            if doc.get(name).is_none() {
+                doc = doc.field(name, value);
+            }
+        }
+    }
+    doc
+}
+
+/// Appends the summary of one distribution to the object `doc`:
+/// `count`, `mean`, `p50`, `p90`, `p99` and `max`. Callers that print a
+/// unit put it in `doc` first.
+#[must_use]
+pub fn histogram_summary(doc: JsonValue, snapshot: &LogHistogramSnapshot) -> JsonValue {
+    doc.field("count", snapshot.count())
+        .field("mean", snapshot.mean())
+        .field("p50", snapshot.p50())
+        .field("p90", snapshot.p90())
+        .field("p99", snapshot.p99())
+        .field("max", snapshot.max)
 }
 
 /// Recursive-descent parser over the document bytes. Depth is bounded
@@ -475,6 +505,30 @@ mod tests {
         assert_eq!(JsonValue::from(0.1).render(), "0.1");
         assert_eq!(JsonValue::from(f64::NAN).render(), "null");
         assert_eq!(JsonValue::from(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn histogram_summary_follows_the_unit_and_reads_max_off_the_snapshot() {
+        let histogram = ltnc_metrics::LogHistogram::new();
+        for value in [3, 90, 90, 4_001] {
+            histogram.record(value);
+        }
+        let doc = histogram_summary(JsonValue::object().field("unit", "us"), &histogram.snapshot());
+        assert_eq!(
+            doc.render(),
+            r#"{"unit":"us","count":4,"mean":1046.0,"p50":127,"p90":4001,"p99":4001,"max":4001}"#
+        );
+    }
+
+    #[test]
+    fn scalar_fields_keep_hoisted_members_in_place() {
+        let wire =
+            ltnc_metrics::WireCounters { bytes_sent: 7, decode_errors: 2, ..Default::default() };
+        let doc = scalar_fields(JsonValue::object().field("decode_errors", 2u64), &wire);
+        let JsonValue::Object(members) = &doc else { panic!("an object") };
+        assert_eq!(members.len(), 15);
+        assert_eq!(members[0].0, "decode_errors");
+        assert_eq!(doc.get("bytes_sent"), Some(&JsonValue::Int(7)));
     }
 
     #[test]

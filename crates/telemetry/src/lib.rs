@@ -2,10 +2,11 @@
 //! labeled metrics registry, and a tiny TCP scrape endpoint.
 //!
 //! The transports (`ltnc-net`, `ltnc-serve`, `ltnc-topo`) account for
-//! everything they do in plain counter structs (`WireCounters`,
-//! `ServeCounters`, `StripeCounters`, `HopCounters`), but those are only
-//! readable post-mortem from in-process reports. This crate adds the two
-//! live views a running system needs:
+//! everything they do in counter families declared once in
+//! `ltnc-metrics` (`WireCounters`, `ServeCounters`, `StripeCounters`,
+//! `HopCounters`, `ReactorSnapshot`), but those are only readable
+//! post-mortem from in-process reports. This crate adds the two live
+//! views a running system needs:
 //!
 //! 1. **Events** — [`TraceEvent`] is the typed vocabulary of things that
 //!    happen on the hot paths (offers, feedback, AIMD budget moves,
@@ -16,17 +17,16 @@
 //!    [`RingSink`] is the bundled recorder: a bounded ring buffer that
 //!    stamps each event with a monotonic-clock offset.
 //! 2. **Metrics** — a [`MetricsRegistry`] holds labeled [`Collector`]s
-//!    (usually closures sampling a live counter struct), renders
-//!    snapshots as Prometheus-style text or JSON, and computes interval
-//!    deltas (generalizing `ServeCounters::snapshot_delta` to every
-//!    family). [`ScrapeServer`] serves those snapshots over a
-//!    thread-per-listener TCP endpoint with deadlines, so a slow or
-//!    malformed scraper can never stall the instrumented process.
+//!    (usually closures sampling a live counter family through
+//!    [`samples`], which reads the family's field visitor and types each
+//!    sample counter or gauge from its declaration) and renders
+//!    cumulative snapshots as Prometheus-style text or JSON.
+//!    [`ScrapeServer`] serves those snapshots over a thread-per-listener
+//!    TCP endpoint with deadlines, so a slow or malformed scraper can
+//!    never stall the instrumented process.
 //!
 //! The [`json`] module is a minimal JSON document builder shared by the
-//! endpoint's JSON view and the examples' `--report` writers (the
-//! workspace's vendored `serde` is an offline no-op facade, so JSON is
-//! rendered by hand).
+//! endpoint's JSON view and the examples' `--report` writers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,13 +38,10 @@ mod registry;
 mod scrape;
 mod trace;
 
-pub use collectors::{
-    hop_latency_histograms, hop_samples, reactor_histograms, reactor_samples, serve_samples,
-    stripe_samples, wire_samples,
-};
+pub use collectors::{histograms, hop_latency_histograms, hop_samples, samples, stripe_samples};
 pub use registry::{
     Collector, FamilySnapshot, HistogramCollector, HistogramSample, MetricsRegistry,
-    MetricsSnapshot, Sample,
+    MetricsSnapshot, Sample, SampleKind,
 };
 pub use scrape::{FlightHandler, ScrapeOptions, ScrapeServer};
 pub use trace::{FaultKind, OfferTrigger, RingSink, TimedEvent, TraceEvent, TraceSink, Tracer};

@@ -1,31 +1,56 @@
 use core::fmt;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ltnc_metrics::{bucket_bound, LogHistogramSnapshot, LOG_BUCKETS};
 
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 
-/// One counter value sampled from a live source.
+/// How a sample's value moves, rendered as its `# TYPE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleKind {
+    /// A running total that only grows, so a scraper may take its rate.
+    Counter,
+    /// A current value that may fall as well as rise.
+    Gauge,
+}
+
+impl SampleKind {
+    fn label(self) -> &'static str {
+        match self {
+            SampleKind::Counter => "counter",
+            SampleKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One value sampled from a live source.
 ///
-/// `name` is the counter's snake_case field name within its family;
+/// `name` is the value's snake_case field name within its family;
 /// `labels` carries sample-level dimensions (for example `replica="2"` or
 /// `hop="3"`) on top of whatever labels the family was registered with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
-    /// Counter name within the family (for example `bytes_sent`).
+    /// Name within the family (for example `bytes_sent`).
     pub name: &'static str,
     /// Extra label dimensions specific to this sample.
     pub labels: Vec<(&'static str, String)>,
-    /// The current cumulative value.
+    /// The current value.
     pub value: u64,
+    /// Whether the value is a running total or a current value.
+    pub kind: SampleKind,
 }
 
 impl Sample {
-    /// A label-less sample.
+    /// A label-less counter sample.
     #[must_use]
     pub fn plain(name: &'static str, value: u64) -> Sample {
-        Sample { name, labels: Vec::new(), value }
+        Sample { name, labels: Vec::new(), value, kind: SampleKind::Counter }
+    }
+
+    /// A label-less gauge sample.
+    #[must_use]
+    pub fn gauge(name: &'static str, value: u64) -> Sample {
+        Sample { kind: SampleKind::Gauge, ..Sample::plain(name, value) }
     }
 }
 
@@ -113,11 +138,6 @@ struct Entry {
     family: String,
     labels: Vec<(String, String)>,
     source: Source,
-    /// Values at the previous `interval_delta` call, keyed by the fully
-    /// rendered metric identity.
-    last: HashMap<String, u64>,
-    /// Histogram snapshots at the previous `interval_delta` call.
-    last_hist: HashMap<String, LogHistogramSnapshot>,
 }
 
 /// A set of labeled counter families, sampled on demand.
@@ -125,13 +145,11 @@ struct Entry {
 /// The registry unifies the workspace's counter structs behind one
 /// scrapeable surface: each registration pairs a family name and fixed
 /// labels with a [`Collector`] that reads the live values. Snapshots are
-/// cumulative; [`MetricsRegistry::interval_delta`] returns only what
-/// changed since the previous delta call, generalizing the
-/// `snapshot_delta` pattern of the counter structs to every family at
-/// once.
+/// cumulative: a scraper takes rates over them, and an in-process
+/// interval is a counter family's own `snapshot_delta`.
 ///
 /// ```
-/// use ltnc_telemetry::{wire_samples, MetricsRegistry};
+/// use ltnc_telemetry::{samples, MetricsRegistry};
 /// use ltnc_metrics::WireCounters;
 /// use std::sync::{Arc, Mutex};
 ///
@@ -139,13 +157,13 @@ struct Entry {
 /// let registry = MetricsRegistry::new();
 /// let source = live.clone();
 /// registry.register("wire", &[("node", "n0".to_string())], move || {
-///     wire_samples(&source.lock().unwrap())
+///     samples(&*source.lock().unwrap())
 /// });
 ///
 /// live.lock().unwrap().datagrams_sent = 7;
-/// assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 7);
+/// assert_eq!(registry.snapshot().value("wire", "datagrams_sent"), 7);
 /// live.lock().unwrap().datagrams_sent = 10;
-/// assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 3);
+/// assert_eq!(registry.snapshot().value("wire", "datagrams_sent"), 10);
 /// ```
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -188,8 +206,6 @@ impl MetricsRegistry {
             family: family.to_string(),
             labels: labels.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
             source,
-            last: HashMap::new(),
-            last_hist: HashMap::new(),
         };
         if let Ok(mut entries) = self.entries.lock() {
             entries.push(entry);
@@ -205,57 +221,24 @@ impl MetricsRegistry {
     /// Samples every collector and returns the cumulative values.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.collect(false)
-    }
-
-    /// Samples every collector and returns only the change since the
-    /// previous `interval_delta` call (the first call returns everything,
-    /// matching `snapshot_delta` against a zero baseline). Values that
-    /// went backwards saturate at zero.
-    #[must_use]
-    pub fn interval_delta(&self) -> MetricsSnapshot {
-        self.collect(true)
-    }
-
-    fn collect(&self, delta: bool) -> MetricsSnapshot {
-        let mut families = Vec::new();
-        let Ok(mut entries) = self.entries.lock() else {
-            return MetricsSnapshot { families };
+        let Ok(entries) = self.entries.lock() else {
+            return MetricsSnapshot { families: Vec::new() };
         };
-        for entry in entries.iter_mut() {
-            let mut samples = Vec::new();
-            let mut histograms = Vec::new();
-            match &entry.source {
-                Source::Counters(collector) => {
-                    samples = collector.samples();
-                    if delta {
-                        for sample in &mut samples {
-                            let key = metric_key(sample.name, &sample.labels);
-                            let prev = entry.last.insert(key, sample.value).unwrap_or(0);
-                            sample.value = sample.value.saturating_sub(prev);
-                        }
-                    }
+        let families = entries
+            .iter()
+            .map(|entry| {
+                let (samples, histograms) = match &entry.source {
+                    Source::Counters(collector) => (collector.samples(), Vec::new()),
+                    Source::Histograms(collector) => (Vec::new(), collector.histograms()),
+                };
+                FamilySnapshot {
+                    family: entry.family.clone(),
+                    labels: entry.labels.clone(),
+                    samples,
+                    histograms,
                 }
-                Source::Histograms(collector) => {
-                    histograms = collector.histograms();
-                    if delta {
-                        for sample in &mut histograms {
-                            let key = metric_key(sample.name, &sample.labels);
-                            let prev = entry.last_hist.insert(key, sample.snapshot.clone());
-                            if let Some(prev) = prev {
-                                sample.snapshot = sample.snapshot.since(&prev);
-                            }
-                        }
-                    }
-                }
-            }
-            families.push(FamilySnapshot {
-                family: entry.family.clone(),
-                labels: entry.labels.clone(),
-                samples,
-                histograms,
-            });
-        }
+            })
+            .collect();
         MetricsSnapshot { families }
     }
 }
@@ -264,17 +247,6 @@ impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MetricsRegistry").field("families", &self.families()).finish()
     }
-}
-
-fn metric_key(name: &str, labels: &[(&'static str, String)]) -> String {
-    let mut key = name.to_string();
-    for (k, v) in labels {
-        key.push('\u{1f}');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
-    }
-    key
 }
 
 /// One registered family's samples within a [`MetricsSnapshot`].
@@ -336,79 +308,51 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// one `ltnc_<family>_<name>{labels} value` line per counter sample
-    /// with a `# TYPE … counter` header per distinct metric name, and
-    /// for each histogram sample the standard histogram series —
-    /// cumulative `_bucket{…,le="bound"}` lines (power-of-two bounds up
-    /// to the highest occupied bucket, then `le="+Inf"`), `_sum`, and
-    /// `_count`, under a `# TYPE … histogram` header.
+    /// one `ltnc_<family>_<name>{labels} value` line per sample with a
+    /// `# TYPE … counter` or `# TYPE … gauge` header (the sample's kind)
+    /// per distinct metric name, and for each histogram sample the
+    /// standard histogram series — cumulative `_bucket{…,le="bound"}`
+    /// lines (power-of-two bounds up to the highest occupied bucket, then
+    /// `le="+Inf"`), `_sum`, and `_count`, under a `# TYPE … histogram`
+    /// header.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut typed: Vec<String> = Vec::new();
         for family in &self.families {
+            let labels = family.labels.as_slice();
             for sample in &family.samples {
                 let metric = format!("ltnc_{}_{}", family.family, sample.name);
-                if !typed.contains(&metric) {
-                    out.push_str("# TYPE ");
-                    out.push_str(&metric);
-                    out.push_str(" counter\n");
-                    typed.push(metric.clone());
-                }
-                out.push_str(&metric);
-                push_labels(&mut out, &family.labels, &sample.labels, None);
-                out.push(' ');
-                out.push_str(&sample.value.to_string());
-                out.push('\n');
+                push_type(&mut out, &mut typed, &metric, sample.kind.label());
+                let line = Line { metric: &metric, labels, extra: &sample.labels };
+                line.push(&mut out, "", None, sample.value);
             }
             for sample in &family.histograms {
                 let metric = format!("ltnc_{}_{}", family.family, sample.name);
-                if !typed.contains(&metric) {
-                    out.push_str("# TYPE ");
-                    out.push_str(&metric);
-                    out.push_str(" histogram\n");
-                    typed.push(metric.clone());
-                }
+                push_type(&mut out, &mut typed, &metric, "histogram");
+                let line = Line { metric: &metric, labels, extra: &sample.labels };
                 let snapshot = &sample.snapshot;
-                let highest = snapshot
+                // The last bucket's bound is u64::MAX; `+Inf` already
+                // covers it, so finite lines stop one short.
+                let finite = snapshot
                     .buckets
                     .iter()
                     .rposition(|&count| count > 0)
-                    // The last bucket's bound is u64::MAX; `+Inf` already
-                    // covers it, so finite lines stop one short.
-                    .map(|index| index.min(LOG_BUCKETS - 2));
+                    .map_or(0, |highest| highest.min(LOG_BUCKETS - 2) + 1);
                 let mut cumulative = 0u64;
-                if let Some(highest) = highest {
-                    for index in 0..=highest {
-                        cumulative += snapshot.buckets[index];
-                        out.push_str(&metric);
-                        out.push_str("_bucket");
-                        let le = bucket_bound(index).to_string();
-                        push_labels(&mut out, &family.labels, &sample.labels, Some(&le));
-                        out.push(' ');
-                        out.push_str(&cumulative.to_string());
-                        out.push('\n');
-                    }
+                for (index, &count) in snapshot.buckets[..finite].iter().enumerate() {
+                    cumulative += count;
+                    line.push(
+                        &mut out,
+                        "_bucket",
+                        Some(&bucket_bound(index).to_string()),
+                        cumulative,
+                    );
                 }
                 let count = snapshot.count();
-                out.push_str(&metric);
-                out.push_str("_bucket");
-                push_labels(&mut out, &family.labels, &sample.labels, Some("+Inf"));
-                out.push(' ');
-                out.push_str(&count.to_string());
-                out.push('\n');
-                out.push_str(&metric);
-                out.push_str("_sum");
-                push_labels(&mut out, &family.labels, &sample.labels, None);
-                out.push(' ');
-                out.push_str(&snapshot.sum.to_string());
-                out.push('\n');
-                out.push_str(&metric);
-                out.push_str("_count");
-                push_labels(&mut out, &family.labels, &sample.labels, None);
-                out.push(' ');
-                out.push_str(&count.to_string());
-                out.push('\n');
+                line.push(&mut out, "_bucket", Some("+Inf"), count);
+                line.push(&mut out, "_sum", None, snapshot.sum);
+                line.push(&mut out, "_count", None, count);
             }
         }
         out
@@ -422,37 +366,17 @@ impl MetricsSnapshot {
             .families
             .iter()
             .map(|family| {
-                let mut labels = JsonValue::object();
-                for (k, v) in &family.labels {
-                    labels = labels.field(k, v.as_str());
-                }
                 let samples = family
                     .samples
                     .iter()
                     .map(|sample| {
-                        let mut doc = JsonValue::object().field("name", sample.name);
-                        if !sample.labels.is_empty() {
-                            let mut extra = JsonValue::object();
-                            for (k, v) in &sample.labels {
-                                extra = extra.field(k, v.as_str());
-                            }
-                            doc = doc.field("labels", extra);
-                        }
-                        doc.field("value", sample.value)
+                        sample_json(sample.name, &sample.labels).field("value", sample.value)
                     })
                     .collect();
                 let histograms: Vec<JsonValue> = family
                     .histograms
                     .iter()
                     .map(|sample| {
-                        let mut doc = JsonValue::object().field("name", sample.name);
-                        if !sample.labels.is_empty() {
-                            let mut extra = JsonValue::object();
-                            for (k, v) in &sample.labels {
-                                extra = extra.field(k, v.as_str());
-                            }
-                            doc = doc.field("labels", extra);
-                        }
                         let snapshot = &sample.snapshot;
                         let mut cumulative = 0u64;
                         let buckets = snapshot
@@ -467,18 +391,14 @@ impl MetricsSnapshot {
                                     .field("cumulative", cumulative)
                             })
                             .collect();
-                        doc.field("count", snapshot.count())
+                        json::histogram_summary(sample_json(sample.name, &sample.labels), snapshot)
                             .field("sum", snapshot.sum)
-                            .field("max", snapshot.max)
-                            .field("p50", snapshot.p50())
-                            .field("p90", snapshot.p90())
-                            .field("p99", snapshot.p99())
                             .field("buckets", JsonValue::array(buckets))
                     })
                     .collect();
                 let mut doc = JsonValue::object()
                     .field("family", family.family.as_str())
-                    .field("labels", labels)
+                    .field("labels", labels_json(&family.labels))
                     .field("samples", JsonValue::array(samples));
                 if !histograms.is_empty() {
                     doc = doc.field("histograms", JsonValue::array(histograms));
@@ -490,35 +410,64 @@ impl MetricsSnapshot {
     }
 }
 
-/// Renders a `{k="v",…}` label block from the family labels, the
-/// sample's own labels, and (for histogram bucket lines) a trailing
-/// `le` bound. Writes nothing when every source is empty.
-fn push_labels(
-    out: &mut String,
-    family_labels: &[(String, String)],
-    sample_labels: &[(&'static str, String)],
-    le: Option<&str>,
-) {
-    let mut labels: Vec<(&str, &str)> =
-        family_labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    labels.extend(sample_labels.iter().map(|(k, v)| (*k, v.as_str())));
-    if let Some(le) = le {
-        labels.push(("le", le));
-    }
+/// A `{"k":"v",…}` object of labels.
+fn labels_json<K: AsRef<str>>(labels: &[(K, String)]) -> JsonValue {
+    labels.iter().fold(JsonValue::object(), |doc, (k, v)| doc.field(k.as_ref(), v.as_str()))
+}
+
+/// The head of one sample's JSON object: its name, then its own labels
+/// when it has any.
+fn sample_json(name: &str, labels: &[(&'static str, String)]) -> JsonValue {
+    let doc = JsonValue::object().field("name", name);
     if labels.is_empty() {
-        return;
+        doc
+    } else {
+        doc.field("labels", labels_json(labels))
     }
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+}
+
+/// Writes a `# TYPE <metric> <kind>` header the first time `metric`
+/// appears on the page.
+fn push_type(out: &mut String, typed: &mut Vec<String>, metric: &str, kind: &str) {
+    if !typed.iter().any(|seen| seen == metric) {
+        out.push_str(&format!("# TYPE {metric} {kind}\n"));
+        typed.push(metric.to_string());
+    }
+}
+
+/// One metric's exposition lines share its name and label sets.
+struct Line<'a> {
+    metric: &'a str,
+    labels: &'a [(String, String)],
+    extra: &'a [(&'static str, String)],
+}
+
+impl Line<'_> {
+    /// Writes `<metric><suffix>{labels} <value>`: the family labels, the
+    /// sample's own labels and (for histogram bucket lines) a trailing
+    /// `le` bound, with no braces when there are none.
+    fn push(&self, out: &mut String, suffix: &str, le: Option<&str>, value: u64) {
+        let labels = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let labels: Vec<(&str, &str)> = labels
+            .chain(self.extra.iter().map(|(k, v)| (*k, v.as_str())))
+            .chain(le.map(|le| ("le", le)))
+            .collect();
+        out.push_str(self.metric);
+        out.push_str(suffix);
+        for (i, (k, v)) in labels.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(k);
+            out.push_str("=\"");
+            out.push_str(&escape_label(v));
+            out.push('"');
         }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_label(v));
-        out.push('"');
+        if !labels.is_empty() {
+            out.push('}');
+        }
+        out.push(' ');
+        out.push_str(&value.to_string());
+        out.push('\n');
     }
-    out.push('}');
 }
 
 fn escape_label(v: &str) -> String {
@@ -539,7 +488,10 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
+    use ltnc_metrics::WireCounters;
+
     use super::*;
+    use crate::samples;
 
     fn counter_registry() -> (MetricsRegistry, Arc<AtomicU64>) {
         let live = Arc::new(AtomicU64::new(0));
@@ -556,15 +508,14 @@ mod tests {
         let (registry, live) = counter_registry();
         live.store(5, Ordering::Relaxed);
         assert_eq!(registry.snapshot().value("wire", "datagrams_sent"), 5);
-        assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 5);
         live.store(8, Ordering::Relaxed);
-        assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 3);
-        // Unchanged interval → zero; snapshot stays cumulative.
-        assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 0);
         assert_eq!(registry.snapshot().value("wire", "datagrams_sent"), 8);
-        // A counter that went backwards saturates at zero.
-        live.store(2, Ordering::Relaxed);
-        assert_eq!(registry.interval_delta().value("wire", "datagrams_sent"), 0);
+        // An interval page samples the family's own delta.
+        let earlier = WireCounters { datagrams_sent: 5, ..WireCounters::new() };
+        let now = WireCounters { datagrams_sent: 8, ..WireCounters::new() };
+        let interval = MetricsRegistry::new();
+        interval.register("wire", &[], move || samples(&now.snapshot_delta(&earlier)));
+        assert_eq!(interval.snapshot().value("wire", "datagrams_sent"), 3);
     }
 
     #[test]
@@ -580,14 +531,24 @@ mod tests {
     fn sample_labels_merge_after_family_labels() {
         let registry = MetricsRegistry::new();
         registry.register("stripe", &[("fetch", "f1".to_string())], move || {
-            vec![Sample { name: "delivered", labels: vec![("replica", "2".to_string())], value: 9 }]
+            vec![Sample {
+                labels: vec![("replica", "2".to_string())],
+                ..Sample::plain("delivered", 9)
+            }]
         });
         let text = registry.snapshot().to_prometheus();
         assert!(text.contains("ltnc_stripe_delivered{fetch=\"f1\",replica=\"2\"} 9"));
-        // Deltas keyed per label set: same name, distinct replica labels
-        // do not collide.
-        assert_eq!(registry.interval_delta().value("stripe", "delivered"), 9);
-        assert_eq!(registry.interval_delta().value("stripe", "delivered"), 0);
+    }
+
+    #[test]
+    fn gauges_are_typed_gauge() {
+        let registry = MetricsRegistry::new();
+        registry.register("decoder", &[], || {
+            vec![Sample::gauge("nodes", 3), Sample::plain("decoded_rank", 9)]
+        });
+        let text = registry.snapshot().to_prometheus();
+        assert!(text.contains("# TYPE ltnc_decoder_nodes gauge\nltnc_decoder_nodes 3\n"));
+        assert!(text.contains("# TYPE ltnc_decoder_decoded_rank counter\n"));
     }
 
     #[test]
@@ -710,20 +671,6 @@ mod tests {
         assert!(text.contains("ltnc_wire_delivery_latency_us_bucket{node=\"n0\",le=\"+Inf\"} 0"));
         assert!(text.contains("ltnc_wire_delivery_latency_us_sum{node=\"n0\"} 0"));
         assert!(text.contains("ltnc_wire_delivery_latency_us_count{node=\"n0\"} 0"));
-    }
-
-    #[test]
-    fn histogram_interval_delta_subtracts_buckets() {
-        let (registry, live) = histogram_registry();
-        live.record(10);
-        live.record(20);
-        assert_eq!(registry.interval_delta().histogram("wire", "delivery_latency_us").count(), 2);
-        live.record(30);
-        let delta = registry.interval_delta().histogram("wire", "delivery_latency_us");
-        assert_eq!(delta.count(), 1);
-        assert_eq!(delta.sum, 30);
-        // Cumulative snapshot unaffected by delta bookkeeping.
-        assert_eq!(registry.snapshot().histogram("wire", "delivery_latency_us").count(), 3);
     }
 
     #[test]

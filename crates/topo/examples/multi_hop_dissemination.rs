@@ -26,10 +26,11 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use ltnc_metrics::{CounterFamily, Field, LogHistogramSnapshot, ReactorSnapshot};
 use ltnc_net::faults::DatagramFaultPlan;
 use ltnc_net::NodeOptions;
 use ltnc_scheme::SchemeKind;
-use ltnc_telemetry::json::JsonValue;
+use ltnc_telemetry::json::{self, JsonValue};
 use ltnc_topo::{
     run_topology, FlightRecorder, SwarmRuntime, Topology, TopologyConfig, TopologyFaults,
     TopologyReport,
@@ -229,38 +230,22 @@ fn report_row(report: &TopologyReport, peers: usize) -> String {
     )
 }
 
-/// The shared latency sub-object every `--report` writer in the
-/// workspace emits: microsecond origin→delivery percentiles out of the
-/// wire-carried trace context.
-fn latency_json(snapshot: &ltnc_metrics::LogHistogramSnapshot) -> JsonValue {
-    JsonValue::object()
-        .field("unit", "us")
-        .field("count", snapshot.count())
-        .field("mean", snapshot.mean())
-        .field("p50", snapshot.p50())
-        .field("p90", snapshot.p90())
-        .field("p99", snapshot.p99())
-        .field("max", snapshot.quantile(1.0))
+/// The microsecond origin→delivery percentiles every `--report` writer
+/// in the workspace emits, out of the wire-carried trace context.
+fn latency_json(snapshot: &LogHistogramSnapshot) -> JsonValue {
+    json::histogram_summary(JsonValue::object().field("unit", "us"), snapshot)
 }
 
 /// The scheduler-side sub-object of an instrumented run: per-shard
 /// reactor counters rolled into one total (poll-wait / dispatch /
-/// tick-lag percentiles included), plus per-shard turn and node counts
-/// so shard skew is readable at a glance.
-fn reactor_json(shards: &[ltnc_metrics::ReactorSnapshot]) -> JsonValue {
-    let mut total = ltnc_metrics::ReactorSnapshot::new();
+/// tick-lag percentiles keyed by the histogram's name, unit split off),
+/// plus per-shard turn and node counts so shard skew is readable at a
+/// glance.
+fn reactor_json(shards: &[ReactorSnapshot]) -> JsonValue {
+    let mut total = ReactorSnapshot::new();
     for shard in shards {
         total.merge(shard);
     }
-    let histogram = |snapshot: &ltnc_metrics::LogHistogramSnapshot, unit: &str| {
-        JsonValue::object()
-            .field("unit", unit)
-            .field("count", snapshot.count())
-            .field("mean", snapshot.mean())
-            .field("p50", snapshot.p50())
-            .field("p99", snapshot.p99())
-            .field("max", snapshot.quantile(1.0))
-    };
     let per_shard = shards
         .iter()
         .enumerate()
@@ -272,24 +257,18 @@ fn reactor_json(shards: &[ltnc_metrics::ReactorSnapshot]) -> JsonValue {
                 .field("timers_fired", s.timers_fired)
         })
         .collect();
-    JsonValue::object()
-        .field("shards", shards.len())
-        .field("nodes", total.nodes)
-        .field("turns", total.turns)
-        .field("polls", total.polls)
-        .field("poll_events", total.poll_events)
-        .field("wakeups", total.wakeups)
-        .field("wakeup_rounds", total.wakeup_rounds)
-        .field("control_messages", total.control_messages)
-        .field("control_high_watermark", total.control_high_watermark)
-        .field("readable_dispatches", total.readable_dispatches)
-        .field("timer_dispatches", total.timer_dispatches)
-        .field("control_dispatches", total.control_dispatches)
-        .field("timers_fired", total.timers_fired)
-        .field("poll_wait", histogram(&total.poll_wait_us, "us"))
-        .field("dispatch", histogram(&total.dispatch_ns, "ns"))
-        .field("tick_lag", histogram(&total.tick_lag_us, "us"))
-        .field("per_shard", JsonValue::array(per_shard))
+    let head = JsonValue::object().field("shards", shards.len()).field("nodes", total.nodes);
+    let mut doc = json::scalar_fields(head, &total);
+    for (name, field) in total.fields() {
+        if let Field::Histogram(snapshot) = field {
+            let (stem, unit) = name.rsplit_once('_').expect("histogram names end in their unit");
+            doc = doc.field(
+                stem,
+                json::histogram_summary(JsonValue::object().field("unit", unit), snapshot),
+            );
+        }
+    }
+    doc.field("per_shard", JsonValue::array(per_shard))
 }
 
 /// Renders the run as a machine-readable document: the exact seeded
@@ -320,39 +299,20 @@ fn render_report(args: &Args, source: usize, results: &[(SchemeKind, TopologyRep
     let schemes = results
         .iter()
         .map(|(scheme, report)| {
-            let mut wire = JsonValue::object();
-            for sample in ltnc_telemetry::wire_samples(&report.swarm.total_wire) {
-                wire = wire.field(sample.name, sample.value);
-            }
+            let wire = json::scalar_fields(JsonValue::object(), &report.swarm.total_wire);
             let per_hop = report
                 .hops
                 .iter()
                 .map(|(distance, stats)| {
-                    JsonValue::object()
-                        .field("distance", distance)
-                        .field("nodes", stats.nodes)
-                        .field("completed", stats.completed)
-                        .field("recoding_ops", stats.recoding_ops)
-                        .field("decoding_ops", stats.decoding_ops)
-                        .field("useful_deliveries", stats.useful_deliveries)
-                        .field("faults_injected", stats.faults_injected)
+                    json::scalar_fields(JsonValue::object().field("distance", distance), stats)
                 })
                 .collect();
             let link_faults = report
                 .link_faults
                 .iter()
-                .map(|&(from, to, c)| {
-                    JsonValue::object()
-                        .field("from", from)
-                        .field("to", to)
-                        .field("dropped_in", c.dropped_in)
-                        .field("dropped_out", c.dropped_out)
-                        .field("duplicated_in", c.duplicated_in)
-                        .field("duplicated_out", c.duplicated_out)
-                        .field("reordered_in", c.reordered_in)
-                        .field("reordered_out", c.reordered_out)
-                        .field("delayed_in", c.delayed_in)
-                        .field("delayed_out", c.delayed_out)
+                .map(|(from, to, faults)| {
+                    let link = JsonValue::object().field("from", *from).field("to", *to);
+                    json::scalar_fields(link, faults)
                 })
                 .collect();
             let first_delivery = report
@@ -360,7 +320,7 @@ fn render_report(args: &Args, source: usize, results: &[(SchemeKind, TopologyRep
                 .iter()
                 .map(|at| at.map_or(JsonValue::Null, |d| JsonValue::from(d.as_secs_f64())))
                 .collect();
-            let mut total_latency = ltnc_metrics::LogHistogramSnapshot::empty();
+            let mut total_latency = LogHistogramSnapshot::empty();
             let latency_by_hop = report
                 .latency_by_hop
                 .iter()
@@ -518,7 +478,7 @@ fn main() -> ExitCode {
         println!("\nper-hop rollup ({}):", scheme.label());
         print!("{}", report.hops);
         if !report.swarm.reactor.is_empty() {
-            let mut total = ltnc_metrics::ReactorSnapshot::new();
+            let mut total = ReactorSnapshot::new();
             for shard in &report.swarm.reactor {
                 total.merge(shard);
             }
