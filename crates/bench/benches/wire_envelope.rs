@@ -1,8 +1,8 @@
 //! Wall-clock benchmarks of the `ltnc-net` envelope codec: full
-//! encode/decode of `DATA-PAYLOAD` frames, and the header-first paths
-//! (`decode_header`, `DATA-HEADER` offer decode) whose cheapness is what
-//! makes the early-abort of the binary feedback channel worth having on a
-//! real socket.
+//! encode/decode of `DATA-PAYLOAD` frames (decode borrows the payload), and
+//! the header-first paths (`decode_header`, `DATA-HEADER` offer decode)
+//! whose cheapness is what makes the early-abort of the binary feedback
+//! channel worth having on a real socket.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
@@ -49,7 +49,7 @@ fn bench_payload_roundtrip(c: &mut Criterion) {
             b.iter(|| envelope::encode(&env_header, &message))
         });
         group.bench_with_input(BenchmarkId::new("decode", k), &k, |b, _| {
-            b.iter(|| envelope::decode(&frame).expect("valid frame"))
+            b.iter(|| envelope::decode_view(&frame).expect("valid frame"))
         });
     }
     group.finish();
@@ -80,11 +80,7 @@ fn bench_header_first_paths(c: &mut Criterion) {
         // The early-abort path: decoding a DATA-HEADER offer (code vector,
         // no payload) — all a receiver pays before saying no.
         group.bench_with_input(BenchmarkId::new("offer_decode", k), &k, |b, _| {
-            b.iter(|| envelope::decode(&offer_frame).expect("valid offer"))
-        });
-        // Sizing a frame incrementally from its first bytes.
-        group.bench_with_input(BenchmarkId::new("required_len", k), &k, |b, _| {
-            b.iter(|| envelope::required_len(&payload_frame).expect("sized"))
+            b.iter(|| envelope::decode_view(&offer_frame).expect("valid offer"))
         });
     }
     group.finish();

@@ -23,34 +23,26 @@ pub const FIXED_HEADER_BYTES: usize = 8;
 
 /// Total header size (fixed part plus bitmap) for a given code length.
 #[must_use]
-pub fn header_size(code_length: usize) -> usize {
+pub const fn header_size(code_length: usize) -> usize {
     FIXED_HEADER_BYTES + code_length.div_ceil(8)
 }
 
-/// Incremental ("sans-io") sizing: given any prefix of a frame, returns how
-/// many bytes the *complete* frame occupies, or `None` when the prefix is
-/// still too short to tell (fewer than [`FIXED_HEADER_BYTES`] bytes) or the
-/// advertised sizes overflow `usize`.
+/// Reads the advertised code length `k` and payload size `m` from any
+/// prefix of a frame, or `None` while it is shorter than
+/// [`FIXED_HEADER_BYTES`]. This is the one place either is read off the
+/// wire: [`decode_header`] starts with it, and a stream transport sizes a
+/// frame with it (`header_size(k) + m`) before buffering the rest.
 ///
-/// This is what a stream transport uses to reassemble frames: read 8 bytes,
-/// call `frame_size`, then read the remainder — and what lets a receiver
-/// with a feedback channel budget exactly `header_size(k)` bytes before
-/// deciding whether the payload is worth transferring.
-///
-/// The returned length is whatever the header *claims*: this crate does not
-/// know what dimensions are reasonable for your session. A caller buffering
-/// untrusted input must cap `k`/`m` before allocating — as
-/// `ltnc_net::envelope::required_len` does with its `MAX_CODE_LENGTH` /
-/// `MAX_PAYLOAD_SIZE` limits — or a hostile 8-byte header can request a
-/// multi-gigabyte read.
+/// The dimensions are whatever the header *claims*: this crate does not
+/// know what is reasonable for your session. A caller buffering untrusted
+/// input must cap `k`/`m` first — as `ltnc_net::envelope::decode_prefix`
+/// does with its `MAX_CODE_LENGTH` / `MAX_PAYLOAD_SIZE` limits — or a
+/// hostile 8-byte header can request a multi-gigabyte read.
 #[must_use]
-pub fn frame_size(prefix: &[u8]) -> Option<usize> {
-    if prefix.len() < FIXED_HEADER_BYTES {
-        return None;
-    }
-    let k = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes")) as usize;
-    let m = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes")) as usize;
-    header_size(k).checked_add(m)
+pub fn dims(prefix: &[u8]) -> Option<(usize, usize)> {
+    let word =
+        |at: usize| Some(u32::from_le_bytes(prefix.get(at..at + 4)?.try_into().ok()?) as usize);
+    Some((word(0)?, word(4)?))
 }
 
 /// Appends only the header (`k`, `m`, bitmap) of a packet whose payload
@@ -66,14 +58,6 @@ pub fn encode_header_into(out: &mut Vec<u8>, vector: &CodeVector, payload_size: 
     // The wire bit order (bit i in byte i/8 at position i%8) is exactly the
     // little-endian byte layout of the bitmap words, so they go out whole.
     vector.write_le_bytes(out);
-}
-
-/// [`encode_header_into`] a fresh buffer.
-#[must_use]
-pub fn encode_header(vector: &CodeVector, payload_size: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_header_into(&mut out, vector, payload_size);
-    out
 }
 
 /// Appends a packet to `out` in the wire format described in the module
@@ -101,19 +85,13 @@ pub fn encode(packet: &EncodedPacket) -> Vec<u8> {
 ///
 /// Returns [`Gf2Error::LengthMismatch`] when the buffer is too short.
 pub fn decode_header(bytes: &[u8]) -> Result<(usize, usize, CodeVector), Gf2Error> {
-    if bytes.len() < FIXED_HEADER_BYTES {
-        return Err(Gf2Error::LengthMismatch { left: bytes.len(), right: FIXED_HEADER_BYTES });
-    }
-    let k = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let m = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-    let needed = header_size(k);
-    if bytes.len() < needed {
-        return Err(Gf2Error::LengthMismatch { left: bytes.len(), right: needed });
-    }
+    let short = |right| Gf2Error::LengthMismatch { left: bytes.len(), right };
+    let (k, m) = dims(bytes).ok_or_else(|| short(FIXED_HEADER_BYTES))?;
+    let bitmap =
+        bytes.get(FIXED_HEADER_BYTES..header_size(k)).ok_or_else(|| short(header_size(k)))?;
     // Word-at-a-time bitmap decode; padding bits in the final byte are
-    // masked off, exactly as the bit-by-bit loop ignored them.
-    let vector = CodeVector::from_le_bytes(k, &bytes[FIXED_HEADER_BYTES..needed]);
-    Ok((k, m, vector))
+    // masked off.
+    Ok((k, m, CodeVector::from_le_bytes(k, bitmap)))
 }
 
 /// A decoded frame whose payload still borrows the receive buffer.
@@ -121,7 +99,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(usize, usize, CodeVector), Gf2Erro
 /// The code vector is owned (it is small and every receive path inspects it),
 /// but the `m` payload bytes stay in place: a receiver that rejects the
 /// packet — redundant vector, completed generation, mismatched session —
-/// never copies them. [`PacketView::to_packet`] is the single point where a
+/// never copies them. [`PacketView::into_packet`] is the single point where a
 /// retained packet pays the copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketView<'buf> {
@@ -154,22 +132,17 @@ impl<'buf> PacketView<'buf> {
         self.payload
     }
 
-    /// Materializes an owned [`EncodedPacket`], copying the payload out of
-    /// the receive buffer. Call this only when the packet is retained.
-    #[must_use]
-    pub fn to_packet(&self) -> EncodedPacket {
-        EncodedPacket::new(self.vector.clone(), Payload::from_slice(self.payload))
-    }
-
-    /// Like [`PacketView::to_packet`] but consumes the view, moving the
-    /// already-decoded vector instead of cloning it.
+    /// Materializes an owned [`EncodedPacket`], moving the decoded vector
+    /// and copying the payload out of the receive buffer. Call this only
+    /// when the packet is retained.
     #[must_use]
     pub fn into_packet(self) -> EncodedPacket {
         EncodedPacket::new(self.vector, Payload::from_slice(self.payload))
     }
 }
 
-/// Decodes a full frame into a [`PacketView`] borrowing the payload bytes.
+/// Decodes a frame into a [`PacketView`] borrowing the payload bytes. Bytes
+/// past the advertised payload are ignored.
 ///
 /// # Errors
 ///
@@ -177,22 +150,11 @@ impl<'buf> PacketView<'buf> {
 /// header plus the advertised payload size.
 pub fn decode_view(bytes: &[u8]) -> Result<PacketView<'_>, Gf2Error> {
     let (k, m, vector) = decode_header(bytes)?;
-    let start = header_size(k);
-    let end = start + m;
-    if bytes.len() < end {
-        return Err(Gf2Error::LengthMismatch { left: bytes.len(), right: end });
-    }
-    Ok(PacketView { vector, payload: &bytes[start..end] })
-}
-
-/// Decodes a full frame back into an owned [`EncodedPacket`].
-///
-/// # Errors
-///
-/// Returns [`Gf2Error::LengthMismatch`] when the buffer is shorter than the
-/// header plus the advertised payload size.
-pub fn decode(bytes: &[u8]) -> Result<EncodedPacket, Gf2Error> {
-    decode_view(bytes).map(PacketView::into_packet)
+    let end = header_size(k).saturating_add(m);
+    let payload = bytes
+        .get(header_size(k)..end)
+        .ok_or(Gf2Error::LengthMismatch { left: bytes.len(), right: end })?;
+    Ok(PacketView { vector, payload })
 }
 
 #[cfg(test)]
@@ -202,6 +164,16 @@ mod tests {
 
     fn pk(k: usize, indices: &[usize], payload: &[u8]) -> EncodedPacket {
         EncodedPacket::new(CodeVector::from_indices(k, indices), Payload::from_slice(payload))
+    }
+
+    fn header_bytes(vector: &CodeVector, payload_size: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_header_into(&mut out, vector, payload_size);
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<EncodedPacket, Gf2Error> {
+        decode_view(bytes).map(PacketView::into_packet)
     }
 
     #[test]
@@ -215,7 +187,7 @@ mod tests {
     fn encode_header_is_the_frame_prefix() {
         let p = pk(19, &[0, 7, 8, 18], &[1, 2, 3, 4, 5]);
         let frame = encode(&p);
-        let header = encode_header(p.vector(), p.payload_size());
+        let header = header_bytes(p.vector(), p.payload_size());
         assert_eq!(header.len(), header_size(19));
         assert_eq!(&frame[..header.len()], &header[..]);
         let (k, m, vector) = decode_header(&header).unwrap();
@@ -229,19 +201,8 @@ mod tests {
         let mut out = vec![0xAA, 0xBB];
         encode_into(&mut out, &p);
         encode_header_into(&mut out, p.vector(), p.payload_size());
-        let expected = [&[0xAA, 0xBB][..], &encode(&p), &encode_header(p.vector(), 5)].concat();
+        let expected = [&[0xAA, 0xBB][..], &encode(&p), &header_bytes(p.vector(), 5)].concat();
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn frame_size_is_incremental() {
-        let p = pk(19, &[0, 7, 18], &[1, 2, 3, 4, 5]);
-        let bytes = encode(&p);
-        assert_eq!(frame_size(&bytes[..4]), None);
-        assert_eq!(frame_size(&bytes[..7]), None);
-        for cut in FIXED_HEADER_BYTES..=bytes.len() {
-            assert_eq!(frame_size(&bytes[..cut]), Some(bytes.len()));
-        }
     }
 
     #[test]
@@ -270,8 +231,8 @@ mod tests {
         let bytes = encode(&p);
         assert!(decode_header(&bytes[..4]).is_err());
         assert!(decode_header(&bytes[..9]).is_err());
-        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode(&bytes).is_ok());
+        assert!(decode_view(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode_view(&bytes).is_ok());
     }
 
     #[test]
@@ -294,7 +255,7 @@ mod tests {
             0x01, 0x02, 0x03, 0x04, 0x05, // payload
         ];
         assert_eq!(encode(&p), expected);
-        assert_eq!(encode_header(p.vector(), 5), &expected[..header_size(19)]);
+        assert_eq!(header_bytes(p.vector(), 5), &expected[..header_size(19)]);
         assert_eq!(decode(expected).unwrap(), p);
     }
 
@@ -308,7 +269,6 @@ mod tests {
         assert_eq!(view.payload_size(), 5);
         // The view's payload is the frame's own bytes, not a copy.
         assert!(std::ptr::eq(view.payload_bytes().as_ptr(), bytes[header_size(19)..].as_ptr()));
-        assert_eq!(view.to_packet(), p);
         assert_eq!(view.into_packet(), p);
     }
 
@@ -340,41 +300,50 @@ mod tests {
             let bytes = encode(&p);
             let cut = (cut_seed as usize) % bytes.len();
             let prefix = &bytes[..cut];
-            prop_assert!(decode(prefix).is_err());
+            prop_assert!(decode_view(prefix).is_err());
             // decode_header succeeds from header_size(k) onward, errors
-            // strictly before, and frame_size is consistent throughout.
+            // strictly before, and dims reads the same k/m throughout.
             if cut < header_size(k) {
                 prop_assert!(decode_header(prefix).is_err());
             } else {
                 prop_assert!(decode_header(prefix).is_ok());
             }
             if cut < FIXED_HEADER_BYTES {
-                prop_assert_eq!(frame_size(prefix), None);
+                prop_assert_eq!(dims(prefix), None);
             } else {
-                prop_assert_eq!(frame_size(prefix), Some(bytes.len()));
+                prop_assert_eq!(dims(prefix), Some((k, payload.len())));
             }
         }
 
         // Arbitrary bytes (not produced by encode) must also decode
         // without panicking: either some packet comes back or an error
-        // does, and a successful decode must re-encode to a frame prefix.
+        // does, and a successful decode re-encodes to the frame prefix it
+        // came from, padding bits of the bitmap's last byte cleared (the
+        // decoder masks them: they are the one non-canonical part).
         #[test]
         fn prop_garbage_never_panics(
-            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            bytes in proptest::collection::vec(any::<u8>(), 0..320),
         ) {
-            // Keep the advertised k bounded so a "lucky" garbage header
-            // cannot request a huge bitmap allocation in this test.
+            // Keep the advertised k and m below 256, so a garbage header
+            // never asks for a huge bitmap and about half the inputs are
+            // long enough to decode and reach the re-encode.
             let mut bytes = bytes;
-            if bytes.len() >= 4 {
-                bytes[2] = 0;
-                bytes[3] = 0;
+            for at in [1, 2, 3, 5, 6, 7] {
+                if let Some(byte) = bytes.get_mut(at) {
+                    *byte = 0;
+                }
             }
-            if let Ok(packet) = decode(&bytes) {
-                let reencoded = encode(&packet);
-                prop_assert_eq!(&bytes[..reencoded.len()], &reencoded[..]);
+            if let Ok(view) = decode_view(&bytes) {
+                let k = view.code_length();
+                let reencoded = encode(&view.into_packet());
+                let mut expected = bytes[..reencoded.len()].to_vec();
+                if k % 8 != 0 {
+                    expected[FIXED_HEADER_BYTES + k / 8] &= (1u8 << (k % 8)) - 1;
+                }
+                prop_assert_eq!(reencoded, expected);
             }
             let _ = decode_header(&bytes);
-            let _ = frame_size(&bytes);
+            let _ = dims(&bytes);
         }
     }
 }

@@ -286,10 +286,7 @@ proptest! {
 
         let frame = wire::encode(&packet);
 
-        // Owned decode, borrowed decode and header decode all agree.
-        let decoded = wire::decode(&frame).expect("roundtrip");
-        prop_assert_eq!(&decoded, &packet);
-
+        // Borrowed decode, its owned form and header decode all agree.
         let view = wire::decode_view(&frame).expect("roundtrip");
         prop_assert_eq!(view.vector(), packet.vector());
         prop_assert_eq!(view.payload_bytes(), packet.payload().as_bytes());

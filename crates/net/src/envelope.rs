@@ -47,15 +47,19 @@
 //!   object/scheme.
 //!
 //! The codec is pure (`&[u8]` → values, values → `Vec<u8>`): no sockets, no
-//! I/O, so it can be driven by UDP today and by a stream transport later.
-//! [`decode_header`] needs only [`ENVELOPE_HEADER_BYTES`] bytes, mirroring
-//! `gf2::wire::decode_header`'s header-first contract, and
-//! [`required_len`] sizes a frame incrementally for stream reassembly.
-//! Truncated or hostile input returns [`NetError`], never panics, and
-//! advertised dimensions are capped ([`MAX_CODE_LENGTH`],
-//! [`MAX_PAYLOAD_SIZE`]) so a corrupt header cannot drive allocation.
+//! I/O. Encoding takes an owned [`Message`]; decoding yields only the
+//! borrowed [`EnvelopeView`], whose `DATA-PAYLOAD` bytes stay in the receive
+//! buffer. [`decode_prefix`] parses a frame from any prefix in one pass —
+//! the view and the bytes it used, or how many bytes the frame needs — and
+//! both transports call it: UDP through [`decode_view`], streams through
+//! [`crate::stream::FrameReassembler`]. [`decode_header`] needs only
+//! [`ENVELOPE_HEADER_BYTES`] bytes, mirroring `gf2::wire::decode_header`'s
+//! header-first contract. Truncated or hostile input returns [`NetError`],
+//! never panics, and advertised dimensions are capped ([`MAX_CODE_LENGTH`],
+//! [`MAX_PAYLOAD_SIZE`]) as soon as their bytes arrive, so a corrupt header
+//! cannot drive allocation.
 
-use ltnc_gf2::wire as gf2_wire;
+use ltnc_gf2::wire::{self as gf2_wire, PacketView};
 use ltnc_gf2::{CodeVector, EncodedPacket};
 use ltnc_scheme::SchemeKind;
 
@@ -225,9 +229,12 @@ pub struct EnvelopeHeader {
     pub generation: u32,
 }
 
-/// A fully decoded datagram body.
+/// A datagram body. Senders build the owned form, `Message` (the packet of
+/// a `DATA-PAYLOAD` is an [`EncodedPacket`]); decoding yields the borrowed
+/// form, [`MessageView`], whose packet is a [`PacketView`] into the receive
+/// buffer. `P` appears in `DATA-PAYLOAD` only.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
+pub enum Message<P = EncodedPacket> {
     /// Phase-1 offer: the code vector (and dimensions) of a packet, no
     /// payload.
     DataHeader {
@@ -248,7 +255,7 @@ pub enum Message {
         /// time, so the receiver's `now − origin` covers the handshake).
         trace: TraceContext,
         /// The encoded packet.
-        packet: EncodedPacket,
+        packet: P,
     },
     /// Receiver verdict on a pending transfer.
     Feedback {
@@ -276,7 +283,10 @@ pub enum Message {
     Reject,
 }
 
-impl Message {
+/// A decoded datagram body: `DATA-PAYLOAD` bytes borrow the receive buffer.
+pub type MessageView<'buf> = Message<PacketView<'buf>>;
+
+impl<P> Message<P> {
     /// The wire kind this message serializes as.
     #[must_use]
     pub fn kind(&self) -> MessageKind {
@@ -295,11 +305,38 @@ impl Message {
 
 /// One datagram: envelope header plus body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
+pub struct Envelope<P = EncodedPacket> {
     /// Scheme, session and generation addressing.
     pub header: EnvelopeHeader,
     /// The body.
-    pub message: Message,
+    pub message: Message<P>,
+}
+
+/// One decoded datagram, `DATA-PAYLOAD` bytes still borrowed.
+pub type EnvelopeView<'buf> = Envelope<PacketView<'buf>>;
+
+impl EnvelopeView<'_> {
+    /// Materializes an owned [`Envelope`], copying `DATA-PAYLOAD` bytes out
+    /// of the receive buffer.
+    #[must_use]
+    pub fn into_owned(self) -> Envelope {
+        let message = match self.message {
+            Message::DataHeader { transfer, trace, payload_size, vector } => {
+                Message::DataHeader { transfer, trace, payload_size, vector }
+            }
+            Message::DataPayload { transfer, trace, packet } => {
+                Message::DataPayload { transfer, trace, packet: packet.into_packet() }
+            }
+            Message::Feedback { transfer, accept } => Message::Feedback { transfer, accept },
+            Message::Complete => Message::Complete,
+            Message::Request => Message::Request,
+            Message::Manifest { object_len, code_length, payload_size } => {
+                Message::Manifest { object_len, code_length, payload_size }
+            }
+            Message::Reject => Message::Reject,
+        };
+        Envelope { header: self.header, message }
+    }
 }
 
 /// Appends the fixed envelope header of a `kind` frame to `out`, with
@@ -438,226 +475,106 @@ pub fn decode_header(bytes: &[u8]) -> Result<EnvelopeHeader, NetError> {
     Ok(EnvelopeHeader { kind, scheme, session, generation })
 }
 
-/// Incremental sizing for stream transports: given any prefix of a frame,
-/// returns the total length of the complete frame, or `Err(Truncated)`
-/// naming how many more prefix bytes are required before the length is
-/// knowable. Pure and allocation-free.
+/// Parses one frame from the start of `bytes`, in one pass, and returns
+/// it with the number of bytes it occupies; whatever follows is left
+/// alone. Both transports call this: [`decode_view`] for a datagram,
+/// [`crate::stream::FrameReassembler`] for a byte stream.
+///
+/// An incomplete prefix is [`NetError::Truncated`], whose `needed` grows as
+/// the frame reveals its length: the envelope header, then the `k`/`m` of
+/// a data frame, then the whole frame. The dimension caps apply as soon as
+/// `k`/`m` are present, and nothing is allocated until the frame is whole.
 ///
 /// # Errors
 ///
-/// Same malformed-field errors as [`decode_header`], plus
-/// [`NetError::FrameTooLarge`] when the advertised dimensions exceed the
-/// safety caps.
-pub fn required_len(prefix: &[u8]) -> Result<usize, NetError> {
-    let header = decode_header(prefix)?;
-    frame_len(header.kind, prefix)
-}
-
-/// Sizes a frame whose envelope header (and thus `kind`) is already
-/// parsed, so callers that hold an [`EnvelopeHeader`] do not pay the
-/// header parse twice.
-fn frame_len(kind: MessageKind, bytes: &[u8]) -> Result<usize, NetError> {
-    let body_start = ENVELOPE_HEADER_BYTES;
-    match kind {
-        MessageKind::Complete | MessageKind::Request | MessageKind::Reject => Ok(body_start),
-        MessageKind::Manifest => Ok(body_start + MANIFEST_BODY_BYTES),
-        MessageKind::FeedbackAbort | MessageKind::FeedbackAccept => Ok(FEEDBACK_FRAME_BYTES),
-        MessageKind::DataHeader | MessageKind::DataPayload => {
-            let wire_start = DATA_PREFIX_BYTES;
-            let fixed_end = wire_start + gf2_wire::FIXED_HEADER_BYTES;
-            if bytes.len() < fixed_end {
-                return Err(NetError::Truncated { have: bytes.len(), needed: fixed_end });
-            }
-            let (k, m) = check_dims(&bytes[wire_start..])?;
-            let len = if kind == MessageKind::DataHeader {
-                wire_start + gf2_wire::header_size(k)
-            } else {
-                wire_start + gf2_wire::header_size(k) + m
-            };
-            Ok(len)
+/// [`NetError::Truncated`] as above, the malformed-field errors of
+/// [`decode_header`], and [`NetError::FrameTooLarge`] when advertised
+/// dimensions exceed the safety caps. Never panics on arbitrary bytes.
+pub fn decode_prefix(bytes: &[u8]) -> Result<(EnvelopeView<'_>, usize), NetError> {
+    let header = decode_header(bytes)?;
+    // The frame's first `len` bytes, once they have all arrived.
+    let prefix =
+        |len: usize| bytes.get(..len).ok_or(NetError::Truncated { have: bytes.len(), needed: len });
+    // The `u64` every non-empty body opens with: a transfer id, or a
+    // manifest's object length.
+    let body_u64 = |frame: &[u8]| {
+        u64::from_le_bytes(frame[ENVELOPE_HEADER_BYTES..][..8].try_into().expect("8 bytes"))
+    };
+    let (message, len) = match header.kind {
+        MessageKind::Complete => (Message::Complete, ENVELOPE_HEADER_BYTES),
+        MessageKind::Request => (Message::Request, ENVELOPE_HEADER_BYTES),
+        MessageKind::Reject => (Message::Reject, ENVELOPE_HEADER_BYTES),
+        MessageKind::FeedbackAbort | MessageKind::FeedbackAccept => {
+            let transfer = body_u64(prefix(FEEDBACK_FRAME_BYTES)?);
+            let accept = header.kind == MessageKind::FeedbackAccept;
+            (Message::Feedback { transfer, accept }, FEEDBACK_FRAME_BYTES)
         }
-    }
+        MessageKind::Manifest => {
+            let frame = prefix(ENVELOPE_HEADER_BYTES + MANIFEST_BODY_BYTES)?;
+            // The same safety caps the data plane enforces: a hostile
+            // manifest must not drive the client's decode-state allocation.
+            let (k, m) = capped_dims(&frame[ENVELOPE_HEADER_BYTES + 8..])?;
+            let (object_len, code_length, payload_size) = (body_u64(frame), k as u32, m as u32);
+            (Message::Manifest { object_len, code_length, payload_size }, frame.len())
+        }
+        MessageKind::DataHeader | MessageKind::DataPayload => {
+            let dims_end = DATA_PREFIX_BYTES + gf2_wire::FIXED_HEADER_BYTES;
+            let (k, m) = capped_dims(&prefix(dims_end)?[DATA_PREFIX_BYTES..])?;
+            let header_end = DATA_PREFIX_BYTES + gf2_wire::header_size(k);
+            let offer = header.kind == MessageKind::DataHeader;
+            let frame = prefix(if offer { header_end } else { header_end + m })?;
+            let transfer = body_u64(frame);
+            let trace = decode_trace(&frame[ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTES..]);
+            let wire = &frame[DATA_PREFIX_BYTES..];
+            let message = if offer {
+                let (_, payload_size, vector) = gf2_wire::decode_header(wire)?;
+                Message::DataHeader { transfer, trace, payload_size, vector }
+            } else {
+                Message::DataPayload { transfer, trace, packet: gf2_wire::decode_view(wire)? }
+            };
+            (message, frame.len())
+        }
+    };
+    Ok((Envelope { header, message }, len))
 }
 
-/// Reads and validates `k`/`m` from the start of a gf2 wire frame.
-fn check_dims(wire: &[u8]) -> Result<(usize, usize), NetError> {
-    debug_assert!(wire.len() >= gf2_wire::FIXED_HEADER_BYTES);
-    let k = u32::from_le_bytes(wire[0..4].try_into().expect("4 bytes")) as usize;
-    let m = u32::from_le_bytes(wire[4..8].try_into().expect("4 bytes")) as usize;
+/// The `k`/`m` at the start of `wire` (at least eight bytes), rejected
+/// beyond [`MAX_CODE_LENGTH`] / [`MAX_PAYLOAD_SIZE`].
+fn capped_dims(wire: &[u8]) -> Result<(usize, usize), NetError> {
+    let (k, m) = gf2_wire::dims(wire).expect("8 dimension bytes");
     if k > MAX_CODE_LENGTH || m > MAX_PAYLOAD_SIZE {
         return Err(NetError::FrameTooLarge { code_length: k, payload_size: m });
     }
     Ok((k, m))
 }
 
-/// A decoded datagram body whose `DATA-PAYLOAD` packet still borrows the
-/// receive buffer (see [`decode_view`]). Every other variant is identical
-/// to [`Message`]: their bodies are small and owned either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MessageView<'buf> {
-    /// See [`Message::DataHeader`].
-    DataHeader {
-        /// Sender-unique transfer identifier.
-        transfer: u64,
-        /// Causal lineage of the offered packet.
-        trace: TraceContext,
-        /// Advertised payload size `m` of the packet on offer.
-        payload_size: usize,
-        /// The packet's code vector (length `k`).
-        vector: CodeVector,
-    },
-    /// See [`Message::DataPayload`]; the payload bytes stay in the buffer.
-    DataPayload {
-        /// Transfer identifier this payload answers.
-        transfer: u64,
-        /// Causal lineage of the delivered packet.
-        trace: TraceContext,
-        /// The packet, payload borrowed from the receive buffer.
-        packet: gf2_wire::PacketView<'buf>,
-    },
-    /// See [`Message::Feedback`].
-    Feedback {
-        /// Transfer identifier the verdict concerns.
-        transfer: u64,
-        /// `true` for `FEEDBACK-ACCEPT`, `false` for `FEEDBACK-ABORT`.
-        accept: bool,
-    },
-    /// See [`Message::Complete`].
-    Complete,
-    /// See [`Message::Request`].
-    Request,
-    /// See [`Message::Manifest`].
-    Manifest {
-        /// Exact object length in bytes (reassembly trims to this).
-        object_len: u64,
-        /// Code length `k` every generation uses.
-        code_length: u32,
-        /// Payload size `m` in bytes.
-        payload_size: u32,
-    },
-    /// See [`Message::Reject`].
-    Reject,
-}
-
-impl MessageView<'_> {
-    /// Materializes an owned [`Message`], copying the `DATA-PAYLOAD` bytes
-    /// out of the receive buffer (the single retain point).
-    #[must_use]
-    pub fn into_message(self) -> Message {
-        match self {
-            MessageView::DataHeader { transfer, trace, payload_size, vector } => {
-                Message::DataHeader { transfer, trace, payload_size, vector }
-            }
-            MessageView::DataPayload { transfer, trace, packet } => {
-                Message::DataPayload { transfer, trace, packet: packet.into_packet() }
-            }
-            MessageView::Feedback { transfer, accept } => Message::Feedback { transfer, accept },
-            MessageView::Complete => Message::Complete,
-            MessageView::Request => Message::Request,
-            MessageView::Manifest { object_len, code_length, payload_size } => {
-                Message::Manifest { object_len, code_length, payload_size }
-            }
-            MessageView::Reject => Message::Reject,
-        }
-    }
-}
-
-/// One datagram decoded borrow-first: header plus [`MessageView`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvelopeView<'buf> {
-    /// Scheme, session and generation addressing.
-    pub header: EnvelopeHeader,
-    /// The body, `DATA-PAYLOAD` bytes still borrowed.
-    pub message: MessageView<'buf>,
-}
-
-impl EnvelopeView<'_> {
-    /// Materializes an owned [`Envelope`] (copies `DATA-PAYLOAD` bytes).
-    #[must_use]
-    pub fn into_envelope(self) -> Envelope {
-        Envelope { header: self.header, message: self.message.into_message() }
-    }
-}
-
 /// Decodes a complete datagram without copying the payload: the returned
-/// view's `DATA-PAYLOAD` bytes borrow `bytes`. Receive paths use this to
-/// defer the payload copy to the single point a packet is retained — a
-/// datagram dropped as redundant, complete or mismatched never copies its
-/// `m` payload bytes. The buffer must contain exactly one frame: trailing
-/// bytes are an error (datagram transports preserve message boundaries, so
-/// extra bytes mean corruption).
+/// view's `DATA-PAYLOAD` bytes borrow `bytes`, so a datagram dropped as
+/// redundant, complete or mismatched never copies its `m` payload bytes.
+/// This is [`decode_prefix`] on a buffer that must hold exactly one frame:
+/// datagram transports preserve message boundaries, so extra bytes mean
+/// corruption.
 ///
 /// # Errors
 ///
-/// Every malformed input maps to a [`NetError`]; this function never
+/// Those of [`decode_prefix`], plus [`NetError::TrailingBytes`]. Never
 /// panics on arbitrary bytes.
 pub fn decode_view(bytes: &[u8]) -> Result<EnvelopeView<'_>, NetError> {
-    let header = decode_header(bytes)?;
-    // frame_len re-reads only the 8 dimension bytes (already cap-checked
-    // there), so the envelope header is parsed exactly once per datagram.
-    let total = frame_len(header.kind, bytes)?;
-    if bytes.len() < total {
-        return Err(NetError::Truncated { have: bytes.len(), needed: total });
+    let (envelope, len) = decode_prefix(bytes)?;
+    if bytes.len() > len {
+        return Err(NetError::TrailingBytes { extra: bytes.len() - len });
     }
-    if bytes.len() > total {
-        return Err(NetError::TrailingBytes { extra: bytes.len() - total });
-    }
-    let body = &bytes[ENVELOPE_HEADER_BYTES..];
-    let message = match header.kind {
-        MessageKind::Complete => MessageView::Complete,
-        MessageKind::Request => MessageView::Request,
-        MessageKind::Reject => MessageView::Reject,
-        MessageKind::Manifest => {
-            let object_len = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-            let code_length = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-            let payload_size = u32::from_le_bytes(body[12..16].try_into().expect("4 bytes"));
-            // The same safety caps the data plane enforces: a hostile
-            // manifest must not drive the client's decode-state allocation.
-            if code_length as usize > MAX_CODE_LENGTH || payload_size as usize > MAX_PAYLOAD_SIZE {
-                return Err(NetError::FrameTooLarge {
-                    code_length: code_length as usize,
-                    payload_size: payload_size as usize,
-                });
-            }
-            MessageView::Manifest { object_len, code_length, payload_size }
-        }
-        MessageKind::FeedbackAbort | MessageKind::FeedbackAccept => {
-            let transfer = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-            MessageView::Feedback { transfer, accept: header.kind == MessageKind::FeedbackAccept }
-        }
-        MessageKind::DataHeader => {
-            let transfer = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-            let trace = decode_trace(&body[TRANSFER_ID_BYTES..]);
-            let wire = &body[TRANSFER_ID_BYTES + TRACE_CONTEXT_BYTES..];
-            let (k, m, vector) = gf2_wire::decode_header(wire)?;
-            debug_assert_eq!(vector.len(), k);
-            MessageView::DataHeader { transfer, trace, payload_size: m, vector }
-        }
-        MessageKind::DataPayload => {
-            let transfer = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-            let trace = decode_trace(&body[TRANSFER_ID_BYTES..]);
-            let packet = gf2_wire::decode_view(&body[TRANSFER_ID_BYTES + TRACE_CONTEXT_BYTES..])?;
-            MessageView::DataPayload { transfer, trace, packet }
-        }
-    };
-    Ok(EnvelopeView { header, message })
-}
-
-/// Decodes a complete datagram into an owned [`Envelope`]. Same contract as
-/// [`decode_view`], plus one payload copy for `DATA-PAYLOAD` frames.
-///
-/// # Errors
-///
-/// Every malformed input maps to a [`NetError`]; this function never
-/// panics on arbitrary bytes.
-pub fn decode(bytes: &[u8]) -> Result<Envelope, NetError> {
-    decode_view(bytes).map(EnvelopeView::into_envelope)
+    Ok(envelope)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ltnc_gf2::Payload;
+
+    fn decode(bytes: &[u8]) -> Result<Envelope, NetError> {
+        decode_view(bytes).map(EnvelopeView::into_owned)
+    }
 
     fn header(kind: MessageKind) -> EnvelopeHeader {
         EnvelopeHeader { kind, scheme: SchemeKind::Ltnc, session: 0xfeed_beef, generation: 3 }
@@ -753,10 +670,15 @@ mod tests {
             }
             other => panic!("wrong message {other:?}"),
         }
-        assert_eq!(view.into_envelope(), decode(&bytes).unwrap());
+        assert_eq!(
+            view.into_owned(),
+            Envelope { header: header(MessageKind::DataPayload), message: msg }
+        );
         // Non-payload kinds materialize identically too.
         let bytes = encode(&header(MessageKind::Complete), &Message::Complete);
-        assert_eq!(decode_view(&bytes).unwrap().into_envelope(), decode(&bytes).unwrap());
+        let complete =
+            Envelope { header: header(MessageKind::Complete), message: Message::Complete };
+        assert_eq!(decode_view(&bytes).unwrap().into_owned(), complete);
     }
 
     #[test]
@@ -838,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn required_len_matches_actual_length_incrementally() {
+    fn decode_prefix_asks_for_more_until_the_frame_is_whole() {
         let packet = sample_packet();
         let frame = encode(
             &header(MessageKind::DataPayload),
@@ -846,8 +768,8 @@ mod tests {
         );
         let mut have = 0;
         loop {
-            match required_len(&frame[..have]) {
-                Ok(len) => {
+            match decode_prefix(&frame[..have]) {
+                Ok((_, len)) => {
                     assert_eq!(len, frame.len());
                     break;
                 }
@@ -858,6 +780,12 @@ mod tests {
                 Err(other) => panic!("unexpected {other:?}"),
             }
         }
+        // On a stream the bytes after a frame are the next frame's: the
+        // parse stops at its own end instead of calling them trailing.
+        let stream = [&frame[..], &frame[..7]].concat();
+        let (view, len) = decode_prefix(&stream).unwrap();
+        assert_eq!(len, frame.len());
+        assert_eq!(view, decode_view(&frame).unwrap());
     }
 
     #[test]
@@ -915,6 +843,14 @@ mod tests {
         let wire_start = ENVELOPE_HEADER_BYTES + 8 + TRACE_CONTEXT_BYTES;
         bytes[wire_start..wire_start + 4].copy_from_slice(&(1u32 << 31).to_le_bytes());
         assert!(matches!(decode(&bytes), Err(NetError::FrameTooLarge { .. })));
+        // A stream learns it as soon as the eight dimension bytes arrive,
+        // before buffering anything of the frame they announce.
+        let dims_end = wire_start + ltnc_gf2::wire::FIXED_HEADER_BYTES;
+        assert!(matches!(decode_prefix(&bytes[..dims_end]), Err(NetError::FrameTooLarge { .. })));
+        assert!(matches!(
+            decode_prefix(&bytes[..dims_end - 1]),
+            Err(NetError::Truncated { needed, .. }) if needed == dims_end
+        ));
     }
 
     #[test]

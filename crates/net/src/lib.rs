@@ -21,8 +21,8 @@
 //!   implementation);
 //! * [`stream`] — the byte-stream binding of the envelope codec: a
 //!   [`stream::FrameReassembler`] that turns arbitrarily chunked TCP
-//!   reads back into complete envelopes via [`envelope::required_len`],
-//!   tolerant of hostile input;
+//!   reads back into complete envelopes via [`envelope::decode_prefix`],
+//!   the same one-pass parse a datagram gets, tolerant of hostile input;
 //! * [`faults`] — seeded, deterministic fault injection for both
 //!   transports: [`faults::FaultyStream`] over any `Read + Write` plus a
 //!   TCP [`faults::FaultProxy`] (drops, delays, truncation and

@@ -1154,7 +1154,7 @@ mod tests {
         let mut buf = [0u8; 2048];
         let (offer_transfer, offer_generation) = loop {
             let (len, _) = a.recv_from(&mut buf).expect("offer should arrive");
-            let env = envelope::decode(&buf[..len]).expect("valid frame");
+            let env = envelope::decode_view(&buf[..len]).expect("valid frame");
             if let Message::DataHeader { transfer, .. } = env.message {
                 break (transfer, env.header.generation);
             }
@@ -1177,7 +1177,7 @@ mod tests {
         for socket in [&c, &a] {
             socket.set_read_timeout(Some(Duration::from_millis(300))).expect("timeout");
             while let Ok((len, _)) = socket.recv_from(&mut buf) {
-                if let Ok(env) = envelope::decode(&buf[..len]) {
+                if let Ok(env) = envelope::decode_view(&buf[..len]) {
                     if matches!(env.message, Message::DataPayload { transfer, .. } if transfer == offer_transfer)
                     {
                         leaked = true;
@@ -1201,7 +1201,7 @@ mod tests {
         a.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         let delivered = loop {
             let (len, _) = a.recv_from(&mut buf).expect("payload should arrive");
-            if let Ok(env) = envelope::decode(&buf[..len]) {
+            if let Ok(env) = envelope::decode_view(&buf[..len]) {
                 if let Message::DataPayload { transfer, .. } = env.message {
                     if transfer == offer_transfer {
                         break true;
@@ -1580,7 +1580,7 @@ mod tests {
     }
 
     fn kind(datagram: &[u8]) -> MessageKind {
-        envelope::decode(datagram).expect("valid frame").header.kind
+        envelope::decode_view(datagram).expect("valid frame").header.kind
     }
 
     fn kinds(datagrams: &[(Vec<u8>, SocketAddr)]) -> Vec<MessageKind> {
@@ -1589,7 +1589,7 @@ mod tests {
 
     /// The receiver's verdict on `offer` (a `DATA-HEADER` datagram).
     fn feedback(offer: &[u8], accept: bool) -> Vec<u8> {
-        let offer = envelope::decode(offer).expect("valid frame");
+        let offer = envelope::decode_view(offer).expect("valid frame");
         let Message::DataHeader { transfer, .. } = offer.message else {
             panic!("not an offer: {:?}", offer.header.kind)
         };
@@ -1673,7 +1673,8 @@ mod tests {
                 if kind(&offer) != MessageKind::DataHeader {
                     continue; // the payload of an accepted offer
                 }
-                let answered = envelope::decode(&offer).expect("valid frame").header.generation;
+                let answered =
+                    envelope::decode_view(&offer).expect("valid frame").header.generation;
                 let released = relay.handle(&feedback(&offer, accept), sink.addr);
                 accept = !accept;
                 assert_eq!(released, u64::from(holds(&relay, answered)), "feedback for {answered}");

@@ -4,36 +4,34 @@
 //! buffer as exactly one frame. A TCP (or QUIC) connection delivers an
 //! undifferentiated byte stream chopped at arbitrary points; this module
 //! reconstructs frame boundaries from it. The envelope format needs no
-//! extra length prefix for that: [`crate::envelope::required_len`] sizes a
-//! frame incrementally from any prefix, so the reassembler just
-//! accumulates bytes until a complete frame is present, decodes it, and
-//! carries the remainder forward.
+//! extra length prefix for that: [`crate::envelope::decode_prefix`] parses
+//! a frame from any prefix in one pass — the same parse a datagram gets —
+//! and says how many bytes it used or how many it still needs, so the
+//! reassembler just accumulates bytes until a frame comes back and carries
+//! the remainder forward.
 //!
 //! Hostile input is survivable by construction: malformed bytes surface
 //! as a [`NetError`] (the caller should drop the connection — framing is
 //! unrecoverable once the stream is corrupt), advertised dimensions are
 //! capped by the codec before any allocation happens, and nothing panics.
 
-use crate::envelope::{self, Envelope, EnvelopeView};
+use ltnc_gf2::wire as gf2_wire;
+
+use crate::envelope::{self, EnvelopeView};
 use crate::NetError;
 
-/// Largest complete frame the reassembler will buffer.
-///
-/// Slightly above the worst legal frame (envelope header, transfer id,
-/// `gf2` wire header with a [`envelope::MAX_CODE_LENGTH`] bitmap, and a
-/// [`envelope::MAX_PAYLOAD_SIZE`] payload) so every frame the codec can
-/// legally produce fits, while a hostile length cannot grow the buffer
-/// without bound.
-pub const MAX_FRAME_BYTES: usize = envelope::ENVELOPE_HEADER_BYTES
-    + 8
-    + 16
-    + envelope::MAX_CODE_LENGTH / 8
+/// Largest complete frame the reassembler will buffer: the worst legal
+/// frame, a `DATA-PAYLOAD` with a [`envelope::MAX_CODE_LENGTH`] bitmap and
+/// a [`envelope::MAX_PAYLOAD_SIZE`] payload. Every frame the codec accepts
+/// fits, while a hostile length cannot grow the buffer without bound.
+pub const MAX_FRAME_BYTES: usize = envelope::DATA_PREFIX_BYTES
+    + gf2_wire::header_size(envelope::MAX_CODE_LENGTH)
     + envelope::MAX_PAYLOAD_SIZE;
 
 /// Incremental frame reassembly over a byte stream.
 ///
 /// Feed raw reads in with [`FrameReassembler::extend`], then drain
-/// complete envelopes with [`FrameReassembler::next_frame`] until it
+/// complete envelopes with [`FrameReassembler::next_frame_view`] until it
 /// returns `Ok(None)` (more bytes needed). Any `Err` is fatal for the
 /// stream.
 ///
@@ -53,7 +51,7 @@ pub const MAX_FRAME_BYTES: usize = envelope::ENVELOPE_HEADER_BYTES
 /// // Bytes arrive one at a time; the frame appears exactly once complete.
 /// for (i, &byte) in frame.iter().enumerate() {
 ///     reassembler.extend(&[byte]);
-///     let decoded = reassembler.next_frame().unwrap();
+///     let decoded = reassembler.next_frame_view().unwrap();
 ///     assert_eq!(decoded.is_some(), i == frame.len() - 1);
 /// }
 /// ```
@@ -84,7 +82,10 @@ impl FrameReassembler {
         self.buf.len() - self.start
     }
 
-    /// Tries to decode the next complete frame from the buffered bytes.
+    /// Decodes the next complete frame from the buffered bytes. The
+    /// payload of a data frame stays a view into the reassembly buffer, so
+    /// callers that filter or drop frames never copy payload bytes; consume
+    /// the view before buffering more bytes.
     ///
     /// Returns `Ok(None)` when the buffer holds only a proper prefix of a
     /// frame (read more and call again). After an `Err` the stream is
@@ -92,44 +93,23 @@ impl FrameReassembler {
     ///
     /// # Errors
     ///
-    /// Any codec error of [`envelope::decode`] on malformed input, plus
-    /// [`NetError::FrameTooLarge`] when a frame would exceed
+    /// Any codec error of [`envelope::decode_prefix`] on malformed input,
+    /// plus [`NetError::FrameTooLarge`] when a frame would exceed
     /// [`MAX_FRAME_BYTES`].
-    pub fn next_frame(&mut self) -> Result<Option<Envelope>, NetError> {
-        Ok(self.next_frame_view()?.map(EnvelopeView::into_envelope))
-    }
-
-    /// Borrowing variant of [`FrameReassembler::next_frame`]: the payload of
-    /// a data frame stays a view into the reassembly buffer, so callers that
-    /// filter or drop frames never copy payload bytes. Consume the view (or
-    /// call [`EnvelopeView::into_envelope`]) before buffering more bytes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FrameReassembler::next_frame`].
     pub fn next_frame_view(&mut self) -> Result<Option<EnvelopeView<'_>>, NetError> {
-        let pending = &self.buf[self.start..];
-        let total = match envelope::required_len(pending) {
-            Ok(total) => total,
-            Err(NetError::Truncated { needed, .. }) => {
-                debug_assert!(needed > pending.len(), "required_len must ask for more");
-                return Ok(None);
+        match envelope::decode_prefix(&self.buf[self.start..]) {
+            Ok((envelope, len)) => {
+                self.start += len;
+                Ok(Some(envelope))
             }
-            Err(fatal) => return Err(fatal),
-        };
-        if total > MAX_FRAME_BYTES {
             // Unreachable while the codec's dimension caps hold, but the
             // buffer-growth bound must not depend on that invariant.
-            return Err(NetError::FrameTooLarge { code_length: 0, payload_size: total });
+            Err(NetError::Truncated { needed, .. }) if needed > MAX_FRAME_BYTES => {
+                Err(NetError::FrameTooLarge { code_length: 0, payload_size: needed })
+            }
+            Err(NetError::Truncated { .. }) => Ok(None),
+            Err(fatal) => Err(fatal),
         }
-        if pending.len() < total {
-            return Ok(None);
-        }
-        // Exact slice: a datagram decoder would reject trailing bytes, and
-        // on a stream the "trailing" bytes are simply the next frame.
-        let envelope = envelope::decode_view(&self.buf[self.start..self.start + total])?;
-        self.start += total;
-        Ok(Some(envelope))
     }
 
     fn compact(&mut self) {
@@ -143,7 +123,7 @@ impl FrameReassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::{encode, EnvelopeHeader, Message, MessageKind};
+    use crate::envelope::{encode, EnvelopeHeader, Message, MessageKind, MessageView};
     use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
     use ltnc_scheme::SchemeKind;
 
@@ -194,10 +174,10 @@ mod tests {
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(&stream);
         for frame in &frames {
-            let envelope = reassembler.next_frame().expect("valid").expect("complete");
-            assert_eq!(envelope::encode_envelope(&envelope), *frame);
+            let envelope = reassembler.next_frame_view().expect("valid").expect("complete");
+            assert_eq!(envelope::encode_envelope(&envelope.into_owned()), *frame);
         }
-        assert_eq!(reassembler.next_frame().unwrap(), None);
+        assert_eq!(reassembler.next_frame_view().unwrap(), None);
         assert_eq!(reassembler.pending_bytes(), 0);
     }
 
@@ -209,8 +189,8 @@ mod tests {
         let mut decoded = Vec::new();
         for &byte in &stream {
             reassembler.extend(&[byte]);
-            while let Some(envelope) = reassembler.next_frame().expect("valid stream") {
-                decoded.push(envelope::encode_envelope(&envelope));
+            while let Some(envelope) = reassembler.next_frame_view().expect("valid stream") {
+                decoded.push(envelope::encode_envelope(&envelope.into_owned()));
             }
         }
         assert_eq!(decoded, frames);
@@ -225,23 +205,23 @@ mod tests {
         let mut payload_frames = 0;
         for frame in &frames {
             let view = reassembler.next_frame_view().expect("valid").expect("complete");
-            if let crate::envelope::MessageView::DataPayload { packet, .. } = &view.message {
+            if let MessageView::DataPayload { packet, .. } = &view.message {
                 // The payload is a window into the reassembly buffer, not a copy.
                 let bytes = packet.payload_bytes();
                 assert_eq!(bytes, &frame[frame.len() - bytes.len()..]);
                 payload_frames += 1;
             }
-            assert_eq!(envelope::encode_envelope(&view.into_envelope()), *frame);
+            assert_eq!(envelope::encode_envelope(&view.into_owned()), *frame);
         }
         assert_eq!(payload_frames, 1);
-        assert_eq!(reassembler.next_frame_view().unwrap().map(|_| ()), None);
+        assert_eq!(reassembler.next_frame_view().unwrap(), None);
     }
 
     #[test]
     fn corrupt_magic_is_a_fatal_error() {
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(b"XXXX garbage that is long enough to parse a header");
-        assert!(matches!(reassembler.next_frame(), Err(NetError::BadMagic(_))));
+        assert!(matches!(reassembler.next_frame_view(), Err(NetError::BadMagic(_))));
     }
 
     #[test]
@@ -249,8 +229,31 @@ mod tests {
         // Fewer than ENVELOPE_HEADER_BYTES garbage bytes: not yet decidable.
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(&[0xFF; 5]);
-        assert_eq!(reassembler.next_frame().unwrap(), None);
+        assert_eq!(reassembler.next_frame_view().unwrap(), None);
         reassembler.extend(&[0xFF; 32]);
-        assert!(reassembler.next_frame().is_err());
+        assert!(reassembler.next_frame_view().is_err());
+    }
+
+    #[test]
+    fn the_largest_legal_frame_is_buffered_not_refused() {
+        // The header prefix of a DATA-PAYLOAD at both dimension caps: the
+        // biggest frame the codec accepts must be one the stream waits for.
+        let vector = CodeVector::zero(envelope::MAX_CODE_LENGTH);
+        let trace = envelope::TraceContext { origin_micros: 1, hop: 0 };
+        let mut prefix = Vec::new();
+        let offer = header(MessageKind::DataHeader);
+        envelope::encode_offer_into(
+            &mut prefix,
+            &offer,
+            1,
+            &trace,
+            &vector,
+            envelope::MAX_PAYLOAD_SIZE,
+        );
+        prefix[5] = MessageKind::DataPayload as u8;
+        let mut reassembler = FrameReassembler::new();
+        reassembler.extend(&prefix);
+        assert_eq!(reassembler.next_frame_view().unwrap(), None);
+        assert_eq!(prefix.len() + envelope::MAX_PAYLOAD_SIZE, MAX_FRAME_BYTES);
     }
 }

@@ -3,11 +3,13 @@
 //! and `FrameReassembler` fed by a `FaultyStream` never panicking and
 //! never yielding a frame that was not sent.
 
+use std::collections::HashSet;
 use std::io::{Cursor, Read};
 
+use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{
-    self, Envelope, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT, MAX_CODE_LENGTH,
-    MAX_PAYLOAD_SIZE,
+    self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
+    MAX_CODE_LENGTH, MAX_PAYLOAD_SIZE,
 };
 use ltnc_net::faults::{FaultPlan, FaultyStream};
 use ltnc_net::stream::FrameReassembler;
@@ -21,13 +23,29 @@ fn scheme_from(index: u64) -> SchemeKind {
     SchemeKind::ALL[(index % 3) as usize]
 }
 
+/// A small random packet: the data kinds are the two variable-length
+/// frames, so their lengths must vary too.
+fn small_packet(rng: &mut SmallRng) -> EncodedPacket {
+    let k = rng.gen_range(1..40usize);
+    let mut vector = CodeVector::zero(k);
+    for i in 0..k {
+        if rng.gen_bool(0.4) {
+            vector.set(i);
+        }
+    }
+    let mut payload = vec![0u8; rng.gen_range(0..48usize)];
+    rng.fill(&mut payload[..]);
+    EncodedPacket::new(vector, Payload::from_vec(payload))
+}
+
 /// A deterministic valid multi-frame stream (reuses every message kind).
 fn handshake_stream(seed: u64, frames: usize) -> (Vec<Envelope>, Vec<u8>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut envelopes = Vec::with_capacity(frames);
     for _ in 0..frames {
         let scheme = scheme_from(rng.gen::<u64>());
-        let (kind, message) = match rng.gen_range(0..6u8) {
+        let trace = TraceContext { origin_micros: rng.gen(), hop: rng.gen_range(0..16) };
+        let (kind, message) = match rng.gen_range(0..8u8) {
             0 => (MessageKind::Request, Message::Request),
             1 => (
                 MessageKind::Manifest,
@@ -42,6 +60,17 @@ fn handshake_stream(seed: u64, frames: usize) -> (Vec<Envelope>, Vec<u8>) {
             4 => (
                 MessageKind::FeedbackAccept,
                 Message::Feedback { transfer: rng.gen(), accept: true },
+            ),
+            5 => {
+                let packet = small_packet(&mut rng);
+                let (payload_size, vector) = (packet.payload_size(), packet.vector().clone());
+                let offer =
+                    Message::DataHeader { transfer: rng.gen(), trace, payload_size, vector };
+                (MessageKind::DataHeader, offer)
+            }
+            6 => (
+                MessageKind::DataPayload,
+                Message::DataPayload { transfer: rng.gen(), trace, packet: small_packet(&mut rng) },
             ),
             _ => (
                 MessageKind::FeedbackAbort,
@@ -90,14 +119,22 @@ fn reassemble_through_ref(
             Err(_) => break, // injected disconnect
         }
         loop {
-            match reassembler.next_frame() {
-                Ok(Some(envelope)) => decoded.push(envelope),
+            match reassembler.next_frame_view() {
+                Ok(Some(envelope)) => decoded.push(envelope.into_owned()),
                 Ok(None) => break,
                 Err(fatal) => return (decoded, Err(fatal)),
             }
         }
     }
     (decoded, Ok(()))
+}
+
+#[test]
+fn handshake_streams_cover_every_kind() {
+    let (envelopes, _) = handshake_stream(3, 200);
+    let kinds: HashSet<MessageKind> =
+        envelopes.iter().map(|envelope| envelope.header.kind).collect();
+    assert_eq!(kinds.len(), 8, "the fault properties must reach every message kind");
 }
 
 proptest! {
@@ -143,8 +180,8 @@ proptest! {
         };
         for envelope in [request, manifest, reject] {
             let bytes = envelope::encode_envelope(&envelope);
-            prop_assert_eq!(envelope::decode(&bytes).unwrap(), envelope);
-            prop_assert_eq!(envelope::required_len(&bytes).unwrap(), bytes.len());
+            prop_assert_eq!(envelope::decode_view(&bytes).unwrap().into_owned(), envelope);
+            prop_assert_eq!(envelope::decode_prefix(&bytes).unwrap().1, bytes.len());
         }
     }
 
@@ -171,7 +208,7 @@ proptest! {
         let hostile = MAX_CODE_LENGTH as u32 + excess;
         bytes[k_at..k_at + 4].copy_from_slice(&hostile.to_le_bytes());
         prop_assert!(matches!(
-            envelope::decode(&bytes),
+            envelope::decode_view(&bytes),
             Err(NetError::FrameTooLarge { .. })
         ));
     }

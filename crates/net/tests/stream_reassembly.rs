@@ -87,15 +87,15 @@ fn decode_chunked(stream: &[u8], chunk_sizes: impl Iterator<Item = usize>) -> Ve
         let end = (offset + size.max(1)).min(stream.len());
         reassembler.extend(&stream[offset..end]);
         offset = end;
-        while let Some(envelope) = reassembler.next_frame().expect("valid stream") {
-            decoded.push(envelope);
+        while let Some(envelope) = reassembler.next_frame_view().expect("valid stream") {
+            decoded.push(envelope.into_owned());
         }
     }
     // Whatever the chunking left over, deliver it.
     if offset < stream.len() {
         reassembler.extend(&stream[offset..]);
-        while let Some(envelope) = reassembler.next_frame().expect("valid stream") {
-            decoded.push(envelope);
+        while let Some(envelope) = reassembler.next_frame_view().expect("valid stream") {
+            decoded.push(envelope.into_owned());
         }
     }
     assert_eq!(reassembler.pending_bytes(), 0, "no residue after a whole stream");
@@ -154,7 +154,7 @@ proptest! {
         for piece in garbage.chunks(chunk) {
             reassembler.extend(piece);
             loop {
-                match reassembler.next_frame() {
+                match reassembler.next_frame_view() {
                     Ok(Some(_)) => {}
                     Ok(None) => break,
                     Err(_) => {
@@ -182,7 +182,7 @@ proptest! {
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(&stream[..keep]);
         loop {
-            match reassembler.next_frame() {
+            match reassembler.next_frame_view() {
                 Ok(Some(_)) => {}
                 Ok(None) => break, // waiting for the missing tail: correct
                 Err(e) => panic!("valid prefix errored: {e}"),

@@ -163,21 +163,22 @@ impl ReplicaConn {
                 });
             }
             conn.pump_inbound(&mut buf)?;
-            while let Some(frame) = conn.reassembler.next_frame()? {
+            while let Some(frame) = conn.reassembler.next_frame_view()? {
                 conn.wire.datagrams_received += 1;
                 match frame.message {
-                    Message::Reject => return Err(ServeError::Rejected),
-                    Message::Manifest { object_len, code_length, payload_size } => {
+                    MessageView::Reject => return Err(ServeError::Rejected),
+                    MessageView::Manifest { object_len, code_length, payload_size } => {
                         let manifest =
                             validate_manifest(scheme, object_len, code_length, payload_size)?;
                         conn.manifest = manifest;
                         return Ok((conn, manifest));
                     }
-                    Message::DataHeader { .. } | Message::DataPayload { .. } => {
+                    MessageView::DataHeader { .. } | MessageView::DataPayload { .. } => {
                         return Err(ServeError::UnexpectedMessage("data frame before MANIFEST"));
                     }
                     // Harmless kinds a future server might emit pre-manifest.
-                    Message::Request | Message::Feedback { .. } | Message::Complete => {}
+                    MessageView::Request | MessageView::Feedback { .. } | MessageView::Complete => {
+                    }
                 }
             }
         }

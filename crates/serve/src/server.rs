@@ -45,7 +45,7 @@ use std::time::Duration;
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{AtomicServeCounters, LogHistogram, ServeCounters};
 use ltnc_net::envelope::{
-    self, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
+    self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::SchemeParams;
@@ -420,12 +420,12 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-connection wire plumbing: the socket, the reassembler, the
-/// outbound batch and the byte counters, so session logic queues frames
-/// without repeating the accounting.
+/// Per-connection wire plumbing: the socket, the outbound batch and the
+/// byte counters, so session logic queues frames without repeating the
+/// accounting. (The reassembler lives beside it in [`run_session`]: a
+/// decoded frame borrows it while the session writes here.)
 struct Connection<'a> {
     stream: TcpStream,
-    reassembler: FrameReassembler,
     /// Frames encoded since the last flush, back to back. Session logic
     /// only ever appends here; [`Connection::flush`] is the one place the
     /// socket is written.
@@ -496,13 +496,8 @@ fn run_session(
     // A client that stops reading must not pin the worker in `write`
     // any longer than one that stops writing pins it in `read`.
     stream.set_write_timeout(Some(options.idle_timeout))?;
-    let mut conn = Connection {
-        stream,
-        reassembler: FrameReassembler::new(),
-        outbound: Vec::new(),
-        stats,
-        tracer,
-    };
+    let mut conn = Connection { stream, outbound: Vec::new(), stats, tracer };
+    let mut reassembler = FrameReassembler::new();
     let mut session: Option<Session> = None;
     // One read takes a whole window's worth of feedback.
     let mut buf =
@@ -522,7 +517,7 @@ fn run_session(
             Ok(0) => return Err(ServeError::Disconnected),
             Ok(n) => {
                 stats.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                conn.reassembler.extend(&buf[..n]);
+                reassembler.extend(&buf[..n]);
                 last_inbound = std::time::Instant::now();
             }
             Err(e)
@@ -538,7 +533,7 @@ fn run_session(
             Err(e) => return Err(ServeError::Io(e)),
         }
 
-        while let Some(frame) = conn.reassembler.next_frame()? {
+        while let Some(frame) = reassembler.next_frame_view()? {
             if handle_frame(
                 &frame.header,
                 frame.message,
@@ -565,7 +560,7 @@ fn run_session(
 /// session is over and the connection should close.
 fn handle_frame(
     header: &EnvelopeHeader,
-    message: Message,
+    message: MessageView<'_>,
     session: &mut Option<Session>,
     conn: &mut Connection<'_>,
     store: &Arc<ObjectStore>,
@@ -573,7 +568,7 @@ fn handle_frame(
     options: &ServeOptions,
 ) -> Result<bool, ServeError> {
     match message {
-        Message::Request => {
+        MessageView::Request => {
             if session.is_some() {
                 return Err(ServeError::UnexpectedMessage("second REQUEST on one session"));
             }
@@ -606,7 +601,7 @@ fn handle_frame(
             *session = Some(new);
             Ok(false)
         }
-        Message::Feedback { transfer, accept } => {
+        MessageView::Feedback { transfer, accept } => {
             let Some(session) = session.as_mut() else {
                 return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
             };
@@ -628,7 +623,7 @@ fn handle_frame(
             }
             Ok(false)
         }
-        Message::Complete => {
+        MessageView::Complete => {
             let Some(session) = session.as_mut() else {
                 return Err(ServeError::UnexpectedMessage("COMPLETE before REQUEST"));
             };
@@ -642,10 +637,10 @@ fn handle_frame(
             Ok(false)
         }
         // A server never receives the server-side kinds or data frames.
-        Message::Manifest { .. } | Message::Reject => {
+        MessageView::Manifest { .. } | MessageView::Reject => {
             Err(ServeError::UnexpectedMessage("server-side kind from a client"))
         }
-        Message::DataHeader { .. } | Message::DataPayload { .. } => {
+        MessageView::DataHeader { .. } | MessageView::DataPayload { .. } => {
             Err(ServeError::UnexpectedMessage("data frame from a client"))
         }
     }

@@ -90,8 +90,8 @@ impl ScriptedClient {
         let mut buf = [0u8; 4096];
         loop {
             while frames.len() < want {
-                match self.reassembler.next_frame().expect("a well-framed stream") {
-                    Some(frame) => frames.push(frame),
+                match self.reassembler.next_frame_view().expect("a well-framed stream") {
+                    Some(frame) => frames.push(frame.into_owned()),
                     None => break,
                 }
             }
@@ -132,8 +132,8 @@ impl ScriptedClient {
             assert!(Instant::now() < deadline, "the server never closed the connection");
         }
         let mut frames = Vec::new();
-        while let Some(frame) = self.reassembler.next_frame().expect("a well-framed stream") {
-            frames.push(frame);
+        while let Some(frame) = self.reassembler.next_frame_view().expect("a well-framed stream") {
+            frames.push(frame.into_owned());
         }
         assert_eq!(self.reassembler.pending_bytes(), 0, "the stream ended inside a frame");
         frames
