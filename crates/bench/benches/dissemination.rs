@@ -1,18 +1,12 @@
-//! Wall-clock benchmark of the dissemination simulator itself: one full
-//! epidemic run per scheme at a small scale. This is a smoke-level benchmark
-//! that keeps the Figure 7 harness honest (a regression here makes the figure
+//! Wall-clock benchmark of one full epidemic per scheme at a small scale,
+//! on the virtual-time driver. This is a smoke-level benchmark that keeps
+//! the Figure 7 harness honest (a regression here makes the figure
 //! binaries unusably slow at paper scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ltnc_sim::{Engine, SchemeKind, SimConfig};
-
-fn config(scheme: SchemeKind) -> SimConfig {
-    let mut c = SimConfig::quick(scheme);
-    c.nodes = 40;
-    c.code_length = 24;
-    c.max_periods = 6_000;
-    c
-}
+use ltnc_bench::epidemic;
+use ltnc_scheme::SchemeKind;
+use ltnc_topo::run_topology_virtual;
 
 fn bench_dissemination(c: &mut Criterion) {
     let mut group = c.benchmark_group("dissemination_run");
@@ -24,10 +18,11 @@ fn bench_dissemination(c: &mut Criterion) {
             BenchmarkId::from_parameter(scheme.label()),
             &scheme,
             |bench, &scheme| {
+                let config = epidemic(scheme, 40, 24, 8, 42);
                 bench.iter(|| {
-                    let report = Engine::new(config(scheme)).run();
-                    assert!(report.content_verified);
-                    std::hint::black_box(report.completed_nodes)
+                    let report = run_topology_virtual(&config).swarm;
+                    assert!(report.converged && report.bit_exact);
+                    std::hint::black_box(report.peers_complete)
                 })
             },
         );

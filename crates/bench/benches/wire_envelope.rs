@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{self, EnvelopeHeader, Message, MessageKind, TraceContext};
-use ltnc_sim::SchemeKind;
+use ltnc_scheme::SchemeKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,30 +1,22 @@
 //! Figure 7b: average time to complete as a function of the code length `k`
-//! (paper sweep: 512 → 4096), for WC, LTNC and RLNC.
+//! (paper sweep: 512 → 4096), for WC, LTNC and RLNC — the protocol we ship
+//! on 16-peer views, in virtual time, reported in gossip ticks.
 //!
 //! Expected shape (paper): for every `k`, RLNC < LTNC < WC, and the relative
 //! gap between LTNC and RLNC shrinks as `k` grows.
 
-use ltnc_bench::{code_length_sweep, fmt_f, print_series, print_table, HarnessOptions};
+use ltnc_bench::{
+    code_length_sweep, completion_ticks, epidemic, fmt_f, mean, print_series, print_table,
+    HarnessOptions,
+};
 use ltnc_metrics::TimeSeries;
-use ltnc_sim::{Engine, SchemeKind, SimConfig};
-
-fn config(options: &HarnessOptions, scheme: SchemeKind, k: usize, seed: u64) -> SimConfig {
-    let mut c = if options.full {
-        SimConfig::paper_reference(scheme)
-    } else {
-        let mut c = SimConfig::quick(scheme);
-        c.nodes = 80;
-        c.max_periods = 40_000;
-        c
-    };
-    c.code_length = k;
-    c.seed = seed;
-    c
-}
+use ltnc_scheme::SchemeKind;
+use ltnc_topo::run_topology_virtual;
 
 fn main() {
     let options = HarnessOptions::from_env();
     let sweep = code_length_sweep(options.full);
+    let (peers, payload) = if options.full { (1000, 64) } else { (80, 8) };
     println!("Figure 7b — average time to complete vs code length");
     println!(
         "mode: {} | k sweep: {:?} | runs: {}",
@@ -41,9 +33,8 @@ fn main() {
         for (i, &scheme) in SchemeKind::ALL.iter().enumerate() {
             let mut avg = 0.0;
             for run in 0..options.runs {
-                let report =
-                    Engine::new(config(&options, scheme, k, options.seed + run as u64)).run();
-                avg += report.avg_time_to_complete;
+                let config = epidemic(scheme, peers, k, payload, options.seed + run as u64);
+                avg += mean(&completion_ticks(&config, &run_topology_virtual(&config)));
             }
             avg /= options.runs as f64;
             series[i].push(k as f64, avg);
@@ -54,7 +45,7 @@ fn main() {
 
     let headers: Vec<&str> =
         std::iter::once("k").chain(SchemeKind::ALL.iter().map(|s| s.label())).collect();
-    print_table("Average time to complete (gossip periods)", &headers, &rows);
+    print_table("Average time to complete (gossip ticks)", &headers, &rows);
 
     // Relative overhead of LTNC vs RLNC (the paper reports ≈ +30 % that
     // decreases with k).

@@ -6,16 +6,21 @@
 //! | Binary              | Paper artifact | What it prints |
 //! |----------------------|----------------|----------------|
 //! | `fig2_soliton`       | Figure 2       | Robust Soliton pmf vs degree |
-//! | `fig7a_convergence`  | Figure 7a      | % of complete nodes vs gossip period, WC/LTNC/RLNC |
+//! | `fig7a_convergence`  | Figure 7a      | % of complete nodes vs time in ticks, WC/LTNC/RLNC |
 //! | `fig7b_completion`   | Figure 7b      | average time to complete vs code length |
 //! | `fig7c_overhead`     | Figure 7c      | communication overhead vs code length (LTNC) |
 //! | `fig8_cost`          | Figure 8a–8d   | recoding/decoding cost, control/data, vs code length |
 //! | `stats_recoding`     | §III-B/§III-C in-text numbers | degree-draw acceptance, build accuracy, occurrence spread, redundancy catches |
 //! | `ablations`          | design choices | refinement / redundancy-detection / feedback ablations |
 //!
+//! Figures 7a–c and the feedback ablation run the protocol we ship — the
+//! `ltnc-net` node state machine, header-first handshake, pacing and event
+//! clocks included — on the virtual-time driver ([`epidemic`]), so they
+//! replay from their seed and report time in gossip ticks.
+//!
 //! The Criterion benches in `benches/` measure wall-clock time of the same
 //! operations (GF(2) primitives, Soliton sampling, recoding, decoding, one
-//! full dissemination step) so that trends can also be checked against real
+//! full dissemination run) so that trends can also be checked against real
 //! time rather than the operation-count cost model alone.
 //!
 //! All binaries accept `--quick` (default) or `--full`; `--full` uses the
@@ -27,8 +32,80 @@
 #![warn(missing_docs)]
 
 use std::env;
+use std::time::Duration;
 
 use ltnc_metrics::TimeSeries;
+use ltnc_net::NodeOptions;
+use ltnc_scheme::SchemeKind;
+use ltnc_topo::{Topology, TopologyConfig, TopologyReport};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Overlay degree of the epidemic runs: the 16-peer partial view of the
+/// paper's peer sampling service, as a random 16-regular overlay.
+pub const VIEW_DEGREE: usize = 16;
+
+/// The paper's epidemic (§IV-A) on the protocol we ship: `peers` receivers
+/// on a random [`VIEW_DEGREE`]-regular overlay and a source that reaches
+/// each of them ([`Topology::epidemic`]), one generation of `k` random
+/// symbols of `payload` bytes, for [`ltnc_topo::run_topology_virtual`].
+/// The timeout (virtual time) is an hour.
+#[must_use]
+pub fn epidemic(
+    scheme: SchemeKind,
+    peers: usize,
+    k: usize,
+    payload: usize,
+    seed: u64,
+) -> TopologyConfig {
+    let mut object = vec![0u8; k * payload];
+    SmallRng::seed_from_u64(seed).fill(&mut object[..]);
+    let overlay = Topology::epidemic(peers, VIEW_DEGREE, seed);
+    let mut config = TopologyConfig::quick(scheme, object, overlay);
+    config.code_length = k;
+    config.payload_size = payload;
+    config.options = NodeOptions { seed, ..NodeOptions::default() };
+    config.timeout = Duration::from_secs(3600);
+    config
+}
+
+/// When each peer of a run completed, in gossip ticks; a peer that never
+/// did counts at the timeout.
+#[must_use]
+pub fn completion_ticks(config: &TopologyConfig, report: &TopologyReport) -> Vec<f64> {
+    let tick = config.options.tick.as_secs_f64();
+    let at = |done: &Option<Duration>| done.unwrap_or(config.timeout).as_secs_f64() / tick;
+    report.swarm.completed_at.iter().map(at).collect()
+}
+
+/// The mean of `values` (0 for none).
+#[must_use]
+pub fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len().max(1) as f64
+}
+
+/// The convergence curve of a run: the percentage of peers complete
+/// against time, one step per completion.
+#[must_use]
+pub fn convergence(label: &str, completion_ticks: &[f64]) -> TimeSeries {
+    let mut ticks = completion_ticks.to_vec();
+    ticks.sort_by(f64::total_cmp);
+    let mut curve = TimeSeries::new(label);
+    curve.push(0.0, 0.0);
+    for (done, &at) in ticks.iter().enumerate() {
+        curve.push(at, 100.0 * (done + 1) as f64 / ticks.len() as f64);
+    }
+    curve
+}
+
+/// Communication overhead in percent (Figure 7c): payloads delivered
+/// beyond the `peers × k` every run needs at least.
+#[must_use]
+pub fn overhead_percent(config: &TopologyConfig, report: &TopologyReport) -> f64 {
+    let necessary = (report.swarm.peer_reports.len() * config.code_length) as f64;
+    let delivered = report.swarm.total_wire.transfers_delivered as f64;
+    ((delivered - necessary) / necessary * 100.0).max(0.0)
+}
 
 /// Command-line options shared by every figure binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,6 +270,22 @@ mod tests {
         }
         assert!(code_length_sweep(true).contains(&2048));
         assert!(cost_code_length_sweep(true).contains(&2000));
+    }
+
+    #[test]
+    fn convergence_curve_is_monotone_and_reaches_100() {
+        let config = epidemic(SchemeKind::Ltnc, 20, 16, 8, 7);
+        let report = ltnc_topo::run_topology_virtual(&config);
+        assert!(report.swarm.converged && report.swarm.bit_exact);
+        let ticks = completion_ticks(&config, &report);
+        let curve = convergence("LTNC", &ticks);
+        let points = curve.points();
+        assert_eq!(points.len(), 21, "the origin and one step per peer");
+        assert!(points.windows(2).all(|w| w[1].0 >= w[0].0 && w[1].1 > w[0].1));
+        assert_eq!(points.last().map(|p| p.1), Some(100.0));
+        let last = report.swarm.elapsed.as_secs_f64() / config.options.tick.as_secs_f64();
+        assert_eq!(points.last().map(|p| p.0), Some(last), "the last peer converges the run");
+        assert!(mean(&ticks) <= last && overhead_percent(&config, &report) > 0.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl LtncNode {
         }
     }
 
-    /// Convenience wrapper taking a full packet (the simulator's feedback
+    /// Convenience wrapper taking a full packet (the protocol's feedback
     /// channel runs the check on the header before the payload is sent).
     #[must_use]
     pub fn is_redundant_packet(&self, packet: &ltnc_gf2::EncodedPacket) -> bool {

@@ -292,7 +292,7 @@ impl CodeVector {
     /// Serialized size in bytes of the bitmap header on the wire.
     ///
     /// The paper includes the code vector in every packet header; the overhead
-    /// accounting of the simulator uses this value (`⌈k / 8⌉` bytes).
+    /// accounting uses this value (`⌈k / 8⌉` bytes).
     #[must_use]
     pub fn wire_size_bytes(&self) -> usize {
         self.len.div_ceil(8)

@@ -92,7 +92,7 @@ impl fmt::Display for OpKind {
 
 /// Deterministic counts of elementary operations.
 ///
-/// Counters are cheap to copy and add; the simulator keeps one per node and
+/// Counters are cheap to copy and add; a run keeps one per node and
 /// per phase (recoding / decoding), then folds them through a [`crate::CostModel`]
 /// to produce the Figure 8 series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

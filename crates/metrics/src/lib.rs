@@ -12,8 +12,8 @@
 //!
 //! 1. [`OpCounters`] — deterministic counts of the elementary operations each
 //!    scheme performs (payload XORs, code-vector XORs, row reductions, index
-//!    updates, …). These are platform independent and are what the simulator
-//!    records per node.
+//!    updates, …). These are platform independent and are what every node
+//!    records.
 //! 2. [`CostModel`] — a translation of those counts into estimated cycles,
 //!    using per-operation weights calibrated to a commodity x86 core. The
 //!    absolute numbers are not meaningful; the *ratios* (LTNC vs RLNC, control
@@ -25,7 +25,7 @@
 //! declared once with [`counter_family!`].
 //!
 //! The crate also contains small statistics helpers ([`Summary`], [`Histogram`],
-//! [`TimeSeries`]) used by the simulator and the figure harness.
+//! [`TimeSeries`]) used by the figure harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
 //! Disseminates a real file from one source to N localhost peers over UDP
 //! under each scheme (WC, LTNC, RLNC), and reports convergence, bytes on
 //! the wire and header-level aborts — the first end-to-end scenario that
-//! exercises encoder → wire → socket → recoder → decoder outside the
-//! simulator.
+//! exercises encoder → wire → socket → recoder → decoder over real
+//! sockets.
 //!
 //! ```text
 //! cargo run --release -p ltnc-net --example file_dissemination_udp

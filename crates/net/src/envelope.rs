@@ -116,7 +116,8 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// The current wall clock in the wire's unit (microseconds since the
-    /// Unix epoch, saturating).
+    /// Unix epoch, saturating) — what a socket-facing caller passes as
+    /// `now`.
     #[must_use]
     pub fn now_micros() -> u64 {
         std::time::SystemTime::now()
@@ -125,10 +126,11 @@ impl TraceContext {
             .unwrap_or(0)
     }
 
-    /// A source-fresh context: hop 0, stamped now.
+    /// A source-fresh context: hop 0, stamped `now` (microseconds on the
+    /// caller's clock).
     #[must_use]
-    pub fn origin_now() -> TraceContext {
-        TraceContext { origin_micros: TraceContext::now_micros(), hop: 0 }
+    pub fn origin_now(now: u64) -> TraceContext {
+        TraceContext { origin_micros: now, hop: 0 }
     }
 
     /// Folds another packet's lineage into this one the way a recoding
@@ -148,11 +150,11 @@ impl TraceContext {
         TraceContext { origin_micros: self.origin_micros, hop: self.hop.saturating_add(1) }
     }
 
-    /// Origin→now latency in microseconds (0 for clock skew into the
+    /// Origin→`now` latency in microseconds (0 for clock skew into the
     /// future, rather than a bogus huge value).
     #[must_use]
-    pub fn latency_micros(&self) -> u64 {
-        TraceContext::now_micros().saturating_sub(self.origin_micros)
+    pub fn latency_micros(&self, now: u64) -> u64 {
+        now.saturating_sub(self.origin_micros)
     }
 
     /// Number of overlay links the information crossed to reach whoever
@@ -683,9 +685,10 @@ mod tests {
 
     #[test]
     fn trace_context_lineage_rules() {
-        let fresh = TraceContext::origin_now();
-        assert_eq!(fresh.hop, 0);
+        let fresh = TraceContext::origin_now(700);
+        assert_eq!(fresh, TraceContext { origin_micros: 700, hop: 0 });
         assert_eq!(fresh.links(), 1);
+        assert_eq!(fresh.latency_micros(1_000), 300);
         // A relay absorbs: earliest origin, deepest hop, then stamps +1.
         let a = TraceContext { origin_micros: 500, hop: 1 };
         let b = TraceContext { origin_micros: 900, hop: 3 };
@@ -697,7 +700,7 @@ mod tests {
         assert_eq!(deep.next_hop().hop, u16::MAX);
         // Clock skew into the future reads as zero latency, not 2^64.
         let future = TraceContext { origin_micros: u64::MAX, hop: 0 };
-        assert_eq!(future.latency_micros(), 0);
+        assert_eq!(future.latency_micros(1_000), 0);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! what makes "kill the server after exactly K bytes" a stable test.
 //! Datagram faults decide per *datagram* in arrival order, so a fixed
 //! seed replays the same drop/duplicate/reorder pattern over the same
-//! traffic.
+//! traffic. One routine makes that decision for the socket and for the
+//! in-memory links of the virtual-time driver (`crate::virtual_time`);
+//! neither sleeps — a delayed datagram is parked until it falls due.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -41,7 +43,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ltnc_metrics::CounterFamily;
 use ltnc_telemetry::{FaultKind, TraceEvent, Tracer};
@@ -514,8 +516,9 @@ pub struct DatagramFaultPlan {
     ///
     /// [`reorder_rate`]: DatagramFaultPlan::reorder_rate
     pub reorder_window: usize,
-    /// Probability in `[0, 1]` that a datagram is delayed by [`delay`]
-    /// before delivery (link jitter).
+    /// Probability in `[0, 1]` that a datagram is held for [`delay`]
+    /// before delivery (link jitter). Nothing waits on it: the datagram
+    /// is parked, and traffic behind it passes.
     ///
     /// [`delay`]: DatagramFaultPlan::delay
     pub delay_rate: f64,
@@ -669,6 +672,13 @@ impl DatagramFaultCounters {
     }
 }
 
+/// How long datagrams the reorder fault holds may wait for the traffic
+/// that would overtake them: after this the link counts as idle and
+/// they are released. Both drivers release on this period — the
+/// reactor's release timer ([`FaultySocket::release_in`]) and the
+/// virtual-time driver's release event.
+pub const IDLE_RELEASE: Duration = Duration::from_millis(20);
+
 /// A datagram held back by the reorder fault, released once `remaining`
 /// later datagrams have passed it (or the link goes idle).
 struct HeldDatagram {
@@ -677,35 +687,153 @@ struct HeldDatagram {
     remaining: usize,
 }
 
-struct DirectionState {
+/// What one plan did to one datagram: the verdict of
+/// [`DirectionState::decide`], the one fault decision [`FaultySocket`]
+/// and the virtual-time driver both carry out.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Fate {
+    /// How long the delivered copies wait first, when the delay fault
+    /// fired.
+    pub(crate) delay: Option<Duration>,
+    dropped: bool,
+    /// Parked for reordering: the plan's state now holds the datagram.
+    held: bool,
+    duplicated: bool,
+}
+
+impl Fate {
+    /// Copies of the datagram to deliver (after [`Fate::delay`]): none
+    /// when it was dropped or held, two when it was duplicated.
+    pub(crate) fn copies(self) -> usize {
+        if self.dropped || self.held {
+            0
+        } else {
+            1 + usize::from(self.duplicated)
+        }
+    }
+
+    /// The faults as the counters of one direction.
+    pub(crate) fn counters(self, inbound: bool) -> DatagramFaultCounters {
+        let [delayed, dropped, reordered, duplicated] =
+            [self.delay.is_some(), self.dropped, self.held, self.duplicated].map(u64::from);
+        if inbound {
+            DatagramFaultCounters {
+                delayed_in: delayed,
+                dropped_in: dropped,
+                reordered_in: reordered,
+                duplicated_in: duplicated,
+                ..DatagramFaultCounters::default()
+            }
+        } else {
+            DatagramFaultCounters {
+                delayed_out: delayed,
+                dropped_out: dropped,
+                reordered_out: reordered,
+                duplicated_out: duplicated,
+                ..DatagramFaultCounters::default()
+            }
+        }
+    }
+
+    /// One [`TraceEvent::FaultInjected`] per fault, attributed to `peer`.
+    pub(crate) fn trace(self, tracer: &Tracer, inbound: bool, peer: SocketAddr) {
+        for (fired, kind) in [
+            (self.delay.is_some(), FaultKind::Delay),
+            (self.dropped, FaultKind::Drop),
+            (self.held, FaultKind::Reorder),
+            (self.duplicated, FaultKind::Duplicate),
+        ] {
+            if fired {
+                tracer.emit(|| TraceEvent::FaultInjected { kind, inbound, peer: Some(peer) });
+            }
+        }
+    }
+}
+
+/// One direction's fault state: the plan, its seeded RNG, and the
+/// datagrams the plan parks.
+pub(crate) struct DirectionState {
     plan: DatagramFaultPlan,
     rng: SmallRng,
     /// Datagrams held by the reorder fault, oldest first.
     held: VecDeque<HeldDatagram>,
-    /// Datagrams due for delivery before anything new is pulled from the
-    /// socket (expired holds, duplicate copies), oldest first.
-    ready: VecDeque<(Vec<u8>, SocketAddr)>,
+    /// Datagrams due for delivery ahead of anything new (expired holds,
+    /// duplicate copies, delayed datagrams whose time came), oldest
+    /// first.
+    pub(crate) ready: VecDeque<(Vec<u8>, SocketAddr)>,
+    /// The socket's delayed datagrams with the instant each falls due.
+    /// One plan has one delay, so due order is arrival order.
+    delayed: VecDeque<(Instant, Vec<u8>, SocketAddr)>,
 }
 
 impl DirectionState {
-    fn new(plan: DatagramFaultPlan) -> DirectionState {
+    pub(crate) fn new(plan: DatagramFaultPlan) -> DirectionState {
         DirectionState {
             plan,
             rng: SmallRng::seed_from_u64(plan.seed ^ 0xDA7A_FA17),
             held: VecDeque::new(),
             ready: VecDeque::new(),
+            delayed: VecDeque::new(),
         }
     }
 
-    /// One datagram has passed the held ones: age them, moving expired
-    /// holds onto the ready queue (their displacement reached the window).
-    fn age_held(&mut self) {
+    /// Decides the fate of one datagram to or from `peer`, after moving
+    /// the holds it overtakes past their window onto the ready queue. A
+    /// datagram the reorder fault picks is copied into the holds; every
+    /// other outcome is the caller's to carry out.
+    pub(crate) fn decide(&mut self, bytes: &[u8], peer: SocketAddr) -> Fate {
         for held in &mut self.held {
             held.remaining = held.remaining.saturating_sub(1);
         }
         while self.held.front().is_some_and(|h| h.remaining == 0) {
             let held = self.held.pop_front().expect("checked non-empty");
             self.ready.push_back((held.bytes, held.peer));
+        }
+        let plan = self.plan;
+        let mut fate = Fate::default();
+        if plan.delay_rate > 0.0 && self.rng.gen_bool(plan.delay_rate) {
+            fate.delay = Some(plan.delay);
+        }
+        if plan.drop_rate > 0.0 && self.rng.gen_bool(plan.drop_rate) {
+            fate.dropped = true;
+        } else if plan.reorder_window > 0
+            && plan.reorder_rate > 0.0
+            && self.rng.gen_bool(plan.reorder_rate)
+        {
+            fate.held = true;
+            let remaining = self.rng.gen_range(1..=plan.reorder_window);
+            self.held.push_back(HeldDatagram { bytes: bytes.to_vec(), peer, remaining });
+        } else if plan.duplicate_rate > 0.0 && self.rng.gen_bool(plan.duplicate_rate) {
+            fate.duplicated = true;
+        }
+        fate
+    }
+
+    /// Whether anything is held for reordering or ready.
+    pub(crate) fn holds(&self) -> bool {
+        !self.held.is_empty() || !self.ready.is_empty()
+    }
+
+    /// Declares the link idle: every reorder hold becomes ready.
+    pub(crate) fn release_held(&mut self) {
+        while let Some(held) = self.held.pop_front() {
+            self.ready.push_back((held.bytes, held.peer));
+        }
+    }
+
+    /// Parks `copies` copies of a delayed datagram until `due`.
+    fn park(&mut self, due: Instant, bytes: &[u8], peer: SocketAddr, copies: usize) {
+        for _ in 0..copies {
+            self.delayed.push_back((due, bytes.to_vec(), peer));
+        }
+    }
+
+    /// Moves the delayed datagrams due by `now` (all of them for `None`)
+    /// onto the ready queue.
+    fn release_due(&mut self, now: Option<Instant>) {
+        while self.delayed.front().is_some_and(|&(due, ..)| now.is_none_or(|now| due <= now)) {
+            let (_, bytes, peer) = self.delayed.pop_front().expect("checked non-empty");
+            self.ready.push_back((bytes, peer));
         }
     }
 }
@@ -717,74 +845,86 @@ struct LinkState {
     counters: DatagramFaultCounters,
 }
 
-/// The whole inbound side of a [`FaultySocket`]: the default plan every
+/// The whole inbound side of one node's links: the default plan every
 /// datagram crosses, plus per-origin overrides keyed by sender address
 /// (ordered, so multi-link delivery and draining are deterministic).
-struct InboundState {
+pub(crate) struct InboundState {
     default: DirectionState,
     links: BTreeMap<SocketAddr, LinkState>,
 }
 
 impl InboundState {
-    fn new(plan: DatagramFaultPlan) -> InboundState {
+    pub(crate) fn new(plan: DatagramFaultPlan) -> InboundState {
         InboundState { default: DirectionState::new(plan), links: BTreeMap::new() }
     }
 
+    /// Installs (or replaces) the plan for datagrams from `from`.
+    pub(crate) fn set_link(&mut self, from: SocketAddr, plan: DatagramFaultPlan) {
+        let counters = DatagramFaultCounters::default();
+        self.links.insert(from, LinkState { dir: DirectionState::new(plan), counters });
+    }
+
     /// `true` when no plan — default or per-link — can inject anything.
-    fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.default.plan.is_clean() && self.links.is_empty()
     }
 
     /// The direction state (and per-link counters, if any) a datagram
     /// from `from` must cross.
-    fn route(
+    pub(crate) fn route(
         &mut self,
         from: SocketAddr,
     ) -> (&mut DirectionState, Option<&mut DatagramFaultCounters>) {
-        if self.links.contains_key(&from) {
-            let link = self.links.get_mut(&from).expect("checked above");
-            (&mut link.dir, Some(&mut link.counters))
-        } else {
-            (&mut self.default, None)
+        match self.links.get_mut(&from) {
+            Some(link) => (&mut link.dir, Some(&mut link.counters)),
+            None => (&mut self.default, None),
         }
+    }
+
+    fn dirs(&self) -> impl Iterator<Item = &DirectionState> {
+        std::iter::once(&self.default).chain(self.links.values().map(|link| &link.dir))
+    }
+
+    fn dirs_mut(&mut self) -> impl Iterator<Item = &mut DirectionState> {
+        std::iter::once(&mut self.default).chain(self.links.values_mut().map(|link| &mut link.dir))
     }
 
     /// Pops the oldest due datagram from any ready queue (default first,
     /// then links in address order).
-    fn pop_ready(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        if let Some(ready) = self.default.ready.pop_front() {
-            return Some(ready);
-        }
-        self.links.values_mut().find_map(|link| link.dir.ready.pop_front())
+    pub(crate) fn pop_ready(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
+        self.dirs_mut().find_map(|dir| dir.ready.pop_front())
     }
 
-    /// Pops one datagram still held for reordering (default first, then
-    /// links in address order) — the idle-link release path.
-    fn pop_held(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        if let Some(held) = self.default.held.pop_front() {
-            return Some((held.bytes, held.peer));
-        }
-        self.links
-            .values_mut()
-            .find_map(|link| link.dir.held.pop_front().map(|h| (h.bytes, h.peer)))
+    /// Whether any plan holds a datagram for reordering or has one ready.
+    pub(crate) fn holds(&self) -> bool {
+        self.dirs().any(DirectionState::holds)
+    }
+
+    /// Declares every inbound link idle: all reorder holds become ready.
+    pub(crate) fn release_held(&mut self) {
+        self.dirs_mut().for_each(DirectionState::release_held);
+    }
+
+    /// Faults injected per link plan, ordered by sender address.
+    pub(crate) fn link_counters(&self) -> Vec<(SocketAddr, DatagramFaultCounters)> {
+        self.links.iter().map(|(&from, link)| (from, link.counters)).collect()
     }
 }
 
 /// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults.
 ///
-/// Wraps `send_to` and two receive calls — the nonblocking
-/// `try_recv_from` every [`PeerNode`] and swarm node runs on, and the
-/// blocking `recv_from` of tests reading a raw socket by hand — and
-/// applies one [`DatagramFaultPlan`] per direction: drops, duplicates,
-/// reordering within a bounded window, and delays. Clones share fault
-/// state (and counters), so all handles see one coherent plan.
+/// Wraps `send_to` and the nonblocking `try_recv_from` every
+/// [`PeerNode`] and swarm node runs on, and applies one
+/// [`DatagramFaultPlan`] per direction: drops, duplicates, reordering
+/// within a bounded window, and delays. Clones share fault state (and
+/// counters), so all handles see one coherent plan.
 ///
-/// Reordered datagrams are held until enough later traffic has overtaken
-/// them; when the link goes idle (a blocking read times out, or a node's
-/// timer calls `release_held`) held datagrams are released instead, and
-/// dropping a handle flushes the outbound queue too, so a held datagram
-/// is delayed, never lost. Dropped datagrams surface to a blocking
-/// reader as [`io::ErrorKind::WouldBlock`], exactly like a read timeout.
+/// Nothing here blocks. Reordered datagrams are held until enough later
+/// traffic has overtaken them, and delayed ones until they fall due;
+/// the owner's timer ([`FaultySocket::release_in`],
+/// [`FaultySocket::release_held`]) frees them when the link goes idle,
+/// and dropping a handle flushes the outbound queue too, so a held
+/// datagram is delayed, never lost.
 ///
 /// [`PeerNode`]: crate::peer::PeerNode
 ///
@@ -797,15 +937,16 @@ impl InboundState {
 /// let inner = UdpSocket::bind("127.0.0.1:0").unwrap();
 /// let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(7).drop_rate(1.0));
 /// let socket = FaultySocket::new(inner, faults).unwrap();
+/// socket.set_nonblocking(true).unwrap();
 ///
 /// let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
 /// sender.send_to(b"doomed", socket.local_addr().unwrap()).unwrap();
 ///
-/// // Every inbound datagram is dropped: the reader sees only timeouts.
-/// socket.set_read_timeout(Some(std::time::Duration::from_millis(50))).unwrap();
+/// // Every inbound datagram is dropped: a drain never delivers one.
 /// let mut buf = [0u8; 64];
-/// assert!(socket.recv_from(&mut buf).is_err());
-/// assert_eq!(socket.fault_counters().dropped_in, 1);
+/// while socket.fault_counters().dropped_in == 0 {
+///     assert_eq!(socket.try_recv_from(&mut buf).unwrap(), None);
+/// }
 /// ```
 pub struct FaultySocket {
     socket: UdpSocket,
@@ -857,14 +998,7 @@ impl FaultySocket {
     /// ([`FaultySocket::link_counters`]), so per-link loss stays
     /// attributable in multi-hop topology runs.
     pub fn set_link_plan(&self, from: SocketAddr, plan: DatagramFaultPlan) {
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        state.links.insert(
-            from,
-            LinkState {
-                dir: DirectionState::new(plan),
-                counters: DatagramFaultCounters::default(),
-            },
-        );
+        self.recv.lock().expect("recv fault state poisoned").set_link(from, plan);
     }
 
     /// Faults injected per inbound link plan so far, ordered by sender
@@ -873,12 +1007,11 @@ impl FaultySocket {
     /// [`FaultySocket::fault_counters`].
     #[must_use]
     pub fn link_counters(&self) -> Vec<(SocketAddr, DatagramFaultCounters)> {
-        let state = self.recv.lock().expect("recv fault state poisoned");
-        state.links.iter().map(|(&from, link)| (from, link.counters)).collect()
+        self.recv.lock().expect("recv fault state poisoned").link_counters()
     }
 
     /// A second handle to the same socket sharing the same fault state
-    /// (a node's drain handle and its state machine's send handle).
+    /// (a node's drain handle and its scrape endpoint's).
     ///
     /// # Errors
     ///
@@ -902,150 +1035,27 @@ impl FaultySocket {
         self.socket.local_addr()
     }
 
-    /// Sets the read timeout for blocking `recv_from` readers (tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::set_read_timeout` failures.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.socket.set_read_timeout(timeout)
-    }
-
     /// Faults injected so far, both directions.
     #[must_use]
     pub fn fault_counters(&self) -> DatagramFaultCounters {
         self.totals.snapshot()
     }
 
-    /// Receives one datagram, applying the inbound fault plan. Blocking:
-    /// only hand-driven test harnesses read this way, never a node.
-    ///
-    /// Dropped datagrams (and datagrams freshly held for reordering)
-    /// surface as [`io::ErrorKind::WouldBlock`], indistinguishable from a
-    /// read timeout to the caller's retry loop.
-    ///
-    /// # Errors
-    ///
-    /// Everything `UdpSocket::recv_from` can return, plus the synthetic
-    /// `WouldBlock` described above.
-    pub fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        if let Some((bytes, peer)) = state.pop_ready() {
-            return Ok(deliver(&bytes, peer, buf));
-        }
-        if state.is_clean() {
-            let result = self.socket.recv_from(buf);
-            if let Err(e) = &result {
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut {
-                    // Even with a clean inbound plan, an idle link must
-                    // release what the *outbound* reorder fault holds.
-                    self.flush_held_send();
-                }
-            }
-            return result;
-        }
-        match self.socket.recv_from(buf) {
-            Ok((len, peer)) => {
-                match self.apply_inbound(&mut state, buf, len, peer) {
-                    None => Ok((len, peer)),
-                    // The arriving datagram was consumed (dropped, held):
-                    // hand out anything already due instead, else signal
-                    // the caller to retry.
-                    Some(reason) => match state.pop_ready() {
-                        Some((bytes, peer)) => Ok(deliver(&bytes, peer, buf)),
-                        None => Err(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            format!("fault injection: {reason}"),
-                        )),
-                    },
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle link: nothing further will overtake held datagrams,
-                // so release them — every held *outbound* one onto the
-                // wire, the oldest inbound one to the caller. Delayed,
-                // never stranded (a node that converged and stopped
-                // sending must not strand its final COMPLETEs).
-                self.flush_held_send();
-                match state.pop_held() {
-                    Some((bytes, peer)) => Ok(deliver(&bytes, peer, buf)),
-                    None => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Pushes one freshly received datagram through the inbound fault
-    /// plan its origin routes to. Returns `None` when the datagram
-    /// survives (it is still in `buf`; a duplicate copy may have been
-    /// queued as ready), or `Some(reason)` when the plan consumed it
-    /// (dropped, or held for reordering).
-    fn apply_inbound(
-        &self,
-        state: &mut InboundState,
-        buf: &[u8],
-        len: usize,
-        peer: SocketAddr,
-    ) -> Option<&'static str> {
-        // Per-link plans shadow the default for their origin; the
-        // datagram crosses exactly one plan either way.
-        let (dir, link) = state.route(peer);
-        dir.age_held();
-        let plan = dir.plan;
-        let mut delta = DatagramFaultCounters::default();
-        let mut consumed = None;
-        if plan.delay_rate > 0.0 && dir.rng.gen_bool(plan.delay_rate) {
-            delta.delayed_in += 1;
-            thread::sleep(plan.delay);
-        }
-        if plan.drop_rate > 0.0 && dir.rng.gen_bool(plan.drop_rate) {
-            delta.dropped_in += 1;
-            consumed = Some("datagram dropped");
-        } else if plan.reorder_window > 0
-            && plan.reorder_rate > 0.0
-            && dir.rng.gen_bool(plan.reorder_rate)
-        {
-            delta.reordered_in += 1;
-            let remaining = dir.rng.gen_range(1..=plan.reorder_window);
-            dir.held.push_back(HeldDatagram { bytes: buf[..len].to_vec(), peer, remaining });
-            consumed = Some("datagram held for reorder");
-        } else if plan.duplicate_rate > 0.0 && dir.rng.gen_bool(plan.duplicate_rate) {
-            delta.duplicated_in += 1;
-            dir.ready.push_back((buf[..len].to_vec(), peer));
-        }
-        if let Some(link) = link {
-            link.merge(&delta);
-        }
-        self.totals.add(&delta);
-        self.emit_inbound_faults(&delta, peer);
-        consumed
-    }
-
-    /// Receives one datagram without ever blocking or surfacing a
-    /// synthetic error — the edge-triggered drain-loop twin of
-    /// [`FaultySocket::recv_from`]. Requires the socket to be in
+    /// Receives one datagram without ever blocking, applying the inbound
+    /// fault plan its origin routes to. Requires the socket to be in
     /// nonblocking mode (see [`FaultySocket::set_nonblocking`]).
     ///
     /// Returns `Ok(Some(..))` for a delivered datagram, `Ok(None)` when
     /// the OS buffer is empty. When the fault plan consumes a datagram
-    /// (drop, reorder-hold) the loop keeps pulling, so a consumed
-    /// datagram can never mask ones still queued behind it — the hazard
-    /// the blocking API's synthetic `WouldBlock` poses to edge-triggered
-    /// callers, who would stop draining and strand OS-buffered traffic
-    /// until the next (never-coming) edge.
+    /// (drop, reorder hold, delay) the loop keeps pulling, so a consumed
+    /// datagram can never mask ones still queued behind it and strand
+    /// them until the next (never-coming) readiness edge.
     ///
-    /// Deliberately *not* part of this call: releasing reorder-held
-    /// datagrams. Blocking readers learn the link went idle from a read
-    /// timeout; a nonblocking reader has no timeout, so it must detect
-    /// idleness itself ([`FaultySocket::has_held_datagrams`]) and release
-    /// via [`FaultySocket::release_held`] on a timer.
-    ///
-    /// Delay faults still `thread::sleep` the caller, which stalls a
-    /// whole reactor worker and every node on it. Prefer
-    /// drop/reorder/duplicate plans in large stress runs.
+    /// Deliberately *not* part of this call: releasing held and delayed
+    /// datagrams. A nonblocking reader has no read timeout to tell it the
+    /// link went idle, so it asks [`FaultySocket::release_in`] after a
+    /// drain and frees them with [`FaultySocket::release_held`] on a
+    /// timer.
     ///
     /// # Errors
     ///
@@ -1057,16 +1067,8 @@ impl FaultySocket {
             if let Some((bytes, peer)) = state.pop_ready() {
                 return Ok(Some(deliver(&bytes, peer, buf)));
             }
-            match self.socket.recv_from(buf) {
-                Ok((len, peer)) => {
-                    if state.is_clean() || self.apply_inbound(&mut state, buf, len, peer).is_none()
-                    {
-                        return Ok(Some((len, peer)));
-                    }
-                    // Consumed by the plan: loop — something due may have
-                    // aged onto a ready queue, and more datagrams may sit
-                    // in the OS buffer behind the one just eaten.
-                }
+            let (len, peer) = match self.socket.recv_from(buf) {
+                Ok(received) => received,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -1074,53 +1076,73 @@ impl FaultySocket {
                     return Ok(None);
                 }
                 Err(e) => return Err(e),
+            };
+            if state.is_clean() {
+                return Ok(Some((len, peer)));
+            }
+            // Per-link plans shadow the default for their origin; the
+            // datagram crosses exactly one plan either way.
+            let (dir, link) = state.route(peer);
+            let fate = dir.decide(&buf[..len], peer);
+            let delta = fate.counters(true);
+            if let Some(link) = link {
+                link.merge(&delta);
+            }
+            self.totals.add(&delta);
+            fate.trace(&self.tracer, true, peer);
+            match (fate.copies(), fate.delay) {
+                // Consumed: loop — something may have aged onto a ready
+                // queue, and more may sit in the OS buffer behind it.
+                (0, _) => {}
+                (copies, Some(delay)) => {
+                    dir.park(Instant::now() + delay, &buf[..len], peer, copies)
+                }
+                (copies, None) => {
+                    if copies == 2 {
+                        dir.ready.push_back((buf[..len].to_vec(), peer));
+                    }
+                    return Ok(Some((len, peer)));
+                }
             }
         }
     }
 
-    /// Whether any datagram is parked inside the fault state — inbound
-    /// or outbound, held for reordering or already due. Nonblocking
-    /// callers poll this after a drain to decide whether to arm an
-    /// idle-release timer for [`FaultySocket::release_held`].
+    /// How long until the fault state has something for
+    /// [`FaultySocket::release_held`] to free, inbound or outbound:
+    /// [`IDLE_RELEASE`] while anything is held for reordering or ready,
+    /// sooner if a delayed datagram falls due first, `None` when nothing
+    /// is parked. A nonblocking owner asks after every drain and arms its
+    /// release timer accordingly.
     #[must_use]
-    pub fn has_held_datagrams(&self) -> bool {
-        let inbound = {
-            let state = self.recv.lock().expect("recv fault state poisoned");
-            let dirs =
-                std::iter::once(&state.default).chain(state.links.values().map(|link| &link.dir));
-            dirs.into_iter().any(|dir| !dir.held.is_empty() || !dir.ready.is_empty())
-        };
-        if inbound {
-            return true;
-        }
-        let state = self.send.lock().expect("send fault state poisoned");
-        !state.held.is_empty() || !state.ready.is_empty()
+    pub fn release_in(&self) -> Option<Duration> {
+        let recv = self.recv.lock().expect("recv fault state poisoned");
+        let send = self.send.lock().expect("send fault state poisoned");
+        let dirs = || recv.dirs().chain(std::iter::once(&*send));
+        let idle = dirs().any(DirectionState::holds).then_some(IDLE_RELEASE);
+        let due = dirs().filter_map(|dir| dir.delayed.front().map(|&(due, ..)| due)).min();
+        let due = due.map(|due| due.saturating_duration_since(Instant::now()));
+        idle.into_iter().chain(due).min()
     }
 
     /// Declares the link idle: transmits every held outbound datagram
-    /// and moves every held inbound one onto its ready queue, where the
-    /// next [`FaultySocket::try_recv_from`] (or `recv_from`) delivers
-    /// it. The timer-driven equivalent of the read-timeout release in
-    /// [`FaultySocket::recv_from`] — reordering delays datagrams, it
-    /// never strands them.
+    /// and every outbound delayed one now due, and moves the inbound ones
+    /// onto their ready queues, where the next
+    /// [`FaultySocket::try_recv_from`] delivers them. Reordering and
+    /// delays postpone datagrams, they never strand them.
     pub fn release_held(&self) {
-        self.flush_held_send();
+        let now = Instant::now();
+        self.flush_send(Some(now));
         let mut state = self.recv.lock().expect("recv fault state poisoned");
-        let InboundState { default, links } = &mut *state;
-        let dirs = std::iter::once(default).chain(links.values_mut().map(|link| &mut link.dir));
-        for dir in dirs {
-            while let Some(held) = dir.held.pop_front() {
-                dir.ready.push_back((held.bytes, held.peer));
-            }
+        for dir in state.dirs_mut() {
+            dir.release_held();
+            dir.release_due(Some(now));
         }
     }
 
     /// Moves the wrapped socket in or out of nonblocking mode.
     ///
     /// The flag lives on the OS file description, which clones share:
-    /// flipping it on any handle flips it for all of them. A socket
-    /// driven by a poll loop should be switched once, up front, and
-    /// never mixed with blocking readers.
+    /// flipping it on any handle flips it for all of them.
     ///
     /// # Errors
     ///
@@ -1136,44 +1158,21 @@ impl FaultySocket {
         self.socket.as_raw_fd()
     }
 
-    /// One [`TraceEvent::FaultInjected`] per fault a datagram from `peer`
-    /// just suffered.
-    fn emit_inbound_faults(&self, delta: &DatagramFaultCounters, peer: SocketAddr) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        for (count, kind) in [
-            (delta.delayed_in, FaultKind::Delay),
-            (delta.dropped_in, FaultKind::Drop),
-            (delta.reordered_in, FaultKind::Reorder),
-            (delta.duplicated_in, FaultKind::Duplicate),
-        ] {
-            if count > 0 {
-                self.tracer.emit(|| TraceEvent::FaultInjected {
-                    kind,
-                    inbound: true,
-                    peer: Some(peer),
-                });
-            }
-        }
-    }
-
-    /// Transmits everything the outbound reorder fault still holds, due
-    /// or not. Called when a reader observes an idle link and when a
-    /// handle drops, so held datagrams are delayed, never lost.
-    fn flush_held_send(&self) {
+    /// Transmits everything the outbound plan holds for reordering and
+    /// every delayed datagram due by `now` (all of them for `None`, when
+    /// a handle drops).
+    fn flush_send(&self, now: Option<Instant>) {
         let Ok(mut state) = self.send.lock() else { return };
+        state.release_held();
+        state.release_due(now);
         while let Some((bytes, peer)) = state.ready.pop_front() {
             let _ = self.socket.send_to(&bytes, peer);
         }
-        while let Some(held) = state.held.pop_front() {
-            let _ = self.socket.send_to(&held.bytes, held.peer);
-        }
     }
 
-    /// Sends one datagram, applying the outbound fault plan. Dropped and
-    /// held datagrams still report their full length as sent — the faults
-    /// model the link, not the local syscall.
+    /// Sends one datagram, applying the outbound fault plan. Dropped,
+    /// held and delayed datagrams still report their full length as sent
+    /// — the faults model the link, not the local syscall.
     ///
     /// # Errors
     ///
@@ -1183,50 +1182,34 @@ impl FaultySocket {
         if state.plan.is_clean() {
             return self.socket.send_to(bytes, to);
         }
-        state.age_held();
+        let fate = state.decide(bytes, to);
         while let Some((held, peer)) = state.ready.pop_front() {
             let _ = self.socket.send_to(&held, peer);
         }
-        let plan = state.plan;
-        if plan.delay_rate > 0.0 && state.rng.gen_bool(plan.delay_rate) {
-            self.totals.delayed_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Delay, to);
-            thread::sleep(plan.delay);
+        self.totals.add(&fate.counters(false));
+        fate.trace(&self.tracer, false, to);
+        match (fate.copies(), fate.delay) {
+            (0, _) => Ok(bytes.len()),
+            (copies, Some(delay)) => {
+                state.park(Instant::now() + delay, bytes, to, copies);
+                Ok(bytes.len())
+            }
+            (copies, None) => {
+                if copies == 2 {
+                    let _ = self.socket.send_to(bytes, to);
+                }
+                self.socket.send_to(bytes, to)
+            }
         }
-        if plan.drop_rate > 0.0 && state.rng.gen_bool(plan.drop_rate) {
-            self.totals.dropped_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Drop, to);
-            return Ok(bytes.len());
-        }
-        if plan.reorder_window > 0
-            && plan.reorder_rate > 0.0
-            && state.rng.gen_bool(plan.reorder_rate)
-        {
-            self.totals.reordered_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Reorder, to);
-            let remaining = state.rng.gen_range(1..=plan.reorder_window);
-            state.held.push_back(HeldDatagram { bytes: bytes.to_vec(), peer: to, remaining });
-            return Ok(bytes.len());
-        }
-        if plan.duplicate_rate > 0.0 && state.rng.gen_bool(plan.duplicate_rate) {
-            self.totals.duplicated_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Duplicate, to);
-            let _ = self.socket.send_to(bytes, to);
-        }
-        self.socket.send_to(bytes, to)
-    }
-
-    fn emit_outbound_fault(&self, kind: FaultKind, to: SocketAddr) {
-        self.tracer.emit(|| TraceEvent::FaultInjected { kind, inbound: false, peer: Some(to) });
     }
 }
 
 impl Drop for FaultySocket {
     fn drop(&mut self) {
         // Any handle dropping flushes held outbound datagrams (the queues
-        // are popped, so clones flushing too is harmless): reordering
-        // delays traffic, it never swallows it.
-        self.flush_held_send();
+        // are popped, so clones flushing too is harmless): faults delay
+        // traffic, they never swallow it.
+        self.flush_send(None);
     }
 }
 
@@ -1360,47 +1343,45 @@ mod tests {
 
     // ---- datagram faults ----
 
-    /// A bound faulty socket plus a plain sender aimed at it.
+    /// A bound, nonblocking faulty socket plus a plain sender aimed at it.
     fn socket_pair(faults: DatagramFaults) -> (FaultySocket, UdpSocket, SocketAddr) {
         let inner = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
         let socket = FaultySocket::new(inner, faults).expect("wrap");
-        socket.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
+        socket.set_nonblocking(true).expect("nonblocking");
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
         let to = socket.local_addr().expect("addr");
         (socket, sender, to)
     }
 
-    /// Sends `n` numbered datagrams, then drains the receiver until it
-    /// stays quiet, returning the delivered sequence numbers in order.
-    fn pump_datagrams(socket: &FaultySocket, sender: &UdpSocket, to: SocketAddr, n: u8) -> Vec<u8> {
-        for i in 0..n {
-            sender.send_to(&[i], to).expect("send");
-            // Loopback preserves order for a single sender; the tiny gap
-            // keeps the receive path from coalescing visible timing.
-            thread::sleep(Duration::from_micros(300));
-        }
+    /// Drains `socket.try_recv_from` until it reports an empty buffer,
+    /// returning the delivered sequence numbers in order.
+    fn drain_nonblocking(socket: &FaultySocket) -> Vec<u8> {
         let mut seen = Vec::new();
         let mut buf = [0u8; 16];
-        let mut quiet = 0;
-        while quiet < 3 {
-            let before = std::time::Instant::now();
-            match socket.recv_from(&mut buf) {
-                Ok((1, _)) => seen.push(buf[0]),
-                Ok(_) => panic!("unexpected datagram length"),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // A synthetic WouldBlock (drop, fresh hold) returns
-                    // instantly; only a real timeout means the link is
-                    // actually quiet.
-                    if before.elapsed() >= Duration::from_millis(30) {
-                        quiet += 1;
-                    }
-                }
-                Err(e) => panic!("recv failed: {e}"),
-            }
+        while let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
+            assert_eq!(len, 1, "unexpected datagram length");
+            seen.push(buf[0]);
         }
+        seen
+    }
+
+    fn send_numbered(sender: &UdpSocket, to: SocketAddr, n: u8) {
+        for i in 0..n {
+            sender.send_to(&[i], to).expect("send");
+            thread::sleep(Duration::from_micros(300));
+        }
+        // Give loopback delivery a beat so one drain sees everything.
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    /// Sends `n` numbered datagrams and collects what the plan delivers:
+    /// one drain, then — the traffic over — the idle release a node's
+    /// timer would run, and a second drain.
+    fn pump_datagrams(socket: &FaultySocket, sender: &UdpSocket, to: SocketAddr, n: u8) -> Vec<u8> {
+        send_numbered(sender, to, n);
+        let mut seen = drain_nonblocking(socket);
+        socket.release_held();
+        seen.extend(drain_nonblocking(socket));
         seen
     }
 
@@ -1511,18 +1492,17 @@ mod tests {
             outbound: DatagramFaultPlan::clean(7).reorder(1.0, 8),
         };
 
-        // Case 1: the node's own reader observes an idle link → flush.
+        // Case 1: the owner's release timer declares the link idle → flush.
         let socket =
             FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
-        socket.set_read_timeout(Some(Duration::from_millis(20))).expect("timeout");
         for i in 0..5u8 {
             socket.send_to(&[i], to).expect("send");
         }
-        let mut buf = [0u8; 16];
-        let _ = socket.recv_from(&mut buf); // times out → idle flush
-        assert_eq!(drain(), vec![0, 1, 2, 3, 4], "idle reader must flush held sends");
+        assert_eq!(socket.release_in(), Some(IDLE_RELEASE), "holds wait for an idle link");
+        socket.release_held();
+        assert_eq!(drain(), vec![0, 1, 2, 3, 4], "an idle release must flush held sends");
 
-        // Case 2: no reader at all — dropping the handle flushes.
+        // Case 2: no release at all — dropping the handle flushes.
         let socket =
             FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
         for i in 5..9u8 {
@@ -1530,6 +1510,31 @@ mod tests {
         }
         drop(socket);
         assert_eq!(drain(), vec![5, 6, 7, 8], "drop must flush held sends");
+    }
+
+    #[test]
+    fn delayed_datagrams_are_parked_until_due_never_slept_on() {
+        let delay = Duration::from_millis(60);
+        let plan = DatagramFaultPlan::clean(27).delay(1.0, delay);
+        let (socket, sender, to) = socket_pair(DatagramFaults::symmetric(plan));
+        send_numbered(&sender, to, 3);
+        let started = Instant::now();
+        assert!(drain_nonblocking(&socket).is_empty(), "delayed datagrams wait");
+        let sender_addr = sender.local_addr().expect("addr");
+        assert_eq!(socket.send_to(b"x", sender_addr).expect("send"), 1);
+        assert!(started.elapsed() < delay, "neither direction may wait the delay out");
+        let wait = socket.release_in().expect("the delayed datagrams are parked");
+        assert!(wait <= delay, "the release is due when the datagrams are, not later");
+
+        thread::sleep(delay);
+        socket.release_held();
+        assert_eq!(drain_nonblocking(&socket), [0, 1, 2], "due datagrams come out in order");
+        let mut buf = [0u8; 4];
+        sender.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
+        assert_eq!(sender.recv_from(&mut buf).expect("the delayed send arrives").0, 1);
+        assert_eq!(socket.release_in(), None, "nothing is parked any more");
+        let counters = socket.fault_counters();
+        assert_eq!((counters.delayed_in, counters.delayed_out), (3, 1));
     }
 
     #[test]
@@ -1544,22 +1549,12 @@ mod tests {
             DatagramFaultPlan::clean(12).drop_rate(1.0),
         );
 
-        let mut buf = [0u8; 16];
         for i in 0..6u8 {
             doomed.send_to(&[i], to).expect("send doomed");
             fine.send_to(&[0x40 + i], to).expect("send fine");
         }
-        let mut seen = Vec::new();
-        let mut quiet = 0;
-        while quiet < 3 {
-            let before = std::time::Instant::now();
-            match socket.recv_from(&mut buf) {
-                Ok((1, _)) => seen.push(buf[0]),
-                Ok(_) => panic!("unexpected datagram length"),
-                Err(_) if before.elapsed() >= Duration::from_millis(30) => quiet += 1,
-                Err(_) => {}
-            }
-        }
+        thread::sleep(Duration::from_millis(5));
+        let mut seen = drain_nonblocking(&socket);
         seen.sort_unstable();
         assert_eq!(seen, (0x40..0x46).collect::<Vec<u8>>(), "only the clean link delivers");
 
@@ -1594,44 +1589,20 @@ mod tests {
         sender.send_to(&[1], to).expect("send");
         thread::sleep(Duration::from_millis(5));
         let mut buf = [0u8; 16];
-        assert!(clone.recv_from(&mut buf).is_err(), "clone drops too");
+        assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none(), "clone drops too");
         assert_eq!(socket.fault_counters().dropped_in, 1, "counters are shared");
     }
 
     // ---- nonblocking / edge-triggered API ----
 
-    /// Drains `socket.try_recv_from` until it reports an empty buffer,
-    /// returning the delivered sequence numbers in order.
-    fn drain_nonblocking(socket: &FaultySocket) -> Vec<u8> {
-        let mut seen = Vec::new();
-        let mut buf = [0u8; 16];
-        while let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
-            assert_eq!(len, 1, "unexpected datagram length");
-            seen.push(buf[0]);
-        }
-        seen
-    }
-
-    fn send_numbered(sender: &UdpSocket, to: SocketAddr, n: u8) {
-        for i in 0..n {
-            sender.send_to(&[i], to).expect("send");
-            thread::sleep(Duration::from_micros(300));
-        }
-        // Give loopback delivery a beat so one drain sees everything.
-        thread::sleep(Duration::from_millis(5));
-    }
-
     #[test]
     fn try_recv_skips_past_consumed_datagrams_in_one_drain() {
-        // Regression for the edge-triggered hazard: the blocking API
-        // surfaces a *synthetic* WouldBlock when the plan eats a
-        // datagram. An ET caller treating that as "buffer empty" would
-        // stop draining and strand everything queued behind the drop
-        // until the next readiness edge — which never comes. The
-        // nonblocking API must keep pulling instead.
+        // Regression for the edge-triggered hazard: a caller treating a
+        // datagram the plan ate as "buffer empty" would stop draining and
+        // strand everything queued behind the drop until the next
+        // readiness edge — which never comes. The drain must keep pulling.
         let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(21).drop_rate(0.4));
         let (socket, sender, to) = socket_pair(faults);
-        socket.set_nonblocking(true).expect("nonblocking");
         send_numbered(&sender, to, 30);
         let seen = drain_nonblocking(&socket);
         let dropped = socket.fault_counters().dropped_in as usize;
@@ -1644,25 +1615,24 @@ mod tests {
     fn idle_release_under_edge_triggered_polling() {
         // Reorder-held datagrams have no read-timeout path to escape on
         // a nonblocking socket: the caller must see them via
-        // has_held_datagrams() and free them with release_held().
+        // release_in() and free them with release_held().
         let (socket, sender, to) = socket_pair(DatagramFaults::clean(22));
         socket.set_link_plan(
             sender.local_addr().expect("addr"),
             DatagramFaultPlan::clean(23).reorder(1.0, 8),
         );
-        socket.set_nonblocking(true).expect("nonblocking");
-        assert!(!socket.has_held_datagrams(), "nothing held before traffic");
+        assert_eq!(socket.release_in(), None, "nothing held before traffic");
 
         send_numbered(&sender, to, 4);
         let seen = drain_nonblocking(&socket);
         assert!(seen.is_empty(), "an always-hold window of 8 parks all 4 datagrams");
-        assert!(socket.has_held_datagrams(), "the drain must leave the holds visible");
+        assert!(socket.release_in().is_some(), "the drain must leave the holds visible");
 
         socket.release_held();
         let mut released = drain_nonblocking(&socket);
         released.sort_unstable();
         assert_eq!(released, (0..4).collect::<Vec<u8>>(), "release frees every held datagram");
-        assert!(!socket.has_held_datagrams());
+        assert_eq!(socket.release_in(), None);
     }
 
     #[test]
@@ -1677,9 +1647,9 @@ mod tests {
 
         let to = receiver.local_addr().expect("addr");
         socket.send_to(b"held", to).expect("send");
-        assert!(socket.has_held_datagrams(), "the datagram must be parked outbound");
+        assert!(socket.release_in().is_some(), "the datagram must be parked outbound");
         socket.release_held();
-        assert!(!socket.has_held_datagrams());
+        assert_eq!(socket.release_in(), None);
         let mut buf = [0u8; 16];
         let (len, _) = receiver.recv_from(&mut buf).expect("released datagram arrives");
         assert_eq!(&buf[..len], b"held");
@@ -1690,12 +1660,14 @@ mod tests {
         // The O_NONBLOCK flag lives on the shared file description:
         // flipping it via one handle must flip the clone too, which is
         // why a poll-driven socket must never be mixed with blocking
-        // readers.
-        let (socket, _sender, _to) = socket_pair(DatagramFaults::clean(25));
+        // readers. (The read timeout only bounds a failing run.)
+        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        inner.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
+        let socket = FaultySocket::new(inner, DatagramFaults::clean(25)).expect("wrap");
         let clone = socket.try_clone().expect("clone");
         socket.set_nonblocking(true).expect("nonblocking");
         let mut buf = [0u8; 16];
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none());
         assert!(
             start.elapsed() < Duration::from_millis(30),
@@ -1705,8 +1677,8 @@ mod tests {
 
     #[test]
     fn try_recv_matches_blocking_delivery_for_a_clean_plan() {
+        // What a blocking reader would have seen: everything, in order.
         let (socket, sender, to) = socket_pair(DatagramFaults::clean(26));
-        socket.set_nonblocking(true).expect("nonblocking");
         send_numbered(&sender, to, 12);
         assert_eq!(drain_nonblocking(&socket), (0..12).collect::<Vec<u8>>());
         assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());

@@ -1,10 +1,10 @@
 //! Datagram transport and session layer for LT network codes.
 //!
-//! The simulator (`ltnc-sim`) evaluates the paper's schemes in
-//! synchronized rounds inside one process. This crate runs the *same*
-//! [`ltnc_scheme::Scheme`] implementations over real UDP sockets, making
-//! encoder → wire → socket → recoder → decoder an end-to-end system
-//! rather than a simulation:
+//! This crate runs the [`ltnc_scheme::Scheme`] implementations as one
+//! protocol node — encoder → wire → socket → recoder → decoder — and
+//! drives that one node two ways: over real UDP sockets on the reactor,
+//! and in virtual time over in-memory links ([`run_virtual_swarm`]),
+//! which is what the paper's figures run on:
 //!
 //! * [`envelope`] — the versioned wire protocol: a 19-byte envelope
 //!   (magic, version, kind, scheme, session, generation) framing the
@@ -27,18 +27,20 @@
 //!   transports: [`faults::FaultyStream`] over any `Read + Write` plus a
 //!   TCP [`faults::FaultProxy`] (drops, delays, truncation and
 //!   disconnect-at-byte-K), and [`faults::FaultySocket`] over UDP
-//!   (whole-datagram drop/duplicate/reorder/delay per direction), so
-//!   every transport test can run under adverse conditions reproducibly;
-//! * [`peer`] — the node state machine and its [`peer::PeerNode`]
-//!   handle, on `ltnc-reactor`: event-clocked offers, loss-adaptive
-//!   per-peer in-flight budgets (AIMD over feedback arrivals and offer
-//!   timeouts), the aggressiveness gate for relays, and graceful
-//!   shutdown with wire-level accounting ([`ltnc_metrics::WireCounters`]);
-//! * [`swarm`] — one-call localhost orchestration used by the integration
-//!   tests and the `file_dissemination_udp` example, optionally running
-//!   every node behind seeded datagram faults
-//!   ([`swarm::SwarmConfig::faults`]). The harness is wiring-generic
-//!   ([`swarm::run_wired_swarm`] over a [`swarm::SwarmWiring`] with
+//!   (whole-datagram drop/duplicate/reorder/delay per direction, decided
+//!   by the one routine the virtual-time links use too), so every
+//!   transport test can run under adverse conditions reproducibly;
+//! * [`peer`] — the sans-io node state machine and its
+//!   [`peer::PeerNode`] handle on `ltnc-reactor`: event-clocked offers,
+//!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
+//!   arrivals and offer timeouts), the aggressiveness gate for relays,
+//!   and graceful shutdown with wire-level accounting
+//!   ([`ltnc_metrics::WireCounters`]);
+//! * [`swarm`] — one-call orchestration used by the integration tests
+//!   and the examples, optionally running every node behind seeded
+//!   datagram faults ([`swarm::SwarmConfig::faults`]). The harness is
+//!   wiring-generic ([`swarm::run_wired_swarm`] and
+//!   [`run_virtual_swarm`] over a [`swarm::SwarmWiring`] with
 //!   per-directed-link fault plans); the legacy full mesh is the trivial
 //!   wiring, and the declarative multi-hop topology layer on top lives
 //!   in the `ltnc-topo` crate.
@@ -68,6 +70,7 @@ pub mod peer;
 mod sharded;
 pub mod stream;
 pub mod swarm;
+mod virtual_time;
 
 // Backward-compatible re-export: `ltnc_net::generation::…` keeps working
 // even though the implementation moved to the transport-neutral
@@ -87,3 +90,4 @@ pub use swarm::{
     run_localhost_swarm, run_wired_swarm, FlightRecorder, SwarmConfig, SwarmReport, SwarmRuntime,
     SwarmWiring,
 };
+pub use virtual_time::{run_virtual_swarm, LINK_LATENCY};

@@ -1,15 +1,18 @@
-//! The peer node: a scheme node behind a real UDP socket.
+//! The peer node: one protocol state machine, two drivers.
 //!
 //! All coding state ([`SourceSession`] / [`ReceiverSession`]) and every
 //! protocol transition live in one state machine with three entry points
 //! — a datagram arrived, the gossip tick fired, the peer list changed —
 //! which processes inbound messages and pushes header-first transfer
 //! offers, subject to the aggressiveness gate and a per-peer in-flight
-//! budget. It is scheduled by `ltnc-reactor` and by nothing else (see
-//! `crate::sharded`): a swarm multiplexes many nodes onto a few worker
-//! threads, and a [`PeerNode`] is the same node on a one-worker reactor
-//! of its own. Nothing sits between socket and state machine — the OS
-//! socket buffer is the backpressure.
+//! budget. The machine is sans-io: it owns no socket and reads no clock.
+//! Every call takes `now` (microseconds on its driver's clock) and
+//! returns the datagrams it emits in an outbox. Two drivers run it: the
+//! reactor (`crate::sharded`, real UDP sockets, a wall-anchored clock) —
+//! a swarm multiplexes many nodes onto a few worker threads, and a
+//! [`PeerNode`] is one node on a one-worker reactor of its own — and the
+//! virtual-time driver (`crate::virtual_time`, in-memory links, simulated
+//! time).
 //!
 //! Offers leave on **three clocks**, all through the same gates and each
 //! 1:1 with an event, so none can amplify. A *useful* `DATA-PAYLOAD`
@@ -51,9 +54,9 @@
 //! reported in [`PeerReport::rtt_estimates`];
 //! [`NodeOptions::adaptive_ttl`] switches the derivation off.
 //!
-//! All traffic runs through a [`FaultySocket`], so seeded datagram
-//! loss/reordering ([`PeerNode::spawn_faulty`]) exercises the same code
-//! paths as a clean socket ([`PeerNode::spawn`]).
+//! Seeded datagram loss and reordering live in the driver's links (a
+//! [`FaultySocket`] on the reactor, [`PeerNode::spawn_faulty`]), so a
+//! lossy run exercises exactly the code a clean one does.
 //!
 //! The transfer protocol mirrors the paper's binary feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
@@ -65,14 +68,14 @@
 //! The public handle is deliberately small: spawn, wire up peers, poll
 //! completion, shut down gracefully and collect a [`PeerReport`].
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
@@ -92,6 +95,16 @@ use crate::envelope::{
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults, FaultySocket};
 use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
 use crate::sharded::ShardedNode;
+
+/// The datagrams one [`NodeStateMachine`] call emits, in order:
+/// destination and frame bytes. The driver sends them.
+pub(crate) type Outbox = Vec<(SocketAddr, Vec<u8>)>;
+
+/// The time from `since` to `now`, both in microseconds on one node's
+/// clock (zero if the clock stepped back).
+fn elapsed(now: u64, since: u64) -> Duration {
+    Duration::from_micros(now.saturating_sub(since))
+}
 
 /// Smoothing factor of the per-peer loss EWMA (higher reacts faster).
 const LOSS_EWMA_ALPHA: f64 = 0.1;
@@ -257,8 +270,8 @@ pub struct PeerReport {
     pub decoding: OpCounters,
     /// Coding cost of the emission/recoding path.
     pub recoding: OpCounters,
-    /// Faults the node's [`FaultySocket`] injected (all zero for
-    /// [`PeerNode::spawn`]'s clean socket).
+    /// Faults the driver injected on the node's links (all zero on clean
+    /// links, such as [`PeerNode::spawn`]'s socket).
     pub faults: DatagramFaultCounters,
     /// Final per-peer loss estimates (EWMA over offer outcomes: feedback
     /// arrived = 0, offer timed out = 1), sorted by peer address.
@@ -439,17 +452,6 @@ impl PeerNode {
     }
 }
 
-/// Publishes a source's by-definition completion on `shared` before its
-/// state machine is ever scheduled, so completion observers never see a
-/// stale "incomplete" for it. A no-op for receivers.
-pub(crate) fn publish_source_complete(role: &NodeRole, shared: &Shared) {
-    if let NodeRole::Source { object, params } = role {
-        let manifest = ObjectManifest { object_len: object.len() as u64, params: *params };
-        shared.complete.store(true, Ordering::Release);
-        shared.complete_generations.store(manifest.generation_count() as usize, Ordering::Release);
-    }
-}
-
 /// Spawns the node's metrics scrape endpoint when
 /// [`NodeOptions::metrics_bind`] is set. The endpoint reads the shared
 /// live mirror (refreshed per tick by the state machine) and the
@@ -484,7 +486,8 @@ struct PendingTransfer {
     /// dissemination latency).
     trace: TraceContext,
     to: SocketAddr,
-    born: Instant,
+    /// When the offer left, on the node's clock.
+    born: u64,
 }
 
 /// Adaptive pacing state for one peer: the AIMD budget and the loss and
@@ -499,20 +502,20 @@ struct PeerPacing {
     rtt_ewma: Option<f64>,
     /// Last time any feedback arrived from this peer — the aliveness
     /// signal that separates "lossy link" (raise) from "dead peer" (cut).
-    last_feedback: Option<Instant>,
+    last_feedback: Option<u64>,
     /// Last multiplicative decrease — cuts fire at most once per pending
     /// TTL so one silent window costs one cut, not a collapse.
-    last_cut: Option<Instant>,
+    last_cut: Option<u64>,
 }
 
 /// The protocol core of one node: every recv, tick and peer-wiring
-/// transition lives here, behind a poll-style surface
+/// transition lives here, behind a sans-io surface
 /// ([`NodeStateMachine::handle_datagram`], [`NodeStateMachine::tick`],
-/// [`NodeStateMachine::set_peers`]) that `crate::sharded` drives from
-/// reactor callbacks — the paper's node loop: on a period, push; on
-/// reception, check the header, answer, store, recode.
+/// [`NodeStateMachine::set_peers`]) that a driver calls with its clock's
+/// `now` and whose emitted datagrams it sends — the paper's node loop:
+/// on a period, push; on reception, check the header, answer, store,
+/// recode.
 pub(crate) struct NodeStateMachine {
-    socket: FaultySocket,
     session: u64,
     params: SchemeParams,
     options: NodeOptions,
@@ -523,7 +526,10 @@ pub(crate) struct NodeStateMachine {
     started: bool,
     rng: SmallRng,
     next_transfer: u64,
-    pending: HashMap<u64, PendingTransfer>,
+    /// Offers awaiting feedback, by transfer id — birth order, so the TTL
+    /// sweep expires them (and moves budgets) in the same order on every
+    /// run.
+    pending: BTreeMap<u64, PendingTransfer>,
     inflight_per_peer: HashMap<SocketAddr, usize>,
     pacing: HashMap<SocketAddr, PeerPacing>,
     peer_done: HashMap<SocketAddr, HashSet<u32>>,
@@ -543,24 +549,23 @@ pub(crate) struct NodeStateMachine {
 }
 
 impl NodeStateMachine {
-    pub(crate) fn new(
-        socket: FaultySocket,
-        config: NodeConfig,
-        shared: Arc<Shared>,
-    ) -> NodeStateMachine {
+    /// Builds the node. A source is complete by definition, and says so
+    /// on `shared` before it is ever scheduled, so completion observers
+    /// never see it incomplete.
+    pub(crate) fn new(config: NodeConfig, shared: Arc<Shared>) -> NodeStateMachine {
         let tracer = Tracer::from_option(config.trace);
         let publish_live = config.options.metrics_bind.is_some() || config.publish_live;
         let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
-                // Completion state for sources is already published
-                // (publish_source_complete), before anything runs.
                 let source = SourceSession::new(&object, params);
+                let generations = source.manifest().generation_count() as usize;
+                shared.complete.store(true, Ordering::Release);
+                shared.complete_generations.store(generations, Ordering::Release);
                 (*source.manifest(), Some(source), None)
             }
             NodeRole::Peer { manifest } => (manifest, None, Some(ReceiverSession::new(manifest))),
         };
         NodeStateMachine {
-            socket,
             session: config.session,
             params: manifest.params,
             options: config.options,
@@ -571,7 +576,7 @@ impl NodeStateMachine {
             started: false,
             rng: SmallRng::seed_from_u64(config.options.seed),
             next_transfer: 1,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             inflight_per_peer: HashMap::new(),
             pacing: HashMap::new(),
             peer_done: HashMap::new(),
@@ -592,7 +597,8 @@ impl NodeStateMachine {
         self.started = true;
     }
 
-    /// Final accounting; consumes the state machine.
+    /// Final accounting; consumes the state machine. The fault counters
+    /// are the driver's to fill in: it owns the links.
     pub(crate) fn into_report(mut self) -> PeerReport {
         let (complete, complete_generations, object, decoding, mut recoding) = match self
             .receiver
@@ -631,10 +637,10 @@ impl NodeStateMachine {
             object,
             decoding,
             recoding,
-            faults: self.socket.fault_counters(),
+            faults: DatagramFaultCounters::default(),
             loss_estimates,
             rtt_estimates,
-            link_faults: self.socket.link_counters(),
+            link_faults: Vec::new(),
             events: Vec::new(),
             latency_by_hop: self.shared.latency.snapshot(),
         }
@@ -659,10 +665,10 @@ impl NodeStateMachine {
         }
     }
 
-    /// Records the outcome of one offer to `peer` — feedback arrived
-    /// after `rtt` (whatever the verdict), or `None`: the offer died at
-    /// its TTL — updating the loss and RTT estimates and, when adaptive
-    /// pacing is on, the AIMD budget.
+    /// Records the outcome of one offer to `peer` at `now` — feedback
+    /// arrived after `rtt` (whatever the verdict), or `None`: the offer
+    /// died at its TTL — updating the loss and RTT estimates and, when
+    /// adaptive pacing is on, the AIMD budget.
     ///
     /// The asymmetry is deliberate and opposite to TCP's: loss here is
     /// *erasure*, not congestion. A timed-out offer to a peer that is
@@ -672,7 +678,7 @@ impl NodeStateMachine {
     /// loss, as in the paper). Only a peer gone entirely silent for a TTL
     /// triggers the multiplicative decrease, throttling offers to the
     /// dead until the floor.
-    fn note_outcome(&mut self, peer: SocketAddr, rtt: Option<Duration>) {
+    fn note_outcome(&mut self, now: u64, peer: SocketAddr, rtt: Option<Duration>) {
         let options = self.options;
         let (floor, ceiling) = options.budget_bounds();
         let base = options.initial_budget();
@@ -692,7 +698,7 @@ impl NodeStateMachine {
                 Some(ewma) => ewma + RTT_EWMA_ALPHA * (sample - ewma),
                 None => sample,
             });
-            pacing.last_feedback = Some(Instant::now());
+            pacing.last_feedback = Some(now);
             // A peer cut for silence that answers again recovers: grow
             // back toward the initial budget (never past it — raising
             // above base is reserved for the loss signal), so one
@@ -703,14 +709,14 @@ impl NodeStateMachine {
             }
         } else if options.adaptive_pacing {
             let ttl = options.derived_ttl(pacing.rtt_ewma);
-            if pacing.last_feedback.is_some_and(|at| at.elapsed() < ttl) {
+            if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < ttl) {
                 // Lossy but live: the lost offer wasted one slot for a full
                 // TTL; grow the budget by one to keep the live pipeline deep.
                 pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
-            } else if pacing.last_cut.is_none_or(|at| at.elapsed() >= ttl) {
+            } else if pacing.last_cut.is_none_or(|at| elapsed(now, at) >= ttl) {
                 // Silent for a whole TTL: multiplicative decrease, at most
                 // once per window, down to the floor.
-                pacing.last_cut = Some(Instant::now());
+                pacing.last_cut = Some(now);
                 pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
             }
         }
@@ -746,23 +752,35 @@ impl NodeStateMachine {
         }
     }
 
-    fn send(&mut self, to: SocketAddr, header: &EnvelopeHeader, message: &Message) {
+    fn send(
+        &mut self,
+        out: &mut Outbox,
+        to: SocketAddr,
+        header: &EnvelopeHeader,
+        message: &Message,
+    ) {
         let bytes = envelope::encode(header, message);
         self.wire.datagrams_sent += 1;
         self.wire.bytes_sent += bytes.len() as u64;
         if let Message::DataPayload { packet, .. } = message {
             self.wire.payload_bytes_sent += packet.payload_size() as u64;
         }
-        // Datagram sends are fire-and-forget; a vanished peer must not
-        // stall the node.
-        let _ = self.socket.send_to(&bytes, to);
+        out.push((to, bytes));
     }
 
     fn header(&self, kind: MessageKind, generation: u32) -> EnvelopeHeader {
         EnvelopeHeader { kind, scheme: self.params.kind, session: self.session, generation }
     }
 
-    pub(crate) fn handle_datagram(&mut self, bytes: &[u8], from: SocketAddr) {
+    /// Handles one datagram `bytes` from `from` that arrived at `now`;
+    /// what it answers and offers goes to `out`.
+    pub(crate) fn handle_datagram(
+        &mut self,
+        now: u64,
+        from: SocketAddr,
+        bytes: &[u8],
+        out: &mut Outbox,
+    ) {
         // Borrowing decode: the payload of a `DataPayload` stays a view
         // into the datagram buffer until the packet is actually retained
         // below, so frames we drop (corrupt, stale session, no receiver)
@@ -788,18 +806,10 @@ impl NodeStateMachine {
                 let generation = header.generation;
                 let accept = payload_size == self.params.payload_size
                     && self.receiver.as_ref().is_some_and(|r| r.would_accept(generation, &vector));
-                self.send(
-                    from,
-                    &self.header(
-                        if accept {
-                            MessageKind::FeedbackAccept
-                        } else {
-                            MessageKind::FeedbackAbort
-                        },
-                        generation,
-                    ),
-                    &Message::Feedback { transfer, accept },
-                );
+                let kind =
+                    if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
+                let header = self.header(kind, generation);
+                self.send(out, from, &header, &Message::Feedback { transfer, accept });
                 // Aborts caused by a finished generation also tell the
                 // sender to stop offering it altogether. A node with no
                 // receiver (a pure source) needs nothing, ever — say so
@@ -810,7 +820,8 @@ impl NodeStateMachine {
                     None => Some(GENERATION_OBJECT),
                 };
                 if let (false, Some(done)) = (accept, done) {
-                    self.send(from, &self.header(MessageKind::Complete, done), &Message::Complete);
+                    let header = self.header(MessageKind::Complete, done);
+                    self.send(out, from, &header, &Message::Complete);
                 }
             }
             MessageView::Feedback { transfer, accept } => {
@@ -827,33 +838,34 @@ impl NodeStateMachine {
                 // Either verdict proves the offer/feedback round trip
                 // survived the link — a success for pacing purposes, and
                 // an RTT sample for the derived TTL.
-                let rtt = pending.born.elapsed();
-                self.note_outcome(pending.to, Some(rtt));
+                let rtt = elapsed(now, pending.born);
+                self.note_outcome(now, pending.to, Some(rtt));
                 self.tracer.emit(|| TraceEvent::FeedbackReceived { peer: from, accept, rtt });
                 let generation = pending.generation;
-                if accept {
-                    self.wire.transfers_delivered += 1;
-                    self.send(
-                        from,
-                        &self.header(MessageKind::DataPayload, generation),
-                        &Message::DataPayload {
-                            transfer,
-                            trace: pending.trace,
-                            packet: pending.packet,
-                        },
-                    );
-                } else {
-                    self.wire.transfers_aborted += 1;
-                }
                 // Feedback clock: whoever holds the generation completely
                 // emits only good packets, so its pipeline to this peer is
                 // RTT-paced. An incomplete relay re-offering at that rate
                 // floods the peer with dependent recodes — it waits for
-                // the tick (or its next useful delivery) instead.
+                // the tick (or its next useful delivery) instead. The next
+                // offer leaves ahead of the payload: the peer answers it
+                // before it spends a decode on the payload, so the round
+                // trip overlaps the decode.
                 let complete =
                     self.receiver.as_ref().is_none_or(|r| r.generation_complete(generation));
                 if complete && self.peers.contains(&from) && self.may_offer(&from) {
-                    self.offer_to(from, OfferTrigger::Feedback);
+                    self.offer_to(now, out, from, OfferTrigger::Feedback);
+                }
+                if accept {
+                    self.wire.transfers_delivered += 1;
+                    let header = self.header(MessageKind::DataPayload, generation);
+                    let payload = Message::DataPayload {
+                        transfer,
+                        trace: pending.trace,
+                        packet: pending.packet,
+                    };
+                    self.send(out, from, &header, &payload);
+                } else {
+                    self.wire.transfers_aborted += 1;
                 }
             }
             MessageView::DataPayload { trace, packet, .. } => {
@@ -862,7 +874,7 @@ impl NodeStateMachine {
                 // history: record the true origin→delivery latency at
                 // this hop depth, and fold the lineage into what our own
                 // recoded offers for this generation will advertise.
-                self.shared.latency.record(trace.links(), trace.latency_micros());
+                self.shared.latency.record(trace.links(), trace.latency_micros(now));
                 self.lineage
                     .entry(generation)
                     .and_modify(|known| *known = known.absorb(trace))
@@ -889,7 +901,7 @@ impl NodeStateMachine {
                 self.tracer.emit(|| TraceEvent::PayloadDelivered { generation, useful });
                 if newly_complete {
                     self.tracer.emit(|| TraceEvent::GenerationDecoded { generation });
-                    self.announce_complete(generation);
+                    self.announce_complete(out, generation);
                 }
                 if object_complete && !self.shared.complete.load(Ordering::Acquire) {
                     self.shared.complete.store(true, Ordering::Release);
@@ -897,11 +909,11 @@ impl NodeStateMachine {
                         driver.unpark();
                     }
                     self.tracer.emit(|| TraceEvent::ObjectDecoded);
-                    self.announce_complete(GENERATION_OBJECT);
+                    self.announce_complete(out, GENERATION_OBJECT);
                 }
                 // Innovation clock: one symbol in, one recoded offer out.
                 if useful {
-                    self.push_once(OfferTrigger::Delivery);
+                    self.push_once(now, out, OfferTrigger::Delivery);
                 }
             }
             MessageView::Complete => {
@@ -917,38 +929,40 @@ impl NodeStateMachine {
         }
     }
 
-    fn announce_complete(&mut self, generation: u32) {
+    fn announce_complete(&mut self, out: &mut Outbox, generation: u32) {
         if !self.announced.insert(generation) {
             return;
         }
         let header = self.header(MessageKind::Complete, generation);
         for i in 0..self.peers.len() {
-            self.send(self.peers[i], &header, &Message::Complete);
+            self.send(out, self.peers[i], &header, &Message::Complete);
         }
     }
 
-    pub(crate) fn tick(&mut self) {
+    /// The gossip tick at `now`: expires stale offers and pushes
+    /// [`NodeOptions::push_rate`] new ones into `out`.
+    pub(crate) fn tick(&mut self, now: u64, out: &mut Outbox) {
         self.publish_wire();
-        self.evict_stale_pending();
+        self.evict_stale_pending(now);
         for _ in 0..self.options.push_rate {
-            self.push_once(OfferTrigger::Tick);
+            self.push_once(now, out, OfferTrigger::Tick);
         }
     }
 
-    fn evict_stale_pending(&mut self) {
+    fn evict_stale_pending(&mut self, now: u64) {
         // Taken out of `self` for the sweep, so accounting an expiry may
         // touch everything else (nothing it calls reads the table).
         let mut pending = std::mem::take(&mut self.pending);
         pending.retain(|_, offer| {
             let peer = offer.to;
-            if offer.born.elapsed() < self.ttl_for(&peer) {
+            if elapsed(now, offer.born) < self.ttl_for(&peer) {
                 return true;
             }
             if let Some(count) = self.inflight_per_peer.get_mut(&peer) {
                 *count = count.saturating_sub(1);
             }
             self.wire.offer_timeouts += 1;
-            self.note_outcome(peer, None);
+            self.note_outcome(now, peer, None);
             self.tracer.emit(|| TraceEvent::OfferTimedOut { peer });
             false
         });
@@ -965,20 +979,20 @@ impl NodeStateMachine {
 
     /// One offer to a uniformly chosen peer among those [`Self::may_offer`]
     /// admits (counted, then the n-th picked: no per-call allocation).
-    fn push_once(&mut self, trigger: OfferTrigger) {
+    fn push_once(&mut self, now: u64, out: &mut Outbox, trigger: OfferTrigger) {
         let admitted = self.peers.iter().filter(|peer| self.may_offer(peer)).count();
         if admitted == 0 {
             return;
         }
         let pick = self.rng.gen_range(0..admitted);
         if let Some(target) = self.peers.iter().copied().filter(|p| self.may_offer(p)).nth(pick) {
-            self.offer_to(target, trigger);
+            self.offer_to(now, out, target, trigger);
         }
     }
 
     /// Offers `target` — already past [`Self::may_offer`] — one packet of
     /// a generation it still needs: every clock's single way out.
-    fn offer_to(&mut self, target: SocketAddr, trigger: OfferTrigger) {
+    fn offer_to(&mut self, now: u64, out: &mut Outbox, target: SocketAddr, trigger: OfferTrigger) {
         let target_done = self.peer_done.get(&target);
         let needs = |generation: u32| -> bool {
             target_done.is_none_or(|done| !done.contains(&generation))
@@ -1022,41 +1036,36 @@ impl NodeStateMachine {
         // from. A relay racing ahead of its own lineage record (possible
         // only if it never received a payload, which the gate prevents)
         // degrades to a fresh origin stamp.
-        let trace = if self.source.is_some() {
-            TraceContext::origin_now()
-        } else {
-            self.lineage
-                .get(&generation)
-                .copied()
-                .map(TraceContext::next_hop)
-                .unwrap_or_else(TraceContext::origin_now)
+        let fresh = TraceContext::origin_now(now);
+        let trace = match self.source {
+            Some(_) => fresh,
+            None => self.lineage.get(&generation).map_or(fresh, |known| known.next_hop()),
         };
         let transfer = self.next_transfer;
         self.next_transfer += 1;
-        self.send(
-            target,
-            &self.header(MessageKind::DataHeader, generation),
-            &Message::DataHeader {
-                transfer,
-                trace,
-                payload_size: packet.payload_size(),
-                vector: packet.vector().clone(),
-            },
-        );
+        let header = self.header(MessageKind::DataHeader, generation);
+        let offer = Message::DataHeader {
+            transfer,
+            trace,
+            payload_size: packet.payload_size(),
+            vector: packet.vector().clone(),
+        };
+        self.send(out, target, &header, &offer);
         self.wire.transfers_offered += 1;
         self.tracer.emit(|| TraceEvent::OfferSent { peer: target, generation, trigger });
-        self.pending.insert(
-            transfer,
-            PendingTransfer { generation, packet, trace, to: target, born: Instant::now() },
-        );
+        self.pending
+            .insert(transfer, PendingTransfer { generation, packet, trace, to: target, born: now });
         *self.inflight_per_peer.entry(target).or_insert(0) += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::net::UdpSocket;
+    use std::rc::Rc;
     use std::thread;
+    use std::time::Instant;
 
     use super::*;
     use ltnc_scheme::SchemeKind;
@@ -1120,122 +1129,18 @@ mod tests {
         assert!(peer_report.wire.useful_deliveries > 0);
     }
 
-    #[test]
-    fn feedback_from_the_wrong_peer_is_ignored() {
-        // A source offers to peer A (a raw socket we control); an accept
-        // forged by peer C must not release the payload — only A's own
-        // accept may.
-        let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
-        let object = vec![9u8; 8];
-        // One in-flight offer, never evicted: after the first DATA-HEADER
-        // the source goes quiet until that transfer is resolved, so the
-        // sockets below see a deterministic message sequence.
-        let options = NodeOptions {
-            push_rate: 1,
-            per_peer_inflight: 1,
-            pending_ttl: Duration::from_secs(60),
-            tick: Duration::from_millis(2),
-            seed: 8,
-            ..NodeOptions::default()
-        };
-        let source = PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(77, NodeRole::Source { object, params }, options),
-        )
-        .expect("spawn source");
-
-        let a = UdpSocket::bind("127.0.0.1:0").expect("bind A");
-        let c = UdpSocket::bind("127.0.0.1:0").expect("bind C");
-        a.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        c.set_read_timeout(Some(Duration::from_millis(300))).expect("timeout");
-        source.set_peers(vec![a.local_addr().expect("addr")]);
-
-        // Receive one DATA-HEADER offer at A.
-        let mut buf = [0u8; 2048];
-        let (offer_transfer, offer_generation) = loop {
-            let (len, _) = a.recv_from(&mut buf).expect("offer should arrive");
-            let env = envelope::decode_view(&buf[..len]).expect("valid frame");
-            if let Message::DataHeader { transfer, .. } = env.message {
-                break (transfer, env.header.generation);
-            }
-        };
-
-        // C forges an accept for A's transfer.
-        let forged = envelope::encode(
-            &EnvelopeHeader {
-                kind: MessageKind::FeedbackAccept,
-                scheme: SchemeKind::Rlnc,
-                session: 77,
-                generation: offer_generation,
-            },
-            &Message::Feedback { transfer: offer_transfer, accept: true },
-        );
-        c.send_to(&forged, source.local_addr()).expect("send forged accept");
-
-        // Neither C nor A may receive a payload for it.
-        let mut leaked = false;
-        for socket in [&c, &a] {
-            socket.set_read_timeout(Some(Duration::from_millis(300))).expect("timeout");
-            while let Ok((len, _)) = socket.recv_from(&mut buf) {
-                if let Ok(env) = envelope::decode_view(&buf[..len]) {
-                    if matches!(env.message, Message::DataPayload { transfer, .. } if transfer == offer_transfer)
-                    {
-                        leaked = true;
-                    }
-                }
-            }
-        }
-        assert!(!leaked, "forged accept must not release the payload");
-
-        // A's own accept still works: the pending entry survived the forgery.
-        let genuine = envelope::encode(
-            &EnvelopeHeader {
-                kind: MessageKind::FeedbackAccept,
-                scheme: SchemeKind::Rlnc,
-                session: 77,
-                generation: offer_generation,
-            },
-            &Message::Feedback { transfer: offer_transfer, accept: true },
-        );
-        a.send_to(&genuine, source.local_addr()).expect("send genuine accept");
-        a.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let delivered = loop {
-            let (len, _) = a.recv_from(&mut buf).expect("payload should arrive");
-            if let Ok(env) = envelope::decode_view(&buf[..len]) {
-                if let Message::DataPayload { transfer, .. } = env.message {
-                    if transfer == offer_transfer {
-                        break true;
-                    }
-                }
-            }
-        };
-        assert!(delivered);
-        let _ = source.shutdown();
-    }
-
-    /// A source actor driven directly (no threads) to unit-test the
-    /// pacing state machine.
+    /// A source state machine to unit-test the pacing arithmetic on.
     fn pacing_actor(options: NodeOptions) -> NodeStateMachine {
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
-        let socket = crate::faults::FaultySocket::new(
-            UdpSocket::bind("127.0.0.1:0").expect("bind"),
-            crate::faults::DatagramFaults::clean(1),
-        )
-        .expect("wrap");
-        let shared = Arc::new(Shared::default());
-        NodeStateMachine::new(
-            socket,
-            NodeConfig::new(1, NodeRole::Source { object: vec![1u8; 8], params }, options),
-            shared,
-        )
+        let role = NodeRole::Source { object: vec![1u8; 8], params };
+        NodeStateMachine::new(NodeConfig::new(1, role, options), Arc::default())
     }
 
     #[test]
     fn budget_recovers_to_base_after_a_silent_period() {
-        // Drive the pacing state machine directly: a peer goes silent
-        // (timeouts only) and is cut to the floor; when it answers again
-        // on a clean link, successes must grow the budget back to the
-        // initial value — and not past it.
+        // A peer goes silent (timeouts only) and is cut to the floor;
+        // when it answers again on a clean link, successes must grow the
+        // budget back to the initial value — and not past it.
         let options = NodeOptions {
             pending_ttl: Duration::from_millis(5),
             seed: 13,
@@ -1244,29 +1149,32 @@ mod tests {
         let mut actor = pacing_actor(options);
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
 
-        // Dead period: timeouts with no feedback, one cut per TTL window.
+        // Dead period: a timeout every 2 ms with no feedback, one cut per
+        // 5 ms TTL window.
+        let mut now = 0;
         for _ in 0..12 {
-            actor.note_outcome(peer, None);
-            thread::sleep(Duration::from_millis(2));
+            actor.note_outcome(now, peer, None);
+            now += 2_000;
         }
         assert_eq!(actor.inflight_cap(&peer), options.inflight_floor.max(1));
         assert!(actor.wire.budget_cuts > 0, "silence must cut");
 
         // Revival on a clean link: successes alone restore the base cap.
         for _ in 0..64 {
-            actor.note_outcome(peer, Some(Duration::from_micros(50)));
+            actor.note_outcome(now, peer, Some(Duration::from_micros(50)));
         }
         assert_eq!(actor.inflight_cap(&peer), options.per_peer_inflight);
         assert!(actor.wire.budget_raises > 0, "recovery must count as raises");
 
         // A timeout while the peer is alive grows the budget *past* base.
-        actor.note_outcome(peer, None);
+        actor.note_outcome(now, peer, None);
         assert_eq!(actor.inflight_cap(&peer), options.per_peer_inflight + 1);
     }
 
     #[test]
     fn budget_bounds_clamp_the_initial_cap_too() {
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let answered = Some(Duration::from_micros(50));
 
         // Initial budget above the ceiling: clamped down, tracked or not.
         let over = NodeOptions {
@@ -1277,7 +1185,7 @@ mod tests {
         };
         let mut actor = pacing_actor(over);
         assert_eq!(actor.inflight_cap(&peer), 8, "untracked peer clamps to ceiling");
-        actor.note_outcome(peer, Some(Duration::from_micros(50)));
+        actor.note_outcome(0, peer, answered);
         assert_eq!(actor.inflight_cap(&peer), 8, "tracked peer starts clamped");
         assert_eq!(actor.wire.budget_raises, 0, "clamping is not a raise");
 
@@ -1290,15 +1198,15 @@ mod tests {
         };
         let mut actor = pacing_actor(under);
         assert_eq!(actor.inflight_cap(&peer), 4, "untracked peer clamps to floor");
-        actor.note_outcome(peer, Some(Duration::from_micros(50)));
+        actor.note_outcome(0, peer, answered);
         assert_eq!(actor.inflight_cap(&peer), 4, "tracked peer starts clamped");
     }
 
     #[test]
     fn budget_moves_are_counted_once_per_whole_offer_step() {
-        // `note_outcome` on a script with no timing in it (the TTL is an
-        // hour, then zero), pinned to the exact counts the per-branch
-        // accounting it replaced produced on the same script.
+        // `note_outcome` on a script with the clock standing still (the
+        // TTL is an hour, then zero), pinned to the exact counts the
+        // per-branch accounting it replaced produced on the same script.
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
         let fixed = |pending_ttl, adaptive_pacing| NodeOptions {
             pending_ttl,
@@ -1316,32 +1224,32 @@ mod tests {
         // An hour's TTL: a never-heard peer is cut once per window …
         let mut actor = pacing_actor(fixed(Duration::from_secs(3600), true));
         for _ in 0..4 {
-            actor.note_outcome(peer, None);
+            actor.note_outcome(0, peer, None);
         }
         assert_eq!(moves(&actor), (0, 1, 2), "4 → 2, then the window holds");
         // … answers walk 2 → 2.5 → 2.9 → 3.24 → 3.55 → 3.83 → 4 and stop …
         for _ in 0..10 {
-            actor.note_outcome(peer, answered);
+            actor.note_outcome(0, peer, answered);
         }
         assert_eq!(moves(&actor), (2, 1, 4), "two whole steps back to base");
         // … and a live peer's timeouts add one each, up to the ceiling.
         for _ in 0..3 {
-            actor.note_outcome(peer, None);
+            actor.note_outcome(0, peer, None);
         }
         assert_eq!(moves(&actor), (4, 1, 6), "5, 6, and 6 again is no raise");
 
         // A zero TTL: every timeout finds the peer silent and the window over.
         let mut actor = pacing_actor(fixed(Duration::ZERO, true));
-        actor.note_outcome(peer, answered);
+        actor.note_outcome(0, peer, answered);
         for _ in 0..4 {
-            actor.note_outcome(peer, None);
+            actor.note_outcome(0, peer, None);
         }
         assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
 
         // Fixed cap: outcomes feed the estimates and move nothing.
         let mut actor = pacing_actor(fixed(Duration::ZERO, false));
         for outcome in [None, answered, None, None] {
-            actor.note_outcome(peer, outcome);
+            actor.note_outcome(0, peer, outcome);
         }
         assert_eq!(moves(&actor), (0, 0, 4));
     }
@@ -1360,18 +1268,18 @@ mod tests {
         assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
 
         // Localhost-fast feedback: the floor still applies.
-        actor.note_outcome(peer, Some(Duration::from_micros(80)));
+        actor.note_outcome(0, peer, Some(Duration::from_micros(80)));
         assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
 
         // A slow link: the TTL tracks 4× the RTT EWMA…
         for _ in 0..64 {
-            actor.note_outcome(peer, Some(Duration::from_millis(50)));
+            actor.note_outcome(0, peer, Some(Duration::from_millis(50)));
         }
         let ttl = actor.ttl_for(&peer);
         assert!(ttl > Duration::from_millis(100), "TTL must grow with RTT, got {ttl:?}");
         // …but never past 16× the configured floor.
         for _ in 0..64 {
-            actor.note_outcome(peer, Some(Duration::from_secs(30)));
+            actor.note_outcome(0, peer, Some(Duration::from_secs(30)));
         }
         assert_eq!(actor.ttl_for(&peer), Duration::from_millis(160), "ceiling caps the TTL");
 
@@ -1393,7 +1301,7 @@ mod tests {
         let mut actor = pacing_actor(options);
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
         for _ in 0..32 {
-            actor.note_outcome(peer, Some(Duration::from_millis(200)));
+            actor.note_outcome(0, peer, Some(Duration::from_millis(200)));
         }
         assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
     }
@@ -1484,61 +1392,84 @@ mod tests {
         assert!(goes_quiet(&peer), "a dropped node kept offering");
     }
 
-    /// A state machine on a loopback socket the test drives by hand: no
-    /// threads, no reactor, and no tick unless the test calls one — so
-    /// the event clocks are asserted in offer counts, never in time.
+    /// In-memory links between hand-driven state machines: each
+    /// datagram a machine emits waits in its destination's inbox, with
+    /// its sender, until the test handles it.
+    type Wires = Rc<RefCell<BTreeMap<SocketAddr, Vec<(Vec<u8>, SocketAddr)>>>>;
+
+    /// A state machine the test drives by hand: no sockets, no threads,
+    /// no reactor, no tick unless the test calls one, and a clock that
+    /// stands still — so the event clocks are asserted in offer counts,
+    /// never in time.
     struct Driven {
         sm: NodeStateMachine,
-        inbox: FaultySocket,
+        wires: Wires,
         addr: SocketAddr,
     }
 
     impl Driven {
-        fn new(role: NodeRole, options: NodeOptions) -> Driven {
-            let socket = UdpSocket::bind(loopback()).expect("bind");
-            let socket = FaultySocket::new(socket, DatagramFaults::clean(1)).expect("wrap");
-            socket.set_read_timeout(Some(Duration::from_millis(10))).expect("timeout");
-            let inbox = socket.try_clone().expect("clone");
-            let addr = socket.local_addr().expect("addr");
+        fn new(role: NodeRole, options: NodeOptions, wires: &Wires) -> Driven {
+            let port = 1000 + wires.borrow().len() as u16;
+            let addr = SocketAddr::from(([127, 0, 0, 1], port));
+            wires.borrow_mut().insert(addr, Vec::new());
             let config = NodeConfig::new(0xC10C, role, options);
-            Driven { sm: NodeStateMachine::new(socket, config, Arc::default()), inbox, addr }
+            let sm = NodeStateMachine::new(config, Arc::default());
+            Driven { sm, wires: Rc::clone(wires), addr }
         }
 
         /// The source and an empty receiver of one 8-symbol generation.
-        fn source_and_relay(options: NodeOptions) -> (Driven, Driven) {
-            Driven::pair(1, options)
+        fn source_and_relay(options: NodeOptions, wires: &Wires) -> (Driven, Driven) {
+            Driven::pair(1, options, wires)
         }
 
         /// The same for an object of `generations` 8-symbol generations.
-        fn pair(generations: u8, options: NodeOptions) -> (Driven, Driven) {
+        fn pair(generations: u8, options: NodeOptions, wires: &Wires) -> (Driven, Driven) {
             let params = SchemeParams::new(SchemeKind::Rlnc, 8, 4);
             let object: Vec<u8> = (0..32 * generations).collect();
             let manifest = crate::generation::split_object(&object, params).0;
-            let source = Driven::new(NodeRole::Source { object, params }, options);
-            (source, Driven::new(NodeRole::Peer { manifest }, options))
+            let source = Driven::new(NodeRole::Source { object, params }, options, wires);
+            (source, Driven::new(NodeRole::Peer { manifest }, options, wires))
         }
 
         /// A receiver nobody drives: just an address offers can go to.
-        fn bystander(options: NodeOptions) -> Driven {
-            Driven::source_and_relay(options).1
+        fn bystander(options: NodeOptions, wires: &Wires) -> Driven {
+            Driven::source_and_relay(options, wires).1
         }
 
-        /// Every datagram that reached this node's socket and was not
-        /// handled yet, with its sender.
-        fn arrived(&self) -> Vec<(Vec<u8>, SocketAddr)> {
-            let mut buf = [0u8; 2048];
-            let mut datagrams = Vec::new();
-            while let Ok((len, from)) = self.inbox.recv_from(&mut buf) {
-                datagrams.push((buf[..len].to_vec(), from));
+        /// Puts what the machine emitted on the wires.
+        fn post(&self, out: Outbox) {
+            let mut wires = self.wires.borrow_mut();
+            for (to, bytes) in out {
+                wires.entry(to).or_default().push((bytes, self.addr));
             }
-            datagrams
+        }
+
+        /// Every datagram that reached this node and was not handled yet,
+        /// with its sender.
+        fn arrived(&self) -> Vec<(Vec<u8>, SocketAddr)> {
+            std::mem::take(self.wires.borrow_mut().entry(self.addr).or_default())
+        }
+
+        fn tick(&mut self) {
+            let mut out = Outbox::new();
+            self.sm.tick(0, &mut out);
+            self.post(out);
+        }
+
+        /// The tick's one job in these tests: a first offer.
+        fn push_once(&mut self) {
+            let mut out = Outbox::new();
+            self.sm.push_once(0, &mut out, OfferTrigger::Tick);
+            self.post(out);
         }
 
         /// Handles one datagram and returns how many offers it released —
         /// never more than one, whatever the datagram.
         fn handle(&mut self, bytes: &[u8], from: SocketAddr) -> u64 {
             let before = self.sm.wire.transfers_offered;
-            self.sm.handle_datagram(bytes, from);
+            let mut out = Outbox::new();
+            self.sm.handle_datagram(0, from, bytes, &mut out);
+            self.post(out);
             let released = self.sm.wire.transfers_offered - before;
             assert!(released <= 1, "one datagram released {released} offers");
             released
@@ -1601,17 +1532,40 @@ mod tests {
     }
 
     #[test]
+    fn feedback_from_the_wrong_peer_is_ignored() {
+        // A source offers to peer A; an accept forged by peer C must not
+        // release the payload — only A's own accept may.
+        let wires = Wires::default();
+        let options = NodeOptions { per_peer_inflight: 1, seed: 8, ..NodeOptions::default() };
+        let (mut source, a) = Driven::source_and_relay(options, &wires);
+        let c = Driven::bystander(options, &wires);
+        source.sm.set_peers(vec![a.addr]);
+        source.push_once();
+        let (offer, _) = a.arrived().pop().expect("one offer reached A");
+        let accept = feedback(&offer, true);
+
+        assert_eq!(source.handle(&accept, c.addr), 0);
+        assert!(a.arrived().is_empty() && c.arrived().is_empty(), "a forged accept released data");
+
+        // A's own accept still works: the pending entry survived the forgery.
+        source.handle(&accept, a.addr);
+        assert!(kinds(&a.arrived()).contains(&MessageKind::DataPayload));
+    }
+
+    #[test]
     fn a_source_reoffers_on_feedback_without_a_tick() {
-        let (mut source, mut relay) = Driven::source_and_relay(quick_options(21));
+        let wires = Wires::default();
+        let (mut source, mut relay) = Driven::source_and_relay(quick_options(21), &wires);
         source.sm.set_peers(vec![relay.addr]);
-        source.sm.push_once(OfferTrigger::Tick); // the tick's one job here: the first offer
+        source.push_once();
 
         assert_eq!(relay.handle_arrived(), 0, "an unwired relay accepts and offers nothing");
         assert_eq!(source.handle_arrived(), 1, "the accept clocks the next offer");
         let arrived = relay.arrived();
-        assert_eq!(kinds(&arrived), [MessageKind::DataPayload, MessageKind::DataHeader]);
+        // The next offer goes ahead of the accepted payload.
+        assert_eq!(kinds(&arrived), [MessageKind::DataHeader, MessageKind::DataPayload]);
 
-        let abort = feedback(&arrived[1].0, false);
+        let abort = feedback(&arrived[0].0, false);
         assert_eq!(source.handle(&abort, relay.addr), 1, "an abort clocks the next offer too");
         assert_eq!(kinds(&relay.arrived()), [MessageKind::DataHeader]);
         assert_eq!(source.sm.wire.transfers_offered, 3);
@@ -1623,11 +1577,12 @@ mod tests {
     #[test]
     fn a_relay_offers_once_per_useful_delivery_and_on_feedback_only_when_complete() {
         let options = quick_options(22);
-        let (mut source, mut relay) = Driven::source_and_relay(options);
-        let sink = Driven::bystander(options);
+        let wires = Wires::default();
+        let (mut source, mut relay) = Driven::source_and_relay(options, &wires);
+        let sink = Driven::bystander(options, &wires);
         source.sm.set_peers(vec![relay.addr]);
         relay.sm.set_peers(vec![sink.addr]);
-        source.sm.push_once(OfferTrigger::Tick);
+        source.push_once();
 
         let mut accept = true;
         while !relay.complete() {
@@ -1657,11 +1612,12 @@ mod tests {
         // only ever of the whole one; feedback for a transfer of the
         // partial one releases none.
         let options = quick_options(25);
-        let (mut source, mut relay) = Driven::pair(2, options);
-        let sink = Driven::bystander(options);
+        let wires = Wires::default();
+        let (mut source, mut relay) = Driven::pair(2, options, &wires);
+        let sink = Driven::bystander(options, &wires);
         source.sm.set_peers(vec![relay.addr]);
         relay.sm.set_peers(vec![sink.addr]);
-        source.sm.push_once(OfferTrigger::Tick);
+        source.push_once();
 
         let holds = |relay: &Driven, generation: u32| {
             relay.sm.receiver.as_ref().is_some_and(|r| r.generation_complete(generation))
@@ -1698,10 +1654,11 @@ mod tests {
             seed: 23,
             ..NodeOptions::default()
         };
-        let (mut source, mut relay) = Driven::source_and_relay(options);
-        let sink = Driven::bystander(options);
+        let wires = Wires::default();
+        let (mut source, mut relay) = Driven::source_and_relay(options, &wires);
+        let sink = Driven::bystander(options, &wires);
         source.sm.set_peers(vec![relay.addr]);
-        source.sm.push_once(OfferTrigger::Tick);
+        source.push_once();
 
         // Before set_peers a useful delivery releases nothing.
         assert_eq!(relay.next_useful_from(&mut source), 0, "not wired in yet");
@@ -1715,7 +1672,7 @@ mod tests {
         // A peer that said COMPLETE(object) gets its accepted payload and
         // no further offer. (`source` has one offer to the relay pending:
         // the pump above leaves the feedback clock's last offer unanswered
-        // — take it from the relay's socket.)
+        // — take it from the relay's inbox.)
         assert_eq!(relay.handle_arrived(), 0);
         let offered = source.sm.wire.transfers_offered;
         let header = EnvelopeHeader {
@@ -1728,7 +1685,7 @@ mod tests {
         assert_eq!(source.handle(&complete, relay.addr), 0);
         assert_eq!(source.handle_arrived(), 0, "feedback from an object_done peer");
         assert_eq!(source.sm.wire.transfers_offered, offered);
-        source.sm.tick();
+        source.tick();
         assert_eq!(source.sm.wire.transfers_offered, offered, "the tick honours it too");
     }
 
@@ -1739,12 +1696,13 @@ mod tests {
         // offer per datagram it sent, plus push_rate per tick — the clock
         // is 1:1 with inbound datagrams, so it cannot be made to multiply.
         let options = quick_options(24);
-        let (mut source, peer) = Driven::source_and_relay(options);
+        let wires = Wires::default();
+        let (mut source, peer) = Driven::source_and_relay(options, &wires);
         source.sm.set_peers(vec![peer.addr]);
         let (mut ticks, mut sent_by_peer) = (0u64, 0u64);
         for round in 0..24 {
             if round % 8 == 0 {
-                source.sm.tick();
+                source.tick();
                 ticks += 1;
             }
             for (offer, _) in peer.arrived() {

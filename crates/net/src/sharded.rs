@@ -5,19 +5,17 @@
 //! nothing else: each node is a [`Driven`] implementation
 //! ([`ShardedNode`]) whose nonblocking [`FaultySocket`] is polled
 //! edge-triggered, whose gossip tick is a reactor timer, and whose
-//! held-datagram release (the fault layer's reorder/duplicate holds) is
-//! a second, on-demand timer. A swarm ([`run_sharded`]) is many such
-//! nodes on a few workers; a single [`crate::PeerNode`] is one of them on
-//! a one-worker reactor of its own.
+//! held-datagram release (the fault layer's reorder, duplicate and delay
+//! holds) is a second, on-demand timer. A swarm ([`run_sharded`]) is
+//! many such nodes on a few workers; a single [`crate::PeerNode`] is one
+//! of them on a one-worker reactor of its own.
 //!
-//! Two properties follow from the shape:
-//!
-//! * there is no queue between socket and state machine — backpressure
-//!   is the OS socket buffer, and
-//!   [`ltnc_metrics::WireCounters::inbound_dropped`] stays zero;
-//! * *delay* faults still block (`thread::sleep` inside the fault
-//!   layer), which stalls a whole worker shard — prefer
-//!   drop/reorder/duplicate plans for large runs.
+//! [`ShardedNode`] is the only adapter that reads the wall clock or
+//! touches a socket: it hands the sans-io state machine each datagram
+//! with `now` and sends what the machine emits. There is no queue
+//! between socket and state machine — backpressure is the OS socket
+//! buffer, and [`ltnc_metrics::WireCounters::inbound_dropped`] stays
+//! zero.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -28,16 +26,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ltnc_reactor::{Cx, Driven, Reactor};
-use ltnc_scheme::SchemeParams;
-use ltnc_telemetry::{RingSink, ScrapeOptions, ScrapeServer, Tracer};
+use ltnc_telemetry::{ScrapeOptions, ScrapeServer, Tracer};
 
+use crate::envelope::TraceContext;
 use crate::faults::{DatagramFaults, FaultySocket};
-use crate::generation::split_object;
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
-use crate::peer::{
-    publish_source_complete, spawn_scrape, NodeConfig, NodeOptions, NodeRole, NodeStateMachine,
-    PeerReport, Shared,
-};
+use crate::peer::{spawn_scrape, NodeConfig, NodeStateMachine, Outbox, PeerReport, Shared};
 use crate::swarm::{assemble_report, FlightRecorder, SwarmConfig, SwarmReport, SwarmWiring};
 
 /// Timer tag of the recurring gossip tick.
@@ -46,39 +40,43 @@ const TICK_TAG: u64 = 0;
 /// Timer tag of the one-shot held-datagram release.
 const RELEASE_TAG: u64 = 1;
 
-/// How long held (reordered/duplicated) datagrams wait before release.
-const RELEASE_DELAY: Duration = Duration::from_millis(20);
-
 /// How long the driver parks between completion checks when no node
 /// wakes it — also the stall watchdog's cadence.
 const COMPLETION_POLL: Duration = Duration::from_millis(5);
 
-/// One node on the reactor: the [`NodeStateMachine`] plus the socket
-/// handle and timers that schedule it.
+/// One node on the reactor: the [`NodeStateMachine`] plus the socket,
+/// clock and timers that schedule it.
 pub(crate) struct ShardedNode {
     /// `Some` until [`Driven::finish`] extracts the report.
     sm: Option<NodeStateMachine>,
-    /// Drain/release handle sharing the state machine's fault state.
+    /// The node's socket, behind its fault plans.
     pub(crate) socket: FaultySocket,
     /// The address the node receives on.
     pub(crate) local_addr: SocketAddr,
     /// What the node publishes for observers outside its worker.
     pub(crate) shared: Arc<Shared>,
-    /// Gossip tick period ([`NodeOptions::tick`]).
+    /// The node's clock: the wall clock at bind, in microseconds, plus
+    /// the monotonic time since — so origin stamps compare across nodes
+    /// on the wire.
+    anchor: (Instant, u64),
+    /// What the state machine emitted and the socket has yet to send.
+    outbox: Outbox,
+    /// Gossip tick period ([`crate::NodeOptions::tick`]).
     tick: Duration,
     /// Whether a RELEASE timer is already pending (one at a time).
     release_armed: bool,
-    /// Metrics endpoint, when [`NodeOptions::metrics_bind`] asked for
-    /// one; shut down in [`Driven::finish`].
+    /// Metrics endpoint, when [`crate::NodeOptions::metrics_bind`] asked
+    /// for one; shut down in [`Driven::finish`].
     scrape: Option<ScrapeServer>,
 }
 
 impl ShardedNode {
     /// Builds a node, quiet until it is given peers: binds `bind` behind
-    /// `faults`, switches the socket to nonblocking, publishes a source's
-    /// completion, starts the per-node scrape endpoint when
-    /// [`NodeOptions::metrics_bind`] asks for one, and constructs the
-    /// state machine. The only place in the crate a node is put together.
+    /// `faults`, switches the socket to nonblocking, anchors the node's
+    /// clock, starts the per-node scrape endpoint when
+    /// [`crate::NodeOptions::metrics_bind`] asks for one, and constructs
+    /// the state machine. The only place in the crate a socket-backed
+    /// node is put together.
     pub(crate) fn bind(
         bind: SocketAddr,
         config: NodeConfig,
@@ -90,15 +88,16 @@ impl ShardedNode {
         let local_addr = socket.local_addr()?;
 
         let shared = Arc::new(Shared::default());
-        publish_source_complete(&config.role, &shared);
         let scrape = spawn_scrape(&config.options, local_addr, &shared, &socket)?;
         let tick = config.options.tick;
-        let sm = NodeStateMachine::new(socket.try_clone()?, config, Arc::clone(&shared));
+        let sm = NodeStateMachine::new(config, Arc::clone(&shared));
         Ok(ShardedNode {
             sm: Some(sm),
             socket,
             local_addr,
             shared,
+            anchor: (Instant::now(), TraceContext::now_micros()),
+            outbox: Outbox::new(),
             tick,
             release_armed: false,
             scrape,
@@ -119,14 +118,20 @@ impl ShardedNode {
     }
 
     /// Drains the socket to `WouldBlock` — the edge-triggered contract —
-    /// feeding every surviving datagram to the state machine, then arms
-    /// a release timer if the fault layer parked anything.
+    /// feeding every surviving datagram to the state machine and sending
+    /// what it answers, then arms a release timer if the fault layer
+    /// parked anything.
     fn drain(&mut self, cx: &mut Cx) {
+        let anchor = self.anchor;
         if let Some(sm) = self.sm.as_mut() {
             loop {
                 let buf = cx.scratch();
                 match self.socket.try_recv_from(buf) {
-                    Ok(Some((len, from))) => sm.handle_datagram(&buf[..len], from),
+                    Ok(Some((len, from))) => {
+                        let now = micros_since(anchor);
+                        sm.handle_datagram(now, from, &buf[..len], &mut self.outbox);
+                        send_all(&self.socket, &mut self.outbox);
+                    }
                     Ok(None) => break,
                     // Transient socket errors (e.g. ICMP port-unreachable
                     // surfacing as ECONNREFUSED) are not fatal for a
@@ -138,13 +143,31 @@ impl ShardedNode {
         self.check_held(cx);
     }
 
-    /// Arms the one-shot release timer when the fault layer holds
-    /// datagrams (reorder/duplicate parking) and no release is pending.
+    /// Arms the one-shot release timer when the fault layer parks
+    /// datagrams (reorder, duplicate and delay holds) and no release is
+    /// pending.
     fn check_held(&mut self, cx: &mut Cx) {
-        if !self.release_armed && self.socket.has_held_datagrams() {
-            cx.arm(RELEASE_DELAY, RELEASE_TAG);
+        if self.release_armed {
+            return;
+        }
+        if let Some(after) = self.socket.release_in() {
+            cx.arm(after, RELEASE_TAG);
             self.release_armed = true;
         }
+    }
+}
+
+/// Now, in microseconds on the clock `anchor` starts: the wall clock at
+/// the anchor's instant plus the monotonic time since.
+fn micros_since((at, micros): (Instant, u64)) -> u64 {
+    micros + u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Sends, fire and forget, everything in `outbox`: a vanished peer must
+/// not stall the node.
+fn send_all(socket: &FaultySocket, outbox: &mut Outbox) {
+    for (to, bytes) in outbox.drain(..) {
+        let _ = socket.send_to(&bytes, to);
     }
 }
 
@@ -169,8 +192,10 @@ impl Driven for ShardedNode {
     fn on_timer(&mut self, tag: u64, cx: &mut Cx) {
         match tag {
             TICK_TAG => {
+                let now = micros_since(self.anchor);
                 if let Some(sm) = self.sm.as_mut() {
-                    sm.tick();
+                    sm.tick(now, &mut self.outbox);
+                    send_all(&self.socket, &mut self.outbox);
                 }
                 cx.arm(self.tick, TICK_TAG);
                 self.check_held(cx);
@@ -192,7 +217,10 @@ impl Driven for ShardedNode {
         if let Some(scrape) = self.scrape.take() {
             scrape.shutdown();
         }
-        self.sm.take().expect("finish is called exactly once").into_report()
+        let mut report = self.sm.take().expect("finish is called exactly once").into_report();
+        report.faults = self.socket.fault_counters();
+        report.link_faults = self.socket.link_counters();
+        report
     }
 }
 
@@ -204,49 +232,21 @@ pub(crate) fn run_sharded(
     wiring: &SwarmWiring,
     workers: usize,
 ) -> io::Result<SwarmReport> {
-    let node_count = config.peers + 1;
-    let params = SchemeParams::new(config.scheme, config.code_length, config.payload_size);
-    let manifest = split_object(&config.object, params).0;
+    let (manifest, setups) = config.nodes();
+    let node_count = setups.len();
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
 
-    // Node 0 is the source; peers are 1..=N. Each node re-mixes the fault
-    // template's seed with its index so links fail independently.
-    let node_faults = |index: u64| match &config.faults {
-        Some(template) => template.for_node(index),
-        None => DatagramFaults::clean(config.options.seed ^ index),
-    };
-
     let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
-    let mut sinks: Vec<Option<Arc<RingSink>>> = Vec::with_capacity(node_count);
+    let mut sinks = Vec::with_capacity(node_count);
     let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
     let mut node_addrs: Vec<SocketAddr> = Vec::with_capacity(node_count);
-    for i in 0..node_count {
-        let role = if i == 0 {
-            NodeRole::Source { object: config.object.clone(), params }
-        } else {
-            NodeRole::Peer { manifest }
-        };
-        let seed = if i == 0 {
-            config.options.seed ^ 0xD15E
-        } else {
-            config.options.seed.wrapping_add(i as u64)
-        };
-        // One bounded ring per node when tracing is on; drained into
-        // each node's report after shutdown.
-        let sink = config.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
-        sinks.push(sink.clone());
-        let mut node_config =
-            NodeConfig::new(config.session, role, NodeOptions { seed, ..config.options });
-        node_config.trace = sink.map(|sink| sink as _);
-        // The aggregated endpoint reads every node's live mirror, so
-        // the per-tick refresh must run even without per-node endpoints.
-        node_config.publish_live = config.metrics_bind.is_some();
-
+    for setup in setups {
         // An early `?` here drops the nodes built so far; their
         // ScrapeServers stop on drop, and no reactor threads exist yet.
-        let node = ShardedNode::bind(bind, node_config, node_faults(i as u64))?;
+        let node = ShardedNode::bind(bind, setup.config, setup.faults)?;
         // The completion loop below parks; a node finishing unparks it.
         let _ = node.shared.driver.set(thread::current());
+        sinks.push(setup.sink);
         completion.push(Arc::clone(&node.shared));
         node_addrs.push(node.local_addr);
         nodes.push(node);
@@ -315,11 +315,12 @@ pub(crate) fn run_sharded(
     let reactor = Reactor::start_observed(nodes, workers, observer)?;
 
     // Completion wait doubling as the stall watchdog: parked until a
-    // node completes or `COMPLETION_POLL` elapses. The progress
-    // signal is monotone (innovative symbols decoded + generations
-    // completed, swarm-wide), so "unchanged for a whole stall window"
-    // means no receiver advanced at all — cut a post-mortem once per
-    // stall episode, and re-arm if progress ever resumes.
+    // node completes or `COMPLETION_POLL` elapses, noting when each peer
+    // is first seen complete. The progress signal is monotone
+    // (innovative symbols decoded + generations completed, swarm-wide),
+    // so "unchanged for a whole stall window" means no receiver advanced
+    // at all — cut a post-mortem once per stall episode, and re-arm if
+    // progress ever resumes.
     let mut flight_dump: Option<String> = None;
     let progress_signal = |completion: &[Arc<Shared>]| -> u64 {
         completion[1..]
@@ -330,13 +331,20 @@ pub(crate) fn run_sharded(
             })
             .sum()
     };
+    let mut completed_at: Vec<Option<Duration>> = vec![None; node_count - 1];
     let mut last_progress = progress_signal(&completion);
     let mut last_change = Instant::now();
     let mut stalled = false;
     let deadline = started + config.timeout;
-    while completion[1..].iter().any(|shared| !shared.complete.load(Ordering::Acquire))
-        && Instant::now() < deadline
-    {
+    loop {
+        for (at, shared) in completed_at.iter_mut().zip(&completion[1..]) {
+            if at.is_none() && shared.complete.load(Ordering::Acquire) {
+                *at = Some(started.elapsed());
+            }
+        }
+        if completed_at.iter().all(Option::is_some) || Instant::now() >= deadline {
+            break;
+        }
         thread::park_timeout(COMPLETION_POLL);
         let Some((recorder, state)) = &flight else { continue };
         let signal = progress_signal(&completion);
@@ -355,7 +363,7 @@ pub(crate) fn run_sharded(
     }
     let elapsed = started.elapsed();
 
-    if completion[1..].iter().any(|shared| !shared.complete.load(Ordering::Acquire)) {
+    if completed_at.iter().any(Option::is_none) {
         if let Some((recorder, state)) = &flight {
             let dump = state.dump("shutdown_timeout", None);
             write_dump(recorder, &dump);
@@ -380,8 +388,9 @@ pub(crate) fn run_sharded(
         scrape.shutdown();
     }
 
+    let generations = manifest.generation_count();
     let mut report =
-        assemble_report(config, manifest.generation_count(), elapsed, node_addrs, reports);
+        assemble_report(config, generations, elapsed, completed_at, node_addrs, reports);
     if let Some(telemetry) = &telemetry {
         report.reactor = telemetry.snapshots();
     }
@@ -394,5 +403,59 @@ pub(crate) fn run_sharded(
 fn write_dump(recorder: &FlightRecorder, dump: &str) {
     if let Some(path) = &recorder.dump_path {
         let _ = std::fs::write(path, dump);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use ltnc_scheme::{SchemeKind, SchemeParams};
+
+    use super::*;
+    use crate::envelope::{self, EnvelopeHeader, Message, MessageKind};
+    use crate::faults::DatagramFaultPlan;
+    use crate::peer::{NodeOptions, NodeRole};
+
+    #[test]
+    fn a_delaying_node_does_not_stall_its_worker() {
+        // Two sources on one reactor worker. A holds every inbound
+        // datagram for 200 ms, and the test keeps sending it some; B
+        // offers to a peer the test plays, which aborts every offer at
+        // once. B's offer→feedback round trip must stay under its tick:
+        // nothing A holds may hold up the worker B shares with it.
+        let tick = Duration::from_millis(10);
+        let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
+        let source = |seed| {
+            let options = NodeOptions { tick, seed, ..NodeOptions::default() };
+            NodeConfig::new(1, NodeRole::Source { object: vec![7; 8], params }, options)
+        };
+        let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
+        let bind: SocketAddr = "127.0.0.1:0".parse().expect("addr");
+        let a = ShardedNode::bind(bind, source(1), DatagramFaults::inbound(held)).expect("bind A");
+        let mut b = ShardedNode::bind(bind, source(2), DatagramFaults::clean(2)).expect("bind B");
+        let peer = UdpSocket::bind(bind).expect("bind the peer");
+        peer.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
+        b.set_peers(vec![peer.local_addr().expect("addr")]);
+        let (a_addr, b_addr) = (a.local_addr, b.local_addr);
+        let reactor = Reactor::start(vec![a, b], 1).expect("start");
+
+        let pest = UdpSocket::bind(bind).expect("bind");
+        let until = Instant::now() + Duration::from_millis(300);
+        let mut buf = [0u8; 2048];
+        while Instant::now() < until {
+            pest.send_to(b"held for 200 ms", a_addr).expect("send to A");
+            let Ok((len, _)) = peer.recv_from(&mut buf) else { continue };
+            let offer = envelope::decode_view(&buf[..len]).expect("valid frame");
+            let Message::DataHeader { transfer, .. } = offer.message else { continue };
+            let header = EnvelopeHeader { kind: MessageKind::FeedbackAbort, ..offer.header };
+            let abort = envelope::encode(&header, &Message::Feedback { transfer, accept: false });
+            peer.send_to(&abort, b_addr).expect("answer B");
+        }
+
+        let reports = reactor.shutdown();
+        assert!(reports[0].faults.delayed_in > 0, "A must have held datagrams");
+        let (_, rtt) = reports[1].rtt_estimates.first().copied().expect("B measured its peer");
+        assert!(rtt < tick, "B's round trip took {rtt:?}: it waited on A's delays");
     }
 }

@@ -1,10 +1,12 @@
-//! Localhost swarm orchestration: one source, N peers, real UDP.
+//! Swarm orchestration: one source, N peers, two drivers.
 //!
-//! This is the harness both the integration tests and the
-//! `file_dissemination_udp` example drive: it spawns every node on an
-//! ephemeral `127.0.0.1` port, wires the peer lists, waits for
-//! convergence, shuts everything down gracefully and verifies the
-//! reconstruction bit for bit.
+//! This is the harness the integration tests, the examples and the
+//! figure binaries drive. [`run_wired_swarm`] spawns every node on an
+//! ephemeral `127.0.0.1` port on the reactor, wires the peer lists,
+//! waits for convergence, shuts everything down gracefully and verifies
+//! the reconstruction bit for bit. [`crate::run_virtual_swarm`] runs the
+//! same nodes from the same [`SwarmConfig`] and [`SwarmWiring`] on one
+//! thread in virtual time, and fills in the same [`SwarmReport`].
 //!
 //! Since PR 5 the harness is *wiring-generic*: [`run_wired_swarm`] takes
 //! a [`SwarmWiring`] — per-node push-target sets plus optional
@@ -26,15 +28,18 @@
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ltnc_metrics::{ReactorSnapshot, WireCounters};
-use ltnc_scheme::SchemeKind;
+use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_telemetry::RingSink;
 
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults};
-use crate::peer::{NodeOptions, PeerReport};
+use crate::generation::{split_object, ObjectManifest};
+use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerReport};
 
-/// Parameters of one localhost dissemination run.
+/// Parameters of one dissemination run, on either driver.
 #[derive(Debug, Clone)]
 pub struct SwarmConfig {
     /// Coding scheme all nodes run.
@@ -49,7 +54,8 @@ pub struct SwarmConfig {
     pub peers: usize,
     /// Per-node tuning.
     pub options: NodeOptions,
-    /// Give up after this long.
+    /// Give up after this long (virtual time on the virtual-time
+    /// driver).
     pub timeout: Duration,
     /// Session identifier stamped into every envelope.
     pub session: u64,
@@ -64,7 +70,8 @@ pub struct SwarmConfig {
     /// default) installs no sink — every trace hook stays a no-op.
     pub trace_capacity: Option<usize>,
     /// How many reactor workers the nodes are sharded across (see
-    /// [`SwarmRuntime`]).
+    /// [`SwarmRuntime`]). This and the two observability knobs below
+    /// are the reactor's: the virtual-time driver ignores them.
     pub runtime: SwarmRuntime,
     /// When set, the whole swarm serves *one* aggregated scrape endpoint
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
@@ -144,6 +151,55 @@ impl SwarmConfig {
             flight_recorder: None,
         }
     }
+
+    /// Panics with a clear message unless `wiring` fits this swarm.
+    pub(crate) fn check(&self, wiring: &SwarmWiring) {
+        assert!(self.peers > 0, "a swarm needs at least one peer");
+        wiring.validate(self.peers + 1);
+    }
+
+    /// What both drivers build a swarm from: the object's manifest and,
+    /// per node (0 is the source), its configuration, the fault plans
+    /// its links start from — the template re-seeded per node — and the
+    /// ring its trace events go to when tracing is on.
+    pub(crate) fn nodes(&self) -> (ObjectManifest, Vec<NodeSetup>) {
+        let params = SchemeParams::new(self.scheme, self.code_length, self.payload_size);
+        let manifest = split_object(&self.object, params).0;
+        let nodes = (0..=self.peers)
+            .map(|index| {
+                let (role, seed) = if index == 0 {
+                    (
+                        NodeRole::Source { object: self.object.clone(), params },
+                        self.options.seed ^ 0xD15E,
+                    )
+                } else {
+                    (NodeRole::Peer { manifest }, self.options.seed.wrapping_add(index as u64))
+                };
+                let sink = self.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
+                let options = NodeOptions { seed, ..self.options };
+                let mut config = NodeConfig::new(self.session, role, options);
+                config.trace = sink.clone().map(|sink| sink as _);
+                // The aggregated endpoint reads every node's live mirror,
+                // so the per-tick refresh must run even without per-node
+                // endpoints.
+                config.publish_live = self.metrics_bind.is_some();
+                let faults = match &self.faults {
+                    Some(template) => template.for_node(index as u64),
+                    None => DatagramFaults::clean(self.options.seed ^ index as u64),
+                };
+                NodeSetup { config, faults, sink }
+            })
+            .collect();
+        (manifest, nodes)
+    }
+}
+
+/// One node as [`SwarmConfig::nodes`] lays it out.
+pub(crate) struct NodeSetup {
+    pub(crate) config: NodeConfig,
+    pub(crate) faults: DatagramFaults,
+    /// Drained into the node's [`PeerReport::events`] at the end.
+    pub(crate) sink: Option<Arc<RingSink>>,
 }
 
 /// How the nodes of a swarm are wired together.
@@ -160,7 +216,7 @@ pub struct SwarmWiring {
     /// indices in range.
     pub push_targets: Vec<Vec<usize>>,
     /// Per-directed-link fault plans `(from, to, plan)`: installed on
-    /// `to`'s socket keyed by `from`'s address
+    /// `to`'s inbound side keyed by `from`'s address
     /// ([`crate::PeerNode::set_link_faults`]), shadowing `to`'s default inbound
     /// plan for datagrams from `from` — and tallied per link in
     /// [`PeerReport::link_faults`].
@@ -209,10 +265,14 @@ pub struct SwarmReport {
     pub scheme: SchemeKind,
     /// Whether every peer decoded every generation before the timeout.
     pub converged: bool,
-    /// Wall-clock time until convergence (or the timeout).
+    /// Time until convergence (or the timeout) on the driver's clock:
+    /// wall time on the reactor, virtual time on the virtual-time driver.
     pub elapsed: Duration,
     /// Peers that completed.
     pub peers_complete: usize,
+    /// When each peer completed, on the same clock (swarm node `i` is
+    /// `completed_at[i - 1]`); `None` for peers that did not.
+    pub completed_at: Vec<Option<Duration>>,
     /// Whether every completed peer reassembled the object bit for bit.
     pub bit_exact: bool,
     /// Number of generations the object spanned.
@@ -290,8 +350,7 @@ pub fn run_localhost_swarm(config: &SwarmConfig) -> io::Result<SwarmReport> {
 /// Panics when `config.peers == 0` or the wiring is malformed (wrong
 /// node count, out-of-range indices, self-loops).
 pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result<SwarmReport> {
-    assert!(config.peers > 0, "a swarm needs at least one peer");
-    wiring.validate(config.peers + 1);
+    config.check(wiring);
     let SwarmRuntime::Sharded { workers } = config.runtime;
     crate::sharded::run_sharded(config, wiring, workers.max(1))
 }
@@ -302,6 +361,7 @@ pub(crate) fn assemble_report(
     config: &SwarmConfig,
     generations: u32,
     elapsed: Duration,
+    completed_at: Vec<Option<Duration>>,
     node_addrs: Vec<SocketAddr>,
     reports: Vec<PeerReport>,
 ) -> SwarmReport {
@@ -328,6 +388,7 @@ pub(crate) fn assemble_report(
         converged,
         elapsed,
         peers_complete,
+        completed_at,
         bit_exact,
         generations,
         total_wire,

@@ -16,7 +16,7 @@
 //!   innovation check on reception (the "partial Gaussian reduction" the
 //!   paper mentions) and payload recovery at full rank;
 //! * [`SparseRecoder`] — the random recoding rule;
-//! * [`RlncNode`] — the per-node state used by the dissemination simulator,
+//! * [`RlncNode`] — the per-node state used by the dissemination sessions,
 //!   bundling both and accounting costs into [`ltnc_metrics::OpCounters`].
 //!
 //! # Example

@@ -17,7 +17,7 @@ pub enum ReceiveOutcome {
 ///
 /// Bundles the Gaussian-elimination decoder (reception and decoding) with the
 /// sparse random recoder (emission), and keeps the two cost ledgers separate so
-/// the simulator can report recoding and decoding costs independently, as in
+/// a run can report recoding and decoding costs independently, as in
 /// Figure 8 of the paper. Every innovative packet is held once, by the decoder;
 /// recoding combines from that same buffer.
 #[derive(Debug, Clone)]

@@ -4,23 +4,14 @@ use ltnc_metrics::OpCounters;
 use ltnc_rlnc::{ReceiveOutcome as RlncOutcome, RlncNode};
 use rand::RngCore;
 
-/// Decision taken by the feedback channel for one transfer attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendDecision {
-    /// The payload was transferred (the header check passed or feedback is off).
-    Delivered,
-    /// The receiver aborted the transfer after seeing the header.
-    Aborted,
-}
-
 /// The per-node behaviour a dissemination driver drives.
 ///
 /// One implementation exists per scheme of the paper's evaluation:
 /// [`crate::WcNode`] (no coding), [`RlncSchemeNode`] and [`LtncSchemeNode`].
-/// A driver — the round-based simulator or the UDP session layer — does not
-/// know which coding scheme is running; it only pushes packets between
-/// `Scheme` objects and collects their counters. `Send` is required so
-/// session actors can own scheme nodes on their own threads.
+/// A session — UDP gossip or TCP serving — does not know which coding
+/// scheme is running; it only pushes packets between `Scheme` objects and
+/// collects their counters. `Send` is required so nodes can run on
+/// reactor and serving threads.
 pub trait Scheme: Send {
     /// Returns `true` once the node can reconstruct the full content.
     fn is_complete(&self) -> bool;

@@ -62,10 +62,6 @@ impl SchemeKind {
 
 /// Everything needed to build [`Scheme`] nodes for one content: the scheme,
 /// the code dimensions and the WC-specific knobs.
-///
-/// This is the scheme-construction subset of the simulator's `SimConfig`,
-/// extracted so that non-simulator drivers (the UDP session layer, tests,
-/// examples) can instantiate nodes directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeParams {
     /// The coding scheme to run.

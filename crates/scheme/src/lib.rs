@@ -1,20 +1,17 @@
 //! The pluggable per-node coding behaviour shared by every driver in the
 //! workspace.
 //!
-//! Historically this lived inside `ltnc-sim`, but the [`Scheme`] trait is
-//! not about simulation: it is the contract between *any* dissemination
-//! driver (the round-based simulator, the UDP session layer of `ltnc-net`,
-//! future transports) and the three coding schemes of the paper's
-//! evaluation:
+//! The [`Scheme`] trait is the contract between *any* dissemination
+//! session (UDP gossip in `ltnc-net`, TCP serving in `ltnc-serve`) and
+//! the three coding schemes of the paper's evaluation:
 //!
 //! * [`WcNode`] — "Without Coding", native packets only;
 //! * [`RlncSchemeNode`] — sparse RLNC with Gaussian decoding;
 //! * [`LtncSchemeNode`] — LT network codes (the paper's contribution).
 //!
 //! [`SchemeKind`] names a scheme, and [`SchemeParams`] builds empty or
-//! source nodes for one without dragging in a whole simulator
-//! configuration — exactly what a transport session needs when it opens a
-//! generation.
+//! source nodes for one — exactly what a transport session needs when it
+//! opens a generation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +20,6 @@ mod adapters;
 mod kind;
 mod wc;
 
-pub use adapters::{LtncSchemeNode, RlncSchemeNode, Scheme, SendDecision};
+pub use adapters::{LtncSchemeNode, RlncSchemeNode, Scheme};
 pub use kind::{SchemeKind, SchemeParams};
 pub use wc::WcNode;

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use ltnc_gf2::wire;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, ReplicaCounters, WireCounters};
 use ltnc_net::envelope::{
-    self, EnvelopeHeader, Message, MessageKind, MessageView, GENERATION_OBJECT,
+    self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
@@ -309,7 +309,8 @@ impl ReplicaConn {
                     MessageView::DataPayload { trace, packet, .. } => {
                         self.wire.transfers_delivered += 1;
                         self.stripe.delivered += 1;
-                        self.latency.record(trace.links(), trace.latency_micros());
+                        let latency = trace.latency_micros(TraceContext::now_micros());
+                        self.latency.record(trace.links(), latency);
                         // The payload leaves the reassembly buffer only for
                         // a generation that can still use it: one another
                         // stream finished meanwhile costs no copy.

@@ -683,7 +683,7 @@ fn pump_offers(
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage, stamped at offer time.
-        let trace = TraceContext::origin_now();
+        let trace = TraceContext::origin_now(TraceContext::now_micros());
         envelope::encode_offer_into(
             &mut conn.outbound,
             &header,

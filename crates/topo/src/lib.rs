@@ -50,5 +50,5 @@ pub mod run;
 pub mod topology;
 
 pub use ltnc_net::swarm::{FlightRecorder, SwarmRuntime};
-pub use run::{run_topology, TopologyConfig, TopologyFaults, TopologyReport};
+pub use run::{run_topology, run_topology_virtual, TopologyConfig, TopologyFaults, TopologyReport};
 pub use topology::Topology;

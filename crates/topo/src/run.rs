@@ -8,7 +8,9 @@
 //! one seeded [`DatagramFaultPlan`] per directed link, runs
 //! [`ltnc_net::swarm::run_wired_swarm`], and attributes the outcome:
 //! hop-distance buckets ([`HopCounters`]), per-link fault tallies, and
-//! the relay recoding total.
+//! the relay recoding total. [`run_topology_virtual`] is the same run on
+//! the virtual-time driver: it shares the lowering and the attribution
+//! and swaps only the driver call.
 
 use std::io;
 use std::net::SocketAddr;
@@ -19,7 +21,7 @@ use ltnc_net::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults}
 use ltnc_net::swarm::{
     run_wired_swarm, FlightRecorder, SwarmConfig, SwarmReport, SwarmRuntime, SwarmWiring,
 };
-use ltnc_net::NodeOptions;
+use ltnc_net::{run_virtual_swarm, NodeOptions};
 use ltnc_scheme::SchemeKind;
 use ltnc_telemetry::TraceEvent;
 
@@ -97,7 +99,7 @@ pub struct TopologyConfig {
     pub source: usize,
     /// Per-node tuning.
     pub options: NodeOptions,
-    /// Give up after this long.
+    /// Give up after this long (virtual time on the virtual-time driver).
     pub timeout: Duration,
     /// Session identifier stamped into every envelope.
     pub session: u64,
@@ -303,6 +305,26 @@ impl TopologyReport {
 /// Panics when the topology has fewer than two nodes, is disconnected,
 /// or the source index is out of range.
 pub fn run_topology(config: &TopologyConfig) -> io::Result<TopologyReport> {
+    let (swarm_config, wiring) = lower(config);
+    Ok(attribute(config, run_wired_swarm(&swarm_config, &wiring)?))
+}
+
+/// Runs the same dissemination as [`run_topology`] on the virtual-time
+/// driver ([`run_virtual_swarm`]): same lowering, same attribution, no
+/// sockets and no wall clock — the report is a function of the
+/// configuration, and times are virtual.
+///
+/// # Panics
+///
+/// As [`run_topology`].
+#[must_use]
+pub fn run_topology_virtual(config: &TopologyConfig) -> TopologyReport {
+    let (swarm_config, wiring) = lower(config);
+    attribute(config, run_virtual_swarm(&swarm_config, &wiring))
+}
+
+/// The swarm a topology run drives: configuration and wiring.
+fn lower(config: &TopologyConfig) -> (SwarmConfig, SwarmWiring) {
     let nodes = config.topology.nodes();
     assert!(nodes >= 2, "a topology run needs at least two nodes");
     assert!(config.source < nodes, "source {} out of range for {nodes} nodes", config.source);
@@ -312,7 +334,6 @@ pub fn run_topology(config: &TopologyConfig) -> io::Result<TopologyReport> {
         config.topology.label()
     );
 
-    let wiring = config.wiring();
     let swarm_config = SwarmConfig {
         scheme: config.scheme,
         object: config.object.clone(),
@@ -328,8 +349,12 @@ pub fn run_topology(config: &TopologyConfig) -> io::Result<TopologyReport> {
         metrics_bind: config.metrics_bind,
         flight_recorder: config.flight_recorder.clone(),
     };
-    let swarm = run_wired_swarm(&swarm_config, &wiring)?;
+    (swarm_config, config.wiring())
+}
 
+/// Attributes a finished swarm run to the topology: per hop, per link,
+/// relay recoding, first deliveries and latency by depth.
+fn attribute(config: &TopologyConfig, swarm: SwarmReport) -> TopologyReport {
     let distances: Vec<usize> = config
         .topology
         .distances_from(config.source)
@@ -406,7 +431,7 @@ pub fn run_topology(config: &TopologyConfig) -> io::Result<TopologyReport> {
     }
     latency_by_hop.sort_unstable_by_key(|&(depth, _)| depth);
 
-    Ok(TopologyReport {
+    TopologyReport {
         swarm,
         topology_label: config.topology.label().to_string(),
         distances,
@@ -416,7 +441,7 @@ pub fn run_topology(config: &TopologyConfig) -> io::Result<TopologyReport> {
         object_len: config.object.len() as u64,
         first_delivery_by_hop,
         latency_by_hop,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! deterministic: the random-regular constructor derives the whole graph
 //! from its seed, so a topology run replays exactly.
 
+use std::collections::HashSet;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,10 +124,15 @@ impl Topology {
         Topology::from_edges(nodes, &edges, format!("complete({nodes})"))
     }
 
-    /// A seeded random `degree`-regular simple graph (pairing model with
-    /// rejection): every node gets exactly `degree` distinct neighbours.
-    /// The same seed always yields the same graph. Disconnected draws
-    /// are rejected and redrawn, so the result is always connected.
+    /// A seeded random `degree`-regular simple graph: every node gets
+    /// exactly `degree` distinct neighbours. The same seed always yields
+    /// the same graph. Disconnected draws are rejected and redrawn, so
+    /// the result is always connected.
+    ///
+    /// Up to degree 4 this is the pairing model with rejection. Its
+    /// acceptance rate falls like e^−(d²−1)/4 (≈ 10⁻²⁸ at degree 16, the
+    /// paper's view size), so denser graphs start from a circulant graph
+    /// and are randomised by degree-preserving edge switches.
     ///
     /// # Panics
     ///
@@ -139,6 +146,10 @@ impl Topology {
         assert!(degree < nodes, "degree {degree} impossible with {nodes} nodes");
         assert!((nodes * degree).is_multiple_of(2), "nodes × degree must be even");
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x70_70_70);
+        let label = format!("kregular({nodes},{degree})");
+        if degree > 4 {
+            return Topology::switched_circulant(nodes, degree, &mut rng, label);
+        }
         // Pairing model: shuffle `degree` stubs per node, pair them off,
         // reject draws with self-loops, parallel edges, or a
         // disconnected result. Succeeds within a few attempts whp for
@@ -160,13 +171,68 @@ impl Topology {
             if !simple {
                 continue;
             }
-            let topology =
-                Topology::from_edges(nodes, &edges, format!("kregular({nodes},{degree})"));
+            let topology = Topology::from_edges(nodes, &edges, label.clone());
             if topology.is_connected() {
                 return topology;
             }
         }
         panic!("no connected {degree}-regular graph on {nodes} nodes found (seed {seed:#x})");
+    }
+
+    /// The overlay of the paper's epidemic (§IV-A): `peers` nodes on a
+    /// seeded random `view`-regular graph — the partial views of its peer
+    /// sampling service — plus node 0, the source, adjacent to every peer,
+    /// as the paper's source injects into uniformly random nodes. (Confined
+    /// to `view` neighbours instead, WC's 32-packet buffers strand natives
+    /// for good once `k > 32`: at k = 64, 99 of 100 peers after 10 s of
+    /// virtual time.)
+    ///
+    /// # Panics
+    ///
+    /// As [`Topology::random_regular`] for `peers` nodes of degree `view`.
+    #[must_use]
+    pub fn epidemic(peers: usize, view: usize, seed: u64) -> Topology {
+        let views = Topology::random_regular(peers, view, seed).edges().into_iter();
+        let edges: Vec<(usize, usize)> =
+            views.map(|(a, b)| (a + 1, b + 1)).chain((1..=peers).map(|peer| (0, peer))).collect();
+        Topology::from_edges(peers + 1, &edges, format!("epidemic({peers},{view})"))
+    }
+
+    /// The circulant `degree`-regular graph (`i ~ i ± 1 … ± degree/2`,
+    /// plus `i ~ i + nodes/2` for odd degrees), randomised by ten
+    /// double-edge switches per edge — `a–b, c–d` becomes `a–d, c–b`
+    /// unless that makes a loop or a parallel edge — and switched further
+    /// while disconnected.
+    fn switched_circulant(
+        nodes: usize,
+        degree: usize,
+        rng: &mut SmallRng,
+        label: String,
+    ) -> Topology {
+        let mut edges: Vec<(usize, usize)> = (0..nodes)
+            .flat_map(|i| (1..=degree / 2).map(move |k| (i, (i + k) % nodes)))
+            .chain((0..nodes / 2).filter(|_| degree % 2 == 1).map(|i| (i, i + nodes / 2)))
+            .collect();
+        let key = |a: usize, b: usize| (a.min(b), a.max(b));
+        let mut present: HashSet<(usize, usize)> = edges.iter().map(|&(a, b)| key(a, b)).collect();
+        loop {
+            for _ in 0..10 * edges.len() {
+                let (i, j) = (rng.gen_range(0..edges.len()), rng.gen_range(0..edges.len()));
+                let ((a, b), (c, d)) = (edges[i], edges[j]);
+                if a == d || c == b || present.contains(&key(a, d)) || present.contains(&key(c, b))
+                {
+                    continue;
+                }
+                present.remove(&key(a, b));
+                present.remove(&key(c, d));
+                present.extend([key(a, d), key(c, b)]);
+                (edges[i], edges[j]) = ((a, d), (c, b));
+            }
+            let topology = Topology::from_edges(nodes, &edges, label.clone());
+            if topology.is_connected() {
+                return topology;
+            }
+        }
     }
 
     /// Number of overlay nodes.
@@ -319,6 +385,20 @@ mod tests {
         assert_ne!(a, c, "different seed, different graph");
         assert!(a.adjacency.iter().all(|n| n.len() == 3), "exactly degree neighbours");
         assert!(a.is_connected());
+
+        // Past the pairing model: the paper's 16-peer views, and an odd degree.
+        for (nodes, degree) in [(101, 16), (40, 7)] {
+            let dense = Topology::random_regular(nodes, degree, 42);
+            assert_eq!(dense, Topology::random_regular(nodes, degree, 42), "seeded");
+            assert!(dense.adjacency.iter().all(|n| n.len() == degree), "{degree}-regular");
+            assert!(dense.is_connected());
+            let ring = (0..nodes).filter(|&i| dense.neighbors(i).contains(&((i + 1) % nodes)));
+            assert!(ring.count() < nodes / 2, "the switches randomised the circulant start");
+        }
+
+        let epidemic = Topology::epidemic(40, 16, 42);
+        assert_eq!(epidemic.neighbors(0), (1..=40).collect::<Vec<_>>(), "the source reaches all");
+        assert!((1..=40).all(|peer| epidemic.neighbors(peer).len() == 17), "16 views + source");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The shape × scheme matrix: every overlay shape the topology crate
-//! can build, under every scheme, converges to the input object bit for
-//! bit — and does so the way a multi-hop overlay should.
+//! can build, under every scheme, on both drivers — the reactor and the
+//! virtual-time driver — converges to the input object bit for bit, and
+//! does so the way a multi-hop overlay should.
 //!
-//! What is asserted is deliberately about *one run*, because anything
-//! that depends on traffic volume (datagram counts, fault counts) is
-//! timing-dependent:
+//! What is asserted is deliberately about *one run*, because on the
+//! reactor anything that depends on traffic volume (datagram counts,
+//! fault counts) is timing-dependent:
 //!
 //! * **clean runs**: every peer converges, every delivered object is
 //!   the input object, nothing is injected (there is nothing to inject),
@@ -13,15 +14,17 @@
 //!   15 % per-link loss, actually injected faults, and recoded at its
 //!   relays.
 //!
-//! Replay by seed and worker count is pinned in
-//! `sharded_determinism.rs`.
+//! Replay is pinned in `sharded_determinism.rs` (outcomes, reactor) and
+//! `virtual_replay.rs` (everything, virtual time).
 
 use std::time::Duration;
 
 use ltnc_net::faults::DatagramFaultPlan;
 use ltnc_net::NodeOptions;
 use ltnc_scheme::SchemeKind;
-use ltnc_topo::{run_topology, Topology, TopologyConfig, TopologyFaults, TopologyReport};
+use ltnc_topo::{
+    run_topology, run_topology_virtual, Topology, TopologyConfig, TopologyFaults, TopologyReport,
+};
 
 fn object(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 37 % 251) as u8).collect()
@@ -55,30 +58,30 @@ fn config(scheme: SchemeKind, topology: Topology) -> TopologyConfig {
     config
 }
 
-/// Runs `config` and asserts what every cell must: all peers converged,
-/// and each reassembled exactly the input object.
-fn run(config: &TopologyConfig) -> TopologyReport {
+/// Runs `config` on both drivers and asserts what every cell must: all
+/// peers converged, and each reassembled exactly the input object.
+fn run(config: &TopologyConfig) -> [(&'static str, TopologyReport); 2] {
     let scheme = config.scheme;
-    let report = run_topology(config).expect("run starts");
-    assert!(
-        report.swarm.converged,
-        "{scheme:?} on {} did not converge: {}/{} peers in {:?}",
-        report.topology_label,
-        report.swarm.peers_complete,
-        config.topology.nodes() - 1,
-        report.swarm.elapsed
-    );
-    assert!(report.swarm.bit_exact, "{scheme:?} on {} was not bit-exact", report.topology_label);
-    for (i, peer) in report.swarm.peer_reports.iter().enumerate() {
-        assert_eq!(
-            peer.object.as_deref(),
-            Some(&config.object[..]),
-            "{scheme:?} on {}: peer {} delivered a different object",
-            report.topology_label,
-            i + 1
+    let reports = [
+        ("reactor", run_topology(config).expect("run starts")),
+        ("virtual", run_topology_virtual(config)),
+    ];
+    for (driver, report) in &reports {
+        let cell = format!("{scheme:?} on {} ({driver})", report.topology_label);
+        assert!(
+            report.swarm.converged,
+            "{cell} did not converge: {}/{} peers in {:?}",
+            report.swarm.peers_complete,
+            config.topology.nodes() - 1,
+            report.swarm.elapsed
         );
+        assert!(report.swarm.bit_exact, "{cell} was not bit-exact");
+        for (i, peer) in report.swarm.peer_reports.iter().enumerate() {
+            let delivered = peer.object.as_deref();
+            assert_eq!(delivered, Some(&config.object[..]), "{cell}: peer {} differs", i + 1);
+        }
     }
-    report
+    reports
 }
 
 /// Clean runs: every shape and scheme converges bit-exactly, injects
@@ -88,15 +91,16 @@ fn run(config: &TopologyConfig) -> TopologyReport {
 fn every_shape_and_scheme_converges_to_the_input_object() {
     for topology in shapes() {
         for scheme in SchemeKind::ALL {
-            let report = run(&config(scheme, topology.clone()));
-            assert_eq!(report.swarm.total_faults.total(), 0, "a clean run must inject nothing");
-            assert_eq!(report.swarm.generations, 4, "400 bytes at k = 8, m = 16");
-            if report.max_hops() >= 2 {
-                assert!(
-                    report.relay_recoding_ops > 0,
-                    "{scheme:?} on {}: relays must recode",
-                    report.topology_label
-                );
+            for (driver, report) in run(&config(scheme, topology.clone())) {
+                assert_eq!(report.swarm.total_faults.total(), 0, "a clean run injects nothing");
+                assert_eq!(report.swarm.generations, 4, "400 bytes at k = 8, m = 16");
+                if report.max_hops() >= 2 {
+                    assert!(
+                        report.relay_recoding_ops > 0,
+                        "{scheme:?} on {} ({driver}): relays must recode",
+                        report.topology_label
+                    );
+                }
             }
         }
     }
@@ -111,11 +115,10 @@ fn lossy_line_converges_bit_exactly_through_the_loss() {
     for scheme in SchemeKind::ALL {
         let mut config = config(scheme, Topology::line(4));
         config.link_faults = TopologyFaults::uniform(plan);
-        let report = run(&config);
-        assert!(
-            report.swarm.total_faults.total() > 0,
-            "{scheme:?}: 15% per-link loss must drop something"
-        );
-        assert!(report.relay_recoding_ops > 0, "{scheme:?}: relays must recode through loss");
+        for (driver, report) in run(&config) {
+            let faults = report.swarm.total_faults.total();
+            assert!(faults > 0, "{scheme:?} ({driver}): 15% per-link loss must drop something");
+            assert!(report.relay_recoding_ops > 0, "{scheme:?} ({driver}): relays must recode");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The actual tests live in `tests/tests/` and exercise complete flows across
 //! the workspace: source encoding (`ltnc-lt`), recoding (`ltnc-core` /
-//! `ltnc-rlnc`), epidemic dissemination (`ltnc-sim`) and cost accounting
-//! (`ltnc-metrics`).
+//! `ltnc-rlnc`), epidemic dissemination (`ltnc-topo` on the virtual-time
+//! driver) and cost accounting (`ltnc-metrics`).
 
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use rand::rngs::SmallRng;

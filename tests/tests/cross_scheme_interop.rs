@@ -99,8 +99,8 @@ fn ltnc_node_consumes_rlnc_packets_without_corruption() {
 
 #[test]
 fn wire_format_roundtrip_between_crates() {
-    // The packet type is shared; check the header/payload sizes the simulator
-    // accounts for match what the paper assumes (bitmap header of ⌈k/8⌉ bytes).
+    // The packet type is shared; check the header/payload sizes the overhead
+    // accounting uses match what the paper assumes (bitmap header of ⌈k/8⌉ bytes).
     let k = 2048;
     let m = 32;
     let content = random_content(k, m, 4);

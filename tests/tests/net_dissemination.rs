@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmRuntime};
 use ltnc_net::NodeOptions;
-use ltnc_sim::SchemeKind;
+use ltnc_scheme::SchemeKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
