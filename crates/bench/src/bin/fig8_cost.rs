@@ -4,8 +4,9 @@
 //!
 //! The paper reports CPU cycles measured on a Xeon testbed; this harness
 //! reports (a) platform-independent operation counts and (b) estimated cycles
-//! through the documented cost model of `ltnc-metrics`. The Criterion benches
-//! (`cargo bench`) add wall-clock measurements of the same operations.
+//! through the documented cost model of `ltnc-metrics`. Wall-clock cost at
+//! paper scale (k = 2048) is the reference benchmark's: the
+//! `chain_ltnc_k2048` and `chain_rlnc_k2048` workloads of `benchmark/`.
 //!
 //! Expected shape (paper):
 //! * 8a — recoding/control: LTNC above RLNC (the build + refine machinery);

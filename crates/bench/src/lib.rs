@@ -18,10 +18,10 @@
 //! clocks included — on the virtual-time driver ([`epidemic`]), so they
 //! replay from their seed and report time in gossip ticks.
 //!
-//! The Criterion benches in `benches/` measure wall-clock time of the same
-//! operations (GF(2) primitives, Soliton sampling, recoding, decoding, one
-//! full dissemination run) so that trends can also be checked against real
-//! time rather than the operation-count cost model alone.
+//! Wall-clock time is not measured here: the reference benchmark
+//! (`ltnc-ledger`, in `benchmark/`) times the coding plane, the wire codec,
+//! the UDP swarm and the TCP fetch, and `crates/topo/tests/virtual_gates.rs`
+//! pins the lossy scenarios it does not run in exact virtual-time counts.
 //!
 //! All binaries accept `--quick` (default) or `--full`; `--full` uses the
 //! paper-scale parameters (N = 1000, k = 2048) and takes correspondingly

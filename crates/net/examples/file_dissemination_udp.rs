@@ -18,8 +18,7 @@
 //! schemes run on the same object so their wire costs are comparable.
 //! `--loss` / `--reorder` / `--dup` route every node's datagrams through
 //! a seeded `FaultySocket` (`--fault-seed`, default from the
-//! `LTNC_FAULT_SEED` environment variable), and `--fixed-pacing`
-//! disables the loss-adaptive in-flight budget for comparison.
+//! `LTNC_FAULT_SEED` environment variable).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -43,7 +42,6 @@ struct Args {
     reorder: f64,
     dup: f64,
     fault_seed: u64,
-    adaptive: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -62,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(0xF00D),
-        adaptive: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -99,13 +96,11 @@ fn parse_args() -> Result<Args, String> {
                 args.fault_seed =
                     value("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?;
             }
-            "--fixed-pacing" => args.adaptive = false,
             "--help" | "-h" => {
                 println!(
                     "usage: file_dissemination_udp [--file PATH | --size BYTES] \
                      [--peers N] [--k K] [--m M] [--scheme wc|rlnc|ltnc] [--timeout SECS] \
-                     [--loss RATE] [--reorder RATE] [--dup RATE] [--fault-seed N] \
-                     [--fixed-pacing]"
+                     [--loss RATE] [--reorder RATE] [--dup RATE] [--fault-seed N]"
                 );
                 std::process::exit(0);
             }
@@ -182,12 +177,11 @@ fn main() -> ExitCode {
     );
     if faults.is_some() {
         println!(
-            "faults: loss {:.0}% / reorder {:.0}% / dup {:.0}% (seed {:#x}), pacing: {}",
+            "faults: loss {:.0}% / reorder {:.0}% / dup {:.0}% (seed {:#x})",
             args.loss * 100.0,
             args.reorder * 100.0,
             args.dup * 100.0,
             args.fault_seed,
-            if args.adaptive { "adaptive" } else { "fixed" },
         );
     }
     println!();
@@ -212,11 +206,7 @@ fn main() -> ExitCode {
             code_length: args.k,
             payload_size: args.m,
             peers: args.peers,
-            options: NodeOptions {
-                seed: 7 + scheme.wire_id() as u64,
-                adaptive_pacing: args.adaptive,
-                ..NodeOptions::default()
-            },
+            options: NodeOptions { seed: 7 + scheme.wire_id() as u64, ..NodeOptions::default() },
             timeout: Duration::from_secs(args.timeout_secs),
             session: 0xF00D_0000 + scheme.wire_id() as u64,
             faults,

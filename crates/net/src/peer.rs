@@ -25,7 +25,7 @@
 //! Incomplete senders are deliberately not feedback-clocked — measured,
 //! they flood a neighbour with dependent recodes of the same few symbols.
 //!
-//! The in-flight budget is **loss-adaptive** by default (AIMD, with the
+//! The in-flight budget is **loss-adaptive** (AIMD, with the
 //! asymmetry inverted relative to TCP because loss here is erasure, not
 //! congestion): an offer that times out while the peer is still
 //! answering *other* offers proves the link lossy — that offer pinned a
@@ -43,7 +43,7 @@
 //! offer outcomes) are reported in [`PeerReport::loss_estimates`], and
 //! budget moves are counted in [`WireCounters`].
 //!
-//! The pending TTL itself is **latency-adaptive** by default: every
+//! The pending TTL itself is **latency-adaptive**: every
 //! feedback arrival is an offer→feedback RTT sample, and the TTL in
 //! force per peer is a multiple of that peer's RTT EWMA, clamped so the
 //! configured [`NodeOptions::pending_ttl`] stays the floor (and the
@@ -51,8 +51,7 @@
 //! derived TTL equals the floor; across slow or jittery links it grows
 //! with the measured round trip, so live offers are not declared lost —
 //! and budget slots not churned — by latency alone. Estimates are
-//! reported in [`PeerReport::rtt_estimates`];
-//! [`NodeOptions::adaptive_ttl`] switches the derivation off.
+//! reported in [`PeerReport::rtt_estimates`].
 //!
 //! Seeded datagram loss and reordering live in the driver's links (a
 //! [`FaultySocket`] on the reactor, [`PeerNode::spawn_faulty`]), so a
@@ -150,29 +149,21 @@ pub struct NodeOptions {
     /// Transfer offers initiated per tick.
     pub push_rate: usize,
     /// Transfers simultaneously awaiting feedback per peer: the *initial*
-    /// budget when [`NodeOptions::adaptive_pacing`] is on, the fixed cap
-    /// when it is off.
+    /// budget, which then adapts to observed loss (AIMD over feedback
+    /// arrivals and offer timeouts).
     pub per_peer_inflight: usize,
-    /// Adapt each peer's in-flight budget to observed loss (AIMD over
-    /// feedback arrivals and offer timeouts). Off means the fixed
-    /// [`NodeOptions::per_peer_inflight`] cap of the original design.
-    pub adaptive_pacing: bool,
-    /// Lower bound of an adaptive budget (treated as at least 1).
+    /// Lower bound of the budget (treated as at least 1).
     pub inflight_floor: usize,
-    /// Upper bound of an adaptive budget.
+    /// Upper bound of the budget.
     pub inflight_ceiling: usize,
     /// Gossip tick period.
     pub tick: Duration,
-    /// Offers not answered within the pending TTL are forgotten. With
-    /// [`NodeOptions::adaptive_ttl`] on, this fixed value is the *floor*
-    /// (and the fallback before any feedback has been measured): the TTL
-    /// actually in force per peer is derived from the offer→feedback RTT
-    /// EWMA, clamped to `[pending_ttl, 16 × pending_ttl]`.
+    /// Offers not answered within the pending TTL are forgotten. This
+    /// fixed value is the *floor* (and the fallback before any feedback
+    /// has been measured): the TTL actually in force per peer is derived
+    /// from the offer→feedback RTT EWMA, clamped to
+    /// `[pending_ttl, 16 × pending_ttl]`.
     pub pending_ttl: Duration,
-    /// Derive each peer's pending TTL (and the silence window of the
-    /// pacing budget) from its measured offer→feedback RTT. Off means the
-    /// fixed [`NodeOptions::pending_ttl`] everywhere, as before PR 5.
-    pub adaptive_ttl: bool,
     /// Seed of the node's deterministic RNG.
     pub seed: u64,
     /// When set, the node serves its live [`WireCounters`] (and injected
@@ -183,7 +174,7 @@ pub struct NodeOptions {
 }
 
 impl NodeOptions {
-    /// Bounds of an adaptive budget: `(floor, ceiling)`, floor ≥ 1.
+    /// Bounds of the budget: `(floor, ceiling)`, floor ≥ 1.
     fn budget_bounds(&self) -> (f64, f64) {
         let floor = self.inflight_floor.max(1) as f64;
         let ceiling = (self.inflight_ceiling as f64).max(floor);
@@ -199,11 +190,11 @@ impl NodeOptions {
 
     /// The pending TTL in force for a peer with the given RTT estimate:
     /// `RTT_TTL_FACTOR × rtt` clamped to `[pending_ttl, 16 × pending_ttl]`.
-    /// Without a measurement (or with [`NodeOptions::adaptive_ttl`] off)
-    /// the fixed [`NodeOptions::pending_ttl`] applies.
+    /// Without a measurement the fixed [`NodeOptions::pending_ttl`]
+    /// applies.
     fn derived_ttl(&self, rtt_ewma: Option<f64>) -> Duration {
         let floor = self.pending_ttl;
-        let Some(rtt) = rtt_ewma.filter(|_| self.adaptive_ttl) else {
+        let Some(rtt) = rtt_ewma else {
             return floor;
         };
         Duration::from_secs_f64((rtt * RTT_TTL_FACTOR).max(0.0))
@@ -217,12 +208,10 @@ impl Default for NodeOptions {
             aggressiveness: 0.01,
             push_rate: 2,
             per_peer_inflight: 4,
-            adaptive_pacing: true,
             inflight_floor: 1,
             inflight_ceiling: 64,
             tick: Duration::from_millis(2),
             pending_ttl: Duration::from_millis(250),
-            adaptive_ttl: true,
             seed: 0xC0DE,
             metrics_bind: None,
         }
@@ -278,8 +267,7 @@ pub struct PeerReport {
     pub loss_estimates: Vec<(SocketAddr, f64)>,
     /// Final per-peer offer→feedback RTT estimates (EWMA over measured
     /// round trips; peers that never answered are absent), sorted by peer
-    /// address. With [`NodeOptions::adaptive_ttl`] on, each peer's
-    /// pending TTL was derived from this estimate.
+    /// address. Each peer's pending TTL was derived from this estimate.
     pub rtt_estimates: Vec<(SocketAddr, Duration)>,
     /// Faults injected per inbound link plan
     /// ([`PeerNode::set_link_faults`]), keyed by sender address — the
@@ -667,8 +655,8 @@ impl NodeStateMachine {
 
     /// Records the outcome of one offer to `peer` at `now` — feedback
     /// arrived after `rtt` (whatever the verdict), or `None`: the offer
-    /// died at its TTL — updating the loss and RTT estimates and, when
-    /// adaptive pacing is on, the AIMD budget.
+    /// died at its TTL — updating the loss and RTT estimates and the AIMD
+    /// budget.
     ///
     /// The asymmetry is deliberate and opposite to TCP's: loss here is
     /// *erasure*, not congestion. A timed-out offer to a peer that is
@@ -704,10 +692,10 @@ impl NodeStateMachine {
             // above base is reserved for the loss signal), so one
             // transient outage does not pin the peer at the floor for
             // the rest of the session.
-            if options.adaptive_pacing && pacing.budget < base {
+            if pacing.budget < base {
                 pacing.budget = (pacing.budget + 1.0 / pacing.budget.max(1.0)).min(base);
             }
-        } else if options.adaptive_pacing {
+        } else {
             let ttl = options.derived_ttl(pacing.rtt_ewma);
             if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < ttl) {
                 // Lossy but live: the lost offer wasted one slot for a full
@@ -732,18 +720,14 @@ impl NodeStateMachine {
     }
 
     /// The pending TTL currently in force for offers to `peer`: derived
-    /// from its RTT estimate when [`NodeOptions::adaptive_ttl`] is on
-    /// (fixed [`NodeOptions::pending_ttl`] as the floor and the fallback
-    /// before any feedback has been measured).
+    /// from its RTT estimate (fixed [`NodeOptions::pending_ttl`] as the
+    /// floor and the fallback before any feedback has been measured).
     fn ttl_for(&self, peer: &SocketAddr) -> Duration {
         self.options.derived_ttl(self.pacing.get(peer).and_then(|pacing| pacing.rtt_ewma))
     }
 
     /// The in-flight cap currently in force for `peer`.
     fn inflight_cap(&self, peer: &SocketAddr) -> usize {
-        if !self.options.adaptive_pacing {
-            return self.options.per_peer_inflight;
-        }
         match self.pacing.get(peer) {
             Some(pacing) => (pacing.budget as usize).max(1),
             // Not yet tracked: the same clamped initial budget a fresh
@@ -1208,10 +1192,8 @@ mod tests {
         // TTL is an hour, then zero), pinned to the exact counts the
         // per-branch accounting it replaced produced on the same script.
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
-        let fixed = |pending_ttl, adaptive_pacing| NodeOptions {
+        let with_ttl = |pending_ttl| NodeOptions {
             pending_ttl,
-            adaptive_ttl: false,
-            adaptive_pacing,
             inflight_ceiling: 6,
             seed: 18,
             ..NodeOptions::default()
@@ -1222,7 +1204,7 @@ mod tests {
         let answered = Some(Duration::from_micros(50));
 
         // An hour's TTL: a never-heard peer is cut once per window …
-        let mut actor = pacing_actor(fixed(Duration::from_secs(3600), true));
+        let mut actor = pacing_actor(with_ttl(Duration::from_secs(3600)));
         for _ in 0..4 {
             actor.note_outcome(0, peer, None);
         }
@@ -1239,19 +1221,12 @@ mod tests {
         assert_eq!(moves(&actor), (4, 1, 6), "5, 6, and 6 again is no raise");
 
         // A zero TTL: every timeout finds the peer silent and the window over.
-        let mut actor = pacing_actor(fixed(Duration::ZERO, true));
+        let mut actor = pacing_actor(with_ttl(Duration::ZERO));
         actor.note_outcome(0, peer, answered);
         for _ in 0..4 {
             actor.note_outcome(0, peer, None);
         }
         assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
-
-        // Fixed cap: outcomes feed the estimates and move nothing.
-        let mut actor = pacing_actor(fixed(Duration::ZERO, false));
-        for outcome in [None, answered, None, None] {
-            actor.note_outcome(0, peer, outcome);
-        }
-        assert_eq!(moves(&actor), (0, 0, 4));
     }
 
     #[test]
@@ -1288,22 +1263,6 @@ mod tests {
         let (reported_peer, rtt) = report.rtt_estimates.first().expect("rtt tracked");
         assert_eq!(*reported_peer, peer);
         assert!(*rtt > Duration::from_millis(100));
-    }
-
-    #[test]
-    fn fixed_ttl_when_adaptive_ttl_is_off() {
-        let options = NodeOptions {
-            pending_ttl: Duration::from_millis(10),
-            adaptive_ttl: false,
-            seed: 17,
-            ..NodeOptions::default()
-        };
-        let mut actor = pacing_actor(options);
-        let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
-        for _ in 0..32 {
-            actor.note_outcome(0, peer, Some(Duration::from_millis(200)));
-        }
-        assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
     }
 
     #[test]
@@ -1650,7 +1609,7 @@ mod tests {
     fn event_clocked_offers_stay_behind_every_gate() {
         let options = NodeOptions {
             per_peer_inflight: 1,
-            adaptive_pacing: false,
+            inflight_ceiling: 1,
             seed: 23,
             ..NodeOptions::default()
         };

@@ -22,13 +22,13 @@ use core::fmt;
 use ltnc_metrics::{CounterFamily, LogHistogramSnapshot};
 
 /// Schema version stamped as the top-level `schema_version` member of
-/// every machine-readable run report in the workspace — the examples'
-/// `--report` JSON and the bench-report pipeline's
-/// `BENCH_<scenario>.json`. Consumers (the CI regression compare, any
-/// dashboard ingesting the artifacts) should check it before reading
-/// other members; bump it on any breaking change to the member layout.
-/// Version history: 1 — initial layout; 2 — the `gf2_kernel` scenario
-/// joined the bench-report set (baselines regenerated).
+/// every machine-readable run report in the workspace — the
+/// `--report` JSON of the multi-hop and cache-serving examples, and the
+/// flight recorder's dumps. Consumers (CI's uploaded artifacts, any
+/// dashboard ingesting them) should check it before reading other
+/// members; bump it on any breaking change to the member layout.
+/// Version history: 1 — initial layout; 2 — a kernel scenario joined a
+/// since-deleted benchmark report that shared this stamp.
 pub const REPORT_SCHEMA_VERSION: u64 = 2;
 
 /// One JSON value; build with the constructors, render with
