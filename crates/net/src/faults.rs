@@ -24,8 +24,8 @@
 //!   pacing exist for. On top of the default inbound plan, *per-link*
 //!   plans ([`FaultySocket::set_link_plan`]) override the fault rates for
 //!   one sender at a time, with per-link tallies
-//!   ([`FaultySocket::link_counters`]) — how the multi-hop topology
-//!   harness (`ltnc-topo`) gives every overlay link its own seeded loss.
+//!   ([`FaultySocket::link_counters`]) — how a swarm gives every overlay
+//!   link its own seeded loss ([`crate::TopologyFaults`]).
 //!
 //! Byte-counted stream faults (`truncate_read_at`, `disconnect_read_at`)
 //! are deterministic regardless of how the OS chunks the stream, which is
@@ -602,9 +602,8 @@ impl DatagramFaults {
         }
     }
 
-    /// Faults on the receive path only — the usual way to emulate a lossy
-    /// link in a swarm, where every datagram crosses exactly one
-    /// receiver's inbound plan.
+    /// Faults on the receive path only, where every datagram a socket
+    /// gets crosses exactly one plan.
     #[must_use]
     pub fn inbound(plan: DatagramFaultPlan) -> DatagramFaults {
         DatagramFaults { inbound: plan, outbound: DatagramFaultPlan::clean(plan.seed ^ 0x0DD0) }
@@ -616,22 +615,6 @@ impl DatagramFaults {
         DatagramFaults {
             inbound: plan,
             outbound: DatagramFaultPlan { seed: plan.seed ^ 0x0DD0, ..plan },
-        }
-    }
-
-    /// Re-seeds both plans for node `index` of a swarm, keeping the rates
-    /// (splitmix64-style mixing so neighbouring indices decorrelate).
-    #[must_use]
-    pub fn for_node(&self, index: u64) -> DatagramFaults {
-        let mix = |seed: u64| {
-            let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        DatagramFaults {
-            inbound: DatagramFaultPlan { seed: mix(self.inbound.seed), ..self.inbound },
-            outbound: DatagramFaultPlan { seed: mix(self.outbound.seed), ..self.outbound },
         }
     }
 }

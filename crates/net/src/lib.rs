@@ -36,26 +36,26 @@
 //!   arrivals and offer timeouts), the aggressiveness gate for relays,
 //!   and graceful shutdown with wire-level accounting
 //!   ([`ltnc_metrics::WireCounters`]);
-//! * [`swarm`] — one-call orchestration used by the integration tests
-//!   and the examples, optionally running every node behind seeded
-//!   datagram faults ([`swarm::SwarmConfig::faults`]). The harness is
-//!   wiring-generic ([`swarm::run_wired_swarm`] and
-//!   [`run_virtual_swarm`] over a [`swarm::SwarmWiring`] with
-//!   per-directed-link fault plans); the legacy full mesh is the trivial
-//!   wiring, and the declarative multi-hop topology layer on top lives
-//!   in the `ltnc-topo` crate.
+//! * [`swarm`] — one description of a run, [`TopologyConfig`]: an
+//!   overlay [`Topology`] with its source, seeded per-directed-link loss
+//!   ([`TopologyFaults`]) and the node tuning. Its two drivers are
+//!   [`run_swarm`], every node on a localhost UDP socket on the reactor,
+//!   and [`run_virtual_swarm`]; both return the same [`SwarmReport`], and
+//!   nodes are numbered by topology index throughout. The per-hop and
+//!   per-link attribution of a run lives one crate up, in `ltnc-topo`.
 //!
 //! # Example
 //!
 //! ```
-//! use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig};
+//! use ltnc_net::{run_swarm, Topology, TopologyConfig};
 //! use ltnc_scheme::SchemeKind;
 //!
+//! // A 2-hop line: source → relay → leaf. The relay starts empty and
+//! // recodes; the leaf can only ever hear the relay.
 //! let object: Vec<u8> = (0..500u32).map(|i| (i * 7 % 256) as u8).collect();
-//! let mut config = SwarmConfig::quick(SchemeKind::Rlnc, object);
-//! config.peers = 2;
+//! let mut config = TopologyConfig::quick(SchemeKind::Rlnc, object, Topology::line(3));
 //! config.code_length = 8;
-//! let report = run_localhost_swarm(&config).unwrap();
+//! let report = run_swarm(&config).unwrap();
 //! assert!(report.converged && report.bit_exact);
 //! ```
 
@@ -70,6 +70,7 @@ pub mod peer;
 mod sharded;
 pub mod stream;
 pub mod swarm;
+mod topology;
 mod virtual_time;
 
 // Backward-compatible re-export: `ltnc_net::generation::…` keeps working
@@ -85,9 +86,8 @@ pub use faults::{
 };
 pub use ltnc_session::{split_object, ObjectManifest, ReceiverSession, SourceSession};
 pub use peer::{NodeConfig, NodeOptions, NodeRole, PeerNode, PeerReport};
+pub use sharded::run_swarm;
 pub use stream::FrameReassembler;
-pub use swarm::{
-    run_localhost_swarm, run_wired_swarm, FlightRecorder, SwarmConfig, SwarmReport, SwarmRuntime,
-    SwarmWiring,
-};
+pub use swarm::{FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig, TopologyFaults};
+pub use topology::Topology;
 pub use virtual_time::{run_virtual_swarm, LINK_LATENCY};

@@ -4,7 +4,7 @@
 //! Per-node scrape endpoints ([`crate::NodeOptions::metrics_bind`]) do
 //! not scale to 1000-node swarms — a thousand listeners for one
 //! experiment. This module gives a swarm *one*
-//! endpoint instead ([`crate::SwarmConfig::metrics_bind`]):
+//! endpoint instead ([`crate::TopologyConfig::metrics_bind`]):
 //!
 //! * [`SwarmTelemetry`] implements [`ShardObserver`], turning the
 //!   reactor's scheduler callbacks into one [`ReactorCounters`] per
@@ -17,8 +17,8 @@
 //!   (per-generation aggregate rank, innovative ratio);
 //! * [`FlightState`] renders the post-mortem document: recent scheduler
 //!   events, per-shard counter snapshots and the stuck nodes' decoder
-//!   state, cut on stall detection, shutdown timeout, or on demand via
-//!   the endpoint's `/flight` route.
+//!   state by topology index, cut on stall detection, shutdown timeout,
+//!   or on demand via the endpoint's `/flight` route.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -201,12 +201,13 @@ impl ShardObserver for SwarmTelemetry {
 }
 
 /// Builds the swarm-wide aggregated registry behind the one
-/// [`crate::SwarmConfig::metrics_bind`] endpoint: a rolled-up `wire`
+/// [`crate::TopologyConfig::metrics_bind`] endpoint: a rolled-up `wire`
 /// family (counters summed across every node, hop-latency histograms
-/// merged), a `decoder` progress family, and a `reactor` family per
-/// shard under a `shard="<index>"` label.
+/// merged), a `decoder` progress family over every node but `source`,
+/// and a `reactor` family per shard under a `shard="<index>"` label.
 pub(crate) fn swarm_registry(
     completion: &[Arc<Shared>],
+    source: usize,
     generations: u32,
     telemetry: &SwarmTelemetry,
 ) -> MetricsRegistry {
@@ -245,8 +246,13 @@ pub(crate) fn swarm_registry(
         samples
     });
 
-    let shareds = completion.to_vec();
-    registry.register("decoder", &[], move || decoder_samples(&shareds, generations));
+    let receivers: Vec<Arc<Shared>> = completion
+        .iter()
+        .enumerate()
+        .filter(|&(index, _)| index != source)
+        .map(|(_, shared)| Arc::clone(shared))
+        .collect();
+    registry.register("decoder", &[], move || decoder_samples(&receivers, generations));
 
     for (shard, counters) in telemetry.shard_counters().into_iter().enumerate() {
         let labels = [("shard", shard.to_string())];
@@ -257,21 +263,20 @@ pub(crate) fn swarm_registry(
     registry
 }
 
-/// Decoder progress over every node's shared state: completion counts,
+/// Decoder progress over the receivers' shared state: completion counts,
 /// total innovative symbols, per-generation aggregate rank (from the
 /// per-tick published mirrors) and the innovative ratio in parts per
 /// million of delivered transfers. The receiver and generation totals and
-/// the ratio are gauges; the rest only grow. The source (node 0) is
-/// excluded — it decodes nothing.
+/// the ratio are gauges; the rest only grow.
 fn decoder_samples(shareds: &[Arc<Shared>], generations: u32) -> Vec<Sample> {
-    let receivers = shareds.len().saturating_sub(1) as u64;
+    let receivers = shareds.len() as u64;
     let mut nodes_complete = 0u64;
     let mut generations_complete = 0u64;
     let mut decoded_rank = 0u64;
     let mut per_generation = vec![0u64; generations as usize];
     let mut delivered = 0u64;
     let mut useful = 0u64;
-    for shared in shareds.iter().skip(1) {
+    for shared in shareds {
         if shared.complete.load(Ordering::Acquire) {
             nodes_complete += 1;
         }
@@ -305,27 +310,33 @@ fn decoder_samples(shareds: &[Arc<Shared>], generations: u32) -> Vec<Sample> {
 }
 
 /// Everything the flight recorder needs to cut a post-mortem: the
-/// per-shard instrumentation plus every node's shared state. Cheap to
-/// clone around (all `Arc`s) and safe to dump from any thread.
+/// per-shard instrumentation plus every node's shared state, by topology
+/// index. Cheap to clone around (all `Arc`s) and safe to dump from any
+/// thread.
 #[derive(Clone)]
 pub(crate) struct FlightState {
     pub(crate) started: Instant,
     pub(crate) telemetry: Arc<SwarmTelemetry>,
     pub(crate) completion: Vec<Arc<Shared>>,
+    /// Topology index of the source, which decodes nothing.
+    pub(crate) source: usize,
     pub(crate) stall_window: Duration,
 }
 
 impl FlightState {
     /// Renders the schema-stable post-mortem document. `reason` is
     /// `"stall"`, `"shutdown_timeout"` or `"demand"`; `idle` carries the
-    /// watchdog's no-progress span when that is what triggered the cut.
+    /// watchdog's no-progress span when that is what triggered the cut,
+    /// and the dump then names when the stall began (`stalled_at_ms`,
+    /// run time at the last decoding progress) beside the stuck nodes.
     pub(crate) fn dump(&self, reason: &str, idle: Option<Duration>) -> String {
         let workers = self.telemetry.workers();
+        let at = self.started.elapsed();
         let mut doc = JsonValue::object()
             .field("schema_version", REPORT_SCHEMA_VERSION)
             .field("kind", "flight_recorder")
             .field("reason", reason)
-            .field("at_ms", millis(self.started.elapsed()))
+            .field("at_ms", millis(at))
             .field("workers", workers as u64)
             .field("stall_window_ms", millis(self.stall_window));
         if let Some(idle) = idle {
@@ -348,7 +359,8 @@ impl FlightState {
         let mut stalled = Vec::new();
         let mut omitted = 0u64;
         let mut nodes_complete = 0u64;
-        for (index, shared) in self.completion.iter().enumerate().skip(1) {
+        let receivers = self.completion.iter().enumerate().filter(|&(i, _)| i != self.source);
+        for (index, shared) in receivers {
             if shared.complete.load(Ordering::Acquire) {
                 nodes_complete += 1;
                 continue;
@@ -367,6 +379,9 @@ impl FlightState {
                     )
                     .field("decoded_rank", shared.decoded_rank.load(Ordering::Relaxed)),
             );
+        }
+        if let Some(idle) = idle {
+            doc = doc.field("stalled_at_ms", millis(at.saturating_sub(idle)));
         }
         doc = doc
             .field("nodes", self.completion.len().saturating_sub(1) as u64)
@@ -483,7 +498,7 @@ mod tests {
 
         let telemetry = SwarmTelemetry::new(1, None);
         telemetry.poll_completed(0, Duration::from_micros(10), 1);
-        let registry = swarm_registry(&shareds, 2, &telemetry);
+        let registry = swarm_registry(&shareds, 0, 2, &telemetry);
         let snapshot = registry.snapshot();
 
         assert_eq!(snapshot.value("decoder", "decoded_rank"), 4);
@@ -517,7 +532,7 @@ mod tests {
             wire.transfers_delivered = delivered;
             wire.useful_deliveries = useful;
         }
-        let page = decoder_samples(&shareds, 2);
+        let page = decoder_samples(&shareds[1..], 2);
         let registry = MetricsRegistry::new();
         registry.register("decoder", &[], move || page.clone());
         let text = registry.snapshot().to_prometheus();
@@ -552,6 +567,7 @@ mod tests {
             started: Instant::now(),
             telemetry,
             completion,
+            source: 0,
             stall_window: Duration::from_secs(10),
         };
 
@@ -560,6 +576,7 @@ mod tests {
         assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("flight_recorder"));
         assert_eq!(doc.get("reason").and_then(JsonValue::as_str), Some("stall"));
         assert_eq!(doc.get("idle_ms").and_then(JsonValue::as_i64), Some(12_000));
+        assert_eq!(doc.get("stalled_at_ms").and_then(JsonValue::as_i64), Some(0));
         let shards = doc.get("shards").and_then(JsonValue::as_array).expect("shards");
         assert_eq!(shards.len(), 2);
         let events = shards[0].get("events").and_then(JsonValue::as_array).expect("events");

@@ -271,11 +271,11 @@ pub struct PeerReport {
     pub rtt_estimates: Vec<(SocketAddr, Duration)>,
     /// Faults injected per inbound link plan
     /// ([`PeerNode::set_link_faults`]), keyed by sender address — the
-    /// per-link attribution of [`PeerReport::faults`] in topology runs.
+    /// per-link attribution of [`PeerReport::faults`] in swarm runs.
     pub link_faults: Vec<(SocketAddr, DatagramFaultCounters)>,
     /// Trace events recorded during the run, oldest first. Populated by
     /// harnesses that install a draining sink (e.g. a swarm run with
-    /// [`crate::SwarmConfig::trace_capacity`] set); empty when no sink
+    /// [`crate::TopologyConfig::trace_capacity`] set); empty when no sink
     /// was attached or the sink is owned by the caller.
     pub events: Vec<TimedEvent>,
     /// Origin→delivery latency distributions from wire-carried trace

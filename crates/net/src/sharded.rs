@@ -6,7 +6,7 @@
 //! ([`ShardedNode`]) whose nonblocking [`FaultySocket`] is polled
 //! edge-triggered, whose gossip tick is a reactor timer, and whose
 //! held-datagram release (the fault layer's reorder, duplicate and delay
-//! holds) is a second, on-demand timer. A swarm ([`run_sharded`]) is
+//! holds) is a second, on-demand timer. A swarm ([`run_swarm`]) is
 //! many such nodes on a few workers; a single [`crate::PeerNode`] is one
 //! of them on a one-worker reactor of its own.
 //!
@@ -32,7 +32,7 @@ use crate::envelope::TraceContext;
 use crate::faults::{DatagramFaults, FaultySocket};
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
 use crate::peer::{spawn_scrape, NodeConfig, NodeStateMachine, Outbox, PeerReport, Shared};
-use crate::swarm::{assemble_report, FlightRecorder, SwarmConfig, SwarmReport, SwarmWiring};
+use crate::swarm::{assemble_report, FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig};
 
 /// Timer tag of the recurring gossip tick.
 const TICK_TAG: u64 = 0;
@@ -224,28 +224,42 @@ impl Driven for ShardedNode {
     }
 }
 
-/// Runs a wired swarm on `workers` reactor workers — the body of
-/// [`crate::swarm::run_wired_swarm`], which has already validated
-/// `config` and `wiring`.
-pub(crate) fn run_sharded(
-    config: &SwarmConfig,
-    wiring: &SwarmWiring,
-    workers: usize,
-) -> io::Result<SwarmReport> {
+/// Runs a full dissemination over localhost UDP: every node on an
+/// ephemeral `127.0.0.1` port, sharded across the reactor workers of
+/// [`TopologyConfig::runtime`]; waits for convergence (or the timeout),
+/// shuts everything down gracefully and verifies the reconstruction bit
+/// for bit.
+///
+/// # Errors
+///
+/// Propagates socket setup failures; protocol-level problems surface as
+/// `converged = false` / `bit_exact = false` instead of errors.
+///
+/// # Panics
+///
+/// Panics when the topology has fewer than two nodes, is disconnected,
+/// or the source index is out of range.
+pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
+    let SwarmRuntime::Sharded { workers } = config.runtime;
+    let workers = workers.max(1);
+    let source = config.source;
     let (manifest, setups) = config.nodes();
     let node_count = setups.len();
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
 
     let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
+    let mut wiring = Vec::with_capacity(node_count);
     let mut sinks = Vec::with_capacity(node_count);
     let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
     let mut node_addrs: Vec<SocketAddr> = Vec::with_capacity(node_count);
     for setup in setups {
         // An early `?` here drops the nodes built so far; their
         // ScrapeServers stop on drop, and no reactor threads exist yet.
-        let node = ShardedNode::bind(bind, setup.config, setup.faults)?;
+        // Loss is per link, so every socket's default plans are clean.
+        let node = ShardedNode::bind(bind, setup.config, DatagramFaults::clean(0))?;
         // The completion loop below parks; a node finishing unparks it.
         let _ = node.shared.driver.set(thread::current());
+        wiring.push((setup.peers, setup.links));
         sinks.push(setup.sink);
         completion.push(Arc::clone(&node.shared));
         node_addrs.push(node.local_addr);
@@ -255,13 +269,11 @@ pub(crate) fn run_sharded(
     // Link plans and peer wiring both go in before the reactor exists —
     // no state machine runs until Reactor::start, so there is no window
     // where early datagrams cross a link un-faulted.
-    for &(from, to, plan) in &wiring.link_faults {
-        nodes[to].socket.set_link_plan(node_addrs[from], plan);
-    }
-    for (i, node) in nodes.iter_mut().enumerate() {
-        let targets: Vec<SocketAddr> =
-            wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect();
-        node.set_peers(targets);
+    for (node, (peers, links)) in nodes.iter_mut().zip(wiring) {
+        for (from, plan) in links {
+            node.socket.set_link_plan(node_addrs[from], plan);
+        }
+        node.set_peers(peers.iter().map(|&to| node_addrs[to]).collect());
     }
 
     // Instrumentation is opt-in: with neither the aggregated endpoint
@@ -282,6 +294,7 @@ pub(crate) fn run_sharded(
                 started,
                 telemetry: Arc::clone(telemetry),
                 completion: completion.clone(),
+                source,
                 stall_window: recorder.stall_window,
             };
             (recorder.clone(), state)
@@ -292,8 +305,8 @@ pub(crate) fn run_sharded(
     // harmless.
     let scrape = match config.metrics_bind.zip(telemetry.as_deref()) {
         Some((addr, telemetry)) => {
-            let registry =
-                Arc::new(swarm_registry(&completion, manifest.generation_count(), telemetry));
+            let generations = manifest.generation_count();
+            let registry = Arc::new(swarm_registry(&completion, source, generations, telemetry));
             let spawned = match &flight {
                 Some((_, state)) => {
                     let state = state.clone();
@@ -317,13 +330,13 @@ pub(crate) fn run_sharded(
     // Completion wait doubling as the stall watchdog: parked until a
     // node completes or `COMPLETION_POLL` elapses, noting when each peer
     // is first seen complete. The progress signal is monotone
-    // (innovative symbols decoded + generations completed, swarm-wide),
-    // so "unchanged for a whole stall window" means no receiver advanced
-    // at all — cut a post-mortem once per stall episode, and re-arm if
-    // progress ever resumes.
+    // (innovative symbols decoded + generations completed, swarm-wide;
+    // the source's share is constant), so "unchanged for a whole stall
+    // window" means no receiver advanced at all — cut a post-mortem once
+    // per stall episode, and re-arm if progress ever resumes.
     let mut flight_dump: Option<String> = None;
     let progress_signal = |completion: &[Arc<Shared>]| -> u64 {
-        completion[1..]
+        completion
             .iter()
             .map(|shared| {
                 shared.decoded_rank.load(Ordering::Relaxed)
@@ -331,13 +344,14 @@ pub(crate) fn run_sharded(
             })
             .sum()
     };
-    let mut completed_at: Vec<Option<Duration>> = vec![None; node_count - 1];
+    let mut completed_at: Vec<Option<Duration>> = vec![None; node_count];
+    completed_at[source] = Some(Duration::ZERO);
     let mut last_progress = progress_signal(&completion);
     let mut last_change = Instant::now();
     let mut stalled = false;
     let deadline = started + config.timeout;
     loop {
-        for (at, shared) in completed_at.iter_mut().zip(&completion[1..]) {
+        for (at, shared) in completed_at.iter_mut().zip(&completion) {
             if at.is_none() && shared.complete.load(Ordering::Acquire) {
                 *at = Some(started.elapsed());
             }
@@ -363,7 +377,9 @@ pub(crate) fn run_sharded(
     }
     let elapsed = started.elapsed();
 
-    if completed_at.iter().any(Option::is_none) {
+    // A stall verdict, once cut, is the run's post-mortem: a timeout
+    // after it adds nothing the stall dump does not say.
+    if flight_dump.is_none() && completed_at.iter().any(Option::is_none) {
         if let Some((recorder, state)) = &flight {
             let dump = state.dump("shutdown_timeout", None);
             write_dump(recorder, &dump);

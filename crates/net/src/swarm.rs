@@ -1,31 +1,22 @@
-//! Swarm orchestration: one source, N peers, two drivers.
+//! One description of a dissemination run, for both drivers.
 //!
-//! This is the harness the integration tests, the examples and the
-//! figure binaries drive. [`run_wired_swarm`] spawns every node on an
-//! ephemeral `127.0.0.1` port on the reactor, wires the peer lists,
-//! waits for convergence, shuts everything down gracefully and verifies
-//! the reconstruction bit for bit. [`crate::run_virtual_swarm`] runs the
-//! same nodes from the same [`SwarmConfig`] and [`SwarmWiring`] on one
-//! thread in virtual time, and fills in the same [`SwarmReport`].
+//! A [`TopologyConfig`] names an overlay [`Topology`] and its source;
+//! every other node starts empty. A node pushes (offers transfers) only
+//! to its overlay neighbours, and never at the source, which needs
+//! nothing — so on anything sparser than [`Topology::complete`], data
+//! reaching a non-neighbour of the source has crossed recoding relays.
+//! Loss is declared per directed link ([`TopologyFaults`]): each plan is
+//! installed on the receiving node's inbound side, keyed by the sender,
+//! so every injected fault stays attributable to the link that ate it.
 //!
-//! Since PR 5 the harness is *wiring-generic*: [`run_wired_swarm`] takes
-//! a [`SwarmWiring`] — per-node push-target sets plus optional
-//! per-directed-link inbound fault plans — so arbitrary overlay
-//! topologies run through the same code path. The legacy full mesh (the
-//! source pushes to every peer; peers gossip among themselves and never
-//! push back at the source) is the trivial wiring
-//! ([`SwarmWiring::full_mesh`]), and [`run_localhost_swarm`] is exactly
-//! that special case. The declarative topology layer lives one crate up,
-//! in `ltnc-topo`.
-//!
-//! With [`SwarmConfig::faults`] set, every node's socket is wrapped in a
-//! [`crate::faults::FaultySocket`] whose plans are re-seeded per node
-//! from the one template — a whole swarm of lossy, reordering links from
-//! a single seed, replayable by fixing that seed. Link-level plans from
-//! the wiring are installed on top, shadowing the node default for their
-//! origin.
+//! [`crate::run_swarm`] runs the nodes over localhost UDP on the
+//! reactor, waits for convergence, shuts everything down gracefully and
+//! verifies the reconstruction bit for bit. [`crate::run_virtual_swarm`]
+//! runs the same nodes on one thread in virtual time. Both build them
+//! from one layout of the config and fill in the same [`SwarmReport`].
+//! Nodes are numbered by topology index from end to end: in their seeds,
+//! in the report's addresses and peer order, and in flight dumps.
 
-use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,13 +26,64 @@ use ltnc_metrics::{ReactorSnapshot, WireCounters};
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_telemetry::RingSink;
 
-use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults};
+use crate::faults::{DatagramFaultCounters, DatagramFaultPlan};
 use crate::generation::{split_object, ObjectManifest};
 use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerReport};
+use crate::topology::Topology;
+
+/// Seeded per-link fault plans: one template re-mixed per directed link,
+/// plus explicit per-link overrides.
+///
+/// Every directed link `(from, to)` of the topology gets the template's
+/// rates under a seed mixed from the template seed and both endpoints
+/// (splitmix64-style), so one seed describes the whole overlay's loss
+/// pattern — and the two directions of an edge fail independently, like
+/// real radio links do.
+#[derive(Debug, Clone, Default)]
+pub struct TopologyFaults {
+    /// The plan every directed link starts from (`None` leaves links
+    /// without an override clean).
+    pub template: Option<DatagramFaultPlan>,
+    /// Explicit per-directed-link plans, taking precedence over the
+    /// template. Links are named by topology indices `(from, to)`.
+    pub overrides: Vec<((usize, usize), DatagramFaultPlan)>,
+}
+
+impl TopologyFaults {
+    /// The same fault rates on every directed link, decorrelated per
+    /// link by seed mixing.
+    #[must_use]
+    pub fn uniform(template: DatagramFaultPlan) -> TopologyFaults {
+        TopologyFaults { template: Some(template), overrides: Vec::new() }
+    }
+
+    /// The plan in force on the directed link `from → to`, if any.
+    #[must_use]
+    pub fn plan_for(&self, from: usize, to: usize) -> Option<DatagramFaultPlan> {
+        if let Some(&(_, plan)) = self.overrides.iter().find(|&&(link, _)| link == (from, to)) {
+            return Some(plan);
+        }
+        self.template.map(|template| DatagramFaultPlan {
+            seed: mix_link_seed(template.seed, from, to),
+            ..template
+        })
+    }
+}
+
+/// Derives a per-link seed from the template seed and the directed
+/// endpoints (the splitmix64 finalizer).
+fn mix_link_seed(seed: u64, from: usize, to: usize) -> u64 {
+    let mut z = seed
+        .wrapping_add((from as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((to as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Parameters of one dissemination run, on either driver.
 #[derive(Debug, Clone)]
-pub struct SwarmConfig {
+pub struct TopologyConfig {
     /// Coding scheme all nodes run.
     pub scheme: SchemeKind,
     /// The object to disseminate.
@@ -50,8 +92,10 @@ pub struct SwarmConfig {
     pub code_length: usize,
     /// Payload size `m` in bytes.
     pub payload_size: usize,
-    /// Number of receiving peers.
-    pub peers: usize,
+    /// The overlay graph; all nodes but the source start empty.
+    pub topology: Topology,
+    /// Topology index of the source node.
+    pub source: usize,
     /// Per-node tuning.
     pub options: NodeOptions,
     /// Give up after this long (virtual time on the virtual-time
@@ -59,11 +103,8 @@ pub struct SwarmConfig {
     pub timeout: Duration,
     /// Session identifier stamped into every envelope.
     pub session: u64,
-    /// Datagram fault template applied to every node's socket (`None`
-    /// runs clean). Each node gets the template's rates under a seed
-    /// re-mixed from its swarm index ([`DatagramFaults::for_node`]), so
-    /// one seed describes the whole swarm's loss pattern.
-    pub faults: Option<DatagramFaults>,
+    /// Per-directed-link fault plans (the default runs clean).
+    pub link_faults: TopologyFaults,
     /// When set, every node records its [`ltnc_telemetry::TraceEvent`]s
     /// into a bounded [`ltnc_telemetry::RingSink`] of this capacity,
     /// drained into [`PeerReport::events`] at shutdown. `None` (the
@@ -90,7 +131,7 @@ pub struct SwarmConfig {
 }
 
 /// Configuration of the flight recorder
-/// ([`SwarmConfig::flight_recorder`]).
+/// ([`TopologyConfig::flight_recorder`]).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     /// Capacity of each shard's bounded event ring (oldest events are
@@ -129,20 +170,22 @@ pub enum SwarmRuntime {
     },
 }
 
-impl SwarmConfig {
-    /// A small, fast configuration for tests and demos.
+impl TopologyConfig {
+    /// A small, fast configuration for tests and demos: source at
+    /// topology index 0, clean links.
     #[must_use]
-    pub fn quick(scheme: SchemeKind, object: Vec<u8>) -> Self {
-        SwarmConfig {
+    pub fn quick(scheme: SchemeKind, object: Vec<u8>, topology: Topology) -> Self {
+        TopologyConfig {
             scheme,
             object,
             code_length: 16,
             payload_size: 32,
-            peers: 8,
+            topology,
+            source: 0,
             options: NodeOptions::default(),
             timeout: Duration::from_secs(30),
-            session: 0x5E55_1011,
-            faults: None,
+            session: 0x70_7011,
+            link_faults: TopologyFaults::default(),
             trace_capacity: None,
             // A constant, not the machine's core count: a run replays
             // by seed and worker count.
@@ -152,22 +195,30 @@ impl SwarmConfig {
         }
     }
 
-    /// Panics with a clear message unless `wiring` fits this swarm.
-    pub(crate) fn check(&self, wiring: &SwarmWiring) {
-        assert!(self.peers > 0, "a swarm needs at least one peer");
-        wiring.validate(self.peers + 1);
-    }
-
     /// What both drivers build a swarm from: the object's manifest and,
-    /// per node (0 is the source), its configuration, the fault plans
-    /// its links start from — the template re-seeded per node — and the
-    /// ring its trace events go to when tracing is on.
+    /// per node by topology index, its configuration, whom it pushes
+    /// to, the fault plans of the links into it, and the ring its trace
+    /// events go to when tracing is on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the topology has fewer than two nodes, is
+    /// disconnected, or the source index is out of range.
     pub(crate) fn nodes(&self) -> (ObjectManifest, Vec<NodeSetup>) {
+        let (topology, source) = (&self.topology, self.source);
+        let count = topology.nodes();
+        assert!(count >= 2, "a swarm needs a source and at least one peer");
+        assert!(source < count, "source {source} out of range for {count} nodes");
+        assert!(
+            topology.is_connected(),
+            "topology {} is disconnected: unreachable nodes can never converge",
+            topology.label()
+        );
         let params = SchemeParams::new(self.scheme, self.code_length, self.payload_size);
         let manifest = split_object(&self.object, params).0;
-        let nodes = (0..=self.peers)
+        let nodes = (0..count)
             .map(|index| {
-                let (role, seed) = if index == 0 {
+                let (role, seed) = if index == source {
                     (
                         NodeRole::Source { object: self.object.clone(), params },
                         self.options.seed ^ 0xD15E,
@@ -183,79 +234,32 @@ impl SwarmConfig {
                 // so the per-tick refresh must run even without per-node
                 // endpoints.
                 config.publish_live = self.metrics_bind.is_some();
-                let faults = match &self.faults {
-                    Some(template) => template.for_node(index as u64),
-                    None => DatagramFaults::clean(self.options.seed ^ index as u64),
-                };
-                NodeSetup { config, faults, sink }
+                let neighbors = topology.neighbors(index);
+                NodeSetup {
+                    config,
+                    peers: neighbors.iter().copied().filter(|&to| to != source).collect(),
+                    links: neighbors
+                        .iter()
+                        .filter_map(|&from| Some((from, self.link_faults.plan_for(from, index)?)))
+                        .collect(),
+                    sink,
+                }
             })
             .collect();
         (manifest, nodes)
     }
 }
 
-/// One node as [`SwarmConfig::nodes`] lays it out.
+/// One node as [`TopologyConfig::nodes`] lays it out.
 pub(crate) struct NodeSetup {
     pub(crate) config: NodeConfig,
-    pub(crate) faults: DatagramFaults,
+    /// The nodes it pushes to: its neighbours but the source.
+    pub(crate) peers: Vec<usize>,
+    /// `(from, plan)` per link into the node that has a fault plan,
+    /// installed on its inbound side keyed by `from`'s address.
+    pub(crate) links: Vec<(usize, DatagramFaultPlan)>,
     /// Drained into the node's [`PeerReport::events`] at the end.
     pub(crate) sink: Option<Arc<RingSink>>,
-}
-
-/// How the nodes of a swarm are wired together.
-///
-/// Node 0 is always the source; peers are `1..=peers`. The wiring names,
-/// per node, the nodes it *pushes* to (offers transfers to — receiving
-/// is governed by the sender's set, not the receiver's), plus optional
-/// per-directed-link inbound fault plans installed once every node's
-/// ephemeral address is known.
-#[derive(Debug, Clone)]
-pub struct SwarmWiring {
-    /// `push_targets[i]` = swarm indices node `i` offers transfers to.
-    /// Must have one entry per node (`peers + 1`), no self-loops, all
-    /// indices in range.
-    pub push_targets: Vec<Vec<usize>>,
-    /// Per-directed-link fault plans `(from, to, plan)`: installed on
-    /// `to`'s inbound side keyed by `from`'s address
-    /// ([`crate::PeerNode::set_link_faults`]), shadowing `to`'s default inbound
-    /// plan for datagrams from `from` — and tallied per link in
-    /// [`PeerReport::link_faults`].
-    pub link_faults: Vec<(usize, usize, DatagramFaultPlan)>,
-}
-
-impl SwarmWiring {
-    /// The legacy full mesh: the source pushes to every peer, every peer
-    /// pushes to every other peer (and never back at the all-knowing
-    /// source).
-    #[must_use]
-    pub fn full_mesh(peers: usize) -> SwarmWiring {
-        let mut push_targets = Vec::with_capacity(peers + 1);
-        push_targets.push((1..=peers).collect());
-        for i in 1..=peers {
-            push_targets.push((1..=peers).filter(|&j| j != i).collect());
-        }
-        SwarmWiring { push_targets, link_faults: Vec::new() }
-    }
-
-    /// Panics with a clear message when the wiring is malformed for a
-    /// swarm of `nodes` total nodes.
-    fn validate(&self, nodes: usize) {
-        assert_eq!(
-            self.push_targets.len(),
-            nodes,
-            "wiring must name push targets for every node (source included)"
-        );
-        for (i, targets) in self.push_targets.iter().enumerate() {
-            for &j in targets {
-                assert!(j < nodes, "node {i} pushes to out-of-range node {j}");
-                assert_ne!(i, j, "node {i} must not push to itself");
-            }
-        }
-        for &(from, to, _) in &self.link_faults {
-            assert!(from < nodes && to < nodes, "link fault ({from}→{to}) out of range");
-            assert_ne!(from, to, "link fault ({from}→{to}) is a self-loop");
-        }
-    }
 }
 
 /// Outcome of a swarm run.
@@ -270,8 +274,8 @@ pub struct SwarmReport {
     pub elapsed: Duration,
     /// Peers that completed.
     pub peers_complete: usize,
-    /// When each peer completed, on the same clock (swarm node `i` is
-    /// `completed_at[i - 1]`); `None` for peers that did not.
+    /// When each peer completed, on the same clock, in the order of
+    /// [`SwarmReport::peer_reports`]; `None` for peers that did not.
     pub completed_at: Vec<Option<Duration>>,
     /// Whether every completed peer reassembled the object bit for bit.
     pub bit_exact: bool,
@@ -286,91 +290,47 @@ pub struct SwarmReport {
     /// Injected-fault totals summed over every node's socket (all zero
     /// for a clean run).
     pub total_faults: DatagramFaultCounters,
-    /// Every node's bound address, swarm-indexed (0 = source) — what
-    /// maps the address-keyed per-link tallies back to nodes.
+    /// Every node's bound address by topology index — what maps the
+    /// address-keyed per-link tallies back to nodes.
     pub node_addrs: Vec<SocketAddr>,
-    /// Per-peer reports (source excluded; swarm node `i` is
-    /// `peer_reports[i - 1]`).
+    /// Per-peer reports in topology order, the source left out.
     pub peer_reports: Vec<PeerReport>,
     /// Final per-shard reactor scheduler snapshots, shard-indexed —
-    /// populated only when [`SwarmConfig::metrics_bind`] or
-    /// [`SwarmConfig::flight_recorder`] asked for instrumentation
+    /// populated only when [`TopologyConfig::metrics_bind`] or
+    /// [`TopologyConfig::flight_recorder`] asked for instrumentation
     /// (empty otherwise: the observer seam stays uninstalled and the
     /// hot loops take no clock readings).
     pub reactor: Vec<ReactorSnapshot>,
-    /// The last flight-recorder post-mortem the run cut (stall or
-    /// shutdown timeout), if any — the same JSON document a live
-    /// `/flight` scrape serves.
+    /// The flight-recorder post-mortem the run cut, if any: the stall
+    /// dump when the watchdog declared one, else the shutdown-timeout
+    /// dump — the same JSON document a live `/flight` scrape serves.
     pub flight_dump: Option<String>,
 }
 
 impl SwarmReport {
-    /// Injected-fault counters per node, swarm-indexed (0 = source) —
-    /// the per-node attribution the aggregate
-    /// [`SwarmReport::total_faults`] flattens away.
-    #[must_use]
-    pub fn node_faults(&self) -> Vec<DatagramFaultCounters> {
-        std::iter::once(self.source_report.faults)
-            .chain(self.peer_reports.iter().map(|report| report.faults))
-            .collect()
-    }
-
-    /// Every node's full report, swarm-indexed (0 = source).
+    /// Every node's full report: the source's, then the peers' in
+    /// topology order.
     pub fn node_reports(&self) -> impl Iterator<Item = &PeerReport> + '_ {
         std::iter::once(&self.source_report).chain(self.peer_reports.iter())
     }
 }
 
-/// Runs a full dissemination on localhost UDP with the legacy full-mesh
-/// wiring and returns the report.
-///
-/// # Errors
-///
-/// Propagates socket setup failures; protocol-level problems surface as
-/// `converged = false` / `bit_exact = false` instead of errors.
-///
-/// # Panics
-///
-/// Panics when `config.peers == 0`.
-pub fn run_localhost_swarm(config: &SwarmConfig) -> io::Result<SwarmReport> {
-    run_wired_swarm(config, &SwarmWiring::full_mesh(config.peers))
-}
-
-/// Runs a full dissemination on localhost UDP under an arbitrary
-/// [`SwarmWiring`] — the general harness every overlay topology lowers
-/// to — and returns the report.
-///
-/// # Errors
-///
-/// Propagates socket setup failures; protocol-level problems surface as
-/// `converged = false` / `bit_exact = false` instead of errors.
-///
-/// # Panics
-///
-/// Panics when `config.peers == 0` or the wiring is malformed (wrong
-/// node count, out-of-range indices, self-loops).
-pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result<SwarmReport> {
-    config.check(wiring);
-    let SwarmRuntime::Sharded { workers } = config.runtime;
-    crate::sharded::run_sharded(config, wiring, workers.max(1))
-}
-
 /// Folds the per-node reports of a finished run into the aggregate
-/// [`SwarmReport`]. `reports[0]` is the source.
+/// [`SwarmReport`]. `completed_at` and `reports` are by topology index.
 pub(crate) fn assemble_report(
-    config: &SwarmConfig,
+    config: &TopologyConfig,
     generations: u32,
     elapsed: Duration,
-    completed_at: Vec<Option<Duration>>,
+    mut completed_at: Vec<Option<Duration>>,
     node_addrs: Vec<SocketAddr>,
-    reports: Vec<PeerReport>,
+    mut reports: Vec<PeerReport>,
 ) -> SwarmReport {
-    let mut reports = reports.into_iter();
-    let source_report = reports.next().expect("the source exists");
-    let peer_reports: Vec<PeerReport> = reports.collect();
+    completed_at.remove(config.source);
+    let source_report = reports.remove(config.source);
+    let peer_reports = reports;
 
     let peers_complete = peer_reports.iter().filter(|r| r.complete).count();
-    let converged = peers_complete == config.peers;
+    let converged = peers_complete == peer_reports.len();
     let bit_exact = peer_reports
         .iter()
         .filter(|r| r.complete)
@@ -404,32 +364,84 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::DatagramFaultPlan;
+    use crate::run_swarm;
+
+    fn object(len: u32) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 256) as u8).collect()
+    }
+
+    /// Every node's push set, by topology index.
+    fn push_sets(config: &TopologyConfig) -> Vec<Vec<usize>> {
+        config.nodes().1.into_iter().map(|node| node.peers).collect()
+    }
 
     #[test]
     fn two_peer_swarm_converges_quickly() {
-        let object: Vec<u8> = (0..777u32).map(|i| (i % 256) as u8).collect();
-        let mut config = SwarmConfig::quick(SchemeKind::Ltnc, object);
-        config.peers = 2;
+        let mut config =
+            TopologyConfig::quick(SchemeKind::Ltnc, object(777), Topology::complete(3));
         config.code_length = 8;
         config.payload_size = 16;
-        let report = run_localhost_swarm(&config).expect("swarm runs");
+        let report = run_swarm(&config).expect("swarm runs");
         assert!(report.converged, "swarm did not converge: {report:?}");
         assert!(report.bit_exact);
         assert_eq!(report.peers_complete, 2);
         assert!(report.total_wire.transfers_delivered > 0);
         assert_eq!(report.node_addrs.len(), 3);
-        assert_eq!(report.node_faults().len(), 3);
     }
 
     #[test]
-    fn full_mesh_wiring_matches_the_legacy_shape() {
-        let wiring = SwarmWiring::full_mesh(3);
-        assert_eq!(wiring.push_targets[0], vec![1, 2, 3], "source pushes to every peer");
-        assert_eq!(wiring.push_targets[1], vec![2, 3], "peers skip themselves and the source");
-        assert_eq!(wiring.push_targets[2], vec![1, 3]);
-        assert_eq!(wiring.push_targets[3], vec![1, 2]);
-        assert!(wiring.link_faults.is_empty());
+    fn complete_topology_push_sets_reach_every_peer_but_never_the_source() {
+        for nodes in 2..=13 {
+            for source in [0, nodes - 1] {
+                let mut config =
+                    TopologyConfig::quick(SchemeKind::Wc, object(16), Topology::complete(nodes));
+                config.source = source;
+                for (index, peers) in push_sets(&config).into_iter().enumerate() {
+                    let expected: Vec<usize> =
+                        (0..nodes).filter(|&to| to != index && to != source).collect();
+                    assert_eq!(peers, expected, "complete({nodes}), source {source}, node {index}");
+                }
+                assert!(config.nodes().1.iter().all(|node| node.links.is_empty()), "clean links");
+            }
+        }
+    }
+
+    #[test]
+    fn wiring_restricts_pushes_to_neighbours_and_skips_the_source() {
+        // Line 0-1-2-3, source at 0: node 1 pushes only to node 2 (its
+        // other neighbour is the source), node 2 to both its neighbours.
+        let mut config = TopologyConfig::quick(SchemeKind::Rlnc, object(64), Topology::line(4));
+        assert_eq!(push_sets(&config), [vec![1], vec![2], vec![1, 3], vec![2]]);
+        // Mid-line, the source keeps its topology index, and the end
+        // node behind it has no one to push to.
+        config.source = 2;
+        assert_eq!(push_sets(&config), [vec![1], vec![0], vec![1, 3], vec![]]);
+        // A link plan lands on the receiving node, keyed by the sender.
+        let plan = DatagramFaultPlan::clean(5).drop_rate(0.5);
+        config.link_faults.overrides.push(((1, 0), plan));
+        let links: Vec<Vec<usize>> =
+            config.nodes().1.iter().map(|node| node.links.iter().map(|l| l.0).collect()).collect();
+        assert_eq!(links, [vec![1], vec![], vec![], vec![]]);
+    }
+
+    #[test]
+    fn link_plans_are_seeded_per_directed_link() {
+        let faults = TopologyFaults::uniform(DatagramFaultPlan::clean(0xFEED).drop_rate(0.25));
+        let ab = faults.plan_for(0, 1).expect("template applies");
+        let ba = faults.plan_for(1, 0).expect("template applies");
+        let ab2 = faults.plan_for(0, 1).expect("template applies");
+        assert_eq!(ab.seed, ab2.seed, "same link, same seed");
+        assert_ne!(ab.seed, ba.seed, "directions fail independently");
+        assert_eq!(ab.drop_rate, 0.25, "rates come from the template");
+    }
+
+    #[test]
+    fn overrides_take_precedence_over_the_template() {
+        let mut faults = TopologyFaults::uniform(DatagramFaultPlan::clean(1).drop_rate(0.1));
+        faults.overrides.push(((2, 3), DatagramFaultPlan::clean(9).drop_rate(0.9)));
+        assert_eq!(faults.plan_for(2, 3).expect("override").drop_rate, 0.9);
+        assert_eq!(faults.plan_for(3, 2).expect("template").drop_rate, 0.1);
+        assert!(TopologyFaults::default().plan_for(0, 1).is_none(), "no template, clean links");
     }
 
     #[test]
@@ -438,20 +450,13 @@ mod tests {
         // far-peer link — the only path the far peer has. The run must
         // still converge through the lossy relay hop, and the link tally
         // must land on the far peer's report, keyed by the relay.
-        let object: Vec<u8> = (0..600u32).map(|i| (i * 31 % 256) as u8).collect();
-        let mut config = SwarmConfig::quick(SchemeKind::Rlnc, object);
-        config.peers = 2;
+        let mut config = TopologyConfig::quick(SchemeKind::Rlnc, object(600), Topology::line(3));
         config.code_length = 8;
         config.payload_size = 16;
-        let wiring = SwarmWiring {
-            push_targets: vec![vec![1], vec![2], vec![1]],
-            link_faults: vec![(1, 2, DatagramFaultPlan::clean(77).drop_rate(0.2))],
-        };
-        let report = run_wired_swarm(&config, &wiring).expect("swarm runs");
+        config.link_faults.overrides.push(((1, 2), DatagramFaultPlan::clean(77).drop_rate(0.2)));
+        let report = run_swarm(&config).expect("swarm runs");
         assert!(report.converged, "line swarm did not converge: {report:?}");
         assert!(report.bit_exact);
-        // The far peer (swarm node 2) carries the per-link tally, keyed
-        // by the relay's address.
         let far = &report.peer_reports[1];
         assert_eq!(far.link_faults.len(), 1);
         assert_eq!(far.link_faults[0].0, report.node_addrs[1]);
@@ -459,15 +464,5 @@ mod tests {
         // And the relay actually relayed: it recoded packets it never
         // originated.
         assert!(report.peer_reports[0].recoding.total_ops() > 0, "relay must recode");
-    }
-
-    #[test]
-    #[should_panic(expected = "push targets for every node")]
-    fn malformed_wiring_is_rejected() {
-        let object = vec![1u8; 64];
-        let mut config = SwarmConfig::quick(SchemeKind::Wc, object);
-        config.peers = 2;
-        let wiring = SwarmWiring { push_targets: vec![vec![1]], link_faults: Vec::new() };
-        let _ = run_wired_swarm(&config, &wiring);
     }
 }

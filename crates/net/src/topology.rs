@@ -3,10 +3,11 @@
 //! A [`Topology`] is an undirected connectivity graph over `n` overlay
 //! nodes, built by one of the shape constructors (line, ring, star,
 //! binary tree, complete, seeded random k-regular) or from an explicit
-//! edge list. It knows nothing about sockets or schemes — the harness in
-//! [`crate::run`] lowers it onto the UDP swarm. Everything here is
-//! deterministic: the random-regular constructor derives the whole graph
-//! from its seed, so a topology run replays exactly.
+//! edge list. It knows nothing about sockets or schemes — a
+//! [`crate::TopologyConfig`] names it, and both swarm drivers run it.
+//! Everything here is deterministic: the random-regular constructor
+//! derives the whole graph from its seed, so a topology run replays
+//! exactly.
 
 use std::collections::HashSet;
 
@@ -17,7 +18,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// Neighbour lists are sorted and deduplicated; self-loops are rejected
 /// at construction. Connectivity is *not* enforced here (tests build
-/// disconnected graphs on purpose) — the harness checks
+/// disconnected graphs on purpose) — the drivers check
 /// [`Topology::is_connected`] before running.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
@@ -106,8 +107,8 @@ impl Topology {
         Topology::from_edges(nodes, &edges, format!("tree({nodes})"))
     }
 
-    /// The complete graph: every node adjacent to every other — the
-    /// trivial topology that reproduces the legacy full-mesh swarm.
+    /// The complete graph: every node adjacent to every other, so the
+    /// source pushes to every peer and every peer to every other peer.
     ///
     /// # Panics
     ///

@@ -2,11 +2,11 @@
 //! thread, over in-memory links, in simulated time.
 //!
 //! It runs the same [`NodeStateMachine`] the reactor schedules
-//! (`crate::sharded`), from the same [`SwarmConfig`] and
-//! [`SwarmWiring`], under a discrete-event loop instead of epoll and the
-//! wall clock. Every datagram crosses a link in [`LINK_LATENCY`] of
-//! virtual time, through the fault decisions a
-//! [`crate::faults::FaultySocket`] makes: a delay is a later delivery, a
+//! (`crate::sharded`), from the same [`TopologyConfig`], under a
+//! discrete-event loop instead of epoll and the wall clock. Every
+//! datagram crosses a link in [`LINK_LATENCY`] of virtual time, then the
+//! receiver's inbound fault plan for that link, decided by the routine a
+//! [`crate::faults::FaultySocket`] runs: a delay is a later delivery, a
 //! reorder hold waits for overtaking traffic or for
 //! [`crate::faults::IDLE_RELEASE`]. Every node ticks every
 //! [`crate::NodeOptions::tick`] of virtual time. Nothing reads a clock
@@ -29,9 +29,9 @@ use std::time::Duration;
 
 use ltnc_telemetry::Tracer;
 
-use crate::faults::{DatagramFaultCounters, DirectionState, InboundState, IDLE_RELEASE};
+use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, InboundState, IDLE_RELEASE};
 use crate::peer::{NodeStateMachine, Outbox, PeerReport, Shared};
-use crate::swarm::{assemble_report, SwarmConfig, SwarmReport, SwarmWiring};
+use crate::swarm::{assemble_report, SwarmReport, TopologyConfig};
 
 /// One-way latency of every in-memory link: a datagram sent at `t`
 /// arrives at `t + LINK_LATENCY` (plus any injected delay). A loopback
@@ -63,12 +63,11 @@ enum What {
     Deliver { from: usize, bytes: Vec<u8> },
 }
 
-/// One node and the state of its links.
+/// One node and the state of the links into it.
 struct Node {
     sm: NodeStateMachine,
     shared: Arc<Shared>,
     inbound: InboundState,
-    outbound: DirectionState,
     faults: DatagramFaultCounters,
     tracer: Tracer,
     /// Whether a [`What::Release`] is pending (one at a time).
@@ -92,7 +91,7 @@ impl World {
         self.queue.insert((at, self.seq), (node, what));
     }
 
-    /// The swarm node `addr` names, if any.
+    /// The node `addr` names, if any.
     fn index(&self, addr: SocketAddr) -> Option<usize> {
         let SocketAddr::V4(v4) = addr else { return None };
         let node = u32::from(*v4.ip()).checked_sub(BASE)? as usize;
@@ -117,30 +116,9 @@ impl World {
         self.outbox = outbox;
     }
 
-    /// Puts what node `from` emitted on its links, through its outbound
-    /// faults.
+    /// Puts what node `from` emitted on its links.
     fn send(&mut self, from: usize, outbox: &mut Outbox) {
         for (to, bytes) in outbox.drain(..) {
-            let Some(to) = self.index(to) else { continue };
-            let node = &mut self.nodes[from];
-            let fate = node.outbound.decide(&bytes, addr(to));
-            node.faults.merge(&fate.counters(false));
-            fate.trace(&node.tracer, false, addr(to));
-            self.transmit_ready(from);
-            let due = self.now + micros(LINK_LATENCY) + fate.delay.map_or(0, micros);
-            for _ in 1..fate.copies() {
-                self.schedule(due, to, What::Arrive { from, bytes: bytes.clone() });
-            }
-            if fate.copies() > 0 {
-                self.schedule(due, to, What::Arrive { from, bytes });
-            }
-        }
-        self.arm_release(from);
-    }
-
-    /// Transmits what node `from`'s outbound faults hold ready.
-    fn transmit_ready(&mut self, from: usize) {
-        while let Some((bytes, to)) = self.nodes[from].outbound.ready.pop_front() {
             if let Some(to) = self.index(to) {
                 self.schedule(self.now + micros(LINK_LATENCY), to, What::Arrive { from, bytes });
             }
@@ -187,8 +165,6 @@ impl World {
     /// Node `node`'s links went idle: everything held is let go.
     fn release(&mut self, node: usize) {
         self.nodes[node].release_armed = false;
-        self.nodes[node].outbound.release_held();
-        self.transmit_ready(node);
         self.nodes[node].inbound.release_held();
         self.handle_ready(node);
         self.arm_release(node);
@@ -198,24 +174,23 @@ impl World {
     /// anything and none is pending — the reactor's release timer.
     fn arm_release(&mut self, node: usize) {
         let links = &mut self.nodes[node];
-        if !links.release_armed && (links.inbound.holds() || links.outbound.holds()) {
+        if !links.release_armed && links.inbound.holds() {
             links.release_armed = true;
             self.schedule(self.now + micros(IDLE_RELEASE), node, What::Release);
         }
     }
 }
 
-/// Runs a wired swarm in virtual time and returns the report — the
-/// reactor-free sibling of [`crate::run_wired_swarm`]: same
-/// configuration, same wiring, same nodes, same report.
+/// Runs a swarm in virtual time and returns the report — the
+/// reactor-free sibling of [`crate::run_swarm`]: same configuration,
+/// same nodes, same report.
 ///
 /// # Panics
 ///
-/// Panics when `config.peers == 0` or the wiring is malformed (wrong
-/// node count, out-of-range indices, self-loops).
+/// Panics when the topology has fewer than two nodes, is disconnected,
+/// or the source index is out of range.
 #[must_use]
-pub fn run_virtual_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> SwarmReport {
-    config.check(wiring);
+pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
     let (manifest, setups) = config.nodes();
     let count = setups.len();
     let mut world = World {
@@ -226,24 +201,24 @@ pub fn run_virtual_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> SwarmRep
         outbox: Outbox::new(),
     };
     let mut sinks = Vec::with_capacity(count);
-    for (index, setup) in setups.into_iter().enumerate() {
+    for setup in setups {
         let shared = Arc::new(Shared::default());
         let tracer = Tracer::from_option(setup.config.trace.clone());
         let mut sm = NodeStateMachine::new(setup.config, Arc::clone(&shared));
-        sm.set_peers(wiring.push_targets[index].iter().map(|&to| addr(to)).collect());
+        sm.set_peers(setup.peers.iter().map(|&to| addr(to)).collect());
+        let mut inbound = InboundState::new(DatagramFaultPlan::clean(0));
+        for (from, plan) in setup.links {
+            inbound.set_link(addr(from), plan);
+        }
         world.nodes.push(Node {
             sm,
             shared,
-            inbound: InboundState::new(setup.faults.inbound),
-            outbound: DirectionState::new(setup.faults.outbound),
+            inbound,
             faults: DatagramFaultCounters::default(),
             tracer,
             release_armed: false,
         });
         sinks.push(setup.sink);
-    }
-    for &(from, to, plan) in &wiring.link_faults {
-        world.nodes[to].inbound.set_link(addr(from), plan);
     }
     let period = micros(config.options.tick).max(1);
     for node in 0..count {
@@ -251,7 +226,8 @@ pub fn run_virtual_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> SwarmRep
     }
 
     let deadline = micros(config.timeout);
-    let mut completed_at: Vec<Option<Duration>> = vec![None; count - 1];
+    let mut completed_at: Vec<Option<Duration>> = vec![None; count];
+    completed_at[config.source] = Some(Duration::ZERO);
     let mut incomplete = count - 1;
     let mut converged_at = None;
     while let Some(((at, _), (node, what))) = world.queue.pop_first() {
@@ -267,11 +243,9 @@ pub fn run_virtual_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> SwarmRep
             What::Arrive { from, bytes } => world.arrive(node, from, bytes),
             What::Deliver { from, bytes } => world.handle(node, addr(from), &bytes),
         }
-        if node > 0
-            && completed_at[node - 1].is_none()
-            && world.nodes[node].shared.complete.load(Ordering::Acquire)
+        if completed_at[node].is_none() && world.nodes[node].shared.complete.load(Ordering::Acquire)
         {
-            completed_at[node - 1] = Some(Duration::from_micros(at));
+            completed_at[node] = Some(Duration::from_micros(at));
             incomplete -= 1;
             if incomplete == 0 {
                 converged_at = Some(at);
@@ -301,56 +275,48 @@ pub fn run_virtual_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> SwarmRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{DatagramFaultPlan, DatagramFaults};
+    use crate::{Topology, TopologyFaults};
     use ltnc_scheme::SchemeKind;
 
-    fn line(peers: usize) -> SwarmWiring {
-        let push_targets = (0..=peers)
-            .map(|i| [i.checked_sub(1).filter(|&j| j > 0), Some(i + 1).filter(|&j| j <= peers)])
-            .map(|targets| targets.into_iter().flatten().collect())
-            .collect();
-        SwarmWiring { push_targets, link_faults: Vec::new() }
-    }
-
-    fn config(scheme: SchemeKind, peers: usize) -> SwarmConfig {
+    fn config(scheme: SchemeKind, topology: Topology) -> TopologyConfig {
         let object = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
-        let mut config = SwarmConfig::quick(scheme, object);
-        config.peers = peers;
+        let mut config = TopologyConfig::quick(scheme, object, topology);
         config.code_length = 8;
         config.payload_size = 16;
         config
     }
 
-    fn lossy(seed: u64) -> SwarmConfig {
-        let mut config = config(SchemeKind::Ltnc, 4);
+    /// A 4-hop line whose every link drops, reorders, duplicates and
+    /// delays.
+    fn lossy(seed: u64) -> TopologyConfig {
+        let mut config = config(SchemeKind::Ltnc, Topology::line(5));
         let plan = DatagramFaultPlan::clean(seed).drop_rate(0.1).reorder(0.1, 4);
         let plan = plan.duplicate_rate(0.05).delay(0.05, Duration::from_millis(3));
-        config.faults = Some(DatagramFaults::symmetric(plan));
+        config.link_faults = TopologyFaults::uniform(plan);
         config
     }
 
     #[test]
     fn deterministic_given_a_seed() {
-        let report = run_virtual_swarm(&lossy(3), &line(4));
+        let report = run_virtual_swarm(&lossy(3));
         assert!(report.converged && report.bit_exact, "{report:?}");
         let faults = report.total_faults;
-        assert!(faults.dropped_in + faults.dropped_out > 0 && faults.delayed_in > 0, "{faults:?}");
-        assert!(faults.reordered_in + faults.duplicated_out > 0, "{faults:?}");
-        assert_eq!(format!("{report:?}"), format!("{:?}", run_virtual_swarm(&lossy(3), &line(4))));
+        assert!(faults.dropped_in > 0 && faults.delayed_in > 0, "{faults:?}");
+        assert!(faults.reordered_in + faults.duplicated_in > 0, "{faults:?}");
+        assert_eq!(format!("{report:?}"), format!("{:?}", run_virtual_swarm(&lossy(3))));
     }
 
     #[test]
     fn different_seeds_differ() {
-        let (a, b) =
-            (run_virtual_swarm(&lossy(1), &line(4)), run_virtual_swarm(&lossy(2), &line(4)));
+        let (a, b) = (run_virtual_swarm(&lossy(1)), run_virtual_swarm(&lossy(2)));
         assert!(a.converged && b.converged);
         assert_ne!(format!("{:?}", a.total_faults), format!("{:?}", b.total_faults));
     }
 
     #[test]
     fn loss_slows_but_does_not_break_dissemination() {
-        let clean = run_virtual_swarm(&config(SchemeKind::Ltnc, 4), &line(4));
-        let lossy = run_virtual_swarm(&lossy(3), &line(4));
+        let clean = run_virtual_swarm(&config(SchemeKind::Ltnc, Topology::line(5)));
+        let lossy = run_virtual_swarm(&lossy(3));
         assert!(lossy.converged && lossy.bit_exact, "{lossy:?}");
         assert!(lossy.elapsed > clean.elapsed, "{:?} vs {:?}", lossy.elapsed, clean.elapsed);
         let last = lossy.completed_at.iter().flatten().max();
@@ -359,9 +325,9 @@ mod tests {
 
     #[test]
     fn a_timeout_caps_the_run_in_virtual_time() {
-        let mut config = config(SchemeKind::Wc, 4);
+        let mut config = config(SchemeKind::Wc, Topology::line(5));
         config.timeout = Duration::from_millis(3);
-        let report = run_virtual_swarm(&config, &line(4));
+        let report = run_virtual_swarm(&config);
         assert!(!report.converged);
         assert_eq!(report.elapsed, config.timeout);
         assert!(report.completed_at.iter().any(Option::is_none));
@@ -370,14 +336,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one peer")]
     fn a_swarm_without_peers_is_rejected() {
-        let mut config = config(SchemeKind::Wc, 1);
-        config.peers = 0;
-        let _ = run_virtual_swarm(&config, &SwarmWiring::full_mesh(0));
+        let _ = run_virtual_swarm(&config(SchemeKind::Wc, Topology::from_edges(1, &[], "alone")));
     }
 
     #[test]
     fn a_clean_run_balances_the_books_once_the_last_datagram_lands() {
-        let report = run_virtual_swarm(&config(SchemeKind::Rlnc, 3), &line(3));
+        let report = run_virtual_swarm(&config(SchemeKind::Rlnc, Topology::line(4)));
         assert!(report.converged && report.bit_exact);
         let wire = report.total_wire;
         assert_eq!(wire.offer_timeouts, 0, "nothing is lost");

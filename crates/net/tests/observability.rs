@@ -1,17 +1,15 @@
 //! The swarm observability plane, end to end: a sharded lossy swarm
 //! serving one aggregated scrape endpoint verified *mid-run*, and the
-//! stall watchdog cutting a flight-recorder post-mortem when a wedged
-//! node stops all progress.
+//! stall watchdog cutting a flight-recorder post-mortem, which names the
+//! wedged node by its topology index, when that node stops all progress.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults};
-use ltnc_net::swarm::{
-    run_wired_swarm, FlightRecorder, SwarmConfig, SwarmReport, SwarmRuntime, SwarmWiring,
-};
+use ltnc_net::faults::DatagramFaultPlan;
+use ltnc_net::{run_swarm, FlightRecorder, SwarmRuntime, Topology, TopologyConfig, TopologyFaults};
 use ltnc_scheme::SchemeKind;
 use ltnc_telemetry::json::JsonValue;
 
@@ -59,16 +57,16 @@ fn metric_sum(page: &str, name: &str) -> u64 {
 #[test]
 fn sharded_swarm_serves_one_aggregated_endpoint_mid_run() {
     let addr = reserve_port();
-    let mut config = SwarmConfig::quick(SchemeKind::Ltnc, pseudo_file(16 * 1024, 0x0B5E_0EE5));
-    config.peers = 6;
+    let object = pseudo_file(16 * 1024, 0x0B5E_0EE5);
+    let mut config = TopologyConfig::quick(SchemeKind::Ltnc, object, Topology::complete(7));
     config.code_length = 16;
     config.payload_size = 32;
     config.timeout = Duration::from_secs(60);
     config.runtime = SwarmRuntime::Sharded { workers: 3 };
     config.metrics_bind = Some(addr);
-    config.faults = Some(DatagramFaults::inbound(DatagramFaultPlan::clean(0x10af).drop_rate(0.15)));
+    config.link_faults = TopologyFaults::uniform(DatagramFaultPlan::clean(0x10af).drop_rate(0.15));
 
-    let swarm = thread::spawn(move || run_wired_swarm(&config, &SwarmWiring::full_mesh(6)));
+    let swarm = thread::spawn(move || run_swarm(&config));
 
     // Scrape until the endpoint goes down with the run; every page must
     // carry reactor samples, and the scheduler counters must be
@@ -109,51 +107,61 @@ fn sharded_swarm_serves_one_aggregated_endpoint_mid_run() {
     assert_eq!(report.reactor.iter().map(|s| s.nodes).sum::<u64>(), 7, "all nodes partitioned");
 }
 
-/// Wedges one peer (every inbound link drops 100%) so swarm-wide
-/// decoding progress flatlines once the healthy peers finish, and
-/// asserts the watchdog cuts a parseable post-mortem that carries the
-/// `stall_detected` mark.
-#[test]
-fn watchdog_dumps_a_flight_recording_when_a_node_stalls() {
-    let peers = 3;
-    let victim = peers; // highest-indexed peer
-    let mut config = SwarmConfig::quick(SchemeKind::Rlnc, pseudo_file(900, 0xDEAD));
-    config.peers = peers;
+/// Runs `topology` from `source` with every link into `victim` dropping
+/// everything, so swarm-wide decoding progress flatlines once the
+/// healthy peers finish, and returns the watchdog's post-mortem after
+/// checking that it is a stall verdict naming exactly the victim.
+fn stall_dump(topology: Topology, source: usize, victim: usize) -> JsonValue {
+    let mut config = TopologyConfig::quick(SchemeKind::Rlnc, pseudo_file(900, 0xDEAD), topology);
+    config.source = source;
     config.code_length = 8;
     config.payload_size = 16;
     config.timeout = Duration::from_secs(4);
     config.runtime = SwarmRuntime::Sharded { workers: 2 };
-    config.flight_recorder = Some(FlightRecorder {
-        capacity: 64,
-        stall_window: Duration::from_millis(400),
-        dump_path: None,
-    });
-
-    let mut wiring = SwarmWiring::full_mesh(peers);
-    for from in 0..=peers {
-        if from != victim {
-            wiring.link_faults.push((from, victim, DatagramFaultPlan::clean(9).drop_rate(1.0)));
-        }
+    let stall_window = Duration::from_millis(400);
+    config.flight_recorder = Some(FlightRecorder { capacity: 64, stall_window, dump_path: None });
+    for &from in config.topology.neighbors(victim) {
+        config
+            .link_faults
+            .overrides
+            .push(((from, victim), DatagramFaultPlan::clean(9).drop_rate(1.0)));
     }
 
-    let report: SwarmReport = run_wired_swarm(&config, &wiring).expect("swarm runs");
+    let report = run_swarm(&config).expect("swarm runs");
     assert!(!report.converged, "the wedged peer must not converge");
+    let peers = config.topology.nodes() - 1;
     assert_eq!(report.peers_complete, peers - 1, "healthy peers finish");
 
     let dump = report.flight_dump.as_deref().expect("watchdog cut a dump");
-    assert!(dump.contains("stall_detected"), "stall mark missing:\n{dump}");
     let doc = JsonValue::parse(dump).expect("dump is valid JSON");
     assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("flight_recorder"));
-    let reason = doc.get("reason").and_then(JsonValue::as_str).expect("reason");
-    assert!(reason == "stall" || reason == "shutdown_timeout", "unexpected reason {reason:?}");
+    assert_eq!(doc.get("reason").and_then(JsonValue::as_str), Some("stall"), "{dump}");
+    let field = |name: &str| doc.get(name).and_then(JsonValue::as_i64).expect(name);
+    let (at, stalled_at, idle) = (field("at_ms"), field("stalled_at_ms"), field("idle_ms"));
+    assert!(stalled_at > 0, "healthy peers made progress before the stall:\n{dump}");
+    assert!(idle >= stall_window.as_millis() as i64, "cut before the window closed:\n{dump}");
+    assert!(stalled_at + idle <= at, "the stall began before the dump was cut:\n{dump}");
+    let stuck = doc.get("stalled_nodes").and_then(JsonValue::as_array).expect("stalled nodes");
+    assert_eq!(stuck.len(), 1, "exactly the wedged peer is stuck:\n{dump}");
+    assert_eq!(stuck[0].get("node").and_then(JsonValue::as_i64), Some(victim as i64), "{dump}");
+    assert_eq!(stuck[0].get("decoded_rank").and_then(JsonValue::as_i64), Some(0));
+    doc
+}
+
+#[test]
+fn watchdog_dumps_a_flight_recording_when_a_node_stalls() {
+    let doc = stall_dump(Topology::complete(4), 0, 3);
     let shards = doc.get("shards").and_then(JsonValue::as_array).expect("shards");
     assert_eq!(shards.len(), 2);
     assert!(
         shards.iter().all(|s| s.get("turns").and_then(JsonValue::as_i64).unwrap_or(0) > 0),
-        "every shard kept turning:\n{dump}"
+        "every shard kept turning"
     );
-    let stuck = doc.get("stalled_nodes").and_then(JsonValue::as_array).expect("stalled nodes");
-    assert_eq!(stuck.len(), 1, "exactly the wedged peer is stuck:\n{dump}");
-    assert_eq!(stuck[0].get("node").and_then(JsonValue::as_i64), Some(victim as i64));
-    assert_eq!(stuck[0].get("decoded_rank").and_then(JsonValue::as_i64), Some(0));
+}
+
+/// The dump names nodes as the topology does, wherever the source sits:
+/// here the wedged node 0 sits behind a relay from a mid-line source.
+#[test]
+fn a_stall_dump_names_the_wedged_node_by_its_topology_index() {
+    stall_dump(Topology::line(4), 2, 0);
 }

@@ -1,11 +1,11 @@
 //! UDP dissemination under seeded datagram faults.
 //!
 //! The stream transports have run through the fault harness since PR 3;
-//! these tests close the gap for the UDP path: every node's socket is
-//! wrapped in a [`FaultySocket`] dropping, duplicating and reordering
-//! whole datagrams, and the swarm still has to converge bit-exactly —
-//! the epidemic redundancy plus the loss-adaptive pacing budget are
-//! exactly what absorbs the loss.
+//! these tests close the gap for the UDP path: every directed link of a
+//! complete topology drops, duplicates and reorders whole datagrams on
+//! the receiver's [`FaultySocket`], and the swarm still has to converge
+//! bit-exactly — the epidemic redundancy plus the loss-adaptive pacing
+//! budget are exactly what absorbs the loss.
 //!
 //! All fault randomness derives from one fixed seed (override with
 //! `LTNC_FAULT_SEED`), so a CI failure replays locally with the same
@@ -16,8 +16,10 @@ use std::thread;
 use std::time::Duration;
 
 use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults, FaultySocket};
-use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmRuntime};
-use ltnc_net::{NodeConfig, NodeOptions, NodeRole};
+use ltnc_net::{
+    run_swarm, NodeConfig, NodeOptions, NodeRole, SwarmRuntime, Topology, TopologyConfig,
+    TopologyFaults,
+};
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,25 +36,28 @@ fn pseudo_file(len: usize, seed: u64) -> Vec<u8> {
     data
 }
 
-/// 20% loss with reordering and the odd duplicate — the multihop-lossy
-/// channel LT-over-network-coding deployments actually target.
-fn lossy_links(seed: u64) -> DatagramFaults {
-    DatagramFaults::inbound(
+/// 20% loss with reordering and the odd duplicate on every directed
+/// link — the multihop-lossy channel LT-over-network-coding deployments
+/// actually target.
+fn lossy_links(seed: u64) -> TopologyFaults {
+    TopologyFaults::uniform(
         DatagramFaultPlan::clean(seed).drop_rate(0.20).reorder(0.10, 8).duplicate_rate(0.05),
     )
 }
 
-fn lossy_config(scheme: SchemeKind, object_len: usize) -> SwarmConfig {
-    SwarmConfig {
+/// A source and four peers, all adjacent.
+fn lossy_config(scheme: SchemeKind, object_len: usize) -> TopologyConfig {
+    TopologyConfig {
         scheme,
         object: pseudo_file(object_len, 0x10AD ^ scheme.wire_id() as u64),
         code_length: 8,
         payload_size: 16,
-        peers: 4,
+        topology: Topology::complete(5),
+        source: 0,
         options: NodeOptions { seed: 0x5EED ^ scheme.wire_id() as u64, ..NodeOptions::default() },
         timeout: Duration::from_secs(60),
         session: 0xFA_0000 + scheme.wire_id() as u64,
-        faults: Some(lossy_links(fault_seed())),
+        link_faults: lossy_links(fault_seed()),
         trace_capacity: None,
         runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,
@@ -64,11 +69,11 @@ fn lossy_config(scheme: SchemeKind, object_len: usize) -> SwarmConfig {
 fn swarm_converges_bit_exactly_under_seeded_loss_and_reordering() {
     for scheme in SchemeKind::ALL {
         let config = lossy_config(scheme, 600);
-        let report = run_localhost_swarm(&config).expect("swarm should start");
+        let report = run_swarm(&config).expect("swarm should start");
         assert!(
             report.converged,
-            "{scheme:?}: only {}/{} peers completed in {:?} under loss",
-            report.peers_complete, config.peers, report.elapsed
+            "{scheme:?}: only {}/4 peers completed in {:?} under loss",
+            report.peers_complete, report.elapsed
         );
         assert!(report.bit_exact, "{scheme:?}: reconstruction mismatch under loss");
         // The harness must actually have injected faults, and the pacing
@@ -91,16 +96,14 @@ fn swarm_converges_bit_exactly_under_seeded_loss_and_reordering() {
 
 #[test]
 fn fault_pattern_is_stable_for_a_fixed_seed() {
-    // Same seed, same template: the per-node plans must come out
+    // Same seed, same template: the per-link plans must come out
     // identical (this is what makes a CI stress failure replayable).
-    let a = lossy_links(1234).for_node(3);
-    let b = lossy_links(1234).for_node(3);
-    let c = lossy_links(1234).for_node(4);
-    assert_eq!(a.inbound.seed, b.inbound.seed);
-    assert_eq!(a.outbound.seed, b.outbound.seed);
-    assert_ne!(a.inbound.seed, c.inbound.seed, "nodes must fail independently");
-    assert_eq!(a.inbound.drop_rate, 0.20);
-    assert_eq!(c.inbound.reorder_window, 8);
+    let plan = |from, to| lossy_links(1234).plan_for(from, to).expect("template applies");
+    let (a, b, c) = (plan(3, 4), plan(3, 4), plan(2, 4));
+    assert_eq!(a.seed, b.seed);
+    assert_ne!(a.seed, c.seed, "links must fail independently");
+    assert_eq!(a.drop_rate, 0.20);
+    assert_eq!(c.reorder_window, 8);
 }
 
 #[test]
@@ -170,37 +173,25 @@ fn faulty_socket_delivery_is_deterministic_for_one_sender() {
 #[ignore = "stress: run via cargo test -- --include-ignored (CI fault step)"]
 fn stress_swarm_survives_heavy_loss_reordering_and_delay() {
     for scheme in SchemeKind::ALL {
-        let faults = DatagramFaults::inbound(
+        let mut config = lossy_config(scheme, 4096);
+        config.code_length = 16;
+        config.payload_size = 32;
+        config.topology = Topology::complete(9);
+        config.options.seed = 0xACE ^ scheme.wire_id() as u64;
+        config.timeout = Duration::from_secs(120);
+        config.session = 0xFB_0000 + scheme.wire_id() as u64;
+        config.link_faults = TopologyFaults::uniform(
             DatagramFaultPlan::clean(fault_seed() ^ 0x57E5)
                 .drop_rate(0.30)
                 .reorder(0.15, 16)
                 .duplicate_rate(0.10)
                 .delay(0.05, Duration::from_millis(2)),
         );
-        let config = SwarmConfig {
-            scheme,
-            object: pseudo_file(4096, 0xBEEF ^ scheme.wire_id() as u64),
-            code_length: 16,
-            payload_size: 32,
-            peers: 8,
-            options: NodeOptions {
-                seed: 0xACE ^ scheme.wire_id() as u64,
-                ..NodeOptions::default()
-            },
-            timeout: Duration::from_secs(120),
-            session: 0xFB_0000 + scheme.wire_id() as u64,
-            faults: Some(faults),
-            trace_capacity: None,
-            runtime: SwarmRuntime::Sharded { workers: 2 },
-            metrics_bind: None,
-            flight_recorder: None,
-        };
-        let report = run_localhost_swarm(&config).expect("swarm should start");
+        let report = run_swarm(&config).expect("swarm should start");
         assert!(
             report.converged && report.bit_exact,
-            "{scheme:?} under heavy faults: {}/{} complete, bit_exact={} in {:?}",
+            "{scheme:?} under heavy faults: {}/8 complete, bit_exact={} in {:?}",
             report.peers_complete,
-            config.peers,
             report.bit_exact,
             report.elapsed
         );

@@ -6,7 +6,7 @@ use std::time::Duration;
 use crate::ServeError;
 
 /// Tuning knobs of a [`crate::Server`], in the style of
-/// `ltnc_net::SwarmConfig` / `NodeOptions` — but *validated*: a zero or
+/// `ltnc_net::TopologyConfig` / `NodeOptions` — but *validated*: a zero or
 /// absurd value is an error at spawn time, never a panic or a silent
 /// hang deep inside a session.
 #[derive(Debug, Clone, Copy)]

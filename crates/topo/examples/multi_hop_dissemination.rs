@@ -450,7 +450,6 @@ fn main() -> ExitCode {
             timeout: Duration::from_secs(args.timeout_secs),
             session: 0x70F0_0000 + u64::from(scheme.wire_id()),
             link_faults: link_faults.clone(),
-            node_faults: None,
             trace_capacity: args.trace_capacity,
             runtime: SwarmRuntime::Sharded { workers: args.workers },
             metrics_bind: args.metrics,

@@ -1,30 +1,24 @@
-//! Multi-hop overlay topologies with in-network recoding relays.
+//! Per-hop and per-link attribution of multi-hop dissemination runs.
 //!
 //! The paper's headline claim is that LTNC lets *intermediate* nodes
-//! recode LT symbols without decoding — yet the flat localhost swarm
-//! (`ltnc_net::swarm`) and the 1-hop serving path never force a packet
-//! through a relay: every receiver is one UDP hop from the source. This
-//! crate closes that gap. A [`Topology`] declares which overlay node may
-//! talk to which (line, ring, star, binary tree, complete, seeded random
-//! k-regular, or an explicit edge list), [`run_topology`] lowers it onto
-//! the wiring-generic swarm harness with *neighbour-restricted* push
-//! sets — so on a line, every byte reaching the far end has crossed
-//! every interior relay, each of which starts empty and recodes from
-//! whatever it has decoded so far — and [`TopologyReport`] attributes
-//! the outcome per hop ([`ltnc_metrics::HopCounters`]) and per link.
+//! recode LT symbols without decoding. A [`TopologyConfig`] (from
+//! `ltnc-net`, re-exported here) names the overlay a run uses — a
+//! [`Topology`]: line, ring, star, binary tree, complete, seeded random
+//! k-regular, or an explicit edge list — and every node pushes only to
+//! its neighbours, so on a line every byte reaching the far end has
+//! crossed every interior relay, each of which starts empty and recodes
+//! from whatever it has decoded so far. [`run_topology`] (over UDP) and
+//! [`run_topology_virtual`] (in virtual time) run it and return a
+//! [`TopologyReport`] that attributes the outcome per hop
+//! ([`ltnc_metrics::HopCounters`]) and per link.
 //!
 //! Loss is declared per *directed link* ([`TopologyFaults`]): one seeded
 //! [`ltnc_net::faults::DatagramFaultPlan`] template re-mixed per link
 //! (plus explicit overrides), installed as per-origin plans on each
-//! receiving node's [`ltnc_net::faults::FaultySocket`]. One seed
-//! describes the whole overlay's loss pattern, and every injected fault
-//! stays attributable to the link that ate it — the multi-hop lossy
-//! channel of Kabore et al. (arXiv:1509.06019), reproducible byte for
-//! byte.
-//!
-//! The legacy full-mesh swarm is the trivial case: a complete topology
-//! with the source at index 0 lowers to exactly the legacy wiring (the
-//! equivalence is asserted by this crate's tests).
+//! receiving node's inbound side. One seed describes the whole overlay's
+//! loss pattern, and every injected fault stays attributable to the link
+//! that ate it — the multi-hop lossy channel of Kabore et al.
+//! (arXiv:1509.06019), reproducible byte for byte.
 //!
 //! # Example
 //!
@@ -47,8 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod run;
-pub mod topology;
 
-pub use ltnc_net::swarm::{FlightRecorder, SwarmRuntime};
-pub use run::{run_topology, run_topology_virtual, TopologyConfig, TopologyFaults, TopologyReport};
-pub use topology::Topology;
+pub use ltnc_net::{FlightRecorder, SwarmRuntime, Topology, TopologyConfig, TopologyFaults};
+pub use run::{run_topology, run_topology_virtual, TopologyReport};

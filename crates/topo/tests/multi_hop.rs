@@ -50,7 +50,6 @@ fn lossy_config(
         link_faults: TopologyFaults::uniform(
             DatagramFaultPlan::clean(fault_seed()).drop_rate(loss),
         ),
-        node_faults: None,
         trace_capacity: None,
         runtime: SwarmRuntime::Sharded { workers: 2 },
         metrics_bind: None,

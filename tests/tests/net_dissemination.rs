@@ -11,8 +11,7 @@
 
 use std::time::Duration;
 
-use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmRuntime};
-use ltnc_net::NodeOptions;
+use ltnc_net::{run_swarm, NodeOptions, Topology, TopologyConfig};
 use ltnc_scheme::SchemeKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,23 +23,24 @@ fn pseudo_file(len: usize, seed: u64) -> Vec<u8> {
     data
 }
 
-fn multi_generation_config(scheme: SchemeKind) -> SwarmConfig {
+/// A source and eight peers, all adjacent: every peer hears the source
+/// and gossips with every other peer.
+fn swarm(scheme: SchemeKind, object: Vec<u8>) -> TopologyConfig {
+    TopologyConfig {
+        timeout: Duration::from_secs(60),
+        ..TopologyConfig::quick(scheme, object, Topology::complete(9))
+    }
+}
+
+fn multi_generation_config(scheme: SchemeKind) -> TopologyConfig {
     // 12 × 24 = 288 bytes per generation; 1000 bytes → 4 generations,
     // the last one padded.
-    SwarmConfig {
-        scheme,
-        object: pseudo_file(1000, 42),
+    TopologyConfig {
         code_length: 12,
         payload_size: 24,
-        peers: 8,
         options: NodeOptions { seed: 0xBEEF ^ scheme.wire_id() as u64, ..NodeOptions::default() },
-        timeout: Duration::from_secs(60),
         session: 0xAB_0000 + scheme.wire_id() as u64,
-        faults: None,
-        trace_capacity: None,
-        runtime: SwarmRuntime::Sharded { workers: 2 },
-        metrics_bind: None,
-        flight_recorder: None,
+        ..swarm(scheme, pseudo_file(1000, 42))
     }
 }
 
@@ -48,12 +48,12 @@ fn multi_generation_config(scheme: SchemeKind) -> SwarmConfig {
 fn multi_generation_file_disseminates_bit_exactly_under_every_scheme() {
     for scheme in SchemeKind::ALL {
         let config = multi_generation_config(scheme);
-        let report = run_localhost_swarm(&config).expect("swarm should start");
+        let report = run_swarm(&config).expect("swarm should start");
         assert_eq!(report.generations, 4, "{scheme:?}: expected a multi-generation object");
         assert!(
             report.converged,
-            "{scheme:?}: only {}/{} peers completed in {:?}",
-            report.peers_complete, config.peers, report.elapsed
+            "{scheme:?}: only {}/8 peers completed in {:?}",
+            report.peers_complete, report.elapsed
         );
         assert!(report.bit_exact, "{scheme:?}: reconstruction mismatch");
         for (i, peer) in report.peer_reports.iter().enumerate() {
@@ -70,7 +70,7 @@ fn multi_generation_file_disseminates_bit_exactly_under_every_scheme() {
 fn aborted_transfers_never_carry_payload_bytes() {
     for scheme in SchemeKind::ALL {
         let config = multi_generation_config(scheme);
-        let report = run_localhost_swarm(&config).expect("swarm should start");
+        let report = run_swarm(&config).expect("swarm should start");
         assert!(report.converged, "{scheme:?} did not converge");
 
         let wire = &report.total_wire;
@@ -96,22 +96,13 @@ fn aborted_transfers_never_carry_payload_bytes() {
 #[test]
 fn single_generation_object_and_tiny_payloads_work() {
     // Degenerate-ish dimensions: object smaller than one generation.
-    let config = SwarmConfig {
-        scheme: SchemeKind::Ltnc,
-        object: pseudo_file(100, 7),
+    let config = TopologyConfig {
         code_length: 8,
         payload_size: 16,
-        peers: 8,
-        options: NodeOptions::default(),
-        timeout: Duration::from_secs(60),
         session: 0xCAFE,
-        faults: None,
-        trace_capacity: None,
-        runtime: SwarmRuntime::Sharded { workers: 2 },
-        metrics_bind: None,
-        flight_recorder: None,
+        ..swarm(SchemeKind::Ltnc, pseudo_file(100, 7))
     };
-    let report = run_localhost_swarm(&config).expect("swarm should start");
+    let report = run_swarm(&config).expect("swarm should start");
     assert_eq!(report.generations, 1);
     assert!(report.converged && report.bit_exact, "single-generation run failed: {report:?}");
 }
