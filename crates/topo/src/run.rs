@@ -233,6 +233,25 @@ mod tests {
     }
 
     #[test]
+    fn a_complete_topology_attributes_every_peer_to_hop_one() {
+        // A complete topology is flat whichever node is the source:
+        // every peer hears it directly, and the peers still push to, and
+        // recode for, one another.
+        let mut config = TopologyConfig::quick(SchemeKind::Wc, object(600), Topology::complete(5));
+        config.code_length = 8;
+        config.payload_size = 16;
+        config.source = 3;
+        let report = run_topology_virtual(&config);
+        assert!(report.swarm.converged && report.swarm.bit_exact, "{report:?}");
+        assert_eq!(report.distances, vec![1, 1, 1, 0, 1]);
+        assert_eq!(report.max_hops(), 1);
+        assert_eq!((report.hops.get(0).nodes, report.hops.get(1).nodes), (1, 4));
+        assert_eq!(report.hops.get(1).completed, 4);
+        assert!(report.relay_recoding_ops > 0, "peers recode for each other");
+        assert!(report.link_faults.is_empty(), "clean links tally nothing");
+    }
+
+    #[test]
     fn two_hop_line_converges_through_the_relay() {
         let mut config = TopologyConfig::quick(SchemeKind::Ltnc, object(600), Topology::line(3));
         config.code_length = 8;
