@@ -11,11 +11,11 @@
 //! * **poll** — how often the shard polled, how long it waited, how many
 //!   readiness events each poll returned;
 //! * **dispatch** — per-callback latencies split by kind (readable /
-//!   timer / control), which is where a slow state machine shows up;
+//!   timer), which is where a slow state machine shows up;
 //! * **tick lag** — deadline-vs-actual expiry of every timer, the
 //!   direct measure of scheduler overload;
-//! * **queues** — wakeup coalescing, control-queue drains and their
-//!   high-watermark, and the timer-wheel depth after each turn.
+//! * **queues** — wakeup coalescing and the timer-wheel depth after
+//!   each turn.
 //!
 //! [`ReactorSnapshot`] is the owned plain view, a counter family like
 //! [`crate::WireCounters`], so swarm-level rollups and interval scrapes
@@ -39,21 +39,15 @@ crate::counter_family! {
         /// Readiness events returned across all polls.
         pub poll_events: u64,
         /// Wake bytes drained from the loopback waker (each byte one
-        /// cross-shard send that requested a wakeup).
+        /// stop request that woke the shard).
         pub wakeups: u64,
         /// Drain rounds in which at least one wake byte arrived — `wakeups /
         /// wakeup_rounds` is the coalescing factor.
         pub wakeup_rounds: u64,
-        /// Control messages drained from the shard's queue.
-        pub control_messages: u64,
-        /// Largest single control drain observed (peak).
-        pub control_high_watermark: u64 [peak],
         /// Readable-socket callbacks dispatched.
         pub readable_dispatches: u64,
         /// Timer callbacks dispatched.
         pub timer_dispatches: u64,
-        /// Control-message callbacks dispatched.
-        pub control_dispatches: u64,
         /// Timers that expired and were routed to their node.
         pub timers_fired: u64,
         /// Timers still armed after the most recent turn (peak across
@@ -110,19 +104,11 @@ impl ReactorCounters {
         self.poll_wait_us.record(waited_us);
     }
 
-    /// The waker drained `coalesced` wake bytes in one round (cross-shard
-    /// sends that collapsed into a single readiness event).
+    /// The waker drained `coalesced` wake bytes in one round (stop
+    /// requests that collapsed into a single readiness event).
     pub fn record_wakeups(&self, coalesced: u64) {
         self.wakeups.fetch_add(coalesced, Ordering::Relaxed);
         self.wakeup_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The control queue yielded `messages` messages in one drain.
-    /// Returns `true` when this drain set a new high-watermark — the
-    /// caller may want to trace that edge.
-    pub fn record_control_drain(&self, messages: u64) -> bool {
-        self.control_messages.fetch_add(messages, Ordering::Relaxed);
-        self.control_high_watermark.fetch_max(messages, Ordering::Relaxed) < messages
     }
 
     /// One readable-socket callback took `ns` nanoseconds.
@@ -135,12 +121,6 @@ impl ReactorCounters {
     pub fn record_dispatch_timer(&self, ns: u64) {
         self.timer_dispatches.fetch_add(1, Ordering::Relaxed);
         self.timers_fired.fetch_add(1, Ordering::Relaxed);
-        self.dispatch_ns.record(ns);
-    }
-
-    /// One control-message callback took `ns` nanoseconds.
-    pub fn record_dispatch_control(&self, ns: u64) {
-        self.control_dispatches.fetch_add(1, Ordering::Relaxed);
         self.dispatch_ns.record(ns);
     }
 
@@ -182,7 +162,6 @@ mod tests {
         c.record_wakeups(3);
         c.record_dispatch_readable(400);
         c.record_dispatch_timer(900);
-        c.record_dispatch_control(100);
         c.record_timer_lag(25);
         c.record_turn(7);
         let s = c.snapshot();
@@ -193,27 +172,14 @@ mod tests {
         assert_eq!(s.wakeup_rounds, 1);
         assert_eq!(s.readable_dispatches, 1);
         assert_eq!(s.timer_dispatches, 1);
-        assert_eq!(s.control_dispatches, 1);
         assert_eq!(s.timers_fired, 1);
         assert_eq!(s.wheel_depth, 7);
         assert_eq!(s.nodes, 10);
         assert_eq!(s.poll_wait_us.count(), 2);
-        assert_eq!(s.dispatch_ns.count(), 3);
+        assert_eq!(s.dispatch_ns.count(), 2);
         assert_eq!(s.tick_lag_us.max, 25);
         assert!(!s.is_empty());
         assert!(ReactorSnapshot::new().is_empty());
-    }
-
-    #[test]
-    fn control_drain_reports_new_watermarks_once() {
-        let c = ReactorCounters::new();
-        assert!(c.record_control_drain(4), "first drain is a new watermark");
-        assert!(!c.record_control_drain(4), "matching the mark is not a new one");
-        assert!(!c.record_control_drain(2));
-        assert!(c.record_control_drain(9));
-        let s = c.snapshot();
-        assert_eq!(s.control_messages, 19);
-        assert_eq!(s.control_high_watermark, 9);
     }
 
     #[test]

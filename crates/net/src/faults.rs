@@ -16,16 +16,16 @@
 //!   client at the proxy instead of the server and get loss, stalls and
 //!   mid-transfer disconnects without touching either endpoint's code.
 //! * [`FaultySocket`] is the datagram counterpart: it wraps a
-//!   [`UdpSocket`] and applies a [`DatagramFaultPlan`] per direction —
+//!   [`UdpSocket`] and applies a [`DatagramFaultPlan`] per *link* — per
+//!   sender, on the receiving end ([`FaultySocket::set_link_plan`]):
 //!   whole-datagram drops, duplicates, reordering within a bounded
-//!   window, and per-datagram delays. [`crate::peer::PeerNode`] runs all
-//!   its traffic through one, so the UDP gossip tests exercise exactly
-//!   the lossy links the paper's redundancy and this crate's adaptive
-//!   pacing exist for. On top of the default inbound plan, *per-link*
-//!   plans ([`FaultySocket::set_link_plan`]) override the fault rates for
-//!   one sender at a time, with per-link tallies
-//!   ([`FaultySocket::link_counters`]) — how a swarm gives every overlay
-//!   link its own seeded loss ([`crate::TopologyFaults`]).
+//!   window, and per-datagram delays, with per-link tallies
+//!   ([`FaultySocket::link_counters`]). A sender without a plan passes
+//!   clean, and sends are never faulted. Every swarm node receives
+//!   through one, which is how a swarm gives every overlay link its own
+//!   seeded loss ([`crate::TopologyFaults`]), so the UDP gossip tests
+//!   exercise exactly the lossy links the paper's redundancy and this
+//!   crate's adaptive pacing exist for.
 //!
 //! Byte-counted stream faults (`truncate_read_at`, `disconnect_read_at`)
 //! are deterministic regardless of how the OS chunks the stream, which is
@@ -489,8 +489,9 @@ fn pump<S: Read>(mut from: FaultyStream<S>, mut to: TcpStream, stop: &AtomicBool
     let _ = to.shutdown(Shutdown::Both);
 }
 
-/// A seeded description of the faults to inject on one *datagram*
-/// direction (inbound or outbound) of a [`FaultySocket`].
+/// A seeded description of the faults to inject on one *datagram* link:
+/// what one sender's datagrams suffer on their way into a
+/// [`FaultySocket`] (or a virtual-time node).
 ///
 /// The default plan (via [`DatagramFaultPlan::clean`]) forwards every
 /// datagram untouched; builder methods switch individual faults on. All
@@ -571,52 +572,6 @@ impl DatagramFaultPlan {
         self.delay = delay;
         self
     }
-
-    /// `true` when this plan injects nothing (the fast path skips the
-    /// fault bookkeeping entirely).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.drop_rate == 0.0
-            && self.duplicate_rate == 0.0
-            && (self.reorder_rate == 0.0 || self.reorder_window == 0)
-            && self.delay_rate == 0.0
-    }
-}
-
-/// The per-direction fault plans of one [`FaultySocket`].
-#[derive(Debug, Clone, Copy)]
-pub struct DatagramFaults {
-    /// Faults applied to datagrams arriving at this socket.
-    pub inbound: DatagramFaultPlan,
-    /// Faults applied to datagrams this socket sends.
-    pub outbound: DatagramFaultPlan,
-}
-
-impl DatagramFaults {
-    /// No faults in either direction.
-    #[must_use]
-    pub fn clean(seed: u64) -> DatagramFaults {
-        DatagramFaults {
-            inbound: DatagramFaultPlan::clean(seed),
-            outbound: DatagramFaultPlan::clean(seed ^ 0x0DD0),
-        }
-    }
-
-    /// Faults on the receive path only, where every datagram a socket
-    /// gets crosses exactly one plan.
-    #[must_use]
-    pub fn inbound(plan: DatagramFaultPlan) -> DatagramFaults {
-        DatagramFaults { inbound: plan, outbound: DatagramFaultPlan::clean(plan.seed ^ 0x0DD0) }
-    }
-
-    /// The same fault rates in both directions, with decorrelated seeds.
-    #[must_use]
-    pub fn symmetric(plan: DatagramFaultPlan) -> DatagramFaults {
-        DatagramFaults {
-            inbound: plan,
-            outbound: DatagramFaultPlan { seed: plan.seed ^ 0x0DD0, ..plan },
-        }
-    }
 }
 
 ltnc_metrics::counter_family! {
@@ -625,30 +580,21 @@ ltnc_metrics::counter_family! {
     pub struct DatagramFaultCounters {
         /// Inbound datagrams silently dropped.
         pub dropped_in: u64,
-        /// Outbound datagrams silently dropped.
+        /// Always 0: faults live on the receiving end of a link, and
+        /// nothing is dropped on send. Kept because the reference
+        /// benchmark sums it into `faults.dropped`.
         pub dropped_out: u64,
         /// Inbound datagrams delivered twice.
         pub duplicated_in: u64,
-        /// Outbound datagrams sent twice.
-        pub duplicated_out: u64,
         /// Inbound datagrams released out of order.
         pub reordered_in: u64,
-        /// Outbound datagrams released out of order.
-        pub reordered_out: u64,
         /// Inbound datagrams delayed.
         pub delayed_in: u64,
-        /// Outbound datagrams delayed.
-        pub delayed_out: u64,
-    }
-    atomic {
-        /// The socket-wide totals every handle of one socket bumps.
-        #[derive(Default)]
-        struct AtomicFaultCounters;
     }
 }
 
 impl DatagramFaultCounters {
-    /// Total datagrams affected by any fault, either direction.
+    /// Total datagrams affected by any fault.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.fields().filter_map(|(_, field)| field.value()).sum()
@@ -671,7 +617,7 @@ struct HeldDatagram {
 }
 
 /// What one plan did to one datagram: the verdict of
-/// [`DirectionState::decide`], the one fault decision [`FaultySocket`]
+/// [`LinkState::decide`], the one fault decision [`FaultySocket`]
 /// and the virtual-time driver both carry out.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Fate {
@@ -695,31 +641,21 @@ impl Fate {
         }
     }
 
-    /// The faults as the counters of one direction.
-    pub(crate) fn counters(self, inbound: bool) -> DatagramFaultCounters {
+    /// The faults as counters.
+    pub(crate) fn counters(self) -> DatagramFaultCounters {
         let [delayed, dropped, reordered, duplicated] =
             [self.delay.is_some(), self.dropped, self.held, self.duplicated].map(u64::from);
-        if inbound {
-            DatagramFaultCounters {
-                delayed_in: delayed,
-                dropped_in: dropped,
-                reordered_in: reordered,
-                duplicated_in: duplicated,
-                ..DatagramFaultCounters::default()
-            }
-        } else {
-            DatagramFaultCounters {
-                delayed_out: delayed,
-                dropped_out: dropped,
-                reordered_out: reordered,
-                duplicated_out: duplicated,
-                ..DatagramFaultCounters::default()
-            }
+        DatagramFaultCounters {
+            delayed_in: delayed,
+            dropped_in: dropped,
+            reordered_in: reordered,
+            duplicated_in: duplicated,
+            ..DatagramFaultCounters::default()
         }
     }
 
     /// One [`TraceEvent::FaultInjected`] per fault, attributed to `peer`.
-    pub(crate) fn trace(self, tracer: &Tracer, inbound: bool, peer: SocketAddr) {
+    pub(crate) fn trace(self, tracer: &Tracer, peer: SocketAddr) {
         for (fired, kind) in [
             (self.delay.is_some(), FaultKind::Delay),
             (self.dropped, FaultKind::Drop),
@@ -727,15 +663,15 @@ impl Fate {
             (self.duplicated, FaultKind::Duplicate),
         ] {
             if fired {
-                tracer.emit(|| TraceEvent::FaultInjected { kind, inbound, peer: Some(peer) });
+                tracer.emit(|| TraceEvent::FaultInjected { kind, inbound: true, peer: Some(peer) });
             }
         }
     }
 }
 
-/// One direction's fault state: the plan, its seeded RNG, and the
-/// datagrams the plan parks.
-pub(crate) struct DirectionState {
+/// One link's fault state: the plan, its seeded RNG, the datagrams the
+/// plan parks, and the faults it has injected.
+pub(crate) struct LinkState {
     plan: DatagramFaultPlan,
     rng: SmallRng,
     /// Datagrams held by the reorder fault, oldest first.
@@ -743,28 +679,31 @@ pub(crate) struct DirectionState {
     /// Datagrams due for delivery ahead of anything new (expired holds,
     /// duplicate copies, delayed datagrams whose time came), oldest
     /// first.
-    pub(crate) ready: VecDeque<(Vec<u8>, SocketAddr)>,
+    ready: VecDeque<(Vec<u8>, SocketAddr)>,
     /// The socket's delayed datagrams with the instant each falls due.
     /// One plan has one delay, so due order is arrival order.
     delayed: VecDeque<(Instant, Vec<u8>, SocketAddr)>,
+    /// The faults this plan has injected.
+    counters: DatagramFaultCounters,
 }
 
-impl DirectionState {
-    pub(crate) fn new(plan: DatagramFaultPlan) -> DirectionState {
-        DirectionState {
+impl LinkState {
+    fn new(plan: DatagramFaultPlan) -> LinkState {
+        LinkState {
             plan,
             rng: SmallRng::seed_from_u64(plan.seed ^ 0xDA7A_FA17),
             held: VecDeque::new(),
             ready: VecDeque::new(),
             delayed: VecDeque::new(),
+            counters: DatagramFaultCounters::default(),
         }
     }
 
-    /// Decides the fate of one datagram to or from `peer`, after moving
-    /// the holds it overtakes past their window onto the ready queue. A
-    /// datagram the reorder fault picks is copied into the holds; every
-    /// other outcome is the caller's to carry out.
-    pub(crate) fn decide(&mut self, bytes: &[u8], peer: SocketAddr) -> Fate {
+    /// Decides and tallies the fate of one datagram from `peer`, after
+    /// moving the holds it overtakes past their window onto the ready
+    /// queue. A datagram the reorder fault picks is copied into the
+    /// holds; every other outcome is the caller's to carry out.
+    fn decide(&mut self, bytes: &[u8], peer: SocketAddr) -> Fate {
         for held in &mut self.held {
             held.remaining = held.remaining.saturating_sub(1);
         }
@@ -789,16 +728,17 @@ impl DirectionState {
         } else if plan.duplicate_rate > 0.0 && self.rng.gen_bool(plan.duplicate_rate) {
             fate.duplicated = true;
         }
+        self.counters.merge(&fate.counters());
         fate
     }
 
     /// Whether anything is held for reordering or ready.
-    pub(crate) fn holds(&self) -> bool {
+    fn holds(&self) -> bool {
         !self.held.is_empty() || !self.ready.is_empty()
     }
 
     /// Declares the link idle: every reorder hold becomes ready.
-    pub(crate) fn release_held(&mut self) {
+    fn release_held(&mut self) {
         while let Some(held) = self.held.pop_front() {
             self.ready.push_back((held.bytes, held.peer));
         }
@@ -811,121 +751,104 @@ impl DirectionState {
         }
     }
 
-    /// Moves the delayed datagrams due by `now` (all of them for `None`)
-    /// onto the ready queue.
-    fn release_due(&mut self, now: Option<Instant>) {
-        while self.delayed.front().is_some_and(|&(due, ..)| now.is_none_or(|now| due <= now)) {
+    /// Moves the delayed datagrams due by `now` onto the ready queue.
+    fn release_due(&mut self, now: Instant) {
+        while self.delayed.front().is_some_and(|&(due, ..)| due <= now) {
             let (_, bytes, peer) = self.delayed.pop_front().expect("checked non-empty");
             self.ready.push_back((bytes, peer));
         }
     }
 }
 
-/// One per-origin inbound override: its own plan state plus the faults it
-/// has injected (also folded into the socket-wide totals).
-struct LinkState {
-    dir: DirectionState,
-    counters: DatagramFaultCounters,
-}
-
-/// The whole inbound side of one node's links: the default plan every
-/// datagram crosses, plus per-origin overrides keyed by sender address
-/// (ordered, so multi-link delivery and draining are deterministic).
+/// The inbound side of one node's links: one plan per origin that has
+/// one, keyed by sender address (ordered, so multi-link delivery and
+/// draining are deterministic). A datagram from an origin without a
+/// plan passes clean.
+#[derive(Default)]
 pub(crate) struct InboundState {
-    default: DirectionState,
     links: BTreeMap<SocketAddr, LinkState>,
 }
 
 impl InboundState {
-    pub(crate) fn new(plan: DatagramFaultPlan) -> InboundState {
-        InboundState { default: DirectionState::new(plan), links: BTreeMap::new() }
-    }
-
     /// Installs (or replaces) the plan for datagrams from `from`.
     pub(crate) fn set_link(&mut self, from: SocketAddr, plan: DatagramFaultPlan) {
-        let counters = DatagramFaultCounters::default();
-        self.links.insert(from, LinkState { dir: DirectionState::new(plan), counters });
+        self.links.insert(from, LinkState::new(plan));
     }
 
-    /// `true` when no plan — default or per-link — can inject anything.
-    pub(crate) fn is_clean(&self) -> bool {
-        self.default.plan.is_clean() && self.links.is_empty()
-    }
-
-    /// The direction state (and per-link counters, if any) a datagram
-    /// from `from` must cross.
-    pub(crate) fn route(
+    /// Runs one datagram from `from` through that link's plan: `None`
+    /// when the link has no plan (the datagram passes clean), else the
+    /// fate and the link, which parks what the fate delays.
+    pub(crate) fn decide(
         &mut self,
+        bytes: &[u8],
         from: SocketAddr,
-    ) -> (&mut DirectionState, Option<&mut DatagramFaultCounters>) {
-        match self.links.get_mut(&from) {
-            Some(link) => (&mut link.dir, Some(&mut link.counters)),
-            None => (&mut self.default, None),
-        }
+    ) -> Option<(Fate, &mut LinkState)> {
+        let link = self.links.get_mut(&from)?;
+        Some((link.decide(bytes, from), link))
     }
 
-    fn dirs(&self) -> impl Iterator<Item = &DirectionState> {
-        std::iter::once(&self.default).chain(self.links.values().map(|link| &link.dir))
-    }
-
-    fn dirs_mut(&mut self) -> impl Iterator<Item = &mut DirectionState> {
-        std::iter::once(&mut self.default).chain(self.links.values_mut().map(|link| &mut link.dir))
-    }
-
-    /// Pops the oldest due datagram from any ready queue (default first,
-    /// then links in address order).
+    /// Pops the oldest due datagram from any ready queue (links in
+    /// address order).
     pub(crate) fn pop_ready(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        self.dirs_mut().find_map(|dir| dir.ready.pop_front())
+        self.links.values_mut().find_map(|link| link.ready.pop_front())
     }
 
     /// Whether any plan holds a datagram for reordering or has one ready.
     pub(crate) fn holds(&self) -> bool {
-        self.dirs().any(DirectionState::holds)
+        self.links.values().any(LinkState::holds)
     }
 
     /// Declares every inbound link idle: all reorder holds become ready.
     pub(crate) fn release_held(&mut self) {
-        self.dirs_mut().for_each(DirectionState::release_held);
+        self.links.values_mut().for_each(LinkState::release_held);
     }
 
     /// Faults injected per link plan, ordered by sender address.
     pub(crate) fn link_counters(&self) -> Vec<(SocketAddr, DatagramFaultCounters)> {
         self.links.iter().map(|(&from, link)| (from, link.counters)).collect()
     }
+
+    /// Faults injected on every link.
+    pub(crate) fn totals(&self) -> DatagramFaultCounters {
+        let mut totals = DatagramFaultCounters::default();
+        for link in self.links.values() {
+            totals.merge(&link.counters);
+        }
+        totals
+    }
 }
 
-/// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults.
+/// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults on the
+/// receiving end of its links.
 ///
-/// Wraps `send_to` and the nonblocking `try_recv_from` every
-/// [`PeerNode`] and swarm node runs on, and applies one
-/// [`DatagramFaultPlan`] per direction: drops, duplicates, reordering
-/// within a bounded window, and delays. Clones share fault state (and
-/// counters), so all handles see one coherent plan.
+/// Wraps the nonblocking `try_recv_from` every swarm node runs on. Each
+/// sender with a plan ([`FaultySocket::set_link_plan`]) is one link, and
+/// its datagrams cross that [`DatagramFaultPlan`]: drops, duplicates,
+/// reordering within a bounded window, and delays. A sender without a
+/// plan passes clean, and sending is never faulted. Clones share fault
+/// state (and counters), so all handles see one coherent set of plans.
 ///
 /// Nothing here blocks. Reordered datagrams are held until enough later
 /// traffic has overtaken them, and delayed ones until they fall due;
 /// the owner's timer ([`FaultySocket::release_in`],
 /// [`FaultySocket::release_held`]) frees them when the link goes idle,
-/// and dropping a handle flushes the outbound queue too, so a held
-/// datagram is delayed, never lost.
-///
-/// [`PeerNode`]: crate::peer::PeerNode
+/// so a held datagram is delayed, never lost.
 ///
 /// # Example
 ///
 /// ```
 /// use std::net::UdpSocket;
-/// use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults, FaultySocket};
+/// use ltnc_net::faults::{DatagramFaultPlan, FaultySocket};
 ///
-/// let inner = UdpSocket::bind("127.0.0.1:0").unwrap();
-/// let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(7).drop_rate(1.0));
-/// let socket = FaultySocket::new(inner, faults).unwrap();
+/// let socket = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").unwrap());
 /// socket.set_nonblocking(true).unwrap();
 ///
 /// let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+/// let link = DatagramFaultPlan::clean(7).drop_rate(1.0);
+/// socket.set_link_plan(sender.local_addr().unwrap(), link);
 /// sender.send_to(b"doomed", socket.local_addr().unwrap()).unwrap();
 ///
-/// // Every inbound datagram is dropped: a drain never delivers one.
+/// // Every datagram on that link is dropped: a drain never delivers one.
 /// let mut buf = [0u8; 64];
 /// while socket.fault_counters().dropped_in == 0 {
 ///     assert_eq!(socket.try_recv_from(&mut buf).unwrap(), None);
@@ -934,49 +857,27 @@ impl InboundState {
 pub struct FaultySocket {
     socket: UdpSocket,
     recv: Arc<Mutex<InboundState>>,
-    send: Arc<Mutex<DirectionState>>,
-    totals: Arc<AtomicFaultCounters>,
     tracer: Tracer,
 }
 
 impl FaultySocket {
-    /// Wraps `socket` under the per-direction `faults`.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; the `io::Result` mirrors `UdpSocket`
-    /// constructors so callers compose it with socket setup.
-    pub fn new(socket: UdpSocket, faults: DatagramFaults) -> io::Result<FaultySocket> {
-        FaultySocket::with_tracer(socket, faults, Tracer::off())
+    /// Wraps `socket`; every link starts clean.
+    #[must_use]
+    pub fn new(socket: UdpSocket) -> FaultySocket {
+        FaultySocket::with_tracer(socket, Tracer::off())
     }
 
     /// Like [`FaultySocket::new`], but every injected fault also emits a
     /// [`TraceEvent::FaultInjected`] on `tracer` (attributed to the peer
-    /// the datagram came from or was going to).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; the `io::Result` mirrors `UdpSocket`
-    /// constructors so callers compose it with socket setup.
-    pub fn with_tracer(
-        socket: UdpSocket,
-        faults: DatagramFaults,
-        tracer: Tracer,
-    ) -> io::Result<FaultySocket> {
-        Ok(FaultySocket {
-            socket,
-            recv: Arc::new(Mutex::new(InboundState::new(faults.inbound))),
-            send: Arc::new(Mutex::new(DirectionState::new(faults.outbound))),
-            totals: Arc::new(AtomicFaultCounters::new()),
-            tracer,
-        })
+    /// the datagram came from).
+    #[must_use]
+    pub fn with_tracer(socket: UdpSocket, tracer: Tracer) -> FaultySocket {
+        FaultySocket { socket, recv: Arc::default(), tracer }
     }
 
-    /// Installs (or replaces) a dedicated inbound fault plan for
-    /// datagrams arriving *from* `from` — a per-link plan, where a link
-    /// is identified by its sender. Datagrams from other origins keep
-    /// crossing the socket's default inbound plan. Faults injected by a
-    /// link plan are tallied both socket-wide
+    /// Installs (or replaces) the fault plan for datagrams arriving
+    /// *from* `from` — one link, identified by its sender. Faults injected
+    /// by a link plan are tallied both socket-wide
     /// ([`FaultySocket::fault_counters`]) and per link
     /// ([`FaultySocket::link_counters`]), so per-link loss stays
     /// attributable in multi-hop topology runs.
@@ -984,17 +885,14 @@ impl FaultySocket {
         self.recv.lock().expect("recv fault state poisoned").set_link(from, plan);
     }
 
-    /// Faults injected per inbound link plan so far, ordered by sender
-    /// address (empty when [`FaultySocket::set_link_plan`] was never
-    /// called). Link faults are also included in
-    /// [`FaultySocket::fault_counters`].
+    /// Faults injected per link plan so far, ordered by sender address
+    /// (empty when [`FaultySocket::set_link_plan`] was never called).
     #[must_use]
     pub fn link_counters(&self) -> Vec<(SocketAddr, DatagramFaultCounters)> {
         self.recv.lock().expect("recv fault state poisoned").link_counters()
     }
 
-    /// A second handle to the same socket sharing the same fault state
-    /// (a node's drain handle and its scrape endpoint's).
+    /// A second handle to the same socket sharing the same fault state.
     ///
     /// # Errors
     ///
@@ -1003,8 +901,6 @@ impl FaultySocket {
         Ok(FaultySocket {
             socket: self.socket.try_clone()?,
             recv: Arc::clone(&self.recv),
-            send: Arc::clone(&self.send),
-            totals: Arc::clone(&self.totals),
             tracer: self.tracer.clone(),
         })
     }
@@ -1018,15 +914,15 @@ impl FaultySocket {
         self.socket.local_addr()
     }
 
-    /// Faults injected so far, both directions.
+    /// Faults injected so far, summed over every link.
     #[must_use]
     pub fn fault_counters(&self) -> DatagramFaultCounters {
-        self.totals.snapshot()
+        self.recv.lock().expect("recv fault state poisoned").totals()
     }
 
-    /// Receives one datagram without ever blocking, applying the inbound
-    /// fault plan its origin routes to. Requires the socket to be in
-    /// nonblocking mode (see [`FaultySocket::set_nonblocking`]).
+    /// Receives one datagram without ever blocking, applying the plan of
+    /// the link it arrived on. Requires the socket to be in nonblocking
+    /// mode (see [`FaultySocket::set_nonblocking`]).
     ///
     /// Returns `Ok(Some(..))` for a delivered datagram, `Ok(None)` when
     /// the OS buffer is empty. When the fault plan consumes a datagram
@@ -1060,29 +956,20 @@ impl FaultySocket {
                 }
                 Err(e) => return Err(e),
             };
-            if state.is_clean() {
+            let Some((fate, link)) = state.decide(&buf[..len], peer) else {
                 return Ok(Some((len, peer)));
-            }
-            // Per-link plans shadow the default for their origin; the
-            // datagram crosses exactly one plan either way.
-            let (dir, link) = state.route(peer);
-            let fate = dir.decide(&buf[..len], peer);
-            let delta = fate.counters(true);
-            if let Some(link) = link {
-                link.merge(&delta);
-            }
-            self.totals.add(&delta);
-            fate.trace(&self.tracer, true, peer);
+            };
+            fate.trace(&self.tracer, peer);
             match (fate.copies(), fate.delay) {
                 // Consumed: loop — something may have aged onto a ready
                 // queue, and more may sit in the OS buffer behind it.
                 (0, _) => {}
                 (copies, Some(delay)) => {
-                    dir.park(Instant::now() + delay, &buf[..len], peer, copies)
+                    link.park(Instant::now() + delay, &buf[..len], peer, copies)
                 }
                 (copies, None) => {
                     if copies == 2 {
-                        dir.ready.push_back((buf[..len].to_vec(), peer));
+                        link.ready.push_back((buf[..len].to_vec(), peer));
                     }
                     return Ok(Some((len, peer)));
                 }
@@ -1091,34 +978,31 @@ impl FaultySocket {
     }
 
     /// How long until the fault state has something for
-    /// [`FaultySocket::release_held`] to free, inbound or outbound:
-    /// [`IDLE_RELEASE`] while anything is held for reordering or ready,
-    /// sooner if a delayed datagram falls due first, `None` when nothing
-    /// is parked. A nonblocking owner asks after every drain and arms its
-    /// release timer accordingly.
+    /// [`FaultySocket::release_held`] to free: [`IDLE_RELEASE`] while
+    /// anything is held for reordering or ready, sooner if a delayed
+    /// datagram falls due first, `None` when nothing is parked. A
+    /// nonblocking owner asks after every drain and arms its release
+    /// timer accordingly.
     #[must_use]
     pub fn release_in(&self) -> Option<Duration> {
         let recv = self.recv.lock().expect("recv fault state poisoned");
-        let send = self.send.lock().expect("send fault state poisoned");
-        let dirs = || recv.dirs().chain(std::iter::once(&*send));
-        let idle = dirs().any(DirectionState::holds).then_some(IDLE_RELEASE);
-        let due = dirs().filter_map(|dir| dir.delayed.front().map(|&(due, ..)| due)).min();
+        let idle = recv.holds().then_some(IDLE_RELEASE);
+        let due =
+            recv.links.values().filter_map(|link| link.delayed.front().map(|&(due, ..)| due)).min();
         let due = due.map(|due| due.saturating_duration_since(Instant::now()));
         idle.into_iter().chain(due).min()
     }
 
-    /// Declares the link idle: transmits every held outbound datagram
-    /// and every outbound delayed one now due, and moves the inbound ones
-    /// onto their ready queues, where the next
+    /// Declares the links idle: moves every held datagram and every
+    /// delayed one now due onto its ready queue, where the next
     /// [`FaultySocket::try_recv_from`] delivers them. Reordering and
     /// delays postpone datagrams, they never strand them.
     pub fn release_held(&self) {
         let now = Instant::now();
-        self.flush_send(Some(now));
         let mut state = self.recv.lock().expect("recv fault state poisoned");
-        for dir in state.dirs_mut() {
-            dir.release_held();
-            dir.release_due(Some(now));
+        for link in state.links.values_mut() {
+            link.release_held();
+            link.release_due(now);
         }
     }
 
@@ -1141,58 +1025,13 @@ impl FaultySocket {
         self.socket.as_raw_fd()
     }
 
-    /// Transmits everything the outbound plan holds for reordering and
-    /// every delayed datagram due by `now` (all of them for `None`, when
-    /// a handle drops).
-    fn flush_send(&self, now: Option<Instant>) {
-        let Ok(mut state) = self.send.lock() else { return };
-        state.release_held();
-        state.release_due(now);
-        while let Some((bytes, peer)) = state.ready.pop_front() {
-            let _ = self.socket.send_to(&bytes, peer);
-        }
-    }
-
-    /// Sends one datagram, applying the outbound fault plan. Dropped,
-    /// held and delayed datagrams still report their full length as sent
-    /// — the faults model the link, not the local syscall.
+    /// Sends one datagram, untouched: loss is decided where it arrives.
     ///
     /// # Errors
     ///
     /// Everything `UdpSocket::send_to` can return.
     pub fn send_to(&self, bytes: &[u8], to: SocketAddr) -> io::Result<usize> {
-        let mut state = self.send.lock().expect("send fault state poisoned");
-        if state.plan.is_clean() {
-            return self.socket.send_to(bytes, to);
-        }
-        let fate = state.decide(bytes, to);
-        while let Some((held, peer)) = state.ready.pop_front() {
-            let _ = self.socket.send_to(&held, peer);
-        }
-        self.totals.add(&fate.counters(false));
-        fate.trace(&self.tracer, false, to);
-        match (fate.copies(), fate.delay) {
-            (0, _) => Ok(bytes.len()),
-            (copies, Some(delay)) => {
-                state.park(Instant::now() + delay, bytes, to, copies);
-                Ok(bytes.len())
-            }
-            (copies, None) => {
-                if copies == 2 {
-                    let _ = self.socket.send_to(bytes, to);
-                }
-                self.socket.send_to(bytes, to)
-            }
-        }
-    }
-}
-
-impl Drop for FaultySocket {
-    fn drop(&mut self) {
-        // Any handle dropping flushes held outbound datagrams (the queues
-        // are popped, so clones flushing too is harmless): faults delay
-        // traffic, they never swallow it.
-        self.flush_send(None);
+        self.socket.send_to(bytes, to)
     }
 }
 
@@ -1215,18 +1054,17 @@ mod tests {
 
     #[test]
     fn snapshot_delta_subtracts_per_field_and_saturates() {
-        let earlier =
-            DatagramFaultCounters { dropped_in: 3, delayed_out: 10, ..Default::default() };
+        let earlier = DatagramFaultCounters { dropped_in: 3, delayed_in: 10, ..Default::default() };
         let later = DatagramFaultCounters {
             dropped_in: 8,
             duplicated_in: 2,
-            delayed_out: 10,
+            delayed_in: 10,
             ..Default::default()
         };
         let delta = later.snapshot_delta(&earlier);
         assert_eq!(delta.dropped_in, 5);
         assert_eq!(delta.duplicated_in, 2);
-        assert_eq!(delta.delayed_out, 0, "unchanged counters delta to zero");
+        assert_eq!(delta.delayed_in, 0, "unchanged counters delta to zero");
         assert_eq!(delta.total(), 7);
         // A stale "later" snapshot (e.g. counters from a reset socket)
         // must clamp, not wrap.
@@ -1326,13 +1164,20 @@ mod tests {
 
     // ---- datagram faults ----
 
-    /// A bound, nonblocking faulty socket plus a plain sender aimed at it.
-    fn socket_pair(faults: DatagramFaults) -> (FaultySocket, UdpSocket, SocketAddr) {
-        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
-        let socket = FaultySocket::new(inner, faults).expect("wrap");
+    /// A bound, nonblocking faulty socket plus a plain sender aimed at it,
+    /// on a clean link.
+    fn socket_pair() -> (FaultySocket, UdpSocket, SocketAddr) {
+        let socket = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind receiver"));
         socket.set_nonblocking(true).expect("nonblocking");
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
         let to = socket.local_addr().expect("addr");
+        (socket, sender, to)
+    }
+
+    /// [`socket_pair`] with `plan` on the sender's link.
+    fn linked_pair(plan: DatagramFaultPlan) -> (FaultySocket, UdpSocket, SocketAddr) {
+        let (socket, sender, to) = socket_pair();
+        socket.set_link_plan(sender.local_addr().expect("addr"), plan);
         (socket, sender, to)
     }
 
@@ -1370,7 +1215,7 @@ mod tests {
 
     #[test]
     fn clean_datagram_plan_is_the_identity() {
-        let (socket, sender, to) = socket_pair(DatagramFaults::clean(1));
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(1));
         let seen = pump_datagrams(&socket, &sender, to, 20);
         assert_eq!(seen, (0..20).collect::<Vec<u8>>());
         assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());
@@ -1378,8 +1223,7 @@ mod tests {
 
     #[test]
     fn full_drop_rate_delivers_nothing_and_counts() {
-        let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(2).drop_rate(1.0));
-        let (socket, sender, to) = socket_pair(faults);
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(2).drop_rate(1.0));
         let seen = pump_datagrams(&socket, &sender, to, 10);
         assert!(seen.is_empty(), "drop_rate 1.0 must drop everything, got {seen:?}");
         assert_eq!(socket.fault_counters().dropped_in, 10);
@@ -1387,8 +1231,7 @@ mod tests {
 
     #[test]
     fn full_duplicate_rate_delivers_everything_twice() {
-        let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(3).duplicate_rate(1.0));
-        let (socket, sender, to) = socket_pair(faults);
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(3).duplicate_rate(1.0));
         let seen = pump_datagrams(&socket, &sender, to, 5);
         let mut sorted = seen.clone();
         sorted.sort_unstable();
@@ -1398,8 +1241,7 @@ mod tests {
 
     #[test]
     fn reordering_permutes_within_the_window_and_loses_nothing() {
-        let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(4).reorder(0.5, 4));
-        let (socket, sender, to) = socket_pair(faults);
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(4).reorder(0.5, 4));
         let n = 40u8;
         let seen = pump_datagrams(&socket, &sender, to, n);
         let mut sorted = seen.clone();
@@ -1422,7 +1264,7 @@ mod tests {
     fn datagram_drops_are_seed_deterministic() {
         let run = |seed: u64| {
             let plan = DatagramFaultPlan::clean(seed).drop_rate(0.4).duplicate_rate(0.2);
-            let (socket, sender, to) = socket_pair(DatagramFaults::inbound(plan));
+            let (socket, sender, to) = linked_pair(plan);
             pump_datagrams(&socket, &sender, to, 50)
         };
         let a = run(99);
@@ -1435,102 +1277,30 @@ mod tests {
     }
 
     #[test]
-    fn outbound_faults_apply_on_send() {
-        let receiver = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
-        receiver.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
-        let to = receiver.local_addr().expect("addr");
-        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
-        let faults = DatagramFaults {
-            inbound: DatagramFaultPlan::clean(5),
-            outbound: DatagramFaultPlan::clean(5).drop_rate(1.0),
-        };
-        let socket = FaultySocket::new(inner, faults).expect("wrap");
-        for i in 0..8u8 {
-            // The drop is silent: the caller sees a normal send.
-            assert_eq!(socket.send_to(&[i], to).expect("send"), 1);
-        }
-        let mut buf = [0u8; 16];
-        assert!(receiver.recv_from(&mut buf).is_err(), "all sends dropped on the wire");
-        assert_eq!(socket.fault_counters().dropped_out, 8);
-    }
-
-    #[test]
-    fn held_outbound_datagrams_flush_on_idle_and_on_drop() {
-        let receiver = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
-        receiver.set_read_timeout(Some(Duration::from_millis(200))).expect("timeout");
-        let to = receiver.local_addr().expect("addr");
-        let drain = || {
-            let mut got = Vec::new();
-            let mut buf = [0u8; 16];
-            while let Ok((1, _)) = receiver.recv_from(&mut buf) {
-                got.push(buf[0]);
-            }
-            got.sort_unstable();
-            got
-        };
-        let faults = DatagramFaults {
-            inbound: DatagramFaultPlan::clean(7),
-            // Hold *every* send: without a flush path, stopping sending
-            // would strand all of them.
-            outbound: DatagramFaultPlan::clean(7).reorder(1.0, 8),
-        };
-
-        // Case 1: the owner's release timer declares the link idle → flush.
-        let socket =
-            FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
-        for i in 0..5u8 {
-            socket.send_to(&[i], to).expect("send");
-        }
-        assert_eq!(socket.release_in(), Some(IDLE_RELEASE), "holds wait for an idle link");
-        socket.release_held();
-        assert_eq!(drain(), vec![0, 1, 2, 3, 4], "an idle release must flush held sends");
-
-        // Case 2: no release at all — dropping the handle flushes.
-        let socket =
-            FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
-        for i in 5..9u8 {
-            socket.send_to(&[i], to).expect("send");
-        }
-        drop(socket);
-        assert_eq!(drain(), vec![5, 6, 7, 8], "drop must flush held sends");
-    }
-
-    #[test]
     fn delayed_datagrams_are_parked_until_due_never_slept_on() {
         let delay = Duration::from_millis(60);
-        let plan = DatagramFaultPlan::clean(27).delay(1.0, delay);
-        let (socket, sender, to) = socket_pair(DatagramFaults::symmetric(plan));
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(27).delay(1.0, delay));
         send_numbered(&sender, to, 3);
         let started = Instant::now();
         assert!(drain_nonblocking(&socket).is_empty(), "delayed datagrams wait");
-        let sender_addr = sender.local_addr().expect("addr");
-        assert_eq!(socket.send_to(b"x", sender_addr).expect("send"), 1);
-        assert!(started.elapsed() < delay, "neither direction may wait the delay out");
+        assert!(started.elapsed() < delay, "the drain may not wait the delay out");
         let wait = socket.release_in().expect("the delayed datagrams are parked");
         assert!(wait <= delay, "the release is due when the datagrams are, not later");
 
         thread::sleep(delay);
         socket.release_held();
         assert_eq!(drain_nonblocking(&socket), [0, 1, 2], "due datagrams come out in order");
-        let mut buf = [0u8; 4];
-        sender.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
-        assert_eq!(sender.recv_from(&mut buf).expect("the delayed send arrives").0, 1);
         assert_eq!(socket.release_in(), None, "nothing is parked any more");
-        let counters = socket.fault_counters();
-        assert_eq!((counters.delayed_in, counters.delayed_out), (3, 1));
+        assert_eq!(socket.fault_counters().delayed_in, 3);
     }
 
     #[test]
     fn link_plans_shadow_the_default_per_origin() {
-        // Default plan clean; one sender gets a dedicated always-drop
-        // link plan — its datagrams die (and are tallied per link), the
-        // other sender's pass untouched.
-        let (socket, doomed, to) = socket_pair(DatagramFaults::clean(11));
+        // One sender gets an always-drop link plan — its datagrams die
+        // (and are tallied per link); the other sender has no plan and
+        // passes untouched.
+        let (socket, doomed, to) = linked_pair(DatagramFaultPlan::clean(12).drop_rate(1.0));
         let fine = UdpSocket::bind("127.0.0.1:0").expect("bind second sender");
-        socket.set_link_plan(
-            doomed.local_addr().expect("addr"),
-            DatagramFaultPlan::clean(12).drop_rate(1.0),
-        );
 
         for i in 0..6u8 {
             doomed.send_to(&[i], to).expect("send doomed");
@@ -1552,11 +1322,7 @@ mod tests {
     fn link_reordering_releases_held_datagrams_on_idle() {
         // A link plan that holds everything: the idle-release path must
         // still hand the datagrams to the caller eventually.
-        let (socket, sender, to) = socket_pair(DatagramFaults::clean(13));
-        socket.set_link_plan(
-            sender.local_addr().expect("addr"),
-            DatagramFaultPlan::clean(14).reorder(1.0, 4),
-        );
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(14).reorder(1.0, 4));
         let seen = pump_datagrams(&socket, &sender, to, 10);
         let mut sorted = seen.clone();
         sorted.sort_unstable();
@@ -1566,8 +1332,7 @@ mod tests {
 
     #[test]
     fn clones_share_fault_state_and_counters() {
-        let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(6).drop_rate(1.0));
-        let (socket, sender, to) = socket_pair(faults);
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(6).drop_rate(1.0));
         let clone = socket.try_clone().expect("clone");
         sender.send_to(&[1], to).expect("send");
         thread::sleep(Duration::from_millis(5));
@@ -1584,8 +1349,7 @@ mod tests {
         // datagram the plan ate as "buffer empty" would stop draining and
         // strand everything queued behind the drop until the next
         // readiness edge — which never comes. The drain must keep pulling.
-        let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(21).drop_rate(0.4));
-        let (socket, sender, to) = socket_pair(faults);
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(21).drop_rate(0.4));
         send_numbered(&sender, to, 30);
         let seen = drain_nonblocking(&socket);
         let dropped = socket.fault_counters().dropped_in as usize;
@@ -1599,11 +1363,7 @@ mod tests {
         // Reorder-held datagrams have no read-timeout path to escape on
         // a nonblocking socket: the caller must see them via
         // release_in() and free them with release_held().
-        let (socket, sender, to) = socket_pair(DatagramFaults::clean(22));
-        socket.set_link_plan(
-            sender.local_addr().expect("addr"),
-            DatagramFaultPlan::clean(23).reorder(1.0, 8),
-        );
+        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(23).reorder(1.0, 8));
         assert_eq!(socket.release_in(), None, "nothing held before traffic");
 
         send_numbered(&sender, to, 4);
@@ -1619,26 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn release_held_flushes_outbound_holds_too() {
-        // Symmetric always-hold plan; only the outbound side sees
-        // traffic in this test.
-        let outbound = DatagramFaults::symmetric(DatagramFaultPlan::clean(24).reorder(1.0, 8));
-        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let socket = FaultySocket::new(inner, outbound).expect("wrap");
-        let receiver = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
-        receiver.set_read_timeout(Some(Duration::from_millis(200))).expect("timeout");
-
-        let to = receiver.local_addr().expect("addr");
-        socket.send_to(b"held", to).expect("send");
-        assert!(socket.release_in().is_some(), "the datagram must be parked outbound");
-        socket.release_held();
-        assert_eq!(socket.release_in(), None);
-        let mut buf = [0u8; 16];
-        let (len, _) = receiver.recv_from(&mut buf).expect("released datagram arrives");
-        assert_eq!(&buf[..len], b"held");
-    }
-
-    #[test]
     fn nonblocking_flag_is_shared_across_clones() {
         // The O_NONBLOCK flag lives on the shared file description:
         // flipping it via one handle must flip the clone too, which is
@@ -1646,7 +1386,7 @@ mod tests {
         // readers. (The read timeout only bounds a failing run.)
         let inner = UdpSocket::bind("127.0.0.1:0").expect("bind");
         inner.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
-        let socket = FaultySocket::new(inner, DatagramFaults::clean(25)).expect("wrap");
+        let socket = FaultySocket::new(inner);
         let clone = socket.try_clone().expect("clone");
         socket.set_nonblocking(true).expect("nonblocking");
         let mut buf = [0u8; 16];
@@ -1661,7 +1401,7 @@ mod tests {
     #[test]
     fn try_recv_matches_blocking_delivery_for_a_clean_plan() {
         // What a blocking reader would have seen: everything, in order.
-        let (socket, sender, to) = socket_pair(DatagramFaults::clean(26));
+        let (socket, sender, to) = socket_pair();
         send_numbered(&sender, to, 12);
         assert_eq!(drain_nonblocking(&socket), (0..12).collect::<Vec<u8>>());
         assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());

@@ -27,22 +27,23 @@
 //!   transports: [`faults::FaultyStream`] over any `Read + Write` plus a
 //!   TCP [`faults::FaultProxy`] (drops, delays, truncation and
 //!   disconnect-at-byte-K), and [`faults::FaultySocket`] over UDP
-//!   (whole-datagram drop/duplicate/reorder/delay per direction, decided
-//!   by the one routine the virtual-time links use too), so every
-//!   transport test can run under adverse conditions reproducibly;
-//! * [`peer`] — the sans-io node state machine and its
-//!   [`peer::PeerNode`] handle on `ltnc-reactor`: event-clocked offers,
+//!   (whole-datagram drop/duplicate/reorder/delay per link, on the
+//!   receiving end, decided by the one routine the virtual-time links
+//!   use too), so every transport test can run under adverse conditions
+//!   reproducibly;
+//! * [`peer`] — the sans-io node state machine: event-clocked offers,
 //!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
 //!   arrivals and offer timeouts), the aggressiveness gate for relays,
-//!   and graceful shutdown with wire-level accounting
-//!   ([`ltnc_metrics::WireCounters`]);
+//!   and wire-level accounting ([`ltnc_metrics::WireCounters`]) in each
+//!   node's [`PeerReport`]. Its tuning is [`NodeOptions`];
 //! * [`swarm`] — one description of a run, [`TopologyConfig`]: an
 //!   overlay [`Topology`] with its source, seeded per-directed-link loss
 //!   ([`TopologyFaults`]) and the node tuning. Its two drivers are
-//!   [`run_swarm`], every node on a localhost UDP socket on the reactor,
-//!   and [`run_virtual_swarm`]; both return the same [`SwarmReport`], and
-//!   nodes are numbered by topology index throughout. The per-hop and
-//!   per-link attribution of a run lives one crate up, in `ltnc-topo`.
+//!   [`run_swarm`], every node on a localhost UDP socket on
+//!   `ltnc-reactor`, and [`run_virtual_swarm`]; both return the same
+//!   [`SwarmReport`], and nodes are numbered by topology index
+//!   throughout. A node runs no other way. The per-hop and per-link
+//!   attribution of a run lives one crate up, in `ltnc-topo`.
 //!
 //! # Example
 //!
@@ -81,11 +82,10 @@ pub use ltnc_session::generation;
 pub use envelope::{Envelope, EnvelopeHeader, Message, MessageKind};
 pub use error::NetError;
 pub use faults::{
-    DatagramFaultCounters, DatagramFaultPlan, DatagramFaults, FaultPlan, FaultProxy, FaultySocket,
-    FaultyStream,
+    DatagramFaultCounters, DatagramFaultPlan, FaultPlan, FaultProxy, FaultySocket, FaultyStream,
 };
 pub use ltnc_session::{split_object, ObjectManifest, ReceiverSession, SourceSession};
-pub use peer::{NodeConfig, NodeOptions, NodeRole, PeerNode, PeerReport};
+pub use peer::{NodeOptions, PeerReport};
 pub use sharded::run_swarm;
 pub use stream::FrameReassembler;
 pub use swarm::{FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig, TopologyFaults};

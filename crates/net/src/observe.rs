@@ -1,10 +1,9 @@
 //! The swarm-level observability plane: reactor instrumentation, the
 //! aggregated scrape registry, and the stall-triggered flight recorder.
 //!
-//! Per-node scrape endpoints ([`crate::NodeOptions::metrics_bind`]) do
-//! not scale to 1000-node swarms — a thousand listeners for one
-//! experiment. This module gives a swarm *one*
-//! endpoint instead ([`crate::TopologyConfig::metrics_bind`]):
+//! A node has no scrape endpoint of its own — a thousand listeners for
+//! one 1000-node experiment would not scale. This module gives a swarm
+//! *one* endpoint ([`crate::TopologyConfig::metrics_bind`]):
 //!
 //! * [`SwarmTelemetry`] implements [`ShardObserver`], turning the
 //!   reactor's scheduler callbacks into one [`ReactorCounters`] per
@@ -75,9 +74,8 @@ struct ShardState {
 
 /// The sharded swarm's [`ShardObserver`]: routes every scheduler
 /// callback into the per-shard [`ReactorCounters`] and, when the flight
-/// recorder is on, stamps the noteworthy ones (wakeups, queue
-/// high-watermarks, late timers, sampled heartbeats) into the shard's
-/// bounded event ring.
+/// recorder is on, stamps the noteworthy ones (wakeups, late timers,
+/// sampled heartbeats) into the shard's bounded event ring.
 pub(crate) struct SwarmTelemetry {
     shards: Vec<ShardState>,
 }
@@ -157,23 +155,12 @@ impl ShardObserver for SwarmTelemetry {
         }
     }
 
-    fn control_drained(&self, shard: usize, messages: usize) {
-        let Some(state) = self.shards.get(shard) else { return };
-        if state.counters.record_control_drain(messages as u64) {
-            state.tracer.emit(|| TraceEvent::QueueHighWatermark {
-                shard: shard as u64,
-                depth: messages as u64,
-            });
-        }
-    }
-
     fn dispatched(&self, shard: usize, kind: Dispatch, took: Duration) {
         let Some(state) = self.shards.get(shard) else { return };
         let ns = nanos(took);
         match kind {
             Dispatch::Readable => state.counters.record_dispatch_readable(ns),
             Dispatch::Timer => state.counters.record_dispatch_timer(ns),
-            Dispatch::Control => state.counters.record_dispatch_control(ns),
         }
     }
 
@@ -435,9 +422,6 @@ fn event_json(event: &TimedEvent) -> JsonValue {
         }
         TraceEvent::Wakeup { shard, coalesced } => {
             doc = doc.field("shard", shard).field("coalesced", coalesced);
-        }
-        TraceEvent::QueueHighWatermark { shard, depth } => {
-            doc = doc.field("shard", shard).field("depth", depth);
         }
         TraceEvent::StallDetected { shard, idle_ms } => {
             doc = doc.field("shard", shard).field("idle_ms", idle_ms);

@@ -1,18 +1,18 @@
 //! The peer node: one protocol state machine, two drivers.
 //!
 //! All coding state ([`SourceSession`] / [`ReceiverSession`]) and every
-//! protocol transition live in one state machine with three entry points
-//! — a datagram arrived, the gossip tick fired, the peer list changed —
-//! which processes inbound messages and pushes header-first transfer
-//! offers, subject to the aggressiveness gate and a per-peer in-flight
-//! budget. The machine is sans-io: it owns no socket and reads no clock.
-//! Every call takes `now` (microseconds on its driver's clock) and
-//! returns the datagrams it emits in an outbox. Two drivers run it: the
-//! reactor (`crate::sharded`, real UDP sockets, a wall-anchored clock) —
-//! a swarm multiplexes many nodes onto a few worker threads, and a
-//! [`PeerNode`] is one node on a one-worker reactor of its own — and the
-//! virtual-time driver (`crate::virtual_time`, in-memory links, simulated
-//! time).
+//! protocol transition live in one state machine with two entry points
+//! once its driver has wired it to its neighbours — a datagram arrived,
+//! the gossip tick fired — which processes inbound messages and pushes
+//! header-first transfer offers, subject to the aggressiveness gate and a
+//! per-peer in-flight budget. The machine is sans-io: it owns no socket
+//! and reads no clock. Every call takes `now` (microseconds on its
+//! driver's clock) and returns the datagrams it emits in an outbox. A
+//! node only ever runs as a member of a swarm ([`crate::TopologyConfig`]),
+//! on one of two drivers: the reactor ([`crate::run_swarm`], real UDP
+//! sockets, a wall-anchored clock, many nodes on a few worker threads)
+//! and the virtual-time driver ([`crate::run_virtual_swarm`], in-memory
+//! links, simulated time).
 //!
 //! Offers leave on **three clocks**, all through the same gates and each
 //! 1:1 with an event, so none can amplify. A *useful* `DATA-PAYLOAD`
@@ -53,9 +53,10 @@
 //! and budget slots not churned — by latency alone. Estimates are
 //! reported in [`PeerReport::rtt_estimates`].
 //!
-//! Seeded datagram loss and reordering live in the driver's links (a
-//! [`FaultySocket`] on the reactor, [`PeerNode::spawn_faulty`]), so a
-//! lossy run exercises exactly the code a clean one does.
+//! Seeded datagram loss and reordering live in the driver's links, on
+//! the receiving end of each ([`crate::TopologyFaults`]; a
+//! [`crate::faults::FaultySocket`] on the reactor), so a lossy run
+//! exercises exactly the code a clean one does.
 //!
 //! The transfer protocol mirrors the paper's binary feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
@@ -64,12 +65,11 @@
 //! `COMPLETE` messages prune finished generations from every sender's
 //! schedule.
 //!
-//! The public handle is deliberately small: spawn, wire up peers, poll
-//! completion, shut down gracefully and collect a [`PeerReport`].
+//! What leaves this module is the tuning ([`NodeOptions`]) and each
+//! node's final accounting ([`PeerReport`]).
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,12 +78,8 @@ use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
-use ltnc_reactor::Reactor;
 use ltnc_scheme::SchemeParams;
-use ltnc_telemetry::{
-    hop_latency_histograms, samples, MetricsRegistry, OfferTrigger, ScrapeOptions, ScrapeServer,
-    TimedEvent, TraceEvent, TraceSink, Tracer,
-};
+use ltnc_telemetry::{OfferTrigger, TimedEvent, TraceEvent, TraceSink, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,9 +87,8 @@ use crate::envelope::{
     self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, TraceContext,
     GENERATION_OBJECT,
 };
-use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults, FaultySocket};
+use crate::faults::DatagramFaultCounters;
 use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
-use crate::sharded::ShardedNode;
 
 /// The datagrams one [`NodeStateMachine`] call emits, in order:
 /// destination and frame bytes. The driver sends them.
@@ -125,7 +120,7 @@ const RTT_TTL_FACTOR: f64 = 4.0;
 const RTT_TTL_CEILING_FACTOR: u32 = 16;
 
 /// What a node is in the session.
-pub enum NodeRole {
+pub(crate) enum NodeRole {
     /// Holds the full object and only emits.
     Source {
         /// The object to disseminate.
@@ -166,11 +161,6 @@ pub struct NodeOptions {
     pub pending_ttl: Duration,
     /// Seed of the node's deterministic RNG.
     pub seed: u64,
-    /// When set, the node serves its live [`WireCounters`] (and injected
-    /// fault counters) over a TCP scrape endpoint bound here — see
-    /// [`PeerNode::metrics_addr`]. Port 0 picks a free port. `None` (the
-    /// default) spawns nothing.
-    pub metrics_bind: Option<SocketAddr>,
 }
 
 impl NodeOptions {
@@ -213,38 +203,38 @@ impl Default for NodeOptions {
             tick: Duration::from_millis(2),
             pending_ttl: Duration::from_millis(250),
             seed: 0xC0DE,
-            metrics_bind: None,
         }
     }
 }
 
-/// Full configuration of one node.
-pub struct NodeConfig {
+/// Full configuration of one node, as [`crate::TopologyConfig`] lays
+/// it out.
+pub(crate) struct NodeConfig {
     /// Session identifier shared by every node of the dissemination.
-    pub session: u64,
+    pub(crate) session: u64,
     /// Source or peer.
-    pub role: NodeRole,
+    pub(crate) role: NodeRole,
     /// Tuning knobs.
-    pub options: NodeOptions,
+    pub(crate) options: NodeOptions,
     /// Optional sink receiving [`TraceEvent`]s from the node's hot paths
     /// (offers, feedback, pacing moves, fault injections). `None` — the
     /// default, see [`NodeConfig::new`] — makes every hook a no-op.
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Force the per-tick live mirror refresh even without a per-node
-    /// metrics endpoint — set by swarm drivers whose *aggregated*
-    /// endpoint reads every node's [`Shared`] mid-run.
+    pub(crate) trace: Option<Arc<dyn TraceSink>>,
+    /// Refresh the node's live mirror each tick — set when the swarm's
+    /// aggregated endpoint reads every node's [`Shared`] mid-run.
     pub(crate) publish_live: bool,
 }
 
 impl NodeConfig {
     /// A configuration with no trace sink installed.
-    #[must_use]
-    pub fn new(session: u64, role: NodeRole, options: NodeOptions) -> NodeConfig {
+    pub(crate) fn new(session: u64, role: NodeRole, options: NodeOptions) -> NodeConfig {
         NodeConfig { session, role, options, trace: None, publish_live: false }
     }
 }
 
-/// Final accounting returned by [`PeerNode::shutdown`].
+/// Final accounting of one node of a swarm, in
+/// [`crate::SwarmReport::source_report`] and
+/// [`crate::SwarmReport::peer_reports`].
 #[derive(Debug, Clone)]
 pub struct PeerReport {
     /// Transport-level counters.
@@ -259,8 +249,8 @@ pub struct PeerReport {
     pub decoding: OpCounters,
     /// Coding cost of the emission/recoding path.
     pub recoding: OpCounters,
-    /// Faults the driver injected on the node's links (all zero on clean
-    /// links, such as [`PeerNode::spawn`]'s socket).
+    /// Faults the driver injected on the links into the node (all zero
+    /// on clean links).
     pub faults: DatagramFaultCounters,
     /// Final per-peer loss estimates (EWMA over offer outcomes: feedback
     /// arrived = 0, offer timed out = 1), sorted by peer address.
@@ -269,14 +259,12 @@ pub struct PeerReport {
     /// round trips; peers that never answered are absent), sorted by peer
     /// address. Each peer's pending TTL was derived from this estimate.
     pub rtt_estimates: Vec<(SocketAddr, Duration)>,
-    /// Faults injected per inbound link plan
-    /// ([`PeerNode::set_link_faults`]), keyed by sender address — the
-    /// per-link attribution of [`PeerReport::faults`] in swarm runs.
+    /// Faults injected per link into the node that has a plan
+    /// ([`crate::TopologyFaults`]), keyed by sender address — the
+    /// per-link attribution of [`PeerReport::faults`].
     pub link_faults: Vec<(SocketAddr, DatagramFaultCounters)>,
-    /// Trace events recorded during the run, oldest first. Populated by
-    /// harnesses that install a draining sink (e.g. a swarm run with
-    /// [`crate::TopologyConfig::trace_capacity`] set); empty when no sink
-    /// was attached or the sink is owned by the caller.
+    /// Trace events recorded during the run, oldest first, when
+    /// [`crate::TopologyConfig::trace_capacity`] is set; empty otherwise.
     pub events: Vec<TimedEvent>,
     /// Origin→delivery latency distributions from wire-carried trace
     /// contexts, one entry per populated hop depth (number of overlay
@@ -286,7 +274,7 @@ pub struct PeerReport {
 }
 
 /// State a node publishes for observers outside its reactor worker:
-/// the [`PeerNode`] handle, the scrape endpoints and the swarm driver's
+/// the swarm's scrape endpoint, its flight recorder and the driver's
 /// completion poll.
 #[derive(Default)]
 pub(crate) struct Shared {
@@ -296,8 +284,9 @@ pub(crate) struct Shared {
     pub(crate) driver: OnceLock<Thread>,
     pub(crate) complete_generations: AtomicUsize,
     /// Live mirror of the state machine's [`WireCounters`], refreshed
-    /// once per gossip tick — only when a metrics endpoint is attached
-    /// ([`NodeOptions::metrics_bind`]); never touched otherwise.
+    /// once per gossip tick — only when the swarm's metrics endpoint is
+    /// up ([`crate::TopologyConfig::metrics_bind`]); never touched
+    /// otherwise.
     pub(crate) wire: Mutex<WireCounters>,
     /// Origin→delivery latency histograms keyed by hop depth, recorded
     /// lock-free by the state machine on every payload arrival and read
@@ -326,143 +315,6 @@ impl Shared {
     pub(crate) fn wire_snapshot(&self) -> WireCounters {
         self.wire.lock().map(|wire| *wire).unwrap_or_default()
     }
-}
-
-/// Handle to a running node: the owner of a one-node, one-worker
-/// reactor. Dropping the handle without [`PeerNode::shutdown`] stops the
-/// node too; only its report is lost.
-pub struct PeerNode {
-    local_addr: SocketAddr,
-    /// A handle onto the node's socket sharing its fault state, kept so
-    /// link plans can be installed after spawn (addresses are only known
-    /// once every node of a topology is bound).
-    socket: FaultySocket,
-    shared: Arc<Shared>,
-    metrics_addr: Option<SocketAddr>,
-    reactor: Reactor<ShardedNode>,
-}
-
-impl PeerNode {
-    /// Binds a UDP socket on `bind` (use port 0 for an ephemeral port) and
-    /// starts the node's reactor worker. The node stays quiet until
-    /// [`PeerNode::set_peers`] wires it into the swarm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket creation/configuration failures.
-    pub fn spawn(bind: SocketAddr, config: NodeConfig) -> io::Result<PeerNode> {
-        let seed = config.options.seed;
-        PeerNode::spawn_faulty(bind, config, DatagramFaults::clean(seed))
-    }
-
-    /// Like [`PeerNode::spawn`], but every datagram this node sends or
-    /// receives crosses the seeded `faults` plans first — the way the
-    /// swarm tests emulate lossy, reordering links without touching the
-    /// protocol code.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket creation/configuration failures.
-    pub fn spawn_faulty(
-        bind: SocketAddr,
-        config: NodeConfig,
-        faults: DatagramFaults,
-    ) -> io::Result<PeerNode> {
-        let node = ShardedNode::bind(bind, config, faults)?;
-        Ok(PeerNode {
-            local_addr: node.local_addr,
-            socket: node.socket.try_clone()?,
-            shared: Arc::clone(&node.shared),
-            metrics_addr: node.metrics_addr(),
-            reactor: Reactor::start(vec![node], 1)?,
-        })
-    }
-
-    /// Installs a dedicated inbound fault plan for datagrams arriving
-    /// from `from` — one overlay *link* of a topology, identified by its
-    /// sender. Overrides the node's default inbound plan for that origin
-    /// only; injected faults are tallied per link in
-    /// [`PeerReport::link_faults`] (and in [`PeerReport::faults`]).
-    pub fn set_link_faults(&self, from: SocketAddr, plan: DatagramFaultPlan) {
-        self.socket.set_link_plan(from, plan);
-    }
-
-    /// The socket address this node receives on.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Wires the node into the swarm and starts its offers; a later call
-    /// replaces the targets.
-    pub fn set_peers(&self, peers: Vec<SocketAddr>) {
-        self.reactor.send(0, peers);
-    }
-
-    /// Whether the node has decoded every generation (sources report
-    /// `true` immediately).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.shared.complete.load(Ordering::Acquire)
-    }
-
-    /// Number of generations decoded so far.
-    #[must_use]
-    pub fn complete_generations(&self) -> usize {
-        self.shared.complete_generations.load(Ordering::Acquire)
-    }
-
-    /// The node's live wire counters, as published once per gossip tick.
-    /// Only meaningful with [`NodeOptions::metrics_bind`] set (the node
-    /// skips the mirror otherwise and this returns zeros until shutdown).
-    #[must_use]
-    pub fn counters(&self) -> WireCounters {
-        self.shared.wire_snapshot()
-    }
-
-    /// The address of the node's metrics scrape endpoint (`GET /metrics`
-    /// for Prometheus text, `GET /metrics.json` for JSON), or `None`
-    /// when [`NodeOptions::metrics_bind`] was not set.
-    #[must_use]
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
-    }
-
-    /// Graceful shutdown: stops gossiping, drains what already reached
-    /// the socket, joins the worker and returns the final report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node's worker thread panicked.
-    #[must_use]
-    pub fn shutdown(self) -> PeerReport {
-        self.reactor.shutdown().pop().expect("the reactor ran exactly this node")
-    }
-}
-
-/// Spawns the node's metrics scrape endpoint when
-/// [`NodeOptions::metrics_bind`] is set. The endpoint reads the shared
-/// live mirror (refreshed per tick by the state machine) and the
-/// socket's fault totals — it never touches state-machine state
-/// directly.
-pub(crate) fn spawn_scrape(
-    options: &NodeOptions,
-    local_addr: SocketAddr,
-    shared: &Arc<Shared>,
-    socket: &FaultySocket,
-) -> io::Result<Option<ScrapeServer>> {
-    let Some(addr) = options.metrics_bind else { return Ok(None) };
-    let registry = Arc::new(MetricsRegistry::new());
-    let node_label = [("node", local_addr.to_string())];
-    let wire_shared = Arc::clone(shared);
-    registry.register("wire", &node_label, move || samples(&wire_shared.wire_snapshot()));
-    let latency_shared = Arc::clone(shared);
-    registry.register_histograms("wire", &node_label, move || {
-        hop_latency_histograms(&latency_shared.latency)
-    });
-    let fault_handle = socket.try_clone()?;
-    registry.register("faults", &node_label, move || samples(&fault_handle.fault_counters()));
-    Ok(Some(ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?))
 }
 
 struct PendingTransfer {
@@ -542,7 +394,6 @@ impl NodeStateMachine {
     /// never see it incomplete.
     pub(crate) fn new(config: NodeConfig, shared: Arc<Shared>) -> NodeStateMachine {
         let tracer = Tracer::from_option(config.trace);
-        let publish_live = config.options.metrics_bind.is_some() || config.publish_live;
         let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
                 let source = SourceSession::new(&object, params);
@@ -574,7 +425,7 @@ impl NodeStateMachine {
             wire: WireCounters::new(),
             shared,
             tracer,
-            publish_live,
+            publish_live: config.publish_live,
         }
     }
 
@@ -1046,17 +897,11 @@ impl NodeStateMachine {
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
-    use std::net::UdpSocket;
     use std::rc::Rc;
-    use std::thread;
-    use std::time::Instant;
 
     use super::*;
+    use crate::{run_virtual_swarm, Topology, TopologyConfig};
     use ltnc_scheme::SchemeKind;
-
-    fn loopback() -> SocketAddr {
-        "127.0.0.1:0".parse().expect("valid addr")
-    }
 
     fn quick_options(seed: u64) -> NodeOptions {
         NodeOptions { tick: Duration::from_millis(1), seed, ..NodeOptions::default() }
@@ -1064,53 +909,37 @@ mod tests {
 
     #[test]
     fn source_reports_complete_immediately() {
+        // Complete on `Shared` before any driver schedules it, so no
+        // completion observer ever sees a source incomplete.
         let params = SchemeParams::new(SchemeKind::Ltnc, 8, 4);
-        let node = PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(1, NodeRole::Source { object: vec![7; 64], params }, quick_options(1)),
-        )
-        .expect("spawn");
-        assert!(node.is_complete());
-        assert_eq!(node.complete_generations(), 2);
-        let report = node.shutdown();
+        let role = NodeRole::Source { object: vec![7; 64], params };
+        let shared = Arc::new(Shared::default());
+        let sm = NodeStateMachine::new(NodeConfig::new(1, role, quick_options(1)), shared.clone());
+        assert!(shared.complete.load(Ordering::Acquire));
+        assert_eq!(shared.complete_generations.load(Ordering::Acquire), 2);
+        let report = sm.into_report();
         assert!(report.complete);
+        assert_eq!(report.complete_generations, 2);
         assert!(report.object.is_none(), "sources do not reassemble");
     }
 
     #[test]
-    fn one_source_one_peer_end_to_end() {
-        let params = SchemeParams::new(SchemeKind::Rlnc, 8, 4);
-        let object: Vec<u8> = (0..100u32).map(|i| (i * 13 % 251) as u8).collect();
-        let source = PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(
-                9,
-                NodeRole::Source { object: object.clone(), params },
-                quick_options(2),
-            ),
-        )
-        .expect("spawn source");
-        let manifest = crate::generation::split_object(&object, params).0;
-        let peer = PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(9, NodeRole::Peer { manifest }, quick_options(3)),
-        )
-        .expect("spawn peer");
-
-        source.set_peers(vec![peer.local_addr()]);
-        peer.set_peers(vec![]);
-
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !peer.is_complete() && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert!(peer.is_complete(), "peer did not complete in time");
-
-        let peer_report = peer.shutdown();
-        let source_report = source.shutdown();
-        assert_eq!(peer_report.object.as_deref(), Some(&object[..]), "bit-exact reconstruction");
-        assert!(source_report.wire.transfers_offered > 0);
-        assert!(peer_report.wire.useful_deliveries > 0);
+    fn shutdown_without_peers_is_clean() {
+        // Line 0-1-2-3 with the source at 2: node 3's only neighbour is
+        // the source, so it has no one to push to. It decodes from what
+        // the source offers it, answers, and never offers anything.
+        let object = (0..200u32).map(|i| (i * 7 % 256) as u8).collect();
+        let mut config = TopologyConfig::quick(SchemeKind::Rlnc, object, Topology::line(4));
+        config.source = 2;
+        config.code_length = 4;
+        config.payload_size = 16;
+        assert!(config.nodes().1[3].peers.is_empty(), "the leaf has an empty push set");
+        let report = run_virtual_swarm(&config);
+        assert!(report.converged && report.bit_exact, "{report:?}");
+        let leaf = &report.peer_reports[2];
+        assert!(leaf.complete);
+        assert_eq!(leaf.wire.transfers_offered, 0, "a leaf behind the source offers nothing");
+        assert!(leaf.loss_estimates.is_empty() && leaf.rtt_estimates.is_empty());
     }
 
     /// A source state machine to unit-test the pacing arithmetic on.
@@ -1263,92 +1092,6 @@ mod tests {
         let (reported_peer, rtt) = report.rtt_estimates.first().expect("rtt tracked");
         assert_eq!(*reported_peer, peer);
         assert!(*rtt > Duration::from_millis(100));
-    }
-
-    #[test]
-    fn shutdown_without_peers_is_clean() {
-        let params = SchemeParams::new(SchemeKind::Wc, 4, 2);
-        let manifest = crate::generation::split_object(&[1, 2, 3], params).0;
-        let node = PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(5, NodeRole::Peer { manifest }, quick_options(4)),
-        )
-        .expect("spawn");
-        assert!(!node.is_complete());
-        let report = node.shutdown();
-        assert!(!report.complete);
-        assert_eq!(report.wire.datagrams_sent, 0);
-    }
-
-    /// A source on its own reactor whose unanswered offers die after
-    /// 20 ms: a raw socket it is wired to hears a steady trickle.
-    fn trickling_source(seed: u64) -> PeerNode {
-        let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
-        let options = NodeOptions { pending_ttl: Duration::from_millis(20), ..quick_options(seed) };
-        PeerNode::spawn(
-            loopback(),
-            NodeConfig::new(3, NodeRole::Source { object: vec![5u8; 8], params }, options),
-        )
-        .expect("spawn source")
-    }
-
-    fn raw_socket() -> (UdpSocket, SocketAddr) {
-        let socket = UdpSocket::bind(loopback()).expect("bind");
-        let addr = socket.local_addr().expect("addr");
-        (socket, addr)
-    }
-
-    /// Whether a `DATA-HEADER` reaches `socket` within five seconds.
-    fn hears_an_offer(socket: &UdpSocket) -> bool {
-        socket.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let mut buf = [0u8; 2048];
-        socket
-            .recv_from(&mut buf)
-            .is_ok_and(|(len, _)| kind(&buf[..len]) == MessageKind::DataHeader)
-    }
-
-    /// Whether `socket` falls silent for 250 ms (a dozen offer TTLs)
-    /// before five seconds are up.
-    fn goes_quiet(socket: &UdpSocket) -> bool {
-        socket.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut buf = [0u8; 2048];
-        while Instant::now() < deadline {
-            if socket.recv_from(&mut buf).is_err() {
-                return true;
-            }
-        }
-        false
-    }
-
-    #[test]
-    fn set_peers_after_spawn_starts_offers_and_a_second_call_replaces_the_targets() {
-        let source = trickling_source(31);
-        let ((first, first_addr), (second, second_addr)) = (raw_socket(), raw_socket());
-
-        // The node has been running unwired; wiring it is a control
-        // message to a live worker, not a restart.
-        source.set_peers(vec![first_addr]);
-        assert!(hears_an_offer(&first), "set_peers must start the offers");
-
-        source.set_peers(vec![second_addr]);
-        assert!(hears_an_offer(&second), "the new target must be offered to");
-        assert!(goes_quiet(&first), "the replaced target must stop hearing offers");
-        assert!(hears_an_offer(&second), "while the new one keeps hearing them");
-        let _ = source.shutdown();
-    }
-
-    #[test]
-    fn a_dropped_node_stops_gossiping() {
-        let source = trickling_source(32);
-        let (peer, peer_addr) = raw_socket();
-        source.set_peers(vec![peer_addr]);
-        assert!(hears_an_offer(&peer));
-
-        // No shutdown(): the worker must still stop, and with it the
-        // offers — a leaked node would re-offer every TTL forever.
-        drop(source);
-        assert!(goes_quiet(&peer), "a dropped node kept offering");
     }
 
     /// In-memory links between hand-driven state machines: each

@@ -7,8 +7,9 @@
 //! edge-triggered, whose gossip tick is a reactor timer, and whose
 //! held-datagram release (the fault layer's reorder, duplicate and delay
 //! holds) is a second, on-demand timer. A swarm ([`run_swarm`]) is
-//! many such nodes on a few workers; a single [`crate::PeerNode`] is one
-//! of them on a one-worker reactor of its own.
+//! many such nodes on a few workers, and it is the only way a node runs
+//! here: every node is wired to its neighbours before the reactor
+//! starts, and nothing rewires it after.
 //!
 //! [`ShardedNode`] is the only adapter that reads the wall clock or
 //! touches a socket: it hands the sans-io state machine each datagram
@@ -29,9 +30,9 @@ use ltnc_reactor::{Cx, Driven, Reactor};
 use ltnc_telemetry::{ScrapeOptions, ScrapeServer, Tracer};
 
 use crate::envelope::TraceContext;
-use crate::faults::{DatagramFaults, FaultySocket};
+use crate::faults::FaultySocket;
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
-use crate::peer::{spawn_scrape, NodeConfig, NodeStateMachine, Outbox, PeerReport, Shared};
+use crate::peer::{NodeConfig, NodeStateMachine, Outbox, PeerReport, Shared};
 use crate::swarm::{assemble_report, FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig};
 
 /// Timer tag of the recurring gossip tick.
@@ -49,10 +50,8 @@ const COMPLETION_POLL: Duration = Duration::from_millis(5);
 pub(crate) struct ShardedNode {
     /// `Some` until [`Driven::finish`] extracts the report.
     sm: Option<NodeStateMachine>,
-    /// The node's socket, behind its fault plans.
+    /// The node's socket, behind the fault plans of its links.
     pub(crate) socket: FaultySocket,
-    /// The address the node receives on.
-    pub(crate) local_addr: SocketAddr,
     /// What the node publishes for observers outside its worker.
     pub(crate) shared: Arc<Shared>,
     /// The node's clock: the wall clock at bind, in microseconds, plus
@@ -65,56 +64,34 @@ pub(crate) struct ShardedNode {
     tick: Duration,
     /// Whether a RELEASE timer is already pending (one at a time).
     release_armed: bool,
-    /// Metrics endpoint, when [`crate::NodeOptions::metrics_bind`] asked
-    /// for one; shut down in [`Driven::finish`].
-    scrape: Option<ScrapeServer>,
 }
 
 impl ShardedNode {
-    /// Builds a node, quiet until it is given peers: binds `bind` behind
-    /// `faults`, switches the socket to nonblocking, anchors the node's
-    /// clock, starts the per-node scrape endpoint when
-    /// [`crate::NodeOptions::metrics_bind`] asks for one, and constructs
-    /// the state machine. The only place in the crate a socket-backed
-    /// node is put together.
-    pub(crate) fn bind(
-        bind: SocketAddr,
+    /// Builds a node on the bound `socket`, wired to push to `peers`:
+    /// wraps the socket for link faults (every link clean until a plan is
+    /// set on [`ShardedNode::socket`]), switches it to nonblocking,
+    /// anchors the node's clock and constructs the state machine. The
+    /// only place in the crate a socket-backed node is put together.
+    pub(crate) fn new(
+        socket: UdpSocket,
         config: NodeConfig,
-        faults: DatagramFaults,
+        peers: Vec<SocketAddr>,
     ) -> io::Result<ShardedNode> {
-        let tracer = Tracer::from_option(config.trace.clone());
-        let socket = FaultySocket::with_tracer(UdpSocket::bind(bind)?, faults, tracer)?;
+        let socket = FaultySocket::with_tracer(socket, Tracer::from_option(config.trace.clone()));
         socket.set_nonblocking(true)?;
-        let local_addr = socket.local_addr()?;
-
         let shared = Arc::new(Shared::default());
-        let scrape = spawn_scrape(&config.options, local_addr, &shared, &socket)?;
         let tick = config.options.tick;
-        let sm = NodeStateMachine::new(config, Arc::clone(&shared));
+        let mut sm = NodeStateMachine::new(config, Arc::clone(&shared));
+        sm.set_peers(peers);
         Ok(ShardedNode {
             sm: Some(sm),
             socket,
-            local_addr,
             shared,
             anchor: (Instant::now(), TraceContext::now_micros()),
             outbox: Outbox::new(),
             tick,
             release_armed: false,
-            scrape,
         })
-    }
-
-    /// Where the per-node scrape endpoint listens, if there is one.
-    pub(crate) fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.scrape.as_ref().map(ScrapeServer::local_addr)
-    }
-
-    /// Wires the node in (or re-wires it) — before the reactor starts, or
-    /// from [`Driven::on_control`] afterwards.
-    fn set_peers(&mut self, peers: Vec<SocketAddr>) {
-        if let Some(sm) = self.sm.as_mut() {
-            sm.set_peers(peers);
-        }
     }
 
     /// Drains the socket to `WouldBlock` — the edge-triggered contract —
@@ -172,8 +149,6 @@ fn send_all(socket: &FaultySocket, outbox: &mut Outbox) {
 }
 
 impl Driven for ShardedNode {
-    /// The node's new push targets ([`crate::PeerNode::set_peers`]).
-    type Control = Vec<SocketAddr>;
     type Output = PeerReport;
 
     fn fd(&self) -> RawFd {
@@ -209,14 +184,7 @@ impl Driven for ShardedNode {
         }
     }
 
-    fn on_control(&mut self, peers: Vec<SocketAddr>, _cx: &mut Cx) {
-        self.set_peers(peers);
-    }
-
     fn finish(&mut self) -> PeerReport {
-        if let Some(scrape) = self.scrape.take() {
-            scrape.shutdown();
-        }
         let mut report = self.sm.take().expect("finish is called exactly once").into_report();
         report.faults = self.socket.fault_counters();
         report.link_faults = self.socket.link_counters();
@@ -247,33 +215,29 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let node_count = setups.len();
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
 
+    // Every socket is bound first, so each node is built knowing all
+    // its neighbours' addresses. An early `?` drops what exists so far;
+    // no reactor threads exist yet.
+    let sockets = (0..node_count).map(|_| UdpSocket::bind(bind)).collect::<io::Result<Vec<_>>>()?;
+    let node_addrs =
+        sockets.iter().map(UdpSocket::local_addr).collect::<io::Result<Vec<SocketAddr>>>()?;
     let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
-    let mut wiring = Vec::with_capacity(node_count);
     let mut sinks = Vec::with_capacity(node_count);
     let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
-    let mut node_addrs: Vec<SocketAddr> = Vec::with_capacity(node_count);
-    for setup in setups {
-        // An early `?` here drops the nodes built so far; their
-        // ScrapeServers stop on drop, and no reactor threads exist yet.
-        // Loss is per link, so every socket's default plans are clean.
-        let node = ShardedNode::bind(bind, setup.config, DatagramFaults::clean(0))?;
-        // The completion loop below parks; a node finishing unparks it.
-        let _ = node.shared.driver.set(thread::current());
-        wiring.push((setup.peers, setup.links));
-        sinks.push(setup.sink);
-        completion.push(Arc::clone(&node.shared));
-        node_addrs.push(node.local_addr);
-        nodes.push(node);
-    }
-
-    // Link plans and peer wiring both go in before the reactor exists —
-    // no state machine runs until Reactor::start, so there is no window
-    // where early datagrams cross a link un-faulted.
-    for (node, (peers, links)) in nodes.iter_mut().zip(wiring) {
-        for (from, plan) in links {
+    for (socket, setup) in sockets.into_iter().zip(setups) {
+        let peers = setup.peers.iter().map(|&to| node_addrs[to]).collect();
+        let node = ShardedNode::new(socket, setup.config, peers)?;
+        // Link plans go in before the reactor exists — no state machine
+        // runs until Reactor::start, so there is no window where early
+        // datagrams cross a link un-faulted.
+        for (from, plan) in setup.links {
             node.socket.set_link_plan(node_addrs[from], plan);
         }
-        node.set_peers(peers.iter().map(|&to| node_addrs[to]).collect());
+        // The completion loop below parks; a node finishing unparks it.
+        let _ = node.shared.driver.set(thread::current());
+        sinks.push(setup.sink);
+        completion.push(Arc::clone(&node.shared));
+        nodes.push(node);
     }
 
     // Instrumentation is opt-in: with neither the aggregated endpoint
@@ -447,16 +411,17 @@ mod tests {
             NodeConfig::new(1, NodeRole::Source { object: vec![7; 8], params }, options)
         };
         let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
-        let bind: SocketAddr = "127.0.0.1:0".parse().expect("addr");
-        let a = ShardedNode::bind(bind, source(1), DatagramFaults::inbound(held)).expect("bind A");
-        let mut b = ShardedNode::bind(bind, source(2), DatagramFaults::clean(2)).expect("bind B");
-        let peer = UdpSocket::bind(bind).expect("bind the peer");
+        let bind = || UdpSocket::bind("127.0.0.1:0").expect("bind");
+        let (peer, pest) = (bind(), bind());
         peer.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
-        b.set_peers(vec![peer.local_addr().expect("addr")]);
-        let (a_addr, b_addr) = (a.local_addr, b.local_addr);
+        let a = ShardedNode::new(bind(), source(1), Vec::new()).expect("build A");
+        a.socket.set_link_plan(pest.local_addr().expect("addr"), held);
+        let b = ShardedNode::new(bind(), source(2), vec![peer.local_addr().expect("addr")])
+            .expect("build B");
+        let addr = |node: &ShardedNode| node.socket.local_addr().expect("addr");
+        let (a_addr, b_addr) = (addr(&a), addr(&b));
         let reactor = Reactor::start(vec![a, b], 1).expect("start");
 
-        let pest = UdpSocket::bind(bind).expect("bind");
         let until = Instant::now() + Duration::from_millis(300);
         let mut buf = [0u8; 2048];
         while Instant::now() < until {

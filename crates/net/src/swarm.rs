@@ -118,9 +118,9 @@ pub struct TopologyConfig {
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
     /// flight recorder is on): rolled-up wire counters, merged
     /// hop-latency histograms, decoder-progress gauges, and per-shard
-    /// `reactor` scheduler families. The scalable alternative to a
-    /// [`NodeOptions::metrics_bind`] listener per node. Port 0 picks a
-    /// free port. `None` (the default) serves nothing.
+    /// `reactor` scheduler families. It is the only scrape endpoint a
+    /// UDP node has. Port 0 picks a free port. `None` (the default)
+    /// serves nothing.
     pub metrics_bind: Option<SocketAddr>,
     /// When set, the run has a stall watchdog and keeps a bounded
     /// per-shard flight ring of scheduler trace events, dumping a JSON
@@ -158,8 +158,8 @@ impl Default for FlightRecorder {
 /// `ltnc-reactor` epoll runtime, sharded across `workers` poll-driven
 /// worker threads. There is no other runtime; this stays an enum with
 /// one variant only because the frozen `benchmark/` crate writes
-/// `SwarmRuntime::Sharded { workers }` (ROADMAP item D: collapse it to
-/// `workers: usize` in a benchmark-only PR).
+/// `SwarmRuntime::Sharded { workers }` (the ROADMAP's benchmark-only
+/// backlog collapses it to `workers: usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwarmRuntime {
     /// Every node multiplexed onto `workers` reactor worker threads.
@@ -231,8 +231,7 @@ impl TopologyConfig {
                 let mut config = NodeConfig::new(self.session, role, options);
                 config.trace = sink.clone().map(|sink| sink as _);
                 // The aggregated endpoint reads every node's live mirror,
-                // so the per-tick refresh must run even without per-node
-                // endpoints.
+                // which the nodes then refresh once per tick.
                 config.publish_live = self.metrics_bind.is_some();
                 let neighbors = topology.neighbors(index);
                 NodeSetup {

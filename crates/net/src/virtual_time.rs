@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use ltnc_telemetry::Tracer;
 
-use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, InboundState, IDLE_RELEASE};
+use crate::faults::{InboundState, IDLE_RELEASE};
 use crate::peer::{NodeStateMachine, Outbox, PeerReport, Shared};
 use crate::swarm::{assemble_report, SwarmReport, TopologyConfig};
 
@@ -68,7 +68,6 @@ struct Node {
     sm: NodeStateMachine,
     shared: Arc<Shared>,
     inbound: InboundState,
-    faults: DatagramFaultCounters,
     tracer: Tracer,
     /// Whether a [`What::Release`] is pending (one at a time).
     release_armed: bool,
@@ -126,22 +125,15 @@ impl World {
     }
 
     /// A datagram from node `from` reaches node `to`: it crosses the
-    /// inbound plan its origin routes to.
+    /// plan of that link, if it has one.
     fn arrive(&mut self, to: usize, from: usize, bytes: Vec<u8>) {
         let origin = addr(from);
         let node = &mut self.nodes[to];
-        if node.inbound.is_clean() {
+        let Some((fate, _)) = node.inbound.decide(&bytes, origin) else {
             self.handle(to, origin, &bytes);
             return;
-        }
-        let (dir, link) = node.inbound.route(origin);
-        let fate = dir.decide(&bytes, origin);
-        let delta = fate.counters(true);
-        if let Some(link) = link {
-            link.merge(&delta);
-        }
-        node.faults.merge(&delta);
-        fate.trace(&node.tracer, true, origin);
+        };
+        fate.trace(&node.tracer, origin);
         for _ in 0..fate.copies() {
             match fate.delay {
                 Some(delay) => {
@@ -206,18 +198,11 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         let tracer = Tracer::from_option(setup.config.trace.clone());
         let mut sm = NodeStateMachine::new(setup.config, Arc::clone(&shared));
         sm.set_peers(setup.peers.iter().map(|&to| addr(to)).collect());
-        let mut inbound = InboundState::new(DatagramFaultPlan::clean(0));
+        let mut inbound = InboundState::default();
         for (from, plan) in setup.links {
             inbound.set_link(addr(from), plan);
         }
-        world.nodes.push(Node {
-            sm,
-            shared,
-            inbound,
-            faults: DatagramFaultCounters::default(),
-            tracer,
-            release_armed: false,
-        });
+        world.nodes.push(Node { sm, shared, inbound, tracer, release_armed: false });
         sinks.push(setup.sink);
     }
     let period = micros(config.options.tick).max(1);
@@ -259,7 +244,7 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         .zip(sinks)
         .map(|(node, sink)| {
             let mut report = node.sm.into_report();
-            report.faults = node.faults;
+            report.faults = node.inbound.totals();
             report.link_faults = node.inbound.link_counters();
             if let Some(sink) = sink {
                 report.events = sink.drain();
@@ -275,7 +260,7 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Topology, TopologyFaults};
+    use crate::{DatagramFaultPlan, Topology, TopologyFaults};
     use ltnc_scheme::SchemeKind;
 
     fn config(scheme: SchemeKind, topology: Topology) -> TopologyConfig {

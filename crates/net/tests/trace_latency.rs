@@ -1,129 +1,114 @@
-//! End-to-end validation of the wire-carried trace context (PR 7): a
-//! 4-hop line under 20% per-link loss must (a) expose non-empty
-//! `ltnc_*_bucket{le="…"}` latency histograms on a node's live scrape
-//! endpoint *mid-run*, and (b) end with per-hop origin→delivery
-//! distributions in the shutdown reports whose depths reflect the
-//! recode lineage the envelopes carried.
+//! End-to-end validation of the wire-carried trace context: a 4-hop
+//! line under 20% per-link loss, run by `run_swarm`, must (a) expose
+//! non-empty `ltnc_*_bucket{le="…"}` latency histograms on the swarm's
+//! aggregated scrape endpoint *mid-run*, and (b) end with per-hop
+//! origin→delivery distributions in the peer reports whose depths
+//! reflect the recode lineage the envelopes carried.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ltnc_net::faults::DatagramFaultPlan;
-use ltnc_net::generation::split_object;
-use ltnc_net::{NodeConfig, NodeOptions, NodeRole, PeerNode};
-use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_net::{run_swarm, NodeOptions, Topology, TopologyConfig, TopologyFaults};
+use ltnc_scheme::SchemeKind;
 
-fn loopback() -> SocketAddr {
-    "127.0.0.1:0".parse().expect("valid addr")
+/// Reserves an ephemeral localhost port: bind, note, release. The tiny
+/// reuse race is acceptable in a test.
+fn reserve_port() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    listener.local_addr().expect("local addr")
 }
 
-/// One blocking HTTP GET against a scrape endpoint, body returned.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("scrape endpoint reachable");
-    stream.set_read_timeout(Some(Duration::from_secs(2))).expect("timeout");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
-        .expect("request written");
+/// One HTTP GET against the scrape endpoint, body returned; `None` when
+/// the endpoint is not (or no longer) accepting.
+fn http_get(addr: SocketAddr, path: &str) -> Option<String> {
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
+    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").ok()?;
     let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response
+    stream.read_to_string(&mut response).ok()?;
+    Some(response)
+}
+
+/// What the scraper saw mid-run: the first page carrying a non-empty
+/// latency bucket, and the `/healthz` answer fetched right after it.
+struct MidRun {
+    exposition: String,
+    healthz: String,
+}
+
+fn has_a_filled_bucket(exposition: &str) -> bool {
+    exposition.lines().any(|line| {
+        line.starts_with("ltnc_wire_delivery_latency_us_bucket")
+            && line.contains("le=\"")
+            && !line.trim_end().ends_with(" 0")
+    })
 }
 
 #[test]
 fn four_hop_line_scrapes_latency_histograms_mid_run() {
     // Line S(0) - 1 - 2 - 3 - 4 with every directed link dropping 20%.
-    let params = SchemeParams::new(SchemeKind::Ltnc, 8, 16);
     let object: Vec<u8> = (0..600u32).map(|i| (i * 31 % 256) as u8).collect();
-    let manifest = split_object(&object, params).0;
-    let session = 0x7_EACE;
-    let options = |seed: u64, metrics: bool| NodeOptions {
-        tick: Duration::from_millis(1),
-        seed,
-        metrics_bind: metrics.then(loopback),
-        ..NodeOptions::default()
-    };
+    let mut config = TopologyConfig::quick(SchemeKind::Ltnc, object.clone(), Topology::line(5));
+    config.code_length = 8;
+    config.payload_size = 16;
+    config.session = 0x7_EACE;
+    config.options = NodeOptions { tick: Duration::from_millis(1), seed: 0xBEEF, ..config.options };
+    config.link_faults = TopologyFaults::uniform(DatagramFaultPlan::clean(0xD0_5E).drop_rate(0.2));
+    let scrape_addr = reserve_port();
+    config.metrics_bind = Some(scrape_addr);
 
-    let mut nodes = Vec::new();
-    for i in 0..5usize {
-        let role = if i == 0 {
-            NodeRole::Source { object: object.clone(), params }
-        } else {
-            NodeRole::Peer { manifest }
-        };
-        // Only the far end of the line serves a scrape endpoint: its
-        // histograms can only fill through the whole lossy chain.
-        let config = NodeConfig::new(session, role, options(0xBEEF + i as u64, i == 4));
-        nodes.push(PeerNode::spawn(loopback(), config).expect("spawn"));
-    }
-    let addrs: Vec<SocketAddr> = nodes.iter().map(PeerNode::local_addr).collect();
-    let scrape_addr = nodes[4].metrics_addr().expect("node 4 serves metrics");
-
-    // 20% loss on every directed link of the line, installed before the
-    // starting gun (set_peers).
-    for (i, node) in nodes.iter().enumerate() {
-        for neighbor in [i.wrapping_sub(1), i + 1] {
-            if neighbor < 5 && neighbor.abs_diff(i) == 1 {
-                let seed = 0xD0_5E ^ ((neighbor as u64) << 8 | i as u64);
-                node.set_link_faults(
-                    addrs[neighbor],
-                    DatagramFaultPlan::clean(seed).drop_rate(0.2),
-                );
+    // Mid-run: poll the aggregated scrape until the merged latency
+    // histogram shows up with a filled le-bucket — while the
+    // dissemination is still in flight or just done, but before the
+    // endpoint goes down with the swarm.
+    let done = Arc::new(AtomicBool::new(false));
+    let scraper = {
+        let done = Arc::clone(&done);
+        thread::spawn(move || {
+            while !done.load(Ordering::Acquire) {
+                if let Some(exposition) = http_get(scrape_addr, "/metrics") {
+                    if has_a_filled_bucket(&exposition) {
+                        let healthz = http_get(scrape_addr, "/healthz").unwrap_or_default();
+                        return Some(MidRun { exposition, healthz });
+                    }
+                }
+                thread::sleep(Duration::from_millis(5));
             }
-        }
-    }
-    let push_targets: [&[usize]; 5] = [&[1], &[2], &[1, 3], &[2, 4], &[3]];
-    for (i, node) in nodes.iter().enumerate() {
-        node.set_peers(push_targets[i].iter().map(|&j| addrs[j]).collect());
-    }
+            None
+        })
+    };
+    let report = run_swarm(&config).expect("swarm runs");
+    done.store(true, Ordering::Release);
+    let mid_run = scraper.join().expect("scraper thread");
 
-    // Mid-run: poll the far node's live scrape until the latency
-    // histogram shows up with cumulative le-buckets — while the
-    // dissemination is still in flight or just done, but before any
-    // shutdown.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut exposition = String::new();
-    while Instant::now() < deadline {
-        exposition = http_get(scrape_addr, "/metrics");
-        if exposition.contains("ltnc_wire_delivery_latency_us_bucket") {
-            break;
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        exposition.contains("ltnc_wire_delivery_latency_us_bucket"),
-        "mid-run scrape never exposed a latency histogram:\n{exposition}"
-    );
+    let MidRun { exposition, healthz } =
+        mid_run.expect("mid-run scrape never exposed a filled latency histogram");
     assert!(exposition.contains("le=\"+Inf\""), "histogram must end at +Inf");
     assert!(
-        exposition.lines().any(|line| {
-            line.starts_with("ltnc_wire_delivery_latency_us_bucket")
-                && line.contains("le=\"")
-                && !line.trim_end().ends_with(" 0")
-        }),
+        has_a_filled_bucket(&exposition),
         "at least one le-bucket must be non-empty mid-run:\n{exposition}"
     );
     assert!(exposition.contains("ltnc_wire_delivery_latency_us_count"));
-    assert!(http_get(scrape_addr, "/healthz").contains("ok"), "/healthz must answer");
+    assert!(healthz.contains("ok"), "/healthz must answer: {healthz:?}");
 
-    // Let the run converge, then check the report-level view.
-    let complete_deadline = Instant::now() + Duration::from_secs(30);
-    while nodes[1..].iter().any(|p| !p.is_complete()) && Instant::now() < complete_deadline {
-        thread::sleep(Duration::from_millis(5));
-    }
-    assert!(nodes[1..].iter().all(PeerNode::is_complete), "line did not converge");
-
-    let reports: Vec<_> = nodes.into_iter().map(PeerNode::shutdown).collect();
-    assert_eq!(reports[4].object.as_deref(), Some(&object[..]), "bit-exact at 4 hops");
-    assert!(reports[0].latency_by_hop.is_empty(), "the source receives no payloads");
+    // The report-level view.
+    assert!(report.converged, "line did not converge: {report:?}");
+    assert_eq!(report.peer_reports[3].object.as_deref(), Some(&object[..]), "bit-exact at 4 hops");
+    assert!(report.source_report.latency_by_hop.is_empty(), "the source receives no payloads");
 
     // Every receiving node recorded origin→delivery latency, keyed by
     // the lineage depth the wire carried. The immediate neighbour of the
     // source must have seen depth-1 data; deeper nodes see deeper
     // lineage (relays recode, so exact depths beyond 1 depend on the
     // gossip paths taken — but depth must never be zero).
-    for (i, report) in reports.iter().enumerate().skip(1) {
-        assert!(!report.latency_by_hop.is_empty(), "node {i} recorded no latency");
+    for (i, report) in report.peer_reports.iter().enumerate() {
+        let node = i + 1;
+        assert!(!report.latency_by_hop.is_empty(), "node {node} recorded no latency");
         for (depth, snapshot) in &report.latency_by_hop {
             assert!(*depth >= 1, "links crossed is at least one");
             assert!(snapshot.count() > 0);
@@ -131,9 +116,10 @@ fn four_hop_line_scrapes_latency_histograms_mid_run() {
             assert!(snapshot.p99() <= snapshot.quantile(1.0));
         }
     }
+    let neighbour = &report.peer_reports[0];
     assert!(
-        reports[1].latency_by_hop.iter().any(|&(depth, _)| depth == 1),
+        neighbour.latency_by_hop.iter().any(|&(depth, _)| depth == 1),
         "the source's neighbour must see depth-1 deliveries, got {:?}",
-        reports[1].latency_by_hop.iter().map(|&(d, _)| d).collect::<Vec<_>>()
+        neighbour.latency_by_hop.iter().map(|&(d, _)| d).collect::<Vec<_>>()
     );
 }

@@ -15,12 +15,12 @@ use std::net::UdpSocket;
 use std::thread;
 use std::time::Duration;
 
-use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults, FaultySocket};
+use ltnc_net::faults::{DatagramFaultPlan, FaultySocket};
 use ltnc_net::{
-    run_swarm, NodeConfig, NodeOptions, NodeRole, SwarmRuntime, Topology, TopologyConfig,
+    run_swarm, run_virtual_swarm, NodeOptions, SwarmRuntime, Topology, TopologyConfig,
     TopologyFaults,
 };
-use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_scheme::SchemeKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,30 +108,36 @@ fn fault_pattern_is_stable_for_a_fixed_seed() {
 
 #[test]
 fn offers_to_a_dead_peer_cut_its_budget_to_the_floor() {
-    // A source pushing at a bound-but-silent socket: every offer times
-    // out with no feedback ever, so the adaptive budget must fall
-    // (multiplicative decrease), not grow.
-    let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
-    let options = NodeOptions {
+    // A source and one peer whose every answer is lost: the link back
+    // from the peer drops everything, so each offer times out with no
+    // feedback ever, and the adaptive budget must fall (multiplicative
+    // decrease), not grow. 400 ms of virtual time, replayed exactly.
+    let mut config = TopologyConfig::quick(SchemeKind::Rlnc, vec![3u8; 16], Topology::line(2));
+    config.code_length = 4;
+    config.payload_size = 2;
+    config.session = 21;
+    config.options = NodeOptions {
         tick: Duration::from_millis(1),
         pending_ttl: Duration::from_millis(30),
         seed: 11,
         ..NodeOptions::default()
     };
-    let source = ltnc_net::PeerNode::spawn(
-        "127.0.0.1:0".parse().expect("addr"),
-        NodeConfig::new(21, NodeRole::Source { object: vec![3u8; 16], params }, options),
-    )
-    .expect("spawn source");
-    let dead = UdpSocket::bind("127.0.0.1:0").expect("bind dead peer");
-    source.set_peers(vec![dead.local_addr().expect("addr")]);
-    thread::sleep(Duration::from_millis(400));
-    let report = source.shutdown();
+    config.timeout = Duration::from_millis(400);
+    config.link_faults.overrides.push(((1, 0), DatagramFaultPlan::clean(7).drop_rate(1.0)));
+    let swarm = run_virtual_swarm(&config);
+    assert!(!swarm.converged, "no payload can ever be released");
+    let report = &swarm.source_report;
     assert!(report.wire.offer_timeouts > 0, "offers must have timed out");
     assert!(report.wire.budget_cuts > 0, "a silent peer must cut the budget");
     assert_eq!(report.wire.budget_raises, 0, "nothing may raise a dead peer's budget");
     let (_, loss) = report.loss_estimates.first().expect("dead peer tracked");
     assert!(*loss > 0.5, "loss estimate should approach 1, got {loss}");
+    // Pinned: the budget goes 4 → 2 → 1 (the floor), one cut per TTL
+    // window, and the 18th offer is still pending at the timeout. The
+    // estimate is the EWMA of 17 timeouts, 1 − 0.9¹⁷.
+    let wire = &report.wire;
+    assert_eq!((wire.transfers_offered, wire.offer_timeouts, wire.budget_cuts), (18, 17, 2));
+    assert!((loss - (1.0 - 0.9f64.powi(17))).abs() < 1e-12, "loss estimate {loss}");
 }
 
 #[test]
@@ -141,13 +147,10 @@ fn faulty_socket_delivery_is_deterministic_for_one_sender() {
     // deliver the same sequence.
     let run = |seed: u64| {
         let plan = DatagramFaultPlan::clean(seed).drop_rate(0.3).duplicate_rate(0.15);
-        let socket = FaultySocket::new(
-            UdpSocket::bind("127.0.0.1:0").expect("bind"),
-            DatagramFaults::inbound(plan),
-        )
-        .expect("wrap");
+        let socket = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"));
         socket.set_nonblocking(true).expect("nonblocking");
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
+        socket.set_link_plan(sender.local_addr().expect("addr"), plan);
         let to = socket.local_addr().expect("addr");
         for i in 0..60u8 {
             sender.send_to(&[i], to).expect("send");

@@ -1,10 +1,9 @@
 //! `ltnc-reactor`: a vendored mini-runtime for running many node state
 //! machines on a few threads.
 //!
-//! Every UDP node of `ltnc-net` is scheduled here — a thousand-node
-//! swarm on a few workers, a single `PeerNode` on one — with no
-//! external dependencies (crates.io is offline in the build
-//! environment):
+//! Every UDP node of `ltnc-net` is scheduled here — a swarm of any size
+//! on a few workers — with no external dependencies (crates.io is
+//! offline in the build environment):
 //!
 //! * [`Poller`] — read-readiness polling: `epoll` (edge-triggered) on
 //!   Linux, a degraded-but-correct spurious-wakeup backend elsewhere;
@@ -14,11 +13,11 @@
 //!   self-connected loopback datagram socket;
 //! * [`Reactor`] / [`Driven`] — the sharded scheduler: nodes are
 //!   partitioned round-robin across worker threads and driven through
-//!   poll/timer/control callbacks, with a graceful shutdown sweep that
+//!   readiness and timer callbacks, with a graceful shutdown sweep that
 //!   drains in-flight datagrams before collecting outputs;
 //! * [`ShardObserver`] — the instrumentation seam: a dependency-free
 //!   hook trait the worker loops report scheduler events through (poll
-//!   waits, dispatch latencies, timer lag, queue drains), so embedding
+//!   waits, dispatch latencies, timer lag, wakeups), so embedding
 //!   crates can keep histograms without this crate owning any.
 //!
 //! The crate is deliberately protocol-agnostic: `ltnc-net` implements

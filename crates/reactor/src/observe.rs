@@ -4,7 +4,7 @@
 //! histograms or trace rings itself. Instead the worker loop reports
 //! through this seam: a [`ShardObserver`] installed via
 //! `Reactor::start_observed` receives every scheduler-level occurrence
-//! (poll completions, dispatch latencies, timer lag, queue drains) and
+//! (poll completions, dispatch latencies, timer lag, wakeups) and
 //! the embedding crate turns them into whatever metrics family it
 //! keeps. Every method has a no-op default, and the loop takes its
 //! extra `Instant::now()` readings only when an observer is installed —
@@ -24,8 +24,6 @@ pub enum Dispatch {
     Readable,
     /// A [`crate::Driven::on_timer`] callback (tick or release).
     Timer,
-    /// A [`crate::Driven::on_control`] callback (injected message).
-    Control,
 }
 
 impl Dispatch {
@@ -35,7 +33,6 @@ impl Dispatch {
         match self {
             Dispatch::Readable => "readable",
             Dispatch::Timer => "timer",
-            Dispatch::Control => "control",
         }
     }
 }
@@ -50,13 +47,9 @@ pub trait ShardObserver: Send + Sync + 'static {
     /// present, is included).
     fn poll_completed(&self, _shard: usize, _waited: Duration, _events: usize) {}
 
-    /// The shard's waker drained `coalesced` wake bytes — cross-shard
-    /// sends that collapsed into one readiness event.
+    /// The shard's waker drained `coalesced` wake bytes — stop requests
+    /// that collapsed into one readiness event.
     fn wakeups_drained(&self, _shard: usize, _coalesced: usize) {}
-
-    /// The control queue yielded `messages` messages in one drain round.
-    /// Only called for non-empty drains.
-    fn control_drained(&self, _shard: usize, _messages: usize) {}
 
     /// One node callback of the given kind ran for `took`.
     fn dispatched(&self, _shard: usize, _kind: Dispatch, _took: Duration) {}

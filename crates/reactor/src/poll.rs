@@ -31,7 +31,7 @@ pub struct Event {
     pub token: u64,
 }
 
-/// Caps a poll timeout at ~100ms so a waiter re-checks control state on
+/// Caps a poll timeout at ~100ms so a waiter re-checks its stop queue on
 /// a bounded cadence even if a wakeup datagram is somehow lost.
 pub(crate) const MAX_WAIT: Duration = Duration::from_millis(100);
 

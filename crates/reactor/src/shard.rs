@@ -3,8 +3,8 @@
 //! A [`Reactor`] partitions its nodes round-robin across worker threads
 //! (node `i` lands on worker `i % workers`). Each worker owns one
 //! [`crate::Poller`], one [`crate::TimerWheel`] and one [`crate::Waker`],
-//! and runs a readiness loop: drain control messages, wait for readable
-//! descriptors or the next timer deadline, dispatch
+//! and runs a readiness loop: check for a stop request, wait for
+//! readable descriptors or the next timer deadline, dispatch
 //! [`Driven::on_readable`] / [`Driven::on_timer`] callbacks. Nodes never
 //! migrate between workers, so a node's callbacks are totally ordered —
 //! a state machine needs no internal locking.
@@ -14,7 +14,7 @@
 //! (catching datagrams that arrived after the last poll) before
 //! collecting every node's [`Driven::finish`] output. A [`Reactor`]
 //! dropped without [`Reactor::shutdown`] stops the same way — its
-//! workers notice the closed control queue within one poll wait
+//! workers notice the closed stop queue within one poll wait
 //! (≤ 100 ms), sweep, finish and exit; only the outputs are lost.
 
 use std::collections::HashMap;
@@ -52,8 +52,6 @@ const SCRATCH_LEN: usize = 64 * 1024;
 /// edge-triggered: `on_readable` must drain it to `WouldBlock` (spurious
 /// calls with nothing readable are legal and must be tolerated).
 pub trait Driven: Send + 'static {
-    /// Message type the owner can inject via [`Reactor::send`].
-    type Control: Send;
     /// Value produced when the node is torn down.
     type Output: Send;
 
@@ -71,9 +69,6 @@ pub trait Driven: Send + 'static {
 
     /// A timer armed via [`Cx::arm`] with this `tag` fired.
     fn on_timer(&mut self, tag: u64, cx: &mut Cx);
-
-    /// A control message sent via [`Reactor::send`] arrived.
-    fn on_control(&mut self, msg: Self::Control, cx: &mut Cx);
 
     /// Tears the node down and extracts its output. Called exactly once
     /// per node, after the final shutdown sweep.
@@ -123,13 +118,11 @@ impl Cx<'_> {
     }
 }
 
-enum WorkerMsg<C> {
-    Node(usize, C),
-    Stop,
-}
+/// The one message a worker's queue carries.
+struct Stop;
 
 struct WorkerHandle<D: Driven> {
-    tx: mpsc::Sender<WorkerMsg<D::Control>>,
+    tx: mpsc::Sender<Stop>,
     waker: Arc<Waker>,
     join: JoinHandle<Vec<D::Output>>,
 }
@@ -161,7 +154,7 @@ impl<D: Driven> Reactor<D> {
 
     /// [`Reactor::start`] with an instrumentation observer installed:
     /// every worker reports its scheduler-level events (poll waits,
-    /// dispatch latencies, timer lag, queue drains) to `observer`, which
+    /// dispatch latencies, timer lag, wakeups) to `observer`, which
     /// is shared by all shards and called with the worker index. Passing
     /// `None` is exactly [`Reactor::start`] — the loop takes no extra
     /// clock readings when nobody listens.
@@ -204,7 +197,7 @@ impl<D: Driven> Reactor<D> {
 
         let mut handles = Vec::with_capacity(workers);
         for (index, (poller, waker, shard)) in prepared.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<WorkerMsg<D::Control>>();
+            let (tx, rx) = mpsc::channel::<Stop>();
             let worker_waker = Arc::clone(&waker);
             let worker_observer = observer.clone();
             let join = std::thread::Builder::new()
@@ -224,21 +217,6 @@ impl<D: Driven> Reactor<D> {
         self.node_count
     }
 
-    /// Delivers `msg` to node `node` (its original index in the vec
-    /// passed to [`Reactor::start`]) and wakes the owning worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node` is out of range or the owning worker has
-    /// already stopped.
-    pub fn send(&self, node: usize, msg: D::Control) {
-        assert!(node < self.node_count, "node index {node} out of range");
-        let worker = &self.workers[node % self.workers.len()];
-        let local = node / self.workers.len();
-        worker.tx.send(WorkerMsg::Node(local, msg)).expect("reactor worker stopped");
-        worker.waker.wake();
-    }
-
     /// Stops every worker, runs the graceful shutdown sweep, and
     /// returns each node's [`Driven::finish`] output in the order the
     /// nodes were originally passed to [`Reactor::start`].
@@ -251,7 +229,7 @@ impl<D: Driven> Reactor<D> {
         for worker in &self.workers {
             // A worker that already panicked has dropped its receiver;
             // the failed send is fine — join below surfaces the panic.
-            let _ = worker.tx.send(WorkerMsg::Stop);
+            let _ = worker.tx.send(Stop);
             worker.waker.wake();
         }
         let worker_count = self.workers.len();
@@ -278,7 +256,7 @@ fn worker_loop<D: Driven>(
     poller: Poller,
     waker: Arc<Waker>,
     mut nodes: Vec<D>,
-    control: &mpsc::Receiver<WorkerMsg<D::Control>>,
+    stop: &mpsc::Receiver<Stop>,
     shard: usize,
     observer: Option<Arc<dyn ShardObserver>>,
 ) -> Vec<D::Output> {
@@ -300,47 +278,12 @@ fn worker_loop<D: Driven>(
         start_now = Instant::now();
     }
 
-    let mut stop = false;
-    while !stop {
-        // Drain the control queue every iteration — not only after a
-        // waker event — so a control message racing a timer-bound wait
-        // is never delayed by a full poll cycle.
-        let mut drained: usize = 0;
-        loop {
-            match control.try_recv() {
-                Ok(WorkerMsg::Node(local, msg)) => {
-                    let now = Instant::now();
-                    let mut cx = Cx {
-                        now,
-                        node: local,
-                        wheel: &mut wheel,
-                        routes: &mut routes,
-                        scratch: &mut scratch,
-                    };
-                    drained += 1;
-                    let timed = observer.as_ref().map(|_| Instant::now());
-                    nodes[local].on_control(msg, &mut cx);
-                    if let (Some(obs), Some(started)) = (&observer, timed) {
-                        obs.dispatched(shard, Dispatch::Control, started.elapsed());
-                    }
-                }
-                // A dropped `Reactor` (no `shutdown()`: an early `?`, a
-                // panicking test) disconnects the queue — stop, rather
-                // than tick on for the life of the process.
-                Ok(WorkerMsg::Stop) | Err(mpsc::TryRecvError::Disconnected) => {
-                    stop = true;
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-            }
-        }
-        if let Some(obs) = observer.as_ref().filter(|_| drained > 0) {
-            obs.control_drained(shard, drained);
-        }
-        if stop {
-            break;
-        }
-
+    // Checked every iteration — not only after a waker event — so a stop
+    // racing a timer-bound wait is never delayed by a full poll cycle. A
+    // dropped `Reactor` (no `shutdown()`: an early `?`, a panicking test)
+    // disconnects the queue — stop, rather than tick on for the life of
+    // the process.
+    while let Err(mpsc::TryRecvError::Empty) = stop.try_recv() {
         let timeout = wheel
             .next_deadline()
             .map_or(MAX_WAIT, |at| at.saturating_duration_since(Instant::now()));

@@ -6,7 +6,7 @@
 //! socket buffer already holds undrained wake bytes, further sends may
 //! fail with a full buffer, which is fine: a wakeup is already pending.
 //! The worker calls [`Waker::drain`] once per loop iteration and then
-//! checks its control queue, so N rapid `wake()` calls cost at most one
+//! checks its stop queue, so N rapid `wake()` calls cost at most one
 //! extra loop turn, never N.
 
 use std::io;

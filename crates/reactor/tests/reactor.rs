@@ -1,6 +1,7 @@
 //! Integration tests driving real UDP sockets through the sharded
-//! reactor: cross-worker datagram exchange, control routing, graceful
-//! shutdown draining, and spurious/zero-length readiness tolerance.
+//! reactor: cross-worker datagram exchange, output order across the
+//! round-robin partition, graceful shutdown draining, and
+//! spurious/zero-length readiness tolerance.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
@@ -10,9 +11,11 @@ use std::time::{Duration, Instant};
 
 use ltnc_reactor::{Cx, Driven, Reactor};
 
-/// A minimal driven node: drains its socket, optionally sends a beacon
-/// to one peer on a periodic timer, and records control tags.
+/// A minimal driven node: drains its socket and optionally sends a
+/// beacon to one peer on a periodic timer.
 struct TestNode {
+    /// Names the node in its [`Summary`].
+    id: usize,
     socket: UdpSocket,
     peer: Option<SocketAddr>,
     tick_every: Option<Duration>,
@@ -23,7 +26,6 @@ struct TestNode {
     datagrams: usize,
     bytes: usize,
     ticks: usize,
-    tags: Vec<u64>,
 }
 
 impl TestNode {
@@ -31,6 +33,7 @@ impl TestNode {
         let socket = UdpSocket::bind("127.0.0.1:0").expect("bind");
         socket.set_nonblocking(true).expect("nonblocking");
         TestNode {
+            id: 0,
             socket,
             peer: None,
             tick_every,
@@ -39,7 +42,6 @@ impl TestNode {
             datagrams: 0,
             bytes: 0,
             ticks: 0,
-            tags: Vec::new(),
         }
     }
 
@@ -62,20 +64,15 @@ impl TestNode {
     }
 }
 
-enum Ctl {
-    Tag(u64),
-}
-
 #[derive(Debug)]
 struct Summary {
+    id: usize,
     datagrams: usize,
     bytes: usize,
     ticks: usize,
-    tags: Vec<u64>,
 }
 
 impl Driven for TestNode {
-    type Control = Ctl;
     type Output = Summary;
 
     fn fd(&self) -> RawFd {
@@ -103,20 +100,9 @@ impl Driven for TestNode {
         }
     }
 
-    fn on_control(&mut self, msg: Ctl, _cx: &mut Cx) {
-        match msg {
-            Ctl::Tag(tag) => self.tags.push(tag),
-        }
-    }
-
     fn finish(&mut self) -> Summary {
         self.finished.store(true, Ordering::SeqCst);
-        Summary {
-            datagrams: self.datagrams,
-            bytes: self.bytes,
-            ticks: self.ticks,
-            tags: std::mem::take(&mut self.tags),
-        }
+        Summary { id: self.id, datagrams: self.datagrams, bytes: self.bytes, ticks: self.ticks }
     }
 }
 
@@ -157,18 +143,13 @@ fn ring_of_nodes_exchanges_datagrams_across_two_workers() {
 }
 
 #[test]
-fn control_messages_route_to_the_node_they_were_addressed_to() {
-    // 5 nodes over 3 workers exercises the round-robin local-index math.
-    let nodes: Vec<TestNode> = (0..5).map(|_| TestNode::bind(None)).collect();
-    let reactor = Reactor::start(nodes, 3).expect("start");
-    for i in 0..5 {
-        reactor.send(i, Ctl::Tag(i as u64 * 10));
-    }
-    // Per-worker channels are FIFO, so the tags land before Stop does.
-    let outputs = reactor.shutdown();
-    for (i, out) in outputs.iter().enumerate() {
-        assert_eq!(out.tags, vec![i as u64 * 10], "node {i} got the wrong control tags");
-    }
+fn shutdown_returns_five_nodes_on_three_workers_in_original_order() {
+    // 5 nodes over 3 workers: workers hold 2, 2 and 1 nodes, so putting
+    // the outputs back needs the round-robin local-index arithmetic.
+    let nodes: Vec<TestNode> = (0..5).map(|id| TestNode { id, ..TestNode::bind(None) }).collect();
+    let outputs = Reactor::start(nodes, 3).expect("start").shutdown();
+    let ids: Vec<usize> = outputs.iter().map(|out| out.id).collect();
+    assert_eq!(ids, [0, 1, 2, 3, 4]);
 }
 
 #[test]

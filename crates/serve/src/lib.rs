@@ -29,8 +29,8 @@
 //!
 //! The structure is runtime-agnostic on purpose (blocking I/O behind
 //! small state machines): porting it to a readiness loop — the
-//! `ltnc-reactor` one `PeerNode` runs on — changes the outer loops, not
-//! the protocol or the store.
+//! `ltnc-reactor` every UDP swarm node runs on — changes the outer loops,
+//! not the protocol or the store.
 //!
 //! Every layer is instrumented through `ltnc-telemetry`: the server
 //! emits session/connection/store trace events

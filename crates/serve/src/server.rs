@@ -2,9 +2,9 @@
 //! session state machines, graceful shutdown.
 //!
 //! Concurrency model: blocking sockets with short read timeouts behind
-//! small state machines, no runtime (the UDP side, `ltnc_net`'s
-//! `PeerNode`, runs on the `ltnc-reactor` readiness loop instead;
-//! porting this server onto it is ROADMAP item D(3)). One accept thread
+//! small state machines, no runtime (the UDP side, every node of an
+//! `ltnc_net` swarm, runs on the `ltnc-reactor` readiness loop instead;
+//! porting this server onto it is ROADMAP item K). One accept thread
 //! hands connections to a fixed pool of worker threads through a
 //! bounded queue — a full queue *refuses* the connection instead of
 //! buffering without bound.

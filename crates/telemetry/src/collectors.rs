@@ -146,7 +146,7 @@ mod tests {
         s.wheel_depth = 11;
         s.nodes = 250;
         let samples = samples(&s);
-        assert_eq!(samples.len(), 13);
+        assert_eq!(samples.len(), 10);
         assert!(samples.iter().any(|x| x.name == "turns" && x.value == 4));
         assert!(samples.iter().any(|x| x.name == "wheel_depth" && x.value == 11));
         assert!(samples.iter().any(|x| x.name == "nodes" && x.value == 250));
@@ -159,7 +159,7 @@ mod tests {
             .filter(|s| s.kind == SampleKind::Gauge)
             .map(|s| s.name)
             .collect();
-        assert_eq!(gauges, vec!["control_high_watermark", "wheel_depth", "nodes"]);
+        assert_eq!(gauges, vec!["wheel_depth", "nodes"]);
         assert!(samples(&WireCounters::new()).iter().all(|s| s.kind == SampleKind::Counter));
     }
 

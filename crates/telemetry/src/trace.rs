@@ -216,19 +216,12 @@ pub enum TraceEvent {
         /// Microseconds past the scheduled deadline.
         lag_us: u64,
     },
-    /// A shard's waker drained cross-shard wakeups.
+    /// A shard's waker drained wakeups.
     Wakeup {
         /// Worker index of the shard.
         shard: u64,
         /// Wake bytes that coalesced into this drain.
         coalesced: u64,
-    },
-    /// A shard's control queue yielded its deepest drain so far.
-    QueueHighWatermark {
-        /// Worker index of the shard.
-        shard: u64,
-        /// Messages drained in the record-setting round.
-        depth: u64,
     },
     /// The stall watchdog saw a no-progress window: no node decoded
     /// anything new for longer than the configured stall window.
@@ -268,7 +261,6 @@ impl TraceEvent {
             TraceEvent::ShardTick { .. } => "shard_tick",
             TraceEvent::TimerFired { .. } => "timer_fired",
             TraceEvent::Wakeup { .. } => "wakeup",
-            TraceEvent::QueueHighWatermark { .. } => "queue_high_watermark",
             TraceEvent::StallDetected { .. } => "stall_detected",
         }
     }

@@ -103,11 +103,8 @@ fn reactor() -> ReactorSnapshot {
         poll_events: 503,
         wakeups: 504,
         wakeup_rounds: 505,
-        control_messages: 506,
-        control_high_watermark: 507,
         readable_dispatches: 508,
         timer_dispatches: 509,
-        control_dispatches: 510,
         timers_fired: 511,
         wheel_depth: 512,
         nodes: 513,
