@@ -25,8 +25,7 @@ crate::counter_family! {
         pub decoding_ops: u64,
         /// Payload deliveries that were innovative at these nodes.
         pub useful_deliveries: u64,
-        /// Datagram faults injected on these nodes' sockets (their inbound
-        /// links, in a per-link topology run).
+        /// Datagram faults injected on the links into these nodes.
         pub faults_injected: u64,
     }
 }

@@ -14,8 +14,7 @@
 //!   timer), which is where a slow state machine shows up;
 //! * **tick lag** — deadline-vs-actual expiry of every timer, the
 //!   direct measure of scheduler overload;
-//! * **queues** — wakeup coalescing and the timer-wheel depth after
-//!   each turn.
+//! * **wheel** — the timer-wheel depth after each turn.
 //!
 //! [`ReactorSnapshot`] is the owned plain view, a counter family like
 //! [`crate::WireCounters`], so swarm-level rollups and interval scrapes
@@ -38,12 +37,6 @@ crate::counter_family! {
         pub polls: u64,
         /// Readiness events returned across all polls.
         pub poll_events: u64,
-        /// Wake bytes drained from the loopback waker (each byte one
-        /// stop request that woke the shard).
-        pub wakeups: u64,
-        /// Drain rounds in which at least one wake byte arrived — `wakeups /
-        /// wakeup_rounds` is the coalescing factor.
-        pub wakeup_rounds: u64,
         /// Readable-socket callbacks dispatched.
         pub readable_dispatches: u64,
         /// Timer callbacks dispatched.
@@ -104,13 +97,6 @@ impl ReactorCounters {
         self.poll_wait_us.record(waited_us);
     }
 
-    /// The waker drained `coalesced` wake bytes in one round (stop
-    /// requests that collapsed into a single readiness event).
-    pub fn record_wakeups(&self, coalesced: u64) {
-        self.wakeups.fetch_add(coalesced, Ordering::Relaxed);
-        self.wakeup_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One readable-socket callback took `ns` nanoseconds.
     pub fn record_dispatch_readable(&self, ns: u64) {
         self.readable_dispatches.fetch_add(1, Ordering::Relaxed);
@@ -159,7 +145,6 @@ mod tests {
         c.set_nodes(10);
         c.record_poll(50, 2);
         c.record_poll(1_000, 0);
-        c.record_wakeups(3);
         c.record_dispatch_readable(400);
         c.record_dispatch_timer(900);
         c.record_timer_lag(25);
@@ -168,8 +153,6 @@ mod tests {
         assert_eq!(s.turns, 1);
         assert_eq!(s.polls, 2);
         assert_eq!(s.poll_events, 2);
-        assert_eq!(s.wakeups, 3);
-        assert_eq!(s.wakeup_rounds, 1);
         assert_eq!(s.readable_dispatches, 1);
         assert_eq!(s.timer_dispatches, 1);
         assert_eq!(s.timers_fired, 1);

@@ -5,50 +5,50 @@
 //! protocol exists for. This module makes adverse conditions *seeded and
 //! reproducible*, for streams and for datagrams:
 //!
-//! * [`FaultyStream`] wraps any `Read + Write` and injects faults from a
+//! * [`FaultyStream`] wraps any `Read` and injects faults from a
 //!   [`FaultPlan`]: per-byte drops, per-call delays, read fragmentation,
-//!   a clean truncation (EOF) at byte `K`, and a hard disconnect (error)
-//!   at byte `K`. All randomness comes from a [`SmallRng`] seeded by the
-//!   plan, so a failing case replays exactly.
+//!   a clean truncation (EOF) at byte `K`, a stall at byte `K`, and a
+//!   hard disconnect (error) at byte `K`. All randomness comes from a
+//!   [`SmallRng`] seeded by the plan, so a failing case replays exactly.
 //! * [`FaultProxy`] puts the same plans between two real TCP endpoints: a
 //!   localhost forwarder that pumps each direction of every accepted
 //!   connection through a `FaultyStream`. Integration tests point a
 //!   client at the proxy instead of the server and get loss, stalls and
 //!   mid-transfer disconnects without touching either endpoint's code.
-//! * [`FaultySocket`] is the datagram counterpart: it wraps a
-//!   [`UdpSocket`] and applies a [`DatagramFaultPlan`] per *link* — per
-//!   sender, on the receiving end ([`FaultySocket::set_link_plan`]):
-//!   whole-datagram drops, duplicates, reordering within a bounded
-//!   window, and per-datagram delays, with per-link tallies
-//!   ([`FaultySocket::link_counters`]). A sender without a plan passes
-//!   clean, and sends are never faulted. Every swarm node receives
-//!   through one, which is how a swarm gives every overlay link its own
-//!   seeded loss ([`crate::TopologyFaults`]), so the UDP gossip tests
+//! * [`DatagramFaultPlan`] is the datagram counterpart: one plan per
+//!   *link* — per sender, on the receiving end — of whole-datagram
+//!   drops, duplicates, reordering within a bounded window, and
+//!   per-datagram delays, with per-link tallies
+//!   ([`DatagramFaultCounters`]). A swarm gives every overlay link its
+//!   own seeded plan ([`crate::TopologyFaults`]), so the UDP gossip tests
 //!   exercise exactly the lossy links the paper's redundancy and this
-//!   crate's adaptive pacing exist for.
+//!   crate's adaptive pacing exist for. A sender without a plan passes
+//!   clean, and sends are never faulted.
 //!
 //! Byte-counted stream faults (`truncate_read_at`, `disconnect_read_at`)
 //! are deterministic regardless of how the OS chunks the stream, which is
 //! what makes "kill the server after exactly K bytes" a stable test.
 //! Datagram faults decide per *datagram* in arrival order, so a fixed
 //! seed replays the same drop/duplicate/reorder pattern over the same
-//! traffic. One routine makes that decision for the socket and for the
-//! in-memory links of the virtual-time driver (`crate::virtual_time`);
-//! neither sleeps — a delayed datagram is parked until it falls due.
+//! traffic. One state machine carries those decisions out for both swarm
+//! drivers, on the node's microsecond clock: each node's inbound side,
+//! inside the endpoint (`crate::endpoint`) both drivers run. Nothing
+//! sleeps — a delayed datagram is parked until it falls due.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::os::fd::{AsRawFd, RawFd};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ltnc_metrics::CounterFamily;
 use ltnc_telemetry::{FaultKind, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::peer::micros;
 
 /// A seeded description of the faults to inject on one stream direction.
 ///
@@ -69,9 +69,6 @@ pub struct FaultPlan {
     /// Deliver exactly this many bytes, then fail reads with
     /// `ConnectionReset` forever.
     pub disconnect_read_at: Option<u64>,
-    /// Accept exactly this many written bytes, then fail writes with
-    /// `BrokenPipe` forever.
-    pub disconnect_write_at: Option<u64>,
     /// Probability in `[0, 1]` that each forwarded byte is silently
     /// dropped (stream corruption: the framing layer must error, never
     /// panic).
@@ -93,7 +90,6 @@ impl FaultPlan {
             truncate_read_at: None,
             stall_read_at: None,
             disconnect_read_at: None,
-            disconnect_write_at: None,
             drop_rate: 0.0,
             read_delay: Duration::ZERO,
             max_read_chunk: None,
@@ -122,13 +118,6 @@ impl FaultPlan {
         self
     }
 
-    /// Hard `BrokenPipe` after exactly `bytes` accepted written bytes.
-    #[must_use]
-    pub fn disconnect_write_at(mut self, bytes: u64) -> FaultPlan {
-        self.disconnect_write_at = Some(bytes);
-        self
-    }
-
     /// Drop each forwarded byte with probability `rate` (clamped to
     /// `[0, 1]`).
     #[must_use]
@@ -152,7 +141,7 @@ impl FaultPlan {
     }
 }
 
-/// A `Read + Write` wrapper executing a [`FaultPlan`].
+/// A `Read` wrapper executing a [`FaultPlan`].
 ///
 /// Byte budgets count bytes *delivered to the caller* (after drops), so a
 /// `truncate_read_at(K)` cut lands at the same protocol position however
@@ -179,7 +168,6 @@ pub struct FaultyStream<S> {
     plan: FaultPlan,
     rng: SmallRng,
     read_delivered: u64,
-    write_accepted: u64,
 }
 
 impl<S> FaultyStream<S> {
@@ -190,7 +178,6 @@ impl<S> FaultyStream<S> {
             plan,
             rng: SmallRng::seed_from_u64(plan.seed ^ 0xFA_17_5E_ED),
             read_delivered: 0,
-            write_accepted: 0,
         }
     }
 
@@ -198,17 +185,6 @@ impl<S> FaultyStream<S> {
     #[must_use]
     pub fn read_delivered(&self) -> u64 {
         self.read_delivered
-    }
-
-    /// Bytes accepted from the writer so far.
-    #[must_use]
-    pub fn write_accepted(&self) -> u64 {
-        self.write_accepted
-    }
-
-    /// Consumes the wrapper, returning the inner stream.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     /// How many more bytes may be delivered before a read-side cut fires.
@@ -286,30 +262,6 @@ impl<S: Read> Read for FaultyStream<S> {
             ));
         }
         Ok(delivered)
-    }
-}
-
-impl<S: Write> Write for FaultyStream<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if let Some(k) = self.plan.disconnect_write_at {
-            if self.write_accepted >= k {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "fault injection: disconnect_write_at reached",
-                ));
-            }
-            let budget = (k - self.write_accepted).try_into().unwrap_or(usize::MAX);
-            let n = self.inner.write(&buf[..buf.len().min(budget.max(1))])?;
-            self.write_accepted += n as u64;
-            return Ok(n);
-        }
-        let n = self.inner.write(buf)?;
-        self.write_accepted += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -490,8 +442,7 @@ fn pump<S: Read>(mut from: FaultyStream<S>, mut to: TcpStream, stop: &AtomicBool
 }
 
 /// A seeded description of the faults to inject on one *datagram* link:
-/// what one sender's datagrams suffer on their way into a
-/// [`FaultySocket`] (or a virtual-time node).
+/// what one sender's datagrams suffer on their way into a swarm node.
 ///
 /// The default plan (via [`DatagramFaultPlan::clean`]) forwards every
 /// datagram untouched; builder methods switch individual faults on. All
@@ -575,7 +526,8 @@ impl DatagramFaultPlan {
 }
 
 ltnc_metrics::counter_family! {
-    /// Snapshot of the faults a [`FaultySocket`] has injected so far.
+    /// Snapshot of the faults the link plans into one node have injected
+    /// so far.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct DatagramFaultCounters {
         /// Inbound datagrams silently dropped.
@@ -602,38 +554,24 @@ impl DatagramFaultCounters {
 }
 
 /// How long datagrams the reorder fault holds may wait for the traffic
-/// that would overtake them: after this the link counts as idle and
-/// they are released. Both drivers release on this period — the
-/// reactor's release timer ([`FaultySocket::release_in`]) and the
-/// virtual-time driver's release event.
-pub const IDLE_RELEASE: Duration = Duration::from_millis(20);
+/// that would overtake them: this long after the first hold, the links
+/// count as idle and everything held is released.
+pub(crate) const IDLE_RELEASE: Duration = Duration::from_millis(20);
 
-/// A datagram held back by the reorder fault, released once `remaining`
-/// later datagrams have passed it (or the link goes idle).
-struct HeldDatagram {
-    bytes: Vec<u8>,
-    peer: SocketAddr,
-    remaining: usize,
-}
-
-/// What one plan did to one datagram: the verdict of
-/// [`LinkState::decide`], the one fault decision [`FaultySocket`]
-/// and the virtual-time driver both carry out.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Fate {
-    /// How long the delivered copies wait first, when the delay fault
-    /// fired.
-    pub(crate) delay: Option<Duration>,
+/// What one plan did to one datagram.
+#[derive(Clone, Copy, Default)]
+struct Fate {
+    delayed: bool,
     dropped: bool,
-    /// Parked for reordering: the plan's state now holds the datagram.
+    /// Parked for reordering: the link now holds the datagram.
     held: bool,
     duplicated: bool,
 }
 
 impl Fate {
-    /// Copies of the datagram to deliver (after [`Fate::delay`]): none
-    /// when it was dropped or held, two when it was duplicated.
-    pub(crate) fn copies(self) -> usize {
+    /// Copies of the datagram to hand over, now or once its delay is
+    /// up: none when it was dropped or held, two when it was duplicated.
+    fn copies(self) -> usize {
         if self.dropped || self.held {
             0
         } else {
@@ -642,9 +580,9 @@ impl Fate {
     }
 
     /// The faults as counters.
-    pub(crate) fn counters(self) -> DatagramFaultCounters {
+    fn counters(self) -> DatagramFaultCounters {
         let [delayed, dropped, reordered, duplicated] =
-            [self.delay.is_some(), self.dropped, self.held, self.duplicated].map(u64::from);
+            [self.delayed, self.dropped, self.held, self.duplicated].map(u64::from);
         DatagramFaultCounters {
             delayed_in: delayed,
             dropped_in: dropped,
@@ -655,34 +593,40 @@ impl Fate {
     }
 
     /// One [`TraceEvent::FaultInjected`] per fault, attributed to `peer`.
-    pub(crate) fn trace(self, tracer: &Tracer, peer: SocketAddr) {
+    fn trace(self, tracer: &Tracer, peer: SocketAddr) {
         for (fired, kind) in [
-            (self.delay.is_some(), FaultKind::Delay),
+            (self.delayed, FaultKind::Delay),
             (self.dropped, FaultKind::Drop),
             (self.held, FaultKind::Reorder),
             (self.duplicated, FaultKind::Duplicate),
         ] {
             if fired {
-                tracer.emit(|| TraceEvent::FaultInjected { kind, inbound: true, peer: Some(peer) });
+                tracer.emit(|| TraceEvent::FaultInjected { kind, peer: Some(peer) });
             }
         }
     }
 }
 
+/// A datagram held back by the reorder fault, released once `remaining`
+/// later datagrams have passed it (or the links go idle).
+struct HeldDatagram {
+    bytes: Vec<u8>,
+    remaining: usize,
+}
+
 /// One link's fault state: the plan, its seeded RNG, the datagrams the
 /// plan parks, and the faults it has injected.
-pub(crate) struct LinkState {
+struct LinkState {
     plan: DatagramFaultPlan,
     rng: SmallRng,
     /// Datagrams held by the reorder fault, oldest first.
     held: VecDeque<HeldDatagram>,
-    /// Datagrams due for delivery ahead of anything new (expired holds,
-    /// duplicate copies, delayed datagrams whose time came), oldest
-    /// first.
-    ready: VecDeque<(Vec<u8>, SocketAddr)>,
-    /// The socket's delayed datagrams with the instant each falls due.
-    /// One plan has one delay, so due order is arrival order.
-    delayed: VecDeque<(Instant, Vec<u8>, SocketAddr)>,
+    /// Delayed datagrams with the time each falls due on the node's
+    /// clock. One plan has one delay, so due order is arrival order.
+    delayed: VecDeque<(u64, Vec<u8>)>,
+    /// Datagrams due now (holds overtaken or released, delays that came
+    /// due), oldest first.
+    ready: VecDeque<Vec<u8>>,
     /// The faults this plan has injected.
     counters: DatagramFaultCounters,
 }
@@ -693,29 +637,27 @@ impl LinkState {
             plan,
             rng: SmallRng::seed_from_u64(plan.seed ^ 0xDA7A_FA17),
             held: VecDeque::new(),
-            ready: VecDeque::new(),
             delayed: VecDeque::new(),
+            ready: VecDeque::new(),
             counters: DatagramFaultCounters::default(),
         }
     }
 
-    /// Decides and tallies the fate of one datagram from `peer`, after
-    /// moving the holds it overtakes past their window onto the ready
-    /// queue. A datagram the reorder fault picks is copied into the
-    /// holds; every other outcome is the caller's to carry out.
-    fn decide(&mut self, bytes: &[u8], peer: SocketAddr) -> Fate {
+    /// Decides, tallies and traces the fate of one datagram from `from`
+    /// arriving at `now`, after moving the holds it overtakes past their
+    /// window onto the ready queue, and parks what the fate holds or
+    /// delays. Returns how many copies to hand over now.
+    fn arrive(&mut self, now: u64, from: SocketAddr, bytes: &[u8], tracer: &Tracer) -> usize {
         for held in &mut self.held {
             held.remaining = held.remaining.saturating_sub(1);
         }
         while self.held.front().is_some_and(|h| h.remaining == 0) {
             let held = self.held.pop_front().expect("checked non-empty");
-            self.ready.push_back((held.bytes, held.peer));
+            self.ready.push_back(held.bytes);
         }
         let plan = self.plan;
-        let mut fate = Fate::default();
-        if plan.delay_rate > 0.0 && self.rng.gen_bool(plan.delay_rate) {
-            fate.delay = Some(plan.delay);
-        }
+        let delayed = plan.delay_rate > 0.0 && self.rng.gen_bool(plan.delay_rate);
+        let mut fate = Fate { delayed, ..Fate::default() };
         if plan.drop_rate > 0.0 && self.rng.gen_bool(plan.drop_rate) {
             fate.dropped = true;
         } else if plan.reorder_window > 0
@@ -724,49 +666,37 @@ impl LinkState {
         {
             fate.held = true;
             let remaining = self.rng.gen_range(1..=plan.reorder_window);
-            self.held.push_back(HeldDatagram { bytes: bytes.to_vec(), peer, remaining });
+            self.held.push_back(HeldDatagram { bytes: bytes.to_vec(), remaining });
         } else if plan.duplicate_rate > 0.0 && self.rng.gen_bool(plan.duplicate_rate) {
             fate.duplicated = true;
         }
         self.counters.merge(&fate.counters());
-        fate
-    }
-
-    /// Whether anything is held for reordering or ready.
-    fn holds(&self) -> bool {
-        !self.held.is_empty() || !self.ready.is_empty()
-    }
-
-    /// Declares the link idle: every reorder hold becomes ready.
-    fn release_held(&mut self) {
-        while let Some(held) = self.held.pop_front() {
-            self.ready.push_back((held.bytes, held.peer));
+        fate.trace(tracer, from);
+        if !fate.delayed {
+            return fate.copies();
         }
-    }
-
-    /// Parks `copies` copies of a delayed datagram until `due`.
-    fn park(&mut self, due: Instant, bytes: &[u8], peer: SocketAddr, copies: usize) {
-        for _ in 0..copies {
-            self.delayed.push_back((due, bytes.to_vec(), peer));
-        }
-    }
-
-    /// Moves the delayed datagrams due by `now` onto the ready queue.
-    fn release_due(&mut self, now: Instant) {
-        while self.delayed.front().is_some_and(|&(due, ..)| due <= now) {
-            let (_, bytes, peer) = self.delayed.pop_front().expect("checked non-empty");
-            self.ready.push_back((bytes, peer));
-        }
+        let due = now.saturating_add(micros(plan.delay));
+        self.delayed.extend(std::iter::repeat_with(|| (due, bytes.to_vec())).take(fate.copies()));
+        0
     }
 }
 
-/// The inbound side of one node's links: one plan per origin that has
-/// one, keyed by sender address (ordered, so multi-link delivery and
-/// draining are deterministic). A datagram from an origin without a
-/// plan passes clean.
+/// The inbound side of one node's links, on the node's microsecond
+/// clock: one plan per origin that has one, keyed by sender address
+/// (ordered, so releases are deterministic). A datagram from an origin
+/// without a plan passes clean.
+///
+/// Nothing here waits. Reordered datagrams are held until enough later
+/// traffic has overtaken them or [`IDLE_RELEASE`] has passed, delayed
+/// ones until they fall due; [`InboundState::next_release`] says when
+/// [`InboundState::release`] next frees something, so a parked datagram
+/// is late, never lost.
 #[derive(Default)]
 pub(crate) struct InboundState {
     links: BTreeMap<SocketAddr, LinkState>,
+    /// When the links count as idle and every reorder hold is released:
+    /// [`IDLE_RELEASE`] after the first hold since the last release.
+    idle_at: Option<u64>,
 }
 
 impl InboundState {
@@ -775,32 +705,55 @@ impl InboundState {
         self.links.insert(from, LinkState::new(plan));
     }
 
-    /// Runs one datagram from `from` through that link's plan: `None`
-    /// when the link has no plan (the datagram passes clean), else the
-    /// fate and the link, which parks what the fate delays.
-    pub(crate) fn decide(
+    /// Runs one datagram from `from`, arriving at `now`, through that
+    /// link's plan, tracing each fault on `tracer`, and returns how many
+    /// copies to hand over now: one when the link has no plan, none when
+    /// the plan drops, holds or delays it, two when it duplicates it.
+    /// The holds it overtook are then ready ([`InboundState::pop_ready`]).
+    pub(crate) fn arrive(
         &mut self,
-        bytes: &[u8],
+        now: u64,
         from: SocketAddr,
-    ) -> Option<(Fate, &mut LinkState)> {
-        let link = self.links.get_mut(&from)?;
-        Some((link.decide(bytes, from), link))
+        bytes: &[u8],
+        tracer: &Tracer,
+    ) -> usize {
+        let Some(link) = self.links.get_mut(&from) else { return 1 };
+        let copies = link.arrive(now, from, bytes, tracer);
+        if self.idle_at.is_none() && !link.held.is_empty() {
+            self.idle_at = Some(now + micros(IDLE_RELEASE));
+        }
+        copies
     }
 
-    /// Pops the oldest due datagram from any ready queue (links in
-    /// address order).
+    /// Makes ready what is due by `now`: every delayed datagram that
+    /// fell due and, once the links have gone idle, every reorder hold.
+    pub(crate) fn release(&mut self, now: u64) {
+        let idle = self.idle_at.is_some_and(|at| at <= now);
+        if idle {
+            self.idle_at = None;
+        }
+        for link in self.links.values_mut() {
+            if idle {
+                link.ready.extend(link.held.drain(..).map(|held| held.bytes));
+            }
+            while link.delayed.front().is_some_and(|&(due, _)| due <= now) {
+                let (_, bytes) = link.delayed.pop_front().expect("checked non-empty");
+                link.ready.push_back(bytes);
+            }
+        }
+    }
+
+    /// When [`InboundState::release`] next frees something; `None` while
+    /// nothing is parked.
+    pub(crate) fn next_release(&self) -> Option<u64> {
+        let delays = self.links.values().filter_map(|link| link.delayed.front().map(|d| d.0));
+        delays.chain(self.idle_at).min()
+    }
+
+    /// Pops the oldest ready datagram of the first link, in address
+    /// order, that has one.
     pub(crate) fn pop_ready(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        self.links.values_mut().find_map(|link| link.ready.pop_front())
-    }
-
-    /// Whether any plan holds a datagram for reordering or has one ready.
-    pub(crate) fn holds(&self) -> bool {
-        self.links.values().any(LinkState::holds)
-    }
-
-    /// Declares every inbound link idle: all reorder holds become ready.
-    pub(crate) fn release_held(&mut self) {
-        self.links.values_mut().for_each(LinkState::release_held);
+        self.links.iter_mut().find_map(|(&from, link)| Some((link.ready.pop_front()?, from)))
     }
 
     /// Faults injected per link plan, ordered by sender address.
@@ -816,231 +769,6 @@ impl InboundState {
         }
         totals
     }
-}
-
-/// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults on the
-/// receiving end of its links.
-///
-/// Wraps the nonblocking `try_recv_from` every swarm node runs on. Each
-/// sender with a plan ([`FaultySocket::set_link_plan`]) is one link, and
-/// its datagrams cross that [`DatagramFaultPlan`]: drops, duplicates,
-/// reordering within a bounded window, and delays. A sender without a
-/// plan passes clean, and sending is never faulted. Clones share fault
-/// state (and counters), so all handles see one coherent set of plans.
-///
-/// Nothing here blocks. Reordered datagrams are held until enough later
-/// traffic has overtaken them, and delayed ones until they fall due;
-/// the owner's timer ([`FaultySocket::release_in`],
-/// [`FaultySocket::release_held`]) frees them when the link goes idle,
-/// so a held datagram is delayed, never lost.
-///
-/// # Example
-///
-/// ```
-/// use std::net::UdpSocket;
-/// use ltnc_net::faults::{DatagramFaultPlan, FaultySocket};
-///
-/// let socket = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").unwrap());
-/// socket.set_nonblocking(true).unwrap();
-///
-/// let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-/// let link = DatagramFaultPlan::clean(7).drop_rate(1.0);
-/// socket.set_link_plan(sender.local_addr().unwrap(), link);
-/// sender.send_to(b"doomed", socket.local_addr().unwrap()).unwrap();
-///
-/// // Every datagram on that link is dropped: a drain never delivers one.
-/// let mut buf = [0u8; 64];
-/// while socket.fault_counters().dropped_in == 0 {
-///     assert_eq!(socket.try_recv_from(&mut buf).unwrap(), None);
-/// }
-/// ```
-pub struct FaultySocket {
-    socket: UdpSocket,
-    recv: Arc<Mutex<InboundState>>,
-    tracer: Tracer,
-}
-
-impl FaultySocket {
-    /// Wraps `socket`; every link starts clean.
-    #[must_use]
-    pub fn new(socket: UdpSocket) -> FaultySocket {
-        FaultySocket::with_tracer(socket, Tracer::off())
-    }
-
-    /// Like [`FaultySocket::new`], but every injected fault also emits a
-    /// [`TraceEvent::FaultInjected`] on `tracer` (attributed to the peer
-    /// the datagram came from).
-    #[must_use]
-    pub fn with_tracer(socket: UdpSocket, tracer: Tracer) -> FaultySocket {
-        FaultySocket { socket, recv: Arc::default(), tracer }
-    }
-
-    /// Installs (or replaces) the fault plan for datagrams arriving
-    /// *from* `from` — one link, identified by its sender. Faults injected
-    /// by a link plan are tallied both socket-wide
-    /// ([`FaultySocket::fault_counters`]) and per link
-    /// ([`FaultySocket::link_counters`]), so per-link loss stays
-    /// attributable in multi-hop topology runs.
-    pub fn set_link_plan(&self, from: SocketAddr, plan: DatagramFaultPlan) {
-        self.recv.lock().expect("recv fault state poisoned").set_link(from, plan);
-    }
-
-    /// Faults injected per link plan so far, ordered by sender address
-    /// (empty when [`FaultySocket::set_link_plan`] was never called).
-    #[must_use]
-    pub fn link_counters(&self) -> Vec<(SocketAddr, DatagramFaultCounters)> {
-        self.recv.lock().expect("recv fault state poisoned").link_counters()
-    }
-
-    /// A second handle to the same socket sharing the same fault state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::try_clone` failures.
-    pub fn try_clone(&self) -> io::Result<FaultySocket> {
-        Ok(FaultySocket {
-            socket: self.socket.try_clone()?,
-            recv: Arc::clone(&self.recv),
-            tracer: self.tracer.clone(),
-        })
-    }
-
-    /// The wrapped socket's local address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::local_addr` failures.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// Faults injected so far, summed over every link.
-    #[must_use]
-    pub fn fault_counters(&self) -> DatagramFaultCounters {
-        self.recv.lock().expect("recv fault state poisoned").totals()
-    }
-
-    /// Receives one datagram without ever blocking, applying the plan of
-    /// the link it arrived on. Requires the socket to be in nonblocking
-    /// mode (see [`FaultySocket::set_nonblocking`]).
-    ///
-    /// Returns `Ok(Some(..))` for a delivered datagram, `Ok(None)` when
-    /// the OS buffer is empty. When the fault plan consumes a datagram
-    /// (drop, reorder hold, delay) the loop keeps pulling, so a consumed
-    /// datagram can never mask ones still queued behind it and strand
-    /// them until the next (never-coming) readiness edge.
-    ///
-    /// Deliberately *not* part of this call: releasing held and delayed
-    /// datagrams. A nonblocking reader has no read timeout to tell it the
-    /// link went idle, so it asks [`FaultySocket::release_in`] after a
-    /// drain and frees them with [`FaultySocket::release_held`] on a
-    /// timer.
-    ///
-    /// # Errors
-    ///
-    /// Real socket errors only; `WouldBlock`/`TimedOut` become
-    /// `Ok(None)` and fault consumption is handled internally.
-    pub fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<Option<(usize, SocketAddr)>> {
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        loop {
-            if let Some((bytes, peer)) = state.pop_ready() {
-                return Ok(Some(deliver(&bytes, peer, buf)));
-            }
-            let (len, peer) = match self.socket.recv_from(buf) {
-                Ok(received) => received,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            };
-            let Some((fate, link)) = state.decide(&buf[..len], peer) else {
-                return Ok(Some((len, peer)));
-            };
-            fate.trace(&self.tracer, peer);
-            match (fate.copies(), fate.delay) {
-                // Consumed: loop — something may have aged onto a ready
-                // queue, and more may sit in the OS buffer behind it.
-                (0, _) => {}
-                (copies, Some(delay)) => {
-                    link.park(Instant::now() + delay, &buf[..len], peer, copies)
-                }
-                (copies, None) => {
-                    if copies == 2 {
-                        link.ready.push_back((buf[..len].to_vec(), peer));
-                    }
-                    return Ok(Some((len, peer)));
-                }
-            }
-        }
-    }
-
-    /// How long until the fault state has something for
-    /// [`FaultySocket::release_held`] to free: [`IDLE_RELEASE`] while
-    /// anything is held for reordering or ready, sooner if a delayed
-    /// datagram falls due first, `None` when nothing is parked. A
-    /// nonblocking owner asks after every drain and arms its release
-    /// timer accordingly.
-    #[must_use]
-    pub fn release_in(&self) -> Option<Duration> {
-        let recv = self.recv.lock().expect("recv fault state poisoned");
-        let idle = recv.holds().then_some(IDLE_RELEASE);
-        let due =
-            recv.links.values().filter_map(|link| link.delayed.front().map(|&(due, ..)| due)).min();
-        let due = due.map(|due| due.saturating_duration_since(Instant::now()));
-        idle.into_iter().chain(due).min()
-    }
-
-    /// Declares the links idle: moves every held datagram and every
-    /// delayed one now due onto its ready queue, where the next
-    /// [`FaultySocket::try_recv_from`] delivers them. Reordering and
-    /// delays postpone datagrams, they never strand them.
-    pub fn release_held(&self) {
-        let now = Instant::now();
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        for link in state.links.values_mut() {
-            link.release_held();
-            link.release_due(now);
-        }
-    }
-
-    /// Moves the wrapped socket in or out of nonblocking mode.
-    ///
-    /// The flag lives on the OS file description, which clones share:
-    /// flipping it on any handle flips it for all of them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::set_nonblocking` failures.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.socket.set_nonblocking(nonblocking)
-    }
-
-    /// The wrapped socket's raw descriptor, for readiness registration.
-    /// The descriptor stays owned by this socket — do not close it.
-    #[must_use]
-    pub fn as_raw_fd(&self) -> RawFd {
-        self.socket.as_raw_fd()
-    }
-
-    /// Sends one datagram, untouched: loss is decided where it arrives.
-    ///
-    /// # Errors
-    ///
-    /// Everything `UdpSocket::send_to` can return.
-    pub fn send_to(&self, bytes: &[u8], to: SocketAddr) -> io::Result<usize> {
-        self.socket.send_to(bytes, to)
-    }
-}
-
-/// Copies a stashed datagram out to the caller's buffer, truncating like
-/// UDP does when the buffer is too small.
-fn deliver(bytes: &[u8], peer: SocketAddr, buf: &mut [u8]) -> (usize, SocketAddr) {
-    let len = bytes.len().min(buf.len());
-    buf[..len].copy_from_slice(&bytes[..len]);
-    (len, peer)
 }
 
 #[cfg(test)]
@@ -1146,109 +874,84 @@ mod tests {
         assert!(!a.is_empty(), "most bytes must survive at rate 0.25");
     }
 
-    #[test]
-    fn write_disconnect_fires_at_budget() {
-        let plan = FaultPlan::clean(6).disconnect_write_at(10);
-        let mut s = FaultyStream::new(Cursor::new(Vec::new()), plan);
-        let mut written = 0usize;
-        let err = loop {
-            match s.write(&bytes(4)) {
-                Ok(n) => written += n,
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(written, 10, "exactly the budget is accepted");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(s.into_inner().into_inner().len(), 10);
-    }
-
     // ---- datagram faults ----
 
-    /// A bound, nonblocking faulty socket plus a plain sender aimed at it,
-    /// on a clean link.
-    fn socket_pair() -> (FaultySocket, UdpSocket, SocketAddr) {
-        let socket = FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind receiver"));
-        socket.set_nonblocking(true).expect("nonblocking");
-        let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
-        let to = socket.local_addr().expect("addr");
-        (socket, sender, to)
+    /// The sender every test link is keyed by.
+    fn sender() -> SocketAddr {
+        SocketAddr::from(([10, 0, 0, 1], 7))
     }
 
-    /// [`socket_pair`] with `plan` on the sender's link.
-    fn linked_pair(plan: DatagramFaultPlan) -> (FaultySocket, UdpSocket, SocketAddr) {
-        let (socket, sender, to) = socket_pair();
-        socket.set_link_plan(sender.local_addr().expect("addr"), plan);
-        (socket, sender, to)
+    /// One node's inbound side with `plan` on the link from [`sender`].
+    fn linked(plan: DatagramFaultPlan) -> InboundState {
+        let mut inbound = InboundState::default();
+        inbound.set_link(sender(), plan);
+        inbound
     }
 
-    /// Drains `socket.try_recv_from` until it reports an empty buffer,
-    /// returning the delivered sequence numbers in order.
-    fn drain_nonblocking(socket: &FaultySocket) -> Vec<u8> {
-        let mut seen = Vec::new();
-        let mut buf = [0u8; 16];
-        while let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
-            assert_eq!(len, 1, "unexpected datagram length");
-            seen.push(buf[0]);
+    /// Hands over what `inbound` holds ready, in order, into `seen`.
+    fn take_ready(inbound: &mut InboundState, seen: &mut Vec<u8>) {
+        while let Some((bytes, from)) = inbound.pop_ready() {
+            assert_eq!(bytes.len(), 1, "unexpected datagram length");
+            seen.push(bytes[0]);
+            assert_eq!(from, sender());
         }
+    }
+
+    /// Numbered datagram `i` arrives from [`sender`] at `now`: what is
+    /// handed over at once, the datagram's copies first.
+    fn arrive(inbound: &mut InboundState, now: u64, i: u8) -> Vec<u8> {
+        let copies = inbound.arrive(now, sender(), &[i], &Tracer::off());
+        let mut seen = vec![i; copies];
+        take_ready(inbound, &mut seen);
         seen
     }
 
-    fn send_numbered(sender: &UdpSocket, to: SocketAddr, n: u8) {
-        for i in 0..n {
-            sender.send_to(&[i], to).expect("send");
-            thread::sleep(Duration::from_micros(300));
+    /// Datagrams `0..n` arrive one every 100 µs; then, the traffic over,
+    /// every release runs when [`InboundState::next_release`] says. What
+    /// the link hands over, in order.
+    fn pump_datagrams(inbound: &mut InboundState, n: u8) -> Vec<u8> {
+        let mut seen: Vec<u8> =
+            (0..n).flat_map(|i| arrive(inbound, u64::from(i) * 100, i)).collect();
+        while let Some(at) = inbound.next_release() {
+            inbound.release(at);
+            take_ready(inbound, &mut seen);
         }
-        // Give loopback delivery a beat so one drain sees everything.
-        thread::sleep(Duration::from_millis(5));
-    }
-
-    /// Sends `n` numbered datagrams and collects what the plan delivers:
-    /// one drain, then — the traffic over — the idle release a node's
-    /// timer would run, and a second drain.
-    fn pump_datagrams(socket: &FaultySocket, sender: &UdpSocket, to: SocketAddr, n: u8) -> Vec<u8> {
-        send_numbered(sender, to, n);
-        let mut seen = drain_nonblocking(socket);
-        socket.release_held();
-        seen.extend(drain_nonblocking(socket));
         seen
     }
 
     #[test]
     fn clean_datagram_plan_is_the_identity() {
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(1));
-        let seen = pump_datagrams(&socket, &sender, to, 20);
-        assert_eq!(seen, (0..20).collect::<Vec<u8>>());
-        assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());
+        let mut inbound = linked(DatagramFaultPlan::clean(1));
+        assert_eq!(pump_datagrams(&mut inbound, 20), (0..20).collect::<Vec<u8>>());
+        assert_eq!(inbound.totals(), DatagramFaultCounters::default());
     }
 
     #[test]
     fn full_drop_rate_delivers_nothing_and_counts() {
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(2).drop_rate(1.0));
-        let seen = pump_datagrams(&socket, &sender, to, 10);
+        let mut inbound = linked(DatagramFaultPlan::clean(2).drop_rate(1.0));
+        let seen = pump_datagrams(&mut inbound, 10);
         assert!(seen.is_empty(), "drop_rate 1.0 must drop everything, got {seen:?}");
-        assert_eq!(socket.fault_counters().dropped_in, 10);
+        assert_eq!(inbound.totals().dropped_in, 10);
     }
 
     #[test]
     fn full_duplicate_rate_delivers_everything_twice() {
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(3).duplicate_rate(1.0));
-        let seen = pump_datagrams(&socket, &sender, to, 5);
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4], "each datagram twice: {seen:?}");
-        assert_eq!(socket.fault_counters().duplicated_in, 5);
+        let mut inbound = linked(DatagramFaultPlan::clean(3).duplicate_rate(1.0));
+        let seen = pump_datagrams(&mut inbound, 5);
+        assert_eq!(seen, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4], "both copies at once, in order");
+        assert_eq!(inbound.totals().duplicated_in, 5);
     }
 
     #[test]
     fn reordering_permutes_within_the_window_and_loses_nothing() {
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(4).reorder(0.5, 4));
+        let mut inbound = linked(DatagramFaultPlan::clean(4).reorder(0.5, 4));
         let n = 40u8;
-        let seen = pump_datagrams(&socket, &sender, to, n);
+        let seen = pump_datagrams(&mut inbound, n);
         let mut sorted = seen.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..n).collect::<Vec<u8>>(), "reorder must not lose datagrams");
         assert!(seen != (0..n).collect::<Vec<u8>>(), "something must be out of order");
-        assert!(socket.fault_counters().reordered_in > 0);
+        assert!(inbound.totals().reordered_in > 0);
         // Window bound: a datagram may be displaced by at most window + the
         // ready-queue backlog; with window 4 a displacement of n would mean
         // a datagram was stranded until the end.
@@ -1264,8 +967,7 @@ mod tests {
     fn datagram_drops_are_seed_deterministic() {
         let run = |seed: u64| {
             let plan = DatagramFaultPlan::clean(seed).drop_rate(0.4).duplicate_rate(0.2);
-            let (socket, sender, to) = linked_pair(plan);
-            pump_datagrams(&socket, &sender, to, 50)
+            pump_datagrams(&mut linked(plan), 50)
         };
         let a = run(99);
         let b = run(99);
@@ -1278,20 +980,27 @@ mod tests {
 
     #[test]
     fn delayed_datagrams_are_parked_until_due_never_slept_on() {
-        let delay = Duration::from_millis(60);
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(27).delay(1.0, delay));
-        send_numbered(&sender, to, 3);
-        let started = Instant::now();
-        assert!(drain_nonblocking(&socket).is_empty(), "delayed datagrams wait");
-        assert!(started.elapsed() < delay, "the drain may not wait the delay out");
-        let wait = socket.release_in().expect("the delayed datagrams are parked");
-        assert!(wait <= delay, "the release is due when the datagrams are, not later");
-
-        thread::sleep(delay);
-        socket.release_held();
-        assert_eq!(drain_nonblocking(&socket), [0, 1, 2], "due datagrams come out in order");
-        assert_eq!(socket.release_in(), None, "nothing is parked any more");
-        assert_eq!(socket.fault_counters().delayed_in, 3);
+        let plan = DatagramFaultPlan::clean(27).delay(1.0, Duration::from_millis(60));
+        let mut inbound = linked(plan);
+        for i in 0..3 {
+            assert!(
+                arrive(&mut inbound, u64::from(i) * 100, i).is_empty(),
+                "delayed datagrams wait"
+            );
+        }
+        assert_eq!(inbound.next_release(), Some(60_000), "due exactly its delay after arrival");
+        let mut seen = Vec::new();
+        inbound.release(59_999);
+        take_ready(&mut inbound, &mut seen);
+        assert!(seen.is_empty(), "nothing is released early");
+        for (at, i) in [(60_000, 0), (60_100, 1), (60_200, 2)] {
+            assert_eq!(inbound.next_release(), Some(at));
+            inbound.release(at);
+            take_ready(&mut inbound, &mut seen);
+            assert_eq!(seen.pop(), Some(i), "each datagram falls due on its own");
+        }
+        assert_eq!(inbound.next_release(), None, "nothing is parked any more");
+        assert_eq!(inbound.totals().delayed_in, 3);
     }
 
     #[test]
@@ -1299,111 +1008,67 @@ mod tests {
         // One sender gets an always-drop link plan — its datagrams die
         // (and are tallied per link); the other sender has no plan and
         // passes untouched.
-        let (socket, doomed, to) = linked_pair(DatagramFaultPlan::clean(12).drop_rate(1.0));
-        let fine = UdpSocket::bind("127.0.0.1:0").expect("bind second sender");
-
+        let mut inbound = linked(DatagramFaultPlan::clean(12).drop_rate(1.0));
+        let fine = SocketAddr::from(([10, 0, 0, 2], 7));
         for i in 0..6u8 {
-            doomed.send_to(&[i], to).expect("send doomed");
-            fine.send_to(&[0x40 + i], to).expect("send fine");
+            assert_eq!(inbound.arrive(u64::from(i), sender(), &[i], &Tracer::off()), 0);
+            assert_eq!(inbound.arrive(u64::from(i), fine, &[0x40 + i], &Tracer::off()), 1);
         }
-        thread::sleep(Duration::from_millis(5));
-        let mut seen = drain_nonblocking(&socket);
-        seen.sort_unstable();
-        assert_eq!(seen, (0x40..0x46).collect::<Vec<u8>>(), "only the clean link delivers");
+        assert_eq!(inbound.next_release(), None, "a drop parks nothing");
 
-        let links = socket.link_counters();
+        let links = inbound.link_counters();
         assert_eq!(links.len(), 1);
-        assert_eq!(links[0].0, doomed.local_addr().expect("addr"));
+        assert_eq!(links[0].0, sender());
         assert_eq!(links[0].1.dropped_in, 6, "link tally attributes the drops");
-        assert_eq!(socket.fault_counters().dropped_in, 6, "totals include link faults");
+        assert_eq!(inbound.totals().dropped_in, 6, "totals include link faults");
     }
 
     #[test]
     fn link_reordering_releases_held_datagrams_on_idle() {
-        // A link plan that holds everything: the idle-release path must
-        // still hand the datagrams to the caller eventually.
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(14).reorder(1.0, 4));
-        let seen = pump_datagrams(&socket, &sender, to, 10);
+        // A link plan that holds everything: the idle release must still
+        // hand the datagrams over eventually.
+        let mut inbound = linked(DatagramFaultPlan::clean(14).reorder(1.0, 4));
+        let seen = pump_datagrams(&mut inbound, 10);
         let mut sorted = seen.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<u8>>(), "per-link reorder must not lose");
-        assert!(socket.link_counters()[0].1.reordered_in > 0);
+        assert!(inbound.link_counters()[0].1.reordered_in > 0);
     }
-
-    #[test]
-    fn clones_share_fault_state_and_counters() {
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(6).drop_rate(1.0));
-        let clone = socket.try_clone().expect("clone");
-        sender.send_to(&[1], to).expect("send");
-        thread::sleep(Duration::from_millis(5));
-        let mut buf = [0u8; 16];
-        assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none(), "clone drops too");
-        assert_eq!(socket.fault_counters().dropped_in, 1, "counters are shared");
-    }
-
-    // ---- nonblocking / edge-triggered API ----
 
     #[test]
     fn try_recv_skips_past_consumed_datagrams_in_one_drain() {
-        // Regression for the edge-triggered hazard: a caller treating a
-        // datagram the plan ate as "buffer empty" would stop draining and
-        // strand everything queued behind the drop until the next
-        // readiness edge — which never comes. The drain must keep pulling.
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(21).drop_rate(0.4));
-        send_numbered(&sender, to, 30);
-        let seen = drain_nonblocking(&socket);
-        let dropped = socket.fault_counters().dropped_in as usize;
+        // A datagram the plan eats must not hold up the ones behind it:
+        // every survivor is handed over the moment it arrives, in order.
+        let mut inbound = linked(DatagramFaultPlan::clean(21).drop_rate(0.4));
+        let seen: Vec<u8> = (0..30).flat_map(|i| arrive(&mut inbound, u64::from(i), i)).collect();
+        let dropped = inbound.totals().dropped_in as usize;
         assert!(dropped > 0, "rate 0.4 over 30 datagrams must drop some");
-        assert_eq!(seen.len(), 30 - dropped, "one drain must deliver every survivor");
+        assert_eq!(seen.len(), 30 - dropped, "every survivor at once");
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "survivors stay in order");
+        assert_eq!(inbound.next_release(), None);
     }
 
     #[test]
     fn idle_release_under_edge_triggered_polling() {
-        // Reorder-held datagrams have no read-timeout path to escape on
-        // a nonblocking socket: the caller must see them via
-        // release_in() and free them with release_held().
-        let (socket, sender, to) = linked_pair(DatagramFaultPlan::clean(23).reorder(1.0, 8));
-        assert_eq!(socket.release_in(), None, "nothing held before traffic");
+        // Nothing but the idle release frees an always-hold window's
+        // datagrams, so it must fall due IDLE_RELEASE after the first
+        // hold, and not a microsecond sooner.
+        let mut inbound = linked(DatagramFaultPlan::clean(23).reorder(1.0, 8));
+        assert_eq!(inbound.next_release(), None, "nothing held before traffic");
+        for i in 0..4 {
+            assert!(arrive(&mut inbound, 1_000 + u64::from(i) * 100, i).is_empty());
+        }
+        let due = 1_000 + micros(IDLE_RELEASE);
+        assert_eq!(inbound.next_release(), Some(due), "the first hold starts the idle clock");
 
-        send_numbered(&sender, to, 4);
-        let seen = drain_nonblocking(&socket);
-        assert!(seen.is_empty(), "an always-hold window of 8 parks all 4 datagrams");
-        assert!(socket.release_in().is_some(), "the drain must leave the holds visible");
-
-        socket.release_held();
-        let mut released = drain_nonblocking(&socket);
+        let mut released = Vec::new();
+        inbound.release(due - 1);
+        take_ready(&mut inbound, &mut released);
+        assert!(released.is_empty(), "the links are not idle yet");
+        inbound.release(due);
+        take_ready(&mut inbound, &mut released);
         released.sort_unstable();
         assert_eq!(released, (0..4).collect::<Vec<u8>>(), "release frees every held datagram");
-        assert_eq!(socket.release_in(), None);
-    }
-
-    #[test]
-    fn nonblocking_flag_is_shared_across_clones() {
-        // The O_NONBLOCK flag lives on the shared file description:
-        // flipping it via one handle must flip the clone too, which is
-        // why a poll-driven socket must never be mixed with blocking
-        // readers. (The read timeout only bounds a failing run.)
-        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        inner.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
-        let socket = FaultySocket::new(inner);
-        let clone = socket.try_clone().expect("clone");
-        socket.set_nonblocking(true).expect("nonblocking");
-        let mut buf = [0u8; 16];
-        let start = Instant::now();
-        assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none());
-        assert!(
-            start.elapsed() < Duration::from_millis(30),
-            "the clone must return instantly, not wait out the read timeout"
-        );
-    }
-
-    #[test]
-    fn try_recv_matches_blocking_delivery_for_a_clean_plan() {
-        // What a blocking reader would have seen: everything, in order.
-        let (socket, sender, to) = socket_pair();
-        send_numbered(&sender, to, 12);
-        assert_eq!(drain_nonblocking(&socket), (0..12).collect::<Vec<u8>>());
-        assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());
+        assert_eq!(inbound.next_release(), None);
     }
 }

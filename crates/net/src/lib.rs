@@ -24,13 +24,13 @@
 //!   reads back into complete envelopes via [`envelope::decode_prefix`],
 //!   the same one-pass parse a datagram gets, tolerant of hostile input;
 //! * [`faults`] — seeded, deterministic fault injection for both
-//!   transports: [`faults::FaultyStream`] over any `Read + Write` plus a
-//!   TCP [`faults::FaultProxy`] (drops, delays, truncation and
-//!   disconnect-at-byte-K), and [`faults::FaultySocket`] over UDP
-//!   (whole-datagram drop/duplicate/reorder/delay per link, on the
-//!   receiving end, decided by the one routine the virtual-time links
-//!   use too), so every transport test can run under adverse conditions
-//!   reproducibly;
+//!   transports: [`faults::FaultyStream`] over any `Read` plus a TCP
+//!   [`faults::FaultProxy`] (drops, delays, truncation and
+//!   disconnect-at-byte-K), and per-link [`faults::DatagramFaultPlan`]s
+//!   for UDP (whole-datagram drop/duplicate/reorder/delay on the
+//!   receiving end, carried out for both swarm drivers by one sans-io
+//!   node endpoint on the node's microsecond clock), so every transport
+//!   test can run under adverse conditions reproducibly;
 //! * [`peer`] — the sans-io node state machine: event-clocked offers,
 //!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
 //!   arrivals and offer timeouts), the aggressiveness gate for relays,
@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod endpoint;
 pub mod envelope;
 mod error;
 pub mod faults;
@@ -81,9 +82,7 @@ pub use ltnc_session::generation;
 
 pub use envelope::{Envelope, EnvelopeHeader, Message, MessageKind};
 pub use error::NetError;
-pub use faults::{
-    DatagramFaultCounters, DatagramFaultPlan, FaultPlan, FaultProxy, FaultySocket, FaultyStream,
-};
+pub use faults::{DatagramFaultCounters, DatagramFaultPlan, FaultPlan, FaultProxy, FaultyStream};
 pub use ltnc_session::{split_object, ObjectManifest, ReceiverSession, SourceSession};
 pub use peer::{NodeOptions, PeerReport};
 pub use sharded::run_swarm;

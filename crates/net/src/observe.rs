@@ -74,8 +74,8 @@ struct ShardState {
 
 /// The sharded swarm's [`ShardObserver`]: routes every scheduler
 /// callback into the per-shard [`ReactorCounters`] and, when the flight
-/// recorder is on, stamps the noteworthy ones (wakeups, late timers,
-/// sampled heartbeats) into the shard's bounded event ring.
+/// recorder is on, stamps the noteworthy ones (late timers, sampled
+/// heartbeats) into the shard's bounded event ring.
 pub(crate) struct SwarmTelemetry {
     shards: Vec<ShardState>,
 }
@@ -142,16 +142,6 @@ impl ShardObserver for SwarmTelemetry {
     fn poll_completed(&self, shard: usize, waited: Duration, events: usize) {
         if let Some(state) = self.shards.get(shard) {
             state.counters.record_poll(micros(waited), events as u64);
-        }
-    }
-
-    fn wakeups_drained(&self, shard: usize, coalesced: usize) {
-        let Some(state) = self.shards.get(shard) else { return };
-        state.counters.record_wakeups(coalesced as u64);
-        if coalesced > 0 {
-            state
-                .tracer
-                .emit(|| TraceEvent::Wakeup { shard: shard as u64, coalesced: coalesced as u64 });
         }
     }
 
@@ -420,9 +410,6 @@ fn event_json(event: &TimedEvent) -> JsonValue {
         TraceEvent::TimerFired { shard, lag_us } => {
             doc = doc.field("shard", shard).field("lag_us", lag_us);
         }
-        TraceEvent::Wakeup { shard, coalesced } => {
-            doc = doc.field("shard", shard).field("coalesced", coalesced);
-        }
         TraceEvent::StallDetected { shard, idle_ms } => {
             doc = doc.field("shard", shard).field("idle_ms", idle_ms);
         }
@@ -440,7 +427,6 @@ mod tests {
         let telemetry = SwarmTelemetry::new(2, Some(16));
         telemetry.set_node_counts(5);
         telemetry.poll_completed(1, Duration::from_micros(300), 2);
-        telemetry.wakeups_drained(1, 3);
         telemetry.dispatched(1, Dispatch::Readable, Duration::from_nanos(500));
         telemetry.timer_lag(1, Duration::from_millis(20));
         telemetry.turn_completed(1, 7);
@@ -452,7 +438,6 @@ mod tests {
         assert_eq!(snapshots[0].nodes, 3, "round-robin puts 3 of 5 nodes on shard 0");
         assert_eq!(snapshots[1].nodes, 2);
         assert_eq!(snapshots[1].polls, 1);
-        assert_eq!(snapshots[1].wakeups, 3);
         assert_eq!(snapshots[1].readable_dispatches, 1);
         assert_eq!(snapshots[1].timers_fired, 0, "lag alone is not a dispatch");
         assert_eq!(snapshots[1].turns, 1);
@@ -463,7 +448,6 @@ mod tests {
         let names: Vec<&str> = events.iter().map(|e| e.event.name()).collect();
         assert!(names.contains(&"timer_fired"), "late timer must be recorded: {names:?}");
         assert!(names.contains(&"shard_tick"), "first turn emits a heartbeat: {names:?}");
-        assert!(names.contains(&"wakeup"), "wakeup drains are recorded: {names:?}");
         assert_eq!(dropped, 0);
     }
 

@@ -53,10 +53,10 @@
 //! and budget slots not churned — by latency alone. Estimates are
 //! reported in [`PeerReport::rtt_estimates`].
 //!
-//! Seeded datagram loss and reordering live in the driver's links, on
-//! the receiving end of each ([`crate::TopologyFaults`]; a
-//! [`crate::faults::FaultySocket`] on the reactor), so a lossy run
-//! exercises exactly the code a clean one does.
+//! Seeded datagram loss and reordering live in the links, on the
+//! receiving end of each ([`crate::TopologyFaults`]), in the endpoint
+//! both drivers wrap around the machine (`crate::endpoint`), so a lossy
+//! run exercises exactly the code a clean one does.
 //!
 //! The transfer protocol mirrors the paper's binary feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
@@ -98,6 +98,11 @@ pub(crate) type Outbox = Vec<(SocketAddr, Vec<u8>)>;
 /// clock (zero if the clock stepped back).
 fn elapsed(now: u64, since: u64) -> Duration {
     Duration::from_micros(now.saturating_sub(since))
+}
+
+/// `duration` in microseconds, the unit of every node's clock.
+pub(crate) fn micros(duration: Duration) -> u64 {
+    u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Smoothing factor of the per-peer loss EWMA (higher reacts faster).

@@ -1,148 +1,120 @@
 //! The UDP runtime: every node multiplexed onto a few `ltnc-reactor`
 //! worker threads.
 //!
-//! A [`NodeStateMachine`] is scheduled by reactor callbacks and by
-//! nothing else: each node is a [`Driven`] implementation
-//! ([`ShardedNode`]) whose nonblocking [`FaultySocket`] is polled
-//! edge-triggered, whose gossip tick is a reactor timer, and whose
-//! held-datagram release (the fault layer's reorder, duplicate and delay
-//! holds) is a second, on-demand timer. A swarm ([`run_swarm`]) is
-//! many such nodes on a few workers, and it is the only way a node runs
-//! here: every node is wired to its neighbours before the reactor
-//! starts, and nothing rewires it after.
+//! A node's endpoint (`crate::endpoint`: the [`NodeStateMachine`](crate::peer)
+//! behind the fault plans of its links) is scheduled by reactor
+//! callbacks and by nothing else: each node is a [`Driven`]
+//! implementation ([`ShardedNode`]) whose nonblocking [`UdpSocket`] is
+//! polled edge-triggered, whose gossip tick is a reactor timer, and
+//! whose link releases (the fault plans' reorder holds and delays) are
+//! a second, on-demand timer. A swarm ([`run_swarm`]) is many such nodes
+//! on a few workers, and it is the only way a node runs here: every node
+//! is wired to its neighbours before the reactor starts, and nothing
+//! rewires it after.
 //!
 //! [`ShardedNode`] is the only adapter that reads the wall clock or
-//! touches a socket: it hands the sans-io state machine each datagram
-//! with `now` and sends what the machine emits. There is no queue
-//! between socket and state machine — backpressure is the OS socket
-//! buffer, and [`ltnc_metrics::WireCounters::inbound_dropped`] stays
-//! zero.
+//! touches a socket: it hands the sans-io endpoint each datagram, straight
+//! from the worker's scratch buffer, with `now`, and sends what the node
+//! emits. There is no queue between socket and state machine —
+//! backpressure is the OS socket buffer, and
+//! [`ltnc_metrics::WireCounters::inbound_dropped`] stays zero.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ltnc_reactor::{Cx, Driven, Reactor};
-use ltnc_telemetry::{ScrapeOptions, ScrapeServer, Tracer};
+use ltnc_telemetry::{ScrapeOptions, ScrapeServer};
 
+use crate::endpoint::Endpoint;
 use crate::envelope::TraceContext;
-use crate::faults::FaultySocket;
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
-use crate::peer::{NodeConfig, NodeStateMachine, Outbox, PeerReport, Shared};
+use crate::peer::{micros, Outbox, PeerReport, Shared};
 use crate::swarm::{assemble_report, FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig};
 
 /// Timer tag of the recurring gossip tick.
 const TICK_TAG: u64 = 0;
 
-/// Timer tag of the one-shot held-datagram release.
+/// Timer tag of a link release the endpoint asked for.
 const RELEASE_TAG: u64 = 1;
 
 /// How long the driver parks between completion checks when no node
 /// wakes it — also the stall watchdog's cadence.
 const COMPLETION_POLL: Duration = Duration::from_millis(5);
 
-/// One node on the reactor: the [`NodeStateMachine`] plus the socket,
-/// clock and timers that schedule it.
+/// One node on the reactor: its endpoint plus the socket, clock and
+/// timers that schedule it.
 pub(crate) struct ShardedNode {
     /// `Some` until [`Driven::finish`] extracts the report.
-    sm: Option<NodeStateMachine>,
-    /// The node's socket, behind the fault plans of its links.
-    pub(crate) socket: FaultySocket,
-    /// What the node publishes for observers outside its worker.
-    pub(crate) shared: Arc<Shared>,
+    endpoint: Option<Endpoint>,
+    socket: UdpSocket,
     /// The node's clock: the wall clock at bind, in microseconds, plus
     /// the monotonic time since — so origin stamps compare across nodes
     /// on the wire.
     anchor: (Instant, u64),
-    /// What the state machine emitted and the socket has yet to send.
+    /// What the endpoint emitted and the socket has yet to send.
     outbox: Outbox,
     /// Gossip tick period ([`crate::NodeOptions::tick`]).
     tick: Duration,
-    /// Whether a RELEASE timer is already pending (one at a time).
-    release_armed: bool,
 }
 
 impl ShardedNode {
-    /// Builds a node on the bound `socket`, wired to push to `peers`:
-    /// wraps the socket for link faults (every link clean until a plan is
-    /// set on [`ShardedNode::socket`]), switches it to nonblocking,
-    /// anchors the node's clock and constructs the state machine. The
-    /// only place in the crate a socket-backed node is put together.
+    /// Puts `endpoint` on the bound `socket`, switched to nonblocking,
+    /// ticking every `tick`, and anchors the node's clock.
     pub(crate) fn new(
         socket: UdpSocket,
-        config: NodeConfig,
-        peers: Vec<SocketAddr>,
+        endpoint: Endpoint,
+        tick: Duration,
     ) -> io::Result<ShardedNode> {
-        let socket = FaultySocket::with_tracer(socket, Tracer::from_option(config.trace.clone()));
         socket.set_nonblocking(true)?;
-        let shared = Arc::new(Shared::default());
-        let tick = config.options.tick;
-        let mut sm = NodeStateMachine::new(config, Arc::clone(&shared));
-        sm.set_peers(peers);
         Ok(ShardedNode {
-            sm: Some(sm),
+            endpoint: Some(endpoint),
             socket,
-            shared,
             anchor: (Instant::now(), TraceContext::now_micros()),
             outbox: Outbox::new(),
             tick,
-            release_armed: false,
         })
     }
 
     /// Drains the socket to `WouldBlock` — the edge-triggered contract —
-    /// feeding every surviving datagram to the state machine and sending
-    /// what it answers, then arms a release timer if the fault layer
-    /// parked anything.
+    /// handing every datagram to the endpoint and sending what it
+    /// answers.
     fn drain(&mut self, cx: &mut Cx) {
-        let anchor = self.anchor;
-        if let Some(sm) = self.sm.as_mut() {
+        if let Some(endpoint) = self.endpoint.as_mut() {
             loop {
                 let buf = cx.scratch();
-                match self.socket.try_recv_from(buf) {
-                    Ok(Some((len, from))) => {
-                        let now = micros_since(anchor);
-                        sm.handle_datagram(now, from, &buf[..len], &mut self.outbox);
-                        send_all(&self.socket, &mut self.outbox);
-                    }
-                    Ok(None) => break,
-                    // Transient socket errors (e.g. ICMP port-unreachable
-                    // surfacing as ECONNREFUSED) are not fatal for a
-                    // datagram listener.
-                    Err(_) => break,
-                }
+                // Transient socket errors (e.g. ICMP port-unreachable
+                // surfacing as ECONNREFUSED) are not fatal for a datagram
+                // listener; they end the drain as `WouldBlock` does.
+                let Ok((len, from)) = self.socket.recv_from(buf) else { break };
+                let now = micros_since(self.anchor);
+                endpoint.datagram(now, from, &buf[..len], &mut self.outbox);
+                send_all(&self.socket, &mut self.outbox);
             }
         }
-        self.check_held(cx);
+        self.arm_release(cx);
     }
 
-    /// Arms the one-shot release timer when the fault layer parks
-    /// datagrams (reorder, duplicate and delay holds) and no release is
-    /// pending.
-    fn check_held(&mut self, cx: &mut Cx) {
-        if self.release_armed {
-            return;
-        }
-        if let Some(after) = self.socket.release_in() {
-            cx.arm(after, RELEASE_TAG);
-            self.release_armed = true;
-        }
+    /// Arms the release timer the endpoint asks for, if any.
+    fn arm_release(&mut self, cx: &mut Cx) {
+        let Some(at) = self.endpoint.as_mut().and_then(Endpoint::next_release) else { return };
+        cx.arm(Duration::from_micros(at.saturating_sub(micros_since(self.anchor))), RELEASE_TAG);
     }
 }
 
 /// Now, in microseconds on the clock `anchor` starts: the wall clock at
 /// the anchor's instant plus the monotonic time since.
-fn micros_since((at, micros): (Instant, u64)) -> u64 {
-    micros + u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX)
+fn micros_since((at, micros_at): (Instant, u64)) -> u64 {
+    micros_at + micros(at.elapsed())
 }
 
 /// Sends, fire and forget, everything in `outbox`: a vanished peer must
 /// not stall the node.
-fn send_all(socket: &FaultySocket, outbox: &mut Outbox) {
+fn send_all(socket: &UdpSocket, outbox: &mut Outbox) {
     for (to, bytes) in outbox.drain(..) {
         let _ = socket.send_to(&bytes, to);
     }
@@ -165,30 +137,21 @@ impl Driven for ShardedNode {
     }
 
     fn on_timer(&mut self, tag: u64, cx: &mut Cx) {
-        match tag {
-            TICK_TAG => {
-                let now = micros_since(self.anchor);
-                if let Some(sm) = self.sm.as_mut() {
-                    sm.tick(now, &mut self.outbox);
-                    send_all(&self.socket, &mut self.outbox);
-                }
+        let now = micros_since(self.anchor);
+        if let Some(endpoint) = self.endpoint.as_mut() {
+            if tag == TICK_TAG {
+                endpoint.tick(now, &mut self.outbox);
                 cx.arm(self.tick, TICK_TAG);
-                self.check_held(cx);
+            } else {
+                endpoint.release(now, &mut self.outbox);
             }
-            RELEASE_TAG => {
-                self.release_armed = false;
-                self.socket.release_held();
-                self.drain(cx);
-            }
-            _ => {}
+            send_all(&self.socket, &mut self.outbox);
         }
+        self.arm_release(cx);
     }
 
     fn finish(&mut self) -> PeerReport {
-        let mut report = self.sm.take().expect("finish is called exactly once").into_report();
-        report.faults = self.socket.fault_counters();
-        report.link_faults = self.socket.link_counters();
-        report
+        self.endpoint.take().expect("finish is called exactly once").finish()
     }
 }
 
@@ -222,22 +185,16 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let node_addrs =
         sockets.iter().map(UdpSocket::local_addr).collect::<io::Result<Vec<SocketAddr>>>()?;
     let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
-    let mut sinks = Vec::with_capacity(node_count);
     let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
     for (socket, setup) in sockets.into_iter().zip(setups) {
-        let peers = setup.peers.iter().map(|&to| node_addrs[to]).collect();
-        let node = ShardedNode::new(socket, setup.config, peers)?;
-        // Link plans go in before the reactor exists — no state machine
-        // runs until Reactor::start, so there is no window where early
-        // datagrams cross a link un-faulted.
-        for (from, plan) in setup.links {
-            node.socket.set_link_plan(node_addrs[from], plan);
-        }
+        // Link plans go in with the endpoint, before the reactor exists —
+        // no state machine runs until Reactor::start, so there is no
+        // window where early datagrams cross a link un-faulted.
+        let endpoint = Endpoint::new(setup, |node| node_addrs[node]);
         // The completion loop below parks; a node finishing unparks it.
-        let _ = node.shared.driver.set(thread::current());
-        sinks.push(setup.sink);
-        completion.push(Arc::clone(&node.shared));
-        nodes.push(node);
+        let _ = endpoint.shared().driver.set(thread::current());
+        completion.push(Arc::clone(endpoint.shared()));
+        nodes.push(ShardedNode::new(socket, endpoint, config.options.tick)?);
     }
 
     // Instrumentation is opt-in: with neither the aggregated endpoint
@@ -351,19 +308,8 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
         }
     }
 
-    // Shutdown returns reports in original node order; pair each with
-    // its trace sink.
-    let reports: Vec<PeerReport> = reactor
-        .shutdown()
-        .into_iter()
-        .zip(sinks)
-        .map(|(mut report, sink)| {
-            if let Some(sink) = sink {
-                report.events = sink.drain();
-            }
-            report
-        })
-        .collect();
+    // Shutdown returns reports in original node order.
+    let reports = reactor.shutdown();
     if let Some(scrape) = scrape {
         scrape.shutdown();
     }
@@ -395,31 +341,35 @@ mod tests {
     use super::*;
     use crate::envelope::{self, EnvelopeHeader, Message, MessageKind};
     use crate::faults::DatagramFaultPlan;
-    use crate::peer::{NodeOptions, NodeRole};
+    use crate::peer::{NodeConfig, NodeOptions, NodeRole};
+    use crate::swarm::NodeSetup;
 
     #[test]
     fn a_delaying_node_does_not_stall_its_worker() {
-        // Two sources on one reactor worker. A holds every inbound
-        // datagram for 200 ms, and the test keeps sending it some; B
-        // offers to a peer the test plays, which aborts every offer at
-        // once. B's offer→feedback round trip must stay under its tick:
-        // nothing A holds may hold up the worker B shares with it.
+        // Two sources on one reactor worker. A's link from a pest the
+        // test plays holds every datagram for 200 ms, and the test keeps
+        // sending it some; B offers to a peer the test plays, which
+        // aborts every offer at once. B's offer→feedback round trip must
+        // stay under its tick: nothing A holds may hold up the worker B
+        // shares with it.
         let tick = Duration::from_millis(10);
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
-        let source = |seed| {
-            let options = NodeOptions { tick, seed, ..NodeOptions::default() };
-            NodeConfig::new(1, NodeRole::Source { object: vec![7; 8], params }, options)
-        };
-        let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
         let bind = || UdpSocket::bind("127.0.0.1:0").expect("bind");
         let (peer, pest) = (bind(), bind());
         peer.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
-        let a = ShardedNode::new(bind(), source(1), Vec::new()).expect("build A");
-        a.socket.set_link_plan(pest.local_addr().expect("addr"), held);
-        let b = ShardedNode::new(bind(), source(2), vec![peer.local_addr().expect("addr")])
-            .expect("build B");
-        let addr = |node: &ShardedNode| node.socket.local_addr().expect("addr");
-        let (a_addr, b_addr) = (addr(&a), addr(&b));
+        let node = |seed, peers, links, to: &UdpSocket| {
+            let options = NodeOptions { tick, seed, ..NodeOptions::default() };
+            let role = NodeRole::Source { object: vec![7; 8], params };
+            let config = NodeConfig::new(1, role, options);
+            let to = to.local_addr().expect("addr");
+            let endpoint = Endpoint::new(NodeSetup { config, peers, links, sink: None }, |_| to);
+            let socket = bind();
+            let addr = socket.local_addr().expect("addr");
+            (ShardedNode::new(socket, endpoint, tick).expect("build"), addr)
+        };
+        let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
+        let (a, a_addr) = node(1, Vec::new(), vec![(0, held)], &pest);
+        let (b, b_addr) = node(2, vec![0], Vec::new(), &peer);
         let reactor = Reactor::start(vec![a, b], 1).expect("start");
 
         let until = Instant::now() + Duration::from_millis(300);

@@ -286,8 +286,8 @@ pub struct SwarmReport {
     /// faults and per-link tallies); each peer's is in
     /// [`SwarmReport::peer_reports`].
     pub source_report: PeerReport,
-    /// Injected-fault totals summed over every node's socket (all zero
-    /// for a clean run).
+    /// Injected-fault totals summed over the links into every node (all
+    /// zero for a clean run).
     pub total_faults: DatagramFaultCounters,
     /// Every node's bound address by topology index — what maps the
     /// address-keyed per-link tallies back to nodes.

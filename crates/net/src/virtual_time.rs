@@ -1,13 +1,15 @@
 //! The virtual-time driver: a whole swarm of the nodes we ship on one
 //! thread, over in-memory links, in simulated time.
 //!
-//! It runs the same [`NodeStateMachine`] the reactor schedules
-//! (`crate::sharded`), from the same [`TopologyConfig`], under a
-//! discrete-event loop instead of epoll and the wall clock. Every
-//! datagram crosses a link in [`LINK_LATENCY`] of virtual time, then the
-//! receiver's inbound fault plan for that link, decided by the routine a
-//! [`crate::faults::FaultySocket`] runs: a delay is a later delivery, a
-//! reorder hold waits for overtaking traffic or for
+//! It runs the same endpoint the reactor schedules (`crate::endpoint`:
+//! the [`NodeStateMachine`](crate::peer) behind the fault plans of its
+//! links), from the same [`TopologyConfig`], under a discrete-event loop
+//! instead of epoll and the wall clock. Every datagram crosses a link in
+//! [`LINK_LATENCY`] of virtual time and reaches the receiving endpoint,
+//! whose plan for that link decides its fate. What a plan parks comes
+//! out on a release event at the time the endpoint asks for: a delayed
+//! datagram exactly its delay late, a reorder hold once overtaking
+//! traffic frees it or the links have idled for
 //! [`crate::faults::IDLE_RELEASE`]. Every node ticks every
 //! [`crate::NodeOptions::tick`] of virtual time. Nothing reads a clock
 //! or touches a socket, so a run is a function of its configuration:
@@ -24,13 +26,10 @@
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
-use ltnc_telemetry::Tracer;
-
-use crate::faults::{InboundState, IDLE_RELEASE};
-use crate::peer::{NodeStateMachine, Outbox, PeerReport, Shared};
+use crate::endpoint::Endpoint;
+use crate::peer::{micros, Outbox, PeerReport};
 use crate::swarm::{assemble_report, SwarmReport, TopologyConfig};
 
 /// One-way latency of every in-memory link: a datagram sent at `t`
@@ -47,30 +46,14 @@ fn addr(node: usize) -> SocketAddr {
     SocketAddr::from((Ipv4Addr::from(BASE + node as u32), PORT))
 }
 
-fn micros(duration: Duration) -> u64 {
-    u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
-}
-
 /// What happens to a node at an event's time.
 enum What {
     /// The node's gossip tick.
     Tick,
-    /// The node's links count as idle: its fault plans free what they hold.
+    /// The release the node's links asked for.
     Release,
-    /// A datagram from node `from` reaches the node's inbound faults.
+    /// A datagram from node `from` reaches the node.
     Arrive { from: usize, bytes: Vec<u8> },
-    /// A delayed datagram from node `from`, past the faults, falls due.
-    Deliver { from: usize, bytes: Vec<u8> },
-}
-
-/// One node and the state of the links into it.
-struct Node {
-    sm: NodeStateMachine,
-    shared: Arc<Shared>,
-    inbound: InboundState,
-    tracer: Tracer,
-    /// Whether a [`What::Release`] is pending (one at a time).
-    release_armed: bool,
 }
 
 struct World {
@@ -80,7 +63,7 @@ struct World {
     /// Pending events by due time, then scheduling order: events due at
     /// the same time run first come, first served.
     queue: BTreeMap<(u64, u64), (usize, What)>,
-    nodes: Vec<Node>,
+    nodes: Vec<Endpoint>,
     outbox: Outbox,
 }
 
@@ -97,78 +80,18 @@ impl World {
         (v4.port() == PORT && node < self.nodes.len()).then_some(node)
     }
 
-    /// Node `node`'s gossip tick, and the next one a tick later.
-    fn tick(&mut self, node: usize, period: u64) {
+    /// Puts what node `from` emitted on its links, then schedules the
+    /// release its links ask for.
+    fn send(&mut self, from: usize) {
         let mut outbox = std::mem::take(&mut self.outbox);
-        self.nodes[node].sm.tick(self.now, &mut outbox);
-        self.send(node, &mut outbox);
-        self.outbox = outbox;
-        self.schedule(self.now + period, node, What::Tick);
-    }
-
-    /// Hands a datagram from `from` to node `to`'s state machine now,
-    /// and sends what it answers.
-    fn handle(&mut self, to: usize, from: SocketAddr, bytes: &[u8]) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        self.nodes[to].sm.handle_datagram(self.now, from, bytes, &mut outbox);
-        self.send(to, &mut outbox);
-        self.outbox = outbox;
-    }
-
-    /// Puts what node `from` emitted on its links.
-    fn send(&mut self, from: usize, outbox: &mut Outbox) {
         for (to, bytes) in outbox.drain(..) {
             if let Some(to) = self.index(to) {
                 self.schedule(self.now + micros(LINK_LATENCY), to, What::Arrive { from, bytes });
             }
         }
-    }
-
-    /// A datagram from node `from` reaches node `to`: it crosses the
-    /// plan of that link, if it has one.
-    fn arrive(&mut self, to: usize, from: usize, bytes: Vec<u8>) {
-        let origin = addr(from);
-        let node = &mut self.nodes[to];
-        let Some((fate, _)) = node.inbound.decide(&bytes, origin) else {
-            self.handle(to, origin, &bytes);
-            return;
-        };
-        fate.trace(&node.tracer, origin);
-        for _ in 0..fate.copies() {
-            match fate.delay {
-                Some(delay) => {
-                    let bytes = bytes.clone();
-                    self.schedule(self.now + micros(delay), to, What::Deliver { from, bytes });
-                }
-                None => self.handle(to, origin, &bytes),
-            }
-        }
-        self.handle_ready(to);
-        self.arm_release(to);
-    }
-
-    /// Hands node `to` what its inbound faults hold ready.
-    fn handle_ready(&mut self, to: usize) {
-        while let Some((bytes, from)) = self.nodes[to].inbound.pop_ready() {
-            self.handle(to, from, &bytes);
-        }
-    }
-
-    /// Node `node`'s links went idle: everything held is let go.
-    fn release(&mut self, node: usize) {
-        self.nodes[node].release_armed = false;
-        self.nodes[node].inbound.release_held();
-        self.handle_ready(node);
-        self.arm_release(node);
-    }
-
-    /// Schedules an idle release when node `node`'s faults hold
-    /// anything and none is pending — the reactor's release timer.
-    fn arm_release(&mut self, node: usize) {
-        let links = &mut self.nodes[node];
-        if !links.release_armed && links.inbound.holds() {
-            links.release_armed = true;
-            self.schedule(self.now + micros(IDLE_RELEASE), node, What::Release);
+        self.outbox = outbox;
+        if let Some(at) = self.nodes[from].next_release() {
+            self.schedule(at, from, What::Release);
         }
     }
 }
@@ -189,22 +112,9 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         now: 0,
         seq: 0,
         queue: BTreeMap::new(),
-        nodes: Vec::with_capacity(count),
+        nodes: setups.into_iter().map(|setup| Endpoint::new(setup, addr)).collect(),
         outbox: Outbox::new(),
     };
-    let mut sinks = Vec::with_capacity(count);
-    for setup in setups {
-        let shared = Arc::new(Shared::default());
-        let tracer = Tracer::from_option(setup.config.trace.clone());
-        let mut sm = NodeStateMachine::new(setup.config, Arc::clone(&shared));
-        sm.set_peers(setup.peers.iter().map(|&to| addr(to)).collect());
-        let mut inbound = InboundState::default();
-        for (from, plan) in setup.links {
-            inbound.set_link(addr(from), plan);
-        }
-        world.nodes.push(Node { sm, shared, inbound, tracer, release_armed: false });
-        sinks.push(setup.sink);
-    }
     let period = micros(config.options.tick).max(1);
     for node in 0..count {
         world.schedule(period, node, What::Tick);
@@ -220,15 +130,21 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
             break;
         }
         world.now = at;
+        let (endpoint, out) = (&mut world.nodes[node], &mut world.outbox);
+        let tick = matches!(what, What::Tick);
         match what {
             // Converged: the ticks stop, the datagrams in flight land.
-            What::Tick if converged_at.is_some() => {}
-            What::Tick => world.tick(node, period),
-            What::Release => world.release(node),
-            What::Arrive { from, bytes } => world.arrive(node, from, bytes),
-            What::Deliver { from, bytes } => world.handle(node, addr(from), &bytes),
+            What::Tick if converged_at.is_some() => continue,
+            What::Tick => endpoint.tick(at, out),
+            What::Release => endpoint.release(at, out),
+            What::Arrive { from, bytes } => endpoint.datagram(at, addr(from), &bytes, out),
         }
-        if completed_at[node].is_none() && world.nodes[node].shared.complete.load(Ordering::Acquire)
+        world.send(node);
+        if tick {
+            world.schedule(at + period, node, What::Tick);
+        }
+        if completed_at[node].is_none()
+            && world.nodes[node].shared().complete.load(Ordering::Acquire)
         {
             completed_at[node] = Some(Duration::from_micros(at));
             incomplete -= 1;
@@ -238,20 +154,7 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         }
     }
 
-    let reports: Vec<PeerReport> = world
-        .nodes
-        .into_iter()
-        .zip(sinks)
-        .map(|(node, sink)| {
-            let mut report = node.sm.into_report();
-            report.faults = node.inbound.totals();
-            report.link_faults = node.inbound.link_counters();
-            if let Some(sink) = sink {
-                report.events = sink.drain();
-            }
-            report
-        })
-        .collect();
+    let reports: Vec<PeerReport> = world.nodes.into_iter().map(Endpoint::finish).collect();
     let elapsed = Duration::from_micros(converged_at.unwrap_or(deadline));
     let node_addrs = (0..count).map(addr).collect();
     assemble_report(config, manifest.generation_count(), elapsed, completed_at, node_addrs, reports)
@@ -306,6 +209,27 @@ mod tests {
         assert!(lossy.elapsed > clean.elapsed, "{:?} vs {:?}", lossy.elapsed, clean.elapsed);
         let last = lossy.completed_at.iter().flatten().max();
         assert_eq!(last, Some(&lossy.elapsed), "the last completion converges the run");
+    }
+
+    #[test]
+    fn a_delayed_datagram_is_handled_exactly_its_delay_late() {
+        // Every datagram from the source to its one peer is delayed 3 ms;
+        // the way back is clean. So each payload is handled exactly three
+        // link crossings and two delays after its offer left: the offer
+        // is delayed, answered at once, and the payload the answer
+        // releases is delayed in turn.
+        let delay = Duration::from_millis(3);
+        let mut config = config(SchemeKind::Rlnc, Topology::line(2));
+        config.link_faults.overrides.push(((0, 1), DatagramFaultPlan::clean(5).delay(1.0, delay)));
+        let report = run_virtual_swarm(&config);
+        assert!(report.converged && report.bit_exact, "{report:?}");
+        let peer = &report.peer_reports[0];
+        assert_eq!(peer.faults.delayed_in, report.source_report.wire.datagrams_sent);
+        let exact = 3 * micros(LINK_LATENCY) + 2 * micros(delay);
+        assert!(!peer.latency_by_hop.is_empty(), "payloads were delivered");
+        for (hop, latency) in &peer.latency_by_hop {
+            assert_eq!((latency.max, latency.sum), (exact, exact * latency.count()), "hop {hop}");
+        }
     }
 
     #[test]

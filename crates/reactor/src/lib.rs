@@ -17,7 +17,7 @@
 //!   drains in-flight datagrams before collecting outputs;
 //! * [`ShardObserver`] — the instrumentation seam: a dependency-free
 //!   hook trait the worker loops report scheduler events through (poll
-//!   waits, dispatch latencies, timer lag, wakeups), so embedding
+//!   waits, dispatch latencies, timer lag, turns), so embedding
 //!   crates can keep histograms without this crate owning any.
 //!
 //! The crate is deliberately protocol-agnostic: `ltnc-net` implements

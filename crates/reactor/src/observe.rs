@@ -4,7 +4,7 @@
 //! histograms or trace rings itself. Instead the worker loop reports
 //! through this seam: a [`ShardObserver`] installed via
 //! `Reactor::start_observed` receives every scheduler-level occurrence
-//! (poll completions, dispatch latencies, timer lag, wakeups) and
+//! (poll completions, dispatch latencies, timer lag, turns) and
 //! the embedding crate turns them into whatever metrics family it
 //! keeps. Every method has a no-op default, and the loop takes its
 //! extra `Instant::now()` readings only when an observer is installed —
@@ -46,10 +46,6 @@ pub trait ShardObserver: Send + Sync + 'static {
     /// `events` readiness events came back (the waker's own event, when
     /// present, is included).
     fn poll_completed(&self, _shard: usize, _waited: Duration, _events: usize) {}
-
-    /// The shard's waker drained `coalesced` wake bytes — stop requests
-    /// that collapsed into one readiness event.
-    fn wakeups_drained(&self, _shard: usize, _coalesced: usize) {}
 
     /// One node callback of the given kind ran for `took`.
     fn dispatched(&self, _shard: usize, _kind: Dispatch, _took: Duration) {}

@@ -75,10 +75,12 @@ pub trait Driven: Send + 'static {
     fn finish(&mut self) -> Self::Output;
 }
 
-/// Per-dispatch context handed to every [`Driven`] callback: the
-/// coarsened current time, timer arm/cancel for the node being
-/// dispatched, and a shared scratch buffer for datagram reads.
+/// Per-dispatch context handed to every [`Driven`] callback: timers for
+/// the node being dispatched, and a shared scratch buffer for datagram
+/// reads.
 pub struct Cx<'a> {
+    /// The instant captured at the top of the current loop iteration —
+    /// cheap, and consistent across every dispatch in the iteration.
     now: Instant,
     node: usize,
     wheel: &'a mut TimerWheel,
@@ -87,27 +89,13 @@ pub struct Cx<'a> {
 }
 
 impl Cx<'_> {
-    /// The instant captured at the top of the current loop iteration —
-    /// cheap, and consistent across every dispatch in the iteration.
-    #[must_use]
-    pub fn now(&self) -> Instant {
-        self.now
-    }
-
-    /// Arms a timer that fires `after` from [`Cx::now`], delivering
-    /// `tag` to this node's [`Driven::on_timer`]. Timers never fire
-    /// early; they may fire up to a wheel granularity (~1ms) late.
-    pub fn arm(&mut self, after: Duration, tag: u64) -> TimerId {
+    /// Arms a timer that fires `after` from the start of the current
+    /// loop iteration, delivering `tag` to this node's
+    /// [`Driven::on_timer`]. Timers never fire early; they may fire up to
+    /// a wheel granularity (~1ms) late.
+    pub fn arm(&mut self, after: Duration, tag: u64) {
         let id = self.wheel.schedule_at(self.now + after);
         self.routes.insert(id, (self.node, tag));
-        id
-    }
-
-    /// Cancels a previously armed timer. Returns `false` when it
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        self.routes.remove(&id);
-        self.wheel.cancel(id)
     }
 
     /// A worker-shared 64 KiB scratch buffer for datagram reads. The
@@ -154,7 +142,7 @@ impl<D: Driven> Reactor<D> {
 
     /// [`Reactor::start`] with an instrumentation observer installed:
     /// every worker reports its scheduler-level events (poll waits,
-    /// dispatch latencies, timer lag, wakeups) to `observer`, which
+    /// dispatch latencies, timer lag, turns) to `observer`, which
     /// is shared by all shards and called with the worker index. Passing
     /// `None` is exactly [`Reactor::start`] — the loop takes no extra
     /// clock readings when nobody listens.
@@ -296,10 +284,7 @@ fn worker_loop<D: Driven>(
         }
         for event in &events {
             if event.token == WAKER_TOKEN {
-                let coalesced = waker.drain();
-                if let Some(obs) = &observer {
-                    obs.wakeups_drained(shard, coalesced);
-                }
+                waker.drain();
                 continue;
             }
             let local = usize::try_from(event.token).expect("node token fits usize");

@@ -146,7 +146,7 @@ mod tests {
         s.wheel_depth = 11;
         s.nodes = 250;
         let samples = samples(&s);
-        assert_eq!(samples.len(), 10);
+        assert_eq!(samples.len(), 8);
         assert!(samples.iter().any(|x| x.name == "turns" && x.value == 4));
         assert!(samples.iter().any(|x| x.name == "wheel_depth" && x.value == 11));
         assert!(samples.iter().any(|x| x.name == "nodes" && x.value == 250));

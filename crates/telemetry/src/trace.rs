@@ -129,13 +129,12 @@ pub enum TraceEvent {
         /// The new whole-offer budget.
         budget: u64,
     },
-    /// The fault harness injected a datagram fault on this socket.
+    /// The fault plan of a link into this node injected a fault on a
+    /// datagram arriving over it.
     FaultInjected {
         /// What the fault did to the datagram.
         kind: FaultKind,
-        /// `true` when injected on the receive path, `false` on send.
-        inbound: bool,
-        /// The remote link endpoint, when attributable.
+        /// The sender at the far end of the link, when attributable.
         peer: Option<SocketAddr>,
     },
     /// A serving connection was accepted by the TCP listener.
@@ -216,13 +215,6 @@ pub enum TraceEvent {
         /// Microseconds past the scheduled deadline.
         lag_us: u64,
     },
-    /// A shard's waker drained wakeups.
-    Wakeup {
-        /// Worker index of the shard.
-        shard: u64,
-        /// Wake bytes that coalesced into this drain.
-        coalesced: u64,
-    },
     /// The stall watchdog saw a no-progress window: no node decoded
     /// anything new for longer than the configured stall window.
     StallDetected {
@@ -260,7 +252,6 @@ impl TraceEvent {
             TraceEvent::LeaseReassigned { .. } => "lease_reassigned",
             TraceEvent::ShardTick { .. } => "shard_tick",
             TraceEvent::TimerFired { .. } => "timer_fired",
-            TraceEvent::Wakeup { .. } => "wakeup",
             TraceEvent::StallDetected { .. } => "stall_detected",
         }
     }

@@ -101,8 +101,6 @@ fn reactor() -> ReactorSnapshot {
         turns: 501,
         polls: 502,
         poll_events: 503,
-        wakeups: 504,
-        wakeup_rounds: 505,
         readable_dispatches: 508,
         timer_dispatches: 509,
         timers_fired: 511,
