@@ -1,38 +1,42 @@
 //! Figure-reproduction harness for the LTNC paper (ICDCS 2010).
 //!
-//! Every table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` that regenerates it:
+//! One binary, `experiments`, regenerates the paper's evaluation as
+//! Markdown: one heading per section, its tables and TSV blocks in a fenced
+//! block. `--figure <name>` picks a section (repeatable; default: all six,
+//! in this order):
 //!
-//! | Binary              | Paper artifact | What it prints |
-//! |----------------------|----------------|----------------|
-//! | `fig2_soliton`       | Figure 2       | Robust Soliton pmf vs degree |
-//! | `fig7a_convergence`  | Figure 7a      | % of complete nodes vs time in ticks, WC/LTNC/RLNC |
-//! | `fig7b_completion`   | Figure 7b      | average time to complete vs code length |
-//! | `fig7c_overhead`     | Figure 7c      | communication overhead vs code length (LTNC) |
-//! | `fig8_cost`          | Figure 8a–8d   | recoding/decoding cost, control/data, vs code length |
-//! | `stats_recoding`     | §III-B/§III-C in-text numbers | degree-draw acceptance, build accuracy, occurrence spread, redundancy catches |
-//! | `ablations`          | design choices | refinement / redundancy-detection / feedback ablations |
+//! | `--figure`  | Paper artifact | What it prints |
+//! |-------------|----------------|----------------|
+//! | `2`         | Figure 2       | Robust Soliton pmf vs degree |
+//! | `7a`        | Figure 7a      | % of complete nodes vs time in ticks, WC/LTNC/RLNC |
+//! | `7bc`       | Figures 7b, 7c | average time to complete and communication overhead vs code length, from one sweep |
+//! | `8`         | Figure 8a–8d   | recoding/decoding cost, control/data, vs code length |
+//! | `stats`     | §III-B/§III-C in-text numbers | degree-draw acceptance, build accuracy, occurrence spread, redundancy catches |
+//! | `ablations` | design choices | refinement / redundancy-detection / feedback / RLNC sparsity ablations |
 //!
 //! Figures 7a–c and the feedback ablation run the protocol we ship — the
 //! `ltnc-net` node state machine, header-first handshake, pacing and event
 //! clocks included — on the virtual-time driver ([`epidemic`]), so they
-//! replay from their seed and report time in gossip ticks.
+//! replay from their seed and report time in gossip ticks. Every section is
+//! deterministic, so the quick output of all six is committed as
+//! `EXPERIMENTS.md` at the repository root and pinned byte for byte by
+//! `crates/bench/tests/experiments.rs`.
 //!
 //! Wall-clock time is not measured here: the reference benchmark
 //! (`ltnc-ledger`, in `benchmark/`) times the coding plane, the wire codec,
 //! the UDP swarm and the TCP fetch, and `crates/topo/tests/virtual_gates.rs`
 //! pins the lossy scenarios it does not run in exact virtual-time counts.
 //!
-//! All binaries accept `--quick` (default) or `--full`; `--full` uses the
-//! paper-scale parameters (N = 1000, k = 2048) and takes correspondingly
-//! longer. Output is plain text tables plus gnuplot-friendly TSV blocks, so
-//! two runs can be diffed.
+//! `--quick` is the default; `--full` uses the paper-scale parameters
+//! (N = 1000, k = 2048) and takes correspondingly longer. `--runs <n>` sets
+//! the Monte-Carlo runs to average and `--seed <n>` the base seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::env;
+use std::fmt::{self, Write};
 use std::time::Duration;
+use std::{env, io, process};
 
 use ltnc_metrics::TimeSeries;
 use ltnc_net::NodeOptions;
@@ -40,6 +44,8 @@ use ltnc_scheme::SchemeKind;
 use ltnc_topo::{Topology, TopologyConfig, TopologyReport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+mod sections;
 
 /// Overlay degree of the epidemic runs: the 16-peer partial view of the
 /// paper's peer sampling service, as a random 16-regular overlay.
@@ -107,7 +113,12 @@ pub fn overhead_percent(config: &TopologyConfig, report: &TopologyReport) -> f64
     ((delivered - necessary) / necessary * 100.0).max(0.0)
 }
 
-/// Command-line options shared by every figure binary.
+/// What `experiments` accepts; printed to stderr with every rejected
+/// command line.
+pub const USAGE: &str = "usage: experiments [--quick | --full] [--runs <n>] [--seed <n>] \
+                         [--figure <2|7a|7bc|8|stats|ablations>]...";
+
+/// Command-line options shared by every section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOptions {
     /// Run the paper-scale configuration instead of the quick one.
@@ -125,89 +136,190 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from an iterator of arguments (usually `std::env::args`).
+    /// Parses options and the selected sections from an iterator of
+    /// arguments (usually `std::env::args`).
     ///
-    /// Recognised flags: `--full`, `--quick`, `--runs <n>`, `--seed <n>`.
-    /// Unknown flags are ignored so binaries can add their own.
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Recognised flags: `--full`, `--quick`, `--runs <n>` (0 counts as 1),
+    /// `--seed <n>` and `--figure <name>`, once per section wanted; with no
+    /// `--figure`, every section in [`SECTIONS`] order.
+    ///
+    /// # Errors
+    /// An unknown flag, a missing or malformed value, or an unknown figure,
+    /// described in the message.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(Self, Vec<Section>), String> {
         let mut options = HarnessOptions::default();
+        let mut sections = Vec::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
+            let mut value = || iter.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
                 "--full" => options.full = true,
                 "--quick" => options.full = false,
-                "--runs" => {
-                    if let Some(v) = iter.next().and_then(|s| s.parse().ok()) {
-                        options.runs = v;
-                    }
+                "--runs" => options.runs = number(&arg, &value()?)?,
+                "--seed" => options.seed = number(&arg, &value()?)?,
+                "--figure" => {
+                    let name = value()?;
+                    let section = SECTIONS.into_iter().find(|s| s.flag == name);
+                    sections.push(section.ok_or_else(|| format!("unknown figure {name:?}"))?);
                 }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|s| s.parse().ok()) {
-                        options.seed = v;
-                    }
-                }
-                _ => {}
+                _ => return Err(format!("unknown flag {arg:?}")),
             }
         }
         options.runs = options.runs.max(1);
-        options
-    }
-
-    /// Parses the options from the process arguments.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(env::args().skip(1))
-    }
-}
-
-/// Prints a table: a header row followed by aligned data rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        if sections.is_empty() {
+            sections = SECTIONS.to_vec();
         }
+        Ok((options, sections))
     }
-    let header_line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{h:>width$}", width = widths[i]))
-        .collect();
-    println!("{}", header_line.join("  "));
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>width$}", width = widths.get(i).copied().unwrap_or(0)))
-            .collect();
-        println!("{}", line.join("  "));
+
+    /// Parses the process arguments; a rejected command line prints why and
+    /// [`USAGE`] to stderr and exits with status 2.
+    #[must_use]
+    pub fn from_env() -> (Self, Vec<Section>) {
+        Self::parse(env::args().skip(1)).unwrap_or_else(|why| {
+            eprintln!("experiments: {why}\n{USAGE}");
+            process::exit(2)
+        })
+    }
+
+    /// The `mode:` line every section opens with: quick or full, then the
+    /// section's own parameters.
+    fn mode(&self, out: &mut impl Write, params: fmt::Arguments) -> fmt::Result {
+        writeln!(out, "mode: {} | {params}", if self.full { "full" } else { "quick" })
     }
 }
 
-/// Prints one or more series as a gnuplot-friendly TSV block with a comment header.
-pub fn print_series(title: &str, series: &[&TimeSeries]) {
-    println!("\n# {title}");
-    for s in series {
-        println!("# series: {}", s.label());
-        print!("{}", s.to_tsv());
-        println!();
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} takes a non-negative integer, not {value:?}"))
+}
+
+/// One section of the evaluation, selected by `--figure`.
+#[derive(Debug, Clone, Copy)]
+pub struct Section {
+    /// The `--figure` value that selects the section.
+    pub flag: &'static str,
+    /// The section's Markdown heading.
+    pub heading: &'static str,
+    write: fn(&HarnessOptions, &mut String) -> fmt::Result,
+}
+
+/// Every section, in the order `experiments` prints them.
+pub const SECTIONS: [Section; 6] = [
+    Section {
+        flag: "2", heading: "Figure 2 — Robust Soliton distribution", write: sections::fig2
+    },
+    Section {
+        flag: "7a",
+        heading: "Figure 7a — convergence (proportion of complete nodes vs gossip ticks)",
+        write: sections::fig7a,
+    },
+    Section {
+        flag: "7bc",
+        heading: "Figures 7b and 7c — time to complete and communication overhead vs code length",
+        write: sections::fig7bc,
+    },
+    Section {
+        flag: "8",
+        heading: "Figure 8 — computational cost of recoding and decoding",
+        write: sections::fig8,
+    },
+    Section {
+        flag: "stats",
+        heading: "Recoding statistics (§III-B / §III-C in-text numbers)",
+        write: sections::stats,
+    },
+    Section {
+        flag: "ablations",
+        heading: "Ablations of the LTNC design choices",
+        write: sections::ablations,
+    },
+];
+
+impl Section {
+    /// Runs the section and renders it as Markdown: its heading, then in a
+    /// fenced block its `mode:` line, tables and gnuplot-friendly TSV blocks.
+    #[must_use]
+    pub fn markdown(&self, options: &HarnessOptions) -> String {
+        let mut text = String::new();
+        (self.write)(options, &mut text).expect("writing to a String cannot fail");
+        format!("\n## {}\n\n```text\n{}\n```\n", self.heading, text.trim_end())
     }
+}
+
+/// Writes the document `experiments` prints: a title naming the options,
+/// then each of `sections` as [`Section::markdown`], written as it is done.
+///
+/// # Errors
+/// Whatever writing to `out` fails with.
+pub fn write_document(
+    options: &HarnessOptions,
+    sections: &[Section],
+    out: &mut impl io::Write,
+) -> io::Result<()> {
+    let mode = if options.full { "full" } else { "quick" };
+    let mut command =
+        format!("experiments --{mode} --runs {} --seed {}", options.runs, options.seed);
+    if sections.iter().map(|s| s.flag).ne(SECTIONS.iter().map(|s| s.flag)) {
+        sections.iter().for_each(|s| command += &format!(" --figure {}", s.flag));
+    }
+    writeln!(out, "# Experiments\n")?;
+    writeln!(
+        out,
+        "The LTNC paper's evaluation as `{command}` prints it (crate `ltnc-bench`). \
+         Every section replays exactly from its seed."
+    )?;
+    for section in sections {
+        out.write_all(section.markdown(options).as_bytes())?;
+        out.flush()?;
+    }
+    Ok(())
+}
+
+/// Writes a table: a blank line and the `== title ==` line, a header row,
+/// then the data rows, every column right-aligned to its widest cell.
+pub(crate) fn print_table(
+    out: &mut impl Write,
+    title: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> fmt::Result {
+    writeln!(out, "\n== {title} ==")?;
+    let widths: Vec<usize> = (0..headers.len())
+        .map(|i| rows.iter().map(|row| row[i].len()).fold(headers[i].len(), usize::max))
+        .collect();
+    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    for row in std::iter::once(&header).chain(rows) {
+        let cells: Vec<String> =
+            row.iter().zip(&widths).map(|(cell, &width)| format!("{cell:>width$}")).collect();
+        writeln!(out, "{}", cells.join("  "))?;
+    }
+    Ok(())
+}
+
+/// Writes one or more series as a gnuplot-friendly TSV block with a comment header.
+pub(crate) fn print_series(
+    out: &mut impl Write,
+    title: &str,
+    series: &[&TimeSeries],
+) -> fmt::Result {
+    writeln!(out, "\n# {title}")?;
+    for s in series {
+        writeln!(out, "# series: {}", s.label())?;
+        writeln!(out, "{}", s.to_tsv())?;
+    }
+    Ok(())
 }
 
 /// Formats a float with a fixed number of decimals, for table cells.
 #[must_use]
-pub fn fmt_f(value: f64, decimals: usize) -> String {
+pub(crate) fn fmt_f(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }
 
 /// The code lengths swept by Figures 7b/7c (paper: 512 → 4096) scaled to the
 /// harness mode.
 #[must_use]
-pub fn code_length_sweep(full: bool) -> Vec<usize> {
+pub(crate) fn code_length_sweep(full: bool) -> Vec<usize> {
     if full {
         vec![512, 1024, 2048, 3072, 4096]
     } else {
@@ -218,7 +330,7 @@ pub fn code_length_sweep(full: bool) -> Vec<usize> {
 /// The code lengths swept by Figure 8 (paper: 400 → 2000) scaled to the
 /// harness mode.
 #[must_use]
-pub fn cost_code_length_sweep(full: bool) -> Vec<usize> {
+pub(crate) fn cost_code_length_sweep(full: bool) -> Vec<usize> {
     if full {
         vec![400, 800, 1200, 1600, 2000]
     } else {
@@ -241,21 +353,48 @@ mod tests {
         assert!(o.runs >= 1);
     }
 
-    #[test]
-    fn parse_recognises_flags() {
-        let o = HarnessOptions::parse(args(&["--full", "--runs", "25", "--seed", "7"]));
-        assert!(o.full);
-        assert_eq!(o.runs, 25);
-        assert_eq!(o.seed, 7);
+    fn flags(sections: &[Section]) -> Vec<&str> {
+        sections.iter().map(|s| s.flag).collect()
     }
 
     #[test]
-    fn parse_ignores_unknown_flags_and_clamps_runs() {
-        let o = HarnessOptions::parse(args(&["--wat", "--runs", "0"]));
-        assert!(!o.full);
+    fn parse_recognises_flags() {
+        let (o, sections) =
+            HarnessOptions::parse(args(&["--full", "--runs", "25", "--seed", "7"])).unwrap();
+        assert!(o.full);
+        assert_eq!(o.runs, 25);
+        assert_eq!(o.seed, 7);
+        assert_eq!(flags(&sections), flags(&SECTIONS), "no --figure selects every section");
+    }
+
+    #[test]
+    fn parse_selects_figures_in_order_and_clamps_runs() {
+        let line = ["--figure", "7bc", "--runs", "0", "--figure", "2"];
+        let (o, sections) = HarnessOptions::parse(args(&line)).unwrap();
+        assert_eq!(flags(&sections), ["7bc", "2"]);
         assert_eq!(o.runs, 1);
-        let o = HarnessOptions::parse(args(&["--full", "--quick"]));
+        let (o, _) = HarnessOptions::parse(args(&["--full", "--quick"])).unwrap();
         assert!(!o.full);
+        for section in SECTIONS {
+            let (_, picked) = HarnessOptions::parse(args(&["--figure", section.flag])).unwrap();
+            assert_eq!(flags(&picked), [section.flag]);
+        }
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_malformed_values() {
+        for (line, why) in [
+            (&["--ful"][..], "unknown flag \"--ful\""),
+            (&["--quick", "extra"], "unknown flag \"extra\""),
+            (&["--runs", "x"], "--runs takes a non-negative integer, not \"x\""),
+            (&["--runs", "-1"], "--runs takes a non-negative integer, not \"-1\""),
+            (&["--seed", "4.2"], "--seed takes a non-negative integer, not \"4.2\""),
+            (&["--seed"], "--seed needs a value"),
+            (&["--figure", "7b"], "unknown figure \"7b\""),
+            (&["--figure"], "--figure needs a value"),
+        ] {
+            assert_eq!(HarnessOptions::parse(args(line)).err().as_deref(), Some(why), "{line:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 /// Tuning knobs of an LTNC node.
 ///
 /// The defaults reproduce the configuration evaluated in the paper; the
-/// booleans exist for the `ablations` binary of `ltnc-bench`: they let the
-/// harness measure what each mechanism contributes.
+/// booleans exist for `experiments --figure ablations` (`ltnc-bench`): they
+/// let the harness measure what each mechanism contributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LtncConfig {
     /// Robust Soliton parameter `c` (paper/Luby default: 0.1).

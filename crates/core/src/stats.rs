@@ -13,7 +13,7 @@ use ltnc_metrics::Summary;
 /// * the redundancy detection drops ≈ 31 % of the redundant packets that
 ///   would otherwise be inserted ([`RecodeStats::redundant_rejected`]).
 ///
-/// The `stats_recoding` binary of `ltnc-bench` prints them next to the
+/// `experiments --figure stats` (`ltnc-bench`) prints them next to the
 /// paper's values.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecodeStats {

@@ -1036,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_skips_past_consumed_datagrams_in_one_drain() {
+    fn a_drop_never_holds_up_the_survivors_behind_it() {
         // A datagram the plan eats must not hold up the ones behind it:
         // every survivor is handed over the moment it arrives, in order.
         let mut inbound = linked(DatagramFaultPlan::clean(21).drop_rate(0.4));
@@ -1049,7 +1049,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_release_under_edge_triggered_polling() {
+    fn idle_release_falls_due_exactly_idle_release_after_the_first_hold() {
         // Nothing but the idle release frees an always-hold window's
         // datagrams, so it must fall due IDLE_RELEASE after the first
         // hold, and not a microsecond sooner.

@@ -124,7 +124,7 @@ impl LtncSchemeNode {
         LtncSchemeNode { node: LtncNode::new(k, payload_size), useful: 0 }
     }
 
-    /// Creates an LTNC node with a custom configuration (ablations).
+    /// Creates an LTNC node with a custom configuration (`experiments --figure ablations`).
     #[must_use]
     pub fn with_config(k: usize, payload_size: usize, config: ltnc_core::LtncConfig) -> Self {
         LtncSchemeNode { node: LtncNode::with_config(k, payload_size, config), useful: 0 }

@@ -2,8 +2,8 @@
 //! source to a network of peers, comparing the three schemes of the paper's
 //! evaluation (WC, LTNC, RLNC) on convergence time, communication overhead and
 //! decoding cost. This is a scaled-down version of Figure 7, run by the
-//! protocol we ship in virtual time; the `ltnc-bench` binaries produce the
-//! full figures.
+//! protocol we ship in virtual time; `experiments --figure 7a` (and `7bc`)
+//! of `ltnc-bench` produces the full figures.
 //!
 //! ```text
 //! cargo run --release -p ltnc-examples --bin file_dissemination
