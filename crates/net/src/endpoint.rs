@@ -6,15 +6,13 @@
 //! each datagram that arrives ([`Endpoint::datagram`]), each gossip tick
 //! ([`Endpoint::tick`]) and each release its links asked for
 //! ([`Endpoint::release`], when [`Endpoint::next_release`] said), all
-//! with `now`, and sends what lands in the outbox. The reactor
-//! (`crate::sharded`) moves the bytes over UDP on a wall-anchored clock,
-//! the virtual-time driver (`crate::virtual_time`) over in-memory links
-//! in simulated time; nothing else differs.
+//! with `now`, which also stamps its trace events, and sends what lands
+//! in the outbox. The reactor (`crate::sharded`) moves the bytes over
+//! UDP, the virtual-time driver (`crate::virtual_time`) over in-memory
+//! links in simulated time; nothing else differs.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
-
-use ltnc_telemetry::{RingSink, Tracer};
 
 use crate::faults::InboundState;
 use crate::peer::{NodeStateMachine, Outbox, PeerReport, Shared};
@@ -25,10 +23,6 @@ pub(crate) struct Endpoint {
     sm: NodeStateMachine,
     shared: Arc<Shared>,
     inbound: InboundState,
-    /// Where injected faults are traced: the node's own sink.
-    tracer: Tracer,
-    /// Drained into [`PeerReport::events`] by [`Endpoint::finish`].
-    sink: Option<Arc<RingSink>>,
     /// When the release the driver has pending falls due, if it has one.
     armed: Option<u64>,
 }
@@ -38,16 +32,15 @@ impl Endpoint {
     /// machine, wired to push to its peers, behind the plans of its
     /// links.
     pub(crate) fn new(setup: NodeSetup, addr: impl Fn(usize) -> SocketAddr) -> Endpoint {
-        let NodeSetup { config, peers, links, sink } = setup;
+        let NodeSetup { config, peers, links } = setup;
         let shared = Arc::new(Shared::default());
-        let tracer = Tracer::from_option(config.trace.clone());
         let mut sm = NodeStateMachine::new(config, Arc::clone(&shared));
         sm.set_peers(peers.into_iter().map(&addr).collect());
         let mut inbound = InboundState::default();
         for (from, plan) in links {
             inbound.set_link(addr(from), plan);
         }
-        Endpoint { sm, shared, inbound, tracer, sink, armed: None }
+        Endpoint { sm, shared, inbound, armed: None }
     }
 
     /// What the node publishes for observers outside its driver.
@@ -59,7 +52,7 @@ impl Endpoint {
     /// plan, and the state machine handles the copies that pass — from
     /// `bytes` as they are — then the holds they overtook.
     pub(crate) fn datagram(&mut self, now: u64, from: SocketAddr, bytes: &[u8], out: &mut Outbox) {
-        for _ in 0..self.inbound.arrive(now, from, bytes, &self.tracer) {
+        for _ in 0..self.inbound.arrive(now, from, bytes, &self.sm.tracer) {
             self.sm.handle_datagram(now, from, bytes, out);
         }
         self.handle_ready(now, out);
@@ -96,15 +89,11 @@ impl Endpoint {
         }
     }
 
-    /// The node's final accounting, with the faults its links injected
-    /// and the events it traced.
+    /// The node's final accounting, with the faults its links injected.
     pub(crate) fn finish(self) -> PeerReport {
         let mut report = self.sm.into_report();
         report.faults = self.inbound.totals();
         report.link_faults = self.inbound.link_counters();
-        if let Some(sink) = self.sink {
-            report.events = sink.drain();
-        }
         report
     }
 }
@@ -114,7 +103,7 @@ mod tests {
     use std::time::Duration;
 
     use ltnc_scheme::{SchemeKind, SchemeParams};
-    use ltnc_telemetry::TraceEvent;
+    use ltnc_telemetry::{RingSink, TraceEvent};
 
     use super::*;
     use crate::faults::{DatagramFaultPlan, IDLE_RELEASE};
@@ -132,9 +121,8 @@ mod tests {
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
         let role = NodeRole::Source { object: vec![7; 8], params };
         let mut config = NodeConfig::new(1, role, NodeOptions::default());
-        let sink = Arc::new(RingSink::new(1024));
-        config.trace = Some(Arc::clone(&sink) as _);
-        Endpoint::new(NodeSetup { config, peers: Vec::new(), links, sink: Some(sink) }, addr)
+        config.trace = Some(Arc::new(RingSink::new(1024)));
+        Endpoint::new(NodeSetup { config, peers: Vec::new(), links }, addr)
     }
 
     #[test]

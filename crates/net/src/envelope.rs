@@ -107,8 +107,9 @@ pub const DATA_PREFIX_BYTES: usize =
 /// and how many recode steps it has been through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
-    /// Microseconds since the Unix epoch at which the origin first sent
-    /// the (oldest) information mixed into this packet.
+    /// Microseconds on the sender's clock (since the run began inside a
+    /// swarm, since the Unix epoch on a serving connection) at which the
+    /// origin first sent the (oldest) information mixed into this packet.
     pub origin_micros: u64,
     /// Recode depth: 0 from a source, `max(inputs) + 1` from a relay.
     pub hop: u16,

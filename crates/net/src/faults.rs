@@ -592,8 +592,9 @@ impl Fate {
         }
     }
 
-    /// One [`TraceEvent::FaultInjected`] per fault, attributed to `peer`.
-    fn trace(self, tracer: &Tracer, peer: SocketAddr) {
+    /// One [`TraceEvent::FaultInjected`] per fault, attributed to `peer`
+    /// and stamped `now`.
+    fn trace(self, now: u64, tracer: &Tracer, peer: SocketAddr) {
         for (fired, kind) in [
             (self.delayed, FaultKind::Delay),
             (self.dropped, FaultKind::Drop),
@@ -601,7 +602,7 @@ impl Fate {
             (self.duplicated, FaultKind::Duplicate),
         ] {
             if fired {
-                tracer.emit(|| TraceEvent::FaultInjected { kind, peer: Some(peer) });
+                tracer.emit(now, || TraceEvent::FaultInjected { kind, peer: Some(peer) });
             }
         }
     }
@@ -671,7 +672,7 @@ impl LinkState {
             fate.duplicated = true;
         }
         self.counters.merge(&fate.counters());
-        fate.trace(tracer, from);
+        fate.trace(now, tracer, from);
         if !fate.delayed {
             return fate.copies();
         }

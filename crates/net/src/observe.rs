@@ -17,7 +17,9 @@
 //! * [`FlightState`] renders the post-mortem document: recent scheduler
 //!   events, per-shard counter snapshots and the stuck nodes' decoder
 //!   state by topology index, cut on stall detection, shutdown timeout,
-//!   or on demand via the endpoint's `/flight` route.
+//!   or on demand via the endpoint's `/flight` route;
+//! * [`Watchdog`] is the one stall decision both drivers make, on the
+//!   swarm's clock (µs since the run began), which it is handed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -31,10 +33,11 @@ use ltnc_reactor::{Dispatch, ShardObserver};
 use ltnc_telemetry::json::{self, JsonValue, REPORT_SCHEMA_VERSION};
 use ltnc_telemetry::{
     histograms, samples, HistogramSample, MetricsRegistry, RingSink, Sample, TimedEvent,
-    TraceEvent, Tracer,
+    TraceEvent, TraceSink,
 };
 
-use crate::peer::Shared;
+use crate::peer::{micros, Shared};
+use crate::swarm::FlightRecorder;
 
 /// Timer lag below this is normal wheel-granularity noise; only lags at
 /// or past it earn a `timer_fired` flight-recorder event (the histogram
@@ -51,10 +54,6 @@ const TICK_SAMPLE_EVERY: u64 = 64;
 /// alongside.
 const DUMP_NODE_CAP: usize = 64;
 
-fn micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
 fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
@@ -69,7 +68,6 @@ struct ShardState {
     /// Flight-recorder ring; `None` when the recorder is off (metrics
     /// only).
     ring: Option<Arc<RingSink>>,
-    tracer: Tracer,
 }
 
 /// The sharded swarm's [`ShardObserver`]: routes every scheduler
@@ -77,41 +75,45 @@ struct ShardState {
 /// recorder is on, stamps the noteworthy ones (late timers, sampled
 /// heartbeats) into the shard's bounded event ring.
 pub(crate) struct SwarmTelemetry {
+    /// When the run began: ring stamps count from here.
+    anchor: Instant,
     shards: Vec<ShardState>,
 }
 
 impl SwarmTelemetry {
-    /// Instrumentation for `workers` shards; `flight_capacity` sizes the
-    /// per-shard event rings (`None` keeps counters only).
-    pub(crate) fn new(workers: usize, flight_capacity: Option<usize>) -> SwarmTelemetry {
-        let shards = (0..workers.max(1))
-            .map(|_| {
-                let ring = flight_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
-                let tracer = Tracer::from_option(ring.clone().map(|ring| ring as _));
-                ShardState { counters: Arc::new(ReactorCounters::new()), ring, tracer }
+    /// Instrumentation for `nodes` nodes on `workers` shards (node `g`
+    /// on shard `g % workers`), on the swarm's clock started at `anchor`;
+    /// `capacity` sizes the per-shard flight rings (`None`: counters only).
+    pub(crate) fn new(
+        workers: usize,
+        nodes: usize,
+        capacity: Option<usize>,
+        anchor: Instant,
+    ) -> SwarmTelemetry {
+        let workers = workers.max(1);
+        let shards = (0..workers)
+            .map(|shard| {
+                let counters = ReactorCounters::new();
+                counters.set_nodes(((nodes + workers - 1 - shard) / workers) as u64);
+                let ring = capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
+                ShardState { counters: Arc::new(counters), ring }
             })
             .collect();
-        SwarmTelemetry { shards }
+        SwarmTelemetry { anchor, shards }
     }
 
-    pub(crate) fn workers(&self) -> usize {
-        self.shards.len()
+    /// Records `make`'s event into `state`'s ring, stamped now — the
+    /// clock read only when the recorder is on.
+    fn record(&self, state: &ShardState, make: impl FnOnce() -> TraceEvent) {
+        if let Some(ring) = &state.ring {
+            ring.record(micros(self.anchor.elapsed()), make());
+        }
     }
 
     /// Shared handles onto every shard's counters (for registry
     /// collectors and report rollups).
     pub(crate) fn shard_counters(&self) -> Vec<Arc<ReactorCounters>> {
         self.shards.iter().map(|state| Arc::clone(&state.counters)).collect()
-    }
-
-    /// Seeds each shard's node-count gauge for the reactor's round-robin
-    /// partition of `node_count` nodes (global node `g` lands on shard
-    /// `g % workers`).
-    pub(crate) fn set_node_counts(&self, node_count: usize) {
-        let workers = self.shards.len();
-        for (shard, state) in self.shards.iter().enumerate() {
-            state.counters.set_nodes(((node_count + workers - 1 - shard) / workers) as u64);
-        }
     }
 
     /// A point-in-time snapshot of every shard's counters, shard-indexed.
@@ -127,13 +129,15 @@ impl SwarmTelemetry {
         Some((ring.events(), ring.dropped()))
     }
 
-    /// Stamps a `stall_detected` event into every shard's flight ring —
-    /// the watchdog's mark, placed just before the dump is cut so the
-    /// dump itself contains it.
-    pub(crate) fn note_stall(&self, idle: Duration) {
+    /// Stamps a `stall_detected` event, at `now`, into every shard's
+    /// flight ring — the watchdog's mark, placed just before the dump is
+    /// cut so the dump itself contains it.
+    fn note_stall(&self, now: u64, idle: Duration) {
         let idle_ms = millis(idle);
         for (shard, state) in self.shards.iter().enumerate() {
-            state.tracer.emit(|| TraceEvent::StallDetected { shard: shard as u64, idle_ms });
+            if let Some(ring) = &state.ring {
+                ring.record(now, TraceEvent::StallDetected { shard: shard as u64, idle_ms });
+            }
         }
     }
 }
@@ -156,11 +160,10 @@ impl ShardObserver for SwarmTelemetry {
 
     fn timer_lag(&self, shard: usize, lag: Duration) {
         let Some(state) = self.shards.get(shard) else { return };
-        state.counters.record_timer_lag(micros(lag));
+        let lag_us = micros(lag);
+        state.counters.record_timer_lag(lag_us);
         if lag >= LATE_TIMER_LAG {
-            state
-                .tracer
-                .emit(|| TraceEvent::TimerFired { shard: shard as u64, lag_us: micros(lag) });
+            self.record(state, || TraceEvent::TimerFired { shard: shard as u64, lag_us });
         }
     }
 
@@ -169,7 +172,7 @@ impl ShardObserver for SwarmTelemetry {
         state.counters.record_turn(timers_pending as u64);
         let turns = state.counters.turns.load(Ordering::Relaxed);
         if turns % TICK_SAMPLE_EVERY == 1 {
-            state.tracer.emit(|| TraceEvent::ShardTick {
+            self.record(state, || TraceEvent::ShardTick {
                 shard: shard as u64,
                 wheel_depth: timers_pending as u64,
             });
@@ -286,50 +289,45 @@ fn decoder_samples(shareds: &[Arc<Shared>], generations: u32) -> Vec<Sample> {
     samples
 }
 
-/// Everything the flight recorder needs to cut a post-mortem: the
-/// per-shard instrumentation plus every node's shared state, by topology
-/// index. Cheap to clone around (all `Arc`s) and safe to dump from any
-/// thread.
+/// Everything the flight recorder needs to cut a post-mortem: its
+/// configuration, the reactor's per-shard instrumentation (`None` in
+/// virtual time) and every node's shared state, by topology index.
+/// Cheap to clone (all `Arc`s) and safe to dump from any thread.
 #[derive(Clone)]
 pub(crate) struct FlightState {
-    pub(crate) started: Instant,
-    pub(crate) telemetry: Arc<SwarmTelemetry>,
+    pub(crate) recorder: FlightRecorder,
+    pub(crate) telemetry: Option<Arc<SwarmTelemetry>>,
     pub(crate) completion: Vec<Arc<Shared>>,
     /// Topology index of the source, which decodes nothing.
     pub(crate) source: usize,
-    pub(crate) stall_window: Duration,
 }
 
 impl FlightState {
-    /// Renders the schema-stable post-mortem document. `reason` is
-    /// `"stall"`, `"shutdown_timeout"` or `"demand"`; `idle` carries the
-    /// watchdog's no-progress span when that is what triggered the cut,
-    /// and the dump then names when the stall began (`stalled_at_ms`,
-    /// run time at the last decoding progress) beside the stuck nodes.
-    pub(crate) fn dump(&self, reason: &str, idle: Option<Duration>) -> String {
-        let workers = self.telemetry.workers();
-        let at = self.started.elapsed();
+    /// Renders the schema-stable post-mortem document, cut at `now`.
+    /// `reason` is `"stall"`, `"shutdown_timeout"` or `"demand"`; `idle`
+    /// carries the watchdog's no-progress span when that is what
+    /// triggered the cut, and the dump then names when the stall began
+    /// (`stalled_at_ms`, run time at the last decoding progress) beside
+    /// the stuck nodes. Without a reactor there are no shards.
+    pub(crate) fn dump(&self, now: u64, reason: &str, idle: Option<Duration>) -> String {
+        let at = Duration::from_micros(now);
+        let telemetry = self.telemetry.as_deref();
+        let snapshots = telemetry.map(SwarmTelemetry::snapshots).unwrap_or_default();
+        let workers = snapshots.len();
         let mut doc = JsonValue::object()
             .field("schema_version", REPORT_SCHEMA_VERSION)
             .field("kind", "flight_recorder")
             .field("reason", reason)
             .field("at_ms", millis(at))
             .field("workers", workers as u64)
-            .field("stall_window_ms", millis(self.stall_window));
+            .field("stall_window_ms", millis(self.recorder.stall_window));
         if let Some(idle) = idle {
             doc = doc.field("idle_ms", millis(idle));
         }
-
-        let shards: Vec<JsonValue> = self
-            .telemetry
-            .snapshots()
-            .iter()
-            .enumerate()
-            .map(|(shard, snapshot)| {
-                shard_json(shard, snapshot, self.telemetry.shard_events(shard))
-            })
-            .collect();
-        doc = doc.field("shards", JsonValue::array(shards));
+        let shards = snapshots.iter().enumerate().map(|(shard, snapshot)| {
+            shard_json(shard, snapshot, telemetry.and_then(|t| t.shard_events(shard)))
+        });
+        doc = doc.field("shards", JsonValue::array(shards.collect()));
 
         // Per-node decoder state: post-mortems care about who is stuck,
         // so only incomplete receivers get a detail row (capped).
@@ -346,14 +344,13 @@ impl FlightState {
                 omitted += 1;
                 continue;
             }
+            let mut node = JsonValue::object().field("node", index as u64);
+            if workers > 0 {
+                node = node.field("shard", (index % workers) as u64);
+            }
+            let generations = shared.complete_generations.load(Ordering::Acquire) as u64;
             stalled.push(
-                JsonValue::object()
-                    .field("node", index as u64)
-                    .field("shard", (index % workers.max(1)) as u64)
-                    .field(
-                        "complete_generations",
-                        shared.complete_generations.load(Ordering::Acquire) as u64,
-                    )
+                node.field("complete_generations", generations)
                     .field("decoded_rank", shared.decoded_rank.load(Ordering::Relaxed)),
             );
         }
@@ -366,6 +363,60 @@ impl FlightState {
             .field("stalled_nodes", JsonValue::array(stalled))
             .field("stalled_nodes_omitted", omitted);
         doc.render()
+    }
+}
+
+/// The one stall decision, on both drivers: fed the swarm's decoding
+/// progress ([`Shared::progress`], summed) at `now`, it cuts a stall dump
+/// once progress has not moved for a whole stall window, once per
+/// episode; an unconverged run without one ends on a timeout dump.
+pub(crate) struct Watchdog {
+    pub(crate) state: FlightState,
+    progress: u64,
+    /// Since when `progress` is flat; `None` once this stall is cut.
+    flat_since: Option<u64>,
+    /// The latest dump cut.
+    dump: Option<String>,
+}
+
+impl Watchdog {
+    /// A watchdog over `state`, armed at the run's start.
+    pub(crate) fn new(state: FlightState) -> Watchdog {
+        let progress = state.completion.iter().map(|shared| shared.progress()).sum();
+        Watchdog { state, progress, flat_since: Some(0), dump: None }
+    }
+
+    /// The swarm's decoding progress was `progress` at `now`.
+    pub(crate) fn observe(&mut self, now: u64, progress: u64) {
+        if progress != self.progress {
+            (self.progress, self.flat_since) = (progress, Some(now));
+        } else if let Some(since) = self.flat_since {
+            let idle = Duration::from_micros(now - since);
+            if idle >= self.state.recorder.stall_window {
+                self.flat_since = None;
+                if let Some(telemetry) = &self.state.telemetry {
+                    telemetry.note_stall(now, idle);
+                }
+                self.cut(now, "stall", Some(idle));
+            }
+        }
+    }
+
+    /// The run's post-mortem, the run having ended at `now`.
+    pub(crate) fn finish(mut self, now: u64, converged: bool) -> Option<String> {
+        if self.dump.is_none() && !converged {
+            self.cut(now, "shutdown_timeout", None);
+        }
+        self.dump
+    }
+
+    /// Cuts a dump at `now`, also written to `dump_path` (best effort).
+    fn cut(&mut self, now: u64, reason: &str, idle: Option<Duration>) {
+        let dump = self.state.dump(now, reason, idle);
+        if let Some(path) = &self.state.recorder.dump_path {
+            let _ = std::fs::write(path, &dump);
+        }
+        self.dump = Some(dump);
     }
 }
 
@@ -424,8 +475,7 @@ mod tests {
 
     #[test]
     fn observer_routes_callbacks_into_the_right_shard() {
-        let telemetry = SwarmTelemetry::new(2, Some(16));
-        telemetry.set_node_counts(5);
+        let telemetry = SwarmTelemetry::new(2, 5, Some(16), Instant::now());
         telemetry.poll_completed(1, Duration::from_micros(300), 2);
         telemetry.dispatched(1, Dispatch::Readable, Duration::from_nanos(500));
         telemetry.timer_lag(1, Duration::from_millis(20));
@@ -464,7 +514,7 @@ mod tests {
             wire.useful_deliveries = 4;
         }
 
-        let telemetry = SwarmTelemetry::new(1, None);
+        let telemetry = SwarmTelemetry::new(1, 2, None, Instant::now());
         telemetry.poll_completed(0, Duration::from_micros(10), 1);
         let registry = swarm_registry(&shareds, 0, 2, &telemetry);
         let snapshot = registry.snapshot();
@@ -524,39 +574,70 @@ mod tests {
         );
     }
 
-    #[test]
-    fn flight_dump_is_parseable_and_lists_stuck_nodes() {
-        let telemetry = Arc::new(SwarmTelemetry::new(2, Some(8)));
-        telemetry.turn_completed(0, 1);
-        telemetry.note_stall(Duration::from_secs(12));
+    /// A watchdog over a source and one receiver with rank 9, on two
+    /// shards (or none), with a 10 s stall window.
+    fn armed(telemetry: Option<Arc<SwarmTelemetry>>) -> Watchdog {
         let completion = vec![Arc::new(Shared::default()), Arc::new(Shared::default())];
         completion[1].decoded_rank.store(9, Ordering::Relaxed);
-        let state = FlightState {
-            started: Instant::now(),
-            telemetry,
-            completion,
-            source: 0,
-            stall_window: Duration::from_secs(10),
-        };
+        let stall_window = Duration::from_secs(10);
+        let recorder = FlightRecorder { capacity: 8, stall_window, dump_path: None };
+        Watchdog::new(FlightState { recorder, telemetry, completion, source: 0 })
+    }
 
-        let dump = state.dump("stall", Some(Duration::from_secs(12)));
+    #[test]
+    fn flight_dump_is_parseable_and_lists_stuck_nodes() {
+        let telemetry = Arc::new(SwarmTelemetry::new(2, 2, Some(8), Instant::now()));
+        telemetry.turn_completed(0, 1);
+        let mut watchdog = armed(Some(telemetry));
+        watchdog.observe(12_000_000, 9);
+        let dump = watchdog.finish(12_500_000, false).expect("a stall dump");
+
         let doc = JsonValue::parse(&dump).expect("dump parses");
         assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("flight_recorder"));
         assert_eq!(doc.get("reason").and_then(JsonValue::as_str), Some("stall"));
+        assert_eq!(doc.get("at_ms").and_then(JsonValue::as_i64), Some(12_000));
         assert_eq!(doc.get("idle_ms").and_then(JsonValue::as_i64), Some(12_000));
         assert_eq!(doc.get("stalled_at_ms").and_then(JsonValue::as_i64), Some(0));
         let shards = doc.get("shards").and_then(JsonValue::as_array).expect("shards");
         assert_eq!(shards.len(), 2);
         let events = shards[0].get("events").and_then(JsonValue::as_array).expect("events");
-        assert!(
-            events
-                .iter()
-                .any(|e| e.get("event").and_then(JsonValue::as_str) == Some("stall_detected")),
-            "stall mark missing from ring: {dump}"
-        );
+        let stall = events
+            .iter()
+            .find(|e| e.get("event").and_then(JsonValue::as_str) == Some("stall_detected"))
+            .unwrap_or_else(|| panic!("stall mark missing from ring: {dump}"));
+        assert_eq!(stall.get("at_ms").and_then(JsonValue::as_i64), Some(12_000), "{dump}");
         let stuck = doc.get("stalled_nodes").and_then(JsonValue::as_array).expect("nodes");
         assert_eq!(stuck.len(), 1, "the one incomplete receiver is listed");
         assert_eq!(stuck[0].get("decoded_rank").and_then(JsonValue::as_i64), Some(9));
+        assert_eq!(stuck[0].get("shard").and_then(JsonValue::as_i64), Some(1));
+    }
+
+    #[test]
+    fn the_watchdog_cuts_once_per_stall_episode_and_a_stall_outlives_the_timeout() {
+        let second = Duration::from_secs(1).as_micros() as u64;
+        let mut watchdog = armed(None);
+        watchdog.observe(3 * second, 10);
+        watchdog.observe(12 * second, 10);
+        assert!(watchdog.dump.is_none(), "9 s of a 10 s window is no stall");
+        watchdog.observe(13 * second, 10);
+        let first = watchdog.dump.clone().expect("stalled after a whole window");
+        watchdog.observe(20 * second, 10);
+        assert_eq!(watchdog.dump.as_ref(), Some(&first), "one dump per episode");
+        watchdog.observe(21 * second, 11);
+        watchdog.observe(31 * second, 11);
+        let dump = watchdog.finish(40 * second, false).expect("the second stall's dump");
+        let doc = JsonValue::parse(&dump).expect("dump parses");
+        let field = |name: &str| doc.get(name).and_then(JsonValue::as_i64);
+        assert_eq!(doc.get("reason").and_then(JsonValue::as_str), Some("stall"));
+        assert_eq!((field("stalled_at_ms"), field("at_ms")), (Some(21_000), Some(31_000)));
+        assert_eq!((field("workers"), field("idle_ms")), (Some(0), Some(10_000)));
+        assert_eq!(doc.get("shards").and_then(JsonValue::as_array).map(|s| s.len()), Some(0));
+
+        let timeout = armed(None).finish(4 * second, false).expect("a timeout dump");
+        let doc = JsonValue::parse(&timeout).expect("dump parses");
+        assert_eq!(doc.get("reason").and_then(JsonValue::as_str), Some("shutdown_timeout"));
+        assert_eq!(doc.get("at_ms").and_then(JsonValue::as_i64), Some(4_000));
+        assert!(armed(None).finish(4 * second, true).is_none(), "a converged run cuts none");
     }
 
     #[test]

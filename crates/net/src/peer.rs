@@ -10,7 +10,7 @@
 //! driver's clock) and returns the datagrams it emits in an outbox. A
 //! node only ever runs as a member of a swarm ([`crate::TopologyConfig`]),
 //! on one of two drivers: the reactor ([`crate::run_swarm`], real UDP
-//! sockets, a wall-anchored clock, many nodes on a few worker threads)
+//! sockets, the run's monotonic clock, many nodes on a few worker threads)
 //! and the virtual-time driver ([`crate::run_virtual_swarm`], in-memory
 //! links, simulated time).
 //!
@@ -79,7 +79,7 @@ use std::time::Duration;
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
 use ltnc_scheme::SchemeParams;
-use ltnc_telemetry::{OfferTrigger, TimedEvent, TraceEvent, TraceSink, Tracer};
+use ltnc_telemetry::{OfferTrigger, RingSink, TimedEvent, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -221,10 +221,10 @@ pub(crate) struct NodeConfig {
     pub(crate) role: NodeRole,
     /// Tuning knobs.
     pub(crate) options: NodeOptions,
-    /// Optional sink receiving [`TraceEvent`]s from the node's hot paths
-    /// (offers, feedback, pacing moves, fault injections). `None` — the
-    /// default, see [`NodeConfig::new`] — makes every hook a no-op.
-    pub(crate) trace: Option<Arc<dyn TraceSink>>,
+    /// Optional ring of the [`TraceEvent`]s of the node's hot paths
+    /// (offers, feedback, pacing moves, fault injections), drained into
+    /// [`PeerReport::events`]. `None` makes every hook a no-op.
+    pub(crate) trace: Option<Arc<RingSink>>,
     /// Refresh the node's live mirror each tick — set when the swarm's
     /// aggregated endpoint reads every node's [`Shared`] mid-run.
     pub(crate) publish_live: bool,
@@ -320,6 +320,13 @@ impl Shared {
     pub(crate) fn wire_snapshot(&self) -> WireCounters {
         self.wire.lock().map(|wire| *wire).unwrap_or_default()
     }
+
+    /// Innovative symbols decoded plus generations completed: monotone,
+    /// constant on a source — the stall watchdog's signal.
+    pub(crate) fn progress(&self) -> u64 {
+        self.decoded_rank.load(Ordering::Relaxed)
+            + self.complete_generations.load(Ordering::Acquire) as u64
+    }
 }
 
 struct PendingTransfer {
@@ -387,7 +394,9 @@ pub(crate) struct NodeStateMachine {
     lineage: HashMap<u32, TraceContext>,
     wire: WireCounters,
     shared: Arc<Shared>,
-    tracer: Tracer,
+    /// Where the node's hot paths, and its links' faults, are traced.
+    pub(crate) tracer: Tracer,
+    trace: Option<Arc<RingSink>>,
     /// Refresh the shared wire mirror each tick (only when a metrics
     /// endpoint reads it — the mirror costs nothing otherwise).
     publish_live: bool,
@@ -398,7 +407,7 @@ impl NodeStateMachine {
     /// on `shared` before it is ever scheduled, so completion observers
     /// never see it incomplete.
     pub(crate) fn new(config: NodeConfig, shared: Arc<Shared>) -> NodeStateMachine {
-        let tracer = Tracer::from_option(config.trace);
+        let tracer = Tracer::from_option(config.trace.clone().map(|ring| ring as _));
         let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
                 let source = SourceSession::new(&object, params);
@@ -430,6 +439,7 @@ impl NodeStateMachine {
             wire: WireCounters::new(),
             shared,
             tracer,
+            trace: config.trace,
             publish_live: config.publish_live,
         }
     }
@@ -485,7 +495,7 @@ impl NodeStateMachine {
             loss_estimates,
             rtt_estimates,
             link_faults: Vec::new(),
-            events: Vec::new(),
+            events: self.trace.map(|ring| ring.drain()).unwrap_or_default(),
             latency_by_hop: self.shared.latency.snapshot(),
         }
     }
@@ -568,10 +578,10 @@ impl NodeStateMachine {
         let budget = pacing.budget as u64;
         if budget > before {
             self.wire.budget_raises += 1;
-            self.tracer.emit(|| TraceEvent::BudgetRaised { peer, budget });
+            self.tracer.emit(now, || TraceEvent::BudgetRaised { peer, budget });
         } else if budget < before {
             self.wire.budget_cuts += 1;
-            self.tracer.emit(|| TraceEvent::BudgetCut { peer, budget });
+            self.tracer.emit(now, || TraceEvent::BudgetCut { peer, budget });
         }
     }
 
@@ -680,7 +690,7 @@ impl NodeStateMachine {
                 // an RTT sample for the derived TTL.
                 let rtt = elapsed(now, pending.born);
                 self.note_outcome(now, pending.to, Some(rtt));
-                self.tracer.emit(|| TraceEvent::FeedbackReceived { peer: from, accept, rtt });
+                self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
                 let generation = pending.generation;
                 // Feedback clock: whoever holds the generation completely
                 // emits only good packets, so its pipeline to this peer is
@@ -738,9 +748,9 @@ impl NodeStateMachine {
                     self.wire.useful_deliveries += 1;
                     self.shared.decoded_rank.fetch_add(1, Ordering::Relaxed);
                 }
-                self.tracer.emit(|| TraceEvent::PayloadDelivered { generation, useful });
+                self.tracer.emit(now, || TraceEvent::PayloadDelivered { generation, useful });
                 if newly_complete {
-                    self.tracer.emit(|| TraceEvent::GenerationDecoded { generation });
+                    self.tracer.emit(now, || TraceEvent::GenerationDecoded { generation });
                     self.announce_complete(out, generation);
                 }
                 if object_complete && !self.shared.complete.load(Ordering::Acquire) {
@@ -748,7 +758,7 @@ impl NodeStateMachine {
                     if let Some(driver) = self.shared.driver.get() {
                         driver.unpark();
                     }
-                    self.tracer.emit(|| TraceEvent::ObjectDecoded);
+                    self.tracer.emit(now, || TraceEvent::ObjectDecoded);
                     self.announce_complete(out, GENERATION_OBJECT);
                 }
                 // Innovation clock: one symbol in, one recoded offer out.
@@ -803,7 +813,7 @@ impl NodeStateMachine {
             }
             self.wire.offer_timeouts += 1;
             self.note_outcome(now, peer, None);
-            self.tracer.emit(|| TraceEvent::OfferTimedOut { peer });
+            self.tracer.emit(now, || TraceEvent::OfferTimedOut { peer });
             false
         });
         self.pending = pending;
@@ -868,7 +878,7 @@ impl NodeStateMachine {
         let Some((generation, packet)) = made else { return };
         if self.source.is_none() {
             // Relays recode every pushed packet from their partial store.
-            self.tracer.emit(|| TraceEvent::RelayRecode { generation });
+            self.tracer.emit(now, || TraceEvent::RelayRecode { generation });
         }
 
         // Sources start a fresh lineage (hop 0, stamped now); relays
@@ -892,7 +902,7 @@ impl NodeStateMachine {
         };
         self.send(out, target, &header, &offer);
         self.wire.transfers_offered += 1;
-        self.tracer.emit(|| TraceEvent::OfferSent { peer: target, generation, trigger });
+        self.tracer.emit(now, || TraceEvent::OfferSent { peer: target, generation, trigger });
         self.pending
             .insert(transfer, PendingTransfer { generation, packet, trace, to: target, born: now });
         *self.inflight_per_peer.entry(target).or_insert(0) += 1;

@@ -12,10 +12,14 @@
 //! is wired to its neighbours before the reactor starts, and nothing
 //! rewires it after.
 //!
-//! [`ShardedNode`] is the only adapter that reads the wall clock or
-//! touches a socket: it hands the sans-io endpoint each datagram, straight
-//! from the worker's scratch buffer, with `now`, and sends what the node
-//! emits. There is no queue between socket and state machine —
+//! [`ShardedNode`] is the only adapter that touches a socket: it hands
+//! the sans-io endpoint each datagram, straight from the worker's scratch
+//! buffer, with `now`, and sends what the node emits. `now` is the
+//! swarm's one clock, microseconds since the anchor [`run_swarm`] reads
+//! once at the run's start and hands to every node, to the reactor
+//! observer and to the stall watchdog — so trace stamps, completion
+//! times and flight dumps all count from the run's start, as on the
+//! virtual-time driver. There is no queue between socket and state machine —
 //! backpressure is the OS socket buffer, and
 //! [`ltnc_metrics::WireCounters::inbound_dropped`] stays zero.
 
@@ -31,10 +35,9 @@ use ltnc_reactor::{Cx, Driven, Reactor};
 use ltnc_telemetry::{ScrapeOptions, ScrapeServer};
 
 use crate::endpoint::Endpoint;
-use crate::envelope::TraceContext;
-use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
+use crate::observe::{swarm_registry, FlightState, SwarmTelemetry, Watchdog};
 use crate::peer::{micros, Outbox, PeerReport, Shared};
-use crate::swarm::{assemble_report, FlightRecorder, SwarmReport, SwarmRuntime, TopologyConfig};
+use crate::swarm::{assemble_report, SwarmReport, SwarmRuntime, TopologyConfig};
 
 /// Timer tag of the recurring gossip tick.
 const TICK_TAG: u64 = 0;
@@ -52,10 +55,10 @@ pub(crate) struct ShardedNode {
     /// `Some` until [`Driven::finish`] extracts the report.
     endpoint: Option<Endpoint>,
     socket: UdpSocket,
-    /// The node's clock: the wall clock at bind, in microseconds, plus
-    /// the monotonic time since — so origin stamps compare across nodes
-    /// on the wire.
-    anchor: (Instant, u64),
+    /// The swarm's clock starts here: `now` is the time since, in
+    /// microseconds, the same on every node, so origin stamps compare
+    /// across nodes on the wire.
+    anchor: Instant,
     /// What the endpoint emitted and the socket has yet to send.
     outbox: Outbox,
     /// Gossip tick period ([`crate::NodeOptions::tick`]).
@@ -64,20 +67,15 @@ pub(crate) struct ShardedNode {
 
 impl ShardedNode {
     /// Puts `endpoint` on the bound `socket`, switched to nonblocking,
-    /// ticking every `tick`, and anchors the node's clock.
+    /// ticking every `tick`, on the swarm's clock started at `anchor`.
     pub(crate) fn new(
         socket: UdpSocket,
         endpoint: Endpoint,
         tick: Duration,
+        anchor: Instant,
     ) -> io::Result<ShardedNode> {
         socket.set_nonblocking(true)?;
-        Ok(ShardedNode {
-            endpoint: Some(endpoint),
-            socket,
-            anchor: (Instant::now(), TraceContext::now_micros()),
-            outbox: Outbox::new(),
-            tick,
-        })
+        Ok(ShardedNode { endpoint: Some(endpoint), socket, anchor, outbox: Outbox::new(), tick })
     }
 
     /// Drains the socket to `WouldBlock` — the edge-triggered contract —
@@ -91,7 +89,7 @@ impl ShardedNode {
                 // surfacing as ECONNREFUSED) are not fatal for a datagram
                 // listener; they end the drain as `WouldBlock` does.
                 let Ok((len, from)) = self.socket.recv_from(buf) else { break };
-                let now = micros_since(self.anchor);
+                let now = micros(self.anchor.elapsed());
                 endpoint.datagram(now, from, &buf[..len], &mut self.outbox);
                 send_all(&self.socket, &mut self.outbox);
             }
@@ -102,14 +100,11 @@ impl ShardedNode {
     /// Arms the release timer the endpoint asks for, if any.
     fn arm_release(&mut self, cx: &mut Cx) {
         let Some(at) = self.endpoint.as_mut().and_then(Endpoint::next_release) else { return };
-        cx.arm(Duration::from_micros(at.saturating_sub(micros_since(self.anchor))), RELEASE_TAG);
+        cx.arm(
+            Duration::from_micros(at.saturating_sub(micros(self.anchor.elapsed()))),
+            RELEASE_TAG,
+        );
     }
-}
-
-/// Now, in microseconds on the clock `anchor` starts: the wall clock at
-/// the anchor's instant plus the monotonic time since.
-fn micros_since((at, micros_at): (Instant, u64)) -> u64 {
-    micros_at + micros(at.elapsed())
 }
 
 /// Sends, fire and forget, everything in `outbox`: a vanished peer must
@@ -137,7 +132,7 @@ impl Driven for ShardedNode {
     }
 
     fn on_timer(&mut self, tag: u64, cx: &mut Cx) {
-        let now = micros_since(self.anchor);
+        let now = micros(self.anchor.elapsed());
         if let Some(endpoint) = self.endpoint.as_mut() {
             if tag == TICK_TAG {
                 endpoint.tick(now, &mut self.outbox);
@@ -175,7 +170,7 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let workers = workers.max(1);
     let source = config.source;
     let (manifest, setups) = config.nodes();
-    let node_count = setups.len();
+    let (node_count, generations) = (setups.len(), manifest.generation_count());
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
 
     // Every socket is bound first, so each node is built knowing all
@@ -184,18 +179,24 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let sockets = (0..node_count).map(|_| UdpSocket::bind(bind)).collect::<io::Result<Vec<_>>>()?;
     let node_addrs =
         sockets.iter().map(UdpSocket::local_addr).collect::<io::Result<Vec<SocketAddr>>>()?;
-    let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
-    let mut completion: Vec<Arc<Shared>> = Vec::with_capacity(node_count);
-    for (socket, setup) in sockets.into_iter().zip(setups) {
-        // Link plans go in with the endpoint, before the reactor exists —
-        // no state machine runs until Reactor::start, so there is no
-        // window where early datagrams cross a link un-faulted.
-        let endpoint = Endpoint::new(setup, |node| node_addrs[node]);
+    // Link plans go in with the endpoint, before the reactor exists — no
+    // state machine runs until Reactor::start, so there is no window
+    // where early datagrams cross a link un-faulted.
+    let endpoints: Vec<Endpoint> =
+        setups.into_iter().map(|setup| Endpoint::new(setup, |node| node_addrs[node])).collect();
+    let completion: Vec<Arc<Shared>> = endpoints.iter().map(|e| Arc::clone(e.shared())).collect();
+    for shared in &completion {
         // The completion loop below parks; a node finishing unparks it.
-        let _ = endpoint.shared().driver.set(thread::current());
-        completion.push(Arc::clone(endpoint.shared()));
-        nodes.push(ShardedNode::new(socket, endpoint, config.options.tick)?);
+        let _ = shared.driver.set(thread::current());
     }
+
+    // The run starts here, on the swarm's one clock.
+    let anchor = Instant::now();
+    let nodes = sockets
+        .into_iter()
+        .zip(endpoints)
+        .map(|(socket, endpoint)| ShardedNode::new(socket, endpoint, config.options.tick, anchor))
+        .collect::<io::Result<Vec<_>>>()?;
 
     // Instrumentation is opt-in: with neither the aggregated endpoint
     // nor the flight recorder requested, no observer is installed and
@@ -203,44 +204,24 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let telemetry =
         (config.metrics_bind.is_some() || config.flight_recorder.is_some()).then(|| {
             let capacity = config.flight_recorder.as_ref().map(|recorder| recorder.capacity);
-            let telemetry = Arc::new(SwarmTelemetry::new(workers, capacity));
-            telemetry.set_node_counts(node_count);
-            telemetry
+            Arc::new(SwarmTelemetry::new(workers, node_count, capacity, anchor))
         });
-
-    let started = Instant::now();
-    let flight: Option<(FlightRecorder, FlightState)> =
-        config.flight_recorder.as_ref().zip(telemetry.as_ref()).map(|(recorder, telemetry)| {
-            let state = FlightState {
-                started,
-                telemetry: Arc::clone(telemetry),
-                completion: completion.clone(),
-                source,
-                stall_window: recorder.stall_window,
-            };
-            (recorder.clone(), state)
-        });
+    let mut watchdog = config.flight_recorder.clone().map(|recorder| {
+        let (telemetry, completion) = (telemetry.clone(), completion.clone());
+        Watchdog::new(FlightState { recorder, telemetry, completion, source })
+    });
 
     // The swarm-wide endpoint goes up before the reactor so an early
     // start failure tears it down by drop; sampling an idle registry is
     // harmless.
     let scrape = match config.metrics_bind.zip(telemetry.as_deref()) {
         Some((addr, telemetry)) => {
-            let generations = manifest.generation_count();
             let registry = Arc::new(swarm_registry(&completion, source, generations, telemetry));
-            let spawned = match &flight {
-                Some((_, state)) => {
-                    let state = state.clone();
-                    ScrapeServer::spawn_with_flight(
-                        addr,
-                        registry,
-                        ScrapeOptions::default(),
-                        Arc::new(move || state.dump("demand", None)),
-                    )
-                }
-                None => ScrapeServer::spawn(addr, registry, ScrapeOptions::default()),
-            };
-            Some(spawned?)
+            let flight = watchdog.as_ref().map(|watchdog| {
+                let state = watchdog.state.clone();
+                Arc::new(move || state.dump(micros(anchor.elapsed()), "demand", None)) as _
+            });
+            Some(ScrapeServer::spawn_with_flight(addr, registry, ScrapeOptions::default(), flight)?)
         }
         None => None,
     };
@@ -248,65 +229,30 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     let observer = telemetry.clone().map(|telemetry| telemetry as _);
     let reactor = Reactor::start_observed(nodes, workers, observer)?;
 
-    // Completion wait doubling as the stall watchdog: parked until a
-    // node completes or `COMPLETION_POLL` elapses, noting when each peer
-    // is first seen complete. The progress signal is monotone
-    // (innovative symbols decoded + generations completed, swarm-wide;
-    // the source's share is constant), so "unchanged for a whole stall
-    // window" means no receiver advanced at all — cut a post-mortem once
-    // per stall episode, and re-arm if progress ever resumes.
-    let mut flight_dump: Option<String> = None;
-    let progress_signal = |completion: &[Arc<Shared>]| -> u64 {
-        completion
-            .iter()
-            .map(|shared| {
-                shared.decoded_rank.load(Ordering::Relaxed)
-                    + shared.complete_generations.load(Ordering::Acquire) as u64
-            })
-            .sum()
-    };
+    // Completion wait, feeding the stall watchdog: parked until a node
+    // completes or `COMPLETION_POLL` elapses, noting when each peer is
+    // first seen complete.
     let mut completed_at: Vec<Option<Duration>> = vec![None; node_count];
     completed_at[source] = Some(Duration::ZERO);
-    let mut last_progress = progress_signal(&completion);
-    let mut last_change = Instant::now();
-    let mut stalled = false;
-    let deadline = started + config.timeout;
-    loop {
+    let deadline = micros(config.timeout);
+    let end = loop {
+        let now = micros(anchor.elapsed());
         for (at, shared) in completed_at.iter_mut().zip(&completion) {
             if at.is_none() && shared.complete.load(Ordering::Acquire) {
-                *at = Some(started.elapsed());
+                *at = Some(Duration::from_micros(now));
             }
         }
-        if completed_at.iter().all(Option::is_some) || Instant::now() >= deadline {
-            break;
+        if completed_at.iter().all(Option::is_some) || now >= deadline {
+            break now;
         }
         thread::park_timeout(COMPLETION_POLL);
-        let Some((recorder, state)) = &flight else { continue };
-        let signal = progress_signal(&completion);
-        if signal != last_progress {
-            last_progress = signal;
-            last_change = Instant::now();
-            stalled = false;
-        } else if !stalled && last_change.elapsed() >= recorder.stall_window {
-            stalled = true;
-            let idle = last_change.elapsed();
-            state.telemetry.note_stall(idle);
-            let dump = state.dump("stall", Some(idle));
-            write_dump(recorder, &dump);
-            flight_dump = Some(dump);
+        if let Some(watchdog) = &mut watchdog {
+            let progress = completion.iter().map(|shared| shared.progress()).sum();
+            watchdog.observe(micros(anchor.elapsed()), progress);
         }
-    }
-    let elapsed = started.elapsed();
-
-    // A stall verdict, once cut, is the run's post-mortem: a timeout
-    // after it adds nothing the stall dump does not say.
-    if flight_dump.is_none() && completed_at.iter().any(Option::is_none) {
-        if let Some((recorder, state)) = &flight {
-            let dump = state.dump("shutdown_timeout", None);
-            write_dump(recorder, &dump);
-            flight_dump = Some(dump);
-        }
-    }
+    };
+    let converged = completed_at.iter().all(Option::is_some);
+    let flight_dump = watchdog.and_then(|watchdog| watchdog.finish(end, converged));
 
     // Shutdown returns reports in original node order.
     let reports = reactor.shutdown();
@@ -314,7 +260,7 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
         scrape.shutdown();
     }
 
-    let generations = manifest.generation_count();
+    let elapsed = Duration::from_micros(end);
     let mut report =
         assemble_report(config, generations, elapsed, completed_at, node_addrs, reports);
     if let Some(telemetry) = &telemetry {
@@ -322,14 +268,6 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     }
     report.flight_dump = flight_dump;
     Ok(report)
-}
-
-/// Best-effort write of a flight dump to the recorder's configured path
-/// (the dump also rides the report either way).
-fn write_dump(recorder: &FlightRecorder, dump: &str) {
-    if let Some(path) = &recorder.dump_path {
-        let _ = std::fs::write(path, dump);
-    }
 }
 
 #[cfg(test)]
@@ -362,10 +300,10 @@ mod tests {
             let role = NodeRole::Source { object: vec![7; 8], params };
             let config = NodeConfig::new(1, role, options);
             let to = to.local_addr().expect("addr");
-            let endpoint = Endpoint::new(NodeSetup { config, peers, links, sink: None }, |_| to);
+            let endpoint = Endpoint::new(NodeSetup { config, peers, links }, |_| to);
             let socket = bind();
             let addr = socket.local_addr().expect("addr");
-            (ShardedNode::new(socket, endpoint, tick).expect("build"), addr)
+            (ShardedNode::new(socket, endpoint, tick, Instant::now()).expect("build"), addr)
         };
         let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
         let (a, a_addr) = node(1, Vec::new(), vec![(0, held)], &pest);

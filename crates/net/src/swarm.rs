@@ -111,8 +111,8 @@ pub struct TopologyConfig {
     /// default) installs no sink — every trace hook stays a no-op.
     pub trace_capacity: Option<usize>,
     /// How many reactor workers the nodes are sharded across (see
-    /// [`SwarmRuntime`]). This and the two observability knobs below
-    /// are the reactor's: the virtual-time driver ignores them.
+    /// [`SwarmRuntime`]). This and `metrics_bind` below are the
+    /// reactor's: the virtual-time driver ignores them.
     pub runtime: SwarmRuntime,
     /// When set, the whole swarm serves *one* aggregated scrape endpoint
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
@@ -122,11 +122,11 @@ pub struct TopologyConfig {
     /// UDP node has. Port 0 picks a free port. `None` (the default)
     /// serves nothing.
     pub metrics_bind: Option<SocketAddr>,
-    /// When set, the run has a stall watchdog and keeps a bounded
-    /// per-shard flight ring of scheduler trace events, dumping a JSON
-    /// post-mortem on stall, shutdown timeout, or on demand (the
-    /// endpoint's `/flight` route). `None` (the default) records
-    /// nothing.
+    /// When set, the run has a stall watchdog, on either driver, dumping
+    /// a JSON post-mortem on stall or shutdown timeout; the reactor also
+    /// keeps a bounded per-shard flight ring of scheduler trace events
+    /// and dumps on demand (the endpoint's `/flight` route). `None` (the
+    /// default) records nothing.
     pub flight_recorder: Option<FlightRecorder>,
 }
 
@@ -139,8 +139,8 @@ pub struct FlightRecorder {
     pub capacity: usize,
     /// How long the swarm may go without any decoding progress (no
     /// receiver gaining rank or completing a generation) before the
-    /// watchdog declares a stall and cuts a dump. Checked on the
-    /// driver's completion-poll cadence.
+    /// watchdog declares a stall and cuts a dump: checked every 5 ms on
+    /// the reactor, after every event (so exactly) in virtual time.
     pub stall_window: Duration,
     /// When set, stall and shutdown-timeout dumps are also written to
     /// this file (best effort — I/O errors are swallowed; the dump is
@@ -196,9 +196,9 @@ impl TopologyConfig {
     }
 
     /// What both drivers build a swarm from: the object's manifest and,
-    /// per node by topology index, its configuration, whom it pushes
-    /// to, the fault plans of the links into it, and the ring its trace
-    /// events go to when tracing is on.
+    /// per node by topology index, its configuration (with the ring its
+    /// trace events go to when tracing is on), whom it pushes to and the
+    /// fault plans of the links into it.
     ///
     /// # Panics
     ///
@@ -226,10 +226,10 @@ impl TopologyConfig {
                 } else {
                     (NodeRole::Peer { manifest }, self.options.seed.wrapping_add(index as u64))
                 };
-                let sink = self.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
                 let options = NodeOptions { seed, ..self.options };
                 let mut config = NodeConfig::new(self.session, role, options);
-                config.trace = sink.clone().map(|sink| sink as _);
+                config.trace =
+                    self.trace_capacity.map(|capacity| Arc::new(RingSink::new(capacity)));
                 // The aggregated endpoint reads every node's live mirror,
                 // which the nodes then refresh once per tick.
                 config.publish_live = self.metrics_bind.is_some();
@@ -241,7 +241,6 @@ impl TopologyConfig {
                         .iter()
                         .filter_map(|&from| Some((from, self.link_faults.plan_for(from, index)?)))
                         .collect(),
-                    sink,
                 }
             })
             .collect();
@@ -257,8 +256,6 @@ pub(crate) struct NodeSetup {
     /// `(from, plan)` per link into the node that has a fault plan,
     /// installed on its inbound side keyed by `from`'s address.
     pub(crate) links: Vec<(usize, DatagramFaultPlan)>,
-    /// Drained into the node's [`PeerReport::events`] at the end.
-    pub(crate) sink: Option<Arc<RingSink>>,
 }
 
 /// Outcome of a swarm run.
@@ -268,8 +265,9 @@ pub struct SwarmReport {
     pub scheme: SchemeKind,
     /// Whether every peer decoded every generation before the timeout.
     pub converged: bool,
-    /// Time until convergence (or the timeout) on the driver's clock:
-    /// wall time on the reactor, virtual time on the virtual-time driver.
+    /// Time from the run's start to convergence (or the timeout) on the
+    /// swarm's clock — monotonic on the reactor, virtual on the
+    /// virtual-time driver — which trace stamps and flight dumps share.
     pub elapsed: Duration,
     /// Peers that completed.
     pub peers_complete: usize,

@@ -26,9 +26,11 @@
 use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::endpoint::Endpoint;
+use crate::observe::{FlightState, Watchdog};
 use crate::peer::{micros, Outbox, PeerReport};
 use crate::swarm::{assemble_report, SwarmReport, TopologyConfig};
 
@@ -120,6 +122,12 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         world.schedule(period, node, What::Tick);
     }
 
+    let mut watchdog = config.flight_recorder.clone().map(|recorder| {
+        let completion = world.nodes.iter().map(|node| Arc::clone(node.shared())).collect();
+        Watchdog::new(FlightState { recorder, telemetry: None, completion, source: config.source })
+    });
+    let mut progress: u64 = world.nodes.iter().map(|node| node.shared().progress()).sum();
+
     let deadline = micros(config.timeout);
     let mut completed_at: Vec<Option<Duration>> = vec![None; count];
     completed_at[config.source] = Some(Duration::ZERO);
@@ -131,6 +139,9 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         }
         world.now = at;
         let (endpoint, out) = (&mut world.nodes[node], &mut world.outbox);
+        // Only this node can move, so the swarm's progress moves by its
+        // own: the watchdog costs O(1) per event, and nothing unarmed.
+        let before = watchdog.is_some().then(|| endpoint.shared().progress());
         let tick = matches!(what, What::Tick);
         match what {
             // Converged: the ticks stop, the datagrams in flight land.
@@ -143,21 +154,30 @@ pub fn run_virtual_swarm(config: &TopologyConfig) -> SwarmReport {
         if tick {
             world.schedule(at + period, node, What::Tick);
         }
-        if completed_at[node].is_none()
-            && world.nodes[node].shared().complete.load(Ordering::Acquire)
-        {
+        let shared = world.nodes[node].shared();
+        if completed_at[node].is_none() && shared.complete.load(Ordering::Acquire) {
             completed_at[node] = Some(Duration::from_micros(at));
             incomplete -= 1;
             if incomplete == 0 {
                 converged_at = Some(at);
             }
         }
+        if let (Some(watchdog), Some(before), None) = (&mut watchdog, before, converged_at) {
+            progress += shared.progress() - before;
+            watchdog.observe(at, progress);
+        }
     }
 
+    let end = converged_at.unwrap_or(deadline);
+    let flight_dump = watchdog.and_then(|watchdog| watchdog.finish(end, converged_at.is_some()));
     let reports: Vec<PeerReport> = world.nodes.into_iter().map(Endpoint::finish).collect();
-    let elapsed = Duration::from_micros(converged_at.unwrap_or(deadline));
+    let elapsed = Duration::from_micros(end);
     let node_addrs = (0..count).map(addr).collect();
-    assemble_report(config, manifest.generation_count(), elapsed, completed_at, node_addrs, reports)
+    let generations = manifest.generation_count();
+    let mut report =
+        assemble_report(config, generations, elapsed, completed_at, node_addrs, reports);
+    report.flight_dump = flight_dump;
+    report
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
-//! End-to-end validation of the wire-carried trace context: a 4-hop
-//! line under 20% per-link loss, run by `run_swarm`, must (a) expose
+//! End-to-end validation of the wire-carried trace context on a 4-hop
+//! line under 20% per-link loss: (a) run by `run_swarm`, it exposes
 //! non-empty `ltnc_*_bucket{le="…"}` latency histograms on the swarm's
-//! aggregated scrape endpoint *mid-run*, and (b) end with per-hop
-//! origin→delivery distributions in the peer reports whose depths
-//! reflect the recode lineage the envelopes carried.
+//! aggregated scrape endpoint *mid-run*; (b) run in virtual time, it
+//! ends with per-hop origin→delivery distributions in the peer reports
+//! whose depths reflect the recode lineage the envelopes carried.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -13,7 +13,10 @@ use std::thread;
 use std::time::Duration;
 
 use ltnc_net::faults::DatagramFaultPlan;
-use ltnc_net::{run_swarm, NodeOptions, Topology, TopologyConfig, TopologyFaults};
+use ltnc_net::{
+    run_swarm, run_virtual_swarm, NodeOptions, Topology, TopologyConfig, TopologyFaults,
+    LINK_LATENCY,
+};
 use ltnc_scheme::SchemeKind;
 
 /// Reserves an ephemeral localhost port: bind, note, release. The tiny
@@ -49,16 +52,24 @@ fn has_a_filled_bucket(exposition: &str) -> bool {
     })
 }
 
-#[test]
-fn four_hop_line_scrapes_latency_histograms_mid_run() {
-    // Line S(0) - 1 - 2 - 3 - 4 with every directed link dropping 20%.
-    let object: Vec<u8> = (0..600u32).map(|i| (i * 31 % 256) as u8).collect();
-    let mut config = TopologyConfig::quick(SchemeKind::Ltnc, object.clone(), Topology::line(5));
+fn object() -> Vec<u8> {
+    (0..600u32).map(|i| (i * 31 % 256) as u8).collect()
+}
+
+/// Line S(0) - 1 - 2 - 3 - 4 with every directed link dropping 20%.
+fn lossy_line() -> TopologyConfig {
+    let mut config = TopologyConfig::quick(SchemeKind::Ltnc, object(), Topology::line(5));
     config.code_length = 8;
     config.payload_size = 16;
     config.session = 0x7_EACE;
     config.options = NodeOptions { tick: Duration::from_millis(1), seed: 0xBEEF, ..config.options };
     config.link_faults = TopologyFaults::uniform(DatagramFaultPlan::clean(0xD0_5E).drop_rate(0.2));
+    config
+}
+
+#[test]
+fn four_hop_line_scrapes_latency_histograms_mid_run() {
+    let mut config = lossy_line();
     let scrape_addr = reserve_port();
     config.metrics_bind = Some(scrape_addr);
 
@@ -96,16 +107,28 @@ fn four_hop_line_scrapes_latency_histograms_mid_run() {
     assert!(exposition.contains("ltnc_wire_delivery_latency_us_count"));
     assert!(healthz.contains("ok"), "/healthz must answer: {healthz:?}");
 
-    // The report-level view.
     assert!(report.converged, "line did not converge: {report:?}");
-    assert_eq!(report.peer_reports[3].object.as_deref(), Some(&object[..]), "bit-exact at 4 hops");
+}
+
+#[test]
+fn four_hop_line_reports_latency_by_lineage_depth() {
+    let report = run_virtual_swarm(&lossy_line());
+    assert!(report.converged, "line did not converge: {report:?}");
+    assert_eq!(
+        report.peer_reports[3].object.as_deref(),
+        Some(&object()[..]),
+        "bit-exact at 4 hops"
+    );
     assert!(report.source_report.latency_by_hop.is_empty(), "the source receives no payloads");
 
     // Every receiving node recorded origin→delivery latency, keyed by
     // the lineage depth the wire carried. The immediate neighbour of the
     // source must have seen depth-1 data; deeper nodes see deeper
     // lineage (relays recode, so exact depths beyond 1 depend on the
-    // gossip paths taken — but depth must never be zero).
+    // gossip paths taken — but depth must never be zero). Origin and
+    // delivery are both read off the swarm's one clock, so no latency
+    // outlasts the run and the drain of what was in flight at its end.
+    let run = u64::try_from((report.elapsed + 3 * LINK_LATENCY).as_micros()).expect("fits");
     for (i, report) in report.peer_reports.iter().enumerate() {
         let node = i + 1;
         assert!(!report.latency_by_hop.is_empty(), "node {node} recorded no latency");
@@ -114,6 +137,7 @@ fn four_hop_line_scrapes_latency_histograms_mid_run() {
             assert!(snapshot.count() > 0);
             assert!(snapshot.p50() <= snapshot.p99(), "quantiles must be ordered");
             assert!(snapshot.p99() <= snapshot.quantile(1.0));
+            assert!(snapshot.max <= run, "node {node}: {} µs in a {run} µs run", snapshot.max);
         }
     }
     let neighbour = &report.peer_reports[0];

@@ -55,3 +55,11 @@ pub use options::ServeOptions;
 pub use server::Server;
 pub use store::ObjectStore;
 pub use striped::{fetch_striped, fetch_striped_traced, StripedOptions, StripedReport};
+
+/// Records `make`'s event on `tracer`, stamped on the clock the offers
+/// carry, which is read only when a sink is installed.
+fn trace(tracer: &ltnc_telemetry::Tracer, make: impl FnOnce() -> ltnc_telemetry::TraceEvent) {
+    if tracer.is_enabled() {
+        tracer.emit(ltnc_net::envelope::TraceContext::now_micros(), make);
+    }
+}

@@ -468,12 +468,12 @@ fn serve_connection(
     tracer: &Tracer,
 ) -> Result<(), ServeError> {
     let peer = stream.peer_addr().ok();
-    tracer.emit(|| TraceEvent::ConnectionOpened { peer });
+    crate::trace(tracer, || TraceEvent::ConnectionOpened { peer });
     let started = std::time::Instant::now();
     let result = run_session(stream, store, stats, stop, options, tracer);
     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     stats.session_micros.record(micros);
-    tracer.emit(|| TraceEvent::ConnectionClosed { peer });
+    crate::trace(tracer, || TraceEvent::ConnectionClosed { peer });
     result
 }
 
@@ -577,7 +577,7 @@ fn handle_frame(
                 store.manifest(object_id).filter(|manifest| manifest.params.kind == header.scheme);
             let Some(manifest) = manifest else {
                 stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                conn.tracer.emit(|| TraceEvent::SessionRejected { object: object_id });
+                crate::trace(conn.tracer, || TraceEvent::SessionRejected { object: object_id });
                 let reject = EnvelopeHeader {
                     kind: MessageKind::Reject,
                     scheme: header.scheme,
@@ -588,7 +588,7 @@ fn handle_frame(
                 return Ok(true);
             };
             stats.counters.sessions_accepted.fetch_add(1, Ordering::Relaxed);
-            conn.tracer.emit(|| TraceEvent::SessionAccepted { object: object_id });
+            crate::trace(conn.tracer, || TraceEvent::SessionAccepted { object: object_id });
             let new = Session::new(object_id, manifest, options);
             conn.send(
                 &new.header(MessageKind::Manifest, GENERATION_OBJECT),
@@ -630,7 +630,7 @@ fn handle_frame(
             if header.generation == GENERATION_OBJECT {
                 stats.counters.sessions_completed.fetch_add(1, Ordering::Relaxed);
                 let object = session.object_id;
-                conn.tracer.emit(|| TraceEvent::SessionCompleted { object });
+                crate::trace(conn.tracer, || TraceEvent::SessionCompleted { object });
                 return Ok(true);
             }
             session.mark_done(header.generation);

@@ -65,13 +65,13 @@ impl GenerationCache {
         let offset = (seq - self.base_seq) as usize;
         if offset < self.symbols.len() {
             stats.hits.fetch_add(1, Ordering::Relaxed);
-            tracer.emit(|| TraceEvent::StoreHit { object, generation });
+            crate::trace(tracer, || TraceEvent::StoreHit { object, generation });
             return Some((seq, Arc::clone(&self.symbols[offset])));
         }
         // Cursor at (or, after a race on a shrunk ring, past) the head:
         // encode one fresh symbol for the head position.
         stats.misses.fetch_add(1, Ordering::Relaxed);
-        tracer.emit(|| TraceEvent::StoreMiss { object, generation });
+        crate::trace(tracer, || TraceEvent::StoreMiss { object, generation });
         let packet = Arc::new(self.node.make_packet(&mut self.rng)?);
         let seq = self.base_seq + self.symbols.len() as u64;
         self.symbols.push_back(Arc::clone(&packet));
@@ -79,7 +79,7 @@ impl GenerationCache {
             self.symbols.pop_front();
             self.base_seq += 1;
             stats.evictions.fetch_add(1, Ordering::Relaxed);
-            tracer.emit(|| TraceEvent::StoreEvicted { object, generation });
+            crate::trace(tracer, || TraceEvent::StoreEvicted { object, generation });
         }
         Some((seq, packet))
     }
@@ -134,20 +134,12 @@ impl ObjectStore {
     /// [`ServeError::InvalidOption`] when `cache_capacity` is zero or
     /// absurd (see [`crate::options::bounds`]).
     pub fn new(cache_capacity: usize) -> Result<Self, ServeError> {
-        ObjectStore::with_salt(cache_capacity, 0)
+        ObjectStore::with_salt_traced(cache_capacity, 0, Tracer::off())
     }
 
-    /// An empty store with an explicit replica identity salt.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ObjectStore::new`].
-    pub fn with_salt(cache_capacity: usize, salt: u64) -> Result<Self, ServeError> {
-        ObjectStore::with_salt_traced(cache_capacity, salt, Tracer::off())
-    }
-
-    /// An empty store that additionally emits `StoreHit`/`StoreMiss`/
-    /// `StoreEvicted` trace events through `tracer`.
+    /// An empty store with an explicit replica identity salt that emits
+    /// `StoreHit`/`StoreMiss`/`StoreEvicted` trace events through
+    /// `tracer`.
     ///
     /// # Errors
     ///
@@ -367,7 +359,7 @@ mod tests {
         let streams: Vec<Vec<_>> = [1u64, 2]
             .iter()
             .map(|&salt| {
-                let store = ObjectStore::with_salt(16, salt).expect("store");
+                let store = ObjectStore::with_salt_traced(16, salt, Tracer::off()).expect("store");
                 store.register(9, &object, params).expect("register");
                 (0..8).map(|seq| store.symbol(9, 0, seq).expect("symbol").1).collect()
             })

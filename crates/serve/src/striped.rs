@@ -362,7 +362,7 @@ impl Coordinator {
                         // routing leases to it.
                         self.alive[event.replica] = false;
                         let replica = event.replica as u64;
-                        self.tracer.emit(|| TraceEvent::ReplicaFailover { replica });
+                        crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica });
                     }
                     if self.stream_failures > self.options.max_failovers {
                         return Err(self.give_up());
@@ -471,7 +471,7 @@ impl Coordinator {
     /// defer until a manifest exists to partition against).
     fn replica_dead_at_open(&mut self, replica: usize) {
         self.alive[replica] = false;
-        self.tracer.emit(|| TraceEvent::ReplicaFailover { replica: replica as u64 });
+        crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica: replica as u64 });
         self.stripe.failovers += 1;
         if self.manifest.is_some() {
             let orphaned =
@@ -513,11 +513,9 @@ impl Coordinator {
         if moves.is_empty() {
             return Err(NoSurvivors); // outstanding leases, nowhere to go
         }
-        if self.tracer.is_enabled() {
-            for &(generation, to) in &moves {
-                let (from, to) = (from as u64, to as u64);
-                self.tracer.emit(|| TraceEvent::LeaseReassigned { generation, from, to });
-            }
+        for &(generation, to) in &moves {
+            let (from, to) = (from as u64, to as u64);
+            crate::trace(&self.tracer, || TraceEvent::LeaseReassigned { generation, from, to });
         }
         self.stripe.generations_releases += moves.len() as u64;
         for &target in &candidates {

@@ -14,8 +14,8 @@
 //!    them through a [`Tracer`], a cheap optional handle around a
 //!    [`TraceSink`]; with no sink installed the emission compiles down to
 //!    a branch on `None` and the event is never even constructed.
-//!    [`RingSink`] is the bundled recorder: a bounded ring buffer that
-//!    stamps each event with a monotonic-clock offset.
+//!    [`RingSink`] is the bundled recorder: a bounded ring buffer of
+//!    events stamped with their caller's `now`.
 //! 2. **Metrics** — a [`MetricsRegistry`] holds labeled [`Collector`]s
 //!    (usually closures sampling a live counter family through
 //!    [`samples`], which reads the family's field visitor and types each

@@ -98,23 +98,14 @@ impl ScrapeServer {
         registry: Arc<MetricsRegistry>,
         options: ScrapeOptions,
     ) -> std::io::Result<ScrapeServer> {
-        ScrapeServer::spawn_inner(addr, registry, options, None)
+        ScrapeServer::spawn_with_flight(addr, registry, options, None)
     }
 
-    /// [`ScrapeServer::spawn`] with a flight-recorder handler installed:
+    /// [`ScrapeServer::spawn`] with an optional flight-recorder handler:
     /// `GET /flight` answers with whatever JSON document `flight`
     /// renders at request time (an on-demand post-mortem of a live
-    /// system). Without this constructor the route is a `404`.
+    /// system). Without a handler the route is a `404`.
     pub fn spawn_with_flight(
-        addr: SocketAddr,
-        registry: Arc<MetricsRegistry>,
-        options: ScrapeOptions,
-        flight: Arc<FlightHandler>,
-    ) -> std::io::Result<ScrapeServer> {
-        ScrapeServer::spawn_inner(addr, registry, options, Some(flight))
-    }
-
-    fn spawn_inner(
         addr: SocketAddr,
         registry: Arc<MetricsRegistry>,
         options: ScrapeOptions,
@@ -333,7 +324,7 @@ mod tests {
             "127.0.0.1:0".parse().unwrap(),
             registry,
             ScrapeOptions::default(),
-            Arc::new(|| "{\"reason\":\"demand\"}".to_string()),
+            Some(Arc::new(|| "{\"reason\":\"demand\"}".to_string())),
         )
         .unwrap();
         let dump = get(server.local_addr(), "GET /flight HTTP/1.0\r\n\r\n");

@@ -3,7 +3,7 @@ use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The kind of datagram fault a [`TraceEvent::FaultInjected`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -257,14 +257,14 @@ impl TraceEvent {
     }
 }
 
-/// A [`TraceEvent`] stamped with its monotonic-clock offset.
+/// A [`TraceEvent`] stamped with the time its caller handed in.
 ///
-/// `at` is the elapsed time since the recording sink was created, from
-/// [`Instant`] — monotonic, never wall-clock, so event ordering within
-/// one sink is trustworthy even across system clock adjustments.
+/// `at` is the caller's clock, not the sink's: inside a swarm the time
+/// since the run began (virtual on the virtual-time driver), on the
+/// serving path the time since the Unix epoch, as its offers carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedEvent {
-    /// Monotonic offset from the sink's creation.
+    /// When the event happened, on the caller's clock.
     pub at: Duration,
     /// The event itself.
     pub event: TraceEvent,
@@ -281,49 +281,48 @@ pub struct TimedEvent {
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use ltnc_telemetry::{TraceEvent, TraceSink, Tracer};
 ///
-/// /// Counts events, keeps nothing.
+/// /// Keeps the latest stamp, nothing else.
 /// #[derive(Default)]
-/// struct CountSink(AtomicU64);
-/// impl TraceSink for CountSink {
-///     fn record(&self, _event: TraceEvent) {
-///         self.0.fetch_add(1, Ordering::Relaxed);
+/// struct LastSink(AtomicU64);
+/// impl TraceSink for LastSink {
+///     fn record(&self, now: u64, _event: TraceEvent) {
+///         self.0.store(now, Ordering::Relaxed);
 ///     }
 /// }
 ///
-/// let sink = std::sync::Arc::new(CountSink::default());
+/// let sink = std::sync::Arc::new(LastSink::default());
 /// let tracer = Tracer::new(sink.clone());
-/// tracer.emit(|| TraceEvent::ObjectDecoded);
-/// assert_eq!(sink.0.load(Ordering::Relaxed), 1);
+/// tracer.emit(1_500, || TraceEvent::ObjectDecoded);
+/// assert_eq!(sink.0.load(Ordering::Relaxed), 1_500);
 /// ```
 pub trait TraceSink: Send + Sync {
-    /// Accepts one event. Timestamping is the sink's job (the emitting
-    /// hot path should not pay for a clock read when nobody listens).
-    fn record(&self, event: TraceEvent);
+    /// Accepts one event that happened at `now`, in microseconds on the
+    /// caller's clock: sinks read no clock of their own.
+    fn record(&self, now: u64, event: TraceEvent);
 }
 
-/// A bounded ring-buffer [`TraceSink`] with monotonic timestamps.
+/// A bounded ring-buffer [`TraceSink`].
 ///
 /// Keeps the most recent `capacity` events; older ones are discarded and
-/// counted in [`RingSink::dropped`]. Each recorded event is stamped with
-/// the elapsed time since the sink's creation (one `Instant::now()` per
-/// event, inside the sink).
+/// counted in [`RingSink::dropped`]. Each recorded event keeps the stamp
+/// its caller handed in ([`TimedEvent::at`]); the sink reads no clock.
 ///
 /// ```
 /// use std::sync::Arc;
+/// use std::time::Duration;
 /// use ltnc_telemetry::{RingSink, TraceEvent, Tracer};
 ///
 /// let sink = Arc::new(RingSink::new(2));
 /// let tracer = Tracer::new(sink.clone());
 /// for generation in 0..3 {
-///     tracer.emit(|| TraceEvent::GenerationDecoded { generation });
+///     tracer.emit(1_000 * u64::from(generation), || TraceEvent::GenerationDecoded { generation });
 /// }
 /// let events = sink.drain();
 /// assert_eq!(events.len(), 2); // bounded: the oldest was dropped
 /// assert_eq!(sink.dropped(), 1);
-/// assert!(events[0].at <= events[1].at); // monotonic stamps
+/// assert_eq!(events[1].at, Duration::from_millis(2)); // the caller's stamp
 /// ```
 pub struct RingSink {
-    start: Instant,
     capacity: usize,
     ring: Mutex<VecDeque<TimedEvent>>,
     dropped: AtomicU64,
@@ -335,7 +334,6 @@ impl RingSink {
     pub fn new(capacity: usize) -> RingSink {
         let capacity = capacity.max(1);
         RingSink {
-            start: Instant::now(),
             capacity,
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             dropped: AtomicU64::new(0),
@@ -374,8 +372,8 @@ impl RingSink {
 }
 
 impl TraceSink for RingSink {
-    fn record(&self, event: TraceEvent) {
-        let at = self.start.elapsed();
+    fn record(&self, now: u64, event: TraceEvent) {
+        let at = Duration::from_micros(now);
         if let Ok(mut ring) = self.ring.lock() {
             if ring.len() >= self.capacity {
                 ring.pop_front();
@@ -432,12 +430,13 @@ impl Tracer {
         self.sink.is_some()
     }
 
-    /// Records the event built by `make` — or does nothing, without
-    /// calling `make`, when no sink is installed.
+    /// Records the event built by `make` as happening at `now` (µs on
+    /// the caller's clock) — or does nothing, without calling `make`,
+    /// when no sink is installed.
     #[inline]
-    pub fn emit(&self, make: impl FnOnce() -> TraceEvent) {
+    pub fn emit(&self, now: u64, make: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.sink {
-            sink.record(make());
+            sink.record(now, make());
         }
     }
 }
@@ -456,7 +455,7 @@ mod tests {
     fn ring_bounds_and_counts_drops() {
         let sink = RingSink::new(3);
         for generation in 0..5 {
-            sink.record(TraceEvent::GenerationDecoded { generation });
+            sink.record(u64::from(generation) * 10, TraceEvent::GenerationDecoded { generation });
         }
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.dropped(), 2);
@@ -471,7 +470,8 @@ mod tests {
             })
             .collect();
         assert_eq!(generations, vec![2, 3, 4]);
-        assert!(events.windows(2).all(|w| w[0].at <= w[1].at), "timestamps are monotone");
+        let stamps: Vec<u64> = events.iter().map(|e| e.at.as_micros() as u64).collect();
+        assert_eq!(stamps, vec![20, 30, 40], "each event keeps its caller's stamp");
         assert_eq!(sink.drain().len(), 3);
         assert!(sink.is_empty());
     }
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let sink = RingSink::new(0);
-        sink.record(TraceEvent::ObjectDecoded);
+        sink.record(0, TraceEvent::ObjectDecoded);
         assert_eq!(sink.len(), 1);
     }
 
@@ -487,7 +487,7 @@ mod tests {
     fn disabled_tracer_never_builds_the_event() {
         let tracer = Tracer::off();
         assert!(!tracer.is_enabled());
-        tracer.emit(|| panic!("must not be called"));
+        tracer.emit(0, || panic!("must not be called"));
     }
 
     #[test]
@@ -495,9 +495,9 @@ mod tests {
         let sink = Arc::new(RingSink::new(8));
         let tracer = Tracer::new(sink.clone());
         assert!(tracer.is_enabled());
-        tracer.emit(|| TraceEvent::ObjectDecoded);
+        tracer.emit(5, || TraceEvent::ObjectDecoded);
         let tracer2 = tracer.clone();
-        tracer2.emit(|| TraceEvent::GenerationDecoded { generation: 1 });
+        tracer2.emit(7, || TraceEvent::GenerationDecoded { generation: 1 });
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.events()[0].event.name(), "object_decoded");
     }

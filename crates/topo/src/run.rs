@@ -38,8 +38,9 @@ pub struct TopologyReport {
     /// Object length in bytes, for goodput computations.
     pub object_len: u64,
     /// Earliest *useful* payload delivery per hop distance (indexed by
-    /// distance; entry 0 — the source — is always `None`), measured on
-    /// each node's own trace clock from its spawn. Populated only when
+    /// distance; entry 0 — the source — is always `None`), on the
+    /// swarm's clock: time since the run began, as
+    /// [`SwarmReport::completed_at`] and `elapsed`. Populated only when
     /// [`TopologyConfig::trace_capacity`] is set; how long the epidemic
     /// front took to first reach each ring of the overlay.
     pub first_delivery_by_hop: Vec<Option<Duration>>,
@@ -273,14 +274,21 @@ mod tests {
         config.code_length = 8;
         config.payload_size = 16;
         config.trace_capacity = Some(4096);
-        let report = run_topology(&config).expect("run starts");
+        let report = run_topology_virtual(&config);
         assert!(report.swarm.converged, "line(3) did not converge: {report:?}");
-        assert_eq!(report.first_delivery_by_hop.len(), 3);
-        assert!(report.first_delivery_by_hop[0].is_none(), "the source receives nothing");
-        let hop1 = report.first_delivery_by_hop[1].expect("hop 1 delivered");
-        let hop2 = report.first_delivery_by_hop[2].expect("hop 2 delivered");
-        assert!(hop1 <= report.swarm.elapsed + Duration::from_secs(1));
-        assert!(hop2 > Duration::ZERO);
+        // Stamps are virtual time, so the front is exact: the source's
+        // first tick offers, and the offer, its feedback and the payload
+        // each cross a link; the relay's useful delivery releases its
+        // own offer at once, three crossings more.
+        let (tick, crossing) = (config.options.tick, ltnc_net::LINK_LATENCY);
+        let hop1 = tick + 3 * crossing;
+        assert_eq!(report.first_delivery_by_hop, vec![None, Some(hop1), Some(hop1 + 3 * crossing)]);
+        // A peer's `ObjectDecoded` is stamped when it completed.
+        for (peer, completed_at) in report.swarm.peer_reports.iter().zip(&report.swarm.completed_at)
+        {
+            let decoded = peer.events.iter().find(|t| t.event == TraceEvent::ObjectDecoded);
+            assert_eq!(decoded.map(|t| t.at), *completed_at);
+        }
         // The relay's trace must show recoded pushes.
         assert!(report
             .swarm

@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use ltnc_net::faults::DatagramFaultPlan;
-use ltnc_net::{NodeOptions, SwarmReport};
+use ltnc_net::{NodeOptions, SwarmReport, LINK_LATENCY};
 use ltnc_scheme::SchemeKind;
 use ltnc_topo::{run_topology_virtual, Topology, TopologyConfig, TopologyFaults};
 
@@ -176,7 +176,19 @@ fn tracing_changes_nothing_but_the_events() {
         let config = line(scheme, 4, 0.10);
         let untraced = run_topology_virtual(&config).swarm;
         let traced = TopologyConfig { trace_capacity: Some(65_536), ..config };
+        let again = run_topology_virtual(&traced).swarm;
         let mut traced = run_topology_virtual(&traced).swarm;
+        // The events replay too, stamps included: each is read off the
+        // virtual clock. None is later than the drain after convergence,
+        // where what was in flight lands: at most an offer, its feedback
+        // and its payload, three link crossings.
+        let logs = |report: &SwarmReport| -> Vec<String> {
+            report.node_reports().map(|node| format!("{:?}", node.events)).collect()
+        };
+        assert_eq!(logs(&traced), logs(&again), "{scheme:?}: two traced runs differ");
+        let stamps = traced.node_reports().flat_map(|node| node.events.iter().map(|e| e.at));
+        let drained = traced.elapsed + 3 * LINK_LATENCY;
+        assert!(stamps.max().is_some_and(|last| last <= drained), "{scheme:?}");
         let mut events = traced.source_report.events.len();
         traced.source_report.events.clear();
         for report in &mut traced.peer_reports {
