@@ -209,7 +209,7 @@ fn rlnc_transfer(k: usize, m: usize, sparsity: usize, seed: u64) -> (RlncNode, R
     let mut sent = 0;
     while !sink.is_complete() {
         let p = source.recode(&mut rng).expect("source can recode");
-        if sink.is_innovative(&p) {
+        if sink.is_innovative(p.vector()) {
             sink.receive(&p);
         }
         sent += 1;

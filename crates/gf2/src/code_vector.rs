@@ -33,19 +33,6 @@ impl CodeVector {
         CodeVector { len, words: vec![0; n_words] }
     }
 
-    /// Wraps already-valid backing words (crate-internal: callers must uphold
-    /// the word count and trailing-zero invariants, e.g. a reduction residual
-    /// of vectors that satisfied them).
-    pub(crate) fn from_words(len: usize, words: Vec<u64>) -> Self {
-        debug_assert_eq!(words.len(), len.div_ceil(WORD_BITS));
-        debug_assert!(
-            len.is_multiple_of(WORD_BITS)
-                || words.last().is_none_or(|w| w >> (len % WORD_BITS) == 0),
-            "trailing bits beyond len must be zero"
-        );
-        CodeVector { len, words }
-    }
-
     /// Creates a vector with exactly one bit set: the native packet `index`.
     ///
     /// # Panics

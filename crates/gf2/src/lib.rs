@@ -8,7 +8,6 @@
 //!   vectors "represented by bitmaps" in packet headers).
 //! * [`Payload`] — the `m`-byte data part of a packet, supporting in-place XOR.
 //! * [`EncodedPacket`] — a code vector together with its payload.
-//! * [`Gf2Matrix`] — a dense GF(2) matrix with row reduction and rank computation.
 //! * [`Gf2Solver`] — incremental Gaussian elimination that tracks which received
 //!   rows make up each reduced row; [`Gf2Solver::solve`] back-substitutes on those
 //!   combinations alone and [`Recipes::replay`] applies the result to the payloads
@@ -49,6 +48,6 @@ pub mod wire;
 
 pub use code_vector::CodeVector;
 pub use error::Gf2Error;
-pub use matrix::{Gf2Matrix, Gf2Solver, Recipes, RowEchelonReport};
+pub use matrix::{Gf2Solver, Recipes};
 pub use packet::EncodedPacket;
 pub use payload::Payload;

@@ -1,25 +1,22 @@
 use core::cell::RefCell;
-use core::fmt;
 
 use crate::code_vector::OnesInWord;
 use crate::payload::XorTable;
 use crate::{CodeVector, Gf2Error, Payload};
 
-std::thread_local! {
-    /// Reduction scratch shared by every innovation check on the thread: the
-    /// incoming vector's words are copied here and reduced in place, so the
-    /// receive-path `is_innovative` calls allocate nothing after warm-up.
-    static REDUCE_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+/// A candidate vector under reduction, and the pivot columns whose rows it
+/// has been reduced by so far, in the order they were added.
+struct Scratch {
+    words: Vec<u64>,
+    used: Vec<usize>,
 }
 
-/// Index of the lowest set bit across `words`, or `None` when all are zero.
-#[inline]
-fn first_one_in_words(words: &[u64]) -> Option<usize> {
-    words
-        .iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(wi, &w)| wi * 64 + w.trailing_zeros() as usize)
+std::thread_local! {
+    /// Reduction scratch shared by every solver on the thread: the incoming
+    /// vector's words are copied here and reduced in place, so the
+    /// receive-path calls allocate nothing after warm-up.
+    static SCRATCH: RefCell<Scratch> =
+        const { RefCell::new(Scratch { words: Vec::new(), used: Vec::new() }) };
 }
 
 /// XORs `src` into `dst` word by word.
@@ -30,154 +27,13 @@ fn xor_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// A dense GF(2) matrix whose rows are [`CodeVector`]s.
-///
-/// This is the *code matrix* of the paper's RLNC baseline: every received code
-/// vector is appended as a row; the content is decodable once the matrix
-/// reaches rank `k`, using Gaussian reduction in `O(k²)` row operations (plus
-/// `O(m·k²)` work on payloads, accounted separately by the caller).
-///
-/// The matrix maintains an *incremental row-echelon form*: each inserted row is
-/// reduced against the existing pivots, so innovation checks (`is_innovative`)
-/// are a single reduction pass and rank queries are O(1).
-#[derive(Clone)]
-pub struct Gf2Matrix {
-    k: usize,
-    /// Reduced rows, at most one per pivot column. `pivots[c] = Some(row index)`.
-    rows: Vec<CodeVector>,
-    /// Maps a pivot column to the index in `rows` of the row whose leading 1 is that column.
-    pivots: Vec<Option<usize>>,
-    /// Number of GF(2) row XOR operations performed, for the cost model.
-    row_ops: u64,
-}
-
-/// Outcome of inserting a row into a [`Gf2Matrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowEchelonReport {
-    /// Whether the row increased the rank of the matrix.
-    pub innovative: bool,
-    /// Rank of the matrix after the insertion.
-    pub rank: usize,
-    /// Number of row XOR operations this insertion required.
-    pub row_ops: u64,
-}
-
-impl Gf2Matrix {
-    /// Creates an empty matrix over `k` unknowns (rank 0).
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        Gf2Matrix { k, rows: Vec::new(), pivots: vec![None; k], row_ops: 0 }
-    }
-
-    /// Number of unknowns (code length `k`).
-    #[must_use]
-    pub fn code_length(&self) -> usize {
-        self.k
-    }
-
-    /// Current rank of the matrix.
-    #[must_use]
-    pub fn rank(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` once the rank equals `k`, i.e. the content is decodable.
-    #[must_use]
-    pub fn is_full_rank(&self) -> bool {
-        self.rank() == self.k
-    }
-
-    /// Total number of row XOR operations performed so far (cost accounting).
-    #[must_use]
-    pub fn row_ops(&self) -> u64 {
-        self.row_ops
-    }
-
-    /// Reduces `vector` against the current pivots without modifying the matrix
-    /// and returns `true` when the residual is non-zero (the row would increase
-    /// the rank). This is the partial Gaussian reduction the paper's RLNC
-    /// baseline uses to detect non-innovative packets on reception; it runs in
-    /// a reused scratch buffer and does not clone the vector.
-    #[must_use]
-    pub fn is_innovative(&self, vector: &CodeVector) -> bool {
-        REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return false,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => xor_words(&mut scratch, self.rows[row].as_words()),
-                        None => return true,
-                    },
-                }
-            }
-        })
-    }
-
-    /// Inserts a row, keeping the matrix in row-echelon form.
-    ///
-    /// Returns a report stating whether the row was innovative, together with
-    /// the new rank and the number of row operations spent. Non-innovative rows
-    /// are discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length differs from the matrix code length.
-    pub fn insert(&mut self, vector: CodeVector) -> RowEchelonReport {
-        assert_eq!(vector.len(), self.k, "row length must match code length");
-        let (reduced, ops) = self.reduce(vector);
-        self.row_ops += ops;
-        if let Some(pivot) = reduced.first_one() {
-            self.pivots[pivot] = Some(self.rows.len());
-            self.rows.push(reduced);
-            RowEchelonReport { innovative: true, rank: self.rank(), row_ops: ops }
-        } else {
-            RowEchelonReport { innovative: false, rank: self.rank(), row_ops: ops }
-        }
-    }
-
-    /// Reduces a vector against the current pivots, returning the residual and
-    /// the number of row XORs spent.
-    fn reduce(&self, mut vector: CodeVector) -> (CodeVector, u64) {
-        let mut ops = 0;
-        loop {
-            match vector.first_one() {
-                None => return (vector, ops),
-                Some(col) => match self.pivots[col] {
-                    Some(row) => {
-                        vector.xor_assign(&self.rows[row]);
-                        ops += 1;
-                    }
-                    None => return (vector, ops),
-                },
-            }
-        }
-    }
-
-    /// Expresses each unknown as a combination of the inserted (original) rows
-    /// is not tracked here; instead, callers that need payload recovery keep
-    /// payloads aligned with rows via [`Gf2Solver`].
-    ///
-    /// Returns the reduced rows in pivot order (row-echelon form), mainly for
-    /// diagnostics and tests.
-    #[must_use]
-    pub fn echelon_rows(&self) -> Vec<CodeVector> {
-        let mut out: Vec<CodeVector> = Vec::with_capacity(self.rows.len());
-        let mut cols: Vec<usize> = (0..self.k).filter(|&c| self.pivots[c].is_some()).collect();
-        cols.sort_unstable();
-        for c in cols {
-            out.push(self.rows[self.pivots[c].expect("pivot present")].clone());
-        }
-        out
-    }
-}
-
-impl fmt::Debug for Gf2Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gf2Matrix(k={}, rank={})", self.k, self.rank())
-    }
+/// The column indices of the ones in `words`, whose first word is word
+/// `first` of its row.
+fn ones_from(words: &[u64], first: usize) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(move |(wi, &word)| OnesInWord { word, base: (first + wi) * 64 })
 }
 
 /// A full Gaussian-elimination solver that tracks, for every reduced row, the
@@ -189,19 +45,26 @@ impl fmt::Debug for Gf2Matrix {
 /// work (the `O(m·k²)` part) is a separate pass over those [`Recipes`]
 /// ([`Recipes::replay`]), so the data cost can be measured separately from the
 /// control cost, exactly as in Figure 8 of the paper.
+///
+/// The echelon form is stored by pivot column in two flat buffers: the row
+/// whose leading one is column `c` is row `c` of each, so a reduction step
+/// goes from a column straight to the words of its row.
 #[derive(Clone, Debug)]
 pub struct Gf2Solver {
     k: usize,
-    /// Reduced code vectors (row-echelon form, one per pivot).
-    rows: Vec<CodeVector>,
-    /// For each reduced row, the combination of original rows (by insertion index).
-    combos: Vec<CodeVector>,
-    /// pivot column -> index into rows/combos
-    pivots: Vec<Option<usize>>,
+    /// Maximum number of original rows the combinations can address.
+    capacity: usize,
+    /// `k` rows of `⌈k/64⌉` words: row `c` is the reduced code vector whose
+    /// leading one is column `c`, or zero while `c` has no pivot.
+    echelon: Vec<u64>,
+    /// `k` rows of `⌈capacity/64⌉` words: row `c` names, by insertion id,
+    /// the original rows whose sum is echelon row `c`.
+    combos: Vec<u64>,
+    /// Bit `c` is set once column `c` has a pivot row.
+    pivots: Vec<u64>,
+    rank: usize,
     /// Number of original rows inserted (innovative or not).
     inserted: usize,
-    /// Maximum number of original rows the combination bitmaps can address.
-    capacity: usize,
     row_ops: u64,
 }
 
@@ -211,11 +74,12 @@ impl Gf2Solver {
     pub fn new(k: usize, capacity: usize) -> Self {
         Gf2Solver {
             k,
-            rows: Vec::new(),
-            combos: Vec::new(),
-            pivots: vec![None; k],
-            inserted: 0,
             capacity,
+            echelon: vec![0; k * k.div_ceil(64)],
+            combos: vec![0; k * capacity.div_ceil(64)],
+            pivots: vec![0; k.div_ceil(64)],
+            rank: 0,
+            inserted: 0,
             row_ops: 0,
         }
     }
@@ -229,13 +93,13 @@ impl Gf2Solver {
     /// Current rank.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.rank
     }
 
     /// Returns `true` when the system is solvable.
     #[must_use]
     pub fn is_full_rank(&self) -> bool {
-        self.rank() == self.k
+        self.rank == self.k
     }
 
     /// Number of original rows inserted so far (used as the next row id).
@@ -253,22 +117,13 @@ impl Gf2Solver {
     /// Returns `true` when the vector would increase the rank.
     ///
     /// Reduces into a reused scratch buffer: no clone, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector length differs from `k`.
     #[must_use]
     pub fn is_innovative(&self, vector: &CodeVector) -> bool {
-        REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return false,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => xor_words(&mut scratch, self.rows[row].as_words()),
-                        None => return true,
-                    },
-                }
-            }
-        })
+        SCRATCH.with_borrow_mut(|scratch| self.reduce(vector, scratch).is_some())
     }
 
     /// Reduce-once insertion for the receive path: reduces `vector` against
@@ -283,38 +138,16 @@ impl Gf2Solver {
     /// Panics if the vector length differs from `k`, or if the row would be
     /// innovative and `capacity` rows have already been inserted.
     pub fn insert_if_innovative(&mut self, vector: &CodeVector) -> Option<usize> {
-        assert_eq!(vector.len(), self.k, "row length must match code length");
-        let mut used_rows: Vec<usize> = Vec::new();
-        let residual = REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return None,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => {
-                            xor_words(&mut scratch, self.rows[row].as_words());
-                            used_rows.push(row);
-                        }
-                        None => return Some((col, scratch.clone())),
-                    },
-                }
-            }
-        });
-        self.row_ops += used_rows.len() as u64;
-        let (col, words) = residual?;
-        assert!(self.inserted < self.capacity, "solver capacity exceeded");
-        let id = self.inserted;
-        self.inserted += 1;
-        let mut combo = CodeVector::singleton(self.capacity, id);
-        for &row in &used_rows {
-            combo.xor_assign(&self.combos[row]);
-        }
-        self.pivots[col] = Some(self.rows.len());
-        self.rows.push(CodeVector::from_words(self.k, words));
-        self.combos.push(combo);
-        Some(id)
+        SCRATCH.with_borrow_mut(|scratch| {
+            let col = self.reduce(vector, scratch);
+            self.row_ops += scratch.used.len() as u64;
+            let col = col?;
+            assert!(self.inserted < self.capacity, "solver capacity exceeded");
+            let id = self.inserted;
+            self.inserted += 1;
+            self.store(col, id, scratch);
+            Some(id)
+        })
     }
 
     /// Inserts a received code vector. Returns the id assigned to the row (its
@@ -326,30 +159,79 @@ impl Gf2Solver {
     /// Panics if the vector length differs from `k` or more than `capacity`
     /// rows have been inserted.
     pub fn insert(&mut self, vector: CodeVector) -> (usize, bool) {
-        assert_eq!(vector.len(), self.k, "row length must match code length");
         assert!(self.inserted < self.capacity, "solver capacity exceeded");
         let id = self.inserted;
         self.inserted += 1;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let col = self.reduce(&vector, scratch);
+            self.row_ops += scratch.used.len() as u64;
+            let Some(col) = col else { return (id, false) };
+            self.store(col, id, scratch);
+            (id, true)
+        })
+    }
 
-        let mut v = vector;
-        let mut combo = CodeVector::singleton(self.capacity, id);
-        loop {
-            match v.first_one() {
-                None => return (id, false),
-                Some(col) => match self.pivots[col] {
-                    Some(row) => {
-                        v.xor_assign(&self.rows[row]);
-                        combo.xor_assign(&self.combos[row]);
-                        self.row_ops += 1;
-                    }
-                    None => {
-                        self.pivots[col] = Some(self.rows.len());
-                        self.rows.push(v);
-                        self.combos.push(combo);
-                        return (id, true);
-                    }
-                },
+    /// Reduces `vector` against the echelon rows in `scratch` and returns
+    /// the leading column of the residual, `None` when it reduces to zero;
+    /// `scratch` is left holding the residual and the pivots used.
+    ///
+    /// One forward sweep: a word cursor moves up the vector, and the lowest
+    /// one is always in the cursor word. When its column `c` has a pivot,
+    /// row `c` is added from the cursor word on — the row has no ones below
+    /// `c`, so the words behind the cursor stay zero and are never scanned
+    /// again. The pivots are used in increasing column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector length differs from `k`.
+    fn reduce(&self, vector: &CodeVector, scratch: &mut Scratch) -> Option<usize> {
+        assert_eq!(vector.len(), self.k, "row length must match code length");
+        let Scratch { words, used } = scratch;
+        words.clear();
+        words.extend_from_slice(vector.as_words());
+        used.clear();
+        let stride = words.len();
+        let mut cursor = 0;
+        while cursor < stride {
+            let word = words[cursor];
+            if word == 0 {
+                cursor += 1;
+                continue;
             }
+            let col = cursor * 64 + word.trailing_zeros() as usize;
+            if self.pivots[col / 64] >> (col % 64) & 1 == 0 {
+                return Some(col);
+            }
+            xor_words(
+                &mut words[cursor..],
+                &self.echelon[col * stride + cursor..][..stride - cursor],
+            );
+            used.push(col);
+        }
+        None
+    }
+
+    /// Stores the residual left in `scratch` as the row of pivot `col`, with
+    /// its combination: original row `id` plus the combinations of the rows
+    /// it was reduced by.
+    fn store(&mut self, col: usize, id: usize, scratch: &Scratch) {
+        let stride = scratch.words.len();
+        self.echelon[col * stride..][..stride].copy_from_slice(&scratch.words);
+        self.pivots[col / 64] |= 1 << (col % 64);
+        self.rank += 1;
+        let combo_stride = self.capacity.div_ceil(64);
+        let at = col * combo_stride;
+        self.combos[at + id / 64] |= 1 << (id % 64);
+        // A stored combination names only ids assigned before `id`: its
+        // words past `id / 64` are zero.
+        let live = id / 64 + 1;
+        for &used in &scratch.used {
+            let from = used * combo_stride;
+            let [dst, src] = self
+                .combos
+                .get_disjoint_mut([at..at + live, from..from + live])
+                .expect("a used row is not the new row");
+            xor_words(dst, src);
         }
     }
 
@@ -361,33 +243,30 @@ impl Gf2Solver {
     /// recipes of every column above `c` are final, the echelon row of pivot
     /// `c` says which of them to add to its own combination, so the recipe of
     /// `c` is its combination XOR the recipes of the row's set bits `j > c`.
-    /// The echelon rows are only read, nothing is cloned, and the recipes land
-    /// in one flat buffer. One row operation is charged per recipe XOR — the
-    /// count (≈ k²/4) is the number of off-pivot ones in the echelon form,
-    /// exactly what eliminating them row by row would cost.
+    /// The recipes start as a copy of the combinations — already one per
+    /// column, in column order — and are finished in place. One row
+    /// operation is charged per recipe XOR — the count (≈ k²/4) is the
+    /// number of off-pivot ones in the echelon form, exactly what
+    /// eliminating them row by row would cost.
     ///
     /// # Errors
     ///
     /// Returns [`Gf2Error::NotFullRank`] when fewer than `k` innovative rows
     /// have been inserted.
     pub fn solve(&mut self) -> Result<Recipes, Gf2Error> {
-        let not_full_rank = Gf2Error::NotFullRank { rank: self.rank(), needed: self.k };
         if !self.is_full_rank() {
-            return Err(not_full_rank);
+            return Err(Gf2Error::NotFullRank { rank: self.rank, needed: self.k });
         }
-        let stride = self.capacity.div_ceil(64);
-        let mut words = vec![0u64; self.k * stride];
+        let (stride, combo_stride) = (self.k.div_ceil(64), self.capacity.div_ceil(64));
+        let mut words = self.combos.clone();
         for col in (0..self.k).rev() {
-            let Some(row) = self.pivots[col] else {
-                return Err(not_full_rank);
-            };
-            let (below, solved) = words.split_at_mut((col + 1) * stride);
-            let recipe = &mut below[col * stride..];
-            recipe.copy_from_slice(self.combos[row].as_words());
+            let (below, solved) = words.split_at_mut((col + 1) * combo_stride);
+            let recipe = &mut below[col * combo_stride..];
             // The lowest one of an echelon row is its pivot; the rest name
             // columns whose recipes are already final.
-            for j in self.rows[row].iter_ones().skip(1) {
-                xor_words(recipe, &solved[(j - col - 1) * stride..][..stride]);
+            let row = &self.echelon[col * stride..][col / 64..stride];
+            for j in ones_from(row, col / 64).skip(1) {
+                xor_words(recipe, &solved[(j - col - 1) * combo_stride..][..combo_stride]);
                 self.row_ops += 1;
             }
         }
@@ -433,10 +312,7 @@ impl Recipes {
     ///
     /// Panics if `native >= len()`.
     pub fn recipe(&self, native: usize) -> impl Iterator<Item = usize> + '_ {
-        self.words(native)
-            .iter()
-            .enumerate()
-            .flat_map(|(wi, &word)| OnesInWord { word, base: wi * 64 })
+        ones_from(self.words(native), 0)
     }
 
     fn words(&self, native: usize) -> &[u64] {
@@ -528,76 +404,98 @@ mod tests {
 
     #[test]
     fn empty_matrix_has_rank_zero() {
-        let m = Gf2Matrix::new(5);
-        assert_eq!(m.rank(), 0);
-        assert!(!m.is_full_rank());
-        assert_eq!(m.code_length(), 5);
+        let s = Gf2Solver::new(5, 8);
+        assert_eq!(s.rank(), 0);
+        assert!(!s.is_full_rank());
+        assert_eq!(s.code_length(), 5);
     }
 
     #[test]
     fn inserting_independent_rows_increases_rank() {
-        let mut m = Gf2Matrix::new(3);
-        assert!(m.insert(cv(3, &[0, 1])).innovative);
-        assert!(m.insert(cv(3, &[1, 2])).innovative);
-        assert!(m.insert(cv(3, &[2])).innovative);
-        assert!(m.is_full_rank());
+        let mut s = Gf2Solver::new(3, 8);
+        assert!(s.insert(cv(3, &[0, 1])).1);
+        assert!(s.insert(cv(3, &[1, 2])).1);
+        assert!(s.insert(cv(3, &[2])).1);
+        assert!(s.is_full_rank());
     }
 
     #[test]
     fn dependent_row_is_not_innovative() {
-        let mut m = Gf2Matrix::new(3);
-        m.insert(cv(3, &[0, 1]));
-        m.insert(cv(3, &[1, 2]));
-        let r = m.insert(cv(3, &[0, 2])); // = row0 + row1
-        assert!(!r.innovative);
-        assert_eq!(m.rank(), 2);
+        let mut s = Gf2Solver::new(3, 8);
+        s.insert(cv(3, &[0, 1]));
+        s.insert(cv(3, &[1, 2]));
+        let (_, innovative) = s.insert(cv(3, &[0, 2])); // = row0 + row1
+        assert!(!innovative);
+        assert_eq!(s.rank(), 2);
     }
 
     #[test]
     fn zero_row_is_never_innovative() {
-        let mut m = Gf2Matrix::new(4);
-        assert!(!m.insert(cv(4, &[])).innovative);
-        assert!(!m.is_innovative(&cv(4, &[])));
+        let mut s = Gf2Solver::new(4, 8);
+        assert!(!s.insert(cv(4, &[])).1);
+        assert!(!s.is_innovative(&cv(4, &[])));
     }
 
     #[test]
     fn is_innovative_matches_insert() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(4, &[0, 1]));
-        m.insert(cv(4, &[1, 2]));
-        assert!(!m.is_innovative(&cv(4, &[0, 2])));
-        assert!(m.is_innovative(&cv(4, &[3])));
-        assert!(m.is_innovative(&cv(4, &[0, 3])));
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert(cv(4, &[0, 1]));
+        s.insert(cv(4, &[1, 2]));
+        assert!(!s.is_innovative(&cv(4, &[0, 2])));
+        assert!(s.is_innovative(&cv(4, &[3])));
+        assert!(s.is_innovative(&cv(4, &[0, 3])));
     }
 
     #[test]
     fn row_ops_are_counted() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(4, &[0]));
-        let before = m.row_ops();
-        m.insert(cv(4, &[0, 1])); // requires one reduction against pivot 0
-        assert!(m.row_ops() > before);
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert(cv(4, &[0]));
+        let before = s.row_ops();
+        s.insert(cv(4, &[0, 1])); // requires one reduction against pivot 0
+        assert_eq!(s.row_ops(), before + 1);
     }
 
     #[test]
     #[should_panic(expected = "row length")]
     fn insert_wrong_length_panics() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(5, &[0]));
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert(cv(5, &[0]));
     }
 
+    /// Each stored row sits in the slot of its own pivot column, and its
+    /// combination in the same slot: rows past `⌈k/64⌉` words and
+    /// combinations spanning several words included.
     #[test]
     fn echelon_rows_have_distinct_pivots() {
-        let mut m = Gf2Matrix::new(6);
-        m.insert(cv(6, &[0, 3, 5]));
-        m.insert(cv(6, &[0, 1]));
-        m.insert(cv(6, &[1, 2, 3]));
-        let rows = m.echelon_rows();
-        let pivots: Vec<usize> = rows.iter().map(|r| r.first_one().unwrap()).collect();
-        let mut sorted = pivots.clone();
-        sorted.dedup();
-        assert_eq!(pivots.len(), m.rank());
-        assert_eq!(sorted.len(), pivots.len());
+        let (k, capacity) = (130, 200);
+        let mut s = Gf2Solver::new(k, capacity);
+        let rows: Vec<CodeVector> = (0..k)
+            .map(|i| cv(k, &[i, (i * 7 + 3) % k, (i * 31 + 64) % k, k - 1 - i / 2]))
+            .collect();
+        for _ in 0..capacity - k {
+            s.insert(cv(k, &[]));
+        }
+        for row in &rows {
+            s.insert(row.clone());
+        }
+        let (stride, combo_stride) = (k.div_ceil(64), capacity.div_ceil(64));
+        let mut pivots = 0;
+        for col in 0..k {
+            let row = &s.echelon[col * stride..][..stride];
+            if s.pivots[col / 64] >> (col % 64) & 1 == 0 {
+                assert!(row.iter().all(|&w| w == 0), "column {col} has no pivot but a row");
+                continue;
+            }
+            pivots += 1;
+            assert_eq!(ones_from(row, 0).next(), Some(col), "row {col} leads with its pivot");
+            // The combination adds up, over the original rows, to the stored row.
+            let mut sum = CodeVector::zero(k);
+            for id in ones_from(&s.combos[col * combo_stride..][..combo_stride], 0) {
+                sum.xor_assign(&rows[id - (capacity - k)]);
+            }
+            assert_eq!(sum.as_words(), row, "combination of row {col}");
+        }
+        assert_eq!(pivots, s.rank());
     }
 
     #[test]
@@ -723,20 +621,19 @@ mod tests {
         #[test]
         fn prop_rank_bounds(rows in proptest::collection::vec(
             proptest::collection::vec(0usize..16, 0..8), 0..32)) {
-            let mut m = Gf2Matrix::new(16);
+            let mut s = Gf2Solver::new(16, 32);
             let mut innovative_count = 0;
             for r in &rows {
-                let before = m.rank();
-                let rep = m.insert(cv(16, r));
-                if rep.innovative {
+                let before = s.rank();
+                if s.insert(cv(16, r)).1 {
                     innovative_count += 1;
-                    prop_assert_eq!(m.rank(), before + 1);
+                    prop_assert_eq!(s.rank(), before + 1);
                 } else {
-                    prop_assert_eq!(m.rank(), before);
+                    prop_assert_eq!(s.rank(), before);
                 }
             }
-            prop_assert_eq!(m.rank(), innovative_count);
-            prop_assert!(m.rank() <= 16);
+            prop_assert_eq!(s.rank(), innovative_count);
+            prop_assert!(s.rank() <= 16);
         }
 
         /// When the solver reaches full rank, the recipes actually reconstruct

@@ -8,11 +8,13 @@
 //! code lengths that are not multiples of 8 (partial final bitmap byte)
 //! or of 64 (partial final word).
 //!
-//! The RLNC solve is pinned the same way: the streaming back-substitution
-//! of `Gf2Solver::solve` against the clone-per-row-operation elimination it
-//! replaced, and the Four-Russians `Recipes::replay` against the
-//! one-XOR-per-recipe-bit fold it replaced. Both old algorithms live on
-//! here, as the oracles.
+//! The RLNC solver is pinned the same way: its pivot-indexed forward-sweep
+//! reduction (`is_innovative`, `insert_if_innovative`, `insert`) and its
+//! streaming back-substitution (`solve`) against a row-at-a-time
+//! elimination over `CodeVector`s that rescans each residual from its first
+//! word and clones rows for every back-substitution step, and the
+//! Four-Russians `Recipes::replay` against the one-XOR-per-recipe-bit fold
+//! it replaced. The old algorithms live on here, as the oracles.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -63,12 +65,13 @@ impl SplitMix {
     }
 }
 
-/// Oracle for `Gf2Solver::insert` + `solve` as they were before the
-/// streaming rewrite: incremental row-echelon form with the combination of
-/// original rows dragged along, then back-substitution that eliminates each
-/// pivot column, highest first, from every other row — cloning the pivot's
-/// row and combination for every operation. Ids are consumed by every
-/// inserted row, innovative or not, as `Gf2Solver::insert` does.
+/// Oracle for `Gf2Solver`: incremental row-echelon form over `CodeVector`
+/// rows kept in arrival order, each reduction step looking up the pivot of
+/// the residual's lowest one afresh, with the combination of original rows
+/// it used; then back-substitution that eliminates each pivot column,
+/// highest first, from every other row — cloning the pivot's row and
+/// combination for every operation. One row operation is charged per
+/// reduction step, stored or not.
 struct RowEliminationOracle {
     k: usize,
     capacity: usize,
@@ -76,6 +79,7 @@ struct RowEliminationOracle {
     combos: Vec<CodeVector>,
     pivots: Vec<Option<usize>>,
     inserted: usize,
+    row_ops: u64,
 }
 
 impl RowEliminationOracle {
@@ -87,23 +91,54 @@ impl RowEliminationOracle {
             combos: Vec::new(),
             pivots: vec![None; k],
             inserted: 0,
+            row_ops: 0,
         }
     }
 
-    fn insert(&mut self, mut vector: CodeVector) -> bool {
-        let mut combo = CodeVector::singleton(self.capacity, self.inserted);
-        self.inserted += 1;
-        while let Some(col) = vector.first_one() {
-            let Some(row) = self.pivots[col] else {
-                self.pivots[col] = Some(self.rows.len());
-                self.rows.push(vector);
-                self.combos.push(combo);
-                return true;
-            };
+    /// The residual of `vector` against the stored rows, and the stored
+    /// rows it was reduced by.
+    fn reduce(&self, mut vector: CodeVector) -> (CodeVector, Vec<usize>) {
+        let mut used = Vec::new();
+        while let Some(row) = vector.first_one().and_then(|col| self.pivots[col]) {
             vector.xor_assign(&self.rows[row]);
+            used.push(row);
+        }
+        (vector, used)
+    }
+
+    fn is_innovative(&self, vector: &CodeVector) -> bool {
+        !self.reduce(vector.clone()).0.is_zero()
+    }
+
+    /// `Gf2Solver::insert`: every row consumes an id, innovative or not.
+    fn insert(&mut self, vector: CodeVector) -> bool {
+        self.inserted += 1;
+        self.store(vector, self.inserted - 1)
+    }
+
+    /// `Gf2Solver::insert_if_innovative`: only a stored row consumes an id.
+    fn insert_if_innovative(&mut self, vector: CodeVector) -> Option<usize> {
+        let id = self.inserted;
+        let stored = self.store(vector, id);
+        self.inserted += usize::from(stored);
+        stored.then_some(id)
+    }
+
+    /// Reduces `vector` and stores the residual under `id` unless it is zero.
+    fn store(&mut self, vector: CodeVector, id: usize) -> bool {
+        let (residual, used) = self.reduce(vector);
+        self.row_ops += used.len() as u64;
+        let Some(col) = residual.first_one() else {
+            return false;
+        };
+        let mut combo = CodeVector::singleton(self.capacity, id);
+        for &row in &used {
             combo.xor_assign(&self.combos[row]);
         }
-        false
+        self.pivots[col] = Some(self.rows.len());
+        self.rows.push(residual);
+        self.combos.push(combo);
+        true
     }
 
     /// The recipes and the number of row operations the back-substitution spent.
@@ -327,11 +362,71 @@ fn solve_matches_row_elimination_oracle() {
             gaps += usize::from(!innovative);
         }
         assert!(k == 1 || gaps > 0, "k = {k}: the system should contain dependent rows");
+        assert_eq!(solver.row_ops(), oracle.row_ops, "k = {k}: reduction row operations");
 
         let (expected, expected_ops) = oracle.solve();
         let ops_before = solver.row_ops();
         let recipes = solver.solve().expect("full rank");
         assert_eq!(solver.row_ops() - ops_before, expected_ops, "k = {k}: row operations");
+        assert_eq!((recipes.len(), recipes.row_ids()), (k, capacity));
+        for (native, expected) in expected.iter().enumerate() {
+            assert_eq!(recipes.recipe(native).collect::<Vec<_>>(), expected.ones(), "k = {k}");
+        }
+    }
+}
+
+/// The receive path — `is_innovative`, then `insert_if_innovative`, on
+/// every vector — agrees with the oracle on every verdict, assigned id and
+/// row operation, and `solve` on every recipe, at every k in `1..=130` and
+/// at the paper's 2048, with capacities at and above k. A quarter of the
+/// vectors are sums of earlier ones (redundant by construction), a quarter
+/// are sparse, and the sequence runs on past full rank; from k = 8 on it
+/// must meet a redundant vector before full rank too.
+#[test]
+fn receive_path_matches_row_elimination_oracle() {
+    let mut rng = SplitMix(0xACCE);
+    for k in (1..=130).chain([2048]) {
+        let capacity = [k, k + 1, 2 * k + 63][k % 3];
+        let mut solver = Gf2Solver::new(k, capacity);
+        let mut oracle = RowEliminationOracle::new(k, capacity);
+        let mut offered: Vec<CodeVector> = Vec::new();
+        let (mut dependent, mut past_full_rank) = (0, 0);
+        while past_full_rank < 2 + (k / 8).min(16) {
+            let vector = match rng.next() % 4 {
+                0 if !offered.is_empty() => {
+                    let mut sum = CodeVector::zero(k);
+                    for _ in 0..2 + rng.next() % 2 {
+                        sum.xor_assign(&offered[rng.next() as usize % offered.len()]);
+                    }
+                    sum
+                }
+                1 => {
+                    let ones: Vec<usize> =
+                        (0..1 + rng.next() % 3).map(|_| rng.next() as usize % k).collect();
+                    CodeVector::from_indices(k, &ones)
+                }
+                _ => rng.vector(k),
+            };
+            let full_rank = solver.is_full_rank();
+            past_full_rank += usize::from(full_rank);
+            let innovative = solver.is_innovative(&vector);
+            assert_eq!(innovative, oracle.is_innovative(&vector), "k = {k}: verdict");
+            let id = solver.insert_if_innovative(&vector);
+            assert_eq!(id.is_some(), innovative, "k = {k}: is_innovative predicts insertion");
+            assert_eq!(id, oracle.insert_if_innovative(vector.clone()), "k = {k}: id");
+            assert_eq!(solver.row_ops(), oracle.row_ops, "k = {k}: reduction row operations");
+            dependent += usize::from(!innovative && !full_rank);
+            offered.push(vector);
+        }
+        assert!(k < 8 || dependent > 0, "k = {k}: dependent vectors before full rank");
+
+        let (expected, expected_ops) = oracle.solve();
+        let recipes = solver.solve().expect("full rank");
+        assert_eq!(
+            solver.row_ops() - oracle.row_ops,
+            expected_ops,
+            "k = {k}: solve row operations"
+        );
         assert_eq!((recipes.len(), recipes.row_ids()), (k, capacity));
         for (native, expected) in expected.iter().enumerate() {
             assert_eq!(recipes.recipe(native).collect::<Vec<_>>(), expected.ones(), "k = {k}");

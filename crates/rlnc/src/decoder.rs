@@ -1,4 +1,4 @@
-use ltnc_gf2::{EncodedPacket, Gf2Solver, Payload};
+use ltnc_gf2::{CodeVector, EncodedPacket, Gf2Solver, Payload};
 use ltnc_metrics::{OpCounters, OpKind};
 
 use crate::RlncError;
@@ -95,13 +95,13 @@ impl GaussianDecoder {
         &self.packets
     }
 
-    /// Returns `true` when the packet would increase the rank of the code
-    /// matrix. This is the check a receiver runs on the code vector alone
-    /// (before the payload is transferred) when a feedback channel is
-    /// available.
+    /// Returns `true` when a packet with this code vector would increase
+    /// the rank of the code matrix. This is the check a receiver runs on
+    /// the code vector alone (before the payload is transferred) when a
+    /// feedback channel is available.
     #[must_use]
-    pub fn is_innovative(&self, packet: &EncodedPacket) -> bool {
-        packet.code_length() == self.k && self.solver.is_innovative(packet.vector())
+    pub fn is_innovative(&self, vector: &CodeVector) -> bool {
+        vector.len() == self.k && self.solver.is_innovative(vector)
     }
 
     /// Inserts a packet. Returns `true` when it was innovative (and stored).
@@ -227,8 +227,8 @@ mod tests {
         assert!(!dec.insert(&packet(k, &[0, 2], &nat)).unwrap());
         assert_eq!(dec.redundant_count(), 1);
         assert_eq!(dec.rank(), 2);
-        assert!(!dec.is_innovative(&packet(k, &[0, 2], &nat)));
-        assert!(dec.is_innovative(&packet(k, &[3], &nat)));
+        assert!(!dec.is_innovative(packet(k, &[0, 2], &nat).vector()));
+        assert!(dec.is_innovative(packet(k, &[3], &nat).vector()));
     }
 
     #[test]
@@ -236,7 +236,7 @@ mod tests {
         let k = 4;
         let mut dec = GaussianDecoder::new(k, 2);
         let zero = EncodedPacket::new(CodeVector::zero(k), Payload::zero(2));
-        assert!(!dec.is_innovative(&zero));
+        assert!(!dec.is_innovative(zero.vector()));
         assert!(!dec.insert(&zero).unwrap());
     }
 

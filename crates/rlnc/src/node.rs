@@ -1,4 +1,4 @@
-use ltnc_gf2::{EncodedPacket, Payload};
+use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_metrics::OpCounters;
 use rand::Rng;
 
@@ -66,14 +66,15 @@ impl RlncNode {
         self.decoder.is_full_rank()
     }
 
-    /// Returns `true` when the packet would be innovative for this node.
+    /// Returns `true` when a packet with this code vector would be
+    /// innovative for this node.
     ///
     /// Used by the binary feedback channel: the receiver checks the code
     /// vector (carried in the header) before the payload is transferred and
     /// aborts the transfer of non-innovative packets.
     #[must_use]
-    pub fn is_innovative(&self, packet: &EncodedPacket) -> bool {
-        self.decoder.is_innovative(packet)
+    pub fn is_innovative(&self, vector: &CodeVector) -> bool {
+        self.decoder.is_innovative(vector)
     }
 
     /// Number of packets this node has accepted as innovative.
@@ -232,7 +233,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..4 * k {
             let p = source.recode(&mut rng).unwrap();
-            let predicted = sink.is_innovative(&p);
+            let predicted = sink.is_innovative(p.vector());
             let outcome = sink.receive(&p);
             assert_eq!(predicted, outcome == ReceiveOutcome::Innovative);
         }

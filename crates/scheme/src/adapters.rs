@@ -1,5 +1,5 @@
 use ltnc_core::LtncNode;
-use ltnc_gf2::{EncodedPacket, Payload};
+use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_metrics::OpCounters;
 use ltnc_rlnc::{ReceiveOutcome as RlncOutcome, RlncNode};
 use rand::RngCore;
@@ -20,12 +20,12 @@ pub trait Scheme: Send {
     /// coded schemes, distinct natives for WC). Drives the aggressiveness gate.
     fn useful_received(&self) -> usize;
 
-    /// Header-only check used by the binary feedback channel: would this
-    /// packet bring anything new? For LTNC the check is the (partial)
-    /// redundancy detection of Algorithm 3, so it may return `true` for a
-    /// packet that later turns out to be redundant — that is exactly the
-    /// communication overhead the paper measures.
-    fn would_accept(&self, packet: &EncodedPacket) -> bool;
+    /// Header-only check used by the binary feedback channel: would a
+    /// packet with this code vector bring anything new? For LTNC the check
+    /// is the (partial) redundancy detection of Algorithm 3, so it may
+    /// return `true` for a packet that later turns out to be redundant —
+    /// that is exactly the communication overhead the paper measures.
+    fn would_accept(&self, vector: &CodeVector) -> bool;
 
     /// Delivers a packet (payload included). Returns `true` when the packet
     /// was useful to this node.
@@ -80,8 +80,8 @@ impl Scheme for RlncSchemeNode {
         self.useful
     }
 
-    fn would_accept(&self, packet: &EncodedPacket) -> bool {
-        self.node.is_innovative(packet)
+    fn would_accept(&self, vector: &CodeVector) -> bool {
+        self.node.is_innovative(vector)
     }
 
     fn deliver(&mut self, packet: &EncodedPacket) -> bool {
@@ -160,8 +160,8 @@ impl Scheme for LtncSchemeNode {
         self.useful
     }
 
-    fn would_accept(&self, packet: &EncodedPacket) -> bool {
-        !self.node.is_redundant(packet.vector())
+    fn would_accept(&self, vector: &CodeVector) -> bool {
+        !self.node.is_redundant(vector)
     }
 
     fn deliver(&mut self, packet: &EncodedPacket) -> bool {
@@ -209,7 +209,7 @@ mod tests {
                 break;
             }
             if let Some(p) = source.make_packet(&mut rng) {
-                if sink.would_accept(&p) {
+                if sink.would_accept(p.vector()) {
                     sink.deliver(&p);
                     delivered += 1;
                 }
@@ -278,7 +278,7 @@ mod tests {
         let mut wasted = 0;
         while !sink.is_complete() {
             let p = source.make_packet(&mut rng).unwrap();
-            if sink.would_accept(&p) && !sink.deliver(&p) {
+            if sink.would_accept(p.vector()) && !sink.deliver(&p) {
                 wasted += 1;
             }
         }

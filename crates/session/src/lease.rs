@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
+use ltnc_gf2::{CodeVector, EncodedPacket};
 use ltnc_metrics::OpCounters;
 use ltnc_scheme::Scheme;
 use rand::RngCore;
@@ -249,8 +249,7 @@ impl SharedReceiver {
         if self.generation_complete(gen_index) || vector.len() != self.manifest.params.code_length {
             return false;
         }
-        let probe = EncodedPacket::new(vector.clone(), Payload::zero(0));
-        node.lock().expect("generation lock poisoned").would_accept(&probe)
+        node.lock().expect("generation lock poisoned").would_accept(vector)
     }
 
     /// Delivers a full packet to a generation, holding only that
@@ -341,6 +340,7 @@ impl SharedReceiver {
 mod tests {
     use super::*;
     use crate::generation::{split_object, SourceSession};
+    use ltnc_gf2::Payload;
     use ltnc_scheme::{SchemeKind, SchemeParams};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -54,7 +54,7 @@ fn rlnc_receiver_cost(seed: u64) -> (OpCounters, u64) {
     let mut received = 0;
     while !sensor.is_complete() {
         let p = gateway.recode(&mut rng).expect("gateway can recode");
-        if sensor.is_innovative(&p) {
+        if sensor.is_innovative(p.vector()) {
             sensor.receive(&p);
             received += 1;
         }
