@@ -65,11 +65,13 @@
 //! `COMPLETE` messages prune finished generations from every sender's
 //! schedule.
 //!
+//! Its sender half is one [`OfferLedger`] per neighbour, the bookkeeping
+//! a `ltnc-serve` session keeps too; this module adds the policy.
+//!
 //! What leaves this module is the tuning ([`NodeOptions`]) and each
 //! node's final accounting ([`PeerReport`]).
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -89,6 +91,7 @@ use crate::envelope::{
 };
 use crate::faults::DatagramFaultCounters;
 use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
+use crate::ledger::OfferLedger;
 
 /// The datagrams one [`NodeStateMachine`] call emits, in order:
 /// destination and frame bytes. The driver sends them.
@@ -329,17 +332,12 @@ impl Shared {
     }
 }
 
-struct PendingTransfer {
-    generation: u32,
-    packet: EncodedPacket,
-    /// The trace context stamped on the offer, echoed verbatim on the
-    /// payload — so the delivered frame carries the true origin send
-    /// time (including the offer/feedback round trip, which is real
-    /// dissemination latency).
-    trace: TraceContext,
-    to: SocketAddr,
-    /// When the offer left, on the node's clock.
-    born: u64,
+/// One neighbour: the transfer's sender half on its link, and the
+/// pacing (from the link's first offer outcome on) that it drives.
+struct Link {
+    addr: SocketAddr,
+    offers: OfferLedger<EncodedPacket>,
+    pacing: Option<PeerPacing>,
 }
 
 /// Adaptive pacing state for one peer: the AIMD budget and the loss and
@@ -374,18 +372,10 @@ pub(crate) struct NodeStateMachine {
     source: Option<SourceSession>,
     receiver: Option<ReceiverSession>,
     generation_count: u32,
-    peers: Vec<SocketAddr>,
-    started: bool,
+    /// The push set, in order; empty, and so no offer, until wired in.
+    links: Vec<Link>,
+    link_index: HashMap<SocketAddr, usize>,
     rng: SmallRng,
-    next_transfer: u64,
-    /// Offers awaiting feedback, by transfer id — birth order, so the TTL
-    /// sweep expires them (and moves budgets) in the same order on every
-    /// run.
-    pending: BTreeMap<u64, PendingTransfer>,
-    inflight_per_peer: HashMap<SocketAddr, usize>,
-    pacing: HashMap<SocketAddr, PeerPacing>,
-    peer_done: HashMap<SocketAddr, HashSet<u32>>,
-    object_done: HashSet<SocketAddr>,
     announced: HashSet<u32>,
     /// Per-generation recode lineage (relays only): the merged trace of
     /// every payload delivered for that generation — earliest origin
@@ -425,15 +415,9 @@ impl NodeStateMachine {
             source,
             receiver,
             generation_count: manifest.generation_count(),
-            peers: Vec::new(),
-            started: false,
+            links: Vec::new(),
+            link_index: HashMap::new(),
             rng: SmallRng::seed_from_u64(config.options.seed),
-            next_transfer: 1,
-            pending: BTreeMap::new(),
-            inflight_per_peer: HashMap::new(),
-            pacing: HashMap::new(),
-            peer_done: HashMap::new(),
-            object_done: HashSet::new(),
             announced: HashSet::new(),
             lineage: HashMap::new(),
             wire: WireCounters::new(),
@@ -444,11 +428,13 @@ impl NodeStateMachine {
         }
     }
 
-    /// Wires the node into the swarm and opens the offer gates — the
-    /// starting gun.
+    /// Wires the node into the swarm, one link per neighbour, and opens
+    /// the offer gates — the starting gun.
     pub(crate) fn set_peers(&mut self, peers: Vec<SocketAddr>) {
-        self.peers = peers;
-        self.started = true;
+        let generations = self.generation_count;
+        self.link_index = peers.iter().enumerate().map(|(index, &addr)| (addr, index)).collect();
+        let link = |addr| Link { addr, offers: OfferLedger::new(generations), pacing: None };
+        self.links = peers.into_iter().map(link).collect();
     }
 
     /// Final accounting; consumes the state machine. The fault counters
@@ -472,13 +458,13 @@ impl NodeStateMachine {
         if let Some(source) = &self.source {
             recoding.merge(&source.recoding_counters());
         }
+        let paced =
+            || self.links.iter().filter_map(|link| Some((link.addr, link.pacing.as_ref()?)));
         let mut loss_estimates: Vec<(SocketAddr, f64)> =
-            self.pacing.iter().map(|(&peer, pacing)| (peer, pacing.loss_ewma)).collect();
+            paced().map(|(peer, pacing)| (peer, pacing.loss_ewma)).collect();
         loss_estimates.sort_by_key(|&(peer, _)| peer);
-        let mut rtt_estimates: Vec<(SocketAddr, Duration)> = self
-            .pacing
-            .iter()
-            .filter_map(|(&peer, pacing)| {
+        let mut rtt_estimates: Vec<(SocketAddr, Duration)> = paced()
+            .filter_map(|(peer, pacing)| {
                 pacing.rtt_ewma.map(|rtt| (peer, Duration::from_secs_f64(rtt.max(0.0))))
             })
             .collect();
@@ -519,7 +505,7 @@ impl NodeStateMachine {
         }
     }
 
-    /// Records the outcome of one offer to `peer` at `now` — feedback
+    /// Records the outcome of one offer on link `index` at `now` — feedback
     /// arrived after `rtt` (whatever the verdict), or `None`: the offer
     /// died at its TTL — updating the loss and RTT estimates and the AIMD
     /// budget.
@@ -532,11 +518,13 @@ impl NodeStateMachine {
     /// loss, as in the paper). Only a peer gone entirely silent for a TTL
     /// triggers the multiplicative decrease, throttling offers to the
     /// dead until the floor.
-    fn note_outcome(&mut self, now: u64, peer: SocketAddr, rtt: Option<Duration>) {
+    fn note_outcome(&mut self, now: u64, index: usize, rtt: Option<Duration>) {
         let options = self.options;
         let (floor, ceiling) = options.budget_bounds();
         let base = options.initial_budget();
-        let pacing = self.pacing.entry(peer).or_insert_with(|| PeerPacing {
+        let Link { addr: peer, pacing, .. } = &mut self.links[index];
+        let peer = *peer;
+        let pacing = pacing.get_or_insert_with(|| PeerPacing {
             budget: base,
             loss_ewma: 0.0,
             rtt_ewma: None,
@@ -585,16 +573,17 @@ impl NodeStateMachine {
         }
     }
 
-    /// The pending TTL currently in force for offers to `peer`: derived
-    /// from its RTT estimate (fixed [`NodeOptions::pending_ttl`] as the
-    /// floor and the fallback before any feedback has been measured).
-    fn ttl_for(&self, peer: &SocketAddr) -> Duration {
-        self.options.derived_ttl(self.pacing.get(peer).and_then(|pacing| pacing.rtt_ewma))
+    /// The pending TTL currently in force for offers on link `index`:
+    /// derived from its RTT estimate (fixed [`NodeOptions::pending_ttl`]
+    /// as the floor and the fallback before any feedback has been
+    /// measured).
+    fn ttl_for(&self, index: usize) -> Duration {
+        self.options.derived_ttl(self.links[index].pacing.as_ref().and_then(|p| p.rtt_ewma))
     }
 
-    /// The in-flight cap currently in force for `peer`.
-    fn inflight_cap(&self, peer: &SocketAddr) -> usize {
-        match self.pacing.get(peer) {
+    /// The in-flight cap currently in force on link `index`.
+    fn inflight_cap(&self, index: usize) -> usize {
+        match &self.links[index].pacing {
             Some(pacing) => (pacing.budget as usize).max(1),
             // Not yet tracked: the same clamped initial budget a fresh
             // pacing entry starts with.
@@ -609,12 +598,13 @@ impl NodeStateMachine {
         header: &EnvelopeHeader,
         message: &Message,
     ) {
-        let bytes = envelope::encode(header, message);
+        self.post(out, to, envelope::encode(header, message));
+    }
+
+    /// Counts one encoded datagram to `to` and queues it.
+    fn post(&mut self, out: &mut Outbox, to: SocketAddr, bytes: Vec<u8>) {
         self.wire.datagrams_sent += 1;
         self.wire.bytes_sent += bytes.len() as u64;
-        if let Message::DataPayload { packet, .. } = message {
-            self.wire.payload_bytes_sent += packet.payload_size() as u64;
-        }
         out.push((to, bytes));
     }
 
@@ -675,23 +665,19 @@ impl NodeStateMachine {
                 }
             }
             MessageView::Feedback { transfer, accept } => {
-                // Only the peer the offer went to may decide its fate; a
-                // verdict from anyone else (bug or hostility) must not
-                // consume the pending transfer.
-                let pending = match self.pending.entry(transfer) {
-                    Entry::Occupied(slot) if slot.get().to == from => slot.remove(),
-                    _ => return, // evicted, duplicate, or misdirected feedback
-                };
-                if let Some(count) = self.inflight_per_peer.get_mut(&pending.to) {
-                    *count = count.saturating_sub(1);
-                }
+                // Transfer ids are per link, so a verdict is matched only
+                // against the offers of the link it arrived on: nobody
+                // else (bug or hostility) can decide another peer's offer.
+                let Some(&index) = self.link_index.get(&from) else { return };
+                // Evicted, duplicate, or never offered: nothing to release.
+                let Some(offer) = self.links[index].offers.take(transfer) else { return };
                 // Either verdict proves the offer/feedback round trip
                 // survived the link — a success for pacing purposes, and
                 // an RTT sample for the derived TTL.
-                let rtt = elapsed(now, pending.born);
-                self.note_outcome(now, pending.to, Some(rtt));
+                let rtt = elapsed(now, offer.born);
+                self.note_outcome(now, index, Some(rtt));
                 self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
-                let generation = pending.generation;
+                let generation = offer.generation;
                 // Feedback clock: whoever holds the generation completely
                 // emits only good packets, so its pipeline to this peer is
                 // RTT-paced. An incomplete relay re-offering at that rate
@@ -702,18 +688,17 @@ impl NodeStateMachine {
                 // trip overlaps the decode.
                 let complete =
                     self.receiver.as_ref().is_none_or(|r| r.generation_complete(generation));
-                if complete && self.peers.contains(&from) && self.may_offer(&from) {
-                    self.offer_to(now, out, from, OfferTrigger::Feedback);
+                if complete && self.may_offer(index) {
+                    self.offer_to(now, out, index, OfferTrigger::Feedback);
                 }
                 if accept {
                     self.wire.transfers_delivered += 1;
+                    self.wire.payload_bytes_sent += offer.packet.payload_size() as u64;
                     let header = self.header(MessageKind::DataPayload, generation);
-                    let payload = Message::DataPayload {
-                        transfer,
-                        trace: pending.trace,
-                        packet: pending.packet,
-                    };
-                    self.send(out, from, &header, &payload);
+                    let mut bytes = Vec::new();
+                    let (trace, packet) = (&offer.trace, &offer.packet);
+                    envelope::encode_payload_into(&mut bytes, &header, transfer, trace, packet);
+                    self.post(out, from, bytes);
                 } else {
                     self.wire.transfers_aborted += 1;
                 }
@@ -767,10 +752,10 @@ impl NodeStateMachine {
                 }
             }
             MessageView::Complete => {
-                if header.generation == GENERATION_OBJECT {
-                    self.object_done.insert(from);
-                } else {
-                    self.peer_done.entry(from).or_default().insert(header.generation);
+                // Offers only go to neighbours: anyone else's COMPLETE,
+                // like one for a generation the object lacks, is dropped.
+                if let Some(&index) = self.link_index.get(&from) {
+                    self.links[index].offers.complete(header.generation);
                 }
             }
             // The serving handshake (ltnc-serve) rides the same envelope but
@@ -784,8 +769,8 @@ impl NodeStateMachine {
             return;
         }
         let header = self.header(MessageKind::Complete, generation);
-        for i in 0..self.peers.len() {
-            self.send(out, self.peers[i], &header, &Message::Complete);
+        for index in 0..self.links.len() {
+            self.send(out, self.links[index].addr, &header, &Message::Complete);
         }
     }
 
@@ -799,54 +784,48 @@ impl NodeStateMachine {
         }
     }
 
+    /// Expires every offer past its link's TTL, link by link. A link's
+    /// offers are born in id order and its TTL holds for the sweep (only
+    /// feedback moves it), so each link's sweep stops at its first live
+    /// offer.
     fn evict_stale_pending(&mut self, now: u64) {
-        // Taken out of `self` for the sweep, so accounting an expiry may
-        // touch everything else (nothing it calls reads the table).
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.retain(|_, offer| {
-            let peer = offer.to;
-            if elapsed(now, offer.born) < self.ttl_for(&peer) {
-                return true;
+        for index in 0..self.links.len() {
+            let ttl = self.ttl_for(index);
+            while self.links[index].offers.expire(now, ttl).is_some() {
+                self.wire.offer_timeouts += 1;
+                self.note_outcome(now, index, None);
+                let peer = self.links[index].addr;
+                self.tracer.emit(now, || TraceEvent::OfferTimedOut { peer });
             }
-            if let Some(count) = self.inflight_per_peer.get_mut(&peer) {
-                *count = count.saturating_sub(1);
-            }
-            self.wire.offer_timeouts += 1;
-            self.note_outcome(now, peer, None);
-            self.tracer.emit(now, || TraceEvent::OfferTimedOut { peer });
-            false
-        });
-        self.pending = pending;
+        }
     }
 
-    /// The target gates every clock's offers pass: the node is wired in,
-    /// `peer` still needs something and has in-flight budget left.
-    fn may_offer(&self, peer: &SocketAddr) -> bool {
-        self.started
-            && !self.object_done.contains(peer)
-            && self.inflight_per_peer.get(peer).copied().unwrap_or(0) < self.inflight_cap(peer)
+    /// The target gates every clock's offers pass: the peer on link
+    /// `index` still needs something and has in-flight budget left.
+    fn may_offer(&self, index: usize) -> bool {
+        let offers = &self.links[index].offers;
+        !offers.object_done() && offers.in_flight() < self.inflight_cap(index)
     }
 
     /// One offer to a uniformly chosen peer among those [`Self::may_offer`]
     /// admits (counted, then the n-th picked: no per-call allocation).
     fn push_once(&mut self, now: u64, out: &mut Outbox, trigger: OfferTrigger) {
-        let admitted = self.peers.iter().filter(|peer| self.may_offer(peer)).count();
+        let admitted = (0..self.links.len()).filter(|&index| self.may_offer(index)).count();
         if admitted == 0 {
             return;
         }
         let pick = self.rng.gen_range(0..admitted);
-        if let Some(target) = self.peers.iter().copied().filter(|p| self.may_offer(p)).nth(pick) {
+        if let Some(target) = (0..self.links.len()).filter(|&i| self.may_offer(i)).nth(pick) {
             self.offer_to(now, out, target, trigger);
         }
     }
 
-    /// Offers `target` — already past [`Self::may_offer`] — one packet of
-    /// a generation it still needs: every clock's single way out.
-    fn offer_to(&mut self, now: u64, out: &mut Outbox, target: SocketAddr, trigger: OfferTrigger) {
-        let target_done = self.peer_done.get(&target);
-        let needs = |generation: u32| -> bool {
-            target_done.is_none_or(|done| !done.contains(&generation))
-        };
+    /// Offers the peer on link `target` — already past
+    /// [`Self::may_offer`] — one packet of a generation it still needs:
+    /// every clock's single way out.
+    fn offer_to(&mut self, now: u64, out: &mut Outbox, target: usize, trigger: OfferTrigger) {
+        let offers = &self.links[target].offers;
+        let needs = |generation: u32| -> bool { !offers.is_done(generation) };
 
         let made = if let Some(source) = self.source.as_mut() {
             source.make_packet(&mut self.rng, needs)
@@ -891,31 +870,26 @@ impl NodeStateMachine {
             Some(_) => fresh,
             None => self.lineage.get(&generation).map_or(fresh, |known| known.next_hop()),
         };
-        let transfer = self.next_transfer;
-        self.next_transfer += 1;
         let header = self.header(MessageKind::DataHeader, generation);
-        let offer = Message::DataHeader {
-            transfer,
-            trace,
-            payload_size: packet.payload_size(),
-            vector: packet.vector().clone(),
-        };
-        self.send(out, target, &header, &offer);
+        let mut bytes = Vec::new();
+        let link = &mut self.links[target];
+        link.offers.offer(&mut bytes, &header, trace, packet, now);
+        let peer = link.addr;
+        self.post(out, peer, bytes);
         self.wire.transfers_offered += 1;
-        self.tracer.emit(now, || TraceEvent::OfferSent { peer: target, generation, trigger });
-        self.pending
-            .insert(transfer, PendingTransfer { generation, packet, trace, to: target, born: now });
-        *self.inflight_per_peer.entry(target).or_insert(0) += 1;
+        self.tracer.emit(now, || TraceEvent::OfferSent { peer, generation, trigger });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
+    use std::collections::BTreeMap;
     use std::rc::Rc;
 
     use super::*;
     use crate::{run_virtual_swarm, Topology, TopologyConfig};
+    use ltnc_gf2::CodeVector;
     use ltnc_scheme::SchemeKind;
 
     fn quick_options(seed: u64) -> NodeOptions {
@@ -957,11 +931,14 @@ mod tests {
         assert!(leaf.loss_estimates.is_empty() && leaf.rtt_estimates.is_empty());
     }
 
-    /// A source state machine to unit-test the pacing arithmetic on.
+    /// A source state machine to unit-test the pacing arithmetic on,
+    /// wired to one peer: link 0.
     fn pacing_actor(options: NodeOptions) -> NodeStateMachine {
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
         let role = NodeRole::Source { object: vec![1u8; 8], params };
-        NodeStateMachine::new(NodeConfig::new(1, role, options), Arc::default())
+        let mut actor = NodeStateMachine::new(NodeConfig::new(1, role, options), Arc::default());
+        actor.set_peers(vec!["127.0.0.1:9".parse().expect("addr")]);
+        actor
     }
 
     #[test]
@@ -975,33 +952,31 @@ mod tests {
             ..NodeOptions::default()
         };
         let mut actor = pacing_actor(options);
-        let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
 
         // Dead period: a timeout every 2 ms with no feedback, one cut per
         // 5 ms TTL window.
         let mut now = 0;
         for _ in 0..12 {
-            actor.note_outcome(now, peer, None);
+            actor.note_outcome(now, 0, None);
             now += 2_000;
         }
-        assert_eq!(actor.inflight_cap(&peer), options.inflight_floor.max(1));
+        assert_eq!(actor.inflight_cap(0), options.inflight_floor.max(1));
         assert!(actor.wire.budget_cuts > 0, "silence must cut");
 
         // Revival on a clean link: successes alone restore the base cap.
         for _ in 0..64 {
-            actor.note_outcome(now, peer, Some(Duration::from_micros(50)));
+            actor.note_outcome(now, 0, Some(Duration::from_micros(50)));
         }
-        assert_eq!(actor.inflight_cap(&peer), options.per_peer_inflight);
+        assert_eq!(actor.inflight_cap(0), options.per_peer_inflight);
         assert!(actor.wire.budget_raises > 0, "recovery must count as raises");
 
         // A timeout while the peer is alive grows the budget *past* base.
-        actor.note_outcome(now, peer, None);
-        assert_eq!(actor.inflight_cap(&peer), options.per_peer_inflight + 1);
+        actor.note_outcome(now, 0, None);
+        assert_eq!(actor.inflight_cap(0), options.per_peer_inflight + 1);
     }
 
     #[test]
     fn budget_bounds_clamp_the_initial_cap_too() {
-        let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
         let answered = Some(Duration::from_micros(50));
 
         // Initial budget above the ceiling: clamped down, tracked or not.
@@ -1012,9 +987,9 @@ mod tests {
             ..NodeOptions::default()
         };
         let mut actor = pacing_actor(over);
-        assert_eq!(actor.inflight_cap(&peer), 8, "untracked peer clamps to ceiling");
-        actor.note_outcome(0, peer, answered);
-        assert_eq!(actor.inflight_cap(&peer), 8, "tracked peer starts clamped");
+        assert_eq!(actor.inflight_cap(0), 8, "untracked peer clamps to ceiling");
+        actor.note_outcome(0, 0, answered);
+        assert_eq!(actor.inflight_cap(0), 8, "tracked peer starts clamped");
         assert_eq!(actor.wire.budget_raises, 0, "clamping is not a raise");
 
         // Initial budget below the floor: clamped up.
@@ -1025,9 +1000,9 @@ mod tests {
             ..NodeOptions::default()
         };
         let mut actor = pacing_actor(under);
-        assert_eq!(actor.inflight_cap(&peer), 4, "untracked peer clamps to floor");
-        actor.note_outcome(0, peer, answered);
-        assert_eq!(actor.inflight_cap(&peer), 4, "tracked peer starts clamped");
+        assert_eq!(actor.inflight_cap(0), 4, "untracked peer clamps to floor");
+        actor.note_outcome(0, 0, answered);
+        assert_eq!(actor.inflight_cap(0), 4, "tracked peer starts clamped");
     }
 
     #[test]
@@ -1035,7 +1010,6 @@ mod tests {
         // `note_outcome` on a script with the clock standing still (the
         // TTL is an hour, then zero), pinned to the exact counts the
         // per-branch accounting it replaced produced on the same script.
-        let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
         let with_ttl = |pending_ttl| NodeOptions {
             pending_ttl,
             inflight_ceiling: 6,
@@ -1043,32 +1017,32 @@ mod tests {
             ..NodeOptions::default()
         };
         let moves = |actor: &NodeStateMachine| {
-            (actor.wire.budget_raises, actor.wire.budget_cuts, actor.inflight_cap(&peer))
+            (actor.wire.budget_raises, actor.wire.budget_cuts, actor.inflight_cap(0))
         };
         let answered = Some(Duration::from_micros(50));
 
         // An hour's TTL: a never-heard peer is cut once per window …
         let mut actor = pacing_actor(with_ttl(Duration::from_secs(3600)));
         for _ in 0..4 {
-            actor.note_outcome(0, peer, None);
+            actor.note_outcome(0, 0, None);
         }
         assert_eq!(moves(&actor), (0, 1, 2), "4 → 2, then the window holds");
         // … answers walk 2 → 2.5 → 2.9 → 3.24 → 3.55 → 3.83 → 4 and stop …
         for _ in 0..10 {
-            actor.note_outcome(0, peer, answered);
+            actor.note_outcome(0, 0, answered);
         }
         assert_eq!(moves(&actor), (2, 1, 4), "two whole steps back to base");
         // … and a live peer's timeouts add one each, up to the ceiling.
         for _ in 0..3 {
-            actor.note_outcome(0, peer, None);
+            actor.note_outcome(0, 0, None);
         }
         assert_eq!(moves(&actor), (4, 1, 6), "5, 6, and 6 again is no raise");
 
         // A zero TTL: every timeout finds the peer silent and the window over.
         let mut actor = pacing_actor(with_ttl(Duration::ZERO));
-        actor.note_outcome(0, peer, answered);
+        actor.note_outcome(0, 0, answered);
         for _ in 0..4 {
-            actor.note_outcome(0, peer, None);
+            actor.note_outcome(0, 0, None);
         }
         assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
     }
@@ -1084,23 +1058,23 @@ mod tests {
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
 
         // No feedback measured yet: the fixed TTL is the fallback.
-        assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
+        assert_eq!(actor.ttl_for(0), Duration::from_millis(10));
 
         // Localhost-fast feedback: the floor still applies.
-        actor.note_outcome(0, peer, Some(Duration::from_micros(80)));
-        assert_eq!(actor.ttl_for(&peer), Duration::from_millis(10));
+        actor.note_outcome(0, 0, Some(Duration::from_micros(80)));
+        assert_eq!(actor.ttl_for(0), Duration::from_millis(10));
 
         // A slow link: the TTL tracks 4× the RTT EWMA…
         for _ in 0..64 {
-            actor.note_outcome(0, peer, Some(Duration::from_millis(50)));
+            actor.note_outcome(0, 0, Some(Duration::from_millis(50)));
         }
-        let ttl = actor.ttl_for(&peer);
+        let ttl = actor.ttl_for(0);
         assert!(ttl > Duration::from_millis(100), "TTL must grow with RTT, got {ttl:?}");
         // …but never past 16× the configured floor.
         for _ in 0..64 {
-            actor.note_outcome(0, peer, Some(Duration::from_secs(30)));
+            actor.note_outcome(0, 0, Some(Duration::from_secs(30)));
         }
-        assert_eq!(actor.ttl_for(&peer), Duration::from_millis(160), "ceiling caps the TTL");
+        assert_eq!(actor.ttl_for(0), Duration::from_millis(160), "ceiling caps the TTL");
 
         // The estimate surfaces in the report.
         let report = actor.into_report();
@@ -1248,25 +1222,124 @@ mod tests {
         )
     }
 
+    /// The code vector a `DATA-HEADER` offers or a `DATA-PAYLOAD` carries.
+    fn vector(datagram: &[u8]) -> CodeVector {
+        match envelope::decode_view(datagram).expect("valid frame").into_owned().message {
+            Message::DataHeader { vector, .. } => vector,
+            Message::DataPayload { packet, .. } => packet.vector().clone(),
+            other => panic!("no code vector in {:?}", other.kind()),
+        }
+    }
+
+    /// The one `DATA-PAYLOAD` among `datagrams`.
+    fn only_payload(datagrams: &[(Vec<u8>, SocketAddr)]) -> &[u8] {
+        let mut payloads = datagrams.iter().filter(|(d, _)| kind(d) == MessageKind::DataPayload);
+        let (payload, _) = payloads.next().expect("a payload");
+        assert!(payloads.next().is_none(), "one accept released two payloads");
+        payload
+    }
+
     #[test]
     fn feedback_from_the_wrong_peer_is_ignored() {
-        // A source offers to peer A; an accept forged by peer C must not
-        // release the payload — only A's own accept may.
+        // A source has one offer pending to each of its neighbours A and
+        // C, both under transfer id 1: ids are per link, so C's accept is
+        // the very datagram A's would be. The same accept from D, which
+        // is no neighbour, releases nothing and leaves both offers
+        // pending. C's releases C's own payload, to C, and A's offer
+        // still waits for A's own accept.
         let wires = Wires::default();
         let options = NodeOptions { per_peer_inflight: 1, seed: 8, ..NodeOptions::default() };
         let (mut source, a) = Driven::source_and_relay(options, &wires);
         let c = Driven::bystander(options, &wires);
-        source.sm.set_peers(vec![a.addr]);
+        let d = Driven::bystander(options, &wires);
+        source.sm.set_peers(vec![a.addr, c.addr]);
         source.push_once();
-        let (offer, _) = a.arrived().pop().expect("one offer reached A");
-        let accept = feedback(&offer, true);
+        source.push_once(); // one slot per peer: the second offer goes to the other
+        let (offer_to_a, _) = a.arrived().pop().expect("one offer reached A");
+        let (offer_to_c, _) = c.arrived().pop().expect("one offer reached C");
+        let accept = feedback(&offer_to_a, true);
+        assert_eq!(accept, feedback(&offer_to_c, true), "one transfer id on both links");
+        assert_ne!(vector(&offer_to_a), vector(&offer_to_c), "the two offers are told apart");
 
-        assert_eq!(source.handle(&accept, c.addr), 0);
-        assert!(a.arrived().is_empty() && c.arrived().is_empty(), "a forged accept released data");
+        assert_eq!(source.handle(&accept, d.addr), 0, "a stranger's accept released an offer");
+        assert!(
+            a.arrived().is_empty() && c.arrived().is_empty() && d.arrived().is_empty(),
+            "a stranger's accept released data"
+        );
+        let pending: Vec<usize> = source.sm.links.iter().map(|l| l.offers.in_flight()).collect();
+        assert_eq!(pending, [1, 1], "a stranger's accept took an offer");
 
-        // A's own accept still works: the pending entry survived the forgery.
+        source.handle(&accept, c.addr);
+        assert!(a.arrived().is_empty(), "C's accept released data to A");
+        assert_eq!(vector(only_payload(&c.arrived())), vector(&offer_to_c), "not C's own payload");
+
+        // A's own accept still works: its offer survived C's verdict.
         source.handle(&accept, a.addr);
-        assert!(kinds(&a.arrived()).contains(&MessageKind::DataPayload));
+        assert_eq!(vector(only_payload(&a.arrived())), vector(&offer_to_a));
+    }
+
+    #[test]
+    fn a_complete_flood_changes_no_state_and_no_offer() {
+        // A source wired to A and B is flooded with COMPLETEs that must
+        // change nothing: from addresses that are not its neighbours, for
+        // any generation, and from A for generations the object does not
+        // have. It keeps its two links, each ledger equal to that of a
+        // twin nobody flooded, and offers to A and B exactly what the
+        // twin offers.
+        let options = quick_options(26);
+        let world = |wires: &Wires| {
+            let (mut source, a) = Driven::pair(2, options, wires);
+            let b = Driven::bystander(options, wires);
+            source.sm.set_peers(vec![a.addr, b.addr]);
+            (source, a, b)
+        };
+        let (flooded_wires, twin_wires) = (Wires::default(), Wires::default());
+        let (mut flooded, a, b) = world(&flooded_wires);
+        let (mut twin, twin_a, twin_b) = world(&twin_wires);
+        assert_eq!((a.addr, b.addr), (twin_a.addr, twin_b.addr));
+
+        let complete = |generation| {
+            let header = EnvelopeHeader {
+                kind: MessageKind::Complete,
+                scheme: SchemeKind::Rlnc,
+                session: 0xC10C,
+                generation,
+            };
+            envelope::encode(&header, &Message::Complete)
+        };
+        let beyond = [2, 63, 64, 1 << 20, GENERATION_OBJECT - 1];
+        for generation in beyond {
+            assert_eq!(flooded.handle(&complete(generation), a.addr), 0);
+        }
+        for port in 0..512u16 {
+            let spoofed = SocketAddr::from(([10, 0, (port >> 8) as u8, port as u8], port));
+            for generation in [0, 1, GENERATION_OBJECT].into_iter().chain(beyond) {
+                assert_eq!(flooded.handle(&complete(generation), spoofed), 0);
+            }
+        }
+        assert_eq!((flooded.sm.links.len(), flooded.sm.link_index.len()), (2, 2));
+
+        for round in 0..4 {
+            for (machine, peers) in [(&mut flooded, [&a, &b]), (&mut twin, [&twin_a, &twin_b])] {
+                machine.tick();
+                for peer in peers {
+                    for (offer, _) in peer.arrived() {
+                        machine.handle(&feedback(&offer, round % 2 == 0), peer.addr);
+                    }
+                }
+            }
+            for (link, twin_link) in flooded.sm.links.iter().zip(&twin.sm.links) {
+                let (ledger, twin_ledger) = (&link.offers, &twin_link.offers);
+                assert_eq!(
+                    format!("{ledger:?}"),
+                    format!("{twin_ledger:?}"),
+                    "round {round}: a ledger moved"
+                );
+            }
+            assert_eq!(a.arrived(), twin_a.arrived(), "round {round}: offers to A changed");
+            assert_eq!(b.arrived(), twin_b.arrived(), "round {round}: offers to B changed");
+        }
+        assert!(flooded.sm.wire.transfers_offered > 0, "the source offered");
     }
 
     #[test]
@@ -1354,8 +1427,17 @@ mod tests {
                 if released == 0 {
                     held_back += 1;
                 } else if !relay.complete() {
-                    let newest = &relay.sm.pending[&(relay.sm.next_transfer - 1)];
-                    assert!(holds(&relay, newest.generation), "a partial generation was clocked");
+                    // The offer it released is the newest one on the way
+                    // to the sink, not yet handled there.
+                    let newest = sink.wires.borrow()[&sink.addr]
+                        .iter()
+                        .rev()
+                        .map(|(datagram, _)| envelope::decode_view(datagram).expect("valid frame"))
+                        .find(|frame| frame.header.kind == MessageKind::DataHeader)
+                        .expect("the released offer")
+                        .header
+                        .generation;
+                    assert!(holds(&relay, newest), "a partial generation was clocked");
                     clocked_while_partial += 1;
                 }
             }

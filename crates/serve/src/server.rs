@@ -32,8 +32,11 @@
 //! about to block in `read` (and before it closes) — so one read of N
 //! `FEEDBACK`s is answered by one write of the N payloads and the N
 //! offers that refill the window.
+//!
+//! A session's sender bookkeeping is one [`OfferLedger`], as a gossip
+//! node keeps per neighbour; the session adds the window and the round
+//! robin, and no TTL: a stream loses nothing.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,6 +50,7 @@ use ltnc_metrics::{AtomicServeCounters, LogHistogram, ServeCounters};
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
+use ltnc_net::ledger::OfferLedger;
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
@@ -349,17 +353,11 @@ struct Session {
     manifest: ObjectManifest,
     /// Warm-cache cursor per generation (next sequence number to offer).
     cursors: Vec<u64>,
-    /// Generations the client declared complete.
-    done: Vec<bool>,
-    done_count: usize,
     /// Round-robin pointer over generations for offer scheduling.
     next_gen: usize,
-    /// Offers awaiting feedback: transfer id → (generation, offer-time
-    /// trace context, packet shared with the warm ring). The payload
-    /// echoes the offer's trace, so the client-measured latency spans the
-    /// whole offer→delivery round.
-    pending: HashMap<u64, (u32, TraceContext, Arc<EncodedPacket>)>,
-    next_transfer: u64,
+    /// Offers awaiting feedback, each packet shared with the warm ring,
+    /// and the generations the client declared complete.
+    offers: OfferLedger<Arc<EncodedPacket>>,
 }
 
 impl Session {
@@ -384,11 +382,8 @@ impl Session {
             object_id,
             manifest,
             cursors,
-            done: vec![false; generations],
-            done_count: 0,
             next_gen: 0,
-            pending: HashMap::new(),
-            next_transfer: 1,
+            offers: OfferLedger::new(manifest.generation_count()),
         }
     }
 
@@ -398,15 +393,6 @@ impl Session {
             scheme: self.manifest.params.kind,
             session: self.object_id,
             generation,
-        }
-    }
-
-    fn mark_done(&mut self, generation: u32) {
-        if let Some(done) = self.done.get_mut(generation as usize) {
-            if !*done {
-                *done = true;
-                self.done_count += 1;
-            }
         }
     }
 }
@@ -605,19 +591,14 @@ fn handle_frame(
             let Some(session) = session.as_mut() else {
                 return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
             };
-            let Some((generation, trace, packet)) = session.pending.remove(&transfer) else {
-                return Ok(false); // feedback for an offer we no longer track
+            let Some(offer) = session.offers.take(transfer) else {
+                return Ok(false); // a replay, or a transfer never offered
             };
             if accept {
                 stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
-                let header = session.header(MessageKind::DataPayload, generation);
-                envelope::encode_payload_into(
-                    &mut conn.outbound,
-                    &header,
-                    transfer,
-                    &trace,
-                    &packet,
-                );
+                let header = session.header(MessageKind::DataPayload, offer.generation);
+                let (out, trace) = (&mut conn.outbound, &offer.trace);
+                envelope::encode_payload_into(out, &header, transfer, trace, &offer.packet);
             } else {
                 stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
             }
@@ -633,7 +614,7 @@ fn handle_frame(
                 crate::trace(conn.tracer, || TraceEvent::SessionCompleted { object });
                 return Ok(true);
             }
-            session.mark_done(header.generation);
+            session.offers.complete(header.generation);
             Ok(false)
         }
         // A server never receives the server-side kinds or data frames.
@@ -656,42 +637,36 @@ fn pump_offers(
     inflight_budget: usize,
 ) {
     let generations = session.cursors.len();
-    while session.pending.len() < inflight_budget && session.done_count < generations {
-        // Next incomplete generation, round robin.
-        let mut picked = None;
-        for step in 0..generations {
-            let gen_index = (session.next_gen + step) % generations;
-            if !session.done[gen_index] {
-                picked = Some(gen_index);
-                session.next_gen = (gen_index + 1) % generations;
-                break;
-            }
-        }
-        let Some(gen_index) = picked else { return };
+    while session.offers.in_flight() < inflight_budget {
+        // Next incomplete generation, round robin; none left, no offer.
+        let Some(gen_index) = (0..generations)
+            .map(|step| (session.next_gen + step) % generations)
+            .find(|&gen_index| !session.offers.is_done(gen_index as u32))
+        else {
+            return;
+        };
+        session.next_gen = (gen_index + 1) % generations;
         let Some((seq, packet)) =
             store.symbol(session.object_id, gen_index as u32, session.cursors[gen_index])
         else {
             // The encoder refused (cannot happen for a source node, but a
-            // spinning offer loop must not depend on that).
-            session.mark_done(gen_index as u32);
+            // spinning offer loop must not depend on that): offer the
+            // generation no more, as if the client had it.
+            session.offers.complete(gen_index as u32);
             continue;
         };
         session.cursors[gen_index] = seq + 1;
-        let transfer = session.next_transfer;
-        session.next_transfer += 1;
         stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage, stamped at offer time.
-        let trace = TraceContext::origin_now(TraceContext::now_micros());
-        envelope::encode_offer_into(
+        let now = TraceContext::now_micros();
+        session.offers.offer(
             &mut conn.outbound,
             &header,
-            transfer,
-            &trace,
-            packet.vector(),
-            packet.payload_size(),
+            TraceContext::origin_now(now),
+            packet,
+            now,
         );
-        session.pending.insert(transfer, (gen_index as u32, trace, packet));
     }
 }

@@ -7,6 +7,7 @@
 //! binding: what one read's worth of frames is answered with, and that
 //! nothing is held back across a blocking read.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::options::bounds;
 use ltnc_serve::{fetch, ClientOptions, ObjectStore, ServeError, ServeOptions, Server};
+use ltnc_session::generation::ReceiverSession;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -486,6 +488,124 @@ fn a_reject_is_readable_before_the_close() {
     let counters = server.shutdown();
     assert_eq!(counters.sessions_rejected, 1);
     assert_eq!(counters.bytes_out, client.bytes_in);
+}
+
+#[test]
+fn replayed_and_unknown_feedback_release_nothing() {
+    // The server matches a FEEDBACK against its session's own pending
+    // offers only: a replayed ACCEPT finds its offer already answered, a
+    // verdict for a transfer never offered finds nothing, and neither
+    // releases a payload or refills the window.
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+        .expect("spawn");
+    let object = pseudo_object(2048, 29);
+    let manifest =
+        server.register(9, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 64)).expect("register");
+    let mut receiver = ReceiverSession::new(manifest);
+
+    let mut client = ScriptedClient::connect(server.local_addr(), 9, SchemeKind::Rlnc);
+    let request = client.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    client.write(&request);
+    let window = ServeOptions::default().per_session_inflight;
+    let mut inbox: VecDeque<Envelope> = client.read_frames(1 + window).into();
+    assert_eq!(inbox.pop_front().map(|frame| frame.header.kind), Some(MessageKind::Manifest));
+
+    // The first offer, accepted: its payload and one refill come back.
+    let first = inbox.pop_front().expect("an offer");
+    let accept = client.accept(&first);
+    client.write(&accept);
+    let answers = client.read_frames(2);
+    assert_eq!(kinds(&answers), [MessageKind::DataPayload, MessageKind::DataHeader]);
+    let mut payloads = 0u64;
+    for frame in answers {
+        match &frame.message {
+            Message::DataPayload { packet, .. } => {
+                payloads += 1;
+                receiver.deliver(frame.header.generation, packet);
+            }
+            _ => inbox.push_back(frame),
+        }
+    }
+
+    // The same ACCEPT again, then both verdicts for a transfer never
+    // offered, then an ACCEPT for an offer still pending. The server
+    // answers a stream's frames in order, so the first frames back are
+    // the last accept's payload and refill: nothing came before them.
+    client.write(&accept);
+    for accept in [true, false] {
+        let kind = if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
+        client.write(&client.frame(kind, 0, &Message::Feedback { transfer: 1 << 40, accept }));
+    }
+    let pending = inbox.pop_front().expect("an offer");
+    client.write(&client.accept(&pending));
+    let answers = client.read_frames(2);
+    assert_eq!(
+        kinds(&answers),
+        [MessageKind::DataPayload, MessageKind::DataHeader],
+        "a replayed or unknown verdict released data"
+    );
+    let (Message::DataHeader { vector, .. }, Message::DataPayload { packet, .. }) =
+        (&pending.message, &answers[0].message)
+    else {
+        unreachable!("kinds checked above")
+    };
+    assert_eq!(packet.vector(), vector, "not the pending offer's payload");
+    for frame in answers {
+        match &frame.message {
+            Message::DataPayload { packet, .. } => {
+                payloads += 1;
+                receiver.deliver(frame.header.generation, packet);
+            }
+            _ => inbox.push_back(frame),
+        }
+    }
+
+    // The session still runs to a bit-exact object: every offer answered
+    // on its merit, a COMPLETE per decoded generation, one for the object.
+    while !receiver.is_complete() {
+        let frame = match inbox.pop_front() {
+            Some(frame) => frame,
+            None => client.read_frames(1).remove(0),
+        };
+        let generation = frame.header.generation;
+        match &frame.message {
+            Message::DataHeader { transfer, vector, .. } => {
+                let accept = receiver.would_accept(generation, vector);
+                let kind =
+                    if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
+                let transfer = *transfer;
+                client.write(&client.frame(
+                    kind,
+                    generation,
+                    &Message::Feedback { transfer, accept },
+                ));
+            }
+            Message::DataPayload { packet, .. } => {
+                payloads += 1;
+                receiver.deliver(generation, packet);
+                if receiver.generation_complete(generation) {
+                    client.write(&client.frame(
+                        MessageKind::Complete,
+                        generation,
+                        &Message::Complete,
+                    ));
+                }
+            }
+            other => panic!("unexpected {:?}", other.kind()),
+        }
+    }
+    let complete = client.frame(MessageKind::Complete, GENERATION_OBJECT, &Message::Complete);
+    client.write(&complete);
+    client.stream.shutdown(Shutdown::Write).expect("half-close");
+    // Payloads for accepts already on the wire still leave before the close.
+    let rest = client.read_to_eof();
+    payloads +=
+        rest.iter().filter(|frame| frame.header.kind == MessageKind::DataPayload).count() as u64;
+    assert_eq!(receiver.reassemble().as_deref(), Some(&object[..]), "bit-exact");
+
+    let counters = server.shutdown();
+    assert_eq!(counters.sessions_completed, 1);
+    assert_eq!(counters.transfers_delivered, payloads, "one payload per delivered transfer");
 }
 
 #[test]
