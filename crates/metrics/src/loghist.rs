@@ -261,6 +261,13 @@ impl HopLatency {
             .collect()
     }
 
+    /// Folds another recorder's counts into this one, hop by hop.
+    pub fn merge(&self, other: &HopLatency) {
+        for (mine, theirs) in self.by_hop.iter().zip(&other.by_hop) {
+            mine.merge(theirs);
+        }
+    }
+
     /// All hops merged into one distribution.
     #[must_use]
     pub fn total(&self) -> LogHistogramSnapshot {
@@ -418,6 +425,14 @@ mod tests {
         let total = lat.total();
         assert_eq!(total.count(), 4);
         assert_eq!(total.max, 200);
+
+        let merged = HopLatency::new();
+        merged.merge(&lat);
+        merged.merge(&lat);
+        let doubled: Vec<(usize, u64)> =
+            merged.snapshot().iter().map(|(h, s)| (*h, s.count())).collect();
+        assert_eq!(doubled, vec![(1, 4), (2, 2), (MAX_LATENCY_HOPS, 2)]);
+        assert_eq!(merged.total().sum, 2 * total.sum);
     }
 
     #[test]

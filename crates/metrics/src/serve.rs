@@ -12,8 +12,9 @@ crate::counter_family! {
     pub struct ServeCounters {
         /// Client sessions accepted (request matched a registered object).
         pub sessions_accepted: u64,
-        /// Client requests refused (unknown object, scheme mismatch, or the
-        /// accept queue was full).
+        /// Client requests refused (unknown object, scheme mismatch), and
+        /// connections closed unanswered because the server already held
+        /// its `max_sessions`.
         pub sessions_rejected: u64,
         /// Sessions that reached the client's final object-complete signal.
         pub sessions_completed: u64,

@@ -13,12 +13,11 @@
 //!   channel onto real sockets (`DATA-HEADER` offer →
 //!   `FEEDBACK-ACCEPT`/`ABORT` → `DATA-PAYLOAD`; aborted transfers never
 //!   cost payload bytes);
-//! * [`generation`] — chunking of arbitrarily large objects into
+//! * generations — chunking of arbitrarily large objects into
 //!   generations of `k` payloads, per-generation decode state, push
-//!   scheduling and bit-exact reassembly (now the transport-neutral
-//!   [`ltnc_session`] crate, re-exported here under its historical paths
-//!   so UDP gossip and the TCP serving path of `ltnc-serve` share one
-//!   implementation);
+//!   scheduling and bit-exact reassembly live in the transport-neutral
+//!   [`ltnc_session::generation`], which UDP gossip and the TCP serving
+//!   path of `ltnc-serve` share;
 //! * [`stream`] — the byte-stream binding of the envelope codec: a
 //!   [`stream::FrameReassembler`] that turns arbitrarily chunked TCP
 //!   reads back into complete envelopes via [`envelope::decode_prefix`],
@@ -78,15 +77,9 @@ pub mod swarm;
 mod topology;
 mod virtual_time;
 
-// Backward-compatible re-export: `ltnc_net::generation::…` keeps working
-// even though the implementation moved to the transport-neutral
-// `ltnc-session` crate.
-pub use ltnc_session::generation;
-
 pub use envelope::{Envelope, EnvelopeHeader, Message, MessageKind};
 pub use error::NetError;
-pub use faults::{DatagramFaultCounters, DatagramFaultPlan, FaultPlan, FaultProxy, FaultyStream};
-pub use ltnc_session::{split_object, ObjectManifest, ReceiverSession, SourceSession};
+pub use faults::{DatagramFaultCounters, DatagramFaultPlan};
 pub use peer::{NodeOptions, PeerReport};
 pub use sharded::run_swarm;
 pub use stream::FrameReassembler;

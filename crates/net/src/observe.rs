@@ -21,18 +21,17 @@
 //! * [`Watchdog`] is the one stall decision both drivers make, on the
 //!   swarm's clock (µs since the run began), which it is handed.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ltnc_metrics::{
-    CounterFamily, Field, LogHistogramSnapshot, ReactorCounters, ReactorSnapshot, WireCounters,
+    CounterFamily, Field, HopLatency, ReactorCounters, ReactorSnapshot, WireCounters,
 };
 use ltnc_reactor::{Dispatch, ShardObserver};
 use ltnc_telemetry::json::{self, JsonValue, REPORT_SCHEMA_VERSION};
 use ltnc_telemetry::{
-    histograms, samples, HistogramSample, MetricsRegistry, RingSink, Sample, TimedEvent,
+    histograms, hop_latency_histograms, samples, MetricsRegistry, RingSink, Sample, TimedEvent,
     TraceEvent, TraceSink,
 };
 
@@ -204,26 +203,11 @@ pub(crate) fn swarm_registry(
 
     let shareds = completion.to_vec();
     registry.register_histograms("wire", &[], move || {
-        let mut total = LogHistogramSnapshot::empty();
-        let mut by_hop: BTreeMap<usize, LogHistogramSnapshot> = BTreeMap::new();
+        let latency = HopLatency::new();
         for shared in &shareds {
-            for (hops, snapshot) in shared.latency.snapshot() {
-                total.merge(&snapshot);
-                by_hop.entry(hops).or_insert_with(LogHistogramSnapshot::empty).merge(&snapshot);
-            }
+            latency.merge(&shared.latency);
         }
-        let mut samples = Vec::new();
-        if !total.is_empty() {
-            samples.push(HistogramSample::plain("delivery_latency_us", total));
-        }
-        for (hops, snapshot) in by_hop {
-            samples.push(HistogramSample {
-                name: "delivery_latency_us",
-                labels: vec![("hops", hops.to_string())],
-                snapshot,
-            });
-        }
-        samples
+        hop_latency_histograms(&latency)
     });
 
     let receivers: Vec<Arc<Shared>> = completion

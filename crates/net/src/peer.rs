@@ -90,8 +90,8 @@ use crate::envelope::{
     GENERATION_OBJECT,
 };
 use crate::faults::DatagramFaultCounters;
-use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
 use crate::ledger::OfferLedger;
+use ltnc_session::generation::{ObjectManifest, ReceiverSession, SourceSession};
 
 /// The datagrams one [`NodeStateMachine`] call emits, in order:
 /// destination and frame bytes. The driver sends them.
@@ -1117,7 +1117,7 @@ mod tests {
         fn pair(generations: u8, options: NodeOptions, wires: &Wires) -> (Driven, Driven) {
             let params = SchemeParams::new(SchemeKind::Rlnc, 8, 4);
             let object: Vec<u8> = (0..32 * generations).collect();
-            let manifest = crate::generation::split_object(&object, params).0;
+            let manifest = ltnc_session::generation::split_object(&object, params).0;
             let source = Driven::new(NodeRole::Source { object, params }, options, wires);
             (source, Driven::new(NodeRole::Peer { manifest }, options, wires))
         }

@@ -27,9 +27,9 @@ use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_telemetry::RingSink;
 
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan};
-use crate::generation::{split_object, ObjectManifest};
 use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerReport};
 use crate::topology::Topology;
+use ltnc_session::generation::{split_object, ObjectManifest};
 
 /// Seeded per-link fault plans: one template re-mixed per directed link,
 /// plus explicit per-link overrides.

@@ -1,8 +1,9 @@
 //! Readiness polling: an `epoll` backend on Linux, a degraded portable
 //! fallback elsewhere.
 //!
-//! The [`Poller`] watches a set of file descriptors for *read* readiness
-//! and reports edges as [`Event`]s carrying the caller-chosen token. Two
+//! The [`Poller`] watches a set of file descriptors for *read* (on
+//! request also *write*) readiness and reports edges as [`Event`]s
+//! carrying the caller-chosen token. Two
 //! properties every consumer must respect:
 //!
 //! * **Edge-triggered**: on Linux, readiness is reported once per edge
@@ -53,6 +54,7 @@ mod sys {
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
     pub const EPOLLIN: u32 = 0x1;
+    pub const EPOLLOUT: u32 = 0x4;
     pub const EPOLLERR: u32 = 0x8;
     pub const EPOLLHUP: u32 = 0x10;
     pub const EPOLLET: u32 = 1 << 31;
@@ -103,7 +105,7 @@ mod sys {
 
         /// Waits up to `timeout_ms` (`-1` blocks) and appends the ready
         /// tokens to `out`. `EINTR` is reported as an empty wakeup.
-        pub fn wait(&self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
+        pub fn wait(&self, out: &mut Vec<super::Event>, timeout_ms: i32) -> io::Result<()> {
             let mut events = [EpollEvent { events: 0, data: 0 }; 64];
             // SAFETY: the buffer pointer and capacity describe a live,
             // properly sized array for the duration of the call.
@@ -117,11 +119,10 @@ mod sys {
                 }
                 return Err(err);
             }
-            for event in events.iter().take(rc as usize) {
-                // Copy out of the (possibly packed) struct before use.
-                let data = event.data;
-                out.push(data);
-            }
+            // `event.data` is read by value: the struct may be packed.
+            out.extend(
+                events.iter().take(rc as usize).map(|event| super::Event { token: event.data }),
+            );
             Ok(())
         }
     }
@@ -185,6 +186,24 @@ impl Poller {
         }
     }
 
+    /// [`Poller::register`], also reporting write readiness as the same
+    /// [`Event`]: an edge when a full send buffer drains.
+    ///
+    /// # Errors
+    ///
+    /// As [`Poller::register`].
+    pub fn register_writable(&self, fd: RawFd, token: u64) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        {
+            let flags = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLET;
+            self.epoll.add(fd, token, flags)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            self.register(fd, token)
+        }
+    }
+
     /// Stops watching `fd`.
     ///
     /// # Errors
@@ -221,10 +240,7 @@ impl Poller {
             // Round sub-millisecond timeouts up, so short timer deadlines
             // wait (and then fire) instead of spinning at timeout 0.
             let millis = timeout.as_millis().try_into().unwrap_or(i32::MAX).max(1);
-            let mut tokens = Vec::with_capacity(16);
-            self.epoll.wait(&mut tokens, millis)?;
-            events.extend(tokens.into_iter().map(|token| Event { token }));
-            Ok(())
+            self.epoll.wait(events, millis)
         }
         #[cfg(not(target_os = "linux"))]
         {

@@ -4,15 +4,19 @@
 //! (node `i` lands on worker `i % workers`). Each worker owns one
 //! [`crate::Poller`], one [`crate::TimerWheel`] and one [`crate::Waker`],
 //! and runs a readiness loop: check for a stop request, wait for
-//! readable descriptors or the next timer deadline, dispatch
-//! [`Driven::on_readable`] / [`Driven::on_timer`] callbacks. Nodes never
-//! migrate between workers, so a node's callbacks are totally ordered —
-//! a state machine needs no internal locking.
+//! ready descriptors or the next timer deadline, dispatch
+//! [`Driven::on_readable`] / [`Driven::on_watched`] / [`Driven::on_timer`]
+//! callbacks. Nodes never migrate between workers, so a node's callbacks
+//! are totally ordered — a state machine needs no internal locking.
+//!
+//! A node owns one descriptor ([`Driven::fd`]) and may watch more under
+//! keys of its choosing ([`Cx::watch`]): a server's connections.
 //!
 //! Shutdown is graceful: each worker performs one final
 //! readiness-independent [`Driven::on_readable`] sweep over its nodes
-//! (catching datagrams that arrived after the last poll) before
-//! collecting every node's [`Driven::finish`] output. A [`Reactor`]
+//! (catching datagrams that arrived after the last poll; what a node
+//! watches it drains in `finish`) before collecting every node's
+//! [`Driven::finish`] output. A [`Reactor`]
 //! dropped without [`Reactor::shutdown`] stops the same way — its
 //! workers notice the closed stop queue within one poll wait
 //! (≤ 100 ms), sweep, finish and exit; only the outputs are lost.
@@ -31,7 +35,8 @@ use crate::timer::{TimerId, TimerWheel};
 use crate::wake::Waker;
 
 /// Token reserved for the per-worker waker descriptor; node tokens are
-/// their local indices, which stay far below this.
+/// their local indices, which stay far below this. A descriptor a node
+/// watches carries its key plus one in the token's high half.
 const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Timer granularity of each worker's wheel: fine enough for the 2ms
@@ -67,6 +72,12 @@ pub trait Driven: Send + 'static {
     /// The node's descriptor looks readable (possibly spuriously).
     fn on_readable(&mut self, cx: &mut Cx);
 
+    /// A descriptor watched via [`Cx::watch`] under `key` looks readable
+    /// or writable (possibly spuriously). The edge-triggered contract
+    /// holds for both: drain reads to `WouldBlock`, and write until the
+    /// data is gone or the write would block.
+    fn on_watched(&mut self, _key: u32, _cx: &mut Cx) {}
+
     /// A timer armed via [`Cx::arm`] with this `tag` fired.
     fn on_timer(&mut self, tag: u64, cx: &mut Cx);
 
@@ -75,14 +86,15 @@ pub trait Driven: Send + 'static {
     fn finish(&mut self) -> Self::Output;
 }
 
-/// Per-dispatch context handed to every [`Driven`] callback: timers for
-/// the node being dispatched, and a shared scratch buffer for datagram
-/// reads.
+/// Per-dispatch context handed to every [`Driven`] callback: timers and
+/// watched descriptors for the node being dispatched, and a shared
+/// scratch buffer for reads.
 pub struct Cx<'a> {
     /// The instant captured at the top of the current loop iteration —
     /// cheap, and consistent across every dispatch in the iteration.
     now: Instant,
     node: usize,
+    poller: &'a Poller,
     wheel: &'a mut TimerWheel,
     routes: &'a mut HashMap<TimerId, (usize, u64)>,
     scratch: &'a mut Vec<u8>,
@@ -92,13 +104,39 @@ impl Cx<'_> {
     /// Arms a timer that fires `after` from the start of the current
     /// loop iteration, delivering `tag` to this node's
     /// [`Driven::on_timer`]. Timers never fire early; they may fire up to
-    /// a wheel granularity (~1ms) late.
-    pub fn arm(&mut self, after: Duration, tag: u64) {
+    /// a wheel granularity (~1ms) late. The id is for [`Cx::cancel`].
+    pub fn arm(&mut self, after: Duration, tag: u64) -> TimerId {
         let id = self.wheel.schedule_at(self.now + after);
         self.routes.insert(id, (self.node, tag));
+        id
     }
 
-    /// A worker-shared 64 KiB scratch buffer for datagram reads. The
+    /// Cancels a timer this node armed; one that already fired, or was
+    /// already cancelled, is left alone.
+    pub fn cancel(&mut self, id: TimerId) {
+        self.wheel.cancel(id);
+        self.routes.remove(&id);
+    }
+
+    /// Watches `fd`, a nonblocking descriptor the node owns besides its
+    /// own, for read and write readiness, edge-triggered: each edge calls
+    /// [`Driven::on_watched`] with `key` (any value below `u32::MAX`).
+    /// [`Cx::unwatch`] it before closing it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the poller's registration failure.
+    pub fn watch(&mut self, fd: RawFd, key: u32) -> io::Result<()> {
+        debug_assert!(key < u32::MAX, "watch keys stop below u32::MAX");
+        self.poller.register_writable(fd, (u64::from(key) + 1) << 32 | self.node as u64)
+    }
+
+    /// Stops watching `fd`; one that was never watched is ignored.
+    pub fn unwatch(&mut self, fd: RawFd) {
+        let _ = self.poller.deregister(fd);
+    }
+
+    /// A worker-shared 64 KiB scratch buffer for reads. The
     /// contents are only valid until the borrow ends — copy out what
     /// must survive the dispatch.
     pub fn scratch(&mut self) -> &mut [u8] {
@@ -236,6 +274,21 @@ impl<D: Driven> Reactor<D> {
     }
 }
 
+/// What a worker's callbacks share: its poller, timers and scratch.
+struct Worker {
+    poller: Poller,
+    wheel: TimerWheel,
+    routes: HashMap<TimerId, (usize, u64)>,
+    scratch: Vec<u8>,
+}
+
+impl Worker {
+    fn cx(&mut self, now: Instant, node: usize) -> Cx<'_> {
+        let (poller, wheel, routes) = (&self.poller, &mut self.wheel, &mut self.routes);
+        Cx { now, node, poller, wheel, routes, scratch: &mut self.scratch }
+    }
+}
+
 /// One worker's readiness loop; returns the finish outputs of its shard
 /// in local order. `shard` is the worker index reported to `observer`;
 /// with no observer installed the loop takes no instrumentation clock
@@ -248,21 +301,14 @@ fn worker_loop<D: Driven>(
     shard: usize,
     observer: Option<Arc<dyn ShardObserver>>,
 ) -> Vec<D::Output> {
-    let mut wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
-    let mut routes: HashMap<TimerId, (usize, u64)> = HashMap::new();
-    let mut scratch = vec![0u8; SCRATCH_LEN];
+    let wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
+    let mut worker =
+        Worker { poller, wheel, routes: HashMap::new(), scratch: vec![0u8; SCRATCH_LEN] };
     let mut events: Vec<Event> = Vec::new();
 
     let mut start_now = Instant::now();
     for (local, node) in nodes.iter_mut().enumerate() {
-        let mut cx = Cx {
-            now: start_now,
-            node: local,
-            wheel: &mut wheel,
-            routes: &mut routes,
-            scratch: &mut scratch,
-        };
-        node.on_start(&mut cx);
+        node.on_start(&mut worker.cx(start_now, local));
         start_now = Instant::now();
     }
 
@@ -272,11 +318,12 @@ fn worker_loop<D: Driven>(
     // disconnects the queue — stop, rather than tick on for the life of
     // the process.
     while let Err(mpsc::TryRecvError::Empty) = stop.try_recv() {
-        let timeout = wheel
+        let timeout = worker
+            .wheel
             .next_deadline()
             .map_or(MAX_WAIT, |at| at.saturating_duration_since(Instant::now()));
         let poll_started = observer.as_ref().map(|_| Instant::now());
-        poller.wait(&mut events, Some(timeout)).expect("reactor poll failed");
+        worker.poller.wait(&mut events, Some(timeout)).expect("reactor poll failed");
 
         let now = Instant::now();
         if let (Some(obs), Some(started)) = (&observer, poll_started) {
@@ -287,44 +334,32 @@ fn worker_loop<D: Driven>(
                 waker.drain();
                 continue;
             }
-            let local = usize::try_from(event.token).expect("node token fits usize");
-            if local >= nodes.len() {
-                continue;
-            }
-            let mut cx = Cx {
-                now,
-                node: local,
-                wheel: &mut wheel,
-                routes: &mut routes,
-                scratch: &mut scratch,
-            };
+            let local = (event.token & u64::from(u32::MAX)) as usize;
+            let Some(node) = nodes.get_mut(local) else { continue };
+            let cx = &mut worker.cx(now, local);
             let timed = observer.as_ref().map(|_| Instant::now());
-            nodes[local].on_readable(&mut cx);
+            match (event.token >> 32).checked_sub(1) {
+                None => node.on_readable(cx),
+                Some(key) => node.on_watched(key as u32, cx),
+            }
             if let (Some(obs), Some(started)) = (&observer, timed) {
                 obs.dispatched(shard, Dispatch::Readable, started.elapsed());
             }
         }
 
-        for (id, deadline) in wheel.poll_expired(now) {
-            let Some((local, tag)) = routes.remove(&id) else { continue };
+        for (id, deadline) in worker.wheel.poll_expired(now) {
+            let Some((local, tag)) = worker.routes.remove(&id) else { continue };
             if let Some(obs) = &observer {
                 obs.timer_lag(shard, now.saturating_duration_since(deadline));
             }
-            let mut cx = Cx {
-                now,
-                node: local,
-                wheel: &mut wheel,
-                routes: &mut routes,
-                scratch: &mut scratch,
-            };
             let timed = observer.as_ref().map(|_| Instant::now());
-            nodes[local].on_timer(tag, &mut cx);
+            nodes[local].on_timer(tag, &mut worker.cx(now, local));
             if let (Some(obs), Some(started)) = (&observer, timed) {
                 obs.dispatched(shard, Dispatch::Timer, started.elapsed());
             }
         }
         if let Some(obs) = &observer {
-            obs.turn_completed(shard, wheel.len());
+            obs.turn_completed(shard, worker.wheel.len());
         }
     }
 
@@ -332,9 +367,7 @@ fn worker_loop<D: Driven>(
     // landed after the last poll still reach their state machines.
     let now = Instant::now();
     for (local, node) in nodes.iter_mut().enumerate() {
-        let mut cx =
-            Cx { now, node: local, wheel: &mut wheel, routes: &mut routes, scratch: &mut scratch };
-        node.on_readable(&mut cx);
+        node.on_readable(&mut worker.cx(now, local));
     }
     nodes.iter_mut().map(Driven::finish).collect()
 }

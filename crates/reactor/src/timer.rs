@@ -9,10 +9,10 @@
 //! schedule order, so a burst of same-slot timers still fires in a
 //! deterministic order.
 //!
-//! Cancellation is lazy: [`TimerWheel::cancel`] marks the id and the
+//! Cancellation is lazy: [`TimerWheel::cancel`] forgets the id and the
 //! entry is discarded when its slot drains, so cancelling never scans.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Handle to one scheduled timer, used to cancel it.
@@ -38,10 +38,9 @@ pub struct TimerWheel {
     /// Slot-aligned instant the cursor was last advanced to.
     now: Instant,
     next_id: u64,
-    /// Ids scheduled and neither fired nor cancelled.
-    live: HashSet<u64>,
-    /// Ids cancelled but still parked in a slot (discarded on drain).
-    cancelled: HashSet<u64>,
+    /// Ids scheduled and neither fired nor cancelled, with their
+    /// deadlines; a slot entry missing here was cancelled.
+    live: HashMap<u64, Instant>,
 }
 
 impl TimerWheel {
@@ -62,8 +61,7 @@ impl TimerWheel {
             cursor: 0,
             now: origin,
             next_id: 1,
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
+            live: HashMap::new(),
         }
     }
 
@@ -85,7 +83,7 @@ impl TimerWheel {
     pub fn schedule_at(&mut self, deadline: Instant) -> TimerId {
         let id = self.next_id;
         self.next_id += 1;
-        self.live.insert(id);
+        self.live.insert(id, deadline);
         // Round the displacement *up*: a timer must never fire before
         // its deadline, so it parks in the first slot whose aligned time
         // is >= deadline.
@@ -115,11 +113,7 @@ impl TimerWheel {
     /// Cancels a scheduled timer. Returns `false` when the id already
     /// fired or was already cancelled — exactly one of fire/cancel wins.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.live.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            return true;
-        }
-        false
+        self.live.remove(&id.0).is_some()
     }
 
     /// Advances the wheel to `now` and returns everything that became
@@ -133,7 +127,7 @@ impl TimerWheel {
             let slot = &mut self.slots[self.cursor];
             let mut keep = Vec::new();
             for mut entry in slot.drain(..) {
-                if self.cancelled.remove(&entry.id) {
+                if !self.live.contains_key(&entry.id) {
                     continue;
                 }
                 if entry.rounds == 0 {
@@ -151,16 +145,11 @@ impl TimerWheel {
     }
 
     /// The earliest live deadline, or `None` when the wheel is empty —
-    /// what a poll loop uses to bound its wait. O(entries), called once
-    /// per loop iteration.
+    /// what a poll loop uses to bound its wait. O(live timers), not
+    /// O(slots): called once per loop iteration.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|entry| self.live.contains(&entry.id))
-            .map(|entry| entry.deadline)
-            .min()
+        self.live.values().min().copied()
     }
 }
 

@@ -17,20 +17,19 @@
 //!   of pre-encoded symbols per generation, so a popular object is
 //!   encoded once and *served* many times (capacity-evicted,
 //!   hit/miss-counted);
-//! * the [`server`] runs a thread-pooled accept loop with per-connection
-//!   session state machines and graceful shutdown, and the [`client`]
-//!   fetches an object by id and verifies bit-exact reassembly — built on
-//!   a per-generation fetch primitive ([`client::ReplicaConn`]);
+//! * the [`server`] runs every connection as a sans-io session on the
+//!   `ltnc-reactor` readiness loop that every UDP swarm node runs on, and
+//!   the [`client`] fetches an object by id and verifies bit-exact
+//!   reassembly — built on a per-generation fetch primitive
+//!   ([`client::ReplicaConn`]);
 //! * the [`striped`] client pulls one object from **several replicas at
 //!   once**: generations are lease-partitioned across servers, the
 //!   streams merge into one shared decoder (duplicate rank is discarded —
 //!   rateless union), and a replica that dies or stalls has its
 //!   outstanding leases re-assigned to the survivors.
 //!
-//! The structure is runtime-agnostic on purpose (blocking I/O behind
-//! small state machines): porting it to a readiness loop — the
-//! `ltnc-reactor` every UDP swarm node runs on — changes the outer loops,
-//! not the protocol or the store.
+//! The clients ([`fetch`], [`fetch_striped`]) run on threads of their
+//! own, over blocking sockets with short read timeouts.
 //!
 //! Every layer is instrumented through `ltnc-telemetry`: the server
 //! emits session/connection/store trace events

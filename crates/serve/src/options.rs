@@ -32,16 +32,18 @@ pub struct ServeOptions {
     /// a payload still in flight is about to change. Past that point a
     /// deeper window buys goodput with duplicate and aborted transfers.
     pub per_session_inflight: usize,
-    /// Worker threads consuming accepted connections.
+    /// Reactor worker threads. Each runs one shard of the server: it
+    /// accepts connections and serves every session it accepted, so a
+    /// worker holds any number of sessions at once.
     pub workers: usize,
-    /// Accepted connections that may queue for a free worker before the
-    /// accept loop starts refusing new ones.
-    pub accept_backlog: usize,
-    /// Socket read timeout: the cadence at which blocked sessions notice
-    /// shutdown and pump fresh offers.
-    pub read_timeout: Duration,
-    /// A session with no inbound bytes for this long is dropped, so idle
-    /// connections cannot pin worker threads indefinitely.
+    /// Connections the server holds at once, over all workers. Past it a
+    /// new connection is closed unanswered and counted in
+    /// `sessions_rejected`.
+    pub max_sessions: usize,
+    /// A session with no inbound bytes for this long is dropped (a
+    /// reactor timer reaps it), so silent or departed clients do not
+    /// hold their connections, and places under `max_sessions`, for
+    /// ever.
     pub idle_timeout: Duration,
     /// Replica identity salt. Replicas of the same object should each run
     /// with a distinct salt: it seeds the warm store's per-generation
@@ -66,8 +68,7 @@ impl Default for ServeOptions {
             warm_cache_capacity: 256,
             per_session_inflight: 16,
             workers: 4,
-            accept_backlog: 64,
-            read_timeout: Duration::from_millis(5),
+            max_sessions: 64,
             idle_timeout: Duration::from_secs(30),
             replica_salt: 0,
             metrics_bind: None,
@@ -84,11 +85,8 @@ pub mod bounds {
     pub const MAX_INFLIGHT: usize = 4096;
     /// Maximum worker threads.
     pub const MAX_WORKERS: usize = 1024;
-    /// Maximum queued-connection backlog.
-    pub const MAX_BACKLOG: usize = 1 << 16;
-    /// Maximum read timeout in milliseconds (a larger value would make
-    /// shutdown and offer pumping pathologically slow).
-    pub const MAX_READ_TIMEOUT_MS: u64 = 10_000;
+    /// Maximum sessions held at once.
+    pub const MAX_SESSIONS: usize = 1 << 16;
     /// Maximum idle timeout in milliseconds.
     pub const MAX_IDLE_TIMEOUT_MS: u64 = 3_600_000;
 }
@@ -100,37 +98,20 @@ impl ServeOptions {
     ///
     /// [`ServeError::InvalidOption`] naming the first offending knob.
     pub fn validate(&self) -> Result<(), ServeError> {
-        let checks: [(&'static str, u64, u64, u64); 6] = [
-            (
-                "warm_cache_capacity",
-                self.warm_cache_capacity as u64,
-                1,
-                bounds::MAX_CACHE_CAPACITY as u64,
-            ),
-            (
-                "per_session_inflight",
-                self.per_session_inflight as u64,
-                1,
-                bounds::MAX_INFLIGHT as u64,
-            ),
-            ("workers", self.workers as u64, 1, bounds::MAX_WORKERS as u64),
-            ("accept_backlog", self.accept_backlog as u64, 1, bounds::MAX_BACKLOG as u64),
-            (
-                "read_timeout_ms",
-                self.read_timeout.as_millis() as u64,
-                1,
-                bounds::MAX_READ_TIMEOUT_MS,
-            ),
-            (
-                "idle_timeout_ms",
-                self.idle_timeout.as_millis() as u64,
-                1,
-                bounds::MAX_IDLE_TIMEOUT_MS,
-            ),
-        ];
-        for (name, value, min, max) in checks {
-            if value < min || value > max {
-                return Err(ServeError::InvalidOption { name, value, min, max });
+        // Every knob's minimum is 1.
+        let idle_timeout_ms = self.idle_timeout.as_millis() as u64;
+        let checks = [
+            ("warm_cache_capacity", self.warm_cache_capacity, bounds::MAX_CACHE_CAPACITY),
+            ("per_session_inflight", self.per_session_inflight, bounds::MAX_INFLIGHT),
+            ("workers", self.workers, bounds::MAX_WORKERS),
+            ("max_sessions", self.max_sessions, bounds::MAX_SESSIONS),
+        ]
+        .map(|(name, value, max)| (name, value as u64, max as u64))
+        .into_iter()
+        .chain([("idle_timeout_ms", idle_timeout_ms, bounds::MAX_IDLE_TIMEOUT_MS)]);
+        for (name, value, max) in checks {
+            if !(1..=max).contains(&value) {
+                return Err(ServeError::InvalidOption { name, value, min: 1, max });
             }
         }
         Ok(())
@@ -156,7 +137,7 @@ mod tests {
                 warm_cache_capacity: bounds::MAX_CACHE_CAPACITY + 1,
                 ..ServeOptions::default()
             },
-            ServeOptions { read_timeout: Duration::from_secs(3600), ..ServeOptions::default() },
+            ServeOptions { idle_timeout: Duration::from_secs(3601), ..ServeOptions::default() },
         ];
         for options in cases {
             match options.validate() {

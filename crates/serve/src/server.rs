@@ -1,13 +1,12 @@
-//! The TCP content server: thread-pooled accept loop, per-connection
-//! session state machines, graceful shutdown.
+//! The TCP content server: each connection a sans-io session, driven on
+//! `ltnc-reactor` like every UDP gossip node.
 //!
-//! Concurrency model: blocking sockets with short read timeouts behind
-//! small state machines, no runtime (the UDP side, every node of an
-//! `ltnc_net` swarm, runs on the `ltnc-reactor` readiness loop instead;
-//! porting this server onto it is ROADMAP item K). One accept thread
-//! hands connections to a fixed pool of worker threads through a
-//! bounded queue — a full queue *refuses* the connection instead of
-//! buffering without bound.
+//! A server is [`ServeOptions::workers`] reactor workers, each running
+//! one shard: its own descriptor is its copy of the listener, and every
+//! connection it accepts is a descriptor it watches. Nothing blocks and
+//! nothing polls on a timeout: a shard accepts, reads and writes on
+//! readiness edges, a write cut short by a full send buffer resumes on
+//! the write edge, and an idle session is reaped by a reactor timer.
 //!
 //! A session speaks the envelope protocol over the stream binding:
 //!
@@ -26,24 +25,23 @@
 //! trips. Offers are pipelined: up to
 //! [`ServeOptions::per_session_inflight`] of them await feedback at
 //! once, and the default window covers a loopback round trip's worth of
-//! symbols. And frames move a batch per wake-up, not one per syscall:
-//! every frame a session sends is encoded into the connection's outbound
-//! buffer, which leaves in one socket write exactly when the session is
-//! about to block in `read` (and before it closes) — so one read of N
-//! `FEEDBACK`s is answered by one write of the N payloads and the N
-//! offers that refill the window.
+//! symbols. And frames move a batch per wake-up: the session takes the
+//! inbound bytes plus `now` and appends its frames to the connection's
+//! outbound buffer, and a wake drains every read through it before one
+//! socket write — so one read of N `FEEDBACK`s is answered by one write
+//! of the N payloads and the N offers that refill the window.
 //!
 //! A session's sender bookkeeping is one [`OfferLedger`], as a gossip
 //! node keeps per neighbour; the session adds the window and the round
 //! robin, and no TTL: a stream loses nothing.
 
-use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::collections::HashMap;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{AtomicServeCounters, LogHistogram, ServeCounters};
@@ -52,6 +50,7 @@ use ltnc_net::envelope::{
 };
 use ltnc_net::ledger::OfferLedger;
 use ltnc_net::stream::FrameReassembler;
+use ltnc_reactor::{Cx, Driven, Reactor, TimerId};
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
 use ltnc_telemetry::{
@@ -62,7 +61,7 @@ use ltnc_telemetry::{
 use crate::store::ObjectStore;
 use crate::{ServeError, ServeOptions};
 
-/// What every worker records: the session-level [`ServeCounters`] as
+/// What every shard records: the session-level [`ServeCounters`] as
 /// atomic cells (cache counters live in the store and are filled into
 /// snapshots) plus the session-duration histogram.
 #[derive(Default)]
@@ -73,23 +72,24 @@ struct ServeStats {
     /// served live as a `session_micros` histogram on the scrape
     /// endpoint.
     session_micros: LogHistogram,
+    /// Connections every shard holds now, against
+    /// [`ServeOptions::max_sessions`].
+    open: AtomicUsize,
 }
 
 /// Handle to a running edge-cache server.
 pub struct Server {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-    store: Arc<ObjectStore>,
-    stats: Arc<ServeStats>,
+    reactor: Reactor<ServeShard>,
+    ctx: Context,
     scrape: Option<ScrapeServer>,
 }
 
 impl Server {
-    /// Binds a TCP listener on `bind` (port 0 for ephemeral) and spawns
-    /// the accept loop plus `options.workers` session workers. Objects
-    /// can be [`Server::register`]ed before or after spawning.
+    /// Binds a TCP listener on `bind` (port 0 for ephemeral) and starts
+    /// `options.workers` reactor workers, each accepting and serving
+    /// connections: a connection goes to the first worker that accepts
+    /// it. Objects can be [`Server::register`]ed before or after spawning.
     ///
     /// # Errors
     ///
@@ -134,47 +134,31 @@ impl Server {
     ) -> Result<Server, ServeError> {
         options.validate()?;
         let tracer = Tracer::from_option(trace);
-        let store = Arc::new(ObjectStore::with_salt_traced(
-            options.warm_cache_capacity,
-            options.replica_salt,
-            tracer.clone(),
-        )?);
+        let (capacity, salt) = (options.warm_cache_capacity, options.replica_salt);
+        let store = Arc::new(ObjectStore::with_salt_traced(capacity, salt, tracer.clone())?);
         let listener = TcpListener::bind(bind)?;
         let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
 
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServeStats::default());
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(options.accept_backlog);
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let workers = (0..options.workers)
+        let ctx = Context { store, stats, options, tracer };
+        // Every shard watches its own copy of the listener: a connection
+        // wakes them all and goes to the first to accept it.
+        let shards = (0..options.workers)
             .map(|_| {
-                let conn_rx = Arc::clone(&conn_rx);
-                let store = Arc::clone(&store);
-                let stats = Arc::clone(&stats);
-                let stop = Arc::clone(&stop);
-                let tracer = tracer.clone();
-                thread::spawn(move || {
-                    worker_loop(&conn_rx, &store, &stats, &stop, options, &tracer)
-                })
+                let listener = listener.try_clone()?;
+                let (conns, ctx) = (HashMap::new(), ctx.clone());
+                Ok(ServeShard { listener, conns, next_key: 0, retry_armed: false, ctx })
             })
-            .collect();
-
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            thread::spawn(move || accept_loop(&listener, &conn_tx, &stats, &stop))
-        };
+            .collect::<io::Result<Vec<_>>>()?;
+        let reactor = Reactor::start(shards, options.workers)?;
 
         let scrape = match options.metrics_bind {
             Some(addr) => {
                 let registry = Arc::new(MetricsRegistry::new());
                 let server_label = [("server", local_addr.to_string())];
-                let hist_stats = Arc::clone(&stats);
-                let store = Arc::clone(&store);
-                let stats = Arc::clone(&stats);
-                registry
-                    .register("serve", &server_label, move || samples(&snapshot(&store, &stats)));
+                let (hist_stats, counted) = (Arc::clone(&ctx.stats), ctx.clone());
+                registry.register("serve", &server_label, move || samples(&snapshot(&counted)));
                 registry.register_histograms("serve", &server_label, move || {
                     let snapshot = hist_stats.session_micros.snapshot();
                     if snapshot.is_empty() {
@@ -188,7 +172,7 @@ impl Server {
             None => None,
         };
 
-        Ok(Server { local_addr, stop, accept_thread, workers, store, stats, scrape })
+        Ok(Server { local_addr, reactor, ctx, scrape })
     }
 
     /// The address clients connect to.
@@ -216,134 +200,41 @@ impl Server {
         object: &[u8],
         params: SchemeParams,
     ) -> Result<ObjectManifest, ServeError> {
-        self.store.register(id, object, params)
+        self.ctx.store.register(id, object, params)
     }
 
     /// Snapshot of the server's counters (sessions, wire bytes, feedback
     /// outcomes, warm-cache hits/misses).
     #[must_use]
     pub fn counters(&self) -> ServeCounters {
-        snapshot(&self.store, &self.stats)
+        snapshot(&self.ctx)
     }
 
-    /// Graceful shutdown: stops accepting, lets workers notice within one
-    /// read timeout, joins every thread and returns the final counters.
+    /// Graceful shutdown: stops the reactor — each shard gives every
+    /// session still open one last read, so a final `COMPLETE` already
+    /// sent lands in the counters, and closes it — and returns the final
+    /// counters.
     ///
     /// # Panics
     ///
-    /// Panics if an internal thread panicked.
+    /// Re-raises a reactor worker's panic.
     #[must_use]
     pub fn shutdown(self) -> ServeCounters {
-        let Server { local_addr, stop, accept_thread, workers, store, stats, scrape } = self;
-        if let Some(scrape) = scrape {
+        if let Some(scrape) = self.scrape {
             scrape.shutdown();
         }
-        stop.store(true, Ordering::Release);
-        // The accept thread blocks in `accept()`; a throw-away connection
-        // to our own listener wakes it to see the flag. Retried until the
-        // thread is gone, so one refused or timed-out connect (a full
-        // listen backlog) cannot leave the join below hanging.
-        let wake = wake_addr(local_addr);
-        while !accept_thread.is_finished() {
-            let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
-            thread::sleep(Duration::from_millis(1));
-        }
-        // Joining the accept thread drops the connection sender, which
-        // unblocks any worker idling in recv_timeout.
-        accept_thread.join().expect("accept thread panicked");
-        for worker in workers {
-            worker.join().expect("worker thread panicked");
-        }
-        snapshot(&store, &stats)
+        let _ = self.reactor.shutdown();
+        snapshot(&self.ctx)
     }
 }
 
-fn snapshot(store: &ObjectStore, stats: &ServeStats) -> ServeCounters {
-    let cache = store.cache_stats();
+fn snapshot(ctx: &Context) -> ServeCounters {
+    let cache = ctx.store.cache_stats();
     ServeCounters {
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
-        ..stats.counters.snapshot()
-    }
-}
-
-/// Where [`Server::shutdown`] connects to wake the accept thread: the
-/// listener's own address, or loopback on its port when it is bound to
-/// the unspecified address (which cannot be connected to portably).
-fn wake_addr(local_addr: SocketAddr) -> SocketAddr {
-    let ip = match local_addr.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    SocketAddr::new(ip, local_addr.port())
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &SyncSender<TcpStream>,
-    stats: &ServeStats,
-    stop: &AtomicBool,
-) {
-    loop {
-        // Blocking: a new connection is handed to a worker the moment it
-        // arrives, not at the next poll of a sleeping loop.
-        let accepted = listener.accept();
-        if stop.load(Ordering::Acquire) {
-            // Shutdown's wake-up connection, or a client that raced it:
-            // dropping closes either.
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => match conn_tx.try_send(stream) {
-                Ok(()) => {}
-                Err(TrySendError::Full(refused)) => {
-                    // Bounded handoff: at capacity the connection is
-                    // refused outright (dropping closes it) and counted,
-                    // instead of queueing without bound.
-                    stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                    drop(refused);
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            },
-            Err(_) => {
-                // Transient accept failures (per-connection resets) must
-                // not kill the listener.
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    conn_rx: &Mutex<Receiver<TcpStream>>,
-    store: &Arc<ObjectStore>,
-    stats: &ServeStats,
-    stop: &AtomicBool,
-    options: ServeOptions,
-    tracer: &Tracer,
-) {
-    loop {
-        // Hold the lock only for the dequeue; recv_timeout returns
-        // immediately when a connection is queued, and the timeout bounds
-        // how long an idle worker keeps the other idles waiting.
-        let next = {
-            let rx = conn_rx.lock().expect("connection queue lock poisoned");
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match next {
-            Ok(stream) => {
-                // A broken individual connection must not take the worker
-                // down; the error already ended that session.
-                let _ = serve_connection(stream, store, stats, stop, options, tracer);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+        ..ctx.stats.counters.snapshot()
     }
 }
 
@@ -406,139 +297,250 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-connection wire plumbing: the socket, the outbound batch and the
-/// byte counters, so session logic queues frames without repeating the
-/// accounting. (The reassembler lives beside it in [`run_session`]: a
-/// decoded frame borrows it while the session writes here.)
-struct Connection<'a> {
+/// What every session of a server reads: the store, the shared
+/// counters, the options and the tracer.
+#[derive(Clone)]
+struct Context {
+    store: Arc<ObjectStore>,
+    stats: Arc<ServeStats>,
+    options: ServeOptions,
+    tracer: Tracer,
+}
+
+/// The retried accept's timer tag, above every connection's key.
+const ACCEPT_RETRY: u64 = u64::MAX;
+
+/// One reactor worker's part of a server: its copy of the listener (the
+/// shard's own descriptor) and the connections it accepted (descriptors
+/// it watches). A connection's key names it to the reactor, and is the
+/// tag of its idle timer too.
+struct ServeShard {
+    listener: TcpListener,
+    conns: HashMap<u32, Connection>,
+    /// The next connection's key. Keys wrap only after `u32::MAX`
+    /// connections, long after any one of them has been reaped.
+    next_key: u32,
+    /// An accept failed and its retry timer is pending.
+    retry_armed: bool,
+    ctx: Context,
+}
+
+impl ServeShard {
+    /// Accepts every pending connection, refusing the ones past
+    /// [`ServeOptions::max_sessions`].
+    fn accept(&mut self, cx: &mut Cx) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                // A connection reset while queued ends only itself.
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                Err(_) => {
+                    // Out of descriptors or buffers: no new edge may come
+                    // for the queued backlog, so a timer retries it.
+                    if !std::mem::replace(&mut self.retry_armed, true) {
+                        cx.arm(Duration::from_millis(10), ACCEPT_RETRY);
+                    }
+                    return;
+                }
+            };
+            let stats = &self.ctx.stats;
+            if stats.open.fetch_add(1, Ordering::Relaxed) >= self.ctx.options.max_sessions {
+                // At capacity a connection is closed unanswered (dropping
+                // closes it) and counted, instead of held without bound.
+                stats.open.fetch_sub(1, Ordering::Relaxed);
+                stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
+            } else if self.open(stream, cx).is_err() {
+                self.ctx.stats.open.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Starts serving an accepted connection: watched, with its idle
+    /// timer armed.
+    fn open(&mut self, stream: TcpStream, cx: &mut Cx) -> io::Result<()> {
+        // Batches are already whole when they are written, so Nagle has
+        // nothing to coalesce; left on, its wait for the delayed ACK would
+        // stall a handshake that alternates direction.
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        let key = self.next_key;
+        self.next_key = (key + 1) % u32::MAX;
+        cx.watch(stream.as_raw_fd(), key)?;
+        let idle_timer = cx.arm(self.ctx.options.idle_timeout, u64::from(key));
+        let peer = stream.peer_addr().ok();
+        crate::trace(&self.ctx.tracer, || TraceEvent::ConnectionOpened { peer });
+        let now = Instant::now();
+        let conn = Connection {
+            stream,
+            peer,
+            opened: now,
+            last_inbound: now,
+            reassembler: FrameReassembler::new(),
+            session: None,
+            outbound: Vec::new(),
+            finished: false,
+            idle_timer,
+        };
+        self.conns.insert(key, conn);
+        Ok(())
+    }
+
+    /// Ends connection `key`, whatever the outcome.
+    fn close(&mut self, key: u32, cx: &mut Cx) {
+        if let Some(conn) = self.conns.remove(&key) {
+            cx.unwatch(conn.stream.as_raw_fd());
+            cx.cancel(conn.idle_timer);
+            conn.close(&self.ctx);
+        }
+    }
+}
+
+impl Driven for ServeShard {
+    type Output = ();
+
+    fn fd(&self) -> RawFd {
+        self.listener.as_raw_fd()
+    }
+
+    fn on_start(&mut self, cx: &mut Cx) {
+        self.accept(cx);
+    }
+
+    fn on_readable(&mut self, cx: &mut Cx) {
+        self.accept(cx);
+    }
+
+    fn on_watched(&mut self, key: u32, cx: &mut Cx) {
+        let Some(conn) = self.conns.get_mut(&key) else { return };
+        // An error ends that connection's session and no other.
+        if !conn.wake(cx.scratch(), &self.ctx).unwrap_or(false) {
+            self.close(key, cx);
+        }
+    }
+
+    fn on_timer(&mut self, tag: u64, cx: &mut Cx) {
+        if tag == ACCEPT_RETRY {
+            self.retry_armed = false;
+            self.accept(cx);
+            return;
+        }
+        // Connection `key`'s idle timer: reaped after `idle_timeout`
+        // without inbound bytes, or checked again when that would be.
+        let Ok(key) = u32::try_from(tag) else { return };
+        let Some(conn) = self.conns.get_mut(&key) else { return };
+        let (idle, limit) = (conn.last_inbound.elapsed(), self.ctx.options.idle_timeout);
+        if idle >= limit {
+            self.close(key, cx);
+        } else {
+            conn.idle_timer = cx.arm(limit - idle, tag);
+        }
+    }
+
+    fn finish(&mut self) {
+        let mut buf = vec![0u8; 64 * 1024];
+        for (_, mut conn) in self.conns.drain() {
+            // The rest of a cut-short batch is dropped, so that the
+            // last read is not held back behind it.
+            conn.outbound.clear();
+            let _ = conn.wake(&mut buf, &self.ctx);
+            conn.close(&self.ctx);
+        }
+    }
+}
+
+/// One accepted connection: the socket, the session it carries, and the
+/// frames the session queued for it.
+struct Connection {
     stream: TcpStream,
-    /// Frames encoded since the last flush, back to back. Session logic
+    peer: Option<SocketAddr>,
+    opened: Instant,
+    /// When inbound bytes last arrived: the idle timer's clock.
+    last_inbound: Instant,
+    reassembler: FrameReassembler,
+    /// `None` until the client's REQUEST.
+    session: Option<Session>,
+    /// Frames encoded and not yet written, back to back. The session
     /// only ever appends here; [`Connection::flush`] is the one place the
     /// socket is written.
     outbound: Vec<u8>,
-    stats: &'a ServeStats,
-    tracer: &'a Tracer,
+    /// The session is over: the connection closes once `outbound` is
+    /// written, so a REJECT, or the payloads accepted ahead of the final
+    /// COMPLETE, leave before the close.
+    finished: bool,
+    /// The pending idle timer, cancelled when the connection closes.
+    idle_timer: TimerId,
 }
 
-impl Connection<'_> {
-    fn send(&mut self, header: &EnvelopeHeader, message: &Message) {
-        envelope::encode_into(&mut self.outbound, header, message);
+impl Connection {
+    /// One readiness edge: once the last batch is written, drains the
+    /// socket's reads through the session, then writes what it queued.
+    /// Returns whether the connection stays open. Nothing is read while a
+    /// batch waits for the write edge, so TCP pushes back on a client
+    /// that does not read, and its session falls idle.
+    fn wake(&mut self, buf: &mut [u8], ctx: &Context) -> Result<bool, ServeError> {
+        self.flush(&ctx.stats)?;
+        let backlogged = !self.outbound.is_empty();
+        while !backlogged && !self.finished {
+            let n = match self.stream.read(buf) {
+                Ok(0) => return Err(ServeError::Disconnected),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            ctx.stats.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+            self.last_inbound = Instant::now();
+            self.finished = self.handle_bytes(TraceContext::now_micros(), &buf[..n], ctx)?;
+        }
+        self.flush(&ctx.stats)?;
+        Ok(!self.finished || !self.outbound.is_empty())
     }
 
-    /// Writes the queued frames in one socket write. Called exactly when
-    /// the session is about to block in `read` and before it closes:
-    /// unflushed frames are never held across a blocking read, or the two
-    /// ends would each wait for bytes the other has not sent.
-    fn flush(&mut self) -> Result<(), ServeError> {
-        if self.outbound.is_empty() {
-            return Ok(());
+    /// The sans-io session: `bytes` that arrived at `now` (microseconds
+    /// on the clock offers are stamped with) go through the reassembler
+    /// and each frame through the session, which appends its answers and
+    /// the offers that refill its window to `outbound`. Returns whether
+    /// the session is over.
+    fn handle_bytes(&mut self, now: u64, bytes: &[u8], ctx: &Context) -> Result<bool, ServeError> {
+        self.reassembler.extend(bytes);
+        while let Some(frame) = self.reassembler.next_frame_view()? {
+            let (session, out) = (&mut self.session, &mut self.outbound);
+            if handle_frame(&frame.header, frame.message, session, out, ctx)? {
+                return Ok(true);
+            }
         }
-        self.stream.write_all(&self.outbound)?;
-        self.stats.counters.bytes_out.fetch_add(self.outbound.len() as u64, Ordering::Relaxed);
-        self.outbound.clear();
+        if let Some(session) = self.session.as_mut() {
+            pump_offers(session, &mut self.outbound, ctx, now);
+        }
+        Ok(false)
+    }
+
+    /// Writes the queued frames: one socket write, unless the send buffer
+    /// fills and the rest waits for the write edge.
+    fn flush(&mut self, stats: &ServeStats) -> io::Result<()> {
+        while !self.outbound.is_empty() {
+            match self.stream.write(&self.outbound) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.outbound.drain(..n);
+                    stats.counters.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         Ok(())
     }
-}
 
-/// How long a session keeps draining after shutdown is requested, so a
-/// final `COMPLETE` already in flight still lands in the counters while a
-/// hung client cannot stall shutdown.
-const SHUTDOWN_GRACE: Duration = Duration::from_millis(200);
-
-fn serve_connection(
-    stream: TcpStream,
-    store: &Arc<ObjectStore>,
-    stats: &ServeStats,
-    stop: &AtomicBool,
-    options: ServeOptions,
-    tracer: &Tracer,
-) -> Result<(), ServeError> {
-    let peer = stream.peer_addr().ok();
-    crate::trace(tracer, || TraceEvent::ConnectionOpened { peer });
-    let started = std::time::Instant::now();
-    let result = run_session(stream, store, stats, stop, options, tracer);
-    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    stats.session_micros.record(micros);
-    crate::trace(tracer, || TraceEvent::ConnectionClosed { peer });
-    result
-}
-
-/// The session loop of one accepted connection (split out so
-/// [`serve_connection`] can bracket every exit path with open/close
-/// trace events).
-fn run_session(
-    stream: TcpStream,
-    store: &Arc<ObjectStore>,
-    stats: &ServeStats,
-    stop: &AtomicBool,
-    options: ServeOptions,
-    tracer: &Tracer,
-) -> Result<(), ServeError> {
-    // Batches are already whole when they are written, so Nagle has
-    // nothing to coalesce; left on, its wait for the delayed ACK would
-    // stall a handshake that alternates direction.
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(options.read_timeout))?;
-    // A client that stops reading must not pin the worker in `write`
-    // any longer than one that stops writing pins it in `read`.
-    stream.set_write_timeout(Some(options.idle_timeout))?;
-    let mut conn = Connection { stream, outbound: Vec::new(), stats, tracer };
-    let mut reassembler = FrameReassembler::new();
-    let mut session: Option<Session> = None;
-    // One read takes a whole window's worth of feedback.
-    let mut buf =
-        vec![0u8; (options.per_session_inflight * envelope::FEEDBACK_FRAME_BYTES).max(16 * 1024)];
-    let mut stop_seen: Option<std::time::Instant> = None;
-    let mut last_inbound = std::time::Instant::now();
-
-    loop {
-        if stop.load(Ordering::Acquire) {
-            let seen = stop_seen.get_or_insert_with(std::time::Instant::now);
-            if seen.elapsed() > SHUTDOWN_GRACE {
-                return Ok(());
-            }
-        }
-        conn.flush()?;
-        match conn.stream.read(&mut buf) {
-            Ok(0) => return Err(ServeError::Disconnected),
-            Ok(n) => {
-                stats.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                reassembler.extend(&buf[..n]);
-                last_inbound = std::time::Instant::now();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A silent client must not pin this worker forever: with
-                // `workers` such sockets the whole pool would starve.
-                if last_inbound.elapsed() > options.idle_timeout {
-                    return Err(ServeError::TimedOut);
-                }
-            }
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-
-        while let Some(frame) = reassembler.next_frame_view()? {
-            if handle_frame(
-                &frame.header,
-                frame.message,
-                &mut session,
-                &mut conn,
-                store,
-                stats,
-                &options,
-            )? {
-                // Session finished cleanly: the REJECT, or the payloads
-                // accepted ahead of the final COMPLETE, leave before the
-                // close.
-                return conn.flush();
-            }
-        }
-
-        if let Some(session) = session.as_mut() {
-            pump_offers(session, &mut conn, store, stats, options.per_session_inflight);
-        }
+    /// Books the end of the connection; dropping it closes the socket.
+    fn close(self, ctx: &Context) {
+        let micros = u64::try_from(self.opened.elapsed().as_micros()).unwrap_or(u64::MAX);
+        ctx.stats.session_micros.record(micros);
+        ctx.stats.open.fetch_sub(1, Ordering::Relaxed);
+        let peer = self.peer;
+        crate::trace(&ctx.tracer, || TraceEvent::ConnectionClosed { peer });
     }
 }
 
@@ -548,35 +550,37 @@ fn handle_frame(
     header: &EnvelopeHeader,
     message: MessageView<'_>,
     session: &mut Option<Session>,
-    conn: &mut Connection<'_>,
-    store: &Arc<ObjectStore>,
-    stats: &ServeStats,
-    options: &ServeOptions,
+    out: &mut Vec<u8>,
+    ctx: &Context,
 ) -> Result<bool, ServeError> {
+    let stats = &ctx.stats;
     match message {
         MessageView::Request => {
             if session.is_some() {
                 return Err(ServeError::UnexpectedMessage("second REQUEST on one session"));
             }
             let object_id = header.session;
-            let manifest =
-                store.manifest(object_id).filter(|manifest| manifest.params.kind == header.scheme);
+            let manifest = ctx
+                .store
+                .manifest(object_id)
+                .filter(|manifest| manifest.params.kind == header.scheme);
             let Some(manifest) = manifest else {
                 stats.counters.sessions_rejected.fetch_add(1, Ordering::Relaxed);
-                crate::trace(conn.tracer, || TraceEvent::SessionRejected { object: object_id });
+                crate::trace(&ctx.tracer, || TraceEvent::SessionRejected { object: object_id });
                 let reject = EnvelopeHeader {
                     kind: MessageKind::Reject,
                     scheme: header.scheme,
                     session: object_id,
                     generation: GENERATION_OBJECT,
                 };
-                conn.send(&reject, &Message::Reject);
+                envelope::encode_into(out, &reject, &Message::Reject);
                 return Ok(true);
             };
             stats.counters.sessions_accepted.fetch_add(1, Ordering::Relaxed);
-            crate::trace(conn.tracer, || TraceEvent::SessionAccepted { object: object_id });
-            let new = Session::new(object_id, manifest, options);
-            conn.send(
+            crate::trace(&ctx.tracer, || TraceEvent::SessionAccepted { object: object_id });
+            let new = Session::new(object_id, manifest, &ctx.options);
+            envelope::encode_into(
+                out,
                 &new.header(MessageKind::Manifest, GENERATION_OBJECT),
                 &Message::Manifest {
                     object_len: manifest.object_len,
@@ -597,8 +601,7 @@ fn handle_frame(
             if accept {
                 stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
                 let header = session.header(MessageKind::DataPayload, offer.generation);
-                let (out, trace) = (&mut conn.outbound, &offer.trace);
-                envelope::encode_payload_into(out, &header, transfer, trace, &offer.packet);
+                envelope::encode_payload_into(out, &header, transfer, &offer.trace, &offer.packet);
             } else {
                 stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
             }
@@ -611,7 +614,7 @@ fn handle_frame(
             if header.generation == GENERATION_OBJECT {
                 stats.counters.sessions_completed.fetch_add(1, Ordering::Relaxed);
                 let object = session.object_id;
-                crate::trace(conn.tracer, || TraceEvent::SessionCompleted { object });
+                crate::trace(&ctx.tracer, || TraceEvent::SessionCompleted { object });
                 return Ok(true);
             }
             session.offers.complete(header.generation);
@@ -628,16 +631,10 @@ fn handle_frame(
 }
 
 /// Keeps the pipeline of header-first offers full, round-robin over the
-/// generations the client still needs.
-fn pump_offers(
-    session: &mut Session,
-    conn: &mut Connection<'_>,
-    store: &Arc<ObjectStore>,
-    stats: &ServeStats,
-    inflight_budget: usize,
-) {
+/// generations the client still needs; every offer is stamped `now`.
+fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64) {
     let generations = session.cursors.len();
-    while session.offers.in_flight() < inflight_budget {
+    while session.offers.in_flight() < ctx.options.per_session_inflight {
         // Next incomplete generation, round robin; none left, no offer.
         let Some(gen_index) = (0..generations)
             .map(|step| (session.next_gen + step) % generations)
@@ -647,7 +644,7 @@ fn pump_offers(
         };
         session.next_gen = (gen_index + 1) % generations;
         let Some((seq, packet)) =
-            store.symbol(session.object_id, gen_index as u32, session.cursors[gen_index])
+            ctx.store.symbol(session.object_id, gen_index as u32, session.cursors[gen_index])
         else {
             // The encoder refused (cannot happen for a source node, but a
             // spinning offer loop must not depend on that): offer the
@@ -656,17 +653,10 @@ fn pump_offers(
             continue;
         };
         session.cursors[gen_index] = seq + 1;
-        stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
+        ctx.stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
         // A serving replica holds the object itself: every offer starts a
-        // fresh lineage, stamped at offer time.
-        let now = TraceContext::now_micros();
-        session.offers.offer(
-            &mut conn.outbound,
-            &header,
-            TraceContext::origin_now(now),
-            packet,
-            now,
-        );
+        // fresh lineage.
+        session.offers.offer(out, &header, TraceContext::origin_now(now), packet, now);
     }
 }

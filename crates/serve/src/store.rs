@@ -34,7 +34,7 @@ use ltnc_telemetry::{TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::ServeError;
+use crate::{ServeError, ServeOptions};
 
 /// One generation's warm symbol ring plus the encoder that refills it.
 struct GenerationCache {
@@ -149,15 +149,8 @@ impl ObjectStore {
         salt: u64,
         tracer: Tracer,
     ) -> Result<Self, ServeError> {
-        let max = crate::options::bounds::MAX_CACHE_CAPACITY;
-        if cache_capacity == 0 || cache_capacity > max {
-            return Err(ServeError::InvalidOption {
-                name: "warm_cache_capacity",
-                value: cache_capacity as u64,
-                min: 1,
-                max: max as u64,
-            });
-        }
+        ServeOptions { warm_cache_capacity: cache_capacity, ..ServeOptions::default() }
+            .validate()?;
         Ok(ObjectStore {
             objects: RwLock::new(HashMap::new()),
             cache_capacity,

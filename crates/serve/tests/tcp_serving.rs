@@ -340,16 +340,16 @@ fn store_is_usable_standalone_for_warm_vs_cold_comparison() {
 }
 
 #[test]
-fn idle_connections_cannot_starve_the_worker_pool() {
-    // One worker, short idle timeout: a silent connection must be dropped
-    // so a real client behind it still gets served.
+fn an_idle_connection_cannot_starve_another_session() {
+    // One worker, short idle timeout: a silent connection must not keep a
+    // real client from being served, and is dropped when it times out.
     let options =
         ServeOptions { workers: 1, idle_timeout: Duration::from_millis(150), ..Default::default() };
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
     let object = pseudo_object(512, 21);
     server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
 
-    // Pin the only worker with a connection that never speaks.
+    // A connection on the only worker that never speaks.
     let idle = std::net::TcpStream::connect(server.local_addr()).expect("connect idle");
     let report = fetch(server.local_addr(), 1, SchemeKind::Rlnc, &client_options())
         .expect("fetch must succeed once the idle session times out");
@@ -681,11 +681,12 @@ fn a_silent_client_with_a_window_of_offers_outstanding_still_times_out() {
 }
 
 #[test]
-fn a_client_that_stops_reading_cannot_pin_a_worker_in_write() {
+fn a_client_that_stops_reading_cannot_stall_another_session() {
     // One batch of MAX_INFLIGHT offers with a 1 KiB code vector each is
     // more than the socket buffers between the two ends hold, so the
-    // server's write blocks on a client that asked and never reads. The
-    // same bound that frees a worker from a silent client frees it here.
+    // server's write is cut short by a client that asked and never reads.
+    // The rest waits for a write edge that never comes, on a worker that
+    // serves the next client meanwhile.
     let options = ServeOptions {
         workers: 1,
         per_session_inflight: bounds::MAX_INFLIGHT,
@@ -712,14 +713,14 @@ fn a_client_that_stops_reading_cannot_pin_a_worker_in_write() {
 }
 
 #[test]
-fn a_full_handoff_queue_refuses_and_counts_and_shutdown_still_joins_promptly() {
-    let options = ServeOptions { workers: 1, accept_backlog: 1, ..Default::default() };
+fn a_connection_past_max_sessions_is_refused_and_counted_and_shutdown_stays_prompt() {
+    let options = ServeOptions { workers: 1, max_sessions: 2, ..Default::default() };
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
     let object = pseudo_object(4096, 23);
     server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
 
-    // The first connection has the only worker (its MANIFEST proves it),
-    // the second fills the queue behind it, the third has nowhere to go.
+    // The first connection is served (its MANIFEST proves it), the second
+    // is held silent beside it, the third is one past the cap.
     let mut served = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
     let request = served.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
     served.write(&request);
@@ -735,4 +736,125 @@ fn a_full_handoff_queue_refuses_and_counts_and_shutdown_still_joins_promptly() {
     assert!(started.elapsed() < Duration::from_secs(2), "shutdown must wake a blocked accept");
     assert_eq!(counters.sessions_rejected, 1);
     assert_eq!(counters.sessions_accepted, 1);
+}
+
+#[test]
+fn a_silent_and_a_deaf_connection_delay_neither_a_fetch_nor_shutdown() {
+    // One worker and the default 30 s idle timeout, so neither connection
+    // below is reaped during the test. One never speaks; the other asks
+    // for an object whose first window of offers (MAX_INFLIGHT of them,
+    // 1 KiB code vectors each) overflows the socket buffers, and never
+    // reads. Neither may make a fetch of another object, or shutdown,
+    // wait out the idle timeout.
+    let options = ServeOptions {
+        workers: 1,
+        per_session_inflight: bounds::MAX_INFLIGHT,
+        ..Default::default()
+    };
+    assert_eq!(options.idle_timeout, Duration::from_secs(30));
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let wide = pseudo_object(8192 * 8, 31);
+    server.register(1, &wide, SchemeParams::new(SchemeKind::Rlnc, 8192, 8)).expect("register");
+    let small = pseudo_object(4096, 32);
+    server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    let silent = TcpStream::connect(server.local_addr()).expect("connect silent");
+    let mut deaf = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let request = deaf.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    deaf.write(&request);
+
+    let started = Instant::now();
+    let report = fetch(server.local_addr(), 2, SchemeKind::Rlnc, &client_options()).expect("fetch");
+    let took = started.elapsed();
+    assert_eq!(report.object, small, "bit-exact");
+    assert!(took < Duration::from_secs(2), "the fetch took {took:?}");
+
+    let started = Instant::now();
+    let counters = server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?} with both connections open");
+    assert_eq!(counters.sessions_accepted, 2);
+    assert_eq!(counters.sessions_completed, 1);
+    drop((silent, deaf));
+}
+
+#[test]
+fn a_client_that_accepts_blindly_and_never_reads_is_held_back_and_reaped() {
+    // The blind client asks, then ACCEPTs the window of transfers on
+    // offer, again and again, without reading a byte: the ids run 1, 2,
+    // 3, … (the test reads the last one off the server's counters), and
+    // each ACCEPT the server reads releases a 4 KiB payload. Once the
+    // socket buffers between the two ends are full the server must stop
+    // reading it, so what it delivers stays within one window plus the
+    // most those buffers can hold, and the session, silent from then
+    // on, is reaped by its idle timer while the client still sends.
+    // `max_sessions: 1` makes the reap visible: until it, the one place
+    // is taken and a fetch is refused.
+    let payload = 4096;
+    let options = ServeOptions {
+        workers: 1,
+        max_sessions: 1,
+        idle_timeout: Duration::from_millis(300),
+        ..Default::default()
+    };
+    let window = options.per_session_inflight as u64;
+    let bound = window + socket_buffer_ceiling() / payload as u64;
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let object = pseudo_object(8 * payload, 41);
+    server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, payload)).expect("register");
+    let small = pseudo_object(512, 42);
+    server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
+
+    let mut blind = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    blind.stream.set_write_timeout(Some(Duration::from_millis(100))).expect("write timeout");
+    let request = blind.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    blind.write(&request);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut sent = 0;
+    loop {
+        let counters = server.counters();
+        if Instant::now() >= deadline || counters.transfers_delivered > bound {
+            break;
+        }
+        let offered = counters.transfers_offered;
+        let batch: Vec<u8> = (offered.saturating_sub(window) + 1..=offered)
+            .flat_map(|transfer| {
+                let feedback = Message::Feedback { transfer, accept: true };
+                blind.frame(MessageKind::FeedbackAccept, 0, &feedback)
+            })
+            .collect();
+        sent += offered.min(window);
+        // A write that fails (reset by the reap) or blocks ends the
+        // sending; a blocked one may have sent part of a frame, which
+        // the server, no longer reading, never sees.
+        if blind.stream.write_all(&batch).is_err() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    let delivered = server.counters().transfers_delivered;
+    assert!(delivered <= bound, "{delivered} payloads for {sent} blind ACCEPTs");
+
+    // The session went silent when the buffers filled, long before the
+    // client stopped; by the end of the idle timeout it is gone.
+    thread::sleep(Duration::from_millis(300));
+    let report = fetch(server.local_addr(), 2, SchemeKind::Rlnc, &client_options())
+        .expect("the blind session was reaped and its place freed");
+    assert_eq!(report.object, small);
+    drop(blind);
+    let _ = server.shutdown();
+}
+
+/// The most one TCP connection's buffers can hold in flight, in bytes:
+/// the sender's largest send buffer plus the receiver's largest receive
+/// buffer (Linux's `tcp_wmem` and `tcp_rmem` maxima; 16 MiB each where
+/// they cannot be read).
+fn socket_buffer_ceiling() -> u64 {
+    let max = |path: &str| {
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|limits| limits.split_whitespace().nth(2)?.parse().ok())
+            .unwrap_or(16 << 20)
+    };
+    max("/proc/sys/net/ipv4/tcp_wmem") + max("/proc/sys/net/ipv4/tcp_rmem")
 }
