@@ -46,6 +46,10 @@ crate::counter_family! {
         /// Times an adaptive in-flight budget was cut (multiplicative decrease
         /// after offer timeouts).
         pub budget_cuts: u64,
+        /// Payloads dropped unread: they claimed no accept given on their link.
+        pub unsolicited_payloads: u64,
+        /// Accepts evicted, oldest first, to keep a link's accept table in its cap.
+        pub accepts_evicted: u64,
     }
     snapshot_delta {
         /// Sampling a live endpoint at two instants and diffing yields the
@@ -102,7 +106,7 @@ impl fmt::Display for WireCounters {
             "sent {} dgrams / {} B ({} B payload), recv {} dgrams / {} B, \
              transfers {} offered / {} aborted / {} delivered ({} useful) / {} timed out, \
              {} decode errors, {} foreign-session, {} dropped, \
-             budget {} raises / {} cuts",
+             budget {} raises / {} cuts, {} unsolicited payloads / {} accepts evicted",
             self.datagrams_sent,
             self.bytes_sent,
             self.payload_bytes_sent,
@@ -118,6 +122,8 @@ impl fmt::Display for WireCounters {
             self.inbound_dropped,
             self.budget_raises,
             self.budget_cuts,
+            self.unsolicited_payloads,
+            self.accepts_evicted,
         )
     }
 }
@@ -185,6 +191,8 @@ mod tests {
             offer_timeouts: 1,
             budget_raises: 2,
             budget_cuts: 1,
+            unsolicited_payloads: 4,
+            accepts_evicted: 0,
         };
         let now = WireCounters {
             datagrams_sent: 25,
@@ -202,6 +210,8 @@ mod tests {
             offer_timeouts: 3,
             budget_raises: 6,
             budget_cuts: 2,
+            unsolicited_payloads: 7,
+            accepts_evicted: 2,
         };
         let delta = now.snapshot_delta(&earlier);
         assert_eq!(
@@ -222,6 +232,8 @@ mod tests {
                 offer_timeouts: 2,
                 budget_raises: 4,
                 budget_cuts: 1,
+                unsolicited_payloads: 3,
+                accepts_evicted: 2,
             }
         );
         // Re-accumulating the delta onto the earlier snapshot round-trips.

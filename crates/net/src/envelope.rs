@@ -21,9 +21,7 @@
 //! * `FEEDBACK-ACCEPT` / `FEEDBACK-ABORT` — `transfer id (u64 LE)`; the
 //!   receiver's verdict on a pending header.
 //! * `DATA-PAYLOAD` — `transfer id (u64 LE)` + a [`TraceContext`] + a
-//!   *complete* `gf2::wire` frame. Self-contained on purpose: a receiver
-//!   that lost its pending state (restart, reordering) can still use the
-//!   packet.
+//!   *complete* `gf2::wire` frame, read only against an accept of that transfer.
 //!
 //! The trace context is the causal lineage of the coded information: a
 //! source stamps hop 0 and its send time; a relay recoding generation
@@ -408,6 +406,19 @@ pub fn encode_payload_into(
     gf2_wire::encode_into(out, packet);
 }
 
+/// Appends the verdict on offer `transfer` to `out`: `FEEDBACK-ACCEPT` if
+/// `accept`, else `FEEDBACK-ABORT`, whatever `header.kind` says.
+pub fn encode_feedback_into(
+    out: &mut Vec<u8>,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    accept: bool,
+) {
+    let kind = if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
+    encode_envelope_header(out, kind, header);
+    out.extend_from_slice(&transfer.to_le_bytes());
+}
+
 /// Appends one serialized envelope to `out`, leaving what `out` already
 /// holds untouched: a stream sender encodes a batch of frames back to
 /// back into one buffer and writes it once.
@@ -420,9 +431,8 @@ pub fn encode_into(out: &mut Vec<u8>, header: &EnvelopeHeader, message: &Message
         Message::DataPayload { transfer, trace, packet } => {
             encode_payload_into(out, header, *transfer, trace, packet);
         }
-        Message::Feedback { transfer, .. } => {
-            encode_envelope_header(out, message.kind(), header);
-            out.extend_from_slice(&transfer.to_le_bytes());
+        Message::Feedback { transfer, accept } => {
+            encode_feedback_into(out, header, *transfer, *accept)
         }
         Message::Manifest { object_len, code_length, payload_size } => {
             encode_envelope_header(out, MessageKind::Manifest, header);
@@ -714,6 +724,9 @@ mod tests {
             let decoded = decode(&bytes).unwrap();
             assert_eq!(decoded.header.kind, kind);
             assert_eq!(decoded.message, msg);
+            let mut verdict = Vec::new();
+            encode_feedback_into(&mut verdict, &header(MessageKind::DataHeader), 9, accept);
+            assert_eq!(verdict, bytes, "the verdict, not the header, sets the kind");
         }
     }
 

@@ -1,11 +1,11 @@
-//! The sender half of the header-first transfer on one link
-//! (`DATA-HEADER` → `FEEDBACK` → `DATA-PAYLOAD` on accept, `COMPLETE`s
-//! back): an [`OfferLedger`] numbers the link's transfers from 1, holds
-//! each offer until its feedback arrives or its TTL passes, and records
-//! the receiver's `COMPLETE`s. A gossip node keeps one per neighbour, a
-//! serving session one for its client. It holds no policy and reads no
-//! clock: the caller passes `now` and the TTL, and holds its own window
-//! against [`OfferLedger::in_flight`].
+//! Both halves of the header-first transfer on one link (`DATA-HEADER` →
+//! `FEEDBACK` → `DATA-PAYLOAD` on accept, `COMPLETE`s back), kept per link
+//! by a gossip node, a serving session and a fetch client alike. Neither
+//! holds policy or reads a clock. The sender's [`OfferLedger`] numbers the
+//! link's transfers from 1 and holds each offer until its feedback or its
+//! TTL (the caller passes `now`); the receiver's [`AcceptLedger`] holds
+//! each accept until the one payload of that transfer and generation
+//! claims it, within a cap the caller passes.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -108,6 +108,38 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
     #[must_use]
     pub fn object_done(&self) -> bool {
         self.object_done
+    }
+}
+
+/// The transfers a receiver accepted on one link, until payloads claim them.
+#[derive(Debug)]
+pub struct AcceptLedger {
+    /// By transfer id, so oldest transfer first.
+    accepted: BTreeMap<u64, u32>,
+    cap: usize,
+}
+
+impl AcceptLedger {
+    /// An empty ledger holding at most `cap` accepts.
+    #[must_use]
+    pub fn new(cap: usize) -> AcceptLedger {
+        AcceptLedger { accepted: BTreeMap::new(), cap }
+    }
+
+    /// Records the accept of `transfer` of `generation` (a repeat replaces
+    /// it). Past the cap it evicts the oldest transfer and returns its id.
+    pub fn accept(&mut self, transfer: u64, generation: u32) -> Option<u64> {
+        self.accepted.insert(transfer, generation);
+        if self.accepted.len() <= self.cap {
+            return None;
+        }
+        self.accepted.pop_first().map(|(evicted, _)| evicted)
+    }
+
+    /// Consumes the accept of `transfer` if it names `generation` (else keeps it).
+    pub fn claim(&mut self, transfer: u64, generation: u32) -> bool {
+        let matches = self.accepted.get(&transfer) == Some(&generation);
+        matches && self.accepted.remove(&transfer).is_some()
     }
 }
 
@@ -271,5 +303,32 @@ mod tests {
         assert!(!owned.is_done(0));
         owned.complete(GENERATION_OBJECT);
         assert!(owned.object_done());
+    }
+
+    #[test]
+    fn an_accept_is_claimed_once_and_only_for_its_generation() {
+        let mut ledger = AcceptLedger::new(8);
+        assert_eq!(ledger.accept(1, 0), None);
+        assert_eq!(ledger.accept(2, 5), None);
+        assert!(!ledger.claim(3, 0), "never accepted");
+        assert!(!ledger.claim(1, 5), "accepted for generation 0");
+        assert!(ledger.claim(1, 0), "a wrong-generation claim leaves the record");
+        assert!(!ledger.claim(1, 0), "a record is claimed once");
+        assert!(ledger.claim(2, 5) && !ledger.claim(2, 5));
+    }
+
+    #[test]
+    fn the_cap_evicts_the_oldest_accept_first_and_reports_each() {
+        let cap = 4;
+        let mut ledger = AcceptLedger::new(cap);
+        for transfer in 1..=cap as u64 {
+            assert_eq!(ledger.accept(transfer, 0), None, "within the cap");
+        }
+        assert_eq!(ledger.accept(5, 0), Some(1), "cap + 1 accepts evict exactly the oldest");
+        assert!(!ledger.claim(1, 0), "the evicted accept is gone");
+        assert_eq!(ledger.accept(6, 0), Some(2));
+        assert_eq!(ledger.accept(6, 0), None, "an accept given again is one record");
+        assert!((3..=6).all(|transfer| ledger.claim(transfer, 0)), "the younger ones stay");
+        assert_eq!(ledger.accept(7, 0), None, "claims free their room");
     }
 }

@@ -30,8 +30,8 @@
 //!   receiving end, carried out for both swarm drivers by one sans-io
 //!   node endpoint on the node's microsecond clock), so every transport
 //!   test can run under adverse conditions reproducibly;
-//! * [`ledger`] — the sender half of the header-first transfer on one
-//!   link, kept per neighbour by a node and per client by `ltnc-serve`;
+//! * [`ledger`] — the sender's and the receiver's halves of the
+//!   header-first transfer on one link, for a node and `ltnc-serve` alike;
 //! * [`peer`] — the sans-io node state machine: event-clocked offers,
 //!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
 //!   arrivals and offer timeouts), the aggressiveness gate for relays,

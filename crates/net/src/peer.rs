@@ -65,8 +65,9 @@
 //! `COMPLETE` messages prune finished generations from every sender's
 //! schedule.
 //!
-//! Its sender half is one [`OfferLedger`] per neighbour, the bookkeeping
-//! a `ltnc-serve` session keeps too; this module adds the policy.
+//! Its sender half is one [`OfferLedger`] per neighbour, its receiver half
+//! one [`AcceptLedger`] per sender, as in `ltnc-serve`; this module adds
+//! the policy.
 //!
 //! What leaves this module is the tuning ([`NodeOptions`]) and each
 //! node's final accounting ([`PeerReport`]).
@@ -90,7 +91,7 @@ use crate::envelope::{
     GENERATION_OBJECT,
 };
 use crate::faults::DatagramFaultCounters;
-use crate::ledger::OfferLedger;
+use crate::ledger::{AcceptLedger, OfferLedger};
 use ltnc_session::generation::{ObjectManifest, ReceiverSession, SourceSession};
 
 /// The datagrams one [`NodeStateMachine`] call emits, in order:
@@ -122,6 +123,13 @@ const RTT_EWMA_ALPHA: f64 = 0.2;
 /// declared lost once several round trips have passed without feedback.
 const RTT_TTL_FACTOR: f64 = 4.0;
 
+/// The paper's aggressiveness: the share of `k` a relay must hold of a
+/// generation before it recodes it.
+const AGGRESSIVENESS: f64 = 0.01;
+
+/// Offers initiated per gossip tick.
+const PUSH_RATE: usize = 2;
+
 /// Cap on the derived TTL relative to the configured
 /// [`NodeOptions::pending_ttl`] floor, so one absurd RTT sample cannot
 /// freeze eviction.
@@ -146,11 +154,6 @@ pub(crate) enum NodeRole {
 /// Tuning knobs of a node.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeOptions {
-    /// Fraction of `k` a relay must hold (per generation) before it starts
-    /// recoding — the paper's aggressiveness parameter. Sources ignore it.
-    pub aggressiveness: f64,
-    /// Transfer offers initiated per tick.
-    pub push_rate: usize,
     /// Transfers simultaneously awaiting feedback per peer: the *initial*
     /// budget, which then adapts to observed loss (AIMD over feedback
     /// arrivals and offer timeouts).
@@ -203,8 +206,6 @@ impl NodeOptions {
 impl Default for NodeOptions {
     fn default() -> Self {
         NodeOptions {
-            aggressiveness: 0.01,
-            push_rate: 2,
             per_peer_inflight: 4,
             inflight_floor: 1,
             inflight_ceiling: 64,
@@ -382,6 +383,8 @@ pub(crate) struct NodeStateMachine {
     /// stamp, deepest hop count — so recoded offers advertise the true
     /// critical path of the data they are built from.
     lineage: HashMap<u32, TraceContext>,
+    /// Receiver halves by sender, not link: the source is in no push set.
+    accepts: HashMap<SocketAddr, AcceptLedger>,
     wire: WireCounters,
     shared: Arc<Shared>,
     /// Where the node's hot paths, and its links' faults, are traced.
@@ -420,6 +423,7 @@ impl NodeStateMachine {
             rng: SmallRng::seed_from_u64(config.options.seed),
             announced: HashSet::new(),
             lineage: HashMap::new(),
+            accepts: HashMap::new(),
             wire: WireCounters::new(),
             shared,
             tracer,
@@ -591,16 +595,6 @@ impl NodeStateMachine {
         }
     }
 
-    fn send(
-        &mut self,
-        out: &mut Outbox,
-        to: SocketAddr,
-        header: &EnvelopeHeader,
-        message: &Message,
-    ) {
-        self.post(out, to, envelope::encode(header, message));
-    }
-
     /// Counts one encoded datagram to `to` and queues it.
     fn post(&mut self, out: &mut Outbox, to: SocketAddr, bytes: Vec<u8>) {
         self.wire.datagrams_sent += 1;
@@ -646,10 +640,17 @@ impl NodeStateMachine {
                 let generation = header.generation;
                 let accept = payload_size == self.params.payload_size
                     && self.receiver.as_ref().is_some_and(|r| r.would_accept(generation, &vector));
-                let kind =
-                    if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
-                let header = self.header(kind, generation);
-                self.send(out, from, &header, &Message::Feedback { transfer, accept });
+                if accept {
+                    // A window of offers awaiting feedback plus their payloads.
+                    let cap = 2 * self.options.budget_bounds().1 as usize;
+                    let ledger = self.accepts.entry(from).or_insert_with(|| AcceptLedger::new(cap));
+                    if ledger.accept(transfer, generation).is_some() {
+                        self.wire.accepts_evicted += 1;
+                    }
+                }
+                let mut bytes = Vec::new();
+                envelope::encode_feedback_into(&mut bytes, &header, transfer, accept);
+                self.post(out, from, bytes);
                 // Aborts caused by a finished generation also tell the
                 // sender to stop offering it altogether. A node with no
                 // receiver (a pure source) needs nothing, ever — say so
@@ -661,7 +662,7 @@ impl NodeStateMachine {
                 };
                 if let (false, Some(done)) = (accept, done) {
                     let header = self.header(MessageKind::Complete, done);
-                    self.send(out, from, &header, &Message::Complete);
+                    self.post(out, from, envelope::encode(&header, &Message::Complete));
                 }
             }
             MessageView::Feedback { transfer, accept } => {
@@ -703,8 +704,13 @@ impl NodeStateMachine {
                     self.wire.transfers_aborted += 1;
                 }
             }
-            MessageView::DataPayload { trace, packet, .. } => {
+            MessageView::DataPayload { transfer, trace, packet } => {
                 let generation = header.generation;
+                // Only a payload this node accepted from `from` is read.
+                if !self.accepts.get_mut(&from).is_some_and(|a| a.claim(transfer, generation)) {
+                    self.wire.unsolicited_payloads += 1;
+                    return;
+                }
                 // The wire-carried trace is the arriving data's whole
                 // history: record the true origin→delivery latency at
                 // this hop depth, and fold the lineage into what our own
@@ -770,16 +776,16 @@ impl NodeStateMachine {
         }
         let header = self.header(MessageKind::Complete, generation);
         for index in 0..self.links.len() {
-            self.send(out, self.links[index].addr, &header, &Message::Complete);
+            self.post(out, self.links[index].addr, envelope::encode(&header, &Message::Complete));
         }
     }
 
     /// The gossip tick at `now`: expires stale offers and pushes
-    /// [`NodeOptions::push_rate`] new ones into `out`.
+    /// [`PUSH_RATE`] new ones into `out`.
     pub(crate) fn tick(&mut self, now: u64, out: &mut Outbox) {
         self.publish_wire();
         self.evict_stale_pending(now);
-        for _ in 0..self.options.push_rate {
+        for _ in 0..PUSH_RATE {
             self.push_once(now, out, OfferTrigger::Tick);
         }
     }
@@ -831,9 +837,8 @@ impl NodeStateMachine {
             source.make_packet(&mut self.rng, needs)
         } else if let Some(receiver) = self.receiver.as_mut() {
             // A relay pushes from generations that passed the gate.
-            let threshold = ((self.options.aggressiveness * self.params.code_length as f64).ceil()
-                as usize)
-                .max(1);
+            let threshold =
+                ((AGGRESSIVENESS * self.params.code_length as f64).ceil() as usize).max(1);
             // The feedback clock draws on whole generations only (see its arm).
             let partial_ok = trigger != OfferTrigger::Feedback;
             let eligible = |generation: &u32| {
@@ -1215,11 +1220,9 @@ mod tests {
         let Message::DataHeader { transfer, .. } = offer.message else {
             panic!("not an offer: {:?}", offer.header.kind)
         };
-        let kind = if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
-        envelope::encode(
-            &EnvelopeHeader { kind, ..offer.header },
-            &Message::Feedback { transfer, accept },
-        )
+        let mut verdict = Vec::new();
+        envelope::encode_feedback_into(&mut verdict, &offer.header, transfer, accept);
+        verdict
     }
 
     /// The code vector a `DATA-HEADER` offers or a `DATA-PAYLOAD` carries.
@@ -1276,6 +1279,68 @@ mod tests {
         // A's own accept still works: its offer survived C's verdict.
         source.handle(&accept, a.addr);
         assert_eq!(vector(only_payload(&a.arrived())), vector(&offer_to_a));
+    }
+
+    /// A `DATA-PAYLOAD` of `packet` under `transfer` and `generation`, as
+    /// anyone with the session id can write one.
+    fn forged_payload(transfer: u64, generation: u32, packet: &EncodedPacket) -> Vec<u8> {
+        let header = EnvelopeHeader {
+            kind: MessageKind::DataPayload,
+            scheme: SchemeKind::Rlnc,
+            session: 0xC10C,
+            generation,
+        };
+        let (mut bytes, trace) = (Vec::new(), TraceContext::origin_now(0));
+        envelope::encode_payload_into(&mut bytes, &header, transfer, &trace, packet);
+        bytes
+    }
+
+    #[test]
+    fn a_payload_that_claims_no_accept_never_reaches_the_decoder() {
+        // The relay accepts one offer from the source. Four payloads then
+        // claim no accept it gave: a fresh symbol from the source under an
+        // id it never offered, one from a stranger under the accepted id,
+        // one from the source under the accepted id but another
+        // generation, and a second copy of the accepted payload. Each is
+        // dropped and counted, and moves no rank, latency sample or
+        // lineage entry; the accepted payload itself is delivered once.
+        let options = quick_options(27);
+        let wires = Wires::default();
+        let (mut source, mut relay) = Driven::pair(2, options, &wires);
+        let stranger = Driven::bystander(options, &wires);
+        source.sm.set_peers(vec![relay.addr]);
+        source.push_once();
+        assert_eq!(relay.handle_arrived(), 0);
+        source.handle_arrived();
+        let genuine = only_payload(&relay.arrived()).to_vec();
+        let view = envelope::decode_view(&genuine).expect("valid frame");
+        let Message::DataPayload { transfer, .. } = view.message else { unreachable!() };
+        let generation = view.header.generation;
+        let mut rng = SmallRng::seed_from_u64(27);
+        let mut fresh = || {
+            let made = source.sm.source.as_mut().and_then(|s| s.make_packet(&mut rng, |_| true));
+            made.expect("a source always has a packet").1
+        };
+        let state = |relay: &Driven| {
+            let shared = &relay.sm.shared;
+            let rank = shared.decoded_rank.load(Ordering::Relaxed);
+            let samples = shared.latency.total().count();
+            (rank, relay.sm.wire.useful_deliveries, samples, relay.sm.lineage.len())
+        };
+        let unsolicited = |relay: &mut Driven, payload: &[u8], from: SocketAddr| {
+            let (before, dropped) = (state(relay), relay.sm.wire.unsolicited_payloads);
+            assert_eq!(relay.handle(payload, from), 0);
+            assert_eq!(relay.sm.wire.unsolicited_payloads, dropped + 1, "not counted");
+            assert_eq!(state(relay), before, "an unsolicited payload moved the relay");
+        };
+
+        unsolicited(&mut relay, &forged_payload(transfer + 1, generation, &fresh()), source.addr);
+        unsolicited(&mut relay, &forged_payload(transfer, generation, &fresh()), stranger.addr);
+        unsolicited(&mut relay, &forged_payload(transfer, 1 << 20, &fresh()), source.addr);
+        relay.handle(&genuine, source.addr);
+        assert_eq!(state(&relay), (1, 1, 1, 1), "the accepted payload is delivered");
+        unsolicited(&mut relay, &genuine, source.addr);
+        assert_eq!(relay.sm.wire.unsolicited_payloads, 4);
     }
 
     #[test]
@@ -1492,7 +1557,7 @@ mod tests {
     fn an_always_abort_peer_cannot_amplify_offers() {
         // The hostile pattern for a feedback clock: a peer that answers
         // every offer with ABORT and never says COMPLETE. It gets one
-        // offer per datagram it sent, plus push_rate per tick — the clock
+        // offer per datagram it sent, plus PUSH_RATE per tick — the clock
         // is 1:1 with inbound datagrams, so it cannot be made to multiply.
         let options = quick_options(24);
         let wires = Wires::default();
@@ -1511,9 +1576,9 @@ mod tests {
         }
         let wire = source.sm.wire;
         assert_eq!(wire.transfers_aborted, sent_by_peer);
-        assert!(wire.transfers_offered > ticks * options.push_rate as u64, "the clock ran");
+        assert!(wire.transfers_offered > ticks * PUSH_RATE as u64, "the clock ran");
         assert!(
-            wire.transfers_offered <= sent_by_peer + ticks * options.push_rate as u64,
+            wire.transfers_offered <= sent_by_peer + ticks * PUSH_RATE as u64,
             "{} offers for {sent_by_peer} datagrams and {ticks} ticks",
             wire.transfers_offered
         );

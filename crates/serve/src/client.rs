@@ -33,6 +33,7 @@ use ltnc_metrics::{HopLatency, LogHistogramSnapshot, ReplicaCounters, WireCounte
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
+use ltnc_net::ledger::AcceptLedger;
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_session::generation::ObjectManifest;
@@ -100,6 +101,7 @@ pub struct ReplicaConn {
     /// Frames encoded since the last flush, back to back: the verdicts on
     /// one read's worth of offers leave in one socket write.
     outbound: Vec<u8>,
+    accepts: AcceptLedger,
     wire: WireCounters,
     stripe: ReplicaCounters,
     latency: HopLatency,
@@ -132,6 +134,8 @@ impl ReplicaConn {
             stream,
             reassembler: FrameReassembler::new(),
             outbound: Vec::new(),
+            // A server's widest window of offers plus their payloads.
+            accepts: AcceptLedger::new(2 * crate::options::bounds::MAX_INFLIGHT),
             wire: WireCounters::new(),
             stripe: ReplicaCounters::default(),
             latency: HopLatency::new(),
@@ -194,10 +198,15 @@ impl ReplicaConn {
     /// error too — a failed stream's partial work still happened).
     #[must_use]
     pub fn replica_counters(&self) -> ReplicaCounters {
-        let mut stripe = self.stripe;
-        stripe.bytes_in = self.wire.bytes_received;
-        stripe.bytes_out = self.wire.bytes_sent;
-        stripe
+        ReplicaCounters {
+            aborted: self.wire.transfers_aborted,
+            delivered: self.wire.transfers_delivered,
+            useful: self.wire.useful_deliveries,
+            duplicates: self.wire.transfers_delivered - self.wire.useful_deliveries,
+            bytes_in: self.wire.bytes_received,
+            bytes_out: self.wire.bytes_sent,
+            ..self.stripe
+        }
     }
 
     /// Wire-level accounting for this connection.
@@ -296,19 +305,20 @@ impl ReplicaConn {
                             && receiver.would_accept(generation, &vector);
                         if !accept {
                             self.wire.transfers_aborted += 1;
-                            self.stripe.aborted += 1;
+                        } else if self.accepts.accept(transfer, generation).is_some() {
+                            self.wire.accepts_evicted += 1;
                         }
-                        let kind = if accept {
-                            MessageKind::FeedbackAccept
-                        } else {
-                            MessageKind::FeedbackAbort
-                        };
-                        let header = self.header(kind, generation);
-                        self.send(&header, &Message::Feedback { transfer, accept });
+                        let (out, header) = (&mut self.outbound, &frame.header);
+                        envelope::encode_feedback_into(out, header, transfer, accept);
+                        self.wire.datagrams_sent += 1;
                     }
-                    MessageView::DataPayload { trace, packet, .. } => {
+                    MessageView::DataPayload { transfer, trace, packet } => {
+                        // A replica is trusted for what this client accepted.
+                        if !self.accepts.claim(transfer, generation) {
+                            self.wire.unsolicited_payloads += 1;
+                            continue;
+                        }
                         self.wire.transfers_delivered += 1;
-                        self.stripe.delivered += 1;
                         let latency = trace.latency_micros(TraceContext::now_micros());
                         self.latency.record(trace.links(), latency);
                         // The payload leaves the reassembly buffer only for
@@ -318,10 +328,7 @@ impl ReplicaConn {
                             .then(|| receiver.deliver(generation, &packet.into_packet()));
                         if outcome.is_some_and(|outcome| outcome.useful) {
                             self.wire.useful_deliveries += 1;
-                            self.stripe.useful += 1;
                             watermark = Instant::now();
-                        } else {
-                            self.stripe.duplicates += 1;
                         }
                         if outcome.is_some_and(|outcome| outcome.newly_complete) {
                             self.stripe.generations_completed += 1;

@@ -9,18 +9,23 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ltnc_net::envelope::{self, Envelope, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT};
+use ltnc_net::envelope::{
+    self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
+};
 use ltnc_net::faults::{FaultPlan, FaultProxy};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::options::bounds;
-use ltnc_serve::{fetch, ClientOptions, ObjectStore, ServeError, ServeOptions, Server};
-use ltnc_session::generation::ReceiverSession;
+use ltnc_serve::{
+    fetch, ClientOptions, ObjectStore, ReplicaConn, ServeError, ServeOptions, Server,
+};
+use ltnc_session::generation::{ReceiverSession, SourceSession};
+use ltnc_session::SharedReceiver;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,21 +66,26 @@ impl ScriptedClient {
         }
     }
 
+    fn header(&self, kind: MessageKind, generation: u32) -> EnvelopeHeader {
+        EnvelopeHeader { kind, scheme: self.scheme, session: self.object_id, generation }
+    }
+
     fn frame(&self, kind: MessageKind, generation: u32, message: &Message) -> Vec<u8> {
-        let header =
-            EnvelopeHeader { kind, scheme: self.scheme, session: self.object_id, generation };
-        envelope::encode(&header, message)
+        envelope::encode(&self.header(kind, generation), message)
+    }
+
+    fn verdict(&self, generation: u32, transfer: u64, accept: bool) -> Vec<u8> {
+        let header = self.header(MessageKind::FeedbackAbort, generation);
+        let mut verdict = Vec::new();
+        envelope::encode_feedback_into(&mut verdict, &header, transfer, accept);
+        verdict
     }
 
     fn accept(&self, offer: &Envelope) -> Vec<u8> {
         let Message::DataHeader { transfer, .. } = offer.message else {
             panic!("not an offer: {offer:?}");
         };
-        self.frame(
-            MessageKind::FeedbackAccept,
-            offer.header.generation,
-            &Message::Feedback { transfer, accept: true },
-        )
+        self.verdict(offer.header.generation, transfer, true)
     }
 
     /// One `write_all`: with `TCP_NODELAY` and less than a segment of
@@ -389,6 +399,61 @@ fn hostile_manifest_is_rejected_before_allocation() {
 }
 
 #[test]
+fn a_hostile_replica_cannot_deliver_what_the_client_never_accepted() {
+    // A fake replica answers the REQUEST with a valid MANIFEST, then
+    // writes N valid DATA-PAYLOADs of fresh symbols it never offered. The
+    // client trusts a replica for what it accepted and nothing more: each
+    // payload is dropped and counted, none reaches the decoder, and the
+    // stream stalls into ReplicaLagged.
+    const N: u64 = 24;
+    let params = SchemeParams::new(SchemeKind::Rlnc, 8, 32);
+    let object = pseudo_object(512, 41);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let replica = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut buf = [0u8; 256];
+        let _ = stream.read(&mut buf).expect("read request");
+        let mut source = SourceSession::new(&object, params);
+        let header =
+            |kind, generation| EnvelopeHeader { kind, scheme: params.kind, session: 7, generation };
+        let manifest =
+            Message::Manifest { object_len: object.len() as u64, code_length: 8, payload_size: 32 };
+        let mut out =
+            envelope::encode(&header(MessageKind::Manifest, GENERATION_OBJECT), &manifest);
+        let mut rng = SmallRng::seed_from_u64(41);
+        for transfer in 1..=N {
+            let (generation, packet) = source.make_packet(&mut rng, |_| true).expect("a packet");
+            let trace = TraceContext::origin_now(TraceContext::now_micros());
+            let header = header(MessageKind::DataPayload, generation);
+            envelope::encode_payload_into(&mut out, &header, transfer, &trace, &packet);
+        }
+        stream.write_all(&out).expect("write manifest and payloads");
+        // Hold the socket open until the client gives up on it.
+        while stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+    });
+
+    let options = ClientOptions {
+        timeout: Duration::from_secs(10),
+        stall_timeout: Duration::from_millis(300),
+        ..Default::default()
+    };
+    let (mut conn, manifest) =
+        ReplicaConn::open(addr, 7, SchemeKind::Rlnc, &options).expect("open");
+    let receiver = SharedReceiver::new(manifest);
+    match conn.fetch_generations(&[0, 1], &receiver, &options) {
+        Err(ServeError::ReplicaLagged { .. }) => {}
+        other => panic!("expected ReplicaLagged, got {other:?}"),
+    }
+    let wire = conn.wire_counters();
+    assert_eq!((wire.useful_deliveries, wire.unsolicited_payloads), (0, N));
+    assert_eq!((wire.transfers_delivered, conn.replica_counters().delivered), (0, 0));
+    drop(conn);
+    replica.join().expect("fake replica panicked");
+}
+
+#[test]
 fn registering_while_serving_is_live() {
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
         .expect("spawn");
@@ -533,8 +598,7 @@ fn replayed_and_unknown_feedback_release_nothing() {
     // the last accept's payload and refill: nothing came before them.
     client.write(&accept);
     for accept in [true, false] {
-        let kind = if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
-        client.write(&client.frame(kind, 0, &Message::Feedback { transfer: 1 << 40, accept }));
+        client.write(&client.verdict(0, 1 << 40, accept));
     }
     let pending = inbox.pop_front().expect("an offer");
     client.write(&client.accept(&pending));
@@ -571,14 +635,7 @@ fn replayed_and_unknown_feedback_release_nothing() {
         match &frame.message {
             Message::DataHeader { transfer, vector, .. } => {
                 let accept = receiver.would_accept(generation, vector);
-                let kind =
-                    if accept { MessageKind::FeedbackAccept } else { MessageKind::FeedbackAbort };
-                let transfer = *transfer;
-                client.write(&client.frame(
-                    kind,
-                    generation,
-                    &Message::Feedback { transfer, accept },
-                ));
+                client.write(&client.verdict(generation, *transfer, accept));
             }
             Message::DataPayload { packet, .. } => {
                 payloads += 1;

@@ -92,7 +92,7 @@ mod tests {
     fn wire_samples_cover_every_field() {
         let c = WireCounters { datagrams_sent: 3, budget_cuts: 2, ..WireCounters::new() };
         let samples = samples(&c);
-        assert_eq!(samples.len(), 15);
+        assert_eq!(samples.len(), 17);
         assert!(samples.iter().any(|s| s.name == "datagrams_sent" && s.value == 3));
         assert!(samples.iter().any(|s| s.name == "budget_cuts" && s.value == 2));
     }

@@ -37,6 +37,8 @@ fn wire() -> WireCounters {
         offer_timeouts: 113,
         budget_raises: 114,
         budget_cuts: 115,
+        unsolicited_payloads: 116,
+        accepts_evicted: 117,
     }
 }
 
