@@ -87,7 +87,7 @@ impl CodeVector {
     /// time. The trailing-zero invariant makes truncating the last word's
     /// bytes lossless.
     pub fn write_le_bytes(&self, out: &mut Vec<u8>) {
-        let mut remaining = self.wire_size_bytes();
+        let mut remaining = self.len.div_ceil(8);
         for word in &self.words {
             let take = remaining.min(8);
             out.extend_from_slice(&word.to_le_bytes()[..take]);
@@ -276,15 +276,6 @@ impl CodeVector {
         None
     }
 
-    /// Serialized size in bytes of the bitmap header on the wire.
-    ///
-    /// The paper includes the code vector in every packet header; the overhead
-    /// accounting uses this value (`⌈k / 8⌉` bytes).
-    #[must_use]
-    pub fn wire_size_bytes(&self) -> usize {
-        self.len.div_ceil(8)
-    }
-
     /// Raw words backing the bitmap (read-only, for hashing/serialization helpers).
     #[must_use]
     pub fn as_words(&self) -> &[u64] {
@@ -427,10 +418,11 @@ mod tests {
 
     #[test]
     fn wire_size_rounds_up() {
-        assert_eq!(CodeVector::zero(2048).wire_size_bytes(), 256);
-        assert_eq!(CodeVector::zero(7).wire_size_bytes(), 1);
-        assert_eq!(CodeVector::zero(8).wire_size_bytes(), 1);
-        assert_eq!(CodeVector::zero(9).wire_size_bytes(), 2);
+        for (len, bytes) in [(2048, 256), (7, 1), (8, 1), (9, 2)] {
+            let mut wire = Vec::new();
+            CodeVector::zero(len).write_le_bytes(&mut wire);
+            assert_eq!(wire.len(), bytes, "len {len}");
+        }
     }
 
     #[test]
@@ -445,7 +437,7 @@ mod tests {
             let v = CodeVector::from_indices(len, &indices);
             let mut wire = Vec::new();
             v.write_le_bytes(&mut wire);
-            assert_eq!(wire.len(), v.wire_size_bytes());
+            assert_eq!(wire.len(), len.div_ceil(8));
             assert_eq!(CodeVector::from_le_bytes(len, &wire), v, "len {len}");
         }
     }

@@ -18,6 +18,10 @@ pub enum Gf2Error {
         /// The code length.
         len: usize,
     },
+    /// A wire code vector that is not the one encoding of its vector: a
+    /// non-minimal or over-long varint, an index list no shorter than the
+    /// bitmap, or a bitmap that the index list would beat.
+    NonCanonicalVector,
     /// A decode was attempted before the system was solvable.
     NotFullRank {
         /// Current rank of the system.
@@ -36,6 +40,7 @@ impl fmt::Display for Gf2Error {
             Gf2Error::IndexOutOfRange { index, len } => {
                 write!(f, "index {index} out of range for length {len}")
             }
+            Gf2Error::NonCanonicalVector => write!(f, "non-canonical wire code vector"),
             Gf2Error::NotFullRank { rank, needed } => {
                 write!(f, "system not full rank: rank {rank} of {needed}")
             }

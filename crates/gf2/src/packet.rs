@@ -113,12 +113,6 @@ impl EncodedPacket {
         out
     }
 
-    /// Total wire size of this packet in bytes: bitmap header plus payload.
-    #[must_use]
-    pub fn wire_size_bytes(&self) -> usize {
-        self.vector.wire_size_bytes() + self.payload.len()
-    }
-
     /// Splits the packet into its parts.
     #[must_use]
     pub fn into_parts(self) -> (CodeVector, Payload) {
@@ -176,12 +170,6 @@ mod tests {
         let mut a = EncodedPacket::new(CodeVector::zero(8), Payload::zero(4));
         let b = EncodedPacket::new(CodeVector::zero(9), Payload::zero(4));
         assert!(a.try_xor_assign(&b).is_err());
-    }
-
-    #[test]
-    fn wire_size_accounts_for_header_and_payload() {
-        let p = pk(2048, &[1], 0);
-        assert_eq!(p.wire_size_bytes(), 256 + 8);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! elimination over `CodeVector`s that rescans each residual from its first
 //! word and clones rows for every back-substitution step, and the
 //! Four-Russians `Recipes::replay` against the one-XOR-per-recipe-bit fold
-//! it replaced. The old algorithms live on here, as the oracles.
+//! it replaced. The old algorithms live on here, as the oracles. The wire
+//! code vector's form (index list or bitmap, whichever is shorter) is
+//! pinned to a bit-at-a-time encoder of both forms.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -63,6 +65,50 @@ impl SplitMix {
     fn payload(&mut self, m: usize) -> Payload {
         Payload::from_vec((0..m).map(|_| self.next() as u8).collect())
     }
+
+    /// A length-`k` vector of exactly `degree` natives, drawn by a partial
+    /// Fisher–Yates shuffle.
+    fn vector_of_degree(&mut self, k: usize, degree: usize) -> CodeVector {
+        let mut natives: Vec<usize> = (0..k).collect();
+        for i in 0..degree {
+            let j = i + self.next() as usize % (k - i);
+            natives.swap(i, j);
+        }
+        CodeVector::from_indices(k, &natives[..degree])
+    }
+}
+
+/// Scalar reference: LEB128, one 7-bit group per step.
+fn leb128_scalar(mut value: usize, out: &mut Vec<u8>) {
+    loop {
+        let group = (value & 0x7F) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(group);
+            return;
+        }
+        out.push(group | 0x80);
+    }
+}
+
+/// Scalar reference of both wire forms of a vector, read bit by bit: the
+/// index list (`c = n + 1`, then the gaps) and the bitmap (`c = 0`, then
+/// bit `i` in byte `i / 8`).
+fn vector_forms_scalar(vector: &CodeVector) -> (Vec<u8>, Vec<u8>) {
+    let k = vector.len();
+    let natives: Vec<usize> = (0..k).filter(|&i| vector.contains(i)).collect();
+    let mut list = Vec::new();
+    leb128_scalar(natives.len() + 1, &mut list);
+    let mut next = 0;
+    for &native in &natives {
+        leb128_scalar(native - next, &mut list);
+        next = native + 1;
+    }
+    let mut bitmap = vec![0u8; 1 + k.div_ceil(8)];
+    for &native in &natives {
+        bitmap[1 + native / 8] |= 1 << (native % 8);
+    }
+    (list, bitmap)
 }
 
 /// Oracle for `Gf2Solver`: incremental row-echelon form over `CodeVector`
@@ -339,6 +385,38 @@ proptest! {
 /// charges the same number of row operations, on random systems whose row
 /// ids have gaps (`insert` spends an id on every non-innovative row, so
 /// `capacity > k`), at code lengths that are not multiples of 8 or of 64.
+/// The form oracle: at every degree of every k in 1..=130 and at every
+/// seventh degree of k = 2048, the encoder writes the shorter of the two
+/// scalar forms, the bitmap on a tie; the size function is the bytes it
+/// writes; and the frame decodes back to the packet.
+#[test]
+fn wire_form_is_the_shorter_one_with_the_bitmap_on_ties() {
+    let mut rng = SplitMix(0xF0A3);
+    let (mut lists, mut bitmaps, mut ties) = (0, 0, 0);
+    for (k, stride) in (1..=130).map(|k| (k, 1)).chain([(2048, 7)]) {
+        for degree in (0..=k).step_by(stride) {
+            let vector = rng.vector_of_degree(k, degree);
+            let packet = EncodedPacket::new(vector.clone(), rng.payload(3));
+            let frame = wire::encode(&packet);
+            let written = &frame[wire::FIXED_HEADER_BYTES..frame.len() - 3];
+            let (list, bitmap) = vector_forms_scalar(&vector);
+            ties += usize::from(list.len() == bitmap.len());
+            let expected = if list.len() < bitmap.len() {
+                lists += 1;
+                list
+            } else {
+                bitmaps += 1;
+                bitmap
+            };
+            assert_eq!(written, expected, "k {k}, degree {degree}");
+            assert_eq!(wire::vector_size(&vector), written.len(), "k {k}, degree {degree}");
+            let decoded = wire::decode_view(&frame).expect("an encoded frame decodes");
+            assert_eq!(decoded.into_packet(), packet, "k {k}, degree {degree}");
+        }
+    }
+    assert!(lists > 1000 && bitmaps > 1000 && ties > 50, "{lists} / {bitmaps} / {ties} ties");
+}
+
 #[test]
 fn solve_matches_row_elimination_oracle() {
     let mut rng = SplitMix(0x5EED);

@@ -15,9 +15,9 @@
 //!
 //! * `DATA-HEADER` — `transfer id (u64 LE)` + a [`TraceContext`]
 //!   (`origin-send timestamp (u64 LE µs)` + `hop count (u16 LE)`) + the
-//!   *header prefix* of a [`ltnc_gf2::wire`] frame (`k`, `m`, code-vector
-//!   bitmap, **no payload**). The receiver runs its innovation /
-//!   redundancy check on this alone.
+//!   *header prefix* of a [`ltnc_gf2::wire`] frame (`k`, `m`, code vector
+//!   as a bitmap or an index list, **no payload**). The receiver runs its
+//!   innovation / redundancy check on this alone.
 //! * `FEEDBACK-ACCEPT` / `FEEDBACK-ABORT` — `transfer id (u64 LE)`; the
 //!   receiver's verdict on a pending header.
 //! * `DATA-PAYLOAD` — `transfer id (u64 LE)` + a [`TraceContext`] + a
@@ -58,7 +58,7 @@
 //! cannot drive allocation.
 
 use ltnc_gf2::wire::{self as gf2_wire, PacketView};
-use ltnc_gf2::{CodeVector, EncodedPacket};
+use ltnc_gf2::{CodeVector, EncodedPacket, Gf2Error};
 use ltnc_scheme::SchemeKind;
 
 use crate::NetError;
@@ -67,9 +67,11 @@ use crate::NetError;
 pub const MAGIC: [u8; 4] = *b"LTNC";
 
 /// Current protocol version. Version 2 added the [`TraceContext`] to the
-/// `DATA-HEADER` and `DATA-PAYLOAD` bodies; version-1 frames are
-/// rejected ([`NetError::BadVersion`]), not interpreted.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// `DATA-HEADER` and `DATA-PAYLOAD` bodies; version 3 lets the gf2 frame
+/// carry its code vector as an index list when that is shorter than the
+/// bitmap. Frames of other versions are rejected
+/// ([`NetError::BadVersion`]), not interpreted.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Size of the fixed envelope header.
 pub const ENVELOPE_HEADER_BYTES: usize = 4 + 1 + 1 + 1 + 8 + 4;
@@ -356,7 +358,8 @@ fn encode_envelope_header(out: &mut Vec<u8>, kind: MessageKind, header: &Envelop
 
 /// Appends what a `DATA-HEADER` and a `DATA-PAYLOAD` frame share ahead
 /// of their `gf2::wire` part, after reserving `wire_len` more bytes for
-/// that part.
+/// that part: room for its largest header, which costs nothing to size,
+/// where the exact one would cost a walk of the code vector.
 fn encode_data_prefix(
     out: &mut Vec<u8>,
     kind: MessageKind,
@@ -385,8 +388,8 @@ pub fn encode_offer_into(
 ) {
     let wire_len = gf2_wire::header_size(vector.len());
     encode_data_prefix(out, MessageKind::DataHeader, header, transfer, trace, wire_len);
-    // The body reuses the gf2 wire header layout verbatim (k, m, bitmap),
-    // so receivers decode it with gf2's own header-first decoder.
+    // The body reuses the gf2 wire header layout verbatim (k, m, code
+    // vector), so receivers decode it with gf2's own header-first decoder.
     gf2_wire::encode_header_into(out, vector, payload_size);
 }
 
@@ -495,8 +498,10 @@ pub fn decode_header(bytes: &[u8]) -> Result<EnvelopeHeader, NetError> {
 ///
 /// An incomplete prefix is [`NetError::Truncated`], whose `needed` grows as
 /// the frame reveals its length: the envelope header, then the `k`/`m` of
-/// a data frame, then the whole frame. The dimension caps apply as soon as
-/// `k`/`m` are present, and nothing is allocated until the frame is whole.
+/// a data frame, then the least length its code vector's form allows
+/// (`gf2::wire::decode_prefix`), then the whole frame. The dimension caps
+/// apply as soon as `k`/`m` are present, and the vector is allocated only
+/// once that least length has arrived.
 ///
 /// # Errors
 ///
@@ -532,18 +537,26 @@ pub fn decode_prefix(bytes: &[u8]) -> Result<(EnvelopeView<'_>, usize), NetError
         }
         MessageKind::DataHeader | MessageKind::DataPayload => {
             let dims_end = DATA_PREFIX_BYTES + gf2_wire::FIXED_HEADER_BYTES;
-            let (k, m) = capped_dims(&prefix(dims_end)?[DATA_PREFIX_BYTES..])?;
-            let header_end = DATA_PREFIX_BYTES + gf2_wire::header_size(k);
+            let (_, m) = capped_dims(&prefix(dims_end)?[DATA_PREFIX_BYTES..])?;
+            // The code vector's form says where the frame ends; a cut
+            // inside it asks for the least the frame can still take.
             let offer = header.kind == MessageKind::DataHeader;
-            let frame = prefix(if offer { header_end } else { header_end + m })?;
+            let (view, wire_len) = gf2_wire::decode_prefix(&bytes[DATA_PREFIX_BYTES..], offer)
+                .map_err(|e| match e {
+                    Gf2Error::LengthMismatch { right, .. } => {
+                        NetError::Truncated { have: bytes.len(), needed: DATA_PREFIX_BYTES + right }
+                    }
+                    malformed => NetError::Wire(malformed),
+                })?;
+            let frame = &bytes[..DATA_PREFIX_BYTES + wire_len];
             let transfer = body_u64(frame);
             let trace = decode_trace(&frame[ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTES..]);
-            let wire = &frame[DATA_PREFIX_BYTES..];
             let message = if offer {
-                let (_, payload_size, vector) = gf2_wire::decode_header(wire)?;
-                Message::DataHeader { transfer, trace, payload_size, vector }
+                // An offer's view has no payload: only its vector is kept.
+                let (vector, _) = view.into_packet().into_parts();
+                Message::DataHeader { transfer, trace, payload_size: m, vector }
             } else {
-                Message::DataPayload { transfer, trace, packet: gf2_wire::decode_view(wire)? }
+                Message::DataPayload { transfer, trace, packet: view }
             };
             (message, frame.len())
         }
@@ -597,6 +610,12 @@ mod tests {
         EncodedPacket::new(CodeVector::from_indices(21, &[0, 5, 20]), Payload::from_vec(vec![7; 9]))
     }
 
+    /// A sparse k = 2048 packet: its vector goes on the wire as a list.
+    fn list_packet() -> EncodedPacket {
+        let vector = CodeVector::from_indices(2048, &[5, 700, 2000]);
+        EncodedPacket::new(vector, Payload::from_vec(vec![3; 16]))
+    }
+
     fn sample_trace() -> TraceContext {
         TraceContext { origin_micros: 1_234_567, hop: 2 }
     }
@@ -637,7 +656,8 @@ mod tests {
             ENVELOPE_HEADER_BYTES
                 + 8
                 + TRACE_CONTEXT_BYTES
-                + gf2_wire::header_size(packet.code_length())
+                + gf2_wire::FIXED_HEADER_BYTES
+                + gf2_wire::vector_size(packet.vector())
         );
         let decoded = decode(&bytes).unwrap();
         match decoded.message {
@@ -756,6 +776,10 @@ mod tests {
                     packet: packet.clone(),
                 },
             ),
+            encode(
+                &header(MessageKind::DataPayload),
+                &Message::DataPayload { transfer: 4, trace: sample_trace(), packet: list_packet() },
+            ),
             encode(&header(MessageKind::Request), &Message::Request),
             encode(
                 &header(MessageKind::Manifest),
@@ -778,31 +802,34 @@ mod tests {
 
     #[test]
     fn decode_prefix_asks_for_more_until_the_frame_is_whole() {
-        let packet = sample_packet();
-        let frame = encode(
-            &header(MessageKind::DataPayload),
-            &Message::DataPayload { transfer: 3, trace: sample_trace(), packet },
-        );
-        let mut have = 0;
-        loop {
-            match decode_prefix(&frame[..have]) {
-                Ok((_, len)) => {
-                    assert_eq!(len, frame.len());
-                    break;
+        // The bitmap form, then the list form, whose length is known only
+        // once its last gap has arrived.
+        for packet in [sample_packet(), list_packet()] {
+            let frame = encode(
+                &header(MessageKind::DataPayload),
+                &Message::DataPayload { transfer: 3, trace: sample_trace(), packet },
+            );
+            let mut have = 0;
+            loop {
+                match decode_prefix(&frame[..have]) {
+                    Ok((_, len)) => {
+                        assert_eq!(len, frame.len());
+                        break;
+                    }
+                    Err(NetError::Truncated { needed, .. }) => {
+                        assert!(needed > have, "must make progress");
+                        have = needed;
+                    }
+                    Err(other) => panic!("unexpected {other:?}"),
                 }
-                Err(NetError::Truncated { needed, .. }) => {
-                    assert!(needed > have, "must make progress");
-                    have = needed;
-                }
-                Err(other) => panic!("unexpected {other:?}"),
             }
+            // On a stream the bytes after a frame are the next frame's: the
+            // parse stops at its own end instead of calling them trailing.
+            let stream = [&frame[..], &frame[..7]].concat();
+            let (view, len) = decode_prefix(&stream).unwrap();
+            assert_eq!(len, frame.len());
+            assert_eq!(view, decode_view(&frame).unwrap());
         }
-        // On a stream the bytes after a frame are the next frame's: the
-        // parse stops at its own end instead of calling them trailing.
-        let stream = [&frame[..], &frame[..7]].concat();
-        let (view, len) = decode_prefix(&stream).unwrap();
-        assert_eq!(len, frame.len());
-        assert_eq!(view, decode_view(&frame).unwrap());
     }
 
     #[test]
@@ -868,6 +895,18 @@ mod tests {
             decode_prefix(&bytes[..dims_end - 1]),
             Err(NetError::Truncated { needed, .. }) if needed == dims_end
         ));
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused() {
+        // Version 2 always carried a bitmap right after `k` and `m`: its
+        // frames are refused, not read with version 3's form varint.
+        let message =
+            Message::DataPayload { transfer: 3, trace: sample_trace(), packet: list_packet() };
+        let mut bytes = encode(&header(MessageKind::DataPayload), &message);
+        assert_eq!(bytes[4], 3);
+        bytes[4] = 2;
+        assert_eq!(decode(&bytes).unwrap_err(), NetError::BadVersion(2));
     }
 
     #[test]

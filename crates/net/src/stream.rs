@@ -21,9 +21,10 @@ use crate::envelope::{self, EnvelopeView};
 use crate::NetError;
 
 /// Largest complete frame the reassembler will buffer: the worst legal
-/// frame, a `DATA-PAYLOAD` with a [`envelope::MAX_CODE_LENGTH`] bitmap and
-/// a [`envelope::MAX_PAYLOAD_SIZE`] payload. Every frame the codec accepts
-/// fits, while a hostile length cannot grow the buffer without bound.
+/// frame, a `DATA-PAYLOAD` with a [`envelope::MAX_CODE_LENGTH`] bitmap (no
+/// header is longer) and a [`envelope::MAX_PAYLOAD_SIZE`] payload. Every
+/// frame the codec accepts fits, while a hostile length cannot grow the
+/// buffer without bound.
 pub const MAX_FRAME_BYTES: usize = envelope::DATA_PREFIX_BYTES
     + gf2_wire::header_size(envelope::MAX_CODE_LENGTH)
     + envelope::MAX_PAYLOAD_SIZE;
@@ -236,9 +237,11 @@ mod tests {
 
     #[test]
     fn the_largest_legal_frame_is_buffered_not_refused() {
-        // The header prefix of a DATA-PAYLOAD at both dimension caps: the
-        // biggest frame the codec accepts must be one the stream waits for.
-        let vector = CodeVector::zero(envelope::MAX_CODE_LENGTH);
+        // The header prefix of a DATA-PAYLOAD at both dimension caps, its
+        // vector dense enough to keep the bitmap: the biggest frame the
+        // codec accepts must be one the stream waits for.
+        let k = envelope::MAX_CODE_LENGTH;
+        let vector = CodeVector::from_le_bytes(k, &vec![0xFF; k / 8]);
         let trace = envelope::TraceContext { origin_micros: 1, hop: 0 };
         let mut prefix = Vec::new();
         let offer = header(MessageKind::DataHeader);

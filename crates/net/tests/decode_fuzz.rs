@@ -4,10 +4,12 @@
 //! `envelope::decode_view` (one datagram) and to `FrameReassembler` (a
 //! stream, in random chunks). Neither may panic, and every frame either
 //! path decodes must re-encode to the exact bytes it came from, with only
-//! the padding bits of the code-vector bitmap cleared: the decoder masks
-//! them, so they are the one part of a frame that is not canonical.
+//! the padding bits of a code-vector bitmap cleared: the decoder masks
+//! them, so they are the one part of a frame that is not canonical. Code
+//! vectors range from k = 1 to 2048 and from degree ≈ 1 to 30 % of k, so
+//! both of their wire forms, the bitmap and the index list, occur.
 
-use ltnc_gf2::wire::FIXED_HEADER_BYTES;
+use ltnc_gf2::wire::{self, FIXED_HEADER_BYTES};
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{
     self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, DATA_PREFIX_BYTES,
@@ -30,11 +32,15 @@ const KINDS: [MessageKind; 8] = [
     MessageKind::Reject,
 ];
 
+/// A packet of k in 1..=2048 whose natives are each drawn with a density
+/// log-uniform between 1/k and 0.3.
 fn random_packet(rng: &mut SmallRng) -> EncodedPacket {
-    let k = rng.gen_range(1..70usize);
+    let k = rng.gen_range(1..=2048usize);
+    let sparsest = (1.0 / k as f64).min(0.3);
+    let density = sparsest * (0.3 / sparsest).powf(rng.gen::<f64>());
     let mut vector = CodeVector::zero(k);
     for i in 0..k {
-        if rng.gen_bool(0.3) {
+        if rng.gen_bool(density) {
             vector.set(i);
         }
     }
@@ -94,17 +100,26 @@ fn mutated_input(seed: u64) -> Vec<u8> {
     input
 }
 
-/// The oracle: `frame` with the padding bits of its bitmap cleared, which
-/// is what `encode` of the `decoded` frame must produce.
+/// The code vector of a decoded data frame.
+fn vector_of(decoded: &Envelope) -> Option<&CodeVector> {
+    match &decoded.message {
+        Message::DataHeader { vector, .. } => Some(vector),
+        Message::DataPayload { packet, .. } => Some(packet.vector()),
+        _ => None,
+    }
+}
+
+/// The oracle: `frame` with the padding bits of its bitmap cleared, if its
+/// vector is one (`c = 0`), which is what `encode` of the `decoded` frame
+/// must produce.
 fn canonical(frame: &[u8], decoded: &Envelope) -> Vec<u8> {
     let mut bytes = frame.to_vec();
-    let k = match &decoded.message {
-        Message::DataHeader { vector, .. } => vector.len(),
-        Message::DataPayload { packet, .. } => packet.code_length(),
-        _ => return bytes,
+    let Some(k) = vector_of(decoded).map(CodeVector::len) else {
+        return bytes;
     };
-    if k % 8 != 0 {
-        bytes[DATA_PREFIX_BYTES + FIXED_HEADER_BYTES + k / 8] &= (1u8 << (k % 8)) - 1;
+    let form = DATA_PREFIX_BYTES + FIXED_HEADER_BYTES;
+    if bytes[form] == 0 && k % 8 != 0 {
+        bytes[form + 1 + k / 8] &= (1u8 << (k % 8)) - 1;
     }
     bytes
 }
@@ -112,13 +127,21 @@ fn canonical(frame: &[u8], decoded: &Envelope) -> Vec<u8> {
 #[test]
 fn the_generator_builds_every_kind_and_mutates() {
     let mut kinds = std::collections::HashSet::new();
-    let (mut decoded, mut refused) = (0, 0);
+    let (mut decoded, mut refused, mut bitmaps, mut lists) = (0, 0, 0, 0);
     for seed in 0..400 {
         let input = mutated_input(seed);
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(&input);
         while let Ok(Some(frame)) = reassembler.next_frame_view() {
             kinds.insert(frame.header.kind);
+            if let Some(vector) = vector_of(&frame.into_owned()) {
+                // The list is chosen only when it is shorter than the bitmap.
+                if wire::vector_size(vector) == 1 + vector.len().div_ceil(8) {
+                    bitmaps += 1;
+                } else {
+                    lists += 1;
+                }
+            }
         }
         if envelope::decode_view(&input).is_ok() {
             decoded += 1;
@@ -127,6 +150,7 @@ fn the_generator_builds_every_kind_and_mutates() {
         }
     }
     assert_eq!(kinds.len(), 8, "decoded frames must span every kind");
+    assert!(bitmaps > 20 && lists > 20, "{bitmaps} bitmap and {lists} list vectors");
     // Both outcomes of a datagram decode are common enough to exercise.
     assert!(decoded > 20 && refused > 20, "{decoded} decoded, {refused} refused");
 }

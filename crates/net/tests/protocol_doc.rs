@@ -4,10 +4,11 @@
 //! the other, this test fails — the spec cannot silently drift from the
 //! wire format.
 
+use ltnc_gf2::wire::FIXED_HEADER_BYTES;
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{
-    self, EnvelopeHeader, Message, MessageKind, TraceContext, ENVELOPE_HEADER_BYTES, MAGIC,
-    PROTOCOL_VERSION,
+    self, EnvelopeHeader, Message, MessageKind, TraceContext, DATA_PREFIX_BYTES,
+    ENVELOPE_HEADER_BYTES, MAGIC, PROTOCOL_VERSION,
 };
 use ltnc_scheme::SchemeKind;
 
@@ -140,7 +141,7 @@ fn header_offset_table_matches_the_encoder() {
             "version" => {
                 assert_eq!((offset, size), (4, 1));
                 assert_eq!(bytes[offset], PROTOCOL_VERSION);
-                assert!(row[3].contains('2'), "documented version must be 2");
+                assert!(row[3].contains('3'), "documented version must be 3");
             }
             "kind" => {
                 assert_eq!((offset, size), (5, 1));
@@ -212,6 +213,36 @@ fn kind_table_ids_and_frame_sizes_match_the_encoder() {
             envelope::decode_view(&frame).expect("reference frame decodes").header.kind,
             kind
         );
+    }
+}
+
+#[test]
+fn code_vector_form_table_matches_the_encoder() {
+    let spec = spec();
+    let rows = table_rows(&spec, &["bitmap", "list"]);
+    let forms: Vec<&str> = rows.iter().map(|row| row[0].as_str()).collect();
+    assert_eq!(forms, ["bitmap", "list"], "the spec must give one reference vector per form");
+    for row in rows {
+        let k: usize = row[1].parse().expect("k");
+        let natives: Vec<usize> =
+            row[2].split(',').map(|native| native.trim().parse().expect("native")).collect();
+        let documented: Vec<u8> = row[3]
+            .split_whitespace()
+            .map(|byte| u8::from_str_radix(byte, 16).expect("hex byte"))
+            .collect();
+        // The vector as a DATA-HEADER carries it: after the envelope's
+        // data prefix, `k` and `m`.
+        let frame = envelope::encode(
+            &header(MessageKind::DataHeader),
+            &Message::DataHeader {
+                transfer: 1,
+                trace: TraceContext { origin_micros: 1_000_000, hop: 1 },
+                payload_size: 9,
+                vector: CodeVector::from_indices(k, &natives),
+            },
+        );
+        assert_eq!(&frame[DATA_PREFIX_BYTES + FIXED_HEADER_BYTES..], documented, "{}", row[0]);
+        assert_eq!(documented[0] == 0, row[0] == "bitmap", "c = 0 is the bitmap form");
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property tests of the stream binding: a valid envelope stream decodes
-//! to the same frames under *every* chunking of its bytes, and hostile
-//! bytes never panic the reassembler.
+//! to the same frames under *every* chunking of its bytes, whether a code
+//! vector travels as a bitmap or as an index list, and hostile bytes never
+//! panic the reassembler.
 
-use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
+use ltnc_gf2::{wire, CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{self, Envelope, EnvelopeHeader, Message, MessageKind, GENERATION_OBJECT};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::SchemeKind;
@@ -18,12 +19,20 @@ fn random_trace(rng: &mut SmallRng) -> envelope::TraceContext {
     envelope::TraceContext { origin_micros: rng.gen(), hop: rng.gen::<u32>() as u16 }
 }
 
+/// Half the packets are dense over k < 64, so their vectors keep the
+/// bitmap; the other half name about eight natives of a k up to 2048, so
+/// theirs go on the wire as index lists.
 fn random_packet(rng: &mut SmallRng) -> EncodedPacket {
-    let k = rng.gen_range(1..64usize);
+    let (k, density) = if rng.gen_bool(0.5) {
+        (rng.gen_range(1..64usize), 0.4)
+    } else {
+        let k = rng.gen_range(64..=2048usize);
+        (k, 8.0 / k as f64)
+    };
     let m = rng.gen_range(1..100usize);
     let mut vector = CodeVector::zero(k);
     for i in 0..k {
-        if rng.gen_bool(0.4) {
+        if rng.gen_bool(density) {
             vector.set(i);
         }
     }
@@ -115,6 +124,19 @@ fn a_batch_encoded_into_one_buffer_is_the_frames_of_encode_back_to_back() {
     let kinds: std::collections::HashSet<MessageKind> =
         envelopes.iter().map(|envelope| envelope.header.kind).collect();
     assert_eq!(kinds.len(), 8, "the stream must exercise every message kind");
+    let forms = envelopes
+        .iter()
+        .filter_map(|envelope| match &envelope.message {
+            Message::DataHeader { vector, .. } => Some(vector),
+            Message::DataPayload { packet, .. } => Some(packet.vector()),
+            _ => None,
+        })
+        .map(|vector| wire::vector_size(vector) < 1 + vector.len().div_ceil(8))
+        .fold([0, 0], |mut forms, list| {
+            forms[usize::from(list)] += 1;
+            forms
+        });
+    assert!(forms.iter().all(|&n| n > 10), "[bitmaps, lists] = {forms:?}");
 
     // What a batching sender does: every frame appended to whatever the
     // buffer already holds.

@@ -15,6 +15,7 @@
 
 use ltnc_core::LtncNode;
 use ltnc_examples::{human_bytes, random_content};
+use ltnc_gf2::wire;
 use ltnc_lt::{LtEncoder, RobustSoliton};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -68,7 +69,10 @@ fn main() {
         if nodes[failed].is_redundant(block.vector()) {
             continue;
         }
-        repair_traffic += block.wire_size_bytes();
+        // What the block's frame puts on the wire: `k`, `m`, its code
+        // vector in the shorter form, and the payload.
+        repair_traffic +=
+            wire::FIXED_HEADER_BYTES + wire::vector_size(block.vector()) + block.payload_size();
         nodes[failed].receive(&block);
     }
     println!(
