@@ -116,12 +116,13 @@ pub(crate) fn fig7a(options: &HarnessOptions, out: &mut String) -> fmt::Result {
 /// < WC at every k, the LTNC/RLNC gap shrinking as k grows.
 ///
 /// 7c is the overhead: payloads delivered beyond the `N · k` necessary ones.
-/// LTNC's cheap redundancy detection (degree ≤ 3) lets some non-innovative
-/// packets through the feedback channel. The paper plots LTNC only, against
-/// exact checks; we print all three, and since several offers per neighbour
-/// are in flight at once, even an exact check accepts some payloads that an
-/// earlier acceptance made redundant by the time they land. Expected shape
-/// (paper): ≈ 20 % at k = 2048, decreasing with k.
+/// LTNC's redundancy detection refuses what the decoded natives and the
+/// buffered degree-2 packets span, at every degree, and lets through the
+/// non-innovative packets that need a wider buffered packet. The paper plots
+/// LTNC only, against exact checks; we print all three, and since several
+/// offers per neighbour are in flight at once, even an exact check accepts
+/// some payloads that an earlier acceptance made redundant by the time they
+/// land. Expected shape (paper): ≈ 20 % at k = 2048, decreasing with k.
 pub(crate) fn fig7bc(options: &HarnessOptions, out: &mut String) -> fmt::Result {
     let sweep = code_length_sweep(options.full);
     let (peers, payload) = if options.full { (1000, 64) } else { (80, 8) };

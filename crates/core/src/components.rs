@@ -94,13 +94,6 @@ impl ComponentTracker {
         self.labels[x] == DECODED_CLASS
     }
 
-    /// Returns `true` when `x ⊕ x'` can be generated from decoded natives and
-    /// degree-2 packets, i.e. the two natives are in the same component.
-    #[must_use]
-    pub fn same_component(&self, x: usize, y: usize) -> bool {
-        self.labels[x] == self.labels[y]
-    }
-
     /// The natives currently sharing `x`'s component (including `x` itself).
     #[must_use]
     pub fn members_of(&self, x: usize) -> &[usize] {
@@ -335,8 +328,7 @@ mod tests {
             assert!(!cc.is_decoded(x));
             assert_eq!(cc.component_size(x), 1);
         }
-        assert!(!cc.same_component(0, 1));
-        assert!(cc.same_component(2, 2));
+        assert_ne!(cc.label_of(0), cc.label_of(1));
     }
 
     #[test]
@@ -347,7 +339,7 @@ mod tests {
         assert_eq!(cc.label_of(2), DECODED_CLASS);
         assert_eq!(cc.members_of(2), &[2]);
         cc.mark_decoded(0);
-        assert!(cc.same_component(0, 2));
+        assert_eq!(cc.label_of(0), cc.label_of(2));
         assert_eq!(cc.component_size(0), 2);
         // Idempotent.
         cc.mark_decoded(0);
@@ -406,10 +398,10 @@ mod tests {
         let mut cc = ComponentTracker::new(5);
         // The singleton {1} joins {0}: the larger (here: first) side keeps its label.
         assert_eq!(cc.merge(0, 1, ids[0]), (1, &[1][..]));
-        assert!(cc.same_component(0, 1));
+        assert_eq!(cc.label_of(0), cc.label_of(1));
         assert_eq!(cc.component_size(0), 2);
         assert_eq!(cc.merge(1, 2, ids[1]), (1, &[2][..]));
-        assert!(cc.same_component(0, 2));
+        assert_eq!(cc.label_of(0), cc.label_of(2));
         assert_eq!(cc.component_size(2), 3);
         // Merging within the same component is a no-op on the partition.
         assert_eq!(cc.merge(0, 2, ids[2]), (1, &[][..]));
@@ -431,10 +423,10 @@ mod tests {
         assert_eq!(cc.component_count(), 4);
 
         cc.merge(2, 3, ids[3]); // receive x3 ⊕ x4
-        assert!(cc.same_component(1, 6)); // x2 ~ x7 now
+        assert_eq!(cc.label_of(1), cc.label_of(6)); // x2 ~ x7 now
         assert_eq!(cc.component_size(1), 5);
         assert_eq!(cc.component_count(), 3);
-        assert!(!cc.same_component(0, 1));
+        assert_ne!(cc.label_of(0), cc.label_of(1));
         assert!(cc.is_decoded(5));
     }
 
@@ -528,7 +520,7 @@ mod tests {
                     let connected = cc.path_between(x, y, |_| true).is_some();
                     prop_assert_eq!(
                         connected,
-                        cc.same_component(x, y),
+                        cc.label_of(x) == cc.label_of(y),
                         "x={} y={}", x, y
                     );
                 }

@@ -13,8 +13,8 @@ pub struct LtncConfig {
     /// Disabling it lets the native-packet degree variance drift, which
     /// degrades belief propagation — the ablation quantifies by how much.
     pub refine: bool,
-    /// Run the redundancy detection (Algorithm 3) on packets of degree ≤ 3
-    /// before inserting them, as described in §III-C.1.
+    /// Run the redundancy detection (Algorithm 3, §III-C.1) on every packet
+    /// before inserting it, on the natives it names that are not decoded yet.
     pub detect_redundancy: bool,
     /// Maximum number of times a target degree is re-drawn when the
     /// reachability heuristics reject it, before falling back to the largest

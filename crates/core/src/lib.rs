@@ -122,6 +122,56 @@ mod node_tests {
         }
     }
 
+    /// Algorithm 3 against exact elimination, in both directions: every
+    /// probe `is_redundant` refuses is in the span of the node's holdings (a
+    /// unit row per decoded native, every buffered packet's current vector),
+    /// and every XOR of decoded natives and buffered degree-2 packets, of any
+    /// degree, is refused.
+    fn assert_redundancy_is_exact<R: Rng>(node: &LtncNode, rng: &mut R) {
+        let k = node.k;
+        let graph = node.decoder.graph();
+        let decoded: Vec<CodeVector> =
+            (0..k).filter(|&x| node.is_decoded(x)).map(|x| CodeVector::singleton(k, x)).collect();
+        let buffered: Vec<&CodeVector> =
+            graph.ids().filter_map(|id| graph.packet(id)).map(|(v, _)| v).collect();
+        let holdings: Vec<&CodeVector> = decoded.iter().chain(buffered).collect();
+        let mut solver = ltnc_gf2::Gf2Solver::new(k, holdings.len());
+        for &v in &holdings {
+            solver.insert(v.clone());
+        }
+        // Buffered packets have degree ≥ 2: these are the decoded natives
+        // and the degree-2 packets.
+        let spanned: Vec<&CodeVector> =
+            holdings.iter().copied().filter(|v| v.degree() <= 2).collect();
+        let xor_of = |rows: &[&CodeVector], rng: &mut R| {
+            let mut v = CodeVector::zero(k);
+            for row in rows {
+                if rng.gen_bool(0.5) {
+                    v.xor_assign(row);
+                }
+            }
+            v
+        };
+        for _ in 0..8 {
+            let cheap = xor_of(&spanned, rng);
+            assert!(node.is_redundant(&cheap), "{:?} is spanned yet accepted", cheap.ones());
+            let mut near = xor_of(&holdings, rng);
+            if rng.gen_bool(0.5) {
+                near.flip(rng.gen_range(0..k));
+            }
+            let degree = rng.gen_range(0..=k);
+            let wild =
+                CodeVector::from_indices(k, &rand::seq::index::sample(rng, k, degree).into_vec());
+            for probe in [near, wild] {
+                assert!(
+                    !node.is_redundant(&probe) || !solver.is_innovative(&probe),
+                    "{:?} is innovative yet refused",
+                    probe.ones()
+                );
+            }
+        }
+    }
+
     #[test]
     fn fresh_node_is_empty() {
         let node = LtncNode::new(16, 4);
@@ -410,7 +460,9 @@ mod node_tests {
         /// components — and recodings, the incremental structures agree with
         /// a pass over the decoder's state, and every emitted packet's payload
         /// is the XOR of the natives its vector names, substitutions along
-        /// degree-2 paths included (about seven packets per case take one).
+        /// degree-2 paths included (about seven packets per case take one),
+        /// and the redundancy detection refuses every XOR of decoded natives
+        /// and degree-2 packets and nothing outside the node's span.
         #[test]
         fn prop_incremental_structures_match_their_oracles(
             seed in any::<u64>(),
@@ -423,6 +475,7 @@ mod node_tests {
             let config = LtncConfig { detect_redundancy, ..LtncConfig::default() };
             let mut node = LtncNode::with_config(k, m, config);
             let mut rng = SmallRng::seed_from_u64(seed);
+            let mut probes = SmallRng::seed_from_u64(!seed);
             for _ in 0..steps {
                 // Mostly pairs and triples (components, the degree-3 table),
                 // some natives (ripples) and some wide packets (reductions).
@@ -436,10 +489,12 @@ mod node_tests {
                     rand::seq::index::sample(&mut rng, k, degree.min(k)).into_vec();
                 node.receive(&packet(k, &indices, &nat));
                 assert_structures_match_the_decoder(&node);
+                assert_redundancy_is_exact(&node, &mut probes);
                 for _ in 0..rng.gen_range(0..3) {
                     let Some(p) = node.recode(&mut rng) else { continue };
                     assert_consistent(&p, &nat);
                     assert_structures_match_the_decoder(&node);
+                    assert_redundancy_is_exact(&node, &mut probes);
                 }
             }
 

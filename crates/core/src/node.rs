@@ -18,7 +18,7 @@ pub enum ReceiveOutcome {
     /// was inserted: it could be generated from what the node already holds.
     RejectedRedundant,
     /// The packet was inserted but reduced to the zero combination inside the
-    /// decoder — a redundant packet the cheap detection did not catch.
+    /// decoder — a redundant packet the detection did not catch.
     NonInnovative,
     /// The packet was stored in the Tanner graph (no new native decoded yet).
     Stored,
@@ -251,9 +251,9 @@ impl LtncNode {
 
     /// Receives an encoded packet.
     ///
-    /// Runs the redundancy detection of Algorithm 3 (when enabled and the
-    /// degree is ≤ 3), then belief propagation, and keeps the auxiliary
-    /// structures in sync.
+    /// Runs the redundancy detection of Algorithm 3 (when enabled, at every
+    /// degree), then belief propagation, and keeps the auxiliary structures
+    /// in sync.
     ///
     /// # Panics
     ///
@@ -272,7 +272,7 @@ impl LtncNode {
     fn rejects(&mut self, packet: &EncodedPacket) -> bool {
         assert_eq!(packet.code_length(), self.k, "code length mismatch");
         assert_eq!(packet.payload_size(), self.payload_size, "payload size mismatch");
-        if !self.config.detect_redundancy || packet.degree() > 3 {
+        if !self.config.detect_redundancy {
             return false;
         }
         self.decode_counters.incr(OpKind::RedundancyCheck);

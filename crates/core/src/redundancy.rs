@@ -1,58 +1,55 @@
+use core::cell::RefCell;
+
 use ltnc_gf2::CodeVector;
 
 use crate::LtncNode;
 
+std::thread_local! {
+    /// One parity bit per component label, shared by every node on the
+    /// thread; each check leaves it all clear, so it costs the vector, not `k`.
+    static PARITY: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
 impl LtncNode {
-    /// Algorithm 3 of the paper: decides, from the code vector alone, whether
-    /// an encoded packet of degree ≤ 3 could be generated from the packets
-    /// this node already holds (and is therefore non-innovative).
+    /// Algorithm 3 of the paper, at every degree: decides from the code
+    /// vector alone whether a packet could be generated from what this node
+    /// holds. The vector's decoded natives are skipped; the packet is
+    /// redundant when every component the rest (the *residual*) touches holds
+    /// an even number of its natives, the empty residual included, or when
+    /// the residual is the triple of a buffered degree-3 packet.
     ///
-    /// * degree 0 — trivially redundant;
-    /// * degree 1 — redundant when the native is already decoded;
-    /// * degree 2 — redundant when the two natives are in the same connected
-    ///   component (the packet can be produced from degree ≤ 2 packets);
-    /// * degree 3 — redundant when it splits into a redundant degree-1 part
-    ///   and a redundant degree-2 part (three possible splits), or when an
-    ///   identical degree-3 packet is already buffered;
-    /// * degree ≥ 4 — never reported redundant (the check is intentionally
-    ///   limited to low degrees, which are both the common case under the
-    ///   Robust Soliton distribution and the cheap one).
-    ///
-    /// The check is `O(1)` for degrees ≤ 2 and `O(log k)`-ish for degree 3
-    /// (a hash lookup of the sorted triple), exactly the budget the paper
-    /// allows. It never gives false positives: a packet reported redundant is
-    /// genuinely generatable from the node's current holdings.
+    /// The buffered degree-2 packets of a component span exactly the
+    /// even-weight subsets of its natives (the cycle space of a connected
+    /// graph), components never split, and belief propagation decodes a whole
+    /// component once one member decodes. So the parity test refuses exactly
+    /// the span of the decoded natives and degree-2 packets, a superset of
+    /// the paper's degree ≤ 3 cases, and never an innovative packet.
+    /// Costs `O(⌈k/64⌉ + degree)`.
     #[must_use]
     pub fn is_redundant(&self, vector: &CodeVector) -> bool {
-        match vector.degree() {
-            0 => true,
-            1 => {
-                let x = vector.first_one().expect("degree 1");
-                self.decoder.is_decoded(x)
+        let residual = || vector.iter_ones().filter(|&x| !self.cc.is_decoded(x));
+        PARITY.with_borrow_mut(|parity| {
+            parity.resize(parity.len().max((self.k + 1).div_ceil(64)), 0);
+            // `odd` counts the components holding an odd share of the residual.
+            let (mut odd, mut size, mut triple) = (0usize, 0, [0; 3]);
+            for x in residual() {
+                let label = self.cc.label_of(x);
+                let (word, bit) = (label / 64, 1u64 << (label % 64));
+                parity[word] ^= bit;
+                odd = if parity[word] & bit == 0 { odd - 1 } else { odd + 1 };
+                if size < 3 {
+                    triple[size] = x;
+                }
+                size += 1;
             }
-            2 => {
-                let ones = vector.ones();
-                self.cc.same_component(ones[0], ones[1])
+            if odd == 0 {
+                return true;
             }
-            3 => {
-                let ones = vector.ones();
-                let (a, b, c) = (ones[0], ones[1], ones[2]);
-                let decoded = |x: usize| self.decoder.is_decoded(x);
-                let pair_ok = |x: usize, y: usize| self.cc.same_component(x, y);
-                (decoded(a) && pair_ok(b, c))
-                    || (decoded(b) && pair_ok(a, c))
-                    || (decoded(c) && pair_ok(a, b))
-                    || self.degree3_counts.contains_key(&[a, b, c])
+            for x in residual() {
+                parity[self.cc.label_of(x) / 64] = 0;
             }
-            _ => false,
-        }
-    }
-
-    /// Convenience wrapper taking a full packet (the protocol's feedback
-    /// channel runs the check on the header before the payload is sent).
-    #[must_use]
-    pub fn is_redundant_packet(&self, packet: &ltnc_gf2::EncodedPacket) -> bool {
-        self.is_redundant(packet.vector())
+            size == 3 && self.degree3_counts.contains_key(&triple)
+        })
     }
 }
 
@@ -147,16 +144,29 @@ mod tests {
     }
 
     #[test]
-    fn high_degree_packets_are_never_flagged() {
+    fn high_degree_packets_are_judged_by_their_residual() {
         let k = 8;
         let nat = natives(k, 2);
         let mut node = LtncNode::new(k, 2);
+        node.receive(&packet(k, &[0, 1], &nat));
+        node.receive(&packet(k, &[1, 2], &nat));
+        node.receive(&packet(k, &[4, 5, 6], &nat));
+        node.receive(&packet(k, &[7], &nat));
+        // Residual {0, 2}: two natives of one component, whatever is decoded.
+        assert!(node.is_redundant(&cv(k, &[0, 2, 7])));
+        // Residual {0, 1, 2}: an odd share of the component is not spanned.
+        assert!(!node.is_redundant(&cv(k, &[0, 1, 2, 7])));
+        // Residual {0, 1, 4, 5}: two components, each holding an even share.
+        node.receive(&packet(k, &[4, 5], &nat));
+        assert!(node.is_redundant(&cv(k, &[0, 1, 4, 5, 7])));
+        assert!(!node.is_redundant(&cv(k, &[0, 1, 3, 4, 5])));
+        // Residual {4, 5, 6} after x7 is skipped: the buffered triple.
+        assert!(node.is_redundant(&cv(k, &[4, 5, 6, 7])));
         for i in 0..k {
             node.receive(&packet(k, &[i], &nat));
         }
-        // Even though everything is decoded (any packet is redundant in truth),
-        // the cheap check only covers degree ≤ 3.
-        assert!(!node.is_redundant(&cv(k, &[0, 1, 2, 3])));
+        // Once everything is decoded, every residual is empty.
+        assert!(node.is_redundant(&cv(k, &[0, 1, 2, 3])));
         assert!(node.is_redundant(&cv(k, &[0, 1, 2])));
     }
 

@@ -81,8 +81,8 @@ impl RecodeStats {
     }
 
     /// Fraction of incoming redundant packets caught by Algorithm 3 before
-    /// insertion (the paper reports that the mechanism removes ≈ 31 % of the
-    /// redundant insertions).
+    /// insertion (the paper's check, limited to degree ≤ 3, removes ≈ 31 %;
+    /// ours runs on the undecoded residual at every degree).
     #[must_use]
     pub fn redundancy_catch_rate(&self) -> f64 {
         ratio(self.redundant_rejected, self.redundant_rejected + self.redundant_missed)

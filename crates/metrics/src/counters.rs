@@ -28,7 +28,8 @@ pub enum OpKind {
     /// One substitution attempt in the refinement step, Algorithm 2
     /// (control plane).
     RefineStep,
-    /// One redundancy check, Algorithm 3 (control plane).
+    /// One redundancy check, Algorithm 3 (control plane): one per LTNC
+    /// reception, at every degree.
     RedundancyCheck,
 }
 

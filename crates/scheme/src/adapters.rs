@@ -22,9 +22,11 @@ pub trait Scheme: Send {
 
     /// Header-only check used by the binary feedback channel: would a
     /// packet with this code vector bring anything new? For LTNC the check
-    /// is the (partial) redundancy detection of Algorithm 3, so it may
-    /// return `true` for a packet that later turns out to be redundant —
-    /// that is exactly the communication overhead the paper measures.
+    /// is the redundancy detection of Algorithm 3 on the undecoded residual:
+    /// it refuses exactly what the decoded natives and buffered degree-2
+    /// packets span, so it may still return `true` for a packet that later
+    /// turns out to be redundant (one that needs a wider buffered packet) —
+    /// that is the communication overhead the paper measures.
     fn would_accept(&self, vector: &CodeVector) -> bool;
 
     /// Delivers a packet (payload included). Returns `true` when the packet
@@ -110,7 +112,8 @@ impl Scheme for RlncSchemeNode {
 }
 
 /// LTNC node adapter: Robust-Soliton-preserving recoding, belief-propagation
-/// decoding, Algorithm 3 redundancy detection as the feedback check.
+/// decoding, Algorithm 3 redundancy detection (on the undecoded residual, at
+/// every degree) as the feedback check.
 #[derive(Debug, Clone)]
 pub struct LtncSchemeNode {
     node: LtncNode,
