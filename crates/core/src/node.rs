@@ -92,11 +92,11 @@ impl LtncNode {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or the Soliton parameters in the configuration are invalid.
+    /// Panics if `k == 0`.
     #[must_use]
     pub fn with_config(k: usize, payload_size: usize, config: LtncConfig) -> Self {
-        let soliton = RobustSoliton::new(k, config.soliton_c, config.soliton_delta)
-            .expect("configuration must describe a valid Robust Soliton distribution");
+        // The paper's degree distribution: c = 0.1, δ = 0.5.
+        let soliton = RobustSoliton::for_code_length(k).expect("k must be positive");
         LtncNode {
             k,
             payload_size,

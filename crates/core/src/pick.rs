@@ -4,6 +4,13 @@ use rand::Rng;
 
 use crate::LtncNode;
 
+/// How many times a target degree is re-drawn when the reachability
+/// heuristics reject it, before falling back to the largest reachable
+/// degree. The paper reports an average of 1.02 draws, so this bound is
+/// essentially never hit; it only guards pathological states (e.g. an
+/// empty node).
+const MAX_DEGREE_RETRIES: usize = 64;
+
 /// For every native, the lowest degree among the buffered packets that
 /// contain it (0 once it is decoded), with a histogram of those degrees —
 /// the second reachability heuristic of §III-B.1 without a pass over the
@@ -71,13 +78,13 @@ impl LtncNode {
     /// 2. fewer than `d` distinct natives are decoded or appear in a buffered
     ///    packet of degree ≤ d.
     ///
-    /// After [`crate::LtncConfig::max_degree_retries`] rejected draws the node
-    /// falls back to the largest reachable degree (the paper reports that the
-    /// first draw is accepted 99.9 % of the time, so the fallback is
-    /// essentially never exercised).
+    /// After [`MAX_DEGREE_RETRIES`] rejected draws the node falls back to
+    /// the largest reachable degree (the paper reports that the first draw
+    /// is accepted 99.9 % of the time, so the fallback is essentially never
+    /// exercised).
     pub(crate) fn pick_degree<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         let mut draws = 0;
-        while draws < self.config.max_degree_retries {
+        while draws < MAX_DEGREE_RETRIES {
             draws += 1;
             self.recode_counters.incr(OpKind::DegreeDraw);
             let d = self.soliton.sample(rng);

@@ -229,28 +229,6 @@ impl CodeVector {
         self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
     }
 
-    /// Number of native packets present in both combinations (`|self ∩ other|`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn intersection_size(&self, other: &CodeVector) -> usize {
-        assert_eq!(self.len, other.len);
-        self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones() as usize).sum()
-    }
-
-    /// Returns `true` when every native packet of `self` also appears in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn is_subset_of(&self, other: &CodeVector) -> bool {
-        assert_eq!(self.len, other.len);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
-    }
-
     /// Iterates over the indices of the native packets involved, in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
@@ -407,16 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_intersection() {
-        let a = CodeVector::from_indices(100, &[1, 2, 3]);
-        let b = CodeVector::from_indices(100, &[1, 2, 3, 70]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert_eq!(a.intersection_size(&b), 3);
-        assert_eq!(a.intersection_size(&CodeVector::zero(100)), 0);
-    }
-
-    #[test]
     fn wire_size_rounds_up() {
         for (len, bytes) in [(2048, 256), (7, 1), (8, 1), (9, 2)] {
             let mut wire = Vec::new();
@@ -528,10 +496,8 @@ mod tests {
             // |A Δ B| = |A| + |B| - 2|A ∩ B|
             let va = CodeVector::from_indices(128, &a);
             let vb = CodeVector::from_indices(128, &b);
-            prop_assert_eq!(
-                va.xor_degree(&vb),
-                va.degree() + vb.degree() - 2 * va.intersection_size(&vb)
-            );
+            let both = va.iter_ones().filter(|&i| vb.contains(i)).count();
+            prop_assert_eq!(va.xor_degree(&vb), va.degree() + vb.degree() - 2 * both);
         }
     }
 }

@@ -66,12 +66,6 @@ impl EncodedPacket {
         self.vector.is_zero()
     }
 
-    /// Returns `true` when this packet carries exactly one native packet.
-    #[must_use]
-    pub fn is_native(&self) -> bool {
-        self.degree() == 1
-    }
-
     /// Adds another encoded packet to this one over GF(2): both the code vector
     /// and the payload are XOR-ed. This is the recoding primitive shared by
     /// RLNC and LTNC.
@@ -131,7 +125,6 @@ mod tests {
     #[test]
     fn native_packet_has_degree_one() {
         let p = EncodedPacket::native(16, 3, Payload::zero(4));
-        assert!(p.is_native());
         assert_eq!(p.degree(), 1);
         assert_eq!(p.code_length(), 16);
         assert_eq!(p.payload_size(), 4);

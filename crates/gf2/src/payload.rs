@@ -1,7 +1,5 @@
 use core::fmt;
 
-use bytes::Bytes;
-
 use crate::Gf2Error;
 
 /// Bytes per XOR word: the kernel walks payloads in `u64` steps.
@@ -109,13 +107,6 @@ impl Payload {
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Copies the payload into a [`Bytes`] buffer (cheap to clone afterwards),
-    /// e.g. to hand packets to a transport layer.
-    #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::from(self.bytes.clone())
     }
 
     /// Adds `other` to `self` over GF(2) (word-sliced XOR).
@@ -320,7 +311,7 @@ mod tests {
         let mut a = Payload::from_vec(vec![0b1010_1010; 4]);
         let b = Payload::from_vec(vec![0b0000_1111; 4]);
         a.xor_assign(&b);
-        assert_eq!(a.as_bytes(), &[0b1010_0101; 4]);
+        assert_eq!(a.into_vec(), vec![0b1010_0101; 4]);
     }
 
     #[test]
@@ -380,13 +371,6 @@ mod tests {
         let mut a = Payload::zero(4);
         let b = Payload::zero(5);
         a.xor_assign_many(&[&b]);
-    }
-
-    #[test]
-    fn to_bytes_copies_content() {
-        let a = Payload::from_slice(&[1, 2, 3]);
-        assert_eq!(a.to_bytes().as_ref(), &[1, 2, 3]);
-        assert_eq!(a.into_vec(), vec![1, 2, 3]);
     }
 
     proptest! {

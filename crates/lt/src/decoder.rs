@@ -83,7 +83,6 @@ pub struct BpDecoder {
     decoded: Vec<Option<Payload>>,
     decoded_count: usize,
     received: u64,
-    redundant: u64,
     payload_xor_ops: u64,
     edge_updates: u64,
 }
@@ -99,7 +98,6 @@ impl BpDecoder {
             decoded: vec![None; k],
             decoded_count: 0,
             received: 0,
-            redundant: 0,
             payload_xor_ops: 0,
             edge_updates: 0,
         }
@@ -149,23 +147,6 @@ impl BpDecoder {
         self.decoded[index].as_ref()
     }
 
-    /// All decoded payloads in native order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LtError::NotDecoded`] with the first missing index when
-    /// decoding is not complete.
-    pub fn into_natives(self) -> Result<Vec<Payload>, LtError> {
-        let mut out = Vec::with_capacity(self.k);
-        for (i, slot) in self.decoded.into_iter().enumerate() {
-            match slot {
-                Some(p) => out.push(p),
-                None => return Err(LtError::NotDecoded { index: i }),
-            }
-        }
-        Ok(out)
-    }
-
     /// The Tanner graph of buffered (not yet consumed) packets.
     #[must_use]
     pub fn graph(&self) -> &TannerGraph {
@@ -178,12 +159,6 @@ impl BpDecoder {
         self.received
     }
 
-    /// Number of inserted packets that reduced to the zero combination.
-    #[must_use]
-    pub fn redundant_count(&self) -> u64 {
-        self.redundant
-    }
-
     /// Number of `m`-byte payload XOR operations performed so far (data-plane cost).
     #[must_use]
     pub fn payload_xor_ops(&self) -> u64 {
@@ -194,12 +169,6 @@ impl BpDecoder {
     #[must_use]
     pub fn edge_updates(&self) -> u64 {
         self.edge_updates
-    }
-
-    /// Indices of the natives that are still undecoded.
-    #[must_use]
-    pub fn undecoded(&self) -> Vec<usize> {
-        (0..self.k).filter(|&i| self.decoded[i].is_none()).collect()
     }
 
     /// Inserts an encoded packet and runs belief propagation.
@@ -237,10 +206,7 @@ impl BpDecoder {
         drop(sources);
 
         let outcome = match vector.degree() {
-            0 => {
-                self.redundant += 1;
-                InsertOutcome::Redundant
-            }
+            0 => InsertOutcome::Redundant,
             1 => {
                 let x = vector.first_one().expect("degree 1 has a set bit");
                 self.decode_native(x, payload, &mut events, &mut newly_decoded);
@@ -369,7 +335,6 @@ mod tests {
         dec.insert(packet(k, &[2], &nat)).unwrap();
         let report = dec.insert(packet(k, &[2], &nat)).unwrap();
         assert_eq!(report.outcome, InsertOutcome::Redundant);
-        assert_eq!(dec.redundant_count(), 1);
         assert_eq!(dec.decoded_count(), 1);
     }
 
@@ -444,29 +409,6 @@ mod tests {
         assert_eq!(report.newly_decoded, vec![0, 1]);
         assert!(dec.graph().is_empty());
         assert!(dec.is_decoded(1));
-    }
-
-    #[test]
-    fn into_natives_requires_completion() {
-        let k = 3;
-        let nat = natives(k, 2);
-        let mut dec = BpDecoder::new(k, 2);
-        dec.insert(packet(k, &[0], &nat)).unwrap();
-        let err = dec.clone().into_natives().unwrap_err();
-        assert_eq!(err, LtError::NotDecoded { index: 1 });
-        dec.insert(packet(k, &[1], &nat)).unwrap();
-        dec.insert(packet(k, &[2], &nat)).unwrap();
-        let out = dec.into_natives().unwrap();
-        assert_eq!(out, nat);
-    }
-
-    #[test]
-    fn undecoded_lists_missing_indices() {
-        let k = 4;
-        let nat = natives(k, 2);
-        let mut dec = BpDecoder::new(k, 2);
-        dec.insert(packet(k, &[1], &nat)).unwrap();
-        assert_eq!(dec.undecoded(), vec![0, 2, 3]);
     }
 
     #[test]

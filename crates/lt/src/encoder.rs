@@ -67,26 +67,10 @@ impl<D: DegreeDistribution> LtEncoder<D> {
         self.payload_size
     }
 
-    /// The degree distribution in use.
-    #[must_use]
-    pub fn distribution(&self) -> &D {
-        &self.distribution
-    }
-
     /// Number of packets emitted so far.
     #[must_use]
     pub fn packets_emitted(&self) -> u64 {
         self.packets_emitted
-    }
-
-    /// Read-only access to a native payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= k`.
-    #[must_use]
-    pub fn native(&self, index: usize) -> &Payload {
-        &self.natives[index]
     }
 
     /// Generates one encoded packet: draws a degree from the distribution and
@@ -119,17 +103,6 @@ impl<D: DegreeDistribution> LtEncoder<D> {
         payload.xor_assign_many(rest);
         self.packets_emitted += 1;
         EncodedPacket::new(vector, payload)
-    }
-
-    /// Emits the degree-1 packet for a specific native index (used by the
-    /// dissemination source to seed the network and by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= k`.
-    pub fn encode_native(&mut self, index: usize) -> EncodedPacket {
-        self.packets_emitted += 1;
-        EncodedPacket::native(self.natives.len(), index, self.natives[index].clone())
     }
 }
 
@@ -208,19 +181,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         assert_eq!(enc.encode_with_degree(&mut rng, 0).degree(), 1);
         assert_eq!(enc.encode_with_degree(&mut rng, 100).degree(), k);
-    }
-
-    #[test]
-    fn encode_native_is_degree_one_with_original_payload() {
-        let k = 8;
-        let nat = natives(k, 4);
-        let dist = RobustSoliton::for_code_length(k).unwrap();
-        let mut enc = LtEncoder::new(nat.clone(), dist).unwrap();
-        let p = enc.encode_native(3);
-        assert_eq!(p.degree(), 1);
-        assert!(p.vector().contains(3));
-        assert_eq!(p.payload(), &nat[3]);
-        assert_eq!(enc.native(3), &nat[3]);
     }
 
     #[test]

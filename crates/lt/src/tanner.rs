@@ -142,12 +142,6 @@ impl TannerGraph {
     pub fn ids(&self) -> impl Iterator<Item = PacketId> + '_ {
         self.packets.iter().enumerate().filter(|(_, slot)| slot.is_some()).map(|(i, _)| PacketId(i))
     }
-
-    /// Total number of edges (sum of degrees of live packets).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.packets.iter().flatten().map(|p| p.vector.degree()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +157,6 @@ mod tests {
         let g = TannerGraph::new(8);
         assert!(g.is_empty());
         assert_eq!(g.len(), 0);
-        assert_eq!(g.edge_count(), 0);
         assert_eq!(g.code_length(), 8);
         assert!(g.packets_with_native(3).is_empty());
     }
@@ -180,7 +173,6 @@ mod tests {
         assert_eq!(g.packets_with_native(1), vec![id]);
         assert_eq!(g.packets_with_native(3), vec![id]);
         assert!(g.packets_with_native(2).is_empty());
-        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]

@@ -3,16 +3,13 @@ use crate::{OpCounters, OpKind};
 /// Estimated cycle cost split into control-plane and data-plane work.
 ///
 /// Mirrors the four panels of Figure 8 in the paper: recoding/decoding ×
-/// control/data. The data cost is additionally reported per payload byte
-/// (`cycles per byte`, the unit of Figures 8c and 8d).
+/// control/data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Estimated cycles spent on control structures.
     pub control_cycles: f64,
     /// Estimated cycles spent on payload data.
     pub data_cycles: f64,
-    /// Payload size `m` in bytes used for the per-byte normalisation.
-    pub payload_bytes: usize,
 }
 
 impl CostBreakdown {
@@ -20,16 +17,6 @@ impl CostBreakdown {
     #[must_use]
     pub fn total_cycles(&self) -> f64 {
         self.control_cycles + self.data_cycles
-    }
-
-    /// Data-plane cycles per payload byte (Figures 8c/8d). Zero when `m = 0`.
-    #[must_use]
-    pub fn data_cycles_per_byte(&self) -> f64 {
-        if self.payload_bytes == 0 {
-            0.0
-        } else {
-            self.data_cycles / self.payload_bytes as f64
-        }
     }
 }
 
@@ -136,11 +123,7 @@ impl CostModel {
                 control += cycles;
             }
         }
-        CostBreakdown {
-            control_cycles: control,
-            data_cycles: data,
-            payload_bytes: self.payload_bytes,
-        }
+        CostBreakdown { control_cycles: control, data_cycles: data }
     }
 }
 
@@ -153,7 +136,6 @@ mod tests {
         let model = CostModel::new(2048, 1024);
         let b = model.evaluate(&OpCounters::new());
         assert_eq!(b.total_cycles(), 0.0);
-        assert_eq!(b.data_cycles_per_byte(), 0.0);
     }
 
     #[test]
@@ -166,7 +148,6 @@ mod tests {
         assert!(b.data_cycles > 0.0);
         // 256 bytes = 32 words, 3 cycles/word, 10 ops.
         assert_eq!(b.data_cycles, 10.0 * 32.0 * 3.0);
-        assert!((b.data_cycles_per_byte() - (10.0 * 32.0 * 3.0) / 256.0).abs() < 1e-9);
     }
 
     #[test]
@@ -187,14 +168,6 @@ mod tests {
         assert!(b.control_cycles > 0.0);
         assert!(b.data_cycles > 0.0);
         assert_eq!(b.total_cycles(), b.control_cycles + b.data_cycles);
-    }
-
-    #[test]
-    fn per_byte_normalisation_handles_zero_payload() {
-        let model = CostModel::new(1024, 0);
-        let mut c = OpCounters::new();
-        c.add(OpKind::PayloadXor, 5);
-        assert_eq!(model.evaluate(&c).data_cycles_per_byte(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 use core::fmt;
 
-use crate::Histogram;
-
 crate::counter_family! {
     /// Aggregate statistics of the nodes at one hop distance from the source.
     ///
@@ -82,17 +80,6 @@ impl HopCounters {
         self.buckets.iter().enumerate().filter(|(_, b)| b.nodes > 0)
     }
 
-    /// The hop-distance-to-source histogram: one observation per node at
-    /// its distance.
-    #[must_use]
-    pub fn distance_histogram(&self) -> Histogram {
-        let mut histogram = Histogram::new();
-        for (distance, stats) in self.iter() {
-            histogram.record_n(distance, stats.nodes);
-        }
-        histogram
-    }
-
     /// Every bucket summed into one `HopStats`.
     #[must_use]
     pub fn total(&self) -> HopStats {
@@ -143,7 +130,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.max_distance(), None);
         assert_eq!(h.get(3), HopStats::default());
-        assert!(h.distance_histogram().is_empty());
         assert_eq!(h.to_string(), "");
     }
 
@@ -206,17 +192,6 @@ mod tests {
         assert_eq!(rebuilt, now);
         // Saturation against a "later" snapshot.
         assert!(earlier.snapshot_delta(&now).total() == HopStats::default());
-    }
-
-    #[test]
-    fn distance_histogram_counts_nodes() {
-        let mut h = HopCounters::new();
-        h.record(0, &stats(1, 1));
-        h.record(2, &stats(3, 3));
-        let histogram = h.distance_histogram();
-        assert_eq!(histogram.total(), 4);
-        assert_eq!(histogram.count(2), 3);
-        assert!((histogram.mean() - 1.5).abs() < 1e-12);
     }
 
     #[test]

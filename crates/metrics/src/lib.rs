@@ -24,7 +24,7 @@
 //! [`StripeCounters`], [`HopCounters`], [`ReactorSnapshot`]) are each
 //! declared once with [`counter_family!`].
 //!
-//! The crate also contains small statistics helpers ([`Summary`], [`Histogram`],
+//! The crate also contains small statistics helpers ([`Summary`],
 //! [`TimeSeries`]) used by the figure harness.
 
 #![forbid(unsafe_code)]
@@ -33,7 +33,6 @@
 mod cost;
 mod counters;
 mod family;
-mod histogram;
 mod hop;
 mod loghist;
 mod reactor;
@@ -46,7 +45,6 @@ mod wire;
 pub use cost::{CostBreakdown, CostModel};
 pub use counters::{OpCounters, OpKind};
 pub use family::{CounterFamily, Field};
-pub use histogram::Histogram;
 pub use hop::{HopCounters, HopStats};
 pub use loghist::{
     bucket_bound, HopLatency, LogHistogram, LogHistogramSnapshot, LOG_BUCKETS, MAX_LATENCY_HOPS,

@@ -45,12 +45,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// The `y` value recorded for the given `x`, if present (exact match).
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|&&(px, _)| px == x).map(|&(_, y)| y)
-    }
-
     /// Linear interpolation of `y` at `x`; clamps outside the recorded range.
     /// Requires points sorted by increasing `x`. Returns `None` when empty.
     #[must_use]
@@ -125,14 +119,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.interpolate(1.0), None);
         assert_eq!(s.first_x_reaching(0.5), None);
-        assert_eq!(s.y_at(0.0), None);
-    }
-
-    #[test]
-    fn y_at_exact_match() {
-        let s = series();
-        assert_eq!(s.y_at(10.0), Some(50.0));
-        assert_eq!(s.y_at(15.0), None);
     }
 
     #[test]

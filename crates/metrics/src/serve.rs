@@ -77,17 +77,6 @@ impl ServeCounters {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of offered transfers the client aborted at the header, in
-    /// `[0, 1]`; `0` when nothing was offered.
-    #[must_use]
-    pub fn abort_rate(&self) -> f64 {
-        if self.transfers_offered == 0 {
-            0.0
-        } else {
-            self.transfers_aborted as f64 / self.transfers_offered as f64
-        }
-    }
 }
 
 impl fmt::Display for ServeCounters {
@@ -137,16 +126,8 @@ mod tests {
     fn rates_handle_zero_denominators() {
         let zero = ServeCounters::new();
         assert_eq!(zero.cache_hit_rate(), 0.0);
-        assert_eq!(zero.abort_rate(), 0.0);
-        let c = ServeCounters {
-            cache_hits: 3,
-            cache_misses: 1,
-            transfers_offered: 8,
-            transfers_aborted: 2,
-            ..ServeCounters::new()
-        };
+        let c = ServeCounters { cache_hits: 3, cache_misses: 1, ..ServeCounters::new() };
         assert!((c.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((c.abort_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

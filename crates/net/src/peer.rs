@@ -38,20 +38,20 @@
 //! grows the budget back to (never past) its initial value, so one
 //! outage is not a life sentence at the floor. On a clean link nothing
 //! times out and the budget never moves — fixed-cap behaviour exactly.
-//! Bounds come from [`NodeOptions::inflight_floor`] /
-//! [`NodeOptions::inflight_ceiling`]; per-peer loss estimates (EWMA over
-//! offer outcomes) are reported in [`PeerReport::loss_estimates`], and
-//! budget moves are counted in [`WireCounters`].
+//! The budget starts at 4 offers per peer and moves between 1 and 64;
+//! per-peer loss estimates (EWMA over offer outcomes) are reported in
+//! [`PeerReport::loss_estimates`], and budget moves are counted in
+//! [`WireCounters`].
 //!
 //! The pending TTL itself is **latency-adaptive**: every
 //! feedback arrival is an offer→feedback RTT sample, and the TTL in
 //! force per peer is a multiple of that peer's RTT EWMA, clamped so the
-//! configured [`NodeOptions::pending_ttl`] stays the floor (and the
-//! fallback before any feedback has been measured). On localhost the
-//! derived TTL equals the floor; across slow or jittery links it grows
-//! with the measured round trip, so live offers are not declared lost —
-//! and budget slots not churned — by latency alone. Estimates are
-//! reported in [`PeerReport::rtt_estimates`].
+//! fixed 250 ms stays the floor (and the fallback before any feedback
+//! has been measured). On localhost the derived TTL equals the floor;
+//! across slow or jittery links it grows with the measured round trip,
+//! so live offers are not declared lost — and budget slots not churned —
+//! by latency alone. Estimates are reported in
+//! [`PeerReport::rtt_estimates`].
 //!
 //! Seeded datagram loss and reordering live in the links, on the
 //! receiving end of each ([`crate::TopologyFaults`]), in the endpoint
@@ -109,6 +109,29 @@ pub(crate) fn micros(duration: Duration) -> u64 {
     u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// Transfers simultaneously awaiting feedback per peer: the *initial*
+/// budget, which then adapts to observed loss (AIMD over feedback arrivals
+/// and offer timeouts).
+const PER_PEER_INFLIGHT: usize = 4;
+
+/// Lower bound of the budget.
+const INFLIGHT_FLOOR: usize = 1;
+
+/// Upper bound of the budget.
+const INFLIGHT_CEILING: usize = 64;
+
+const _: () = assert!(
+    0 < INFLIGHT_FLOOR
+        && INFLIGHT_FLOOR <= PER_PEER_INFLIGHT
+        && PER_PEER_INFLIGHT <= INFLIGHT_CEILING
+);
+
+/// Offers not answered within the pending TTL are forgotten. This fixed
+/// value is the *floor* (and the fallback before any feedback has been
+/// measured): the TTL actually in force per peer is derived from the
+/// offer→feedback RTT EWMA, clamped to `[PENDING_TTL, 16 × PENDING_TTL]`.
+const PENDING_TTL: Duration = Duration::from_millis(250);
+
 /// Smoothing factor of the per-peer loss EWMA (higher reacts faster).
 const LOSS_EWMA_ALPHA: f64 = 0.1;
 
@@ -130,10 +153,20 @@ const AGGRESSIVENESS: f64 = 0.01;
 /// Offers initiated per gossip tick.
 const PUSH_RATE: usize = 2;
 
-/// Cap on the derived TTL relative to the configured
-/// [`NodeOptions::pending_ttl`] floor, so one absurd RTT sample cannot
-/// freeze eviction.
+/// Cap on the derived TTL relative to the [`PENDING_TTL`] floor, so one
+/// absurd RTT sample cannot freeze eviction.
 const RTT_TTL_CEILING_FACTOR: u32 = 16;
+
+/// The pending TTL in force for a peer with the given RTT estimate:
+/// `RTT_TTL_FACTOR × rtt` clamped to `[PENDING_TTL, 16 × PENDING_TTL]`.
+/// Without a measurement [`PENDING_TTL`] applies.
+fn derived_ttl(rtt_ewma: Option<f64>) -> Duration {
+    let Some(rtt) = rtt_ewma else {
+        return PENDING_TTL;
+    };
+    Duration::from_secs_f64((rtt * RTT_TTL_FACTOR).max(0.0))
+        .clamp(PENDING_TTL, PENDING_TTL.saturating_mul(RTT_TTL_CEILING_FACTOR))
+}
 
 /// What a node is in the session.
 pub(crate) enum NodeRole {
@@ -154,65 +187,15 @@ pub(crate) enum NodeRole {
 /// Tuning knobs of a node.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeOptions {
-    /// Transfers simultaneously awaiting feedback per peer: the *initial*
-    /// budget, which then adapts to observed loss (AIMD over feedback
-    /// arrivals and offer timeouts).
-    pub per_peer_inflight: usize,
-    /// Lower bound of the budget (treated as at least 1).
-    pub inflight_floor: usize,
-    /// Upper bound of the budget.
-    pub inflight_ceiling: usize,
     /// Gossip tick period.
     pub tick: Duration,
-    /// Offers not answered within the pending TTL are forgotten. This
-    /// fixed value is the *floor* (and the fallback before any feedback
-    /// has been measured): the TTL actually in force per peer is derived
-    /// from the offer→feedback RTT EWMA, clamped to
-    /// `[pending_ttl, 16 × pending_ttl]`.
-    pub pending_ttl: Duration,
     /// Seed of the node's deterministic RNG.
     pub seed: u64,
 }
 
-impl NodeOptions {
-    /// Bounds of the budget: `(floor, ceiling)`, floor ≥ 1.
-    fn budget_bounds(&self) -> (f64, f64) {
-        let floor = self.inflight_floor.max(1) as f64;
-        let ceiling = (self.inflight_ceiling as f64).max(floor);
-        (floor, ceiling)
-    }
-
-    /// The clamped budget every fresh per-peer pacing entry starts with
-    /// (also the cap for peers with no pacing state yet).
-    fn initial_budget(&self) -> f64 {
-        let (floor, ceiling) = self.budget_bounds();
-        (self.per_peer_inflight.max(1) as f64).clamp(floor, ceiling)
-    }
-
-    /// The pending TTL in force for a peer with the given RTT estimate:
-    /// `RTT_TTL_FACTOR × rtt` clamped to `[pending_ttl, 16 × pending_ttl]`.
-    /// Without a measurement the fixed [`NodeOptions::pending_ttl`]
-    /// applies.
-    fn derived_ttl(&self, rtt_ewma: Option<f64>) -> Duration {
-        let floor = self.pending_ttl;
-        let Some(rtt) = rtt_ewma else {
-            return floor;
-        };
-        Duration::from_secs_f64((rtt * RTT_TTL_FACTOR).max(0.0))
-            .clamp(floor, floor.saturating_mul(RTT_TTL_CEILING_FACTOR))
-    }
-}
-
 impl Default for NodeOptions {
     fn default() -> Self {
-        NodeOptions {
-            per_peer_inflight: 4,
-            inflight_floor: 1,
-            inflight_ceiling: 64,
-            tick: Duration::from_millis(2),
-            pending_ttl: Duration::from_millis(250),
-            seed: 0xC0DE,
-        }
+        NodeOptions { tick: Duration::from_millis(2), seed: 0xC0DE }
     }
 }
 
@@ -369,7 +352,6 @@ struct PeerPacing {
 pub(crate) struct NodeStateMachine {
     session: u64,
     params: SchemeParams,
-    options: NodeOptions,
     source: Option<SourceSession>,
     receiver: Option<ReceiverSession>,
     generation_count: u32,
@@ -414,7 +396,6 @@ impl NodeStateMachine {
         NodeStateMachine {
             session: config.session,
             params: manifest.params,
-            options: config.options,
             source,
             receiver,
             generation_count: manifest.generation_count(),
@@ -523,9 +504,8 @@ impl NodeStateMachine {
     /// triggers the multiplicative decrease, throttling offers to the
     /// dead until the floor.
     fn note_outcome(&mut self, now: u64, index: usize, rtt: Option<Duration>) {
-        let options = self.options;
-        let (floor, ceiling) = options.budget_bounds();
-        let base = options.initial_budget();
+        let (floor, ceiling) = (INFLIGHT_FLOOR as f64, INFLIGHT_CEILING as f64);
+        let base = PER_PEER_INFLIGHT as f64;
         let Link { addr: peer, pacing, .. } = &mut self.links[index];
         let peer = *peer;
         let pacing = pacing.get_or_insert_with(|| PeerPacing {
@@ -554,7 +534,7 @@ impl NodeStateMachine {
                 pacing.budget = (pacing.budget + 1.0 / pacing.budget.max(1.0)).min(base);
             }
         } else {
-            let ttl = options.derived_ttl(pacing.rtt_ewma);
+            let ttl = derived_ttl(pacing.rtt_ewma);
             if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < ttl) {
                 // Lossy but live: the lost offer wasted one slot for a full
                 // TTL; grow the budget by one to keep the live pipeline deep.
@@ -578,20 +558,19 @@ impl NodeStateMachine {
     }
 
     /// The pending TTL currently in force for offers on link `index`:
-    /// derived from its RTT estimate (fixed [`NodeOptions::pending_ttl`]
-    /// as the floor and the fallback before any feedback has been
-    /// measured).
+    /// derived from its RTT estimate ([`PENDING_TTL`] as the floor and the
+    /// fallback before any feedback has been measured).
     fn ttl_for(&self, index: usize) -> Duration {
-        self.options.derived_ttl(self.links[index].pacing.as_ref().and_then(|p| p.rtt_ewma))
+        derived_ttl(self.links[index].pacing.as_ref().and_then(|p| p.rtt_ewma))
     }
 
     /// The in-flight cap currently in force on link `index`.
     fn inflight_cap(&self, index: usize) -> usize {
         match &self.links[index].pacing {
             Some(pacing) => (pacing.budget as usize).max(1),
-            // Not yet tracked: the same clamped initial budget a fresh
-            // pacing entry starts with.
-            None => self.options.initial_budget() as usize,
+            // Not yet tracked: the initial budget a fresh pacing entry
+            // starts with.
+            None => PER_PEER_INFLIGHT,
         }
     }
 
@@ -642,7 +621,7 @@ impl NodeStateMachine {
                     && self.receiver.as_ref().is_some_and(|r| r.would_accept(generation, &vector));
                 if accept {
                     // A window of offers awaiting feedback plus their payloads.
-                    let cap = 2 * self.options.budget_bounds().1 as usize;
+                    let cap = 2 * INFLIGHT_CEILING;
                     let ledger = self.accepts.entry(from).or_insert_with(|| AcceptLedger::new(cap));
                     if ledger.accept(transfer, generation).is_some() {
                         self.wire.accepts_evicted += 1;
@@ -898,7 +877,7 @@ mod tests {
     use ltnc_scheme::SchemeKind;
 
     fn quick_options(seed: u64) -> NodeOptions {
-        NodeOptions { tick: Duration::from_millis(1), seed, ..NodeOptions::default() }
+        NodeOptions { tick: Duration::from_millis(1), seed }
     }
 
     #[test]
@@ -938,10 +917,11 @@ mod tests {
 
     /// A source state machine to unit-test the pacing arithmetic on,
     /// wired to one peer: link 0.
-    fn pacing_actor(options: NodeOptions) -> NodeStateMachine {
+    fn pacing_actor(seed: u64) -> NodeStateMachine {
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
         let role = NodeRole::Source { object: vec![1u8; 8], params };
-        let mut actor = NodeStateMachine::new(NodeConfig::new(1, role, options), Arc::default());
+        let config = NodeConfig::new(1, role, NodeOptions { seed, ..NodeOptions::default() });
+        let mut actor = NodeStateMachine::new(config, Arc::default());
         actor.set_peers(vec!["127.0.0.1:9".parse().expect("addr")]);
         actor
     }
@@ -951,83 +931,42 @@ mod tests {
         // A peer goes silent (timeouts only) and is cut to the floor;
         // when it answers again on a clean link, successes must grow the
         // budget back to the initial value — and not past it.
-        let options = NodeOptions {
-            pending_ttl: Duration::from_millis(5),
-            seed: 13,
-            ..NodeOptions::default()
-        };
-        let mut actor = pacing_actor(options);
+        let mut actor = pacing_actor(13);
 
-        // Dead period: a timeout every 2 ms with no feedback, one cut per
-        // 5 ms TTL window.
+        // Dead period: a timeout every 100 ms with no feedback, one cut
+        // per 250 ms TTL window.
         let mut now = 0;
         for _ in 0..12 {
             actor.note_outcome(now, 0, None);
-            now += 2_000;
+            now += 100_000;
         }
-        assert_eq!(actor.inflight_cap(0), options.inflight_floor.max(1));
+        assert_eq!(actor.inflight_cap(0), INFLIGHT_FLOOR);
         assert!(actor.wire.budget_cuts > 0, "silence must cut");
 
         // Revival on a clean link: successes alone restore the base cap.
         for _ in 0..64 {
             actor.note_outcome(now, 0, Some(Duration::from_micros(50)));
         }
-        assert_eq!(actor.inflight_cap(0), options.per_peer_inflight);
+        assert_eq!(actor.inflight_cap(0), PER_PEER_INFLIGHT);
         assert!(actor.wire.budget_raises > 0, "recovery must count as raises");
 
         // A timeout while the peer is alive grows the budget *past* base.
         actor.note_outcome(now, 0, None);
-        assert_eq!(actor.inflight_cap(0), options.per_peer_inflight + 1);
-    }
-
-    #[test]
-    fn budget_bounds_clamp_the_initial_cap_too() {
-        let answered = Some(Duration::from_micros(50));
-
-        // Initial budget above the ceiling: clamped down, tracked or not.
-        let over = NodeOptions {
-            per_peer_inflight: 100,
-            inflight_ceiling: 8,
-            seed: 14,
-            ..NodeOptions::default()
-        };
-        let mut actor = pacing_actor(over);
-        assert_eq!(actor.inflight_cap(0), 8, "untracked peer clamps to ceiling");
-        actor.note_outcome(0, 0, answered);
-        assert_eq!(actor.inflight_cap(0), 8, "tracked peer starts clamped");
-        assert_eq!(actor.wire.budget_raises, 0, "clamping is not a raise");
-
-        // Initial budget below the floor: clamped up.
-        let under = NodeOptions {
-            per_peer_inflight: 1,
-            inflight_floor: 4,
-            seed: 15,
-            ..NodeOptions::default()
-        };
-        let mut actor = pacing_actor(under);
-        assert_eq!(actor.inflight_cap(0), 4, "untracked peer clamps to floor");
-        actor.note_outcome(0, 0, answered);
-        assert_eq!(actor.inflight_cap(0), 4, "tracked peer starts clamped");
+        assert_eq!(actor.inflight_cap(0), PER_PEER_INFLIGHT + 1);
     }
 
     #[test]
     fn budget_moves_are_counted_once_per_whole_offer_step() {
-        // `note_outcome` on a script with the clock standing still (the
-        // TTL is an hour, then zero), pinned to the exact counts the
+        // `note_outcome` on a script with the clock standing still, then
+        // stepping a whole TTL at a time, pinned to the exact counts the
         // per-branch accounting it replaced produced on the same script.
-        let with_ttl = |pending_ttl| NodeOptions {
-            pending_ttl,
-            inflight_ceiling: 6,
-            seed: 18,
-            ..NodeOptions::default()
-        };
         let moves = |actor: &NodeStateMachine| {
             (actor.wire.budget_raises, actor.wire.budget_cuts, actor.inflight_cap(0))
         };
         let answered = Some(Duration::from_micros(50));
 
-        // An hour's TTL: a never-heard peer is cut once per window …
-        let mut actor = pacing_actor(with_ttl(Duration::from_secs(3600)));
+        // The clock stands still: a never-heard peer is cut once per window …
+        let mut actor = pacing_actor(18);
         for _ in 0..4 {
             actor.note_outcome(0, 0, None);
         }
@@ -1038,54 +977,51 @@ mod tests {
         }
         assert_eq!(moves(&actor), (2, 1, 4), "two whole steps back to base");
         // … and a live peer's timeouts add one each, up to the ceiling.
-        for _ in 0..3 {
+        for _ in 0..61 {
             actor.note_outcome(0, 0, None);
         }
-        assert_eq!(moves(&actor), (4, 1, 6), "5, 6, and 6 again is no raise");
+        assert_eq!(moves(&actor), (62, 1, 64), "5, …, 64, and 64 again is no raise");
 
-        // A zero TTL: every timeout finds the peer silent and the window over.
-        let mut actor = pacing_actor(with_ttl(Duration::ZERO));
+        // Steps of a whole TTL: every timeout finds the peer silent and the
+        // window over.
+        let mut actor = pacing_actor(18);
         actor.note_outcome(0, 0, answered);
-        for _ in 0..4 {
-            actor.note_outcome(0, 0, None);
+        for step in 1..=4 {
+            actor.note_outcome(step * micros(PENDING_TTL), 0, None);
         }
         assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
     }
 
     #[test]
     fn pending_ttl_derives_from_the_rtt_ewma() {
-        let options = NodeOptions {
-            pending_ttl: Duration::from_millis(10),
-            seed: 16,
-            ..NodeOptions::default()
-        };
-        let mut actor = pacing_actor(options);
+        let mut actor = pacing_actor(16);
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
 
         // No feedback measured yet: the fixed TTL is the fallback.
-        assert_eq!(actor.ttl_for(0), Duration::from_millis(10));
+        assert_eq!(actor.ttl_for(0), Duration::from_millis(250));
 
         // Localhost-fast feedback: the floor still applies.
-        actor.note_outcome(0, 0, Some(Duration::from_micros(80)));
-        assert_eq!(actor.ttl_for(0), Duration::from_millis(10));
+        actor.note_outcome(0, 0, Some(Duration::from_millis(2)));
+        assert_eq!(actor.ttl_for(0), Duration::from_millis(250));
 
         // A slow link: the TTL tracks 4× the RTT EWMA…
         for _ in 0..64 {
-            actor.note_outcome(0, 0, Some(Duration::from_millis(50)));
+            actor.note_outcome(0, 0, Some(Duration::from_millis(500)));
         }
         let ttl = actor.ttl_for(0);
-        assert!(ttl > Duration::from_millis(100), "TTL must grow with RTT, got {ttl:?}");
-        // …but never past 16× the configured floor.
+        assert!(ttl > Duration::from_secs(1), "TTL must grow with RTT, got {ttl:?}");
+        assert!(ttl < Duration::from_secs(4), "TTL hit the ceiling early, got {ttl:?}");
+        // …but never past 16× the floor.
         for _ in 0..64 {
             actor.note_outcome(0, 0, Some(Duration::from_secs(30)));
         }
-        assert_eq!(actor.ttl_for(0), Duration::from_millis(160), "ceiling caps the TTL");
+        assert_eq!(actor.ttl_for(0), Duration::from_secs(4), "ceiling caps the TTL");
 
         // The estimate surfaces in the report.
         let report = actor.into_report();
         let (reported_peer, rtt) = report.rtt_estimates.first().expect("rtt tracked");
         assert_eq!(*reported_peer, peer);
-        assert!(*rtt > Duration::from_millis(100));
+        assert!(*rtt > Duration::from_secs(1));
     }
 
     /// In-memory links between hand-driven state machines: each
@@ -1156,6 +1092,13 @@ mod tests {
         fn push_once(&mut self) {
             let mut out = Outbox::new();
             self.sm.push_once(0, &mut out, OfferTrigger::Tick);
+            self.post(out);
+        }
+
+        /// A first offer to the peer on link `target`.
+        fn offer_to(&mut self, target: usize) {
+            let mut out = Outbox::new();
+            self.sm.offer_to(0, &mut out, target, OfferTrigger::Tick);
             self.post(out);
         }
 
@@ -1251,13 +1194,13 @@ mod tests {
         // pending. C's releases C's own payload, to C, and A's offer
         // still waits for A's own accept.
         let wires = Wires::default();
-        let options = NodeOptions { per_peer_inflight: 1, seed: 8, ..NodeOptions::default() };
+        let options = quick_options(8);
         let (mut source, a) = Driven::source_and_relay(options, &wires);
         let c = Driven::bystander(options, &wires);
         let d = Driven::bystander(options, &wires);
         source.sm.set_peers(vec![a.addr, c.addr]);
-        source.push_once();
-        source.push_once(); // one slot per peer: the second offer goes to the other
+        source.offer_to(0);
+        source.offer_to(1);
         let (offer_to_a, _) = a.arrived().pop().expect("one offer reached A");
         let (offer_to_c, _) = c.arrived().pop().expect("one offer reached C");
         let accept = feedback(&offer_to_a, true);
@@ -1512,12 +1455,7 @@ mod tests {
 
     #[test]
     fn event_clocked_offers_stay_behind_every_gate() {
-        let options = NodeOptions {
-            per_peer_inflight: 1,
-            inflight_ceiling: 1,
-            seed: 23,
-            ..NodeOptions::default()
-        };
+        let options = quick_options(23);
         let wires = Wires::default();
         let (mut source, mut relay) = Driven::source_and_relay(options, &wires);
         let sink = Driven::bystander(options, &wires);
@@ -1527,11 +1465,14 @@ mod tests {
         // Before set_peers a useful delivery releases nothing.
         assert_eq!(relay.next_useful_from(&mut source), 0, "not wired in yet");
         relay.sm.set_peers(vec![sink.addr]);
-        // Wired: the next one fills the sink's single in-flight slot …
-        assert_eq!(relay.next_useful_from(&mut source), 1);
+        // Wired: each of the next ones fills one of the sink's in-flight
+        // slots …
+        for _ in 0..PER_PEER_INFLIGHT {
+            assert_eq!(relay.next_useful_from(&mut source), 1);
+        }
         // … and the sink never answers, so the one after finds the cap.
         assert_eq!(relay.next_useful_from(&mut source), 0, "at the in-flight cap");
-        assert_eq!(kinds(&sink.arrived()), [MessageKind::DataHeader]);
+        assert_eq!(kinds(&sink.arrived()), [MessageKind::DataHeader; PER_PEER_INFLIGHT]);
 
         // A peer that said COMPLETE(object) gets its accepted payload and
         // no further offer. (`source` has one offer to the relay pending:

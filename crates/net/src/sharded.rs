@@ -32,7 +32,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ltnc_reactor::{Cx, Driven, Reactor};
-use ltnc_telemetry::{ScrapeOptions, ScrapeServer};
+use ltnc_telemetry::ScrapeServer;
 
 use crate::endpoint::Endpoint;
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry, Watchdog};
@@ -221,7 +221,7 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
                 let state = watchdog.state.clone();
                 Arc::new(move || state.dump(micros(anchor.elapsed()), "demand", None)) as _
             });
-            Some(ScrapeServer::spawn_with_flight(addr, registry, ScrapeOptions::default(), flight)?)
+            Some(ScrapeServer::spawn_with_flight(addr, registry, flight)?)
         }
         None => None,
     };
@@ -296,7 +296,7 @@ mod tests {
         let (peer, pest) = (bind(), bind());
         peer.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
         let node = |seed, peers, links, to: &UdpSocket| {
-            let options = NodeOptions { tick, seed, ..NodeOptions::default() };
+            let options = NodeOptions { tick, seed };
             let role = NodeRole::Source { object: vec![7; 8], params };
             let config = NodeConfig::new(1, role, options);
             let to = to.local_addr().expect("addr");

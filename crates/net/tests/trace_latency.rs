@@ -62,7 +62,7 @@ fn lossy_line() -> TopologyConfig {
     config.code_length = 8;
     config.payload_size = 16;
     config.session = 0x7_EACE;
-    config.options = NodeOptions { tick: Duration::from_millis(1), seed: 0xBEEF, ..config.options };
+    config.options = NodeOptions { tick: Duration::from_millis(1), seed: 0xBEEF };
     config.link_faults = TopologyFaults::uniform(DatagramFaultPlan::clean(0xD0_5E).drop_rate(0.2));
     config
 }

@@ -109,18 +109,13 @@ fn offers_to_a_dead_peer_cut_its_budget_to_the_floor() {
     // A source and one peer whose every answer is lost: the link back
     // from the peer drops everything, so each offer times out with no
     // feedback ever, and the adaptive budget must fall (multiplicative
-    // decrease), not grow. 400 ms of virtual time, replayed exactly.
+    // decrease), not grow. 3.4 s of virtual time, replayed exactly.
     let mut config = TopologyConfig::quick(SchemeKind::Rlnc, vec![3u8; 16], Topology::line(2));
     config.code_length = 4;
     config.payload_size = 2;
     config.session = 21;
-    config.options = NodeOptions {
-        tick: Duration::from_millis(1),
-        pending_ttl: Duration::from_millis(30),
-        seed: 11,
-        ..NodeOptions::default()
-    };
-    config.timeout = Duration::from_millis(400);
+    config.options = NodeOptions { tick: Duration::from_millis(1), seed: 11 };
+    config.timeout = Duration::from_millis(3_400);
     config.link_faults.overrides.push(((1, 0), DatagramFaultPlan::clean(7).drop_rate(1.0)));
     let swarm = run_virtual_swarm(&config);
     assert!(!swarm.converged, "no payload can ever be released");

@@ -27,7 +27,6 @@ pub struct GaussianDecoder {
     packets: Vec<EncodedPacket>,
     decoded: Option<Vec<Payload>>,
     received: u64,
-    redundant: u64,
     counters: OpCounters,
 }
 
@@ -42,7 +41,6 @@ impl GaussianDecoder {
             packets: Vec::with_capacity(k),
             decoded: None,
             received: 0,
-            redundant: 0,
             counters: OpCounters::new(),
         }
     }
@@ -75,12 +73,6 @@ impl GaussianDecoder {
     #[must_use]
     pub fn received_count(&self) -> u64 {
         self.received
-    }
-
-    /// Number of received packets rejected as non-innovative.
-    #[must_use]
-    pub fn redundant_count(&self) -> u64 {
-        self.redundant
     }
 
     /// The operation counters accumulated so far.
@@ -132,7 +124,6 @@ impl GaussianDecoder {
         let stored = self.solver.insert_if_innovative(packet.vector());
         self.counters.add(OpKind::RowReduction, self.solver.row_ops() - ops_before);
         let Some(id) = stored else {
-            self.redundant += 1;
             return Ok(false);
         };
         debug_assert_eq!(id, self.packets.len(), "solver ids align with the packet buffer");
@@ -225,7 +216,7 @@ mod tests {
         dec.insert(&packet(k, &[0, 1], &nat)).unwrap();
         dec.insert(&packet(k, &[1, 2], &nat)).unwrap();
         assert!(!dec.insert(&packet(k, &[0, 2], &nat)).unwrap());
-        assert_eq!(dec.redundant_count(), 1);
+        assert_eq!(dec.received_count(), 3);
         assert_eq!(dec.rank(), 2);
         assert!(!dec.is_innovative(packet(k, &[0, 2], &nat).vector()));
         assert!(dec.is_innovative(packet(k, &[3], &nat).vector()));

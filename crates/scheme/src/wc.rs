@@ -58,12 +58,6 @@ impl WcNode {
         node
     }
 
-    /// Number of distinct natives held.
-    #[must_use]
-    pub fn natives_held(&self) -> usize {
-        self.decoded
-    }
-
     fn store(&mut self, index: usize, payload: Payload) {
         if self.natives[index].is_none() {
             self.natives[index] = Some(payload);
@@ -158,7 +152,6 @@ mod tests {
         let node = WcNode::new(8, 2, 4, 4);
         assert!(!node.is_complete());
         assert_eq!(node.useful_received(), 0);
-        assert_eq!(node.natives_held(), 0);
     }
 
     #[test]
@@ -237,7 +230,7 @@ mod tests {
         }
         // Buffer holds only the two most recent natives (2 and 3); the node
         // still *stores* all four for completeness purposes.
-        assert_eq!(node.natives_held(), 4);
+        assert_eq!(node.useful_received(), 4);
         let mut forwarded = std::collections::HashSet::new();
         for _ in 0..10 {
             forwarded.insert(node.make_packet(&mut rng).unwrap().vector().first_one().unwrap());

@@ -32,9 +32,7 @@ use ltnc_metrics::{
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::{fetch, ClientOptions, ServeOptions, Server};
 use ltnc_telemetry::json::{self, JsonValue};
-use ltnc_telemetry::{
-    hop_samples, samples, stripe_samples, MetricsRegistry, ScrapeOptions, ScrapeServer,
-};
+use ltnc_telemetry::{hop_samples, samples, stripe_samples, MetricsRegistry, ScrapeServer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -195,7 +193,7 @@ fn spawn_telemetry(addr: SocketAddr) -> std::io::Result<Telemetry> {
     registry
         .register("hop", &[example], move || hop_samples(&source.lock().expect("hop rollup lock")));
 
-    let scrape = ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?;
+    let scrape = ScrapeServer::spawn(addr, registry)?;
     Ok(Telemetry { scrape, serve, wire, stripe, hop })
 }
 

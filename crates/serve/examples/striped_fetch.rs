@@ -129,7 +129,6 @@ fn run_pass(args: &Args, scheme: SchemeKind, kill: bool) -> Result<(), String> {
             stall_timeout: Duration::from_secs(args.timeout_secs.div_ceil(10).max(2)),
             ..Default::default()
         },
-        ..Default::default()
     };
 
     let servers: Vec<Server> = (0..args.servers)

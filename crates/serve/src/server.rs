@@ -54,8 +54,7 @@ use ltnc_reactor::{Cx, Driven, Reactor, TimerId};
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
 use ltnc_telemetry::{
-    samples, HistogramSample, MetricsRegistry, ScrapeOptions, ScrapeServer, TraceEvent, TraceSink,
-    Tracer,
+    samples, HistogramSample, MetricsRegistry, ScrapeServer, TraceEvent, TraceSink, Tracer,
 };
 
 use crate::store::ObjectStore;
@@ -167,7 +166,7 @@ impl Server {
                         vec![HistogramSample::plain("session_micros", snapshot)]
                     }
                 });
-                Some(ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?)
+                Some(ScrapeServer::spawn(addr, registry)?)
             }
             None => None,
         };

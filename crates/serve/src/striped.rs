@@ -59,24 +59,19 @@ use crate::ServeError;
 /// Upper bound on replicas a striped fetch will open.
 pub const MAX_REPLICAS: usize = 64;
 
+/// Total stream failures tolerated before the fetch gives up with
+/// [`ServeError::AllReplicasFailed`]. Bounds flapping: a replica that
+/// keeps accepting connections and then stalling could otherwise eat the
+/// whole deadline in re-lease cycles. Replicas dead at connect time do not
+/// count against this budget.
+const MAX_FAILOVERS: usize = 8;
+
 /// Tuning of one striped fetch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StripedOptions {
     /// Per-stream options (deadline, connect timeout, stall watermark).
     /// The overall fetch deadline is `client.timeout` as well.
     pub client: ClientOptions,
-    /// Total stream failures tolerated before the fetch gives up with
-    /// [`ServeError::AllReplicasFailed`]. Bounds flapping: a replica that
-    /// keeps accepting connections and then stalling could otherwise eat
-    /// the whole deadline in re-lease cycles. Replicas dead at connect
-    /// time do not count against this budget.
-    pub max_failovers: usize,
-}
-
-impl Default for StripedOptions {
-    fn default() -> Self {
-        StripedOptions { client: ClientOptions::default(), max_failovers: 8 }
-    }
 }
 
 /// Outcome of a successful striped fetch.
@@ -364,7 +359,7 @@ impl Coordinator {
                         let replica = event.replica as u64;
                         crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica });
                     }
-                    if self.stream_failures > self.options.max_failovers {
+                    if self.stream_failures > MAX_FAILOVERS {
                         return Err(self.give_up());
                     }
                     if self.migrate(&event.lease, event.replica).is_err() {

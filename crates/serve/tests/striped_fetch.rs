@@ -46,7 +46,6 @@ fn striped_options() -> StripedOptions {
             stall_timeout: Duration::from_secs(5),
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 
@@ -123,7 +122,6 @@ fn killing_one_replica_mid_fetch_completes_via_failover() {
                 stall_timeout: Duration::from_millis(1500),
                 ..Default::default()
             },
-            ..Default::default()
         };
         let report = fetch_striped(&addrs, 9, scheme, &options)
             .expect("fetch must survive one replica death");
@@ -179,7 +177,6 @@ fn all_replicas_dead_is_a_typed_error() {
             connect_timeout: Duration::from_millis(500),
             stall_timeout: Duration::from_millis(500),
         },
-        ..Default::default()
     };
     match fetch_striped(&dead, 1, SchemeKind::Ltnc, &options) {
         Err(
@@ -273,7 +270,6 @@ fn stress_striped_fetch_under_delay_and_kill() {
                 stall_timeout: Duration::from_secs(3),
                 ..Default::default()
             },
-            ..Default::default()
         };
         let report = fetch_striped(&addrs, 11, scheme, &options).expect("stress fetch completes");
         assert_eq!(report.object, object, "{scheme:?}: bit-exact under adversity");

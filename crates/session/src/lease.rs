@@ -7,9 +7,9 @@
 //!
 //! * [`LeaseTable`] — which replica is responsible for pushing which
 //!   generation. A fresh table partitions generations round-robin; when a
-//!   replica dies its outstanding leases are reassigned to the survivors
-//!   ([`LeaseTable::reassign`]), and completed generations are released
-//!   so they never migrate.
+//!   stream dies its outstanding leases are reassigned to the survivors
+//!   ([`LeaseTable::reassign_set`]), and completed generations are
+//!   released so they never migrate.
 //! * [`SharedReceiver`] — the merge point: the same per-generation decode
 //!   state as [`crate::generation::ReceiverSession`], but behind one lock
 //!   *per generation* plus atomic completion flags, so replica streams
@@ -43,7 +43,7 @@ use crate::generation::ObjectManifest;
 /// // Generation 2 completes (released), then replica 0 dies: only its
 /// // *outstanding* leases migrate to the survivor.
 /// table.release(2);
-/// let moves = table.reassign(0, &[1]);
+/// let moves = table.reassign_set(&table.leased_to(0), &[1]);
 /// assert_eq!(moves, vec![(0, 1), (4, 1)]);
 /// assert_eq!(table.owner(2), None, "completed leases never migrate");
 /// assert_eq!(table.outstanding(), 4);
@@ -100,31 +100,15 @@ impl LeaseTable {
         }
     }
 
-    /// Moves every generation still leased to `from` onto the `survivors`
-    /// round-robin, returning the `(generation, new_owner)` moves. An
-    /// empty survivor list leaves the table untouched and returns the
-    /// orphaned generations as unassigned moves would be meaningless —
-    /// the caller must treat that as a fatal loss of service.
-    pub fn reassign(&mut self, from: usize, survivors: &[usize]) -> Vec<(u32, usize)> {
-        if survivors.is_empty() {
-            return Vec::new();
-        }
-        let set: Vec<u32> = self
-            .owner
-            .iter()
-            .enumerate()
-            .filter(|(_, owner)| **owner == Some(from))
-            .map(|(g, _)| g as u32)
-            .collect();
-        self.reassign_set(&set, survivors)
-    }
-
     /// Moves exactly the generations in `set` (skipping any already
     /// released) onto the `survivors` round-robin, returning the
     /// `(generation, new_owner)` moves. This is the per-*stream* failover
     /// primitive: when one session dies, only the generations that
     /// session was responsible for migrate — other streams of the same
-    /// replica keep theirs.
+    /// replica keep theirs; a whole replica's set is
+    /// [`LeaseTable::leased_to`]. An empty survivor list leaves the table
+    /// untouched and returns no moves — the caller must treat that as a
+    /// fatal loss of service.
     pub fn reassign_set(&mut self, set: &[u32], survivors: &[usize]) -> Vec<(u32, usize)> {
         if survivors.is_empty() {
             return Vec::new();
@@ -370,7 +354,7 @@ mod tests {
         let mut table = LeaseTable::partition(6, 3);
         // Replica 1 completed generation 1 before dying; only 4 migrates.
         table.release(1);
-        let moves = table.reassign(1, &[0, 2]);
+        let moves = table.reassign_set(&table.leased_to(1), &[0, 2]);
         assert_eq!(moves, vec![(4, 0)]);
         assert_eq!(table.owner(4), Some(0));
         assert_eq!(table.owner(1), None, "released leases stay released");
@@ -380,7 +364,7 @@ mod tests {
     #[test]
     fn reassign_spreads_across_survivors() {
         let mut table = LeaseTable::partition(9, 3);
-        let moves = table.reassign(2, &[0, 1]);
+        let moves = table.reassign_set(&table.leased_to(2), &[0, 1]);
         // Replica 2 owned 2, 5, 8 → alternating to 0 and 1.
         assert_eq!(moves, vec![(2, 0), (5, 1), (8, 0)]);
         assert!(table.leased_to(2).is_empty());
@@ -402,7 +386,7 @@ mod tests {
     #[test]
     fn reassign_with_no_survivors_is_a_noop() {
         let mut table = LeaseTable::partition(4, 2);
-        assert!(table.reassign(0, &[]).is_empty());
+        assert!(table.reassign_set(&table.leased_to(0), &[]).is_empty());
         assert_eq!(table.leased_to(0), vec![0, 2], "leases untouched");
     }
 
@@ -412,9 +396,9 @@ mod tests {
         // ends up owning everything still outstanding.
         let mut table = LeaseTable::partition(7, 3);
         table.release(1); // replica 1 finished one generation first
-        let first = table.reassign(1, &[0, 2]);
+        let first = table.reassign_set(&table.leased_to(1), &[0, 2]);
         assert_eq!(first, vec![(4, 0)]);
-        let second = table.reassign(0, &[2]);
+        let second = table.reassign_set(&table.leased_to(0), &[2]);
         assert_eq!(second, vec![(0, 2), (3, 2), (4, 2), (6, 2)]);
         assert_eq!(table.leased_to(2), vec![0, 2, 3, 4, 5, 6]);
         assert_eq!(table.outstanding(), 6);
@@ -429,7 +413,7 @@ mod tests {
         // survivors, and its generations then stay put but are reported
         // as moves (the caller re-sends the steering COMPLETEs).
         let mut table = LeaseTable::partition(4, 2);
-        let moves = table.reassign(0, &[0]);
+        let moves = table.reassign_set(&table.leased_to(0), &[0]);
         assert_eq!(moves, vec![(0, 0), (2, 0)]);
         assert_eq!(table.leased_to(0), vec![0, 2]);
         assert_eq!(table.outstanding(), 4, "nothing lost in a self re-lease");

@@ -43,5 +43,5 @@ pub use registry::{
     Collector, FamilySnapshot, HistogramCollector, HistogramSample, MetricsRegistry,
     MetricsSnapshot, Sample, SampleKind,
 };
-pub use scrape::{FlightHandler, ScrapeOptions, ScrapeServer};
+pub use scrape::{FlightHandler, ScrapeServer};
 pub use trace::{FaultKind, OfferTrigger, RingSink, TimedEvent, TraceEvent, TraceSink, Tracer};

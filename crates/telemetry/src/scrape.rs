@@ -7,45 +7,15 @@ use std::time::{Duration, Instant};
 
 use crate::registry::MetricsRegistry;
 
-/// Limits protecting a [`ScrapeServer`] from slow or malformed clients.
-///
-/// A scraper that connects and never sends a request, trickles bytes, or
-/// never reads the response holds exactly one connection for at most
-/// `read_deadline + write_deadline`; it can never stall the instrumented
-/// process, whose hot paths only share the registry's short mutex.
-///
-/// ```
-/// use std::time::Duration;
-/// use ltnc_telemetry::ScrapeOptions;
-///
-/// let options = ScrapeOptions {
-///     read_deadline: Duration::from_millis(200),
-///     ..ScrapeOptions::default()
-/// };
-/// assert!(options.read_deadline < ScrapeOptions::default().read_deadline);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrapeOptions {
-    /// Total time allowed for a client to deliver its request head
-    /// (default 1s).
-    pub read_deadline: Duration,
-    /// Socket write timeout for the response; a client that stops
-    /// reading gets disconnected (default 2s).
-    pub write_deadline: Duration,
-    /// Maximum accepted request-head size; anything longer is rejected
-    /// as malformed (default 4096 bytes).
-    pub max_request_bytes: usize,
-}
+/// Total time a client has to deliver its request head.
+const READ_DEADLINE: Duration = Duration::from_secs(1);
 
-impl Default for ScrapeOptions {
-    fn default() -> ScrapeOptions {
-        ScrapeOptions {
-            read_deadline: Duration::from_secs(1),
-            write_deadline: Duration::from_secs(2),
-            max_request_bytes: 4096,
-        }
-    }
-}
+/// Socket write timeout for the response: a client that stops reading is
+/// disconnected.
+const WRITE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Longest request head accepted; anything longer is rejected as malformed.
+const MAX_REQUEST_BYTES: usize = 4096;
 
 /// Builds the on-demand flight-recorder document served at `/flight`
 /// (see [`ScrapeServer::spawn_with_flight`]). Called on the listener
@@ -64,22 +34,21 @@ pub type FlightHandler = dyn Fn() -> String + Send + Sync;
 ///   `404` otherwise,
 /// * anything else — `404`; malformed or oversized requests — `400`.
 ///
-/// One dedicated OS thread accepts and serves connections sequentially;
-/// every connection is bounded by [`ScrapeOptions`] deadlines, so the
-/// endpoint needs no connection pool and cannot accumulate stuck
-/// sockets.
+/// One dedicated OS thread accepts and serves connections sequentially.
+/// A client has 1 s to deliver a request head of at most 4 096 bytes and
+/// 2 s per write of the response, so a scraper that connects and never
+/// sends, trickles bytes or never reads holds the one connection for at
+/// most 3 s: the endpoint needs no connection pool, cannot accumulate
+/// stuck sockets and never stalls the instrumented process, whose hot
+/// paths only share the registry's short mutex.
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use ltnc_telemetry::{MetricsRegistry, ScrapeOptions, ScrapeServer, Sample};
+/// use ltnc_telemetry::{MetricsRegistry, ScrapeServer, Sample};
 ///
 /// let registry = Arc::new(MetricsRegistry::new());
 /// registry.register("serve", &[], || vec![Sample::plain("sessions_accepted", 1)]);
-/// let server = ScrapeServer::spawn(
-///     "127.0.0.1:0".parse().unwrap(),
-///     registry,
-///     ScrapeOptions::default(),
-/// ).unwrap();
+/// let server = ScrapeServer::spawn("127.0.0.1:0".parse().unwrap(), registry).unwrap();
 /// println!("scrape me at http://{}/metrics", server.local_addr());
 /// server.shutdown();
 /// ```
@@ -96,9 +65,8 @@ impl ScrapeServer {
     pub fn spawn(
         addr: SocketAddr,
         registry: Arc<MetricsRegistry>,
-        options: ScrapeOptions,
     ) -> std::io::Result<ScrapeServer> {
-        ScrapeServer::spawn_with_flight(addr, registry, options, None)
+        ScrapeServer::spawn_with_flight(addr, registry, None)
     }
 
     /// [`ScrapeServer::spawn`] with an optional flight-recorder handler:
@@ -108,7 +76,6 @@ impl ScrapeServer {
     pub fn spawn_with_flight(
         addr: SocketAddr,
         registry: Arc<MetricsRegistry>,
-        options: ScrapeOptions,
         flight: Option<Arc<FlightHandler>>,
     ) -> std::io::Result<ScrapeServer> {
         let listener = TcpListener::bind(addr)?;
@@ -122,7 +89,7 @@ impl ScrapeServer {
                 while !stop_flag.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            serve_client(stream, &registry, &options, flight.as_deref());
+                            serve_client(stream, &registry, flight.as_deref());
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(10));
@@ -162,21 +129,16 @@ impl Drop for ScrapeServer {
 /// Reads one request head within the deadlines and answers it. All
 /// errors are per-connection: the listener thread survives anything a
 /// client does.
-fn serve_client(
-    mut stream: TcpStream,
-    registry: &MetricsRegistry,
-    options: &ScrapeOptions,
-    flight: Option<&FlightHandler>,
-) {
+fn serve_client(mut stream: TcpStream, registry: &MetricsRegistry, flight: Option<&FlightHandler>) {
     // Per-read timeout, bounded overall by the deadline loop below.
-    let _ = stream.set_read_timeout(Some(options.read_deadline.max(Duration::from_millis(1))));
-    let _ = stream.set_write_timeout(Some(options.write_deadline.max(Duration::from_millis(1))));
+    let _ = stream.set_read_timeout(Some(READ_DEADLINE));
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
 
     let started = Instant::now();
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     let request_line = loop {
-        if started.elapsed() > options.read_deadline || head.len() > options.max_request_bytes {
+        if started.elapsed() > READ_DEADLINE || head.len() > MAX_REQUEST_BYTES {
             respond(&mut stream, 400, "text/plain", "bad request\n");
             return;
         }
@@ -187,7 +149,7 @@ fn serve_client(
             }
             Ok(n) => {
                 head.extend_from_slice(&buf[..n]);
-                if head.len() > options.max_request_bytes {
+                if head.len() > MAX_REQUEST_BYTES {
                     respond(&mut stream, 400, "text/plain", "bad request\n");
                     return;
                 }
@@ -281,12 +243,12 @@ mod tests {
     use super::*;
     use crate::registry::Sample;
 
-    fn test_server(options: ScrapeOptions) -> ScrapeServer {
+    fn test_server() -> ScrapeServer {
         let registry = Arc::new(MetricsRegistry::new());
         registry.register("serve", &[("server", "t".to_string())], || {
             vec![Sample::plain("sessions_accepted", 2)]
         });
-        ScrapeServer::spawn("127.0.0.1:0".parse().unwrap(), registry, options).unwrap()
+        ScrapeServer::spawn("127.0.0.1:0".parse().unwrap(), registry).unwrap()
     }
 
     fn get(addr: SocketAddr, request: &str) -> String {
@@ -299,7 +261,7 @@ mod tests {
 
     #[test]
     fn serves_prometheus_and_json() {
-        let server = test_server(ScrapeOptions::default());
+        let server = test_server();
         let addr = server.local_addr();
         let text = get(addr, "GET /metrics HTTP/1.0\r\n\r\n");
         assert!(text.starts_with("HTTP/1.0 200"));
@@ -314,7 +276,7 @@ mod tests {
 
     #[test]
     fn flight_route_serves_the_handler_or_404() {
-        let server = test_server(ScrapeOptions::default());
+        let server = test_server();
         let missing = get(server.local_addr(), "GET /flight HTTP/1.0\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.0 404"), "no handler installed means 404");
         server.shutdown();
@@ -323,7 +285,6 @@ mod tests {
         let server = ScrapeServer::spawn_with_flight(
             "127.0.0.1:0".parse().unwrap(),
             registry,
-            ScrapeOptions::default(),
             Some(Arc::new(|| "{\"reason\":\"demand\"}".to_string())),
         )
         .unwrap();
@@ -336,7 +297,7 @@ mod tests {
 
     #[test]
     fn healthz_answers_ok_without_a_scrape() {
-        let server = test_server(ScrapeOptions::default());
+        let server = test_server();
         let addr = server.local_addr();
         let health = get(addr, "GET /healthz HTTP/1.0\r\n\r\n");
         assert!(health.starts_with("HTTP/1.0 200"));
@@ -348,9 +309,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_get_400_and_do_not_stall() {
-        let options =
-            ScrapeOptions { read_deadline: Duration::from_millis(300), ..ScrapeOptions::default() };
-        let server = test_server(options);
+        let server = test_server();
         let addr = server.local_addr();
         let bad = get(addr, "BLAH blah\r\n\r\n");
         assert!(bad.starts_with("HTTP/1.0 400"));
@@ -362,9 +321,7 @@ mod tests {
 
     #[test]
     fn silent_client_is_cut_at_the_read_deadline() {
-        let options =
-            ScrapeOptions { read_deadline: Duration::from_millis(200), ..ScrapeOptions::default() };
-        let server = test_server(options);
+        let server = test_server();
         let addr = server.local_addr();
         // Connect, send nothing: within ~the deadline the server must
         // move on and answer the next client.
@@ -383,10 +340,9 @@ mod tests {
 
     #[test]
     fn oversized_request_heads_are_rejected() {
-        let options = ScrapeOptions { max_request_bytes: 64, ..ScrapeOptions::default() };
-        let server = test_server(options);
+        let server = test_server();
         let addr = server.local_addr();
-        let huge = format!("GET /metrics{} HTTP/1.0\r\n\r\n", "x".repeat(512));
+        let huge = format!("GET /metrics{} HTTP/1.0\r\n\r\n", "x".repeat(MAX_REQUEST_BYTES));
         let out = get(addr, &huge);
         assert!(out.starts_with("HTTP/1.0 400"));
         server.shutdown();

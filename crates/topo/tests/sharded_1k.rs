@@ -63,7 +63,6 @@ fn thousand_node_k_regular_swarm_converges_bit_exactly_under_loss() {
         config.options = NodeOptions {
             seed: 0x1_000 + u64::from(scheme.wire_id()),
             tick: Duration::from_millis(10),
-            ..NodeOptions::default()
         };
         config.session = 0x1000_0000 + u64::from(scheme.wire_id());
         config.timeout = Duration::from_secs(180);
