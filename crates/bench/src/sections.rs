@@ -428,8 +428,9 @@ fn ltnc_transfer(
 /// What each LTNC design choice contributes, measured by switching it off:
 /// refinement (Algorithm 2: the spread of native occurrences, the packets a
 /// sink needs), redundancy detection (Algorithm 3: redundant packets
-/// buffered), the binary feedback channel (the payloads it saves the
-/// protocol we ship), and the RLNC baseline's `ln k + 20` sparsity.
+/// buffered), the feedback channel (the payloads it saves the protocol we
+/// ship, and the smart packets its summaries buy), and the RLNC baseline's
+/// `ln k + 20` sparsity.
 pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Result {
     let k = if options.full { 1024 } else { 128 };
     let m = 16;
@@ -472,9 +473,11 @@ pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Resu
     let headers = ["configuration", "packets to decode", "redundant packets buffered"];
     print_table(out, &format!("Ablation: redundancy detection (k = {k})"), &headers, &rows)?;
 
-    // The protocol we ship has no feedback-off mode to switch to: what the
-    // channel saves is read off its books instead — every aborted offer is a
-    // payload that never crossed the wire.
+    // The protocol we ship has no feedback-off or summary-off mode to switch
+    // to: what the channel saves is read off its books instead — every
+    // aborted offer is a payload that never crossed the wire, and every
+    // summary an LTNC refusal sent could buy a smart offer, which a receiver
+    // that learned nothing in between accepts.
     let (peers, epidemic_k, payload) = if options.full { (1000, 2048, 64) } else { (60, 48, 8) };
     let config = epidemic(SchemeKind::Ltnc, peers, epidemic_k, payload, options.seed);
     let report = run_topology_virtual(&config);
@@ -486,11 +489,28 @@ pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Resu
         wire.transfers_delivered.to_string(),
         wire.transfers_aborted.to_string(),
         fmt_f(100.0 * wire.transfers_aborted as f64 / wire.transfers_offered.max(1) as f64, 1),
+        wire.summaries_sent.to_string(),
+        wire.smart_offers.to_string(),
+        fmt_f(
+            100.0 * (wire.smart_offers - wire.smart_aborts) as f64
+                / wire.smart_offers.max(1) as f64,
+            1,
+        ),
     ]];
     print_table(
         out,
-        &format!("Ablation: binary feedback channel (LTNC, {peers} peers, k = {epidemic_k})"),
-        &["avg ticks to complete", "overhead %", "offers", "payloads", "aborted", "saved %"],
+        &format!("Ablation: feedback channel (LTNC, {peers} peers, k = {epidemic_k})"),
+        &[
+            "avg ticks to complete",
+            "overhead %",
+            "offers",
+            "payloads",
+            "aborted",
+            "saved %",
+            "summaries",
+            "smart offers",
+            "smart accepted %",
+        ],
         &rows,
     )?;
 

@@ -1,5 +1,6 @@
 use ltnc_gf2::{CodeVector, EncodedPacket};
 use ltnc_metrics::OpKind;
+use rand::Rng;
 
 use crate::build::Draft;
 use crate::components::DECODED_CLASS;
@@ -17,14 +18,24 @@ impl LtncNode {
     ///   components at the receiver), found by mapping sender components onto
     ///   receiver components and emitting on the first inconsistency.
     ///
+    /// Both scans start at a point `rng` draws, so senders answering one
+    /// receiver at once do not all pick the same native or pair.
+    ///
     /// # Panics
     ///
     /// Panics if `receiver_labels.len() != k`.
-    pub fn smart_packet(&mut self, receiver_labels: &[usize]) -> Option<EncodedPacket> {
+    pub fn smart_packet<R: Rng + ?Sized>(
+        &mut self,
+        receiver_labels: &[usize],
+        rng: &mut R,
+    ) -> Option<EncodedPacket> {
         assert_eq!(receiver_labels.len(), self.k, "receiver labels must cover all k natives");
 
         // Degree 1: a native we decoded that the receiver has not.
-        for &x in self.cc.decoded_members() {
+        let decoded = self.cc.decoded_members().len();
+        let start = if decoded > 0 { rng.gen_range(0..decoded) } else { 0 };
+        for step in 0..decoded {
+            let x = self.cc.decoded_members()[(start + step) % decoded];
             self.recode_counters.incr(OpKind::RedundancyCheck);
             if receiver_labels[x] != DECODED_CLASS {
                 let payload = self.decoder.native(x).expect("decoded native").clone();
@@ -37,7 +48,9 @@ impl LtncNode {
         // component of its first visited member; a second member landing in a
         // different receiver component yields an innovative pair.
         let mut sigma: Vec<Option<(usize, usize)>> = vec![None; self.k + 1];
-        for (i, &receiver_label_i) in receiver_labels.iter().enumerate().take(self.k) {
+        let start = rng.gen_range(0..self.k);
+        for i in (start..self.k).chain(0..start) {
+            let receiver_label_i = receiver_labels[i];
             self.recode_counters.incr(OpKind::RedundancyCheck);
             let sender_label = self.cc.label_of(i);
             match sigma[sender_label] {
@@ -79,6 +92,12 @@ mod tests {
     use super::*;
     use crate::LtncConfig;
     use ltnc_gf2::{CodeVector, Payload};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    fn rng() -> SmallRng {
+        SmallRng::seed_from_u64(4)
+    }
 
     fn natives(k: usize, m: usize) -> Vec<Payload> {
         (0..k)
@@ -113,7 +132,7 @@ mod tests {
         receiver.receive(&packet(k, &[1], &nat));
 
         let labels = receiver.component_labels();
-        let p = sender.smart_packet(&labels).expect("an innovative native exists");
+        let p = sender.smart_packet(&labels, &mut rng()).expect("an innovative native exists");
         assert_eq!(p.degree(), 1);
         let x = p.vector().first_one().unwrap();
         assert!(!receiver.is_decoded(x), "sent native must be new to the receiver");
@@ -136,7 +155,7 @@ mod tests {
         receiver.receive(&packet(k, &[4, 6], &nat)); // receiver only connects x5 ⊕ x7
 
         let labels = receiver.component_labels();
-        let p = sender.smart_packet(&labels).expect("an innovative pair exists");
+        let p = sender.smart_packet(&labels, &mut rng()).expect("an innovative pair exists");
         assert_eq!(p.degree(), 2);
         assert_consistent(&p, &nat);
         assert!(
@@ -158,7 +177,7 @@ mod tests {
             b.receive(&p);
         }
         let labels = b.component_labels();
-        assert!(a.smart_packet(&labels).is_none());
+        assert!(a.smart_packet(&labels, &mut rng()).is_none());
     }
 
     #[test]
@@ -166,7 +185,7 @@ mod tests {
         let k = 8;
         let mut sender = LtncNode::new(k, 2);
         let receiver = LtncNode::new(k, 2);
-        assert!(sender.smart_packet(&receiver.component_labels()).is_none());
+        assert!(sender.smart_packet(&receiver.component_labels(), &mut rng()).is_none());
     }
 
     #[test]
@@ -182,7 +201,7 @@ mod tests {
         let mut sent = 0;
         while !receiver.is_complete() {
             let p = sender
-                .smart_packet(&receiver.component_labels())
+                .smart_packet(&receiver.component_labels(), &mut rng())
                 .expect("sender with full knowledge always has an innovative packet");
             assert!(receiver.receive(&p).is_useful());
             sent += 1;
@@ -195,6 +214,6 @@ mod tests {
     #[should_panic(expected = "receiver labels")]
     fn mismatched_label_length_panics() {
         let mut sender = LtncNode::new(8, 2);
-        sender.smart_packet(&[0; 7]);
+        sender.smart_packet(&[0; 7], &mut rng());
     }
 }

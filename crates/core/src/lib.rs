@@ -60,6 +60,7 @@ mod pick;
 mod redundancy;
 mod refine;
 mod stats;
+mod summary;
 
 pub use components::{ComponentTracker, DECODED_CLASS};
 pub use config::LtncConfig;
@@ -67,6 +68,7 @@ pub use degree_index::DegreeIndex;
 pub use node::{LtncNode, ReceiveOutcome};
 pub use occurrences::OccurrenceTracker;
 pub use stats::{OccurrenceSpread, RecodeStats};
+pub use summary::{Summary, SummaryError};
 
 #[cfg(test)]
 mod node_tests {

@@ -75,7 +75,9 @@ fn varint_len(value: usize) -> usize {
     1 + usize::from(value >= 1 << 7) + usize::from(value >= 1 << 14)
 }
 
-fn write_varint(out: &mut Vec<u8>, mut value: usize) {
+/// Appends `value` as a minimal LEB128 varint, the unit of the list form;
+/// [`read_varint`] reads it back when `value` is below 2²¹.
+pub fn write_varint(out: &mut Vec<u8>, mut value: usize) {
     while value >= 0x80 {
         out.push(value as u8 | 0x80);
         value >>= 7;
@@ -200,9 +202,15 @@ pub fn decode_prefix(bytes: &[u8], header_only: bool) -> Result<(PacketView<'_>,
     Ok((PacketView { vector, payload }, end + m))
 }
 
-/// The minimal varint of at most [`MAX_VARINT_BYTES`] at `bytes[at..]`, and
-/// the offset after it.
-fn read_varint(bytes: &[u8], at: usize) -> Result<(usize, usize), Gf2Error> {
+/// The minimal varint of at most three bytes at `bytes[at..]`, and the
+/// offset after it.
+///
+/// # Errors
+///
+/// [`Gf2Error::LengthMismatch`] when `bytes` ends inside it, its `right` the
+/// length that would hold one more byte; [`Gf2Error::NonCanonicalVector`]
+/// for a varint that is not minimal or longer than three bytes.
+pub fn read_varint(bytes: &[u8], at: usize) -> Result<(usize, usize), Gf2Error> {
     if let Some(&byte @ 0..0x80) = bytes.get(at) {
         return Ok((usize::from(byte), at + 1));
     }

@@ -13,8 +13,11 @@ use crate::{DegreeDistribution, LtError, RobustSoliton};
 /// Soliton in the paper). LT codes are rateless: the encoder can produce an
 /// unbounded number of distinct packets.
 ///
-/// In the dissemination application only the *source* runs this encoder;
-/// intermediary nodes recode with `ltnc-core` instead.
+/// This is the plain-LT reference: the interop tests of `ltnc-lt` and
+/// `ltnc-core` decode its stream, and the reference benchmark times it
+/// (`lt.encode_ns`). No dissemination runs it: a source encodes through
+/// `ltnc-scheme`'s adapters like every other node, an LTNC source as an
+/// `LtncNode` holding every native.
 #[derive(Debug, Clone)]
 pub struct LtEncoder<D = RobustSoliton> {
     natives: Vec<Payload>,

@@ -50,6 +50,17 @@ crate::counter_family! {
         pub unsolicited_payloads: u64,
         /// Accepts evicted, oldest first, to keep a link's accept table in its cap.
         pub accepts_evicted: u64,
+        /// Senders' accept tables evicted, least recently used first, to keep
+        /// their number in its cap.
+        pub accept_ledgers_evicted: u64,
+        /// Refusals that went out as `ABORT-SUMMARY`, with the receiver's
+        /// decoded set and components.
+        pub summaries_sent: u64,
+        /// Offers of a packet built from the peer's summary (Algorithm 4).
+        pub smart_offers: u64,
+        /// Smart offers the peer aborted all the same: it learned something
+        /// between its summary and the offer.
+        pub smart_aborts: u64,
     }
     snapshot_delta {
         /// Sampling a live endpoint at two instants and diffing yields the
@@ -75,7 +86,8 @@ impl fmt::Display for WireCounters {
             "sent {} dgrams / {} B ({} B payload), recv {} dgrams / {} B, \
              transfers {} offered / {} aborted / {} delivered ({} useful) / {} timed out, \
              {} decode errors, {} foreign-session, {} dropped, \
-             budget {} raises / {} cuts, {} unsolicited payloads / {} accepts evicted",
+             budget {} raises / {} cuts, {} unsolicited payloads / {} accepts evicted / \
+             {} accept tables evicted, {} summaries sent, smart offers {} / {} aborted",
             self.datagrams_sent,
             self.bytes_sent,
             self.payload_bytes_sent,
@@ -93,6 +105,10 @@ impl fmt::Display for WireCounters {
             self.budget_cuts,
             self.unsolicited_payloads,
             self.accepts_evicted,
+            self.accept_ledgers_evicted,
+            self.summaries_sent,
+            self.smart_offers,
+            self.smart_aborts,
         )
     }
 }
@@ -154,6 +170,10 @@ mod tests {
             budget_cuts: 1,
             unsolicited_payloads: 4,
             accepts_evicted: 0,
+            accept_ledgers_evicted: 1,
+            summaries_sent: 30,
+            smart_offers: 20,
+            smart_aborts: 2,
         };
         let now = WireCounters {
             datagrams_sent: 25,
@@ -173,6 +193,10 @@ mod tests {
             budget_cuts: 2,
             unsolicited_payloads: 7,
             accepts_evicted: 2,
+            accept_ledgers_evicted: 1,
+            summaries_sent: 41,
+            smart_offers: 29,
+            smart_aborts: 3,
         };
         let delta = now.snapshot_delta(&earlier);
         assert_eq!(
@@ -195,6 +219,10 @@ mod tests {
                 budget_cuts: 1,
                 unsolicited_payloads: 3,
                 accepts_evicted: 2,
+                accept_ledgers_evicted: 0,
+                summaries_sent: 11,
+                smart_offers: 9,
+                smart_aborts: 1,
             }
         );
         // Re-accumulating the delta onto the earlier snapshot round-trips.

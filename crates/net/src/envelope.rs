@@ -20,6 +20,9 @@
 //!   innovation / redundancy check on this alone.
 //! * `FEEDBACK-ACCEPT` / `FEEDBACK-ABORT` — `transfer id (u64 LE)`; the
 //!   receiver's verdict on a pending header.
+//! * `ABORT-SUMMARY` — `transfer id (u64 LE)` + a [`Summary`]: an abort
+//!   that also says which natives the receiver decoded and how it groups
+//!   the rest, so the sender's next offer can be one it cannot refuse.
 //! * `DATA-PAYLOAD` — `transfer id (u64 LE)` + a [`TraceContext`] + a
 //!   *complete* `gf2::wire` frame, read only against an accept of that transfer.
 //!
@@ -59,7 +62,7 @@
 
 use ltnc_gf2::wire::{self as gf2_wire, PacketView};
 use ltnc_gf2::{CodeVector, EncodedPacket, Gf2Error};
-use ltnc_scheme::SchemeKind;
+use ltnc_scheme::{SchemeKind, Summary, SummaryError};
 
 use crate::NetError;
 
@@ -69,9 +72,9 @@ pub const MAGIC: [u8; 4] = *b"LTNC";
 /// Current protocol version. Version 2 added the [`TraceContext`] to the
 /// `DATA-HEADER` and `DATA-PAYLOAD` bodies; version 3 lets the gf2 frame
 /// carry its code vector as an index list when that is shorter than the
-/// bitmap. Frames of other versions are rejected
-/// ([`NetError::BadVersion`]), not interpreted.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// bitmap; version 4 adds `ABORT-SUMMARY`. Frames of other versions are
+/// rejected ([`NetError::BadVersion`]), not interpreted.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Size of the fixed envelope header.
 pub const ENVELOPE_HEADER_BYTES: usize = 4 + 1 + 1 + 1 + 8 + 4;
@@ -201,6 +204,8 @@ pub enum MessageKind {
     Manifest = 6,
     /// Server refusal to serve the requested object/scheme.
     Reject = 7,
+    /// Receiver verdict: transfer aborted, and here is what I hold.
+    AbortSummary = 8,
 }
 
 impl MessageKind {
@@ -214,6 +219,7 @@ impl MessageKind {
             5 => Ok(MessageKind::Request),
             6 => Ok(MessageKind::Manifest),
             7 => Ok(MessageKind::Reject),
+            8 => Ok(MessageKind::AbortSummary),
             other => Err(NetError::BadKind(other)),
         }
     }
@@ -284,6 +290,14 @@ pub enum Message<P = EncodedPacket> {
     },
     /// Serving handshake: the server refuses the request.
     Reject,
+    /// Receiver verdict on a pending transfer: aborted, with the
+    /// receiver's summary of the generation.
+    AbortSummary {
+        /// Transfer identifier the verdict concerns.
+        transfer: u64,
+        /// The receiver's decoded set and components.
+        summary: Summary,
+    },
 }
 
 /// A decoded datagram body: `DATA-PAYLOAD` bytes borrow the receive buffer.
@@ -302,6 +316,7 @@ impl<P> Message<P> {
             Message::Request => MessageKind::Request,
             Message::Manifest { .. } => MessageKind::Manifest,
             Message::Reject => MessageKind::Reject,
+            Message::AbortSummary { .. } => MessageKind::AbortSummary,
         }
     }
 }
@@ -337,6 +352,9 @@ impl EnvelopeView<'_> {
                 Message::Manifest { object_len, code_length, payload_size }
             }
             Message::Reject => Message::Reject,
+            Message::AbortSummary { transfer, summary } => {
+                Message::AbortSummary { transfer, summary }
+            }
         };
         Envelope { header: self.header, message }
     }
@@ -422,6 +440,19 @@ pub fn encode_feedback_into(
     out.extend_from_slice(&transfer.to_le_bytes());
 }
 
+/// Appends an `ABORT-SUMMARY` frame, the abort of offer `transfer` with
+/// the receiver's `summary`, to `out`.
+pub fn encode_abort_summary_into(
+    out: &mut Vec<u8>,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    summary: &Summary,
+) {
+    encode_envelope_header(out, MessageKind::AbortSummary, header);
+    out.extend_from_slice(&transfer.to_le_bytes());
+    summary.encode_into(out);
+}
+
 /// Appends one serialized envelope to `out`, leaving what `out` already
 /// holds untouched: a stream sender encodes a batch of frames back to
 /// back into one buffer and writes it once.
@@ -445,6 +476,9 @@ pub fn encode_into(out: &mut Vec<u8>, header: &EnvelopeHeader, message: &Message
         }
         Message::Complete | Message::Request | Message::Reject => {
             encode_envelope_header(out, message.kind(), header);
+        }
+        Message::AbortSummary { transfer, summary } => {
+            encode_abort_summary_into(out, header, *transfer, summary);
         }
     }
 }
@@ -527,6 +561,20 @@ pub fn decode_prefix(bytes: &[u8]) -> Result<(EnvelopeView<'_>, usize), NetError
             let accept = header.kind == MessageKind::FeedbackAccept;
             (Message::Feedback { transfer, accept }, FEEDBACK_FRAME_BYTES)
         }
+        MessageKind::AbortSummary => {
+            let dims_end = FEEDBACK_FRAME_BYTES + gf2_wire::FIXED_HEADER_BYTES;
+            capped_dims(&prefix(dims_end)?[FEEDBACK_FRAME_BYTES..])?;
+            let (summary, len) =
+                Summary::decode_prefix(&bytes[FEEDBACK_FRAME_BYTES..]).map_err(|e| match e {
+                    SummaryError::Truncated { needed } => NetError::Truncated {
+                        have: bytes.len(),
+                        needed: FEEDBACK_FRAME_BYTES + needed,
+                    },
+                    malformed => NetError::BadSummary(malformed),
+                })?;
+            let transfer = body_u64(bytes);
+            (Message::AbortSummary { transfer, summary }, FEEDBACK_FRAME_BYTES + len)
+        }
         MessageKind::Manifest => {
             let frame = prefix(ENVELOPE_HEADER_BYTES + MANIFEST_BODY_BYTES)?;
             // The same safety caps the data plane enforces: a hostile
@@ -597,6 +645,9 @@ pub fn decode_view(bytes: &[u8]) -> Result<EnvelopeView<'_>, NetError> {
 mod tests {
     use super::*;
     use ltnc_gf2::Payload;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn decode(bytes: &[u8]) -> Result<Envelope, NetError> {
         decode_view(bytes).map(EnvelopeView::into_owned)
@@ -899,14 +950,185 @@ mod tests {
 
     #[test]
     fn a_version_2_frame_is_refused() {
-        // Version 2 always carried a bitmap right after `k` and `m`: its
-        // frames are refused, not read with version 3's form varint.
+        // Version 2 always carried a bitmap right after `k` and `m`, and
+        // version 3 had no ABORT-SUMMARY: their frames are refused, not
+        // read with this version's rules.
         let message =
             Message::DataPayload { transfer: 3, trace: sample_trace(), packet: list_packet() };
         let mut bytes = encode(&header(MessageKind::DataPayload), &message);
-        assert_eq!(bytes[4], 3);
-        bytes[4] = 2;
-        assert_eq!(decode(&bytes).unwrap_err(), NetError::BadVersion(2));
+        assert_eq!(bytes[4], PROTOCOL_VERSION);
+        for old in [2, 3] {
+            bytes[4] = old;
+            assert_eq!(decode(&bytes).unwrap_err(), NetError::BadVersion(old));
+        }
+    }
+
+    /// The summary of a receiver with these component labels.
+    fn summary(labels: &[usize]) -> Summary {
+        Summary::from_labels(labels)
+    }
+
+    /// An ABORT-SUMMARY frame whose summary is `k`, `m`, the code vector
+    /// bytes `vector` (its form varint included) and then `varints`.
+    fn raw_abort(k: u32, m: u32, vector: &[u8], varints: &[usize]) -> Vec<u8> {
+        let mut bytes = encode(&header(MessageKind::AbortSummary), &abort(summary(&[0])));
+        bytes.truncate(FEEDBACK_FRAME_BYTES);
+        bytes.extend_from_slice(&k.to_le_bytes());
+        bytes.extend_from_slice(&m.to_le_bytes());
+        bytes.extend_from_slice(vector);
+        for &value in varints {
+            gf2_wire::write_varint(&mut bytes, value);
+        }
+        bytes
+    }
+
+    fn abort(summary: Summary) -> Message {
+        Message::AbortSummary { transfer: 7, summary }
+    }
+
+    fn refusal(bytes: &[u8]) -> SummaryError {
+        match decode(bytes) {
+            Err(NetError::BadSummary(refused)) => refused,
+            other => panic!("expected a refused summary, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_abort_summary_round_trips_in_one_encoding() {
+        // Decoded 0, 5 and 20 (a bitmap), components {1, 2} and {3, 7, 9}.
+        let mut labels: Vec<usize> = (1..=21).collect();
+        for x in [0, 5, 20] {
+            labels[x] = 0;
+        }
+        labels[2] = labels[1];
+        labels[7] = labels[3];
+        labels[9] = labels[3];
+        let bytes = encode(&header(MessageKind::AbortSummary), &abort(summary(&labels)));
+        assert_eq!(bytes, raw_abort(21, 0, &[0, 0x21, 0x00, 0x10], &[2, 2, 1, 0, 3, 3, 3, 1]));
+        assert_eq!(bytes.len(), FEEDBACK_FRAME_BYTES + 20);
+        let decoded = decode(&bytes).unwrap();
+        assert_eq!(decoded.header.kind, MessageKind::AbortSummary);
+        assert_eq!(decoded.message, abort(summary(&labels)));
+        // Relabelling the components changes nothing on the wire.
+        let relabelled: Vec<usize> =
+            labels.iter().map(|&l| if l == 0 { 0 } else { 22 - l }).collect();
+        assert_eq!(encode(&header(MessageKind::AbortSummary), &abort(summary(&relabelled))), bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random decoded sets and partitions, under any labelling, encode
+        /// to one byte string that decodes back to the same partition.
+        #[test]
+        fn random_summaries_round_trip_under_any_labelling(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = rng.gen_range(1..=600usize);
+            let (decoded, groups) = (rng.gen::<f64>(), rng.gen_range(1..=k));
+            let labels: Vec<usize> = (0..k)
+                .map(|_| if rng.gen_bool(decoded) { 0 } else { rng.gen_range(1..=groups) })
+                .collect();
+            // The same partition under other labels: a permutation of 1..=k.
+            let mut names: Vec<usize> = (1..=k).collect();
+            for i in (1..k).rev() {
+                names.swap(i, rng.gen_range(0..=i));
+            }
+            let renamed: Vec<usize> =
+                labels.iter().map(|&l| if l == 0 { 0 } else { names[l - 1] }).collect();
+            let bytes = encode(&header(MessageKind::AbortSummary), &abort(summary(&labels)));
+            let again = encode(&header(MessageKind::AbortSummary), &abort(summary(&renamed)));
+            prop_assert_eq!(&bytes, &again);
+            let Message::AbortSummary { summary: back, .. } = decode(&bytes).unwrap().message else {
+                panic!("not an abort summary")
+            };
+            // The same partition: its labels summarise to the input's.
+            prop_assert_eq!(summary(&back.labels()), summary(&labels));
+        }
+    }
+
+    #[test]
+    fn a_summary_no_encoder_writes_is_refused_by_name() {
+        // The reference summary, k = 21: decoded 0, 5, 20 as a bitmap.
+        let bitmap = [0, 0x21, 0x00, 0x10];
+        assert!(decode(&raw_abort(21, 0, &bitmap, &[2, 2, 1, 0, 3, 3, 3, 1])).is_ok());
+        // An index ≥ k, in a component and in the decoded set's list.
+        let past = SummaryError::IndexOutOfRange { index: 21, len: 21 };
+        assert_eq!(refusal(&raw_abort(21, 0, &bitmap, &[1, 2, 19, 1])), past);
+        assert_eq!(refusal(&raw_abort(21, 0, &[2, 21], &[0])), past);
+        // A native in two components, or decoded and in a component.
+        let twice = SummaryError::Overlap { index: 2 };
+        assert_eq!(refusal(&raw_abort(21, 0, &bitmap, &[2, 2, 1, 0, 2, 2, 1])), twice);
+        let decoded_too = SummaryError::Overlap { index: 5 };
+        assert_eq!(refusal(&raw_abort(21, 0, &bitmap, &[1, 2, 1, 3])), decoded_too);
+        // More components or members than k natives can fill.
+        assert_eq!(refusal(&raw_abort(21, 0, &bitmap, &[11])), SummaryError::Overlap { index: 11 });
+        let many = SummaryError::Overlap { index: 22 };
+        assert_eq!(refusal(&raw_abort(21, 0, &bitmap, &[1, 22])), many);
+        // A singleton component, and an empty one.
+        for size in [1, 0] {
+            let single = raw_abort(21, 0, &bitmap, &[1, size, 4]);
+            assert_eq!(refusal(&single), SummaryError::Singleton);
+        }
+        // Components out of order, and two with one first member.
+        assert_eq!(
+            refusal(&raw_abort(21, 0, &bitmap, &[2, 2, 3, 3, 2, 1, 0])),
+            SummaryError::Unsorted
+        );
+        assert_eq!(
+            refusal(&raw_abort(21, 0, &bitmap, &[2, 2, 1, 0, 2, 1, 5])),
+            SummaryError::Unsorted
+        );
+        // The longer vector form: a list where the bitmap ties, a bitmap
+        // where the list is shorter (k = 64: one native), a set padding
+        // bit, a non-minimal varint.
+        assert_eq!(refusal(&raw_abort(21, 0, &[4, 0, 4, 14], &[0])), SummaryError::NonCanonical);
+        let one_of_64 = [0, 1, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(refusal(&raw_abort(64, 0, &one_of_64, &[0])), SummaryError::NonCanonical);
+        assert_eq!(
+            refusal(&raw_abort(21, 0, &[0, 0x21, 0x00, 0x30], &[0])),
+            SummaryError::NonCanonical
+        );
+        let mut padded = raw_abort(21, 0, &bitmap, &[]);
+        padded.extend_from_slice(&[0x80, 0x00]);
+        assert_eq!(refusal(&padded), SummaryError::NonCanonical);
+        // A summary with a payload size.
+        assert_eq!(refusal(&raw_abort(21, 9, &bitmap, &[0])), SummaryError::NonCanonical);
+        // Trailing bytes after the last component.
+        let mut trailing = raw_abort(21, 0, &bitmap, &[0]);
+        trailing.push(0);
+        assert_eq!(decode(&trailing).unwrap_err(), NetError::TrailingBytes { extra: 1 });
+        // A hostile k is refused before anything is allocated.
+        let huge = raw_abort(u32::MAX, 0, &[1], &[0]);
+        assert!(matches!(decode(&huge), Err(NetError::FrameTooLarge { .. })));
+    }
+
+    #[test]
+    fn an_abort_summary_cut_anywhere_asks_for_more() {
+        let mut labels: Vec<usize> = (1..=300).collect();
+        for x in (0..300).step_by(7) {
+            labels[x] = 0;
+        }
+        for x in (1..300).step_by(5) {
+            labels[x] = 2;
+        }
+        let frame = encode(&header(MessageKind::AbortSummary), &abort(summary(&labels)));
+        let mut have = 0;
+        loop {
+            match decode_prefix(&frame[..have]) {
+                Ok((_, len)) => {
+                    assert_eq!((have, len), (frame.len(), frame.len()));
+                    break;
+                }
+                Err(NetError::Truncated { needed, .. }) => {
+                    assert!(needed > have && needed <= frame.len(), "{needed} after {have}");
+                    have = needed;
+                }
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        for cut in 0..frame.len() {
+            assert!(matches!(decode(&frame[..cut]), Err(NetError::Truncated { .. })), "cut {cut}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use core::fmt;
 
 use ltnc_gf2::Gf2Error;
+use ltnc_scheme::SummaryError;
 
 /// Errors of the wire codec and session layer.
 ///
@@ -41,6 +42,9 @@ pub enum NetError {
     },
     /// The inner `gf2` wire frame was malformed.
     Wire(Gf2Error),
+    /// The summary of an `ABORT-SUMMARY` is not the one encoding of a
+    /// decoded set and its components.
+    BadSummary(SummaryError),
 }
 
 impl fmt::Display for NetError {
@@ -60,6 +64,7 @@ impl fmt::Display for NetError {
                 write!(f, "{extra} trailing bytes after frame")
             }
             NetError::Wire(e) => write!(f, "gf2 wire error: {e}"),
+            NetError::BadSummary(e) => write!(f, "bad abort summary: {e}"),
         }
     }
 }

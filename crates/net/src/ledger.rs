@@ -3,15 +3,17 @@
 //! by a gossip node, a serving session and a fetch client alike. Neither
 //! holds policy or reads a clock. The sender's [`OfferLedger`] numbers the
 //! link's transfers from 1 and holds each offer until its feedback or its
-//! TTL (the caller passes `now`); the receiver's [`AcceptLedger`] holds
-//! each accept until the one payload of that transfer and generation
-//! claims it, within a cap the caller passes.
+//! TTL (the caller passes `now`), and the last summary an `ABORT-SUMMARY`
+//! brought for each generation until the next offer uses it; the
+//! receiver's [`AcceptLedger`] holds each accept until the one payload of
+//! that transfer and generation claims it, within a cap the caller passes.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
+use ltnc_scheme::Summary;
 
 use crate::envelope::{self, EnvelopeHeader, TraceContext, GENERATION_OBJECT};
 
@@ -28,10 +30,13 @@ pub struct Offer<P> {
     pub packet: P,
     /// When the offer left, in µs on the caller's clock.
     pub born: u64,
+    /// The packet was built from the receiver's summary.
+    pub smart: bool,
 }
 
-/// The offers pending on one sender→receiver link, and the generations
-/// the receiver said `COMPLETE` for.
+/// The offers pending on one sender→receiver link, the generations the
+/// receiver said `COMPLETE` for, and its last summary of each generation
+/// it has not.
 #[derive(Debug)]
 pub struct OfferLedger<P> {
     next_transfer: u64,
@@ -40,6 +45,8 @@ pub struct OfferLedger<P> {
     /// One flag per generation of the object.
     done: Vec<bool>,
     object_done: bool,
+    /// By generation: at most one per generation of the object.
+    summaries: BTreeMap<u32, Summary>,
 }
 
 impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
@@ -47,23 +54,27 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
     #[must_use]
     pub fn new(generations: u32) -> OfferLedger<P> {
         let done = vec![false; generations as usize];
-        OfferLedger { next_transfer: 1, pending: BTreeMap::new(), done, object_done: false }
+        let (pending, summaries) = (BTreeMap::new(), BTreeMap::new());
+        OfferLedger { next_transfer: 1, pending, done, object_done: false, summaries }
     }
 
     /// Appends the `DATA-HEADER` frame offering `packet` of
     /// `header.generation` to `out` and holds the offer under the link's
-    /// next transfer id, which it returns.
+    /// next transfer id, which it returns. `smart` says the packet was
+    /// built from the receiver's summary.
     pub fn offer(
         &mut self,
         out: &mut Vec<u8>,
         header: &EnvelopeHeader,
         trace: TraceContext,
         packet: P,
+        smart: bool,
         born: u64,
     ) -> u64 {
         let (transfer, p) = (self.next_transfer, packet.borrow());
         envelope::encode_offer_into(out, header, transfer, &trace, p.vector(), p.payload_size());
-        self.pending.insert(transfer, Offer { generation: header.generation, trace, packet, born });
+        let generation = header.generation;
+        self.pending.insert(transfer, Offer { generation, trace, packet, born, smart });
         self.next_transfer += 1;
         transfer
     }
@@ -90,12 +101,34 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
 
     /// Records the receiver's `COMPLETE` for `generation`, or for the
     /// object ([`GENERATION_OBJECT`]); any other generation is ignored.
+    /// The summaries of what is complete go.
     pub fn complete(&mut self, generation: u32) {
         if generation == GENERATION_OBJECT {
             self.object_done = true;
+            self.summaries.clear();
         } else if let Some(done) = self.done.get_mut(generation as usize) {
             *done = true;
+            self.summaries.remove(&generation);
         }
+    }
+
+    /// Keeps `summary` as the receiver's last word on `generation`, in
+    /// place of any earlier one; a generation the object lacks or the
+    /// receiver completed is ignored.
+    pub fn note_summary(&mut self, generation: u32, summary: Summary) {
+        if self.done.get(generation as usize) == Some(&false) && !self.object_done {
+            self.summaries.insert(generation, summary);
+        }
+    }
+
+    /// Hands out, once, the summary of the lowest generation that
+    /// `eligible` admits.
+    pub fn take_summary(
+        &mut self,
+        mut eligible: impl FnMut(u32) -> bool,
+    ) -> Option<(u32, Summary)> {
+        let generation = self.summaries.keys().copied().find(|&generation| eligible(generation))?;
+        self.summaries.remove(&generation).map(|summary| (generation, summary))
     }
 
     /// The receiver said `COMPLETE` for `generation`.
@@ -179,7 +212,8 @@ mod tests {
     {
         let mut frame = Vec::new();
         let trace = TraceContext::origin_now(born);
-        let id = ledger.offer(&mut frame, &header(generation), trace, packet(index).into(), born);
+        let packet = packet(index).into();
+        let id = ledger.offer(&mut frame, &header(generation), trace, packet, false, born);
         (id, frame)
     }
 
@@ -303,6 +337,37 @@ mod tests {
         assert!(!owned.is_done(0));
         owned.complete(GENERATION_OBJECT);
         assert!(owned.object_done());
+    }
+
+    impl<P> OfferLedger<P> {
+        /// Summaries held, for tests outside this module.
+        pub(crate) fn summaries_held(&self) -> usize {
+            self.summaries.len()
+        }
+    }
+
+    fn summary(k: usize) -> Summary {
+        Summary::from_labels(&vec![0; k])
+    }
+
+    #[test]
+    fn a_link_holds_at_most_one_summary_per_open_generation() {
+        let mut ledger: OfferLedger<EncodedPacket> = OfferLedger::new(3);
+        for generation in [0, 1, 2, 3, 70, GENERATION_OBJECT] {
+            for k in 1..=4 {
+                ledger.note_summary(generation, summary(k));
+            }
+        }
+        assert_eq!(ledger.summaries_held(), 3, "one per generation of the object, the last");
+        assert_eq!(ledger.take_summary(|g| g > 0), Some((1, summary(4))), "the lowest admitted");
+        assert_eq!(ledger.take_summary(|g| g == 1), None, "handed out once");
+        ledger.complete(0);
+        ledger.note_summary(0, summary(5));
+        assert_eq!(ledger.summaries_held(), 1, "a COMPLETE drops its generation's summary");
+        ledger.complete(GENERATION_OBJECT);
+        ledger.note_summary(2, summary(6));
+        assert_eq!(ledger.summaries_held(), 0, "the object's COMPLETE drops them all");
+        assert_eq!(ledger.take_summary(|_| true), None);
     }
 
     #[test]

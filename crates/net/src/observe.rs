@@ -564,7 +564,7 @@ mod tests {
         let completion = vec![Arc::new(Shared::default()), Arc::new(Shared::default())];
         completion[1].decoded_rank.store(9, Ordering::Relaxed);
         let stall_window = Duration::from_secs(10);
-        let recorder = FlightRecorder { capacity: 8, stall_window, dump_path: None };
+        let recorder = FlightRecorder { stall_window, dump_path: None };
         Watchdog::new(FlightState { recorder, telemetry, completion, source: 0 })
     }
 

@@ -58,12 +58,18 @@
 //! both drivers wrap around the machine (`crate::endpoint`), so a lossy
 //! run exercises exactly the code a clean one does.
 //!
-//! The transfer protocol mirrors the paper's binary feedback channel (see
+//! The transfer protocol mirrors the paper's feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
 //! `DATA-PAYLOAD`. An aborted transfer costs the wire only the header and
-//! the one-byte-of-intent feedback datagram — never payload bytes.
-//! `COMPLETE` messages prune finished generations from every sender's
-//! schedule.
+//! the feedback datagram — never payload bytes. An LTNC receiver that
+//! refuses an offer of a generation it has not finished says what it
+//! holds of it: its `ABORT-SUMMARY` carries the decoded set and the
+//! components (§III-C.2's `cc_r`). The sender keeps the last summary per
+//! link and generation, and its next offer on that link tries a smart
+//! packet built from it (Algorithm 4), which the receiver cannot refuse
+//! unless it learned something in between; the receiver still checks
+//! every header. `COMPLETE` messages prune finished generations from
+//! every sender's schedule.
 //!
 //! Its sender half is one [`OfferLedger`] per neighbour, its receiver half
 //! one [`AcceptLedger`] per sender, as in `ltnc-serve`; this module adds
@@ -72,7 +78,7 @@
 //! What leaves this module is the tuning ([`NodeOptions`]) and each
 //! node's final accounting ([`PeerReport`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -81,14 +87,14 @@ use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
-use ltnc_scheme::SchemeParams;
+use ltnc_scheme::{SchemeParams, Summary};
 use ltnc_telemetry::{OfferTrigger, RingSink, TimedEvent, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::envelope::{
     self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, TraceContext,
-    GENERATION_OBJECT,
+    FEEDBACK_FRAME_BYTES, GENERATION_OBJECT,
 };
 use crate::faults::DatagramFaultCounters;
 use crate::ledger::{AcceptLedger, OfferLedger};
@@ -152,6 +158,15 @@ const AGGRESSIVENESS: f64 = 0.01;
 
 /// Offers initiated per gossip tick.
 const PUSH_RATE: usize = 2;
+
+/// Receiver halves kept, one per sender that had an offer accepted: far
+/// above any overlay's degree, so only a stranger spraying addresses
+/// reaches it. Past it the ledger whose last accept is oldest goes.
+const MAX_ACCEPT_LEDGERS: usize = 256;
+
+/// The longest summary an `ABORT-SUMMARY` carries; a longer one goes as a
+/// plain abort.
+const MAX_SUMMARY_BYTES: usize = 256;
 
 /// Cap on the derived TTL relative to the [`PENDING_TTL`] floor, so one
 /// absurd RTT sample cannot freeze eviction.
@@ -366,7 +381,10 @@ pub(crate) struct NodeStateMachine {
     /// critical path of the data they are built from.
     lineage: HashMap<u32, TraceContext>,
     /// Receiver halves by sender, not link: the source is in no push set.
-    accepts: HashMap<SocketAddr, AcceptLedger>,
+    /// Each with the stamp of its last accept.
+    accepts: HashMap<SocketAddr, (u64, AcceptLedger)>,
+    /// The senders of `accepts` by the stamp of their last accept.
+    accept_order: BTreeMap<u64, SocketAddr>,
     wire: WireCounters,
     shared: Arc<Shared>,
     /// Where the node's hot paths, and its links' faults, are traced.
@@ -405,6 +423,7 @@ impl NodeStateMachine {
             announced: HashSet::new(),
             lineage: HashMap::new(),
             accepts: HashMap::new(),
+            accept_order: BTreeMap::new(),
             wire: WireCounters::new(),
             shared,
             tracer,
@@ -617,18 +636,18 @@ impl NodeStateMachine {
         match message {
             MessageView::DataHeader { transfer, payload_size, vector, .. } => {
                 let generation = header.generation;
-                let accept = payload_size == self.params.payload_size
+                let fits = payload_size == self.params.payload_size;
+                let accept = fits
                     && self.receiver.as_ref().is_some_and(|r| r.would_accept(generation, &vector));
                 if accept {
-                    // A window of offers awaiting feedback plus their payloads.
-                    let cap = 2 * INFLIGHT_CEILING;
-                    let ledger = self.accepts.entry(from).or_insert_with(|| AcceptLedger::new(cap));
-                    if ledger.accept(transfer, generation).is_some() {
-                        self.wire.accepts_evicted += 1;
-                    }
+                    self.note_accept(from, transfer, generation);
                 }
-                let mut bytes = Vec::new();
-                envelope::encode_feedback_into(&mut bytes, &header, transfer, accept);
+                // A refusal of a generation still being decoded says what
+                // this node holds of it, when the scheme can say.
+                let summary = (!accept && fits)
+                    .then(|| self.receiver.as_ref().and_then(|r| r.summary(generation)))
+                    .flatten();
+                let bytes = self.verdict(&header, transfer, accept, summary);
                 self.post(out, from, bytes);
                 // Aborts caused by a finished generation also tell the
                 // sender to stop offering it altogether. A node with no
@@ -645,48 +664,19 @@ impl NodeStateMachine {
                 }
             }
             MessageView::Feedback { transfer, accept } => {
-                // Transfer ids are per link, so a verdict is matched only
-                // against the offers of the link it arrived on: nobody
-                // else (bug or hostility) can decide another peer's offer.
-                let Some(&index) = self.link_index.get(&from) else { return };
-                // Evicted, duplicate, or never offered: nothing to release.
-                let Some(offer) = self.links[index].offers.take(transfer) else { return };
-                // Either verdict proves the offer/feedback round trip
-                // survived the link — a success for pacing purposes, and
-                // an RTT sample for the derived TTL.
-                let rtt = elapsed(now, offer.born);
-                self.note_outcome(now, index, Some(rtt));
-                self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
-                let generation = offer.generation;
-                // Feedback clock: whoever holds the generation completely
-                // emits only good packets, so its pipeline to this peer is
-                // RTT-paced. An incomplete relay re-offering at that rate
-                // floods the peer with dependent recodes — it waits for
-                // the tick (or its next useful delivery) instead. The next
-                // offer leaves ahead of the payload: the peer answers it
-                // before it spends a decode on the payload, so the round
-                // trip overlaps the decode.
-                let complete =
-                    self.receiver.as_ref().is_none_or(|r| r.generation_complete(generation));
-                if complete && self.may_offer(index) {
-                    self.offer_to(now, out, index, OfferTrigger::Feedback);
-                }
-                if accept {
-                    self.wire.transfers_delivered += 1;
-                    self.wire.payload_bytes_sent += offer.packet.payload_size() as u64;
-                    let header = self.header(MessageKind::DataPayload, generation);
-                    let mut bytes = Vec::new();
-                    let (trace, packet) = (&offer.trace, &offer.packet);
-                    envelope::encode_payload_into(&mut bytes, &header, transfer, trace, packet);
-                    self.post(out, from, bytes);
-                } else {
-                    self.wire.transfers_aborted += 1;
-                }
+                self.on_feedback(now, out, from, transfer, accept, None);
+            }
+            MessageView::AbortSummary { transfer, summary } => {
+                self.on_feedback(now, out, from, transfer, false, Some(summary));
             }
             MessageView::DataPayload { transfer, trace, packet } => {
                 let generation = header.generation;
                 // Only a payload this node accepted from `from` is read.
-                if !self.accepts.get_mut(&from).is_some_and(|a| a.claim(transfer, generation)) {
+                let claimed = self
+                    .accepts
+                    .get_mut(&from)
+                    .is_some_and(|(_, accepts)| accepts.claim(transfer, generation));
+                if !claimed {
                     self.wire.unsolicited_payloads += 1;
                     return;
                 }
@@ -746,6 +736,103 @@ impl NodeStateMachine {
             // The serving handshake (ltnc-serve) rides the same envelope but
             // has no meaning in the gossip protocol.
             MessageView::Request | MessageView::Manifest { .. } | MessageView::Reject => {}
+        }
+    }
+
+    /// Records the accept of `transfer` of `generation` from `from` in
+    /// that sender's ledger, the most recently used from now on. Past
+    /// [`MAX_ACCEPT_LEDGERS`] senders the least recently used ledger goes.
+    fn note_accept(&mut self, from: SocketAddr, transfer: u64, generation: u32) {
+        let stamp = self.accept_order.last_key_value().map_or(0, |(&last, _)| last + 1);
+        // A window of offers awaiting feedback plus their payloads.
+        let cap = 2 * INFLIGHT_CEILING;
+        let (used, ledger) =
+            self.accepts.entry(from).or_insert_with(|| (stamp, AcceptLedger::new(cap)));
+        self.accept_order.remove(used);
+        *used = stamp;
+        self.accept_order.insert(stamp, from);
+        if ledger.accept(transfer, generation).is_some() {
+            self.wire.accepts_evicted += 1;
+        }
+        if self.accepts.len() > MAX_ACCEPT_LEDGERS {
+            let (_, oldest) = self.accept_order.pop_first().expect("one per ledger");
+            self.accepts.remove(&oldest);
+            self.wire.accept_ledgers_evicted += 1;
+        }
+    }
+
+    /// The verdict on offer `transfer` of `header`'s generation: an
+    /// `ABORT-SUMMARY` when a refusal has a summary that fits
+    /// [`MAX_SUMMARY_BYTES`], else a plain `FEEDBACK`.
+    fn verdict(
+        &mut self,
+        header: &EnvelopeHeader,
+        transfer: u64,
+        accept: bool,
+        summary: Option<Summary>,
+    ) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        if let Some(summary) = summary {
+            envelope::encode_abort_summary_into(&mut bytes, header, transfer, &summary);
+            if bytes.len() - FEEDBACK_FRAME_BYTES <= MAX_SUMMARY_BYTES {
+                self.wire.summaries_sent += 1;
+                return bytes;
+            }
+            bytes.clear();
+        }
+        envelope::encode_feedback_into(&mut bytes, header, transfer, accept);
+        bytes
+    }
+
+    /// The verdict `accept` from `from` on offer `transfer`, with the
+    /// receiver's summary when it refused with one.
+    fn on_feedback(
+        &mut self,
+        now: u64,
+        out: &mut Outbox,
+        from: SocketAddr,
+        transfer: u64,
+        accept: bool,
+        summary: Option<Summary>,
+    ) {
+        // Transfer ids are per link, so a verdict is matched only against
+        // the offers of the link it arrived on: nobody else (bug or
+        // hostility) can decide another peer's offer.
+        let Some(&index) = self.link_index.get(&from) else { return };
+        // Evicted, duplicate, or never offered: nothing to release.
+        let Some(offer) = self.links[index].offers.take(transfer) else { return };
+        // Either verdict proves the offer/feedback round trip survived the
+        // link — a success for pacing purposes, and an RTT sample for the
+        // derived TTL.
+        let rtt = elapsed(now, offer.born);
+        self.note_outcome(now, index, Some(rtt));
+        self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
+        let generation = offer.generation;
+        if let Some(summary) = summary {
+            self.links[index].offers.note_summary(generation, summary);
+        }
+        // Feedback clock: whoever holds the generation completely emits
+        // only good packets, so its pipeline to this peer is RTT-paced. An
+        // incomplete relay re-offering at that rate floods the peer with
+        // dependent recodes — it waits for the tick (or its next useful
+        // delivery) instead. The next offer leaves ahead of the payload:
+        // the peer answers it before it spends a decode on the payload, so
+        // the round trip overlaps the decode.
+        let complete = self.receiver.as_ref().is_none_or(|r| r.generation_complete(generation));
+        if complete && self.may_offer(index) {
+            self.offer_to(now, out, index, OfferTrigger::Feedback);
+        }
+        if accept {
+            self.wire.transfers_delivered += 1;
+            self.wire.payload_bytes_sent += offer.packet.payload_size() as u64;
+            let header = self.header(MessageKind::DataPayload, generation);
+            let mut bytes = Vec::new();
+            let (trace, packet) = (&offer.trace, &offer.packet);
+            envelope::encode_payload_into(&mut bytes, &header, transfer, trace, packet);
+            self.post(out, from, bytes);
+        } else {
+            self.wire.transfers_aborted += 1;
+            self.wire.smart_aborts += u64::from(offer.smart);
         }
     }
 
@@ -809,22 +896,44 @@ impl NodeStateMachine {
     /// [`Self::may_offer`] — one packet of a generation it still needs:
     /// every clock's single way out.
     fn offer_to(&mut self, now: u64, out: &mut Outbox, target: usize, trigger: OfferTrigger) {
+        // A relay pushes from generations that passed the gate.
+        let threshold = ((AGGRESSIVENESS * self.params.code_length as f64).ceil() as usize).max(1);
+        // The feedback clock draws on whole generations only (see its arm).
+        let partial_ok = trigger != OfferTrigger::Feedback;
+        let gated = move |receiver: &ReceiverSession, generation: u32| {
+            receiver.useful_received(generation) >= threshold
+        };
+        let relay_draws = move |receiver: &ReceiverSession, generation: u32| {
+            gated(receiver, generation) && (partial_ok || receiver.generation_complete(generation))
+        };
+
+        // After an ABORT-SUMMARY the link's next offer is built from it if
+        // it can be: a packet the peer is sure to want (Algorithm 4), so a
+        // partial generation will do.
+        let summarised = self.links[target].offers.take_summary(|generation| {
+            self.receiver.as_ref().is_none_or(|receiver| gated(receiver, generation))
+        });
+        let smart = summarised.and_then(|(generation, summary)| {
+            let packet = match (self.source.as_mut(), self.receiver.as_mut()) {
+                (Some(source), _) => source.smart_packet(generation, &summary, &mut self.rng),
+                (None, Some(receiver)) => {
+                    receiver.smart_packet(generation, &summary, &mut self.rng)
+                }
+                (None, None) => None,
+            }?;
+            Some((generation, packet))
+        });
+        let is_smart = smart.is_some();
+
         let offers = &self.links[target].offers;
         let needs = |generation: u32| -> bool { !offers.is_done(generation) };
-
-        let made = if let Some(source) = self.source.as_mut() {
+        let made = if smart.is_some() {
+            smart
+        } else if let Some(source) = self.source.as_mut() {
             source.make_packet(&mut self.rng, needs)
         } else if let Some(receiver) = self.receiver.as_mut() {
-            // A relay pushes from generations that passed the gate.
-            let threshold =
-                ((AGGRESSIVENESS * self.params.code_length as f64).ceil() as usize).max(1);
-            // The feedback clock draws on whole generations only (see its arm).
-            let partial_ok = trigger != OfferTrigger::Feedback;
-            let eligible = |generation: &u32| {
-                needs(*generation)
-                    && receiver.useful_received(*generation) >= threshold
-                    && (partial_ok || receiver.generation_complete(*generation))
-            };
+            let eligible =
+                |generation: &u32| needs(*generation) && relay_draws(receiver, *generation);
             match (0..self.generation_count).filter(eligible).count() {
                 0 => None,
                 count => (0..self.generation_count)
@@ -857,10 +966,12 @@ impl NodeStateMachine {
         let header = self.header(MessageKind::DataHeader, generation);
         let mut bytes = Vec::new();
         let link = &mut self.links[target];
-        link.offers.offer(&mut bytes, &header, trace, packet, now);
+        link.offers.offer(&mut bytes, &header, trace, packet, is_smart, now);
         let peer = link.addr;
         self.post(out, peer, bytes);
         self.wire.transfers_offered += 1;
+        self.wire.smart_offers += u64::from(is_smart);
+        let trigger = if is_smart { OfferTrigger::Smart } else { trigger };
         self.tracer.emit(now, || TraceEvent::OfferSent { peer, generation, trigger });
     }
 }
@@ -1056,7 +1167,17 @@ mod tests {
 
         /// The same for an object of `generations` 8-symbol generations.
         fn pair(generations: u8, options: NodeOptions, wires: &Wires) -> (Driven, Driven) {
-            let params = SchemeParams::new(SchemeKind::Rlnc, 8, 4);
+            Driven::pair_of(SchemeKind::Rlnc, generations, options, wires)
+        }
+
+        /// The same under `scheme`.
+        fn pair_of(
+            scheme: SchemeKind,
+            generations: u8,
+            options: NodeOptions,
+            wires: &Wires,
+        ) -> (Driven, Driven) {
+            let params = SchemeParams::new(scheme, 8, 4);
             let object: Vec<u8> = (0..32 * generations).collect();
             let manifest = ltnc_session::generation::split_object(&object, params).0;
             let source = Driven::new(NodeRole::Source { object, params }, options, wires);
@@ -1492,6 +1613,121 @@ mod tests {
         assert_eq!(source.sm.wire.transfers_offered, offered);
         source.tick();
         assert_eq!(source.sm.wire.transfers_offered, offered, "the tick honours it too");
+    }
+
+    /// A `DATA-HEADER` offering native `index` of generation 0 under
+    /// `transfer`, as anyone with the session id can write one.
+    fn forged_offer(transfer: u64, index: usize) -> Vec<u8> {
+        let header = EnvelopeHeader {
+            kind: MessageKind::DataHeader,
+            scheme: SchemeKind::Rlnc,
+            session: 0xC10C,
+            generation: 0,
+        };
+        let (mut bytes, trace) = (Vec::new(), TraceContext::origin_now(0));
+        let vector = CodeVector::singleton(8, index);
+        envelope::encode_offer_into(&mut bytes, &header, transfer, &trace, &vector, 4);
+        bytes
+    }
+
+    #[test]
+    fn a_stranger_spraying_addresses_cannot_grow_the_accept_tables() {
+        // Every offer below is acceptable, so each new source address
+        // would get an accept table. Past the cap the least recently used
+        // goes, counted; the source, accepting now and then, keeps its own.
+        let wires = Wires::default();
+        let (source, mut relay) = Driven::source_and_relay(quick_options(28), &wires);
+        let sprayed = MAX_ACCEPT_LEDGERS + 100;
+        for i in 0..sprayed {
+            let spoofed = SocketAddr::from(([10, (i >> 16) as u8, (i >> 8) as u8, i as u8], 7));
+            relay.handle(&forged_offer(1, i % 8), spoofed);
+            if i % 64 == 0 {
+                relay.handle(&forged_offer(i as u64 + 1, i % 8), source.addr);
+            }
+            assert!(relay.sm.accepts.len() <= MAX_ACCEPT_LEDGERS, "past the cap at {i}");
+        }
+        assert_eq!(relay.sm.accepts.len(), MAX_ACCEPT_LEDGERS);
+        assert_eq!(relay.sm.accept_order.len(), MAX_ACCEPT_LEDGERS);
+        assert_eq!(relay.sm.wire.accept_ledgers_evicted, (sprayed + 1 - MAX_ACCEPT_LEDGERS) as u64);
+        assert!(relay.sm.accepts.contains_key(&source.addr), "a live sender's table went");
+    }
+
+    /// An ABORT-SUMMARY answering `offer` (a `DATA-HEADER` datagram).
+    fn abort_summary(offer: &[u8], summary: &Summary) -> Vec<u8> {
+        let offer = envelope::decode_view(offer).expect("valid frame");
+        let Message::DataHeader { transfer, .. } = offer.message else {
+            panic!("not an offer: {:?}", offer.header.kind)
+        };
+        let mut bytes = Vec::new();
+        envelope::encode_abort_summary_into(&mut bytes, &offer.header, transfer, summary);
+        bytes
+    }
+
+    #[test]
+    fn summaries_stay_within_links_times_generations() {
+        // A source of three generations, wired to A and B, is answered
+        // with an ABORT-SUMMARY for every offer, true or not, and a
+        // stranger sends more for the same transfers. It holds at most
+        // one summary per link and generation, and builds offers from them.
+        let options = quick_options(29);
+        let wires = Wires::default();
+        let (mut source, a) = Driven::pair_of(SchemeKind::Ltnc, 3, options, &wires);
+        let b = Driven::bystander(options, &wires);
+        let stranger = Driven::bystander(options, &wires);
+        source.sm.set_peers(vec![a.addr, b.addr]);
+        let mut rng = SmallRng::seed_from_u64(29);
+        for _ in 0..40 {
+            source.tick();
+            for peer in [&a, &b] {
+                for (offer, _) in peer.arrived() {
+                    let labels: Vec<usize> = (0..8).map(|_| rng.gen_range(0..=8)).collect();
+                    let told = abort_summary(&offer, &Summary::from_labels(&labels));
+                    source.handle(&told, stranger.addr);
+                    source.handle(&told, peer.addr);
+                }
+            }
+            let held: usize = source.sm.links.iter().map(|l| l.offers.summaries_held()).sum();
+            assert!(held <= 2 * 3, "{held} summaries held");
+        }
+        assert!(source.sm.wire.smart_offers > 0, "no offer was built from a summary");
+    }
+
+    #[test]
+    fn an_ltnc_refusal_carries_a_summary_and_the_next_offer_is_smart() {
+        // Source ⇄ receiver, ticks keeping several offers in flight: every
+        // refusal of the open generation is an ABORT-SUMMARY, and the
+        // offer it clocks is built from it. (With several offers in
+        // flight the receiver may learn the smart packet's native from
+        // another payload first, and refuse it.) RLNC's refusals stay
+        // plain aborts.
+        for scheme in [SchemeKind::Ltnc, SchemeKind::Rlnc] {
+            let wires = Wires::default();
+            let (mut source, mut relay) = Driven::pair_of(scheme, 1, quick_options(30), &wires);
+            source.sm.set_peers(vec![relay.addr]);
+            source.push_once();
+            let mut summaries = 0;
+            for _ in 0..1000 {
+                if relay.complete() {
+                    break;
+                }
+                source.tick();
+                relay.handle_arrived();
+                for (bytes, from) in source.arrived() {
+                    summaries += u64::from(kind(&bytes) == MessageKind::AbortSummary);
+                    source.handle(&bytes, from);
+                }
+            }
+            assert!(relay.complete(), "{scheme:?}: the receiver never completed");
+            let (sent, received) = (relay.sm.wire, source.sm.wire);
+            assert_eq!(sent.summaries_sent, summaries, "{scheme:?}");
+            if scheme == SchemeKind::Ltnc {
+                assert!(summaries > 0, "no refusal carried a summary: {sent}");
+                assert!(received.smart_offers > 0, "no offer was smart: {received}");
+                assert!(received.smart_aborts <= received.smart_offers, "{received}");
+            } else {
+                assert_eq!((summaries, received.smart_offers), (0, 0));
+            }
+        }
     }
 
     #[test]

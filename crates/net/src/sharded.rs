@@ -37,7 +37,9 @@ use ltnc_telemetry::ScrapeServer;
 use crate::endpoint::Endpoint;
 use crate::observe::{swarm_registry, FlightState, SwarmTelemetry, Watchdog};
 use crate::peer::{micros, Outbox, PeerReport, Shared};
-use crate::swarm::{assemble_report, SwarmReport, SwarmRuntime, TopologyConfig};
+use crate::swarm::{
+    assemble_report, SwarmReport, SwarmRuntime, TopologyConfig, FLIGHT_RING_CAPACITY,
+};
 
 /// Timer tag of the recurring gossip tick.
 const TICK_TAG: u64 = 0;
@@ -203,7 +205,7 @@ pub fn run_swarm(config: &TopologyConfig) -> io::Result<SwarmReport> {
     // the reactor's hot loops take zero extra clock readings.
     let telemetry =
         (config.metrics_bind.is_some() || config.flight_recorder.is_some()).then(|| {
-            let capacity = config.flight_recorder.as_ref().map(|recorder| recorder.capacity);
+            let capacity = config.flight_recorder.as_ref().map(|_| FLIGHT_RING_CAPACITY);
             Arc::new(SwarmTelemetry::new(workers, node_count, capacity, anchor))
         });
     let mut watchdog = config.flight_recorder.clone().map(|recorder| {

@@ -130,13 +130,15 @@ pub struct TopologyConfig {
     pub flight_recorder: Option<FlightRecorder>,
 }
 
+/// Capacity of each shard's bounded flight ring of scheduler events
+/// (oldest events are dropped first; the drop count is part of every
+/// dump).
+pub(crate) const FLIGHT_RING_CAPACITY: usize = 256;
+
 /// Configuration of the flight recorder
 /// ([`TopologyConfig::flight_recorder`]).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    /// Capacity of each shard's bounded event ring (oldest events are
-    /// dropped first; the drop count is part of every dump).
-    pub capacity: usize,
     /// How long the swarm may go without any decoding progress (no
     /// receiver gaining rank or completing a generation) before the
     /// watchdog declares a stall and cuts a dump: checked every 5 ms on
@@ -150,7 +152,7 @@ pub struct FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> FlightRecorder {
-        FlightRecorder { capacity: 256, stall_window: Duration::from_secs(10), dump_path: None }
+        FlightRecorder { stall_window: Duration::from_secs(10), dump_path: None }
     }
 }
 

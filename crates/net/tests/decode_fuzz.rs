@@ -1,5 +1,5 @@
 //! Structure-aware fuzz of both decode entry points. Valid frames of all
-//! eight kinds are built, then mutated — one byte set to a random value,
+//! nine kinds are built, then mutated — one byte set to a random value,
 //! cuts at random points, frames concatenated — and fed to
 //! `envelope::decode_view` (one datagram) and to `FrameReassembler` (a
 //! stream, in random chunks). Neither may panic, and every frame either
@@ -7,7 +7,10 @@
 //! the padding bits of a code-vector bitmap cleared: the decoder masks
 //! them, so they are the one part of a frame that is not canonical. Code
 //! vectors range from k = 1 to 2048 and from degree ≈ 1 to 30 % of k, so
-//! both of their wire forms, the bitmap and the index list, occur.
+//! both of their wire forms, the bitmap and the index list, occur. The
+//! summaries of `ABORT-SUMMARY` frames are random decoded sets and
+//! partitions, which must decode to a summary that re-encodes to the exact
+//! bytes: a summary has no padding bit the decoder forgives.
 
 use ltnc_gf2::wire::{self, FIXED_HEADER_BYTES};
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
@@ -16,12 +19,12 @@ use ltnc_net::envelope::{
     GENERATION_OBJECT,
 };
 use ltnc_net::stream::FrameReassembler;
-use ltnc_scheme::SchemeKind;
+use ltnc_scheme::{LtncSchemeNode, Scheme, SchemeKind, Summary};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const KINDS: [MessageKind; 8] = [
+const KINDS: [MessageKind; 9] = [
     MessageKind::DataHeader,
     MessageKind::DataPayload,
     MessageKind::FeedbackAbort,
@@ -30,6 +33,7 @@ const KINDS: [MessageKind; 8] = [
     MessageKind::Request,
     MessageKind::Manifest,
     MessageKind::Reject,
+    MessageKind::AbortSummary,
 ];
 
 /// A packet of k in 1..=2048 whose natives are each drawn with a density
@@ -47,6 +51,16 @@ fn random_packet(rng: &mut SmallRng) -> EncodedPacket {
     let mut payload = vec![0u8; rng.gen_range(0..64usize)];
     rng.fill(&mut payload[..]);
     EncodedPacket::new(vector, Payload::from_vec(payload))
+}
+
+/// The summary of a random receiver of k in 1..=300: each native decoded
+/// with a random probability, the rest in a random number of components.
+fn random_summary(rng: &mut SmallRng) -> Summary {
+    let k = rng.gen_range(1..=300usize);
+    let (decoded, groups) = (rng.gen::<f64>(), rng.gen_range(1..=k));
+    let labels: Vec<usize> =
+        (0..k).map(|_| if rng.gen_bool(decoded) { 0 } else { rng.gen_range(1..=groups) }).collect();
+    Summary::from_labels(&labels)
 }
 
 /// One valid frame of `kind` with random fields.
@@ -72,6 +86,9 @@ fn valid_frame(kind: MessageKind, rng: &mut SmallRng) -> Vec<u8> {
             payload_size: rng.gen_range(1..=envelope::MAX_PAYLOAD_SIZE as u32),
         },
         MessageKind::Reject => Message::Reject,
+        MessageKind::AbortSummary => {
+            Message::AbortSummary { transfer, summary: random_summary(rng) }
+        }
     };
     let scheme = SchemeKind::ALL[rng.gen_range(0..SchemeKind::ALL.len())];
     let generation = if rng.gen_bool(0.1) { GENERATION_OBJECT } else { rng.gen() };
@@ -149,7 +166,7 @@ fn the_generator_builds_every_kind_and_mutates() {
             refused += 1;
         }
     }
-    assert_eq!(kinds.len(), 8, "decoded frames must span every kind");
+    assert_eq!(kinds.len(), 9, "decoded frames must span every kind");
     assert!(bitmaps > 20 && lists > 20, "{bitmaps} bitmap and {lists} list vectors");
     // Both outcomes of a datagram decode are common enough to exercise.
     assert!(decoded > 20 && refused > 20, "{decoded} decoded, {refused} refused");
@@ -202,5 +219,72 @@ proptest! {
             }
             prop_assert_eq!(reassembler.pending_bytes(), fed - consumed);
         }
+    }
+}
+
+/// A relay of an object of `k` natives that took in `count` random
+/// natives and pairs: its decoded set and components are all it holds.
+fn relay(k: usize, natives: &[Payload], count: usize, rng: &mut SmallRng) -> LtncSchemeNode {
+    let mut node = LtncSchemeNode::new(k, natives[0].len());
+    for _ in 0..count {
+        let (x, y) = (rng.gen_range(0..k), rng.gen_range(0..k));
+        let indices = if x == y { vec![x] } else { vec![x, y] };
+        let mut payload = Payload::zero(natives[0].len());
+        for &i in &indices {
+            payload.xor_assign(&natives[i]);
+        }
+        node.deliver(&EncodedPacket::new(CodeVector::from_indices(k, &indices), payload));
+    }
+    node
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever summary a peer sends, true, stale, mutated or of another
+    /// code length: if the decoder accepts it, a sender builds from it
+    /// without panicking, and what it builds is judged by the receiver's
+    /// own header check, which refuses exactly what the receiver's
+    /// decoded set and components already span.
+    #[test]
+    fn a_lying_summary_costs_only_its_own_link(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let k = rng.gen_range(2..=64usize);
+        let natives: Vec<Payload> =
+            (0..k).map(|_| Payload::from_vec((0..4).map(|_| rng.gen()).collect())).collect();
+        let mut sender = relay(k, &natives, rng.gen_range(0..2 * k), &mut rng);
+        let receiver = relay(k, &natives, rng.gen_range(0..2 * k), &mut rng);
+        let truth = receiver.summary().expect("an LTNC node summarises");
+        // The truth, someone else's summary, or either with a byte changed.
+        let told = if rng.gen_bool(0.5) { truth.clone() } else { random_summary(&mut rng) };
+        let header = EnvelopeHeader {
+            kind: MessageKind::AbortSummary,
+            scheme: SchemeKind::Ltnc,
+            session: 1,
+            generation: 0,
+        };
+        let mut frame =
+            envelope::encode(&header, &Message::AbortSummary { transfer: 1, summary: told });
+        if rng.gen_bool(0.5) {
+            let at = rng.gen_range(envelope::FEEDBACK_FRAME_BYTES..frame.len());
+            frame[at] = rng.gen();
+        }
+        let Ok(decoded) = envelope::decode_view(&frame) else { return };
+        let Message::AbortSummary { summary, .. } = decoded.message else { return };
+        let Some(packet) = sender.smart_packet(&summary, &mut rng) else { return };
+        let indices: Vec<usize> = packet.vector().iter_ones().collect();
+        prop_assert!(indices.len() == 1 || indices.len() == 2);
+        let mut expected = Payload::zero(4);
+        for &i in &indices {
+            expected.xor_assign(&natives[i]);
+        }
+        prop_assert_eq!(packet.payload(), &expected);
+        let labels = truth.labels();
+        let spanned = match indices[..] {
+            [x] => labels[x] == 0,
+            [x, y] => labels[x] == labels[y],
+            _ => unreachable!(),
+        };
+        prop_assert_eq!(receiver.would_accept(packet.vector()), !spanned);
     }
 }

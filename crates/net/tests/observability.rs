@@ -125,7 +125,7 @@ fn wedged(topology: Topology, source: usize, victim: usize) -> TopologyConfig {
     config.timeout = Duration::from_secs(4);
     config.runtime = SwarmRuntime::Sharded { workers: 2 };
     let stall_window = Duration::from_millis(400);
-    config.flight_recorder = Some(FlightRecorder { capacity: 64, stall_window, dump_path: None });
+    config.flight_recorder = Some(FlightRecorder { stall_window, dump_path: None });
     for &from in config.topology.neighbors(victim) {
         config
             .link_faults

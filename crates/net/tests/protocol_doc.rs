@@ -10,7 +10,7 @@ use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, TraceContext, DATA_PREFIX_BYTES,
     ENVELOPE_HEADER_BYTES, MAGIC, PROTOCOL_VERSION,
 };
-use ltnc_scheme::SchemeKind;
+use ltnc_scheme::{SchemeKind, Summary};
 
 fn spec() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/PROTOCOL.md");
@@ -108,6 +108,20 @@ fn reference_frame(kind_name: &str) -> (MessageKind, Vec<u8>) {
         "REJECT" => {
             (MessageKind::Reject, envelope::encode(&header(MessageKind::Reject), &Message::Reject))
         }
+        "ABORT-SUMMARY" => {
+            // Decoded 0, 5 and 20; components {1, 2} and {3, 7, 9}.
+            let mut labels: Vec<usize> = (1..=21).collect();
+            for x in [0, 5, 20] {
+                labels[x] = 0;
+            }
+            (labels[2], labels[7], labels[9]) = (labels[1], labels[3], labels[3]);
+            let summary = Summary::from_labels(&labels);
+            let message = Message::AbortSummary { transfer: 5, summary };
+            (
+                MessageKind::AbortSummary,
+                envelope::encode(&header(MessageKind::AbortSummary), &message),
+            )
+        }
         other => panic!("spec documents unknown kind {other:?}"),
     }
 }
@@ -141,7 +155,7 @@ fn header_offset_table_matches_the_encoder() {
             "version" => {
                 assert_eq!((offset, size), (4, 1));
                 assert_eq!(bytes[offset], PROTOCOL_VERSION);
-                assert!(row[3].contains('3'), "documented version must be 3");
+                assert!(row[3].contains('4'), "documented version must be 4");
             }
             "kind" => {
                 assert_eq!((offset, size), (5, 1));
@@ -192,9 +206,10 @@ fn kind_table_ids_and_frame_sizes_match_the_encoder() {
         "REQUEST",
         "MANIFEST",
         "REJECT",
+        "ABORT-SUMMARY",
     ];
     let rows = table_rows(&spec, &names);
-    assert_eq!(rows.len(), names.len(), "the kind table must document all eight kinds");
+    assert_eq!(rows.len(), names.len(), "the kind table must document all nine kinds");
 
     for row in rows {
         let name = row[0].as_str();

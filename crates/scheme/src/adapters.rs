@@ -1,4 +1,4 @@
-use ltnc_core::LtncNode;
+use ltnc_core::{LtncNode, Summary};
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_metrics::OpCounters;
 use ltnc_rlnc::{ReceiveOutcome as RlncOutcome, RlncNode};
@@ -46,6 +46,24 @@ pub trait Scheme: Send {
 
     /// Cost ledger of the emission/recoding path.
     fn recoding_counters(&self) -> OpCounters;
+
+    /// What this node tells a sender whose offer it refuses, so that the
+    /// sender's next offer can be one it is sure to want
+    /// ([`Scheme::smart_packet`]). `None`, the default, when the scheme has
+    /// nothing to say: the refusal goes out as a plain ABORT.
+    fn summary(&self) -> Option<Summary> {
+        None
+    }
+
+    /// A packet the receiver that sent `summary` is sure to find
+    /// innovative, or `None` (the default) when this node cannot build one.
+    fn smart_packet(
+        &mut self,
+        _summary: &Summary,
+        _rng: &mut dyn RngCore,
+    ) -> Option<EncodedPacket> {
+        None
+    }
 }
 
 /// RLNC node adapter: sparse random recoding, Gaussian-elimination decoding.
@@ -189,6 +207,20 @@ impl Scheme for LtncSchemeNode {
 
     fn recoding_counters(&self) -> OpCounters {
         *self.node.recoding_counters()
+    }
+
+    /// The decoded set and the components (§III-C.2's `cc_r`).
+    fn summary(&self) -> Option<Summary> {
+        Some(self.node.summary())
+    }
+
+    /// Algorithm 4 on the summary's labels; `None` for a summary of another
+    /// code length, which only a lying or confused peer sends.
+    fn smart_packet(&mut self, summary: &Summary, rng: &mut dyn RngCore) -> Option<EncodedPacket> {
+        if summary.code_length() != self.node.code_length() {
+            return None;
+        }
+        self.node.smart_packet(&summary.labels(), rng)
     }
 }
 

@@ -22,4 +22,5 @@ mod wc;
 
 pub use adapters::{LtncSchemeNode, RlncSchemeNode, Scheme};
 pub use kind::{SchemeKind, SchemeParams};
+pub use ltnc_core::{Summary, SummaryError};
 pub use wc::WcNode;

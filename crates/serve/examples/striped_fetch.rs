@@ -127,7 +127,6 @@ fn run_pass(args: &Args, scheme: SchemeKind, kill: bool) -> Result<(), String> {
         client: ClientOptions {
             timeout: Duration::from_secs(args.timeout_secs),
             stall_timeout: Duration::from_secs(args.timeout_secs.div_ceil(10).max(2)),
-            ..Default::default()
         },
     };
 

@@ -39,7 +39,8 @@ use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_session::generation::ObjectManifest;
 use ltnc_session::SharedReceiver;
 
-use crate::{ServeError, ServeOptions};
+use crate::options::PER_SESSION_INFLIGHT;
+use crate::ServeError;
 
 /// Hard cap on the generation count a manifest may imply. The envelope
 /// codec caps `k` and `m`, but `object_len` is only bounded here: without
@@ -47,13 +48,14 @@ use crate::{ServeError, ServeOptions};
 /// huge object, driving the client to allocate billions of decoder nodes.
 const MAX_GENERATIONS: u64 = 1 << 20;
 
+/// TCP connect deadline.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning of one fetch.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientOptions {
     /// Overall deadline for the whole fetch.
     pub timeout: Duration,
-    /// TCP connect deadline.
-    pub connect_timeout: Duration,
     /// Per-stream progress watermark: a connection that goes this long
     /// without a rank-advancing delivery (or, before the handshake
     /// finishes, without a `MANIFEST`) fails with
@@ -65,11 +67,7 @@ pub struct ClientOptions {
 
 impl Default for ClientOptions {
     fn default() -> Self {
-        ClientOptions {
-            timeout: Duration::from_secs(30),
-            connect_timeout: Duration::from_secs(5),
-            stall_timeout: Duration::from_secs(10),
-        }
+        ClientOptions { timeout: Duration::from_secs(30), stall_timeout: Duration::from_secs(10) }
     }
 }
 
@@ -127,7 +125,7 @@ impl ReplicaConn {
         scheme: SchemeKind,
         options: &ClientOptions,
     ) -> Result<(ReplicaConn, ObjectManifest), ServeError> {
-        let stream = TcpStream::connect_timeout(&addr, options.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_millis(5)))?;
         let mut conn = ReplicaConn {
@@ -181,8 +179,10 @@ impl ReplicaConn {
                         return Err(ServeError::UnexpectedMessage("data frame before MANIFEST"));
                     }
                     // Harmless kinds a future server might emit pre-manifest.
-                    MessageView::Request | MessageView::Feedback { .. } | MessageView::Complete => {
-                    }
+                    MessageView::Request
+                    | MessageView::Feedback { .. }
+                    | MessageView::AbortSummary { .. }
+                    | MessageView::Complete => {}
                 }
             }
         }
@@ -336,8 +336,10 @@ impl ReplicaConn {
                     }
                     // Nothing else is meaningful client-side; tolerate
                     // rather than tear down.
-                    MessageView::Request | MessageView::Feedback { .. } | MessageView::Complete => {
-                    }
+                    MessageView::Request
+                    | MessageView::Feedback { .. }
+                    | MessageView::AbortSummary { .. }
+                    | MessageView::Complete => {}
                 }
             }
             self.pump_inbound(&mut buf)?;
@@ -429,8 +431,7 @@ impl ReplicaConn {
 /// one read. Clamped, because the dimensions come off the wire.
 fn read_buffer_len(params: &SchemeParams) -> usize {
     let offer = envelope::DATA_PREFIX_BYTES + wire::header_size(params.code_length);
-    let window = ServeOptions::default().per_session_inflight;
-    (window * (2 * offer + params.payload_size)).clamp(16 * 1024, 1 << 20)
+    (PER_SESSION_INFLIGHT * (2 * offer + params.payload_size)).clamp(16 * 1024, 1 << 20)
 }
 
 /// Bounds-checks a received manifest and converts it to an

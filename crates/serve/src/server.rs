@@ -23,8 +23,8 @@
 //!
 //! Two things keep the header-first handshake from serializing on round
 //! trips. Offers are pipelined: up to
-//! [`ServeOptions::per_session_inflight`] of them await feedback at
-//! once, and the default window covers a loopback round trip's worth of
+//! [`PER_SESSION_INFLIGHT`] of them await feedback at
+//! once, and that window covers a loopback round trip's worth of
 //! symbols. And frames move a batch per wake-up: the session takes the
 //! inbound bytes plus `now` and appends its frames to the connection's
 //! outbound buffer, and a wake drains every read through it before one
@@ -57,6 +57,7 @@ use ltnc_telemetry::{
     samples, HistogramSample, MetricsRegistry, ScrapeServer, TraceEvent, TraceSink, Tracer,
 };
 
+use crate::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
 use crate::store::ObjectStore;
 use crate::{ServeError, ServeOptions};
 
@@ -72,7 +73,7 @@ struct ServeStats {
     /// endpoint.
     session_micros: LogHistogram,
     /// Connections every shard holds now, against
-    /// [`ServeOptions::max_sessions`].
+    /// [`MAX_SESSIONS`].
     open: AtomicUsize,
 }
 
@@ -326,7 +327,7 @@ struct ServeShard {
 
 impl ServeShard {
     /// Accepts every pending connection, refusing the ones past
-    /// [`ServeOptions::max_sessions`].
+    /// [`MAX_SESSIONS`].
     fn accept(&mut self, cx: &mut Cx) {
         loop {
             let stream = match self.listener.accept() {
@@ -344,7 +345,7 @@ impl ServeShard {
                 }
             };
             let stats = &self.ctx.stats;
-            if stats.open.fetch_add(1, Ordering::Relaxed) >= self.ctx.options.max_sessions {
+            if stats.open.fetch_add(1, Ordering::Relaxed) >= MAX_SESSIONS {
                 // At capacity a connection is closed unanswered (dropping
                 // closes it) and counted, instead of held without bound.
                 stats.open.fetch_sub(1, Ordering::Relaxed);
@@ -590,7 +591,10 @@ fn handle_frame(
             *session = Some(new);
             Ok(false)
         }
-        MessageView::Feedback { transfer, accept } => {
+        // The server serves whole generations, so it reads an
+        // ABORT-SUMMARY as the abort it is and drops the summary.
+        MessageView::Feedback { transfer, .. } | MessageView::AbortSummary { transfer, .. } => {
+            let accept = header.kind == MessageKind::FeedbackAccept;
             let Some(session) = session.as_mut() else {
                 return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
             };
@@ -633,7 +637,7 @@ fn handle_frame(
 /// generations the client still needs; every offer is stamped `now`.
 fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64) {
     let generations = session.cursors.len();
-    while session.offers.in_flight() < ctx.options.per_session_inflight {
+    while session.offers.in_flight() < PER_SESSION_INFLIGHT {
         // Next incomplete generation, round robin; none left, no offer.
         let Some(gen_index) = (0..generations)
             .map(|step| (session.next_gen + step) % generations)
@@ -656,6 +660,6 @@ fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage.
-        session.offers.offer(out, &header, TraceContext::origin_now(now), packet, now);
+        session.offers.offer(out, &header, TraceContext::origin_now(now), packet, false, now);
     }
 }

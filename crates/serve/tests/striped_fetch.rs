@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use ltnc_net::faults::{FaultPlan, FaultProxy};
 use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_serve::options::PER_SESSION_INFLIGHT;
 use ltnc_serve::striped::MAX_REPLICAS;
 use ltnc_serve::{fetch_striped, ClientOptions, ServeError, ServeOptions, Server, StripedOptions};
 use rand::rngs::SmallRng;
@@ -44,7 +45,6 @@ fn striped_options() -> StripedOptions {
         client: ClientOptions {
             timeout: Duration::from_secs(30),
             stall_timeout: Duration::from_secs(5),
-            ..Default::default()
         },
     }
 }
@@ -77,7 +77,7 @@ fn three_replicas_bit_exact_for_every_scheme() {
             report.stripe
         );
 
-        let window = ServeOptions::default().per_session_inflight as u64;
+        let window = PER_SESSION_INFLIGHT as u64;
         for (server, stream) in servers.into_iter().zip(&report.stripe.replicas) {
             let counters = server.shutdown();
             assert_eq!(counters.sessions_accepted, 1, "{scheme:?}: one stream per replica");
@@ -120,7 +120,6 @@ fn killing_one_replica_mid_fetch_completes_via_failover() {
             client: ClientOptions {
                 timeout: Duration::from_secs(30),
                 stall_timeout: Duration::from_millis(1500),
-                ..Default::default()
             },
         };
         let report = fetch_striped(&addrs, 9, scheme, &options)
@@ -174,7 +173,6 @@ fn all_replicas_dead_is_a_typed_error() {
     let options = StripedOptions {
         client: ClientOptions {
             timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_millis(500),
             stall_timeout: Duration::from_millis(500),
         },
     };
@@ -268,7 +266,6 @@ fn stress_striped_fetch_under_delay_and_kill() {
             client: ClientOptions {
                 timeout: Duration::from_secs(60),
                 stall_timeout: Duration::from_secs(3),
-                ..Default::default()
             },
         };
         let report = fetch_striped(&addrs, 11, scheme, &options).expect("stress fetch completes");

@@ -20,7 +20,7 @@ use ltnc_net::envelope::{
 use ltnc_net::faults::{FaultPlan, FaultProxy};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
-use ltnc_serve::options::bounds;
+use ltnc_serve::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
 use ltnc_serve::{
     fetch, ClientOptions, ObjectStore, ReplicaConn, ServeError, ServeOptions, Server,
 };
@@ -279,7 +279,6 @@ fn stalled_server_surfaces_replica_lagged_not_a_blocked_fetch() {
     let options = ClientOptions {
         timeout: Duration::from_secs(30),
         stall_timeout: Duration::from_millis(400),
-        ..Default::default()
     };
     let started = std::time::Instant::now();
     match fetch(proxy.local_addr(), 4, SchemeKind::Ltnc, &options) {
@@ -320,10 +319,10 @@ fn unknown_object_and_scheme_mismatch_are_rejected() {
 
 #[test]
 fn invalid_options_error_at_spawn_not_at_runtime() {
-    let bad = ServeOptions { per_session_inflight: 0, ..Default::default() };
+    let bad = ServeOptions { workers: 0, ..Default::default() };
     match Server::spawn("127.0.0.1:0".parse().expect("valid addr"), bad) {
         Err(ServeError::InvalidOption { name, .. }) => {
-            assert_eq!(name, "per_session_inflight");
+            assert_eq!(name, "workers");
         }
         other => panic!("expected InvalidOption, got {:?}", other.map(|s| s.local_addr())),
     }
@@ -437,7 +436,6 @@ fn a_hostile_replica_cannot_deliver_what_the_client_never_accepted() {
     let options = ClientOptions {
         timeout: Duration::from_secs(10),
         stall_timeout: Duration::from_millis(300),
-        ..Default::default()
     };
     let (mut conn, manifest) =
         ReplicaConn::open(addr, 7, SchemeKind::Rlnc, &options).expect("open");
@@ -472,7 +470,7 @@ fn registering_while_serving_is_live() {
 
 #[test]
 fn one_read_of_feedback_is_answered_by_one_batch_of_payloads_and_refills() {
-    let window = ServeOptions::default().per_session_inflight;
+    let window = PER_SESSION_INFLIGHT;
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
         .expect("spawn");
     // 8 × 16 = 128 B per generation → 64 generations, more than two
@@ -571,7 +569,7 @@ fn replayed_and_unknown_feedback_release_nothing() {
     let mut client = ScriptedClient::connect(server.local_addr(), 9, SchemeKind::Rlnc);
     let request = client.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
     client.write(&request);
-    let window = ServeOptions::default().per_session_inflight;
+    let window = PER_SESSION_INFLIGHT;
     let mut inbox: VecDeque<Envelope> = client.read_frames(1 + window).into();
     assert_eq!(inbox.pop_front().map(|frame| frame.header.kind), Some(MessageKind::Manifest));
 
@@ -666,29 +664,8 @@ fn replayed_and_unknown_feedback_release_nothing() {
 }
 
 #[test]
-fn the_widest_and_the_narrowest_window_both_complete_bit_exact() {
-    // The widest window puts megabytes in flight each way before either
-    // end reads an answer (no deadlock); the narrowest is the paper's
-    // exchange in lock-step, one symbol per two round trips.
-    for window in [bounds::MAX_INFLIGHT, 1] {
-        let options = ServeOptions { per_session_inflight: window, ..Default::default() };
-        let server =
-            Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
-        let object = pseudo_object(64 * 1024, window as u64);
-        server
-            .register(2, &object, SchemeParams::new(SchemeKind::Ltnc, 32, 256))
-            .expect("register");
-        let report = fetch(server.local_addr(), 2, SchemeKind::Ltnc, &client_options())
-            .unwrap_or_else(|e| panic!("window {window}: {e}"));
-        assert_eq!(report.object, object, "window {window}");
-        let counters = server.shutdown();
-        assert_eq!(counters.sessions_completed, 1, "window {window}");
-    }
-}
-
-#[test]
 fn a_clean_fetch_balances_the_books_on_both_ends() {
-    let window = ServeOptions::default().per_session_inflight as u64;
+    let window = PER_SESSION_INFLIGHT as u64;
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
         .expect("spawn");
     let object = pseudo_object(32 * 1024, 8);
@@ -728,7 +705,7 @@ fn a_silent_client_with_a_window_of_offers_outstanding_still_times_out() {
     let started = Instant::now();
     let sent = kinds(&silent.read_to_eof());
     assert!(started.elapsed() >= Duration::from_millis(150), "closed before the idle timeout");
-    assert_eq!(sent.len(), 1 + options.per_session_inflight, "the MANIFEST and one window");
+    assert_eq!(sent.len(), 1 + PER_SESSION_INFLIGHT, "the MANIFEST and one window");
     assert_eq!(sent[0], MessageKind::Manifest);
 
     // The only worker is free again.
@@ -737,28 +714,51 @@ fn a_silent_client_with_a_window_of_offers_outstanding_still_times_out() {
     let _ = server.shutdown();
 }
 
-#[test]
-fn a_client_that_stops_reading_cannot_stall_another_session() {
-    // One batch of MAX_INFLIGHT offers with a 1 KiB code vector each is
-    // more than the socket buffers between the two ends hold, so the
-    // server's write is cut short by a client that asked and never reads.
-    // The rest waits for a write edge that never comes, on a worker that
-    // serves the next client meanwhile.
-    let options = ServeOptions {
-        workers: 1,
-        per_session_inflight: bounds::MAX_INFLIGHT,
-        idle_timeout: Duration::from_millis(300),
-        ..Default::default()
-    };
-    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
-    let wide = pseudo_object(8192 * 8, 17);
-    server.register(1, &wide, SchemeParams::new(SchemeKind::Rlnc, 8192, 8)).expect("register");
-    let small = pseudo_object(512, 18);
-    server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
-
+/// Registers object 1 with 64 KiB payloads and opens a client on it that
+/// asks, then ACCEPTs every offer the server reports (the counters hold
+/// the ids: the session is the server's only one), without reading a
+/// byte, until its write blocks or one second has passed. The payloads
+/// fill the socket buffers between the two ends, so the server's write
+/// is cut short and waits for a write edge that never comes.
+fn deafen(server: &Server) -> ScriptedClient {
+    let payload = 64 * 1024;
+    let object = pseudo_object(8 * payload, 17);
+    server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, payload)).expect("register");
     let mut deaf = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    deaf.stream.set_write_timeout(Some(Duration::from_millis(100))).expect("write timeout");
     let request = deaf.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
     deaf.write(&request);
+    let (window, deadline) = (PER_SESSION_INFLIGHT as u64, Instant::now() + Duration::from_secs(1));
+    let mut accepted = 0;
+    while Instant::now() < deadline {
+        let offered = server.counters().transfers_offered;
+        let batch: Vec<u8> = (accepted.max(offered.saturating_sub(window)) + 1..=offered)
+            .flat_map(|transfer| {
+                let feedback = Message::Feedback { transfer, accept: true };
+                deaf.frame(MessageKind::FeedbackAccept, 0, &feedback)
+            })
+            .collect();
+        accepted = offered;
+        if deaf.stream.write_all(&batch).is_err() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    deaf
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_stall_another_session() {
+    // A client that accepts without reading fills the socket buffers
+    // between the two ends with payloads, so the server's write is cut
+    // short. The rest waits for a write edge that never comes, on a
+    // worker that serves the next client meanwhile.
+    let options =
+        ServeOptions { workers: 1, idle_timeout: Duration::from_millis(300), ..Default::default() };
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
+    let deaf = deafen(&server);
+    let small = pseudo_object(512, 18);
+    server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
 
     let started = Instant::now();
     let report = fetch(server.local_addr(), 2, SchemeKind::Rlnc, &client_options())
@@ -771,18 +771,21 @@ fn a_client_that_stops_reading_cannot_stall_another_session() {
 
 #[test]
 fn a_connection_past_max_sessions_is_refused_and_counted_and_shutdown_stays_prompt() {
-    let options = ServeOptions { workers: 1, max_sessions: 2, ..Default::default() };
+    let options = ServeOptions { workers: 1, ..Default::default() };
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
     let object = pseudo_object(4096, 23);
     server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
 
-    // The first connection is served (its MANIFEST proves it), the second
-    // is held silent beside it, the third is one past the cap.
+    // The first connection is served (its MANIFEST proves it), the next
+    // ones are held silent beside it up to the cap, and the last is one
+    // past it.
     let mut served = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
     let request = served.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
     served.write(&request);
     assert_eq!(served.read_frames(1)[0].header.kind, MessageKind::Manifest);
-    let queued = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
+    let queued: Vec<ScriptedClient> = (1..MAX_SESSIONS)
+        .map(|_| ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc))
+        .collect();
     let mut refused = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
     assert!(refused.read_to_eof().is_empty(), "a refused connection is closed unanswered");
     assert_eq!(server.counters().sessions_rejected, 1);
@@ -798,27 +801,17 @@ fn a_connection_past_max_sessions_is_refused_and_counted_and_shutdown_stays_prom
 #[test]
 fn a_silent_and_a_deaf_connection_delay_neither_a_fetch_nor_shutdown() {
     // One worker and the default 30 s idle timeout, so neither connection
-    // below is reaped during the test. One never speaks; the other asks
-    // for an object whose first window of offers (MAX_INFLIGHT of them,
-    // 1 KiB code vectors each) overflows the socket buffers, and never
-    // reads. Neither may make a fetch of another object, or shutdown,
+    // below is reaped during the test. One never speaks; the other
+    // accepts without reading until its payloads overflow the socket
+    // buffers. Neither may make a fetch of another object, or shutdown,
     // wait out the idle timeout.
-    let options = ServeOptions {
-        workers: 1,
-        per_session_inflight: bounds::MAX_INFLIGHT,
-        ..Default::default()
-    };
+    let options = ServeOptions { workers: 1, ..Default::default() };
     assert_eq!(options.idle_timeout, Duration::from_secs(30));
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
-    let wide = pseudo_object(8192 * 8, 31);
-    server.register(1, &wide, SchemeParams::new(SchemeKind::Rlnc, 8192, 8)).expect("register");
+    let deaf = deafen(&server);
+    let silent = TcpStream::connect(server.local_addr()).expect("connect silent");
     let small = pseudo_object(4096, 32);
     server.register(2, &small, SchemeParams::new(SchemeKind::Rlnc, 8, 16)).expect("register");
-
-    let silent = TcpStream::connect(server.local_addr()).expect("connect silent");
-    let mut deaf = ScriptedClient::connect(server.local_addr(), 1, SchemeKind::Rlnc);
-    let request = deaf.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
-    deaf.write(&request);
 
     let started = Instant::now();
     let report = fetch(server.local_addr(), 2, SchemeKind::Rlnc, &client_options()).expect("fetch");
@@ -845,16 +838,10 @@ fn a_client_that_accepts_blindly_and_never_reads_is_held_back_and_reaped() {
     // reading it, so what it delivers stays within one window plus the
     // most those buffers can hold, and the session, silent from then
     // on, is reaped by its idle timer while the client still sends.
-    // `max_sessions: 1` makes the reap visible: until it, the one place
-    // is taken and a fetch is refused.
     let payload = 4096;
-    let options = ServeOptions {
-        workers: 1,
-        max_sessions: 1,
-        idle_timeout: Duration::from_millis(300),
-        ..Default::default()
-    };
-    let window = options.per_session_inflight as u64;
+    let options =
+        ServeOptions { workers: 1, idle_timeout: Duration::from_millis(300), ..Default::default() };
+    let window = PER_SESSION_INFLIGHT as u64;
     let bound = window + socket_buffer_ceiling() / payload as u64;
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options).expect("spawn");
     let object = pseudo_object(8 * payload, 41);

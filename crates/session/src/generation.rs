@@ -21,7 +21,7 @@
 
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_metrics::OpCounters;
-use ltnc_scheme::{Scheme, SchemeParams};
+use ltnc_scheme::{Scheme, SchemeParams, Summary};
 use rand::RngCore;
 
 /// The per-object contract between source and receivers.
@@ -137,6 +137,17 @@ impl SourceSession {
         None
     }
 
+    /// A packet of generation `gen_index` that the receiver which sent
+    /// `summary` is sure to find innovative, if there is one.
+    pub fn smart_packet(
+        &mut self,
+        gen_index: u32,
+        summary: &Summary,
+        rng: &mut dyn RngCore,
+    ) -> Option<EncodedPacket> {
+        self.nodes.get_mut(gen_index as usize)?.smart_packet(summary, rng)
+    }
+
     /// Merged recoding counters across all generations.
     #[must_use]
     pub fn recoding_counters(&self) -> OpCounters {
@@ -216,6 +227,25 @@ impl ReceiverSession {
     /// behaviour).
     pub fn make_packet(&mut self, gen_index: u32, rng: &mut dyn RngCore) -> Option<EncodedPacket> {
         self.shared.make_packet(gen_index, rng)
+    }
+
+    /// What generation `gen_index` tells a sender whose offer it refuses;
+    /// `None` once it is complete or when the scheme has no summary.
+    #[must_use]
+    pub fn summary(&self, gen_index: u32) -> Option<Summary> {
+        self.shared.summary(gen_index)
+    }
+
+    /// A packet of generation `gen_index` that the receiver which sent
+    /// `summary` is sure to find innovative, if there is one (relay
+    /// behaviour).
+    pub fn smart_packet(
+        &mut self,
+        gen_index: u32,
+        summary: &Summary,
+        rng: &mut dyn RngCore,
+    ) -> Option<EncodedPacket> {
+        self.shared.smart_packet(gen_index, summary, rng)
     }
 
     /// Reassembles the object once complete: decodes every generation,

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 use ltnc_gf2::{CodeVector, EncodedPacket};
 use ltnc_metrics::OpCounters;
-use ltnc_scheme::Scheme;
+use ltnc_scheme::{Scheme, Summary};
 use rand::RngCore;
 
 use crate::generation::ObjectManifest;
@@ -278,6 +278,33 @@ impl SharedReceiver {
             .lock()
             .expect("generation lock poisoned")
             .make_packet(rng)
+    }
+
+    /// What a generation tells a sender whose offer it refuses
+    /// ([`Scheme::summary`]); `None` for out-of-range or completed
+    /// generations and for schemes without a summary.
+    #[must_use]
+    pub fn summary(&self, gen_index: u32) -> Option<Summary> {
+        let node = self.nodes.get(gen_index as usize)?;
+        if self.generation_complete(gen_index) {
+            return None;
+        }
+        node.lock().expect("generation lock poisoned").summary()
+    }
+
+    /// A packet of a generation that the receiver which sent `summary` is
+    /// sure to find innovative ([`Scheme::smart_packet`]), if there is one.
+    pub fn smart_packet(
+        &self,
+        gen_index: u32,
+        summary: &Summary,
+        rng: &mut dyn RngCore,
+    ) -> Option<EncodedPacket> {
+        self.nodes
+            .get(gen_index as usize)?
+            .lock()
+            .expect("generation lock poisoned")
+            .smart_packet(summary, rng)
     }
 
     /// Merged decoding counters across all generations.

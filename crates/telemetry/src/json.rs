@@ -526,7 +526,7 @@ mod tests {
             ltnc_metrics::WireCounters { bytes_sent: 7, decode_errors: 2, ..Default::default() };
         let doc = scalar_fields(JsonValue::object().field("decode_errors", 2u64), &wire);
         let JsonValue::Object(members) = &doc else { panic!("an object") };
-        assert_eq!(members.len(), 17);
+        assert_eq!(members.len(), 21);
         assert_eq!(members[0].0, "decode_errors");
         assert_eq!(doc.get("bytes_sent"), Some(&JsonValue::Int(7)));
     }

@@ -43,6 +43,9 @@ pub enum OfferTrigger {
     /// Feedback arrived for a transfer whose generation the sender holds
     /// completely: the next offer to that peer left one RTT later.
     Feedback,
+    /// Whatever clock released it, the offer is a packet built from the
+    /// peer's last `ABORT-SUMMARY` (Algorithm 4), sure to be wanted.
+    Smart,
 }
 
 impl OfferTrigger {
@@ -53,6 +56,7 @@ impl OfferTrigger {
             OfferTrigger::Tick => "tick",
             OfferTrigger::Delivery => "delivery",
             OfferTrigger::Feedback => "feedback",
+            OfferTrigger::Smart => "smart",
         }
     }
 }

@@ -39,6 +39,10 @@ fn wire() -> WireCounters {
         budget_cuts: 115,
         unsolicited_payloads: 116,
         accepts_evicted: 117,
+        accept_ledgers_evicted: 118,
+        summaries_sent: 119,
+        smart_offers: 120,
+        smart_aborts: 121,
     }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Public functions that no non-test code calls, one `file:line name` a line.
+# Public functions and types that no non-test code reaches, one
+# `file:line name` a line.
 #
 #   bash scripts/unused_pub.sh            # this checkout
 #   bash scripts/unused_pub.sh <dir>      # another one
@@ -11,6 +12,11 @@
 # not count as a use. The match is by name only, so a listed function is
 # reached from tests alone (or from nowhere); one that shares its name with
 # a used function is not listed.
+#
+# A `pub struct` or `pub enum` in `crates/*/src` is listed when no other
+# file's non-comment line of non-test code names it, `use` lines (imports
+# and re-exports) aside: its own impl blocks do not count as a use. A type
+# reached only through another type's API, never by name, is listed too.
 set -euo pipefail
 export LC_ALL=C
 cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
@@ -36,6 +42,16 @@ cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
       defs[++n] = where " " declared
       name[n] = declared
     }
+    file = where
+    sub(/:[0-9]+$/, "", file)
+    if (where ~ /^crates\/[^\/]+\/src\// && match(line, /^[ \t]*pub (struct|enum)[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+      type = substr(line, RSTART, RLENGTH)
+      sub(/^[ \t]*pub (struct|enum)[ \t]+/, "", type)
+      tdefs[++tn] = where " " type
+      tname[tn] = type
+      tfile[tn] = file
+    }
+    importing = line ~ /^[ \t]*(pub(\([a-z]+\))? )?use /
     delete seen
     count_tokens = split(line, tokens, /[^A-Za-z0-9_]+/)
     for (i = 1; i <= count_tokens; i++) {
@@ -43,9 +59,18 @@ cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
       if (t != "" && t != declared && !(t in seen)) {
         seen[t] = 1
         uses[t]++
+        if (!importing) named[t, file] = 1
       }
     }
   }
   END {
     for (i = 1; i <= n; i++) if (!(name[i] in uses)) print defs[i]
+    for (i = 1; i <= tn; i++) {
+      reached = 0
+      for (key in named) {
+        split(key, part, SUBSEP)
+        if (part[1] == tname[i] && part[2] != tfile[i]) reached = 1
+      }
+      if (!reached) print tdefs[i]
+    }
   }'
