@@ -10,7 +10,7 @@
 //! +--------+-----+------+--------+---------------+----------+-----------+
 //! ```
 //!
-//! The bodies implement the paper's binary feedback channel as a two-phase
+//! The bodies implement the paper's feedback channel as a two-phase
 //! transfer so that an aborted transfer never carries payload bytes:
 //!
 //! * `DATA-HEADER` — `transfer id (u64 LE)` + a [`TraceContext`]

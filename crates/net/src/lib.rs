@@ -9,9 +9,9 @@
 //! * [`envelope`] — the versioned wire protocol: a 19-byte envelope
 //!   (magic, version, kind, scheme, session, generation) framing the
 //!   `gf2::wire` packet format, with a pure sans-io codec whose
-//!   header-first incremental decode carries the paper's binary feedback
-//!   channel onto real sockets (`DATA-HEADER` offer →
-//!   `FEEDBACK-ACCEPT`/`ABORT` → `DATA-PAYLOAD`; aborted transfers never
+//!   header-first incremental decode carries the paper's feedback channel
+//!   onto real sockets (`DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT`,
+//!   or an LTNC `ABORT-SUMMARY` → `DATA-PAYLOAD`; aborted transfers never
 //!   cost payload bytes);
 //! * generations — chunking of arbitrarily large objects into
 //!   generations of `k` payloads, per-generation decode state, push
