@@ -119,6 +119,17 @@ impl Summary {
         Summary { decoded, components }
     }
 
+    /// The fewest bytes a summary of code length `k` with `decoded`
+    /// natives decoded encodes to: the decoded set's shorter form takes
+    /// `c` and one byte per native or per 8 natives at least, and the
+    /// count of components one byte. A caller with a size cap reads this
+    /// before it builds the summary; past `k ≈ 2048` the bitmap alone
+    /// outgrows a cap of a few hundred bytes.
+    #[must_use]
+    pub fn min_encoded_len(k: usize, decoded: usize) -> usize {
+        FIXED_HEADER_BYTES + 1 + decoded.min(k.div_ceil(8)) + 1
+    }
+
     /// The code length `k` the summary describes.
     #[must_use]
     pub fn code_length(&self) -> usize {

@@ -1043,6 +1043,19 @@ mod tests {
             };
             // The same partition: its labels summarise to the input's.
             prop_assert_eq!(summary(&back.labels()), summary(&labels));
+            let decoded = labels.iter().filter(|&&l| l == 0).count();
+            prop_assert!(bytes.len() - FEEDBACK_FRAME_BYTES >= Summary::min_encoded_len(k, decoded));
+        }
+    }
+
+    #[test]
+    fn the_least_summary_length_is_reached() {
+        // Nothing decoded and every native alone: `c`, no index, no
+        // component. All decoded: `c = 0` and the bitmap.
+        for (labels, decoded) in [(vec![1, 2, 3], 0), (vec![0; 8], 8), (vec![0; 20], 20)] {
+            let bytes = encode(&header(MessageKind::AbortSummary), &abort(summary(&labels)));
+            let least = Summary::min_encoded_len(labels.len(), decoded);
+            assert_eq!(bytes.len() - FEEDBACK_FRAME_BYTES, least, "{labels:?}");
         }
     }
 

@@ -78,7 +78,7 @@
 //! What leaves this module is the tuning ([`NodeOptions`]) and each
 //! node's final accounting ([`PeerReport`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -383,8 +383,8 @@ pub(crate) struct NodeStateMachine {
     /// Receiver halves by sender, not link: the source is in no push set.
     /// Each with the stamp of its last accept.
     accepts: HashMap<SocketAddr, (u64, AcceptLedger)>,
-    /// The senders of `accepts` by the stamp of their last accept.
-    accept_order: BTreeMap<u64, SocketAddr>,
+    /// The stamp of the latest accept.
+    accept_clock: u64,
     wire: WireCounters,
     shared: Arc<Shared>,
     /// Where the node's hot paths, and its links' faults, are traced.
@@ -423,7 +423,7 @@ impl NodeStateMachine {
             announced: HashSet::new(),
             lineage: HashMap::new(),
             accepts: HashMap::new(),
-            accept_order: BTreeMap::new(),
+            accept_clock: 0,
             wire: WireCounters::new(),
             shared,
             tracer,
@@ -644,9 +644,12 @@ impl NodeStateMachine {
                 }
                 // A refusal of a generation still being decoded says what
                 // this node holds of it, when the scheme can say.
-                let summary = (!accept && fits)
-                    .then(|| self.receiver.as_ref().and_then(|r| r.summary(generation)))
-                    .flatten();
+                let summary = match &self.receiver {
+                    Some(receiver) if !accept && fits => {
+                        receiver.summary(generation, MAX_SUMMARY_BYTES)
+                    }
+                    _ => None,
+                };
                 let bytes = self.verdict(&header, transfer, accept, summary);
                 self.post(out, from, bytes);
                 // Aborts caused by a finished generation also tell the
@@ -743,19 +746,25 @@ impl NodeStateMachine {
     /// that sender's ledger, the most recently used from now on. Past
     /// [`MAX_ACCEPT_LEDGERS`] senders the least recently used ledger goes.
     fn note_accept(&mut self, from: SocketAddr, transfer: u64, generation: u32) {
-        let stamp = self.accept_order.last_key_value().map_or(0, |(&last, _)| last + 1);
+        self.accept_clock += 1;
+        let stamp = self.accept_clock;
         // A window of offers awaiting feedback plus their payloads.
         let cap = 2 * INFLIGHT_CEILING;
         let (used, ledger) =
             self.accepts.entry(from).or_insert_with(|| (stamp, AcceptLedger::new(cap)));
-        self.accept_order.remove(used);
         *used = stamp;
-        self.accept_order.insert(stamp, from);
         if ledger.accept(transfer, generation).is_some() {
             self.wire.accepts_evicted += 1;
         }
+        // Only a stranger spraying source addresses gets here: a scan of
+        // at most `MAX_ACCEPT_LEDGERS + 1` tables.
         if self.accepts.len() > MAX_ACCEPT_LEDGERS {
-            let (_, oldest) = self.accept_order.pop_first().expect("one per ledger");
+            let oldest = *self
+                .accepts
+                .iter()
+                .min_by_key(|(_, (used, _))| *used)
+                .map(|(sender, _)| sender)
+                .expect("one over the cap");
             self.accepts.remove(&oldest);
             self.wire.accept_ledgers_evicted += 1;
         }
@@ -1647,7 +1656,6 @@ mod tests {
             assert!(relay.sm.accepts.len() <= MAX_ACCEPT_LEDGERS, "past the cap at {i}");
         }
         assert_eq!(relay.sm.accepts.len(), MAX_ACCEPT_LEDGERS);
-        assert_eq!(relay.sm.accept_order.len(), MAX_ACCEPT_LEDGERS);
         assert_eq!(relay.sm.wire.accept_ledgers_evicted, (sprayed + 1 - MAX_ACCEPT_LEDGERS) as u64);
         assert!(relay.sm.accepts.contains_key(&source.addr), "a live sender's table went");
     }

@@ -254,7 +254,7 @@ proptest! {
             (0..k).map(|_| Payload::from_vec((0..4).map(|_| rng.gen()).collect())).collect();
         let mut sender = relay(k, &natives, rng.gen_range(0..2 * k), &mut rng);
         let receiver = relay(k, &natives, rng.gen_range(0..2 * k), &mut rng);
-        let truth = receiver.summary().expect("an LTNC node summarises");
+        let truth = receiver.summary(usize::MAX).expect("an LTNC node summarises");
         // The truth, someone else's summary, or either with a byte changed.
         let told = if rng.gen_bool(0.5) { truth.clone() } else { random_summary(&mut rng) };
         let header = EnvelopeHeader {

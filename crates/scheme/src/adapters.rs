@@ -50,8 +50,9 @@ pub trait Scheme: Send {
     /// What this node tells a sender whose offer it refuses, so that the
     /// sender's next offer can be one it is sure to want
     /// ([`Scheme::smart_packet`]). `None`, the default, when the scheme has
-    /// nothing to say: the refusal goes out as a plain ABORT.
-    fn summary(&self) -> Option<Summary> {
+    /// nothing to say, or when what it has to say cannot encode to
+    /// `max_bytes` or fewer: the refusal goes out as a plain ABORT.
+    fn summary(&self, _max_bytes: usize) -> Option<Summary> {
         None
     }
 
@@ -209,9 +210,11 @@ impl Scheme for LtncSchemeNode {
         *self.node.recoding_counters()
     }
 
-    /// The decoded set and the components (§III-C.2's `cc_r`).
-    fn summary(&self) -> Option<Summary> {
-        Some(self.node.summary())
+    /// The decoded set and the components (§III-C.2's `cc_r`), not built
+    /// when the decoded set alone cannot fit in `max_bytes`.
+    fn summary(&self, max_bytes: usize) -> Option<Summary> {
+        let (k, decoded) = (self.node.code_length(), self.node.decoded_count());
+        (Summary::min_encoded_len(k, decoded) <= max_bytes).then(|| self.node.summary())
     }
 
     /// Algorithm 4 on the summary's labels; `None` for a summary of another

@@ -230,10 +230,11 @@ impl ReceiverSession {
     }
 
     /// What generation `gen_index` tells a sender whose offer it refuses;
-    /// `None` once it is complete or when the scheme has no summary.
+    /// `None` once it is complete, when the scheme has no summary, or when
+    /// none of `max_bytes` or fewer can be built.
     #[must_use]
-    pub fn summary(&self, gen_index: u32) -> Option<Summary> {
-        self.shared.summary(gen_index)
+    pub fn summary(&self, gen_index: u32, max_bytes: usize) -> Option<Summary> {
+        self.shared.summary(gen_index, max_bytes)
     }
 
     /// A packet of generation `gen_index` that the receiver which sent

@@ -282,14 +282,15 @@ impl SharedReceiver {
 
     /// What a generation tells a sender whose offer it refuses
     /// ([`Scheme::summary`]); `None` for out-of-range or completed
-    /// generations and for schemes without a summary.
+    /// generations, for schemes without a summary and when none of
+    /// `max_bytes` or fewer can be built.
     #[must_use]
-    pub fn summary(&self, gen_index: u32) -> Option<Summary> {
+    pub fn summary(&self, gen_index: u32, max_bytes: usize) -> Option<Summary> {
         let node = self.nodes.get(gen_index as usize)?;
         if self.generation_complete(gen_index) {
             return None;
         }
-        node.lock().expect("generation lock poisoned").summary()
+        node.lock().expect("generation lock poisoned").summary(max_bytes)
     }
 
     /// A packet of a generation that the receiver which sent `summary` is

@@ -14,8 +14,9 @@
 # a used function is not listed.
 #
 # A `pub struct` or `pub enum` in `crates/*/src` is listed when no other
-# file's non-comment line of non-test code names it, `use` lines (imports
-# and re-exports) aside: its own impl blocks do not count as a use. A type
+# file's non-comment line of non-test code names it, `use` statements
+# (imports and re-exports, a braced one up to its `;`) aside: its own impl
+# blocks do not count as a use. A type
 # reached only through another type's API, never by name, is listed too.
 set -euo pipefail
 export LC_ALL=C
@@ -51,7 +52,12 @@ cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
       tname[tn] = type
       tfile[tn] = file
     }
-    importing = line ~ /^[ \t]*(pub(\([a-z]+\))? )?use /
+    # A `use` runs to its `;`, over several lines when braced.
+    if (file != last_file) in_use = 0
+    last_file = file
+    if (line ~ /^[ \t]*(pub(\([a-z]+\))? )?use /) in_use = 1
+    importing = in_use
+    if (line ~ /;/) in_use = 0
     delete seen
     count_tokens = split(line, tokens, /[^A-Za-z0-9_]+/)
     for (i = 1; i <= count_tokens; i++) {
@@ -59,18 +65,19 @@ cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
       if (t != "" && t != declared && !(t in seen)) {
         seen[t] = 1
         uses[t]++
-        if (!importing) named[t, file] = 1
+        # The files that name `t`: how many, and the first.
+        if (!importing && !((t, file) in named)) {
+          named[t, file] = 1
+          if (!(t in files)) first[t] = file
+          files[t]++
+        }
       }
     }
   }
   END {
     for (i = 1; i <= n; i++) if (!(name[i] in uses)) print defs[i]
     for (i = 1; i <= tn; i++) {
-      reached = 0
-      for (key in named) {
-        split(key, part, SUBSEP)
-        if (part[1] == tname[i] && part[2] != tfile[i]) reached = 1
-      }
-      if (!reached) print tdefs[i]
+      t = tname[i]
+      if (!(files[t] > 1 || (t in files && first[t] != tfile[i]))) print tdefs[i]
     }
   }'
