@@ -1,33 +1,18 @@
-//! Deterministic fault injection for transport tests.
+//! Deterministic datagram fault injection for transport tests.
 //!
-//! Every transport test in this workspace used to run over clean
-//! localhost sockets, which exercises none of the failure handling the
-//! protocol exists for. This module makes adverse conditions *seeded and
-//! reproducible*, for streams and for datagrams:
+//! A transport test over clean localhost sockets exercises none of the
+//! failure handling the protocol exists for. This module makes adverse
+//! datagram conditions *seeded and reproducible*:
 //!
-//! * [`FaultyStream`] wraps any `Read` and injects faults from a
-//!   [`FaultPlan`]: per-byte drops, per-call delays, read fragmentation,
-//!   a clean truncation (EOF) at byte `K`, a stall at byte `K`, and a
-//!   hard disconnect (error) at byte `K`. All randomness comes from a
-//!   [`SmallRng`] seeded by the plan, so a failing case replays exactly.
-//! * [`FaultProxy`] puts the same plans between two real TCP endpoints: a
-//!   localhost forwarder that pumps each direction of every accepted
-//!   connection through a `FaultyStream`. Integration tests point a
-//!   client at the proxy instead of the server and get loss, stalls and
-//!   mid-transfer disconnects without touching either endpoint's code.
-//! * [`DatagramFaultPlan`] is the datagram counterpart: one plan per
-//!   *link* — per sender, on the receiving end — of whole-datagram
-//!   drops, duplicates, reordering within a bounded window, and
-//!   per-datagram delays, with per-link tallies
-//!   ([`DatagramFaultCounters`]). A swarm gives every overlay link its
-//!   own seeded plan ([`crate::TopologyFaults`]), so the UDP gossip tests
-//!   exercise exactly the lossy links the paper's redundancy and this
-//!   crate's adaptive pacing exist for. A sender without a plan passes
-//!   clean, and sends are never faulted.
+//! * [`DatagramFaultPlan`] is one plan per *link* — per sender, on the
+//!   receiving end — of whole-datagram drops, duplicates, reordering
+//!   within a bounded window, and per-datagram delays, with per-link
+//!   tallies ([`DatagramFaultCounters`]). A swarm gives every overlay
+//!   link its own seeded plan ([`crate::TopologyFaults`]), so the UDP
+//!   gossip tests exercise exactly the lossy links the paper's
+//!   redundancy and this crate's adaptive pacing exist for. A sender
+//!   without a plan passes clean, and sends are never faulted.
 //!
-//! Byte-counted stream faults (`truncate_read_at`, `disconnect_read_at`)
-//! are deterministic regardless of how the OS chunks the stream, which is
-//! what makes "kill the server after exactly K bytes" a stable test.
 //! Datagram faults decide per *datagram* in arrival order, so a fixed
 //! seed replays the same drop/duplicate/reorder pattern over the same
 //! traffic. One state machine carries those decisions out for both swarm
@@ -36,11 +21,7 @@
 //! sleeps — a delayed datagram is parked until it falls due.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use ltnc_metrics::CounterFamily;
@@ -49,397 +30,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::peer::micros;
-
-/// A seeded description of the faults to inject on one stream direction.
-///
-/// The default plan (via [`FaultPlan::clean`]) forwards bytes untouched;
-/// builder methods switch individual faults on. Plans are `Copy` so a
-/// proxy can stamp one onto every accepted connection.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Seed for every probabilistic decision this plan makes.
-    pub seed: u64,
-    /// Deliver exactly this many bytes, then report clean EOF forever.
-    pub truncate_read_at: Option<u64>,
-    /// Deliver exactly this many bytes, then *stall*: every further read
-    /// blocks briefly and returns `WouldBlock`, with the stream still
-    /// open. Through a proxy this is a peer that stops making progress
-    /// without dying — the case progress watermarks exist to catch.
-    pub stall_read_at: Option<u64>,
-    /// Deliver exactly this many bytes, then fail reads with
-    /// `ConnectionReset` forever.
-    pub disconnect_read_at: Option<u64>,
-    /// Probability in `[0, 1]` that each forwarded byte is silently
-    /// dropped (stream corruption: the framing layer must error, never
-    /// panic).
-    pub drop_rate: f64,
-    /// Sleep this long before every read call that reaches the inner
-    /// stream (a slow peer).
-    pub read_delay: Duration,
-    /// Cap on bytes returned by a single read call, re-fragmenting the
-    /// stream into small pieces (exercises incremental reassembly).
-    pub max_read_chunk: Option<usize>,
-}
-
-impl FaultPlan {
-    /// A plan that forwards everything untouched (the identity proxy).
-    #[must_use]
-    pub fn clean(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            truncate_read_at: None,
-            stall_read_at: None,
-            disconnect_read_at: None,
-            drop_rate: 0.0,
-            read_delay: Duration::ZERO,
-            max_read_chunk: None,
-        }
-    }
-
-    /// Clean EOF after exactly `bytes` delivered bytes.
-    #[must_use]
-    pub fn truncate_read_at(mut self, bytes: u64) -> FaultPlan {
-        self.truncate_read_at = Some(bytes);
-        self
-    }
-
-    /// Stall (socket open, no further bytes) after exactly `bytes`
-    /// delivered bytes.
-    #[must_use]
-    pub fn stall_read_at(mut self, bytes: u64) -> FaultPlan {
-        self.stall_read_at = Some(bytes);
-        self
-    }
-
-    /// Hard `ConnectionReset` after exactly `bytes` delivered bytes.
-    #[must_use]
-    pub fn disconnect_read_at(mut self, bytes: u64) -> FaultPlan {
-        self.disconnect_read_at = Some(bytes);
-        self
-    }
-
-    /// Drop each forwarded byte with probability `rate` (clamped to
-    /// `[0, 1]`).
-    #[must_use]
-    pub fn drop_rate(mut self, rate: f64) -> FaultPlan {
-        self.drop_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Delay every read by `delay` (a slow replica).
-    #[must_use]
-    pub fn delay_reads(mut self, delay: Duration) -> FaultPlan {
-        self.read_delay = delay;
-        self
-    }
-
-    /// Return at most `bytes` per read call.
-    #[must_use]
-    pub fn fragment_reads(mut self, bytes: usize) -> FaultPlan {
-        self.max_read_chunk = Some(bytes.max(1));
-        self
-    }
-}
-
-/// A `Read` wrapper executing a [`FaultPlan`].
-///
-/// Byte budgets count bytes *delivered to the caller* (after drops), so a
-/// `truncate_read_at(K)` cut lands at the same protocol position however
-/// the inner stream chunks its reads.
-///
-/// # Example
-///
-/// ```
-/// use std::io::{Cursor, Read};
-/// use ltnc_net::faults::{FaultPlan, FaultyStream};
-///
-/// // Deliver exactly 5 bytes, then a clean EOF — however the inner
-/// // stream chunks its reads.
-/// let plan = FaultPlan::clean(42).truncate_read_at(5);
-/// let mut stream = FaultyStream::new(Cursor::new(vec![7u8; 100]), plan);
-/// let mut out = Vec::new();
-/// stream.read_to_end(&mut out).unwrap();
-/// assert_eq!(out, vec![7u8; 5]);
-/// assert_eq!(stream.read_delivered(), 5);
-/// ```
-#[derive(Debug)]
-pub struct FaultyStream<S> {
-    inner: S,
-    plan: FaultPlan,
-    rng: SmallRng,
-    read_delivered: u64,
-}
-
-impl<S> FaultyStream<S> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: S, plan: FaultPlan) -> FaultyStream<S> {
-        FaultyStream {
-            inner,
-            plan,
-            rng: SmallRng::seed_from_u64(plan.seed ^ 0xFA_17_5E_ED),
-            read_delivered: 0,
-        }
-    }
-
-    /// Bytes delivered to the reader so far (after drops and cuts).
-    #[must_use]
-    pub fn read_delivered(&self) -> u64 {
-        self.read_delivered
-    }
-
-    /// How many more bytes may be delivered before a read-side cut fires.
-    fn read_budget(&self) -> Option<u64> {
-        let cut =
-            [self.plan.truncate_read_at, self.plan.stall_read_at, self.plan.disconnect_read_at]
-                .into_iter()
-                .flatten()
-                .min();
-        cut.map(|k| k.saturating_sub(self.read_delivered))
-    }
-}
-
-impl<S: Read> Read for FaultyStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        if let Some(0) = self.read_budget() {
-            if let Some(k) = self.plan.truncate_read_at {
-                if self.read_delivered >= k {
-                    return Ok(0); // clean truncation
-                }
-            }
-            if let Some(k) = self.plan.stall_read_at {
-                if self.read_delivered >= k {
-                    // The peer is alive but mute: block a beat, make no
-                    // progress, keep the stream open.
-                    thread::sleep(Duration::from_millis(20));
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        "fault injection: stall_read_at reached",
-                    ));
-                }
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "fault injection: disconnect_read_at reached",
-            ));
-        }
-        let mut limit = buf.len();
-        if let Some(chunk) = self.plan.max_read_chunk {
-            limit = limit.min(chunk);
-        }
-        if let Some(budget) = self.read_budget() {
-            limit = limit.min(budget.try_into().unwrap_or(usize::MAX)).max(1);
-        }
-        if !self.plan.read_delay.is_zero() {
-            thread::sleep(self.plan.read_delay);
-        }
-        let n = self.inner.read(&mut buf[..limit])?;
-        if n == 0 {
-            return Ok(0);
-        }
-        let delivered = if self.plan.drop_rate > 0.0 {
-            // Retain each byte independently; compact in place.
-            let mut kept = 0;
-            for i in 0..n {
-                if self.rng.gen_bool(1.0 - self.plan.drop_rate) {
-                    buf[kept] = buf[i];
-                    kept += 1;
-                }
-            }
-            kept
-        } else {
-            n
-        };
-        self.read_delivered += delivered as u64;
-        if delivered == 0 {
-            // Every byte of this chunk was dropped; the caller sees a
-            // spurious-wakeup-style empty read rather than EOF.
-            return Err(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                "fault injection: chunk dropped",
-            ));
-        }
-        Ok(delivered)
-    }
-}
-
-/// A localhost TCP forwarder injecting faults between real endpoints.
-///
-/// Each accepted client connection is paired with a fresh upstream
-/// connection; two pump threads copy bytes in each direction, the
-/// client→server direction through `client_to_server`, the
-/// server→client direction through `server_to_client`. When a pump sees
-/// EOF or an injected error it shuts down *both* sockets, so a
-/// `disconnect_read_at` on one side looks like a dead peer to both.
-///
-/// # Example
-///
-/// ```
-/// use std::io::{Read, Write};
-/// use std::net::{TcpListener, TcpStream};
-/// use ltnc_net::faults::{FaultPlan, FaultProxy};
-///
-/// // An upstream that echoes a greeting to every connection…
-/// let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-/// let upstream = listener.local_addr().unwrap();
-/// std::thread::spawn(move || {
-///     for stream in listener.incoming().flatten() {
-///         let mut stream = stream;
-///         let _ = stream.write_all(b"hello from upstream");
-///     }
-/// });
-///
-/// // …reached through a proxy that kills the reply after 5 bytes.
-/// let proxy = FaultProxy::spawn(
-///     upstream,
-///     FaultPlan::clean(1),
-///     FaultPlan::clean(2).truncate_read_at(5),
-/// )
-/// .unwrap();
-/// let mut client = TcpStream::connect(proxy.local_addr()).unwrap();
-/// let mut got = Vec::new();
-/// client.read_to_end(&mut got).unwrap();
-/// assert_eq!(got, b"hello");
-/// proxy.shutdown();
-/// ```
-pub struct FaultProxy {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl FaultProxy {
-    /// Spawns a proxy on an ephemeral localhost port forwarding to
-    /// `upstream`. Every accepted connection gets its own copy of the two
-    /// plans (same seed: connection-for-connection reproducible).
-    ///
-    /// # Errors
-    ///
-    /// Socket errors binding the listener.
-    pub fn spawn(
-        upstream: SocketAddr,
-        client_to_server: FaultPlan,
-        server_to_client: FaultPlan,
-    ) -> io::Result<FaultProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = thread::spawn(move || {
-            let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        match TcpStream::connect(upstream) {
-                            Ok(server) => {
-                                pumps.extend(pump_pair(
-                                    client,
-                                    server,
-                                    client_to_server,
-                                    server_to_client,
-                                    Arc::clone(&accept_stop),
-                                ));
-                            }
-                            Err(_) => drop(client), // upstream dead: refuse
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => {}
-                }
-            }
-            for pump in pumps {
-                let _ = pump.join();
-            }
-        });
-        Ok(FaultProxy { local_addr, stop, accept_thread: Some(accept_thread) })
-    }
-
-    /// The address clients should connect to instead of the upstream.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting and joins the forwarding threads. Called by `Drop`
-    /// as well; explicit shutdown just surfaces panics earlier.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Spawns the two directional pumps of one proxied connection.
-fn pump_pair(
-    client: TcpStream,
-    server: TcpStream,
-    client_to_server: FaultPlan,
-    server_to_client: FaultPlan,
-    stop: Arc<AtomicBool>,
-) -> Vec<JoinHandle<()>> {
-    let pair = || -> io::Result<_> {
-        // Short read timeouts keep every pump responsive to `stop` (so a
-        // stalled connection cannot hang proxy shutdown) and to peer EOF,
-        // which should propagate promptly.
-        client.set_read_timeout(Some(Duration::from_millis(20)))?;
-        server.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let c_read = client.try_clone()?;
-        let s_read = server.try_clone()?;
-        Ok((c_read, s_read))
-    };
-    let Ok((c_read, s_read)) = pair() else {
-        return Vec::new();
-    };
-    let up_stop = Arc::clone(&stop);
-    let up = thread::spawn(move || {
-        pump(FaultyStream::new(c_read, client_to_server), server, &up_stop);
-    });
-    let down = thread::spawn(move || {
-        pump(FaultyStream::new(s_read, server_to_client), client, &stop);
-    });
-    vec![up, down]
-}
-
-/// Copies `from` into `to` until EOF, any error, or `stop`, then severs
-/// both ends.
-fn pump<S: Read>(mut from: FaultyStream<S>, mut to: TcpStream, stop: &AtomicBool) {
-    let mut buf = [0u8; 4096];
-    while !stop.load(Ordering::Acquire) {
-        match from.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-    }
-    // One direction dying kills the whole proxied connection: a half-dead
-    // replica should look dead, not half-alive.
-    let _ = to.shutdown(Shutdown::Both);
-}
 
 /// A seeded description of the faults to inject on one *datagram* link:
 /// what one sender's datagrams suffer on their way into a swarm node.
@@ -775,11 +365,6 @@ impl InboundState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    fn bytes(n: usize) -> Vec<u8> {
-        (0..n).map(|i| (i * 7 % 251) as u8).collect()
-    }
 
     #[test]
     fn snapshot_delta_subtracts_per_field_and_saturates() {
@@ -799,83 +384,6 @@ mod tests {
         // must clamp, not wrap.
         assert_eq!(earlier.snapshot_delta(&later).dropped_in, 0);
     }
-
-    fn drain(stream: &mut FaultyStream<Cursor<Vec<u8>>>) -> (Vec<u8>, Option<io::ErrorKind>) {
-        let mut out = Vec::new();
-        let mut buf = [0u8; 33];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => return (out, None),
-                Ok(n) => out.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-                Err(e) => return (out, Some(e.kind())),
-            }
-        }
-    }
-
-    #[test]
-    fn clean_plan_is_the_identity() {
-        let data = bytes(1000);
-        let mut s = FaultyStream::new(Cursor::new(data.clone()), FaultPlan::clean(1));
-        let (out, err) = drain(&mut s);
-        assert_eq!(out, data);
-        assert_eq!(err, None);
-    }
-
-    #[test]
-    fn truncation_delivers_exactly_k_bytes_then_eof() {
-        let data = bytes(500);
-        for k in [0u64, 1, 37, 499, 500, 900] {
-            let plan = FaultPlan::clean(2).truncate_read_at(k);
-            let mut s = FaultyStream::new(Cursor::new(data.clone()), plan);
-            let (out, err) = drain(&mut s);
-            let expect = (k as usize).min(data.len());
-            assert_eq!(out, data[..expect], "k = {k}");
-            assert_eq!(err, None, "truncation is a clean EOF");
-        }
-    }
-
-    #[test]
-    fn disconnect_delivers_exactly_k_bytes_then_errors() {
-        let data = bytes(500);
-        let plan = FaultPlan::clean(3).disconnect_read_at(123);
-        let mut s = FaultyStream::new(Cursor::new(data.clone()), plan);
-        let (out, err) = drain(&mut s);
-        assert_eq!(out, data[..123]);
-        assert_eq!(err, Some(io::ErrorKind::ConnectionReset));
-    }
-
-    #[test]
-    fn fragmentation_preserves_content() {
-        let data = bytes(777);
-        let plan = FaultPlan::clean(4).fragment_reads(3);
-        let mut s = FaultyStream::new(Cursor::new(data.clone()), plan);
-        let mut buf = [0u8; 64];
-        let n = s.read(&mut buf).unwrap();
-        assert!(n <= 3, "fragmented read returned {n}");
-        let (rest, err) = drain(&mut s);
-        assert_eq!(err, None);
-        let mut out = buf[..n].to_vec();
-        out.extend(rest);
-        assert_eq!(out, data);
-    }
-
-    #[test]
-    fn drops_are_seed_deterministic() {
-        let data = bytes(2000);
-        let plan = FaultPlan::clean(5).drop_rate(0.25);
-        let run = || {
-            let mut s = FaultyStream::new(Cursor::new(data.clone()), plan);
-            drain(&mut s).0
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed, same surviving bytes");
-        assert!(a.len() < data.len(), "some bytes must drop at rate 0.25");
-        assert!(!a.is_empty(), "most bytes must survive at rate 0.25");
-    }
-
-    // ---- datagram faults ----
 
     /// The sender every test link is keyed by.
     fn sender() -> SocketAddr {

@@ -22,14 +22,12 @@
 //!   [`stream::FrameReassembler`] that turns arbitrarily chunked TCP
 //!   reads back into complete envelopes via [`envelope::decode_prefix`],
 //!   the same one-pass parse a datagram gets, tolerant of hostile input;
-//! * [`faults`] — seeded, deterministic fault injection for both
-//!   transports: [`faults::FaultyStream`] over any `Read` plus a TCP
-//!   [`faults::FaultProxy`] (drops, delays, truncation and
-//!   disconnect-at-byte-K), and per-link [`faults::DatagramFaultPlan`]s
-//!   for UDP (whole-datagram drop/duplicate/reorder/delay on the
-//!   receiving end, carried out for both swarm drivers by one sans-io
-//!   node endpoint on the node's microsecond clock), so every transport
-//!   test can run under adverse conditions reproducibly;
+//! * [`faults`] — seeded, deterministic datagram fault injection:
+//!   per-link [`faults::DatagramFaultPlan`]s (whole-datagram
+//!   drop/duplicate/reorder/delay on the receiving end, carried out for
+//!   both swarm drivers by one sans-io node endpoint on the node's
+//!   microsecond clock), so every gossip test can run under adverse
+//!   conditions reproducibly;
 //! * [`ledger`] — the sender's and the receiver's halves of the
 //!   header-first transfer on one link, for a node and `ltnc-serve` alike;
 //! * [`peer`] — the sans-io node state machine: event-clocked offers,

@@ -38,10 +38,8 @@
 //! grows the budget back to (never past) its initial value, so one
 //! outage is not a life sentence at the floor. On a clean link nothing
 //! times out and the budget never moves — fixed-cap behaviour exactly.
-//! The budget starts at 4 offers per peer and moves between 1 and 64;
-//! per-peer loss estimates (EWMA over offer outcomes) are reported in
-//! [`PeerReport::loss_estimates`], and budget moves are counted in
-//! [`WireCounters`].
+//! The budget starts at 4 offers per peer and moves between 1 and 64,
+//! and budget moves are counted in [`WireCounters`].
 //!
 //! The pending TTL itself is **latency-adaptive**: every
 //! feedback arrival is an offer→feedback RTT sample, and the TTL in
@@ -137,9 +135,6 @@ const _: () = assert!(
 /// measured): the TTL actually in force per peer is derived from the
 /// offer→feedback RTT EWMA, clamped to `[PENDING_TTL, 16 × PENDING_TTL]`.
 const PENDING_TTL: Duration = Duration::from_millis(250);
-
-/// Smoothing factor of the per-peer loss EWMA (higher reacts faster).
-const LOSS_EWMA_ALPHA: f64 = 0.1;
 
 /// Multiplicative-decrease factor applied to an adaptive budget when
 /// offers to a peer time out.
@@ -259,9 +254,6 @@ pub struct PeerReport {
     /// Faults the driver injected on the links into the node (all zero
     /// on clean links).
     pub faults: DatagramFaultCounters,
-    /// Final per-peer loss estimates (EWMA over offer outcomes: feedback
-    /// arrived = 0, offer timed out = 1), sorted by peer address.
-    pub loss_estimates: Vec<(SocketAddr, f64)>,
     /// Final per-peer offer→feedback RTT estimates (EWMA over measured
     /// round trips; peers that never answered are absent), sorted by peer
     /// address. Each peer's pending TTL was derived from this estimate.
@@ -339,13 +331,11 @@ struct Link {
     pacing: Option<PeerPacing>,
 }
 
-/// Adaptive pacing state for one peer: the AIMD budget and the loss and
-/// RTT estimates driving it.
+/// Adaptive pacing state for one peer: the AIMD budget and the RTT
+/// estimate and feedback times driving it.
 struct PeerPacing {
     /// Fractional in-flight budget; its integer part is the cap.
     budget: f64,
-    /// EWMA over offer outcomes (feedback = 0, timeout = 1).
-    loss_ewma: f64,
     /// EWMA over measured offer→feedback round trips, in seconds; `None`
     /// until the first feedback arrives. Drives the derived pending TTL.
     rtt_ewma: Option<f64>,
@@ -462,14 +452,12 @@ impl NodeStateMachine {
         if let Some(source) = &self.source {
             recoding.merge(&source.recoding_counters());
         }
-        let paced =
-            || self.links.iter().filter_map(|link| Some((link.addr, link.pacing.as_ref()?)));
-        let mut loss_estimates: Vec<(SocketAddr, f64)> =
-            paced().map(|(peer, pacing)| (peer, pacing.loss_ewma)).collect();
-        loss_estimates.sort_by_key(|&(peer, _)| peer);
-        let mut rtt_estimates: Vec<(SocketAddr, Duration)> = paced()
-            .filter_map(|(peer, pacing)| {
-                pacing.rtt_ewma.map(|rtt| (peer, Duration::from_secs_f64(rtt.max(0.0))))
+        let mut rtt_estimates: Vec<(SocketAddr, Duration)> = self
+            .links
+            .iter()
+            .filter_map(|link| {
+                let rtt = link.pacing.as_ref()?.rtt_ewma?;
+                Some((link.addr, Duration::from_secs_f64(rtt.max(0.0))))
             })
             .collect();
         rtt_estimates.sort_by_key(|&(peer, _)| peer);
@@ -482,7 +470,6 @@ impl NodeStateMachine {
             decoding,
             recoding,
             faults: DatagramFaultCounters::default(),
-            loss_estimates,
             rtt_estimates,
             link_faults: Vec::new(),
             events: self.trace.map(|ring| ring.drain()).unwrap_or_default(),
@@ -511,8 +498,7 @@ impl NodeStateMachine {
 
     /// Records the outcome of one offer on link `index` at `now` — feedback
     /// arrived after `rtt` (whatever the verdict), or `None`: the offer
-    /// died at its TTL — updating the loss and RTT estimates and the AIMD
-    /// budget.
+    /// died at its TTL — updating the RTT estimate and the AIMD budget.
     ///
     /// The asymmetry is deliberate and opposite to TCP's: loss here is
     /// *erasure*, not congestion. A timed-out offer to a peer that is
@@ -529,13 +515,10 @@ impl NodeStateMachine {
         let peer = *peer;
         let pacing = pacing.get_or_insert_with(|| PeerPacing {
             budget: base,
-            loss_ewma: 0.0,
             rtt_ewma: None,
             last_feedback: None,
             last_cut: None,
         });
-        let observed = if rtt.is_some() { 0.0 } else { 1.0 };
-        pacing.loss_ewma += LOSS_EWMA_ALPHA * (observed - pacing.loss_ewma);
         let before = pacing.budget as u64;
         if let Some(rtt) = rtt {
             let sample = rtt.as_secs_f64();
@@ -1032,7 +1015,7 @@ mod tests {
         let leaf = &report.peer_reports[2];
         assert!(leaf.complete);
         assert_eq!(leaf.wire.transfers_offered, 0, "a leaf behind the source offers nothing");
-        assert!(leaf.loss_estimates.is_empty() && leaf.rtt_estimates.is_empty());
+        assert!(leaf.rtt_estimates.is_empty());
     }
 
     /// A source state machine to unit-test the pacing arithmetic on,

@@ -1,17 +1,15 @@
-//! Property tests driving the codec and the stream binding through the
-//! fault harness: serving-handshake round-trips under generated fields,
-//! and `FrameReassembler` fed by a `FaultyStream` never panicking and
-//! never yielding a frame that was not sent.
+//! Property tests driving the codec and the stream binding through
+//! stream faults: serving-handshake round-trips under generated fields,
+//! and `FrameReassembler` fed a cut, chunked or byte-dropping stream
+//! never panicking and never yielding a frame that was not sent.
 
 use std::collections::HashSet;
-use std::io::{Cursor, Read};
 
 use ltnc_gf2::{CodeVector, EncodedPacket, Payload};
 use ltnc_net::envelope::{
     self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
     MAX_CODE_LENGTH, MAX_PAYLOAD_SIZE,
 };
-use ltnc_net::faults::{FaultPlan, FaultyStream};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_net::NetError;
 use ltnc_scheme::SchemeKind;
@@ -95,29 +93,15 @@ fn handshake_stream(seed: u64, frames: usize) -> (Vec<Envelope>, Vec<u8>) {
     (envelopes, bytes)
 }
 
-/// Reads `stream` to its end (EOF or injected error), feeding the
-/// reassembler, returning the decoded frames and whether framing died.
-fn reassemble_through(
-    mut stream: FaultyStream<Cursor<Vec<u8>>>,
-) -> (Vec<Envelope>, Result<(), NetError>) {
-    reassemble_through_ref(&mut stream)
-}
-
-/// [`reassemble_through`] over a borrowed stream (so callers can inspect
-/// the stream's fault accounting afterwards).
-fn reassemble_through_ref(
-    stream: &mut FaultyStream<Cursor<Vec<u8>>>,
-) -> (Vec<Envelope>, Result<(), NetError>) {
+/// Feeds `bytes` to a reassembler `chunk` bytes at a time, returning the
+/// decoded frames and whether framing died. A stream cut at byte `K` is
+/// the slice `..K`: the reassembler sees the same bytes whether the cut
+/// is a clean EOF or a reset.
+fn reassemble(bytes: &[u8], chunk: usize) -> (Vec<Envelope>, Result<(), NetError>) {
     let mut reassembler = FrameReassembler::new();
     let mut decoded = Vec::new();
-    let mut buf = [0u8; 97];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => reassembler.extend(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-            Err(_) => break, // injected disconnect
-        }
+    for piece in bytes.chunks(chunk) {
+        reassembler.extend(piece);
         loop {
             match reassembler.next_frame_view() {
                 Ok(Some(envelope)) => decoded.push(envelope.into_owned()),
@@ -224,10 +208,7 @@ proptest! {
         fragment in 1usize..64,
     ) {
         let (sent, bytes) = handshake_stream(seed, frames);
-        let plan = FaultPlan::clean(seed ^ 0x7C)
-            .truncate_read_at(cut as u64)
-            .fragment_reads(fragment);
-        let (decoded, framing) = reassemble_through(FaultyStream::new(Cursor::new(bytes), plan));
+        let (decoded, framing) = reassemble(&bytes[..cut.min(bytes.len())], fragment);
         prop_assert!(framing.is_ok(), "truncation is latency, not corruption: {framing:?}");
         prop_assert!(decoded.len() <= sent.len());
         prop_assert_eq!(&decoded[..], &sent[..decoded.len()], "must be an exact prefix");
@@ -242,8 +223,7 @@ proptest! {
         cut in 0usize..2000,
     ) {
         let (sent, bytes) = handshake_stream(seed, frames);
-        let plan = FaultPlan::clean(seed ^ 0xD15C).disconnect_read_at(cut as u64);
-        let (decoded, framing) = reassemble_through(FaultyStream::new(Cursor::new(bytes), plan));
+        let (decoded, framing) = reassemble(&bytes[..cut.min(bytes.len())], 97);
         prop_assert!(framing.is_ok());
         prop_assert_eq!(&decoded[..], &sent[..decoded.len()]);
     }
@@ -252,7 +232,7 @@ proptest! {
     /// decoding or die with a *typed* error — never panic. (The envelope
     /// carries no checksum, so a drop that splices two frames into
     /// another well-formed frame is not detectable at this layer; what
-    /// the harness guarantees is that every frame decoded *before* the
+    /// the reassembler guarantees is that every frame decoded *before* the
     /// first dropped byte is exactly what was sent.)
     #[test]
     fn dropped_bytes_never_panic_the_reassembler(
@@ -261,12 +241,12 @@ proptest! {
         drop_millis in 1u64..300, // drop rate in thousandths
     ) {
         let (sent, bytes) = handshake_stream(seed, frames);
-        let total = bytes.len();
-        let plan = FaultPlan::clean(seed ^ 0xD20B).drop_rate(drop_millis as f64 / 1000.0);
-        let mut stream = FaultyStream::new(Cursor::new(bytes), plan);
-        let (decoded, framing) = reassemble_through_ref(&mut stream);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD20B ^ 0xFA_17_5E_ED);
+        let keep = 1.0 - drop_millis as f64 / 1000.0;
+        let kept: Vec<u8> = bytes.iter().copied().filter(|_| rng.gen_bool(keep)).collect();
+        let (decoded, framing) = reassemble(&kept, 97);
         // Intact stream (no byte actually dropped): everything decodes.
-        if stream.read_delivered() == total as u64 {
+        if kept.len() == bytes.len() {
             prop_assert!(framing.is_ok());
             prop_assert_eq!(&decoded[..], &sent[..]);
         }

@@ -1,11 +1,9 @@
 //! UDP dissemination under seeded datagram faults.
 //!
-//! The stream transports have run through the fault harness since PR 3;
-//! these tests close the gap for the UDP path: every directed link of a
-//! complete topology drops, duplicates and reorders whole datagrams on
-//! the receiving end, and the swarm still has to converge
-//! bit-exactly — the epidemic redundancy plus the loss-adaptive pacing
-//! budget are exactly what absorbs the loss.
+//! Every directed link of a complete topology drops, duplicates and
+//! reorders whole datagrams on the receiving end, and the swarm still
+//! has to converge bit-exactly — the epidemic redundancy plus the
+//! loss-adaptive pacing budget are exactly what absorbs the loss.
 //!
 //! All fault randomness derives from one fixed seed (override with
 //! `LTNC_FAULT_SEED`), so a CI failure replays locally with the same
@@ -74,7 +72,7 @@ fn swarm_converges_bit_exactly_under_seeded_loss_and_reordering() {
             report.peers_complete, report.elapsed
         );
         assert!(report.bit_exact, "{scheme:?}: reconstruction mismatch under loss");
-        // The harness must actually have injected faults, and the pacing
+        // The links must actually have injected faults, and the pacing
         // must have seen them: offers died at their TTL and live-peer
         // budgets grew to compensate.
         assert!(report.total_faults.dropped_in > 0, "{scheme:?}: no drops injected");
@@ -84,11 +82,6 @@ fn swarm_converges_bit_exactly_under_seeded_loss_and_reordering() {
             report.total_wire.budget_raises > 0,
             "{scheme:?}: adaptive pacing never reacted to loss"
         );
-        // Loss estimates surfaced for at least the source's peers.
-        assert!(report
-            .peer_reports
-            .iter()
-            .any(|peer| peer.loss_estimates.iter().any(|&(_, loss)| loss > 0.0)));
     }
 }
 
@@ -123,14 +116,10 @@ fn offers_to_a_dead_peer_cut_its_budget_to_the_floor() {
     assert!(report.wire.offer_timeouts > 0, "offers must have timed out");
     assert!(report.wire.budget_cuts > 0, "a silent peer must cut the budget");
     assert_eq!(report.wire.budget_raises, 0, "nothing may raise a dead peer's budget");
-    let (_, loss) = report.loss_estimates.first().expect("dead peer tracked");
-    assert!(*loss > 0.5, "loss estimate should approach 1, got {loss}");
     // Pinned: the budget goes 4 → 2 → 1 (the floor), one cut per TTL
-    // window, and the 18th offer is still pending at the timeout. The
-    // estimate is the EWMA of 17 timeouts, 1 − 0.9¹⁷.
+    // window, and the 18th offer is still pending at the timeout.
     let wire = &report.wire;
     assert_eq!((wire.transfers_offered, wire.offer_timeouts, wire.budget_cuts), (18, 17, 2));
-    assert!((loss - (1.0 - 0.9f64.powi(17))).abs() < 1e-12, "loss estimate {loss}");
 }
 
 /// Heavier stress variant for the CI `--include-ignored` step: more

@@ -27,9 +27,10 @@
 //! once, and that window covers a loopback round trip's worth of
 //! symbols. And frames move a batch per wake-up: the session takes the
 //! inbound bytes plus `now` and appends its frames to the connection's
-//! outbound buffer, and a wake drains every read through it before one
-//! socket write — so one read of N `FEEDBACK`s is answered by one write
-//! of the N payloads and the N offers that refill the window.
+//! outbound buffer, and a wake answers each read with one socket write —
+//! so one read of N `FEEDBACK`s is answered by one write of the N
+//! payloads and the N offers that refill the window. A wake reads on
+//! only while those writes go out whole.
 //!
 //! A session's sender bookkeeping is one [`OfferLedger`], as a gossip
 //! node keeps per neighbour; the session adds the window and the round
@@ -473,15 +474,15 @@ struct Connection {
 }
 
 impl Connection {
-    /// One readiness edge: once the last batch is written, drains the
-    /// socket's reads through the session, then writes what it queued.
-    /// Returns whether the connection stays open. Nothing is read while a
-    /// batch waits for the write edge, so TCP pushes back on a client
-    /// that does not read, and its session falls idle.
+    /// One readiness edge: once the last batch is written, passes each
+    /// read through the session and writes what it queued. Returns
+    /// whether the connection stays open. Nothing is read while a batch
+    /// waits for the write edge, so TCP pushes back on a client that does
+    /// not read, at most one read's answers sit in `outbound`, and the
+    /// session falls idle.
     fn wake(&mut self, buf: &mut [u8], ctx: &Context) -> Result<bool, ServeError> {
         self.flush(&ctx.stats)?;
-        let backlogged = !self.outbound.is_empty();
-        while !backlogged && !self.finished {
+        while self.outbound.is_empty() && !self.finished {
             let n = match self.stream.read(buf) {
                 Ok(0) => return Err(ServeError::Disconnected),
                 Ok(n) => n,
@@ -492,8 +493,8 @@ impl Connection {
             ctx.stats.counters.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
             self.last_inbound = Instant::now();
             self.finished = self.handle_bytes(TraceContext::now_micros(), &buf[..n], ctx)?;
+            self.flush(&ctx.stats)?;
         }
-        self.flush(&ctx.stats)?;
         Ok(!self.finished || !self.outbound.is_empty())
     }
 
@@ -661,5 +662,95 @@ fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64
         // A serving replica holds the object itself: every offer starts a
         // fresh lineage.
         session.offers.offer(out, &header, TraceContext::origin_now(now), packet, false, now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ltnc_reactor::TimerWheel;
+    use ltnc_scheme::SchemeKind;
+
+    /// Blocks until `stream` holds `len` unread bytes.
+    fn await_queued(stream: &TcpStream, len: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut peek = vec![0u8; len];
+        while stream.peek(&mut peek).map_or(true, |n| n < len) {
+            assert!(Instant::now() < deadline, "the client's bytes never arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A client that ACCEPTs ahead of what it reads: the socket holds
+    /// read after read of ACCEPTs, each for the window the previous
+    /// read's answers offer, and the client reads nothing. One wake must
+    /// stop reading once a write is cut short, so `outbound` holds at
+    /// most one read's answers however many ACCEPTs are queued.
+    #[test]
+    fn a_wake_reads_no_further_once_a_write_is_cut_short() {
+        let (payload, window) = (16 * 1024, PER_SESSION_INFLIGHT as u64);
+        let params = SchemeParams::new(SchemeKind::Rlnc, 4, payload);
+        let store = Arc::new(ObjectStore::new(64).expect("store"));
+        store.register(1, &vec![7u8; 4 * payload], params).expect("register");
+        let options = ServeOptions::default();
+        let ctx = Context { store, stats: Arc::default(), options, tracer: Tracer::off() };
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        let now = Instant::now();
+        let idle_timer = TimerWheel::new(Duration::from_millis(1), 8, now).schedule(Duration::ZERO);
+        let mut conn = Connection {
+            stream,
+            peer: None,
+            opened: now,
+            last_inbound: now,
+            reassembler: FrameReassembler::new(),
+            session: None,
+            outbound: Vec::new(),
+            finished: false,
+            idle_timer,
+        };
+        let header = |kind, generation| EnvelopeHeader {
+            kind,
+            scheme: SchemeKind::Rlnc,
+            session: 1,
+            generation,
+        };
+        let request =
+            envelope::encode(&header(MessageKind::Request, GENERATION_OBJECT), &Message::Request);
+        client.write_all(&request).expect("request");
+        await_queued(&conn.stream, request.len());
+        let mut buf = vec![0u8; 64 * 1024];
+        assert!(conn.wake(&mut buf, &ctx).expect("manifest and offers"));
+        assert!(conn.outbound.is_empty(), "the manifest and first window leave whole");
+
+        // Read r ACCEPTs transfers r·W + 1 ..= (r + 1)·W, the window the
+        // answers to read r − 1 offered; a read buffer of one batch makes
+        // each read exactly one batch.
+        let reads = 64;
+        let accepts = |read: u64| -> Vec<u8> {
+            let mut batch = Vec::new();
+            for transfer in read * window + 1..=(read + 1) * window {
+                let accept = header(MessageKind::FeedbackAccept, 0);
+                envelope::encode_feedback_into(&mut batch, &accept, transfer, true);
+            }
+            batch
+        };
+        let queued: Vec<u8> = (0..reads).flat_map(accepts).collect();
+        client.write_all(&queued).expect("accepts");
+        await_queued(&conn.stream, queued.len());
+        let mut buf = vec![0u8; accepts(0).len()];
+        assert!(conn.wake(&mut buf, &ctx).expect("wake"));
+
+        let one_read = PER_SESSION_INFLIGHT * (payload + 128);
+        let delivered = ctx.stats.counters.transfers_delivered.load(Ordering::Relaxed);
+        assert!(delivered < reads * window, "every queued ACCEPT was read");
+        assert!(
+            conn.outbound.len() <= one_read,
+            "{} bytes queued after {delivered} payloads, one read answers with ≤ {one_read}",
+            conn.outbound.len()
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! Striped fetching end to end: one object pulled from three replicas
 //! over real TCP, merged by rank, bit-exact for every scheme — and the
-//! failure modes, driven deterministically by `ltnc_net::faults`.
+//! failure modes, a replica cut at an exact byte by a relay.
+
+mod common;
 
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use ltnc_net::faults::{FaultPlan, FaultProxy};
+use common::{relay, Cut};
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::options::PER_SESSION_INFLIGHT;
 use ltnc_serve::striped::MAX_REPLICAS;
@@ -111,10 +113,8 @@ fn killing_one_replica_mid_fetch_completes_via_failover() {
         // Replica 0 dies after exactly 4 KiB of server→client traffic:
         // enough for the MANIFEST and a prefix of its symbols, well short
         // of its ~1/3 share of a 16 KiB object.
-        let cut = FaultPlan::clean(0xC0FFEE).disconnect_read_at(4096);
-        let proxy = FaultProxy::spawn(servers[0].local_addr(), FaultPlan::clean(1), cut)
-            .expect("spawn proxy");
-        let addrs = vec![proxy.local_addr(), servers[1].local_addr(), servers[2].local_addr()];
+        let relay = relay(servers[0].local_addr(), 4096, Cut::Disconnect);
+        let addrs = vec![relay.addr, servers[1].local_addr(), servers[2].local_addr()];
 
         let options = StripedOptions {
             client: ClientOptions {
@@ -132,7 +132,6 @@ fn killing_one_replica_mid_fetch_completes_via_failover() {
             "{scheme:?}: orphaned generations must migrate, got {}",
             report.stripe
         );
-        proxy.shutdown();
         for server in servers {
             let _ = server.shutdown();
         }
@@ -239,8 +238,8 @@ fn a_replica_serving_a_different_object_is_dropped_not_merged() {
 }
 
 /// Stress variant for the CI `--include-ignored` job: a bigger object,
-/// every scheme, a slow replica (delayed, not dead) plus a hard kill, all
-/// from one fixed seed (override with `LTNC_FAULT_SEED`).
+/// every scheme, one replica killed mid-fetch, the object drawn from one
+/// fixed seed (override with `LTNC_FAULT_SEED`).
 #[test]
 #[ignore = "stress: run via cargo test -- --include-ignored"]
 fn stress_striped_fetch_under_delay_and_kill() {
@@ -251,16 +250,9 @@ fn stress_striped_fetch_under_delay_and_kill() {
         let params = SchemeParams::new(scheme, 16, 64); // 1 KiB/gen → 64 generations
         let servers = spawn_replicas(3, 11, &object, params, &ServeOptions::default());
 
-        // Replica 0: dies at 16 KiB. Replica 1: alive but slow (2 ms per
-        // read) and fragmented. Replica 2: clean.
-        let kill = FaultPlan::clean(seed).disconnect_read_at(16 * 1024);
-        let slow =
-            FaultPlan::clean(seed ^ 1).delay_reads(Duration::from_millis(2)).fragment_reads(512);
-        let proxy0 =
-            FaultProxy::spawn(servers[0].local_addr(), FaultPlan::clean(2), kill).expect("proxy 0");
-        let proxy1 =
-            FaultProxy::spawn(servers[1].local_addr(), FaultPlan::clean(3), slow).expect("proxy 1");
-        let addrs = vec![proxy0.local_addr(), proxy1.local_addr(), servers[2].local_addr()];
+        // Replica 0 dies at 16 KiB; replicas 1 and 2 are clean.
+        let relay = relay(servers[0].local_addr(), 16 * 1024, Cut::Disconnect);
+        let addrs = vec![relay.addr, servers[1].local_addr(), servers[2].local_addr()];
 
         let options = StripedOptions {
             client: ClientOptions {
@@ -271,8 +263,6 @@ fn stress_striped_fetch_under_delay_and_kill() {
         let report = fetch_striped(&addrs, 11, scheme, &options).expect("stress fetch completes");
         assert_eq!(report.object, object, "{scheme:?}: bit-exact under adversity");
         assert!(report.stripe.failovers >= 1, "{scheme:?}");
-        proxy0.shutdown();
-        proxy1.shutdown();
         for server in servers {
             let _ = server.shutdown();
         }

@@ -1,11 +1,12 @@
 //! End-to-end serving over real TCP sockets: one warm server, concurrent
 //! short-lived clients, every scheme, bit-exact verification, and the
-//! failure paths (unknown object, scheme mismatch, bad options) — now
-//! also exercised through the deterministic fault harness
-//! (`ltnc_net::faults`) instead of only clean localhost sockets. A
-//! scripted raw-socket client pins the batching rules of the stream
-//! binding: what one read's worth of frames is answered with, and that
-//! nothing is held back across a blocking read.
+//! failure paths (unknown object, scheme mismatch, bad options), and a
+//! server cut or stalled at an exact byte by a relay. A scripted
+//! raw-socket client pins the batching rules of the stream binding:
+//! what one read's worth of frames is answered with, and that nothing is
+//! held back across a blocking read.
+
+mod common;
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -14,10 +15,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use common::{relay, Cut};
 use ltnc_net::envelope::{
     self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
 };
-use ltnc_net::faults::{FaultPlan, FaultProxy};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
@@ -213,31 +214,6 @@ fn concurrent_clients_share_the_warm_cache() {
 }
 
 #[test]
-fn serving_survives_a_fragmented_and_delayed_stream() {
-    // The clean-socket test above, retrofitted onto the fault harness:
-    // both directions re-chunked into tiny fragments with per-read
-    // delays. Bit-exactness must not depend on how the bytes arrive.
-    for scheme in SchemeKind::ALL {
-        let server =
-            Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
-                .expect("spawn server");
-        let object = pseudo_object(1000, 0x5A ^ scheme.wire_id() as u64);
-        server.register(7, &object, SchemeParams::new(scheme, 12, 24)).expect("register");
-
-        let ragged = FaultPlan::clean(0xBAD ^ scheme.wire_id() as u64)
-            .fragment_reads(7)
-            .delay_reads(Duration::from_micros(200));
-        let proxy = FaultProxy::spawn(server.local_addr(), ragged, ragged).expect("spawn proxy");
-
-        let report =
-            fetch(proxy.local_addr(), 7, scheme, &client_options()).expect("fetch succeeds");
-        assert_eq!(report.object, object, "{scheme:?}: bit-exact through the fault proxy");
-        proxy.shutdown();
-        let _ = server.shutdown();
-    }
-}
-
-#[test]
 fn server_disconnect_mid_fetch_is_a_typed_error_not_a_hang() {
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
         .expect("spawn server");
@@ -245,15 +221,13 @@ fn server_disconnect_mid_fetch_is_a_typed_error_not_a_hang() {
     server.register(1, &object, SchemeParams::new(SchemeKind::Rlnc, 16, 64)).expect("register");
 
     // The server "crashes" after exactly 8 KiB of its response.
-    let cut = FaultPlan::clean(1).disconnect_read_at(8 * 1024);
-    let proxy = FaultProxy::spawn(server.local_addr(), FaultPlan::clean(2), cut).expect("proxy");
+    let relay = relay(server.local_addr(), 8 * 1024, Cut::Disconnect);
     let started = std::time::Instant::now();
-    match fetch(proxy.local_addr(), 1, SchemeKind::Rlnc, &client_options()) {
+    match fetch(relay.addr, 1, SchemeKind::Rlnc, &client_options()) {
         Err(ServeError::Disconnected | ServeError::Io(_)) => {}
         other => panic!("expected Disconnected, got {other:?}"),
     }
     assert!(started.elapsed() < Duration::from_secs(10), "must fail fast, not burn the deadline");
-    proxy.shutdown();
     let _ = server.shutdown();
 }
 
@@ -273,15 +247,14 @@ fn stalled_server_surfaces_replica_lagged_not_a_blocked_fetch() {
     // MANIFEST is 35 bytes (19-byte envelope + 16-byte body); withhold
     // every server byte after 40, so offers never arrive but the socket
     // stays open: progress stalls without a disconnect.
-    let stall = FaultPlan::clean(4).stall_read_at(40);
-    let proxy = FaultProxy::spawn(server.local_addr(), FaultPlan::clean(5), stall).expect("proxy");
+    let relay = relay(server.local_addr(), 40, Cut::Stall);
 
     let options = ClientOptions {
         timeout: Duration::from_secs(30),
         stall_timeout: Duration::from_millis(400),
     };
     let started = std::time::Instant::now();
-    match fetch(proxy.local_addr(), 4, SchemeKind::Ltnc, &options) {
+    match fetch(relay.addr, 4, SchemeKind::Ltnc, &options) {
         Err(ServeError::ReplicaLagged { stalled_for }) => {
             assert!(stalled_for >= Duration::from_millis(400));
         }
@@ -291,7 +264,7 @@ fn stalled_server_surfaces_replica_lagged_not_a_blocked_fetch() {
         started.elapsed() < Duration::from_secs(10),
         "stall must be detected in ~stall_timeout, not the 30 s deadline"
     );
-    proxy.shutdown();
+    drop(relay);
     let _ = server.shutdown();
 }
 

@@ -1,5 +1,5 @@
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,7 +34,11 @@ pub type FlightHandler = dyn Fn() -> String + Send + Sync;
 ///   `404` otherwise,
 /// * anything else — `404`; malformed or oversized requests — `400`.
 ///
-/// One dedicated OS thread accepts and serves connections sequentially.
+/// One dedicated OS thread accepts and serves connections sequentially;
+/// it blocks in `accept`, and [`ScrapeServer::shutdown`] wakes it with a
+/// connection of its own. An accept error other than a connection
+/// aborted in the queue (out of descriptors, say) ends the endpoint
+/// rather than spin on a failing `accept`.
 /// A client has 1 s to deliver a request head of at most 4 096 bytes and
 /// 2 s per write of the response, so a scraper that connects and never
 /// sends, trickles bytes or never reads holds the one connection for at
@@ -80,21 +84,18 @@ impl ScrapeServer {
     ) -> std::io::Result<ScrapeServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Nonblocking accept so the thread notices `stop` promptly.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
         let thread =
             std::thread::Builder::new().name("ltnc-scrape".to_string()).spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            serve_client(stream, &registry, flight.as_deref());
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                for stream in listener.incoming() {
+                    if stop_flag.load(Ordering::Acquire) {
+                        return;
+                    }
+                    match stream {
+                        Ok(stream) => serve_client(stream, &registry, flight.as_deref()),
+                        Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+                        Err(_) => return,
                     }
                 }
             })?;
@@ -113,10 +114,19 @@ impl ScrapeServer {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        let Some(thread) = self.thread.take() else { return };
+        self.stop.store(true, Ordering::Release);
+        // The thread blocks in `accept`: one connection wakes it to see
+        // the flag. Refused means it has already ended.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
         }
+        drop(TcpStream::connect(wake));
+        let _ = thread.join();
     }
 }
 
@@ -336,6 +346,17 @@ mod tests {
         );
         drop(silent);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_listener_promptly() {
+        let server = test_server();
+        let ok = get(server.local_addr(), "GET /metrics HTTP/1.0\r\n\r\n");
+        assert!(ok.starts_with("HTTP/1.0 200"), "a scrape answers before the shutdown");
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Push sets are internal to the drivers (their exact shape is a unit
 //! test of `ltnc-net`), so these tests read them off what a run leaves
-//! behind: a node keeps a loss estimate, keyed by address, for every
-//! node it offered a transfer to and saw answer or time out.
+//! behind: a traced node records an `OfferSent` event, naming the peer's
+//! address, for every transfer it offered.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -12,6 +12,7 @@ use std::time::Duration;
 use ltnc_net::faults::DatagramFaultPlan;
 use ltnc_net::{NodeOptions, SwarmReport};
 use ltnc_scheme::SchemeKind;
+use ltnc_telemetry::TraceEvent;
 use ltnc_topo::{
     run_topology, run_topology_virtual, SwarmRuntime, Topology, TopologyConfig, TopologyFaults,
 };
@@ -36,7 +37,13 @@ fn pseudo_file(len: usize, seed: u64) -> Vec<u8> {
 fn offered_to(swarm: &SwarmReport) -> Vec<Vec<SocketAddr>> {
     swarm
         .node_reports()
-        .map(|report| report.loss_estimates.iter().map(|&(addr, _)| addr).collect())
+        .map(|report| {
+            let offers = report.events.iter().filter_map(|timed| match timed.event {
+                TraceEvent::OfferSent { peer, .. } => Some(peer),
+                _ => None,
+            });
+            offers.collect()
+        })
         .collect()
 }
 
@@ -52,6 +59,7 @@ fn every_size_is_one_hop_and_no_node_pushes_at_the_source() {
             config.code_length = 8;
             config.payload_size = 16;
             config.source = source;
+            config.trace_capacity = Some(1 << 16);
             let report = run_topology_virtual(&config);
             let case = format!("complete({nodes}), source {source}");
             assert!(report.swarm.converged && report.swarm.bit_exact, "{case}: {report:?}");
@@ -61,7 +69,7 @@ fn every_size_is_one_hop_and_no_node_pushes_at_the_source() {
             assert_eq!(report.max_hops(), 1, "{case}");
 
             // A node offers only to the nodes it pushes to, so no node
-            // ever holds an estimate for the source or for itself.
+            // ever offers to the source or to itself.
             let addrs = &report.swarm.node_addrs;
             let offered = offered_to(&report.swarm);
             assert!(!offered[0].is_empty(), "{case}: the source offered to no one");
