@@ -41,15 +41,11 @@
 //! The budget starts at 4 offers per peer and moves between 1 and 64,
 //! and budget moves are counted in [`WireCounters`].
 //!
-//! The pending TTL itself is **latency-adaptive**: every
-//! feedback arrival is an offer→feedback RTT sample, and the TTL in
-//! force per peer is a multiple of that peer's RTT EWMA, clamped so the
-//! fixed 250 ms stays the floor (and the fallback before any feedback
-//! has been measured). On localhost the derived TTL equals the floor;
-//! across slow or jittery links it grows with the measured round trip,
-//! so live offers are not declared lost — and budget slots not churned —
-//! by latency alone. Estimates are reported in
-//! [`PeerReport::rtt_estimates`].
+//! The pending TTL is one constant, 250 ms, on every link, as the
+//! paper's node estimates no round trips. A link whose round trip
+//! exceeds it is out of scope: every answer on it would come too late
+//! and count as a loss. Round trips stay observable, one per feedback,
+//! in [`TraceEvent::FeedbackReceived`].
 //!
 //! Seeded datagram loss and reordering live in the links, on the
 //! receiving end of each ([`crate::TopologyFaults`]), in the endpoint
@@ -130,22 +126,13 @@ const _: () = assert!(
         && PER_PEER_INFLIGHT <= INFLIGHT_CEILING
 );
 
-/// Offers not answered within the pending TTL are forgotten. This fixed
-/// value is the *floor* (and the fallback before any feedback has been
-/// measured): the TTL actually in force per peer is derived from the
-/// offer→feedback RTT EWMA, clamped to `[PENDING_TTL, 16 × PENDING_TTL]`.
+/// Offers not answered within the pending TTL are forgotten, on every
+/// link.
 const PENDING_TTL: Duration = Duration::from_millis(250);
 
 /// Multiplicative-decrease factor applied to an adaptive budget when
 /// offers to a peer time out.
 const BUDGET_CUT_FACTOR: f64 = 0.5;
-
-/// Smoothing factor of the per-peer offer→feedback RTT EWMA.
-const RTT_EWMA_ALPHA: f64 = 0.2;
-
-/// Derived pending TTL as a multiple of the measured RTT: an offer is
-/// declared lost once several round trips have passed without feedback.
-const RTT_TTL_FACTOR: f64 = 4.0;
 
 /// The paper's aggressiveness: the share of `k` a relay must hold of a
 /// generation before it recodes it.
@@ -162,21 +149,6 @@ const MAX_ACCEPT_LEDGERS: usize = 256;
 /// The longest summary an `ABORT-SUMMARY` carries; a longer one goes as a
 /// plain abort.
 const MAX_SUMMARY_BYTES: usize = 256;
-
-/// Cap on the derived TTL relative to the [`PENDING_TTL`] floor, so one
-/// absurd RTT sample cannot freeze eviction.
-const RTT_TTL_CEILING_FACTOR: u32 = 16;
-
-/// The pending TTL in force for a peer with the given RTT estimate:
-/// `RTT_TTL_FACTOR × rtt` clamped to `[PENDING_TTL, 16 × PENDING_TTL]`.
-/// Without a measurement [`PENDING_TTL`] applies.
-fn derived_ttl(rtt_ewma: Option<f64>) -> Duration {
-    let Some(rtt) = rtt_ewma else {
-        return PENDING_TTL;
-    };
-    Duration::from_secs_f64((rtt * RTT_TTL_FACTOR).max(0.0))
-        .clamp(PENDING_TTL, PENDING_TTL.saturating_mul(RTT_TTL_CEILING_FACTOR))
-}
 
 /// What a node is in the session.
 pub(crate) enum NodeRole {
@@ -254,10 +226,6 @@ pub struct PeerReport {
     /// Faults the driver injected on the links into the node (all zero
     /// on clean links).
     pub faults: DatagramFaultCounters,
-    /// Final per-peer offer→feedback RTT estimates (EWMA over measured
-    /// round trips; peers that never answered are absent), sorted by peer
-    /// address. Each peer's pending TTL was derived from this estimate.
-    pub rtt_estimates: Vec<(SocketAddr, Duration)>,
     /// Faults injected per link into the node that has a plan
     /// ([`crate::TopologyFaults`]), keyed by sender address — the
     /// per-link attribution of [`PeerReport::faults`].
@@ -324,21 +292,18 @@ impl Shared {
 }
 
 /// One neighbour: the transfer's sender half on its link, and the
-/// pacing (from the link's first offer outcome on) that it drives.
+/// pacing that it drives.
 struct Link {
     addr: SocketAddr,
     offers: OfferLedger<EncodedPacket>,
-    pacing: Option<PeerPacing>,
+    pacing: PeerPacing,
 }
 
-/// Adaptive pacing state for one peer: the AIMD budget and the RTT
-/// estimate and feedback times driving it.
+/// Adaptive pacing state for one peer: the AIMD budget and the feedback
+/// times driving it.
 struct PeerPacing {
     /// Fractional in-flight budget; its integer part is the cap.
     budget: f64,
-    /// EWMA over measured offer→feedback round trips, in seconds; `None`
-    /// until the first feedback arrives. Drives the derived pending TTL.
-    rtt_ewma: Option<f64>,
     /// Last time any feedback arrived from this peer — the aliveness
     /// signal that separates "lossy link" (raise) from "dead peer" (cut).
     last_feedback: Option<u64>,
@@ -427,7 +392,15 @@ impl NodeStateMachine {
     pub(crate) fn set_peers(&mut self, peers: Vec<SocketAddr>) {
         let generations = self.generation_count;
         self.link_index = peers.iter().enumerate().map(|(index, &addr)| (addr, index)).collect();
-        let link = |addr| Link { addr, offers: OfferLedger::new(generations), pacing: None };
+        let link = |addr| Link {
+            addr,
+            offers: OfferLedger::new(generations),
+            pacing: PeerPacing {
+                budget: PER_PEER_INFLIGHT as f64,
+                last_feedback: None,
+                last_cut: None,
+            },
+        };
         self.links = peers.into_iter().map(link).collect();
     }
 
@@ -452,15 +425,6 @@ impl NodeStateMachine {
         if let Some(source) = &self.source {
             recoding.merge(&source.recoding_counters());
         }
-        let mut rtt_estimates: Vec<(SocketAddr, Duration)> = self
-            .links
-            .iter()
-            .filter_map(|link| {
-                let rtt = link.pacing.as_ref()?.rtt_ewma?;
-                Some((link.addr, Duration::from_secs_f64(rtt.max(0.0))))
-            })
-            .collect();
-        rtt_estimates.sort_by_key(|&(peer, _)| peer);
         self.publish_wire();
         PeerReport {
             wire: self.wire,
@@ -470,7 +434,6 @@ impl NodeStateMachine {
             decoding,
             recoding,
             faults: DatagramFaultCounters::default(),
-            rtt_estimates,
             link_faults: Vec::new(),
             events: self.trace.map(|ring| ring.drain()).unwrap_or_default(),
             latency_by_hop: self.shared.latency.snapshot(),
@@ -498,7 +461,8 @@ impl NodeStateMachine {
 
     /// Records the outcome of one offer on link `index` at `now` — feedback
     /// arrived after `rtt` (whatever the verdict), or `None`: the offer
-    /// died at its TTL — updating the RTT estimate and the AIMD budget.
+    /// died at its TTL — updating the AIMD budget. Only whether feedback
+    /// came moves it, not how long it took.
     ///
     /// The asymmetry is deliberate and opposite to TCP's: loss here is
     /// *erasure*, not congestion. A timed-out offer to a peer that is
@@ -513,19 +477,8 @@ impl NodeStateMachine {
         let base = PER_PEER_INFLIGHT as f64;
         let Link { addr: peer, pacing, .. } = &mut self.links[index];
         let peer = *peer;
-        let pacing = pacing.get_or_insert_with(|| PeerPacing {
-            budget: base,
-            rtt_ewma: None,
-            last_feedback: None,
-            last_cut: None,
-        });
         let before = pacing.budget as u64;
-        if let Some(rtt) = rtt {
-            let sample = rtt.as_secs_f64();
-            pacing.rtt_ewma = Some(match pacing.rtt_ewma {
-                Some(ewma) => ewma + RTT_EWMA_ALPHA * (sample - ewma),
-                None => sample,
-            });
+        if rtt.is_some() {
             pacing.last_feedback = Some(now);
             // A peer cut for silence that answers again recovers: grow
             // back toward the initial budget (never past it — raising
@@ -535,18 +488,15 @@ impl NodeStateMachine {
             if pacing.budget < base {
                 pacing.budget = (pacing.budget + 1.0 / pacing.budget.max(1.0)).min(base);
             }
-        } else {
-            let ttl = derived_ttl(pacing.rtt_ewma);
-            if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < ttl) {
-                // Lossy but live: the lost offer wasted one slot for a full
-                // TTL; grow the budget by one to keep the live pipeline deep.
-                pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
-            } else if pacing.last_cut.is_none_or(|at| elapsed(now, at) >= ttl) {
-                // Silent for a whole TTL: multiplicative decrease, at most
-                // once per window, down to the floor.
-                pacing.last_cut = Some(now);
-                pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
-            }
+        } else if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < PENDING_TTL) {
+            // Lossy but live: the lost offer wasted one slot for a full
+            // TTL; grow the budget by one to keep the live pipeline deep.
+            pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
+        } else if pacing.last_cut.is_none_or(|at| elapsed(now, at) >= PENDING_TTL) {
+            // Silent for a whole TTL: multiplicative decrease, at most
+            // once per window, down to the floor.
+            pacing.last_cut = Some(now);
+            pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
         }
         // Counters and trace report whole-offer moves of the budget.
         let budget = pacing.budget as u64;
@@ -559,21 +509,9 @@ impl NodeStateMachine {
         }
     }
 
-    /// The pending TTL currently in force for offers on link `index`:
-    /// derived from its RTT estimate ([`PENDING_TTL`] as the floor and the
-    /// fallback before any feedback has been measured).
-    fn ttl_for(&self, index: usize) -> Duration {
-        derived_ttl(self.links[index].pacing.as_ref().and_then(|p| p.rtt_ewma))
-    }
-
     /// The in-flight cap currently in force on link `index`.
     fn inflight_cap(&self, index: usize) -> usize {
-        match &self.links[index].pacing {
-            Some(pacing) => (pacing.budget as usize).max(1),
-            // Not yet tracked: the initial budget a fresh pacing entry
-            // starts with.
-            None => PER_PEER_INFLIGHT,
-        }
+        (self.links[index].pacing.budget as usize).max(1)
     }
 
     /// Counts one encoded datagram to `to` and queues it.
@@ -794,8 +732,7 @@ impl NodeStateMachine {
         // Evicted, duplicate, or never offered: nothing to release.
         let Some(offer) = self.links[index].offers.take(transfer) else { return };
         // Either verdict proves the offer/feedback round trip survived the
-        // link — a success for pacing purposes, and an RTT sample for the
-        // derived TTL.
+        // link — a success for pacing purposes.
         let rtt = elapsed(now, offer.born);
         self.note_outcome(now, index, Some(rtt));
         self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
@@ -848,14 +785,12 @@ impl NodeStateMachine {
         }
     }
 
-    /// Expires every offer past its link's TTL, link by link. A link's
-    /// offers are born in id order and its TTL holds for the sweep (only
-    /// feedback moves it), so each link's sweep stops at its first live
-    /// offer.
+    /// Expires every offer past [`PENDING_TTL`], link by link. A link's
+    /// offers are born in id order, so each link's sweep stops at its
+    /// first live offer.
     fn evict_stale_pending(&mut self, now: u64) {
         for index in 0..self.links.len() {
-            let ttl = self.ttl_for(index);
-            while self.links[index].offers.expire(now, ttl).is_some() {
+            while self.links[index].offers.expire(now, PENDING_TTL).is_some() {
                 self.wire.offer_timeouts += 1;
                 self.note_outcome(now, index, None);
                 let peer = self.links[index].addr;
@@ -1015,7 +950,6 @@ mod tests {
         let leaf = &report.peer_reports[2];
         assert!(leaf.complete);
         assert_eq!(leaf.wire.transfers_offered, 0, "a leaf behind the source offers nothing");
-        assert!(leaf.rtt_estimates.is_empty());
     }
 
     /// A source state machine to unit-test the pacing arithmetic on,
@@ -1096,35 +1030,48 @@ mod tests {
     }
 
     #[test]
-    fn pending_ttl_derives_from_the_rtt_ewma() {
+    fn an_offer_answered_after_the_pending_ttl_is_lost() {
+        // One TTL on every link, whatever its round trips: on a link whose
+        // ACCEPTs come 500 ms after their offers, an offer expires at
+        // 250 ms, counts as a timeout, and its late ACCEPT releases no
+        // payload.
         let mut actor = pacing_actor(16);
         let peer: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let round_trip = micros(Duration::from_millis(500));
+        let offer_in = |out: &Outbox| {
+            out.iter().find_map(|(_, bytes)| {
+                let offer = envelope::decode_view(bytes).expect("valid frame");
+                let Message::DataHeader { transfer, .. } = offer.message else { return None };
+                Some((offer.header, transfer))
+            })
+        };
+        let accept = |actor: &mut NodeStateMachine, now, (header, transfer)| {
+            let header = EnvelopeHeader { kind: MessageKind::FeedbackAccept, ..header };
+            let bytes = envelope::encode(&header, &Message::Feedback { transfer, accept: true });
+            let mut out = Outbox::new();
+            actor.handle_datagram(now, peer, &bytes, &mut out);
+            out
+        };
+        let payloads =
+            |out: &Outbox| out.iter().filter(|(_, b)| kind(b) == MessageKind::DataPayload).count();
 
-        // No feedback measured yet: the fixed TTL is the fallback.
-        assert_eq!(actor.ttl_for(0), Duration::from_millis(250));
+        // No sweep runs before the first ACCEPT, so it still finds its
+        // offer: the payload goes, and the feedback clock sends the next
+        // offer.
+        let mut out = Outbox::new();
+        actor.offer_to(0, &mut out, 0, OfferTrigger::Tick);
+        let out = accept(&mut actor, round_trip, offer_in(&out).expect("an offer"));
+        assert_eq!(payloads(&out), 1);
+        let next = offer_in(&out).expect("the feedback clock's offer");
 
-        // Localhost-fast feedback: the floor still applies.
-        actor.note_outcome(0, 0, Some(Duration::from_millis(2)));
-        assert_eq!(actor.ttl_for(0), Duration::from_millis(250));
-
-        // A slow link: the TTL tracks 4× the RTT EWMA…
-        for _ in 0..64 {
-            actor.note_outcome(0, 0, Some(Duration::from_millis(500)));
-        }
-        let ttl = actor.ttl_for(0);
-        assert!(ttl > Duration::from_secs(1), "TTL must grow with RTT, got {ttl:?}");
-        assert!(ttl < Duration::from_secs(4), "TTL hit the ceiling early, got {ttl:?}");
-        // …but never past 16× the floor.
-        for _ in 0..64 {
-            actor.note_outcome(0, 0, Some(Duration::from_secs(30)));
-        }
-        assert_eq!(actor.ttl_for(0), Duration::from_secs(4), "ceiling caps the TTL");
-
-        // The estimate surfaces in the report.
-        let report = actor.into_report();
-        let (reported_peer, rtt) = report.rtt_estimates.first().expect("rtt tracked");
-        assert_eq!(*reported_peer, peer);
-        assert!(*rtt > Duration::from_secs(1));
+        let ttl = micros(PENDING_TTL);
+        actor.evict_stale_pending(round_trip + ttl - 1);
+        assert_eq!(actor.wire.offer_timeouts, 0, "alive until the TTL");
+        actor.evict_stale_pending(round_trip + ttl);
+        assert_eq!(actor.wire.offer_timeouts, 1, "expired at the TTL");
+        let out = accept(&mut actor, 2 * round_trip, next);
+        assert_eq!(payloads(&out), 0, "the late ACCEPT released a payload");
+        assert_eq!(actor.wire.transfers_delivered, 1);
     }
 
     /// In-memory links between hand-driven state machines: each

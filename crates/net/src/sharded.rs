@@ -277,6 +277,7 @@ mod tests {
     use std::time::Duration;
 
     use ltnc_scheme::{SchemeKind, SchemeParams};
+    use ltnc_telemetry::{RingSink, TraceEvent};
 
     use super::*;
     use crate::envelope::{self, EnvelopeHeader, Message, MessageKind};
@@ -289,18 +290,18 @@ mod tests {
         // Two sources on one reactor worker. A's link from a pest the
         // test plays holds every datagram for 200 ms, and the test keeps
         // sending it some; B offers to a peer the test plays, which
-        // aborts every offer at once. B's offer→feedback round trip must
-        // stay under its tick: nothing A holds may hold up the worker B
-        // shares with it.
+        // aborts every offer at once. B's median offer→feedback round
+        // trip, read from its trace, must stay under its tick: nothing A
+        // holds may hold up the worker B shares with it.
         let tick = Duration::from_millis(10);
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
         let bind = || UdpSocket::bind("127.0.0.1:0").expect("bind");
         let (peer, pest) = (bind(), bind());
         peer.set_read_timeout(Some(Duration::from_millis(250))).expect("timeout");
-        let node = |seed, peers, links, to: &UdpSocket| {
+        let node = |seed, peers, links, to: &UdpSocket, trace| {
             let options = NodeOptions { tick, seed };
             let role = NodeRole::Source { object: vec![7; 8], params };
-            let config = NodeConfig::new(1, role, options);
+            let config = NodeConfig { trace, ..NodeConfig::new(1, role, options) };
             let to = to.local_addr().expect("addr");
             let endpoint = Endpoint::new(NodeSetup { config, peers, links }, |_| to);
             let socket = bind();
@@ -308,8 +309,9 @@ mod tests {
             (ShardedNode::new(socket, endpoint, tick, Instant::now()).expect("build"), addr)
         };
         let held = DatagramFaultPlan::clean(1).delay(1.0, Duration::from_millis(200));
-        let (a, a_addr) = node(1, Vec::new(), vec![(0, held)], &pest);
-        let (b, b_addr) = node(2, vec![0], Vec::new(), &peer);
+        let (a, a_addr) = node(1, Vec::new(), vec![(0, held)], &pest, None);
+        let (b, b_addr) =
+            node(2, vec![0], Vec::new(), &peer, Some(Arc::new(RingSink::new(1 << 14))));
         let reactor = Reactor::start(vec![a, b], 1).expect("start");
 
         let until = Instant::now() + Duration::from_millis(300);
@@ -326,7 +328,16 @@ mod tests {
 
         let reports = reactor.shutdown();
         assert!(reports[0].faults.delayed_in > 0, "A must have held datagrams");
-        let (_, rtt) = reports[1].rtt_estimates.first().copied().expect("B measured its peer");
-        assert!(rtt < tick, "B's round trip took {rtt:?}: it waited on A's delays");
+        let mut rtts: Vec<Duration> = reports[1]
+            .events
+            .iter()
+            .filter_map(|timed| match timed.event {
+                TraceEvent::FeedbackReceived { rtt, .. } => Some(rtt),
+                _ => None,
+            })
+            .collect();
+        rtts.sort_unstable();
+        let rtt = *rtts.get(rtts.len() / 2).expect("B measured its peer");
+        assert!(rtt < tick, "B's median round trip took {rtt:?}: it waited on A's delays");
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Two scenario families live here because nothing else measures them:
 //! pacing over a lossy, reordering complete topology (the AIMD budget
-//! and the RTT-derived TTL at work), and deep lossy lines, where every relay
-//! recodes in the only path to the source. The reference benchmark
+//! at work against the fixed pending TTL), and deep lossy lines, where
+//! every relay recodes in the only path to the source. The reference benchmark
 //! (`benchmark/`) covers the rest, in wall-clock time.
 
 use std::time::Duration;

@@ -1,7 +1,7 @@
 //! Replay in virtual time. The virtual-time driver runs the node we
 //! ship with no clock and no socket, so one seed is one run: every
-//! counter, fault tally, loss and RTT estimate, latency histogram and
-//! virtual time, byte for byte — a failure is a seed, not a flake.
+//! counter, fault tally, latency histogram and virtual time, byte for
+//! byte — a failure is a seed, not a flake.
 //!
 //! The two scale tests are `#[ignore]`d; CI runs them in release, in
 //! well under a minute:
