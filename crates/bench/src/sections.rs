@@ -429,7 +429,8 @@ fn ltnc_transfer(
 /// refinement (Algorithm 2: the spread of native occurrences, the packets a
 /// sink needs), redundancy detection (Algorithm 3: redundant packets
 /// buffered), the feedback channel (the payloads it saves the protocol we
-/// ship, and the smart packets its summaries buy), and the RLNC baseline's
+/// ship, the smart packets its summaries buy, and the bytes every useful
+/// delivery costs, summaries included), and the RLNC baseline's
 /// `ln k + 20` sparsity.
 pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Result {
     let k = if options.full { 1024 } else { 128 };
@@ -476,8 +477,10 @@ pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Resu
     // The protocol we ship has no feedback-off or summary-off mode to switch
     // to: what the channel saves is read off its books instead — every
     // aborted offer is a payload that never crossed the wire, and every
-    // summary an LTNC refusal sent could buy a smart offer, which a receiver
-    // that learned nothing in between accepts.
+    // summary an LTNC verdict sent can buy smart offers, which a receiver
+    // that learned nothing in between accepts. The bytes per useful
+    // delivery count every datagram, summaries included: the energy a node
+    // spends per native it learns.
     let (peers, epidemic_k, payload) = if options.full { (1000, 2048, 64) } else { (60, 48, 8) };
     let config = epidemic(SchemeKind::Ltnc, peers, epidemic_k, payload, options.seed);
     let report = run_topology_virtual(&config);
@@ -496,6 +499,7 @@ pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Resu
                 / wire.smart_offers.max(1) as f64,
             1,
         ),
+        fmt_f(wire.bytes_sent as f64 / wire.useful_deliveries.max(1) as f64, 1),
     ]];
     print_table(
         out,
@@ -510,6 +514,7 @@ pub(crate) fn ablations(options: &HarnessOptions, out: &mut String) -> fmt::Resu
             "summaries",
             "smart offers",
             "smart accepted %",
+            "bytes per useful delivery",
         ],
         &rows,
     )?;

@@ -1,6 +1,8 @@
-//! What a receiver tells a sender whose offer it refuses: the natives it
-//! decoded and the components of those it has not (`cc_r` of Algorithm 4),
-//! in the one canonical form the wire carries.
+//! What a receiver tells a sender with its verdict on an offer: the natives
+//! it decoded and the components of those it has not (`cc_r` of
+//! Algorithm 4), in the one canonical form the wire carries. The sender
+//! keeps it and [`Summary::fold`]s into it the packets it knows are on
+//! their way.
 //!
 //! ```text
 //! +-------------------------------+------------+----------------------------------+
@@ -153,6 +155,69 @@ impl Summary {
         labels
     }
 
+    /// Folds in a packet of degree 1 or 2 that the receiver is about to
+    /// take, as its decoder would: a native decodes its whole component,
+    /// and so does the other native of a pair one side of which is decoded;
+    /// a pair of two undecoded natives merges their components. A packet of
+    /// another degree or code length changes nothing. The receiver may
+    /// learn more from its buffered packets of higher degree, which no
+    /// summary shows, but never less.
+    pub fn fold(&mut self, vector: &CodeVector) {
+        if vector.len() != self.code_length() {
+            return;
+        }
+        let mut natives = vector.iter_ones();
+        match (natives.next(), natives.next(), natives.next()) {
+            (Some(x), None, _) => self.decode_component(x),
+            (Some(x), Some(y), None) => {
+                match (self.decoded.contains(x), self.decoded.contains(y)) {
+                    (true, true) => {}
+                    (true, false) => self.decode_component(y),
+                    (false, true) => self.decode_component(x),
+                    (false, false) => self.merge(x, y),
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The position of the listed component holding `x`, if one does.
+    fn component_of(&self, x: usize) -> Option<usize> {
+        self.components.iter().position(|members| members.binary_search(&x).is_ok())
+    }
+
+    /// Marks `x` and the rest of its component decoded.
+    fn decode_component(&mut self, x: usize) {
+        match self.component_of(x) {
+            Some(at) => self.components.remove(at).into_iter().for_each(|m| self.decoded.set(m)),
+            None => self.decoded.set(x),
+        }
+    }
+
+    /// Joins the components of the undecoded natives `x` and `y`, keeping
+    /// the components in the order of their first members.
+    fn merge(&mut self, x: usize, y: usize) {
+        let (at_x, at_y) = (self.component_of(x), self.component_of(y));
+        if at_x.is_some() && at_x == at_y {
+            return;
+        }
+        let mut members = Vec::new();
+        // The later position first, so the earlier one stays where it is.
+        for at in [at_x.max(at_y), at_x.min(at_y)].into_iter().flatten() {
+            members.append(&mut self.components.remove(at));
+        }
+        // A native in no listed component is alone in its own.
+        if at_x.is_none() {
+            members.push(x);
+        }
+        if at_y.is_none() {
+            members.push(y);
+        }
+        members.sort_unstable();
+        let at = self.components.partition_point(|listed| listed[0] < members[0]);
+        self.components.insert(at, members);
+    }
+
     /// Appends the summary's one encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         wire::encode_header_into(out, &self.decoded, 0);
@@ -243,8 +308,8 @@ impl Summary {
 }
 
 impl LtncNode {
-    /// This node's [`Summary`]: what it tells a sender whose offer it
-    /// refuses, so that the sender's next offer is one it cannot refuse.
+    /// This node's [`Summary`]: what it tells a sender with its verdict on
+    /// an offer, so that the sender's next offer is one it cannot refuse.
     #[must_use]
     pub fn summary(&self) -> Summary {
         Summary::from_labels(&self.component_labels())

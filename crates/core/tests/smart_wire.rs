@@ -5,10 +5,14 @@
 //! `Gf2Solver` measures it unless the receiver's buffered packets of
 //! degree three or more already span it, which no summary shows: always
 //! when the receiver holds nothing of higher degree, ≈ 87 % of the time
-//! when it holds recoded packets.
+//! when it holds recoded packets. A sender that folds its smart packets
+//! into the summary it holds ([`Summary::fold`]) never claims more than
+//! the receiver holds once it has taken them, and claims exactly that
+//! when the receiver holds nothing of higher degree.
 
 use ltnc_core::{LtncConfig, LtncNode, Summary};
 use ltnc_gf2::{CodeVector, EncodedPacket, Gf2Solver, Payload};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,4 +149,66 @@ fn a_recoding_pair_builds_smart_packets_the_receiver_uses() {
     }
     assert!(built > 300, "only {built} smart packets were built");
     assert!(raised * 5 >= built * 4, "{raised} of {built} smart packets raised the rank");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A sender holds a receiver's summary and sends it up to `k` smart
+    /// packets in a row, folding each into the copy, as the offers in
+    /// flight on one link do. After each, the copy claims no more than the
+    /// receiver's own summary once it took the packet: a native the copy
+    /// says is decoded is decoded there, and two natives the copy puts in
+    /// one component share one there, or are both decoded. A receiver
+    /// that took only natives and pairs ends where the copy does.
+    #[test]
+    fn a_folded_summary_never_claims_more_than_the_receiver_holds(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let k = [8usize, 16, 64][rng.gen_range(0..3)];
+        let natives = natives(k, seed);
+        let mut source = LtncNode::with_all_natives(k, M, &natives, LtncConfig::default());
+        let mut sender = if rng.gen_bool(0.3) {
+            LtncNode::with_all_natives(k, M, &natives, LtncConfig::default())
+        } else {
+            let mut sender = LtncNode::new(k, M);
+            for packet in low_degree(k, rng.gen_range(k / 2..2 * k), &natives, &mut rng) {
+                sender.receive(&packet);
+            }
+            sender
+        };
+        // Natives and pairs only, or recodes of every degree.
+        let low = rng.gen_bool(0.5);
+        let mut receiver = Receiver::new(k);
+        if low {
+            for packet in low_degree(k, rng.gen_range(0..k), &natives, &mut rng) {
+                receiver.offer(&packet);
+            }
+        } else {
+            for _ in 0..rng.gen_range(0..k) {
+                receiver.offer(&source.recode(&mut rng).expect("a source recodes"));
+            }
+        }
+        let mut held = receiver.node.summary();
+        for _ in 0..k {
+            let Some(packet) = sender.smart_packet(&held.labels(), &mut rng) else { break };
+            held.fold(packet.vector());
+            receiver.offer(&packet);
+            let truth = receiver.node.summary();
+            let (claimed, holds) = (held.labels(), truth.labels());
+            for x in 0..k {
+                prop_assert!(claimed[x] != 0 || holds[x] == 0, "native {} is not decoded", x);
+                for y in x + 1..k {
+                    prop_assert!(
+                        claimed[x] != claimed[y] || holds[x] == holds[y],
+                        "natives {} and {} do not share a component",
+                        x,
+                        y
+                    );
+                }
+            }
+            if low {
+                prop_assert_eq!(&held, &truth);
+            }
+        }
+    }
 }

@@ -53,8 +53,8 @@ crate::counter_family! {
         /// Senders' accept tables evicted, least recently used first, to keep
         /// their number in its cap.
         pub accept_ledgers_evicted: u64,
-        /// Refusals that went out as `ABORT-SUMMARY`, with the receiver's
-        /// decoded set and components.
+        /// Verdicts, accept or abort, that went out as `ACCEPT-SUMMARY` or
+        /// `ABORT-SUMMARY`, with the receiver's decoded set and components.
         pub summaries_sent: u64,
         /// Offers of a packet built from the peer's summary (Algorithm 4).
         pub smart_offers: u64,

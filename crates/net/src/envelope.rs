@@ -20,9 +20,11 @@
 //!   innovation / redundancy check on this alone.
 //! * `FEEDBACK-ACCEPT` / `FEEDBACK-ABORT` — `transfer id (u64 LE)`; the
 //!   receiver's verdict on a pending header.
-//! * `ABORT-SUMMARY` — `transfer id (u64 LE)` + a [`Summary`]: an abort
-//!   that also says which natives the receiver decoded and how it groups
-//!   the rest, so the sender's next offer can be one it cannot refuse.
+//! * `ABORT-SUMMARY` / `ACCEPT-SUMMARY` — `transfer id (u64 LE)` + a
+//!   [`Summary`]: a verdict that also says which natives the receiver
+//!   decoded and how it groups the rest, so the sender's next offers can
+//!   be ones it cannot refuse. The kind carries the verdict, as it does
+//!   for the plain pair.
 //! * `DATA-PAYLOAD` — `transfer id (u64 LE)` + a [`TraceContext`] + a
 //!   *complete* `gf2::wire` frame, read only against an accept of that transfer.
 //!
@@ -72,9 +74,10 @@ pub const MAGIC: [u8; 4] = *b"LTNC";
 /// Current protocol version. Version 2 added the [`TraceContext`] to the
 /// `DATA-HEADER` and `DATA-PAYLOAD` bodies; version 3 lets the gf2 frame
 /// carry its code vector as an index list when that is shorter than the
-/// bitmap; version 4 adds `ABORT-SUMMARY`. Frames of other versions are
-/// rejected ([`NetError::BadVersion`]), not interpreted.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// bitmap; version 4 adds `ABORT-SUMMARY`, and version 5 `ACCEPT-SUMMARY`.
+/// Frames of other versions are rejected ([`NetError::BadVersion`]), not
+/// interpreted.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Size of the fixed envelope header.
 pub const ENVELOPE_HEADER_BYTES: usize = 4 + 1 + 1 + 1 + 8 + 4;
@@ -206,6 +209,8 @@ pub enum MessageKind {
     Reject = 7,
     /// Receiver verdict: transfer aborted, and here is what I hold.
     AbortSummary = 8,
+    /// Receiver verdict: payload wanted, and here is what I hold.
+    AcceptSummary = 9,
 }
 
 impl MessageKind {
@@ -220,6 +225,7 @@ impl MessageKind {
             6 => Ok(MessageKind::Manifest),
             7 => Ok(MessageKind::Reject),
             8 => Ok(MessageKind::AbortSummary),
+            9 => Ok(MessageKind::AcceptSummary),
             other => Err(NetError::BadKind(other)),
         }
     }
@@ -290,11 +296,13 @@ pub enum Message<P = EncodedPacket> {
     },
     /// Serving handshake: the server refuses the request.
     Reject,
-    /// Receiver verdict on a pending transfer: aborted, with the
-    /// receiver's summary of the generation.
-    AbortSummary {
+    /// Receiver verdict on a pending transfer, with the receiver's summary
+    /// of the generation.
+    FeedbackSummary {
         /// Transfer identifier the verdict concerns.
         transfer: u64,
+        /// `true` for `ACCEPT-SUMMARY`, `false` for `ABORT-SUMMARY`.
+        accept: bool,
         /// The receiver's decoded set and components.
         summary: Summary,
     },
@@ -316,7 +324,8 @@ impl<P> Message<P> {
             Message::Request => MessageKind::Request,
             Message::Manifest { .. } => MessageKind::Manifest,
             Message::Reject => MessageKind::Reject,
-            Message::AbortSummary { .. } => MessageKind::AbortSummary,
+            Message::FeedbackSummary { accept: true, .. } => MessageKind::AcceptSummary,
+            Message::FeedbackSummary { accept: false, .. } => MessageKind::AbortSummary,
         }
     }
 }
@@ -352,8 +361,8 @@ impl EnvelopeView<'_> {
                 Message::Manifest { object_len, code_length, payload_size }
             }
             Message::Reject => Message::Reject,
-            Message::AbortSummary { transfer, summary } => {
-                Message::AbortSummary { transfer, summary }
+            Message::FeedbackSummary { transfer, accept, summary } => {
+                Message::FeedbackSummary { transfer, accept, summary }
             }
         };
         Envelope { header: self.header, message }
@@ -440,15 +449,18 @@ pub fn encode_feedback_into(
     out.extend_from_slice(&transfer.to_le_bytes());
 }
 
-/// Appends an `ABORT-SUMMARY` frame, the abort of offer `transfer` with
-/// the receiver's `summary`, to `out`.
-pub fn encode_abort_summary_into(
+/// Appends the verdict on offer `transfer` with the receiver's `summary`
+/// to `out`: `ACCEPT-SUMMARY` if `accept`, else `ABORT-SUMMARY`, whatever
+/// `header.kind` says.
+pub fn encode_feedback_summary_into(
     out: &mut Vec<u8>,
     header: &EnvelopeHeader,
     transfer: u64,
+    accept: bool,
     summary: &Summary,
 ) {
-    encode_envelope_header(out, MessageKind::AbortSummary, header);
+    let kind = if accept { MessageKind::AcceptSummary } else { MessageKind::AbortSummary };
+    encode_envelope_header(out, kind, header);
     out.extend_from_slice(&transfer.to_le_bytes());
     summary.encode_into(out);
 }
@@ -477,8 +489,8 @@ pub fn encode_into(out: &mut Vec<u8>, header: &EnvelopeHeader, message: &Message
         Message::Complete | Message::Request | Message::Reject => {
             encode_envelope_header(out, message.kind(), header);
         }
-        Message::AbortSummary { transfer, summary } => {
-            encode_abort_summary_into(out, header, *transfer, summary);
+        Message::FeedbackSummary { transfer, accept, summary } => {
+            encode_feedback_summary_into(out, header, *transfer, *accept, summary);
         }
     }
 }
@@ -561,7 +573,7 @@ pub fn decode_prefix(bytes: &[u8]) -> Result<(EnvelopeView<'_>, usize), NetError
             let accept = header.kind == MessageKind::FeedbackAccept;
             (Message::Feedback { transfer, accept }, FEEDBACK_FRAME_BYTES)
         }
-        MessageKind::AbortSummary => {
+        MessageKind::AbortSummary | MessageKind::AcceptSummary => {
             let dims_end = FEEDBACK_FRAME_BYTES + gf2_wire::FIXED_HEADER_BYTES;
             capped_dims(&prefix(dims_end)?[FEEDBACK_FRAME_BYTES..])?;
             let (summary, len) =
@@ -572,8 +584,8 @@ pub fn decode_prefix(bytes: &[u8]) -> Result<(EnvelopeView<'_>, usize), NetError
                     },
                     malformed => NetError::BadSummary(malformed),
                 })?;
-            let transfer = body_u64(bytes);
-            (Message::AbortSummary { transfer, summary }, FEEDBACK_FRAME_BYTES + len)
+            let (transfer, accept) = (body_u64(bytes), header.kind == MessageKind::AcceptSummary);
+            (Message::FeedbackSummary { transfer, accept, summary }, FEEDBACK_FRAME_BYTES + len)
         }
         MessageKind::Manifest => {
             let frame = prefix(ENVELOPE_HEADER_BYTES + MANIFEST_BODY_BYTES)?;
@@ -950,14 +962,14 @@ mod tests {
 
     #[test]
     fn a_version_2_frame_is_refused() {
-        // Version 2 always carried a bitmap right after `k` and `m`, and
-        // version 3 had no ABORT-SUMMARY: their frames are refused, not
-        // read with this version's rules.
+        // Version 2 always carried a bitmap right after `k` and `m`,
+        // version 3 had no ABORT-SUMMARY and version 4 no ACCEPT-SUMMARY:
+        // their frames are refused, not read with this version's rules.
         let message =
             Message::DataPayload { transfer: 3, trace: sample_trace(), packet: list_packet() };
         let mut bytes = encode(&header(MessageKind::DataPayload), &message);
         assert_eq!(bytes[4], PROTOCOL_VERSION);
-        for old in [2, 3] {
+        for old in [2, 3, 4] {
             bytes[4] = old;
             assert_eq!(decode(&bytes).unwrap_err(), NetError::BadVersion(old));
         }
@@ -983,7 +995,7 @@ mod tests {
     }
 
     fn abort(summary: Summary) -> Message {
-        Message::AbortSummary { transfer: 7, summary }
+        Message::FeedbackSummary { transfer: 7, accept: false, summary }
     }
 
     fn refusal(bytes: &[u8]) -> SummaryError {
@@ -1013,6 +1025,24 @@ mod tests {
         let relabelled: Vec<usize> =
             labels.iter().map(|&l| if l == 0 { 0 } else { 22 - l }).collect();
         assert_eq!(encode(&header(MessageKind::AbortSummary), &abort(summary(&relabelled))), bytes);
+        // An accept differs in its kind byte alone, and the verdict, not
+        // the header, sets the kind.
+        let accept =
+            Message::FeedbackSummary { transfer: 7, accept: true, summary: summary(&labels) };
+        let accepted = encode(&header(MessageKind::AcceptSummary), &accept);
+        let mut verdict = Vec::new();
+        encode_feedback_summary_into(
+            &mut verdict,
+            &header(MessageKind::DataHeader),
+            7,
+            true,
+            &summary(&labels),
+        );
+        assert_eq!(verdict, accepted);
+        assert_eq!(accepted[5], MessageKind::AcceptSummary as u8);
+        assert_eq!((&accepted[..5], &accepted[6..]), (&bytes[..5], &bytes[6..]));
+        let decoded = decode(&accepted).unwrap();
+        assert_eq!((decoded.header.kind, decoded.message), (MessageKind::AcceptSummary, accept));
     }
 
     proptest! {
@@ -1038,8 +1068,9 @@ mod tests {
             let bytes = encode(&header(MessageKind::AbortSummary), &abort(summary(&labels)));
             let again = encode(&header(MessageKind::AbortSummary), &abort(summary(&renamed)));
             prop_assert_eq!(&bytes, &again);
-            let Message::AbortSummary { summary: back, .. } = decode(&bytes).unwrap().message else {
-                panic!("not an abort summary")
+            let Message::FeedbackSummary { summary: back, .. } = decode(&bytes).unwrap().message
+            else {
+                panic!("not a summarised verdict")
             };
             // The same partition: its labels summarise to the input's.
             prop_assert_eq!(summary(&back.labels()), summary(&labels));

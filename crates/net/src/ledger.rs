@@ -3,8 +3,8 @@
 //! by a gossip node, a serving session and a fetch client alike. Neither
 //! holds policy or reads a clock. The sender's [`OfferLedger`] numbers the
 //! link's transfers from 1 and holds each offer until its feedback or its
-//! TTL (the caller passes `now`), and the last summary an `ABORT-SUMMARY`
-//! brought for each generation until the next offer uses it; the
+//! TTL (the caller passes `now`), and the last summary a verdict brought
+//! for each generation, into which the sender folds what it sends; the
 //! receiver's [`AcceptLedger`] holds each accept until the one payload of
 //! that transfer and generation claims it, within a cap the caller passes.
 
@@ -121,14 +121,11 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
         }
     }
 
-    /// Hands out, once, the summary of the lowest generation that
-    /// `eligible` admits.
-    pub fn take_summary(
-        &mut self,
-        mut eligible: impl FnMut(u32) -> bool,
-    ) -> Option<(u32, Summary)> {
-        let generation = self.summaries.keys().copied().find(|&generation| eligible(generation))?;
-        self.summaries.remove(&generation).map(|summary| (generation, summary))
+    /// The summaries held, lowest generation first, for the sender to
+    /// build offers from and [`Summary::fold`] them into. Each stays until
+    /// a newer one of its generation replaces it or a `COMPLETE` drops it.
+    pub fn summaries_mut(&mut self) -> impl Iterator<Item = (u32, &mut Summary)> {
+        self.summaries.iter_mut().map(|(&generation, summary)| (generation, summary))
     }
 
     /// The receiver said `COMPLETE` for `generation`.
@@ -346,8 +343,16 @@ mod tests {
         }
     }
 
-    fn summary(k: usize) -> Summary {
-        Summary::from_labels(&vec![0; k])
+    /// The summary of a receiver of `k` natives that decoded those below
+    /// `decoded`.
+    fn summary(k: usize, decoded: usize) -> Summary {
+        Summary::from_labels(
+            &(0..k).map(|x| if x < decoded { 0 } else { x + 1 }).collect::<Vec<_>>(),
+        )
+    }
+
+    fn held(ledger: &mut OfferLedger<EncodedPacket>) -> Vec<(u32, Summary)> {
+        ledger.summaries_mut().map(|(generation, summary)| (generation, summary.clone())).collect()
     }
 
     #[test]
@@ -355,19 +360,31 @@ mod tests {
         let mut ledger: OfferLedger<EncodedPacket> = OfferLedger::new(3);
         for generation in [0, 1, 2, 3, 70, GENERATION_OBJECT] {
             for k in 1..=4 {
-                ledger.note_summary(generation, summary(k));
+                ledger.note_summary(generation, summary(k, 0));
             }
         }
-        assert_eq!(ledger.summaries_held(), 3, "one per generation of the object, the last");
-        assert_eq!(ledger.take_summary(|g| g > 0), Some((1, summary(4))), "the lowest admitted");
-        assert_eq!(ledger.take_summary(|g| g == 1), None, "handed out once");
+        let last = summary(4, 0);
+        assert_eq!(
+            held(&mut ledger),
+            [(0, last.clone()), (1, last.clone()), (2, last.clone())],
+            "one per generation of the object, the last, lowest first"
+        );
+        // A fold stays in the held copy, read again and again, until a
+        // newer summary of its generation replaces it.
+        for (_, summary) in ledger.summaries_mut() {
+            summary.fold(&CodeVector::singleton(4, 0));
+        }
+        let folded = summary(4, 1);
+        assert_eq!(held(&mut ledger), [(0, folded.clone()), (1, folded.clone()), (2, folded)]);
+        ledger.note_summary(1, last.clone());
+        assert_eq!(held(&mut ledger)[1], (1, last), "a newer summary replaces the folded copy");
         ledger.complete(0);
-        ledger.note_summary(0, summary(5));
-        assert_eq!(ledger.summaries_held(), 1, "a COMPLETE drops its generation's summary");
+        ledger.note_summary(0, summary(5, 0));
+        assert_eq!(ledger.summaries_held(), 2, "a COMPLETE drops its generation's summary");
         ledger.complete(GENERATION_OBJECT);
-        ledger.note_summary(2, summary(6));
+        ledger.note_summary(2, summary(6, 0));
         assert_eq!(ledger.summaries_held(), 0, "the object's COMPLETE drops them all");
-        assert_eq!(ledger.take_summary(|_| true), None);
+        assert!(held(&mut ledger).is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   `gf2::wire` packet format, with a pure sans-io codec whose
 //!   header-first incremental decode carries the paper's feedback channel
 //!   onto real sockets (`DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT`,
-//!   or an LTNC `ABORT-SUMMARY` → `DATA-PAYLOAD`; aborted transfers never
-//!   cost payload bytes);
+//!   or an LTNC `ACCEPT-SUMMARY`/`ABORT-SUMMARY` → `DATA-PAYLOAD`;
+//!   aborted transfers never cost payload bytes);
 //! * generations — chunking of arbitrarily large objects into
 //!   generations of `k` payloads, per-generation decode state, push
 //!   scheduling and bit-exact reassembly live in the transport-neutral

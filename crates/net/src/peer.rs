@@ -32,7 +32,7 @@
 //! budget slot down for a whole TTL, so the budget grows additively to
 //! hand the slot back and keep the live pipeline deep (the paper's
 //! redundancy-tracks-the-channel point applied to pacing). A peer gone
-//! entirely silent for a TTL is treated as dead: its budget is cut
+//! entirely silent for two TTLs is treated as dead: its budget is cut
 //! multiplicatively (at most once per TTL window) down to the floor,
 //! sparing offers for live peers — and its feedback, once it returns,
 //! grows the budget back to (never past) its initial value, so one
@@ -55,15 +55,18 @@
 //! The transfer protocol mirrors the paper's feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
 //! `DATA-PAYLOAD`. An aborted transfer costs the wire only the header and
-//! the feedback datagram — never payload bytes. An LTNC receiver that
-//! refuses an offer of a generation it has not finished says what it
-//! holds of it: its `ABORT-SUMMARY` carries the decoded set and the
-//! components (§III-C.2's `cc_r`). The sender keeps the last summary per
-//! link and generation, and its next offer on that link tries a smart
-//! packet built from it (Algorithm 4), which the receiver cannot refuse
-//! unless it learned something in between; the receiver still checks
-//! every header. `COMPLETE` messages prune finished generations from
-//! every sender's schedule.
+//! the feedback datagram — never payload bytes. An LTNC receiver's verdict
+//! on an offer of a generation it has not finished, accept or abort, says
+//! what it holds of it: its `ACCEPT-SUMMARY` or `ABORT-SUMMARY` carries
+//! the decoded set and the components (§III-C.2's `cc_r`). The sender
+//! keeps the last summary per link and generation, each newer one
+//! replacing the one before, and every offer on that link tries a smart
+//! packet built from it first (Algorithm 4). It folds each smart packet
+//! into its copy, and an accepted packet of degree 1 or 2 too, so the
+//! offers in flight on a link do not name one native twice. The receiver
+//! still checks every header, so a stale copy costs at most a refused
+//! header, and the next verdict replaces it. `COMPLETE` messages prune
+//! finished generations from every sender's schedule.
 //!
 //! Its sender half is one [`OfferLedger`] per neighbour, its receiver half
 //! one [`AcceptLedger`] per sender, as in `ltnc-serve`; this module adds
@@ -146,8 +149,7 @@ const PUSH_RATE: usize = 2;
 /// reaches it. Past it the ledger whose last accept is oldest goes.
 const MAX_ACCEPT_LEDGERS: usize = 256;
 
-/// The longest summary an `ABORT-SUMMARY` carries; a longer one goes as a
-/// plain abort.
+/// The longest summary a verdict carries; past it the verdict goes plain.
 const MAX_SUMMARY_BYTES: usize = 256;
 
 /// What a node is in the session.
@@ -469,9 +471,12 @@ impl NodeStateMachine {
     /// still answering others pinned a budget slot down for a whole TTL —
     /// the additive increase hands that slot back, so the live pipeline
     /// stays as deep as the clean-link one (redundancy tracking channel
-    /// loss, as in the paper). Only a peer gone entirely silent for a TTL
-    /// triggers the multiplicative decrease, throttling offers to the
-    /// dead until the floor.
+    /// loss, as in the paper). Only a peer gone entirely silent for two
+    /// TTLs triggers the multiplicative decrease, throttling offers to the
+    /// dead until the floor. One TTL is not enough: the offers of one
+    /// burst die one TTL after the burst, and the answers to their
+    /// burst-mates came just as long before, so on a lossy link a single
+    /// lost offer would read as silence and pin the link at the floor.
     fn note_outcome(&mut self, now: u64, index: usize, rtt: Option<Duration>) {
         let (floor, ceiling) = (INFLIGHT_FLOOR as f64, INFLIGHT_CEILING as f64);
         let base = PER_PEER_INFLIGHT as f64;
@@ -488,13 +493,13 @@ impl NodeStateMachine {
             if pacing.budget < base {
                 pacing.budget = (pacing.budget + 1.0 / pacing.budget.max(1.0)).min(base);
             }
-        } else if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < PENDING_TTL) {
+        } else if pacing.last_feedback.is_some_and(|at| elapsed(now, at) < 2 * PENDING_TTL) {
             // Lossy but live: the lost offer wasted one slot for a full
             // TTL; grow the budget by one to keep the live pipeline deep.
             pacing.budget = (pacing.budget + 1.0).clamp(floor, ceiling);
         } else if pacing.last_cut.is_none_or(|at| elapsed(now, at) >= PENDING_TTL) {
-            // Silent for a whole TTL: multiplicative decrease, at most
-            // once per window, down to the floor.
+            // Silent for two whole TTLs: multiplicative decrease, at most
+            // once per TTL, down to the floor.
             pacing.last_cut = Some(now);
             pacing.budget = (pacing.budget * BUDGET_CUT_FACTOR).clamp(floor, ceiling);
         }
@@ -563,12 +568,10 @@ impl NodeStateMachine {
                 if accept {
                     self.note_accept(from, transfer, generation);
                 }
-                // A refusal of a generation still being decoded says what
+                // A verdict on a generation still being decoded says what
                 // this node holds of it, when the scheme can say.
                 let summary = match &self.receiver {
-                    Some(receiver) if !accept && fits => {
-                        receiver.summary(generation, MAX_SUMMARY_BYTES)
-                    }
+                    Some(receiver) if fits => receiver.summary(generation, MAX_SUMMARY_BYTES),
                     _ => None,
                 };
                 let bytes = self.verdict(&header, transfer, accept, summary);
@@ -590,8 +593,8 @@ impl NodeStateMachine {
             MessageView::Feedback { transfer, accept } => {
                 self.on_feedback(now, out, from, transfer, accept, None);
             }
-            MessageView::AbortSummary { transfer, summary } => {
-                self.on_feedback(now, out, from, transfer, false, Some(summary));
+            MessageView::FeedbackSummary { transfer, accept, summary } => {
+                self.on_feedback(now, out, from, transfer, accept, Some(summary));
             }
             MessageView::DataPayload { transfer, trace, packet } => {
                 let generation = header.generation;
@@ -691,9 +694,9 @@ impl NodeStateMachine {
         }
     }
 
-    /// The verdict on offer `transfer` of `header`'s generation: an
-    /// `ABORT-SUMMARY` when a refusal has a summary that fits
-    /// [`MAX_SUMMARY_BYTES`], else a plain `FEEDBACK`.
+    /// The verdict on offer `transfer` of `header`'s generation: with the
+    /// summary when there is one that fits [`MAX_SUMMARY_BYTES`], else a
+    /// plain `FEEDBACK`.
     fn verdict(
         &mut self,
         header: &EnvelopeHeader,
@@ -703,7 +706,7 @@ impl NodeStateMachine {
     ) -> Vec<u8> {
         let mut bytes = Vec::new();
         if let Some(summary) = summary {
-            envelope::encode_abort_summary_into(&mut bytes, header, transfer, &summary);
+            envelope::encode_feedback_summary_into(&mut bytes, header, transfer, accept, &summary);
             if bytes.len() - FEEDBACK_FRAME_BYTES <= MAX_SUMMARY_BYTES {
                 self.wire.summaries_sent += 1;
                 return bytes;
@@ -715,7 +718,7 @@ impl NodeStateMachine {
     }
 
     /// The verdict `accept` from `from` on offer `transfer`, with the
-    /// receiver's summary when it refused with one.
+    /// receiver's summary when it sent one.
     fn on_feedback(
         &mut self,
         now: u64,
@@ -737,7 +740,12 @@ impl NodeStateMachine {
         self.note_outcome(now, index, Some(rtt));
         self.tracer.emit(now, || TraceEvent::FeedbackReceived { peer: from, accept, rtt });
         let generation = offer.generation;
-        if let Some(summary) = summary {
+        if let Some(mut summary) = summary {
+            // The accepted packet is on its way: the summary, taken before
+            // the receiver has it, is short of it.
+            if accept {
+                summary.fold(offer.packet.vector());
+            }
             self.links[index].offers.note_summary(generation, summary);
         }
         // Feedback clock: whoever holds the generation completely emits
@@ -834,20 +842,20 @@ impl NodeStateMachine {
             gated(receiver, generation) && (partial_ok || receiver.generation_complete(generation))
         };
 
-        // After an ABORT-SUMMARY the link's next offer is built from it if
+        // On a summarised link every offer is built from the summaries if
         // it can be: a packet the peer is sure to want (Algorithm 4), so a
-        // partial generation will do.
-        let summarised = self.links[target].offers.take_summary(|generation| {
-            self.receiver.as_ref().is_none_or(|receiver| gated(receiver, generation))
-        });
-        let smart = summarised.and_then(|(generation, summary)| {
-            let packet = match (self.source.as_mut(), self.receiver.as_mut()) {
-                (Some(source), _) => source.smart_packet(generation, &summary, &mut self.rng),
-                (None, Some(receiver)) => {
-                    receiver.smart_packet(generation, &summary, &mut self.rng)
+        // partial generation will do. The packet is folded into the held
+        // summary, so the next offer does not repeat it.
+        let (source, receiver, rng) = (&mut self.source, &mut self.receiver, &mut self.rng);
+        let smart = self.links[target].offers.summaries_mut().find_map(|(generation, summary)| {
+            let packet = match (source.as_mut(), receiver.as_mut()) {
+                (Some(source), _) => source.smart_packet(generation, summary, rng),
+                (None, Some(receiver)) if gated(receiver, generation) => {
+                    receiver.smart_packet(generation, summary, rng)
                 }
-                (None, None) => None,
+                _ => None,
             }?;
+            summary.fold(packet.vector());
             Some((generation, packet))
         });
         let is_smart = smart.is_some();
@@ -1019,14 +1027,33 @@ mod tests {
         }
         assert_eq!(moves(&actor), (62, 1, 64), "5, …, 64, and 64 again is no raise");
 
-        // Steps of a whole TTL: every timeout finds the peer silent and the
-        // window over.
+        // Steps of two whole TTLs: every timeout finds the peer silent and
+        // the window over.
         let mut actor = pacing_actor(18);
         actor.note_outcome(0, 0, answered);
         for step in 1..=4 {
-            actor.note_outcome(step * micros(PENDING_TTL), 0, None);
+            actor.note_outcome(step * 2 * micros(PENDING_TTL), 0, None);
         }
         assert_eq!(moves(&actor), (0, 2, 1), "4 → 2 → 1, the floor is no cut");
+    }
+
+    #[test]
+    fn a_lost_offer_of_an_answered_burst_is_loss_not_silence() {
+        // A burst of offers leaves at 0 and 2 ms; the first is answered
+        // at 0.2 ms, the second lost. It expires at the sweep one TTL and
+        // one tick after the burst, when the answer is just over a TTL
+        // old: the peer is live, so the budget grows. Only an answer two
+        // TTLs old reads as silence and cuts.
+        let ttl = micros(PENDING_TTL);
+        let mut actor = pacing_actor(19);
+        actor.note_outcome(200, 0, Some(Duration::from_micros(200)));
+        actor.note_outcome(ttl + 2_000, 0, None);
+        assert_eq!(actor.inflight_cap(0), PER_PEER_INFLIGHT + 1, "a lossy link was cut");
+        actor.note_outcome(200 + 2 * ttl - 1, 0, None);
+        assert_eq!(actor.inflight_cap(0), PER_PEER_INFLIGHT + 2);
+        actor.note_outcome(200 + 2 * ttl, 0, None);
+        assert_eq!(actor.inflight_cap(0), (PER_PEER_INFLIGHT + 2) / 2, "two silent TTLs cut");
+        assert_eq!((actor.wire.budget_raises, actor.wire.budget_cuts), (2, 1));
     }
 
     #[test]
@@ -1590,23 +1617,30 @@ mod tests {
         assert!(relay.sm.accepts.contains_key(&source.addr), "a live sender's table went");
     }
 
-    /// An ABORT-SUMMARY answering `offer` (a `DATA-HEADER` datagram).
-    fn abort_summary(offer: &[u8], summary: &Summary) -> Vec<u8> {
+    /// A summarised verdict `accept` on `offer` (a `DATA-HEADER` datagram).
+    fn summarised(offer: &[u8], accept: bool, summary: &Summary) -> Vec<u8> {
         let offer = envelope::decode_view(offer).expect("valid frame");
         let Message::DataHeader { transfer, .. } = offer.message else {
             panic!("not an offer: {:?}", offer.header.kind)
         };
         let mut bytes = Vec::new();
-        envelope::encode_abort_summary_into(&mut bytes, &offer.header, transfer, summary);
+        envelope::encode_feedback_summary_into(
+            &mut bytes,
+            &offer.header,
+            transfer,
+            accept,
+            summary,
+        );
         bytes
     }
 
     #[test]
     fn summaries_stay_within_links_times_generations() {
         // A source of three generations, wired to A and B, is answered
-        // with an ABORT-SUMMARY for every offer, true or not, and a
-        // stranger sends more for the same transfers. It holds at most
-        // one summary per link and generation, and builds offers from them.
+        // with a summarised verdict, either way, for every offer, true or
+        // not, and a stranger sends more for the same transfers. It holds
+        // at most one summary per link and generation, and builds offers
+        // from them.
         let options = quick_options(29);
         let wires = Wires::default();
         let (mut source, a) = Driven::pair_of(SchemeKind::Ltnc, 3, options, &wires);
@@ -1618,8 +1652,11 @@ mod tests {
             source.tick();
             for peer in [&a, &b] {
                 for (offer, _) in peer.arrived() {
+                    if kind(&offer) != MessageKind::DataHeader {
+                        continue; // the payload of an accepted offer
+                    }
                     let labels: Vec<usize> = (0..8).map(|_| rng.gen_range(0..=8)).collect();
-                    let told = abort_summary(&offer, &Summary::from_labels(&labels));
+                    let told = summarised(&offer, rng.gen(), &Summary::from_labels(&labels));
                     source.handle(&told, stranger.addr);
                     source.handle(&told, peer.addr);
                 }
@@ -1628,44 +1665,105 @@ mod tests {
             assert!(held <= 2 * 3, "{held} summaries held");
         }
         assert!(source.sm.wire.smart_offers > 0, "no offer was built from a summary");
+        assert!(source.sm.wire.transfers_delivered > 0, "no summarised verdict accepted");
     }
 
     #[test]
-    fn an_ltnc_refusal_carries_a_summary_and_the_next_offer_is_smart() {
+    fn every_ltnc_verdict_on_an_open_generation_carries_a_summary() {
         // Source ⇄ receiver, ticks keeping several offers in flight: every
-        // refusal of the open generation is an ABORT-SUMMARY, and the
-        // offer it clocks is built from it. (With several offers in
-        // flight the receiver may learn the smart packet's native from
-        // another payload first, and refuse it.) RLNC's refusals stay
-        // plain aborts.
+        // verdict the receiver gives while the generation is open, accept
+        // or abort, carries its summary, and the source builds offers from
+        // them. (With several offers in flight the receiver may learn a
+        // smart packet's native from another payload first, and refuse
+        // it.) Once the generation is decoded, and under RLNC throughout,
+        // verdicts are plain.
         for scheme in [SchemeKind::Ltnc, SchemeKind::Rlnc] {
             let wires = Wires::default();
             let (mut source, mut relay) = Driven::pair_of(scheme, 1, quick_options(30), &wires);
             source.sm.set_peers(vec![relay.addr]);
             source.push_once();
-            let mut summaries = 0;
+            let mut verdicts: Vec<(bool, MessageKind)> = Vec::new();
             for _ in 0..1000 {
                 if relay.complete() {
                     break;
                 }
                 source.tick();
-                relay.handle_arrived();
-                for (bytes, from) in source.arrived() {
-                    summaries += u64::from(kind(&bytes) == MessageKind::AbortSummary);
-                    source.handle(&bytes, from);
+                for (bytes, from) in relay.arrived() {
+                    let open = !relay.complete();
+                    let answered = relay.wires.borrow()[&source.addr].len();
+                    relay.handle(&bytes, from);
+                    // An offer's verdict is the first frame it sends back.
+                    if kind(&bytes) == MessageKind::DataHeader {
+                        let verdict = kind(&relay.wires.borrow()[&source.addr][answered].0);
+                        verdicts.push((open, verdict));
+                    }
                 }
+                source.handle_arrived();
             }
             assert!(relay.complete(), "{scheme:?}: the receiver never completed");
             let (sent, received) = (relay.sm.wire, source.sm.wire);
-            assert_eq!(sent.summaries_sent, summaries, "{scheme:?}");
+            let count = |open, kind| verdicts.iter().filter(|&&v| v == (open, kind)).count() as u64;
+            let summarised =
+                count(true, MessageKind::AcceptSummary) + count(true, MessageKind::AbortSummary);
+            assert_eq!(sent.summaries_sent, summarised, "{scheme:?}: {verdicts:?}");
             if scheme == SchemeKind::Ltnc {
-                assert!(summaries > 0, "no refusal carried a summary: {sent}");
+                assert!(count(true, MessageKind::AcceptSummary) > 0, "{verdicts:?}");
+                assert!(count(true, MessageKind::AbortSummary) > 0, "{verdicts:?}");
+                assert_eq!(count(true, MessageKind::FeedbackAccept), 0, "{verdicts:?}");
+                assert_eq!(count(true, MessageKind::FeedbackAbort), 0, "{verdicts:?}");
                 assert!(received.smart_offers > 0, "no offer was smart: {received}");
                 assert!(received.smart_aborts <= received.smart_offers, "{received}");
             } else {
-                assert_eq!((summaries, received.smart_offers), (0, 0));
+                assert_eq!((summarised, received.smart_offers), (0, 0), "{verdicts:?}");
             }
+            assert_eq!(count(false, MessageKind::AcceptSummary), 0, "{scheme:?}: {verdicts:?}");
+            assert_eq!(count(false, MessageKind::AbortSummary), 0, "{scheme:?}: {verdicts:?}");
         }
+    }
+
+    #[test]
+    fn two_offers_built_from_one_summary_name_different_natives() {
+        // The source's first offer is accepted with an ACCEPT-SUMMARY, so
+        // it holds one summary of the relay, folded with the accepted
+        // packet. Before any further answer it releases two offers on the
+        // link: the accept's feedback-clock offer and one more. Both are
+        // built from that one summary, with different vectors, and each
+        // payload is useful to the relay after the one before it.
+        let wires = Wires::default();
+        let (mut source, mut relay) =
+            Driven::pair_of(SchemeKind::Ltnc, 1, quick_options(31), &wires);
+        source.sm.set_peers(vec![relay.addr]);
+        source.push_once();
+        assert_eq!(relay.handle_arrived(), 0);
+        assert_eq!(kinds(&relay.wires.borrow()[&source.addr]), [MessageKind::AcceptSummary]);
+        assert_eq!(source.handle_arrived(), 1, "the accept clocks the next offer");
+        source.offer_to(0);
+        assert_eq!(source.sm.wire.smart_offers, 2, "both offers are smart");
+        let arrived = relay.arrived();
+        let offers: Vec<CodeVector> = arrived
+            .iter()
+            .filter(|(bytes, _)| kind(bytes) == MessageKind::DataHeader)
+            .map(|(bytes, _)| vector(bytes))
+            .collect();
+        assert_eq!(offers.len(), 2);
+        assert_ne!(offers[0], offers[1], "one summary named the same packet twice");
+        for (bytes, from) in &arrived {
+            relay.handle(bytes, *from);
+        }
+        source.handle_arrived();
+        let payloads: Vec<Vec<u8>> = relay
+            .arrived()
+            .into_iter()
+            .filter(|(bytes, _)| kind(bytes) == MessageKind::DataPayload)
+            .map(|(bytes, _)| bytes)
+            .collect();
+        assert_eq!(payloads.iter().map(|p| vector(p)).collect::<Vec<_>>(), offers);
+        for payload in &payloads {
+            let useful = relay.sm.wire.useful_deliveries;
+            relay.handle(payload, source.addr);
+            assert_eq!(relay.sm.wire.useful_deliveries, useful + 1, "{:?}", vector(payload));
+        }
+        assert_eq!(relay.sm.wire.useful_deliveries, 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Structure-aware fuzz of both decode entry points. Valid frames of all
-//! nine kinds are built, then mutated — one byte set to a random value,
+//! ten kinds are built, then mutated — one byte set to a random value,
 //! cuts at random points, frames concatenated — and fed to
 //! `envelope::decode_view` (one datagram) and to `FrameReassembler` (a
 //! stream, in random chunks). Neither may panic, and every frame either
@@ -8,8 +8,8 @@
 //! them, so they are the one part of a frame that is not canonical. Code
 //! vectors range from k = 1 to 2048 and from degree ≈ 1 to 30 % of k, so
 //! both of their wire forms, the bitmap and the index list, occur. The
-//! summaries of `ABORT-SUMMARY` frames are random decoded sets and
-//! partitions, which must decode to a summary that re-encodes to the exact
+//! summaries of `ABORT-SUMMARY` and `ACCEPT-SUMMARY` frames are random
+//! decoded sets and partitions, which must decode to a summary that re-encodes to the exact
 //! bytes: a summary has no padding bit the decoder forgives.
 
 use ltnc_gf2::wire::{self, FIXED_HEADER_BYTES};
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const KINDS: [MessageKind; 9] = [
+const KINDS: [MessageKind; 10] = [
     MessageKind::DataHeader,
     MessageKind::DataPayload,
     MessageKind::FeedbackAbort,
@@ -34,6 +34,7 @@ const KINDS: [MessageKind; 9] = [
     MessageKind::Manifest,
     MessageKind::Reject,
     MessageKind::AbortSummary,
+    MessageKind::AcceptSummary,
 ];
 
 /// A packet of k in 1..=2048 whose natives are each drawn with a density
@@ -86,8 +87,9 @@ fn valid_frame(kind: MessageKind, rng: &mut SmallRng) -> Vec<u8> {
             payload_size: rng.gen_range(1..=envelope::MAX_PAYLOAD_SIZE as u32),
         },
         MessageKind::Reject => Message::Reject,
-        MessageKind::AbortSummary => {
-            Message::AbortSummary { transfer, summary: random_summary(rng) }
+        MessageKind::AbortSummary | MessageKind::AcceptSummary => {
+            let accept = kind == MessageKind::AcceptSummary;
+            Message::FeedbackSummary { transfer, accept, summary: random_summary(rng) }
         }
     };
     let scheme = SchemeKind::ALL[rng.gen_range(0..SchemeKind::ALL.len())];
@@ -145,7 +147,7 @@ fn canonical(frame: &[u8], decoded: &Envelope) -> Vec<u8> {
 fn the_generator_builds_every_kind_and_mutates() {
     let mut kinds = std::collections::HashSet::new();
     let (mut decoded, mut refused, mut bitmaps, mut lists) = (0, 0, 0, 0);
-    for seed in 0..400 {
+    for seed in 0..600 {
         let input = mutated_input(seed);
         let mut reassembler = FrameReassembler::new();
         reassembler.extend(&input);
@@ -166,7 +168,7 @@ fn the_generator_builds_every_kind_and_mutates() {
             refused += 1;
         }
     }
-    assert_eq!(kinds.len(), 9, "decoded frames must span every kind");
+    assert_eq!(kinds.len(), KINDS.len(), "decoded frames must span every kind");
     assert!(bitmaps > 20 && lists > 20, "{bitmaps} bitmap and {lists} list vectors");
     // Both outcomes of a datagram decode are common enough to exercise.
     assert!(decoded > 20 && refused > 20, "{decoded} decoded, {refused} refused");
@@ -257,20 +259,17 @@ proptest! {
         let truth = receiver.summary(usize::MAX).expect("an LTNC node summarises");
         // The truth, someone else's summary, or either with a byte changed.
         let told = if rng.gen_bool(0.5) { truth.clone() } else { random_summary(&mut rng) };
-        let header = EnvelopeHeader {
-            kind: MessageKind::AbortSummary,
-            scheme: SchemeKind::Ltnc,
-            session: 1,
-            generation: 0,
-        };
-        let mut frame =
-            envelope::encode(&header, &Message::AbortSummary { transfer: 1, summary: told });
+        let accept = rng.gen();
+        let kind = if accept { MessageKind::AcceptSummary } else { MessageKind::AbortSummary };
+        let header = EnvelopeHeader { kind, scheme: SchemeKind::Ltnc, session: 1, generation: 0 };
+        let message = Message::FeedbackSummary { transfer: 1, accept, summary: told };
+        let mut frame = envelope::encode(&header, &message);
         if rng.gen_bool(0.5) {
             let at = rng.gen_range(envelope::FEEDBACK_FRAME_BYTES..frame.len());
             frame[at] = rng.gen();
         }
         let Ok(decoded) = envelope::decode_view(&frame) else { return };
-        let Message::AbortSummary { summary, .. } = decoded.message else { return };
+        let Message::FeedbackSummary { summary, .. } = decoded.message else { return };
         let Some(packet) = sender.smart_packet(&summary, &mut rng) else { return };
         let indices: Vec<usize> = packet.vector().iter_ones().collect();
         prop_assert!(indices.len() == 1 || indices.len() == 2);

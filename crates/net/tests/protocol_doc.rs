@@ -108,7 +108,7 @@ fn reference_frame(kind_name: &str) -> (MessageKind, Vec<u8>) {
         "REJECT" => {
             (MessageKind::Reject, envelope::encode(&header(MessageKind::Reject), &Message::Reject))
         }
-        "ABORT-SUMMARY" => {
+        "ABORT-SUMMARY" | "ACCEPT-SUMMARY" => {
             // Decoded 0, 5 and 20; components {1, 2} and {3, 7, 9}.
             let mut labels: Vec<usize> = (1..=21).collect();
             for x in [0, 5, 20] {
@@ -116,11 +116,10 @@ fn reference_frame(kind_name: &str) -> (MessageKind, Vec<u8>) {
             }
             (labels[2], labels[7], labels[9]) = (labels[1], labels[3], labels[3]);
             let summary = Summary::from_labels(&labels);
-            let message = Message::AbortSummary { transfer: 5, summary };
-            (
-                MessageKind::AbortSummary,
-                envelope::encode(&header(MessageKind::AbortSummary), &message),
-            )
+            let accept = kind_name == "ACCEPT-SUMMARY";
+            let kind = if accept { MessageKind::AcceptSummary } else { MessageKind::AbortSummary };
+            let message = Message::FeedbackSummary { transfer: 5, accept, summary };
+            (kind, envelope::encode(&header(kind), &message))
         }
         other => panic!("spec documents unknown kind {other:?}"),
     }
@@ -155,7 +154,7 @@ fn header_offset_table_matches_the_encoder() {
             "version" => {
                 assert_eq!((offset, size), (4, 1));
                 assert_eq!(bytes[offset], PROTOCOL_VERSION);
-                assert!(row[3].contains('4'), "documented version must be 4");
+                assert!(row[3].contains('5'), "documented version must be 5");
             }
             "kind" => {
                 assert_eq!((offset, size), (5, 1));
@@ -207,9 +206,10 @@ fn kind_table_ids_and_frame_sizes_match_the_encoder() {
         "MANIFEST",
         "REJECT",
         "ABORT-SUMMARY",
+        "ACCEPT-SUMMARY",
     ];
     let rows = table_rows(&spec, &names);
-    assert_eq!(rows.len(), names.len(), "the kind table must document all nine kinds");
+    assert_eq!(rows.len(), names.len(), "the kind table must document all ten kinds");
 
     for row in rows {
         let name = row[0].as_str();

@@ -47,11 +47,11 @@ pub trait Scheme: Send {
     /// Cost ledger of the emission/recoding path.
     fn recoding_counters(&self) -> OpCounters;
 
-    /// What this node tells a sender whose offer it refuses, so that the
-    /// sender's next offer can be one it is sure to want
+    /// What this node tells a sender with its verdict on an offer, so that
+    /// the sender's next offers can be ones it is sure to want
     /// ([`Scheme::smart_packet`]). `None`, the default, when the scheme has
     /// nothing to say, or when what it has to say cannot encode to
-    /// `max_bytes` or fewer: the refusal goes out as a plain ABORT.
+    /// `max_bytes` or fewer: the verdict goes out plain.
     fn summary(&self, _max_bytes: usize) -> Option<Summary> {
         None
     }

@@ -181,7 +181,7 @@ impl ReplicaConn {
                     // Harmless kinds a future server might emit pre-manifest.
                     MessageView::Request
                     | MessageView::Feedback { .. }
-                    | MessageView::AbortSummary { .. }
+                    | MessageView::FeedbackSummary { .. }
                     | MessageView::Complete => {}
                 }
             }
@@ -338,7 +338,7 @@ impl ReplicaConn {
                     // rather than tear down.
                     MessageView::Request
                     | MessageView::Feedback { .. }
-                    | MessageView::AbortSummary { .. }
+                    | MessageView::FeedbackSummary { .. }
                     | MessageView::Complete => {}
                 }
             }

@@ -592,10 +592,10 @@ fn handle_frame(
             *session = Some(new);
             Ok(false)
         }
-        // The server serves whole generations, so it reads an
-        // ABORT-SUMMARY as the abort it is and drops the summary.
-        MessageView::Feedback { transfer, .. } | MessageView::AbortSummary { transfer, .. } => {
-            let accept = header.kind == MessageKind::FeedbackAccept;
+        // The server serves whole generations, so it reads a summarised
+        // verdict as the verdict it is and drops the summary.
+        MessageView::Feedback { transfer, accept }
+        | MessageView::FeedbackSummary { transfer, accept, .. } => {
             let Some(session) = session.as_mut() else {
                 return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
             };

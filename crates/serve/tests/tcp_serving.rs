@@ -20,7 +20,7 @@ use ltnc_net::envelope::{
     self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
 };
 use ltnc_net::stream::FrameReassembler;
-use ltnc_scheme::{SchemeKind, SchemeParams};
+use ltnc_scheme::{SchemeKind, SchemeParams, Summary};
 use ltnc_serve::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
 use ltnc_serve::{
     fetch, ClientOptions, ObjectStore, ReplicaConn, ServeError, ServeOptions, Server,
@@ -87,6 +87,17 @@ impl ScriptedClient {
             panic!("not an offer: {offer:?}");
         };
         self.verdict(offer.header.generation, transfer, true)
+    }
+
+    /// The verdict `accept` on `offer` with the receiver's `summary`.
+    fn summarised(&self, offer: &Envelope, accept: bool, summary: &Summary) -> Vec<u8> {
+        let Message::DataHeader { transfer, .. } = offer.message else {
+            panic!("not an offer: {offer:?}");
+        };
+        let header = self.header(MessageKind::DataHeader, offer.header.generation);
+        let mut verdict = Vec::new();
+        envelope::encode_feedback_summary_into(&mut verdict, &header, transfer, accept, summary);
+        verdict
     }
 
     /// One `write_all`: with `TCP_NODELAY` and less than a segment of
@@ -634,6 +645,57 @@ fn replayed_and_unknown_feedback_release_nothing() {
     let counters = server.shutdown();
     assert_eq!(counters.sessions_completed, 1);
     assert_eq!(counters.transfers_delivered, payloads, "one payload per delivered transfer");
+}
+
+#[test]
+fn a_summarised_verdict_is_read_as_the_verdict_it_carries() {
+    // An LTNC receiver answers with a summary, accept or abort. The
+    // server serves whole generations and drops the summary, but reads
+    // the verdict: an ACCEPT-SUMMARY releases its payload, as a plain
+    // ACCEPT does, and an ABORT-SUMMARY none. Each refills the window.
+    let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+        .expect("spawn");
+    let object = pseudo_object(2048, 31);
+    let k = 8;
+    let manifest =
+        server.register(10, &object, SchemeParams::new(SchemeKind::Ltnc, k, 64)).expect("register");
+    let mut receiver = ReceiverSession::new(manifest);
+    let mut client = ScriptedClient::connect(server.local_addr(), 10, SchemeKind::Ltnc);
+    let request = client.frame(MessageKind::Request, GENERATION_OBJECT, &Message::Request);
+    client.write(&request);
+    let mut inbox: VecDeque<Envelope> = client.read_frames(1 + PER_SESSION_INFLIGHT).into();
+    assert_eq!(inbox.pop_front().map(|frame| frame.header.kind), Some(MessageKind::Manifest));
+
+    // Nothing decoded, every native alone: the summary of a fresh receiver.
+    let nothing_held = Summary::from_labels(&(1..=k).collect::<Vec<_>>());
+    let accepted = inbox.pop_front().expect("an offer");
+    let verdict = client.summarised(&accepted, true, &nothing_held);
+    assert_eq!(
+        envelope::decode_header(&verdict).expect("a frame").kind,
+        MessageKind::AcceptSummary
+    );
+    client.write(&verdict);
+    let answers = client.read_frames(2);
+    assert_eq!(kinds(&answers), [MessageKind::DataPayload, MessageKind::DataHeader]);
+    let (Message::DataHeader { vector, .. }, Message::DataPayload { packet, .. }) =
+        (&accepted.message, &answers[0].message)
+    else {
+        unreachable!("kinds checked above")
+    };
+    assert_eq!(packet.vector(), vector, "not the accepted offer's payload");
+    assert!(receiver.deliver(answers[0].header.generation, packet));
+
+    let refused = inbox.pop_front().expect("an offer");
+    client.write(&client.summarised(&refused, false, &nothing_held));
+    assert_eq!(kinds(&client.read_frames(1)), [MessageKind::DataHeader], "an abort sent data");
+
+    let complete = client.frame(MessageKind::Complete, GENERATION_OBJECT, &Message::Complete);
+    client.write(&complete);
+    client.stream.shutdown(Shutdown::Write).expect("half-close");
+    let rest = client.read_to_eof();
+    assert!(rest.iter().all(|frame| frame.header.kind == MessageKind::DataHeader), "{rest:?}");
+    let counters = server.shutdown();
+    assert_eq!((counters.transfers_delivered, counters.transfers_aborted), (1, 1));
 }
 
 #[test]

@@ -229,9 +229,9 @@ impl ReceiverSession {
         self.shared.make_packet(gen_index, rng)
     }
 
-    /// What generation `gen_index` tells a sender whose offer it refuses;
-    /// `None` once it is complete, when the scheme has no summary, or when
-    /// none of `max_bytes` or fewer can be built.
+    /// What generation `gen_index` tells a sender with its verdict on an
+    /// offer; `None` once it is complete, when the scheme has no summary,
+    /// or when none of `max_bytes` or fewer can be built.
     #[must_use]
     pub fn summary(&self, gen_index: u32, max_bytes: usize) -> Option<Summary> {
         self.shared.summary(gen_index, max_bytes)

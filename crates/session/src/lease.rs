@@ -280,7 +280,7 @@ impl SharedReceiver {
             .make_packet(rng)
     }
 
-    /// What a generation tells a sender whose offer it refuses
+    /// What a generation tells a sender with its verdict on an offer
     /// ([`Scheme::summary`]); `None` for out-of-range or completed
     /// generations, for schemes without a summary and when none of
     /// `max_bytes` or fewer can be built.

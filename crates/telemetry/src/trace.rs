@@ -44,7 +44,8 @@ pub enum OfferTrigger {
     /// completely: the next offer to that peer left one RTT later.
     Feedback,
     /// Whatever clock released it, the offer is a packet built from the
-    /// peer's last `ABORT-SUMMARY` (Algorithm 4), sure to be wanted.
+    /// summary the peer's last verdict carried, with the sender's own
+    /// offers since folded in (Algorithm 4), sure to be wanted.
     Smart,
 }
 
