@@ -46,9 +46,7 @@ pub use cost::{CostBreakdown, CostModel};
 pub use counters::{OpCounters, OpKind};
 pub use family::{CounterFamily, Field};
 pub use hop::{HopCounters, HopStats};
-pub use loghist::{
-    bucket_bound, HopLatency, LogHistogram, LogHistogramSnapshot, LOG_BUCKETS, MAX_LATENCY_HOPS,
-};
+pub use loghist::{bucket_bound, LogHistogram, LogHistogramSnapshot, LOG_BUCKETS};
 pub use reactor::{ReactorCounters, ReactorSnapshot};
 pub use series::TimeSeries;
 pub use serve::{AtomicServeCounters, ServeCounters};

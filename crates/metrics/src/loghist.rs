@@ -20,11 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `u64` value.
 pub const LOG_BUCKETS: usize = 65;
 
-/// Delivery latencies are attributed to the number of overlay links the
-/// information crossed; anything deeper than this folds into the last
-/// slot so the recorder stays fixed-size.
-pub const MAX_LATENCY_HOPS: usize = 16;
-
 /// A power-of-two-bucketed histogram with atomic, lock-free recording.
 ///
 /// Values are `u64` (by convention: microseconds for latencies).
@@ -226,65 +221,6 @@ impl LogHistogramSnapshot {
     }
 }
 
-/// Delivery-latency recorder keyed by the number of overlay links the
-/// delivered information crossed (the wire-carried hop count + 1).
-/// Fixed-size and lock-free, so a node records on its hot path
-/// while the scrape endpoint snapshots live.
-#[derive(Debug, Default)]
-pub struct HopLatency {
-    by_hop: [LogHistogram; MAX_LATENCY_HOPS],
-}
-
-impl HopLatency {
-    /// An empty recorder.
-    #[must_use]
-    pub fn new() -> HopLatency {
-        HopLatency::default()
-    }
-
-    /// Records a latency observation for a delivery that crossed `hops`
-    /// overlay links (clamped to [`MAX_LATENCY_HOPS`]).
-    pub fn record(&self, hops: usize, value: u64) {
-        let slot = hops.clamp(1, MAX_LATENCY_HOPS) - 1;
-        self.by_hop[slot].record(value);
-    }
-
-    /// Snapshots of the non-empty per-hop histograms as
-    /// `(links_crossed, snapshot)` pairs, ascending.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(usize, LogHistogramSnapshot)> {
-        self.by_hop
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(i, h)| (i + 1, h.snapshot()))
-            .collect()
-    }
-
-    /// Folds another recorder's counts into this one, hop by hop.
-    pub fn merge(&self, other: &HopLatency) {
-        for (mine, theirs) in self.by_hop.iter().zip(&other.by_hop) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// All hops merged into one distribution.
-    #[must_use]
-    pub fn total(&self) -> LogHistogramSnapshot {
-        let mut total = LogHistogramSnapshot::empty();
-        for histogram in &self.by_hop {
-            total.merge(&histogram.snapshot());
-        }
-        total
-    }
-
-    /// True when nothing has been recorded at any hop.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_hop.iter().all(LogHistogram::is_empty)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,31 +344,6 @@ mod tests {
             assert_eq!(m.quantile(1.0), m.max, "merged through {values:?}");
         }
         assert_eq!(LogHistogramSnapshot::empty().quantile(1.0), LogHistogramSnapshot::empty().max);
-    }
-
-    #[test]
-    fn hop_latency_clamps_and_merges() {
-        let lat = HopLatency::new();
-        assert!(lat.is_empty());
-        lat.record(1, 100);
-        lat.record(2, 200);
-        lat.record(0, 1); // clamps up to hop 1
-        lat.record(999, 9); // clamps down to the last slot
-        let per_hop = lat.snapshot();
-        let hops: Vec<usize> = per_hop.iter().map(|(h, _)| *h).collect();
-        assert_eq!(hops, vec![1, 2, MAX_LATENCY_HOPS]);
-        assert_eq!(per_hop[0].1.count(), 2);
-        let total = lat.total();
-        assert_eq!(total.count(), 4);
-        assert_eq!(total.max, 200);
-
-        let merged = HopLatency::new();
-        merged.merge(&lat);
-        merged.merge(&lat);
-        let doubled: Vec<(usize, u64)> =
-            merged.snapshot().iter().map(|(h, s)| (*h, s.count())).collect();
-        assert_eq!(doubled, vec![(1, 4), (2, 2), (MAX_LATENCY_HOPS, 2)]);
-        assert_eq!(merged.total().sum, 2 * total.sum);
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //! * `DATA-PAYLOAD` — `transfer id (u64 LE)` + a [`TraceContext`] + a
 //!   *complete* `gf2::wire` frame, read only against an accept of that transfer.
 //!
-//! The trace context is the causal lineage of the coded information: a
-//! source stamps hop 0 and its send time; a relay recoding generation
-//! data stamps the **earliest** origin timestamp and the **largest hop
-//! count + 1** among the packets it mixed, so a delivery's
-//! `now − origin` is the true origin→delivery latency along the
-//! dissemination critical path, and its hop count is the recode depth.
+//! The trace context is ten bytes that no decision reads: a sender
+//! stamps its clock and hop 0 on every offer, and the payload echoes the
+//! offer's. The frame layout keeps them until the reference benchmark
+//! stops naming [`TraceContext`] (ROADMAP B step 1); delivery latency is
+//! measured on the receiver's own clock instead, accept to payload.
 //! * `COMPLETE` — empty body; the envelope's generation says which
 //!   generation the sender of this message has fully decoded
 //!   ([`GENERATION_OBJECT`] means the whole object).
@@ -108,16 +107,18 @@ pub const FEEDBACK_FRAME_BYTES: usize = ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTE
 pub const DATA_PREFIX_BYTES: usize =
     ENVELOPE_HEADER_BYTES + TRANSFER_ID_BYTES + TRACE_CONTEXT_BYTES;
 
-/// Causal lineage carried on every `DATA-HEADER` and `DATA-PAYLOAD`:
-/// when the oldest information mixed into this packet left its origin,
-/// and how many recode steps it has been through.
+/// The ten bytes every `DATA-HEADER` and `DATA-PAYLOAD` carries: the
+/// offer's send time on its sender's clock and a hop count, always 0.
+/// Nothing reads them. The type, its bytes and [`TraceContext::next_hop`]
+/// stay only because the reference benchmark builds them (ROADMAP B
+/// step 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Microseconds on the sender's clock (since the run began inside a
-    /// swarm, since the Unix epoch on a serving connection) at which the
-    /// origin first sent the (oldest) information mixed into this packet.
+    /// swarm, since the Unix epoch on a serving connection) when the
+    /// offer left.
     pub origin_micros: u64,
-    /// Recode depth: 0 from a source, `max(inputs) + 1` from a relay.
+    /// Written 0 by every sender.
     pub hop: u16,
 }
 
@@ -133,42 +134,18 @@ impl TraceContext {
             .unwrap_or(0)
     }
 
-    /// A source-fresh context: hop 0, stamped `now` (microseconds on the
-    /// caller's clock).
+    /// The context every sender stamps: hop 0, `now` (microseconds on
+    /// the caller's clock).
     #[must_use]
     pub fn origin_now(now: u64) -> TraceContext {
         TraceContext { origin_micros: now, hop: 0 }
     }
 
-    /// Folds another packet's lineage into this one the way a recoding
-    /// relay must: keep the earliest origin, the deepest hop.
-    #[must_use]
-    pub fn absorb(self, other: TraceContext) -> TraceContext {
-        TraceContext {
-            origin_micros: self.origin_micros.min(other.origin_micros),
-            hop: self.hop.max(other.hop),
-        }
-    }
-
-    /// The context a relay stamps on a packet recoded from inputs with
-    /// this (already absorbed) lineage: one hop deeper, same origin.
+    /// The same origin one hop deeper (saturating). Only the reference
+    /// benchmark calls it (ROADMAP B step 1).
     #[must_use]
     pub fn next_hop(self) -> TraceContext {
         TraceContext { origin_micros: self.origin_micros, hop: self.hop.saturating_add(1) }
-    }
-
-    /// Origin→`now` latency in microseconds (0 for clock skew into the
-    /// future, rather than a bogus huge value).
-    #[must_use]
-    pub fn latency_micros(&self, now: u64) -> u64 {
-        now.saturating_sub(self.origin_micros)
-    }
-
-    /// Number of overlay links the information crossed to reach whoever
-    /// holds this packet: the recode depth plus the final delivery link.
-    #[must_use]
-    pub fn links(&self) -> usize {
-        usize::from(self.hop) + 1
     }
 }
 
@@ -255,7 +232,7 @@ pub enum Message<P = EncodedPacket> {
     DataHeader {
         /// Sender-unique transfer identifier.
         transfer: u64,
-        /// Causal lineage of the offered packet.
+        /// The sender's stamp, read by nobody.
         trace: TraceContext,
         /// Advertised payload size `m` of the packet on offer.
         payload_size: usize,
@@ -266,8 +243,7 @@ pub enum Message<P = EncodedPacket> {
     DataPayload {
         /// Transfer identifier this payload answers.
         transfer: u64,
-        /// Causal lineage of the delivered packet (stamped at offer
-        /// time, so the receiver's `now − origin` covers the handshake).
+        /// The offer's stamp, echoed; read by nobody.
         trace: TraceContext,
         /// The encoded packet.
         packet: P,
@@ -778,23 +754,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_lineage_rules() {
-        let fresh = TraceContext::origin_now(700);
-        assert_eq!(fresh, TraceContext { origin_micros: 700, hop: 0 });
-        assert_eq!(fresh.links(), 1);
-        assert_eq!(fresh.latency_micros(1_000), 300);
-        // A relay absorbs: earliest origin, deepest hop, then stamps +1.
-        let a = TraceContext { origin_micros: 500, hop: 1 };
-        let b = TraceContext { origin_micros: 900, hop: 3 };
-        let stamped = a.absorb(b).next_hop();
-        assert_eq!(stamped, TraceContext { origin_micros: 500, hop: 4 });
-        assert_eq!(stamped.links(), 5);
+    fn trace_context_stamps_hop_zero_and_saturates() {
+        assert_eq!(TraceContext::origin_now(700), TraceContext { origin_micros: 700, hop: 0 });
+        let deeper = TraceContext::origin_now(500).next_hop();
+        assert_eq!(deeper, TraceContext { origin_micros: 500, hop: 1 });
         // Hop depth saturates instead of wrapping.
         let deep = TraceContext { origin_micros: 1, hop: u16::MAX };
         assert_eq!(deep.next_hop().hop, u16::MAX);
-        // Clock skew into the future reads as zero latency, not 2^64.
-        let future = TraceContext { origin_micros: u64::MAX, hop: 0 };
-        assert_eq!(future.latency_micros(1_000), 0);
     }
 
     #[test]

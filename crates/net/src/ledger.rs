@@ -5,10 +5,12 @@
 //! link's transfers from 1 and holds each offer until its feedback or its
 //! TTL (the caller passes `now`), and the last summary a verdict brought
 //! for each generation, into which the sender folds what it sends; the
-//! receiver's [`AcceptLedger`] holds each accept until the one payload of
-//! that transfer and generation claims it, within a cap the caller passes.
+//! receiver's [`AcceptLedger`] holds each accept, with its `now`, until
+//! the one payload of that transfer and generation claims it, within a
+//! cap the caller passes.
 
 use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -22,16 +24,21 @@ use crate::envelope::{self, EnvelopeHeader, TraceContext, GENERATION_OBJECT};
 pub struct Offer<P> {
     /// The packet's generation.
     pub generation: u32,
-    /// The offer's trace context, which its payload echoes: the delivered
-    /// frame then carries the true origin send time, the offer/feedback
-    /// round trip (real dissemination latency) included.
-    pub trace: TraceContext,
     /// The packet: owned by a node, shared with the warm ring on a server.
     pub packet: P,
     /// When the offer left, in µs on the caller's clock.
     pub born: u64,
     /// The packet was built from the receiver's summary.
     pub smart: bool,
+}
+
+impl<P: Borrow<EncodedPacket>> Offer<P> {
+    /// Appends the `DATA-PAYLOAD` frame delivering this offer, accepted
+    /// as `transfer`, to `out`. Its trace context is the offer's.
+    pub fn encode_payload_into(&self, out: &mut Vec<u8>, header: &EnvelopeHeader, transfer: u64) {
+        let trace = TraceContext::origin_now(self.born);
+        envelope::encode_payload_into(out, header, transfer, &trace, self.packet.borrow());
+    }
 }
 
 /// The offers pending on one sender→receiver link, the generations the
@@ -59,22 +66,23 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
     }
 
     /// Appends the `DATA-HEADER` frame offering `packet` of
-    /// `header.generation` to `out` and holds the offer under the link's
-    /// next transfer id, which it returns. `smart` says the packet was
-    /// built from the receiver's summary.
+    /// `header.generation` at `born` to `out` and holds the offer under
+    /// the link's next transfer id, which it returns. `smart` says the
+    /// packet was built from the receiver's summary. The frame's trace
+    /// context is [`TraceContext::origin_now`] of `born`.
     pub fn offer(
         &mut self,
         out: &mut Vec<u8>,
         header: &EnvelopeHeader,
-        trace: TraceContext,
         packet: P,
         smart: bool,
         born: u64,
     ) -> u64 {
         let (transfer, p) = (self.next_transfer, packet.borrow());
+        let trace = TraceContext::origin_now(born);
         envelope::encode_offer_into(out, header, transfer, &trace, p.vector(), p.payload_size());
         let generation = header.generation;
-        self.pending.insert(transfer, Offer { generation, trace, packet, born, smart });
+        self.pending.insert(transfer, Offer { generation, packet, born, smart });
         self.next_transfer += 1;
         transfer
     }
@@ -141,11 +149,13 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
     }
 }
 
-/// The transfers a receiver accepted on one link, until payloads claim them.
+/// The transfers a receiver accepted on one link, until payloads claim
+/// them, each with the time of its accept.
 #[derive(Debug)]
 pub struct AcceptLedger {
-    /// By transfer id, so oldest transfer first.
-    accepted: BTreeMap<u64, u32>,
+    /// By transfer id, so oldest transfer first: the generation and the
+    /// accept's `now`.
+    accepted: BTreeMap<u64, (u32, u64)>,
     cap: usize,
 }
 
@@ -156,20 +166,25 @@ impl AcceptLedger {
         AcceptLedger { accepted: BTreeMap::new(), cap }
     }
 
-    /// Records the accept of `transfer` of `generation` (a repeat replaces
-    /// it). Past the cap it evicts the oldest transfer and returns its id.
-    pub fn accept(&mut self, transfer: u64, generation: u32) -> Option<u64> {
-        self.accepted.insert(transfer, generation);
+    /// Records the accept of `transfer` of `generation` at `now`, on the
+    /// caller's clock (a repeat replaces it). Past the cap it evicts the
+    /// oldest transfer and returns its id.
+    pub fn accept(&mut self, transfer: u64, generation: u32, now: u64) -> Option<u64> {
+        self.accepted.insert(transfer, (generation, now));
         if self.accepted.len() <= self.cap {
             return None;
         }
         self.accepted.pop_first().map(|(evicted, _)| evicted)
     }
 
-    /// Consumes the accept of `transfer` if it names `generation` (else keeps it).
-    pub fn claim(&mut self, transfer: u64, generation: u32) -> bool {
-        let matches = self.accepted.get(&transfer) == Some(&generation);
-        matches && self.accepted.remove(&transfer).is_some()
+    /// Consumes the accept of `transfer` if it names `generation` (else
+    /// keeps it) and returns when it was given; `None` means the payload
+    /// was unsolicited.
+    pub fn claim(&mut self, transfer: u64, generation: u32) -> Option<u64> {
+        match self.accepted.entry(transfer) {
+            Entry::Occupied(accept) if accept.get().0 == generation => Some(accept.remove().1),
+            _ => None,
+        }
     }
 }
 
@@ -208,9 +223,7 @@ mod tests {
         P: Borrow<EncodedPacket> + From<EncodedPacket>,
     {
         let mut frame = Vec::new();
-        let trace = TraceContext::origin_now(born);
-        let packet = packet(index).into();
-        let id = ledger.offer(&mut frame, &header(generation), trace, packet, false, born);
+        let id = ledger.offer(&mut frame, &header(generation), packet(index).into(), false, born);
         (id, frame)
     }
 
@@ -249,8 +262,15 @@ mod tests {
         }
         let taken = ledger.take(2).expect("offer 2 is pending");
         assert_eq!((taken.generation, taken.born), (1, 10));
-        assert_eq!(taken.trace, TraceContext::origin_now(10));
         assert_eq!(taken.packet.borrow(), &packet(1));
+        let mut frame = Vec::new();
+        taken.encode_payload_into(&mut frame, &header(1), 2);
+        let sent = envelope::decode_view(&frame).expect("valid frame").into_owned();
+        let Message::DataPayload { transfer, trace, packet: delivered } = sent.message else {
+            panic!("not a payload: {:?}", sent.header.kind)
+        };
+        assert_eq!((transfer, trace), (2, TraceContext::origin_now(10)), "the offer's stamp");
+        assert_eq!(&delivered, taken.packet.borrow());
         assert!(ledger.take(2).is_none(), "an offer is handed back once");
         assert!(ledger.take(0).is_none() && ledger.take(4).is_none(), "never offered");
         assert!(ledger.take(1).is_some() && ledger.take(3).is_some());
@@ -390,13 +410,16 @@ mod tests {
     #[test]
     fn an_accept_is_claimed_once_and_only_for_its_generation() {
         let mut ledger = AcceptLedger::new(8);
-        assert_eq!(ledger.accept(1, 0), None);
-        assert_eq!(ledger.accept(2, 5), None);
-        assert!(!ledger.claim(3, 0), "never accepted");
-        assert!(!ledger.claim(1, 5), "accepted for generation 0");
-        assert!(ledger.claim(1, 0), "a wrong-generation claim leaves the record");
-        assert!(!ledger.claim(1, 0), "a record is claimed once");
-        assert!(ledger.claim(2, 5) && !ledger.claim(2, 5));
+        assert_eq!(ledger.accept(1, 0, 100), None);
+        assert_eq!(ledger.accept(2, 5, 250), None);
+        assert_eq!(ledger.claim(3, 0), None, "never accepted");
+        assert_eq!(ledger.claim(1, 5), None, "accepted for generation 0");
+        assert_eq!(ledger.claim(1, 0), Some(100), "a wrong-generation claim leaves the record");
+        assert_eq!(ledger.claim(1, 0), None, "a record is claimed once");
+        assert_eq!((ledger.claim(2, 5), ledger.claim(2, 5)), (Some(250), None));
+        ledger.accept(4, 1, 300);
+        assert_eq!(ledger.accept(4, 1, 900), None, "a repeat replaces the record");
+        assert_eq!(ledger.claim(4, 1), Some(900), "the claim returns the latest accept's time");
     }
 
     #[test]
@@ -404,13 +427,16 @@ mod tests {
         let cap = 4;
         let mut ledger = AcceptLedger::new(cap);
         for transfer in 1..=cap as u64 {
-            assert_eq!(ledger.accept(transfer, 0), None, "within the cap");
+            assert_eq!(ledger.accept(transfer, 0, transfer), None, "within the cap");
         }
-        assert_eq!(ledger.accept(5, 0), Some(1), "cap + 1 accepts evict exactly the oldest");
-        assert!(!ledger.claim(1, 0), "the evicted accept is gone");
-        assert_eq!(ledger.accept(6, 0), Some(2));
-        assert_eq!(ledger.accept(6, 0), None, "an accept given again is one record");
-        assert!((3..=6).all(|transfer| ledger.claim(transfer, 0)), "the younger ones stay");
-        assert_eq!(ledger.accept(7, 0), None, "claims free their room");
+        assert_eq!(ledger.accept(5, 0, 5), Some(1), "cap + 1 accepts evict exactly the oldest");
+        assert_eq!(ledger.claim(1, 0), None, "the evicted accept is gone");
+        assert_eq!(ledger.accept(6, 0, 6), Some(2));
+        assert_eq!(ledger.accept(6, 0, 6), None, "an accept given again is one record");
+        assert!(
+            (3..=6).all(|transfer| ledger.claim(transfer, 0) == Some(transfer)),
+            "the younger ones stay"
+        );
+        assert_eq!(ledger.accept(7, 0, 7), None, "claims free their room");
     }
 }

@@ -11,8 +11,8 @@
 //!   [`RingSink`] of scheduler [`TraceEvent`]s per shard);
 //! * [`swarm_registry`] builds the aggregated [`MetricsRegistry`]: the
 //!   `reactor` family per shard under a `shard="<index>"` label, one
-//!   rolled-up `wire` family summed across every node, merged
-//!   hop-latency histograms, and a `decoder` progress family
+//!   rolled-up `wire` family summed across every node, the per-link
+//!   delivery latency merged across nodes, and a `decoder` progress family
 //!   (per-generation aggregate rank, innovative ratio);
 //! * [`FlightState`] renders the post-mortem document: recent scheduler
 //!   events, per-shard counter snapshots and the stuck nodes' decoder
@@ -26,13 +26,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ltnc_metrics::{
-    CounterFamily, Field, HopLatency, ReactorCounters, ReactorSnapshot, WireCounters,
+    CounterFamily, Field, LogHistogramSnapshot, ReactorCounters, ReactorSnapshot, WireCounters,
 };
 use ltnc_reactor::{Dispatch, ShardObserver};
 use ltnc_telemetry::json::{self, JsonValue, REPORT_SCHEMA_VERSION};
 use ltnc_telemetry::{
-    histograms, hop_latency_histograms, samples, MetricsRegistry, RingSink, Sample, TimedEvent,
-    TraceEvent, TraceSink,
+    histograms, samples, HistogramSample, MetricsRegistry, RingSink, Sample, TimedEvent, TraceEvent,
 };
 
 use crate::peer::{micros, Shared};
@@ -181,7 +180,7 @@ impl ShardObserver for SwarmTelemetry {
 
 /// Builds the swarm-wide aggregated registry behind the one
 /// [`crate::TopologyConfig::metrics_bind`] endpoint: a rolled-up `wire`
-/// family (counters summed across every node, hop-latency histograms
+/// family (counters summed across every node, per-link delivery latency
 /// merged), a `decoder` progress family over every node but `source`,
 /// and a `reactor` family per shard under a `shard="<index>"` label.
 pub(crate) fn swarm_registry(
@@ -203,11 +202,14 @@ pub(crate) fn swarm_registry(
 
     let shareds = completion.to_vec();
     registry.register_histograms("wire", &[], move || {
-        let latency = HopLatency::new();
+        let mut latency = LogHistogramSnapshot::empty();
         for shared in &shareds {
-            latency.merge(&shared.latency);
+            latency.merge(&shared.latency.snapshot());
         }
-        hop_latency_histograms(&latency)
+        if latency.is_empty() {
+            return Vec::new();
+        }
+        vec![HistogramSample::plain("delivery_latency_us", latency)]
     });
 
     let receivers: Vec<Arc<Shared>> = completion
@@ -492,7 +494,7 @@ mod tests {
         shareds[1].complete_generations.store(1, Ordering::Release);
         shareds[1].decoded_rank.store(4, Ordering::Relaxed);
         *shareds[1].decoder.lock().unwrap() = vec![4, 0];
-        shareds[1].latency.record(2, 800);
+        shareds[1].latency.record(800);
         if let Ok(mut wire) = shareds[1].wire.lock() {
             wire.transfers_delivered = 8;
             wire.useful_deliveries = 4;

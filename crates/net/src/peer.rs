@@ -83,15 +83,15 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use ltnc_gf2::EncodedPacket;
-use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
+use ltnc_metrics::{LogHistogram, LogHistogramSnapshot, OpCounters, WireCounters};
 use ltnc_scheme::{SchemeParams, Summary};
 use ltnc_telemetry::{OfferTrigger, RingSink, TimedEvent, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::envelope::{
-    self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, TraceContext,
-    FEEDBACK_FRAME_BYTES, GENERATION_OBJECT,
+    self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, FEEDBACK_FRAME_BYTES,
+    GENERATION_OBJECT,
 };
 use crate::faults::DatagramFaultCounters;
 use crate::ledger::{AcceptLedger, OfferLedger};
@@ -235,11 +235,10 @@ pub struct PeerReport {
     /// Trace events recorded during the run, oldest first, when
     /// [`crate::TopologyConfig::trace_capacity`] is set; empty otherwise.
     pub events: Vec<TimedEvent>,
-    /// Origin→delivery latency distributions from wire-carried trace
-    /// contexts, one entry per populated hop depth (number of overlay
-    /// links crossed), sorted by depth. Sources (which deliver nothing)
-    /// report an empty list.
-    pub latency_by_hop: Vec<(usize, LogHistogramSnapshot)>,
+    /// Delivery latency per link, on this node's clock: from its accept
+    /// of an offer to the arrival of that transfer's payload, one sample
+    /// per payload it accepted. Empty on a source, which accepts nothing.
+    pub link_latency: LogHistogramSnapshot,
 }
 
 /// State a node publishes for observers outside its reactor worker:
@@ -257,10 +256,10 @@ pub(crate) struct Shared {
     /// up ([`crate::TopologyConfig::metrics_bind`]); never touched
     /// otherwise.
     pub(crate) wire: Mutex<WireCounters>,
-    /// Origin→delivery latency histograms keyed by hop depth, recorded
-    /// lock-free by the state machine on every payload arrival and read
+    /// Accept→payload latency ([`PeerReport::link_latency`]), recorded
+    /// lock-free by the state machine on every accepted payload and read
     /// live by the scrape endpoint mid-run.
-    pub(crate) latency: HopLatency,
+    pub(crate) latency: LogHistogram,
     /// Total innovative (rank-increasing) symbols decoded so far, bumped
     /// on every useful delivery. Always maintained — it is one relaxed
     /// add — because the swarm's stall watchdog uses it as its progress
@@ -332,11 +331,6 @@ pub(crate) struct NodeStateMachine {
     link_index: HashMap<SocketAddr, usize>,
     rng: SmallRng,
     announced: HashSet<u32>,
-    /// Per-generation recode lineage (relays only): the merged trace of
-    /// every payload delivered for that generation — earliest origin
-    /// stamp, deepest hop count — so recoded offers advertise the true
-    /// critical path of the data they are built from.
-    lineage: HashMap<u32, TraceContext>,
     /// Receiver halves by sender, not link: the source is in no push set.
     /// Each with the stamp of its last accept.
     accepts: HashMap<SocketAddr, (u64, AcceptLedger)>,
@@ -346,7 +340,6 @@ pub(crate) struct NodeStateMachine {
     shared: Arc<Shared>,
     /// Where the node's hot paths, and its links' faults, are traced.
     pub(crate) tracer: Tracer,
-    trace: Option<Arc<RingSink>>,
     /// Refresh the shared wire mirror each tick (only when a metrics
     /// endpoint reads it — the mirror costs nothing otherwise).
     publish_live: bool,
@@ -357,7 +350,7 @@ impl NodeStateMachine {
     /// on `shared` before it is ever scheduled, so completion observers
     /// never see it incomplete.
     pub(crate) fn new(config: NodeConfig, shared: Arc<Shared>) -> NodeStateMachine {
-        let tracer = Tracer::from_option(config.trace.clone().map(|ring| ring as _));
+        let tracer = Tracer::from_option(config.trace);
         let (manifest, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
                 let source = SourceSession::new(&object, params);
@@ -378,13 +371,11 @@ impl NodeStateMachine {
             link_index: HashMap::new(),
             rng: SmallRng::seed_from_u64(config.options.seed),
             announced: HashSet::new(),
-            lineage: HashMap::new(),
             accepts: HashMap::new(),
             accept_clock: 0,
             wire: WireCounters::new(),
             shared,
             tracer,
-            trace: config.trace,
             publish_live: config.publish_live,
         }
     }
@@ -437,8 +428,8 @@ impl NodeStateMachine {
             recoding,
             faults: DatagramFaultCounters::default(),
             link_faults: Vec::new(),
-            events: self.trace.map(|ring| ring.drain()).unwrap_or_default(),
-            latency_by_hop: self.shared.latency.snapshot(),
+            events: self.tracer.drain(),
+            link_latency: self.shared.latency.snapshot(),
         }
     }
 
@@ -566,7 +557,7 @@ impl NodeStateMachine {
                 let accept = fits
                     && self.receiver.as_ref().is_some_and(|r| r.would_accept(generation, &vector));
                 if accept {
-                    self.note_accept(from, transfer, generation);
+                    self.note_accept(now, from, transfer, generation);
                 }
                 // A verdict on a generation still being decoded says what
                 // this node holds of it, when the scheme can say.
@@ -596,26 +587,19 @@ impl NodeStateMachine {
             MessageView::FeedbackSummary { transfer, accept, summary } => {
                 self.on_feedback(now, out, from, transfer, accept, Some(summary));
             }
-            MessageView::DataPayload { transfer, trace, packet } => {
+            MessageView::DataPayload { transfer, packet, .. } => {
                 let generation = header.generation;
                 // Only a payload this node accepted from `from` is read.
-                let claimed = self
+                let accepted_at = self
                     .accepts
                     .get_mut(&from)
-                    .is_some_and(|(_, accepts)| accepts.claim(transfer, generation));
-                if !claimed {
+                    .and_then(|(_, accepts)| accepts.claim(transfer, generation));
+                let Some(accepted_at) = accepted_at else {
                     self.wire.unsolicited_payloads += 1;
                     return;
-                }
-                // The wire-carried trace is the arriving data's whole
-                // history: record the true origin→delivery latency at
-                // this hop depth, and fold the lineage into what our own
-                // recoded offers for this generation will advertise.
-                self.shared.latency.record(trace.links(), trace.latency_micros(now));
-                self.lineage
-                    .entry(generation)
-                    .and_modify(|known| *known = known.absorb(trace))
-                    .or_insert(trace);
+                };
+                // The link's delivery latency, on this node's clock alone.
+                self.shared.latency.record(now.saturating_sub(accepted_at));
                 let (useful, newly_complete, object_complete) = {
                     let Some(receiver) = self.receiver.as_mut() else { return };
                     let was_complete = receiver.generation_complete(generation);
@@ -666,10 +650,11 @@ impl NodeStateMachine {
         }
     }
 
-    /// Records the accept of `transfer` of `generation` from `from` in
-    /// that sender's ledger, the most recently used from now on. Past
-    /// [`MAX_ACCEPT_LEDGERS`] senders the least recently used ledger goes.
-    fn note_accept(&mut self, from: SocketAddr, transfer: u64, generation: u32) {
+    /// Records the accept of `transfer` of `generation` from `from` at
+    /// `now` in that sender's ledger, the most recently used from now on.
+    /// Past [`MAX_ACCEPT_LEDGERS`] senders the least recently used ledger
+    /// goes.
+    fn note_accept(&mut self, now: u64, from: SocketAddr, transfer: u64, generation: u32) {
         self.accept_clock += 1;
         let stamp = self.accept_clock;
         // A window of offers awaiting feedback plus their payloads.
@@ -677,7 +662,7 @@ impl NodeStateMachine {
         let (used, ledger) =
             self.accepts.entry(from).or_insert_with(|| (stamp, AcceptLedger::new(cap)));
         *used = stamp;
-        if ledger.accept(transfer, generation).is_some() {
+        if ledger.accept(transfer, generation, now).is_some() {
             self.wire.accepts_evicted += 1;
         }
         // Only a stranger spraying source addresses gets here: a scan of
@@ -764,8 +749,7 @@ impl NodeStateMachine {
             self.wire.payload_bytes_sent += offer.packet.payload_size() as u64;
             let header = self.header(MessageKind::DataPayload, generation);
             let mut bytes = Vec::new();
-            let (trace, packet) = (&offer.trace, &offer.packet);
-            envelope::encode_payload_into(&mut bytes, &header, transfer, trace, packet);
+            offer.encode_payload_into(&mut bytes, &header, transfer);
             self.post(out, from, bytes);
         } else {
             self.wire.transfers_aborted += 1;
@@ -888,20 +872,10 @@ impl NodeStateMachine {
             self.tracer.emit(now, || TraceEvent::RelayRecode { generation });
         }
 
-        // Sources start a fresh lineage (hop 0, stamped now); relays
-        // extend the merged lineage of the payloads the recode is built
-        // from. A relay racing ahead of its own lineage record (possible
-        // only if it never received a payload, which the gate prevents)
-        // degrades to a fresh origin stamp.
-        let fresh = TraceContext::origin_now(now);
-        let trace = match self.source {
-            Some(_) => fresh,
-            None => self.lineage.get(&generation).map_or(fresh, |known| known.next_hop()),
-        };
         let header = self.header(MessageKind::DataHeader, generation);
         let mut bytes = Vec::new();
         let link = &mut self.links[target];
-        link.offers.offer(&mut bytes, &header, trace, packet, is_smart, now);
+        link.offers.offer(&mut bytes, &header, packet, is_smart, now);
         let peer = link.addr;
         self.post(out, peer, bytes);
         self.wire.transfers_offered += 1;
@@ -918,6 +892,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
+    use crate::envelope::TraceContext;
     use crate::{run_virtual_swarm, Topology, TopologyConfig};
     use ltnc_gf2::CodeVector;
     use ltnc_scheme::SchemeKind;
@@ -1332,8 +1307,8 @@ mod tests {
         // id it never offered, one from a stranger under the accepted id,
         // one from the source under the accepted id but another
         // generation, and a second copy of the accepted payload. Each is
-        // dropped and counted, and moves no rank, latency sample or
-        // lineage entry; the accepted payload itself is delivered once.
+        // dropped and counted, and moves neither rank nor latency sample;
+        // the accepted payload itself is delivered once.
         let options = quick_options(27);
         let wires = Wires::default();
         let (mut source, mut relay) = Driven::pair(2, options, &wires);
@@ -1354,8 +1329,7 @@ mod tests {
         let state = |relay: &Driven| {
             let shared = &relay.sm.shared;
             let rank = shared.decoded_rank.load(Ordering::Relaxed);
-            let samples = shared.latency.total().count();
-            (rank, relay.sm.wire.useful_deliveries, samples, relay.sm.lineage.len())
+            (rank, relay.sm.wire.useful_deliveries, shared.latency.snapshot().count())
         };
         let unsolicited = |relay: &mut Driven, payload: &[u8], from: SocketAddr| {
             let (before, dropped) = (state(relay), relay.sm.wire.unsolicited_payloads);
@@ -1368,7 +1342,7 @@ mod tests {
         unsolicited(&mut relay, &forged_payload(transfer, generation, &fresh()), stranger.addr);
         unsolicited(&mut relay, &forged_payload(transfer, 1 << 20, &fresh()), source.addr);
         relay.handle(&genuine, source.addr);
-        assert_eq!(state(&relay), (1, 1, 1, 1), "the accepted payload is delivered");
+        assert_eq!(state(&relay), (1, 1, 1), "the accepted payload is delivered");
         unsolicited(&mut relay, &genuine, source.addr);
         assert_eq!(relay.sm.wire.unsolicited_payloads, 4);
     }

@@ -116,8 +116,8 @@ pub struct TopologyConfig {
     pub runtime: SwarmRuntime,
     /// When set, the whole swarm serves *one* aggregated scrape endpoint
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
-    /// flight recorder is on): rolled-up wire counters, merged
-    /// hop-latency histograms, decoder-progress gauges, and per-shard
+    /// flight recorder is on): rolled-up wire counters, the merged
+    /// per-link delivery latency, decoder-progress gauges, and per-shard
     /// `reactor` scheduler families. It is the only scrape endpoint a
     /// UDP node has. Port 0 picks a free port. `None` (the default)
     /// serves nothing.

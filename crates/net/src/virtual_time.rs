@@ -234,10 +234,10 @@ mod tests {
     #[test]
     fn a_delayed_datagram_is_handled_exactly_its_delay_late() {
         // Every datagram from the source to its one peer is delayed 3 ms;
-        // the way back is clean. So each payload is handled exactly three
-        // link crossings and two delays after its offer left: the offer
-        // is delayed, answered at once, and the payload the answer
-        // releases is delayed in turn.
+        // the way back is clean. So each payload lands exactly two link
+        // crossings and one delay after the peer accepted its offer: the
+        // verdict goes back at once, and the payload it releases is
+        // delayed in turn.
         let delay = Duration::from_millis(3);
         let mut config = config(SchemeKind::Rlnc, Topology::line(2));
         config.link_faults.overrides.push(((0, 1), DatagramFaultPlan::clean(5).delay(1.0, delay)));
@@ -245,11 +245,10 @@ mod tests {
         assert!(report.converged && report.bit_exact, "{report:?}");
         let peer = &report.peer_reports[0];
         assert_eq!(peer.faults.delayed_in, report.source_report.wire.datagrams_sent);
-        let exact = 3 * micros(LINK_LATENCY) + 2 * micros(delay);
-        assert!(!peer.latency_by_hop.is_empty(), "payloads were delivered");
-        for (hop, latency) in &peer.latency_by_hop {
-            assert_eq!((latency.max, latency.sum), (exact, exact * latency.count()), "hop {hop}");
-        }
+        let exact = 2 * micros(LINK_LATENCY) + micros(delay);
+        let latency = &peer.link_latency;
+        assert!(!latency.is_empty(), "payloads were delivered");
+        assert_eq!((latency.max, latency.sum), (exact, exact * latency.count()));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Observer methods are called from worker threads, possibly several
 //! concurrently (one per shard): implementations must be `Sync`, cheap
-//! and non-blocking, exactly like a `TraceSink`.
+//! and non-blocking, as the telemetry crate's `RingSink` is.
 
 use std::time::Duration;
 

@@ -1,6 +1,6 @@
 use ltnc_gf2::Payload;
 
-use crate::{LtncSchemeNode, RlncSchemeNode, Scheme, WcNode};
+use crate::{LtncSchemeNode, RlncSchemeNode, Scheme, WcNode, WC_BUFFER, WC_FANOUT};
 
 /// Which dissemination scheme the nodes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,8 +60,9 @@ impl SchemeKind {
     }
 }
 
-/// Everything needed to build [`Scheme`] nodes for one content: the scheme,
-/// the code dimensions and the WC-specific knobs.
+/// Everything needed to build [`Scheme`] nodes for one content: the scheme
+/// and the code dimensions. WC's fan-out and buffer are the constants
+/// [`WC_FANOUT`] and [`WC_BUFFER`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeParams {
     /// The coding scheme to run.
@@ -70,20 +71,13 @@ pub struct SchemeParams {
     pub code_length: usize,
     /// Payload size `m` in bytes.
     pub payload_size: usize,
-    /// Fan-out of the WC scheme (`f` in the paper); ignored by the coded
-    /// schemes.
-    pub wc_fanout: usize,
-    /// Buffer size of the WC scheme (`b` in the paper); ignored by the
-    /// coded schemes.
-    pub wc_buffer: usize,
 }
 
 impl SchemeParams {
-    /// Parameters with the paper's small-system WC defaults (`f = 8`,
-    /// `b = 32`).
+    /// The parameters of `kind` at `k = code_length`, `m = payload_size`.
     #[must_use]
     pub fn new(kind: SchemeKind, code_length: usize, payload_size: usize) -> Self {
-        SchemeParams { kind, code_length, payload_size, wc_fanout: 8, wc_buffer: 32 }
+        SchemeParams { kind, code_length, payload_size }
     }
 
     /// Builds an empty node (a receiver/relay that has seen nothing yet).
@@ -95,12 +89,9 @@ impl SchemeParams {
     pub fn empty_node(&self) -> Box<dyn Scheme> {
         assert!(self.code_length >= 1, "the content must have at least one packet");
         match self.kind {
-            SchemeKind::Wc => Box::new(WcNode::new(
-                self.code_length,
-                self.payload_size,
-                self.wc_fanout,
-                self.wc_buffer,
-            )),
+            SchemeKind::Wc => {
+                Box::new(WcNode::new(self.code_length, self.payload_size, WC_FANOUT, WC_BUFFER))
+            }
             SchemeKind::Rlnc => Box::new(RlncSchemeNode::new(self.code_length, self.payload_size)),
             SchemeKind::Ltnc => Box::new(LtncSchemeNode::new(self.code_length, self.payload_size)),
         }
@@ -119,12 +110,9 @@ impl SchemeParams {
             "source content must have exactly k native packets"
         );
         match self.kind {
-            SchemeKind::Wc => Box::new(WcNode::source(
-                self.code_length,
-                self.payload_size,
-                self.wc_fanout,
-                natives,
-            )),
+            SchemeKind::Wc => {
+                Box::new(WcNode::source(self.code_length, self.payload_size, WC_FANOUT, natives))
+            }
             SchemeKind::Rlnc => {
                 Box::new(RlncSchemeNode::source(self.code_length, self.payload_size, natives))
             }

@@ -23,4 +23,4 @@ mod wc;
 pub use adapters::{LtncSchemeNode, RlncSchemeNode, Scheme};
 pub use kind::{SchemeKind, SchemeParams};
 pub use ltnc_core::{Summary, SummaryError};
-pub use wc::WcNode;
+pub use wc::{WcNode, WC_BUFFER, WC_FANOUT};

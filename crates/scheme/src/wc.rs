@@ -6,6 +6,14 @@ use rand::RngCore;
 
 use crate::Scheme;
 
+/// The fan-out `f` of WC nodes built from [`crate::SchemeParams`]: the
+/// paper's small-system value.
+pub const WC_FANOUT: usize = 8;
+
+/// The buffer size `b` of WC nodes built from [`crate::SchemeParams`]:
+/// the paper's small-system value.
+pub const WC_BUFFER: usize = 32;
+
 /// The "Without Coding" (WC) reference scheme of the paper.
 ///
 /// Nodes exchange native packets only. A node buffers up to `b` innovative

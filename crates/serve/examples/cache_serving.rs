@@ -202,8 +202,8 @@ struct SchemeOutcome {
     scheme: SchemeKind,
     counters: ServeCounters,
     client_wire: WireCounters,
-    /// Origin→delivery latency merged over every client's fetch (the
-    /// wire-carried trace context of each delivered payload).
+    /// Accept→payload latency merged over every client's fetch, each
+    /// on its own clock.
     client_latency: LogHistogramSnapshot,
     elapsed: Duration,
     throughput_mib: f64,

@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use ltnc_gf2::wire;
-use ltnc_metrics::{HopLatency, LogHistogramSnapshot, ReplicaCounters, WireCounters};
+use ltnc_metrics::{LogHistogram, LogHistogramSnapshot, ReplicaCounters, WireCounters};
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
@@ -84,9 +84,9 @@ pub struct FetchReport {
     pub wire: WireCounters,
     /// Wall-clock time from connect to reassembly.
     pub elapsed: Duration,
-    /// Distribution of per-payload offer→delivery latency (microseconds),
-    /// measured from the wire-carried trace context the server stamps at
-    /// offer time.
+    /// Distribution of per-payload delivery latency (microseconds) on
+    /// the client's clock: from its accept of an offer to the arrival of
+    /// that transfer's payload.
     pub latency: LogHistogramSnapshot,
 }
 
@@ -102,7 +102,7 @@ pub struct ReplicaConn {
     accepts: AcceptLedger,
     wire: WireCounters,
     stripe: ReplicaCounters,
-    latency: HopLatency,
+    latency: LogHistogram,
     manifest: ObjectManifest,
     object_id: u64,
 }
@@ -136,7 +136,7 @@ impl ReplicaConn {
             accepts: AcceptLedger::new(2 * crate::options::bounds::MAX_INFLIGHT),
             wire: WireCounters::new(),
             stripe: ReplicaCounters::default(),
-            latency: HopLatency::new(),
+            latency: LogHistogram::new(),
             // Placeholder until the real manifest arrives below.
             manifest: ObjectManifest { object_len: 0, params: SchemeParams::new(scheme, 1, 1) },
             object_id,
@@ -215,11 +215,11 @@ impl ReplicaConn {
         self.wire
     }
 
-    /// Merged offer→delivery latency distribution of every payload this
-    /// connection has received (microseconds, from wire trace contexts).
+    /// Accept→payload latency distribution of every payload this
+    /// connection has received (microseconds, on the client's clock).
     #[must_use]
     pub fn latency_snapshot(&self) -> LogHistogramSnapshot {
-        self.latency.total()
+        self.latency.snapshot()
     }
 
     /// The per-generation fetch primitive: pulls the generations in
@@ -290,6 +290,9 @@ impl ReplicaConn {
             // Frames first, the socket second: the server's opening batch
             // (the MANIFEST and a window of offers in one write) has left
             // offers in the reassembler that a read would only sit on.
+            // Accepts and payloads are stamped on the serving plane's
+            // clock, read once per pass.
+            let now = TraceContext::now_micros();
             while let Some(frame) = self.reassembler.next_frame_view()? {
                 self.wire.datagrams_received += 1;
                 let generation = frame.header.generation;
@@ -305,22 +308,21 @@ impl ReplicaConn {
                             && receiver.would_accept(generation, &vector);
                         if !accept {
                             self.wire.transfers_aborted += 1;
-                        } else if self.accepts.accept(transfer, generation).is_some() {
+                        } else if self.accepts.accept(transfer, generation, now).is_some() {
                             self.wire.accepts_evicted += 1;
                         }
                         let (out, header) = (&mut self.outbound, &frame.header);
                         envelope::encode_feedback_into(out, header, transfer, accept);
                         self.wire.datagrams_sent += 1;
                     }
-                    MessageView::DataPayload { transfer, trace, packet } => {
+                    MessageView::DataPayload { transfer, packet, .. } => {
                         // A replica is trusted for what this client accepted.
-                        if !self.accepts.claim(transfer, generation) {
+                        let Some(accepted_at) = self.accepts.claim(transfer, generation) else {
                             self.wire.unsolicited_payloads += 1;
                             continue;
-                        }
+                        };
                         self.wire.transfers_delivered += 1;
-                        let latency = trace.latency_micros(TraceContext::now_micros());
-                        self.latency.record(trace.links(), latency);
+                        self.latency.record(now.saturating_sub(accepted_at));
                         // The payload leaves the reassembly buffer only for
                         // a generation that can still use it: one another
                         // stream finished meanwhile costs no copy.

@@ -55,7 +55,7 @@ use ltnc_reactor::{Cx, Driven, Reactor, TimerId};
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
 use ltnc_telemetry::{
-    samples, HistogramSample, MetricsRegistry, ScrapeServer, TraceEvent, TraceSink, Tracer,
+    samples, HistogramSample, MetricsRegistry, RingSink, ScrapeServer, TraceEvent, Tracer,
 };
 
 use crate::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
@@ -131,7 +131,7 @@ impl Server {
     pub fn spawn_traced(
         bind: SocketAddr,
         options: ServeOptions,
-        trace: Option<Arc<dyn TraceSink>>,
+        trace: Option<Arc<RingSink>>,
     ) -> Result<Server, ServeError> {
         options.validate()?;
         let tracer = Tracer::from_option(trace);
@@ -605,7 +605,7 @@ fn handle_frame(
             if accept {
                 stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
                 let header = session.header(MessageKind::DataPayload, offer.generation);
-                envelope::encode_payload_into(out, &header, transfer, &offer.trace, &offer.packet);
+                offer.encode_payload_into(out, &header, transfer);
             } else {
                 stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
             }
@@ -659,9 +659,7 @@ fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64
         session.cursors[gen_index] = seq + 1;
         ctx.stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
         let header = session.header(MessageKind::DataHeader, gen_index as u32);
-        // A serving replica holds the object itself: every offer starts a
-        // fresh lineage.
-        session.offers.offer(out, &header, TraceContext::origin_now(now), packet, false, now);
+        session.offers.offer(out, &header, packet, false, now);
     }
 }
 

@@ -85,7 +85,7 @@ pub struct StripedReport {
     pub stripe: StripeCounters,
     /// Wall-clock time from first connect to reassembly.
     pub elapsed: Duration,
-    /// Origin→delivery latency (wire-carried trace context) merged over
+    /// Accept→payload latency, each stream on its own clock, merged over
     /// every stream of the fetch, failover streams included.
     pub latency: LogHistogramSnapshot,
 }

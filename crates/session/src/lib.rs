@@ -6,8 +6,7 @@
 //! and reassembling the object bit-exactly is exactly the same work
 //! whether packets arrive over UDP gossip, a TCP serving session
 //! (`ltnc-serve`) or a future QUIC binding. This crate holds that shared
-//! layer; `ltnc-net` re-exports it under its old paths for backward
-//! compatibility.
+//! layer, and both transports import it from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

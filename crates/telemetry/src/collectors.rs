@@ -1,6 +1,6 @@
 //! Adapters from the workspace's counter families to registry samples.
 
-use ltnc_metrics::{CounterFamily, Field, HopCounters, HopLatency, StripeCounters};
+use ltnc_metrics::{CounterFamily, Field, HopCounters, StripeCounters};
 
 use crate::registry::{HistogramSample, Sample, SampleKind};
 
@@ -61,27 +61,6 @@ pub fn hop_samples(c: &HopCounters) -> Vec<Sample> {
         .collect()
 }
 
-/// Samples a [`HopLatency`] recorder as one `delivery_latency_us`
-/// histogram per populated hop depth under a `hops="<links>"` label,
-/// plus the merged distribution with no label (family decided by the
-/// registration, typically `wire`).
-#[must_use]
-pub fn hop_latency_histograms(latency: &HopLatency) -> Vec<HistogramSample> {
-    let mut samples = Vec::new();
-    let total = latency.total();
-    if !total.is_empty() {
-        samples.push(HistogramSample::plain("delivery_latency_us", total));
-    }
-    for (hops, snapshot) in latency.snapshot() {
-        samples.push(HistogramSample {
-            name: "delivery_latency_us",
-            labels: vec![("hops", hops.to_string())],
-            snapshot,
-        });
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use ltnc_metrics::{HopStats, ReactorSnapshot, ReplicaCounters, ServeCounters, WireCounters};
@@ -119,24 +98,6 @@ mod tests {
         assert!(samples.iter().any(|s| s.name == "failed"
             && s.value == 1
             && s.labels == vec![("replica", "1".to_string())]));
-    }
-
-    #[test]
-    fn hop_latency_histograms_label_depths_and_merge_total() {
-        let latency = HopLatency::new();
-        assert!(hop_latency_histograms(&latency).is_empty());
-        latency.record(1, 50);
-        latency.record(3, 700);
-        let samples = hop_latency_histograms(&latency);
-        assert_eq!(samples.len(), 3);
-        assert!(samples[0].labels.is_empty());
-        assert_eq!(samples[0].snapshot.count(), 2);
-        assert!(samples
-            .iter()
-            .any(|s| s.labels == vec![("hops", "1".to_string())] && s.snapshot.count() == 1));
-        assert!(samples
-            .iter()
-            .any(|s| s.labels == vec![("hops", "3".to_string())] && s.snapshot.max == 700));
     }
 
     #[test]

@@ -28,8 +28,10 @@ use ltnc_metrics::{CounterFamily, LogHistogramSnapshot};
 /// dashboard ingesting them) should check it before reading other
 /// members; bump it on any breaking change to the member layout.
 /// Version history: 1 — initial layout; 2 — a kernel scenario joined a
-/// since-deleted benchmark report that shared this stamp.
-pub const REPORT_SCHEMA_VERSION: u64 = 2;
+/// since-deleted benchmark report that shared this stamp; 3 — every
+/// `latency` is per link, accept→payload on the receiver's clock, and
+/// the multi-hop report's per-depth latency list went.
+pub const REPORT_SCHEMA_VERSION: u64 = 3;
 
 /// One JSON value; build with the constructors, render with
 /// [`JsonValue::render`] (or `Display`).

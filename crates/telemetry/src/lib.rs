@@ -12,10 +12,10 @@
 //!    happen on the hot paths (offers, feedback, AIMD budget moves,
 //!    injected faults, store hits, lease failovers, …). Components emit
 //!    them through a [`Tracer`], a cheap optional handle around a
-//!    [`TraceSink`]; with no sink installed the emission compiles down to
-//!    a branch on `None` and the event is never even constructed.
-//!    [`RingSink`] is the bundled recorder: a bounded ring buffer of
-//!    events stamped with their caller's `now`.
+//!    [`RingSink`], the one recorder: a bounded ring buffer of events
+//!    stamped with their caller's `now`. With no sink installed the
+//!    emission compiles down to a branch on `None` and the event is
+//!    never even constructed.
 //! 2. **Metrics** — a [`MetricsRegistry`] holds labeled [`Collector`]s
 //!    (usually closures sampling a live counter family through
 //!    [`samples`], which reads the family's field visitor and types each
@@ -38,10 +38,10 @@ mod registry;
 mod scrape;
 mod trace;
 
-pub use collectors::{histograms, hop_latency_histograms, hop_samples, samples, stripe_samples};
+pub use collectors::{histograms, hop_samples, samples, stripe_samples};
 pub use registry::{
     Collector, FamilySnapshot, HistogramCollector, HistogramSample, MetricsRegistry,
     MetricsSnapshot, Sample, SampleKind,
 };
 pub use scrape::{FlightHandler, ScrapeServer};
-pub use trace::{FaultKind, OfferTrigger, RingSink, TimedEvent, TraceEvent, TraceSink, Tracer};
+pub use trace::{FaultKind, OfferTrigger, RingSink, TimedEvent, TraceEvent, Tracer};

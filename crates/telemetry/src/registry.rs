@@ -96,18 +96,15 @@ pub struct HistogramSample {
     /// Histogram name within the family (for example
     /// `delivery_latency_us`).
     pub name: &'static str,
-    /// Extra label dimensions specific to this sample (for example
-    /// `hops="3"`).
-    pub labels: Vec<(&'static str, String)>,
     /// The current cumulative distribution.
     pub snapshot: LogHistogramSnapshot,
 }
 
 impl HistogramSample {
-    /// A label-less histogram sample.
+    /// The histogram `name` with its distribution.
     #[must_use]
     pub fn plain(name: &'static str, snapshot: LogHistogramSnapshot) -> HistogramSample {
-        HistogramSample { name, labels: Vec::new(), snapshot }
+        HistogramSample { name, snapshot }
     }
 }
 
@@ -330,7 +327,7 @@ impl MetricsSnapshot {
             for sample in &family.histograms {
                 let metric = format!("ltnc_{}_{}", family.family, sample.name);
                 push_type(&mut out, &mut typed, &metric, "histogram");
-                let line = Line { metric: &metric, labels, extra: &sample.labels };
+                let line = Line { metric: &metric, labels, extra: &[] };
                 let snapshot = &sample.snapshot;
                 // The last bucket's bound is u64::MAX; `+Inf` already
                 // covers it, so finite lines stop one short.
@@ -391,7 +388,7 @@ impl MetricsSnapshot {
                                     .field("cumulative", cumulative)
                             })
                             .collect();
-                        json::histogram_summary(sample_json(sample.name, &sample.labels), snapshot)
+                        json::histogram_summary(sample_json(sample.name, &[]), snapshot)
                             .field("sum", snapshot.sum)
                             .field("buckets", JsonValue::array(buckets))
                     })

@@ -275,38 +275,8 @@ pub struct TimedEvent {
     pub event: TraceEvent,
 }
 
-/// Receives events emitted from instrumented hot paths.
-///
-/// Implementations must be cheap and non-blocking: `record` is called
-/// from reactor workers and serving threads. The bundled [`RingSink`] takes one
-/// short mutex; a custom sink could count events in atomics or forward
-/// them to a channel.
-///
-/// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use ltnc_telemetry::{TraceEvent, TraceSink, Tracer};
-///
-/// /// Keeps the latest stamp, nothing else.
-/// #[derive(Default)]
-/// struct LastSink(AtomicU64);
-/// impl TraceSink for LastSink {
-///     fn record(&self, now: u64, _event: TraceEvent) {
-///         self.0.store(now, Ordering::Relaxed);
-///     }
-/// }
-///
-/// let sink = std::sync::Arc::new(LastSink::default());
-/// let tracer = Tracer::new(sink.clone());
-/// tracer.emit(1_500, || TraceEvent::ObjectDecoded);
-/// assert_eq!(sink.0.load(Ordering::Relaxed), 1_500);
-/// ```
-pub trait TraceSink: Send + Sync {
-    /// Accepts one event that happened at `now`, in microseconds on the
-    /// caller's clock: sinks read no clock of their own.
-    fn record(&self, now: u64, event: TraceEvent);
-}
-
-/// A bounded ring-buffer [`TraceSink`].
+/// The one trace sink: a bounded ring buffer of events, recorded from
+/// reactor workers and serving threads under one short mutex.
 ///
 /// Keeps the most recent `capacity` events; older ones are discarded and
 /// counted in [`RingSink::dropped`]. Each recorded event keeps the stamp
@@ -345,6 +315,20 @@ impl RingSink {
         }
     }
 
+    /// Keeps one event that happened at `now`, in microseconds on the
+    /// caller's clock (the sink reads no clock of its own), dropping the
+    /// oldest when full.
+    pub fn record(&self, now: u64, event: TraceEvent) {
+        let at = Duration::from_micros(now);
+        if let Ok(mut ring) = self.ring.lock() {
+            if ring.len() >= self.capacity {
+                ring.pop_front();
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            ring.push_back(TimedEvent { at, event });
+        }
+    }
+
     /// Number of events currently buffered.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -376,19 +360,6 @@ impl RingSink {
     }
 }
 
-impl TraceSink for RingSink {
-    fn record(&self, now: u64, event: TraceEvent) {
-        let at = Duration::from_micros(now);
-        if let Ok(mut ring) = self.ring.lock() {
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(TimedEvent { at, event });
-        }
-    }
-}
-
 impl fmt::Debug for RingSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RingSink")
@@ -401,19 +372,19 @@ impl fmt::Debug for RingSink {
 
 /// A cheap, cloneable handle hot paths emit through.
 ///
-/// Wraps an optional shared [`TraceSink`]. The disabled handle
+/// Wraps an optional shared [`RingSink`]. The disabled handle
 /// ([`Tracer::off`], also `Default`) makes [`Tracer::emit`] a single
 /// branch on `None`: the closure building the event is never called, so
 /// instrumentation costs nothing when tracing is not requested.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Arc<dyn TraceSink>>,
+    sink: Option<Arc<RingSink>>,
 }
 
 impl Tracer {
     /// A tracer forwarding to `sink`.
     #[must_use]
-    pub fn new(sink: Arc<dyn TraceSink>) -> Tracer {
+    pub fn new(sink: Arc<RingSink>) -> Tracer {
         Tracer { sink: Some(sink) }
     }
 
@@ -425,7 +396,7 @@ impl Tracer {
 
     /// A tracer from an optional sink (`None` disables).
     #[must_use]
-    pub fn from_option(sink: Option<Arc<dyn TraceSink>>) -> Tracer {
+    pub fn from_option(sink: Option<Arc<RingSink>>) -> Tracer {
         Tracer { sink }
     }
 
@@ -443,6 +414,13 @@ impl Tracer {
         if let Some(sink) = &self.sink {
             sink.record(now, make());
         }
+    }
+
+    /// Removes and returns the sink's buffered events, oldest first;
+    /// empty when no sink is installed.
+    #[must_use]
+    pub fn drain(&self) -> Vec<TimedEvent> {
+        self.sink.as_ref().map(|sink| sink.drain()).unwrap_or_default()
     }
 }
 

@@ -5,11 +5,11 @@
 //! struct member fails here.
 
 use ltnc_metrics::{
-    HopCounters, HopLatency, HopStats, LogHistogram, LogHistogramSnapshot, ReactorSnapshot,
-    ReplicaCounters, ServeCounters, StripeCounters, WireCounters,
+    HopCounters, HopStats, LogHistogram, LogHistogramSnapshot, ReactorSnapshot, ReplicaCounters,
+    ServeCounters, StripeCounters, WireCounters,
 };
 use ltnc_telemetry::{
-    histograms, hop_latency_histograms, hop_samples, samples, stripe_samples, MetricsRegistry,
+    histograms, hop_samples, samples, stripe_samples, HistogramSample, MetricsRegistry,
 };
 
 fn histogram(values: &[u64]) -> LogHistogramSnapshot {
@@ -122,10 +122,9 @@ fn registry() -> MetricsRegistry {
     let registry = MetricsRegistry::new();
     let node = [("node", "n0".to_string())];
     registry.register("wire", &node, || samples(&wire()));
-    let latency = HopLatency::new();
-    latency.record(1, 700);
-    latency.record(3, 9_000);
-    registry.register_histograms("wire", &node, move || hop_latency_histograms(&latency));
+    registry.register_histograms("wire", &node, || {
+        vec![HistogramSample::plain("delivery_latency_us", histogram(&[700, 9_000]))]
+    });
     registry.register("serve", &[("server", "s0".to_string())], || samples(&serve()));
     registry.register("stripe", &[("fetch", "f0".to_string())], || stripe_samples(&stripe()));
     registry.register("hop", &[], || hop_samples(&hops()));

@@ -230,8 +230,8 @@ fn report_row(report: &TopologyReport, peers: usize) -> String {
     )
 }
 
-/// The microsecond origin→delivery percentiles every `--report` writer
-/// in the workspace emits, out of the wire-carried trace context.
+/// The microsecond accept→payload percentiles every `--report` writer in
+/// the workspace emits, each receiver on its own clock.
 fn latency_json(snapshot: &LogHistogramSnapshot) -> JsonValue {
     json::histogram_summary(JsonValue::object().field("unit", "us"), snapshot)
 }
@@ -320,15 +320,6 @@ fn render_report(args: &Args, source: usize, results: &[(SchemeKind, TopologyRep
                 .iter()
                 .map(|at| at.map_or(JsonValue::Null, |d| JsonValue::from(d.as_secs_f64())))
                 .collect();
-            let mut total_latency = LogHistogramSnapshot::empty();
-            let latency_by_hop = report
-                .latency_by_hop
-                .iter()
-                .map(|(hops, snapshot)| {
-                    total_latency.merge(snapshot);
-                    latency_json(snapshot).field("hops", *hops)
-                })
-                .collect();
             JsonValue::object()
                 .field("scheme", scheme.label())
                 .field("converged", report.swarm.converged)
@@ -339,8 +330,7 @@ fn render_report(args: &Args, source: usize, results: &[(SchemeKind, TopologyRep
                 .field("goodput_bytes_per_sec", report.goodput_bytes_per_sec())
                 .field("max_hops", report.max_hops())
                 .field("relay_recoding_ops", report.relay_recoding_ops)
-                .field("latency", latency_json(&total_latency))
-                .field("latency_by_hop", JsonValue::array(latency_by_hop))
+                .field("latency", latency_json(&report.link_latency))
                 .field(
                     "reactor",
                     if report.swarm.reactor.is_empty() {

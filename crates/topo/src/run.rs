@@ -4,7 +4,7 @@
 //! [`TopologyConfig`] on one of the `ltnc-net` drivers and roll the
 //! per-node reports up into a [`TopologyReport`]: hop-distance buckets
 //! ([`HopCounters`]), per-link fault tallies, the relay recoding total,
-//! first deliveries per hop and latency by lineage depth.
+//! first deliveries per hop and the per-link delivery latency.
 
 use std::io;
 use std::time::Duration;
@@ -44,13 +44,11 @@ pub struct TopologyReport {
     /// [`TopologyConfig::trace_capacity`] is set; how long the epidemic
     /// front took to first reach each ring of the overlay.
     pub first_delivery_by_hop: Vec<Option<Duration>>,
-    /// Origin→delivery latency distributions from the **wire-carried
-    /// trace contexts**, merged across every node and keyed by the
-    /// number of overlay links the delivered data had crossed (its
-    /// recode lineage depth, not the receiving node's ring) — the
-    /// per-hop critical-path view of the dissemination. Sorted by depth;
-    /// always populated (the trace rides every DATA frame).
-    pub latency_by_hop: Vec<(usize, LogHistogramSnapshot)>,
+    /// Every node's [`PeerReport::link_latency`] merged: accept→payload
+    /// on each receiver's own clock, one sample per accepted payload.
+    ///
+    /// [`PeerReport::link_latency`]: ltnc_net::PeerReport::link_latency
+    pub link_latency: LogHistogramSnapshot,
 }
 
 impl TopologyReport {
@@ -71,16 +69,16 @@ impl TopologyReport {
         self.hops.max_distance().unwrap_or(0)
     }
 
-    /// The merged origin→delivery latency distribution at one lineage
-    /// depth ([`TopologyReport::latency_by_hop`]); empty when no payload
-    /// of that depth was delivered.
+    /// [`TopologyReport::link_latency`] for `hops == 1`, every latency
+    /// being one link's; empty otherwise. Kept only because the reference
+    /// benchmark reads `latency_at(1)` (ROADMAP B step 1).
     #[must_use]
     pub fn latency_at(&self, hops: usize) -> LogHistogramSnapshot {
-        self.latency_by_hop
-            .iter()
-            .find(|&&(depth, _)| depth == hops)
-            .map(|(_, snapshot)| snapshot.clone())
-            .unwrap_or_else(LogHistogramSnapshot::empty)
+        if hops == 1 {
+            self.link_latency.clone()
+        } else {
+            LogHistogramSnapshot::empty()
+        }
     }
 }
 
@@ -115,7 +113,7 @@ pub fn run_topology_virtual(config: &TopologyConfig) -> TopologyReport {
 }
 
 /// Attributes a finished swarm run to the topology: per hop, per link,
-/// relay recoding, first deliveries and latency by depth.
+/// relay recoding, first deliveries and link latency.
 fn attribute(config: &TopologyConfig, swarm: SwarmReport) -> TopologyReport {
     let distances: Vec<usize> = config
         .topology
@@ -133,7 +131,7 @@ fn attribute(config: &TopologyConfig, swarm: SwarmReport) -> TopologyReport {
     let mut link_faults = Vec::new();
     let max_distance = distances.iter().copied().max().unwrap_or(0);
     let mut first_delivery_by_hop: Vec<Option<Duration>> = vec![None; max_distance + 1];
-    let mut latency_by_hop: Vec<(usize, LogHistogramSnapshot)> = Vec::new();
+    let mut link_latency = LogHistogramSnapshot::empty();
     for (index, report) in indices.zip(swarm.node_reports()) {
         let distance = distances[index];
         hops.record(
@@ -173,18 +171,9 @@ fn attribute(config: &TopologyConfig, swarm: SwarmReport) -> TopologyReport {
             let best = &mut first_delivery_by_hop[distance];
             *best = Some(best.map_or(first, |best| best.min(first)));
         }
-
-        // Latency from the wire-carried trace contexts, merged across
-        // nodes and keyed by the delivered data's lineage depth.
-        for (depth, snapshot) in &report.latency_by_hop {
-            match latency_by_hop.iter_mut().find(|(known, _)| known == depth) {
-                Some((_, merged)) => merged.merge(snapshot),
-                None => latency_by_hop.push((*depth, snapshot.clone())),
-            }
-        }
+        link_latency.merge(&report.link_latency);
     }
     link_faults.sort_unstable_by_key(|&(from, to, _)| (from, to));
-    latency_by_hop.sort_unstable_by_key(|&(depth, _)| depth);
 
     TopologyReport {
         swarm,
@@ -195,7 +184,7 @@ fn attribute(config: &TopologyConfig, swarm: SwarmReport) -> TopologyReport {
         relay_recoding_ops,
         object_len: config.object.len() as u64,
         first_delivery_by_hop,
-        latency_by_hop,
+        link_latency,
     }
 }
 

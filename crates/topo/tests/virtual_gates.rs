@@ -196,10 +196,16 @@ fn four_hop_lossy_lines_hold_their_pinned_cost() {
 fn eight_hop_lossy_lines_hold_their_pinned_cost_and_rlnc_beats_wc() {
     let costs = gate_lines(8);
     let at_30 = |scheme| costs.iter().find(|row| row.0 == 0.30 && row.1 == scheme).expect("ran").2;
-    let (wc, rlnc) = (at_30(SchemeKind::Wc), at_30(SchemeKind::Rlnc));
-    // Recoding beats repetition on a deep lossy path — for RLNC. LTNC is
-    // held only by its pin (see `LINES`).
-    assert!(rlnc.elapsed_us < wc.elapsed_us && rlnc.datagrams < wc.datagrams, "{rlnc:?} vs {wc:?}");
+    let wc = at_30(SchemeKind::Wc);
+    // Recoding beats repetition on a deep lossy path, for both codes: in
+    // virtual time and in datagrams.
+    for scheme in [SchemeKind::Rlnc, SchemeKind::Ltnc] {
+        let coded = at_30(scheme);
+        assert!(
+            coded.elapsed_us < wc.elapsed_us && coded.datagrams < wc.datagrams,
+            "{scheme:?}: {coded:?} vs WC's {wc:?}"
+        );
+    }
 }
 
 #[test]
