@@ -14,7 +14,7 @@
 //!   timer), which is where a slow state machine shows up;
 //! * **tick lag** — deadline-vs-actual expiry of every timer, the
 //!   direct measure of scheduler overload;
-//! * **wheel** — the timer-wheel depth after each turn.
+//! * **wheel** — the number of armed timers after each turn.
 //!
 //! [`ReactorSnapshot`] is the owned plain view, a counter family like
 //! [`crate::WireCounters`], so swarm-level rollups and interval scrapes

@@ -37,9 +37,9 @@ use ltnc_telemetry::{
 use crate::peer::{micros, Shared};
 use crate::swarm::FlightRecorder;
 
-/// Timer lag below this is normal wheel-granularity noise; only lags at
-/// or past it earn a `timer_fired` flight-recorder event (the histogram
-/// records every lag regardless).
+/// Timer lag below this is normal poll-resolution (1 ms) noise; only lags
+/// at or past it earn a `timer_fired` flight-recorder event (the
+/// histogram records every lag regardless).
 const LATE_TIMER_LAG: Duration = Duration::from_millis(10);
 
 /// One `shard_tick` heartbeat event per this many loop turns — enough

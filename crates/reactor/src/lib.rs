@@ -8,8 +8,8 @@
 //! * [`Poller`] — readiness polling (read, and write on request): `epoll`
 //!   (edge-triggered) on Linux, a degraded-but-correct spurious-wakeup
 //!   backend elsewhere;
-//! * [`TimerWheel`] — hashed wheel for protocol ticks and pending-TTL
-//!   deadlines, never-early firing, lazy cancellation;
+//! * [`TimerWheel`] — one deadline-ordered map for protocol ticks and
+//!   pending-TTL deadlines: never-early firing, cancellation by handle;
 //! * [`Waker`] — cross-thread wakeup with coalescing, built on a
 //!   self-connected loopback datagram socket;
 //! * [`Reactor`] / [`Driven`] — the sharded scheduler: nodes are

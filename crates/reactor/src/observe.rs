@@ -50,11 +50,10 @@ pub trait ShardObserver: Send + Sync + 'static {
     /// One node callback of the given kind ran for `took`.
     fn dispatched(&self, _shard: usize, _kind: Dispatch, _took: Duration) {}
 
-    /// A timer fired `lag` past its scheduled deadline (zero when the
-    /// wheel was on time to its granularity).
+    /// A timer fired `lag` past its scheduled deadline.
     fn timer_lag(&self, _shard: usize, _lag: Duration) {}
 
     /// One loop turn (poll → dispatch → timers) ended with
-    /// `timers_pending` timers still armed on the shard's wheel.
+    /// `timers_pending` timers still armed on the shard.
     fn turn_completed(&self, _shard: usize, _timers_pending: usize) {}
 }

@@ -237,9 +237,10 @@ impl Poller {
         let timeout = timeout.unwrap_or(MAX_WAIT).min(MAX_WAIT);
         #[cfg(target_os = "linux")]
         {
-            // Round sub-millisecond timeouts up, so short timer deadlines
-            // wait (and then fire) instead of spinning at timeout 0.
-            let millis = timeout.as_millis().try_into().unwrap_or(i32::MAX).max(1);
+            // Round up to epoll's whole milliseconds: a wait never ends
+            // before the deadline it was asked for, so a timer due then
+            // fires on the turn it wakes, with no wasted early turn.
+            let millis = timeout.as_nanos().div_ceil(1_000_000).try_into().unwrap_or(i32::MAX);
             self.epoll.wait(events, millis)
         }
         #[cfg(not(target_os = "linux"))]
@@ -291,6 +292,17 @@ mod tests {
         // Linux: empty (nothing readable). Fallback: may spuriously
         // report token 7 — but never an error, and never a stale token.
         assert!(events.iter().all(|e| e.token == 7));
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_waits_at_least_its_length() {
+        let poller = Poller::new().expect("poller");
+        let timeout = Duration::from_micros(1_500);
+        let mut events = Vec::new();
+        let started = std::time::Instant::now();
+        poller.wait(&mut events, Some(timeout)).expect("wait");
+        assert!(started.elapsed() >= timeout, "returned after {:?}", started.elapsed());
+        assert!(events.is_empty());
     }
 
     #[test]

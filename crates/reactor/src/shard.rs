@@ -39,13 +39,6 @@ use crate::wake::Waker;
 /// watches carries its key plus one in the token's high half.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Timer granularity of each worker's wheel: fine enough for the 2ms
-/// protocol tick, coarse enough to keep slot sweeps cheap.
-const WHEEL_GRANULARITY: Duration = Duration::from_millis(1);
-
-/// Slots per wheel — a 512ms horizon before timers need extra rounds.
-const WHEEL_SLOTS: usize = 512;
-
 /// Per-worker scratch buffer size: one max-size UDP datagram.
 const SCRATCH_LEN: usize = 64 * 1024;
 
@@ -103,8 +96,9 @@ pub struct Cx<'a> {
 impl Cx<'_> {
     /// Arms a timer that fires `after` from the start of the current
     /// loop iteration, delivering `tag` to this node's
-    /// [`Driven::on_timer`]. Timers never fire early; they may fire up to
-    /// a wheel granularity (~1ms) late. The id is for [`Cx::cancel`].
+    /// [`Driven::on_timer`]. Timers never fire early; the worker wakes at
+    /// the deadline rounded up to epoll's whole milliseconds, so they may
+    /// fire up to ~1ms late. The id is for [`Cx::cancel`].
     pub fn arm(&mut self, after: Duration, tag: u64) -> TimerId {
         let id = self.wheel.schedule_at(self.now + after);
         self.routes.insert(id, (self.node, tag));
@@ -301,7 +295,7 @@ fn worker_loop<D: Driven>(
     shard: usize,
     observer: Option<Arc<dyn ShardObserver>>,
 ) -> Vec<D::Output> {
-    let wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
+    let wheel = TimerWheel::default();
     let mut worker =
         Worker { poller, wheel, routes: HashMap::new(), scratch: vec![0u8; SCRATCH_LEN] };
     let mut events: Vec<Event> = Vec::new();

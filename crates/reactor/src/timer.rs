@@ -1,155 +1,85 @@
-//! A hashed timer wheel for per-node deadlines (gossip ticks, pending
-//! TTLs, held-datagram releases).
+//! The per-worker timer set for node deadlines (gossip ticks, pending
+//! TTLs, held-datagram releases): one ordered map keyed by deadline,
+//! ties by schedule order.
 //!
-//! The wheel trades exactness for O(1) schedule/cancel: deadlines are
-//! bucketed into fixed-granularity slots, so a timer fires on the first
-//! [`TimerWheel::poll_expired`] *at or after* its deadline — never
-//! early, up to one granularity late (plus however long the caller
-//! slept). Expirations are returned sorted by deadline, ties by
-//! schedule order, so a burst of same-slot timers still fires in a
-//! deterministic order.
-//!
-//! Cancellation is lazy: [`TimerWheel::cancel`] forgets the id and the
-//! entry is discarded when its slot drains, so cancelling never scans.
+//! A timer fires on the first [`TimerWheel::poll_expired`] at or after
+//! its deadline — never early, and late only by however long the caller
+//! slept past it. Expirations come out sorted by deadline, ties by
+//! schedule order, so a burst of timers due together fires in a
+//! deterministic order. A [`TimerId`] carries its deadline, so
+//! [`TimerWheel::cancel`] removes the entry outright.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// Handle to one scheduled timer, used to cancel it.
+/// Handle to one scheduled timer, used to cancel it. Handles sort as
+/// their timers fire: by deadline, then by schedule order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimerId(u64);
-
-/// One scheduled entry, parked in the slot its deadline hashes to.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    id: u64,
+pub struct TimerId {
     deadline: Instant,
-    /// Full wheel revolutions left before this entry is due (deadlines
-    /// beyond the horizon park in their slot for multiple laps).
-    rounds: usize,
+    order: u64,
 }
 
-/// A fixed-granularity hashed timer wheel.
+/// The armed timers of one worker, in firing order.
+#[derive(Default)]
 pub struct TimerWheel {
-    granularity: Duration,
-    slots: Vec<Vec<Entry>>,
-    /// Slot the cursor points at — the one `now` falls into.
-    cursor: usize,
-    /// Slot-aligned instant the cursor was last advanced to.
-    now: Instant,
-    next_id: u64,
-    /// Ids scheduled and neither fired nor cancelled, with their
-    /// deadlines; a slot entry missing here was cancelled.
-    live: HashMap<u64, Instant>,
+    armed: BTreeSet<TimerId>,
+    next_order: u64,
 }
 
 impl TimerWheel {
-    /// A wheel of `slots` buckets of `granularity` each, anchored at
-    /// `origin` (deadlines are measured against it; pass `Instant::now()`
-    /// for wall-clock use, a fixed instant for deterministic tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `granularity` is zero or `slots` is zero.
+    /// An empty timer set, the same as [`TimerWheel::default`]. All three
+    /// arguments are ignored: they are what the slotted wheel this type
+    /// replaced took, and the benchmark's frozen `reactor.timer_wheel_ns`
+    /// probe still passes them.
     #[must_use]
-    pub fn new(granularity: Duration, slots: usize, origin: Instant) -> TimerWheel {
-        assert!(!granularity.is_zero(), "timer wheel granularity must be non-zero");
-        assert!(slots > 0, "timer wheel needs at least one slot");
-        TimerWheel {
-            granularity,
-            slots: vec![Vec::new(); slots],
-            cursor: 0,
-            now: origin,
-            next_id: 1,
-            live: HashMap::new(),
-        }
+    pub fn new(_granularity: Duration, _slots: usize, _origin: Instant) -> TimerWheel {
+        TimerWheel::default()
     }
 
     /// Number of timers scheduled and not yet fired or cancelled.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.armed.len()
     }
 
-    /// Whether no live timer is scheduled.
+    /// Whether no timer is armed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.armed.is_empty()
     }
 
-    /// Schedules a timer due at `deadline`. Deadlines at or before the
-    /// wheel's current position fire on the next
-    /// [`TimerWheel::poll_expired`].
+    /// Schedules a timer due at `deadline`. A deadline at or before the
+    /// next [`TimerWheel::poll_expired`]'s `now` fires on that poll.
     pub fn schedule_at(&mut self, deadline: Instant) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.live.insert(id, deadline);
-        // Round the displacement *up*: a timer must never fire before
-        // its deadline, so it parks in the first slot whose aligned time
-        // is >= deadline.
-        let delta = deadline.saturating_duration_since(self.now);
-        let gran = self.granularity.as_nanos().max(1);
-        // ... and at least one slot ahead: a due/past deadline parks in
-        // the next slot the cursor sweeps, not the slot it sits in (which
-        // would strand it for a full revolution).
-        let ticks = usize::try_from(delta.as_nanos().div_ceil(gran)).unwrap_or(usize::MAX).max(1);
-        let slot = (self.cursor + ticks % self.slots.len()) % self.slots.len();
-        // The cursor reaches `slot` for the first time on sweep
-        // ((ticks - 1) % slots) + 1, so the entry must sit out
-        // (ticks - 1) / slots revolutions — NOT ticks / slots, which for
-        // exact multiples of the slot count would overshoot by one lap.
-        let rounds = (ticks - 1) / self.slots.len();
-        self.slots[slot].push(Entry { id, deadline, rounds });
-        TimerId(id)
-    }
-
-    /// Schedules a timer due `after` from the wheel's current position
-    /// (the last instant passed to [`TimerWheel::poll_expired`], slot
-    /// aligned — not wall-clock now).
-    pub fn schedule(&mut self, after: Duration) -> TimerId {
-        self.schedule_at(self.now + after)
+        let id = TimerId { deadline, order: self.next_order };
+        self.next_order += 1;
+        self.armed.insert(id);
+        id
     }
 
     /// Cancels a scheduled timer. Returns `false` when the id already
     /// fired or was already cancelled — exactly one of fire/cancel wins.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        self.live.remove(&id.0).is_some()
+        self.armed.remove(&id)
     }
 
-    /// Advances the wheel to `now` and returns everything that became
-    /// due, sorted by deadline (ties by schedule order). Cancelled
-    /// entries are discarded silently.
+    /// Removes and returns every timer due at or before `now`, sorted by
+    /// deadline (ties by schedule order).
     pub fn poll_expired(&mut self, now: Instant) -> Vec<(TimerId, Instant)> {
-        let mut expired: Vec<Entry> = Vec::new();
-        while self.now + self.granularity <= now {
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            self.now += self.granularity;
-            let slot = &mut self.slots[self.cursor];
-            let mut keep = Vec::new();
-            for mut entry in slot.drain(..) {
-                if !self.live.contains_key(&entry.id) {
-                    continue;
-                }
-                if entry.rounds == 0 {
-                    self.live.remove(&entry.id);
-                    expired.push(entry);
-                } else {
-                    entry.rounds -= 1;
-                    keep.push(entry);
-                }
-            }
-            *slot = keep;
+        let mut expired = Vec::new();
+        while self.armed.first().is_some_and(|id| id.deadline <= now) {
+            let id = self.armed.pop_first().expect("a first entry was just seen");
+            expired.push((id, id.deadline));
         }
-        expired.sort_by_key(|entry| (entry.deadline, entry.id));
-        expired.into_iter().map(|entry| (TimerId(entry.id), entry.deadline)).collect()
+        expired
     }
 
-    /// The earliest live deadline, or `None` when the wheel is empty —
-    /// what a poll loop uses to bound its wait. O(live timers), not
-    /// O(slots): called once per loop iteration.
+    /// The earliest armed deadline, or `None` when nothing is armed —
+    /// what a poll loop uses to bound its wait.
     #[must_use]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.live.values().min().copied()
+        self.armed.first().map(|id| id.deadline)
     }
 }
 
@@ -176,6 +106,16 @@ mod tests {
         let rest = w.poll_expired(origin + Duration::from_millis(60));
         assert_eq!(rest.iter().map(|&(id, _)| id).collect::<Vec<_>>(), vec![mid, late]);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn a_timer_fires_at_its_deadline_not_at_the_next_millisecond() {
+        let origin = Instant::now();
+        let mut w = wheel(origin);
+        let deadline = origin + Duration::from_micros(1_500);
+        let id = w.schedule_at(deadline);
+        assert!(w.poll_expired(deadline - Duration::from_nanos(1)).is_empty(), "never early");
+        assert_eq!(w.poll_expired(deadline), vec![(id, deadline)]);
     }
 
     #[test]

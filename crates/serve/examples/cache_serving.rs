@@ -13,26 +13,23 @@
 //!
 //! `--smoke` is the CI configuration: one small object, 3 clients, all
 //! three schemes, a few seconds end to end. `--metrics ADDR` exposes a
-//! live scrape endpoint carrying all four counter families (`serve`,
-//! `wire`, `stripe`, `hop`) for the whole run; `--report PATH` writes a
-//! JSON run report; `--linger SECS` keeps the metrics endpoint alive
-//! after the run so an external scraper can collect the final state.
+//! live scrape endpoint carrying the `serve` family (read from the
+//! running server at scrape time) and the clients' `wire` family for the
+//! whole run; `--report PATH` writes a JSON run report; `--linger SECS`
+//! keeps the metrics endpoint alive after the run so an external scraper
+//! can collect the final state.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ltnc_metrics::{
-    HopCounters, HopStats, LogHistogramSnapshot, ReplicaCounters, ServeCounters, StripeCounters,
-    WireCounters,
-};
+use ltnc_metrics::{LogHistogramSnapshot, ServeCounters, WireCounters};
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::{fetch, ClientOptions, ServeOptions, Server};
 use ltnc_telemetry::json::{self, JsonValue};
-use ltnc_telemetry::{hop_samples, samples, stripe_samples, MetricsRegistry, ScrapeServer};
+use ltnc_telemetry::{samples, MetricsRegistry, ScrapeServer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,45 +153,60 @@ fn pick_object(rng: &mut SmallRng, objects: usize) -> u64 {
     objects as u64
 }
 
-/// Live counter rollups feeding the run-wide scrape endpoint: one family
-/// per counter struct, all monotone across schemes (each scheme's server
-/// starts from zero, so the live view is `finished schemes + current`).
+/// The run-wide scrape endpoint and what it reads, monotone across
+/// schemes: each scheme's server starts from zero, so the live view is
+/// `finished schemes + current`.
 struct Telemetry {
     scrape: ScrapeServer,
-    serve: Arc<Mutex<ServeCounters>>,
+    serve: Arc<Mutex<ServeRollup>>,
+    /// The clients of every finished scheme.
     wire: Arc<Mutex<WireCounters>>,
-    stripe: Arc<Mutex<StripeCounters>>,
-    hop: Arc<Mutex<HopCounters>>,
+}
+
+/// The `serve` family's source: the final counters of the finished
+/// schemes' servers, plus the running server, read at scrape time.
+#[derive(Default)]
+struct ServeRollup {
+    finished: ServeCounters,
+    running: Option<Server>,
+}
+
+impl ServeRollup {
+    fn total(&self) -> ServeCounters {
+        let mut total = self.finished;
+        if let Some(server) = &self.running {
+            total.merge(&server.counters());
+        }
+        total
+    }
+
+    /// Shuts the running server down and adds its final counters to the
+    /// finished ones. A scrape waits on the rollup's lock meanwhile, so
+    /// none sees the total fall.
+    fn retire(&mut self) -> ServeCounters {
+        let counters = self.running.take().expect("a server is running").shutdown();
+        self.finished.merge(&counters);
+        counters
+    }
 }
 
 fn spawn_telemetry(addr: SocketAddr) -> std::io::Result<Telemetry> {
-    let serve = Arc::new(Mutex::new(ServeCounters::new()));
+    let serve = Arc::new(Mutex::new(ServeRollup::default()));
     let wire = Arc::new(Mutex::new(WireCounters::new()));
-    // The single-server fetches roll up as one replica slot; hop-distance
-    // 1 models the one client-to-server hop of the serving workload.
-    let stripe = Arc::new(Mutex::new(StripeCounters::with_replicas(1)));
-    let hop = Arc::new(Mutex::new(HopCounters::new()));
 
     let registry = Arc::new(MetricsRegistry::new());
     let example = ("example", "cache_serving".to_string());
     let source = Arc::clone(&serve);
     registry.register("serve", std::slice::from_ref(&example), move || {
-        samples(&*source.lock().expect("serve rollup lock"))
+        samples(&source.lock().expect("serve rollup lock").total())
     });
     let source = Arc::clone(&wire);
-    registry.register("wire", &[example.clone(), ("node", "clients".to_string())], move || {
+    registry.register("wire", &[example, ("node", "clients".to_string())], move || {
         samples(&*source.lock().expect("wire rollup lock"))
     });
-    let source = Arc::clone(&stripe);
-    registry.register("stripe", std::slice::from_ref(&example), move || {
-        stripe_samples(&source.lock().expect("stripe rollup lock"))
-    });
-    let source = Arc::clone(&hop);
-    registry
-        .register("hop", &[example], move || hop_samples(&source.lock().expect("hop rollup lock")));
 
     let scrape = ScrapeServer::spawn(addr, registry)?;
-    Ok(Telemetry { scrape, serve, wire, stripe, hop })
+    Ok(Telemetry { scrape, serve, wire })
 }
 
 /// Per-scheme outcome row for the table and the JSON report.
@@ -218,28 +230,6 @@ fn run_scheme(
         ServeOptions { warm_cache_capacity: args.cache, workers: 4, ..ServeOptions::default() };
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), options)
         .map_err(|e| format!("spawn: {e}"))?;
-    let server = Arc::new(server);
-
-    // Live serve sampling: while this scheme runs, the scrape endpoint
-    // sees `finished schemes + this server's current counters`. The base
-    // is the rollup before this scheme started; the final fold below
-    // rebuilds from the same base so nothing double-counts.
-    let serve_base = telemetry.map(|t| *t.serve.lock().expect("serve rollup lock"));
-    let sampler_stop = Arc::new(AtomicBool::new(false));
-    let sampler = telemetry.map(|telemetry| {
-        let base = serve_base.expect("base captured with telemetry");
-        let live = Arc::clone(&telemetry.serve);
-        let server = Arc::clone(&server);
-        let stop = Arc::clone(&sampler_stop);
-        thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                let mut merged = base;
-                merged.merge(&server.counters());
-                *live.lock().expect("serve rollup lock") = merged;
-                thread::sleep(Duration::from_millis(25));
-            }
-        })
-    });
 
     let objects: Vec<(u64, Arc<Vec<u8>>)> = (0..args.objects)
         .map(|i| (i as u64 + 1, Arc::new(make_object(i as u64 + 1, args.size))))
@@ -251,6 +241,9 @@ fn run_scheme(
     }
 
     let addr = server.local_addr();
+    // From here the server lives in the rollup, where a scrape reads it.
+    let rollup = telemetry.map_or_else(Arc::default, |t| Arc::clone(&t.serve));
+    rollup.lock().expect("serve rollup lock").running = Some(server);
     let client_options =
         ClientOptions { timeout: Duration::from_secs(args.timeout_secs), ..Default::default() };
     let started = Instant::now();
@@ -275,62 +268,21 @@ fn run_scheme(
 
     let mut client_wire = WireCounters::new();
     let mut client_latency = LogHistogramSnapshot::empty();
-    let mut completed_clients = 0u64;
     let mut failures = Vec::new();
     for handle in handles {
         match handle.join().expect("client thread panicked") {
             Ok((wire, latency)) => {
                 client_wire.merge(&wire);
                 client_latency.merge(&latency);
-                completed_clients += 1;
             }
             Err(e) => failures.push(e),
         }
     }
     let elapsed = started.elapsed();
 
-    sampler_stop.store(true, Ordering::Release);
-    if let Some(sampler) = sampler {
-        sampler.join().expect("sampler thread panicked");
-    }
-    let server = Arc::try_unwrap(server).unwrap_or_else(|_| panic!("server handle still shared"));
-    let counters = server.shutdown();
-
+    let counters = rollup.lock().expect("serve rollup lock").retire();
     if let Some(telemetry) = telemetry {
-        // Fold this scheme's final numbers into the run-wide rollups. The
-        // serve total rebuilds from the pre-scheme base, replacing the
-        // sampler's last (possibly stale) live view.
-        {
-            let mut total = serve_base.expect("base captured with telemetry");
-            total.merge(&counters);
-            *telemetry.serve.lock().expect("serve rollup lock") = total;
-        }
         telemetry.wire.lock().expect("wire rollup lock").merge(&client_wire);
-        {
-            let mut stripe = telemetry.stripe.lock().expect("stripe rollup lock");
-            stripe.replicas[0].merge(&ReplicaCounters {
-                offers_seen: client_wire.transfers_delivered + client_wire.transfers_aborted,
-                aborted: client_wire.transfers_aborted,
-                delivered: client_wire.transfers_delivered,
-                useful: client_wire.useful_deliveries,
-                duplicates: client_wire.transfers_delivered - client_wire.useful_deliveries,
-                generations_completed: 0,
-                bytes_in: client_wire.bytes_received,
-                bytes_out: client_wire.bytes_sent,
-                failed: false,
-            });
-        }
-        telemetry.hop.lock().expect("hop rollup lock").record(
-            1,
-            &HopStats {
-                nodes: args.clients as u64,
-                completed: completed_clients,
-                recoding_ops: 0,
-                decoding_ops: 0,
-                useful_deliveries: client_wire.useful_deliveries,
-                faults_injected: 0,
-            },
-        );
     }
 
     if !failures.is_empty() {

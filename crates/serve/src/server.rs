@@ -698,7 +698,7 @@ mod tests {
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nonblocking(true).expect("nonblocking");
         let now = Instant::now();
-        let idle_timer = TimerWheel::new(Duration::from_millis(1), 8, now).schedule(Duration::ZERO);
+        let idle_timer = TimerWheel::default().schedule_at(now);
         let mut conn = Connection {
             stream,
             peer: None,

@@ -1,19 +1,15 @@
 //! Adapters from the workspace's counter families to registry samples.
 
-use ltnc_metrics::{CounterFamily, Field, HopCounters, StripeCounters};
+use ltnc_metrics::{CounterFamily, Field};
 
 use crate::registry::{HistogramSample, Sample, SampleKind};
 
 /// Samples every scalar field of a counter family, in declaration order:
 /// counters and flags (as 0 or 1) as counter samples, fields declared
 /// `[gauge]` or `[peak]` as gauge samples. Histograms are left to
-/// [`histograms`]; nested families to the adapter that labels them.
+/// [`histograms`].
 #[must_use]
 pub fn samples(family: &impl CounterFamily) -> Vec<Sample> {
-    labeled_samples(family, &[])
-}
-
-fn labeled_samples(family: &impl CounterFamily, labels: &[(&'static str, String)]) -> Vec<Sample> {
     family
         .fields()
         .filter_map(|(name, field)| {
@@ -21,7 +17,7 @@ fn labeled_samples(family: &impl CounterFamily, labels: &[(&'static str, String)
                 Field::Gauge(_) => SampleKind::Gauge,
                 _ => SampleKind::Counter,
             };
-            Some(Sample { name, labels: labels.to_vec(), value: field.value()?, kind })
+            Some(Sample { name, labels: Vec::new(), value: field.value()?, kind })
         })
         .collect()
 }
@@ -41,29 +37,9 @@ pub fn histograms(family: &impl CounterFamily) -> Vec<HistogramSample> {
         .collect()
 }
 
-/// Samples a [`StripeCounters`]: the scalar counters plus every replica
-/// slot's fields under a `replica="<index>"` label (family `stripe`).
-#[must_use]
-pub fn stripe_samples(c: &StripeCounters) -> Vec<Sample> {
-    let mut out = samples(c);
-    for (index, replica) in c.replicas.iter().enumerate() {
-        out.extend(labeled_samples(replica, &[("replica", index.to_string())]));
-    }
-    out
-}
-
-/// Samples a [`HopCounters`]: every populated bucket's fields under a
-/// `hop="<distance>"` label (family `hop`).
-#[must_use]
-pub fn hop_samples(c: &HopCounters) -> Vec<Sample> {
-    c.iter()
-        .flat_map(|(distance, stats)| labeled_samples(stats, &[("hop", distance.to_string())]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use ltnc_metrics::{HopStats, ReactorSnapshot, ReplicaCounters, ServeCounters, WireCounters};
+    use ltnc_metrics::{ReactorSnapshot, ServeCounters, WireCounters};
 
     use super::*;
 
@@ -82,22 +58,6 @@ mod tests {
         let samples = samples(&c);
         assert_eq!(samples.len(), 11);
         assert!(samples.iter().any(|s| s.name == "cache_hits" && s.value == 9));
-    }
-
-    #[test]
-    fn stripe_samples_label_replicas() {
-        let mut c = StripeCounters::with_replicas(2);
-        c.replicas[1] = ReplicaCounters { delivered: 4, failed: true, ..Default::default() };
-        c.failovers = 1;
-        let samples = stripe_samples(&c);
-        assert!(samples.iter().any(|s| s.name == "failovers" && s.value == 1));
-        let delivered: Vec<&Sample> = samples.iter().filter(|s| s.name == "delivered").collect();
-        assert_eq!(delivered.len(), 2);
-        assert_eq!(delivered[1].labels, vec![("replica", "1".to_string())]);
-        assert_eq!(delivered[1].value, 4);
-        assert!(samples.iter().any(|s| s.name == "failed"
-            && s.value == 1
-            && s.labels == vec![("replica", "1".to_string())]));
     }
 
     #[test]
@@ -134,15 +94,5 @@ mod tests {
         let names: Vec<&str> = samples.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["poll_wait_us", "tick_lag_us"], "dispatch_ns stays empty");
         assert_eq!(samples[0].snapshot.count(), 1);
-    }
-
-    #[test]
-    fn hop_samples_label_distances() {
-        let mut c = HopCounters::new();
-        c.record(2, &HopStats { nodes: 3, useful_deliveries: 8, ..HopStats::default() });
-        let samples = hop_samples(&c);
-        assert!(samples.iter().any(|s| s.name == "useful_deliveries"
-            && s.value == 8
-            && s.labels == vec![("hop", "2".to_string())]));
     }
 }

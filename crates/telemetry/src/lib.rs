@@ -38,7 +38,7 @@ mod registry;
 mod scrape;
 mod trace;
 
-pub use collectors::{histograms, hop_samples, samples, stripe_samples};
+pub use collectors::{histograms, samples};
 pub use registry::{
     Collector, FamilySnapshot, HistogramCollector, HistogramSample, MetricsRegistry,
     MetricsSnapshot, Sample, SampleKind,

@@ -208,7 +208,7 @@ pub enum TraceEvent {
     ShardTick {
         /// Worker index of the shard.
         shard: u64,
-        /// Timers still armed on the shard's wheel after the turn.
+        /// Timers still armed on the shard after the turn.
         wheel_depth: u64,
     },
     /// A reactor timer fired noticeably past its deadline (emission is

@@ -1,16 +1,13 @@
-//! Pins the whole scrape page. Every counter family is registered at
+//! Pins the whole scrape page. Every scraped family is registered at
 //! distinct non-zero values and the full `to_prometheus()` and
 //! `to_json()` text is compared byte for byte, so a field that is
 //! dropped, renamed, reordered, mistyped or sampled from the wrong
 //! struct member fails here.
 
 use ltnc_metrics::{
-    HopCounters, HopStats, LogHistogram, LogHistogramSnapshot, ReactorSnapshot, ReplicaCounters,
-    ServeCounters, StripeCounters, WireCounters,
+    LogHistogram, LogHistogramSnapshot, ReactorSnapshot, ServeCounters, WireCounters,
 };
-use ltnc_telemetry::{
-    histograms, hop_samples, samples, stripe_samples, HistogramSample, MetricsRegistry,
-};
+use ltnc_telemetry::{histograms, samples, HistogramSample, MetricsRegistry};
 
 fn histogram(values: &[u64]) -> LogHistogramSnapshot {
     let histogram = LogHistogram::new();
@@ -62,46 +59,6 @@ fn serve() -> ServeCounters {
     }
 }
 
-fn replica(base: u64, failed: bool) -> ReplicaCounters {
-    ReplicaCounters {
-        offers_seen: base + 1,
-        aborted: base + 2,
-        delivered: base + 3,
-        useful: base + 4,
-        duplicates: base + 5,
-        generations_completed: base + 6,
-        bytes_in: base + 7,
-        bytes_out: base + 8,
-        failed,
-    }
-}
-
-fn stripe() -> StripeCounters {
-    StripeCounters {
-        replicas: vec![replica(310, false), replica(320, true)],
-        failovers: 301,
-        generations_releases: 302,
-    }
-}
-
-fn hop_stats(base: u64) -> HopStats {
-    HopStats {
-        nodes: base + 1,
-        completed: base + 2,
-        recoding_ops: base + 3,
-        decoding_ops: base + 4,
-        useful_deliveries: base + 5,
-        faults_injected: base + 6,
-    }
-}
-
-fn hops() -> HopCounters {
-    let mut hops = HopCounters::default();
-    hops.record(1, &hop_stats(400));
-    hops.record(2, &hop_stats(410));
-    hops
-}
-
 fn reactor() -> ReactorSnapshot {
     ReactorSnapshot {
         turns: 501,
@@ -126,8 +83,6 @@ fn registry() -> MetricsRegistry {
         vec![HistogramSample::plain("delivery_latency_us", histogram(&[700, 9_000]))]
     });
     registry.register("serve", &[("server", "s0".to_string())], || samples(&serve()));
-    registry.register("stripe", &[("fetch", "f0".to_string())], || stripe_samples(&stripe()));
-    registry.register("hop", &[], || hop_samples(&hops()));
     let shard = [("shard", "0".to_string())];
     registry.register("reactor", &shard, || samples(&reactor()));
     registry.register_histograms("reactor", &shard, || histograms(&reactor()));

@@ -3,10 +3,7 @@
 //! families actually expose. A field added, renamed or dropped on one
 //! side without the other fails this test.
 
-use ltnc_metrics::{
-    CounterFamily, Field, HopStats, ReactorSnapshot, ReplicaCounters, ServeCounters,
-    StripeCounters, WireCounters,
-};
+use ltnc_metrics::{CounterFamily, Field, ReactorSnapshot, ServeCounters, WireCounters};
 
 fn doc() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/OBSERVABILITY.md");
@@ -56,14 +53,9 @@ fn field_names(family: &impl CounterFamily, histogram: bool) -> Vec<String> {
 fn counter_family_table_lists_every_field() {
     let doc = doc();
     let rows = table(&doc, "| family | adapter | samples |");
-    let stripe =
-        [field_names(&StripeCounters::new(), false), field_names(&ReplicaCounters::new(), false)]
-            .concat();
     let expected = [
         ("wire", field_names(&WireCounters::new(), false)),
         ("serve", field_names(&ServeCounters::new(), false)),
-        ("stripe", stripe),
-        ("hop", field_names(&HopStats::new(), false)),
         ("reactor", field_names(&ReactorSnapshot::new(), false)),
     ];
     for (family, fields) in &expected {

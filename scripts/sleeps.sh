@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Every `thread::sleep` in the non-test part of `crates/*/src`, one
-# `file:line  code` a line; exits 1 when one is not on the allowlist.
+# Every `thread::sleep` in the non-test part of `crates/*/src`, of the
+# crates' examples (`crates/*/examples`) and of the workspace examples
+# (`examples/`), one `file:line  code` a line; exits 1 when one is not on
+# the allowlist.
 #
 #   bash scripts/sleeps.sh            # this checkout
 #   bash scripts/sleeps.sh <dir>      # another one
@@ -17,7 +19,10 @@ cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
 # - The reactor's portable backend: without epoll it cannot wait for
 #   readiness, so it sleeps a beat and reports every descriptor ready.
 #   Linux builds never run it.
-allowed=$'crates/reactor/src/poll.rs\tsleep(timeout.min('
+# - `cache_serving --linger`: the run is over, and the example keeps its
+#   scrape endpoint up for the asked seconds so a scraper can read it.
+allowed=$'crates/reactor/src/poll.rs\tsleep(timeout.min(
+crates/serve/examples/cache_serving.rs\tsleep(Duration::from_secs(args.linger_secs))'
 
 status=0
 while IFS=$'\t' read -r where code; do
@@ -29,7 +34,7 @@ while IFS=$'\t' read -r where code; do
   done <<< "$allowed"
   echo "$where  $code  ($verdict)"
   if [ "$verdict" != allowed ]; then status=1; fi
-done < <(find crates/*/src -name '*.rs' | sort | while read -r f; do
+done < <(find crates/*/src crates/*/examples examples -name '*.rs' | sort | while read -r f; do
   awk '/#\[cfg\(test\)\]/ { exit }
        /^[ \t]*\/\// { next }
        /(^|[^A-Za-z0-9_])sleep\(/ { code = $0; sub(/^[ \t]+/, "", code); print FILENAME ":" FNR "\t" code }' "$f"
