@@ -23,18 +23,21 @@
 //!   reassembly — built on a per-generation fetch primitive
 //!   ([`client::ReplicaConn`]);
 //! * the [`striped`] client pulls one object from **several replicas at
-//!   once**: generations are lease-partitioned across servers, the
-//!   streams merge into one shared decoder (duplicate rank is discarded —
-//!   rateless union), and a replica that dies or stalls has its
-//!   outstanding leases re-assigned to the survivors.
+//!   once**: every replica's handshake is awaited and one vote picks the
+//!   manifest the most replicas declared, generations are
+//!   lease-partitioned across servers, the streams merge into one shared
+//!   decoder (duplicate rank is discarded — rateless union), and a
+//!   replica that dies or stalls has its outstanding leases re-assigned
+//!   to the survivors.
 //!
 //! The clients ([`fetch`], [`fetch_striped`]) run on threads of their
 //! own, over blocking sockets with short read timeouts.
 //!
 //! Every layer is instrumented through `ltnc-telemetry`: the server
 //! emits session/connection/store trace events
-//! ([`Server::spawn_traced`]) and can expose its live counters on a TCP
-//! scrape endpoint ([`ServeOptions::metrics_bind`]); the striped client
+//! ([`Server::spawn_traced`]) and reports its live counters through
+//! [`Server::counters`], which a caller registers on its own scrape
+//! endpoint (the `cache_serving` example does); the striped client
 //! traces failovers and lease migrations ([`fetch_striped_traced`]).
 //! See `docs/OBSERVABILITY.md` for the event catalog and metric names.
 

@@ -1,6 +1,5 @@
 //! Validated tuning options of the serving subsystem.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::ServeError;
@@ -55,12 +54,6 @@ pub struct ServeOptions {
     /// discarded work. `0` (the default) applies no offset, matching the
     /// single-server behaviour.
     pub replica_salt: u64,
-    /// When set, the server binds a telemetry scrape endpoint here
-    /// (port 0 for ephemeral — see `Server::metrics_addr`) serving the
-    /// live `serve` counter family as Prometheus text (`/metrics`) and
-    /// JSON (`/metrics.json`). `None` (the default) runs no endpoint and
-    /// costs nothing.
-    pub metrics_bind: Option<SocketAddr>,
 }
 
 impl Default for ServeOptions {
@@ -70,7 +63,6 @@ impl Default for ServeOptions {
             workers: 4,
             idle_timeout: Duration::from_secs(30),
             replica_salt: 0,
-            metrics_bind: None,
         }
     }
 }

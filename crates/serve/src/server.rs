@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ltnc_gf2::EncodedPacket;
-use ltnc_metrics::{AtomicServeCounters, LogHistogram, ServeCounters};
+use ltnc_metrics::{AtomicServeCounters, ServeCounters};
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
@@ -54,9 +54,7 @@ use ltnc_net::stream::FrameReassembler;
 use ltnc_reactor::{Cx, Driven, Reactor, TimerId};
 use ltnc_scheme::SchemeParams;
 use ltnc_session::generation::ObjectManifest;
-use ltnc_telemetry::{
-    samples, HistogramSample, MetricsRegistry, RingSink, ScrapeServer, TraceEvent, Tracer,
-};
+use ltnc_telemetry::{RingSink, TraceEvent, Tracer};
 
 use crate::options::{MAX_SESSIONS, PER_SESSION_INFLIGHT};
 use crate::store::ObjectStore;
@@ -64,15 +62,10 @@ use crate::{ServeError, ServeOptions};
 
 /// What every shard records: the session-level [`ServeCounters`] as
 /// atomic cells (cache counters live in the store and are filled into
-/// snapshots) plus the session-duration histogram.
+/// snapshots).
 #[derive(Default)]
 struct ServeStats {
     counters: AtomicServeCounters,
-    /// Wall-clock duration of each finished session in microseconds
-    /// (from accepted connection to close, whatever the outcome) —
-    /// served live as a `session_micros` histogram on the scrape
-    /// endpoint.
-    session_micros: LogHistogram,
     /// Connections every shard holds now, against
     /// [`MAX_SESSIONS`].
     open: AtomicUsize,
@@ -83,7 +76,6 @@ pub struct Server {
     local_addr: SocketAddr,
     reactor: Reactor<ServeShard>,
     ctx: Context,
-    scrape: Option<ScrapeServer>,
 }
 
 impl Server {
@@ -110,24 +102,19 @@ impl Server {
     /// use ltnc_telemetry::RingSink;
     ///
     /// let sink = Arc::new(RingSink::new(4096));
-    /// let options = ServeOptions {
-    ///     metrics_bind: Some("127.0.0.1:0".parse().unwrap()),
-    ///     ..ServeOptions::default()
-    /// };
     /// let server = Server::spawn_traced(
     ///     "127.0.0.1:0".parse().unwrap(),
-    ///     options,
+    ///     ServeOptions::default(),
     ///     Some(sink.clone()),
     /// ).unwrap();
-    /// println!("scrape at http://{}/metrics", server.metrics_addr().unwrap());
+    /// println!("sessions accepted: {}", server.counters().sessions_accepted);
     /// let _events = sink.events();
     /// let _ = server.shutdown();
     /// ```
     ///
     /// # Errors
     ///
-    /// Same as [`Server::spawn`]; a metrics bind failure is
-    /// [`ServeError::Io`].
+    /// Same as [`Server::spawn`].
     pub fn spawn_traced(
         bind: SocketAddr,
         options: ServeOptions,
@@ -153,40 +140,13 @@ impl Server {
             })
             .collect::<io::Result<Vec<_>>>()?;
         let reactor = Reactor::start(shards, options.workers)?;
-
-        let scrape = match options.metrics_bind {
-            Some(addr) => {
-                let registry = Arc::new(MetricsRegistry::new());
-                let server_label = [("server", local_addr.to_string())];
-                let (hist_stats, counted) = (Arc::clone(&ctx.stats), ctx.clone());
-                registry.register("serve", &server_label, move || samples(&snapshot(&counted)));
-                registry.register_histograms("serve", &server_label, move || {
-                    let snapshot = hist_stats.session_micros.snapshot();
-                    if snapshot.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![HistogramSample::plain("session_micros", snapshot)]
-                    }
-                });
-                Some(ScrapeServer::spawn(addr, registry)?)
-            }
-            None => None,
-        };
-
-        Ok(Server { local_addr, reactor, ctx, scrape })
+        Ok(Server { local_addr, reactor, ctx })
     }
 
     /// The address clients connect to.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The bound address of the telemetry scrape endpoint, when
-    /// [`ServeOptions::metrics_bind`] requested one.
-    #[must_use]
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.scrape.as_ref().map(ScrapeServer::local_addr)
     }
 
     /// Registers an object for serving under `id`. Live: sessions opened
@@ -221,9 +181,6 @@ impl Server {
     /// Re-raises a reactor worker's panic.
     #[must_use]
     pub fn shutdown(self) -> ServeCounters {
-        if let Some(scrape) = self.scrape {
-            scrape.shutdown();
-        }
         let _ = self.reactor.shutdown();
         snapshot(&self.ctx)
     }
@@ -371,12 +328,10 @@ impl ServeShard {
         let idle_timer = cx.arm(self.ctx.options.idle_timeout, u64::from(key));
         let peer = stream.peer_addr().ok();
         crate::trace(&self.ctx.tracer, || TraceEvent::ConnectionOpened { peer });
-        let now = Instant::now();
         let conn = Connection {
             stream,
             peer,
-            opened: now,
-            last_inbound: now,
+            last_inbound: Instant::now(),
             reassembler: FrameReassembler::new(),
             session: None,
             outbound: Vec::new(),
@@ -455,7 +410,6 @@ impl Driven for ServeShard {
 struct Connection {
     stream: TcpStream,
     peer: Option<SocketAddr>,
-    opened: Instant,
     /// When inbound bytes last arrived: the idle timer's clock.
     last_inbound: Instant,
     reassembler: FrameReassembler,
@@ -537,8 +491,6 @@ impl Connection {
 
     /// Books the end of the connection; dropping it closes the socket.
     fn close(self, ctx: &Context) {
-        let micros = u64::try_from(self.opened.elapsed().as_micros()).unwrap_or(u64::MAX);
-        ctx.stats.session_micros.record(micros);
         ctx.stats.open.fetch_sub(1, Ordering::Relaxed);
         let peer = self.peer;
         crate::trace(&ctx.tracer, || TraceEvent::ConnectionClosed { peer });
@@ -702,7 +654,6 @@ mod tests {
         let mut conn = Connection {
             stream,
             peer: None,
-            opened: now,
             last_inbound: now,
             reassembler: FrameReassembler::new(),
             session: None,

@@ -3,44 +3,46 @@
 //!
 //! The paper's core property — *any* subset of rateless coded symbols is
 //! useful — means a client fetching one object from several edge replicas
-//! does not need the replicas to coordinate. This module exploits that:
+//! does not need the replicas to coordinate. A striped fetch is three
+//! steps:
 //!
-//! * **striping** — the object's generations are partitioned round-robin
-//!   across the replicas ([`ltnc_session::LeaseTable`]); each replica
-//!   stream runs the per-generation fetch primitive
-//!   ([`crate::client::ReplicaConn::fetch_generations`]) over its lease
-//!   only, steered by up-front per-generation `COMPLETE`s so every
-//!   server's in-flight budget goes to generations this client actually
-//!   wants from it;
-//! * **merging** — all streams decode into one
-//!   [`ltnc_session::SharedReceiver`] with per-generation locks; symbols
-//!   that arrive with duplicate rank (overlapping streams after a
-//!   failover) are simply discarded and counted
-//!   ([`StripeCounters::duplicates_discarded`]);
-//! * **failover** — each stream carries a progress watermark; a stream
-//!   that disconnects, errors, or stalls past
-//!   [`ClientOptions::stall_timeout`] has exactly *its* outstanding
-//!   leases re-assigned (completed generations never migrate). A failed
-//!   *original* stream declares its replica dead; a failed *failover*
-//!   stream does not — the replica's other sessions may be healthy. Each
-//!   re-lease opens a fresh session on a survivor (the survivor's
-//!   original session already pruned those generations at steering time,
-//!   so a new handshake is the steering-correct way to un-prune), with
-//!   the open running off the coordinator thread so a stalling survivor
-//!   cannot block other failovers or completion detection.
+//! 1. **every handshake** — every replica is opened in parallel and every
+//!    open is waited for;
+//! 2. **one vote** — the manifest most replicas declared is the reference
+//!    (the lowest replica index breaks ties), so a lone fast impostor
+//!    cannot hijack the fetch. The object's generations are partitioned
+//!    round-robin across the replicas ([`ltnc_session::LeaseTable`]); a
+//!    replica that failed its handshake or declared another manifest is
+//!    marked failed, and its generations join the survivors' first leases
+//!    before any stream starts;
+//! 3. **one stream recipe** — each stream runs the per-generation fetch
+//!    primitive ([`crate::client::ReplicaConn::fetch_generations`]) over
+//!    its lease only, steered by up-front per-generation `COMPLETE`s so
+//!    every server's in-flight budget goes to generations this client
+//!    actually wants from it. All streams decode into one
+//!    [`ltnc_session::SharedReceiver`] with per-generation locks; symbols
+//!    that arrive with duplicate rank (overlapping streams after a
+//!    failover) are simply discarded and counted
+//!    ([`StripeCounters::duplicates_discarded`]).
 //!
-//! The coordinator is a single event loop: replica opens and stream
-//! terminations arrive on one channel — one slow handshake never gates
-//! the others. The reference manifest is chosen by *vote*, not by
-//! arrival order (a strict majority of configured replicas, or the
-//! plurality once every handshake resolves), so a lone fast impostor
-//! cannot hijack the fetch; streams start as soon as the vote settles.
+//! **Failover:** each stream carries a progress watermark; a stream that
+//! disconnects, errors, or stalls past [`ClientOptions::stall_timeout`]
+//! has exactly *its* outstanding leases re-assigned (completed
+//! generations never migrate). A failed *original* stream declares its
+//! replica dead; a failed *re-lease* stream does not — the replica's
+//! other sessions may be healthy. Each re-lease opens a fresh session on
+//! a survivor (the survivor's original session already pruned those
+//! generations at steering time, so a new handshake is the
+//! steering-correct way to un-prune), with the same recipe as every other
+//! stream: one thread, one terminal report. Every stream gets what is
+//! left of the fetch's one deadline, so no stream outlives it.
 //!
 //! Replicas should run with distinct [`crate::ServeOptions::replica_salt`]
 //! values so their symbol streams (and warm-ring prefixes) diverge;
 //! identical replicas would still converge — rateless union tolerates
 //! duplicates — just slower.
 
+use std::cmp::Reverse;
 use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -66,11 +68,19 @@ pub const MAX_REPLICAS: usize = 64;
 /// count against this budget.
 const MAX_FAILOVERS: usize = 8;
 
+/// How long streams still running may take to report once the object is
+/// complete: they exit within one read-timeout cycle, so their counters
+/// make the report, but a stream wedged in a socket write never blocks
+/// completion.
+const REPORT_GRACE: Duration = Duration::from_millis(500);
+
 /// Tuning of one striped fetch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StripedOptions {
-    /// Per-stream options (deadline, connect timeout, stall watermark).
-    /// The overall fetch deadline is `client.timeout` as well.
+    /// Per-stream options: the deadline and the stall watermark (the TCP
+    /// connect timeout is a fixed 5 s). `client.timeout` is the whole
+    /// fetch's one deadline: every stream, re-lease streams included,
+    /// gets what is left of it.
     pub client: ClientOptions,
 }
 
@@ -90,20 +100,6 @@ pub struct StripedReport {
     pub latency: LogHistogramSnapshot,
 }
 
-/// Everything the coordinator reacts to, on one channel.
-enum Event {
-    /// A replica's handshake resolved (boxed: a `ReplicaConn` carries
-    /// its framing buffers, far larger than a stream event).
-    Opened(usize, Box<Result<(ReplicaConn, ObjectManifest), ServeError>>),
-    /// A fetch stream terminated (boxed: carries a full latency
-    /// snapshot).
-    Stream(Box<StreamEvent>),
-}
-
-/// Marker error of [`Coordinator::migrate`]: outstanding leases had no
-/// replica to move to. Carries no cause on purpose (see `migrate` docs).
-struct NoSurvivors;
-
 /// One stream's terminal report back to the coordinator.
 struct StreamEvent {
     replica: usize,
@@ -118,35 +114,24 @@ struct StreamEvent {
     latency: LogHistogramSnapshot,
 }
 
-/// Coordinator state while the fetch is live.
+/// Coordinator state once the vote has settled.
 struct Coordinator {
     addrs: Vec<SocketAddr>,
     object_id: u64,
     scheme: SchemeKind,
-    options: StripedOptions,
+    client: ClientOptions,
+    deadline: Instant,
     stripe: StripeCounters,
-    manifest: Option<ObjectManifest>,
-    receiver: Option<Arc<SharedReceiver>>,
-    leases: Option<LeaseTable>,
-    /// A replica is alive until its connect/handshake or *original*
-    /// stream fails.
+    receiver: Arc<SharedReceiver>,
+    leases: LeaseTable,
+    /// A replica is alive until its handshake or *original* stream fails.
     alive: Vec<bool>,
-    /// Whether a replica's original stream has been spawned (a later
-    /// re-lease to an unspawned replica just lands in its initial lease).
-    spawned: Vec<bool>,
-    /// Open-phase failures awaiting re-homing until the manifest (and
-    /// thus the lease table) exists.
-    deferred_orphans: Vec<usize>,
-    /// Successful handshakes buffered until the manifest adoption vote
-    /// resolves (see [`Coordinator::try_adopt`]).
-    pending_conns: Vec<(usize, ReplicaConn, ObjectManifest)>,
     stream_failures: usize,
     last_error: Option<ServeError>,
     /// Running merge of every terminated stream's latency distribution.
     latency: LogHistogramSnapshot,
-    event_tx: mpsc::Sender<Event>,
+    events: mpsc::Sender<StreamEvent>,
     outstanding_streams: usize,
-    pending_opens: usize,
     /// Emits `ReplicaFailover`/`LeaseReassigned` events on the failover
     /// path; [`Tracer::off`] for untraced fetches.
     tracer: Tracer,
@@ -198,296 +183,169 @@ pub fn fetch_striped_traced(
         });
     }
     let started = Instant::now();
-    let deadline = started + options.client.timeout;
+    let client = options.client;
 
-    let (event_tx, event_rx) = mpsc::channel::<Event>();
+    // Step 1: every handshake, in parallel, every one waited for.
+    let opened: Vec<Result<(ReplicaConn, ObjectManifest), ServeError>> = thread::scope(|scope| {
+        let opens: Vec<_> = addrs
+            .iter()
+            .map(|&addr| scope.spawn(move || ReplicaConn::open(addr, object_id, scheme, &client)))
+            .collect();
+        opens.into_iter().map(|open| open.join().expect("a handshake thread panicked")).collect()
+    });
+
+    // Step 2: one vote, then the lease table over every replica.
+    let declared: Vec<Option<ObjectManifest>> =
+        opened.iter().map(|outcome| outcome.as_ref().ok().map(|(_, manifest)| *manifest)).collect();
+    let Some(manifest) = vote(&declared) else {
+        // No replica handed over a manifest: every handshake failed.
+        return Err(opened.into_iter().rev().find_map(Result::err).expect("addrs is not empty"));
+    };
+    let (events, reports) = mpsc::channel();
     let mut coordinator = Coordinator {
         addrs: addrs.to_vec(),
         object_id,
         scheme,
-        options: *options,
+        client,
+        deadline: started + client.timeout,
         stripe: StripeCounters::with_replicas(addrs.len()),
-        manifest: None,
-        receiver: None,
-        leases: None,
-        alive: vec![true; addrs.len()],
-        spawned: vec![false; addrs.len()],
-        deferred_orphans: Vec::new(),
-        pending_conns: Vec::new(),
+        receiver: Arc::new(SharedReceiver::new(manifest)),
+        leases: LeaseTable::partition(manifest.generation_count(), addrs.len()),
+        alive: declared.iter().map(|declared| *declared == Some(manifest)).collect(),
         stream_failures: 0,
         last_error: None,
         latency: LogHistogramSnapshot::empty(),
-        event_tx: event_tx.clone(),
+        events,
         outstanding_streams: 0,
-        pending_opens: addrs.len(),
         tracer,
     };
-
-    // Parallel opens, funneled into the coordinator's event loop: streams
-    // start the moment their replica's handshake lands.
-    for (replica, addr) in addrs.iter().enumerate() {
-        let event_tx = event_tx.clone();
-        let addr = *addr;
-        let client = options.client;
-        thread::spawn(move || {
-            let result = ReplicaConn::open(addr, object_id, scheme, &client);
-            let _ = event_tx.send(Event::Opened(replica, Box::new(result)));
-        });
+    let mut conns = Vec::with_capacity(addrs.len());
+    for (replica, outcome) in opened.into_iter().enumerate() {
+        let error = match outcome {
+            Ok((conn, declared)) if declared == manifest => {
+                conns.push((replica, conn));
+                continue;
+            }
+            Ok(_) => ServeError::Corrupt("replicas disagree on the object manifest"),
+            Err(error) => error,
+        };
+        coordinator.fail(replica, error, true);
+        let orphaned = coordinator.leases.leased_to(replica);
+        // The vote's winner is alive, so the leases always have somewhere
+        // to go; dead-at-open replicas never owned a stream, so this is
+        // not a failover in the budget sense.
+        let _ = coordinator.reassign(&orphaned, replica);
     }
 
-    // Event loop: handshakes and stream terminations, until the object
-    // completes or nothing can still deliver it.
-    while coordinator.pending_opens > 0 || coordinator.outstanding_streams > 0 {
-        if coordinator.receiver.as_ref().is_some_and(|r| r.is_complete()) {
-            break;
+    // Step 3: one stream per surviving replica, over its open session.
+    for (replica, conn) in conns {
+        let lease = coordinator.leases.leased_to(replica);
+        coordinator.spawn(replica, Some(conn), lease, false);
+    }
+    // Stream reports, until the object completes (and the grace for the
+    // streams still running passes) or nothing can still deliver it.
+    let mut grace_ends = None;
+    while coordinator.outstanding_streams > 0 {
+        if grace_ends.is_none() && coordinator.receiver.is_complete() {
+            grace_ends = Some(Instant::now() + REPORT_GRACE);
         }
-        if Instant::now() > deadline {
+        let until = grace_ends.unwrap_or(coordinator.deadline);
+        let now = Instant::now();
+        if now >= until {
+            if grace_ends.is_some() {
+                break;
+            }
             return Err(ServeError::TimedOut);
         }
         // Short waits: the receiver can complete while every stream is
         // still mid-drain, and completion must be noticed promptly, not
         // on the next stream event.
-        let wait =
-            deadline.saturating_duration_since(Instant::now()).min(Duration::from_millis(10));
-        let event = match event_rx.recv_timeout(wait) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() > deadline {
-                    return Err(ServeError::TimedOut);
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        coordinator.handle(event)?;
-    }
-
-    let Some(receiver) = coordinator.receiver.as_ref() else {
-        // No replica ever handed over a manifest.
-        return Err(coordinator
-            .last_error
-            .unwrap_or(ServeError::AllReplicasFailed { replicas: addrs.len(), cause: None }));
-    };
-    if !receiver.is_complete() {
-        return Err(ServeError::AllReplicasFailed {
-            replicas: addrs.len(),
-            cause: coordinator.last_error.take().map(Box::new),
-        });
-    }
-
-    // Streams still running exit within one read-timeout cycle once their
-    // generations are complete; give them a moment so their counters make
-    // the report, but never block completion on a wedged socket.
-    let drain_deadline = Instant::now() + Duration::from_millis(500);
-    while coordinator.outstanding_streams > 0 && Instant::now() < drain_deadline {
-        match event_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Event::Stream(event)) => {
-                coordinator.outstanding_streams -= 1;
-                coordinator.latency.merge(&event.latency);
-                let slot = &mut coordinator.stripe.replicas[event.replica];
-                slot.merge(&event.counters);
-                slot.failed |= event.result.is_err();
-            }
-            Ok(Event::Opened(_, result)) => {
-                coordinator.pending_opens = coordinator.pending_opens.saturating_sub(1);
-                drop(result); // a late handshake has nothing left to serve
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        if let Ok(event) = reports.recv_timeout((until - now).min(Duration::from_millis(10))) {
+            coordinator.handle(event)?;
         }
     }
 
-    let receiver = coordinator.receiver.expect("checked above");
-    let manifest = coordinator.manifest.expect("manifest set with receiver");
+    let Coordinator { receiver, stripe, latency, last_error, .. } = coordinator;
+    if !receiver.is_complete() {
+        return Err(ServeError::AllReplicasFailed {
+            replicas: addrs.len(),
+            cause: last_error.map(Box::new),
+        });
+    }
     let object =
         receiver.reassemble().ok_or(ServeError::Corrupt("reassembly failed after completion"))?;
     if object.len() as u64 != manifest.object_len {
         return Err(ServeError::Corrupt("reassembled length != manifest"));
     }
-    Ok(StripedReport {
-        object,
-        manifest,
-        stripe: coordinator.stripe,
-        elapsed: started.elapsed(),
-        latency: coordinator.latency,
-    })
+    Ok(StripedReport { object, manifest, stripe, elapsed: started.elapsed(), latency })
+}
+
+/// The reference manifest: the one most replicas declared, the lowest
+/// replica index breaking ties; `None` when no replica answered. A
+/// majority is a plurality, so a lone impostor never out-votes the
+/// correct replicas.
+fn vote(declared: &[Option<ObjectManifest>]) -> Option<ObjectManifest> {
+    let votes = |manifest: &ObjectManifest| {
+        declared.iter().filter(|other| other.as_ref() == Some(manifest)).count()
+    };
+    // `min_by_key` keeps the first of equal keys: the lowest index.
+    declared.iter().flatten().min_by_key(|manifest| Reverse(votes(manifest))).copied()
 }
 
 impl Coordinator {
-    /// Applies one event. `Err` aborts the whole fetch.
-    fn handle(&mut self, event: Event) -> Result<(), ServeError> {
-        match event {
-            Event::Opened(replica, outcome) => {
-                self.pending_opens -= 1;
-                match *outcome {
-                    Ok((conn, declared)) => match self.manifest {
-                        Some(reference) if declared != reference => self.impostor(replica),
-                        Some(_) => self.spawn_primary(replica, conn),
-                        None => {
-                            // No reference yet: buffer until a manifest wins
-                            // the adoption vote. First-handshake-wins would
-                            // let a fast misconfigured replica become the
-                            // reference and disqualify every correct one.
-                            self.pending_conns.push((replica, conn, declared));
-                            self.try_adopt();
-                        }
-                    },
-                    Err(e) => {
-                        self.stripe.replicas[replica].failed = true;
-                        self.last_error = Some(e);
-                        self.replica_dead_at_open(replica);
-                        // One fewer voter; a buffered plurality may now
-                        // decide.
-                        self.try_adopt();
-                    }
-                }
+    /// Applies one stream's report. `Err` aborts the whole fetch.
+    fn handle(&mut self, event: StreamEvent) -> Result<(), ServeError> {
+        self.outstanding_streams -= 1;
+        self.latency.merge(&event.latency);
+        self.stripe.replicas[event.replica].merge(&event.counters);
+        let Err(error) = event.result else { return Ok(()) };
+        if self.receiver.is_complete() {
+            // Nothing left to fail over; the report still says so.
+            self.stripe.replicas[event.replica].failed = true;
+            return Ok(());
+        }
+        // Completed generations can never migrate, whatever happens next.
+        for generation in 0..self.receiver.manifest().generation_count() {
+            if self.receiver.generation_complete(generation) {
+                self.leases.release(generation);
             }
-            Event::Stream(event) => {
-                self.outstanding_streams -= 1;
-                self.latency.merge(&event.latency);
-                self.stripe.replicas[event.replica].merge(&event.counters);
-                self.release_completed();
-                if let Err(stream_error) = event.result {
-                    self.last_error = Some(stream_error);
-                    self.stripe.replicas[event.replica].failed = true;
-                    self.stripe.failovers += 1;
-                    self.stream_failures += 1;
-                    if !event.failover {
-                        // The replica's one original session died; stop
-                        // routing leases to it.
-                        self.alive[event.replica] = false;
-                        let replica = event.replica as u64;
-                        crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica });
-                    }
-                    if self.stream_failures > MAX_FAILOVERS {
-                        return Err(self.give_up());
-                    }
-                    if self.migrate(&event.lease, event.replica).is_err() {
-                        return Err(self.give_up());
-                    }
-                }
+        }
+        // The replica's one original session died: stop routing leases
+        // to it. A re-lease session's failure says less.
+        self.fail(event.replica, error, !event.failover);
+        self.stream_failures += 1;
+        if self.stream_failures > MAX_FAILOVERS {
+            return Err(self.give_up());
+        }
+        let Some(moves) = self.reassign(&event.lease, event.replica) else {
+            return Err(self.give_up());
+        };
+        for target in 0..self.addrs.len() {
+            let orphans: Vec<u32> =
+                moves.iter().filter(|(_, to)| *to == target).map(|(g, _)| *g).collect();
+            if !orphans.is_empty() {
+                self.spawn(target, None, orphans, true);
             }
         }
         Ok(())
     }
 
-    /// Marks a replica whose manifest disagrees with the adopted
-    /// reference and re-homes its leases.
-    fn impostor(&mut self, replica: usize) {
+    /// Books a failed handshake or stream; `whole_replica` also declares
+    /// the replica dead.
+    fn fail(&mut self, replica: usize, error: ServeError, whole_replica: bool) {
         self.stripe.replicas[replica].failed = true;
-        self.last_error = Some(ServeError::Corrupt("replicas disagree on the object manifest"));
-        self.replica_dead_at_open(replica);
-    }
-
-    /// Starts a replica's original fetch stream over its current lease.
-    fn spawn_primary(&mut self, replica: usize, conn: ReplicaConn) {
-        let lease = self
-            .leases
-            .as_ref()
-            .expect("lease table exists once a manifest is adopted")
-            .leased_to(replica);
-        self.spawned[replica] = true;
-        spawn_stream(
-            replica,
-            conn,
-            lease,
-            Arc::clone(self.receiver.as_ref().expect("receiver with manifest")),
-            self.options.client,
-            self.event_tx.clone(),
-        );
-        self.outstanding_streams += 1;
-    }
-
-    /// Adoption vote over the buffered handshakes: a manifest is adopted
-    /// as the reference once a strict majority of *all configured*
-    /// replicas declare it, or — once every open has resolved — by
-    /// plurality among those that answered (lowest replica index breaks
-    /// ties). A lone impostor can therefore never out-race the correct
-    /// replicas into becoming the reference.
-    fn try_adopt(&mut self) {
-        if self.manifest.is_some() || self.pending_conns.is_empty() {
-            return;
-        }
-        let majority = self.addrs.len() / 2 + 1;
-        // (votes, lowest replica index) per distinct manifest, over the
-        // handful of buffered handshakes.
-        let mut winner: Option<(usize, usize, ObjectManifest)> = None;
-        for (replica, _, candidate) in &self.pending_conns {
-            let votes = self.pending_conns.iter().filter(|(_, _, m)| m == candidate).count();
-            let lowest = self
-                .pending_conns
-                .iter()
-                .filter(|(_, _, m)| m == candidate)
-                .map(|(r, _, _)| *r)
-                .min()
-                .unwrap_or(*replica);
-            let better = match &winner {
-                None => true,
-                Some((best_votes, best_lowest, _)) => {
-                    votes > *best_votes || (votes == *best_votes && lowest < *best_lowest)
-                }
-            };
-            if better {
-                winner = Some((votes, lowest, *candidate));
-            }
-        }
-        let Some((votes, _, reference)) = winner else { return };
-        if votes < majority && self.pending_opens > 0 {
-            return; // undecided: more handshakes may still arrive
-        }
-        self.adopt_manifest(reference);
-        for (replica, conn, declared) in std::mem::take(&mut self.pending_conns) {
-            if declared == reference {
-                self.spawn_primary(replica, conn);
-            } else {
-                self.impostor(replica);
-            }
-        }
-    }
-
-    /// Adopting the reference manifest: build the shared decoder and the
-    /// lease table, and re-home any leases orphaned by replicas that
-    /// failed before this point.
-    fn adopt_manifest(&mut self, manifest: ObjectManifest) {
-        self.receiver = Some(Arc::new(SharedReceiver::new(manifest)));
-        self.leases = Some(LeaseTable::partition(manifest.generation_count(), self.addrs.len()));
-        self.manifest = Some(manifest);
-        for replica in std::mem::take(&mut self.deferred_orphans) {
-            let orphaned = self.leases.as_ref().expect("lease table just built").leased_to(replica);
-            // Dead-at-open replicas never owned a stream, so failures
-            // here are not failovers in the budget sense; ignore the
-            // unreachable no-survivor error (nothing is running yet and
-            // the main loop will detect total loss).
-            let _ = self.migrate(&orphaned, replica);
-        }
-    }
-
-    /// A replica whose handshake failed: re-home its initial lease (or
-    /// defer until a manifest exists to partition against).
-    fn replica_dead_at_open(&mut self, replica: usize) {
-        self.alive[replica] = false;
-        crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica: replica as u64 });
         self.stripe.failovers += 1;
-        if self.manifest.is_some() {
-            let orphaned =
-                self.leases.as_ref().expect("lease table exists with manifest").leased_to(replica);
-            let _ = self.migrate(&orphaned, replica);
-        } else {
-            self.deferred_orphans.push(replica);
+        self.last_error = Some(error);
+        if whole_replica {
+            self.alive[replica] = false;
+            crate::trace(&self.tracer, || TraceEvent::ReplicaFailover { replica: replica as u64 });
         }
     }
 
-    /// Moves the outstanding generations of one failed stream to the
-    /// surviving replicas, spawning re-lease sessions where the target's
-    /// original stream already pruned them.
-    ///
-    /// `Err(NoSurvivors)` reports outstanding leases with nowhere to go;
-    /// it deliberately carries no cause — `last_error` stays untouched so
-    /// the caller that decides to abort can still attach it.
-    fn migrate(&mut self, lease: &[u32], from: usize) -> Result<(), NoSurvivors> {
-        if self.leases.is_none() {
-            return Ok(());
-        }
+    /// Moves the outstanding generations of `lease` from `from` to the
+    /// surviving replicas round-robin and returns the moves, or `None`
+    /// when outstanding leases have nowhere to go.
+    fn reassign(&mut self, lease: &[u32], from: usize) -> Option<Vec<(u32, usize)>> {
         // Prefer other live replicas; fall back on the stream's own
         // replica when it is still alive (a failover stream died but the
         // replica itself is healthy) and nobody else is left.
@@ -496,63 +354,62 @@ impl Coordinator {
         if candidates.is_empty() && self.alive[from] {
             candidates.push(from);
         }
-        let moves = {
-            let leases = self.leases.as_mut().expect("checked above");
-            let outstanding: Vec<u32> =
-                lease.iter().copied().filter(|&g| leases.owner(g).is_some()).collect();
-            if outstanding.is_empty() {
-                return Ok(()); // everything in the lease already completed
-            }
-            leases.reassign_set(&outstanding, &candidates)
-        };
+        let outstanding: Vec<u32> =
+            lease.iter().copied().filter(|&g| self.leases.owner(g).is_some()).collect();
+        if outstanding.is_empty() {
+            return Some(Vec::new()); // everything in the lease already completed
+        }
+        let moves = self.leases.reassign_set(&outstanding, &candidates);
         if moves.is_empty() {
-            return Err(NoSurvivors); // outstanding leases, nowhere to go
+            return None;
         }
         for &(generation, to) in &moves {
             let (from, to) = (from as u64, to as u64);
             crate::trace(&self.tracer, || TraceEvent::LeaseReassigned { generation, from, to });
         }
         self.stripe.generations_releases += moves.len() as u64;
-        for &target in &candidates {
-            let orphans: Vec<u32> =
-                moves.iter().filter(|(_, to)| *to == target).map(|(g, _)| *g).collect();
-            if orphans.is_empty() {
-                continue;
-            }
-            if !self.spawned[target] {
-                // The target's original stream has not started yet; the
-                // reassignment above already put these generations in the
-                // lease it will read at spawn time.
-                continue;
-            }
-            spawn_release_stream(
-                target,
-                self.addrs[target],
-                self.object_id,
-                self.scheme,
-                self.manifest.expect("manifest exists when streams run"),
-                orphans,
-                Arc::clone(self.receiver.as_ref().expect("receiver exists when streams run")),
-                self.options.client,
-                self.event_tx.clone(),
-            );
-            self.outstanding_streams += 1;
-        }
-        Ok(())
+        Some(moves)
     }
 
-    /// Completed generations can never migrate, whatever happens next.
-    fn release_completed(&mut self) {
-        let (Some(receiver), Some(leases), Some(manifest)) =
-            (self.receiver.as_ref(), self.leases.as_mut(), self.manifest.as_ref())
-        else {
-            return;
-        };
-        for gen_index in 0..manifest.generation_count() {
-            if receiver.generation_complete(gen_index) {
-                leases.release(gen_index);
-            }
-        }
+    /// Starts one stream thread: over `conn` when the replica's session
+    /// is already open, else over a fresh session (whose manifest
+    /// `fetch_generations` checks against the receiver's). It fetches
+    /// `lease` with what is left of the fetch's deadline and reports one
+    /// [`StreamEvent`].
+    fn spawn(
+        &mut self,
+        replica: usize,
+        conn: Option<ReplicaConn>,
+        lease: Vec<u32>,
+        failover: bool,
+    ) {
+        let (addr, object_id, scheme) = (self.addrs[replica], self.object_id, self.scheme);
+        let (receiver, events) = (Arc::clone(&self.receiver), self.events.clone());
+        let (client, deadline) = (self.client, self.deadline);
+        self.outstanding_streams += 1;
+        thread::spawn(move || {
+            let options = ClientOptions {
+                timeout: deadline.saturating_duration_since(Instant::now()),
+                ..client
+            };
+            let conn = match conn {
+                Some(conn) => Ok(conn),
+                None => ReplicaConn::open(addr, object_id, scheme, &options).map(|(conn, _)| conn),
+            };
+            let (result, counters, latency) = match conn {
+                Ok(mut conn) => {
+                    let result = conn.fetch_generations(&lease, &receiver, &options).map(drop);
+                    (result, conn.replica_counters(), conn.latency_snapshot())
+                }
+                Err(error) => {
+                    (Err(error), ReplicaCounters::default(), LogHistogramSnapshot::empty())
+                }
+            };
+            // A send failure means the coordinator already returned;
+            // nothing left to report to.
+            let _ =
+                events.send(StreamEvent { replica, lease, failover, result, counters, latency });
+        });
     }
 
     fn give_up(&mut self) -> ServeError {
@@ -563,69 +420,41 @@ impl Coordinator {
     }
 }
 
-/// Spawns one replica stream thread running the per-generation primitive.
-fn spawn_stream(
-    replica: usize,
-    mut conn: ReplicaConn,
-    lease: Vec<u32>,
-    receiver: Arc<SharedReceiver>,
-    options: ClientOptions,
-    event_tx: mpsc::Sender<Event>,
-) {
-    thread::spawn(move || {
-        let result = conn.fetch_generations(&lease, &receiver, &options).map(|_| ());
-        let counters = conn.replica_counters();
-        let latency = conn.latency_snapshot();
-        // A send failure means the coordinator already returned; nothing
-        // left to report to.
-        let _ = event_tx.send(Event::Stream(Box::new(StreamEvent {
-            replica,
-            lease,
-            failover: false,
-            result,
-            counters,
-            latency,
-        })));
-    });
-}
+#[cfg(test)]
+mod tests {
+    use ltnc_scheme::SchemeParams;
 
-/// Spawns a failover stream: opens a fresh session to a survivor (off the
-/// coordinator thread), verifies it still serves the same manifest, and
-/// fetches the re-leased generations. Failures surface as a normal stream
-/// event for this replica, marked `failover` so they do not declare the
-/// replica itself dead.
-#[allow(clippy::too_many_arguments)]
-fn spawn_release_stream(
-    replica: usize,
-    addr: SocketAddr,
-    object_id: u64,
-    scheme: SchemeKind,
-    expected: ObjectManifest,
-    lease: Vec<u32>,
-    receiver: Arc<SharedReceiver>,
-    options: ClientOptions,
-    event_tx: mpsc::Sender<Event>,
-) {
-    thread::spawn(move || {
-        let (result, counters, latency) = match ReplicaConn::open(addr, object_id, scheme, &options)
-        {
-            Ok((mut conn, declared)) => {
-                let result = if declared == expected {
-                    conn.fetch_generations(&lease, &receiver, &options).map(|_| ())
-                } else {
-                    Err(ServeError::Corrupt("replicas disagree on the object manifest"))
-                };
-                (result, conn.replica_counters(), conn.latency_snapshot())
-            }
-            Err(e) => (Err(e), ReplicaCounters::default(), LogHistogramSnapshot::empty()),
-        };
-        let _ = event_tx.send(Event::Stream(Box::new(StreamEvent {
-            replica,
-            lease,
-            failover: true,
-            result,
-            counters,
-            latency,
-        })));
-    });
+    use super::*;
+
+    fn manifest(object_len: u64) -> Option<ObjectManifest> {
+        Some(ObjectManifest { object_len, params: SchemeParams::new(SchemeKind::Rlnc, 8, 32) })
+    }
+
+    #[test]
+    fn a_majority_wins_the_vote() {
+        assert_eq!(vote(&[manifest(2), manifest(1), manifest(1)]), manifest(1));
+    }
+
+    #[test]
+    fn a_plurality_wins_the_vote() {
+        let declared = [manifest(1), None, manifest(2), manifest(3), manifest(2), None];
+        assert_eq!(vote(&declared), manifest(2));
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_lowest_replica_index() {
+        assert_eq!(vote(&[None, manifest(2), manifest(1)]), manifest(2));
+        assert_eq!(vote(&[manifest(1), manifest(2)]), manifest(1));
+    }
+
+    #[test]
+    fn nobody_answering_elects_nothing() {
+        assert_eq!(vote(&[None, None, None]), None);
+        assert_eq!(vote(&[]), None);
+    }
+
+    #[test]
+    fn a_lone_impostor_at_index_zero_loses_to_two_agreeing_replicas() {
+        assert_eq!(vote(&[manifest(9), manifest(1), manifest(1)]), manifest(1));
+    }
 }

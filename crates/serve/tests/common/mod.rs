@@ -6,8 +6,9 @@
 
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
+use std::time::Instant;
 
 /// What the relay does once the cut byte has reached the client.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -24,6 +25,8 @@ pub enum Cut {
 pub struct Relay {
     /// The address to point the client at instead of the upstream.
     pub addr: SocketAddr,
+    /// The instant the client closed its side of the connection.
+    pub client_closed: Receiver<Instant>,
     _hold: Sender<()>,
 }
 
@@ -33,6 +36,7 @@ pub fn relay(upstream: SocketAddr, cut_at: u64, cut: Cut) -> Relay {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
     let addr = listener.local_addr().expect("relay addr");
     let (hold, released) = mpsc::channel::<()>();
+    let (closed, client_closed) = mpsc::channel();
     thread::spawn(move || {
         let (client, _) = listener.accept().expect("relay accept");
         let server = TcpStream::connect(upstream).expect("relay connect");
@@ -40,6 +44,7 @@ pub fn relay(upstream: SocketAddr, cut_at: u64, cut: Cut) -> Relay {
         thread::scope(|scope| {
             scope.spawn(move || {
                 let _ = io::copy(&mut from_client, &mut to_server);
+                let _ = closed.send(Instant::now());
                 let _ = to_server.shutdown(Shutdown::Write);
             });
             let _ = io::copy(&mut (&server).take(cut_at), &mut &client);
@@ -50,5 +55,5 @@ pub fn relay(upstream: SocketAddr, cut_at: u64, cut: Cut) -> Relay {
             let _ = server.shutdown(Shutdown::Both);
         });
     });
-    Relay { addr, _hold: hold }
+    Relay { addr, client_closed, _hold: hold }
 }

@@ -5,7 +5,7 @@
 mod common;
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{relay, Cut};
 use ltnc_scheme::{SchemeKind, SchemeParams};
@@ -233,6 +233,78 @@ fn a_replica_serving_a_different_object_is_dropped_not_merged() {
     assert!(report.stripe.replicas[1].failed, "impostor must be marked failed");
     let _ = impostor.shutdown();
     for server in good {
+        let _ = server.shutdown();
+    }
+}
+
+#[test]
+fn a_replica_silent_at_the_handshake_is_failed_over_before_any_stream_starts() {
+    let object = pseudo_object(8 * 1024, 0x5117);
+    let params = SchemeParams::new(SchemeKind::Rlnc, 16, 32); // 512 B/gen → 16 generations
+    let servers = spawn_replicas(3, 4, &object, params, &ServeOptions::default());
+
+    // Replica 1 accepts the connection and then says nothing at all: not
+    // even its MANIFEST reaches the client.
+    let silent = relay(servers[1].local_addr(), 0, Cut::Stall);
+    let addrs = vec![servers[0].local_addr(), silent.addr, servers[2].local_addr()];
+
+    let stall_timeout = Duration::from_millis(1500);
+    let options = StripedOptions {
+        client: ClientOptions { timeout: Duration::from_secs(30), stall_timeout },
+    };
+    let report = fetch_striped(&addrs, 4, SchemeKind::Rlnc, &options)
+        .expect("two answering replicas carry the fetch");
+    assert_eq!(report.object, object);
+    assert!(report.stripe.replicas[1].failed, "the silent replica must be marked failed");
+    assert!(
+        report.stripe.generations_releases > 0,
+        "the silent replica's generations must migrate, got {}",
+        report.stripe
+    );
+    assert!(
+        report.elapsed < stall_timeout + Duration::from_secs(5),
+        "took {:?} past a {stall_timeout:?} handshake stall",
+        report.elapsed
+    );
+    drop(silent);
+    for server in servers {
+        let _ = server.shutdown();
+    }
+}
+
+#[test]
+fn no_stream_outlives_the_fetch_deadline() {
+    let object = pseudo_object(4096, 0xDEAD1);
+    let params = SchemeParams::new(SchemeKind::Rlnc, 16, 32);
+    let servers = spawn_replicas(2, 6, &object, params, &ServeOptions::default());
+
+    // Replica 0 answers the handshake (its MANIFEST is 35 bytes) and then
+    // withholds everything; replica 1 withholds even its MANIFEST, so the
+    // stream on replica 0 starts only once replica 1's handshake has
+    // stalled out, three quarters into the fetch's deadline.
+    let mute = relay(servers[0].local_addr(), 40, Cut::Stall);
+    let silent = relay(servers[1].local_addr(), 0, Cut::Stall);
+    let addrs = vec![mute.addr, silent.addr];
+
+    let timeout = Duration::from_secs(2);
+    let options = StripedOptions {
+        client: ClientOptions { timeout, stall_timeout: Duration::from_millis(1500) },
+    };
+    let started = Instant::now();
+    match fetch_striped(&addrs, 6, SchemeKind::Rlnc, &options) {
+        Err(ServeError::TimedOut | ServeError::AllReplicasFailed { .. }) => {}
+        other => panic!("expected the fetch to run out of time, got {other:?}"),
+    }
+    // The stream on replica 0 ends at the fetch's deadline, within a few
+    // read timeouts, not a whole stall window after it started.
+    let closed = mute.client_closed.recv_timeout(Duration::from_secs(10)).expect("stream closed");
+    let lived = closed.duration_since(started);
+    assert!(
+        lived < timeout + Duration::from_millis(300),
+        "a stream closed {lived:?} into a fetch with a {timeout:?} deadline"
+    );
+    drop((mute, silent));
+    for server in servers {
         let _ = server.shutdown();
     }
 }
