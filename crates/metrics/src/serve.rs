@@ -28,6 +28,10 @@ crate::counter_family! {
         pub transfers_aborted: u64,
         /// Offers that carried their payload to acceptance.
         pub transfers_delivered: u64,
+        /// Offers built from the client's summary (Algorithm 4) instead of
+        /// read from the warm ring: no cache lookup, so neither a hit nor a
+        /// miss.
+        pub smart_offers: u64,
         /// Symbols served straight from the warm cache (no coding work).
         pub cache_hits: u64,
         /// Symbols that had to be encoded on demand.
@@ -67,7 +71,9 @@ crate::counter_family! {
 
 impl ServeCounters {
     /// Fraction of symbol requests served from the warm cache, in
-    /// `[0, 1]`; `0` when no symbol was ever requested.
+    /// `[0, 1]`; `0` when no symbol was ever requested. It counts ring
+    /// lookups only: a smart offer is no lookup, so a server answering
+    /// summaries reads a low ratio without serving any slower.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -84,7 +90,7 @@ impl fmt::Display for ServeCounters {
         write!(
             f,
             "sessions {} accepted / {} rejected / {} completed, \
-             {} B out / {} B in, transfers {} offered / {} aborted / {} delivered, \
+             {} B out / {} B in, transfers {} offered ({} smart) / {} aborted / {} delivered, \
              cache {} hits / {} misses / {} evictions ({:.0}% hit)",
             self.sessions_accepted,
             self.sessions_rejected,
@@ -92,6 +98,7 @@ impl fmt::Display for ServeCounters {
             self.bytes_out,
             self.bytes_in,
             self.transfers_offered,
+            self.smart_offers,
             self.transfers_aborted,
             self.transfers_delivered,
             self.cache_hits,
@@ -148,6 +155,7 @@ mod tests {
             transfers_offered: 50,
             transfers_aborted: 5,
             transfers_delivered: 40,
+            smart_offers: 20,
             cache_hits: 30,
             cache_misses: 10,
             cache_evictions: 4,
@@ -161,6 +169,7 @@ mod tests {
             transfers_offered: 90,
             transfers_aborted: 9,
             transfers_delivered: 72,
+            smart_offers: 35,
             cache_hits: 75,
             cache_misses: 15,
             cache_evictions: 4,
@@ -177,6 +186,7 @@ mod tests {
                 transfers_offered: 40,
                 transfers_aborted: 4,
                 transfers_delivered: 32,
+                smart_offers: 15,
                 cache_hits: 45,
                 cache_misses: 5,
                 cache_evictions: 0,

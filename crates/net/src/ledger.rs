@@ -7,7 +7,9 @@
 //! for each generation, into which the sender folds what it sends; the
 //! receiver's [`AcceptLedger`] holds each accept, with its `now`, until
 //! the one payload of that transfer and generation claims it, within a
-//! cap the caller passes.
+//! cap the caller passes. A receiver writes its verdicts with
+//! [`encode_verdict_into`], which carries its summary up to
+//! [`MAX_SUMMARY_BYTES`].
 
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
@@ -17,7 +19,35 @@ use std::time::Duration;
 use ltnc_gf2::EncodedPacket;
 use ltnc_scheme::Summary;
 
-use crate::envelope::{self, EnvelopeHeader, TraceContext, GENERATION_OBJECT};
+use crate::envelope::{
+    self, EnvelopeHeader, TraceContext, FEEDBACK_FRAME_BYTES, GENERATION_OBJECT,
+};
+
+/// The longest summary a verdict carries; past it the verdict goes plain.
+pub const MAX_SUMMARY_BYTES: usize = 256;
+
+/// Appends the verdict `accept` on offer `transfer` of `header`'s
+/// generation to `out`: an `ACCEPT-SUMMARY` or `ABORT-SUMMARY` carrying
+/// `summary` when it encodes to [`MAX_SUMMARY_BYTES`] or fewer, else a
+/// plain `FEEDBACK`. Returns whether the summary went.
+pub fn encode_verdict_into(
+    out: &mut Vec<u8>,
+    header: &EnvelopeHeader,
+    transfer: u64,
+    accept: bool,
+    summary: Option<&Summary>,
+) -> bool {
+    let start = out.len();
+    if let Some(summary) = summary {
+        envelope::encode_feedback_summary_into(out, header, transfer, accept, summary);
+        if out.len() - start - FEEDBACK_FRAME_BYTES <= MAX_SUMMARY_BYTES {
+            return true;
+        }
+        out.truncate(start);
+    }
+    envelope::encode_feedback_into(out, header, transfer, accept);
+    false
+}
 
 /// One offer awaiting its feedback.
 #[derive(Debug)]
@@ -127,6 +157,12 @@ impl<P: Borrow<EncodedPacket>> OfferLedger<P> {
         if self.done.get(generation as usize) == Some(&false) && !self.object_done {
             self.summaries.insert(generation, summary);
         }
+    }
+
+    /// The summary held for `generation`, if any, for the sender to build
+    /// its next offer of that generation from and fold it into.
+    pub fn summary_mut(&mut self, generation: u32) -> Option<&mut Summary> {
+        self.summaries.get_mut(&generation)
     }
 
     /// The summaries held, lowest generation first, for the sender to
@@ -405,6 +441,32 @@ mod tests {
         ledger.note_summary(2, summary(6, 0));
         assert_eq!(ledger.summaries_held(), 0, "the object's COMPLETE drops them all");
         assert!(held(&mut ledger).is_empty());
+    }
+
+    #[test]
+    fn a_verdict_carries_a_summary_up_to_the_cap_and_goes_plain_past_it() {
+        // Appended behind frames already queued, as a stream batches them.
+        let queued = vec![0xAB; 7];
+        let verdict = |summary: &Summary| {
+            let mut out = queued.clone();
+            let summarised = encode_verdict_into(&mut out, &header(2), 9, true, Some(summary));
+            assert_eq!(out[..queued.len()], queued[..], "a queued frame was touched");
+            let frame = envelope::decode_view(&out[queued.len()..]).expect("one frame");
+            (summarised, frame.into_owned().message)
+        };
+        let small = summary(16, 5);
+        assert_eq!(
+            verdict(&small),
+            (true, Message::FeedbackSummary { transfer: 9, accept: true, summary: small })
+        );
+        // Every other native of 4096 decoded: a bitmap of 512 bytes, or
+        // a longer index list.
+        let labels: Vec<usize> = (0..4096).map(|x| if x % 2 == 0 { 0 } else { x + 1 }).collect();
+        let large = Summary::from_labels(&labels);
+        assert_eq!(verdict(&large), (false, Message::Feedback { transfer: 9, accept: true }));
+        let mut plain = Vec::new();
+        assert!(!encode_verdict_into(&mut plain, &header(2), 9, false, None));
+        assert_eq!(plain.len(), FEEDBACK_FRAME_BYTES);
     }
 
     #[test]

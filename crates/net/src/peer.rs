@@ -90,11 +90,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::envelope::{
-    self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, FEEDBACK_FRAME_BYTES,
-    GENERATION_OBJECT,
+    self, EnvelopeHeader, EnvelopeView, Message, MessageKind, MessageView, GENERATION_OBJECT,
 };
 use crate::faults::DatagramFaultCounters;
-use crate::ledger::{AcceptLedger, OfferLedger};
+use crate::ledger::{self, AcceptLedger, OfferLedger, MAX_SUMMARY_BYTES};
 use ltnc_session::generation::{ObjectManifest, ReceiverSession, SourceSession};
 
 /// The datagrams one [`NodeStateMachine`] call emits, in order:
@@ -148,9 +147,6 @@ const PUSH_RATE: usize = 2;
 /// above any overlay's degree, so only a stranger spraying addresses
 /// reaches it. Past it the ledger whose last accept is oldest goes.
 const MAX_ACCEPT_LEDGERS: usize = 256;
-
-/// The longest summary a verdict carries; past it the verdict goes plain.
-const MAX_SUMMARY_BYTES: usize = 256;
 
 /// What a node is in the session.
 pub(crate) enum NodeRole {
@@ -565,7 +561,11 @@ impl NodeStateMachine {
                     Some(receiver) if fits => receiver.summary(generation, MAX_SUMMARY_BYTES),
                     _ => None,
                 };
-                let bytes = self.verdict(&header, transfer, accept, summary);
+                let mut bytes = Vec::new();
+                let summary = summary.as_ref();
+                let summarised =
+                    ledger::encode_verdict_into(&mut bytes, &header, transfer, accept, summary);
+                self.wire.summaries_sent += u64::from(summarised);
                 self.post(out, from, bytes);
                 // Aborts caused by a finished generation also tell the
                 // sender to stop offering it altogether. A node with no
@@ -677,29 +677,6 @@ impl NodeStateMachine {
             self.accepts.remove(&oldest);
             self.wire.accept_ledgers_evicted += 1;
         }
-    }
-
-    /// The verdict on offer `transfer` of `header`'s generation: with the
-    /// summary when there is one that fits [`MAX_SUMMARY_BYTES`], else a
-    /// plain `FEEDBACK`.
-    fn verdict(
-        &mut self,
-        header: &EnvelopeHeader,
-        transfer: u64,
-        accept: bool,
-        summary: Option<Summary>,
-    ) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        if let Some(summary) = summary {
-            envelope::encode_feedback_summary_into(&mut bytes, header, transfer, accept, &summary);
-            if bytes.len() - FEEDBACK_FRAME_BYTES <= MAX_SUMMARY_BYTES {
-                self.wire.summaries_sent += 1;
-                return bytes;
-            }
-            bytes.clear();
-        }
-        envelope::encode_feedback_into(&mut bytes, header, transfer, accept);
-        bytes
     }
 
     /// The verdict `accept` from `from` on offer `transfer`, with the

@@ -15,6 +15,12 @@
 //! generation from the server's offer schedule is simply sent *up front*
 //! for every generation outside the lease, so the server spends its whole
 //! in-flight budget on the generations this stream is responsible for.
+//! Within the lease, every verdict on a generation still being decoded
+//! carries what the shared receiver holds of it, as a gossip node's does
+//! (`ACCEPT-SUMMARY` / `ABORT-SUMMARY`, for schemes that have a summary):
+//! the server builds its next offers of that generation from it, packets
+//! the receiver is sure to want, so an LT-coded generation arrives in
+//! about `k` payloads instead of LT's decoding overhead above `k`.
 //!
 //! Every stream also keeps a **progress watermark**: the last instant a
 //! delivery advanced the merged decoder's rank. A stream whose watermark
@@ -33,7 +39,7 @@ use ltnc_metrics::{LogHistogram, LogHistogramSnapshot, ReplicaCounters, WireCoun
 use ltnc_net::envelope::{
     self, EnvelopeHeader, Message, MessageKind, MessageView, TraceContext, GENERATION_OBJECT,
 };
-use ltnc_net::ledger::AcceptLedger;
+use ltnc_net::ledger::{encode_verdict_into, AcceptLedger, MAX_SUMMARY_BYTES};
 use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_session::generation::ObjectManifest;
@@ -303,16 +309,24 @@ impl ReplicaConn {
                     }
                     MessageView::DataHeader { transfer, payload_size, vector, .. } => {
                         self.stripe.offers_seen += 1;
-                        let accept = payload_size == self.manifest.params.payload_size
-                            && lease.contains(&generation)
-                            && receiver.would_accept(generation, &vector);
+                        let ours = payload_size == self.manifest.params.payload_size
+                            && lease.contains(&generation);
+                        let accept = ours && receiver.would_accept(generation, &vector);
                         if !accept {
                             self.wire.transfers_aborted += 1;
                         } else if self.accepts.accept(transfer, generation, now).is_some() {
                             self.wire.accepts_evicted += 1;
                         }
-                        let (out, header) = (&mut self.outbound, &frame.header);
-                        envelope::encode_feedback_into(out, header, transfer, accept);
+                        // A verdict on a leased generation still being
+                        // decoded says what the receiver holds of it, taken
+                        // after the accept decision, as a node's does.
+                        let summary =
+                            ours.then(|| receiver.summary(generation, MAX_SUMMARY_BYTES)).flatten();
+                        let (out, header, summary) =
+                            (&mut self.outbound, &frame.header, summary.as_ref());
+                        let summarised =
+                            encode_verdict_into(out, header, transfer, accept, summary);
+                        self.wire.summaries_sent += u64::from(summarised);
                         self.wire.datagrams_sent += 1;
                     }
                     MessageView::DataPayload { transfer, packet, .. } => {

@@ -14,8 +14,8 @@
 //! client                                server
 //!   REQUEST (object id, scheme)  ──▶
 //!        ◀──  MANIFEST (len, k, m)          — or REJECT
-//!        ◀──  DATA-HEADER (offer)           — warm-cache symbol
-//!   FEEDBACK-ACCEPT / ABORT      ──▶
+//!        ◀──  DATA-HEADER (offer)           — warm-cache or smart symbol
+//!   FEEDBACK-ACCEPT / ABORT      ──▶        — or ACCEPT/ABORT-SUMMARY
 //!        ◀──  DATA-PAYLOAD                  — accepted offers only
 //!   COMPLETE (generation)        ──▶        — prunes that generation
 //!   COMPLETE (object)            ──▶        — ends the session
@@ -34,7 +34,12 @@
 //!
 //! A session's sender bookkeeping is one [`OfferLedger`], as a gossip
 //! node keeps per neighbour; the session adds the window and the round
-//! robin, and no TTL: a stream loses nothing.
+//! robin, and no TTL: a stream loses nothing. A verdict that carries the
+//! client's summary is held as a node holds it (folded with the accepted
+//! packet), and the session's next offers of that generation are built
+//! from it by the generation's source node (Algorithm 4): packets the
+//! client is sure to want. Where none can be built, the ring symbol at
+//! the cursor goes out instead, so a generation is never skipped.
 
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -52,7 +57,7 @@ use ltnc_net::envelope::{
 use ltnc_net::ledger::OfferLedger;
 use ltnc_net::stream::FrameReassembler;
 use ltnc_reactor::{Cx, Driven, Reactor, TimerId};
-use ltnc_scheme::SchemeParams;
+use ltnc_scheme::{SchemeParams, Summary};
 use ltnc_session::generation::ObjectManifest;
 use ltnc_telemetry::{RingSink, TraceEvent, Tracer};
 
@@ -544,24 +549,11 @@ fn handle_frame(
             *session = Some(new);
             Ok(false)
         }
-        // The server serves whole generations, so it reads a summarised
-        // verdict as the verdict it is and drops the summary.
-        MessageView::Feedback { transfer, accept }
-        | MessageView::FeedbackSummary { transfer, accept, .. } => {
-            let Some(session) = session.as_mut() else {
-                return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
-            };
-            let Some(offer) = session.offers.take(transfer) else {
-                return Ok(false); // a replay, or a transfer never offered
-            };
-            if accept {
-                stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
-                let header = session.header(MessageKind::DataPayload, offer.generation);
-                offer.encode_payload_into(out, &header, transfer);
-            } else {
-                stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false)
+        MessageView::Feedback { transfer, accept } => {
+            feedback(session, out, stats, transfer, accept, None)
+        }
+        MessageView::FeedbackSummary { transfer, accept, summary } => {
+            feedback(session, out, stats, transfer, accept, Some(summary))
         }
         MessageView::Complete => {
             let Some(session) = session.as_mut() else {
@@ -586,8 +578,45 @@ fn handle_frame(
     }
 }
 
+/// The verdict `accept` on offer `transfer`, with the client's summary
+/// when it sent one: an accept releases the payload, and the summary,
+/// folded with the accepted packet (taken before the client has it, it is
+/// short of it), is held for the next offers of that generation.
+fn feedback(
+    session: &mut Option<Session>,
+    out: &mut Vec<u8>,
+    stats: &ServeStats,
+    transfer: u64,
+    accept: bool,
+    summary: Option<Summary>,
+) -> Result<bool, ServeError> {
+    let Some(session) = session.as_mut() else {
+        return Err(ServeError::UnexpectedMessage("FEEDBACK before REQUEST"));
+    };
+    let Some(offer) = session.offers.take(transfer) else {
+        return Ok(false); // a replay, or a transfer never offered
+    };
+    if let Some(mut summary) = summary {
+        if accept {
+            summary.fold(offer.packet.vector());
+        }
+        session.offers.note_summary(offer.generation, summary);
+    }
+    if accept {
+        stats.counters.transfers_delivered.fetch_add(1, Ordering::Relaxed);
+        let header = session.header(MessageKind::DataPayload, offer.generation);
+        offer.encode_payload_into(out, &header, transfer);
+    } else {
+        stats.counters.transfers_aborted.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(false)
+}
+
 /// Keeps the pipeline of header-first offers full, round-robin over the
-/// generations the client still needs; every offer is stamped `now`.
+/// generations the client still needs; every offer is stamped `now`. A
+/// generation the session holds a summary of gets a smart packet, folded
+/// into that summary; one without, or with no smart packet to build,
+/// gets the ring symbol at its cursor.
 fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64) {
     let generations = session.cursors.len();
     while session.offers.in_flight() < PER_SESSION_INFLIGHT {
@@ -599,27 +628,176 @@ fn pump_offers(session: &mut Session, out: &mut Vec<u8>, ctx: &Context, now: u64
             return;
         };
         session.next_gen = (gen_index + 1) % generations;
-        let Some((seq, packet)) =
-            ctx.store.symbol(session.object_id, gen_index as u32, session.cursors[gen_index])
-        else {
+        let (generation, object_id) = (gen_index as u32, session.object_id);
+        let smart = session.offers.summary_mut(generation).and_then(|summary| {
+            let packet = ctx.store.smart_symbol(object_id, generation, summary)?;
+            summary.fold(packet.vector());
+            Some(packet)
+        });
+        let is_smart = smart.is_some();
+        let cursor = &mut session.cursors[gen_index];
+        let Some(packet) = smart.or_else(|| {
+            let (seq, packet) = ctx.store.symbol(object_id, generation, *cursor)?;
+            *cursor = seq + 1;
+            Some(packet)
+        }) else {
             // The encoder refused (cannot happen for a source node, but a
             // spinning offer loop must not depend on that): offer the
             // generation no more, as if the client had it.
-            session.offers.complete(gen_index as u32);
+            session.offers.complete(generation);
             continue;
         };
-        session.cursors[gen_index] = seq + 1;
-        ctx.stats.counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
-        let header = session.header(MessageKind::DataHeader, gen_index as u32);
-        session.offers.offer(out, &header, packet, false, now);
+        let counters = &ctx.stats.counters;
+        counters.transfers_offered.fetch_add(1, Ordering::Relaxed);
+        counters.smart_offers.fetch_add(u64::from(is_smart), Ordering::Relaxed);
+        let header = session.header(MessageKind::DataHeader, generation);
+        session.offers.offer(out, &header, packet, is_smart, now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltnc_net::envelope::{Envelope, MessageKind};
+    use ltnc_net::ledger;
     use ltnc_reactor::TimerWheel;
     use ltnc_scheme::SchemeKind;
+    use ltnc_session::generation::ReceiverSession;
+
+    /// A server context holding object 1: `generations` LTNC generations
+    /// of `k` natives of 16 bytes. Returns the object too.
+    fn ltnc_context(k: usize, generations: usize) -> (Context, Vec<u8>) {
+        let object: Vec<u8> = (0..k * 16 * generations).map(|i| (i * 37 % 251) as u8).collect();
+        let store = Arc::new(ObjectStore::new(64).expect("store"));
+        store.register(1, &object, SchemeParams::new(SchemeKind::Ltnc, k, 16)).expect("register");
+        let options = ServeOptions::default();
+        (Context { store, stats: Arc::default(), options, tracer: Tracer::off() }, object)
+    }
+
+    fn client_header(kind: MessageKind, generation: u32) -> EnvelopeHeader {
+        EnvelopeHeader { kind, scheme: SchemeKind::Ltnc, session: 1, generation }
+    }
+
+    fn frames(bytes: &[u8]) -> Vec<Envelope> {
+        let mut reassembler = FrameReassembler::new();
+        reassembler.extend(bytes);
+        std::iter::from_fn(|| {
+            Some(reassembler.next_frame_view().expect("well framed")?.into_owned())
+        })
+        .collect()
+    }
+
+    /// The client's `bytes` through the session as one read: each frame,
+    /// then the pump. Returns the frames the session answered with.
+    fn answer(session: &mut Option<Session>, ctx: &Context, bytes: &[u8]) -> Vec<Envelope> {
+        let (mut out, mut reassembler) = (Vec::new(), FrameReassembler::new());
+        reassembler.extend(bytes);
+        while let Some(frame) = reassembler.next_frame_view().expect("well framed") {
+            let over = handle_frame(&frame.header, frame.message, session, &mut out, ctx);
+            assert!(!over.expect("a valid frame"), "the session ended");
+        }
+        pump_offers(session.as_mut().expect("a session"), &mut out, ctx, 0);
+        frames(&out)
+    }
+
+    /// Opens a session on object 1: the MANIFEST, then a window of offers.
+    fn open(ctx: &Context) -> (Option<Session>, Vec<Envelope>) {
+        let mut session = None;
+        let request = client_header(MessageKind::Request, GENERATION_OBJECT);
+        let mut sent = answer(&mut session, ctx, &envelope::encode(&request, &Message::Request));
+        assert_eq!(sent.remove(0).header.kind, MessageKind::Manifest);
+        assert_eq!(sent.len(), PER_SESSION_INFLIGHT);
+        (session, sent)
+    }
+
+    /// The client's verdict on `offer`, with `summary` when given.
+    fn verdict(offer: &Envelope, accept: bool, summary: Option<&Summary>) -> Vec<u8> {
+        let Message::DataHeader { transfer, .. } = offer.message else {
+            panic!("not an offer: {offer:?}")
+        };
+        let header = client_header(MessageKind::FeedbackAccept, offer.header.generation);
+        let mut bytes = Vec::new();
+        ledger::encode_verdict_into(&mut bytes, &header, transfer, accept, summary);
+        bytes
+    }
+
+    fn offered(offer: &Envelope) -> Vec<usize> {
+        let Message::DataHeader { vector, .. } = &offer.message else {
+            panic!("not an offer: {offer:?}")
+        };
+        vector.iter_ones().collect()
+    }
+
+    #[test]
+    fn a_summarised_verdict_turns_the_next_offers_into_natives_the_client_lacks() {
+        // One generation, so every offer is of it. The client decoded
+        // every native but two and aborts two offers: the first verdict
+        // carries its summary, the second goes plain. The two offers that
+        // refill the window are built from the one summary held, each
+        // folded into it: the two natives the client lacks, once each.
+        let k = 16;
+        let (ctx, _) = ltnc_context(k, 1);
+        let (mut session, window) = open(&ctx);
+        let lacking = [3, 11];
+        let labels: Vec<usize> =
+            (0..k).map(|x| if lacking.contains(&x) { x + 1 } else { 0 }).collect();
+        let summary = Summary::from_labels(&labels);
+        let mut verdicts = verdict(&window[0], false, Some(&summary));
+        verdicts.extend(verdict(&window[1], false, None));
+        let refill = answer(&mut session, &ctx, &verdicts);
+
+        let mut natives: Vec<Vec<usize>> = refill.iter().map(offered).collect();
+        natives.sort();
+        assert_eq!(natives, [[lacking[0]], [lacking[1]]], "not the natives the client lacks");
+        let counters = ctx.stats.counters.snapshot();
+        assert_eq!((counters.smart_offers, counters.transfers_offered), (2, 18));
+    }
+
+    #[test]
+    fn a_hostile_summary_falls_back_to_ring_symbols_and_the_fetch_completes() {
+        // A client whose every verdict carries a summary of another code
+        // length, or one that claims every native decoded: no smart packet
+        // can be built from either, so every offer is the ring symbol at
+        // the cursor, the session never stalls, and the object arrives
+        // bit-exact.
+        let (k, generations) = (16, 3);
+        let other_k = Summary::from_labels(&(1..=k + 1).collect::<Vec<_>>());
+        let all_decoded = Summary::from_labels(&vec![0; k]);
+        for hostile in [other_k, all_decoded] {
+            let (ctx, object) = ltnc_context(k, generations);
+            let (mut session, mut inbox) = open(&ctx);
+            let manifest = session.as_ref().expect("open").manifest;
+            let mut receiver = ReceiverSession::new(manifest);
+            for _ in 0..10_000 {
+                if receiver.is_complete() {
+                    break;
+                }
+                let mut replies = Vec::new();
+                for frame in &inbox {
+                    let generation = frame.header.generation;
+                    match &frame.message {
+                        Message::DataHeader { vector, .. } => {
+                            let accept = receiver.would_accept(generation, vector);
+                            replies.extend(verdict(frame, accept, Some(&hostile)));
+                        }
+                        Message::DataPayload { packet, .. } => {
+                            receiver.deliver(generation, packet);
+                            if receiver.generation_complete(generation) {
+                                let complete = client_header(MessageKind::Complete, generation);
+                                envelope::encode_into(&mut replies, &complete, &Message::Complete);
+                            }
+                        }
+                        other => panic!("unexpected frame {other:?}"),
+                    }
+                }
+                inbox = answer(&mut session, &ctx, &replies);
+            }
+            assert_eq!(receiver.reassemble(), Some(object), "{hostile:?}");
+            let counters = ctx.stats.counters.snapshot();
+            assert_eq!(counters.smart_offers, 0, "{hostile:?}");
+            assert!(counters.transfers_delivered >= (k * generations) as u64);
+        }
+    }
 
     /// Blocks until `stream` holds `len` unread bytes.
     fn await_queued(stream: &TcpStream, len: usize) {

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use ltnc_gf2::EncodedPacket;
-use ltnc_scheme::{Scheme, SchemeParams};
+use ltnc_scheme::{Scheme, SchemeParams, Summary};
 use ltnc_session::generation::{split_object, ObjectManifest};
 use ltnc_telemetry::{TraceEvent, Tracer};
 use rand::rngs::SmallRng;
@@ -244,17 +244,42 @@ impl ObjectStore {
     /// encoder that refuses to produce.
     #[must_use]
     pub fn symbol(&self, id: u64, gen_index: u32, seq: u64) -> Option<(u64, Arc<EncodedPacket>)> {
+        let (capacity, stats, tracer) = (self.cache_capacity, &self.stats, &self.tracer);
+        self.with_generation(id, gen_index, |cache| {
+            cache.symbol(seq, capacity, stats, tracer, id, gen_index)
+        })
+    }
+
+    /// A packet of `(id, gen_index)` that the receiver which sent
+    /// `summary` is sure to find innovative: built by the generation's
+    /// source node (Algorithm 4), which holds a native the receiver lacks
+    /// while one is missing. No ring lookup, so neither a hit nor a miss.
+    /// `None` for unknown objects or generations, for schemes without
+    /// summaries, and for a summary of another code length or one that
+    /// claims every native decoded.
+    #[must_use]
+    pub fn smart_symbol(
+        &self,
+        id: u64,
+        gen_index: u32,
+        summary: &Summary,
+    ) -> Option<Arc<EncodedPacket>> {
+        self.with_generation(id, gen_index, |cache| {
+            cache.node.smart_packet(summary, &mut cache.rng).map(Arc::new)
+        })
+    }
+
+    /// Runs `f` on the cache of `(id, gen_index)` under its lock.
+    fn with_generation<T>(
+        &self,
+        id: u64,
+        gen_index: u32,
+        f: impl FnOnce(&mut GenerationCache) -> Option<T>,
+    ) -> Option<T> {
         let stored = self.objects.read().expect("store lock poisoned").get(&id).cloned()?;
-        let cache = stored.generations.get(gen_index as usize)?;
-        let symbol = cache.lock().expect("cache lock poisoned").symbol(
-            seq,
-            self.cache_capacity,
-            &self.stats,
-            &self.tracer,
-            id,
-            gen_index,
-        );
-        symbol
+        let mut cache =
+            stored.generations.get(gen_index as usize)?.lock().expect("cache lock poisoned");
+        f(&mut cache)
     }
 
     /// Snapshot of the hit/miss/eviction counters.

@@ -211,6 +211,28 @@ fn single_replica_striping_degenerates_to_a_plain_fetch() {
 }
 
 #[test]
+fn a_striped_ltnc_fetch_takes_about_k_payloads_per_generation() {
+    // Each stream's verdicts carry the shared receiver's summary of its
+    // leased generations, and each replica builds its offers from them:
+    // the stripe pays no LT decoding overhead (≈ 1.39 k payloads per
+    // generation at k = 64 from blind ring symbols).
+    let (k, generations) = (64, 16);
+    let object = pseudo_object(k * 64 * generations, 0x5A);
+    let params = SchemeParams::new(SchemeKind::Ltnc, k, 64);
+    let servers = spawn_replicas(2, 3, &object, params, &ServeOptions::default());
+    let addrs: Vec<SocketAddr> = servers.iter().map(Server::local_addr).collect();
+    let report = fetch_striped(&addrs, 3, SchemeKind::Ltnc, &striped_options()).expect("fetch");
+    assert_eq!(report.object, object);
+    let delivered = report.stripe.total_delivered();
+    let bound = 1.1 * (k * generations) as f64;
+    assert!(delivered as f64 <= bound, "{delivered} payloads for {generations} × {k}");
+    for server in servers {
+        let served = server.shutdown();
+        assert!(served.smart_offers > 0, "{served}");
+    }
+}
+
+#[test]
 fn a_replica_serving_a_different_object_is_dropped_not_merged() {
     // Same id, different content/params on replica 1: its manifest
     // disagrees, so it must be excluded and the fetch served by the rest.

@@ -650,9 +650,10 @@ fn replayed_and_unknown_feedback_release_nothing() {
 #[test]
 fn a_summarised_verdict_is_read_as_the_verdict_it_carries() {
     // An LTNC receiver answers with a summary, accept or abort. The
-    // server serves whole generations and drops the summary, but reads
-    // the verdict: an ACCEPT-SUMMARY releases its payload, as a plain
-    // ACCEPT does, and an ABORT-SUMMARY none. Each refills the window.
+    // server holds the summary for its next offers of that generation and
+    // reads the verdict: an ACCEPT-SUMMARY releases its payload, as a
+    // plain ACCEPT does, and an ABORT-SUMMARY none. Each refills the
+    // window.
     let server = Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
         .expect("spawn");
     let object = pseudo_object(2048, 31);
@@ -696,6 +697,37 @@ fn a_summarised_verdict_is_read_as_the_verdict_it_carries() {
     assert!(rest.iter().all(|frame| frame.header.kind == MessageKind::DataHeader), "{rest:?}");
     let counters = server.shutdown();
     assert_eq!((counters.transfers_delivered, counters.transfers_aborted), (1, 1));
+}
+
+#[test]
+fn an_ltnc_fetch_takes_about_k_payloads_per_generation() {
+    // Every verdict on a generation still being decoded carries the
+    // client's summary, and the server builds its next offers of that
+    // generation from it (Algorithm 4): natives the client lacks, not
+    // blind LT symbols, whose decoding overhead cost ≈ 1.39 k payloads
+    // per generation at k = 64. Schemes without a summary send plain
+    // verdicts and get ring symbols, as before.
+    let (k, generations) = (64, 16);
+    for scheme in SchemeKind::ALL {
+        let server =
+            Server::spawn("127.0.0.1:0".parse().expect("valid addr"), ServeOptions::default())
+                .expect("spawn");
+        let object = pseudo_object(k * 64 * generations, 54);
+        server.register(4, &object, SchemeParams::new(scheme, k, 64)).expect("register");
+        let report = fetch(server.local_addr(), 4, scheme, &client_options()).expect("fetch");
+        assert_eq!(report.object, object, "{scheme:?}");
+        let served = server.shutdown();
+        let lookups = served.cache_hits + served.cache_misses;
+        assert_eq!(lookups + served.smart_offers, served.transfers_offered, "{scheme:?}");
+        if scheme == SchemeKind::Ltnc {
+            let delivered = report.wire.transfers_delivered;
+            let bound = 1.1 * (k * generations) as f64;
+            assert!(delivered as f64 <= bound, "{delivered} payloads for {generations} × {k}");
+            assert!(report.wire.summaries_sent > 0 && served.smart_offers > 0, "{served}");
+        } else {
+            assert_eq!((report.wire.summaries_sent, served.smart_offers), (0, 0), "{scheme:?}");
+        }
+    }
 }
 
 #[test]

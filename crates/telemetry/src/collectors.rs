@@ -54,10 +54,11 @@ mod tests {
 
     #[test]
     fn serve_samples_cover_every_field() {
-        let c = ServeCounters { cache_hits: 9, ..ServeCounters::new() };
+        let c = ServeCounters { cache_hits: 9, smart_offers: 5, ..ServeCounters::new() };
         let samples = samples(&c);
-        assert_eq!(samples.len(), 11);
+        assert_eq!(samples.len(), 12);
         assert!(samples.iter().any(|s| s.name == "cache_hits" && s.value == 9));
+        assert!(samples.iter().any(|s| s.name == "smart_offers" && s.value == 5));
     }
 
     #[test]

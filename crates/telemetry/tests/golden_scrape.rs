@@ -53,6 +53,7 @@ fn serve() -> ServeCounters {
         transfers_offered: 206,
         transfers_aborted: 207,
         transfers_delivered: 208,
+        smart_offers: 212,
         cache_hits: 209,
         cache_misses: 210,
         cache_evictions: 211,
