@@ -28,6 +28,10 @@ crate::counter_family! {
         pub bytes_in: u64,
         /// Bytes sent to this replica.
         pub bytes_out: u64,
+        /// Verdicts that carried the receiver's summary of their generation.
+        pub summaries_sent: u64,
+        /// Generations leased to this replica's streams.
+        pub generations_leased: u64,
         /// The stream ended in an error (disconnect, stall, protocol); its
         /// leases were re-assigned.
         pub failed: bool,
@@ -166,6 +170,8 @@ mod tests {
             generations_completed: 1,
             bytes_in: 800,
             bytes_out: 80,
+            summaries_sent: 3,
+            generations_leased: 2,
             failed: false,
         };
         earlier.failovers = 1;

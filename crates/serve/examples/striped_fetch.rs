@@ -15,8 +15,9 @@
 //! ```
 //!
 //! `--smoke` is the CI configuration: small object, 3 replicas, all
-//! schemes. Failover after a replica dies mid-fetch is pinned by the
-//! `striped_fetch` integration tests.
+//! schemes. A stream that sends more summaries than its leased
+//! generations plus its aborts fails the run. Failover after a replica
+//! dies mid-fetch is pinned by the `striped_fetch` integration tests.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -167,14 +168,21 @@ fn run_pass(args: &Args, scheme: SchemeKind) -> Result<(), String> {
     for (replica, counters) in report.stripe.replicas.iter().enumerate() {
         println!(
             "        replica {replica}: {} offers, {} delivered, {} useful, {} duplicate, \
-             {} gens finished{}",
+             {} gens finished, {} summaries ({} gens leased, {} aborts){}",
             counters.offers_seen,
             counters.delivered,
             counters.useful,
             counters.duplicates,
             counters.generations_completed,
+            counters.summaries_sent,
+            counters.generations_leased,
+            counters.aborted,
             if counters.failed { "  [FAILED → re-leased]" } else { "" },
         );
+        // A stream summarises a generation's first verdict and its aborts.
+        if counters.summaries_sent > counters.generations_leased + counters.aborted {
+            return Err(format!("{scheme:?}: replica {replica} summarised more than its rule"));
+        }
     }
 
     for server in servers {

@@ -15,12 +15,16 @@
 //! generation from the server's offer schedule is simply sent *up front*
 //! for every generation outside the lease, so the server spends its whole
 //! in-flight budget on the generations this stream is responsible for.
-//! Within the lease, every verdict on a generation still being decoded
-//! carries what the shared receiver holds of it, as a gossip node's does
-//! (`ACCEPT-SUMMARY` / `ABORT-SUMMARY`, for schemes that have a summary):
-//! the server builds its next offers of that generation from it, packets
-//! the receiver is sure to want, so an LT-coded generation arrives in
-//! about `k` payloads instead of LT's decoding overhead above `k`.
+//! Within the lease, the server is told what the shared receiver holds of
+//! a generation still being decoded (`ACCEPT-SUMMARY` / `ABORT-SUMMARY`,
+//! for schemes that have a summary) and builds its next offers of that
+//! generation from it, packets the receiver is sure to want, so an
+//! LT-coded generation arrives in about `k` payloads instead of LT's
+//! decoding overhead above `k`. The server folds each offer into the copy
+//! it holds, and a stream delivers every accepted payload in order, so
+//! the copy stays right: the summary goes with a generation's first
+//! verdict on the connection and with every abort, and the other accepts
+//! go plain.
 //!
 //! Every stream also keeps a **progress watermark**: the last instant a
 //! delivery advanced the merged decoder's rank. A stream whose watermark
@@ -211,6 +215,7 @@ impl ReplicaConn {
             duplicates: self.wire.transfers_delivered - self.wire.useful_deliveries,
             bytes_in: self.wire.bytes_received,
             bytes_out: self.wire.bytes_sent,
+            summaries_sent: self.wire.summaries_sent,
             ..self.stripe
         }
     }
@@ -258,6 +263,7 @@ impl ReplicaConn {
         let generations = self.manifest.generation_count();
         let lease: HashSet<u32> = lease.iter().copied().filter(|&g| g < generations).collect();
         let lease_list: Vec<u32> = lease.iter().copied().collect();
+        self.stripe.generations_leased += lease_list.len() as u64;
         let deadline = Instant::now() + options.timeout;
 
         // Steering: prune everything outside the lease (and anything
@@ -269,31 +275,13 @@ impl ReplicaConn {
                 completed_sent[gen_index as usize] = true;
             }
         }
+        // The generations whose summary this connection's server holds.
+        let mut summarised = vec![false; generations as usize];
 
         let mut watermark = Instant::now();
         let mut buf = vec![0u8; read_buffer_len(&self.manifest.params)];
         loop {
-            // Another stream may have finished one of our generations;
-            // prune it here and re-check the exit condition.
-            for &gen_index in &lease_list {
-                if receiver.generation_complete(gen_index) && !completed_sent[gen_index as usize] {
-                    self.send_complete(gen_index);
-                    completed_sent[gen_index as usize] = true;
-                }
-            }
-            if receiver.generations_complete(&lease_list) {
-                self.finish(&mut buf)?;
-                return Ok(self.replica_counters());
-            }
-            if Instant::now() > deadline {
-                return Err(ServeError::TimedOut);
-            }
-            let stalled_for = watermark.elapsed();
-            if stalled_for > options.stall_timeout {
-                return Err(ServeError::ReplicaLagged { stalled_for });
-            }
-
-            // Frames first, the socket second: the server's opening batch
+            // Frames first, the socket last: the server's opening batch
             // (the MANIFEST and a window of offers in one write) has left
             // offers in the reassembler that a read would only sit on.
             // Accepts and payloads are stamped on the serving plane's
@@ -317,16 +305,24 @@ impl ReplicaConn {
                         } else if self.accepts.accept(transfer, generation, now).is_some() {
                             self.wire.accepts_evicted += 1;
                         }
-                        // A verdict on a leased generation still being
-                        // decoded says what the receiver holds of it, taken
-                        // after the accept decision, as a node's does.
+                        // The server folds every offer it makes into the
+                        // summary it holds, and a stream delivers every
+                        // accepted payload, so that copy never claims more
+                        // than the receiver holds once what is in flight
+                        // lands. A verdict on a leased generation still
+                        // being decoded carries the summary, taken after
+                        // the accept decision, only where the copy can be
+                        // short: the first verdict on this connection, and
+                        // every abort.
+                        let tell = ours && !(accept && summarised[generation as usize]);
                         let summary =
-                            ours.then(|| receiver.summary(generation, MAX_SUMMARY_BYTES)).flatten();
+                            tell.then(|| receiver.summary(generation, MAX_SUMMARY_BYTES)).flatten();
                         let (out, header, summary) =
                             (&mut self.outbound, &frame.header, summary.as_ref());
-                        let summarised =
-                            encode_verdict_into(out, header, transfer, accept, summary);
-                        self.wire.summaries_sent += u64::from(summarised);
+                        if encode_verdict_into(out, header, transfer, accept, summary) {
+                            summarised[generation as usize] = true;
+                            self.wire.summaries_sent += 1;
+                        }
                         self.wire.datagrams_sent += 1;
                     }
                     MessageView::DataPayload { transfer, packet, .. } => {
@@ -357,6 +353,27 @@ impl ReplicaConn {
                     | MessageView::FeedbackSummary { .. }
                     | MessageView::Complete => {}
                 }
+            }
+
+            // A generation the frames just finished, or another stream
+            // did, is pruned now; a lease that is complete ends here, not
+            // after a read that nothing answers.
+            for &gen_index in &lease_list {
+                if receiver.generation_complete(gen_index) && !completed_sent[gen_index as usize] {
+                    self.send_complete(gen_index);
+                    completed_sent[gen_index as usize] = true;
+                }
+            }
+            if receiver.generations_complete(&lease_list) {
+                self.finish(&mut buf)?;
+                return Ok(self.replica_counters());
+            }
+            if Instant::now() > deadline {
+                return Err(ServeError::TimedOut);
+            }
+            let stalled_for = watermark.elapsed();
+            if stalled_for > options.stall_timeout {
+                return Err(ServeError::ReplicaLagged { stalled_for });
             }
             self.pump_inbound(&mut buf)?;
         }

@@ -754,6 +754,40 @@ mod tests {
     }
 
     #[test]
+    fn one_summary_then_plain_accepts_draw_each_missing_native_once() {
+        // A fetch client's verdicts on a stream: its first verdict of the
+        // generation carries its summary (an abort: it takes nothing from
+        // the opening window, whose other offers it leaves unanswered),
+        // and every later one is a plain ACCEPT. The copy the session
+        // holds, folded with each offer it makes, is all it needs: the
+        // next k offers are the k natives, each once, and the ring symbol
+        // comes only after the last of them.
+        let k = 16;
+        let (ctx, object) = ltnc_context(k, 1);
+        let (mut session, window) = open(&ctx);
+        let mut receiver = ReceiverSession::new(session.as_ref().expect("open").manifest);
+        let summary = receiver.summary(0, ledger::MAX_SUMMARY_BYTES);
+        let mut inbox = answer(&mut session, &ctx, &verdict(&window[0], false, summary.as_ref()));
+        let mut natives = Vec::new();
+        while !receiver.generation_complete(0) {
+            let [offer] = &inbox[..] else { panic!("one offer per verdict: {inbox:?}") };
+            let [native] = offered(offer)[..] else { panic!("not a native: {offer:?}") };
+            assert!(!natives.contains(&native), "native {native} offered twice");
+            natives.push(native);
+            inbox = answer(&mut session, &ctx, &verdict(offer, true, None));
+            let Message::DataPayload { packet, .. } = &inbox.remove(0).message else {
+                panic!("an accept released no payload")
+            };
+            assert!(receiver.deliver(0, packet), "native {native} was not innovative");
+        }
+        assert_eq!(natives.len(), k);
+        assert_eq!(receiver.reassemble(), Some(object));
+        let counters = ctx.stats.counters.snapshot();
+        let opening = PER_SESSION_INFLIGHT as u64;
+        assert_eq!((counters.smart_offers, counters.transfers_offered), (16, opening + 17));
+    }
+
+    #[test]
     fn a_hostile_summary_falls_back_to_ring_symbols_and_the_fetch_completes() {
         // A client whose every verdict carries a summary of another code
         // length, or one that claims every native decoded: no smart packet

@@ -4,14 +4,20 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use common::{relay, Cut};
+use ltnc_net::envelope::{MessageKind, MessageView};
+use ltnc_net::stream::FrameReassembler;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_serve::options::PER_SESSION_INFLIGHT;
 use ltnc_serve::striped::MAX_REPLICAS;
-use ltnc_serve::{fetch_striped, ClientOptions, ServeError, ServeOptions, Server, StripedOptions};
+use ltnc_serve::{
+    fetch_striped, ClientOptions, ReplicaConn, ServeError, ServeOptions, Server, StripedOptions,
+};
+use ltnc_session::SharedReceiver;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -212,10 +218,11 @@ fn single_replica_striping_degenerates_to_a_plain_fetch() {
 
 #[test]
 fn a_striped_ltnc_fetch_takes_about_k_payloads_per_generation() {
-    // Each stream's verdicts carry the shared receiver's summary of its
-    // leased generations, and each replica builds its offers from them:
-    // the stripe pays no LT decoding overhead (≈ 1.39 k payloads per
-    // generation at k = 64 from blind ring symbols).
+    // Each replica builds its offers of a generation from the summary the
+    // stream sent it, folded with every offer since: the stripe pays no
+    // LT decoding overhead (≈ 1.39 k payloads per generation at k = 64
+    // from blind ring symbols). A stream summarises a generation's first
+    // verdict and its aborts, not every verdict.
     let (k, generations) = (64, 16);
     let object = pseudo_object(k * 64 * generations, 0x5A);
     let params = SchemeParams::new(SchemeKind::Ltnc, k, 64);
@@ -226,9 +233,66 @@ fn a_striped_ltnc_fetch_takes_about_k_payloads_per_generation() {
     let delivered = report.stripe.total_delivered();
     let bound = 1.1 * (k * generations) as f64;
     assert!(delivered as f64 <= bound, "{delivered} payloads for {generations} × {k}");
+    for stream in &report.stripe.replicas {
+        assert_eq!(stream.generations_leased, generations as u64 / 2);
+        let (summaries, most) = (stream.summaries_sent, stream.generations_leased + stream.aborted);
+        assert!(summaries > 0 && summaries <= most, "{summaries} summaries, {most} allowed");
+    }
     for server in servers {
         let served = server.shutdown();
         assert!(served.smart_offers > 0, "{served}");
+    }
+}
+
+#[test]
+fn a_re_leased_generation_opens_with_a_summary_on_the_survivor() {
+    // Replica 0's stream dies mid-fetch after summarising its
+    // generations to replica 0. The ones it left unfinished go to a fresh
+    // session on replica 1, whose server holds no summary of them: there
+    // each one's first verdict carries the summary, before any plain
+    // ACCEPT, and the object still arrives bit-exact.
+    let (k, generations) = (16, 8);
+    let object = pseudo_object(k * 32 * generations as usize, 0x12E);
+    let params = SchemeParams::new(SchemeKind::Ltnc, k, 32);
+    let servers = spawn_replicas(2, 5, &object, params, &ServeOptions::default());
+    let dying = relay(servers[0].local_addr(), 4096, Cut::Disconnect);
+    let survivor = relay(servers[1].local_addr(), u64::MAX, Cut::Disconnect);
+    let options = striped_options().client;
+
+    let (mut conn, manifest) =
+        ReplicaConn::open(dying.addr, 5, SchemeKind::Ltnc, &options).expect("open replica 0");
+    let receiver = SharedReceiver::new(manifest);
+    let every: Vec<u32> = (0..generations).collect();
+    assert!(conn.fetch_generations(&every, &receiver, &options).is_err(), "replica 0 died");
+    assert!(conn.wire_counters().summaries_sent > 0);
+    let orphans: Vec<u32> =
+        every.iter().copied().filter(|&g| !receiver.generation_complete(g)).collect();
+    assert!(!orphans.is_empty(), "replica 0 finished everything before dying");
+
+    let (mut conn, _) =
+        ReplicaConn::open(survivor.addr, 5, SchemeKind::Ltnc, &options).expect("open replica 1");
+    conn.fetch_generations(&orphans, &receiver, &options).expect("the survivor finishes");
+    assert_eq!(receiver.reassemble(), Some(object));
+    drop(conn);
+
+    let sent = survivor.client_bytes.recv_timeout(Duration::from_secs(5)).expect("client bytes");
+    let mut reassembler = FrameReassembler::new();
+    reassembler.extend(&sent);
+    let mut first_verdicts: BTreeMap<u32, MessageKind> = BTreeMap::new();
+    while let Some(frame) = reassembler.next_frame_view().expect("well framed") {
+        if let MessageView::Feedback { .. } | MessageView::FeedbackSummary { .. } = frame.message {
+            first_verdicts.entry(frame.header.generation).or_insert(frame.header.kind);
+        }
+    }
+    for generation in orphans {
+        let first = first_verdicts.get(&generation);
+        assert!(
+            matches!(first, Some(MessageKind::AcceptSummary | MessageKind::AbortSummary)),
+            "generation {generation} opened with {first:?}"
+        );
+    }
+    for server in servers {
+        let _ = server.shutdown();
     }
 }
 

@@ -4,7 +4,9 @@
 //! server cut or stalled at an exact byte by a relay. A scripted
 //! raw-socket client pins the batching rules of the stream binding:
 //! what one read's worth of frames is answered with, and that nothing is
-//! held back across a blocking read.
+//! held back across a blocking read. A scripted raw-socket replica pins
+//! the fetch client's verdicts: which carry its summary, and that a lease
+//! ends on its last payload.
 
 mod common;
 
@@ -16,6 +18,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use common::{relay, Cut};
+use ltnc_gf2::{EncodedPacket, Payload};
+use ltnc_metrics::WireCounters;
 use ltnc_net::envelope::{
     self, Envelope, EnvelopeHeader, Message, MessageKind, TraceContext, GENERATION_OBJECT,
 };
@@ -701,12 +705,13 @@ fn a_summarised_verdict_is_read_as_the_verdict_it_carries() {
 
 #[test]
 fn an_ltnc_fetch_takes_about_k_payloads_per_generation() {
-    // Every verdict on a generation still being decoded carries the
-    // client's summary, and the server builds its next offers of that
-    // generation from it (Algorithm 4): natives the client lacks, not
-    // blind LT symbols, whose decoding overhead cost ≈ 1.39 k payloads
-    // per generation at k = 64. Schemes without a summary send plain
-    // verdicts and get ring symbols, as before.
+    // The client's summary goes with a generation's first verdict and
+    // with every abort, and the server builds its next offers of that
+    // generation from the copy it holds, folded with every offer since
+    // (Algorithm 4): natives the client lacks, not blind LT symbols,
+    // whose decoding overhead cost ≈ 1.39 k payloads per generation at
+    // k = 64. Schemes without a summary send plain verdicts and get ring
+    // symbols, as before.
     let (k, generations) = (64, 16);
     for scheme in SchemeKind::ALL {
         let server =
@@ -724,10 +729,213 @@ fn an_ltnc_fetch_takes_about_k_payloads_per_generation() {
             let bound = 1.1 * (k * generations) as f64;
             assert!(delivered as f64 <= bound, "{delivered} payloads for {generations} × {k}");
             assert!(report.wire.summaries_sent > 0 && served.smart_offers > 0, "{served}");
+            let most = generations as u64 + report.wire.transfers_aborted;
+            assert!(report.wire.summaries_sent <= most, "{} summaries", report.wire.summaries_sent);
         } else {
             assert_eq!((report.wire.summaries_sent, served.smart_offers), (0, 0), "{scheme:?}");
         }
     }
+}
+
+/// A hand-driven replica on a raw socket serving one LTNC generation of
+/// `k` natives as degree-1 packets: the test decides which offers and
+/// payloads go out in which write, and reads back each frame the client
+/// sends.
+struct ScriptedReplica {
+    stream: TcpStream,
+    reassembler: FrameReassembler,
+    natives: Vec<EncodedPacket>,
+}
+
+impl ScriptedReplica {
+    const OBJECT: u64 = 12;
+
+    /// Accepts a client on `listener`, reads its REQUEST and answers with
+    /// the MANIFEST of `object` as one generation of `m`-byte natives.
+    fn accept(listener: &TcpListener, object: &[u8], m: usize) -> ScriptedReplica {
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_millis(20))).expect("read timeout");
+        let k = object.len() / m;
+        let natives = (0..k)
+            .map(|i| EncodedPacket::native(k, i, Payload::from_slice(&object[i * m..][..m])))
+            .collect();
+        let mut replica = ScriptedReplica { stream, reassembler: FrameReassembler::new(), natives };
+        assert_eq!(replica.next_frame().header.kind, MessageKind::Request);
+        let manifest = Message::Manifest {
+            object_len: object.len() as u64,
+            code_length: k as u32,
+            payload_size: m as u32,
+        };
+        let frame = envelope::encode(&replica.header(MessageKind::Manifest), &manifest);
+        replica.stream.write_all(&frame).expect("write the manifest");
+        replica
+    }
+
+    fn header(&self, kind: MessageKind) -> EnvelopeHeader {
+        let generation = if kind == MessageKind::Manifest { GENERATION_OBJECT } else { 0 };
+        EnvelopeHeader { kind, scheme: SchemeKind::Ltnc, session: Self::OBJECT, generation }
+    }
+
+    /// Appends the offer of native `index` as `transfer` to `out`.
+    fn offer(&self, out: &mut Vec<u8>, transfer: u64, index: usize) {
+        let packet = &self.natives[index];
+        let offer = Message::DataHeader {
+            transfer,
+            trace: TraceContext::origin_now(TraceContext::now_micros()),
+            payload_size: packet.payload_size(),
+            vector: packet.vector().clone(),
+        };
+        out.extend(envelope::encode(&self.header(MessageKind::DataHeader), &offer));
+    }
+
+    /// Appends the payload of native `index`, offered as `transfer`, to
+    /// `out`.
+    fn payload(&self, out: &mut Vec<u8>, transfer: u64, index: usize) {
+        let trace = TraceContext::origin_now(TraceContext::now_micros());
+        let header = self.header(MessageKind::DataPayload);
+        envelope::encode_payload_into(out, &header, transfer, &trace, &self.natives[index]);
+    }
+
+    /// The next frame from the client, or a panic after 5 s.
+    fn next_frame(&mut self) -> Envelope {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(frame) = self.reassembler.next_frame_view().expect("well framed") {
+                return frame.into_owned();
+            }
+            assert!(Instant::now() < deadline, "the client sent nothing more");
+            match self.stream.read(&mut buf) {
+                Ok(0) => panic!("the client closed the connection"),
+                Ok(n) => self.reassembler.extend(&buf[..n]),
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+    }
+
+    /// The kind and transfer of the client's next frame, a verdict.
+    fn verdict(&mut self) -> (MessageKind, u64) {
+        let frame = self.next_frame();
+        match frame.message {
+            Message::Feedback { transfer, .. } | Message::FeedbackSummary { transfer, .. } => {
+                (frame.header.kind, transfer)
+            }
+            other => panic!("not a verdict: {other:?}"),
+        }
+    }
+
+    /// Reads the client's COMPLETE of generation 0, then of the object.
+    fn expect_completes(&mut self) {
+        for generation in [0, GENERATION_OBJECT] {
+            let frame = self.next_frame();
+            let complete = (frame.header.kind, frame.header.generation);
+            assert_eq!(complete, (MessageKind::Complete, generation), "{frame:?}");
+        }
+    }
+}
+
+/// What a fetch from a scripted replica yields: the reassembled object
+/// and the client's wire counters.
+type ScriptedFetch = Result<(Option<Vec<u8>>, WireCounters), ServeError>;
+
+/// Fetches generation 0 of the scripted replica at `addr` on a thread.
+fn fetch_from_script(addr: SocketAddr) -> thread::JoinHandle<ScriptedFetch> {
+    thread::spawn(move || {
+        let options = client_options();
+        let (mut conn, manifest) =
+            ReplicaConn::open(addr, ScriptedReplica::OBJECT, SchemeKind::Ltnc, &options)?;
+        let receiver = SharedReceiver::new(manifest);
+        conn.fetch_generations(&[0], &receiver, &options)?;
+        Ok((receiver.reassemble(), conn.wire_counters()))
+    })
+}
+
+#[test]
+fn a_fetch_client_summarises_its_first_verdict_and_its_aborts_only() {
+    // On a stream the server's copy of the client's summary never claims
+    // more than the client holds, so the client sends the summary where
+    // the copy can be short: with its first verdict on a generation, and
+    // with every abort on one it has not finished. Its other accepts go
+    // plain.
+    let (k, m) = (4, 16);
+    let object = pseudo_object(k * m, 55);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = fetch_from_script(listener.local_addr().expect("addr"));
+    let mut replica = ScriptedReplica::accept(&listener, &object, m);
+
+    let mut out = Vec::new();
+    replica.offer(&mut out, 1, 0);
+    replica.stream.write_all(&out).expect("write");
+    assert_eq!(replica.verdict(), (MessageKind::AcceptSummary, 1), "the first verdict");
+
+    // Native 0 lands, and is offered again: the copy claimed too little.
+    out.clear();
+    replica.payload(&mut out, 1, 0);
+    replica.offer(&mut out, 2, 0);
+    replica.stream.write_all(&out).expect("write");
+    let abort = replica.next_frame();
+    let Message::FeedbackSummary { transfer: 2, accept: false, summary } = abort.message else {
+        panic!("an abort without the summary: {abort:?}")
+    };
+    assert_eq!(summary.labels(), [0, 2, 3, 4], "native 0 decoded, the rest alone");
+
+    // Every other native, each offered once its predecessor landed.
+    for (transfer, native) in (3..).zip(1..k) {
+        out.clear();
+        if native > 1 {
+            replica.payload(&mut out, transfer - 1, native - 1);
+        }
+        replica.offer(&mut out, transfer, native);
+        replica.stream.write_all(&out).expect("write");
+        assert_eq!(replica.verdict(), (MessageKind::FeedbackAccept, transfer));
+    }
+    out.clear();
+    replica.payload(&mut out, k as u64 + 1, k - 1);
+    replica.stream.write_all(&out).expect("write");
+    replica.expect_completes();
+    replica.stream.shutdown(Shutdown::Both).expect("close");
+    let (reassembled, wire) = client.join().expect("client thread").expect("fetch");
+    assert_eq!(reassembled, Some(object));
+    assert_eq!((wire.summaries_sent, wire.transfers_aborted), (2, 1));
+}
+
+#[test]
+fn a_lease_ends_on_its_last_payload_without_another_read() {
+    // The replica writes the generation's last payload and half-closes:
+    // it has nothing more to say, and a client that reads again meets
+    // EOF. The client must COMPLETE the generation and the object from
+    // the frames it already holds, not block in a read first (which, on
+    // a replica that stays open, costs a whole read timeout).
+    let (k, m) = (8, 16);
+    let object = pseudo_object(k * m, 56);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = fetch_from_script(listener.local_addr().expect("addr"));
+    let mut replica = ScriptedReplica::accept(&listener, &object, m);
+
+    let mut out = Vec::new();
+    for native in 0..k {
+        replica.offer(&mut out, native as u64 + 1, native);
+    }
+    replica.stream.write_all(&out).expect("write the offers");
+    for transfer in 1..=k as u64 {
+        let (kind, verdict_on) = replica.verdict();
+        assert!(matches!(kind, MessageKind::FeedbackAccept | MessageKind::AcceptSummary));
+        assert_eq!(verdict_on, transfer);
+    }
+    out.clear();
+    for native in 0..k {
+        replica.payload(&mut out, native as u64 + 1, native);
+    }
+    replica.stream.write_all(&out).expect("write the payloads");
+    replica.stream.shutdown(Shutdown::Write).expect("half-close");
+
+    let (reassembled, _) =
+        client.join().expect("client thread").expect("no read after the last payload");
+    assert_eq!(reassembled, Some(object));
+    replica.expect_completes();
 }
 
 #[test]
